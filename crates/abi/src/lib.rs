@@ -49,7 +49,7 @@
 
 use mesh_core::ffi as libc;
 use mesh_core::ffi::{c_int, c_void, size_t};
-use mesh_core::{in_internal_alloc, with_internal_alloc, PAGE_SIZE};
+use mesh_core::{in_internal_alloc, with_internal_alloc, Report, PAGE_SIZE};
 
 mod bootstrap;
 mod real;
@@ -380,10 +380,7 @@ pub extern "C" fn mesh_mesh_now() -> u64 {
 /// asynchronously.
 #[no_mangle]
 pub extern "C" fn mesh_prof_dump() -> c_int {
-    if in_internal_alloc() {
-        return -1;
-    }
-    runtime::prof_dump_to(2)
+    runtime::report_dump_to(Report::Profile, 2)
 }
 
 /// Writes the buffered slow-path trace (Chrome trace-event JSON, see
@@ -393,10 +390,7 @@ pub extern "C" fn mesh_prof_dump() -> c_int {
 /// exists. `kill -USR2 <pid>` reaches the same dump asynchronously.
 #[no_mangle]
 pub extern "C" fn mesh_trace_dump() -> c_int {
-    if in_internal_alloc() {
-        return -1;
-    }
-    runtime::trace_dump_to(2)
+    runtime::report_dump_to(Report::Trace, 2)
 }
 
 /// Writes the mesh-sense document (version-1 JSON: pressure, residency
@@ -407,10 +401,7 @@ pub extern "C" fn mesh_trace_dump() -> c_int {
 /// heap exists. `kill -USR2 <pid>` reaches the same dump asynchronously.
 #[no_mangle]
 pub extern "C" fn mesh_sense_dump() -> c_int {
-    if in_internal_alloc() {
-        return -1;
-    }
-    runtime::sense_dump_to(2)
+    runtime::report_dump_to(Report::Sense, 2)
 }
 
 /// Whether the mesh-ctl control socket (`MESH_CTL=/path/sock`) is

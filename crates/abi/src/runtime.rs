@@ -5,7 +5,9 @@
 
 use mesh_core::ffi as libc;
 use mesh_core::ffi::{c_uint, c_void};
-use mesh_core::{in_internal_alloc, with_internal_alloc, Mesh, MeshConfig, MeshForkGuard, ThreadHeap};
+use mesh_core::{
+    in_internal_alloc, with_internal_alloc, Mesh, MeshConfig, MeshForkGuard, Report, ThreadHeap,
+};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI32, AtomicPtr, AtomicU32, Ordering};
 use std::sync::OnceLock;
@@ -120,10 +122,8 @@ fn install_process_hooks(mesh: &Mesh) {
         }
         if mesh.is_profiling() || mesh.is_tracing() || mesh.is_sensing() {
             // Opt-in SIGUSR2 → heap-profile, trace, and/or sense dump.
-            // The handler body is atomic stores
-            // ([`Mesh::request_profile_dump`], [`Mesh::request_trace_dump`],
-            // [`Mesh::request_sense_dump`]); the dumps themselves ride the
-            // background telemetry thread.
+            // The handler body is atomic RMWs ([`Mesh::request_report`]);
+            // the dumps themselves ride the background telemetry thread.
             let mut act: libc::sigaction = std::mem::zeroed();
             let handler: extern "C" fn(mesh_core::ffi::c_int) = sigusr2_handler;
             act.sa_sigaction = handler as usize;
@@ -131,17 +131,8 @@ fn install_process_hooks(mesh: &Mesh) {
             libc::sigemptyset(&mut act.sa_mask);
             libc::sigaction(libc::SIGUSR2, &act, std::ptr::null_mut());
         }
-        if mesh.is_profiling() {
-            crate::real::atexit(prof_at_exit);
-        }
-        if mesh.is_tracing() {
-            crate::real::atexit(trace_at_exit);
-        }
-        // Sense dumps at exit only when a destination file is configured:
-        // sensing is on by default, and an unconditional stderr dump from
-        // every preloaded process would be noise, not observability.
-        if mesh.sense_path().is_some() {
-            crate::real::atexit(sense_at_exit);
+        if DUMPABLE.iter().any(|&kind| dumps_at_exit(mesh, kind)) {
+            crate::real::atexit(reports_at_exit);
         }
         // The heap statics are never dropped in an interposed process, so
         // the ctl socket path would outlive us as a stale file without
@@ -238,10 +229,8 @@ extern "C" fn fork_child() {
 /// Prints the one-line stats summary to `fd` (the body of
 /// `mesh_stats_print()` and the `MESH_PRINT_STATS_AT_EXIT=1` dump).
 fn print_stats_to(fd: i32) {
-    if let Some(mesh) = built_heap() {
-        with_internal_alloc(|| {
-            write_line(fd, &mesh.stats_with_spectrum().render());
-        });
+    if built_heap().is_some() {
+        report_dump_to(Report::Stats, fd);
     } else {
         write_line(fd, "mesh: heap never constructed");
     }
@@ -253,106 +242,75 @@ pub fn print_stats() {
     print_stats_to(2);
 }
 
-extern "C" fn stats_at_exit() {
-    // fd 2 may already be closed by the application's own atexit handlers
-    // (coreutils' close_stdout); the dup taken at registration survives.
+/// The fd exit-time output goes to: fd 2 may already be closed by the
+/// application's own atexit handlers (coreutils' close_stdout); the dup
+/// taken at registration survives.
+fn exit_fd() -> i32 {
     let fd = STATS_FD.load(Ordering::Acquire);
-    print_stats_to(if fd >= 0 { fd } else { 2 });
-}
-
-// ---------------------------------------------------------------------
-// Heap profiling (mesh-insight)
-// ---------------------------------------------------------------------
-
-/// SIGUSR2 handler: request asynchronous profile and trace dumps. The
-/// entire body is atomic stores — the only thing a signal context may do
-/// against a heap that might be mid-allocation on this very thread.
-extern "C" fn sigusr2_handler(_sig: mesh_core::ffi::c_int) {
-    if let Some(mesh) = built_heap() {
-        mesh.request_profile_dump();
-        mesh.request_trace_dump();
-        mesh.request_sense_dump();
+    if fd >= 0 {
+        fd
+    } else {
+        2
     }
 }
 
-/// Writes one profile dump: to `MESH_PROF_PATH` when configured, else to
-/// `fd` as a single `mesh-prof: `-prefixed line. Returns 0 on success,
-/// -1 when no profiling heap exists.
-pub fn prof_dump_to(fd: i32) -> i32 {
-    let Some(mesh) = built_heap() else { return -1 };
-    with_internal_alloc(|| {
-        if mesh.profile_path().is_some() {
-            return if mesh.dump_profile_now() { 0 } else { -1 };
-        }
-        match mesh.profile_json() {
-            Some(json) => {
-                write_line(fd, &format!("mesh-prof: {json}"));
-                0
-            }
-            None => -1,
-        }
-    })
-}
-
-extern "C" fn prof_at_exit() {
-    let fd = STATS_FD.load(Ordering::Acquire);
-    prof_dump_to(if fd >= 0 { fd } else { 2 });
+extern "C" fn stats_at_exit() {
+    print_stats_to(exit_fd());
 }
 
 // ---------------------------------------------------------------------
-// Slow-path tracing (mesh-trace)
+// Reports (heap profile, slow-path trace, mesh-sense)
 // ---------------------------------------------------------------------
 
-/// Writes one Chrome trace dump: to `MESH_TRACE_PATH` when configured,
-/// else to `fd` as a single `mesh-trace: `-prefixed line. Returns 0 on
-/// success, -1 when no tracing heap exists.
-pub fn trace_dump_to(fd: i32) -> i32 {
-    let Some(mesh) = built_heap() else { return -1 };
-    with_internal_alloc(|| {
-        if mesh.trace_path().is_some() {
-            return if mesh.dump_trace_now() { 0 } else { -1 };
+/// The kinds with a dump file and a C symbol, in the order `SIGUSR2`
+/// requests them.
+const DUMPABLE: [Report; 3] = [Report::Profile, Report::Trace, Report::Sense];
+
+/// SIGUSR2 handler: request asynchronous dumps of every dumpable kind.
+/// The entire body is atomic RMWs — the only thing a signal context may
+/// do against a heap that might be mid-allocation on this very thread.
+extern "C" fn sigusr2_handler(_sig: mesh_core::ffi::c_int) {
+    if let Some(mesh) = built_heap() {
+        for kind in DUMPABLE {
+            mesh.request_report(kind);
         }
-        match mesh.trace_json() {
-            Some(json) => {
-                write_line(fd, &format!("mesh-trace: {json}"));
-                0
-            }
-            None => -1,
-        }
-    })
+    }
 }
 
-extern "C" fn trace_at_exit() {
-    let fd = STATS_FD.load(Ordering::Acquire);
-    trace_dump_to(if fd >= 0 { fd } else { 2 });
+/// Writes one report: to the kind's `MESH_*_PATH` when configured, else
+/// to `fd` as a single line (prefixed for the dumpable kinds). Returns 0
+/// on success, -1 when the kind's subsystem is off, no heap exists, or
+/// the call arrived from inside Mesh itself.
+pub fn report_dump_to(kind: Report, fd: i32) -> i32 {
+    if in_internal_alloc() {
+        return -1;
+    }
+    match built_heap().map(|mesh| mesh.write_report(kind, fd)) {
+        Some(Ok(())) => 0,
+        _ => -1,
+    }
 }
 
-// ---------------------------------------------------------------------
-// Pressure/residency sensing (mesh-sense)
-// ---------------------------------------------------------------------
-
-/// Writes one mesh-sense dump: to `MESH_SENSE_PATH` when configured,
-/// else to `fd` as a single `mesh-sense: `-prefixed line. Returns 0 on
-/// success, -1 when no sensing heap exists.
-pub fn sense_dump_to(fd: i32) -> i32 {
-    let Some(mesh) = built_heap() else { return -1 };
-    with_internal_alloc(|| {
-        if mesh.sense_path().is_some() {
-            return if mesh.dump_sense_now() { 0 } else { -1 };
-        }
-        match mesh.sense_json() {
-            Some(json) => {
-                write_line(fd, &format!("mesh-sense: {json}"));
-                0
-            }
-            None => -1,
-        }
-    })
+/// Whether `kind` is written when the process exits. Profiling and
+/// tracing are opt-in, so their dump is what the user asked for; sensing
+/// is on by default, and an unconditional stderr dump from every
+/// preloaded process would be noise — it needs a destination file.
+fn dumps_at_exit(mesh: &Mesh, kind: Report) -> bool {
+    match kind {
+        Report::Profile => mesh.is_profiling(),
+        Report::Trace => mesh.is_tracing(),
+        _ => mesh.report_path(kind).is_some(),
+    }
 }
 
-extern "C" fn sense_at_exit() {
-    let fd = STATS_FD.load(Ordering::Acquire);
-    sense_dump_to(if fd >= 0 { fd } else { 2 });
+extern "C" fn reports_at_exit() {
+    let Some(mesh) = built_heap() else { return };
+    // Sense, trace, profile: the order three LIFO atexit handlers ran in.
+    for kind in DUMPABLE.into_iter().rev() {
+        if dumps_at_exit(mesh, kind) {
+            report_dump_to(kind, exit_fd());
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

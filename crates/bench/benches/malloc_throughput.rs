@@ -366,17 +366,12 @@ fn server_loop(mesh: &Mesh, waves: usize, workers: usize, ops: usize) -> f64 {
     total_ops as f64 / t0.elapsed().as_secs_f64()
 }
 
-/// Extracts a named number from a flat JSON object (no serde in the
-/// offline build; the baseline file is one flat object we control).
-fn json_number(source: &str, key: &str) -> Option<f64> {
-    let at = source.find(&format!("\"{key}\""))?;
-    let rest = source[at..].split_once(':')?.1;
-    let num: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-        .collect();
-    num.parse().ok()
+/// A named number of the checked-in baseline file.
+fn baseline_number(key: &str) -> f64 {
+    mesh_core::json::Json::parse(BASELINE)
+        .ok()
+        .and_then(|doc| doc.field(key)?.as_f64())
+        .expect("baseline parses")
 }
 
 fn main() {
@@ -624,7 +619,7 @@ fn main() {
     }
 
     // --- baseline floor ---------------------------------------------------
-    let floor = json_number(BASELINE, "single_thread_ops_sec").expect("baseline parses");
+    let floor = baseline_number("single_thread_ops_sec");
     if std::env::var_os("MESH_BENCH_NO_ENFORCE").is_none() {
         // >2× below the checked-in floor is a regression failure; the
         // floor itself is set conservatively below typical CI hardware.
@@ -702,8 +697,7 @@ fn main() {
         // checked-in floor. On a 1-core runner the only honest point is
         // the 1-thread run and the check trivially passes — by design:
         // oversubscribed numbers measure the scheduler, not us.
-        let eff_floor =
-            json_number(BASELINE, "scaling_efficiency_floor").expect("baseline parses");
+        let eff_floor = baseline_number("scaling_efficiency_floor");
         assert!(
             efficiency * 2.0 >= eff_floor,
             "mixed_remote scaling efficiency regressed >2x: {efficiency:.3} \

@@ -7,67 +7,6 @@
 
 use mesh_core::ffi as libc;
 use std::fmt::Display;
-use std::time::{Duration, Instant};
-
-/// Result of one timed benchmark.
-#[derive(Debug, Clone)]
-pub struct Sample {
-    pub name: String,
-    pub ns_per_op: f64,
-}
-
-/// Times `f` with auto-calibrated iteration counts (the offline build has
-/// no criterion): short warmup, pick an iteration count targeting ~50 ms
-/// per sample, take three samples, report the fastest (robust against
-/// scheduler noise). Prints one aligned line and returns the sample.
-pub fn time_op(name: &str, mut f: impl FnMut()) -> Sample {
-    let warmup = Instant::now();
-    let mut n = 0u64;
-    while warmup.elapsed() < Duration::from_millis(10) {
-        f();
-        n += 1;
-    }
-    let per = warmup.elapsed().as_nanos() as f64 / n.max(1) as f64;
-    let iters = ((50_000_000.0 / per.max(1.0)) as u64).clamp(10, 50_000_000);
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(t.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    let s = Sample {
-        name: name.to_string(),
-        ns_per_op: best,
-    };
-    println!("{:<48} {:>12.1} ns/op", s.name, s.ns_per_op);
-    s
-}
-
-/// Times `f` over per-iteration fresh state from `setup` (setup excluded
-/// from the measurement). For expensive-setup benchmarks like "one full
-/// meshing pass over a freshly fragmented heap".
-pub fn time_batched<S>(
-    name: &str,
-    iters: u64,
-    mut setup: impl FnMut() -> S,
-    mut f: impl FnMut(S),
-) -> Sample {
-    let mut total = 0u128;
-    for _ in 0..iters {
-        let state = setup();
-        let t = Instant::now();
-        f(state);
-        total += t.elapsed().as_nanos();
-    }
-    let s = Sample {
-        name: name.to_string(),
-        ns_per_op: total as f64 / iters.max(1) as f64,
-    };
-    println!("{:<48} {:>12.1} ns/op", s.name, s.ns_per_op);
-    s
-}
 
 /// Prints a section banner so `cargo bench` output reads like the paper's
 /// evaluation section.

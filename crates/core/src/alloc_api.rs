@@ -14,6 +14,7 @@ use crate::size_classes::{SizeClass, MAX_SMALL_SIZE, PAGE_SIZE};
 use crate::stats::{Counters, HeapStats};
 use crate::sync::{Mutex, MutexGuard};
 use crate::sys::ReleaseStrategy;
+use crate::telemetry::{Report, ReportOff};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -290,8 +291,9 @@ impl Mesh {
     /// queue first so `frees`/`live_bytes` reflect all queued frees.
     /// The occupancy spectrum is left empty — counters only, so periodic
     /// samplers can call this concurrently with workers without walking
-    /// every MiniHeap under the shard locks; use
-    /// [`Mesh::stats_with_spectrum`] where meshability matters.
+    /// every MiniHeap under the shard locks; assign
+    /// [`Mesh::occupancy_spectrum`] to [`HeapStats::spectrum`] where
+    /// `render()` should show meshability ([`Report::Stats`] does).
     pub fn stats(&self) -> HeapStats {
         // The snapshot itself allocates (spectrum vectors, latency
         // buckets) — it must stay inside the guard too, or an interposed
@@ -299,19 +301,6 @@ impl Mesh {
         with_internal_alloc(|| {
             self.inner.state.drain_all();
             self.inner.counters.snapshot()
-        })
-    }
-
-    /// [`Mesh::stats`] plus the occupancy spectrum filled in
-    /// ([`HeapStats::spectrum`]), so `render()` shows meshability at a
-    /// glance — the snapshot behind `malloc_stats(3)` and the exit dump.
-    /// Walks every MiniHeap, one class shard lock at a time.
-    pub fn stats_with_spectrum(&self) -> HeapStats {
-        with_internal_alloc(|| {
-            self.inner.state.drain_all();
-            let mut stats = self.inner.counters.snapshot();
-            stats.spectrum = self.inner.state.occupancy_spectrum();
-            stats
         })
     }
 
@@ -339,13 +328,8 @@ impl Mesh {
     /// counters, gauges, the per-class occupancy spectrum, and (when
     /// profiling) the sampler's summary. Scrape-ready.
     pub fn prom_text(&self) -> String {
-        let stats = self.stats_with_spectrum();
-        with_internal_alloc(|| {
-            let prof = self.inner.state.telemetry.as_ref().map(|t| t.stats());
-            let sense = self.inner.state.sense.as_ref().and_then(|s| s.latest());
-            let rejects = self.inner.state.ledger.reject_totals();
-            crate::telemetry::prom_text(&stats, prof.as_ref(), sense.as_ref(), &rejects)
-        })
+        let text = self.report(Report::Prom).expect("prom is always on");
+        String::from_utf8(text).expect("prom is text")
     }
 
     /// Whether the sampled heap profiler is active on this heap.
@@ -358,48 +342,39 @@ impl Mesh {
         self.inner.state.telemetry.as_ref().map(|t| t.stats())
     }
 
-    /// The sampled heap profile as version-1 JSON (see DESIGN.md
-    /// "Telemetry & profiling" for the schema), or `None` when profiling
-    /// is off.
-    pub fn profile_json(&self) -> Option<String> {
-        with_internal_alloc(|| self.inner.state.profile_json())
+    // ----- reports -------------------------------------------------------
+
+    /// Renders the document of `kind` from the heap's current state (see
+    /// [`Report`] for the kinds and DESIGN.md "Reports" for their
+    /// schemas) — the same bytes the mesh-ctl command `kind.name()`, the
+    /// dump files, and the C ABI symbols produce. `Err` carries the
+    /// one-line reason when the kind's subsystem is off.
+    pub fn report(&self, kind: Report) -> Result<Vec<u8>, ReportOff> {
+        with_internal_alloc(|| self.inner.state.render(kind))
     }
 
-    /// The configured profile-dump destination (`MESH_PROF_PATH`), if
-    /// profiling is on and a path was set.
-    pub fn profile_path(&self) -> Option<std::path::PathBuf> {
-        self.inner
-            .state
-            .telemetry
-            .as_ref()
-            .and_then(|t| t.dump_path().map(|p| p.to_path_buf()))
+    /// Asks the background thread to write `kind` out at its next beat,
+    /// as [`Mesh::write_report`] to stderr would. Async-signal-safe (one
+    /// atomic RMW): this is the body of the C ABI's `SIGUSR2` handler.
+    /// A request for a kind whose subsystem is off is dropped.
+    pub fn request_report(&self, kind: Report) {
+        self.inner.state.reports.request(kind);
     }
 
-    /// Requests an asynchronous profile dump from the background thread.
-    /// Async-signal-safe (one atomic store): this is the body of the C
-    /// ABI's `SIGUSR2` handler. No-op when profiling is off.
-    pub fn request_profile_dump(&self) {
-        if let Some(t) = &self.inner.state.telemetry {
-            t.request_dump();
-        }
+    /// Renders `kind` and writes it synchronously: to its configured
+    /// dump file ([`Mesh::report_path`]), else to `fallback_fd` as one
+    /// line (prefixed `mesh-prof: ` / `mesh-trace: ` / `mesh-sense: ` for
+    /// the kinds that have dump files). `Err` when the kind's subsystem
+    /// is off; nothing is written then.
+    pub fn write_report(&self, kind: Report, fallback_fd: i32) -> Result<(), ReportOff> {
+        with_internal_alloc(|| self.inner.state.emit(kind, fallback_fd))
     }
 
-    /// Writes one profile dump synchronously to the configured
-    /// destination (`MESH_PROF_PATH`, or stderr as a `mesh-prof: ` line).
-    /// Returns whether profiling was on and a dump was written.
-    pub fn dump_profile_now(&self) -> bool {
-        with_internal_alloc(|| {
-            let Some(t) = &self.inner.state.telemetry else {
-                return false;
-            };
-            match self.inner.state.profile_json() {
-                Some(json) => {
-                    t.write_dump(&json);
-                    true
-                }
-                None => false,
-            }
-        })
+    /// The configured dump file of `kind` (`MESH_PROF_PATH`,
+    /// `MESH_TRACE_PATH`, `MESH_SENSE_PATH`), if its subsystem is on and
+    /// a path was set.
+    pub fn report_path(&self, kind: Report) -> Option<&std::path::Path> {
+        self.inner.state.reports.path(kind)
     }
 
     // ----- hardening (MESH_HARDEN) ---------------------------------------
@@ -428,18 +403,6 @@ impl Mesh {
         self.inner.state.sense.as_ref().and_then(|s| s.latest())
     }
 
-    /// The sensor state — snapshot history, residency decomposition, and
-    /// the meshing-effectiveness ledger — as version-1 JSON (see DESIGN.md
-    /// §4f for the schema), or `None` when sensing is off. Takes one fresh
-    /// poll first so the document is current.
-    pub fn sense_json(&self) -> Option<String> {
-        with_internal_alloc(|| {
-            self.inner.state.sense.as_ref()?;
-            self.inner.state.sense_poll();
-            self.inner.state.sense_json()
-        })
-    }
-
     /// The meshing-effectiveness ledger's per-reason reject totals, in
     /// [`crate::telemetry::ALL_REJECT_REASONS`] order. Always available
     /// (the ledger records regardless of sensing).
@@ -452,93 +415,11 @@ impl Mesh {
         with_internal_alloc(|| self.inner.state.ledger.recent())
     }
 
-    /// The configured sense-dump destination (`MESH_SENSE_PATH`), if
-    /// sensing is on and a path was set.
-    pub fn sense_path(&self) -> Option<std::path::PathBuf> {
-        self.inner
-            .state
-            .sense
-            .as_ref()
-            .and_then(|s| s.dump_path().map(|p| p.to_path_buf()))
-    }
-
-    /// Requests an asynchronous sense dump from the background thread.
-    /// Async-signal-safe (one atomic store): the C ABI's `SIGUSR2`
-    /// handler co-requests this alongside the profile and trace dumps.
-    /// No-op when sensing is off.
-    pub fn request_sense_dump(&self) {
-        if let Some(s) = &self.inner.state.sense {
-            s.request_dump();
-        }
-    }
-
-    /// Writes one sense dump synchronously to the configured destination
-    /// (`MESH_SENSE_PATH`, or stderr as a `mesh-sense: ` line). Returns
-    /// whether sensing was on and a dump was written.
-    pub fn dump_sense_now(&self) -> bool {
-        with_internal_alloc(|| {
-            let Some(s) = &self.inner.state.sense else {
-                return false;
-            };
-            self.inner.state.sense_poll();
-            match self.inner.state.sense_json() {
-                Some(json) => {
-                    s.write_dump(&json);
-                    true
-                }
-                None => false,
-            }
-        })
-    }
-
     // ----- tracing (mesh-trace) ------------------------------------------
 
     /// Whether slow-path event tracing (`MESH_TRACE=1`) is active.
     pub fn is_tracing(&self) -> bool {
         self.inner.counters.trace_set().is_some()
-    }
-
-    /// The buffered slow-path events as Chrome trace-event JSON (loadable
-    /// in `chrome://tracing` / Perfetto), or `None` when tracing is off.
-    /// Reads race benignly with recording threads: a torn event decodes
-    /// as garbage-or-skipped, never as a malformed document.
-    pub fn trace_json(&self) -> Option<String> {
-        let trace = self.inner.counters.trace_set()?;
-        let uptime_ms = self.inner.counters.uptime_ms();
-        Some(with_internal_alloc(|| trace.chrome_json(uptime_ms)))
-    }
-
-    /// The configured trace-dump destination (`MESH_TRACE_PATH`), if
-    /// tracing is on and a path was set.
-    pub fn trace_path(&self) -> Option<std::path::PathBuf> {
-        self.inner
-            .counters
-            .trace_set()
-            .and_then(|t| t.dump_path().map(|p| p.to_path_buf()))
-    }
-
-    /// Requests an asynchronous trace dump from the background thread.
-    /// Async-signal-safe (one atomic store): the C ABI's `SIGUSR2`
-    /// handler co-requests this alongside the profile dump. No-op when
-    /// tracing is off.
-    pub fn request_trace_dump(&self) {
-        if let Some(t) = self.inner.counters.trace_set() {
-            t.request_dump();
-        }
-    }
-
-    /// Writes one trace dump synchronously to the configured destination
-    /// (`MESH_TRACE_PATH`, or stderr as a `mesh-trace: ` line). Returns
-    /// whether tracing was on and a dump was written.
-    pub fn dump_trace_now(&self) -> bool {
-        let Some(t) = self.inner.counters.trace_set() else {
-            return false;
-        };
-        let uptime_ms = self.inner.counters.uptime_ms();
-        with_internal_alloc(|| {
-            t.write_dump(&t.chrome_json(uptime_ms));
-            true
-        })
     }
 
     /// Runtime control analog of `mallctl` (§4.5): changes the meshing
@@ -584,15 +465,6 @@ impl Mesh {
         if let Some(ctl) = &self.inner.state.ctl {
             with_internal_alloc(|| ctl.shutdown());
         }
-    }
-
-    /// The sampled live-heap profile as an uncompressed pprof protobuf
-    /// (gzip-free; `go tool pprof` and speedscope both accept it), or
-    /// `None` when profiling is off. See the `telemetry::pprof` module
-    /// docs for how the Horvitz–Thompson estimates map onto pprof's
-    /// `inuse_objects`/`inuse_space`.
-    pub fn pprof_profile(&self) -> Option<Vec<u8>> {
-        with_internal_alloc(|| self.inner.state.pprof_profile())
     }
 
     /// The page-release primitive the arena detected at startup.
@@ -775,15 +647,18 @@ impl MeshForkGuard<'_> {
             mesh.inner.state.privatize_after_fork();
             // The child's latency history and trace buffers describe the
             // *parent's* threads: wipe both so its telemetry starts from
-            // zero (and a pre-fork dump request cannot fire on parent
-            // events). The rings were quiesced by `lock_all`, so no
-            // orphaned writer can be mid-push here.
+            // zero. The rings were quiesced by `lock_all`, so no orphaned
+            // writer can be mid-push here.
             mesh.inner.counters.zero_latency();
             if let Some(trace) = mesh.inner.counters.trace_set() {
                 trace.wipe_all();
             }
+            // A report requested before the fork is the parent's to
+            // write: served here it would overwrite the parent's dump
+            // file with (a copy of) the parent's data.
+            mesh.inner.state.reports.clear();
             // Likewise the sense ring and meshing ledger: their history is
-            // the parent's, and a pre-fork dump request must not fire here.
+            // the parent's.
             if let Some(sense) = &mesh.inner.state.sense {
                 sense.wipe_for_child();
             }
@@ -1447,7 +1322,7 @@ mod tests {
     fn trace_api_records_and_renders_chrome_json() {
         let m = traced_mesh();
         assert!(m.is_tracing());
-        assert!(m.trace_path().is_none());
+        assert!(m.report_path(Report::Trace).is_none());
         let ptrs: Vec<*mut u8> = (0..2000).map(|_| m.malloc(256)).collect();
         for p in &ptrs {
             assert!(!p.is_null());
@@ -1456,12 +1331,12 @@ mod tests {
             unsafe { m.free(p) };
         }
         m.mesh_now();
-        let json = m.trace_json().unwrap();
+        let json = String::from_utf8(m.report(Report::Trace).unwrap()).unwrap();
         assert!(json.starts_with("{\"traceEvents\":["), "got: {}", &json[..40.min(json.len())]);
         assert!(json.contains("\"mesh_trace_version\":1"));
         assert!(json.contains("\"name\":\"refill\""), "refills traced");
         assert!(json.contains("\"name\":\"mesh_pass\""), "mesh pass traced");
-        assert!(m.dump_trace_now(), "dump to stderr succeeds");
+        assert!(m.write_report(Report::Trace, 2).is_ok(), "dump to stderr succeeds");
         // Histograms saw the same ops.
         let s = m.stats();
         assert!(s.latency.count(crate::telemetry::TimedOp::Refill) > 0);
@@ -1472,10 +1347,10 @@ mod tests {
     fn untraced_heap_has_no_trace_state() {
         let m = mesh();
         assert!(!m.is_tracing());
-        assert!(m.trace_json().is_none());
-        assert!(m.trace_path().is_none());
-        assert!(!m.dump_trace_now());
-        m.request_trace_dump(); // no-op, must not panic
+        assert_eq!(m.report(Report::Trace), Err(Report::Trace.off()));
+        assert!(m.report_path(Report::Trace).is_none());
+        assert_eq!(m.write_report(Report::Trace, 2), Err(Report::Trace.off()));
+        m.request_report(Report::Trace); // dropped at the next beat, must not panic
     }
 
     #[test]
@@ -1499,7 +1374,7 @@ mod tests {
             0,
             "child's latency history starts empty"
         );
-        let json = m.trace_json().unwrap();
+        let json = String::from_utf8(m.report(Report::Trace).unwrap()).unwrap();
         assert!(
             !json.contains("\"name\":\"refill\""),
             "child inherited no parent refill events"

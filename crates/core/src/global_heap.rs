@@ -41,8 +41,7 @@ use crate::size_classes::{SizeClass, NUM_SIZE_CLASSES, PAGE_SIZE};
 use crate::stats::Counters;
 use crate::sync::{Mutex, MutexGuard};
 use crate::telemetry::{
-    self, CtlState, HeapSpectrum, MeshLedger, SenseSnapshot, SenseState, Telemetry, TimedOp,
-    TraceSet, ABSENT, CTL_PARK,
+    self, CtlState, HeapSpectrum, MeshLedger, Reports, SenseState, Telemetry, TimedOp, TraceSet,
 };
 use crate::transfer_cache::TransferCache;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -425,6 +424,9 @@ pub(crate) struct GlobalHeap {
     /// Per-pass meshing-effectiveness ledger (always on; one lock + a few
     /// atomic adds per rate-limited pass).
     pub(crate) ledger: MeshLedger,
+    /// Report destinations (`MESH_*_PATH`) and the pending-request mask
+    /// (`SIGUSR2`, `Mesh::request_report`).
+    pub(crate) reports: Reports,
     /// Hardened-mode configuration (`MESH_HARDEN`; policy `Off` keeps
     /// every hardened branch to one predictable test).
     pub(crate) harden: HardenConfig,
@@ -487,6 +489,7 @@ impl GlobalHeap {
             telemetry: Telemetry::new(&config),
             sense: SenseState::new(&config),
             ledger: MeshLedger::new(),
+            reports: Reports::new(&config),
             harden: config.harden,
             ctl: config
                 .ctl_socket_path()
@@ -1570,202 +1573,6 @@ impl GlobalHeap {
         spec.large_spans = large.len() as u32;
         spec.large_bytes = large.iter().map(|(_, mh)| mh.object_size() as u64).sum();
         spec
-    }
-
-    /// Renders the version-1 JSON heap profile, or `None` when profiling
-    /// is off. Allocates; callers hold the internal-alloc guard (and no
-    /// shard locks — the drain takes them).
-    pub fn profile_json(&self) -> Option<String> {
-        let t = self.telemetry.as_ref()?;
-        // Settle the remote-free queues first: the estimator side retired
-        // sampled objects at free-*enqueue* time, while the exact counter
-        // only moves when a queued free is applied. Without the drain,
-        // the dump's live_bytes_exact cross-check field would read high
-        // on remote-free-heavy workloads and belie a correct estimator.
-        self.drain_all();
-        let prof = t.stats();
-        let entries = t.site_snapshots();
-        Some(telemetry::profile_json(
-            &prof,
-            &entries,
-            self.counters.snapshot().live_bytes,
-            self.counters.uptime_ms(),
-        ))
-    }
-
-    /// Takes one mesh-sense poll: reads the pressure sources, decomposes
-    /// residency from the segment snapshots, advances the bounded
-    /// `mincore` sweep, and appends a snapshot to the ring. Called by
-    /// [`GlobalHeap::telemetry_tick`] and by synchronous dump paths.
-    /// Takes the arena leaf lock briefly (for the segment snapshots),
-    /// then the sense poll clock — the ring's single-writer guard —
-    /// for the sweep and push. Respects the canonical lock order (the
-    /// clock comes after the arena; neither is held across the other).
-    pub(crate) fn sense_poll(&self) {
-        let Some(sense) = &self.sense else { return };
-        let segs = self.segment_stats();
-        let res = telemetry::decompose(&segs);
-        let p = telemetry::read_pressure();
-        let stats = self.counters.snapshot();
-        let _clock = sense.lock_poll_clock();
-        let est_resident_bytes =
-            sense.sweep(self.base, &segs, res.mapped_bytes, res.committed_bytes);
-        sense.push(&SenseSnapshot {
-            at_ms: self.counters.uptime_ms(),
-            rss_bytes: p.rss_bytes.unwrap_or(ABSENT),
-            est_resident_bytes,
-            live_bytes: res.live_bytes,
-            heap_bytes: stats.heap_bytes() as u64,
-            mapped_bytes: res.mapped_bytes,
-            free_dirty_bytes: res.free_dirty_bytes,
-            free_clean_bytes: res.free_clean_bytes,
-            meta_bytes: res.meta_bytes,
-            psi_avg10_milli: p.psi_avg10_milli.unwrap_or(ABSENT),
-            psi_avg60_milli: p.psi_avg60_milli.unwrap_or(ABSENT),
-            cgroup_limit_bytes: p.cgroup_limit_bytes.unwrap_or(ABSENT),
-            cgroup_usage_bytes: p.cgroup_usage_bytes.unwrap_or(ABSENT),
-            mallocs: stats.mallocs,
-            frees: stats.frees,
-            mesh_passes: stats.mesh_passes,
-            pairs_meshed: stats.spans_meshed,
-        });
-    }
-
-    /// Renders the version-1 mesh-sense JSON: current residency (per
-    /// segment and heap-wide), the mesh-pass effectiveness ledger, and
-    /// the retained snapshot time series. `None` when sensing is off.
-    /// Allocates; callers hold the internal-alloc guard.
-    pub fn sense_json(&self) -> Option<String> {
-        let sense = self.sense.as_ref()?;
-        let segs = self.segment_stats();
-        let res = telemetry::decompose(&segs);
-        let mut seg_rows = String::new();
-        for (i, s) in res.segments.iter().enumerate() {
-            if i > 0 {
-                seg_rows.push(',');
-            }
-            seg_rows.push_str(&format!(
-                "{{\"id\":{},\"start_page\":{},\"pages\":{},\"live_pages\":{},\
-                 \"free_dirty_pages\":{},\"free_clean_pages\":{},\"meta_pages\":{},\
-                 \"committed_pages\":{}}}",
-                s.id,
-                s.start_page,
-                s.pages,
-                s.live_pages,
-                s.free_dirty_pages,
-                s.free_clean_pages,
-                s.meta_pages,
-                s.committed_pages,
-            ));
-        }
-        let totals = self.ledger.reject_totals();
-        let mut reject_rows = String::new();
-        for (i, r) in telemetry::ALL_REJECT_REASONS.iter().enumerate() {
-            if i > 0 {
-                reject_rows.push(',');
-            }
-            reject_rows.push_str(&format!("\"{}\":{}", r.name(), totals[i]));
-        }
-        let passes: Vec<String> = self.ledger.recent().iter().map(|p| p.json()).collect();
-        let snaps: Vec<String> = sense.snapshots().iter().map(|s| s.json()).collect();
-        Some(format!(
-            "{{\"mesh_sense_version\":1,\"uptime_ms\":{},\
-             \"interval_ms\":{},\"history\":{},\"mincore_page_budget\":{},\
-             \"residency\":{{\"mapped_bytes\":{},\"live_bytes\":{},\
-             \"free_dirty_bytes\":{},\"free_clean_bytes\":{},\"meta_bytes\":{},\
-             \"committed_bytes\":{},\"segments\":[{}]}},\
-             \"ledger\":{{\"passes_recorded\":{},\"rejected_total\":{{{}}},\
-             \"passes\":[{}]}},\
-             \"snapshots\":[{}]}}",
-            self.counters.uptime_ms(),
-            sense.interval().as_millis(),
-            sense.history(),
-            sense.mincore_page_budget(),
-            res.mapped_bytes,
-            res.live_bytes,
-            res.free_dirty_bytes,
-            res.free_clean_bytes,
-            res.meta_bytes,
-            res.committed_bytes,
-            seg_rows,
-            self.ledger.passes_recorded(),
-            reject_rows,
-            passes.join(","),
-            snaps.join(","),
-        ))
-    }
-
-    /// One background-thread telemetry beat: writes a profile dump when
-    /// one is due (interval expired, or a request from `SIGUSR2` /
-    /// [`Telemetry::request_dump`]), a trace dump when one was requested,
-    /// a mesh-sense poll when the poll clock expires, and a sense dump
-    /// when one was requested — then a beat of the mesh-ctl socket. No-op
-    /// without profiling, tracing, sensing, or a control socket.
-    pub(crate) fn telemetry_tick(&self) {
-        if let Some(t) = &self.telemetry {
-            if t.take_dump_due() {
-                if let Some(json) = self.profile_json() {
-                    t.write_dump(&json);
-                }
-            }
-        }
-        if let Some(trace) = self.counters.trace_set() {
-            if trace.take_dump_due() {
-                let json = trace.chrome_json(self.counters.uptime_ms());
-                trace.write_dump(&json);
-            }
-        }
-        if let Some(sense) = &self.sense {
-            if sense.take_poll_due() {
-                self.sense_poll();
-            }
-            if sense.take_dump_due() {
-                if let Some(json) = self.sense_json() {
-                    sense.write_dump(&json);
-                }
-            }
-        }
-        self.ctl_tick();
-    }
-
-    /// How long the background thread may park: until the meshing
-    /// scheduler's next deadline or the next interval dump, whichever is
-    /// closer — or a full idle slice when neither is pending (paused
-    /// timer, no interval). Replaces the old fixed 50 ms polling slices,
-    /// cutting idle wakeups ~20×.
-    pub(crate) fn next_park(&self) -> Duration {
-        let mut park = crate::mesher::IDLE_PARK;
-        if self.rt.background_meshing && self.rt.meshing() {
-            if let Some(d) = self.scheduler.time_until_due(self.rt.mesh_period()) {
-                park = park.min(d);
-            }
-        }
-        if let Some(t) = &self.telemetry {
-            if let Some(d) = t.time_until_dump() {
-                park = park.min(d);
-            }
-        }
-        if let Some(s) = &self.sense {
-            park = park.min(s.time_until_poll());
-        }
-        // A live control socket needs polling-grade latency; a ctl that
-        // failed to bind costs nothing.
-        if self.ctl.as_ref().is_some_and(|c| c.is_listening()) {
-            park = park.min(CTL_PARK);
-        }
-        park.clamp(Duration::from_millis(1), crate::mesher::IDLE_PARK)
-    }
-
-    /// Whether a heap with this configuration runs the background thread:
-    /// for background meshing, for telemetry duties (interval dumps,
-    /// signal- or API-requested profile, trace, and sense dumps; periodic
-    /// sense polls), to serve the mesh-ctl socket, or any combination.
-    pub(crate) fn background_thread_wanted(&self) -> bool {
-        self.rt.background_meshing
-            || self.telemetry.is_some()
-            || self.counters.trace_set().is_some()
-            || self.sense.is_some()
-            || self.ctl.is_some()
     }
 }
 

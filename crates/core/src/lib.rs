@@ -26,7 +26,7 @@
 //! | §3.3/§4.5 SplitMesher & meshing | [`meshing`] |
 //! | §4.5 Background meshing thread | `mesher` (internal), [`MeshConfig::background_meshing`] |
 //! | §4.5.2 Write barrier | [`barrier`] |
-//! | mesh-insight telemetry (this repo's extension) | [`telemetry`], [`Mesh::prom_text`], [`Mesh::profile_json`] |
+//! | mesh-insight telemetry (this repo's extension) | [`telemetry`], [`Mesh::report`], [`Mesh::prom_text`] |
 //!
 //! Unlike the seed implementation's single global mutex, the global heap
 //! is sharded: each size class has its own lock and a lock-free MPSC
@@ -74,6 +74,7 @@ pub mod error;
 pub mod ffi;
 mod global_heap;
 pub mod harden;
+pub mod json;
 mod local_heap;
 mod mesher;
 pub mod meshing;
@@ -109,8 +110,8 @@ pub use stats::{HeapStats, SpanSnapshot};
 pub use sys::ReleaseStrategy;
 pub use telemetry::{
     bucket_upper_ns, parse_pprof, ClassSpectrum, HeapSpectrum, LatencySnapshot, PassRecord,
-    PprofParseError, PprofSummary, PressureReading, ProfileStats, RejectReason,
-    ResidencyBreakdown, SegmentResidency, SenseSnapshot, SiteSnapshot, TimedOp, TraceEvent,
+    PprofParseError, PprofSummary, PressureReading, ProfileStats, RejectReason, Report,
+    ReportOff, ResidencyBreakdown, SegmentResidency, SenseSnapshot, SiteSnapshot, TimedOp, TraceEvent,
     ABSENT, ALL_REJECT_REASONS, ALL_TIMED_OPS, LATENCY_BUCKETS, LEDGER_PASSES, NUM_TIMED_OPS,
     REJECT_REASONS,
 };

@@ -167,6 +167,20 @@ impl ThreadHeapCore {
         }
     }
 
+    /// The epilogue of every small allocation, whichever tier served it.
+    #[inline(always)]
+    fn finish_alloc(&mut self, state: &GlobalHeap, addr: usize, class: SizeClass) -> *mut u8 {
+        // Hardened mode: the slot held poison since it was freed (or since
+        // its span came fresh from the arena); a write that landed in it
+        // while free is a caught use-after-free.
+        state.verify_poison(addr, class.object_size(), class.index());
+        self.local.on_malloc(class.object_size());
+        if let Some(s) = self.sampler.as_deref_mut() {
+            s.on_alloc(addr, class.object_size());
+        }
+        addr as *mut u8
+    }
+
     /// Allocates `size` bytes (Fig 4, `MeshLocal::malloc`): the size
     /// class's shuffle vector in the common case, the class shard for
     /// refills, the global large path otherwise. Returns null on arena
@@ -186,15 +200,7 @@ impl ThreadHeapCore {
         let mut pressure = 0u8;
         loop {
             if let Some(addr) = self.vectors[idx].malloc() {
-                // Hardened mode: the slot held poison since it was freed
-                // (or since its span came fresh from the arena); a write
-                // that landed in it while free is a caught use-after-free.
-                state.verify_poison(addr, class.object_size(), idx);
-                self.local.on_malloc(class.object_size());
-                if let Some(s) = self.sampler.as_deref_mut() {
-                    s.on_alloc(addr, class.object_size());
-                }
-                return addr as *mut u8;
+                return self.finish_alloc(state, addr, class);
             }
             // Vector exhausted: serve from the thread's popped batch, or
             // pop a fresh transfer-cache batch — both without the class
@@ -212,12 +218,7 @@ impl ThreadHeapCore {
                     }
                 }
                 if let Some(addr) = self.cache[idx].pop() {
-                    state.verify_poison(addr, class.object_size(), idx);
-                    self.local.on_malloc(class.object_size());
-                    if let Some(s) = self.sampler.as_deref_mut() {
-                        s.on_alloc(addr, class.object_size());
-                    }
-                    return addr as *mut u8;
+                    return self.finish_alloc(state, addr, class);
                 }
             }
             // Refill boundary: already taking the class lock, so fold the

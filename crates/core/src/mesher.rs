@@ -9,7 +9,7 @@
 //! (and the pause is still lifted by a free reaching the global heap) —
 //! only the executing thread differs. With profiling on (`MESH_PROF`)
 //! the same thread also carries the telemetry beat: interval profile
-//! dumps and dumps requested by `SIGUSR2`/`mesh_prof_dump` requests.
+//! dumps and reports requested by `SIGUSR2` / `Mesh::request_report`.
 //!
 //! ## Parking
 //!
@@ -218,7 +218,7 @@ mod tests {
         .unwrap();
         let p = mesh.malloc(100_000); // large: traced exactly
         assert!(!p.is_null());
-        mesh.request_profile_dump();
+        mesh.request_report(crate::Report::Profile);
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         loop {
             if let Ok(s) = std::fs::read_to_string(&path) {

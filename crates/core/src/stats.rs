@@ -514,10 +514,11 @@ pub struct HeapStats {
     /// [`crate::telemetry::TimedOp`] for the operations measured).
     pub latency: LatencySnapshot,
     /// Per-class occupancy spectrum with meshability estimates. Filled
-    /// only by [`crate::Mesh::stats_with_spectrum`] — plain
-    /// [`crate::Mesh::stats`] / [`Counters::snapshot`] leave it empty
-    /// (spans are global-heap state, not counters, and walking them has
-    /// a cost periodic samplers should opt into).
+    /// only for [`crate::Report::Stats`] / [`crate::Report::Prom`] —
+    /// plain [`crate::Mesh::stats`] / [`Counters::snapshot`] leave it
+    /// empty (spans are global-heap state, not counters, and walking them
+    /// has a cost periodic samplers should opt into by assigning
+    /// [`crate::Mesh::occupancy_spectrum`] here).
     pub spectrum: HeapSpectrum,
 }
 

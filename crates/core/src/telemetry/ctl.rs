@@ -18,14 +18,7 @@
 //!
 //! | request | payload |
 //! |---|---|
-//! | `stats` | `mesh: key=value` text block (the exit-dump format) |
-//! | `prom` | Prometheus text exposition |
-//! | `profile` | version-1 heap-profile JSON (`err` when `MESH_PROF` off) |
-//! | `pprof` | pprof protobuf of the live-heap profile (binary) |
-//! | `trace` | Chrome trace-event JSON (`err` when `MESH_TRACE` off) |
-//! | `sense` | version-1 mesh-sense JSON (`err` when sensing off) |
-//! | `ledger` | meshing-effectiveness ledger JSON (always available) |
-//! | `spectrum` | per-class occupancy-spectrum JSON |
+//! | any [`Report`] name (`stats` `prom` `profile` `pprof` `trace` `sense` `ledger` `spectrum`) | that report, rendered on demand (`err` with the kind's off message when its subsystem is disabled; see the table in [`super::report`]) |
 //! | `mesh_now` | runs one meshing pass; summary JSON |
 //! | `madvise_now` | purges dirty pages + retires segments; `{}` |
 //! | `set <knob> <value>` | applies a whitelisted knob; ack JSON |
@@ -65,6 +58,7 @@
 //! process, so operators who fork should configure per-process socket
 //! paths (e.g. with `$$` in the wrapper).
 
+use super::Report;
 use crate::sync::{Mutex, MutexGuard};
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -131,7 +125,7 @@ pub(crate) struct CtlState {
 
 /// A parsed request.
 enum Request<'a> {
-    Envelope(&'a str),
+    Command(&'a str),
     Set { knob: &'a str, value: &'a str },
 }
 
@@ -482,13 +476,19 @@ fn parse(line: &str) -> Result<Request<'_>, &'static str> {
     if words.next().is_some() {
         return Err("unexpected argument");
     }
-    Ok(Request::Envelope(cmd))
+    Ok(Request::Command(cmd))
 }
 
-/// The command list returned by `help`.
-const HELP: &str = "stats prom profile pprof trace sense ledger spectrum \
-mesh_now madvise_now set help\nknobs: meshing mesh_period_ms probe_limit \
-sense_interval_ms trace prof_sample_bytes transfer_batch";
+/// The command list returned by `help`: every report name, then the
+/// control commands, then the `set` whitelist.
+fn help() -> String {
+    let reports: Vec<&str> = Report::ALL.iter().map(|k| k.name()).collect();
+    format!(
+        "{} mesh_now madvise_now set help\nknobs: meshing mesh_period_ms probe_limit \
+         sense_interval_ms trace prof_sample_bytes transfer_batch",
+        reports.join(" ")
+    )
+}
 
 impl crate::global_heap::GlobalHeap {
     /// Serves one beat of the control socket, if one is configured.
@@ -500,67 +500,26 @@ impl crate::global_heap::GlobalHeap {
         ctl.tick(&mut |line| self.ctl_dispatch(line));
     }
 
-    /// Answers one request line. Every envelope is rendered on demand
-    /// from the same code paths the dump files use; every `set` is a
-    /// single atomic store (see the module docs for the whitelist
-    /// argument).
+    /// Answers one request line. A report name is rendered on demand by
+    /// the same [`GlobalHeap::render`] every other trigger uses; every
+    /// `set` is a single atomic store (see the module docs for the
+    /// whitelist argument).
+    ///
+    /// [`GlobalHeap::render`]: crate::global_heap::GlobalHeap::render
     pub(crate) fn ctl_dispatch(&self, line: &str) -> Response {
-        let request = match parse(line) {
-            Ok(r) => r,
+        let cmd = match parse(line) {
+            Ok(Request::Command(cmd)) => cmd,
+            Ok(Request::Set { knob, value }) => return self.ctl_set(knob, value),
             Err(msg) => return Response::err(msg),
         };
-        match request {
-            Request::Envelope("stats") => {
-                self.drain_all();
-                let mut stats = self.counters.snapshot();
-                stats.spectrum = self.occupancy_spectrum();
-                Response::ok_str(stats.render())
-            }
-            Request::Envelope("prom") => {
-                self.drain_all();
-                let mut stats = self.counters.snapshot();
-                stats.spectrum = self.occupancy_spectrum();
-                let prof = self.telemetry.as_ref().map(|t| t.stats());
-                let sense = self.sense.as_ref().and_then(|s| s.latest());
-                let rejects = self.ledger.reject_totals();
-                Response::ok_str(crate::telemetry::prom_text(
-                    &stats,
-                    prof.as_ref(),
-                    sense.as_ref(),
-                    &rejects,
-                ))
-            }
-            Request::Envelope("profile") => match self.profile_json() {
-                Some(json) => Response::ok_str(json),
-                None => Response::err("profiling off (set MESH_PROF=1)"),
-            },
-            Request::Envelope("pprof") => match self.pprof_profile() {
-                Some(bytes) => Response::Ok(bytes),
-                None => Response::err("profiling off (set MESH_PROF=1)"),
-            },
-            Request::Envelope("trace") => match self.counters.trace_set() {
-                Some(trace) => Response::ok_str(trace.chrome_json(self.counters.uptime_ms())),
-                None => Response::err("tracing off (set MESH_TRACE=1)"),
-            },
-            Request::Envelope("sense") => {
-                if self.sense.is_none() {
-                    return Response::err("sensing off (MESH_SENSE_INTERVAL_MS=0)");
-                }
-                self.sense_poll();
-                match self.sense_json() {
-                    Some(json) => Response::ok_str(json),
-                    None => Response::err("sensing off (MESH_SENSE_INTERVAL_MS=0)"),
-                }
-            }
-            Request::Envelope("ledger") => Response::ok_str(self.ledger_json()),
-            Request::Envelope("spectrum") => {
-                self.drain_all();
-                Response::ok_str(spectrum_json(
-                    &self.occupancy_spectrum(),
-                    self.counters.uptime_ms(),
-                ))
-            }
-            Request::Envelope("mesh_now") => {
+        if let Some(kind) = Report::from_name(cmd) {
+            return match self.render(kind) {
+                Ok(bytes) => Response::Ok(bytes),
+                Err(off) => Response::err(off.0),
+            };
+        }
+        match cmd {
+            "mesh_now" => {
                 let s = self.mesh_now();
                 Response::ok_str(format!(
                     "{{\"pairs_meshed\":{},\"pages_released\":{},\"bytes_copied\":{},\
@@ -572,13 +531,12 @@ impl crate::global_heap::GlobalHeap {
                     self.rt.meshing(),
                 ))
             }
-            Request::Envelope("madvise_now") => {
+            "madvise_now" => {
                 self.purge_and_retire();
                 Response::ok_str("{\"purged\":true}".to_string())
             }
-            Request::Envelope("help") => Response::ok_str(HELP.to_string()),
-            Request::Envelope(_) => Response::err("unknown command (try: help)"),
-            Request::Set { knob, value } => self.ctl_set(knob, value),
+            "help" => Response::ok_str(help()),
+            _ => Response::err("unknown command (try: help)"),
         }
     }
 
@@ -620,7 +578,7 @@ impl crate::global_heap::GlobalHeap {
                 Err(e) => e,
             },
             "sense_interval_ms" => match (&self.sense, parse_u64(value)) {
-                (None, _) => Response::err("sensing off (MESH_SENSE_INTERVAL_MS=0)"),
+                (None, _) => Response::err(Report::Sense.off().0),
                 (Some(_), Err(e)) => e,
                 (Some(sense), Ok(ms)) => {
                     sense.set_interval(Duration::from_millis(ms));
@@ -628,7 +586,7 @@ impl crate::global_heap::GlobalHeap {
                 }
             },
             "trace" => match (self.counters.trace_set(), parse_flag(value)) {
-                (None, _) => Response::err("tracing off (set MESH_TRACE=1)"),
+                (None, _) => Response::err(Report::Trace.off().0),
                 (Some(_), Err(e)) => e,
                 (Some(trace), Ok(on)) => {
                     trace.set_enabled(on);
@@ -636,7 +594,7 @@ impl crate::global_heap::GlobalHeap {
                 }
             },
             "prof_sample_bytes" => match (&self.telemetry, parse_u64(value)) {
-                (None, _) => Response::err("profiling off (set MESH_PROF=1)"),
+                (None, _) => Response::err(Report::Profile.off().0),
                 (Some(_), Err(e)) => e,
                 (Some(t), Ok(bytes)) => {
                     t.set_sample_bytes(bytes as usize);
@@ -653,57 +611,6 @@ impl crate::global_heap::GlobalHeap {
             _ => Response::err("unknown knob (try: help)"),
         }
     }
-
-    /// The meshing-effectiveness ledger as a standalone JSON envelope
-    /// (the same rows `sense` embeds, available even with sensing off).
-    pub(crate) fn ledger_json(&self) -> String {
-        let totals = self.ledger.reject_totals();
-        let mut reject_rows = String::new();
-        for (i, r) in crate::telemetry::ALL_REJECT_REASONS.iter().enumerate() {
-            if i > 0 {
-                reject_rows.push(',');
-            }
-            reject_rows.push_str(&format!("\"{}\":{}", r.name(), totals[i]));
-        }
-        let passes: Vec<String> = self.ledger.recent().iter().map(|p| p.json()).collect();
-        format!(
-            "{{\"mesh_ledger_version\":1,\"uptime_ms\":{},\"passes_recorded\":{},\
-             \"rejected_total\":{{{}}},\"passes\":[{}]}}",
-            self.counters.uptime_ms(),
-            self.ledger.passes_recorded(),
-            reject_rows,
-            passes.join(","),
-        )
-    }
-}
-
-/// Renders a [`crate::telemetry::HeapSpectrum`] as the `spectrum`
-/// envelope.
-pub(crate) fn spectrum_json(spec: &crate::telemetry::HeapSpectrum, uptime_ms: u64) -> String {
-    let mut classes = String::new();
-    for (i, c) in spec.classes.iter().enumerate() {
-        if i > 0 {
-            classes.push(',');
-        }
-        let bins: Vec<String> = c.bins.iter().map(|b| b.to_string()).collect();
-        classes.push_str(&format!(
-            "{{\"object_size\":{},\"attached_spans\":{},\"bins\":[{}],\
-             \"live_objects\":{},\"total_slots\":{},\"est_meshable_pairs\":{},\
-             \"meshable\":{}}}",
-            c.object_size,
-            c.attached_spans,
-            bins.join(","),
-            c.live_objects,
-            c.total_slots,
-            c.est_meshable_pairs,
-            c.meshable,
-        ));
-    }
-    format!(
-        "{{\"mesh_spectrum_version\":1,\"uptime_ms\":{uptime_ms},\"classes\":[{}],\
-         \"large_spans\":{},\"large_bytes\":{}}}",
-        classes, spec.large_spans, spec.large_bytes,
-    )
 }
 
 #[cfg(test)]
@@ -723,7 +630,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_lines() {
-        assert!(matches!(parse("stats"), Ok(Request::Envelope("stats"))));
+        assert!(matches!(parse("stats"), Ok(Request::Command("stats"))));
         assert!(matches!(
             parse("set trace 1"),
             Ok(Request::Set { knob: "trace", value: "1" })

@@ -13,10 +13,11 @@
 //! 2. **Occupancy spectra** ([`spectrum`]) — per-class span-occupancy
 //!    histograms plus a meshability estimate, computed online one class
 //!    lock at a time.
-//! 3. **Exposition** ([`exposition`]) — Prometheus-style text
-//!    ([`crate::Mesh::prom_text`]) and a JSON heap-profile dump reachable
-//!    from the C ABI (`mesh_prof_dump()`), an opt-in SIGUSR2 handler,
-//!    interval dumps riding the background thread, and at exit.
+//! 3. **Exposition** ([`exposition`]) — Prometheus-style text and the
+//!    JSON heap-profile document. Like every other document the heap
+//!    renders, they are [`Report`] kinds: one renderer and one writer
+//!    ([`report`]) behind `Mesh::report`, the C ABI symbols, SIGUSR2,
+//!    interval dumps riding the background thread, mesh-ctl, and exit.
 //!
 //! Enable with `MESH_PROF=1` (or [`crate::MeshConfig::profiling`]); tune
 //! with `MESH_PROF_SAMPLE_BYTES`, `MESH_PROF_INTERVAL_MS`,
@@ -25,12 +26,12 @@
 //! signal-safety.
 
 mod ctl;
-mod dump_targets;
 mod exposition;
 mod histogram;
 mod ledger;
 mod pprof;
 mod profile_table;
+mod report;
 mod residency;
 mod sampler;
 mod sense;
@@ -44,6 +45,7 @@ pub use ledger::{
     MeshLedger, PassRecord, RejectReason, ALL_REJECT_REASONS, LEDGER_PASSES, REJECT_REASONS,
 };
 pub use profile_table::{SiteSnapshot, MAX_FRAMES, OVERFLOW_SITE};
+pub use report::{Report, ReportOff};
 pub use residency::{decompose, ResidencyBreakdown, SegmentResidency};
 pub use sense::{PressureReading, SenseSnapshot, SenseState, ABSENT};
 pub use spectrum::{ClassSpectrum, HeapSpectrum, SPECTRUM_BINS};
@@ -52,10 +54,9 @@ pub use trace::TraceEvent;
 pub use pprof::{parse_pprof, PprofParseError, PprofSummary};
 
 pub(crate) use ctl::{CtlIo, CtlState, CTL_PARK};
-pub(crate) use dump_targets::{DumpKind, DumpTarget};
-pub(crate) use exposition::{profile_json, prom_text};
-pub(crate) use sense::read_pressure;
 pub(crate) use histogram::{HistSet, LocalHists};
+pub(crate) use report::Reports;
+pub(crate) use sense::read_pressure;
 pub(crate) use sampler::ThreadSampler;
 pub(crate) use spectrum::estimate_meshable_pairs;
 pub(crate) use trace::{trace_tid, TraceRing, TraceSet};
@@ -63,7 +64,6 @@ pub(crate) use trace::{trace_tid, TraceRing, TraceSet};
 use crate::config::MeshConfig;
 use crate::sync::{Mutex, MutexGuard};
 use profile_table::{FingerprintTable, SampledSet};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -104,8 +104,6 @@ pub struct Telemetry {
     table: FingerprintTable,
     live: SampledSet,
     dump_interval: Option<Duration>,
-    /// Destination + SIGUSR2 request flag (`MESH_PROF_PATH`).
-    target: DumpTarget,
     /// Interval-dump clock. Held only for the claim instant, never across
     /// the dump I/O; joins `GlobalHeap::lock_all`'s fork-quiescence set.
     last_dump: Mutex<Instant>,
@@ -133,7 +131,6 @@ impl Telemetry {
             table: FingerprintTable::new(SITE_CAPACITY),
             live: SampledSet::new(capacity),
             dump_interval: config.prof_interval,
-            target: DumpTarget::new(DumpKind::Profile, config.prof_path.clone()),
             last_dump: Mutex::new(Instant::now()),
             samples: AtomicU64::new(0),
             samples_dropped: AtomicU64::new(0),
@@ -154,11 +151,6 @@ impl Telemetry {
     /// was drawn at.
     pub fn set_sample_bytes(&self, rate: usize) {
         self.sample_bytes.store(rate.max(1), Ordering::Relaxed);
-    }
-
-    /// The configured dump destination (`MESH_PROF_PATH`), if any.
-    pub fn dump_path(&self) -> Option<&Path> {
-        self.target.path()
     }
 
     /// Records one sample: interns the chain, tracks the object as live,
@@ -221,19 +213,9 @@ impl Telemetry {
         self.table.snapshots()
     }
 
-    /// Requests a profile dump at the next telemetry tick. The only entry
-    /// point safe from a signal handler: one relaxed atomic store.
-    #[inline]
-    pub fn request_dump(&self) {
-        self.target.request();
-    }
-
-    /// Whether a dump is due (an explicit request, or the interval clock
-    /// expiring). Claims the slot: the interval clock restarts.
-    pub(crate) fn take_dump_due(&self) -> bool {
-        if self.target.take_requested() {
-            return true;
-        }
+    /// Whether the interval clock expired. Claims the slot: the clock
+    /// restarts.
+    pub(crate) fn take_interval_due(&self) -> bool {
         let Some(interval) = self.dump_interval else {
             return false;
         };
@@ -251,13 +233,6 @@ impl Telemetry {
     pub(crate) fn time_until_dump(&self) -> Option<Duration> {
         let interval = self.dump_interval?;
         Some(interval.saturating_sub(self.last_dump.lock().elapsed()))
-    }
-
-    /// Writes one dump via the shared [`DumpTarget`]: to `MESH_PROF_PATH`
-    /// (truncating — the file always holds the latest profile) or, with
-    /// no path, to stderr as a single `mesh-prof: `-prefixed line.
-    pub(crate) fn write_dump(&self, json: &str) {
-        self.target.write(json);
     }
 
     /// Holds the dump-clock lock (fork quiescence: a child must not
@@ -306,35 +281,20 @@ mod tests {
     }
 
     #[test]
-    fn dump_due_via_request_and_interval() {
-        let mut cfg = prof_config();
-        cfg = cfg.prof_interval(Some(Duration::from_millis(10)));
+    fn interval_clock_claims_and_restarts() {
+        let cfg = prof_config().prof_interval(Some(Duration::from_millis(10)));
         let t = Telemetry::new(&cfg).unwrap();
-        assert!(!t.take_dump_due(), "fresh clock: nothing due");
+        assert!(!t.take_interval_due(), "fresh clock: nothing due");
         assert!(t.time_until_dump().unwrap() <= Duration::from_millis(10));
-        t.request_dump();
-        assert!(t.take_dump_due(), "explicit request fires");
-        assert!(!t.take_dump_due(), "request is one-shot");
         std::thread::sleep(Duration::from_millis(12));
-        assert!(t.take_dump_due(), "interval clock fires");
-        assert!(!t.take_dump_due(), "claiming restarts the clock");
+        assert!(t.take_interval_due(), "interval clock fires");
+        assert!(!t.take_interval_due(), "claiming restarts the clock");
     }
 
     #[test]
     fn no_interval_means_no_clock() {
         let t = Telemetry::new(&prof_config()).unwrap();
         assert_eq!(t.time_until_dump(), None);
-        assert!(!t.take_dump_due());
-    }
-
-    #[test]
-    fn dump_writes_to_path() {
-        let path = std::env::temp_dir().join(format!("mesh-prof-test-{}.json", std::process::id()));
-        let cfg = prof_config().prof_path(Some(path.clone()));
-        let t = Telemetry::new(&cfg).unwrap();
-        t.write_dump("{\"ok\":1}");
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "{\"ok\":1}\n");
-        std::fs::remove_file(&path).ok();
+        assert!(!t.take_interval_due());
     }
 }

@@ -243,26 +243,6 @@ pub(crate) fn encode(entries: &[SiteSnapshot], period: u64, time_nanos: u64) -> 
     out
 }
 
-impl crate::global_heap::GlobalHeap {
-    /// The live-heap profile as an uncompressed pprof protobuf, or
-    /// `None` when profiling is off. Drains the remote-free queues first
-    /// (like [`crate::global_heap::GlobalHeap::profile_json`]) so
-    /// sampled frees are settled. Allocates; callers hold the
-    /// internal-alloc guard and no shard locks.
-    pub fn pprof_profile(&self) -> Option<Vec<u8>> {
-        let t = self.telemetry.as_ref()?;
-        self.drain_all();
-        let entries = t.site_snapshots();
-        let time_nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        Some(encode(&entries, t.sample_bytes() as u64, time_nanos))
-    }
-}
-
-// ---- parser ------------------------------------------------------------
-
 /// Why a buffer failed to parse as a pprof profile.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PprofParseError {

@@ -20,12 +20,11 @@
 //! The ring is a per-slot seqlock over `AtomicU64` words: the single
 //! writer (the background thread, serialized by the poll clock) marks a
 //! slot odd, stores the words, and marks it even; readers retry on a seq
-//! mismatch. No `unsafe`, no locks on the read side — `sense_json()` can
-//! run concurrently with polling.
+//! mismatch. No `unsafe`, no locks on the read side — rendering a
+//! `sense` report can run concurrently with polling.
 
 use crate::config::MeshConfig;
 use crate::sync::{Mutex, MutexGuard};
-use std::path::Path;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -339,8 +338,6 @@ pub struct SenseState {
     /// thread re-reads it at every park computation.
     interval_ns: AtomicU64,
     mincore_pages: usize,
-    /// Destination + SIGUSR2 request flag (`MESH_SENSE_PATH`).
-    target: super::DumpTarget,
     /// Poll clock; claimed by the background thread, joins `lock_all`'s
     /// fork-quiescence set. Also serializes ring writes.
     last_poll: Mutex<Instant>,
@@ -362,7 +359,6 @@ impl SenseState {
         Some(SenseState {
             interval_ns: AtomicU64::new(interval.as_nanos() as u64),
             mincore_pages: config.sense_mincore_pages,
-            target: super::DumpTarget::new(super::DumpKind::Sense, config.sense_path.clone()),
             last_poll: Mutex::new(Instant::now()),
             slots: (0..history).map(|_| SnapshotSlot::new()).collect(),
             total: AtomicUsize::new(0),
@@ -393,22 +389,6 @@ impl SenseState {
     /// Pages the `mincore` sweep may touch per poll (0 = sweep off).
     pub fn mincore_page_budget(&self) -> usize {
         self.mincore_pages
-    }
-
-    /// The configured dump destination (`MESH_SENSE_PATH`), if any.
-    pub fn dump_path(&self) -> Option<&Path> {
-        self.target.path()
-    }
-
-    /// Requests a sense dump at the next telemetry tick. Signal-safe.
-    #[inline]
-    pub fn request_dump(&self) {
-        self.target.request();
-    }
-
-    /// Whether an explicit dump request is pending (claims it).
-    pub(crate) fn take_dump_due(&self) -> bool {
-        self.target.take_requested()
     }
 
     /// Whether a poll is due; claims the slot (the clock restarts).
@@ -500,20 +480,12 @@ impl SenseState {
         (mapped_bytes * ratio) >> 16
     }
 
-    /// Writes one dump via the shared [`super::DumpTarget`]: to
-    /// `MESH_SENSE_PATH` (truncating) or stderr as a single
-    /// `mesh-sense: ` line.
-    pub(crate) fn write_dump(&self, json: &str) {
-        self.target.write(json);
-    }
-
     /// Forgets all snapshots and sweep state: a forked child's history
     /// belongs to its parent.
     pub(crate) fn wipe_for_child(&self) {
         self.total.store(0, Ordering::Relaxed);
         self.sweep_cursor.store(0, Ordering::Relaxed);
         self.resident_ratio_fp.store(ABSENT, Ordering::Relaxed);
-        self.target.clear_requested();
         for slot in &self.slots {
             let s = slot.seq.load(Ordering::Relaxed);
             slot.seq.store(s + 2, Ordering::Relaxed);
@@ -593,10 +565,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(7));
         assert!(s.take_poll_due());
         assert!(!s.take_poll_due(), "claiming restarts the clock");
-        assert!(!s.take_dump_due());
-        s.request_dump();
-        assert!(s.take_dump_due());
-        assert!(!s.take_dump_due(), "request is one-shot");
     }
 
     #[test]

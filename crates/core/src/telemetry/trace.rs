@@ -33,7 +33,6 @@ use super::histogram::TimedOp;
 use crate::config::MeshConfig;
 use crate::sync::{Mutex, MutexGuard};
 use std::cell::Cell;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -160,15 +159,12 @@ pub(crate) struct TraceSet {
     enabled: AtomicBool,
     shared: TraceRing,
     rings: Mutex<Vec<Arc<TraceRing>>>,
-    /// Destination + SIGUSR2 request flag (`MESH_TRACE_PATH`).
-    target: super::DumpTarget,
 }
 
 impl std::fmt::Debug for TraceSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceSet")
             .field("buf_events", &self.buf_events)
-            .field("path", &self.target.path())
             .finish_non_exhaustive()
     }
 }
@@ -186,16 +182,7 @@ impl TraceSet {
             enabled: AtomicBool::new(true),
             shared: TraceRing::new(buf_events),
             rings: Mutex::new(Vec::new()),
-            target: super::DumpTarget::new(
-                super::DumpKind::Trace,
-                config.trace_dump_path().map(Path::to_path_buf),
-            ),
         }))
-    }
-
-    /// The configured dump destination (`MESH_TRACE_PATH`), if any.
-    pub(crate) fn dump_path(&self) -> Option<&Path> {
-        self.target.path()
     }
 
     /// Whether event recording is currently on.
@@ -228,18 +215,6 @@ impl TraceSet {
         }
     }
 
-    /// Requests a trace dump at the next telemetry tick. Safe from a
-    /// signal handler: one relaxed atomic store.
-    #[inline]
-    pub(crate) fn request_dump(&self) {
-        self.target.request();
-    }
-
-    /// Whether a dump was requested; claims the request.
-    pub(crate) fn take_dump_due(&self) -> bool {
-        self.target.take_requested()
-    }
-
     /// Holds the ring-registry lock (fork quiescence; a leaf lock).
     pub(crate) fn lock_rings(&self) -> MutexGuard<'_, Vec<Arc<TraceRing>>> {
         self.rings.lock()
@@ -252,7 +227,6 @@ impl TraceSet {
         for ring in self.rings.lock().iter() {
             ring.wipe();
         }
-        self.target.clear_requested();
     }
 
     /// Total readable events across all rings.
@@ -301,13 +275,6 @@ impl TraceSet {
              \"otherData\":{{\"mesh_trace_version\":1,\"uptime_ms\":{uptime_ms}}}}}"
         ));
         out
-    }
-
-    /// Writes one trace dump via the shared [`super::DumpTarget`]: to
-    /// `MESH_TRACE_PATH` (truncating) or, with no path, to stderr as a
-    /// single `mesh-trace: `-prefixed line.
-    pub(crate) fn write_dump(&self, json: &str) {
-        self.target.write(json);
     }
 }
 
@@ -390,18 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn dump_request_is_one_shot_and_wipe_clears_it() {
-        let t = TraceSet::new(&trace_config()).unwrap();
-        assert!(!t.take_dump_due());
-        t.request_dump();
-        assert!(t.take_dump_due());
-        assert!(!t.take_dump_due());
-        t.request_dump();
-        t.wipe_all();
-        assert!(!t.take_dump_due(), "child inherits no pending dump");
-    }
-
-    #[test]
     fn wipe_all_empties_every_ring() {
         let t = TraceSet::new(&trace_config()).unwrap();
         t.record_shared(TimedOp::MeshPass, 1, 2, 3);
@@ -420,17 +375,5 @@ mod tests {
         assert_eq!(trace_tid(), a, "tid stable within a thread");
         let b = std::thread::spawn(trace_tid).join().unwrap();
         assert_ne!(a, b, "distinct threads get distinct tids");
-    }
-
-    #[test]
-    fn dump_writes_to_path() {
-        let path =
-            std::env::temp_dir().join(format!("mesh-trace-test-{}.json", std::process::id()));
-        let cfg = trace_config().trace_path(Some(path.clone()));
-        let t = TraceSet::new(&cfg).unwrap();
-        t.write_dump("{\"traceEvents\":[]}");
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "{\"traceEvents\":[]}\n");
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -14,9 +14,10 @@
 //! profile as a pprof protobuf, and `--check-pprof FILE` validates one
 //! with the in-tree parser (the CI schema check).
 //!
-//! Dependency-free by design (ANSI escapes, hand-rolled JSON reader);
-//! `mesh-core` is linked only for [`mesh_core::parse_pprof`].
+//! Dependency-free by design (ANSI escapes); `mesh-core` is linked only
+//! for its readers, [`mesh_core::json`] and [`mesh_core::parse_pprof`].
 
+use mesh_core::json::Json;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
@@ -256,9 +257,23 @@ impl Client {
 /// off) are carried as the error text.
 struct Frame {
     stats: Result<String, String>,
-    spectrum: Result<Json, String>,
-    ledger: Result<Json, String>,
-    sense: Result<Json, String>,
+    spectrum: Result<Envelope, String>,
+    ledger: Result<Envelope, String>,
+    sense: Result<Envelope, String>,
+}
+
+/// A fetched JSON report: its raw text (re-embedded verbatim by
+/// `--json`) and the parsed value the dashboard reads.
+struct Envelope {
+    raw: String,
+    value: Json,
+}
+
+impl Envelope {
+    fn parse(raw: String) -> Result<Envelope, String> {
+        let value = Json::parse(&raw)?;
+        Ok(Envelope { raw, value })
+    }
 }
 
 impl Frame {
@@ -269,9 +284,9 @@ impl Frame {
                 .map(|b| String::from_utf8_lossy(&b).into_owned())
         };
         let stats = text("stats");
-        let spectrum = text("spectrum").and_then(|s| Json::parse(&s));
-        let ledger = text("ledger").and_then(|s| Json::parse(&s));
-        let sense = text("sense").and_then(|s| Json::parse(&s));
+        let spectrum = text("spectrum").and_then(Envelope::parse);
+        let ledger = text("ledger").and_then(Envelope::parse);
+        let sense = text("sense").and_then(Envelope::parse);
         Frame {
             stats,
             spectrum,
@@ -283,8 +298,8 @@ impl Frame {
     /// The `--once --json` document: the JSON envelopes verbatim, the
     /// stats text embedded as a string, errors as `{"error": ...}`.
     fn to_json(&self) -> String {
-        let embed = |r: &Result<Json, String>| match r {
-            Ok(j) => j.raw.clone(),
+        let embed = |r: &Result<Envelope, String>| match r {
+            Ok(e) => e.raw.clone(),
             Err(e) => format!("{{\"error\":{}}}", quote(e)),
         };
         format!(
@@ -306,15 +321,15 @@ impl Frame {
             Err(e) => out.push_str(&format!("stats unavailable: {e}\n")),
         }
         match &self.sense {
-            Ok(sense) => render_sense(&mut out, sense),
+            Ok(sense) => render_sense(&mut out, &sense.value),
             Err(e) => out.push_str(&format!("\nsense: {e}\n")),
         }
         match &self.spectrum {
-            Ok(spec) => render_spectrum(&mut out, spec),
+            Ok(spec) => render_spectrum(&mut out, &spec.value),
             Err(e) => out.push_str(&format!("\nspectrum: {e}\n")),
         }
         match &self.ledger {
-            Ok(ledger) => render_ledger(&mut out, ledger),
+            Ok(ledger) => render_ledger(&mut out, &ledger.value),
             Err(e) => out.push_str(&format!("\nledger: {e}\n")),
         }
         out
@@ -379,10 +394,9 @@ fn render_stats(out: &mut String, stats: &str) {
     }
 }
 
-fn render_sense(out: &mut String, sense: &Json) {
-    let v = sense.value();
+fn render_sense(out: &mut String, v: &Json) {
     let Some(latest) = v
-        .get("snapshots")
+        .field("snapshots")
         .and_then(|s| s.as_array())
         .and_then(|a| a.last())
     else {
@@ -391,8 +405,8 @@ fn render_sense(out: &mut String, sense: &Json) {
     // Unavailable readings are serialized as u64::MAX (ABSENT).
     let num = |k: &str| {
         latest
-            .get(k)
-            .and_then(Jv::as_f64)
+            .field(k)
+            .and_then(Json::as_f64)
             .filter(|&n| n < 1e18)
             .unwrap_or(f64::NAN)
     };
@@ -420,21 +434,20 @@ fn render_sense(out: &mut String, sense: &Json) {
     ));
 }
 
-fn render_spectrum(out: &mut String, spec: &Json) {
-    let v = spec.value();
-    let Some(classes) = v.get("classes").and_then(|c| c.as_array()) else {
+fn render_spectrum(out: &mut String, v: &Json) {
+    let Some(classes) = v.field("classes").and_then(|c| c.as_array()) else {
         return;
     };
     out.push_str(
         "\n  class  spans             occupancy bins (low→full)        live/slots   est pairs\n",
     );
     for class in classes {
-        let num = |k: &str| class.get(k).and_then(Jv::as_f64).unwrap_or(0.0);
+        let num = |k: &str| class.field(k).and_then(Json::as_f64).unwrap_or(0.0);
         let spans = num("attached_spans");
         let bins: Vec<f64> = class
-            .get("bins")
+            .field("bins")
             .and_then(|b| b.as_array())
-            .map(|a| a.iter().filter_map(Jv::as_f64).collect())
+            .map(|a| a.iter().filter_map(Json::as_f64).collect())
             .unwrap_or_default();
         let binned: f64 = bins.iter().sum();
         if spans == 0.0 && binned == 0.0 {
@@ -451,14 +464,14 @@ fn render_spectrum(out: &mut String, spec: &Json) {
             num("est_meshable_pairs") as u64,
         ));
     }
-    let large = v.get("large_spans").and_then(Jv::as_f64).unwrap_or(0.0);
+    let large = v.field("large_spans").and_then(Json::as_f64).unwrap_or(0.0);
     if large > 0.0 {
         out.push_str(&format!(
             "  large  {:>5}  {}\n",
             large as u64,
             mib(&format!(
                 "{}",
-                v.get("large_bytes").and_then(Jv::as_f64).unwrap_or(0.0)
+                v.field("large_bytes").and_then(Json::as_f64).unwrap_or(0.0)
             )),
         ));
     }
@@ -476,13 +489,12 @@ fn bar(count: f64, total: f64) -> String {
     format!("{:>4}{}", count as u64, GLYPHS[idx])
 }
 
-fn render_ledger(out: &mut String, ledger: &Json) {
-    let v = ledger.value();
+fn render_ledger(out: &mut String, v: &Json) {
     out.push_str(&format!(
         "\nledger: {} passes recorded\n",
-        v.get("passes_recorded").and_then(Jv::as_f64).unwrap_or(0.0) as u64
+        v.field("passes_recorded").and_then(Json::as_f64).unwrap_or(0.0) as u64
     ));
-    if let Some(rej) = v.get("rejected_total").and_then(Jv::as_object) {
+    if let Some(rej) = v.field("rejected_total").and_then(Json::as_object) {
         let nonzero: Vec<String> = rej
             .iter()
             .filter(|(_, n)| n.as_f64().unwrap_or(0.0) > 0.0)
@@ -492,12 +504,12 @@ fn render_ledger(out: &mut String, ledger: &Json) {
             out.push_str(&format!("  rejects: {}\n", nonzero.join(" · ")));
         }
     }
-    if let Some(passes) = v.get("passes").and_then(|p| p.as_array()) {
+    if let Some(passes) = v.field("passes").and_then(|p| p.as_array()) {
         for pass in passes.iter().rev().take(5) {
-            let num = |k: &str| pass.get(k).and_then(Jv::as_f64).unwrap_or(0.0);
+            let num = |k: &str| pass.field(k).and_then(Json::as_f64).unwrap_or(0.0);
             let rejects = pass
-                .get("rejected")
-                .and_then(Jv::as_object)
+                .field("rejected")
+                .and_then(Json::as_object)
                 .map(|rej| {
                     rej.iter()
                         .filter(|(_, n)| n.as_f64().unwrap_or(0.0) > 0.0)
@@ -519,10 +531,7 @@ fn render_ledger(out: &mut String, ledger: &Json) {
     }
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON reader (enough for the mesh envelopes)
-// ---------------------------------------------------------------------
-
+/// `s` as a JSON string literal.
 fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -541,273 +550,9 @@ fn quote(s: &str) -> String {
     out
 }
 
-/// A parsed document plus its raw text (re-embedded verbatim by
-/// `--json`).
-struct Json {
-    raw: String,
-    value: Jv,
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at {}", p.pos));
-        }
-        Ok(Json {
-            raw: text.to_string(),
-            value,
-        })
-    }
-
-    fn value(&self) -> &Jv {
-        &self.value
-    }
-}
-
-/// A JSON value.
-#[derive(Debug, PartialEq)]
-enum Jv {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Jv>),
-    Obj(Vec<(String, Jv)>),
-}
-
-impl Jv {
-    fn get(&self, key: &str) -> Option<&Jv> {
-        match self {
-            Jv::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Jv]> {
-        match self {
-            Jv::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_object(&self) -> Option<&[(String, Jv)]> {
-        match self {
-            Jv::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Jv::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    #[cfg_attr(not(test), allow(dead_code))] // string fields only appear in tests today
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Jv::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b' ' | b'\t' | b'\n' | b'\r')
-        ) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Jv, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Jv::Str(self.string()?)),
-            Some(b't') => self.literal("true", Jv::Bool(true)),
-            Some(b'f') => self.literal("false", Jv::Bool(false)),
-            Some(b'n') => self.literal("null", Jv::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of document".to_string()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Jv) -> Result<Jv, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Jv, String> {
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Jv::Num)
-            .ok_or_else(|| format!("bad number at {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at {}", self.pos))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: take the whole sequence.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Jv, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Jv::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Jv::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Jv, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Jv::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Jv::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at {}", self.pos)),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_parser_handles_the_envelope_shapes() {
-        let doc = Json::parse(
-            r#"{"v":1,"classes":[{"object_size":16,"bins":[1,2,0,3]}],
-               "name":"psi \"x\"","flag":true,"none":null,"f":-2.5e1}"#,
-        )
-        .unwrap();
-        let v = doc.value();
-        assert_eq!(v.get("v").and_then(Jv::as_f64), Some(1.0));
-        let classes = v.get("classes").unwrap().as_array().unwrap();
-        assert_eq!(classes[0].get("object_size").and_then(Jv::as_f64), Some(16.0));
-        assert_eq!(
-            classes[0].get("bins").unwrap().as_array().unwrap().len(),
-            4
-        );
-        assert_eq!(v.get("name").and_then(Jv::as_str), Some("psi \"x\""));
-        assert_eq!(v.get("flag"), Some(&Jv::Bool(true)));
-        assert_eq!(v.get("none"), Some(&Jv::Null));
-        assert_eq!(v.get("f").and_then(Jv::as_f64), Some(-25.0));
-        assert!(Json::parse("{\"a\":}").is_err());
-        assert!(Json::parse("[1,2] trailing").is_err());
-    }
 
     #[test]
     fn stats_line_lookup() {
@@ -823,24 +568,23 @@ mod tests {
         let frame = Frame {
             stats: Ok("mesh: a=1\nmesh-latency: op=\"x\"".to_string()),
             spectrum: Err("spectrum off".to_string()),
-            ledger: Json::parse(r#"{"passes_recorded":2}"#),
+            ledger: Envelope::parse(r#"{"passes_recorded":2}"#.to_string()),
             sense: Err("sensing off".to_string()),
         };
         let text = frame.to_json();
-        let doc = Json::parse(&text).expect("frame JSON must itself parse");
-        let v = doc.value();
-        assert_eq!(v.get("mesh_top_version").and_then(Jv::as_f64), Some(1.0));
-        assert!(v.get("stats").and_then(Jv::as_str).unwrap().contains("a=1"));
+        let v = Json::parse(&text).expect("frame JSON must itself parse");
+        assert_eq!(v.field("mesh_top_version").and_then(Json::as_f64), Some(1.0));
+        assert!(v.field("stats").and_then(Json::as_str).unwrap().contains("a=1"));
         assert_eq!(
-            v.get("ledger")
-                .and_then(|l| l.get("passes_recorded"))
-                .and_then(Jv::as_f64),
+            v.field("ledger")
+                .and_then(|l| l.field("passes_recorded"))
+                .and_then(Json::as_f64),
             Some(2.0)
         );
         assert!(v
-            .get("sense")
-            .and_then(|s| s.get("error"))
-            .and_then(Jv::as_str)
+            .field("sense")
+            .and_then(|s| s.field("error"))
+            .and_then(Json::as_str)
             .is_some());
     }
 

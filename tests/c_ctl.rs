@@ -13,7 +13,7 @@ mod support;
 
 use std::collections::HashMap;
 use std::process::Command;
-use support::{build_libmesh, compile_c, have_cc, target_dir, Parser};
+use support::{build_libmesh, compile_c, have_cc, target_dir, JsonExt, Parser};
 
 /// Extracts every `<<tag rc=..>>\n..\n<<end>>` section from stdout.
 fn sections(stdout: &str) -> HashMap<String, (String, String)> {

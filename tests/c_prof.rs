@@ -19,7 +19,7 @@
 mod support;
 
 use std::process::{Command, Stdio};
-use support::{build_libmesh, compile_c, have_cc, target_dir, Parser};
+use support::{build_libmesh, compile_c, have_cc, target_dir, JsonExt, Parser};
 
 #[test]
 fn leak_profile_attributes_the_leaking_site() {

@@ -18,7 +18,7 @@
 mod support;
 
 use std::process::{Command, Stdio};
-use support::{build_libmesh, compile_c, have_cc, target_dir, Json, Parser};
+use support::{build_libmesh, compile_c, have_cc, target_dir, Json, JsonExt, Parser};
 
 /// Every op name the tracer can emit (mirrors `TimedOp::name`).
 const KNOWN_OPS: &[&str] = &[

@@ -7,7 +7,10 @@
 //! against concurrent `getenv` from other test threads, so the env is
 //! written once, up front, and never removed.
 
-use mesh::core::MeshConfig;
+mod support;
+
+use mesh::core::{MeshConfig, Report};
+use support::report_text;
 
 #[test]
 fn apply_env_reads_knobs_and_ignores_malformed() {
@@ -110,7 +113,7 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     }
     assert_eq!(mesh.stats().live_bytes, 0);
     assert_eq!(mesh.profile_stats().unwrap().live_bytes_estimate, 0);
-    let json = mesh.trace_json().expect("tracing on");
+    let json = report_text(&mesh, Report::Trace).expect("tracing on");
     assert!(
         json.contains("\"name\":\"refill\""),
         "churn produced no refill trace events"

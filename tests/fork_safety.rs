@@ -11,11 +11,19 @@
 //! its own events from its own churn, and the parent's trace survives
 //! the fork intact.
 //!
+//! A second fork checks the report pipeline's half of the contract: a
+//! dump requested before the fork (a `SIGUSR2` that has not been served
+//! yet) is the parent's to write. The child starts with no pending
+//! request, so its first telemetry beat leaves the dump file alone.
+//!
 //! Own test binary: forking a multi-threaded cargo-test harness is only
 //! safe when this file's single test is all that runs in the process.
 
+mod support;
+
 use mesh::core::ffi;
-use mesh::core::{Mesh, MeshConfig, TimedOp};
+use mesh::core::{Mesh, MeshConfig, Report, TimedOp};
+use support::report_text;
 
 const SLOTS: usize = 384;
 const SIZE: usize = 1500;
@@ -38,7 +46,7 @@ fn child_body(mesh: &Mesh, ptrs: &[*mut u8]) -> bool {
     if mesh.stats().latency.count(TimedOp::Refill) != 0 {
         return false;
     }
-    match mesh.trace_json() {
+    match report_text(mesh, Report::Trace) {
         Some(json) if json.contains("\"name\":\"refill\"") => return false,
         Some(_) => {}
         None => return false, // tracing must survive the fork
@@ -78,7 +86,7 @@ fn child_body(mesh: &Mesh, ptrs: &[*mut u8]) -> bool {
     if mesh.stats().latency.count(TimedOp::Refill) == 0 {
         return false;
     }
-    match mesh.trace_json() {
+    match report_text(mesh, Report::Trace) {
         Some(json) if !json.contains("\"name\":\"refill\"") => return false,
         Some(_) => {}
         None => return false,
@@ -168,11 +176,67 @@ fn fork_preserves_parent_and_child_heaps() {
         stats.latency.count(TimedOp::Refill) > 0,
         "fork wiped the parent's latency history"
     );
-    let json = mesh.trace_json().expect("tracing on");
+    let json = report_text(&mesh, Report::Trace).expect("tracing on");
     assert!(json.starts_with("{\"traceEvents\":["), "bad envelope: {json}");
     assert!(json.contains("\"mesh_trace_version\":1"));
     assert!(
         json.contains("\"name\":\"refill\""),
         "fork wiped the parent's trace rings"
     );
+
+    pending_profile_request_stays_with_the_parent();
+}
+
+/// The profile case of the pending-request contract, next to the trace
+/// case above. The request is made with the fork guard held (the
+/// parent's background thread cannot serve it: rendering needs the shard
+/// locks), so the fork snapshots a heap with the request still pending.
+fn pending_profile_request_stays_with_the_parent() {
+    let path = std::env::temp_dir().join(format!("mesh-fork-prof-{}.json", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    let mesh = Mesh::new(
+        MeshConfig::default()
+            .seed(29)
+            .arena_bytes(64 << 20)
+            .profiling(true)
+            .prof_sample_bytes(4096)
+            .prof_path(Some(path.clone())),
+    )
+    .unwrap();
+    let p = mesh.malloc(100_000);
+    assert!(!p.is_null());
+
+    let guard = mesh.fork_prepare();
+    mesh.request_report(Report::Profile);
+    let pid = unsafe { ffi::fork() };
+    assert!(pid >= 0, "fork failed");
+    if pid == 0 {
+        guard.release_child();
+        // The respawned background thread beats once as it starts; an
+        // inherited request would be served well within this wait.
+        std::thread::sleep(std::time::Duration::from_millis(500));
+        unsafe { ffi::_exit(if path.exists() { 1 } else { 0 }) };
+    }
+    // The parent keeps every heap lock until the child is gone, so only
+    // the child could have written the file by then.
+    let mut status: i32 = -1;
+    assert_eq!(unsafe { ffi::waitpid(pid, &mut status, 0) }, pid, "waitpid failed");
+    assert!(
+        status & 0x7F == 0 && (status >> 8) & 0xFF == 0,
+        "the child served the parent's pending profile request: raw status {status:#x}"
+    );
+    assert!(!path.exists(), "nothing may be written while the fork guard is held");
+    guard.release_parent();
+
+    // The request was the parent's all along: it is served here.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !std::fs::read_to_string(&path).is_ok_and(|doc| doc.ends_with("]}\n")) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the fork lost the parent's pending profile request"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    std::fs::remove_file(&path).ok();
+    unsafe { mesh.free(p) };
 }

@@ -2,8 +2,11 @@
 //! snapshot ring, and the meshing-effectiveness ledger, all through the
 //! public API.
 
-use mesh::core::{Mesh, MeshConfig, RejectReason, PAGE_SIZE, REJECT_REASONS};
+mod support;
+
+use mesh::core::{Mesh, MeshConfig, RejectReason, Report, PAGE_SIZE, REJECT_REASONS};
 use std::time::Duration;
+use support::{report_text, JsonExt, Parser};
 
 fn heap(seed: u64) -> Mesh {
     // Huge mesh period: passes in this file are explicit, and sensing
@@ -117,7 +120,7 @@ fn sense_json_schema_and_residency_partition() {
     assert!(mesh.is_sensing(), "sensing is on by default");
     let kept = fragment(&mesh, 8_192, 256, 4);
     mesh.mesh_now();
-    let json = mesh.sense_json().expect("sensing on");
+    let json = report_text(&mesh, Report::Sense).expect("sensing on");
     assert!(json.starts_with("{\"mesh_sense_version\":1,"), "{json}");
     for key in [
         "\"residency\":{",
@@ -169,12 +172,12 @@ fn snapshot_ring_and_prom_families() {
     )
     .unwrap();
     let kept = fragment(&mesh, 4_096, 128, 4);
-    // Each sense_json() call takes one poll; overfill the 4-slot ring.
+    // Each sense report takes one poll; overfill the 4-slot ring.
     for _ in 0..7 {
-        mesh.sense_json().unwrap();
+        report_text(&mesh, Report::Sense).unwrap();
     }
     mesh.mesh_now();
-    let json = mesh.sense_json().unwrap();
+    let json = report_text(&mesh, Report::Sense).unwrap();
     // 8 polls into a 4-slot ring: exactly 4 snapshots retained. (Count
     // by a snapshot-only key: ledger pass rows also carry "at_ms".)
     assert_eq!(json.matches("\"rss_bytes\":").count(), 4, "{json}");
@@ -193,7 +196,7 @@ fn snapshot_ring_and_prom_families() {
     }
 }
 
-/// `MESH_SENSE_PATH` dumps: `dump_sense_now` writes the document to the
+/// `MESH_SENSE_PATH` dumps: `write_report` writes the document to the
 /// configured file, and a disabled heap declines.
 #[test]
 fn sense_dump_to_path_and_disabled_heap() {
@@ -208,7 +211,7 @@ fn sense_dump_to_path_and_disabled_heap() {
     )
     .unwrap();
     let p = mesh.malloc(64);
-    assert!(mesh.dump_sense_now());
+    assert!(mesh.write_report(Report::Sense, 2).is_ok());
     let doc = std::fs::read_to_string(&path).expect("dump file written");
     assert!(doc.contains("\"mesh_sense_version\":1"), "{doc}");
     std::fs::remove_file(&path).ok();
@@ -223,10 +226,59 @@ fn sense_dump_to_path_and_disabled_heap() {
     )
     .unwrap();
     assert!(!off.is_sensing());
-    assert!(off.sense_json().is_none());
+    assert!(report_text(&off, Report::Sense).is_none());
     assert!(off.sense_latest().is_none());
-    assert!(!off.dump_sense_now());
+    assert!(off.write_report(Report::Sense, 2).is_err());
     // The ledger still records passes even without sensing.
     off.mesh_now();
     assert_eq!(off.ledger_recent().len(), 1);
+}
+
+/// A *requested* sense dump (the `SIGUSR2` path minus the signal) is as
+/// fresh as a synchronous one: the poll belongs to the renderer, not to
+/// the trigger. With a 1-hour interval the periodic poll never fires, so
+/// the only way the dump's newest snapshot can postdate the request is
+/// the renderer's own poll.
+#[test]
+fn requested_sense_dump_takes_a_fresh_poll() {
+    let path = std::env::temp_dir().join(format!("mesh-sense-req-{}.json", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    let mesh = Mesh::new(
+        MeshConfig::default()
+            .arena_bytes(64 << 20)
+            .seed(5)
+            .mesh_period(Duration::from_secs(3600))
+            .sense_interval(Some(Duration::from_secs(3600)))
+            .sense_path(Some(path.clone())),
+    )
+    .unwrap();
+    let p = mesh.malloc(64);
+    let requested_at_ms = mesh.stats().uptime_ms;
+    mesh.request_report(Report::Sense);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let doc = loop {
+        // The file is written in one `write`, but may be observed between
+        // its creation and that write: only a complete line counts.
+        match std::fs::read_to_string(&path) {
+            Ok(doc) if doc.ends_with('\n') => break doc,
+            _ => assert!(
+                std::time::Instant::now() < deadline,
+                "background thread never served the request"
+            ),
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let newest_at_ms = Parser::parse(doc.trim_end())
+        .get("snapshots")
+        .arr()
+        .last()
+        .unwrap_or_else(|| panic!("requested dump carries no snapshot: {doc}"))
+        .get("at_ms")
+        .num();
+    assert!(
+        newest_at_ms >= requested_at_ms,
+        "newest snapshot ({newest_at_ms} ms) predates the request ({requested_at_ms} ms)"
+    );
+    std::fs::remove_file(&path).ok();
+    unsafe { mesh.free(p) };
 }

@@ -1,7 +1,7 @@
 //! Shared plumbing for the C-preload integration tests (`c_abi.rs`,
 //! `c_prof.rs`, `c_trace.rs`): locating the workspace, building
-//! `libmesh.so`, compiling C helpers, and a minimal JSON parser for
-//! validating dump schemas (no serde in the offline build).
+//! `libmesh.so`, compiling C helpers, and panicking accessors over
+//! `mesh_core::json` for validating dump schemas.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
@@ -60,177 +60,71 @@ pub fn compile_c(name: &str, out_dir: &Path, flags: &[&str]) -> PathBuf {
 }
 
 // ---------------------------------------------------------------------
-// Minimal JSON parser. Supports the dumps' grammar: objects, arrays,
-// strings without escapes, and non-negative numbers — integers plus the
-// `123.456` decimals the Chrome trace format uses for ts/dur.
+// Panicking accessors over `mesh_core::json`: a test wants a schema
+// violation to fail loudly at the lookup, not thread `Option`s.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+pub use mesh::core::json::Json;
+use mesh::core::{Mesh, Report};
+
+pub struct Parser;
+
+impl Parser {
+    pub fn parse(text: &str) -> Json {
+        Json::parse(text).unwrap_or_else(|e| panic!("bad JSON ({e}): {text}"))
+    }
 }
 
-impl Json {
-    pub fn get(&self, key: &str) -> &Json {
+pub trait JsonExt {
+    fn get(&self, key: &str) -> &Json;
+    fn opt(&self, key: &str) -> Option<&Json>;
+    /// The value as a non-negative integer (panics on fractional values:
+    /// schema fields documented as integers must serialize as integers).
+    fn num(&self) -> u64;
+    fn float(&self) -> f64;
+    fn str(&self) -> &str;
+    fn arr(&self) -> &[Json];
+}
+
+impl JsonExt for Json {
+    fn get(&self, key: &str) -> &Json {
         self.opt(key)
             .unwrap_or_else(|| panic!("missing key {key:?} in {self:?}"))
     }
 
-    pub fn opt(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => panic!("key lookup {key:?} on non-object {self:?}"),
-        }
+    fn opt(&self, key: &str) -> Option<&Json> {
+        assert!(
+            self.as_object().is_some(),
+            "key lookup {key:?} on non-object {self:?}"
+        );
+        self.field(key)
     }
 
-    /// The value as a non-negative integer (panics on fractional values:
-    /// schema fields documented as integers must serialize as integers).
-    pub fn num(&self) -> u64 {
-        match self {
-            Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 => *n as u64,
+    fn num(&self) -> u64 {
+        match self.as_f64() {
+            Some(n) if n.fract() == 0.0 && n >= 0.0 => n as u64,
             _ => panic!("expected integer, got {self:?}"),
         }
     }
 
-    pub fn float(&self) -> f64 {
-        match self {
-            Json::Num(n) => *n,
-            _ => panic!("expected number, got {self:?}"),
-        }
+    fn float(&self) -> f64 {
+        self.as_f64()
+            .unwrap_or_else(|| panic!("expected number, got {self:?}"))
     }
 
-    pub fn str(&self) -> &str {
-        match self {
-            Json::Str(s) => s,
-            _ => panic!("expected string, got {self:?}"),
-        }
+    fn str(&self) -> &str {
+        self.as_str()
+            .unwrap_or_else(|| panic!("expected string, got {self:?}"))
     }
 
-    pub fn arr(&self) -> &[Json] {
-        match self {
-            Json::Arr(v) => v,
-            _ => panic!("expected array, got {self:?}"),
-        }
+    fn arr(&self) -> &[Json] {
+        self.as_array()
+            .unwrap_or_else(|| panic!("expected array, got {self:?}"))
     }
 }
 
-pub struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    pub fn parse(text: &'a str) -> Json {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value();
-        p.skip_ws();
-        assert_eq!(p.pos, p.bytes.len(), "trailing garbage in JSON");
-        v
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) {
-        self.skip_ws();
-        assert_eq!(
-            self.bytes.get(self.pos),
-            Some(&b),
-            "expected {:?} at byte {}",
-            b as char,
-            self.pos
-        );
-        self.pos += 1;
-    }
-
-    fn peek(&mut self) -> u8 {
-        self.skip_ws();
-        *self.bytes.get(self.pos).expect("unexpected end of JSON")
-    }
-
-    fn value(&mut self) -> Json {
-        match self.peek() {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Json::Str(self.string()),
-            b'0'..=b'9' => self.number(),
-            other => panic!("unexpected {:?} at byte {}", other as char, self.pos),
-        }
-    }
-
-    fn object(&mut self) -> Json {
-        self.expect(b'{');
-        let mut fields = Vec::new();
-        if self.peek() != b'}' {
-            loop {
-                let key = self.string();
-                self.expect(b':');
-                fields.push((key, self.value()));
-                match self.peek() {
-                    b',' => self.pos += 1,
-                    b'}' => break,
-                    other => panic!("bad object separator {:?}", other as char),
-                }
-            }
-        }
-        self.expect(b'}');
-        Json::Obj(fields)
-    }
-
-    fn array(&mut self) -> Json {
-        self.expect(b'[');
-        let mut items = Vec::new();
-        if self.peek() != b']' {
-            loop {
-                items.push(self.value());
-                match self.peek() {
-                    b',' => self.pos += 1,
-                    b']' => break,
-                    other => panic!("bad array separator {:?}", other as char),
-                }
-            }
-        }
-        self.expect(b']');
-        Json::Arr(items)
-    }
-
-    fn string(&mut self) -> String {
-        self.expect(b'"');
-        let start = self.pos;
-        while self.bytes[self.pos] != b'"' {
-            assert_ne!(self.bytes[self.pos], b'\\', "dump strings never escape");
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("valid utf8")
-            .to_string();
-        self.pos += 1;
-        s
-    }
-
-    fn number(&mut self) -> Json {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || *b == b'.')
-        {
-            self.pos += 1;
-        }
-        Json::Num(
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .unwrap()
-                .parse()
-                .expect("number"),
-        )
-    }
+/// `Mesh::report` as text (`None` when the kind's subsystem is off).
+pub fn report_text(mesh: &Mesh, kind: Report) -> Option<String> {
+    let bytes = mesh.report(kind).ok()?;
+    Some(String::from_utf8(bytes).expect("text report"))
 }
