@@ -786,7 +786,8 @@ impl ThreadHeap {
         });
     }
 
-    /// Number of size classes with a currently attached span (diagnostic).
+    /// Number of spans currently attached to this thread heap, over all
+    /// size classes (diagnostic; up to 24 per class).
     pub fn attached_spans(&self) -> usize {
         self.core.attached_count()
     }

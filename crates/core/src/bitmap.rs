@@ -155,23 +155,47 @@ impl AtomicBitmap {
         }
     }
 
+    /// Mask of the tracked bits of word `i` (bits beyond `len` are not).
+    #[inline]
+    fn valid_mask(&self, i: usize) -> u64 {
+        let (len, base) = (self.len as usize, i * 64);
+        if len >= base + 64 {
+            u64::MAX
+        } else if len <= base {
+            0
+        } else {
+            (1u64 << (len - base)) - 1
+        }
+    }
+
     /// Iterates over the indices of clear bits, ascending.
     pub fn iter_clear(&self) -> ClearBits {
         let mut words = self.load_words();
         for (i, w) in words.iter_mut().enumerate() {
-            // Invert, masking off bits beyond `len`.
-            let base = i * 64;
-            let valid = if self.len as usize >= base + 64 {
-                u64::MAX
-            } else if (self.len as usize) <= base {
-                0
-            } else {
-                (1u64 << (self.len as usize - base)) - 1
-            };
-            *w = !*w & valid;
+            *w = !*w & self.valid_mask(i);
         }
         ClearBits(SetBits {
             words,
+            word_idx: 0,
+            len: self.len as usize,
+        })
+    }
+
+    /// Atomically sets every clear bit and iterates, ascending, over the
+    /// bits this call changed: [`AtomicBitmap::try_set`] for a whole span
+    /// at one RMW per word that has a clear bit, instead of one per slot.
+    /// A refill attaches up to two dozen spans under the class lock, so
+    /// the per-slot form put thousands of atomics into one malloc.
+    pub fn claim_clear(&self) -> ClearBits {
+        let mut claimed = [0u64; WORDS];
+        for (i, word) in self.words.iter().enumerate() {
+            let clear = !word.load(Ordering::Acquire) & self.valid_mask(i);
+            if clear != 0 {
+                claimed[i] = clear & !word.fetch_or(clear, Ordering::AcqRel);
+            }
+        }
+        ClearBits(SetBits {
+            words: claimed,
             word_idx: 0,
             len: self.len as usize,
         })
@@ -246,6 +270,21 @@ mod tests {
             assert!(!bm.is_set(i));
         }
         assert_eq!(bm.in_use(), 0);
+    }
+
+    #[test]
+    fn claim_clear_sets_and_reports_exactly_the_clear_bits() {
+        let bm = AtomicBitmap::new(130);
+        for bit in [0, 63, 64, 129] {
+            bm.try_set(bit);
+        }
+        let claimed: Vec<usize> = bm.claim_clear().collect();
+        assert_eq!(claimed.len(), 126);
+        assert!(claimed.windows(2).all(|w| w[0] < w[1]), "ascending");
+        assert!([0, 63, 64, 129].iter().all(|b| !claimed.contains(b)));
+        assert_eq!(bm.in_use(), 130, "every tracked bit is set now");
+        assert_eq!(bm.load_words()[2] >> 2, 0, "bits past len stay clear");
+        assert_eq!(bm.claim_clear().count(), 0, "nothing left to claim");
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! thread (see [`crate::mesher`]) instead of the free path.
 
 use crate::arena::Arena;
+use crate::attached_set::AttachedSet;
 use crate::config::MeshConfig;
 use crate::error::MeshError;
 use crate::harden::{self, HardenConfig, HardenKind};
@@ -874,17 +875,36 @@ impl GlobalHeap {
         arena.free_span_dirty(primary);
     }
 
-    /// Refills `sv` with a MiniHeap for `class`: drains the class's remote
-    /// frees, detaches the exhausted vector, then attaches a partially
-    /// full or fresh MiniHeap (§3.1). Takes only this class's lock (plus
-    /// the arena leaf lock if a fresh span is needed).
+    /// Refills `set` for `class` under the class lock (plus the arena leaf
+    /// lock only if a fresh span is needed), with the queue drained:
+    ///
+    /// 1. members the thread is not drawing on are released — to their
+    ///    occupancy bin, or destroyed if nothing in them is live. These
+    ///    are the idle ones its frees have passed by
+    ///    ([`AttachedSet::take_idle`]: full spans, which the mesher gets
+    ///    to see once their objects die, as when every refill detached
+    ///    the one attached span), and the ones other threads freed into,
+    ///    whose freed slots are re-claimed by whoever step 2 hands the
+    ///    span to — this set, if it is among the fullest;
+    /// 2. partial spans are attached fullest-first (§3.1) until the set
+    ///    holds its goal, one span's worth of free slots, or is full of
+    ///    members that all have slots — evicting one more full member only
+    ///    when the set is at its bound and a partial span needs the place;
+    /// 3. a fresh span is carved only if all of that found no slot.
+    ///
+    /// Full members this thread keeps freeing into stay: that is what
+    /// keeps its frees local. The goal bounds what a thread hoards to what
+    /// one fresh span always gave it — free slots a thread sits on are
+    /// slots another thread must carve a span for — and going through the
+    /// bins keeps the packing fullest-first across threads.
     ///
     /// # Errors
     ///
-    /// Returns [`MeshError::ArenaExhausted`] when no span can be carved.
+    /// Returns [`MeshError::ArenaExhausted`] when no slot was found and no
+    /// span can be carved.
     pub fn refill(
         &self,
-        sv: &mut ShuffleVector,
+        set: &mut AttachedSet,
         class: SizeClass,
         token: u64,
         thread_rng: &mut Rng,
@@ -892,55 +912,112 @@ impl GlobalHeap {
         let mut st = self.lock_class(class);
         self.counters.refills.fetch_add(1, Ordering::Relaxed);
         self.drain_class_locked(class, &mut st);
-        self.release_vector_locked(class, &mut st, sv);
-        let id = match st.select_partial() {
-            Some(id) => id,
-            None => self.fresh_miniheap_locked(&mut st, class)?,
-        };
-        let mh = st.slab.get_mut(id).expect("selected id is live");
-        mh.set_state(AttachState::Attached(token));
-        let mh = st.slab.get(id).expect("selected id is live");
-        let span = mh.span();
-        sv.attach(
-            id,
-            self.base + span.byte_offset(),
-            span.byte_len(),
-            mh.object_count(),
-            mh.object_size(),
-            mh.bitmap(),
-            thread_rng,
-        );
-        for alias in &mh.virtual_spans()[1..] {
-            sv.push_span_alias(self.base + alias.byte_offset());
+        let idle = set.take_idle();
+        for member in set.members() {
+            let mh = st.slab.get(set.id(member)).expect("attached id is live");
+            // Every slot the vector holds is claimed, so a clear bit is a
+            // slot a drained remote free gave back.
+            if idle & (1 << member) != 0 || mh.in_use() < mh.object_count() {
+                self.release_vector_locked(class, &mut st, set.unlink(member));
+            }
+        }
+        let mut slots = set.available();
+        while slots < class.object_count() {
+            let Some(id) = st.select_partial() else { break };
+            if !self.make_room_locked(class, &mut st, set, thread_rng) {
+                st.bin_insert(id);
+                break;
+            }
+            slots += self.attach_locked(&mut st, set, id, token, thread_rng);
+        }
+        if slots == 0 {
+            let room = self.make_room_locked(class, &mut st, set, thread_rng);
+            debug_assert!(room, "a set without free slots has only full members");
+            let id = self.fresh_miniheap_locked(&mut st, class)?;
+            self.attach_locked(&mut st, set, id, token, thread_rng);
         }
         Ok(())
     }
 
-    /// Detaches `sv`'s MiniHeap (if any) back to this class's shard.
-    pub fn release_vector(&self, class: SizeClass, sv: &mut ShuffleVector) {
-        if sv.miniheap().is_none() {
+    /// Makes sure `set` has a vacant position, evicting a random full
+    /// member if it is at its bound. `false` when it is at its bound and
+    /// every member still has free slots.
+    fn make_room_locked(
+        &self,
+        class: SizeClass,
+        st: &mut ClassState,
+        set: &mut AttachedSet,
+        thread_rng: &mut Rng,
+    ) -> bool {
+        if !set.is_full() {
+            return true;
+        }
+        let Some(victim) = set.pick_full(thread_rng) else {
+            return false;
+        };
+        self.release_vector_locked(class, st, set.unlink(victim));
+        true
+    }
+
+    /// Attaches detached MiniHeap `id` to `set` for thread `token`;
+    /// returns the free slots it brought.
+    fn attach_locked(
+        &self,
+        st: &mut ClassState,
+        set: &mut AttachedSet,
+        id: MiniHeapId,
+        token: u64,
+        thread_rng: &mut Rng,
+    ) -> usize {
+        let mh = st.slab.get_mut(id).expect("selected id is live");
+        mh.set_state(AttachState::Attached(token));
+        let mh = &*mh;
+        let span = mh.span();
+        set.attach_with(|sv| {
+            sv.attach(
+                id,
+                self.base + span.byte_offset(),
+                span.byte_len(),
+                mh.object_count(),
+                mh.object_size(),
+                mh.bitmap(),
+                thread_rng,
+            );
+            for alias in &mh.virtual_spans()[1..] {
+                sv.push_span_alias(self.base + alias.byte_offset());
+            }
+        })
+    }
+
+    /// Detaches one member — the free path's release of a member the
+    /// retention rule gives back ([`AttachedSet::is_surplus_empty`]).
+    /// Takes the lock the drain-side `now_empty` destruction of a detached
+    /// span takes, and no more: the queue is left for the next refill.
+    pub fn release_member(&self, class: SizeClass, set: &mut AttachedSet, member: usize) {
+        let mut st = self.lock_class(class);
+        self.release_vector_locked(class, &mut st, set.unlink(member));
+    }
+
+    /// Teardown path for a thread heap: detaches every member of `set`
+    /// *and* returns the thread's popped-batch remainder (`cache`) to the
+    /// transfer cache, releasing claims that no longer fit.
+    pub fn release_set_and_cache(
+        &self,
+        class: SizeClass,
+        set: &mut AttachedSet,
+        cache: &mut Vec<usize>,
+    ) {
+        if set.len() == 0 && cache.is_empty() {
             return;
         }
         let mut st = self.lock_class(class);
         self.drain_class_locked(class, &mut st);
-        self.release_vector_locked(class, &mut st, sv);
-    }
-
-    /// Teardown path for a batched thread heap: detaches the vector *and*
-    /// returns the thread's popped-batch remainder (`cache`) to the
-    /// transfer cache, releasing claims that no longer fit.
-    pub fn release_vector_and_cache(
-        &self,
-        class: SizeClass,
-        sv: &mut ShuffleVector,
-        cache: &mut Vec<usize>,
-    ) {
-        if cache.is_empty() {
-            return self.release_vector(class, sv);
+        for member in set.members() {
+            self.release_vector_locked(class, &mut st, set.unlink(member));
         }
-        let mut st = self.lock_class(class);
-        self.drain_class_locked(class, &mut st);
-        self.release_vector_locked(class, &mut st, sv);
+        if cache.is_empty() {
+            return;
+        }
         let t0 = Instant::now();
         let returned = cache.len() as u64;
         let batch = self.transfer.batch();
@@ -1579,6 +1656,12 @@ impl GlobalHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attached_set::ATTACHED_SPANS;
+
+    /// Detaches every member of `set` (what a thread heap's teardown does).
+    fn release(h: &GlobalHeap, class: SizeClass, set: &mut AttachedSet) {
+        h.release_set_and_cache(class, set, &mut Vec::new());
+    }
 
     fn heap() -> GlobalHeap {
         let counters = Arc::new(Counters::default());
@@ -1635,19 +1718,20 @@ mod tests {
         )
         .unwrap();
         let class = SizeClass::for_size(128).unwrap();
-        let mut sv = ShuffleVector::new(true);
+        let mut set = AttachedSet::new(true);
         let mut rng = Rng::with_seed(1);
-        h.refill(&mut sv, class, 1, &mut rng).unwrap();
-        assert_eq!(sv.available(), class.object_count());
+        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        assert_eq!(set.available(), class.object_count());
         // Allocate a couple of objects, then force a detach via refill.
-        let a = sv.malloc().unwrap();
-        let _b = sv.malloc().unwrap();
-        let first = sv.miniheap().unwrap();
-        // Exhaust and refill: old MiniHeap must land in a bin (full).
-        while sv.malloc().is_some() {}
-        h.refill(&mut sv, class, 1, &mut rng).unwrap();
-        let second = sv.miniheap().unwrap();
-        assert_ne!(first, second);
+        let a = set.malloc().unwrap();
+        let _b = set.malloc().unwrap();
+        let first = set.id(0);
+        // Exhaust and refill: the thread never freed into the old
+        // MiniHeap, so it is released and must land in a bin (full).
+        while set.malloc().is_some() {}
+        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        assert_eq!(set.len(), 1);
+        assert_ne!(set.id(0), first);
         {
             let st = h.lock_class(class);
             let old = st.slab.get(first).unwrap();
@@ -1668,6 +1752,120 @@ mod tests {
     }
 
     #[test]
+    fn refill_gathers_partial_spans_up_to_one_span_of_slots() {
+        let h = heap();
+        let class = SizeClass::for_size(64).unwrap();
+        let count = class.object_count();
+        // Six detached spans with count/4 free slots each, and nothing
+        // else: one refill must attach four of them (a span's worth of
+        // slots), fullest bin first, and carve nothing.
+        {
+            let mut st = h.lock_class(class);
+            for _ in 0..6 {
+                let id = h.fresh_miniheap_locked(&mut st, class).unwrap();
+                let mh = st.slab.get(id).unwrap();
+                for slot in 0..count - count / 4 {
+                    mh.bitmap().try_set(slot);
+                }
+                st.bin_insert(id);
+            }
+        }
+        let mut set = AttachedSet::new(true);
+        let mut rng = Rng::with_seed(3);
+        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        assert_eq!(set.len(), 4);
+        assert_eq!(set.available(), count);
+        assert_eq!(h.counters.snapshot().refills, 1);
+        let st = h.lock_class(class);
+        assert_eq!(st.slab.len(), 6, "no fresh span while partial spans exist");
+        assert_eq!(st.bins.partial[0].len(), 2, "the rest stay binned");
+    }
+
+    /// Exhausts `set`, then frees one object of each member back into it
+    /// and takes it again: every member is full and was drawn on since
+    /// the last refill.
+    fn exhaust_and_touch(set: &mut AttachedSet, rng: &mut Rng) {
+        while set.malloc().is_some() {}
+        for member in set.members().collect::<Vec<_>>() {
+            assert!(unsafe { set.free_slot(member, 0, rng) });
+            set.malloc().unwrap();
+        }
+        assert_eq!(set.malloc(), None);
+    }
+
+    #[test]
+    fn refill_keeps_the_members_the_thread_frees_into() {
+        let h = heap();
+        let class = SizeClass::for_size(1024).unwrap();
+        let mut set = AttachedSet::new(true);
+        let mut rng = Rng::with_seed(4);
+        for spans in 1..=ATTACHED_SPANS {
+            h.refill(&mut set, class, 1, &mut rng).unwrap();
+            assert_eq!(set.len(), spans, "members drawn on are kept while there is room");
+            exhaust_and_touch(&mut set, &mut rng);
+        }
+        // At the bound with every member drawn on: a fresh span needs a
+        // place, and exactly one full member makes room.
+        let before: Vec<MiniHeapId> = set.members().map(|m| set.id(m)).collect();
+        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        assert_eq!(set.len(), ATTACHED_SPANS);
+        let after: Vec<MiniHeapId> = set.members().map(|m| set.id(m)).collect();
+        let evicted: Vec<&MiniHeapId> = before.iter().filter(|id| !after.contains(id)).collect();
+        assert_eq!(evicted.len(), 1, "exactly one member made room");
+        {
+            let st = h.lock_class(class);
+            let mh = st.slab.get(*evicted[0]).unwrap();
+            assert!(!mh.is_attached());
+            assert_eq!(mh.bin, FULL_BIN);
+            assert_eq!(st.slab.len(), ATTACHED_SPANS + 1);
+        }
+        // One interval in which the thread only allocates: every member
+        // it held is idle at the next refill and goes back to the bins,
+        // as the single attached span did at every refill.
+        while set.malloc().is_some() {}
+        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        assert_eq!(set.len(), 1);
+        let st = h.lock_class(class);
+        assert_eq!(st.slab.len(), ATTACHED_SPANS + 2);
+        assert_eq!(st.bins.full.len(), ATTACHED_SPANS + 1);
+    }
+
+    #[test]
+    fn refill_reclaims_slots_other_threads_freed_in_kept_members() {
+        let h = heap();
+        let class = SizeClass::for_size(2048).unwrap();
+        let mut set = AttachedSet::new(true);
+        let mut rng = Rng::with_seed(5);
+        let mut addrs = Vec::new();
+        for _ in 0..3 {
+            h.refill(&mut set, class, 1, &mut rng).unwrap();
+            addrs.extend(std::iter::from_fn(|| set.malloc()));
+            exhaust_and_touch(&mut set, &mut rng);
+        }
+        assert_eq!(set.len(), 3);
+        // Another thread frees one object of the first member: the slot
+        // is handed out again by the refill that drained the free, once.
+        assert!(h.free_global(addrs[0]));
+        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        assert_eq!(set.len(), 3, "the freed-into span came back through the bins");
+        assert_eq!(set.malloc(), Some(addrs[0]));
+        assert_eq!(set.malloc(), None);
+        assert_eq!(h.lock_class(class).slab.len(), 3, "nothing carved");
+        // It frees every object of all three members.
+        exhaust_and_touch(&mut set, &mut rng);
+        for &a in &addrs {
+            assert!(h.free_global(a));
+        }
+        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        assert_eq!(set.len(), 1, "one empty member kept as the slot source");
+        assert_eq!(set.available(), class.object_count());
+        assert_eq!(h.lock_class(class).slab.len(), 1, "the other two destroyed");
+        let s = h.counters.snapshot();
+        assert_eq!(s.frees, addrs.len() as u64 + 1);
+        assert_eq!(s.double_frees + s.invalid_frees, 0);
+    }
+
+    #[test]
     fn detach_spills_surplus_into_transfer_cache() {
         // Default batching knobs: a detach with avail slots — while other
         // objects of the span are still app-live — parks the surplus in
@@ -1685,21 +1883,26 @@ mod tests {
         .unwrap();
         let class = SizeClass::for_size(128).unwrap();
         let count = class.object_count();
-        let mut sv = ShuffleVector::new(true);
+        let mut set = AttachedSet::new(true);
         let mut rng = Rng::with_seed(1);
-        h.refill(&mut sv, class, 1, &mut rng).unwrap();
-        let first = sv.miniheap().unwrap();
+        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        let first = set.id(0);
+        let start = {
+            let st = h.lock_class(class);
+            h.base_addr() + st.slab.get(first).unwrap().span().byte_offset()
+        };
         let mut addrs = Vec::new();
-        while let Some(a) = sv.malloc() {
+        while let Some(a) = set.malloc() {
             addrs.push(a);
         }
         // Locally free 10 objects back into the avail mask; the rest stay
         // "app-live", so detaching cannot reclaim the span.
         let returned: Vec<usize> = addrs.drain(..10).collect();
         for &a in &returned {
-            unsafe { sv.free(a, &mut rng) };
+            let slot = (a - start) / class.object_size();
+            assert!(unsafe { set.free_slot(0, slot, &mut rng) });
         }
-        h.release_vector(class, &mut sv);
+        release(&h, class, &mut set);
         {
             let st = h.lock_class(class);
             let mh = st.slab.get(first).unwrap();
@@ -1759,13 +1962,13 @@ mod tests {
     fn empty_detach_destroys_miniheap() {
         let h = heap();
         let class = SizeClass::for_size(48).unwrap();
-        let mut sv = ShuffleVector::new(true);
+        let mut set = AttachedSet::new(true);
         let mut rng = Rng::with_seed(2);
-        h.refill(&mut sv, class, 1, &mut rng).unwrap();
-        let id = sv.miniheap().unwrap();
+        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        let id = set.id(0);
         let committed_before = h.lock_arena().committed_pages();
         // Nothing allocated: releasing the vector should destroy it.
-        h.release_vector(class, &mut sv);
+        release(&h, class, &mut set);
         let st = h.lock_class(class);
         assert!(st.slab.get(id).is_none());
         assert_eq!(st.slab.len(), 0);
@@ -1825,16 +2028,16 @@ mod tests {
     fn queued_double_free_detected_at_drain() {
         let h = heap();
         let class = SizeClass::for_size(256).unwrap();
-        let mut sv = ShuffleVector::new(true);
+        let mut set = AttachedSet::new(true);
         let mut rng = Rng::with_seed(9);
-        h.refill(&mut sv, class, 1, &mut rng).unwrap();
-        let a = sv.malloc().unwrap();
+        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        let a = set.malloc().unwrap();
         // Keep a second object live so the MiniHeap survives the first
         // drained free (a dead MiniHeap would make the duplicate read as
         // *invalid* instead, exactly like the seed's large-object case).
-        let _b = sv.malloc().unwrap();
+        let _b = set.malloc().unwrap();
         // Detach so the frees take the global path.
-        h.release_vector(class, &mut sv);
+        release(&h, class, &mut set);
         assert!(h.free_global(a));
         assert!(h.free_global(a), "second push is optimistically accepted");
         h.drain_all();
@@ -1849,10 +2052,10 @@ mod tests {
     fn usable_size_for_small_classes() {
         let h = heap();
         let class = SizeClass::for_size(100).unwrap();
-        let mut sv = ShuffleVector::new(true);
+        let mut set = AttachedSet::new(true);
         let mut rng = Rng::with_seed(3);
-        h.refill(&mut sv, class, 1, &mut rng).unwrap();
-        let addr = sv.malloc().unwrap();
+        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        let addr = set.malloc().unwrap();
         assert_eq!(h.usable_size(addr), Some(112));
         assert_eq!(h.usable_size(0x40), None);
     }
@@ -1863,12 +2066,12 @@ mod tests {
         // addresses there are foreign even though the page is owned.
         let h = heap();
         let class = SizeClass::for_size(48).unwrap();
-        let mut sv = ShuffleVector::new(true);
+        let mut set = AttachedSet::new(true);
         let mut rng = Rng::with_seed(4);
-        h.refill(&mut sv, class, 1, &mut rng).unwrap();
+        h.refill(&mut set, class, 1, &mut rng).unwrap();
         let first = {
             let st = h.lock_class(class);
-            let mh = st.slab.get(sv.miniheap().unwrap()).unwrap();
+            let mh = st.slab.get(set.id(0)).unwrap();
             h.base_addr() + mh.span().byte_offset()
         };
         assert_eq!(h.usable_size(first), Some(48));
@@ -1899,11 +2102,11 @@ mod tests {
         )
         .unwrap();
         let class = SizeClass::for_size(8192).unwrap(); // non-meshable class
-        let mut sv = ShuffleVector::new(true);
+        let mut set = AttachedSet::new(true);
         let mut rng = Rng::with_seed(5);
-        h.refill(&mut sv, class, 1, &mut rng).unwrap();
-        let a = sv.malloc().unwrap();
-        h.release_vector(class, &mut sv);
+        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        let a = set.malloc().unwrap();
+        release(&h, class, &mut set);
         assert!(h.free_global(a));
         // No drain_all(), no stats(): the free path's own settlement must
         // have applied the queued free and destroyed the empty MiniHeap.
@@ -1922,11 +2125,11 @@ mod tests {
         let guard = h.lock_class(c16);
         let h2 = Arc::clone(&h);
         let t = std::thread::spawn(move || {
-            let mut sv = ShuffleVector::new(true);
+            let mut set = AttachedSet::new(true);
             let mut rng = Rng::with_seed(4);
-            h2.refill(&mut sv, c1024, 1, &mut rng).unwrap();
-            let p = sv.malloc().unwrap();
-            h2.release_vector(c1024, &mut sv);
+            h2.refill(&mut set, c1024, 1, &mut rng).unwrap();
+            let p = set.malloc().unwrap();
+            release(&h2, c1024, &mut set);
             p
         });
         let p = t.join().expect("1 KiB refill proceeded under held 16 B lock");
@@ -1952,11 +2155,11 @@ mod tests {
             .unwrap(),
         );
         let class = SizeClass::for_size(512).unwrap();
-        let mut sv = ShuffleVector::new(true);
+        let mut set = AttachedSet::new(true);
         let mut rng = Rng::with_seed(5);
-        h.refill(&mut sv, class, 1, &mut rng).unwrap();
-        let addr = sv.malloc().unwrap();
-        h.release_vector(class, &mut sv);
+        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        let addr = set.malloc().unwrap();
+        release(&h, class, &mut set);
 
         let guard = h.lock_class(class);
         let h2 = Arc::clone(&h);

@@ -93,6 +93,7 @@ pub mod telemetry;
 mod transfer_cache;
 
 mod alloc_api;
+mod attached_set;
 
 pub use alloc_api::{
     in_internal_alloc, with_internal_alloc, Mesh, MeshForkGuard, MeshGlobalAlloc, ThreadHeap,

@@ -1,35 +1,41 @@
 //! Thread-local heaps (§4.3): the lock-free malloc/free fast path.
 //!
-//! Every thread owns one shuffle vector per size class plus a private PRNG.
-//! Small allocations pop from the class's vector with no locks or atomics;
-//! refills take only the *owning class's* shard lock, large objects take
-//! the large + arena locks, and non-local frees push onto a lock-free
-//! remote-free queue without taking any lock at all (see DESIGN.md's
-//! sharded locking discipline and "Fast path anatomy").
+//! Every thread owns one [`AttachedSet`] per size class — up to
+//! [`crate::attached_set::ATTACHED_SPANS`] attached spans, each behind its
+//! own shuffle vector — plus a private PRNG. Small allocations pop from a
+//! member's vector with no locks or atomics; refills take only the *owning
+//! class's* shard lock, and large objects take the large + arena locks. A
+//! non-local small free takes no *heap* lock: it is buffered under this
+//! thread's own sender-buffer mutex (a leaf that only a stats flush from
+//! another thread ever contends for) and reaches the class's lock-free
+//! remote-free queue one batch at a time (see DESIGN.md's sharded locking
+//! discipline and "Fast path anatomy").
 //!
 //! Both hot paths are O(1) and free of shared-cacheline traffic:
 //!
-//! * **malloc** pops the class's shuffle vector and bumps a per-thread
-//!   [`LocalCounters`] block (plain load+store, no RMW — deltas are
-//!   summed into [`crate::HeapStats`] at snapshot time).
+//! * **malloc** pops the class's current member — moving to another
+//!   member with free slots before paying for a refill — and bumps a
+//!   per-thread [`LocalCounters`] block (plain load+store, no RMW —
+//!   deltas are summed into [`crate::HeapStats`] at snapshot time).
 //! * **free** resolves the pointer with *one* lock-free [`PageMap`]
 //!   lookup, which yields the owning MiniHeap id, size class, and slot in
-//!   one read. Comparing the id against the attached vector's decides
-//!   local vs remote; the decoded entry is passed down to the global heap
-//!   so nothing is re-derived. (The previous design scanned every class's
-//!   attached span per free — O(classes), and O(aliases) after meshing.)
+//!   one read. Comparing the id against the members of the class's
+//!   attached set (the current member first) decides local vs remote; the
+//!   decoded entry is passed down to the global heap so nothing is
+//!   re-derived. (The first design scanned every class's attached span
+//!   per free — O(classes), and O(aliases) after meshing.)
 //!
 //! The page-map route also makes the local path *checkable*: slot-range,
 //! alignment, and double-free validation that used to exist only on the
 //! drain side now run before the shuffle vector is touched, so a hostile
 //! free is counted and discarded instead of corrupting the freelist.
 
+use crate::attached_set::AttachedSet;
 use crate::global_heap::GlobalHeap;
 use crate::harden::HardenKind;
 use crate::page_map::PageInfo;
 use crate::remote_free::SenderBufs;
 use crate::rng::Rng;
-use crate::shuffle_vector::ShuffleVector;
 use crate::size_classes::{SizeClass, NUM_SIZE_CLASSES};
 use crate::stats::{Counters, LocalCounters};
 use crate::telemetry::{trace_tid, LocalHists, Telemetry, ThreadSampler, TimedOp, TraceRing};
@@ -41,12 +47,16 @@ use std::time::Instant;
 /// lookup (see [`ThreadHeapCore::route`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FreeRoute {
-    /// The pointer belongs to the span attached to this thread's vector
-    /// for `class_idx`: freed in place, no lock, no atomics.
-    Local { class_idx: usize, slot: usize },
-    /// The page belongs to this thread's attached span, but the address
-    /// is not a valid object: span tail waste or a misaligned interior
-    /// pointer. Counted and discarded.
+    /// The pointer belongs to member `member` of this thread's attached
+    /// set for `class_idx`: freed in place, no lock, no atomics.
+    Local {
+        class_idx: usize,
+        member: usize,
+        slot: usize,
+    },
+    /// The page belongs to one of this thread's attached spans, but the
+    /// address is not a valid object: span tail waste or a misaligned
+    /// interior pointer. Counted and discarded.
     LocalInvalid,
     /// Owned by some other MiniHeap (detached, another thread's, or a
     /// large object): handed to the global heap along with the decoded
@@ -56,11 +66,11 @@ pub(crate) enum FreeRoute {
     Unowned,
 }
 
-/// Per-thread allocation state: one shuffle vector per size class, a
+/// Per-thread allocation state: one attached set per size class, a
 /// thread-private PRNG (§4.3), and a private statistics delta block.
 #[derive(Debug)]
 pub(crate) struct ThreadHeapCore {
-    vectors: Vec<ShuffleVector>,
+    sets: Vec<AttachedSet>,
     rng: Rng,
     token: u64,
     /// Fast-path counter deltas (single-writer; see [`LocalCounters`]).
@@ -126,8 +136,8 @@ impl ThreadHeapCore {
         batched: bool,
     ) -> Self {
         ThreadHeapCore {
-            vectors: (0..NUM_SIZE_CLASSES)
-                .map(|_| ShuffleVector::new(randomize))
+            sets: (0..NUM_SIZE_CLASSES)
+                .map(|_| AttachedSet::new(randomize))
                 .collect(),
             rng: Rng::with_seed(seed),
             token,
@@ -181,10 +191,10 @@ impl ThreadHeapCore {
         addr as *mut u8
     }
 
-    /// Allocates `size` bytes (Fig 4, `MeshLocal::malloc`): the size
-    /// class's shuffle vector in the common case, the class shard for
-    /// refills, the global large path otherwise. Returns null on arena
-    /// exhaustion.
+    /// Allocates `size` bytes (Fig 4, `MeshLocal::malloc`): a member of
+    /// the size class's attached set in the common case, the class shard
+    /// for refills, the global large path otherwise. Returns null on
+    /// arena exhaustion.
     pub fn malloc(&mut self, state: &GlobalHeap, size: usize) -> *mut u8 {
         let Some(class) = SizeClass::for_size(size) else {
             // Large object: forwarded to the global heap (§4.4.3).
@@ -199,10 +209,10 @@ impl ThreadHeapCore {
         // 2 = after purging the shared transfer cache.
         let mut pressure = 0u8;
         loop {
-            if let Some(addr) = self.vectors[idx].malloc() {
+            if let Some(addr) = self.sets[idx].malloc() {
                 return self.finish_alloc(state, addr, class);
             }
-            // Vector exhausted: serve from the thread's popped batch, or
+            // Every member exhausted: serve from the thread's popped batch, or
             // pop a fresh transfer-cache batch — both without the class
             // lock — before paying for a shard refill.
             if self.batched {
@@ -225,7 +235,7 @@ impl ThreadHeapCore {
             // batched deltas into the shared counters while we are here.
             self.counters.flush_local(&self.local);
             let refill_t0 = Instant::now();
-            let refilled = state.refill(&mut self.vectors[idx], class, self.token, &mut self.rng);
+            let refilled = state.refill(&mut self.sets[idx], class, self.token, &mut self.rng);
             self.record_op(TimedOp::Refill, refill_t0, idx as u64);
             if refilled.is_err() {
                 // Before reporting exhaustion, return memory the heap is
@@ -249,7 +259,13 @@ impl ThreadHeapCore {
     /// Resolves where a free of `addr` must go with one lock-free page-map
     /// lookup. Pure (no heap mutation): the oracle property test compares
     /// this decision against the legacy linear-scan routing.
-    #[inline]
+    ///
+    /// `inline(always)`: with the set lookup in it the inliner leaves it
+    /// out of the free path, and every free — a miss most of all — pays
+    /// for the call and a [`FreeRoute`] returned through memory (that and
+    /// the member filter were a quarter of `op_p50_ns` on the workloads
+    /// whose frees all miss).
+    #[inline(always)]
     pub(crate) fn route(&self, state: &GlobalHeap, addr: usize) -> FreeRoute {
         let Some(page) = state.page_of_addr(addr) else {
             return FreeRoute::Unowned;
@@ -259,12 +275,12 @@ impl ThreadHeapCore {
         };
         if !info.is_large() {
             let idx = info.class_code as usize;
-            let sv = &self.vectors[idx];
             // Ids are unique within a class, and the page map covers every
-            // virtual span (aliases are retargeted when meshed), so this
-            // single compare is exactly the old "inside any attached
-            // span?" scan.
-            if sv.miniheap() == Some(info.id) {
+            // virtual span (aliases are retargeted when meshed), so the id
+            // lookup is exactly the old "inside any attached span?" scan.
+            let set = &self.sets[idx];
+            if let Some(member) = set.find(info.id) {
+                let sv = set.vector(member);
                 let offset = addr - info.span_start(state.base_addr(), page);
                 let size = sv.object_size();
                 let slot = offset / size;
@@ -273,6 +289,7 @@ impl ThreadHeapCore {
                 }
                 return FreeRoute::Local {
                     class_idx: idx,
+                    member,
                     slot,
                 };
             }
@@ -281,7 +298,7 @@ impl ThreadHeapCore {
     }
 
     /// Frees `ptr` (Fig 4, `MeshLocal::free`): handled by the owning
-    /// shuffle vector when the object is local, else routed through the
+    /// member's shuffle vector when the object is local, else routed through the
     /// global heap with the already-decoded page-map entry (lock-free
     /// queue push for small objects, §4.4.4).
     ///
@@ -312,19 +329,23 @@ impl ThreadHeapCore {
             // Only local-route frees are parked: the remote path already
             // defers reuse behind the queue drain, and large objects are
             // covered by guard pages instead.
-            if let FreeRoute::Local { class_idx, slot } = self.route(state, addr) {
+            if let FreeRoute::Local {
+                class_idx,
+                member,
+                slot,
+            } = self.route(state, addr)
+            {
                 if !self.cache[class_idx].is_empty() && self.cache[class_idx].contains(&addr) {
                     state.counters.double_frees.fetch_add(1, Ordering::Relaxed);
                     state.harden_violation(HardenKind::DoubleFree, addr);
                     return;
                 }
-                let sv = &self.vectors[class_idx];
-                if sv.is_available(slot) {
+                if self.sets[class_idx].vector(member).is_available(slot) {
                     state.counters.double_frees.fetch_add(1, Ordering::Relaxed);
                     state.harden_violation(HardenKind::DoubleFree, addr);
                     return;
                 }
-                let size = sv.object_size();
+                let size = SizeClass::from_index(class_idx).object_size();
                 state.poison_object(addr, size, class_idx);
                 self.quarantine_push(state, addr, class_idx, size);
                 return;
@@ -339,7 +360,11 @@ impl ThreadHeapCore {
     /// delayed free).
     unsafe fn free_now(&mut self, state: &GlobalHeap, addr: usize) {
         match self.route(state, addr) {
-            FreeRoute::Local { class_idx, slot } => {
+            FreeRoute::Local {
+                class_idx,
+                member,
+                slot,
+            } => {
                 // A batch-cache-held slot has its claim bit set but is not
                 // in the vector's avail mask, so `free_slot` alone would
                 // accept a duplicate free of it *and* leave the address
@@ -351,13 +376,19 @@ impl ThreadHeapCore {
                     state.harden_violation(HardenKind::DoubleFree, addr);
                     return;
                 }
-                let sv = &mut self.vectors[class_idx];
-                if sv.free_slot(slot, &mut self.rng) {
-                    let size = sv.object_size();
+                let set = &mut self.sets[class_idx];
+                if set.free_slot(member, slot, &mut self.rng) {
+                    let class = SizeClass::from_index(class_idx);
                     // Freed memory is poisoned now and verified when the
                     // slot is next handed out.
-                    state.poison_object(addr, size, class_idx);
-                    self.local.on_free(size);
+                    state.poison_object(addr, class.object_size(), class_idx);
+                    self.local.on_free(class.object_size());
+                    if set.is_surplus_empty(member) {
+                        // Retention rule: destroyed under the class lock,
+                        // so a duplicate of this free finds the page
+                        // unowned.
+                        state.release_member(class, set, member);
+                    }
                 } else {
                     state.counters.double_frees.fetch_add(1, Ordering::Relaxed);
                     state.harden_violation(HardenKind::DoubleFree, addr);
@@ -391,6 +422,7 @@ impl ThreadHeapCore {
                     // claim bit may have been re-claimed by a re-attach.
                     if buf.contains(&addr) {
                         state.counters.double_frees.fetch_add(1, Ordering::Relaxed);
+                        state.harden_violation(HardenKind::DoubleFree, addr);
                         return;
                     }
                     // Lazy flush: a full buffer is handed to the queue
@@ -479,28 +511,22 @@ impl ThreadHeapCore {
         self.counters.flush_local(&self.local);
     }
 
-    /// Returns every attached MiniHeap to its class shard (thread exit),
+    /// Returns every member of every attached set to its class shard (thread exit),
     /// flushes the remote-free buffers, parks the thread's batch-cache
     /// remainders back in the transfer cache, and flushes the batched
     /// statistics deltas. Nothing this thread held can be stranded.
     pub fn detach_all(&mut self, state: &GlobalHeap) {
         self.drain_quarantine(state);
         self.flush_remote(state);
-        for (idx, sv) in self.vectors.iter_mut().enumerate() {
-            if sv.miniheap().is_some() || !self.cache[idx].is_empty() {
-                state.release_vector_and_cache(
-                    SizeClass::from_index(idx),
-                    sv,
-                    &mut self.cache[idx],
-                );
-            }
+        for (idx, set) in self.sets.iter_mut().enumerate() {
+            state.release_set_and_cache(SizeClass::from_index(idx), set, &mut self.cache[idx]);
         }
         self.counters.flush_local(&self.local);
     }
 
-    /// Number of classes with a currently attached MiniHeap (diagnostic).
+    /// Number of spans currently attached, over all classes (diagnostic).
     pub fn attached_count(&self) -> usize {
-        self.vectors.iter().filter(|v| v.miniheap().is_some()).count()
+        self.sets.iter().map(AttachedSet::len).sum()
     }
 }
 
@@ -792,19 +818,21 @@ mod tests {
     }
 
     /// Oracle: the page-map routing must agree with the legacy
-    /// linear-scan routing — "is the address inside any attached span?"
-    /// — on every reachable state. Random malloc/free interleavings with
-    /// two thread heaps (handoffs make some frees remote) drive both
-    /// classifiers over the same addresses.
+    /// linear-scan routing — "is the address inside any span of any member
+    /// of the class's attached set?" — on every reachable state. Random
+    /// malloc/free interleavings with two thread heaps (handoffs make some
+    /// frees remote) drive both classifiers over the same addresses.
     #[test]
     fn route_agrees_with_linear_scan_oracle() {
-        /// The routing the old free path implemented: first vector whose
-        /// attached spans contain the address wins; everything else goes
-        /// to the global heap.
-        fn linear_scan(heap: &ThreadHeapCore, addr: usize) -> Option<usize> {
-            heap.vectors
-                .iter()
-                .position(|sv| sv.miniheap().is_some() && sv.contains(addr))
+        /// The routing the old free path implemented, widened to the set:
+        /// the first (class, member) whose attached spans contain the
+        /// address wins; everything else goes to the global heap.
+        fn linear_scan(heap: &ThreadHeapCore, addr: usize) -> Option<(usize, usize)> {
+            heap.sets.iter().enumerate().find_map(|(idx, set)| {
+                set.members()
+                    .find(|&m| set.vector(m).contains(addr))
+                    .map(|m| (idx, m))
+            })
         }
 
         for seed in [3u64, 17, 95] {
@@ -813,6 +841,7 @@ mod tests {
             let mut rng = Rng::with_seed(seed.wrapping_mul(0x9e37_79b9));
             // (addr, owner, size): owner = which heap allocated it.
             let mut live: Vec<(usize, usize, usize)> = Vec::new();
+            let mut non_current_local = 0u32;
             for _ in 0..20_000 {
                 let op = rng.below(100);
                 if op < 55 || live.is_empty() {
@@ -836,11 +865,21 @@ mod tests {
                     let old = linear_scan(freer, addr);
                     let new = freer.route(&state, addr);
                     match (old, new) {
-                        (Some(idx), FreeRoute::Local { class_idx, slot }) => {
+                        (
+                            Some((idx, m)),
+                            FreeRoute::Local {
+                                class_idx,
+                                member,
+                                slot,
+                            },
+                        ) => {
                             assert_eq!(idx, class_idx, "class disagrees at {addr:#x}");
-                            let sv = &freer.vectors[class_idx];
+                            assert_eq!(m, member, "member disagrees at {addr:#x}");
+                            let set = &freer.sets[class_idx];
+                            let sv = set.vector(member);
                             assert!(slot < sv.object_count());
                             assert!(!sv.is_available(slot), "live slot free in mask");
+                            non_current_local += (member != set.current()) as u32;
                         }
                         (None, FreeRoute::Global { .. }) => {}
                         (old, new) => {
@@ -850,21 +889,28 @@ mod tests {
                     unsafe { freer.free(&state, addr as *mut u8) };
                 }
             }
+            assert!(
+                non_current_local > 100,
+                "seed {seed}: the drive must exercise non-current members ({non_current_local})"
+            );
             // Misaligned probes: old routing said "local" (then corrupted);
             // new routing must flag them instead — the one intentional
-            // divergence.
+            // divergence — whichever member they point into.
+            let mut non_current_probes = 0u32;
             for &(addr, owner, size) in &live {
                 if size > 1 {
                     let freer = &heaps[owner];
-                    if let Some(idx) = linear_scan(freer, addr + 1) {
+                    if let Some((idx, m)) = linear_scan(freer, addr + 1) {
                         assert_eq!(
                             freer.route(&state, addr + 1),
                             FreeRoute::LocalInvalid,
                             "misaligned pointer in class {idx} must be rejected"
                         );
+                        non_current_probes += (m != freer.sets[idx].current()) as u32;
                     }
                 }
             }
+            assert!(non_current_probes > 0, "seed {seed}: no non-current misaligned probe");
             for (addr, owner, _) in live.drain(..) {
                 unsafe { heaps[owner].free(&state, addr as *mut u8) };
             }
@@ -878,5 +924,154 @@ mod tests {
             assert_eq!(s.invalid_frees, 0, "seed {seed}");
             assert_eq!(s.double_frees, 0, "seed {seed}");
         }
+    }
+
+    /// Fills `spans` spans of `size`-byte objects and keeps them all
+    /// attached: before each refill one object of every member is freed
+    /// and taken again, so the thread is drawing on each of them. Returns
+    /// the objects in allocation order, one span after the other.
+    fn fill_spans_drawn_on(
+        state: &GlobalHeap,
+        heap: &mut ThreadHeapCore,
+        size: usize,
+        spans: usize,
+    ) -> Vec<usize> {
+        let class = SizeClass::for_size(size).unwrap();
+        let count = class.object_count();
+        let mut ptrs = Vec::new();
+        for span in 0..spans {
+            for member in 0..span {
+                let p = ptrs[member * count];
+                unsafe { heap.free(state, p as *mut u8) };
+                heap.drain_quarantine(state);
+                assert_eq!(heap.malloc(state, size) as usize, p, "the one free slot");
+            }
+            ptrs.extend((0..count).map(|_| heap.malloc(state, size) as usize));
+        }
+        assert_eq!(heap.sets[class.index()].len(), spans);
+        ptrs
+    }
+
+    /// Three spans of the 48-byte class (4096 % 48 != 0: tail waste), then
+    /// an object, its member and its span start in a member malloc is
+    /// *not* currently popping from. Also returns the counters as they
+    /// stand after the setup.
+    fn non_current_object(
+        state: &GlobalHeap,
+        heap: &mut ThreadHeapCore,
+    ) -> (Vec<usize>, usize, usize, usize, crate::stats::HeapStats) {
+        let class = SizeClass::for_size(48).unwrap();
+        let ptrs = fill_spans_drawn_on(state, heap, 48, 3);
+        let set = &heap.sets[class.index()];
+        let p = ptrs[0];
+        let FreeRoute::Local { member, .. } = heap.route(state, p) else {
+            panic!("own object must route local");
+        };
+        assert_ne!(member, set.current(), "first object sits in an exhausted member");
+        let page = state.page_of_addr(p).unwrap();
+        let start = state
+            .page_map
+            .get(page)
+            .unwrap()
+            .span_start(state.base_addr(), page);
+        heap.flush_stats();
+        (ptrs, p, member, start, heap.counters.snapshot())
+    }
+
+    #[test]
+    fn hostile_frees_into_a_non_current_member_are_rejected() {
+        let (state, counters) = setup();
+        let mut heap = core(&counters, 12, 1);
+        let (ptrs, p, _, start, s0) = non_current_object(&state, &mut heap);
+        let class = SizeClass::for_size(48).unwrap();
+        let tail = start + class.object_count() * 48;
+        assert_eq!(heap.route(&state, p + 1), FreeRoute::LocalInvalid, "misaligned");
+        assert_eq!(heap.route(&state, tail), FreeRoute::LocalInvalid, "tail waste");
+        unsafe {
+            heap.free(&state, (p + 1) as *mut u8);
+            heap.free(&state, tail as *mut u8);
+        }
+        let s = counters.snapshot();
+        assert_eq!((s.invalid_frees, s.frees - s0.frees), (2, 0));
+        // The member's own avail mask catches the duplicate.
+        unsafe {
+            heap.free(&state, p as *mut u8);
+            heap.free(&state, p as *mut u8);
+        }
+        let s = counters.snapshot();
+        assert_eq!((s.frees - s0.frees, s.double_frees), (1, 1));
+        assert_eq!(s.remote_free_queued, 0, "neither free left the thread");
+        for &q in &ptrs[1..] {
+            unsafe { heap.free(&state, q as *mut u8) };
+        }
+        heap.detach_all(&state);
+        let s = counters.snapshot();
+        assert_eq!(s.live_bytes, 0);
+        assert_eq!(s.mallocs, s.frees);
+    }
+
+    #[test]
+    fn hardened_double_free_into_a_non_current_member_is_a_violation() {
+        use crate::harden::HardenPolicy;
+        for quarantine in [false, true] {
+            let counters = Arc::new(Counters::default());
+            let state = GlobalHeap::new(
+                MeshConfig::default()
+                    .arena_bytes(32 << 20)
+                    .seed(11)
+                    .write_barrier(false)
+                    .harden_policy(HardenPolicy::Count)
+                    .harden_quarantine(quarantine),
+                Arc::clone(&counters),
+            )
+            .unwrap();
+            let mut heap = core(&counters, 13, 1);
+            let (_, p, member, start, s0) = non_current_object(&state, &mut heap);
+            unsafe { heap.free(&state, p as *mut u8) };
+            // With the quarantine on the first free is parked; completing
+            // it leaves the mask as the only detector, as with it off.
+            heap.drain_quarantine(&state);
+            let set = &heap.sets[SizeClass::for_size(48).unwrap().index()];
+            assert!(set.vector(member).is_available((p - start) / 48));
+            unsafe { heap.free(&state, p as *mut u8) };
+            let s = counters.snapshot();
+            assert_eq!(
+                (s.frees - s0.frees, s.double_frees),
+                (1, 1),
+                "quarantine {quarantine}"
+            );
+            assert_eq!(
+                s.harden_violations[HardenKind::DoubleFree as usize],
+                1,
+                "quarantine {quarantine}"
+            );
+            assert_eq!(s.invalid_frees, 0);
+        }
+    }
+
+    #[test]
+    fn member_emptied_by_local_frees_is_released_at_once() {
+        let (state, counters) = setup();
+        let mut heap = core(&counters, 14, 1);
+        let class = SizeClass::for_size(2048).unwrap();
+        let per_span = class.object_count();
+        let ptrs = fill_spans_drawn_on(&state, &mut heap, 2048, 3);
+        // Free span by span. The first span to empty is all the slots the
+        // set has and stays; each later one is surplus the moment its last
+        // object goes, however sparse it was on the way there.
+        for (i, &p) in ptrs.iter().enumerate() {
+            unsafe { heap.free(&state, p as *mut u8) };
+            let emptied = (i + 1) / per_span;
+            assert_eq!(heap.sets[class.index()].len(), 3 - emptied.saturating_sub(1));
+            assert_eq!(state.lock_class(class).slab.len(), 3 - emptied.saturating_sub(1));
+        }
+        // A duplicate of the free that emptied a released member finds
+        // its page unowned.
+        unsafe { heap.free(&state, ptrs[per_span * 3 - 1] as *mut u8) };
+        let s = counters.snapshot();
+        assert_eq!((s.invalid_frees, s.double_frees), (1, 0));
+        assert_eq!(s.remote_free_queued, 0, "every free stayed in the thread");
+        assert_eq!(s.mallocs, s.frees);
+        assert_eq!(s.live_bytes, 0);
     }
 }

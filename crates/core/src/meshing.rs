@@ -412,7 +412,7 @@ mod tests {
     use super::*;
     use crate::config::MeshConfig;
     use crate::rng::Rng;
-    use crate::shuffle_vector::ShuffleVector;
+    use crate::attached_set::AttachedSet;
     use crate::stats::Counters;
     use std::sync::Arc;
 
@@ -604,10 +604,10 @@ mod tests {
     fn attached_miniheaps_are_never_candidates() {
         let h = heap(6);
         let class = SizeClass::for_size(64).unwrap();
-        let mut sv = ShuffleVector::new(true);
+        let mut set = AttachedSet::new(true);
         let mut rng = Rng::with_seed(1);
-        h.refill(&mut sv, class, 1, &mut rng).unwrap();
-        sv.malloc().unwrap();
+        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        set.malloc().unwrap();
         let st = h.lock_class(class);
         assert!(collect_candidates(&h, &st).is_empty());
     }

@@ -133,7 +133,7 @@ impl ShuffleVector {
     /// # Panics
     ///
     /// Panics if the vector is already attached, if `object_count`
-    /// exceeds 256, or if `span_starts` is empty.
+    /// exceeds 256 or is not `bitmap`'s length, or if `span_starts` is empty.
     #[allow(clippy::too_many_arguments)] // mirrors the attach signature of Fig 4
     pub fn attach(
         &mut self,
@@ -147,6 +147,7 @@ impl ShuffleVector {
     ) {
         assert!(self.mh.is_none(), "attach on an already-attached vector");
         assert!(object_count <= MAX_OBJECTS_PER_SPAN);
+        assert_eq!(bitmap.len(), object_count, "bitmap must track the span's slots");
         assert!(primary_start != 0, "span start must be non-null");
         self.mh = Some(mh);
         self.object_size = object_size as u32;
@@ -156,12 +157,10 @@ impl ShuffleVector {
         self.max = object_count as u16;
         self.off = object_count as u16;
         self.avail = [0; MAX_OBJECTS_PER_SPAN / 64];
-        for i in 0..object_count {
-            if bitmap.try_set(i) {
-                self.off -= 1;
-                self.list[self.off as usize] = i as u8;
-                self.avail[i / 64] |= 1 << (i % 64);
-            }
+        for i in bitmap.claim_clear() {
+            self.off -= 1;
+            self.list[self.off as usize] = i as u8;
+            self.avail[i / 64] |= 1 << (i % 64);
         }
         if self.randomized {
             let max = self.max as usize;

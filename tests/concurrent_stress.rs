@@ -1,7 +1,7 @@
 //! Concurrency stress tests: §4.3's lock-free fast path, §4.4.4's remote
 //! frees, and §4.5.2's concurrent meshing under adversarial schedules.
 
-use mesh::core::{Mesh, MeshConfig};
+use mesh::core::{HardenPolicy, Mesh, MeshConfig, SizeClass};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -346,4 +346,189 @@ fn mesh_handle_is_usable_from_many_threads_at_once() {
         h.join().unwrap();
     }
     assert_eq!(mesh.stats().live_bytes, 0);
+}
+
+/// Thread B frees into spans that sit in thread A's attached set while A
+/// allocates from them. The bits B's drained frees clear must be
+/// re-claimed by A's refills — same spans, no slot handed out twice —
+/// and A's exit must hand every member back.
+#[test]
+fn remote_frees_into_an_attached_set_are_reclaimed_at_refill() {
+    const SIZE: usize = 512;
+    let mesh = Mesh::new(
+        MeshConfig::default()
+            .arena_bytes(256 << 20)
+            .seed(33)
+            // Passes would only add drains; keep the refill the one that
+            // does them, so the span count below is exact.
+            .mesh_period(Duration::from_secs(3600)),
+    )
+    .unwrap();
+    let class = SizeClass::for_size(SIZE).unwrap();
+    let per_span = class.object_count();
+    let batch = 6 * per_span;
+    let class_rows = move |mesh: &Mesh| {
+        mesh.span_snapshots()
+            .iter()
+            .filter(|s| !s.large && s.object_size == class.object_size())
+            .count()
+    };
+    // (address, id): B checks the id A stamped before freeing, so a slot
+    // handed out while still live shows as a clobbered stamp.
+    let (to_b, from_a) = std::sync::mpsc::sync_channel::<(usize, u64)>(batch);
+    let (ack_to_a, ack_from_b) = std::sync::mpsc::channel::<()>();
+    let b = {
+        let mesh = mesh.clone();
+        std::thread::spawn(move || {
+            let mut heap = mesh.thread_heap();
+            let mut freed = 0u64;
+            while let Ok((addr, id)) = from_a.recv() {
+                if addr == 0 {
+                    // End of a lock-step batch: make the frees visible to
+                    // A's next refill, then let A go on.
+                    heap.flush();
+                    ack_to_a.send(()).unwrap();
+                    continue;
+                }
+                let (head, tail) = unsafe {
+                    (
+                        (addr as *const u64).read(),
+                        ((addr + SIZE - 8) as *const u64).read(),
+                    )
+                };
+                assert_eq!((head, tail), (id, !id), "slot at {addr:#x} handed out twice");
+                unsafe { heap.free(addr as *mut u8) };
+                freed += 1;
+            }
+            freed
+        })
+    };
+    let a = {
+        let mesh = mesh.clone();
+        std::thread::spawn(move || {
+            let mut heap = mesh.thread_heap();
+            let mut next_id = 0u64;
+            let mut alloc = |heap: &mut mesh::core::ThreadHeap| {
+                let p = heap.malloc(SIZE) as usize;
+                assert_ne!(p, 0);
+                next_id += 1;
+                unsafe {
+                    (p as *mut u64).write(next_id);
+                    ((p + SIZE - 8) as *mut u64).write(!next_id);
+                }
+                (p, next_id)
+            };
+            // Lock step: A fills six spans and keeps every fourth object;
+            // B frees the rest. The kept objects hold the six spans, so
+            // every later round must be served by those same spans: first
+            // A's own frees, then the slots its refills re-claim — in the
+            // members it kept, and in the full ones it handed back.
+            let mut kept: Vec<(usize, u64)> = Vec::new();
+            let mut freed_here = 0u64;
+            for round in 0..20 {
+                freed_here += kept.len() as u64;
+                for (p, id) in kept.drain(..) {
+                    let head = unsafe { (p as *const u64).read() };
+                    assert_eq!(head, id, "kept object at {p:#x} clobbered");
+                    unsafe { heap.free(p as *mut u8) };
+                }
+                // Those that sat in spans A had handed back went the
+                // remote way: on the queue before A refills.
+                heap.flush();
+                for i in 0..batch {
+                    let obj = alloc(&mut heap);
+                    if i % 4 == 0 {
+                        kept.push(obj);
+                    } else {
+                        to_b.send(obj).unwrap();
+                    }
+                }
+                assert!((1..=6).contains(&heap.attached_spans()), "round {round}");
+                assert_eq!(class_rows(&heap.mesh()), 6, "round {round}: a span was carved");
+                to_b.send((0, 0)).unwrap();
+                ack_from_b.recv().unwrap();
+            }
+            for obj in kept {
+                to_b.send(obj).unwrap();
+            }
+            // Free running: B frees while A allocates from the same spans.
+            for _ in 0..40 * batch {
+                to_b.send(alloc(&mut heap)).unwrap();
+            }
+            assert!(heap.attached_spans() >= 1);
+            (next_id, freed_here)
+            // `heap` drops here: detach_all returns every member.
+        })
+    };
+    let (allocated, freed_by_a) = a.join().unwrap();
+    let freed_by_b = b.join().unwrap();
+    assert_eq!(freed_by_a + freed_by_b, allocated);
+    assert_eq!(allocated, (60 * batch) as u64);
+    let s = mesh.stats();
+    assert_eq!((s.mallocs, s.frees), (allocated, allocated));
+    assert_eq!(s.live_bytes, 0);
+    assert_eq!(s.double_frees + s.invalid_frees, 0);
+    assert!(s.remote_frees >= freed_by_b, "B's frees all took the remote route");
+    assert_eq!(s.remote_free_queued, s.remote_free_drained);
+    assert!(
+        mesh.span_snapshots().iter().all(|s| !s.attached),
+        "a member stayed attached after its thread exited"
+    );
+    // A's exit parked its unconsumed slots in the transfer cache; the
+    // purge releases those claims, and nothing else holds a span.
+    mesh.purge_dirty();
+    assert_eq!(class_rows(&mesh), 0, "a returned span outlived its objects");
+}
+
+/// Hardened mode parks local frees in the quarantine with their slots
+/// still claimed, spread over several members of the main handle's set.
+/// `fork_prepare` completes them before it takes the locks, and the
+/// retention rule then returns every member but the one it may keep.
+#[test]
+fn fork_prepare_quarantine_drain_returns_the_set_members() {
+    let mesh = Mesh::new(
+        MeshConfig::default()
+            .arena_bytes(64 << 20)
+            .seed(34)
+            .harden_policy(HardenPolicy::Count),
+    )
+    .unwrap();
+    let class = SizeClass::for_size(512).unwrap();
+    let class_rows = |mesh: &Mesh| {
+        mesh.span_snapshots()
+            .iter()
+            .filter(|s| !s.large && s.object_size == class.object_size())
+            .count()
+    };
+    // Five spans, all kept attached: before each refill the handle frees
+    // one object of every span it has filled (the fork protocol completes
+    // the parked free) and takes the slot again, so it is drawing on them.
+    let count = class.object_count();
+    let mut ptrs: Vec<*mut u8> = Vec::new();
+    for span in 0..5 {
+        for member in 0..span {
+            unsafe { mesh.free(ptrs[member * count]) };
+        }
+        mesh.fork_prepare().release_parent();
+        for member in 0..span {
+            ptrs[member * count] = mesh.malloc(512);
+        }
+        ptrs.extend((0..count).map(|_| mesh.malloc(512)));
+    }
+    assert_eq!(class_rows(&mesh), 5);
+    let applied = mesh.stats().frees;
+    assert_eq!(applied, 10);
+    for &p in &ptrs {
+        unsafe { mesh.free(p) };
+    }
+    let s = mesh.stats();
+    assert_eq!(s.frees, applied, "every free is parked, none applied");
+    assert_eq!(class_rows(&mesh), 5, "parked slots keep their spans");
+    mesh.fork_prepare().release_parent();
+    let s = mesh.stats();
+    assert_eq!(s.frees, s.mallocs);
+    assert_eq!(s.live_bytes, 0);
+    assert_eq!(s.double_frees + s.invalid_frees, 0);
+    assert!(s.harden_violations.iter().all(|&v| v == 0));
+    assert!(class_rows(&mesh) <= 1, "{} spans still held", class_rows(&mesh));
 }

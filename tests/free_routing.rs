@@ -9,7 +9,7 @@
 //! free applied once, every hostile free counted and discarded, local
 //! frees never touching the remote machinery.
 
-use mesh_core::{Mesh, MeshConfig, SizeClass, PAGE_SIZE};
+use mesh_core::{HardenKind, HardenPolicy, Mesh, MeshConfig, SizeClass, PAGE_SIZE};
 
 /// Minimal deterministic RNG (xorshift64*), so the loop is seedable
 /// without pulling in a crate.
@@ -166,4 +166,73 @@ fn run_seed(seed: u64) {
         s.remote_free_queued, s.remote_free_drained,
         "seed {seed}: queues settled by the stats flush"
     );
+}
+
+/// Hostile frees aimed at a member of the attached set that malloc is
+/// *not* currently popping from: the routing must treat every member's
+/// spans as local, so misaligned and tail-waste pointers are rejected
+/// without reaching a queue, and a duplicate is caught by that member's
+/// own availability mask — with hardening off and on.
+#[test]
+fn hostile_frees_into_non_current_members() {
+    for policy in [HardenPolicy::Off, HardenPolicy::Count] {
+        let mesh = Mesh::new(
+            MeshConfig::default()
+                .arena_bytes(64 << 20)
+                .seed(9)
+                .write_barrier(false)
+                .harden_policy(policy)
+                // The mask, not the quarantine's membership set, must be
+                // what catches the duplicate.
+                .harden_quarantine(false),
+        )
+        .unwrap();
+        let mut th = mesh.thread_heap();
+        // 4096 % 48 != 0: one-page spans of 85 slots with 16 bytes of
+        // tail waste. Three spans' worth, so the first span filled is a
+        // full member malloc has long moved on from. It stays a member
+        // because the thread keeps freeing into it: one object of every
+        // span filled so far is freed and taken again before each refill.
+        let class = SizeClass::for_size(48).unwrap();
+        assert_eq!(class.span_bytes(), PAGE_SIZE);
+        let count = class.object_count();
+        let mut ptrs: Vec<usize> = Vec::new();
+        for span in 0..3 {
+            for member in 0..span {
+                unsafe { th.free(ptrs[member * count] as *mut u8) };
+                assert_eq!(th.malloc(48) as usize, ptrs[member * count]);
+            }
+            let fill = if span < 2 { count } else { 10 };
+            ptrs.extend((0..fill).map(|_| th.malloc(48) as usize));
+        }
+        assert_eq!(th.attached_spans(), 3, "{policy:?}: members drawn on stay attached");
+        th.flush();
+        let s0 = mesh.stats();
+        assert_eq!((s0.frees, s0.remote_free_queued), (3, 0));
+        let victim = ptrs[0];
+        let span_start = victim & !(PAGE_SIZE - 1);
+        let tail = span_start + class.object_count() * 48;
+        unsafe {
+            th.free((victim + 1) as *mut u8); // misaligned interior pointer
+            th.free(tail as *mut u8); // tail waste past the last slot
+            th.free(victim as *mut u8);
+            th.free(victim as *mut u8); // duplicate
+        }
+        th.flush();
+        let s = mesh.stats();
+        assert_eq!(s.invalid_frees, 2, "{policy:?}");
+        assert_eq!(s.double_frees, 1, "{policy:?}");
+        assert_eq!(s.frees - s0.frees, 1, "{policy:?}: only the valid free applied");
+        assert_eq!(s.remote_free_queued, 0, "{policy:?}: all four were routed local");
+        let hardened = (policy == HardenPolicy::Count) as u64;
+        assert_eq!(s.harden_violations[HardenKind::DoubleFree as usize], hardened);
+        assert_eq!(s.harden_violations[HardenKind::InvalidFree as usize], 2 * hardened);
+        for &p in &ptrs[1..] {
+            unsafe { th.free(p as *mut u8) };
+        }
+        drop(th);
+        let s = mesh.stats();
+        assert_eq!(s.mallocs, s.frees, "{policy:?}");
+        assert_eq!(s.live_bytes, 0, "{policy:?}");
+    }
 }

@@ -132,6 +132,33 @@ fn count_mode_double_free_of_quarantined_pointer() {
     assert_eq!(s.double_frees, 1, "legacy counter still bumps");
 }
 
+/// A back-to-back double free issued by a thread that does *not* own the
+/// span: both copies land in the freeing thread's sender buffer, whose
+/// membership check is the only detector that sees them together.
+fn cross_thread_double_free(mesh: &Mesh) {
+    let mut owner = mesh.thread_heap();
+    let mut other = mesh.thread_heap();
+    let p = owner.malloc(64);
+    let _keep = owner.malloc(64);
+    unsafe {
+        other.free(p);
+        other.free(p);
+    }
+}
+
+/// Count mode: the sender-buffer duplicate is a hardened violation like
+/// every other double-free site, not just a `double_frees` tick.
+#[test]
+fn count_mode_cross_thread_double_free_in_sender_buffer() {
+    let mesh = Mesh::new(hardened(56, HardenPolicy::Count)).unwrap();
+    cross_thread_double_free(&mesh);
+    let s = mesh.stats();
+    assert_eq!(s.double_frees, 1);
+    assert_eq!(s.harden_violations[HardenKind::DoubleFree as usize], 1);
+    assert_eq!(s.frees, 1, "the first free still applied");
+    assert_eq!(s.invalid_frees, 0);
+}
+
 /// Count mode: a use-after-free write into a quarantined slot is caught
 /// under `kind=poison` when the quarantine drains.
 #[test]
@@ -321,6 +348,17 @@ fn abort_mode_double_free_dies_with_diagnostic() {
         unreachable!("double free must abort in die mode");
     }
     let out = run_child("abort_mode_double_free_dies_with_diagnostic");
+    assert_abort(&out, "double_free");
+}
+
+#[test]
+fn abort_mode_cross_thread_double_free_dies_with_diagnostic() {
+    if child_role("abort_mode_cross_thread_double_free_dies_with_diagnostic") {
+        let mesh = Mesh::new(hardened(64, HardenPolicy::Abort)).unwrap();
+        cross_thread_double_free(&mesh); // aborts at the second free
+        unreachable!("sender-buffer double free must abort in die mode");
+    }
+    let out = run_child("abort_mode_cross_thread_double_free_dies_with_diagnostic");
     assert_abort(&out, "double_free");
 }
 
