@@ -13,18 +13,15 @@
 //!   track thread count (on multi-core hosts) instead of flattening on
 //!   a shared cacheline.
 //! * `remote_ping_pong` — producer/consumer pairs where every free is
-//!   non-local: the lock-free queue-push path, the fast path's worst case.
-//! * `mixed_remote` — the transfer-cache scaling scenario: a ring of
+//!   non-local: the atomic bitmap-clear path, the fast path's worst case.
+//! * `mixed_remote` — the non-local-free scaling scenario: a ring of
 //!   threads churning mixed size classes where ~¼ of frees are handed to
-//!   the ring neighbor (batched remote-free path) — measured at 1→32
+//!   the ring neighbor (non-local path) — measured at 1→32
 //!   threads (`MESH_BENCH_MAX_THREADS` caps the curve). Thread counts are
 //!   **clamped to available cores**: points beyond the core count are not
 //!   throughput measurements, so only one such point runs and it is
 //!   flagged `"oversubscribed": true` in the JSON rather than being
 //!   passed off as a scaling result.
-//! * `server_loop` — waves of short-lived thread heaps with cross-wave
-//!   frees: the teardown path (detach-spill into the transfer cache,
-//!   sender-buffer flush) under churn.
 //! * `class_sweep` — per-size-class single-thread churn, ns/op, catching
 //!   class-local regressions (e.g. a slow span geometry) that the single
 //!   headline number would average away.
@@ -238,7 +235,7 @@ fn remote_ping_pong(mesh: &Mesh, pairs: usize) -> f64 {
 /// The mixed remote-free scenario: `threads` workers in a ring, each
 /// churning mixed size classes with a bounded live window; every fourth
 /// retired object is handed to the ring neighbor instead of freed locally,
-/// so ~¼ of frees take the batched remote path while the rest stay on the
+/// so ~¼ of frees take the non-local path while the rest stay on the
 /// shuffle-vector fast path. Returns aggregate ops/sec (mallocs + frees).
 type RingEndpoints = (
     Option<std::sync::mpsc::SyncSender<usize>>,
@@ -267,8 +264,8 @@ fn mixed_remote(mesh: &Mesh, threads: usize, ops: usize) -> f64 {
                 barrier.wait();
                 for i in 0..ops {
                     // Drain a few neighbor handoffs: these frees are
-                    // always remote (the neighbor's spans), exercising the
-                    // sender-side batching.
+                    // always non-local (the neighbor's spans): one atomic
+                    // bitmap clear each.
                     while let Ok(addr) = rx.try_recv() {
                         unsafe { th.free(addr as *mut u8) };
                     }
@@ -308,62 +305,6 @@ fn mixed_remote(mesh: &Mesh, threads: usize, ops: usize) -> f64 {
         barrier.wait();
         total_ops as f64 / t0.elapsed().as_secs_f64()
     })
-}
-
-/// The server-loop scenario: `waves` successive generations of short-lived
-/// worker threads. Each worker churns briefly, then exits with objects
-/// still live; the *next* wave frees them (all remote). Thread teardown —
-/// detach-spill into the transfer cache plus the sender-buffer flush —
-/// runs once per worker instead of being amortized away. Returns aggregate
-/// ops/sec.
-fn server_loop(mesh: &Mesh, waves: usize, workers: usize, ops: usize) -> f64 {
-    let total_ops = waves * workers * ops * 2;
-    let mut inherited: Vec<usize> = Vec::new();
-    let t0 = Instant::now();
-    for _ in 0..waves {
-        let (tx, rx) = std::sync::mpsc::channel::<usize>();
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let mesh = mesh.clone();
-                let tx = tx.clone();
-                let legacy: Vec<usize> = inherited
-                    .iter()
-                    .skip(w)
-                    .step_by(workers)
-                    .copied()
-                    .collect();
-                s.spawn(move || {
-                    let mut th = mesh.thread_heap();
-                    // Free the previous wave's survivors: every one is a
-                    // dead thread's object, so every free is remote.
-                    for addr in legacy {
-                        unsafe { th.free(addr as *mut u8) };
-                    }
-                    let mut live: Vec<usize> = Vec::with_capacity(WINDOW);
-                    for i in 0..ops {
-                        let size = CLASS_SIZES[(i + w) % CLASS_SIZES.len()];
-                        let p = th.malloc(size);
-                        assert!(!p.is_null());
-                        live.push(p as usize);
-                        if live.len() >= WINDOW {
-                            unsafe { th.free(live.swap_remove(i % live.len()) as *mut u8) };
-                        }
-                    }
-                    // Exit with the window still live: the next wave
-                    // inherits it. The thread heap drops here — teardown.
-                    for p in live {
-                        tx.send(p).unwrap();
-                    }
-                });
-            }
-        });
-        drop(tx);
-        inherited = rx.iter().collect();
-    }
-    for addr in inherited {
-        unsafe { mesh.free(addr as *mut u8) };
-    }
-    total_ops as f64 / t0.elapsed().as_secs_f64()
 }
 
 /// A named number of the checked-in baseline file.
@@ -453,7 +394,7 @@ fn main() {
     let remote_stats = m.stats();
     drop(m);
 
-    // --- mixed_remote scaling curve (transfer-cache scenario) -----------
+    // --- mixed_remote scaling curve -------------------------------------
     // Points up to the core count are genuine scaling measurements; one
     // final point above it (capped by MESH_BENCH_MAX_THREADS, default 32)
     // shows oversubscribed behaviour and is flagged as such.
@@ -491,17 +432,6 @@ fn main() {
         .iter()
         .rfind(|&&(_, _, over)| !over)
         .map_or(1.0, |&(t, ops, _)| (ops / t as f64) / mixed_base);
-
-    // --- server loop (short-lived thread heaps, teardown churn) ---------
-    let m = heap();
-    let workers = cores.clamp(2, 4);
-    let server = server_loop(&m, 16, workers, OPS_PER_THREAD / 16);
-    let server_stats = m.stats();
-    assert_eq!(
-        server_stats.mallocs, server_stats.frees,
-        "server_loop stranded objects in dead threads"
-    );
-    drop(m);
 
     // --- per-class sweep -------------------------------------------------
     let sweep: Vec<(usize, f64)> = SizeClass::all()
@@ -546,11 +476,10 @@ fn main() {
         println!("{:<40} {:>16.0}", format!("scaling/{t}t distinct classes"), ops);
     }
     println!(
-        "{:<40} {:>16.0}   (queued/drained {}/{})",
+        "{:<40} {:>16.0}   (non-local frees {})",
         format!("remote_ping_pong/{pairs}p"),
         remote,
-        remote_stats.remote_free_queued,
-        remote_stats.remote_free_drained
+        remote_stats.remote_frees
     );
     for &(t, ops, over) in &mixed {
         println!(
@@ -564,14 +493,6 @@ fn main() {
         "{:<40} {:>16}   (widest honest point vs 1 thread)",
         "mixed_remote per-core efficiency",
         format!("{efficiency:.3}")
-    );
-    println!(
-        "{:<40} {:>16.0}   (hits/misses/spills {}/{}/{})",
-        format!("server_loop/16w x {workers}"),
-        server,
-        server_stats.transfer_hits,
-        server_stats.transfer_misses,
-        server_stats.transfer_spills
     );
     println!("\n{:<12} {:>12}", "class", "ns/op");
     for &(size, ns) in &sweep {
@@ -607,7 +528,6 @@ fn main() {
          \"scaling\":[{}],\
          \"remote_ping_pong_pairs\":{pairs},\"remote_ping_pong_ops_sec\":{remote:.0},\
          \"mixed_remote\":[{}],\"mixed_remote_efficiency\":{efficiency:.3},\
-         \"server_loop_ops_sec\":{server:.0},\
          \"class_sweep\":[{}]}}",
         scaling_json.join(","),
         mixed_json.join(","),

@@ -110,7 +110,6 @@ impl Mesh {
             0,
             Arc::clone(&counters),
             state.telemetry.clone(),
-            true,
         );
         let inner = Arc::new_cyclic(|weak| MeshInner {
             state,
@@ -253,7 +252,6 @@ impl Mesh {
                 token,
                 Arc::clone(&self.inner.counters),
                 self.inner.state.telemetry.clone(),
-                true,
             ),
             inner: Arc::clone(&self.inner),
         }
@@ -287,8 +285,8 @@ impl Mesh {
         self.inner.counters.mapped_pages.load(Ordering::Relaxed) * PAGE_SIZE
     }
 
-    /// A snapshot of heap statistics. Flushes every class's remote-free
-    /// queue first so `frees`/`live_bytes` reflect all queued frees.
+    /// A snapshot of heap statistics. Every free is accounted for when it
+    /// returns, so there is nothing to settle first.
     /// The occupancy spectrum is left empty — counters only, so periodic
     /// samplers can call this concurrently with workers without walking
     /// every MiniHeap under the shard locks; assign
@@ -298,10 +296,7 @@ impl Mesh {
         // The snapshot itself allocates (spectrum vectors, latency
         // buckets) — it must stay inside the guard too, or an interposed
         // process samples its own exposition path.
-        with_internal_alloc(|| {
-            self.inner.state.drain_all();
-            self.inner.counters.snapshot()
-        })
+        with_internal_alloc(|| self.inner.counters.snapshot())
     }
 
     /// Current physical heap footprint in bytes (lock-free; see DESIGN.md
@@ -314,14 +309,10 @@ impl Mesh {
 
     /// The heap's occupancy spectrum: per-class span histograms over the
     /// §3.1 occupancy bins plus a meshability estimate — the paper's
-    /// Figure-style spectra, computed online. Queued remote frees are
-    /// drained first so occupancies are settled; each class's shard lock
-    /// is taken one at a time, never across classes.
+    /// Figure-style spectra, computed online from the bitmaps. Each
+    /// class's shard lock is taken one at a time, never across classes.
     pub fn occupancy_spectrum(&self) -> crate::telemetry::HeapSpectrum {
-        with_internal_alloc(|| {
-            self.inner.state.drain_all();
-            self.inner.state.occupancy_spectrum()
-        })
+        with_internal_alloc(|| self.inner.state.occupancy_spectrum())
     }
 
     /// Renders the heap's state as Prometheus text-format metrics:
@@ -491,7 +482,7 @@ impl Mesh {
 
     /// Quiesces the heap for `fork()`: acquires *every* heap lock (main
     /// handle, each size-class shard, the large shard, the arena leaf, the
-    /// scheduler leaves) so any in-flight refill, drain, or meshing pass
+    /// scheduler leaves) so any in-flight refill or meshing pass
     /// completes first and the child cannot inherit a held lock. Also
     /// opens the pipe used to hold the parent until the child has
     /// privatized its heap copy.
@@ -508,12 +499,6 @@ impl Mesh {
             // still free to take, so the child never inherits delayed
             // frees it would have to reconstruct.
             main.drain_quarantine(&self.inner.state);
-            // Flush the main core's sender buffers while the heap is still
-            // live: the child wipes the sender registry (other threads'
-            // buffer locks may be inherited held), so anything left here
-            // would be invisible to the child's stats until the next
-            // buffered free re-registers the core.
-            main.flush_remote(&self.inner.state);
             let all = self.inner.state.lock_all();
             let mut pipe = [-1, -1];
             // A pipe failure (fd exhaustion) degrades to not waiting: the
@@ -548,10 +533,7 @@ impl Mesh {
     pub fn span_snapshots(&self) -> Vec<crate::stats::SpanSnapshot> {
         // Allocates the snapshot vector while holding shard locks; see
         // `mesh_now` for why the guard is required.
-        with_internal_alloc(|| {
-            self.inner.state.drain_all();
-            self.inner.state.span_snapshots()
-        })
+        with_internal_alloc(|| self.inner.state.span_snapshots())
     }
 }
 
@@ -636,14 +618,6 @@ impl MeshForkGuard<'_> {
             }
             drop(main);
             drop(all);
-            // The child has exactly one thread: every other thread's
-            // registered sender buffers are orphans whose leaf locks may
-            // have been inherited held mid-steal, so they must never be
-            // touched here. Wipe the registry; the epoch bump makes the
-            // child's own cores re-register on their next buffered free.
-            // (The main core's buffers were flushed in `fork_prepare`, so
-            // nothing of the child's is stranded.)
-            mesh.inner.state.clear_senders();
             mesh.inner.state.privatize_after_fork();
             // The child's latency history and trace buffers describe the
             // *parent's* threads: wipe both so its telemetry starts from
@@ -750,7 +724,7 @@ impl ThreadHeap {
         self.malloc(request)
     }
 
-    /// Frees `ptr` (lock-free when local; a lock-free queue push when
+    /// Frees `ptr` (lock-free when local; one atomic bitmap clear when
     /// not). Null is ignored.
     ///
     /// # Safety
@@ -775,15 +749,11 @@ impl ThreadHeap {
         self.core.token()
     }
 
-    /// Flushes this thread's buffered remote frees (and batched local
-    /// statistics) to the global heap, making them visible to
-    /// [`Mesh::stats`] from other threads. Buffers also flush implicitly
-    /// when they reach the transfer batch size and on drop.
+    /// Folds this thread's batched statistics deltas into the shared
+    /// counters. [`Mesh::stats`] sums pending deltas in anyway, and no free
+    /// is ever buffered, so nothing depends on calling this.
     pub fn flush(&mut self) {
-        with_internal_alloc(|| {
-            self.core.flush_remote(&self.inner.state);
-            self.core.flush_stats();
-        });
+        self.core.flush_stats();
     }
 
     /// Number of spans currently attached to this thread heap, over all
@@ -826,7 +796,7 @@ static IN_MESH_FLAG: crate::sync::ReentrantFlag =
 
 /// Marks the current thread as executing inside Mesh for the duration of
 /// `f`: any allocation Mesh's own data structures make (candidate lists
-/// during meshing, slab growth during refill, remote-free queue nodes) is
+/// during meshing, slab growth during refill, bitmap-table chunks) is
 /// served by the *system* allocator instead of re-entering Mesh. Without
 /// this, installing [`MeshGlobalAlloc`] as `#[global_allocator]` — or
 /// interposing the C `malloc` family via `libmesh.so` — would
@@ -927,16 +897,12 @@ unsafe impl GlobalAlloc for MeshGlobalAlloc {
                 let mut slot = slot.borrow_mut();
                 let core = slot.get_or_insert_with(|| {
                     let token = mesh.inner.token_gen.fetch_add(1, Ordering::Relaxed);
-                    // `batched: false` — these cores live in TLS for the
-                    // process lifetime and are never detached, so buffered
-                    // remote frees would strand invisibly.
                     ThreadHeapCore::new(
                         mesh.inner.seed_base.wrapping_add(token.wrapping_mul(0x9e37)),
                         mesh.inner.randomize,
                         token,
                         Arc::clone(&mesh.inner.counters),
                         mesh.inner.state.telemetry.clone(),
-                        false,
                     )
                 });
                 core.malloc(&mesh.inner.state, request)

@@ -46,6 +46,10 @@ pub(crate) const ATTACHED_SPANS: usize = 24;
 /// e⁻⁴ ≈ 2 %.
 const IDLE_EVIDENCE: usize = 4;
 
+/// Intervals without a free of the class, however short, after which the
+/// thread counts as only filling: one that frees at all frees in most.
+const FILL_STREAK: u8 = 3;
+
 /// Up to [`ATTACHED_SPANS`] attached spans of one size class, each behind
 /// its own [`ShuffleVector`].
 #[derive(Debug)]
@@ -66,8 +70,13 @@ pub(crate) struct AttachedSet {
     /// Bit `i` set ⇔ this thread freed into member `i` in the current
     /// interval (see [`AttachedSet::take_idle`]).
     touched: u32,
-    /// This thread's frees into the set in the current interval.
+    /// This thread's frees of objects of the class in the current
+    /// interval, into the set or not.
     frees: u32,
+    /// Free slots the members attached in the current interval brought.
+    granted: u32,
+    /// Intervals in a row in which this thread freed nothing of the class.
+    fill_streak: u8,
     /// The member malloc pops from and `find` checks first.
     cur: u8,
     /// Member vectors, grown on first use of a position: a thread that
@@ -97,6 +106,8 @@ impl AttachedSet {
             nonempty: 0,
             touched: 0,
             frees: 0,
+            granted: 0,
+            fill_streak: 0,
             cur: 0,
             vectors: Vec::new(),
             randomized,
@@ -222,6 +233,16 @@ impl AttachedSet {
         freed
     }
 
+    /// Counts a free this thread made of an object of the class that is no
+    /// member's. It weighs as evidence like any other: a thread whose
+    /// frees all land elsewhere has stopped drawing on its members, and
+    /// one non-local free in an interval does not make it a thread that
+    /// "is only filling".
+    #[inline]
+    pub fn note_free_elsewhere(&mut self) {
+        self.frees = self.frees.saturating_add(1);
+    }
+
     /// The retention rule: whether `member` is entirely free and the set
     /// can spare it — the other members already hold a span's worth of
     /// free slots (the goal a refill fills to), or one of them is entirely
@@ -255,22 +276,40 @@ impl AttachedSet {
     /// Ends the interval that began at the last call and returns the
     /// members this thread stopped drawing on in it, as a mask of
     /// positions: those none of its frees landed in, if the interval can
-    /// tell. It can when the thread freed nothing of this class at all —
-    /// it is only filling, and every member is idle, as the single
-    /// attached span was at every refill — or when it freed
+    /// tell. It can when the thread freed nothing of this class while it
+    /// used up a span's worth of slots, or for [`FILL_STREAK`] intervals
+    /// running — it is only filling, and every member is idle, as the
+    /// single attached span was at every refill — or when it freed
     /// [`IDLE_EVIDENCE`] objects per member, so that a member it does draw
-    /// on was almost surely hit. Fewer frees than that name no one. A
-    /// refill releases the idle members (they are full: a refill runs with
-    /// every member exhausted) and keeps the ones whose frees it would
-    /// otherwise turn into remote frees.
+    /// on was almost surely hit. Fewer frees than that name no one, and
+    /// neither does one interval that began with a refill that found only
+    /// a few slots (what other threads' frees had just given back): the
+    /// next refill follows before the thread had anything to free. A
+    /// refill releases the idle members (they are
+    /// full: a refill runs with every member exhausted) and keeps the ones
+    /// whose frees it would otherwise turn into remote frees.
     pub fn take_idle(&mut self) -> u32 {
         let (touched, frees) = (self.touched, self.frees as usize);
+        let granted = std::mem::take(&mut self.granted) as usize;
         self.touched = 0;
         self.frees = 0;
-        if frees != 0 && frees < IDLE_EVIDENCE * self.len() {
+        let attached = self.attached();
+        if attached == 0 {
             return 0;
         }
-        self.attached() & !touched
+        let told = if frees == 0 {
+            self.fill_streak = self.fill_streak.saturating_add(1);
+            let span = self.vectors[attached.trailing_zeros() as usize].object_count();
+            granted >= span || self.fill_streak >= FILL_STREAK
+        } else {
+            self.fill_streak = 0;
+            frees >= IDLE_EVIDENCE * attached.count_ones() as usize
+        };
+        if told {
+            attached & !touched
+        } else {
+            0
+        }
     }
 
     /// Mask of the positions that hold a member.
@@ -322,6 +361,7 @@ impl AttachedSet {
         if gained > 0 {
             self.nonempty |= 1 << member;
         }
+        self.granted += gained as u32;
         gained
     }
 
@@ -486,7 +526,18 @@ mod tests {
         // Each call starts a new interval: the eleven frees are forgotten.
         assert!(unsafe { set.free_slot(1, SLOTS - 1, &mut rng) });
         assert_eq!(set.take_idle(), 0);
-        assert_eq!(set.take_idle(), 0b111);
+        // An interval without a free tells only if the thread filled a
+        // span's worth meanwhile; one slot a refill found does not count.
+        assert_eq!(set.take_idle(), 0, "nothing was handed out either");
+        let crumbs = AtomicBitmap::new(SLOTS);
+        crumbs.try_set(0);
+        assert_eq!(attach(&mut set, 3, &crumbs, &mut rng), SLOTS - 1);
+        assert_eq!(set.take_idle(), 0, "a refill that found {} slots", SLOTS - 1);
+        set.unlink(3).detach(&crumbs);
+        crumbs.unset(0);
+        assert_eq!(attach(&mut set, 3, &crumbs, &mut rng), SLOTS);
+        assert_eq!(set.take_idle(), 0b1111);
+        set.unlink(3).detach(&crumbs);
         // Enough frees, all into member 0; the vacated position carries
         // nothing over.
         assert!(unsafe { set.free_slot(2, 0, &mut rng) });
@@ -495,6 +546,30 @@ mod tests {
             assert!(unsafe { set.free_slot(0, slot, &mut rng) });
         }
         assert_eq!(set.take_idle(), 0b010, "member 1 was missed every time");
+    }
+
+    #[test]
+    fn a_run_of_intervals_without_a_free_is_a_thread_that_only_fills() {
+        // Refills that find a slot or two each: no single interval says
+        // anything, but a thread that went three of them without freeing
+        // an object of the class is not drawing on its members.
+        let mut rng = Rng::with_seed(7);
+        let mut set = AttachedSet::new(true);
+        let crumbs: Vec<AtomicBitmap> = (0..4).map(|_| AtomicBitmap::new(SLOTS)).collect();
+        for (n, bm) in crumbs.iter().enumerate() {
+            for slot in 1..SLOTS {
+                bm.try_set(slot);
+            }
+            assert_eq!(attach(&mut set, n, bm, &mut rng), 1);
+            set.malloc().unwrap();
+            let idle = set.take_idle();
+            assert_eq!(idle, if n < 2 { 0 } else { (1 << (n + 1)) - 1 }, "interval {n}");
+        }
+        // One free anywhere in the class, even of another thread's
+        // object, and the count starts over.
+        set.note_free_elsewhere();
+        assert_eq!(set.take_idle(), 0);
+        assert_eq!(set.take_idle(), 0);
     }
 
     #[test]

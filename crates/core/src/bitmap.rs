@@ -9,11 +9,18 @@
 //!
 //! A span holds at most 256 objects (§4.2), so four 64-bit words suffice;
 //! the bitmap is a fixed-size inline array with no heap allocation.
+//!
+//! Non-local frees clear their bit with no lock held (DESIGN.md §3), so
+//! [`AtomicBitmap::unset`] and the word loads are `SeqCst`: a freer clears
+//! a bit and then reads the bin the span is filed under, while a thread
+//! filing a span stores that bin and then reads the bitmap. With all four
+//! accesses in one total order, one of the two sees the other — an
+//! emptied span is never left with nobody responsible for destroying it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of 64-bit words backing the bitmap.
-const WORDS: usize = 4;
+pub(crate) const WORDS: usize = 4;
 
 /// Maximum number of bits (= maximum objects per span).
 pub const MAX_BITS: usize = WORDS * 64;
@@ -100,8 +107,21 @@ impl AtomicBitmap {
     pub fn unset(&self, bit: usize) -> bool {
         self.check(bit);
         let mask = 1u64 << (bit % 64);
-        let prev = self.words[bit / 64].fetch_and(!mask, Ordering::AcqRel);
+        let prev = self.words[bit / 64].fetch_and(!mask, Ordering::SeqCst);
         prev & mask != 0
+    }
+
+    /// Atomically takes word `i`: returns its bits and leaves it zero.
+    /// The mesher consumes a source span this way (DESIGN.md §3), so every
+    /// live bit is either taken — and copied — or was cleared by a freer
+    /// first, never both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= 4`.
+    #[inline]
+    pub fn take_word(&self, i: usize) -> u64 {
+        self.words[i].swap(0, Ordering::SeqCst)
     }
 
     /// Returns whether `bit` is currently set.
@@ -120,7 +140,7 @@ impl AtomicBitmap {
     pub fn in_use(&self) -> usize {
         self.words
             .iter()
-            .map(|w| w.load(Ordering::Acquire).count_ones() as usize)
+            .map(|w| w.load(Ordering::SeqCst).count_ones() as usize)
             .sum()
     }
 
@@ -130,10 +150,10 @@ impl AtomicBitmap {
     #[inline]
     pub fn load_words(&self) -> [u64; WORDS] {
         [
-            self.words[0].load(Ordering::Acquire),
-            self.words[1].load(Ordering::Acquire),
-            self.words[2].load(Ordering::Acquire),
-            self.words[3].load(Ordering::Acquire),
+            self.words[0].load(Ordering::SeqCst),
+            self.words[1].load(Ordering::SeqCst),
+            self.words[2].load(Ordering::SeqCst),
+            self.words[3].load(Ordering::SeqCst),
         ]
     }
 
@@ -285,6 +305,19 @@ mod tests {
         assert_eq!(bm.in_use(), 130, "every tracked bit is set now");
         assert_eq!(bm.load_words()[2] >> 2, 0, "bits past len stay clear");
         assert_eq!(bm.claim_clear().count(), 0, "nothing left to claim");
+    }
+
+    #[test]
+    fn take_word_returns_the_bits_and_leaves_zero() {
+        let bm = AtomicBitmap::new(130);
+        for bit in [1, 63, 64, 129] {
+            bm.try_set(bit);
+        }
+        assert_eq!(bm.take_word(0), 1 << 1 | 1 << 63);
+        assert_eq!(bm.take_word(0), 0, "taken once");
+        assert!(!bm.unset(63), "a free that lost to the take sees its bit gone");
+        assert_eq!(bm.in_use(), 2, "other words untouched");
+        assert_eq!(bm.take_word(2), 1 << 1);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! "Sharded locking discipline"):
 //!
 //! * **Class shards** — each size class owns a mutex guarding its slab of
-//!   MiniHeaps, its occupancy bins, and its PRNG, plus a lock-free MPSC
-//!   [`RemoteFreeQueue`]. Refills, detaches, and meshing of a class touch
-//!   only that class's lock.
+//!   MiniHeaps, its occupancy bins, and its PRNG. Refills, detaches, and
+//!   meshing of a class touch only that class's lock. Beside the mutex sit
+//!   what a non-local free needs without it: the class's bitmap table, its
+//!   mesh epoch and its list of spans frees left unsettled.
 //! * **Arena leaf lock** — span hand-out/return, dirty purging, remaps,
 //!   page-map writes, and the whole segment table: growth on miss (a span
 //!   request that misses every segment maps a new one under this lock)
@@ -17,13 +18,21 @@
 //! * **Large shard** — large-object singletons (§4.4.3) behind their own
 //!   mutex, ordered like a class lock.
 //! * **Lock-free structures** — the [`PageMap`] routes frees without any
-//!   lock; remote frees enqueue lock-free and are applied by whichever
-//!   thread next holds the class lock (refill, meshing pass, or stats
-//!   flush).
+//!   lock, and a non-local small free is one atomic clear of its bit in
+//!   the owning MiniHeap's bitmap (§4.4.4; [`GlobalHeap::free_small`]).
+//!   Its accounting is settled when it returns. It takes no lock and
+//!   tries none: when the clear emptied a detached span, or opened the
+//!   first slot of a full one, it pushes the span on the class's list of
+//!   unsettled spans, and the next refill, detach, pass or purge
+//!   ([`GlobalHeap::lock_class_swept`]) destroys or refiles it. The bins
+//!   are therefore hints: whoever picks a span from one reads its bitmap
+//!   again.
 //!
-//! Meshing runs one class at a time, holding that class's lock (which
-//! keeps detached MiniHeap bitmaps stable while the SplitMesher probes
-//! them) and the arena lock for the remap itself. With
+//! Meshing runs one class at a time, holding that class's lock (only an
+//! attach sets bits, and it needs the lock: frees racing a pass can only
+//! make candidates sparser) and the arena lock for the remap itself; the
+//! class's mesh epoch is odd while a pair's source bitmap is being
+//! consumed (DESIGN.md §3). With
 //! [`MeshConfig::background_meshing`] set, passes run on a dedicated
 //! thread (see [`crate::mesher`]) instead of the free path.
 
@@ -33,18 +42,18 @@ use crate::config::MeshConfig;
 use crate::error::MeshError;
 use crate::harden::{self, HardenConfig, HardenKind};
 use crate::meshing::{self, MeshSummary};
-use crate::miniheap::{AttachState, MiniHeap, MiniHeapId, Slab, NOT_BINNED};
-use crate::page_map::{PageMap, LARGE_CLASS};
-use crate::remote_free::RemoteFreeQueue;
+use crate::miniheap::{
+    AttachState, BitmapTable, MiniHeap, MiniHeapId, Slab, UnsettledList, LIST_END, NOT_BINNED,
+};
+use crate::page_map::{PageInfo, PageMap, LARGE_CLASS};
 use crate::rng::Rng;
 use crate::shuffle_vector::ShuffleVector;
 use crate::size_classes::{SizeClass, NUM_SIZE_CLASSES, PAGE_SIZE};
-use crate::stats::Counters;
+use crate::stats::{Counters, LocalCounters};
 use crate::sync::{Mutex, MutexGuard};
 use crate::telemetry::{
     self, CtlState, HeapSpectrum, MeshLedger, Reports, SenseState, Telemetry, TimedOp, TraceSet,
 };
-use crate::transfer_cache::TransferCache;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,6 +65,31 @@ pub(crate) const PARTIAL_BINS: usize = 4;
 
 /// Bin index used for completely full MiniHeaps.
 pub(crate) const FULL_BIN: u8 = PARTIAL_BINS as u8;
+
+/// Refills of its class a span sits out after it is filed under a bin,
+/// before [`ClassState::select_partial`] hands it out again.
+///
+/// A span is filed when a free opens its first slot, and objects allocated
+/// together tend to be freed together: the frees that follow go to the
+/// same span. Taking the span back at once claims one slot, splits the
+/// run, and — since a claim and a clear both write the span's bitmap
+/// line — makes every later free into it fetch that line from the
+/// allocating thread's cache. Left alone for a refill or two, the run
+/// lands on a line the freeing thread still owns, and the span comes back
+/// with all of it. The slots held back are what one class frees in that
+/// time, whatever the size of the heap.
+const REST_REFILLS: u32 = 2;
+
+/// Random draws [`ClassState::select_partial`] makes in a bin before it
+/// takes every span there to be resting.
+const REST_DRAWS: usize = 4;
+
+/// Unsettled spans a refill that the bins can serve leaves waiting. Frees
+/// list a few spans between two refills of a busy class; settling them in
+/// batches keeps the typical refill's lock hold to its own work. Nothing
+/// waits longer than the next pass, purge, detach or refill the bins come
+/// up short for.
+const TIDY_BATCH: usize = 32;
 
 /// Occupancy bins for one size class.
 #[derive(Debug, Default)]
@@ -69,10 +103,9 @@ pub(crate) struct ClassBins {
 
 impl ClassBins {
     fn list_mut(&mut self, bin: u8) -> &mut Vec<MiniHeapId> {
-        if bin == FULL_BIN {
-            &mut self.full
-        } else {
-            &mut self.partial[bin as usize]
+        match bin {
+            FULL_BIN => &mut self.full,
+            _ => &mut self.partial[bin as usize],
         }
     }
 }
@@ -81,10 +114,10 @@ impl ClassBins {
 ///
 /// # Panics
 ///
-/// Panics (debug) if `in_use` is zero — empty MiniHeaps are freed, never
-/// binned — or exceeds `count`.
+/// Panics (debug) if `in_use` exceeds `count`.
+#[inline]
 pub(crate) fn bin_for_occupancy(in_use: usize, count: usize) -> u8 {
-    debug_assert!(in_use > 0 && in_use <= count);
+    debug_assert!(in_use <= count);
     if in_use == count {
         FULL_BIN
     } else {
@@ -100,6 +133,8 @@ pub(crate) struct ClassState {
     /// page map disambiguates with the class code.
     pub slab: Slab,
     pub bins: ClassBins,
+    /// Refills of this class so far: the clock of [`REST_REFILLS`].
+    pub refills: u32,
     /// Class-private PRNG (random span selection within a bin, §3.1, and
     /// the SplitMesher shuffle, §3.3).
     pub rng: Rng,
@@ -108,7 +143,7 @@ pub(crate) struct ClassState {
 impl ClassState {
     // ----- occupancy-bin bookkeeping ------------------------------------
 
-    /// Inserts a detached, non-empty MiniHeap into its occupancy bin.
+    /// Inserts a detached MiniHeap into its occupancy bin.
     pub fn bin_insert(&mut self, id: MiniHeapId) {
         let mh = self.slab.get(id).expect("binning a dead MiniHeap");
         debug_assert!(!mh.is_attached() && !mh.is_large());
@@ -116,15 +151,16 @@ impl ClassState {
         let list = self.bins.list_mut(bin);
         let slot = list.len() as u32;
         list.push(id);
+        let now = self.refills;
         let mh = self.slab.get_mut(id).expect("just observed");
-        mh.bin = bin;
-        mh.bin_slot = slot;
+        mh.set_bin(bin, slot);
+        mh.filed_at = now;
     }
 
     /// Removes a MiniHeap from its current bin (no-op if unbinned).
     pub fn bin_remove(&mut self, id: MiniHeapId) {
         let mh = self.slab.get(id).expect("unbinning a dead MiniHeap");
-        let (bin, slot) = (mh.bin, mh.bin_slot);
+        let (bin, slot) = mh.bin();
         if bin == NOT_BINNED {
             return;
         }
@@ -134,45 +170,77 @@ impl ClassState {
             self.slab
                 .get_mut(moved)
                 .expect("binned ids are live")
-                .bin_slot = slot;
+                .set_bin(bin, slot);
         }
-        let mh = self.slab.get_mut(id).expect("just observed");
-        mh.bin = NOT_BINNED;
-        mh.bin_slot = 0;
+        self.slab
+            .get_mut(id)
+            .expect("just observed")
+            .set_bin(NOT_BINNED, 0);
     }
 
     /// Moves a MiniHeap between bins after its occupancy changed.
     pub fn rebin(&mut self, id: MiniHeapId) {
         let mh = self.slab.get(id).expect("rebinning a dead MiniHeap");
         let new_bin = bin_for_occupancy(mh.in_use(), mh.object_count());
-        if mh.bin != new_bin {
+        if mh.bin().0 != new_bin {
             self.bin_remove(id);
             self.bin_insert(id);
         }
     }
 
-    /// Selects a partially full MiniHeap for reuse: first non-empty bin by
-    /// decreasing occupancy, random span within it (§3.1). The MiniHeap is
-    /// removed from its bin.
-    pub fn select_partial(&mut self) -> Option<MiniHeapId> {
+    /// Selects a partially full MiniHeap for reuse: first bin by
+    /// decreasing occupancy that has a rested span (filed at least
+    /// [`REST_REFILLS`] refills ago), random span within it (§3.1). The
+    /// MiniHeap is removed from its bin, which is returned with it: frees
+    /// since it was filed may have left it emptier than that.
+    pub fn select_partial(&mut self) -> Option<(MiniHeapId, u8)> {
         for bin in 0..PARTIAL_BINS {
             let len = self.bins.partial[bin].len();
-            if len > 0 {
+            for _ in 0..REST_DRAWS.min(len) {
                 let pick = self.rng.below(len as u32) as usize;
                 let id = self.bins.partial[bin][pick];
-                self.bin_remove(id);
-                return Some(id);
+                let filed_at = self.slab.get(id).expect("binned ids are live").filed_at;
+                if self.refills.wrapping_sub(filed_at) >= REST_REFILLS {
+                    self.bin_remove(id);
+                    return Some((id, bin as u8));
+                }
             }
         }
         None
     }
+
+    /// Makes every filed span count as rested (tests file spans and draw
+    /// on them at once).
+    #[cfg(test)]
+    pub fn skip_rest(&mut self) {
+        self.refills = self.refills.wrapping_add(REST_REFILLS);
+    }
 }
 
-/// One size class's shard: its lock plus its lock-free remote-free queue.
+/// One size class's shard: its lock, plus what a non-local free uses
+/// without it.
 #[derive(Debug)]
 struct ClassShard {
+    unlocked: ShardUnlocked,
     state: Mutex<ClassState>,
-    queue: RemoteFreeQueue,
+}
+
+/// The part of a [`ClassShard`] read without its lock. A cache line of its
+/// own: a free reads `bits` on its way to the bitmap, and must not wait
+/// for a line that a refill of this class or the next just locked.
+#[derive(Debug)]
+#[repr(align(64))]
+struct ShardUnlocked {
+    /// The bitmaps of `state.slab`, by MiniHeap id.
+    bits: Arc<BitmapTable>,
+    /// Odd while a mesh pair of this class is being consumed: between the
+    /// first word taken from the source's bitmap and the page map naming
+    /// the destination. A free whose clear finds its bit gone waits for an
+    /// even value before it looks the page up again.
+    mesh_epoch: AtomicU64,
+    /// The spans a free emptied, or opened the first slot of: the next
+    /// [`GlobalHeap::lock_class_swept`] destroys or refiles them.
+    unsettled: UnsettledList,
 }
 
 /// Every lock of the heap, held at once: the fork-quiescence state built
@@ -183,12 +251,9 @@ pub(crate) struct AllShardGuards<'a> {
     _classes: Vec<MutexGuard<'a, ClassState>>,
     _large: MutexGuard<'a, Slab>,
     _arena: MutexGuard<'a, Arena>,
-    _transfer: Vec<MutexGuard<'a, Vec<Vec<usize>>>>,
     _sched_mesh: MutexGuard<'a, Instant>,
     _sched_purge: MutexGuard<'a, Option<Instant>>,
-    _sched_drain: MutexGuard<'a, Instant>,
     _stat_locals: MutexGuard<'a, Vec<Arc<crate::stats::LocalCounters>>>,
-    _senders: MutexGuard<'a, Vec<std::sync::Weak<crate::remote_free::SenderBufs>>>,
     _telemetry_dump: Option<MutexGuard<'a, Instant>>,
     _sense_clock: Option<MutexGuard<'a, Instant>>,
     _hist_locals: MutexGuard<'a, Vec<Arc<crate::telemetry::LocalHists>>>,
@@ -282,7 +347,6 @@ pub(crate) struct MeshScheduler {
     /// subtracted-epoch sentinel would panic on hosts whose monotonic
     /// clock is younger than the subtrahend.)
     last_purge: Mutex<Option<Instant>>,
-    last_drain: Mutex<Instant>,
     /// Set after a low-yield pass: the timer is not restarted until a
     /// subsequent free reaches the global heap (§4.5).
     paused: AtomicBool,
@@ -293,7 +357,6 @@ impl MeshScheduler {
         MeshScheduler {
             last_mesh: Mutex::new(Instant::now()),
             last_purge: Mutex::new(None),
-            last_drain: Mutex::new(Instant::now()),
             paused: AtomicBool::new(false),
         }
     }
@@ -361,33 +424,10 @@ impl MeshScheduler {
         }
     }
 
-    /// Acquires all three scheduler leaf locks (fork quiescence: a child
-    /// must not inherit a scheduler mutex locked by some other thread).
-    pub(crate) fn lock_all(
-        &self,
-    ) -> (
-        MutexGuard<'_, Instant>,
-        MutexGuard<'_, Option<Instant>>,
-        MutexGuard<'_, Instant>,
-    ) {
-        (
-            self.last_mesh.lock(),
-            self.last_purge.lock(),
-            self.last_drain.lock(),
-        )
-    }
-
-    /// Rate limiter for queue settlement when no meshing pass will run
-    /// (meshing disabled and no background thread): true at most once per
-    /// `period`, claiming the slot.
-    fn should_drain(&self, period: Duration) -> bool {
-        let mut last = self.last_drain.lock();
-        if last.elapsed() >= period {
-            *last = Instant::now();
-            true
-        } else {
-            false
-        }
+    /// Acquires both scheduler leaf locks (fork quiescence: a child must
+    /// not inherit a scheduler mutex locked by some other thread).
+    pub(crate) fn lock_all(&self) -> (MutexGuard<'_, Instant>, MutexGuard<'_, Option<Instant>>) {
+        (self.last_mesh.lock(), self.last_purge.lock())
     }
 }
 
@@ -401,18 +441,6 @@ pub(crate) struct GlobalHeap {
     pub arena: Mutex<Arena>,
     /// Lock-free page → MiniHeap routing table.
     pub page_map: PageMap,
-    /// The tcmalloc-style middle tier: per-class stacks of claimed-object
-    /// batches exchanged between thread heaps without the class lock.
-    pub(crate) transfer: TransferCache,
-    /// Registry of live threads' sender-side remote-free buffers, so
-    /// settled readers ([`GlobalHeap::drain_all`]) and the exhaustion
-    /// fallback can flush frees still buffered in *other* threads. Weak:
-    /// a thread's teardown must not need the registry lock.
-    senders: Mutex<Vec<std::sync::Weak<crate::remote_free::SenderBufs>>>,
-    /// Bumped when the registry is wiped (fork child), so surviving cores
-    /// know to re-register. Starts at 1 because cores start at 0 =
-    /// "never registered".
-    sender_epoch: AtomicU64,
     pub rt: RuntimeConfig,
     pub scheduler: MeshScheduler,
     pub counters: Arc<Counters>,
@@ -464,26 +492,32 @@ impl GlobalHeap {
         let base = arena.base_addr();
         let pages = arena.capacity_pages();
         let seed = config.seed.unwrap_or_else(|| Rng::from_entropy().next_u64());
-        let classes = (0..NUM_SIZE_CLASSES)
-            .map(|i| ClassShard {
-                state: Mutex::new(ClassState {
-                    slab: Slab::new(),
-                    bins: ClassBins::default(),
-                    rng: Rng::with_seed(
-                        seed ^ 0x6d65_7368_2d67_6c6f ^ ((i as u64) << 56), // "mesh-glo"
-                    ),
-                }),
-                queue: RemoteFreeQueue::new(),
+        let classes = SizeClass::all()
+            .map(|class| {
+                let slab = Slab::for_class(class);
+                ClassShard {
+                    unlocked: ShardUnlocked {
+                        bits: slab.table(),
+                        mesh_epoch: AtomicU64::new(0),
+                        unsettled: UnsettledList::default(),
+                    },
+                    state: Mutex::new(ClassState {
+                        slab,
+                        bins: ClassBins::default(),
+                        refills: 0,
+                        rng: Rng::with_seed(
+                            // "mesh-glo"
+                            seed ^ 0x6d65_7368_2d67_6c6f ^ ((class.index() as u64) << 56),
+                        ),
+                    }),
+                }
             })
             .collect();
         Ok(GlobalHeap {
             classes,
-            large: Mutex::new(Slab::new()),
+            large: Mutex::new(Slab::for_large()),
             arena: Mutex::new(arena),
             page_map: PageMap::new(pages as usize),
-            transfer: TransferCache::new(config.transfer_batch, config.transfer_cache_slots),
-            senders: Mutex::new(Vec::new()),
-            sender_epoch: AtomicU64::new(1),
             rt: RuntimeConfig::new(&config),
             scheduler: MeshScheduler::new(),
             counters,
@@ -589,6 +623,11 @@ impl GlobalHeap {
         &self,
         class: SizeClass,
     ) -> (MutexGuard<'_, ClassState>, bool) {
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            !small_free_scope::active(),
+            "a non-local small free takes no class lock"
+        );
         let shard = &self.classes[class.index()];
         let (guard, waited) = shard.state.lock_timed();
         if let Some(ns) = waited {
@@ -602,6 +641,11 @@ impl GlobalHeap {
     /// (timed like [`GlobalHeap::lock_class`]).
     /// Lock order: at most one class (or large) lock may be held.
     pub fn lock_arena(&self) -> MutexGuard<'_, Arena> {
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            !small_free_scope::active(),
+            "a non-local small free may not wait for the arena"
+        );
         let (guard, waited) = self.arena.lock_timed();
         if let Some(ns) = waited {
             self.counters.arena_lock_contention.fetch_add(1, Ordering::Relaxed);
@@ -610,221 +654,221 @@ impl GlobalHeap {
         guard
     }
 
-    // ----- remote-free queues -------------------------------------------
-
-    /// Applies every queued remote free of `class` under its (held) lock:
-    /// the single-drainer side of the MPSC queue protocol.
-    ///
-    /// Drained frees are *not* recycled into the transfer cache: a
-    /// recycled object's claim bit is set again, which would let a
-    /// duplicate free arriving in a later drain epoch — after the object
-    /// moved into some thread's popped batch — pass `unset` validation and
-    /// corrupt both the accounting and the cache. Only detach-spills feed
-    /// the cache, because spilled slots come from the shuffle vector's
-    /// avail mask and a hostile back-to-back duplicate cannot interleave
-    /// with a detach.
-    pub(crate) fn drain_class_locked(&self, class: SizeClass, st: &mut ClassState) {
-        let shard = &self.classes[class.index()];
-        if shard.queue.is_empty() {
-            return;
-        }
-        let t0 = Instant::now();
-        let mut drained = 0u64;
-        for addr in shard.queue.drain() {
-            drained += 1;
-            self.apply_remote_free(class, st, addr);
-        }
-        self.counters.remote_free_drained.fetch_add(drained, Ordering::Relaxed);
-        self.counters.record_slow(TimedOp::RemoteDrain, t0, drained);
+    /// [`GlobalHeap::lock_class`] for the paths that place or pick spans
+    /// (refill, detach, meshing pass, purge): does first the bin work
+    /// frees left behind.
+    pub(crate) fn lock_class_swept(&self, class: SizeClass) -> MutexGuard<'_, ClassState> {
+        let mut st = self.lock_class(class);
+        self.tidy_locked(class, &mut st);
+        st
     }
 
-    /// Validates and applies one queued free. Invalid pointers and double
-    /// frees are detected here — the queue push was optimistic.
-    fn apply_remote_free(&self, class: SizeClass, st: &mut ClassState, addr: usize) {
-        let invalid = |h: &GlobalHeap| {
-            h.counters.invalid_frees.fetch_add(1, Ordering::Relaxed);
-            h.harden_violation(HardenKind::InvalidFree, addr);
-        };
-        let Some(page) = self.page_of_addr(addr) else {
-            return invalid(self);
-        };
-        // Re-resolve through the page map: meshing may have retargeted the
-        // span to a surviving MiniHeap since the enqueue (same class, same
-        // slot offsets — §4.5.1 keeps virtual addresses stable).
-        let Some(info) = self.page_map.get(page) else {
-            return invalid(self);
-        };
-        if info.class_code as usize != class.index() {
-            return invalid(self);
-        }
-        let (object_size, attached, now_empty) = {
-            let Some(mh) = st.slab.get(info.id) else {
-                return invalid(self);
-            };
-            let offset = addr - info.span_start(self.base, page);
-            let slot = offset / mh.object_size();
+    // ----- non-local small frees (§4.4.4) -------------------------------
+
+    /// Runs `op` on the bitmap of the MiniHeap owning the small object at
+    /// `addr` and on the object's slot, starting from the page-map entry
+    /// the caller read as `info` from page `page`. `op` tests or clears
+    /// the object's bit and says whether it found it set; `Ok` carries
+    /// the entry and the [`SpanBits`] it found it in.
+    ///
+    /// An `op` that finds the bit gone has met a freed object unless a
+    /// mesh consumed the span since `info` was read: the mesher takes a
+    /// source's bits before the page map names the destination. So this
+    /// waits for the pair in progress, if any (the class's epoch is odd
+    /// for that long), reads the page map again, and goes round with the
+    /// new entry if it names another MiniHeap; the same MiniHeap again is
+    /// `Err(DoubleFree)`. A consumed source's id stays an all-zero
+    /// tombstone while its destination lives, which is as long as the
+    /// object does, so a stale id can only ever name nothing to clear.
+    /// `Err(InvalidFree)` is an address that is no object's start, or
+    /// whose span died under it.
+    #[inline]
+    fn with_object_bit(
+        &self,
+        addr: usize,
+        mut page: u32,
+        mut info: PageInfo,
+        op: impl Fn(&crate::bitmap::AtomicBitmap, usize) -> bool,
+    ) -> Result<(PageInfo, &crate::miniheap::SpanBits), HardenKind> {
+        let class = SizeClass::from_index(info.class_code as usize);
+        let shard = &self.classes[class.index()];
+        loop {
             // Tail waste and misaligned interior pointers are hostile
             // frees, mirroring the local path's validation.
-            if slot >= mh.object_count() || !offset.is_multiple_of(mh.object_size()) {
-                return invalid(self);
+            let slot = class
+                .slot_at(addr - info.span_start(self.base, page))
+                .ok_or(HardenKind::InvalidFree)?;
+            let bits = shard.unlocked.bits.get(info.id).ok_or(HardenKind::InvalidFree)?;
+            if op(bits.bitmap(), slot) {
+                return Ok((info, bits));
             }
-            // A cached (detach-spilled) object's claim bit is set, so
-            // `unset` alone would wave a duplicate of it through: catch
-            // shared-cache membership explicitly. (Objects in a thread's
-            // popped batch are invisible here — that residual window
-            // matches the pre-existing attached-vector one.)
-            if self.transfer.contains(class.index(), addr) {
-                self.counters.double_frees.fetch_add(1, Ordering::Relaxed);
-                self.harden_violation(HardenKind::DoubleFree, addr);
-                return;
-            }
-            if !mh.bitmap().unset(slot) {
-                self.counters.double_frees.fetch_add(1, Ordering::Relaxed);
-                self.harden_violation(HardenKind::DoubleFree, addr);
-                return;
-            }
-            (mh.object_size(), mh.is_attached(), mh.in_use() == 0)
-        };
-        // The slot is free as of this unset: write the poison layout so a
-        // later reallocation (or the mesh-time canary sweep) can vouch
-        // nothing wrote through the stale pointer.
-        self.poison_object(addr, object_size, class.index());
-        self.counters.frees.fetch_add(1, Ordering::Relaxed);
-        self.counters.remote_frees.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .live_bytes
-            .fetch_sub(object_size, Ordering::Relaxed);
-        if !attached {
-            if now_empty {
-                self.free_miniheap_locked(st, info.id);
-            } else {
-                st.rebin(info.id);
-            }
-        }
-    }
-
-    /// Un-claims an address whose bit was held by the transfer cache or a
-    /// thread's batch cache, *without* touching app accounting (its free
-    /// was counted when it entered the cache). The owning class's lock
-    /// must be held.
-    pub(crate) fn release_claimed(&self, class: SizeClass, st: &mut ClassState, addr: usize) {
-        let Some(page) = self.page_of_addr(addr) else { return };
-        let Some(info) = self.page_map.get(page) else { return };
-        if info.class_code as usize != class.index() {
-            return;
-        }
-        let (attached, now_empty) = {
-            let Some(mh) = st.slab.get(info.id) else { return };
-            let slot = (addr - info.span_start(self.base, page)) / mh.object_size();
-            let was_set = mh.bitmap().unset(slot);
-            debug_assert!(was_set, "cached object's claim bit must be set");
-            if !was_set {
-                return;
-            }
-            (mh.is_attached(), mh.in_use() == 0)
-        };
-        if !attached {
-            if now_empty {
-                self.free_miniheap_locked(st, info.id);
-            } else {
-                st.rebin(info.id);
-            }
-        }
-    }
-
-    /// Empties `class`'s transfer-cache slots back into the spans, so
-    /// occupancy reflects reality. Meshing calls this before collecting
-    /// candidates: a cached object keeps its claim bit set, which would
-    /// otherwise make a meshable span look occupied — and, worse, a span
-    /// whose only "live" objects sit in the cache would never be meshed
-    /// or reclaimed. The class lock must be held. Returns the number of
-    /// cached objects released (the ledger's "pinned by transfer cache"
-    /// signal: spans those objects sat in could not have been candidates
-    /// until this flush).
-    pub(crate) fn purge_transfer_locked(&self, class: SizeClass, st: &mut ClassState) -> u64 {
-        let mut released = 0u64;
-        for batch in self.transfer.take_all(class.index()) {
-            for addr in batch {
-                self.release_claimed(class, st, addr);
-                released += 1;
-            }
-        }
-        released
-    }
-
-    /// Empties every class's transfer cache (one class lock at a time):
-    /// the memory-pressure fallback, releasing spans kept alive only by
-    /// cached objects before the allocator reports exhaustion.
-    pub(crate) fn purge_transfer_all(&self) {
-        for class in SizeClass::all() {
-            let mut st = self.lock_class(class);
-            self.drain_class_locked(class, &mut st);
-            self.purge_transfer_locked(class, &mut st);
-        }
-    }
-
-    // ----- sender-buffer registry ---------------------------------------
-
-    /// Registers a thread's sender buffers, pruning entries whose threads
-    /// have exited. Returns the current epoch, which the caller remembers
-    /// to avoid re-registering on every free.
-    pub(crate) fn register_sender(&self, bufs: &Arc<crate::remote_free::SenderBufs>) -> u64 {
-        let mut reg = self.senders.lock();
-        reg.retain(|w| w.strong_count() > 0);
-        reg.push(Arc::downgrade(bufs));
-        // Read under the registry lock so a concurrent fork's wipe-and-bump
-        // cannot be missed: either we see the new epoch, or the wipe sees
-        // (and discards) our entry.
-        self.sender_epoch.load(Ordering::Relaxed)
-    }
-
-    /// The current registry epoch (see `register_sender`).
-    #[inline]
-    pub(crate) fn sender_epoch(&self) -> u64 {
-        self.sender_epoch.load(Ordering::Relaxed)
-    }
-
-    /// Wipes the registry and bumps the epoch. Called in the fork child:
-    /// the parent's other threads do not exist there, and touching their
-    /// buffer locks (possibly held mid-free at fork time) would deadlock.
-    /// The child's own cores re-register lazily via the epoch check.
-    pub(crate) fn clear_senders(&self) {
-        let mut reg = self.senders.lock();
-        reg.clear();
-        self.sender_epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Flushes every registered thread's sender-side buffers into the
-    /// remote-free queues. The registry lock is released before any buffer
-    /// (leaf) lock or class lock is taken, so this never deadlocks with
-    /// concurrent registration or `lock_all`.
-    pub(crate) fn flush_all_senders(&self) {
-        let bufs: Vec<Arc<crate::remote_free::SenderBufs>> = {
-            let reg = self.senders.lock();
-            reg.iter().filter_map(|w| w.upgrade()).collect()
-        };
-        for sender in bufs {
-            for idx in 0..NUM_SIZE_CLASSES {
-                let mut buf = sender.take(idx);
-                if !buf.is_empty() {
-                    self.flush_remote_batch(idx, &mut buf);
+            let mut spins = 0u32;
+            while shard.unlocked.mesh_epoch.load(Ordering::Acquire) & 1 == 1 {
+                // One pair: a copy and a remap, like a write-barrier wait.
+                if spins < 128 {
+                    spins += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
                 }
             }
+            match self.resolve_free(addr) {
+                Some((p, i)) if i.class_code == info.class_code && i.id != info.id => {
+                    page = p;
+                    info = i;
+                }
+                Some((_, i)) if i.class_code == info.class_code => {
+                    return Err(HardenKind::DoubleFree);
+                }
+                // The span died since (its last object was freed before
+                // this duplicate): the page is unowned or someone else's.
+                _ => return Err(HardenKind::InvalidFree),
+            }
         }
     }
 
-    /// Flushes every live sender's buffers and every class's remote-free
-    /// queue (taking each class lock in turn, never two at once). Called
-    /// before stats snapshots and by the background mesher so occupancy
-    /// accounting stays settled.
-    pub fn drain_all(&self) {
-        self.flush_all_senders();
-        for class in SizeClass::all() {
-            if !self.classes[class.index()].queue.is_empty() {
-                let mut st = self.lock_class(class);
-                self.drain_class_locked(class, &mut st);
+    /// Whether the small object at `addr` is allocated: `Ok` if its bit
+    /// is set, else the verdict a free of it would get. What the
+    /// quarantine checks before it parks a non-local free.
+    pub(crate) fn check_small_live(
+        &self,
+        addr: usize,
+        page: u32,
+        info: PageInfo,
+    ) -> Result<(), HardenKind> {
+        self.with_object_bit(addr, page, info, |bitmap, slot| bitmap.is_set(slot))
+            .map(|_| ())
+    }
+
+    /// Frees the small object at `addr` (see
+    /// [`GlobalHeap::with_object_bit`] for `page` and `info`): clears its
+    /// bit in the owning MiniHeap's bitmap and accounts for the free — on
+    /// `local`, the freeing thread's delta block, or on the shared
+    /// counters without one. No lock is taken for any of that, and a
+    /// refused free is counted before this returns.
+    ///
+    /// When the clear emptied a detached span, or opened the first slot of
+    /// one filed as full, the span is pushed on the class's lock-free list
+    /// of unsettled spans: the next [`GlobalHeap::lock_class_swept`]
+    /// destroys or refiles it. A free takes no lock and tries none.
+    pub(crate) fn free_small(
+        &self,
+        addr: usize,
+        page: u32,
+        info: PageInfo,
+        local: Option<&LocalCounters>,
+    ) -> bool {
+        #[cfg(debug_assertions)]
+        let _scope = small_free_scope::enter();
+        let class = SizeClass::from_index(info.class_code as usize);
+        let size = class.object_size();
+        let cleared = self.with_object_bit(addr, page, info, |bitmap, slot| {
+            if !self.harden.poison_on() {
+                return bitmap.unset(slot);
+            }
+            // The poison layout goes in *before* the clear: a clear bit
+            // can be claimed by an attach and handed out at once. It goes
+            // only over an object whose bit is still set, so a duplicate
+            // free does not scribble over the slot's next owner.
+            bitmap.is_set(slot) && {
+                self.poison_object(addr, size, class.index());
+                bitmap.unset(slot)
+            }
+        });
+        let (info, bits) = match cleared {
+            Ok(found) => found,
+            Err(kind) => return self.reject_free(kind, addr),
+        };
+        match local {
+            Some(local) => local.on_remote_free(size),
+            None => {
+                self.counters.frees.fetch_add(1, Ordering::Relaxed);
+                self.counters.remote_frees.fetch_add(1, Ordering::Relaxed);
+                self.counters.live_bytes.fetch_sub(size, Ordering::Relaxed);
             }
         }
+        // An unfiled span is attached, and its thread's to release (its
+        // refill sees the clear bit), or in the hands of the lock holder.
+        // A filed one must move when this clear made it available — it
+        // was filed as full — or left nothing live in it: that is work
+        // under the class lock (and, to destroy a span, the arena lock and
+        // system calls), so it is left to the next holder. The partial
+        // bins in between are only refreshed by lock holders.
+        let filed = bits.bin();
+        if filed == FULL_BIN || (filed < FULL_BIN && bits.bitmap().in_use() == 0) {
+            let unsettled = &self.classes[class.index()].unlocked.unsettled;
+            unsettled.push(info.id.to_raw(), bits);
+        }
+        true
+    }
+
+    /// Counts a refused free of `addr` and reports it to hardened mode.
+    #[cold]
+    pub(crate) fn reject_free(&self, kind: HardenKind, addr: usize) -> bool {
+        let counter = match kind {
+            HardenKind::DoubleFree => &self.counters.double_frees,
+            _ => &self.counters.invalid_frees,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.harden_violation(kind, addr);
+        false
+    }
+
+    /// Puts the detached, binned MiniHeap `id` where its bitmap says it
+    /// belongs: destroyed if nothing in it is live, else in the bin of its
+    /// occupancy. Anything else — dead, attached, picked out of its bin by
+    /// the holder of the lock — is left alone, so a stale `id` is harmless.
+    /// Returns whether the MiniHeap left the bin it was in.
+    pub(crate) fn settle_locked(&self, st: &mut ClassState, id: MiniHeapId) -> bool {
+        let Some(mh) = st.slab.get(id) else {
+            return false;
+        };
+        let (was, _) = mh.bin();
+        if was == NOT_BINNED {
+            return false;
+        }
+        debug_assert!(!mh.is_attached());
+        if mh.in_use() == 0 {
+            self.free_miniheap_locked(st, id);
+            return true;
+        }
+        st.rebin(id);
+        st.slab.get(id).expect("just rebinned").bin().0 != was
+    }
+
+    /// Does what frees left to a holder of `class`'s lock: settles the
+    /// spans they listed. Returns whether a span was destroyed.
+    pub(crate) fn tidy_locked(&self, class: SizeClass, st: &mut ClassState) -> bool {
+        let unlocked = &self.classes[class.index()].unlocked;
+        let mut reaped = false;
+        let mut raw = unlocked.unsettled.take();
+        while raw != LIST_END {
+            let id = MiniHeapId::from_raw(raw);
+            raw = UnsettledList::next(unlocked.bits.get(id).expect("a listed id was issued"));
+            // The id may have died, or died and been reissued, since.
+            reaped |= self.settle_locked(st, id) && st.slab.get(id).is_none();
+        }
+        reaped
+    }
+
+    /// The class's mesh epoch: odd from [`GlobalHeap::begin_consume`] to
+    /// [`GlobalHeap::end_consume`].
+    pub(crate) fn begin_consume(&self, class: SizeClass) {
+        let was = self.classes[class.index()]
+            .unlocked
+            .mesh_epoch
+            .fetch_add(1, Ordering::SeqCst);
+        debug_assert_eq!(was & 1, 0, "one pair at a time per class");
+    }
+
+    /// Ends the odd interval: every bit taken is set in the destination
+    /// and the page map names it, and a free that waited sees both.
+    pub(crate) fn end_consume(&self, class: SizeClass) {
+        let was = self.classes[class.index()]
+            .unlocked
+            .mesh_epoch
+            .fetch_add(1, Ordering::SeqCst);
+        debug_assert_eq!(was & 1, 1);
     }
 
     // ----- MiniHeap lifecycle (class lock held) -------------------------
@@ -837,7 +881,7 @@ impl GlobalHeap {
     ) -> Result<MiniHeapId, MeshError> {
         let mut arena = self.lock_arena();
         let (span, _) = arena.alloc_span(class.span_pages() as u32)?;
-        let id = st.slab.insert(MiniHeap::new_small(class, span));
+        let id = st.slab.insert_with(|bits| MiniHeap::new_small(class, span, bits));
         self.page_map.set_span(span, id, class.index() as u8);
         drop(arena);
         if self.harden.poison_on() {
@@ -860,6 +904,11 @@ impl GlobalHeap {
         st.bin_remove(id);
         let mut mh = st.slab.remove(id);
         debug_assert_eq!(mh.in_use(), 0, "freeing a MiniHeap with live objects");
+        // Every object of the MiniHeaps meshed into this one is dead too:
+        // no free can still hold one of their ids.
+        for tombstone in mh.take_tombstones() {
+            st.slab.release_id(tombstone);
+        }
         let mut arena = self.lock_arena();
         for alias in mh.take_alias_spans() {
             // Alias file ranges were released when the mesh happened; the
@@ -876,7 +925,7 @@ impl GlobalHeap {
     }
 
     /// Refills `set` for `class` under the class lock (plus the arena leaf
-    /// lock only if a fresh span is needed), with the queue drained:
+    /// lock only if a fresh span is needed):
     ///
     /// 1. members the thread is not drawing on are released — to their
     ///    occupancy bin, or destroyed if nothing in them is live. These
@@ -886,10 +935,14 @@ impl GlobalHeap {
     ///    the one attached span), and the ones other threads freed into,
     ///    whose freed slots are re-claimed by whoever step 2 hands the
     ///    span to — this set, if it is among the fullest;
-    /// 2. partial spans are attached fullest-first (§3.1) until the set
-    ///    holds its goal, one span's worth of free slots, or is full of
-    ///    members that all have slots — evicting one more full member only
-    ///    when the set is at its bound and a partial span needs the place;
+    /// 2. partial spans are attached fullest-first (§3.1; by the bins,
+    ///    which say where a lock holder last filed a span, not what frees
+    ///    have made of it since) until the set holds its goal, one span's
+    ///    worth of free slots, or is full of members that all have slots —
+    ///    evicting one more full member only when the set is at its bound
+    ///    and a partial span needs the place. The spans frees have listed
+    ///    since are settled first when [`TIDY_BATCH`] of them wait, and
+    ///    otherwise only if the bins come up short of the goal;
     /// 3. a fresh span is carved only if all of that found no slot.
     ///
     /// Full members this thread keeps freeing into stay: that is what
@@ -910,28 +963,61 @@ impl GlobalHeap {
         thread_rng: &mut Rng,
     ) -> Result<(), MeshError> {
         let mut st = self.lock_class(class);
+        let mut tidied = self.classes[class.index()].unlocked.unsettled.len() >= TIDY_BATCH;
+        if tidied {
+            self.tidy_locked(class, &mut st);
+        }
         self.counters.refills.fetch_add(1, Ordering::Relaxed);
-        self.drain_class_locked(class, &mut st);
+        st.refills = st.refills.wrapping_add(1);
         let idle = set.take_idle();
         for member in set.members() {
             let mh = st.slab.get(set.id(member)).expect("attached id is live");
             // Every slot the vector holds is claimed, so a clear bit is a
-            // slot a drained remote free gave back.
-            if idle & (1 << member) != 0 || mh.in_use() < mh.object_count() {
-                self.release_vector_locked(class, &mut st, set.unlink(member));
+            // slot another thread's free gave back. A member this thread
+            // still draws on is wanted back now; an idle one can rest.
+            let is_idle = idle & (1 << member) != 0;
+            if is_idle || mh.in_use() < mh.object_count() {
+                self.release_vector_locked(&mut st, set.unlink(member), !is_idle);
             }
         }
         let mut slots = set.available();
-        while slots < class.object_count() {
-            let Some(id) = st.select_partial() else { break };
-            if !self.make_room_locked(class, &mut st, set, thread_rng) {
-                st.bin_insert(id);
+        let mut misfiled = 0;
+        'gather: loop {
+            while slots < class.object_count() {
+                let Some((id, filed)) = st.select_partial() else { break };
+                let in_use = st.slab.get(id).expect("binned ids are live").in_use();
+                if in_use == 0 {
+                    // Emptied since the class was last tidied.
+                    self.free_miniheap_locked(&mut st, id);
+                    continue;
+                }
+                // Frees do not move a span between partial bins. One that
+                // has drained since it was filed goes where it belongs —
+                // the fullest come first (§3.1) — a few times per refill
+                // at most.
+                if bin_for_occupancy(in_use, class.object_count()) > filed
+                    && misfiled < REST_DRAWS
+                {
+                    misfiled += 1;
+                    self.file_locked(&mut st, id, true);
+                    continue;
+                }
+                if !self.make_room_locked(&mut st, set, thread_rng) {
+                    self.file_locked(&mut st, id, true);
+                    break 'gather;
+                }
+                slots += self.attach_locked(&mut st, set, id, token, thread_rng);
+            }
+            // The bins came up short: the spans frees have opened up since
+            // they were last tidied come before a fresh one.
+            if slots >= class.object_count() || tidied {
                 break;
             }
-            slots += self.attach_locked(&mut st, set, id, token, thread_rng);
+            tidied = true;
+            self.tidy_locked(class, &mut st);
         }
         if slots == 0 {
-            let room = self.make_room_locked(class, &mut st, set, thread_rng);
+            let room = self.make_room_locked(&mut st, set, thread_rng);
             debug_assert!(room, "a set without free slots has only full members");
             let id = self.fresh_miniheap_locked(&mut st, class)?;
             self.attach_locked(&mut st, set, id, token, thread_rng);
@@ -944,7 +1030,6 @@ impl GlobalHeap {
     /// every member still has free slots.
     fn make_room_locked(
         &self,
-        class: SizeClass,
         st: &mut ClassState,
         set: &mut AttachedSet,
         thread_rng: &mut Rng,
@@ -955,7 +1040,7 @@ impl GlobalHeap {
         let Some(victim) = set.pick_full(thread_rng) else {
             return false;
         };
-        self.release_vector_locked(class, st, set.unlink(victim));
+        self.release_vector_locked(st, set.unlink(victim), false);
         true
     }
 
@@ -989,106 +1074,47 @@ impl GlobalHeap {
         })
     }
 
-    /// Detaches one member — the free path's release of a member the
-    /// retention rule gives back ([`AttachedSet::is_surplus_empty`]).
-    /// Takes the lock the drain-side `now_empty` destruction of a detached
-    /// span takes, and no more: the queue is left for the next refill.
+    /// Detaches one member — the local free path's release of a member
+    /// the retention rule gives back ([`AttachedSet::is_surplus_empty`]).
     pub fn release_member(&self, class: SizeClass, set: &mut AttachedSet, member: usize) {
-        let mut st = self.lock_class(class);
-        self.release_vector_locked(class, &mut st, set.unlink(member));
+        let mut st = self.lock_class_swept(class);
+        self.release_vector_locked(&mut st, set.unlink(member), false);
     }
 
-    /// Teardown path for a thread heap: detaches every member of `set`
-    /// *and* returns the thread's popped-batch remainder (`cache`) to the
-    /// transfer cache, releasing claims that no longer fit.
-    pub fn release_set_and_cache(
-        &self,
-        class: SizeClass,
-        set: &mut AttachedSet,
-        cache: &mut Vec<usize>,
-    ) {
-        if set.len() == 0 && cache.is_empty() {
+    /// Teardown path for a thread heap: detaches every member of `set`.
+    pub fn release_set(&self, class: SizeClass, set: &mut AttachedSet) {
+        if set.len() == 0 {
             return;
         }
-        let mut st = self.lock_class(class);
-        self.drain_class_locked(class, &mut st);
+        let mut st = self.lock_class_swept(class);
         for member in set.members() {
-            self.release_vector_locked(class, &mut st, set.unlink(member));
+            self.release_vector_locked(&mut st, set.unlink(member), false);
         }
-        if cache.is_empty() {
-            return;
-        }
-        let t0 = Instant::now();
-        let returned = cache.len() as u64;
-        let batch = self.transfer.batch();
-        while !cache.is_empty() {
-            let n = batch.min(cache.len());
-            let chunk: Vec<usize> = cache.drain(cache.len() - n..).collect();
-            match self.transfer.try_push(class.index(), chunk) {
-                Ok(()) => {
-                    self.counters.transfer_spills.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(chunk) => {
-                    for addr in chunk {
-                        self.release_claimed(class, &mut st, addr);
-                    }
-                }
-            }
-        }
-        self.counters.record_slow(TimedOp::TransferSpill, t0, returned);
     }
 
-    fn release_vector_locked(&self, class: SizeClass, st: &mut ClassState, sv: &mut ShuffleVector) {
+    /// Detaches `sv`'s span and files it: `rested` lets the next
+    /// [`ClassState::select_partial`] hand it straight out again.
+    fn release_vector_locked(&self, st: &mut ClassState, sv: &mut ShuffleVector, rested: bool) {
         let Some(old) = sv.miniheap() else { return };
-        // Detach-spill: when the span will survive detaching anyway (live
-        // objects beyond the vector's claims), park surplus vector slots
-        // in the transfer cache so the next refill skips the class lock.
-        // Only mostly-live spans spill (≥ half the slots hold objects the
-        // app still owns): a mostly-free span is a reclamation candidate,
-        // and cached claims would pin it — the free path could never
-        // destroy it once its last live object dies, and meshing would
-        // have to purge the cache to see its true occupancy.
-        if self.transfer.cache_enabled() && sv.available() > 0 {
-            let mh = st.slab.get(old).expect("attached id is live");
-            let (in_use, count) = (mh.in_use(), mh.object_count());
-            if in_use - sv.available() >= count.div_ceil(2) {
-                let t0 = Instant::now();
-                let mut spilled = 0u64;
-                let batch = self.transfer.batch();
-                let mut budget =
-                    (self.transfer.room(class.index()) * batch).min(sv.available());
-                while budget > 0 {
-                    let chunk = sv.spill(batch.min(budget));
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    budget -= chunk.len();
-                    spilled += chunk.len() as u64;
-                    match self.transfer.try_push(class.index(), chunk) {
-                        Ok(()) => {
-                            self.counters.transfer_spills.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(chunk) => {
-                            for addr in chunk {
-                                self.release_claimed(class, st, addr);
-                            }
-                        }
-                    }
-                }
-                self.counters.record_slow(TimedOp::TransferSpill, t0, spilled);
-            }
-        }
-        {
-            let mh = st.slab.get(old).expect("attached id is live");
-            sv.detach(mh.bitmap());
-        }
         let mh = st.slab.get_mut(old).expect("attached id is live");
         mh.set_state(AttachState::Detached);
-        if mh.in_use() == 0 {
-            self.free_miniheap_locked(st, old);
-        } else {
-            st.bin_insert(old);
+        sv.detach(mh.bitmap());
+        self.file_locked(st, old, rested);
+    }
+
+    /// Files the detached, unfiled MiniHeap `id` under its occupancy bin —
+    /// as one that has had its rest, with `rested` — or destroys it if
+    /// nothing in it is live. Filed first, bitmap read again after: a free
+    /// that cleared the last live bit meanwhile either is seen by that
+    /// read or saw the span filed and settles it itself (see
+    /// [`crate::bitmap`]).
+    fn file_locked(&self, st: &mut ClassState, id: MiniHeapId, rested: bool) {
+        st.bin_insert(id);
+        if rested {
+            let since = st.refills.wrapping_sub(REST_REFILLS);
+            st.slab.get_mut(id).expect("just filed").filed_at = since;
         }
+        self.settle_locked(st, id);
     }
 
     // ----- large objects (§4.4.3) ---------------------------------------
@@ -1134,11 +1160,8 @@ impl GlobalHeap {
             } else {
                 start
             };
-            let mut mh = if guarded {
-                MiniHeap::new_large_guarded(span)
-            } else {
-                MiniHeap::new_large(span)
-            };
+            let id = large.insert_with(|bits| MiniHeap::new_large(span, guarded, bits));
+            let mh = large.get_mut(id).expect("just inserted");
             if addr != start {
                 // Hardened frees are pinned to the exact handed-out
                 // address, so remember where the over-aligned object
@@ -1146,7 +1169,6 @@ impl GlobalHeap {
                 mh.set_large_start_off(addr - start);
             }
             let object_bytes = mh.object_size();
-            let id = large.insert(mh);
             self.page_map.set_span(span, id, LARGE_CLASS);
             (span, object_bytes, addr)
         };
@@ -1187,20 +1209,11 @@ impl GlobalHeap {
         let mut large = self.large.lock();
         // Re-check under the lock: a racing free may already have retired
         // this object (its page-map entries are then cleared or reused).
-        let Some(info) = self.page_map.get(page) else {
-            self.counters.invalid_frees.fetch_add(1, Ordering::Relaxed);
-            self.harden_violation(HardenKind::InvalidFree, addr);
-            return false;
+        let Some(info) = self.page_map.get(page).filter(|info| info.is_large()) else {
+            return self.reject_free(HardenKind::InvalidFree, addr);
         };
-        if !info.is_large() {
-            self.counters.invalid_frees.fetch_add(1, Ordering::Relaxed);
-            self.harden_violation(HardenKind::InvalidFree, addr);
-            return false;
-        }
         let Some(mh) = large.get(info.id) else {
-            self.counters.invalid_frees.fetch_add(1, Ordering::Relaxed);
-            self.harden_violation(HardenKind::InvalidFree, addr);
-            return false;
+            return self.reject_free(HardenKind::InvalidFree, addr);
         };
         // Classic mode accepts any pointer into the live span (C-lenient,
         // like the interior-offset tolerance on the small path). Hardened
@@ -1210,15 +1223,11 @@ impl GlobalHeap {
         if self.harden.active() {
             let start = self.base + mh.span().byte_offset() + mh.large_start_off();
             if addr != start {
-                self.counters.invalid_frees.fetch_add(1, Ordering::Relaxed);
-                self.harden_violation(HardenKind::InvalidFree, addr);
-                return false;
+                return self.reject_free(HardenKind::InvalidFree, addr);
             }
         }
         if !mh.bitmap().unset(0) {
-            self.counters.double_frees.fetch_add(1, Ordering::Relaxed);
-            self.harden_violation(HardenKind::DoubleFree, addr);
-            return false;
+            return self.reject_free(HardenKind::DoubleFree, addr);
         }
         let mh = large.remove(info.id);
         let span = mh.span();
@@ -1266,132 +1275,85 @@ impl GlobalHeap {
         Some((page, info))
     }
 
-    /// Frees `addr` through the global heap. Small objects are *enqueued*
-    /// lock-free on their class's remote-free queue (validation happens at
-    /// drain time); large objects are freed immediately under the large
-    /// lock. Returns whether the free was accepted (optimistically, for
-    /// the queued path).
+    /// Frees `addr` through the global heap: small objects by clearing
+    /// their bit ([`GlobalHeap::free_small`]), large objects under the
+    /// large lock; then runs a due inline meshing pass. Returns whether
+    /// the free was accepted. Must be called with no shard locks held.
     pub fn free_global(&self, addr: usize) -> bool {
-        if let Some(t) = &self.telemetry {
-            t.on_free(addr);
-        }
-        match self.resolve_free(addr) {
-            Some((page, info)) => self.free_routed(addr, page, info),
-            None => {
-                self.counters.invalid_frees.fetch_add(1, Ordering::Relaxed);
-                self.harden_violation(HardenKind::InvalidFree, addr);
-                false
-            }
-        }
-    }
-
-    /// Frees `addr` given its already-decoded page-map entry — the entry
-    /// point used by the thread-heap fast path, which resolved the entry
-    /// for its own local/remote decision and passes it down instead of
-    /// having the global heap re-derive it.
-    pub(crate) fn free_routed(
-        &self,
-        addr: usize,
-        page: u32,
-        info: crate::page_map::PageInfo,
-    ) -> bool {
-        let accepted = self.free_resolved_inner(addr, page, info);
+        let accepted = self.free_global_deferred(addr);
         if accepted {
-            self.scheduler.on_global_free();
             self.settle_after_free();
         }
         accepted
     }
 
-    /// The inline meshing/settlement that follows an accepted global
-    /// free. Must be called with no shard locks held.
-    pub(crate) fn settle_after_free(&self) {
-        if !self.rt.background_meshing {
-            if self.rt.meshing() {
-                // Inline meshing (seed semantics): rate-limited by the
-                // scheduler; no locks are held here. Passes drain every
-                // class's queue.
-                self.maybe_mesh();
-            } else if self.scheduler.should_drain(self.rt.mesh_period()) {
-                // "Mesh (no meshing)" configuration: no pass will ever
-                // drain the queues, so settle them on the mesh period
-                // instead — reclamation must not be deferred unboundedly.
-                self.drain_all();
-            }
-        }
-    }
-
-    /// Flushes a sender-side buffer of small-object frees for one class
-    /// as a single batch node: one allocation and one CAS per buffer.
-    /// Takes no locks; the caller runs [`GlobalHeap::settle_after_free`]
-    /// afterwards from a lock-free context.
-    pub(crate) fn flush_remote_batch(&self, class_idx: usize, buf: &mut Vec<usize>) {
-        if buf.is_empty() {
-            return;
-        }
-        self.counters
-            .remote_free_queued
-            .fetch_add(buf.len() as u64, Ordering::Relaxed);
-        self.counters
-            .remote_free_batches
-            .fetch_add(1, Ordering::Relaxed);
-        self.classes[class_idx].queue.push_batch(std::mem::take(buf));
-        self.scheduler.on_global_free();
-    }
-
-    fn free_resolved_inner(&self, addr: usize, page: u32, info: crate::page_map::PageInfo) -> bool {
-        if info.is_large() {
-            return self.free_large(addr, page);
-        }
-        self.counters
-            .remote_free_queued
-            .fetch_add(1, Ordering::Relaxed);
-        self.classes[info.class_code as usize].queue.push(addr);
-        true
-    }
-
-    /// Frees `addr` through the global path *without* running inline
-    /// meshing or queue settlement: the route for frees arriving from
-    /// internal contexts (which may already hold a shard lock a meshing
-    /// pass would retake). The queued free is applied at the next refill,
-    /// pass, or stats flush.
-    pub fn free_global_deferred(&self, addr: usize) -> bool {
-        if let Some(t) = &self.telemetry {
-            t.on_free(addr);
-        }
-        let Some((page, info)) = self.resolve_free(addr) else {
-            self.counters.invalid_frees.fetch_add(1, Ordering::Relaxed);
-            self.harden_violation(HardenKind::InvalidFree, addr);
-            return false;
+    /// Frees `addr` given its already-decoded page-map entry — the entry
+    /// point used by the thread-heap fast path, which resolved the entry
+    /// for its own local/remote decision and passes it down, with its
+    /// delta block, instead of having the global heap re-derive it. The
+    /// caller runs [`GlobalHeap::settle_after_free`] when it sees fit.
+    #[inline]
+    pub(crate) fn free_routed(
+        &self,
+        addr: usize,
+        page: u32,
+        info: PageInfo,
+        local: Option<&LocalCounters>,
+    ) -> bool {
+        let accepted = if info.is_large() {
+            self.free_large(addr, page)
+        } else {
+            self.free_small(addr, page, info, local)
         };
-        let accepted = self.free_resolved_inner(addr, page, info);
         if accepted {
             self.scheduler.on_global_free();
         }
         accepted
+    }
+
+    /// The inline meshing that follows accepted global frees (§4.5: rate
+    /// limited by the scheduler). Must be called with no shard locks held.
+    pub(crate) fn settle_after_free(&self) {
+        if !self.rt.background_meshing {
+            self.maybe_mesh();
+        }
+    }
+
+    /// Frees `addr` through the global path *without* running inline
+    /// meshing: the route for frees arriving from internal contexts (which
+    /// may already hold a shard lock a meshing pass would retake).
+    pub fn free_global_deferred(&self, addr: usize) -> bool {
+        if let Some(t) = &self.telemetry {
+            t.on_free(addr);
+        }
+        match self.resolve_free(addr) {
+            Some((page, info)) => self.free_routed(addr, page, info, None),
+            None => self.reject_free(HardenKind::InvalidFree, addr),
+        }
     }
 
     // ----- fork support --------------------------------------------------
 
     /// Acquires every heap lock in the canonical order — size classes by
     /// index, then the large shard, then the arena leaf, then the
-    /// transfer-cache leaves, then the scheduler leaves, then the
-    /// per-thread stats registry, then the sender-buffer registry, then
-    /// the telemetry dump clock, then the sense poll clock, then the
+    /// scheduler leaves, then the per-thread stats registry, then the
+    /// telemetry dump clock, then the sense poll clock, then the
     /// histogram-block registry, then the trace-ring registry, then the
     /// ctl socket's I/O lock — quiescing the heap for `fork()`. Any
-    /// in-flight refill, drain, meshing pass, thread-block
-    /// (un)registration, or dump-clock claim completes before this
-    /// returns, so a child forked at any moment inherits consistent heap
-    /// state.
+    /// in-flight refill, meshing pass (so every mesh epoch is even),
+    /// thread-block (un)registration, or dump-clock claim completes before
+    /// this returns, so a child forked at any moment inherits consistent
+    /// heap state. Frees hold no lock and are not waited for: a thread
+    /// between its clear and its count does not exist in the child, and
+    /// the span of one caught between the two steps of
+    /// [`SpanBits::list_unsettled`](crate::miniheap::SpanBits) stays
+    /// filed as it was in the child (one span's free slots, unused).
     pub(crate) fn lock_all(&self) -> AllShardGuards<'_> {
         let classes = SizeClass::all().map(|c| self.lock_class(c)).collect();
         let large = self.large.lock();
         let arena = self.lock_arena();
-        let transfer = self.transfer.lock_all();
-        let (sched_mesh, sched_purge, sched_drain) = self.scheduler.lock_all();
+        let (sched_mesh, sched_purge) = self.scheduler.lock_all();
         let stat_locals = self.counters.lock_locals();
-        let senders = self.senders.lock();
         let telemetry_dump = self.telemetry.as_ref().map(|t| t.lock_dump_clock());
         let sense_clock = self.sense.as_ref().map(|s| s.lock_poll_clock());
         let hist_locals = self.counters.lock_hist_locals();
@@ -1401,12 +1363,9 @@ impl GlobalHeap {
             _classes: classes,
             _large: large,
             _arena: arena,
-            _transfer: transfer,
             _sched_mesh: sched_mesh,
             _sched_purge: sched_purge,
-            _sched_drain: sched_drain,
             _stat_locals: stat_locals,
-            _senders: senders,
             _telemetry_dump: telemetry_dump,
             _sense_clock: sense_clock,
             _hist_locals: hist_locals,
@@ -1523,12 +1482,10 @@ impl GlobalHeap {
             debug_assert!(addr >= span_start);
             Some(mh.object_size() - (addr - span_start))
         } else {
+            // Any address inside a slot, not only its start.
             let class = SizeClass::from_index(info.class_code as usize);
-            let slot = (addr - info.span_start(self.base, page)) / class.object_size();
-            if slot >= class.object_count() {
-                return None;
-            }
-            Some(class.object_size())
+            let offset = addr - info.span_start(self.base, page);
+            (offset < class.object_count() * class.object_size()).then_some(class.object_size())
         }
     }
 
@@ -1554,9 +1511,7 @@ impl GlobalHeap {
             new_size <= usable && new_size * 2 >= usable
         } else {
             let class = SizeClass::from_index(info.class_code as usize);
-            let offset = addr - info.span_start(self.base, page);
-            offset / class.object_size() < class.object_count()
-                && offset.is_multiple_of(class.object_size())
+            class.slot_at(addr - info.span_start(self.base, page)).is_some()
                 && SizeClass::for_size(new_size) == Some(class)
         }
     }
@@ -1567,15 +1522,27 @@ impl GlobalHeap {
     }
 
     /// Purges dirty pages and retires any segment left with all pages
-    /// clean. Transfer-cache claims are released first (one class lock at
-    /// a time, before the arena leaf): a span whose only "live" objects
-    /// sit in the cache would otherwise pin its pages committed forever.
+    /// clean. Every class is tidied first (one class lock at a time,
+    /// before the arena leaf), so the spans frees emptied are among the
+    /// pages purged.
     pub fn purge_and_retire(&self) {
         let _pass = crate::stats::MeshPassScope::enter(&self.counters);
-        self.purge_transfer_all();
+        self.tidy_all_classes();
         let mut arena = self.lock_arena();
         arena.purge_dirty();
         arena.retire_empty_segments(&self.page_map);
+    }
+
+    /// Does what frees left to lock holders, in every class (see
+    /// [`GlobalHeap::tidy_locked`]), one class lock at a time. Returns
+    /// whether a span was destroyed.
+    pub(crate) fn tidy_all_classes(&self) -> bool {
+        let mut reaped = false;
+        for class in SizeClass::all() {
+            let mut st = self.lock_class(class);
+            reaped |= self.tidy_locked(class, &mut st);
+        }
+        reaped
     }
 
     /// Snapshots of every live MiniHeap (shard locks taken one at a time).
@@ -1623,17 +1590,13 @@ impl GlobalHeap {
                 if mh.is_attached() {
                     cs.attached_spans += 1;
                 } else {
-                    // Recompute rather than trusting `mh.bin`: a span can
-                    // be transiently unbinned (mid-selection) and drained
-                    // occupancy may have moved since binning.
-                    let bin = if in_use == 0 {
-                        // Empty MiniHeaps are freed, not binned; a
-                        // transient zero counts with the emptiest.
-                        PARTIAL_BINS as u8 - 1
-                    } else {
-                        bin_for_occupancy(in_use, slots)
-                    };
-                    cs.bins[bin as usize] += 1;
+                    // Recompute rather than trusting `mh.bin`: frees move
+                    // occupancy without the lock, and a span can be
+                    // transiently unbinned (mid-selection). One awaiting
+                    // destruction counts with the emptiest.
+                    let bin = bin_for_occupancy(in_use, slots).min(FULL_BIN);
+                    let bin = if in_use == 0 { PARTIAL_BINS - 1 } else { bin as usize };
+                    cs.bins[bin] += 1;
                     if cs.meshable
                         && mh.span_count() < self.rt.max_span_count()
                         && (in_use as f64 / slots as f64) <= cutoff
@@ -1653,6 +1616,34 @@ impl GlobalHeap {
     }
 }
 
+/// Debug builds check the rule of [`GlobalHeap::free_small`]: while one
+/// runs on this thread, neither a class lock nor the arena lock is taken.
+#[cfg(debug_assertions)]
+mod small_free_scope {
+    use std::cell::Cell;
+
+    thread_local! {
+        static ACTIVE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub struct Scope;
+
+    pub fn enter() -> Scope {
+        ACTIVE.with(|a| a.set(true));
+        Scope
+    }
+
+    pub fn active() -> bool {
+        ACTIVE.with(|a| a.get())
+    }
+
+    impl Drop for Scope {
+        fn drop(&mut self) {
+            ACTIVE.with(|a| a.set(false));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1660,7 +1651,7 @@ mod tests {
 
     /// Detaches every member of `set` (what a thread heap's teardown does).
     fn release(h: &GlobalHeap, class: SizeClass, set: &mut AttachedSet) {
-        h.release_set_and_cache(class, set, &mut Vec::new());
+        h.release_set(class, set);
     }
 
     fn heap() -> GlobalHeap {
@@ -1705,18 +1696,7 @@ mod tests {
 
     #[test]
     fn refill_attach_detach_cycle() {
-        // transfer_batch(1): legacy drain semantics (no recycling), so the
-        // drained free must rebin the span. Recycling behaviour has its
-        // own test below.
-        let h = GlobalHeap::new(
-            MeshConfig::default()
-                .arena_bytes(16 << 20)
-                .seed(7)
-                .write_barrier(false)
-                .transfer_batch(1),
-            Arc::new(Counters::default()),
-        )
-        .unwrap();
+        let h = heap();
         let class = SizeClass::for_size(128).unwrap();
         let mut set = AttachedSet::new(true);
         let mut rng = Rng::with_seed(1);
@@ -1737,18 +1717,17 @@ mod tests {
             let old = st.slab.get(first).unwrap();
             assert!(!old.is_attached());
             assert_eq!(old.in_use(), class.object_count(), "all slots allocated");
-            assert_eq!(old.bin, FULL_BIN);
+            assert_eq!(old.bin().0, FULL_BIN);
         }
-        // Free one object globally: queued lock-free, applied at drain,
-        // after which it must drop out of the full bin.
+        // Free one object globally: its bit is cleared at once, and the
+        // next lock holder moves the span, no longer full, to the fullest
+        // partial bin.
         assert!(h.free_global(a));
-        {
-            let st = h.lock_class(class);
-            assert_eq!(st.slab.get(first).unwrap().bin, FULL_BIN, "not yet drained");
-        }
-        h.drain_all();
-        let st = h.lock_class(class);
-        assert_eq!(st.slab.get(first).unwrap().bin, 0);
+        assert_eq!(h.lock_class(class).slab.get(first).unwrap().bin().0, FULL_BIN);
+        let st = h.lock_class_swept(class);
+        let old = st.slab.get(first).unwrap();
+        assert_eq!(old.in_use(), class.object_count() - 1);
+        assert_eq!(old.bin().0, 0);
     }
 
     #[test]
@@ -1769,6 +1748,7 @@ mod tests {
                 }
                 st.bin_insert(id);
             }
+            st.skip_rest();
         }
         let mut set = AttachedSet::new(true);
         let mut rng = Rng::with_seed(3);
@@ -1816,7 +1796,7 @@ mod tests {
             let st = h.lock_class(class);
             let mh = st.slab.get(*evicted[0]).unwrap();
             assert!(!mh.is_attached());
-            assert_eq!(mh.bin, FULL_BIN);
+            assert_eq!(mh.bin().0, FULL_BIN);
             assert_eq!(st.slab.len(), ATTACHED_SPANS + 1);
         }
         // One interval in which the thread only allocates: every member
@@ -1844,7 +1824,7 @@ mod tests {
         }
         assert_eq!(set.len(), 3);
         // Another thread frees one object of the first member: the slot
-        // is handed out again by the refill that drained the free, once.
+        // is handed out again by the next refill, once.
         assert!(h.free_global(addrs[0]));
         h.refill(&mut set, class, 1, &mut rng).unwrap();
         assert_eq!(set.len(), 3, "the freed-into span came back through the bins");
@@ -1866,74 +1846,6 @@ mod tests {
     }
 
     #[test]
-    fn detach_spills_surplus_into_transfer_cache() {
-        // Default batching knobs: a detach with avail slots — while other
-        // objects of the span are still app-live — parks the surplus in
-        // the transfer cache instead of handing it back to the span. A
-        // long mesh period keeps inline passes (which purge the cache)
-        // out of the way.
-        let h = GlobalHeap::new(
-            MeshConfig::default()
-                .arena_bytes(16 << 20)
-                .seed(7)
-                .write_barrier(false)
-                .mesh_period(Duration::from_secs(3600)),
-            Arc::new(Counters::default()),
-        )
-        .unwrap();
-        let class = SizeClass::for_size(128).unwrap();
-        let count = class.object_count();
-        let mut set = AttachedSet::new(true);
-        let mut rng = Rng::with_seed(1);
-        h.refill(&mut set, class, 1, &mut rng).unwrap();
-        let first = set.id(0);
-        let start = {
-            let st = h.lock_class(class);
-            h.base_addr() + st.slab.get(first).unwrap().span().byte_offset()
-        };
-        let mut addrs = Vec::new();
-        while let Some(a) = set.malloc() {
-            addrs.push(a);
-        }
-        // Locally free 10 objects back into the avail mask; the rest stay
-        // "app-live", so detaching cannot reclaim the span.
-        let returned: Vec<usize> = addrs.drain(..10).collect();
-        for &a in &returned {
-            let slot = (a - start) / class.object_size();
-            assert!(unsafe { set.free_slot(0, slot, &mut rng) });
-        }
-        release(&h, class, &mut set);
-        {
-            let st = h.lock_class(class);
-            let mh = st.slab.get(first).unwrap();
-            assert_eq!(mh.bin, FULL_BIN, "spilled claims keep occupancy");
-            assert_eq!(mh.in_use(), count, "cached slots stay claimed");
-        }
-        for &a in &returned {
-            assert!(h.transfer.contains(class.index(), a), "address parked");
-        }
-        assert_eq!(h.counters.snapshot().transfer_spills, 1, "one batch pushed");
-        // A hostile free of a cache-held address is caught by membership.
-        assert!(h.free_global(returned[0]), "push is optimistic");
-        h.drain_all();
-        let s = h.counters.snapshot();
-        assert_eq!(s.frees, 0);
-        assert_eq!(s.double_frees, 1, "cache membership caught the dup");
-        // The parked batch refills a vector without touching the shard.
-        let popped = h.transfer.pop(class.index()).unwrap();
-        assert_eq!(popped.len(), 10);
-        // Purging returns the claims to the span: occupancy drops and the
-        // span rebins as partial (the meshing-truthfulness hook).
-        let mut st = h.lock_class(class);
-        for a in popped {
-            h.release_claimed(class, &mut st, a);
-        }
-        let mh = st.slab.get(first).unwrap();
-        assert_eq!(mh.in_use(), count - 10);
-        assert!(mh.bin < FULL_BIN, "span visible to meshing again");
-    }
-
-    #[test]
     fn select_partial_prefers_fullest_bin() {
         let h = heap();
         let class = SizeClass::for_size(64).unwrap();
@@ -1951,10 +1863,12 @@ mod tests {
         };
         let low = make(&mut st, 1);
         let high = make(&mut st, count * 9 / 10);
+        assert_eq!(st.select_partial(), None, "freshly filed spans rest");
+        st.skip_rest();
         let picked = st.select_partial().unwrap();
-        assert_eq!(picked, high, "fullest bin scanned first");
+        assert_eq!(picked, (high, 0), "fullest bin scanned first");
         let picked2 = st.select_partial().unwrap();
-        assert_eq!(picked2, low);
+        assert_eq!(picked2, (low, 3));
         assert!(st.select_partial().is_none());
     }
 
@@ -2025,7 +1939,7 @@ mod tests {
     }
 
     #[test]
-    fn queued_double_free_detected_at_drain() {
+    fn double_free_is_refused_before_free_returns() {
         let h = heap();
         let class = SizeClass::for_size(256).unwrap();
         let mut set = AttachedSet::new(true);
@@ -2033,19 +1947,17 @@ mod tests {
         h.refill(&mut set, class, 1, &mut rng).unwrap();
         let a = set.malloc().unwrap();
         // Keep a second object live so the MiniHeap survives the first
-        // drained free (a dead MiniHeap would make the duplicate read as
+        // free (a dead MiniHeap would make the duplicate read as
         // *invalid* instead, exactly like the seed's large-object case).
         let _b = set.malloc().unwrap();
         // Detach so the frees take the global path.
         release(&h, class, &mut set);
         assert!(h.free_global(a));
-        assert!(h.free_global(a), "second push is optimistically accepted");
-        h.drain_all();
+        assert!(!h.free_global(a), "the duplicate finds its bit clear");
         let s = h.counters.snapshot();
         assert_eq!(s.frees, 1, "only one free applied");
-        assert_eq!(s.double_frees, 1, "duplicate rejected at drain");
-        assert_eq!(s.remote_free_queued, 2);
-        assert_eq!(s.remote_free_drained, 2);
+        assert_eq!(s.double_frees, 1);
+        assert_eq!((s.remote_frees, s.remote_free_queued), (1, 0));
     }
 
     #[test]
@@ -2088,9 +2000,10 @@ mod tests {
     }
 
     #[test]
-    fn no_meshing_config_still_drains_queues_on_free_path() {
-        // The "Mesh (no meshing)" ablation never runs a pass, so the free
-        // path itself must settle queues on the mesh-period rate limit.
+    fn free_that_empties_a_span_leaves_it_to_the_next_lock_holder() {
+        // The free itself takes no lock and makes no system call: it
+        // lists the span, and the next lock holder destroys it — with
+        // meshing off as with it on.
         let h = GlobalHeap::new(
             MeshConfig::default()
                 .arena_bytes(16 << 20)
@@ -2108,11 +2021,15 @@ mod tests {
         let a = set.malloc().unwrap();
         release(&h, class, &mut set);
         assert!(h.free_global(a));
-        // No drain_all(), no stats(): the free path's own settlement must
-        // have applied the queued free and destroyed the empty MiniHeap.
-        let s = h.counters.snapshot();
-        assert_eq!(s.frees, 1, "queued free was never applied");
-        assert_eq!(h.lock_class(class).slab.len(), 0);
+        assert_eq!(h.counters.snapshot().frees, 1);
+        {
+            let st = h.lock_class(class);
+            assert_eq!((st.slab.len(), st.bins.partial[3].len()), (1, 1), "where it was filed");
+        }
+        assert!(!h.free_global(a), "a duplicate finds nothing to clear there");
+        assert_eq!(h.counters.snapshot().double_frees, 1);
+        assert_eq!(h.lock_class_swept(class).slab.len(), 0);
+        assert_eq!(h.page_map.get(h.page_of_addr(a).unwrap()), None);
     }
 
     #[test]
@@ -2138,11 +2055,12 @@ mod tests {
     }
 
     #[test]
-    fn remote_free_enqueue_takes_no_class_lock() {
+    fn free_never_waits_for_a_held_class_lock() {
         // A free routed to a class whose lock is held must complete
-        // without blocking (it only pushes onto the lock-free queue).
-        // Inline meshing is pushed out of the way: a due pass inside
-        // free_global would itself want the held class lock.
+        // without blocking, fully accounted; the span it emptied is left
+        // to the next holder that tidies. Inline meshing is pushed out of
+        // the way: a due pass inside free_global would itself want the
+        // held class lock.
         let h = Arc::new(
             GlobalHeap::new(
                 MeshConfig::default()
@@ -2165,8 +2083,122 @@ mod tests {
         let h2 = Arc::clone(&h);
         let t = std::thread::spawn(move || h2.free_global(addr));
         assert!(t.join().expect("free must not block on the class lock"));
+        assert_eq!(h.counters.snapshot().frees, 1, "settled when free returned");
+        assert_eq!(guard.slab.len(), 1, "the empty span waits for a lock holder");
         drop(guard);
-        h.drain_all();
-        assert_eq!(h.counters.snapshot().frees, 1);
+        assert_eq!(h.lock_class_swept(class).slab.len(), 0);
+    }
+
+    #[test]
+    fn next_lock_holder_refiles_and_destroys_what_frees_left_behind() {
+        let h = heap();
+        let class = SizeClass::for_size(64).unwrap();
+        let count = class.object_count();
+        // Three full detached spans.
+        let mut set = AttachedSet::new(true);
+        let mut rng = Rng::with_seed(6);
+        let mut spans: Vec<Vec<usize>> = Vec::new();
+        for _ in 0..3 {
+            h.refill(&mut set, class, 1, &mut rng).unwrap();
+            spans.push(std::iter::from_fn(|| set.malloc()).collect());
+        }
+        release(&h, class, &mut set);
+        // With the lock held, free all of the first, most of the second
+        // and one object of the third.
+        let guard = h.lock_class(class);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for &a in spans[0].iter().chain(&spans[1][..count - 2]).chain(&spans[2][..1]) {
+                    assert!(h.free_global_deferred(a));
+                }
+            });
+        });
+        assert_eq!(guard.bins.full.len(), 3, "nothing moved without the lock");
+        drop(guard);
+        let st = h.lock_class_swept(class);
+        assert_eq!(st.slab.len(), 2, "the emptied span is gone");
+        assert_eq!(st.bins.full.len(), 0);
+        assert_eq!(st.bins.partial[0].len(), 1, "one free short of full");
+        assert_eq!(st.bins.partial[3].len(), 1, "two objects left");
+        drop(st);
+        assert_eq!(h.counters.snapshot().frees as usize, 2 * count - 1);
+    }
+
+    #[test]
+    fn frees_leave_the_partial_bins_to_lock_holders() {
+        let h = heap();
+        let class = SizeClass::for_size(256).unwrap();
+        let count = class.object_count();
+        assert_eq!(count, 16);
+        // A full detached span, and two half-full ones.
+        let make = |live: usize| {
+            let mut st = h.lock_class(class);
+            let id = h.fresh_miniheap_locked(&mut st, class).unwrap();
+            let mh = st.slab.get(id).unwrap();
+            for slot in 0..live {
+                mh.bitmap().try_set(slot);
+            }
+            st.bin_insert(id);
+            (id, h.base_addr() + st.slab.get(id).unwrap().span().byte_offset())
+        };
+        let (a, a_start) = make(count);
+        let halves = [make(count / 2).0, make(count / 2).0];
+        // The first free has it moved out of the full bin; the thirteen
+        // that follow take it from 94 % to 12 % and leave it filed where
+        // it is.
+        for slot in 0..14 {
+            assert!(h.free_global(a_start + slot * 256));
+            let st = h.lock_class_swept(class);
+            assert_eq!(st.slab.get(a).unwrap().bin().0, 0, "after {} frees", slot + 1);
+        }
+        // A refill draws it as one of the fullest, finds it drained, files
+        // it where it belongs and takes the half-full spans instead.
+        h.lock_class(class).skip_rest();
+        let mut set = AttachedSet::new(true);
+        let mut rng = Rng::with_seed(8);
+        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        let attached: Vec<MiniHeapId> = set.members().map(|m| set.id(m)).collect();
+        assert_eq!(attached.len(), 2);
+        assert!(halves.iter().all(|id| attached.contains(id)));
+        assert_eq!(h.lock_class(class).slab.get(a).unwrap().bin().0, 3);
+        release(&h, class, &mut set);
+    }
+
+    #[test]
+    fn free_follows_a_span_meshed_after_the_lookup() {
+        // The page-map entry a free starts from can be stale by the time
+        // it clears: the span was a mesh source in between. The free must
+        // land on the destination, once, and a duplicate must be refused.
+        let h = heap();
+        let class = SizeClass::for_size(256).unwrap();
+        let make = |slots: &[usize]| {
+            let mut st = h.lock_class(class);
+            let id = h.fresh_miniheap_locked(&mut st, class).unwrap();
+            let mh = st.slab.get(id).unwrap();
+            for &s in slots {
+                mh.bitmap().try_set(s);
+            }
+            st.bin_insert(id);
+            (id, h.base_addr() + st.slab.get(id).unwrap().span().byte_offset())
+        };
+        let (a, _) = make(&[0, 1, 2]);
+        let (b, b_start) = make(&[5, 6]);
+        let addr = b_start + 5 * 256;
+        let (page, stale) = h.resolve_free(addr).unwrap();
+        assert_eq!(stale.id, b);
+        let summary = meshing::mesh_all_classes(&h);
+        assert_eq!(summary.pairs_meshed, 1);
+        assert_eq!(h.resolve_free(addr).unwrap().1.id, a, "b was the source");
+        assert!(h.free_small(addr, page, stale, None), "followed the mesh");
+        assert!(!h.free_small(addr, page, stale, None), "and only once");
+        let s = h.counters.snapshot();
+        assert_eq!((s.frees, s.double_frees, s.invalid_frees), (1, 1, 0));
+        let st = h.lock_class(class);
+        assert_eq!(st.slab.get(a).unwrap().in_use(), 4);
+        // The source's id is a tombstone: not live, and not reissued.
+        assert!(st.slab.get(b).is_none());
+        drop(st);
+        let (c, _) = make(&[9]);
+        assert_ne!(c, b, "a tombstone's id is taken until the destination dies");
     }
 }

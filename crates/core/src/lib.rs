@@ -22,16 +22,16 @@
 //! | §4.3 Thread-local heaps | [`ThreadHeap`] |
 //! | §4.4 Global heap (sharded per size class) | [`Mesh`] |
 //! | §4.4.1 Meshable arena (segmented, grows on demand) | [`arena`], `segment` (internal), [`sys`] |
-//! | §4.4.4 Lock-free free routing | `page_map`, `remote_free` (internal) |
+//! | §4.4.4 Non-local frees: page-map lookup, atomic bitmap clear | `page_map` (internal), [`bitmap`], [`miniheap`] |
 //! | §3.3/§4.5 SplitMesher & meshing | [`meshing`] |
 //! | §4.5 Background meshing thread | `mesher` (internal), [`MeshConfig::background_meshing`] |
 //! | §4.5.2 Write barrier | [`barrier`] |
 //! | mesh-insight telemetry (this repo's extension) | [`telemetry`], [`Mesh::report`], [`Mesh::prom_text`] |
 //!
 //! Unlike the seed implementation's single global mutex, the global heap
-//! is sharded: each size class has its own lock and a lock-free MPSC
-//! remote-free queue, and meshing can run on a background thread — see
-//! DESIGN.md for the locking discipline.
+//! is sharded: each size class has its own lock, a non-local free clears
+//! its bit in the owning MiniHeap's bitmap without one, and meshing can
+//! run on a background thread — see DESIGN.md for the locking discipline.
 //!
 //! The paper's deployment vehicle lives in the sibling `mesh-abi` crate:
 //! `cargo build --release` emits `target/release/libmesh.so`, and
@@ -80,7 +80,6 @@ mod mesher;
 pub mod meshing;
 pub mod miniheap;
 mod page_map;
-mod remote_free;
 pub mod rng;
 mod segment;
 pub mod shuffle_vector;
@@ -90,7 +89,6 @@ pub mod stats;
 mod sync;
 pub mod sys;
 pub mod telemetry;
-mod transfer_cache;
 
 mod alloc_api;
 mod attached_set;

@@ -5,11 +5,11 @@
 //! own shuffle vector — plus a private PRNG. Small allocations pop from a
 //! member's vector with no locks or atomics; refills take only the *owning
 //! class's* shard lock, and large objects take the large + arena locks. A
-//! non-local small free takes no *heap* lock: it is buffered under this
-//! thread's own sender-buffer mutex (a leaf that only a stats flush from
-//! another thread ever contends for) and reaches the class's lock-free
-//! remote-free queue one batch at a time (see DESIGN.md's sharded locking
-//! discipline and "Fast path anatomy").
+//! non-local small free waits for no lock: it clears the object's bit in
+//! the owning MiniHeap's bitmap, counts itself on this thread's delta
+//! block, and only *tries* the class lock when the clear emptied a span or
+//! moved it across an occupancy bin (§4.4.4; DESIGN.md §3 and "Fast path
+//! anatomy").
 //!
 //! Both hot paths are O(1) and free of shared-cacheline traffic:
 //!
@@ -25,16 +25,15 @@
 //!   re-derived. (The first design scanned every class's attached span
 //!   per free — O(classes), and O(aliases) after meshing.)
 //!
-//! The page-map route also makes the local path *checkable*: slot-range,
-//! alignment, and double-free validation that used to exist only on the
-//! drain side now run before the shuffle vector is touched, so a hostile
-//! free is counted and discarded instead of corrupting the freelist.
+//! The page-map route also makes both paths *checkable*: slot range,
+//! alignment and double frees are validated before the shuffle vector or
+//! the bitmap is touched, so a hostile free is counted and discarded
+//! before `free` returns instead of corrupting the freelist.
 
 use crate::attached_set::AttachedSet;
 use crate::global_heap::GlobalHeap;
 use crate::harden::HardenKind;
 use crate::page_map::PageInfo;
-use crate::remote_free::SenderBufs;
 use crate::rng::Rng;
 use crate::size_classes::{SizeClass, NUM_SIZE_CLASSES};
 use crate::stats::{Counters, LocalCounters};
@@ -42,6 +41,10 @@ use crate::telemetry::{trace_tid, LocalHists, Telemetry, ThreadSampler, TimedOp,
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Non-local small frees of one thread per look at the inline meshing
+/// timer.
+const SETTLE_EVERY: u32 = 32;
 
 /// Where one free request is routed, as decided by a single page-map
 /// lookup (see [`ThreadHeapCore::route`]).
@@ -76,7 +79,7 @@ pub(crate) struct ThreadHeapCore {
     /// Fast-path counter deltas (single-writer; see [`LocalCounters`]).
     local: Arc<LocalCounters>,
     /// Per-thread latency histogram block (single-writer, like `local`):
-    /// the refill and transfer-flush timings land here without RMWs.
+    /// the refill timings land here without RMWs.
     hists: Arc<LocalHists>,
     /// Per-thread trace-event ring, present only under `MESH_TRACE=1`.
     /// Registered with the heap's [`crate::telemetry::TraceSet`]; the set
@@ -88,24 +91,13 @@ pub(crate) struct ThreadHeapCore {
     /// Geometric byte-sampling state (`None` when `MESH_PROF` is off: the
     /// fast path then pays exactly one branch on this field).
     sampler: Option<Box<ThreadSampler>>,
-    /// Per-class sender-side buffers of small remote frees, flushed as one
-    /// queue node per `transfer.batch()` frees (empty when `!batched`).
-    /// Shared (via the global heap's sender registry) so stats snapshots
-    /// and the exhaustion fallback can flush them from any thread.
-    remote_bufs: Arc<SenderBufs>,
-    /// Registry epoch at which `remote_bufs` was last registered; 0 means
-    /// never. The forked child bumps the heap's epoch after clearing its
-    /// registry, which makes every surviving core re-register lazily.
-    sender_epoch: u64,
-    /// Per-class remainder of a transfer-cache batch popped for refills:
-    /// claimed addresses this thread hands out before touching any lock.
-    cache: Vec<Vec<usize>>,
-    /// Whether this core participates in batched exchange. False for
-    /// cores that are never detached (the `GlobalAlloc` TLS heaps), whose
-    /// buffers could otherwise strand objects forever.
-    batched: bool,
+    /// Non-local small frees left until this thread next gives a due
+    /// inline meshing pass its chance ([`GlobalHeap::settle_after_free`]):
+    /// the rate limiter costs a lock and a clock read, which one free in
+    /// [`SETTLE_EVERY`] pays.
+    settle_in: u32,
     /// Delayed-reuse quarantine (hardened mode, `MESH_HARDEN` with
-    /// quarantine on): locally freed objects are parked here — poisoned,
+    /// quarantine on): freed small objects are parked here — poisoned,
     /// their slots still claimed — instead of becoming immediately
     /// reusable. Eviction order is randomized by the thread PRNG; evicted
     /// objects have their poison verified (a dangling write while parked
@@ -124,16 +116,13 @@ pub(crate) struct ThreadHeapCore {
 impl ThreadHeapCore {
     /// Creates a detached thread heap with identity `token`, registering
     /// its statistics delta block with `counters` and — when profiling is
-    /// on — a private sampler feeding `telemetry`. `batched` opts into
-    /// the transfer-cache exchange; pass false for cores with no teardown
-    /// path to flush their buffers.
+    /// on — a private sampler feeding `telemetry`.
     pub fn new(
         seed: u64,
         randomize: bool,
         token: u64,
         counters: Arc<Counters>,
         telemetry: Option<Arc<Telemetry>>,
-        batched: bool,
     ) -> Self {
         ThreadHeapCore {
             sets: (0..NUM_SIZE_CLASSES)
@@ -146,10 +135,7 @@ impl ThreadHeapCore {
             ring: counters.trace_set().map(|t| t.register_ring()),
             counters,
             sampler: telemetry.map(|t| Box::new(ThreadSampler::new(t, seed))),
-            remote_bufs: Arc::new(SenderBufs::new()),
-            sender_epoch: 0,
-            cache: (0..NUM_SIZE_CLASSES).map(|_| Vec::new()).collect(),
-            batched,
+            settle_in: SETTLE_EVERY,
             quarantine: Vec::new(),
             quarantine_set: std::collections::HashSet::new(),
             quarantine_bytes: 0,
@@ -204,32 +190,9 @@ impl ThreadHeapCore {
             };
         };
         let idx = class.index();
-        // Memory-pressure escalation (see the refill-failure arm below):
-        // 0 = normal, 1 = after flushing our own buffered remote frees,
-        // 2 = after purging the shared transfer cache.
-        let mut pressure = 0u8;
         loop {
             if let Some(addr) = self.sets[idx].malloc() {
                 return self.finish_alloc(state, addr, class);
-            }
-            // Every member exhausted: serve from the thread's popped batch, or
-            // pop a fresh transfer-cache batch — both without the class
-            // lock — before paying for a shard refill.
-            if self.batched {
-                if self.cache[idx].is_empty() && state.transfer.cache_enabled() {
-                    match state.transfer.pop(idx) {
-                        Some(batch) => {
-                            state.counters.transfer_hits.fetch_add(1, Ordering::Relaxed);
-                            self.cache[idx] = batch;
-                        }
-                        None => {
-                            state.counters.transfer_misses.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                if let Some(addr) = self.cache[idx].pop() {
-                    return self.finish_alloc(state, addr, class);
-                }
             }
             // Refill boundary: already taking the class lock, so fold the
             // batched deltas into the shared counters while we are here.
@@ -237,21 +200,10 @@ impl ThreadHeapCore {
             let refill_t0 = Instant::now();
             let refilled = state.refill(&mut self.sets[idx], class, self.token, &mut self.rng);
             self.record_op(TimedOp::Refill, refill_t0, idx as u64);
-            if refilled.is_err() {
-                // Before reporting exhaustion, return memory the heap is
-                // sitting on: first every sender's buffered remote frees
-                // (sub-batch buffers can pin the last free spans), then
-                // the whole transfer cache (cached objects keep their
-                // spans alive). Each step retries the full fast path.
-                match pressure {
-                    0 => {
-                        self.flush_remote(state);
-                        state.flush_all_senders();
-                    }
-                    1 => state.purge_transfer_all(),
-                    _ => return std::ptr::null_mut(),
-                }
-                pressure += 1;
+            // Before reporting exhaustion, destroy the spans frees emptied
+            // without getting their class lock; each is a span to carve.
+            if refilled.is_err() && !state.tidy_all_classes() {
+                return std::ptr::null_mut();
             }
         }
     }
@@ -280,17 +232,14 @@ impl ThreadHeapCore {
             // lookup is exactly the old "inside any attached span?" scan.
             let set = &self.sets[idx];
             if let Some(member) = set.find(info.id) {
-                let sv = set.vector(member);
                 let offset = addr - info.span_start(state.base_addr(), page);
-                let size = sv.object_size();
-                let slot = offset / size;
-                if !offset.is_multiple_of(size) || slot >= sv.object_count() {
-                    return FreeRoute::LocalInvalid;
-                }
-                return FreeRoute::Local {
-                    class_idx: idx,
-                    member,
-                    slot,
+                return match SizeClass::from_index(idx).slot_at(offset) {
+                    Some(slot) => FreeRoute::Local {
+                        class_idx: idx,
+                        member,
+                        slot,
+                    },
+                    None => FreeRoute::LocalInvalid,
                 };
             }
         }
@@ -299,8 +248,8 @@ impl ThreadHeapCore {
 
     /// Frees `ptr` (Fig 4, `MeshLocal::free`): handled by the owning
     /// member's shuffle vector when the object is local, else routed through the
-    /// global heap with the already-decoded page-map entry (lock-free
-    /// queue push for small objects, §4.4.4).
+    /// global heap with the already-decoded page-map entry (one atomic
+    /// bitmap clear for small objects, §4.4.4).
     ///
     /// # Safety
     ///
@@ -312,7 +261,7 @@ impl ThreadHeapCore {
     pub unsafe fn free(&mut self, state: &GlobalHeap, ptr: *mut u8) {
         let addr = ptr as usize;
         if let Some(s) = self.sampler.as_deref() {
-            // Retire a sampled object on any route (local, queued remote,
+            // Retire a sampled object on any route (local, non-local,
             // large). The global entry points hook themselves, so every
             // free is checked exactly once.
             s.telemetry().on_free(addr);
@@ -326,30 +275,36 @@ impl ThreadHeapCore {
                 state.harden_violation(HardenKind::DoubleFree, addr);
                 return;
             }
-            // Only local-route frees are parked: the remote path already
-            // defers reuse behind the queue drain, and large objects are
-            // covered by guard pages instead.
-            if let FreeRoute::Local {
-                class_idx,
-                member,
-                slot,
-            } = self.route(state, addr)
-            {
-                if !self.cache[class_idx].is_empty() && self.cache[class_idx].contains(&addr) {
-                    state.counters.double_frees.fetch_add(1, Ordering::Relaxed);
-                    state.harden_violation(HardenKind::DoubleFree, addr);
-                    return;
+            // Small objects are parked whichever route their free will
+            // take — once the bit of a non-local one is clear, the next
+            // attach can hand the slot out. Large objects are covered by
+            // guard pages instead.
+            let live_class = match self.route(state, addr) {
+                FreeRoute::Local {
+                    class_idx,
+                    member,
+                    slot,
+                } => (!self.sets[class_idx].vector(member).is_available(slot)).then_some(class_idx),
+                FreeRoute::Global { page, info } if !info.is_large() => {
+                    match state.check_small_live(addr, page, info) {
+                        Ok(()) => Some(info.class_code as usize),
+                        Err(HardenKind::DoubleFree) => None,
+                        // Misaligned, tail waste, dead span: `free_now`
+                        // reports it.
+                        Err(_) => return self.free_now(state, addr),
+                    }
                 }
-                if self.sets[class_idx].vector(member).is_available(slot) {
-                    state.counters.double_frees.fetch_add(1, Ordering::Relaxed);
-                    state.harden_violation(HardenKind::DoubleFree, addr);
-                    return;
-                }
-                let size = SizeClass::from_index(class_idx).object_size();
-                state.poison_object(addr, size, class_idx);
-                self.quarantine_push(state, addr, class_idx, size);
+                _ => return self.free_now(state, addr),
+            };
+            let Some(class_idx) = live_class else {
+                state.counters.double_frees.fetch_add(1, Ordering::Relaxed);
+                state.harden_violation(HardenKind::DoubleFree, addr);
                 return;
-            }
+            };
+            let size = SizeClass::from_index(class_idx).object_size();
+            state.poison_object(addr, size, class_idx);
+            self.quarantine_push(state, addr, class_idx, size);
+            return;
         }
         self.free_now(state, addr);
     }
@@ -365,17 +320,6 @@ impl ThreadHeapCore {
                 member,
                 slot,
             } => {
-                // A batch-cache-held slot has its claim bit set but is not
-                // in the vector's avail mask, so `free_slot` alone would
-                // accept a duplicate free of it *and* leave the address
-                // parked for a second hand-out. The membership scan is
-                // bounded by one batch and only runs while a partially
-                // consumed batch exists for this class.
-                if !self.cache[class_idx].is_empty() && self.cache[class_idx].contains(&addr) {
-                    state.counters.double_frees.fetch_add(1, Ordering::Relaxed);
-                    state.harden_violation(HardenKind::DoubleFree, addr);
-                    return;
-                }
                 let set = &mut self.sets[class_idx];
                 if set.free_slot(member, slot, &mut self.rng) {
                     let class = SizeClass::from_index(class_idx);
@@ -399,51 +343,20 @@ impl ThreadHeapCore {
                 state.harden_violation(HardenKind::InvalidFree, addr);
             }
             FreeRoute::Global { page, info } => {
-                // Small remote frees are buffered per class and flushed as
-                // one queue node per batch: the sender-side half of the
-                // transfer-cache amortization. Large objects (immediate
-                // page release) stay on the direct path.
-                if self.batched && !info.is_large() && state.transfer.batching_enabled() {
-                    // Make the buffers reachable by stats snapshots and the
-                    // exhaustion fallback before the first free can hide in
-                    // them. The epoch compare keeps this to one branch per
-                    // free; it re-fires only after a fork wipes the registry.
-                    if self.sender_epoch != state.sender_epoch() {
-                        self.sender_epoch = state.register_sender(&self.remote_bufs);
-                    }
-                    let idx = info.class_code as usize;
-                    let mut buf = self.remote_bufs.lock(idx);
-                    // An address still in the buffer cannot have been
-                    // re-allocated (its free has not drained), so a
-                    // second appearance is always a double free. The
-                    // check must precede the flush: flushing between the
-                    // two copies of a back-to-back pair would let the
-                    // second drain in a later epoch, after the slot's
-                    // claim bit may have been re-claimed by a re-attach.
-                    if buf.contains(&addr) {
-                        state.counters.double_frees.fetch_add(1, Ordering::Relaxed);
-                        state.harden_violation(HardenKind::DoubleFree, addr);
+                if !state.free_routed(addr, page, info, Some(&self.local)) {
+                    return;
+                }
+                // Large frees are rare and slow already; small ones share
+                // one look at the meshing timer between them.
+                if !info.is_large() {
+                    self.sets[info.class_code as usize].note_free_elsewhere();
+                    self.settle_in -= 1;
+                    if self.settle_in > 0 {
                         return;
                     }
-                    // Lazy flush: a full buffer is handed to the queue
-                    // before the *next* push, never between two adjacent
-                    // frees of the same address. The buf lock is a leaf —
-                    // drop it before the queue push takes nothing, but
-                    // settle_after_free may take shard locks.
-                    let full = if buf.len() >= state.transfer.batch() {
-                        Some(std::mem::take(&mut *buf))
-                    } else {
-                        None
-                    };
-                    buf.push(addr);
-                    drop(buf);
-                    if let Some(mut batch) = full {
-                        state.flush_remote_batch(idx, &mut batch);
-                        state.settle_after_free();
-                    }
-                } else {
-                    state.free_routed(addr, page, info);
+                    self.settle_in = SETTLE_EVERY;
                 }
+                state.settle_after_free();
             }
         }
     }
@@ -487,39 +400,19 @@ impl ThreadHeapCore {
         }
     }
 
-    /// Flushes every pending sender-side remote-free buffer (one batch
-    /// node per non-empty class). Lock-free; called at detach, by stats
-    /// readers that need settled queues, and on demand.
-    pub fn flush_remote(&mut self, state: &GlobalHeap) {
-        let t0 = Instant::now();
-        let mut flushed = 0u64;
-        for idx in 0..NUM_SIZE_CLASSES {
-            let mut buf = self.remote_bufs.take(idx);
-            if !buf.is_empty() {
-                state.flush_remote_batch(idx, &mut buf);
-                flushed += 1;
-            }
-        }
-        if flushed > 0 {
-            self.record_op(TimedOp::TransferFlush, t0, flushed);
-        }
-    }
-
     /// Folds this thread's batched statistics deltas into the shared
     /// counters immediately (normally they fold at refill boundaries).
     pub fn flush_stats(&self) {
         self.counters.flush_local(&self.local);
     }
 
-    /// Returns every member of every attached set to its class shard (thread exit),
-    /// flushes the remote-free buffers, parks the thread's batch-cache
-    /// remainders back in the transfer cache, and flushes the batched
-    /// statistics deltas. Nothing this thread held can be stranded.
+    /// Completes the quarantined frees, returns every member of every
+    /// attached set to its class shard (thread exit), and flushes the
+    /// batched statistics deltas. Nothing this thread held can be stranded.
     pub fn detach_all(&mut self, state: &GlobalHeap) {
         self.drain_quarantine(state);
-        self.flush_remote(state);
         for (idx, set) in self.sets.iter_mut().enumerate() {
-            state.release_set_and_cache(SizeClass::from_index(idx), set, &mut self.cache[idx]);
+            state.release_set(SizeClass::from_index(idx), set);
         }
         self.counters.flush_local(&self.local);
     }
@@ -562,7 +455,7 @@ mod tests {
     }
 
     fn core(counters: &Arc<Counters>, seed: u64, token: u64) -> ThreadHeapCore {
-        ThreadHeapCore::new(seed, true, token, Arc::clone(counters), None, true)
+        ThreadHeapCore::new(seed, true, token, Arc::clone(counters), None)
     }
 
     #[test]
@@ -587,10 +480,8 @@ mod tests {
         let mut heap = core(&counters, 2, 1);
         let p = heap.malloc(&state, 64);
         unsafe { heap.free(&state, p) };
-        state.drain_all();
         let s = counters.snapshot();
         assert_eq!(s.remote_frees, 0, "free stayed local");
-        assert_eq!(s.remote_free_queued, 0, "free never touched a queue");
     }
 
     #[test]
@@ -627,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn refills_and_flushes_feed_latency_histograms() {
+    fn refills_feed_latency_histograms() {
         let (state, counters) = setup();
         let mut a = core(&counters, 31, 1);
         let mut b = core(&counters, 32, 2);
@@ -641,37 +532,35 @@ mod tests {
         for p in ptrs {
             unsafe { b.free(&state, p) };
         }
-        b.flush_remote(&state);
         let snap = counters.snapshot();
         assert!(
             snap.latency.count(TimedOp::Refill) >= 2,
             "each span refill is timed: {:?}",
             snap.latency.count(TimedOp::Refill)
         );
-        assert!(
-            snap.latency.count(TimedOp::TransferFlush) >= 1,
-            "explicit remote flush is timed"
-        );
     }
 
     #[test]
-    fn cross_thread_free_goes_through_queue() {
+    fn cross_thread_free_is_settled_when_it_returns() {
         let (state, counters) = setup();
         let mut a = core(&counters, 5, 1);
         let mut b = core(&counters, 6, 2);
         let p = a.malloc(&state, 256);
-        // Thread B frees A's pointer: must take the queued global path
-        // (buffered in B until the batch fills or B flushes).
+        // Thread B frees A's pointer: the global path, counted on B's own
+        // delta block and visible at once.
         unsafe { b.free(&state, p) };
-        assert_eq!(counters.snapshot().remote_free_queued, 0, "buffered in sender");
-        b.flush_remote(&state);
-        assert_eq!(counters.snapshot().remote_free_queued, 1);
-        assert_eq!(counters.snapshot().remote_free_batches, 1);
-        state.drain_all();
         let s = counters.snapshot();
-        assert_eq!(s.remote_frees, 1);
-        assert_eq!(s.frees, 1);
-        assert_eq!(s.remote_free_drained, 1);
+        assert_eq!((s.remote_frees, s.frees, s.live_bytes), (1, 1, 0));
+        assert_eq!(s.remote_free_queued + s.remote_free_batches, 0, "nothing is queued");
+        // A's span is still attached, and A only fills: its next refill
+        // hands the span back, it rests two more refills, and then the
+        // slot comes back — exactly once.
+        let class = SizeClass::for_size(256).unwrap();
+        let got: Vec<usize> = (0..4 * class.object_count())
+            .map(|_| a.malloc(&state, 256) as usize)
+            .collect();
+        assert_eq!(got.iter().filter(|&&q| q == p as usize).count(), 1);
+        assert_eq!(counters.snapshot().refills, 5);
     }
 
     #[test]
@@ -683,14 +572,11 @@ mod tests {
         assert!(heap.attached_count() >= 2);
         heap.detach_all(&state);
         assert_eq!(heap.attached_count(), 0);
-        // Frees after detach go through the global heap and still work
-        // (buffered in the sender until flushed).
+        // Frees after detach go through the global heap and still work.
         unsafe {
             heap.free(&state, p1);
             heap.free(&state, p2);
         }
-        heap.flush_remote(&state);
-        state.drain_all();
         assert_eq!(counters.snapshot().remote_frees, 2);
         assert_eq!(counters.snapshot().live_bytes, 0);
     }
@@ -715,6 +601,40 @@ mod tests {
             }
         }
         assert!(got_null, "exhaustion must surface as null");
+    }
+
+    #[test]
+    fn exhaustion_first_reclaims_the_spans_frees_emptied() {
+        // A free that empties a span only lists it for the next holder of
+        // its class lock. When the arena has nothing else left, a refill of *another* class must
+        // find those pages before it reports exhaustion. (Both classes
+        // have one-page spans: the arena reuses a dirty span only at its
+        // exact length.)
+        let counters = Arc::new(Counters::default());
+        let st = GlobalHeap::new(
+            MeshConfig::default()
+                .arena_bytes(64 * 4096)
+                .seed(1)
+                .mesh_period(std::time::Duration::from_secs(3600))
+                .write_barrier(false),
+            Arc::clone(&counters),
+        )
+        .unwrap();
+        let mut a = core(&counters, 8, 1);
+        let ptrs: Vec<*mut u8> = std::iter::repeat_with(|| a.malloc(&st, 512))
+            .take_while(|p| !p.is_null())
+            .collect();
+        assert!(!ptrs.is_empty());
+        a.detach_all(&st);
+        let mut b = core(&counters, 9, 2);
+        assert!(b.malloc(&st, 64).is_null(), "the arena is full");
+        for p in ptrs {
+            unsafe { b.free(&st, p) };
+        }
+        let class = SizeClass::for_size(512).unwrap();
+        assert!(!st.lock_class(class).slab.is_empty(), "listed, not destroyed");
+        assert!(!b.malloc(&st, 64).is_null(), "the emptied spans were reclaimed");
+        assert!(st.lock_class(class).slab.is_empty());
     }
 
     #[test]
@@ -794,7 +714,7 @@ mod tests {
             .write_barrier(false);
         let state = GlobalHeap::new(config, Arc::clone(&counters)).unwrap();
         let mut heap =
-            ThreadHeapCore::new(5, true, 1, Arc::clone(&counters), state.telemetry.clone(), true);
+            ThreadHeapCore::new(5, true, 1, Arc::clone(&counters), state.telemetry.clone());
         let t = state.telemetry.as_ref().unwrap();
         let mut live = Vec::new();
         for i in 0..4000usize {
@@ -810,7 +730,6 @@ mod tests {
         for p in live {
             unsafe { heap.free(&state, p) };
         }
-        state.drain_all();
         let s = t.stats();
         assert_eq!(s.live_samples, 0, "every sampled object retired");
         assert_eq!(s.live_bytes_estimate, 0);
@@ -917,7 +836,6 @@ mod tests {
             for h in &mut heaps {
                 h.detach_all(&state);
             }
-            state.drain_all();
             let s = counters.snapshot();
             assert_eq!(s.live_bytes, 0, "seed {seed}: accounting balanced");
             assert_eq!(s.mallocs, s.frees, "seed {seed}: every object freed once");
@@ -1000,7 +918,7 @@ mod tests {
         }
         let s = counters.snapshot();
         assert_eq!((s.frees - s0.frees, s.double_frees), (1, 1));
-        assert_eq!(s.remote_free_queued, 0, "neither free left the thread");
+        assert_eq!(s.remote_frees, 0, "neither free left the thread");
         for &q in &ptrs[1..] {
             unsafe { heap.free(&state, q as *mut u8) };
         }
@@ -1070,7 +988,7 @@ mod tests {
         unsafe { heap.free(&state, ptrs[per_span * 3 - 1] as *mut u8) };
         let s = counters.snapshot();
         assert_eq!((s.invalid_frees, s.double_frees), (1, 0));
-        assert_eq!(s.remote_free_queued, 0, "every free stayed in the thread");
+        assert_eq!(s.remote_frees, 0, "every free stayed in the thread");
         assert_eq!(s.mallocs, s.frees);
         assert_eq!(s.live_bytes, 0);
     }

@@ -3,20 +3,26 @@
 //!
 //! A pass runs one size class at a time, holding only that class's shard
 //! lock (plus the arena leaf lock around the virtual-memory operations) —
-//! see DESIGN.md's locking discipline. For each class it first drains the
-//! class's remote-free queue (so occupancy reflects every queued free),
-//! then collects the detached, partially-occupied MiniHeaps, randomly
-//! splits them into two halves, and probes pairs between the halves at
-//! most `t` times per span (Figure 2). Candidate pairs found by
-//! SplitMesher are recorded and then meshed en masse (§4.5).
+//! see DESIGN.md's locking discipline. For each class it collects the
+//! detached, partially-occupied MiniHeaps — reading each bitmap afresh,
+//! since frees clear bits without the lock and the bins lag them —
+//! randomly splits them into two halves, and probes pairs between the
+//! halves at most `t` times per span (Figure 2). Candidate pairs found by
+//! SplitMesher are recorded and then meshed en masse (§4.5). Frees keep
+//! arriving throughout; only an attach sets bits, and it needs the lock,
+//! so a pair found disjoint stays disjoint.
 //!
 //! Meshing a pair is the two-step §4.5 process. With the source span
-//! write-protected behind the §4.5.2 barrier, every live object of the
-//! source is copied *to the same slot offset* in the destination span —
-//! no application pointer changes because the virtual addresses of the
-//! source span survive: its mapping is atomically retargeted at the
-//! destination's physical span, and the source's physical pages return to
-//! the OS. The ordering of release vs. remap depends on the release
+//! write-protected behind the §4.5.2 barrier and the class's mesh epoch
+//! odd, the source's bitmap is *taken* word by word (`swap(0)`) and every
+//! object whose bit was taken is copied *to the same slot offset* in the
+//! destination span, whose bit is set — an object freed before its word
+//! was taken is not copied, and a free that arrives after finds the bit
+//! gone, waits for the epoch to turn even, and finds the object in the
+//! destination (DESIGN.md §3). No application pointer changes because the
+//! virtual addresses of the source span survive: its mapping is
+//! atomically retargeted at the destination's physical span, and the
+//! source's physical pages return to the OS. The ordering of release vs. remap depends on the release
 //! primitive (see [`crate::sys::ReleaseStrategy`]): punch-hole variants
 //! release *after* the remap (by file offset, or through a scratch
 //! mapping) so concurrent readers never observe zeros; the `MADV_DONTNEED`
@@ -28,7 +34,7 @@
 //! make concurrent passes safe, and the scheduler's claim-based timer
 //! makes them rare.
 
-use crate::global_heap::{ClassState, GlobalHeap, PARTIAL_BINS};
+use crate::global_heap::{ClassState, GlobalHeap};
 use crate::miniheap::MiniHeapId;
 use crate::size_classes::{SizeClass, PAGE_SIZE};
 use crate::span::Span;
@@ -88,28 +94,23 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap) -> MeshSummary {
     let mut summary = MeshSummary::default();
     let mut candidates_scanned = 0u64;
     let mut rejected = [0u64; REJECT_REASONS];
-    // Every class drains — non-meshable classes (≥ one page per object)
-    // still rely on passes to apply queued remote frees promptly.
+    // Every class is visited — non-meshable classes (≥ one page per
+    // object) still rely on passes for the spans frees emptied without
+    // getting the class lock.
     for class in SizeClass::all() {
         let (mut st, contended) = heap.lock_class_reporting(class);
         if contended {
             rejected[RejectReason::ClassContention as usize] += 1;
         }
-        heap.drain_class_locked(class, &mut st);
+        heap.tidy_locked(class, &mut st);
         if !class.is_meshable() {
             continue;
         }
-        // Cached objects hold claim bits that inflate occupancy; return
-        // them to their spans so candidate collection sees the truth (and
-        // empty-but-cached spans get reclaimed rather than pinned). Every
-        // flushed object marks a span the cache was pinning.
-        rejected[RejectReason::PinnedTransfer as usize] +=
-            heap.purge_transfer_locked(class, &mut st);
         // The selection phase is timed even when it comes up dry: the
         // partial-bin scan is the `t`-bounded search cost the histogram
         // exists to expose, and a dry scan (arg 0) is still that cost.
         let select_t0 = Instant::now();
-        let candidates = collect_candidates(heap, &st);
+        let candidates = collect_candidates(heap, &mut st);
         candidates_scanned += candidates.len() as u64;
         if candidates.len() < 2 {
             heap.counters.record_slow(TimedOp::MeshCandidates, select_t0, 0);
@@ -157,18 +158,28 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap) -> MeshSummary {
 
 /// Collects the detached MiniHeaps of `class` that are eligible for
 /// meshing: partially occupied, below the occupancy cutoff, and with room
-/// left in their virtual-span list.
-fn collect_candidates(heap: &GlobalHeap, st: &ClassState) -> Vec<MiniHeapId> {
+/// left in their virtual-span list. The partial bins say where to look;
+/// occupancy is read from the bitmaps, which frees clear without the lock
+/// and without moving a span between partial bins — so each span seen is
+/// also refiled under the bin it belongs in, or destroyed if nothing in
+/// it is live.
+fn collect_candidates(heap: &GlobalHeap, st: &mut ClassState) -> Vec<MiniHeapId> {
     let cutoff = heap.rt.occupancy_cutoff();
     let max_spans = heap.rt.max_span_count();
+    let filed: Vec<MiniHeapId> = st.bins.partial.iter().flatten().copied().collect();
     let mut out = Vec::new();
-    for bin in 0..PARTIAL_BINS {
-        for &id in &st.bins.partial[bin] {
-            let mh = st.slab.get(id).expect("binned ids are live");
-            debug_assert!(!mh.is_attached());
-            if mh.occupancy() <= cutoff && mh.span_count() < max_spans {
-                out.push(id);
-            }
+    for id in filed {
+        heap.settle_locked(st, id);
+        // Destroyed just now if nothing in it was live.
+        let Some(mh) = st.slab.get(id) else { continue };
+        debug_assert!(!mh.is_attached());
+        let (in_use, count) = (mh.in_use(), mh.object_count());
+        if in_use > 0
+            && in_use < count
+            && in_use as f64 / count as f64 <= cutoff
+            && mh.span_count() < max_spans
+        {
+            out.push(id);
         }
     }
     out
@@ -264,14 +275,9 @@ fn mesh_pair(
     };
 
     let arena_base = heap.base_addr();
-    let (src_spans, src_slots, object_size, src_primary) = {
+    let (src_spans, object_size, src_primary) = {
         let src = st.slab.get(src_id).expect("mesh source is live");
-        (
-            src.virtual_spans().to_vec(),
-            src.bitmap().iter_set().collect::<Vec<_>>(),
-            src.object_size(),
-            src.span(),
-        )
+        (src.virtual_spans().to_vec(), src.object_size(), src.span())
     };
     let dst_primary = st.slab.get(dst_id).expect("mesh dest is live").span();
     debug_assert_eq!(src_primary.pages, dst_primary.pages);
@@ -293,10 +299,11 @@ fn mesh_pair(
 
     // Hardened canary sweep: with the sources frozen behind the barrier,
     // every *free* slot of both primaries must still hold its class
-    // canary (written when the slot died). A corrupt canary means a
-    // dangling write landed in memory this pair is about to copy over or
-    // alias; refuse to mesh and surface the violation instead of baking
-    // the corruption into a shared physical span.
+    // canary (written when the slot died — before its bit was cleared, so
+    // a clear bit always has one). A corrupt canary means a dangling write
+    // landed in memory this pair is about to copy over or alias; refuse to
+    // mesh and surface the violation instead of baking the corruption into
+    // a shared physical span.
     if heap.harden.canary_on() {
         let canary = heap.canary(class.index());
         let mut bad = None;
@@ -329,30 +336,41 @@ fn mesh_pair(
         }
     }
 
-    // Copy each live source object to the same slot of the destination.
+    // Consume the source: from here to `end_consume` a free that finds its
+    // bit gone waits. Take the bitmap a word at a time and copy exactly the
+    // objects whose bits were taken, each to the same slot of the
+    // destination. A free that cleared its bit first is simply not copied.
+    heap.begin_consume(class);
+    let mut copied = 0u64;
     {
+        let src = st.slab.get(src_id).expect("mesh source is live");
         let dst = st.slab.get(dst_id).expect("mesh dest is live");
         let src_base = arena_base + src_primary.byte_offset();
         let dst_base = arena_base + dst_primary.byte_offset();
-        for &slot in &src_slots {
-            let claimed = dst.bitmap().try_set(slot);
-            debug_assert!(claimed, "mesh candidates were not disjoint");
-            // SAFETY: both addresses lie in the arena mapping; slots are
-            // in-bounds; the ranges cannot overlap (distinct spans); the
-            // write barrier prevents concurrent writes to the source.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    (src_base + slot * object_size) as *const u8,
-                    (dst_base + slot * object_size) as *mut u8,
-                    object_size,
-                );
+        for word in 0..crate::bitmap::WORDS {
+            let mut taken = src.bitmap().take_word(word);
+            while taken != 0 {
+                let slot = word * 64 + taken.trailing_zeros() as usize;
+                taken &= taken - 1;
+                let claimed = dst.bitmap().try_set(slot);
+                debug_assert!(claimed, "mesh candidates were not disjoint");
+                // SAFETY: both addresses lie in the arena mapping; slots are
+                // in-bounds; the ranges cannot overlap (distinct spans); the
+                // write barrier prevents concurrent writes to the source.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(
+                        (src_base + slot * object_size) as *const u8,
+                        (dst_base + slot * object_size) as *mut u8,
+                        object_size,
+                    );
+                }
+                copied += 1;
             }
-            summary.bytes_copied += object_size;
         }
     }
+    summary.bytes_copied += copied as usize * object_size;
 
-    heap.counters
-        .record_slow(TimedOp::MeshCopy, copy_t0, src_slots.len() as u64);
+    heap.counters.record_slow(TimedOp::MeshCopy, copy_t0, copied);
 
     // Remap phase: physical release + alias retargeting through the
     // barrier drop.
@@ -370,6 +388,7 @@ fn mesh_pair(
             .expect("mesh remap failed");
         heap.page_map.set_span(vs, dst_id, class.index() as u8);
     }
+    heap.end_consume(class);
     if !release_before_remap {
         arena.release_after_remap(src_primary);
     }
@@ -382,15 +401,16 @@ fn mesh_pair(
         .record_slow(TimedOp::MeshRemap, remap_t0, src_spans.len() as u64);
     drop(arena);
 
-    // Fold the source's spans into the destination MiniHeap and retire it.
+    // Fold the source into the destination MiniHeap. Its id stays behind
+    // as a tombstone, its bitmap all zero, until the destination dies.
     st.bin_remove(src_id);
-    let src = st.slab.remove(src_id);
-    debug_assert_eq!(src.bitmap().in_use(), src_slots.len());
+    let src = st.slab.retire(src_id);
     st.slab
         .get_mut(dst_id)
         .expect("mesh dest is live")
-        .absorb_spans(&src_spans);
-    st.rebin(dst_id);
+        .absorb(src, src_id);
+    // Frees may have emptied the destination meanwhile.
+    heap.settle_locked(st, dst_id);
 
     summary.pairs_meshed += 1;
     summary.pages_released += src_primary.pages as usize;
@@ -529,9 +549,8 @@ mod tests {
         assert!(h.free_global(addr_a + 512));
         assert!(h.free_global(addr_b + 6 * 512));
         assert!(h.free_global(addr_b + 7 * 512));
-        h.drain_all();
         {
-            let st = h.lock_class(class);
+            let st = h.lock_class_swept(class);
             assert_eq!(st.slab.len(), 0, "survivor destroyed when empty");
         }
         // Identity restored: both page ranges unowned again.
@@ -549,7 +568,7 @@ mod tests {
             detached_with_slots(&h, class, &slots, i as u8);
         }
         let mut st = h.lock_class(class);
-        let candidates = collect_candidates(&h, &st);
+        let candidates = collect_candidates(&h, &mut st);
         assert_eq!(candidates.len(), 8);
         let mut probes = 0;
         let mut rejects = 0u64;
@@ -595,8 +614,8 @@ mod tests {
         let dense: Vec<usize> = (0..count * 3 / 4).collect();
         detached_with_slots(&h, class, &dense, 1);
         detached_with_slots(&h, class, &[0], 2);
-        let st = h.lock_class(class);
-        let candidates = collect_candidates(&h, &st);
+        let mut st = h.lock_class(class);
+        let candidates = collect_candidates(&h, &mut st);
         assert_eq!(candidates.len(), 1);
     }
 
@@ -608,27 +627,65 @@ mod tests {
         let mut rng = Rng::with_seed(1);
         h.refill(&mut set, class, 1, &mut rng).unwrap();
         set.malloc().unwrap();
-        let st = h.lock_class(class);
-        assert!(collect_candidates(&h, &st).is_empty());
+        let mut st = h.lock_class(class);
+        assert!(collect_candidates(&h, &mut st).is_empty());
     }
 
     #[test]
-    fn non_meshable_classes_skipped_but_still_drained() {
+    fn non_meshable_classes_skipped_but_still_swept() {
         let h = heap(7);
         let class = SizeClass::for_size(8192).unwrap();
         assert!(!class.is_meshable());
         let a = detached_with_slots(&h, class, &[0], 1);
         detached_with_slots(&h, class, &[1], 2);
-        // Queue a remote free for the non-meshable class, then run a pass:
-        // the pass must not mesh it but must apply the queued free.
-        let addr = {
-            let st = h.lock_class(class);
-            h.base_addr() + st.slab.get(a).unwrap().span().byte_offset()
-        };
-        assert!(h.free_global(addr), "free enqueues on the class queue");
+        // Empty the first span while its class lock is held — the free
+        // cannot destroy it — then run a pass: the pass must not mesh the
+        // class but must reclaim the span.
+        let guard = h.lock_class(class);
+        let addr = h.base_addr() + guard.slab.get(a).unwrap().span().byte_offset();
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(h.free_global_deferred(addr)));
+        });
+        assert!(guard.slab.get(a).is_some());
+        drop(guard);
         let summary = mesh_all_classes(&h);
         assert_eq!(summary.pairs_meshed, 0);
         let st = h.lock_class(class);
-        assert!(st.slab.get(a).is_none(), "queued free not applied by the pass");
+        assert!(st.slab.get(a).is_none(), "emptied span not reclaimed by the pass");
+    }
+
+    #[test]
+    fn mesh_pair_copies_exactly_the_bits_it_took() {
+        // An object freed between SplitMesher's probe and the copy is not
+        // copied, and the destination does not inherit its bit.
+        let h = heap(8);
+        let class = SizeClass::for_size(256).unwrap();
+        let a = detached_with_slots(&h, class, &[0, 2, 4, 6], 0xAA);
+        let b = detached_with_slots(&h, class, &[1, 3], 0xBB);
+        let mut st = h.lock_class(class);
+        let b_start = h.base_addr() + st.slab.get(b).unwrap().span().byte_offset();
+        // A free of b's slot 3 lands now (the lock is ours, so the span
+        // just stays filed where it was).
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(h.free_global_deferred(b_start + 3 * 256)));
+        });
+        let mut summary = MeshSummary::default();
+        let mut rejected = [0u64; REJECT_REASONS];
+        mesh_pair(&h, &mut st, class, a, b, &mut summary, &mut rejected);
+        assert_eq!(summary.pairs_meshed, 1);
+        assert_eq!(summary.bytes_copied, 256, "one live object in the source");
+        let survivor = st.slab.get(a).expect("the fuller span is the destination");
+        assert_eq!(survivor.bitmap().iter_set().collect::<Vec<_>>(), [0, 1, 2, 4, 6]);
+        assert_eq!(unsafe { *((b_start + 256) as *const u8) }, 0xBB);
+        drop(st);
+        // The survivor dies through both spans; the tombstone id comes back.
+        assert!(h.free_global(b_start + 256));
+        let a_start = h.base_addr() + h.lock_class(class).slab.get(a).unwrap().span().byte_offset();
+        for slot in [0, 2, 4, 6] {
+            assert!(h.free_global(a_start + slot * 256));
+        }
+        assert_eq!(h.lock_class_swept(class).slab.len(), 0);
+        let s = h.counters.snapshot();
+        assert_eq!((s.frees, s.double_frees, s.invalid_frees), (6, 0, 0));
     }
 }

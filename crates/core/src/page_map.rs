@@ -15,9 +15,9 @@
 //! bits 48..64   reserved (zero)
 //! ```
 //!
-//! With `(class, page index)` in hand, a non-local free can compute its
-//! slot offset and route itself to the owning class's remote-free queue
-//! without touching any lock. See DESIGN.md ("Sharded locking
+//! With `(id, class, page index)` in hand, a non-local free can compute
+//! its slot offset and reach the owning MiniHeap's bitmap in the class's
+//! bitmap table without touching any lock. See DESIGN.md ("Sharded locking
 //! discipline"): entries are *written* only while holding the arena lock
 //! (span hand-out, death, and mesh retargeting are arena operations), and
 //! read lock-free from anywhere; `Release` stores pair with `Acquire`

@@ -139,6 +139,24 @@ impl SizeClass {
         self.span_bytes() / self.object_size()
     }
 
+    /// The slot whose object starts at byte `offset` of a span of this
+    /// class, or `None` if no object starts there: an interior pointer, or
+    /// the tail waste past the last slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if `offset` is not inside a span of this class.
+    #[inline]
+    pub fn slot_at(self, offset: usize) -> Option<usize> {
+        debug_assert!(offset < self.span_bytes());
+        // Every free comes through here. Spans are at most 128 KiB, so
+        // 32-bit arithmetic will do — one narrow division for quotient and
+        // remainder — and the last slot is the last object that fits.
+        let (offset, size) = (offset as u32, self.object_size() as u32);
+        (offset.is_multiple_of(size) && offset + size <= self.span_bytes() as u32)
+            .then_some((offset / size) as usize)
+    }
+
     /// Whether spans of this class participate in meshing.
     ///
     /// Objects of 4 KiB and larger are page-aligned, span whole pages and
@@ -217,6 +235,21 @@ mod tests {
     fn large_requests_have_no_class() {
         assert_eq!(SizeClass::for_size(MAX_SMALL_SIZE + 1), None);
         assert_eq!(SizeClass::for_size(1 << 30), None);
+    }
+
+    #[test]
+    fn slot_at_accepts_object_starts_only() {
+        for c in SizeClass::all() {
+            let (size, count) = (c.object_size(), c.object_count());
+            for offset in 0..c.span_bytes() {
+                let starts = offset % size == 0 && offset / size < count;
+                assert_eq!(c.slot_at(offset), starts.then_some(offset / size), "{c}: {offset}");
+            }
+        }
+        // 4096 % 48 != 0: the span ends in tail waste.
+        let c = SizeClass::for_size(48).unwrap();
+        assert_eq!(c.slot_at(48 * c.object_count()), None);
+        assert!(48 * c.object_count() < c.span_bytes());
     }
 
     #[test]

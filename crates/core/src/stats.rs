@@ -72,14 +72,15 @@ impl Drop for MeshPassScope<'_> {
 /// Single-writer: only the owning thread may call the `on_*` methods (they
 /// are unsynchronized load+store increments); any thread may read. Byte
 /// counters are monotonic — live bytes are derived as allocated − freed —
-/// so the snapshot sum stays exact under wrapping arithmetic even when a
-/// remote free is applied to the shared counters before the matching
-/// allocation delta has been flushed.
+/// so the snapshot sum stays exact under wrapping arithmetic even when
+/// another thread's free of an object is folded into the shared counters
+/// before the allocating thread's delta is.
 #[derive(Debug, Default)]
 #[repr(align(64))] // a cacheline per thread: no false sharing between blocks
 pub struct LocalCounters {
     mallocs: AtomicU64,
     frees: AtomicU64,
+    remote_frees: AtomicU64,
     alloc_bytes: AtomicU64,
     freed_bytes: AtomicU64,
 }
@@ -105,6 +106,14 @@ impl LocalCounters {
     pub fn on_free(&self, bytes: usize) {
         bump(&self.frees, 1);
         bump(&self.freed_bytes, bytes as u64);
+    }
+
+    /// Records one non-local free of `bytes` — an object of a span this
+    /// thread has not attached — made by the owner thread.
+    #[inline]
+    pub fn on_remote_free(&self, bytes: usize) {
+        bump(&self.remote_frees, 1);
+        self.on_free(bytes);
     }
 }
 
@@ -136,20 +145,6 @@ pub struct Counters {
     pub live_bytes: AtomicUsize,
     /// Shuffle-vector refills (each takes exactly one class lock).
     pub refills: AtomicU64,
-    /// Non-local frees pushed onto a lock-free remote-free queue.
-    pub remote_free_queued: AtomicU64,
-    /// Remote-free queue entries applied under a class lock.
-    pub remote_free_drained: AtomicU64,
-    /// Refills served by popping a transfer-cache batch (no class lock).
-    pub transfer_hits: AtomicU64,
-    /// Refills that found the transfer cache empty and fell back to the
-    /// class shard.
-    pub transfer_misses: AtomicU64,
-    /// Batches pushed into the transfer cache (drain recycling, detach
-    /// spills, thread-cache returns).
-    pub transfer_spills: AtomicU64,
-    /// Sender-side remote-free batches flushed as single queue nodes.
-    pub remote_free_batches: AtomicU64,
     /// Times a class lock was found contended (per size class): the
     /// sharding metric — the seed's single global mutex counted every
     /// cross-class collision here.
@@ -212,6 +207,7 @@ impl Counters {
     pub fn flush_local(&self, block: &LocalCounters) {
         let mallocs = block.mallocs.swap(0, Ordering::Relaxed);
         let frees = block.frees.swap(0, Ordering::Relaxed);
+        let remote = block.remote_frees.swap(0, Ordering::Relaxed);
         let alloc = block.alloc_bytes.swap(0, Ordering::Relaxed);
         let freed = block.freed_bytes.swap(0, Ordering::Relaxed);
         if mallocs > 0 {
@@ -220,9 +216,12 @@ impl Counters {
         if frees > 0 {
             self.frees.fetch_add(frees, Ordering::Relaxed);
         }
+        if remote > 0 {
+            self.remote_frees.fetch_add(remote, Ordering::Relaxed);
+        }
         // fetch_add/fetch_sub wrap, so a transiently "negative" shared
-        // live_bytes (remote free applied before the allocating thread
-        // flushed) still sums to the exact value in `snapshot`.
+        // live_bytes (the freeing thread flushed before the allocating
+        // one) still sums to the exact value in `snapshot`.
         if alloc > 0 {
             self.live_bytes.fetch_add(alloc as usize, Ordering::Relaxed);
         }
@@ -253,14 +252,21 @@ impl Counters {
     }
 
     /// Sums the pending deltas of every registered thread block.
-    fn local_sums(&self) -> (u64, u64, u64, u64) {
+    /// (mallocs, frees, remote frees, allocated bytes, freed bytes).
+    fn local_sums(&self) -> [u64; 5] {
         let locals = self.locals.lock();
-        let mut sums = (0u64, 0u64, 0u64, 0u64);
+        let mut sums = [0u64; 5];
         for b in locals.iter() {
-            sums.0 = sums.0.wrapping_add(b.mallocs.load(Ordering::Relaxed));
-            sums.1 = sums.1.wrapping_add(b.frees.load(Ordering::Relaxed));
-            sums.2 = sums.2.wrapping_add(b.alloc_bytes.load(Ordering::Relaxed));
-            sums.3 = sums.3.wrapping_add(b.freed_bytes.load(Ordering::Relaxed));
+            let block = [
+                &b.mallocs,
+                &b.frees,
+                &b.remote_frees,
+                &b.alloc_bytes,
+                &b.freed_bytes,
+            ];
+            for (sum, cell) in sums.iter_mut().zip(block) {
+                *sum = sum.wrapping_add(cell.load(Ordering::Relaxed));
+            }
         }
         sums
     }
@@ -369,11 +375,11 @@ impl Counters {
     /// Pending per-thread deltas are summed in, so totals are exact
     /// whenever the heap is quiescent — no flush required.
     pub fn snapshot(&self) -> HeapStats {
-        let (l_mallocs, l_frees, l_alloc, l_freed) = self.local_sums();
+        let [l_mallocs, l_frees, l_remote, l_alloc, l_freed] = self.local_sums();
         HeapStats {
             mallocs: self.mallocs.load(Ordering::Relaxed).wrapping_add(l_mallocs),
             frees: self.frees.load(Ordering::Relaxed).wrapping_add(l_frees),
-            remote_frees: self.remote_frees.load(Ordering::Relaxed),
+            remote_frees: self.remote_frees.load(Ordering::Relaxed).wrapping_add(l_remote),
             invalid_frees: self.invalid_frees.load(Ordering::Relaxed),
             double_frees: self.double_frees.load(Ordering::Relaxed),
             large_allocs: self.large_allocs.load(Ordering::Relaxed),
@@ -393,12 +399,12 @@ impl Counters {
                 .wrapping_add(l_alloc as usize)
                 .wrapping_sub(l_freed as usize),
             refills: self.refills.load(Ordering::Relaxed),
-            remote_free_queued: self.remote_free_queued.load(Ordering::Relaxed),
-            remote_free_drained: self.remote_free_drained.load(Ordering::Relaxed),
-            transfer_hits: self.transfer_hits.load(Ordering::Relaxed),
-            transfer_misses: self.transfer_misses.load(Ordering::Relaxed),
-            transfer_spills: self.transfer_spills.load(Ordering::Relaxed),
-            remote_free_batches: self.remote_free_batches.load(Ordering::Relaxed),
+            remote_free_queued: 0,
+            remote_free_drained: 0,
+            transfer_hits: 0,
+            transfer_misses: 0,
+            transfer_spills: 0,
+            remote_free_batches: 0,
             class_lock_contention: std::array::from_fn(|i| {
                 self.class_lock_contention[i].load(Ordering::Relaxed)
             }),
@@ -476,17 +482,20 @@ pub struct HeapStats {
     pub live_bytes: usize,
     /// Shuffle-vector refills (one class-lock acquisition each).
     pub refills: u64,
-    /// Non-local frees enqueued lock-free (§4.4.4 sharded path).
+    /// Retired, always 0: there is no remote-free queue (a non-local free
+    /// clears its bit itself; `remote_frees` counts them). Kept, with the
+    /// five fields below, for `mesh-bench`, which reads them by name; the
+    /// next benchmark change drops them together with its rows.
     pub remote_free_queued: u64,
-    /// Queued remote frees applied under their class lock.
+    /// Retired, always 0 (see `remote_free_queued`).
     pub remote_free_drained: u64,
-    /// Refills served by popping a transfer-cache batch (no class lock).
+    /// Retired, always 0: there is no transfer cache.
     pub transfer_hits: u64,
-    /// Refills that missed the transfer cache and took the class lock.
+    /// Retired, always 0 (see `transfer_hits`).
     pub transfer_misses: u64,
-    /// Batches pushed into the transfer cache (recycle/spill/return).
+    /// Retired, always 0 (see `transfer_hits`).
     pub transfer_spills: u64,
-    /// Sender-side remote-free batches flushed as single queue nodes.
+    /// Retired, always 0 (see `remote_free_queued`).
     pub remote_free_batches: u64,
     /// Contended class-lock acquisitions, per size class.
     pub class_lock_contention: [u64; NUM_SIZE_CLASSES],
@@ -792,19 +801,22 @@ mod tests {
 
     #[test]
     fn remote_free_before_flush_sums_exactly() {
-        // Thread A allocates (delta unflushed); the remote drain frees it
-        // against the shared counter first. The transient shared value
-        // wraps, but the snapshot sum is exact.
+        // Thread A allocates (delta unflushed); thread B frees the object
+        // and its delta reaches the shared counter first. The transient
+        // shared value wraps, but the snapshot sum is exact.
         let c = Counters::default();
-        let block = c.register_local();
-        block.on_malloc(4096);
-        c.live_bytes.fetch_sub(4096, Ordering::Relaxed); // drain-side free
-        c.frees.fetch_add(1, Ordering::Relaxed);
+        let a = c.register_local();
+        let b = c.register_local();
+        a.on_malloc(4096);
+        b.on_remote_free(4096);
+        assert_eq!(c.snapshot().remote_frees, 1, "pending deltas are summed in");
+        c.flush_local(&b);
         let s = c.snapshot();
         assert_eq!(s.live_bytes, 0);
         assert_eq!(s.mallocs, 1);
-        assert_eq!(s.frees, 1);
-        c.unregister_local(&block);
+        assert_eq!((s.frees, s.remote_frees), (1, 1));
+        c.unregister_local(&a);
+        c.unregister_local(&b);
         assert_eq!(c.snapshot().live_bytes, 0);
     }
 

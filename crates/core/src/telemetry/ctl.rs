@@ -29,7 +29,7 @@
 //! `set` accepts only knobs whose application is a single atomic store
 //! on state that every reader already tolerates changing between two
 //! loads: `meshing`, `mesh_period_ms`, `probe_limit`,
-//! `sense_interval_ms`, `trace`, `prof_sample_bytes`, `transfer_batch`.
+//! `sense_interval_ms`, `trace`, `prof_sample_bytes`.
 //! Structural configuration (arena size, size classes, hardening,
 //! enabling a subsystem that was built disabled) is rejected — those
 //! choices sized tables and spawned state at heap birth, and no lock
@@ -49,7 +49,7 @@
 //! complete envelope or a clean EOF, never a torn frame. The mutex is a
 //! *leaf* in the lock order — [`CtlState::tick`] extracts complete
 //! request lines under it, **drops it** while the dispatcher computes
-//! responses (dispatch takes class/arena/sender locks that `lock_all`
+//! responses (dispatch takes class/arena locks that `lock_all`
 //! acquires before the ctl lock; holding the ctl lock across dispatch
 //! would invert that order and deadlock a concurrent `fork`), then
 //! re-acquires it to write the frames. The child drops every inherited
@@ -272,7 +272,7 @@ impl CtlState {
 
     /// Holds the I/O lock (fork quiescence: no response write may be in
     /// flight across `fork`). Ordered after every other `lock_all` guard,
-    /// and a strict *leaf*: `tick` never acquires a class/arena/sender
+    /// and a strict *leaf*: `tick` never acquires a class/arena
     /// lock while holding it — dispatch runs with it dropped — so taking
     /// it last can never invert against the shard order.
     pub(crate) fn lock_io(&self) -> MutexGuard<'_, CtlIo> {
@@ -309,7 +309,7 @@ impl CtlState {
     ///
     /// Three phases around the I/O lock, which is a leaf in the heap's
     /// lock order: accept/read under the lock, dispatch with the lock
-    /// **dropped** (the handlers take class/arena/sender locks that
+    /// **dropped** (the handlers take class/arena locks that
     /// `GlobalHeap::lock_all` orders before the ctl lock — holding the
     /// ctl lock here would ABBA-deadlock a concurrent `fork`), then
     /// re-acquire to write the response frames. A connection that
@@ -485,7 +485,7 @@ fn help() -> String {
     let reports: Vec<&str> = Report::ALL.iter().map(|k| k.name()).collect();
     format!(
         "{} mesh_now madvise_now set help\nknobs: meshing mesh_period_ms probe_limit \
-         sense_interval_ms trace prof_sample_bytes transfer_batch",
+         sense_interval_ms trace prof_sample_bytes",
         reports.join(" ")
     )
 }
@@ -600,13 +600,6 @@ impl crate::global_heap::GlobalHeap {
                     t.set_sample_bytes(bytes as usize);
                     ack(t.sample_bytes() as u64)
                 }
-            },
-            "transfer_batch" => match parse_u64(value) {
-                Ok(n) => {
-                    self.transfer.set_batch(n as usize);
-                    ack(self.transfer.batch() as u64)
-                }
-                Err(e) => e,
             },
             _ => Response::err("unknown knob (try: help)"),
         }

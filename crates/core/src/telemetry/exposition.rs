@@ -161,12 +161,12 @@ pub(crate) fn prom_text(
         ),
         (
             "mesh_remote_free_queued_total",
-            "Non-local frees enqueued lock-free.",
+            "Retired, always 0: non-local frees are not queued.",
             stats.remote_free_queued,
         ),
         (
             "mesh_remote_free_drained_total",
-            "Queued remote frees applied under their class lock.",
+            "Retired, always 0: non-local frees are not queued.",
             stats.remote_free_drained,
         ),
         (
@@ -177,22 +177,22 @@ pub(crate) fn prom_text(
         ("mesh_forks_total", "Heap privatizations in forked children.", stats.forks),
         (
             "mesh_transfer_hits_total",
-            "Refills served by popping a transfer-cache batch.",
+            "Retired, always 0: there is no transfer cache.",
             stats.transfer_hits,
         ),
         (
             "mesh_transfer_misses_total",
-            "Refills that missed the transfer cache.",
+            "Retired, always 0: there is no transfer cache.",
             stats.transfer_misses,
         ),
         (
             "mesh_transfer_spills_total",
-            "Batches pushed into the transfer cache.",
+            "Retired, always 0: there is no transfer cache.",
             stats.transfer_spills,
         ),
         (
             "mesh_remote_free_batches_total",
-            "Sender-side remote-free batches flushed as single queue nodes.",
+            "Retired, always 0: non-local frees are not queued.",
             stats.remote_free_batches,
         ),
         (
@@ -676,7 +676,7 @@ mod tests {
             cgroup_usage_bytes: 9 << 20,
             ..Default::default()
         };
-        let text = prom_text(&stats, Some(&prof()), Some(&sense), &[3, 1, 0, 0, 0]);
+        let text = prom_text(&stats, Some(&prof()), Some(&sense), &[3, 1, 0, 0]);
 
         let mut kinds: std::collections::HashMap<String, String> = Default::default();
         let mut last_help: Option<String> = None;
@@ -747,7 +747,7 @@ mod tests {
         assert!(!text.contains("mesh_pressure_psi_avg60"), "ABSENT source elided");
         assert!(!text.contains("mesh_cgroup_limit_bytes"), "unlimited cgroup elided");
         assert!(text.contains("mesh_pass_rejected_total{reason=\"occupancy_overlap\"} 3\n"));
-        assert!(text.contains("mesh_pass_rejected_total{reason=\"pinned_transfer\"} 1\n"));
+        assert!(text.contains("mesh_pass_rejected_total{reason=\"class_contention\"} 1\n"));
     }
 
     /// Pins the names of the hostile-input counter families and the

@@ -34,7 +34,7 @@ pub const LATENCY_BUCKETS: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum TimedOp {
-    /// Shuffle-vector refill: transfer-cache pop or class-shard visit.
+    /// Shuffle-vector refill: one class-shard visit.
     Refill = 0,
     /// Contended class-shard lock acquisition (blocked time only).
     ClassLockWait = 1,
@@ -43,32 +43,26 @@ pub enum TimedOp {
     /// Mutator blocked on a lock while a mesh pass held it: the pause
     /// the paper's §6.2.2 "longest pause" claim is about.
     MutatorPause = 3,
-    /// Remote-free queue drain under a class lock.
-    RemoteDrain = 4,
-    /// Batch push into the transfer cache (spill side).
-    TransferSpill = 5,
-    /// Sender-side remote-free batch flush.
-    TransferFlush = 6,
     /// Mesh-pass phase 1: candidate collection + SplitMesher probing.
-    MeshCandidates = 7,
+    MeshCandidates = 4,
     /// Mesh-pass phase 2: write-protect + copy window (the §4.5.2
     /// barrier is up for exactly this duration).
-    MeshCopy = 8,
+    MeshCopy = 5,
     /// Mesh-pass phase 3: physical release + virtual remap.
-    MeshRemap = 9,
+    MeshRemap = 6,
     /// One whole meshing pass (all classes).
-    MeshPass = 10,
+    MeshPass = 7,
     /// Mapping a new segment (memfd + mmap).
-    SegmentGrow = 11,
+    SegmentGrow = 8,
     /// Retiring empty segments (unmap back to the reservation).
-    SegmentRetire = 12,
+    SegmentRetire = 9,
     /// Physical-page release calls (`madvise`/hole punching), including
     /// dirty purges.
-    Madvise = 13,
+    Madvise = 10,
 }
 
 /// Number of [`TimedOp`] variants (array dimension).
-pub const NUM_TIMED_OPS: usize = 14;
+pub const NUM_TIMED_OPS: usize = 11;
 
 /// All ops, in discriminant order.
 pub const ALL_TIMED_OPS: [TimedOp; NUM_TIMED_OPS] = [
@@ -76,9 +70,6 @@ pub const ALL_TIMED_OPS: [TimedOp; NUM_TIMED_OPS] = [
     TimedOp::ClassLockWait,
     TimedOp::ArenaLockWait,
     TimedOp::MutatorPause,
-    TimedOp::RemoteDrain,
-    TimedOp::TransferSpill,
-    TimedOp::TransferFlush,
     TimedOp::MeshCandidates,
     TimedOp::MeshCopy,
     TimedOp::MeshRemap,
@@ -102,9 +93,6 @@ impl TimedOp {
             TimedOp::ClassLockWait => "class_lock_wait",
             TimedOp::ArenaLockWait => "arena_lock_wait",
             TimedOp::MutatorPause => "mutator_pause",
-            TimedOp::RemoteDrain => "remote_drain",
-            TimedOp::TransferSpill => "transfer_spill",
-            TimedOp::TransferFlush => "transfer_flush",
             TimedOp::MeshCandidates => "mesh_candidates",
             TimedOp::MeshCopy => "mesh_copy",
             TimedOp::MeshRemap => "mesh_remap",
@@ -123,9 +111,6 @@ impl TimedOp {
             TimedOp::ClassLockWait => "mesh_class_lock_wait_seconds",
             TimedOp::ArenaLockWait => "mesh_arena_lock_wait_seconds",
             TimedOp::MutatorPause => "mesh_mutator_pause_seconds",
-            TimedOp::RemoteDrain => "mesh_remote_drain_seconds",
-            TimedOp::TransferSpill => "mesh_transfer_spill_seconds",
-            TimedOp::TransferFlush => "mesh_transfer_flush_seconds",
             TimedOp::MeshCandidates => "mesh_mesh_candidates_seconds",
             TimedOp::MeshCopy => "mesh_mesh_copy_seconds",
             TimedOp::MeshRemap => "mesh_mesh_remap_seconds",
@@ -501,10 +486,10 @@ mod tests {
         let b = h.register_local();
         a.record(TimedOp::Refill, 50);
         a.record(TimedOp::Refill, 70);
-        b.record(TimedOp::TransferFlush, 1000);
+        b.record(TimedOp::MeshCopy, 1000);
         let s = h.snapshot();
         assert_eq!(s.count(TimedOp::Refill), 2);
-        assert_eq!(s.count(TimedOp::TransferFlush), 1);
+        assert_eq!(s.count(TimedOp::MeshCopy), 1);
         h.unregister_local(&a);
         let s = h.snapshot();
         assert_eq!(s.count(TimedOp::Refill), 2, "totals survive unregister");

@@ -235,13 +235,6 @@ impl GlobalHeap {
             }
             Report::Profile => {
                 let t = self.telemetry.as_ref().ok_or(kind.off())?;
-                // Settle the remote-free queues first: the estimator side
-                // retired sampled objects at free-*enqueue* time, while the
-                // exact counter only moves when a queued free is applied.
-                // Without the drain, the dump's live_bytes_exact cross-check
-                // field would read high on remote-free-heavy workloads and
-                // belie a correct estimator.
-                self.drain_all();
                 exposition::profile_json(
                     &t.stats(),
                     &t.site_snapshots(),
@@ -251,8 +244,6 @@ impl GlobalHeap {
             }
             Report::Pprof => {
                 let t = self.telemetry.as_ref().ok_or(kind.off())?;
-                // Settle sampled frees first, as `Profile` does.
-                self.drain_all();
                 let time_nanos = std::time::SystemTime::now()
                     .duration_since(std::time::UNIX_EPOCH)
                     .map(|d| d.as_nanos() as u64)
@@ -280,7 +271,6 @@ impl GlobalHeap {
                 self.ledger_fields(),
             ),
             Report::Spectrum => {
-                self.drain_all();
                 spectrum_json(&self.occupancy_spectrum(), self.counters.uptime_ms())
             }
         };
@@ -318,9 +308,8 @@ impl GlobalHeap {
         Ok(())
     }
 
-    /// Counters plus the occupancy spectrum, remote frees settled first.
+    /// Counters plus the occupancy spectrum.
     fn stats_with_spectrum(&self) -> HeapStats {
-        self.drain_all();
         let mut stats = self.counters.snapshot();
         stats.spectrum = self.occupancy_spectrum();
         stats

@@ -151,6 +151,7 @@ int main(void) {
   show(fd, "profile-c", "profile");
   show(fd, "set-probe", "set probe_limit 32");
   show(fd, "set-err", "set bogus 1");
+  show(fd, "set-retired", "set transfer_batch 100000");
   show(fd, "mesh-now", "mesh_now");
   show(fd, "stats-after-mesh", "stats");
   show(fd, "madvise-now", "madvise_now");

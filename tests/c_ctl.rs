@@ -151,6 +151,12 @@ fn interposed_process_serves_its_own_ctl_socket() {
     let (rc, body) = &s["set-err"];
     assert_eq!(rc, "err", "bogus knob must be rejected");
     assert!(body.contains("unknown knob"), "set-err: {body}");
+    // The retired transfer-cache knob is a name like any other unknown
+    // one: refused, whatever the value (this one used to be accepted).
+    let (rc, body) = &s["set-retired"];
+    assert_eq!(rc, "err", "retired knob must be rejected");
+    assert!(body.contains("unknown knob"), "set-retired: {body}");
+    assert!(!help.contains("transfer_batch"), "help still lists it: {help}");
 
     // mesh_now over the wire compacts the 7/8-freed bait spans (bare
     // `true`/`false` keeps this envelope out of the mini JSON parser).

@@ -26,9 +26,6 @@ const KNOWN_OPS: &[&str] = &[
     "class_lock_wait",
     "arena_lock_wait",
     "mutator_pause",
-    "remote_drain",
-    "transfer_spill",
-    "transfer_flush",
     "mesh_candidates",
     "mesh_copy",
     "mesh_remap",

@@ -1,7 +1,8 @@
 //! `MeshConfig::apply_env` against real process environment — suffix
 //! parsing, the boolean/seed knobs, the `MESH_PROF*` profiling knobs,
-//! the `MESH_TRACE*` tracing knobs, and warn-and-ignore on malformed
-//! values.
+//! the `MESH_TRACE*` tracing knobs, warn-and-ignore on malformed
+//! values, and the retired transfer-cache knobs, which are ignored
+//! whatever they say.
 //!
 //! Own test binary with a single test: `std::env::set_var` is not safe
 //! against concurrent `getenv` from other test threads, so the env is
@@ -12,8 +13,40 @@ mod support;
 use mesh::core::{MeshConfig, Report};
 use support::report_text;
 
+/// Set in the child the test spawns of itself to read its stderr.
+const RETIRED_CHILD: &str = "MESH_ENV_KNOBS_RETIRED_CHILD";
+
 #[test]
 fn apply_env_reads_knobs_and_ignores_malformed() {
+    // The retired knobs of the transfer cache: any value — 100000 failed
+    // `validate()`, and with it the whole heap under LD_PRELOAD — costs
+    // one stderr line and nothing else.
+    if std::env::var_os(RETIRED_CHILD).is_some() {
+        let c = MeshConfig::default().apply_env();
+        assert!(c.validate().is_ok());
+        let mesh = mesh::core::Mesh::new(c).unwrap();
+        let p = mesh.malloc(100);
+        assert!(!p.is_null());
+        unsafe { mesh.free(p) };
+        assert_eq!(mesh.stats().live_bytes, 0);
+        return;
+    }
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "apply_env_reads_knobs_and_ignores_malformed", "--nocapture"])
+        .env(RETIRED_CHILD, "1")
+        .env("MESH_TRANSFER_BATCH", "100000")
+        .env("MESH_TRANSFER_CACHE_SLOTS", "banana")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&child.stderr);
+    assert!(child.status.success(), "retired knobs cost the heap: {stderr}");
+    let warned: Vec<&str> = stderr.lines().filter(|l| l.starts_with("mesh: ")).collect();
+    assert_eq!(warned.len(), 1, "one line for the retired knobs: {stderr}");
+    assert!(
+        warned[0].contains("MESH_TRANSFER_BATCH") && warned[0].contains("MESH_TRANSFER_CACHE_SLOTS"),
+        "{stderr}"
+    );
+
     std::env::set_var("MESH_MAX_HEAP_BYTES", "64M");
     std::env::set_var("MESH_INITIAL_SEGMENT_BYTES", "1M");
     std::env::set_var("MESH_SEGMENT_BYTES", "not-a-size");
@@ -23,8 +56,7 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     std::env::set_var("MESH_PROF_SAMPLE_BYTES", "64K");
     std::env::set_var("MESH_PROF_INTERVAL_MS", "banana"); // malformed
     std::env::set_var("MESH_PROF_PATH", "   "); // malformed (blank)
-    std::env::set_var("MESH_TRANSFER_BATCH", "8");
-    std::env::set_var("MESH_TRANSFER_CACHE_SLOTS", "banana"); // malformed
+    std::env::set_var("MESH_TRANSFER_BATCH", "257"); // retired
     std::env::set_var("MESH_TRACE", "1");
     std::env::set_var("MESH_TRACE_BUF_EVENTS", "banana"); // malformed
     std::env::set_var("MESH_TRACE_PATH", "/tmp/mesh-env-knobs-trace.json");
@@ -53,12 +85,6 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
         c.prof_dump_path(),
         None,
         "blank path ignored (warned), default kept"
-    );
-    assert_eq!(c.transfer_batch_size(), 8, "MESH_TRANSFER_BATCH parsed");
-    assert_eq!(
-        c.transfer_cache_slot_count(),
-        MeshConfig::default().transfer_cache_slot_count(),
-        "malformed MESH_TRANSFER_CACHE_SLOTS ignored (warned), default kept"
     );
     assert!(c.is_tracing(), "MESH_TRACE=1 enables the tracer");
     assert_eq!(

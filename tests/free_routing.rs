@@ -162,16 +162,12 @@ fn run_seed(seed: u64) {
         "seed {seed}: handoffs must take the remote path ({} < {cross_frees})",
         s.remote_frees
     );
-    assert_eq!(
-        s.remote_free_queued, s.remote_free_drained,
-        "seed {seed}: queues settled by the stats flush"
-    );
 }
 
 /// Hostile frees aimed at a member of the attached set that malloc is
 /// *not* currently popping from: the routing must treat every member's
 /// spans as local, so misaligned and tail-waste pointers are rejected
-/// without reaching a queue, and a duplicate is caught by that member's
+/// without leaving the thread, and a duplicate is caught by that member's
 /// own availability mask — with hardening off and on.
 #[test]
 fn hostile_frees_into_non_current_members() {
@@ -208,7 +204,7 @@ fn hostile_frees_into_non_current_members() {
         assert_eq!(th.attached_spans(), 3, "{policy:?}: members drawn on stay attached");
         th.flush();
         let s0 = mesh.stats();
-        assert_eq!((s0.frees, s0.remote_free_queued), (3, 0));
+        assert_eq!((s0.frees, s0.remote_frees), (3, 0));
         let victim = ptrs[0];
         let span_start = victim & !(PAGE_SIZE - 1);
         let tail = span_start + class.object_count() * 48;
@@ -223,7 +219,7 @@ fn hostile_frees_into_non_current_members() {
         assert_eq!(s.invalid_frees, 2, "{policy:?}");
         assert_eq!(s.double_frees, 1, "{policy:?}");
         assert_eq!(s.frees - s0.frees, 1, "{policy:?}: only the valid free applied");
-        assert_eq!(s.remote_free_queued, 0, "{policy:?}: all four were routed local");
+        assert_eq!(s.remote_frees, 0, "{policy:?}: all four were routed local");
         let hardened = (policy == HardenPolicy::Count) as u64;
         assert_eq!(s.harden_violations[HardenKind::DoubleFree as usize], hardened);
         assert_eq!(s.harden_violations[HardenKind::InvalidFree as usize], 2 * hardened);

@@ -133,9 +133,13 @@ fn count_mode_double_free_of_quarantined_pointer() {
 }
 
 /// A back-to-back double free issued by a thread that does *not* own the
-/// span: both copies land in the freeing thread's sender buffer, whose
-/// membership check is the only detector that sees them together.
-fn cross_thread_double_free(mesh: &Mesh) {
+/// span, which stays attached to its owner throughout. With the
+/// quarantine on the first copy is parked in the freeing thread's
+/// quarantine and the second finds it there; with it off the first clears
+/// the object's bit and the second finds the bit clear. Either way the
+/// verdict is in before the second `free` returns — returned here, read
+/// while both heaps are still alive and nothing has been flushed.
+fn cross_thread_double_free(mesh: &Mesh) -> u64 {
     let mut owner = mesh.thread_heap();
     let mut other = mesh.thread_heap();
     let p = owner.malloc(64);
@@ -144,19 +148,60 @@ fn cross_thread_double_free(mesh: &Mesh) {
         other.free(p);
         other.free(p);
     }
+    mesh.stats().double_frees
 }
 
-/// Count mode: the sender-buffer duplicate is a hardened violation like
-/// every other double-free site, not just a `double_frees` tick.
+/// Count mode: the cross-thread duplicate is a hardened violation like
+/// every other double-free site, not just a `double_frees` tick, and it
+/// is counted at once, not when some later lock holder gets to it.
 #[test]
-fn count_mode_cross_thread_double_free_in_sender_buffer() {
-    let mesh = Mesh::new(hardened(56, HardenPolicy::Count)).unwrap();
-    cross_thread_double_free(&mesh);
+fn count_mode_cross_thread_double_free() {
+    for quarantine in [true, false] {
+        let config = hardened(56, HardenPolicy::Count).harden_quarantine(quarantine);
+        let mesh = Mesh::new(config).unwrap();
+        assert_eq!(
+            cross_thread_double_free(&mesh),
+            1,
+            "quarantine {quarantine}: not counted when the second free returned"
+        );
+        let s = mesh.stats();
+        assert_eq!(s.double_frees, 1, "quarantine {quarantine}");
+        assert_eq!(s.harden_violations[HardenKind::DoubleFree as usize], 1);
+        assert_eq!(s.frees, 1, "quarantine {quarantine}: the first free still applied");
+        assert_eq!(s.remote_frees, 1, "quarantine {quarantine}: by the non-local route");
+        assert_eq!(s.invalid_frees, 0);
+    }
+}
+
+/// Count mode: a non-local free is parked like a local one — in the
+/// *freeing* thread's quarantine, its slot still claimed in the owner's
+/// span — so a use-after-free write into it is caught under
+/// `kind=poison` when that quarantine evicts it, and the slot cannot be
+/// handed out meanwhile.
+#[test]
+fn count_mode_uaf_write_into_remotely_freed_parked_slot() {
+    let mesh = Mesh::new(hardened(57, HardenPolicy::Count)).unwrap();
+    let class = SizeClass::for_size(64).unwrap();
+    let mut owner = mesh.thread_heap();
+    let mut other = mesh.thread_heap();
+    let p = owner.malloc(64);
+    assert!(!p.is_null());
+    unsafe {
+        other.free(p); // non-local: poisoned and parked in `other`
+        *p.add(16) = 0xAA; // dangling write lands in the poison fill
+    }
+    assert_eq!(mesh.stats().frees, 0, "the parked free is not applied yet");
+    // The owner cannot get the slot back while it is parked.
+    let refilled: Vec<*mut u8> = (0..2 * class.object_count()).map(|_| owner.malloc(64)).collect();
+    assert!(!refilled.contains(&p), "a parked slot was handed out");
+    drop(other); // teardown evicts the quarantine, verifying every slot
     let s = mesh.stats();
-    assert_eq!(s.double_frees, 1);
-    assert_eq!(s.harden_violations[HardenKind::DoubleFree as usize], 1);
-    assert_eq!(s.frees, 1, "the first free still applied");
-    assert_eq!(s.invalid_frees, 0);
+    assert_eq!(
+        s.harden_violations[HardenKind::Poison as usize],
+        1,
+        "UAF write survived the eviction-time poison check"
+    );
+    assert_eq!((s.frees, s.remote_frees, s.double_frees), (1, 1, 0));
 }
 
 /// Count mode: a use-after-free write into a quarantined slot is caught
@@ -356,9 +401,22 @@ fn abort_mode_cross_thread_double_free_dies_with_diagnostic() {
     if child_role("abort_mode_cross_thread_double_free_dies_with_diagnostic") {
         let mesh = Mesh::new(hardened(64, HardenPolicy::Abort)).unwrap();
         cross_thread_double_free(&mesh); // aborts at the second free
-        unreachable!("sender-buffer double free must abort in die mode");
+        unreachable!("a cross-thread double free must abort in die mode");
     }
     let out = run_child("abort_mode_cross_thread_double_free_dies_with_diagnostic");
+    assert_abort(&out, "double_free");
+}
+
+/// The same with the quarantine off: the bitmap is the detector, and it
+/// too speaks before the second free returns.
+#[test]
+fn abort_mode_cross_thread_double_free_dies_without_quarantine() {
+    if child_role("abort_mode_cross_thread_double_free_dies_without_quarantine") {
+        let config = hardened(65, HardenPolicy::Abort).harden_quarantine(false);
+        cross_thread_double_free(&Mesh::new(config).unwrap());
+        unreachable!("a cross-thread double free must abort in die mode");
+    }
+    let out = run_child("abort_mode_cross_thread_double_free_dies_without_quarantine");
     assert_abort(&out, "double_free");
 }
 

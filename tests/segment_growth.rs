@@ -57,7 +57,7 @@ fn concurrent_growth_races_with_frees_and_meshing() {
                     assert!(!p.is_null(), "cap is 256 MiB; growth must not fail");
                     unsafe { std::ptr::write_bytes(p, t as u8 + 1, size.min(64)) };
                     if i % 16 == 0 {
-                        // Hand off for a remote free (lock-free queue push).
+                        // Hand off for a non-local free.
                         tx.send(p as usize).unwrap();
                     } else {
                         live.push(p as usize);
@@ -99,7 +99,7 @@ fn concurrent_growth_races_with_frees_and_meshing() {
     assert_eq!(stats.live_bytes, 0, "occupancy accounting drifted");
     assert_eq!(stats.double_frees, 0);
     assert_eq!(stats.invalid_frees, 0);
-    assert_eq!(stats.remote_free_queued, stats.remote_free_drained);
+    assert!(stats.remote_frees >= (THREADS * OPS / 16) as u64);
 
     // The tiny initial segment cannot hold the live set: growth must have
     // happened, and ids must be assigned monotonically (never reused).
@@ -210,7 +210,6 @@ fn live_set_32x_initial_segment_grows_meshes_and_retires() {
         unsafe { mesh.free(p as *mut u8) };
     }
     unsafe { mesh.free(huge) };
-    let _ = mesh.stats(); // settle the remote-free queues
     mesh.purge_dirty();
 
     let stats = mesh.stats();

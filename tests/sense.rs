@@ -185,7 +185,6 @@ fn snapshot_ring_and_prom_families() {
     let text = mesh.prom_text();
     assert!(text.contains("# TYPE mesh_pass_rejected_total counter"), "{text}");
     assert!(text.contains("mesh_pass_rejected_total{reason=\"occupancy_overlap\"}"));
-    assert!(text.contains("mesh_pass_rejected_total{reason=\"pinned_transfer\"}"));
     assert!(text.contains("mesh_pass_rejected_total{reason=\"class_contention\"}"));
     assert!(text.contains("mesh_pass_rejected_total{reason=\"copy_abort\"}"));
     // Heap-derived sense gauges always resolve on Linux /proc; the
