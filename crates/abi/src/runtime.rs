@@ -6,7 +6,7 @@
 use mesh_core::ffi as libc;
 use mesh_core::ffi::{c_uint, c_void};
 use mesh_core::{
-    in_internal_alloc, with_internal_alloc, Mesh, MeshConfig, MeshForkGuard, Report, ThreadHeap,
+    in_internal_alloc, knobs, with_internal_alloc, Mesh, MeshConfig, MeshForkGuard, Report, ThreadHeap,
 };
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI32, AtomicPtr, AtomicU32, Ordering};
@@ -98,7 +98,9 @@ fn install_process_hooks(mesh: &Mesh) {
             TH_KEY.store(key, Ordering::Release);
         }
         crate::real::pthread_atfork(Some(fork_prepare), Some(fork_parent), Some(fork_child));
-        let stats_at_exit_wanted = mesh_core::env_bool("MESH_PRINT_STATS_AT_EXIT").unwrap_or(false);
+        let stats_at_exit_wanted = knobs::find("print_stats_at_exit")
+            .and_then(knobs::env_value)
+            .is_some_and(|on| on == knobs::Value::Bool(true));
         if stats_at_exit_wanted || mesh.is_profiling() || mesh.is_tracing() {
             // All exit dumps write through a private dup of stderr taken
             // now: applications (coreutils' close_stdout) close fd 2 from

@@ -6,6 +6,7 @@
 use crate::config::MeshConfig;
 use crate::error::MeshError;
 use crate::global_heap::GlobalHeap;
+use crate::knobs::{self, Value};
 use crate::local_heap::ThreadHeapCore;
 use crate::mesher::BackgroundMesher;
 use crate::meshing::MeshSummary;
@@ -426,9 +427,11 @@ impl Mesh {
     }
 
     /// Runtime control: adjusts the SplitMesher probe limit `t` (§3.3).
-    /// Lock-free; zero is ignored.
+    /// Lock-free; a `t` outside the `probe_limit` knob's range is ignored.
     pub fn set_probe_limit(&self, t: usize) {
-        self.inner.state.rt.set_probe_limit(t);
+        let row = knobs::find("probe_limit").expect("the probe_limit row");
+        // The refusal is a `String`: keep it off the heap it describes.
+        let _ = with_internal_alloc(|| row.apply_live(&self.inner.state, &Value::Num(t as u64)));
     }
 
     // ----- mesh-ctl (control socket) -------------------------------------

@@ -6,7 +6,8 @@
 //! "Mesh (no meshing)" and "Mesh (no rand)" configurations from §6.3.
 
 use crate::error::MeshError;
-use crate::harden::{parse_harden_policy, HardenConfig, HardenPolicy};
+use crate::harden::{HardenConfig, HardenPolicy};
+use crate::knobs::{self, KNOBS};
 use crate::size_classes::PAGE_SIZE;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -164,6 +165,18 @@ impl Default for MeshConfig {
     }
 }
 
+/// The builder methods: `name(arg: T) => field = value;` is
+/// `pub fn name(mut self, arg: T) -> Self` storing `value` in `field`.
+macro_rules! builders {
+    ($($(#[$doc:meta])* $name:ident($arg:ident: $ty:ty) => $($field:ident).+ = $value:expr;)*) => {
+        $($(#[$doc])*
+        pub fn $name(mut self, $arg: $ty) -> Self {
+            self.$($field).+ = $value;
+            self
+        })*
+    };
+}
+
 impl MeshConfig {
     /// Sets the heap's hard cap in bytes — the virtual reservation the
     /// segmented arena grows into on demand. Legacy name from the
@@ -172,130 +185,107 @@ impl MeshConfig {
         self.max_heap_bytes(bytes)
     }
 
-    /// Sets the heap's hard cap in bytes. Allocation returns null only
-    /// once no segment can be placed under this cap.
-    pub fn max_heap_bytes(mut self, bytes: usize) -> Self {
-        self.max_heap_bytes = bytes;
-        self
-    }
-
-    /// Sets the size of the initial segment mapped at construction
-    /// (clamped to the hard cap).
-    pub fn initial_segment_bytes(mut self, bytes: usize) -> Self {
-        self.initial_segment_bytes = bytes;
-        self
-    }
-
-    /// Sets the preferred size of on-demand growth segments (clamped to
-    /// the hard cap; oversized requests get a dedicated segment).
-    pub fn segment_bytes(mut self, bytes: usize) -> Self {
-        self.segment_bytes = bytes;
-        self
-    }
-
-    /// Fixes the PRNG seed for deterministic experiments.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Enables or disables meshing (the compaction mechanism itself).
-    pub fn meshing(mut self, enabled: bool) -> Self {
-        self.meshing = enabled;
-        self
-    }
-
-    /// Enables or disables randomized allocation.
-    pub fn randomize(mut self, enabled: bool) -> Self {
-        self.randomize = enabled;
-        self
-    }
-
-    /// Sets the minimum interval between meshing passes.
-    pub fn mesh_period(mut self, period: Duration) -> Self {
-        self.mesh_period = period;
-        self
-    }
-
-    /// Sets the "don't restart the timer" gain threshold (§4.5).
-    pub fn min_mesh_gain_bytes(mut self, bytes: usize) -> Self {
-        self.min_mesh_gain_bytes = bytes;
-        self
-    }
-
-    /// Sets the SplitMesher probe limit `t` (§3.3).
-    pub fn probe_limit(mut self, t: usize) -> Self {
-        self.probe_limit = t;
-        self
-    }
-
-    /// Sets the occupancy fraction above which spans are not meshed.
-    pub fn occupancy_cutoff(mut self, cutoff: f64) -> Self {
-        self.occupancy_cutoff = cutoff;
-        self
-    }
-
-    /// Sets the maximum number of virtual spans per physical span.
-    pub fn max_span_count(mut self, n: usize) -> Self {
-        self.max_span_count = n;
-        self
-    }
-
-    /// Sets the dirty-page release threshold (§4.4.1).
-    pub fn max_dirty_bytes(mut self, bytes: usize) -> Self {
-        self.max_dirty_bytes = bytes;
-        self
-    }
-
-    /// Enables or disables the concurrent-meshing write barrier.
-    ///
-    /// With the barrier disabled, meshing is only safe if no other thread
-    /// writes to objects in mesh candidates during a pass; the paper's
-    /// design keeps it on and so does the default.
-    pub fn write_barrier(mut self, enabled: bool) -> Self {
-        self.write_barrier = enabled;
-        self
-    }
-
-    /// Enables or disables the dedicated background meshing thread.
-    ///
-    /// Off by default so seeded experiments stay deterministic: with the
-    /// thread running, passes fire on the §4.5 timer from a separate
-    /// schedule rather than synchronously with frees.
-    pub fn background_meshing(mut self, enabled: bool) -> Self {
-        self.background_meshing = enabled;
-        self
+    builders! {
+        /// Sets the heap's hard cap in bytes. Allocation returns null only
+        /// once no segment can be placed under this cap.
+        max_heap_bytes(bytes: usize) => max_heap_bytes = bytes;
+        /// Sets the size of the initial segment mapped at construction
+        /// (clamped to the hard cap).
+        initial_segment_bytes(bytes: usize) => initial_segment_bytes = bytes;
+        /// Sets the preferred size of on-demand growth segments (clamped to
+        /// the hard cap; oversized requests get a dedicated segment).
+        segment_bytes(bytes: usize) => segment_bytes = bytes;
+        /// Fixes the PRNG seed for deterministic experiments.
+        seed(seed: u64) => seed = Some(seed);
+        /// Enables or disables meshing (the compaction mechanism itself).
+        meshing(enabled: bool) => meshing = enabled;
+        /// Enables or disables randomized allocation.
+        randomize(enabled: bool) => randomize = enabled;
+        /// Sets the minimum interval between meshing passes.
+        mesh_period(period: Duration) => mesh_period = period;
+        /// Sets the "don't restart the timer" gain threshold (§4.5).
+        min_mesh_gain_bytes(bytes: usize) => min_mesh_gain_bytes = bytes;
+        /// Sets the SplitMesher probe limit `t` (§3.3).
+        probe_limit(t: usize) => probe_limit = t;
+        /// Sets the occupancy fraction above which spans are not meshed.
+        occupancy_cutoff(cutoff: f64) => occupancy_cutoff = cutoff;
+        /// Sets the maximum number of virtual spans per physical span.
+        max_span_count(n: usize) => max_span_count = n;
+        /// Sets the dirty-page release threshold (§4.4.1).
+        max_dirty_bytes(bytes: usize) => max_dirty_bytes = bytes;
+        /// Enables or disables the concurrent-meshing write barrier.
+        ///
+        /// With the barrier disabled, meshing is only safe if no other thread
+        /// writes to objects in mesh candidates during a pass; the paper's
+        /// design keeps it on and so does the default.
+        write_barrier(enabled: bool) => write_barrier = enabled;
+        /// Enables or disables the dedicated background meshing thread.
+        ///
+        /// Off by default so seeded experiments stay deterministic: with the
+        /// thread running, passes fire on the §4.5 timer from a separate
+        /// schedule rather than synchronously with frees.
+        background_meshing(enabled: bool) => background_meshing = enabled;
+        /// Enables or disables the sampled heap profiler (`MESH_PROF`).
+        profiling(enabled: bool) => profiling = enabled;
+        /// Sets the mean bytes between allocation samples
+        /// (`MESH_PROF_SAMPLE_BYTES`).
+        prof_sample_bytes(bytes: usize) => prof_sample_bytes = bytes;
+        /// Sets (or clears) the automatic profile-dump interval
+        /// (`MESH_PROF_INTERVAL_MS`).
+        prof_interval(interval: Option<Duration>) => prof_interval = interval;
+        /// Sets (or clears) the profile-dump destination (`MESH_PROF_PATH`).
+        prof_path(path: Option<PathBuf>) => prof_path = path;
+        /// Enables or disables slow-path event tracing (`MESH_TRACE`).
+        tracing(enabled: bool) => trace = enabled;
+        /// Sets the per-ring trace capacity in events
+        /// (`MESH_TRACE_BUF_EVENTS`; rounded up to a power of two).
+        trace_buf_events(events: usize) => trace_buf_events = events;
+        /// Sets (or clears) the trace-dump destination (`MESH_TRACE_PATH`).
+        trace_path(path: Option<PathBuf>) => trace_path = path;
+        /// Sets (or clears) the mesh-sense poll interval
+        /// (`MESH_SENSE_INTERVAL_MS`; `None` disables sensing).
+        sense_interval(interval: Option<Duration>) => sense_interval = interval;
+        /// Sets the number of snapshots retained in the sense ring
+        /// (`MESH_SENSE_HISTORY`).
+        sense_history(snapshots: usize) => sense_history = snapshots;
+        /// Sets the per-poll `mincore` page budget
+        /// (`MESH_SENSE_MINCORE_PAGES`; 0 disables the residency sweep).
+        sense_mincore_pages(pages: usize) => sense_mincore_pages = pages;
+        /// Sets (or clears) the sense-dump destination (`MESH_SENSE_PATH`).
+        sense_path(path: Option<PathBuf>) => sense_path = path;
+        /// Sets (or clears) the mesh-ctl control-socket path (`MESH_CTL`;
+        /// `None` = no socket).
+        ctl(path: Option<PathBuf>) => ctl_path = path;
+        /// Sets the maximum concurrently connected mesh-ctl clients
+        /// (`MESH_CTL_MAX_CLIENTS`).
+        ctl_max_clients(n: usize) => ctl_max_clients = n;
+        /// Sets the hardened-mode policy (`MESH_HARDEN`): [`HardenPolicy::Off`],
+        /// count, or abort-on-detection.
+        harden_policy(policy: HardenPolicy) => harden.policy = policy;
+        /// Enables or disables free poisoning within hardened mode
+        /// (`MESH_HARDEN_POISON`; no effect while the policy is `Off`).
+        harden_poison(enabled: bool) => harden.poison = enabled;
+        /// Enables or disables the delayed-reuse quarantine within hardened
+        /// mode (`MESH_HARDEN_QUARANTINE`).
+        harden_quarantine(enabled: bool) => harden.quarantine = enabled;
+        /// Enables or disables large-object guard pages within hardened mode
+        /// (`MESH_HARDEN_GUARD`).
+        harden_guard(enabled: bool) => harden.guard = enabled;
+        /// Enables or disables the mesh-time canary sweep within hardened
+        /// mode (`MESH_HARDEN_CANARY`; also requires poisoning, which writes
+        /// the canaries).
+        harden_canary(enabled: bool) => harden.canary = enabled;
+        /// Sets the per-thread quarantine byte cap
+        /// (`MESH_HARDEN_QUARANTINE_BYTES`).
+        harden_quarantine_bytes(bytes: usize) => harden.quarantine_bytes = bytes;
+        /// Sets the per-thread quarantine slot cap
+        /// (`MESH_HARDEN_QUARANTINE_SLOTS`).
+        harden_quarantine_slots(slots: usize) => harden.quarantine_slots = slots;
     }
 
     /// Whether the background meshing thread is enabled.
     pub fn is_background_meshing(&self) -> bool {
         self.background_meshing
-    }
-
-    /// Enables or disables the sampled heap profiler (`MESH_PROF`).
-    pub fn profiling(mut self, enabled: bool) -> Self {
-        self.profiling = enabled;
-        self
-    }
-
-    /// Sets the mean bytes between allocation samples
-    /// (`MESH_PROF_SAMPLE_BYTES`).
-    pub fn prof_sample_bytes(mut self, bytes: usize) -> Self {
-        self.prof_sample_bytes = bytes;
-        self
-    }
-
-    /// Sets (or clears) the automatic profile-dump interval
-    /// (`MESH_PROF_INTERVAL_MS`).
-    pub fn prof_interval(mut self, interval: Option<Duration>) -> Self {
-        self.prof_interval = interval;
-        self
-    }
-
-    /// Sets (or clears) the profile-dump destination (`MESH_PROF_PATH`).
-    pub fn prof_path(mut self, path: Option<PathBuf>) -> Self {
-        self.prof_path = path;
-        self
     }
 
     /// Whether the sampled heap profiler is enabled.
@@ -318,25 +308,6 @@ impl MeshConfig {
         self.prof_path.as_deref()
     }
 
-    /// Enables or disables slow-path event tracing (`MESH_TRACE`).
-    pub fn tracing(mut self, enabled: bool) -> Self {
-        self.trace = enabled;
-        self
-    }
-
-    /// Sets the per-ring trace capacity in events
-    /// (`MESH_TRACE_BUF_EVENTS`; rounded up to a power of two).
-    pub fn trace_buf_events(mut self, events: usize) -> Self {
-        self.trace_buf_events = events;
-        self
-    }
-
-    /// Sets (or clears) the trace-dump destination (`MESH_TRACE_PATH`).
-    pub fn trace_path(mut self, path: Option<PathBuf>) -> Self {
-        self.trace_path = path;
-        self
-    }
-
     /// Whether slow-path event tracing is enabled.
     pub fn is_tracing(&self) -> bool {
         self.trace
@@ -350,33 +321,6 @@ impl MeshConfig {
     /// The configured trace-dump destination, if any.
     pub fn trace_dump_path(&self) -> Option<&std::path::Path> {
         self.trace_path.as_deref()
-    }
-
-    /// Sets (or clears) the mesh-sense poll interval
-    /// (`MESH_SENSE_INTERVAL_MS`; `None` disables sensing).
-    pub fn sense_interval(mut self, interval: Option<Duration>) -> Self {
-        self.sense_interval = interval;
-        self
-    }
-
-    /// Sets the number of snapshots retained in the sense ring
-    /// (`MESH_SENSE_HISTORY`).
-    pub fn sense_history(mut self, snapshots: usize) -> Self {
-        self.sense_history = snapshots;
-        self
-    }
-
-    /// Sets the per-poll `mincore` page budget
-    /// (`MESH_SENSE_MINCORE_PAGES`; 0 disables the residency sweep).
-    pub fn sense_mincore_pages(mut self, pages: usize) -> Self {
-        self.sense_mincore_pages = pages;
-        self
-    }
-
-    /// Sets (or clears) the sense-dump destination (`MESH_SENSE_PATH`).
-    pub fn sense_path(mut self, path: Option<PathBuf>) -> Self {
-        self.sense_path = path;
-        self
     }
 
     /// Whether mesh-sense polling is enabled.
@@ -404,20 +348,6 @@ impl MeshConfig {
         self.sense_path.as_deref()
     }
 
-    /// Sets (or clears) the mesh-ctl control-socket path (`MESH_CTL`;
-    /// `None` = no socket).
-    pub fn ctl(mut self, path: Option<PathBuf>) -> Self {
-        self.ctl_path = path;
-        self
-    }
-
-    /// Sets the maximum concurrently connected mesh-ctl clients
-    /// (`MESH_CTL_MAX_CLIENTS`).
-    pub fn ctl_max_clients(mut self, n: usize) -> Self {
-        self.ctl_max_clients = n;
-        self
-    }
-
     /// The configured control-socket path, if the socket is enabled.
     pub fn ctl_socket_path(&self) -> Option<&std::path::Path> {
         self.ctl_path.as_deref()
@@ -426,56 +356,6 @@ impl MeshConfig {
     /// The configured mesh-ctl client cap.
     pub fn ctl_client_cap(&self) -> usize {
         self.ctl_max_clients
-    }
-
-    /// Sets the hardened-mode policy (`MESH_HARDEN`): [`HardenPolicy::Off`],
-    /// count, or abort-on-detection.
-    pub fn harden_policy(mut self, policy: HardenPolicy) -> Self {
-        self.harden.policy = policy;
-        self
-    }
-
-    /// Enables or disables free poisoning within hardened mode
-    /// (`MESH_HARDEN_POISON`; no effect while the policy is `Off`).
-    pub fn harden_poison(mut self, enabled: bool) -> Self {
-        self.harden.poison = enabled;
-        self
-    }
-
-    /// Enables or disables the delayed-reuse quarantine within hardened
-    /// mode (`MESH_HARDEN_QUARANTINE`).
-    pub fn harden_quarantine(mut self, enabled: bool) -> Self {
-        self.harden.quarantine = enabled;
-        self
-    }
-
-    /// Enables or disables large-object guard pages within hardened mode
-    /// (`MESH_HARDEN_GUARD`).
-    pub fn harden_guard(mut self, enabled: bool) -> Self {
-        self.harden.guard = enabled;
-        self
-    }
-
-    /// Enables or disables the mesh-time canary sweep within hardened
-    /// mode (`MESH_HARDEN_CANARY`; also requires poisoning, which writes
-    /// the canaries).
-    pub fn harden_canary(mut self, enabled: bool) -> Self {
-        self.harden.canary = enabled;
-        self
-    }
-
-    /// Sets the per-thread quarantine byte cap
-    /// (`MESH_HARDEN_QUARANTINE_BYTES`).
-    pub fn harden_quarantine_bytes(mut self, bytes: usize) -> Self {
-        self.harden.quarantine_bytes = bytes;
-        self
-    }
-
-    /// Sets the per-thread quarantine slot cap
-    /// (`MESH_HARDEN_QUARANTINE_SLOTS`).
-    pub fn harden_quarantine_slots(mut self, slots: usize) -> Self {
-        self.harden.quarantine_slots = slots;
-        self
     }
 
     /// The resolved hardened-mode configuration.
@@ -498,11 +378,6 @@ impl MeshConfig {
         self.randomize
     }
 
-    /// The configured hard heap cap in bytes (legacy name).
-    pub fn arena_size(&self) -> usize {
-        self.max_heap_bytes
-    }
-
     /// The configured hard heap cap in bytes.
     pub fn max_heap_size(&self) -> usize {
         self.max_heap_bytes
@@ -518,74 +393,24 @@ impl MeshConfig {
         self.segment_bytes
     }
 
-    /// The configured SplitMesher probe limit `t`.
-    pub fn probe_limit_t(&self) -> usize {
-        self.probe_limit
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`MeshError::InvalidConfig`] if the heap cap or a segment
-    /// size is smaller than one span, the probe limit is zero, the
-    /// occupancy cutoff is outside `(0, 1]`, or `max_span_count < 2`
-    /// (meshing needs at least two).
+    /// Returns [`MeshError::InvalidConfig`] if a field is outside its
+    /// [`KNOBS`] row's range while the subsystem it sizes is on (the row's
+    /// gate), or if the canary sweep is on without the poisoning that
+    /// writes the canaries.
     pub fn validate(&self) -> Result<(), MeshError> {
-        if self.max_heap_bytes < 32 * PAGE_SIZE {
-            return Err(MeshError::InvalidConfig(format!(
-                "heap cap of {} bytes is smaller than the largest span",
-                self.max_heap_bytes
-            )));
-        }
-        if self.initial_segment_bytes < 32 * PAGE_SIZE {
-            return Err(MeshError::InvalidConfig(format!(
-                "initial segment of {} bytes is smaller than the largest span",
-                self.initial_segment_bytes
-            )));
-        }
-        if self.segment_bytes < 32 * PAGE_SIZE {
-            return Err(MeshError::InvalidConfig(format!(
-                "segment size of {} bytes is smaller than the largest span",
-                self.segment_bytes
-            )));
-        }
-        if self.probe_limit == 0 {
-            return Err(MeshError::InvalidConfig("probe limit must be ≥ 1".into()));
-        }
-        if !(self.occupancy_cutoff > 0.0 && self.occupancy_cutoff <= 1.0) {
-            return Err(MeshError::InvalidConfig(format!(
-                "occupancy cutoff {} outside (0, 1]",
-                self.occupancy_cutoff
-            )));
-        }
-        if self.max_span_count < 2 {
-            return Err(MeshError::InvalidConfig(
-                "max_span_count must be ≥ 2 for meshing".into(),
-            ));
-        }
-        if self.profiling && self.prof_sample_bytes == 0 {
-            return Err(MeshError::InvalidConfig(
-                "prof_sample_bytes must be ≥ 1 when profiling is enabled".into(),
-            ));
-        }
-        if self.trace && !(64..=1 << 22).contains(&self.trace_buf_events) {
-            return Err(MeshError::InvalidConfig(format!(
-                "trace_buf_events {} outside 64..=4Mi",
-                self.trace_buf_events
-            )));
-        }
-        if self.harden.active() && self.harden.quarantine {
-            if !(1..=1 << 20).contains(&self.harden.quarantine_slots) {
+        for row in &KNOBS {
+            let Some(field) = &row.field else { continue };
+            let value = (field.get)(self);
+            if row.gate.is_none_or(|on| on(self)) && !row.kind.admits(&value) {
                 return Err(MeshError::InvalidConfig(format!(
-                    "harden quarantine_slots {} outside 1..=1Mi",
-                    self.harden.quarantine_slots
-                )));
-            }
-            if !(PAGE_SIZE..=1 << 30).contains(&self.harden.quarantine_bytes) {
-                return Err(MeshError::InvalidConfig(format!(
-                    "harden quarantine_bytes {} outside one page..=1G",
-                    self.harden.quarantine_bytes
+                    "{} = {}: expected {}",
+                    row.name,
+                    knobs::render(&value),
+                    row.kind.expects()
                 )));
             }
         }
@@ -596,183 +421,61 @@ impl MeshConfig {
                     .into(),
             ));
         }
-        if let Some(path) = &self.ctl_path {
-            let len = path.as_os_str().len();
-            if len == 0 || len > CTL_PATH_MAX {
-                return Err(MeshError::InvalidConfig(format!(
-                    "ctl socket path is {len} bytes; sun_path allows 1..={CTL_PATH_MAX}"
-                )));
-            }
-            if !(1..=64).contains(&self.ctl_max_clients) {
-                return Err(MeshError::InvalidConfig(format!(
-                    "ctl_max_clients {} outside 1..=64",
-                    self.ctl_max_clients
-                )));
-            }
-        }
-        if self.sense_interval.is_some() {
-            if !(2..=100_000).contains(&self.sense_history) {
-                return Err(MeshError::InvalidConfig(format!(
-                    "sense_history {} outside 2..=100000",
-                    self.sense_history
-                )));
-            }
-            if self.sense_mincore_pages > 1 << 24 {
-                return Err(MeshError::InvalidConfig(format!(
-                    "sense_mincore_pages {} above 16Mi",
-                    self.sense_mincore_pages
-                )));
-            }
-        }
         Ok(())
     }
 
     /// Applies the `MESH_*` environment knobs on top of this
     /// configuration — the tuning surface of the `LD_PRELOAD` deployment
-    /// (§4.5's `mallctl` analog for processes we cannot recompile):
+    /// (§4.5's `mallctl` analog for processes we cannot recompile). One
+    /// loop over [`KNOBS`]:
     ///
-    /// | variable | meaning |
-    /// |---|---|
-    /// | `MESH_MAX_HEAP_BYTES` (legacy `MESH_ARENA_BYTES`) | hard cap |
-    /// | `MESH_INITIAL_SEGMENT_BYTES` | initial segment size |
-    /// | `MESH_SEGMENT_BYTES` | growth segment size |
-    /// | `MESH_BACKGROUND_MESHING` | run meshing on a dedicated thread |
-    /// | `MESH_SEED` | fix the PRNG seed |
-    /// | `MESH_PROF` | enable the sampled heap profiler |
-    /// | `MESH_PROF_SAMPLE_BYTES` | mean bytes between samples |
-    /// | `MESH_PROF_INTERVAL_MS` | periodic profile dumps (0 = off) |
-    /// | `MESH_PROF_PATH` | profile-dump file (default: stderr) |
-    /// | `MESH_TRACE` | enable slow-path event tracing |
-    /// | `MESH_TRACE_BUF_EVENTS` | per-ring trace capacity in events |
-    /// | `MESH_TRACE_PATH` | trace-dump file (default: stderr) |
-    /// | `MESH_SENSE_INTERVAL_MS` | mesh-sense poll period (0 = off; default 1000) |
-    /// | `MESH_SENSE_HISTORY` | snapshots retained in the sense ring |
-    /// | `MESH_SENSE_MINCORE_PAGES` | pages sampled per poll (0 = no sweep) |
-    /// | `MESH_SENSE_PATH` | sense-dump file (default: stderr, on request) |
-    /// | `MESH_CTL` | mesh-ctl Unix-socket path (default: no socket) |
-    /// | `MESH_CTL_MAX_CLIENTS` | concurrent ctl clients (1..=64, default 4) |
-    /// | `MESH_HARDEN` | hardened mode: `off` / `count` (alias `full`) / `abort` (alias `die`) |
-    /// | `MESH_HARDEN_POISON` | free poisoning + reallocation verify |
-    /// | `MESH_HARDEN_QUARANTINE` | delayed-reuse quarantine |
-    /// | `MESH_HARDEN_GUARD` | trailing guard page on large objects |
-    /// | `MESH_HARDEN_CANARY` | canary sweep during mesh copy windows |
-    /// | `MESH_HARDEN_QUARANTINE_BYTES` | per-thread quarantine byte cap |
-    /// | `MESH_HARDEN_QUARANTINE_SLOTS` | per-thread quarantine slot cap |
+    /// <!-- knobs:env -->
+    /// | variable | meaning | accepts | default |
+    /// |---|---|---|---|
+    /// | `MESH_MAX_HEAP_BYTES` | hard cap: the virtual reservation segments grow into (8G under `LD_PRELOAD`; legacy name `MESH_ARENA_BYTES`) | a number in 128K..=1T | 1G |
+    /// | `MESH_INITIAL_SEGMENT_BYTES` | initial segment size (clamped to the cap) | a number in 128K..=1T | 64M |
+    /// | `MESH_SEGMENT_BYTES` | growth segment size (clamped to the cap) | a number in 128K..=1T | 256M |
+    /// | `MESH_SEED` | fix the PRNG seed (unset: seeded from entropy) | a number, 0 or more | unset |
+    /// | `MESH_BACKGROUND_MESHING` | run meshing on a dedicated thread | one of 1/0/true/false/yes/no/on/off | off |
+    /// | `MESH_PRINT_STATS_AT_EXIT` | one-line stats dump at exit (`LD_PRELOAD` only) | one of 1/0/true/false/yes/no/on/off | off |
+    /// | `MESH_PROF` | sampled heap profiler (mesh-insight) | one of 1/0/true/false/yes/no/on/off | off |
+    /// | `MESH_PROF_SAMPLE_BYTES` | mean bytes between samples | a number in 1..=1T | 512K |
+    /// | `MESH_PROF_INTERVAL_MS` | periodic profile dumps, in ms (0 = off) | a number in 0..=4294967295 | 0 |
+    /// | `MESH_PROF_PATH` | profile-dump file (unset: one `mesh-prof:` line on stderr) | a path of 1..=4095 bytes | unset |
+    /// | `MESH_TRACE` | slow-path event tracer (mesh-trace) | one of 1/0/true/false/yes/no/on/off | off |
+    /// | `MESH_TRACE_BUF_EVENTS` | events per trace ring (rounded up to a power of two, overwrite-oldest) | a number in 64..=4M | 64K |
+    /// | `MESH_TRACE_PATH` | trace-dump file (unset: one `mesh-trace:` line on stderr) | a path of 1..=4095 bytes | unset |
+    /// | `MESH_SENSE_INTERVAL_MS` | mesh-sense poll period, in ms (0 = off) | a number in 0..=4294967295 | 1000 |
+    /// | `MESH_SENSE_HISTORY` | snapshots retained in the sense ring | a number in 2..=100000 | 120 |
+    /// | `MESH_SENSE_MINCORE_PAGES` | pages `mincore`-sampled per poll (0 = no sweep) | a number in 0..=16M | 256 |
+    /// | `MESH_SENSE_PATH` | sense-dump file, also written at exit (unset: stderr, on request only) | a path of 1..=4095 bytes | unset |
+    /// | `MESH_CTL` | mesh-ctl control-socket path (unset: no socket) | a path of 1..=107 bytes | unset |
+    /// | `MESH_CTL_MAX_CLIENTS` | concurrent mesh-ctl clients | a number in 1..=64 | 4 |
+    /// | `MESH_HARDEN` | hardened mode: `off` / `count` (alias `full`) / `abort` (alias `die`) | one of off/count/abort (aliases: full, die, 0/1, on/off) | off |
+    /// | `MESH_HARDEN_POISON` | free poisoning + reallocation verify | one of 1/0/true/false/yes/no/on/off | on |
+    /// | `MESH_HARDEN_QUARANTINE` | delayed-reuse quarantine | one of 1/0/true/false/yes/no/on/off | on |
+    /// | `MESH_HARDEN_GUARD` | trailing guard page on large objects | one of 1/0/true/false/yes/no/on/off | on |
+    /// | `MESH_HARDEN_CANARY` | canary sweep during mesh copy windows (needs poisoning) | one of 1/0/true/false/yes/no/on/off | on |
+    /// | `MESH_HARDEN_QUARANTINE_BYTES` | per-thread quarantine byte cap | a number in 4K..=1G | 256K |
+    /// | `MESH_HARDEN_QUARANTINE_SLOTS` | per-thread quarantine slot cap | a number in 1..=1M | 512 |
+    /// <!-- /knobs -->
     ///
     /// Size knobs accept `K`/`M`/`G`/`T` suffixes (optionally followed by
-    /// `B` or `iB`, case-insensitive): `MESH_MAX_HEAP_BYTES=8G`. Malformed
-    /// values are ignored with a one-line warning on stderr rather than
-    /// silently falling back. So are the retired knobs of the transfer
-    /// cache (`MESH_TRANSFER_BATCH`, `MESH_TRANSFER_CACHE_SLOTS`),
-    /// whatever their value.
-    pub fn apply_env(mut self) -> Self {
-        if let Some(bytes) =
-            env_size("MESH_MAX_HEAP_BYTES").or_else(|| env_size("MESH_ARENA_BYTES"))
-        {
-            self = self.max_heap_bytes(bytes);
+    /// `B` or `iB`, case-insensitive): `MESH_MAX_HEAP_BYTES=8G`. A value
+    /// that is malformed or out of its range is ignored with a one-line
+    /// warning on stderr, never left for [`MeshConfig::validate`] to
+    /// refuse: under `LD_PRELOAD` a validation failure costs the process
+    /// its whole heap. For the same reason a canary sweep left on without
+    /// poisoning is switched off here. The retired knobs of the transfer
+    /// cache (`MESH_TRANSFER_BATCH`, `MESH_TRANSFER_CACHE_SLOTS`) are
+    /// ignored too, whatever their value.
+    pub fn apply_env(self) -> Self {
+        let mut config = knobs::apply_env(self);
+        if config.harden.active() && config.harden.canary && !config.harden.poison {
+            eprintln!("mesh: ignoring MESH_HARDEN_CANARY (the sweep needs MESH_HARDEN_POISON=1)");
+            config.harden.canary = false;
         }
-        if let Some(bytes) = env_size("MESH_INITIAL_SEGMENT_BYTES") {
-            self = self.initial_segment_bytes(bytes);
-        }
-        if let Some(bytes) = env_size("MESH_SEGMENT_BYTES") {
-            self = self.segment_bytes(bytes);
-        }
-        if let Some(enabled) = env_bool("MESH_BACKGROUND_MESHING") {
-            self = self.background_meshing(enabled);
-        }
-        if let Some(seed) = env_u64("MESH_SEED") {
-            self = self.seed(seed);
-        }
-        if let Some(enabled) = env_bool("MESH_PROF") {
-            self = self.profiling(enabled);
-        }
-        if let Some(bytes) = env_size("MESH_PROF_SAMPLE_BYTES") {
-            self = self.prof_sample_bytes(bytes);
-        }
-        if let Some(ms) = env_u64("MESH_PROF_INTERVAL_MS") {
-            self = self.prof_interval((ms > 0).then(|| Duration::from_millis(ms)));
-        }
-        if let Some(path) = env_path("MESH_PROF_PATH") {
-            self = self.prof_path(Some(path));
-        }
-        if let Some(enabled) = env_bool("MESH_TRACE") {
-            self = self.tracing(enabled);
-        }
-        if let Some(events) = env_size("MESH_TRACE_BUF_EVENTS") {
-            self = self.trace_buf_events(events);
-        }
-        if let Some(path) = env_path("MESH_TRACE_PATH") {
-            self = self.trace_path(Some(path));
-        }
-        let retired: Vec<&str> = ["MESH_TRANSFER_BATCH", "MESH_TRANSFER_CACHE_SLOTS"]
-            .into_iter()
-            .filter(|name| std::env::var_os(name).is_some())
-            .collect();
-        if !retired.is_empty() {
-            eprintln!(
-                "mesh: ignoring {} (retired: there is no transfer cache to tune)",
-                retired.join(" and ")
-            );
-        }
-        if let Some(ms) = env_u64("MESH_SENSE_INTERVAL_MS") {
-            self = self.sense_interval((ms > 0).then(|| Duration::from_millis(ms)));
-        }
-        if let Some(n) = env_u64("MESH_SENSE_HISTORY") {
-            self = self.sense_history(n as usize);
-        }
-        if let Some(n) = env_size("MESH_SENSE_MINCORE_PAGES") {
-            self = self.sense_mincore_pages(n);
-        }
-        if let Some(path) = env_path("MESH_SENSE_PATH") {
-            self = self.sense_path(Some(path));
-        }
-        // Bounds are enforced here (warn-and-ignore) rather than left to
-        // `validate()`: under LD_PRELOAD a validation failure kills heap
-        // construction for the whole process, which is far worse than
-        // running without a control socket.
-        if let Some(path) = env_parsed(
-            "MESH_CTL",
-            |s| {
-                let t = s.trim();
-                (!t.is_empty() && t.len() <= CTL_PATH_MAX).then(|| PathBuf::from(t))
-            },
-            "a socket path of 1..=107 bytes",
-        ) {
-            self = self.ctl(Some(path));
-        }
-        if let Some(n) = env_parsed(
-            "MESH_CTL_MAX_CLIENTS",
-            |s| s.trim().parse::<usize>().ok().filter(|n| (1..=64).contains(n)),
-            "an integer in 1..=64",
-        ) {
-            self = self.ctl_max_clients(n);
-        }
-        if let Some(policy) = env_parsed(
-            "MESH_HARDEN",
-            parse_harden_policy,
-            "one of off/count/abort (aliases: full, die, 0/1, on/off)",
-        ) {
-            self = self.harden_policy(policy);
-        }
-        if let Some(enabled) = env_bool("MESH_HARDEN_POISON") {
-            self = self.harden_poison(enabled);
-        }
-        if let Some(enabled) = env_bool("MESH_HARDEN_QUARANTINE") {
-            self = self.harden_quarantine(enabled);
-        }
-        if let Some(enabled) = env_bool("MESH_HARDEN_GUARD") {
-            self = self.harden_guard(enabled);
-        }
-        if let Some(enabled) = env_bool("MESH_HARDEN_CANARY") {
-            self = self.harden_canary(enabled);
-        }
-        if let Some(bytes) = env_size("MESH_HARDEN_QUARANTINE_BYTES") {
-            self = self.harden_quarantine_bytes(bytes);
-        }
-        if let Some(n) = env_u64("MESH_HARDEN_QUARANTINE_SLOTS") {
-            self = self.harden_quarantine_slots(n as usize);
-        }
-        self
+        config
     }
 
     /// Number of whole pages under the hard cap.
@@ -791,84 +494,10 @@ impl MeshConfig {
     }
 }
 
-/// Parses a byte-size string with an optional `K`/`M`/`G`/`T` suffix
-/// (case-insensitive, optionally followed by `B`/`iB`): `"64M"`,
-/// `"8g"`, `"1073741824"`, `"2GiB"`. Returns `None` for anything else
-/// (including overflow).
-pub fn parse_size(s: &str) -> Option<usize> {
-    let s = s.trim();
-    let lower = s.to_ascii_lowercase();
-    let body = lower
-        .strip_suffix("ib")
-        .or_else(|| lower.strip_suffix('b'))
-        .unwrap_or(&lower);
-    let (digits, shift) = match body.as_bytes().last()? {
-        b'k' => (&body[..body.len() - 1], 10),
-        b'm' => (&body[..body.len() - 1], 20),
-        b'g' => (&body[..body.len() - 1], 30),
-        b't' => (&body[..body.len() - 1], 40),
-        b'0'..=b'9' => (body, 0),
-        _ => return None,
-    };
-    let n: usize = digits.trim().parse().ok()?;
-    n.checked_shl(shift).filter(|v| v >> shift == n)
-}
-
-/// Parses a boolean knob: `1`/`true`/`yes`/`on` and `0`/`false`/`no`/`off`
-/// (case-insensitive). Returns `None` for anything else.
-pub fn parse_bool(s: &str) -> Option<bool> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "yes" | "on" => Some(true),
-        "0" | "false" | "no" | "off" => Some(false),
-        _ => None,
-    }
-}
-
-fn env_parsed<T>(name: &str, parse: impl Fn(&str) -> Option<T>, hint: &str) -> Option<T> {
-    let raw = std::env::var(name).ok()?;
-    match parse(&raw) {
-        Some(v) => Some(v),
-        None => {
-            eprintln!("mesh: ignoring malformed {name}={raw:?} (expected {hint})");
-            None
-        }
-    }
-}
-
-/// Reads a size knob from the environment ([`parse_size`] syntax),
-/// warning on stderr and returning `None` for malformed values.
-pub fn env_size(name: &str) -> Option<usize> {
-    env_parsed(name, parse_size, "a byte count such as 67108864, 64M, or 8G")
-}
-
-/// Reads a boolean knob from the environment ([`parse_bool`] syntax),
-/// warning on stderr and returning `None` for malformed values.
-pub fn env_bool(name: &str) -> Option<bool> {
-    env_parsed(name, parse_bool, "one of 1/0/true/false/yes/no/on/off")
-}
-
-/// Reads an integer knob from the environment, warning on stderr and
-/// returning `None` for malformed values.
-pub fn env_u64(name: &str) -> Option<u64> {
-    env_parsed(name, |s| s.trim().parse().ok(), "an unsigned integer")
-}
-
-/// Reads a path knob from the environment, warning on stderr and
-/// returning `None` for malformed (empty/whitespace) values.
-pub fn env_path(name: &str) -> Option<PathBuf> {
-    env_parsed(
-        name,
-        |s| {
-            let t = s.trim();
-            (!t.is_empty()).then(|| PathBuf::from(t))
-        },
-        "a non-empty file path",
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knobs::{parse_bool, parse_size};
 
     #[test]
     fn defaults_match_paper() {
@@ -895,7 +524,6 @@ mod tests {
         assert_eq!(c.max_heap_size(), 256 << 20);
         assert_eq!(c.initial_segment_size(), 1 << 20);
         assert_eq!(c.segment_size(), 2 << 20);
-        assert_eq!(c.arena_size(), 256 << 20, "legacy accessor reads the cap");
         assert!(c.validate().is_ok());
         // The legacy builder name sets the cap.
         assert_eq!(MeshConfig::default().arena_bytes(64 << 20).max_heap_size(), 64 << 20);

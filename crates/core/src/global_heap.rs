@@ -318,9 +318,7 @@ impl RuntimeConfig {
     }
 
     pub fn set_probe_limit(&self, t: usize) {
-        if t > 0 {
-            self.probe_limit.store(t, Ordering::Relaxed);
-        }
+        self.probe_limit.store(t, Ordering::Relaxed);
     }
 
     pub fn occupancy_cutoff(&self) -> f64 {

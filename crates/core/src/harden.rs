@@ -87,17 +87,6 @@ pub enum HardenPolicy {
     Abort,
 }
 
-/// Parses a `MESH_HARDEN` policy value: `off`/`0`/`false`/`no`,
-/// `count`/`counts`/`1`/`true`/`yes`/`on`/`full`, or `abort`/`die`.
-pub fn parse_harden_policy(s: &str) -> Option<HardenPolicy> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "off" | "0" | "false" | "no" => Some(HardenPolicy::Off),
-        "count" | "counts" | "1" | "true" | "yes" | "on" | "full" => Some(HardenPolicy::Count),
-        "abort" | "die" => Some(HardenPolicy::Abort),
-        _ => None,
-    }
-}
-
 /// The resolved hardening configuration a heap runs with: the policy
 /// plus the per-feature switches (each defaulting to "on whenever the
 /// policy is not `Off`", individually overridable via
@@ -304,6 +293,7 @@ pub(crate) fn harden_abort(kind: HardenKind, addr: usize) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knobs::parse_harden_policy;
 
     #[test]
     fn kinds_are_stable_and_indexed() {

@@ -75,6 +75,7 @@ pub mod ffi;
 mod global_heap;
 pub mod harden;
 pub mod json;
+pub mod knobs;
 mod local_heap;
 mod mesher;
 pub mod meshing;
@@ -96,10 +97,10 @@ mod attached_set;
 pub use alloc_api::{
     in_internal_alloc, with_internal_alloc, Mesh, MeshForkGuard, MeshGlobalAlloc, ThreadHeap,
 };
-pub use config::{env_bool, env_size, env_u64, parse_bool, parse_size, MeshConfig};
+pub use config::MeshConfig;
 pub use error::MeshError;
 pub use harden::{
-    parse_harden_policy, set_abort_fd, HardenConfig, HardenKind, HardenPolicy, ALL_HARDEN_KINDS,
+    set_abort_fd, HardenConfig, HardenKind, HardenPolicy, ALL_HARDEN_KINDS,
     HARDEN_KINDS, POISON_BYTE,
 };
 pub use meshing::MeshSummary;

@@ -185,12 +185,47 @@ fn collect_candidates(heap: &GlobalHeap, st: &mut ClassState) -> Vec<MiniHeapId>
     out
 }
 
+/// The probe loop of Figure 2 over a split already made: `left[j]` is
+/// probed against `right[(j+i) % |right|]` for `i < t`, and a pair
+/// `meshable` accepts drops out of both halves. `probes` counts the calls
+/// of `meshable`. The heap's passes and `mesh-graph`'s §5.3 experiments
+/// both run this loop.
+#[inline]
+pub fn split_mesher_pairs<T: Copy>(
+    left: &[T],
+    right: &[T],
+    t: usize,
+    probes: &mut usize,
+    mut meshable: impl FnMut(T, T) -> bool,
+) -> Vec<(T, T)> {
+    let mut pairs = Vec::new();
+    if right.is_empty() {
+        return pairs;
+    }
+    let mut used_l = vec![false; left.len()];
+    let mut used_r = vec![false; right.len()];
+    for i in 0..t {
+        for (j, taken) in used_l.iter_mut().enumerate() {
+            let k = (j + i) % right.len();
+            if *taken || used_r[k] {
+                continue;
+            }
+            *probes += 1;
+            if meshable(left[j], right[k]) {
+                *taken = true;
+                used_r[k] = true;
+                pairs.push((left[j], right[k]));
+            }
+        }
+    }
+    pairs
+}
+
 /// The SplitMesher procedure of Figure 2: shuffle the candidate list,
-/// split it into halves, and probe `Sl[j]` against `Sr[(j+i) % len]` for
-/// `i < t`. Returns the pairs to mesh (each span in at most one pair).
-/// Every probed pair that fails — overlapping bitmaps, or a combined
-/// alias count over the page-table budget — bumps `rejects` (the
-/// ledger's occupancy-overlap tally).
+/// split it into halves, and probe them. Returns the pairs to mesh (each
+/// span in at most one pair). Every probed pair that fails — overlapping
+/// bitmaps, or a combined alias count over the page-table budget — bumps
+/// `rejects` (the ledger's occupancy-overlap tally).
 fn split_mesher(
     st: &mut ClassState,
     mut candidates: Vec<MiniHeapId>,
@@ -200,43 +235,17 @@ fn split_mesher(
     rejects: &mut u64,
 ) -> Vec<(MiniHeapId, MiniHeapId)> {
     st.rng.shuffle(&mut candidates);
-    let half = candidates.len() / 2;
-    let (left, right) = candidates.split_at(half);
-    // `left` has `half` entries; `right` has `half` or `half + 1`.
-    let len = half;
-    if len == 0 {
-        return Vec::new();
-    }
-    let mut used_l = vec![false; left.len()];
-    let mut used_r = vec![false; right.len()];
-    let mut pairs = Vec::new();
-    for i in 0..probe_limit {
-        for j in 0..len {
-            if used_l[j] {
-                continue;
-            }
-            let k = (j + i) % right.len();
-            if used_r[k] {
-                continue;
-            }
-            *probes += 1;
-            let a = st.slab.get(left[j]).expect("candidate is live");
-            let b = st.slab.get(right[k]).expect("candidate is live");
-            // Combined alias count must stay within the page-table budget.
-            if a.span_count() + b.span_count() > max_spans {
-                *rejects += 1;
-                continue;
-            }
-            if a.bitmap().meshes_with(b.bitmap()) {
-                used_l[j] = true;
-                used_r[k] = true;
-                pairs.push((left[j], right[k]));
-            } else {
-                *rejects += 1;
-            }
-        }
-    }
-    pairs
+    // `left` has `len / 2` entries; `right` has as many, or one more.
+    let (left, right) = candidates.split_at(candidates.len() / 2);
+    split_mesher_pairs(left, right, probe_limit, probes, |x, y| {
+        let a = st.slab.get(x).expect("candidate is live");
+        let b = st.slab.get(y).expect("candidate is live");
+        // Combined alias count must stay within the page-table budget.
+        let meshable = a.span_count() + b.span_count() <= max_spans
+            && a.bitmap().meshes_with(b.bitmap());
+        *rejects += !meshable as u64;
+        meshable
+    })
 }
 
 /// Meshes one pair: consolidates objects onto the higher-occupancy span

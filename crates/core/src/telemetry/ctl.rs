@@ -26,10 +26,21 @@
 //!
 //! ## The knob whitelist
 //!
-//! `set` accepts only knobs whose application is a single atomic store
-//! on state that every reader already tolerates changing between two
-//! loads: `meshing`, `mesh_period_ms`, `probe_limit`,
-//! `sense_interval_ms`, `trace`, `prof_sample_bytes`.
+//! `set` accepts the rows of [`knobs::KNOBS`] that have a live apply — a
+//! row has one iff applying it is a single atomic store on state that
+//! every reader already tolerates changing between two loads:
+//!
+//! <!-- knobs:live -->
+//! - `meshing` — master switch for meshing (§6.3 "no meshing" when off): one of 1/0/true/false/yes/no/on/off
+//! - `mesh_period_ms` — minimum interval between meshing passes, in ms (§4.5): a number in 0..=4294967295
+//! - `probe_limit` — SplitMesher probe limit `t` (§3.3): a number in 1..=4K
+//! - `prof_sample_bytes` — mean bytes between samples: a number in 1..=1T
+//! - `trace` — slow-path event tracer (mesh-trace): one of 1/0/true/false/yes/no/on/off
+//! - `sense_interval_ms` — mesh-sense poll period, in ms (0 = off): a number in 0..=4294967295
+//! <!-- /knobs -->
+//!
+//! The value is parsed by [`knobs::parse`], the parser of the `MESH_*`
+//! variables: out of range is an `err` naming the range, never a clamp.
 //! Structural configuration (arena size, size classes, hardening,
 //! enabling a subsystem that was built disabled) is rejected — those
 //! choices sized tables and spawned state at heap birth, and no lock
@@ -59,6 +70,7 @@
 //! paths (e.g. with `$$` in the wrapper).
 
 use super::Report;
+use crate::knobs;
 use crate::sync::{Mutex, MutexGuard};
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -484,9 +496,9 @@ fn parse(line: &str) -> Result<Request<'_>, &'static str> {
 fn help() -> String {
     let reports: Vec<&str> = Report::ALL.iter().map(|k| k.name()).collect();
     format!(
-        "{} mesh_now madvise_now set help\nknobs: meshing mesh_period_ms probe_limit \
-         sense_interval_ms trace prof_sample_bytes",
-        reports.join(" ")
+        "{} mesh_now madvise_now set help\nknobs: {}",
+        reports.join(" "),
+        knobs::live_names().join(" ")
     )
 }
 
@@ -540,68 +552,23 @@ impl crate::global_heap::GlobalHeap {
         }
     }
 
-    /// Applies one whitelisted knob. Each arm is a single atomic store;
-    /// a knob whose subsystem was built disabled is an error, not a
-    /// silent no-op.
+    /// Applies one knob with a live apply: lookup, [`knobs::parse`], the
+    /// row's single atomic store. The ack echoes the value as sent; out of
+    /// range is an `err` naming the range, never a clamp, and a knob whose
+    /// subsystem was built disabled is an error, not a silent no-op.
     fn ctl_set(&self, knob: &str, value: &str) -> Response {
-        fn parse_u64(value: &str) -> Result<u64, Response> {
-            value
-                .parse::<u64>()
-                .map_err(|_| Response::err("value must be an unsigned integer"))
-        }
-        fn parse_flag(value: &str) -> Result<bool, Response> {
-            crate::config::parse_bool(value).ok_or_else(|| Response::err("value must be 0 or 1"))
-        }
-        let ack = |v: u64| Response::ok_str(format!("{{\"knob\":\"{knob}\",\"value\":{v}}}"));
-        match knob {
-            "meshing" => match parse_flag(value) {
-                Ok(on) => {
-                    self.rt.set_meshing(on);
-                    ack(on as u64)
-                }
-                Err(e) => e,
-            },
-            "mesh_period_ms" => match parse_u64(value) {
-                Ok(ms) if ms > 0 => {
-                    self.rt.set_mesh_period(Duration::from_millis(ms));
-                    ack(ms)
-                }
-                Ok(_) => Response::err("mesh_period_ms must be > 0"),
-                Err(e) => e,
-            },
-            "probe_limit" => match parse_u64(value) {
-                Ok(t) if t > 0 => {
-                    self.rt.set_probe_limit(t as usize);
-                    ack(t)
-                }
-                Ok(_) => Response::err("probe_limit must be > 0"),
-                Err(e) => e,
-            },
-            "sense_interval_ms" => match (&self.sense, parse_u64(value)) {
-                (None, _) => Response::err(Report::Sense.off().0),
-                (Some(_), Err(e)) => e,
-                (Some(sense), Ok(ms)) => {
-                    sense.set_interval(Duration::from_millis(ms));
-                    ack(sense.interval().as_millis() as u64)
-                }
-            },
-            "trace" => match (self.counters.trace_set(), parse_flag(value)) {
-                (None, _) => Response::err(Report::Trace.off().0),
-                (Some(_), Err(e)) => e,
-                (Some(trace), Ok(on)) => {
-                    trace.set_enabled(on);
-                    ack(on as u64)
-                }
-            },
-            "prof_sample_bytes" => match (&self.telemetry, parse_u64(value)) {
-                (None, _) => Response::err(Report::Profile.off().0),
-                (Some(_), Err(e)) => e,
-                (Some(t), Ok(bytes)) => {
-                    t.set_sample_bytes(bytes as usize);
-                    ack(t.sample_bytes() as u64)
-                }
-            },
-            _ => Response::err("unknown knob (try: help)"),
+        let Some(row) = knobs::find(knob).filter(|row| row.live.is_some()) else {
+            return Response::err("unknown knob (try: help)");
+        };
+        let applied = knobs::parse(row, value)
+            .map_err(|why| format!("{knob}: {why}"))
+            .and_then(|v| row.apply_live(self, &v).map(|()| v));
+        match applied {
+            Ok(v) => Response::ok_str(format!(
+                "{{\"knob\":\"{knob}\",\"value\":{}}}",
+                knobs::render(&v)
+            )),
+            Err(why) => Response::Err(why),
         }
     }
 }
@@ -612,6 +579,78 @@ mod tests {
 
     fn sock_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("mesh-ctl-test-{tag}-{}.sock", std::process::id()))
+    }
+
+    /// Env/ctl parity by construction: for every row with a live apply,
+    /// the text [`knobs::parse`] (the environment's parser) refuses is
+    /// the text `set` refuses, and an accepted `set` acks the value it
+    /// was given — never a clamped one.
+    #[test]
+    fn set_accepts_what_the_environment_accepts_and_acks_it_verbatim() {
+        use crate::knobs::{Kind, Value, KNOBS};
+        let heap = crate::global_heap::GlobalHeap::new(
+            crate::MeshConfig::default()
+                .arena_bytes(64 << 20)
+                .profiling(true)
+                .tracing(true),
+            std::sync::Arc::new(crate::stats::Counters::default()),
+        )
+        .unwrap();
+        let set = |name: &str, text: &str| match heap.ctl_dispatch(&format!("set {name} {text}")) {
+            Response::Ok(ack) => Ok(String::from_utf8(ack).unwrap()),
+            Response::Err(why) => Err(why),
+        };
+        let mut live = 0;
+        for row in KNOBS.iter().filter(|row| row.live.is_some()) {
+            live += 1;
+            let (min, max) = match row.kind {
+                Kind::Num { min, max } => (min as u128, max as u128),
+                _ => (0, 1),
+            };
+            let mut texts: Vec<String> =
+                ["0", "1", "64K", "banana", "-1", "18446744073709551615"].map(String::from).into();
+            texts.extend([min.wrapping_sub(1), min, max, max + 1].map(|n| n.to_string()));
+            texts.push(row.default.to_string());
+            for text in &texts {
+                let by_env = knobs::parse(row, text);
+                let by_ctl = set(row.name, text);
+                match (&by_env, &by_ctl) {
+                    (Ok(v), Ok(ack)) => assert_eq!(
+                        *ack,
+                        format!("{{\"knob\":\"{}\",\"value\":{}}}", row.name, knobs::render(v)),
+                        "{} {text}: the ack is the value as sent",
+                        row.name
+                    ),
+                    (Err(why), Err(said)) => {
+                        assert_eq!(*said, format!("{}: {why}", row.name), "one refusal text")
+                    }
+                    // "0 = off" is a start-up choice the environment can
+                    // make and a live heap cannot.
+                    (Ok(Value::Num(0)), Err(_)) => assert_eq!(row.name, "sense_interval_ms"),
+                    _ => panic!("{} {text}: env {by_env:?}, ctl {by_ctl:?}", row.name),
+                }
+            }
+        }
+        assert_eq!(live, 6);
+
+        // The drifts this closes, pinned: no clamp to 1 ms, no clamp to
+        // "sample every byte", no probe limit a pass would spin on.
+        for refused in ["sense_interval_ms 0", "prof_sample_bytes 0", "probe_limit 0",
+                        "probe_limit 18446744073709551615"] {
+            let (name, text) = refused.split_once(' ').unwrap();
+            assert!(set(name, text).is_err(), "set {refused}");
+        }
+        assert_eq!(set("probe_limit", "256").unwrap(), "{\"knob\":\"probe_limit\",\"value\":256}");
+        assert_eq!(heap.rt.probe_limit(), 256);
+        // A row without a live apply is as unknown as a name with no row.
+        for name in ["max_heap_bytes", "harden", "transfer_batch"] {
+            assert_eq!(set(name, "1").unwrap_err(), "unknown knob (try: help)");
+        }
+        let help = match heap.ctl_dispatch("help") {
+            Response::Ok(text) => String::from_utf8(text).unwrap(),
+            Response::Err(why) => panic!("{why}"),
+        };
+        assert_eq!(help.lines().nth(1).unwrap(), format!("knobs: {}", knobs::live_names().join(" ")));
     }
 
     #[test]

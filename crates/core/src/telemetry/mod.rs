@@ -145,12 +145,12 @@ impl Telemetry {
     }
 
     /// Retunes the mean bytes between samples (mesh-ctl
-    /// `set prof_sample_bytes`). Zero is clamped to 1; already-armed
+    /// `set prof_sample_bytes`, which refuses 0). Already-armed
     /// per-thread countdowns finish at the old rate, and their recorded
     /// weights stay consistent because each sample carries the rate it
     /// was drawn at.
     pub fn set_sample_bytes(&self, rate: usize) {
-        self.sample_bytes.store(rate.max(1), Ordering::Relaxed);
+        self.sample_bytes.store(rate, Ordering::Relaxed);
     }
 
     /// Records one sample: interns the chain, tracks the object as live,

@@ -373,12 +373,11 @@ impl SenseState {
     }
 
     /// Retunes the poll interval at runtime (mesh-ctl
-    /// `set sense_interval_ms`). Zero is clamped to 1 ms — sensing
-    /// cannot be turned fully off this way, only made slow or fast —
-    /// and the new deadline takes effect at the next park computation.
+    /// `set sense_interval_ms`, which refuses 0: sensing cannot be
+    /// turned off this way, only made slow or fast). The new deadline
+    /// takes effect at the next park computation.
     pub fn set_interval(&self, interval: Duration) {
-        let ns = interval.as_nanos().max(1_000_000) as u64;
-        self.interval_ns.store(ns, Ordering::Relaxed);
+        self.interval_ns.store(interval.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Ring capacity in snapshots.

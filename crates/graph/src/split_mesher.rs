@@ -12,6 +12,7 @@
 //! ```
 
 use crate::string::SpanString;
+use mesh_core::meshing::split_mesher_pairs;
 use mesh_core::rng::Rng;
 
 /// Result of one SplitMesher run.
@@ -54,34 +55,11 @@ pub fn split_mesher_presplit(
     right: &[usize],
     t: usize,
 ) -> SplitMesherOutcome {
-    let len = left.len();
-    let mut outcome = SplitMesherOutcome {
-        pairs: Vec::new(),
-        probes: 0,
-    };
-    if len == 0 || right.is_empty() {
-        return outcome;
-    }
-    let mut used_l = vec![false; left.len()];
-    let mut used_r = vec![false; right.len()];
-    for i in 0..t {
-        for j in 0..len {
-            if used_l[j] {
-                continue;
-            }
-            let k = (j + i) % right.len();
-            if used_r[k] {
-                continue;
-            }
-            outcome.probes += 1;
-            if strings[left[j]].meshes_with(&strings[right[k]]) {
-                used_l[j] = true;
-                used_r[k] = true;
-                outcome.pairs.push((left[j], right[k]));
-            }
-        }
-    }
-    outcome
+    let mut probes = 0;
+    let pairs = split_mesher_pairs(left, right, t, &mut probes, |a, b| {
+        strings[a].meshes_with(&strings[b])
+    });
+    SplitMesherOutcome { pairs, probes }
 }
 
 /// The empirical setting of Lemma 5.3: `n` random spans of length `b` at

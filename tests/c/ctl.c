@@ -152,6 +152,9 @@ int main(void) {
   show(fd, "set-probe", "set probe_limit 32");
   show(fd, "set-err", "set bogus 1");
   show(fd, "set-retired", "set transfer_batch 100000");
+  /* Out of range is an err naming the range, never a clamped ack. */
+  show(fd, "set-sample-zero", "set prof_sample_bytes 0");
+  show(fd, "set-probe-huge", "set probe_limit 18446744073709551615");
   show(fd, "mesh-now", "mesh_now");
   show(fd, "stats-after-mesh", "stats");
   show(fd, "madvise-now", "madvise_now");

@@ -71,11 +71,22 @@ struct RunOutput {
 }
 
 fn run_preloaded(so: &Path, bin: &Path, args: &[&str], stdin: Option<&str>) -> RunOutput {
+    run_preloaded_env(so, bin, args, stdin, &[])
+}
+
+fn run_preloaded_env(
+    so: &Path,
+    bin: &Path,
+    args: &[&str],
+    stdin: Option<&str>,
+    env: &[(&str, &str)],
+) -> RunOutput {
     let mut cmd = Command::new(bin);
     cmd.args(args)
         .env("LD_PRELOAD", so)
         .env("MESH_PRINT_STATS_AT_EXIT", "1")
         .env("MESH_SEED", "17")
+        .envs(env.iter().copied())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .stdin(if stdin.is_some() {
@@ -168,6 +179,36 @@ fn c_programs_and_real_binaries_run_on_mesh() {
             assert!(
                 stats["reallocs_in_place"] > 0,
                 "{name}: in-place realloc fast path never hit:\n{}",
+                run.stderr
+            );
+        }
+    }
+
+    // --- a hostile environment costs warnings, never the heap -----------
+    // Each of these parses, is out of range (or contradicts another), and
+    // used to fail `validate()`: the process then ran on the system
+    // allocator without a word in its exit stats.
+    {
+        let bin = out_dir.join("smoke");
+        let hostile = [
+            ("MESH_TRACE", "1"),
+            ("MESH_TRACE_BUF_EVENTS", "10"),
+            ("MESH_SENSE_HISTORY", "1"),
+            ("MESH_HARDEN", "full"),
+            ("MESH_HARDEN_POISON", "0"),
+        ];
+        let run = run_preloaded_env(&so, &bin, &[], None, &hostile);
+        assert!(run.stdout.contains("smoke OK"), "{}", run.stdout);
+        assert!(
+            !run.stderr.contains("running on the system allocator"),
+            "a bad knob cost the heap:\n{}",
+            run.stderr
+        );
+        assert!(final_stats(&run)["mallocs"] > 0, "smoke ran off Mesh:\n{}", run.stderr);
+        for name in ["MESH_TRACE_BUF_EVENTS", "MESH_SENSE_HISTORY", "MESH_HARDEN_CANARY"] {
+            assert!(
+                run.stderr.contains(&format!("mesh: ignoring {name}")),
+                "{name} not reported:\n{}",
                 run.stderr
             );
         }

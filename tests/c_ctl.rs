@@ -157,6 +157,15 @@ fn interposed_process_serves_its_own_ctl_socket() {
     assert_eq!(rc, "err", "retired knob must be rejected");
     assert!(body.contains("unknown knob"), "set-retired: {body}");
     assert!(!help.contains("transfer_batch"), "help still lists it: {help}");
+    // Out of range: refused with the range, and the value set before it
+    // stands (`prof_sample_bytes 0` used to be clamped to 1 and acked;
+    // `probe_limit 2^64-1` used to be accepted, and the next pass spun).
+    let (rc, body) = &s["set-sample-zero"];
+    assert_eq!(rc, "err", "set prof_sample_bytes 0: {body}");
+    assert!(body.contains("1..=1T"), "set-sample-zero names the range: {body}");
+    let (rc, body) = &s["set-probe-huge"];
+    assert_eq!(rc, "err", "set probe_limit 2^64-1: {body}");
+    assert!(body.contains("1..=4K"), "set-probe-huge names the range: {body}");
 
     // mesh_now over the wire compacts the 7/8-freed bait spans (bare
     // `true`/`false` keeps this envelope out of the mini JSON parser).

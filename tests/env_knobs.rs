@@ -2,7 +2,9 @@
 //! parsing, the boolean/seed knobs, the `MESH_PROF*` profiling knobs,
 //! the `MESH_TRACE*` tracing knobs, warn-and-ignore on malformed
 //! values, and the retired transfer-cache knobs, which are ignored
-//! whatever they say.
+//! whatever they say. A walk over `knobs::KNOBS` feeds every variable a
+//! value below its range, above it, garbage and blank: whatever the
+//! environment says, `apply_env()` returns a config `validate()` accepts.
 //!
 //! Own test binary with a single test: `std::env::set_var` is not safe
 //! against concurrent `getenv` from other test threads, so the env is
@@ -10,14 +12,121 @@
 
 mod support;
 
-use mesh::core::{MeshConfig, Report};
+use mesh::core::knobs::{Kind, Knob, KNOBS};
+use mesh::core::{HardenPolicy, MeshConfig, Report};
 use support::report_text;
 
 /// Set in the child the test spawns of itself to read its stderr.
 const RETIRED_CHILD: &str = "MESH_ENV_KNOBS_RETIRED_CHILD";
 
+/// Set in the children of the hostile walk, to the name of the config
+/// `apply_env()` must return there (see [`hostile_expectation`]).
+const HOSTILE_CHILD: &str = "MESH_ENV_KNOBS_HOSTILE_CHILD";
+
+fn hostile_expectation(name: &str) -> MeshConfig {
+    let counting = MeshConfig::default().harden_policy(HardenPolicy::Count);
+    match name {
+        "default" => MeshConfig::default(),
+        // Canary without poison: the canary sweep is switched off.
+        "conflict" => counting.tracing(true).harden_poison(false).harden_canary(false),
+        // Quarantine caps out of range with the quarantine on: default caps.
+        "caps" => counting,
+        other => panic!("unknown expectation {other}"),
+    }
+}
+
+/// Runs this test in a child under `env` and asserts that `apply_env()`
+/// returned `expect`, that `validate()` accepted it, and that stderr
+/// carries exactly one `mesh: ignoring …` line per name in `ignored`.
+fn hostile_round(what: &str, expect: &str, env: &[(&str, String)], ignored: &[&str]) {
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "apply_env_reads_knobs_and_ignores_malformed", "--nocapture"])
+        .env(HOSTILE_CHILD, expect)
+        .envs(env.iter().map(|(k, v)| (k, v)))
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&child.stderr);
+    assert!(child.status.success(), "{what}: {stderr}");
+    let warned: Vec<&str> = stderr.lines().filter(|l| l.starts_with("mesh: ")).collect();
+    assert_eq!(warned.len(), ignored.len(), "{what}: one line per bad value: {stderr}");
+    for name in ignored {
+        let about = |l: &&&str| {
+            l.strip_prefix("mesh: ignoring ")
+                .and_then(|rest| rest.strip_prefix(name))
+                .is_some_and(|rest| rest.starts_with(['=', ' ']))
+        };
+        assert_eq!(warned.iter().filter(about).count(), 1, "{what}: {name}: {stderr}");
+    }
+}
+
+/// Every variable `apply_env()` reads, with the value `bad` picks for it.
+fn hostile_env(bad: impl Fn(&Knob) -> Option<String>) -> Vec<(&'static str, String)> {
+    KNOBS
+        .iter()
+        .filter(|row| row.field.is_some())
+        .filter_map(|row| Some((row.env?, bad(row)?)))
+        .collect()
+}
+
+fn hostile_walk() {
+    let below = hostile_env(|row| match row.kind {
+        Kind::Num { min, .. } if min > 0 => Some((min - 1).to_string()),
+        _ => None,
+    });
+    let above = hostile_env(|row| match row.kind {
+        Kind::Num { max, .. } if max < u64::MAX => Some((max + 1).to_string()),
+        Kind::Path { max_len } => Some("x".repeat(max_len + 1)),
+        _ => None,
+    });
+    // Any text is a path, so paths have no garbage; blank covers them.
+    let garbage = hostile_env(|row| {
+        (!matches!(row.kind, Kind::Path { .. })).then(|| "banana".to_string())
+    });
+    let blank = hostile_env(|_| Some("   ".to_string()));
+    assert_eq!(blank.len(), 25, "every variable apply_env reads");
+    assert!(below.len() >= 9 && above.len() >= 14 && garbage.len() == 21);
+    for (what, env) in [("min-1", below), ("max+1", above), ("garbage", garbage), ("blank", blank)] {
+        let names: Vec<&str> = env.iter().map(|(name, _)| *name).collect();
+        hostile_round(what, "default", &env, &names);
+    }
+    let set = |pairs: &[(&'static str, &str)]| -> Vec<(&'static str, String)> {
+        pairs.iter().map(|(k, v)| (*k, v.to_string())).collect()
+    };
+    // Each of these used to pass apply_env, fail validate() and cost an
+    // LD_PRELOADed process its heap.
+    hostile_round(
+        "cross-field conflict",
+        "conflict",
+        &set(&[
+            ("MESH_TRACE", "1"),
+            ("MESH_TRACE_BUF_EVENTS", "10"),
+            ("MESH_SENSE_HISTORY", "1"),
+            ("MESH_MAX_HEAP_BYTES", "4096"),
+            ("MESH_HARDEN", "full"),
+            ("MESH_HARDEN_POISON", "0"),
+        ]),
+        &["MESH_TRACE_BUF_EVENTS", "MESH_SENSE_HISTORY", "MESH_MAX_HEAP_BYTES", "MESH_HARDEN_CANARY"],
+    );
+    hostile_round(
+        "quarantine caps",
+        "caps",
+        &set(&[
+            ("MESH_HARDEN", "count"),
+            ("MESH_HARDEN_QUARANTINE_BYTES", "16"),
+            ("MESH_HARDEN_QUARANTINE_SLOTS", "0"),
+        ]),
+        &["MESH_HARDEN_QUARANTINE_BYTES", "MESH_HARDEN_QUARANTINE_SLOTS"],
+    );
+}
+
 #[test]
 fn apply_env_reads_knobs_and_ignores_malformed() {
+    if let Ok(expect) = std::env::var(HOSTILE_CHILD) {
+        let c = MeshConfig::default().apply_env();
+        assert!(c.validate().is_ok(), "{:?}", c.validate());
+        assert_eq!(c, hostile_expectation(&expect));
+        return;
+    }
     // The retired knobs of the transfer cache: any value — 100000 failed
     // `validate()`, and with it the whole heap under LD_PRELOAD — costs
     // one stderr line and nothing else.
@@ -46,6 +155,8 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
         warned[0].contains("MESH_TRANSFER_BATCH") && warned[0].contains("MESH_TRANSFER_CACHE_SLOTS"),
         "{stderr}"
     );
+
+    hostile_walk();
 
     std::env::set_var("MESH_MAX_HEAP_BYTES", "64M");
     std::env::set_var("MESH_INITIAL_SEGMENT_BYTES", "1M");

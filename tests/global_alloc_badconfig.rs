@@ -1,5 +1,7 @@
 //! Regression test: if the process-wide Mesh heap cannot be constructed
-//! (here: an invalid env configuration), `MeshGlobalAlloc::alloc` must
+//! (here: an address-space limit below the heap's reservation — no
+//! `MESH_*` value can fail construction any more, `apply_env` ignores
+//! what `validate()` would refuse), `MeshGlobalAlloc::alloc` must
 //! report OOM by returning null — never panic or abort across the
 //! FFI-analog boundary — and `dealloc` must still route pointers that
 //! went to the system allocator.
@@ -9,10 +11,26 @@
 use mesh::core::MeshGlobalAlloc;
 use std::alloc::{GlobalAlloc, Layout};
 
+#[repr(C)]
+struct Rlimit {
+    cur: u64,
+    max: u64,
+}
+
+extern "C" {
+    fn setrlimit(resource: i32, limit: *const Rlimit) -> i32;
+}
+
+const RLIMIT_AS: i32 = 9;
+
 #[test]
 fn construction_failure_degrades_to_null_not_panic() {
-    // 4 KiB is below the smallest valid cap (one 32-page span).
+    // 4 KiB is below the smallest valid cap (one 32-page span): ignored
+    // with a warning, so the default 1 GiB cap stands…
     std::env::set_var("MESH_MAX_HEAP_BYTES", "4096");
+    // …and its reservation cannot be mapped under a 512 MiB limit.
+    let limit = Rlimit { cur: 512 << 20, max: 512 << 20 };
+    assert_eq!(unsafe { setrlimit(RLIMIT_AS, &limit) }, 0);
 
     let alloc = MeshGlobalAlloc;
     let layout = Layout::from_size_align(256, 16).unwrap();
