@@ -1367,4 +1367,54 @@ mod tests {
         // Unsatisfiable in-class → large object.
         assert!(aligned_request(900, 4096) >= 4096);
     }
+    #[test]
+    fn a_pass_the_kernel_refuses_a_vm_call_of_leaves_the_heap_coherent() {
+        // Whichever call of the first pass is refused — a protect (the
+        // batch is abandoned) or a remap (its pair is rolled back) —
+        // every survivor reads back, the counters are exact, and the next
+        // pass meshes what this one could not.
+        let (mut abandoned, mut rolled_back) = (false, false);
+        for nth in [1, 2, 3, 5, 9, 17, 33, 49, 65, 81] {
+            let m = mesh();
+            let ptrs: Vec<*mut u8> = (0..2048).map(|_| m.malloc(256)).collect();
+            let mut live = Vec::new();
+            for (i, &p) in ptrs.iter().enumerate() {
+                if i % 8 == 0 {
+                    unsafe { std::ptr::write_bytes(p, i as u8, 256) };
+                    live.push((p, i as u8));
+                } else {
+                    unsafe { m.free(p) };
+                }
+            }
+            let intact = || {
+                for &(p, tag) in &live {
+                    unsafe { assert_eq!((*p, *p.add(255)), (tag, tag), "refusal {nth}") };
+                }
+            };
+            m.inner.state.lock_arena().refuse_vm_calls(nth..nth + 1);
+            let first = m.mesh_now();
+            let aborts = m.ledger_reject_totals()[crate::RejectReason::CopyAbort as usize];
+            assert!(
+                aborts > 0,
+                "call {nth} of the pass was not a VM call of the mesh path"
+            );
+            abandoned |= first.pairs_meshed == 0;
+            rolled_back |= aborts == 1 && first.pairs_meshed > 0;
+            intact();
+            assert_eq!(m.stats().live_bytes, live.len() * 256);
+            let second = m.mesh_now();
+            assert!(
+                second.pairs_meshed > 0,
+                "refusal {nth}: {first:?} then {second:?}"
+            );
+            intact();
+            for &(p, _) in &live {
+                unsafe { m.free(p) };
+            }
+            m.purge_dirty();
+            let s = m.stats();
+            assert_eq!((s.live_bytes, s.double_frees, s.invalid_frees), (0, 0, 0));
+        }
+        assert!(abandoned && rolled_back, "{abandoned} {rolled_back}");
+    }
 }

@@ -11,9 +11,9 @@
 //! *file* offsets are per-segment. Within a segment, virtual page *i*
 //! initially maps file page *i − segment start* (the *identity* mapping);
 //! meshing retargets a virtual span at any segment's file range, and the
-//! arena restores identities when meshed MiniHeaps die.
+//! arena restores identities some time after meshed MiniHeaps die.
 //!
-//! Freed spans are kept per segment in two sets of bins, exactly as
+//! Freed spans are kept per segment in three sets, two of them exactly as
 //! §4.4.1:
 //!
 //! * **dirty** — recently freed, physical pages still committed; preferred
@@ -21,10 +21,20 @@
 //! * **clean** — released to the OS (demand-zero on next touch under
 //!   punch-hole; possibly stale under the `MADV_DONTNEED` fallback — the
 //!   allocator never assumes zeroed spans).
+//! * **parked** — the alias spans of a dead meshed MiniHeap. They hold no
+//!   physical page of their own (meshing released it) but are still
+//!   mapped onto the span they were meshed into, so they are in no bin
+//!   and are never handed out. Their identities come back at the next
+//!   purge, or when span allocation misses the clean bins, whichever is
+//!   first: a parked span and the dirty spans it touches are sorted into
+//!   runs, and one `mmap` per run restores the identity mapping and lets
+//!   the kernel merge the run's VMAs, where a remap per dying alias paid
+//!   a call each against an address space meshing had cut into tens of
+//!   thousands of mappings.
 //!
 //! Dirty pages are released en masse once they exceed the configured
 //! threshold (64 MB in the paper) or whenever meshing runs. A purge that
-//! leaves a non-initial segment with no outstanding and no dirty pages
+//! leaves a non-initial segment with no outstanding, dirty or parked pages
 //! makes it **retirable**: the segment is unmapped back to the reserved
 //! state, its file is closed (returning the backing to the OS wholesale),
 //! and its page range becomes reusable by future segments. Allocation
@@ -78,6 +88,11 @@ pub struct Arena {
     max_dirty_pages: usize,
     barrier: Option<BarrierGuard>,
     counters: Arc<Counters>,
+    /// Test hook: fallible VM calls of the mesh path (protect, remap,
+    /// identity restore) seen since it was set, and which of them to
+    /// refuse.
+    #[cfg(test)]
+    refused_vm_calls: (u32, std::ops::Range<u32>),
 }
 
 // SAFETY: the raw base pointer refers to a reservation owned by the arena;
@@ -113,6 +128,8 @@ impl Arena {
             max_dirty_pages: config.max_dirty_bytes / PAGE_SIZE,
             barrier,
             counters,
+            #[cfg(test)]
+            refused_vm_calls: (0, 0..0),
         };
         // The initial segment (id 0) is mapped eagerly and never retired.
         let initial_pages = (config.initial_segment_pages() as u32).min(cap_pages);
@@ -237,19 +254,15 @@ impl Arena {
                 return Ok((Span::new(offset, pages), SpanSource::Dirty));
             }
         }
-        // 2. Clean reuse: smallest clean span across all segments that
-        //    fits, splitting the rest back into its segment's bins.
-        let mut best: Option<(usize, u32)> = None;
-        for (idx, seg) in self.table.iter().enumerate() {
-            if let Some(len) = seg.smallest_clean_at_least(pages) {
-                if best.is_none_or(|(_, best_len)| len < best_len) {
-                    best = Some((idx, len));
-                }
-            }
+        // 2. Clean reuse; parked aliases become clean spans before any
+        //    fresh page is carved, so address space is reused as if their
+        //    identities had come back when their MiniHeaps died.
+        let mut clean = self.take_clean(pages);
+        if clean.is_none() && self.has_parked() {
+            self.file_clean(false);
+            clean = self.take_clean(pages);
         }
-        if let Some((idx, len)) = best {
-            let span = self.table.get_mut(idx).take_clean(len, pages);
-            self.set_committed(self.committed_pages + pages as usize);
+        if let Some(span) = clean {
             return Ok((span, SpanSource::Clean));
         }
         // 3. Fresh pages from the first segment with frontier room.
@@ -273,6 +286,27 @@ impl Arena {
             .expect("fresh segment sized for the request");
         self.set_committed(self.committed_pages + pages as usize);
         Ok((Span::new(offset, pages), SpanSource::Fresh))
+    }
+
+    /// Takes the smallest clean span across all segments that fits `pages`,
+    /// splitting the rest back into its segment's bins.
+    fn take_clean(&mut self, pages: u32) -> Option<Span> {
+        let mut best: Option<(usize, u32)> = None;
+        for (idx, seg) in self.table.iter().enumerate() {
+            if let Some(len) = seg.smallest_clean_at_least(pages) {
+                if best.is_none_or(|(_, best_len)| len < best_len) {
+                    best = Some((idx, len));
+                }
+            }
+        }
+        let (idx, len) = best?;
+        let span = self.table.get_mut(idx).take_clean(len, pages);
+        self.set_committed(self.committed_pages + pages as usize);
+        Some(span)
+    }
+
+    fn has_parked(&self) -> bool {
+        self.table.iter().any(|seg| seg.has_parked())
     }
 
     /// Maps a new segment able to serve a `min_pages`-page span, preferring
@@ -342,7 +376,7 @@ impl Arena {
             let seg = self.table.remove(idx);
             let addr = (self.base as usize + seg.start() as usize * PAGE_SIZE) as *mut u8;
             // SAFETY: the range lies inside our reservation and holds no
-            // live spans (outstanding == dirty == 0).
+            // live spans (outstanding == dirty == parked == 0).
             unsafe {
                 sys::unmap_to_reserved(addr, seg.pages() as usize * PAGE_SIZE)
                     .expect("segment retirement remap failed");
@@ -379,12 +413,22 @@ impl Arena {
         }
     }
 
-    /// Returns a span whose physical pages were already released (e.g. the
-    /// source of a mesh) straight to its segment's clean bins. No
-    /// accounting change: the pages were uncommitted at release time.
+    /// Returns a span whose physical pages were already released straight
+    /// to its segment's clean bins. No accounting change: the pages were
+    /// uncommitted at release time.
     pub fn free_span_clean(&mut self, span: Span) {
         let idx = self.seg_index_of(span);
         self.table.get_mut(idx).free_clean(span);
+    }
+
+    /// Parks the alias span of a dead meshed MiniHeap: its file range was
+    /// released when it was meshed, but it still maps the range it was
+    /// meshed into, so it is handed to nobody until a purge or a clean-bin
+    /// miss has restored its identity mapping. The caller has cleared its
+    /// page-map entry.
+    pub(crate) fn park_alias(&mut self, span: Span) {
+        let idx = self.seg_index_of(span);
+        self.table.get_mut(idx).free_parked(span);
     }
 
     /// Releases a dead span's physical pages immediately and files it
@@ -398,103 +442,149 @@ impl Arena {
     /// mapping must still be intact (guaranteed for any never-meshed span
     /// and for mesh sources before their remap).
     pub fn release_physical(&mut self, span: Span) {
-        let t0 = Instant::now();
         let idx = self.seg_index_of(span);
-        let seg = self.table.get_mut(idx);
-        let file_offset = seg.file_offset_of_page(span.offset);
-        unsafe {
-            self.strategy.release(
-                seg.file(),
-                (self.base as usize + span.byte_offset()) as *mut u8,
-                span.byte_len(),
-                file_offset,
-            );
-        }
-        seg.note_release(span.pages as usize);
-        self.set_committed(self.committed_pages - span.pages as usize);
-        self.counters
-            .record_slow(TimedOp::Madvise, t0, span.pages as u64);
+        self.release_run(idx, span, span.pages as usize, true);
     }
 
-    /// Releases the file range behind a mesh source *after* its virtual
-    /// spans were retargeted (so no identity mapping of the range exists).
-    ///
-    /// Punch-hole releases by file offset directly; `MADV_REMOVE` goes
-    /// through a scratch mapping; the `MADV_DONTNEED` fallback cannot work
-    /// without a resident mapping, so callers using that strategy must
-    /// release *before* the remap via [`Arena::release_physical`] — this
-    /// method then only adjusts accounting (as does `Nop`).
-    pub fn release_after_remap(&mut self, span: Span) {
+    /// Releases the file range behind `run`, a run of spans of segment
+    /// `idx`, with one kernel call, and uncommits the `pages` of it that
+    /// held physical pages. `identity` says whether the run's identity
+    /// mapping is in place; without it `MADV_REMOVE` goes through a
+    /// scratch mapping (punch-hole releases by file offset either way, and
+    /// `MADV_DONTNEED` needs the mapping: see [`Arena::release_sources`]).
+    fn release_run(&mut self, idx: usize, run: Span, pages: usize, identity: bool) {
         let t0 = Instant::now();
-        let idx = self.seg_index_of(span);
         let seg = self.table.get_mut(idx);
-        let file_offset = seg.file_offset_of_page(span.offset);
-        match self.strategy {
-            ReleaseStrategy::PunchHole => unsafe {
-                self.strategy.release(
-                    seg.file(),
-                    std::ptr::null_mut(), // unused by punch-hole
-                    span.byte_len(),
-                    file_offset,
-                );
-            },
-            ReleaseStrategy::MadviseRemove => unsafe {
-                if let Ok(scratch) = sys::map_range_shared(seg.file(), file_offset, span.byte_len())
-                {
-                    self.strategy
-                        .release(seg.file(), scratch, span.byte_len(), file_offset);
-                    sys::unmap(scratch, span.byte_len());
-                }
-            },
-            ReleaseStrategy::MadviseDontNeed | ReleaseStrategy::Nop => {}
+        let file_offset = seg.file_offset_of_page(run.offset);
+        let addr = (self.base as usize + run.byte_offset()) as *mut u8;
+        debug_assert!(identity || self.strategy != ReleaseStrategy::MadviseDontNeed);
+        // SAFETY: the caller vouches that nothing live is in the run; its
+        // file range lies in the segment's file, and `addr` maps it when
+        // `identity` holds (else only punch-hole, which ignores `addr`,
+        // and the scratch mapping are used).
+        unsafe {
+            if identity || self.strategy != ReleaseStrategy::MadviseRemove {
+                self.strategy
+                    .release(seg.file(), addr, run.byte_len(), file_offset);
+            } else if let Ok(scratch) =
+                sys::map_range_shared(seg.file(), file_offset, run.byte_len())
+            {
+                self.strategy
+                    .release(seg.file(), scratch, run.byte_len(), file_offset);
+                sys::unmap(scratch, run.byte_len());
+            }
         }
-        self.table.get_mut(idx).note_release(span.pages as usize);
-        self.set_committed(self.committed_pages - span.pages as usize);
+        seg.note_release(pages);
+        self.set_committed(self.committed_pages - pages);
         self.counters
-            .record_slow(TimedOp::Madvise, t0, span.pages as u64);
+            .record_slow(TimedOp::Madvise, t0, pages as u64);
+    }
+
+    /// Releases the file ranges behind a batch's mesh sources — their
+    /// primary spans, sorted by offset — in runs of adjacent spans, one
+    /// kernel call per run; a run never crosses a segment, whose file
+    /// ranges live in different files.
+    ///
+    /// `remapped` says on which side of the batch's remaps the caller is.
+    /// Punch-hole and `MADV_REMOVE` release *after* them, so concurrent
+    /// readers never observe zeros; the `MADV_DONTNEED` fallback cannot
+    /// work without a resident mapping and must release *before* (it
+    /// preserves file contents, so that is safe).
+    pub(crate) fn release_sources(&mut self, primaries: &[Span], remapped: bool) {
+        let mut i = 0;
+        while i < primaries.len() {
+            let idx = self.seg_index_of(primaries[i]);
+            let (run, next) = run_at(primaries, i, self.table.get(idx).end(), |&s| s);
+            self.release_run(idx, run, run.pages as usize, !remapped);
+            i = next;
+        }
+    }
+
+    /// Takes back what [`Arena::release_sources`] accounted for `span`, a
+    /// source released before the remaps whose pair was then rolled back:
+    /// `MADV_DONTNEED` left its file pages in place.
+    pub(crate) fn recommit(&mut self, span: Span) {
+        let idx = self.seg_index_of(span);
+        self.table.get_mut(idx).note_recommit(span.pages as usize);
+        self.set_committed(self.committed_pages + span.pages as usize);
     }
 
     /// Releases every dirty span to the OS, moving them to the clean bins
-    /// (§4.4.1: after 64 MB accumulate, or when meshing runs).
+    /// (§4.4.1: after 64 MB accumulate, or when meshing runs), and brings
+    /// back the identity mapping of every parked alias.
     ///
-    /// Within each segment, adjacent dirty spans are coalesced into
-    /// maximal contiguous runs and released with one kernel call per run
-    /// (dirty spans always have their identity mapping, so virtual
-    /// adjacency equals file adjacency); with thousands of spans dying
-    /// together this saves the same factor in syscalls. Runs never cross
-    /// segments — their file ranges live in different files.
+    /// Within each segment, dirty and parked spans are sorted into maximal
+    /// runs of adjacent spans. A run holding a parked span gets one
+    /// identity `mmap` over all of it, after which the kernel merges its
+    /// VMAs; a run holding dirty pages is released with one kernel call
+    /// (with its identity mapping in place, virtual adjacency equals file
+    /// adjacency) and only the dirty pages are uncommitted — a parked
+    /// span's file range has been a hole since it was meshed. With
+    /// thousands of spans dying together this saves the same factor in
+    /// syscalls. Runs never cross segments — their file ranges live in
+    /// different files.
     pub fn purge_dirty(&mut self) {
-        if self.dirty_pages == 0 {
+        if self.dirty_pages == 0 && !self.has_parked() {
             return;
         }
         let purged = self.dirty_pages;
+        self.file_clean(true);
+        if purged > 0 {
+            self.counters
+                .pages_purged
+                .fetch_add(purged as u64, Ordering::Relaxed);
+            self.counters.dirty_purges.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Files every parked span and, with `purge`, every dirty span under
+    /// clean, run by run (see [`Arena::purge_dirty`]). An alias whose
+    /// identity `mmap` the kernel refuses (`ENOMEM` at
+    /// `vm.max_map_count`) stays parked for the next call.
+    fn file_clean(&mut self, purge: bool) {
+        if purge {
+            self.dirty_pages = 0;
+        }
         for idx in 0..self.table.len() {
-            let mut spans = self.table.get_mut(idx).take_all_dirty();
-            if spans.is_empty() {
-                continue;
+            let seg = self.table.get_mut(idx);
+            let mut spans: Vec<(Span, bool)> = seg
+                .take_all_parked()
+                .into_iter()
+                .map(|s| (s, true))
+                .collect();
+            if purge {
+                spans.extend(seg.take_all_dirty().into_iter().map(|s| (s, false)));
             }
-            spans.sort_unstable_by_key(|s| s.offset);
+            spans.sort_unstable_by_key(|&(s, _)| s.offset);
             let mut i = 0;
             while i < spans.len() {
-                let run_start = spans[i].offset;
-                let mut run_end = spans[i].end();
-                let mut j = i + 1;
-                while j < spans.len() && spans[j].offset == run_end {
-                    run_end = spans[j].end();
-                    j += 1;
+                let (run, next) = run_at(&spans, i, u32::MAX, |&(s, _)| s);
+                let members = &spans[i..next];
+                i = next;
+                let dirty: usize = members
+                    .iter()
+                    .filter(|&&(_, parked)| !parked)
+                    .map(|&(s, _)| s.pages as usize)
+                    .sum();
+                if dirty < run.pages as usize && self.restore_identity(run).is_err() {
+                    for &(span, parked) in members {
+                        if parked {
+                            self.table.get_mut(idx).repark(span);
+                        } else {
+                            self.release_run(idx, span, span.pages as usize, true);
+                            self.table.get_mut(idx).park_clean(span);
+                        }
+                    }
+                    continue;
                 }
-                self.release_physical(Span::new(run_start, run_end - run_start));
-                i = j;
-            }
-            for span in spans {
-                self.table.get_mut(idx).park_clean(span);
+                if dirty > 0 {
+                    self.release_run(idx, run, dirty, true);
+                }
+                for &(span, _) in members {
+                    self.table.get_mut(idx).park_clean(span);
+                }
             }
         }
-        self.dirty_pages = 0;
-        self.counters
-            .pages_purged
-            .fetch_add(purged as u64, Ordering::Relaxed);
-        self.counters.dirty_purges.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Bytes currently sitting in the dirty bins.
@@ -512,7 +602,9 @@ impl Arena {
     /// Mesh *aliases* (virtual spans retargeted at another span's file
     /// range) are clobbered by the identity remap; the caller must
     /// re-establish them from the MiniHeap tables afterwards — see
-    /// `GlobalHeap::privatize_after_fork`.
+    /// `GlobalHeap::privatize_after_fork`. For the parked aliases of dead
+    /// MiniHeaps the clobbering *is* the restore they were waiting for:
+    /// they are filed clean here.
     ///
     /// # Errors
     ///
@@ -530,6 +622,9 @@ impl Arena {
             // The old (shared) file closes here; the parent keeps its own
             // descriptor and mappings, so only the child lets go.
             drop(seg.replace_file(fresh));
+            for span in seg.take_all_parked() {
+                seg.park_clean(span);
+            }
         }
         Ok(())
     }
@@ -556,6 +651,7 @@ impl Arena {
     /// prior mapping is unchanged in that case.
     pub fn remap_alias(&mut self, vspan: Span, target: Span) -> Result<(), MeshError> {
         assert_eq!(vspan.pages, target.pages, "mesh of unequal spans");
+        self.refuse_if_injected()?;
         let tidx = self.seg_index_of(target);
         let tseg = self.table.get(tidx);
         let file_offset = tseg.file_offset_of_page(target.offset);
@@ -571,8 +667,8 @@ impl Arena {
     }
 
     /// Restores the identity mapping of `vspan` (virtual page *i* → file
-    /// page *i − segment start* of its own segment), used when meshed
-    /// MiniHeaps die.
+    /// page *i − segment start* of its own segment): a run of parked and
+    /// dirty spans at a purge.
     ///
     /// # Errors
     ///
@@ -581,24 +677,86 @@ impl Arena {
         self.remap_alias(vspan, vspan)
     }
 
-    /// Write-protects `span` (the §4.5.2 barrier's mprotect step).
-    pub fn protect_span(&mut self, span: Span) {
-        unsafe {
-            // mprotect on an established mapping only fails for invalid
-            // arguments, which would be an internal bug.
-            sys::protect_read(self.addr_of_page(span.offset) as *mut u8, span.byte_len())
-                .expect("mprotect(PROT_READ) failed on arena span");
+    /// Write-protects `spans` (sorted by offset) — the §4.5.2 barrier's
+    /// mprotect step for a batch's sources — one call per run of adjacent
+    /// spans. Returns the runs, for [`Arena::unprotect_runs`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MeshError::Map`] if the kernel refuses a run (`ENOMEM`
+    /// when splitting a mapping would pass `vm.max_map_count`); the runs
+    /// protected before it are writable again.
+    pub(crate) fn protect_runs(&mut self, spans: &[Span]) -> Result<Vec<Span>, MeshError> {
+        let mut runs = Vec::new();
+        let mut i = 0;
+        while i < spans.len() {
+            let (run, next) = run_at(spans, i, u32::MAX, |&s| s);
+            i = next;
+            let protected = self.refuse_if_injected().and_then(|()| {
+                // SAFETY: every span of the run is a live mapping of ours.
+                unsafe {
+                    sys::protect_read(self.addr_of_page(run.offset) as *mut u8, run.byte_len())
+                }
+                .map_err(MeshError::Map)
+            });
+            if let Err(e) = protected {
+                self.unprotect_runs(&runs);
+                return Err(e);
+            }
+            runs.push(run);
+        }
+        Ok(runs)
+    }
+
+    /// Restores write access to runs [`Arena::protect_runs`] returned.
+    /// Each call covers exactly a range one `mprotect` made read-only,
+    /// however it was remapped since, so it splits no mapping and cannot
+    /// run out of them.
+    pub(crate) fn unprotect_runs(&mut self, runs: &[Span]) {
+        for run in runs {
+            // SAFETY: as in `protect_runs`.
+            let restored = unsafe {
+                sys::protect_read_write(self.addr_of_page(run.offset) as *mut u8, run.byte_len())
+            };
+            debug_assert!(restored.is_ok(), "unprotecting {run}: {restored:?}");
         }
     }
 
-    /// Restores write access to `span`.
-    pub fn unprotect_span(&mut self, span: Span) {
-        unsafe {
-            sys::protect_read_write(self.addr_of_page(span.offset) as *mut u8, span.byte_len())
-                .expect("mprotect(PROT_READ|WRITE) failed on arena span");
-        }
+    /// Test hook: makes the `nth` fallible VM calls of the mesh path from
+    /// now (1 = the next `mprotect` of [`Arena::protect_runs`], alias remap
+    /// or identity restore) fail with `ENOMEM`.
+    #[cfg(test)]
+    pub(crate) fn refuse_vm_calls(&mut self, nth: std::ops::Range<u32>) {
+        self.refused_vm_calls = (0, nth);
     }
 
+    fn refuse_if_injected(&mut self) -> Result<(), MeshError> {
+        #[cfg(test)]
+        {
+            let (seen, refused) = &mut self.refused_vm_calls;
+            *seen += 1;
+            if refused.contains(seen) {
+                return Err(MeshError::Map(std::io::Error::from_raw_os_error(
+                    crate::ffi::ENOMEM,
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The maximal run of adjacent spans that starts at `items[i]` (`items`
+/// sorted by offset) and ends at or before page `limit`, and the index of
+/// the first item past it.
+fn run_at<T>(items: &[T], i: usize, limit: u32, span_of: impl Fn(&T) -> Span) -> (Span, usize) {
+    let start = span_of(&items[i]).offset;
+    let mut end = span_of(&items[i]).end();
+    let mut next = i + 1;
+    while next < items.len() && end < limit && span_of(&items[next]).offset == end {
+        end = span_of(&items[next]).end();
+        next += 1;
+    }
+    (Span::new(start, end - start), next)
 }
 
 impl Drop for Arena {
@@ -772,10 +930,155 @@ mod tests {
         let (s, _) = a.alloc_span(1).unwrap();
         let p = a.addr_of_page(s.offset) as *mut u8;
         unsafe { *p = 1 };
-        a.protect_span(s);
+        let runs = a.protect_runs(&[s]).unwrap();
         unsafe { assert_eq!(*p, 1) };
-        a.unprotect_span(s);
+        a.unprotect_runs(&runs);
         unsafe { *p = 2 };
+    }
+
+    #[test]
+    fn protect_runs_coalesce_and_undo_a_refusal() {
+        let mut a = arena(16);
+        let spans: Vec<Span> = (0..5).map(|_| a.alloc_span(1).unwrap().0).collect();
+        // 0,1,2 adjacent and 4 alone: two runs.
+        let sources = [spans[0], spans[1], spans[2], spans[4]];
+        let runs = a.protect_runs(&sources).unwrap();
+        assert_eq!(runs, [Span::new(0, 3), Span::new(4, 1)]);
+        a.unprotect_runs(&runs);
+        // The second run refused: the first is writable again.
+        a.refuse_vm_calls(2..3);
+        assert!(matches!(a.protect_runs(&sources), Err(MeshError::Map(_))));
+        for s in sources {
+            unsafe { *(a.addr_of_page(s.offset) as *mut u8) = 7 };
+        }
+    }
+
+    #[test]
+    fn release_sources_is_one_call_per_run_within_a_segment() {
+        let (mut a, counters) = segmented(4, 4, 64);
+        let spans: Vec<Span> = (0..8).map(|_| a.alloc_span(1).unwrap().0).collect();
+        assert_eq!(a.segment_count(), 2);
+        // Pages 1,2,3 | 4,5 — adjacent, but the segment ends between 3 and 4.
+        a.release_sources(&spans[1..6], true);
+        assert_eq!(a.committed_pages(), 3);
+        assert_eq!(counters.snapshot().latency.count(TimedOp::Madvise), 2);
+        let stats = a.segment_stats();
+        assert_eq!((stats[0].committed_pages, stats[1].committed_pages), (1, 2));
+    }
+
+    #[test]
+    fn recommit_takes_back_a_release_that_kept_the_pages() {
+        let mut a = arena(16);
+        a.strategy = ReleaseStrategy::MadviseDontNeed;
+        let spans: Vec<Span> = (0..2).map(|_| a.alloc_span(1).unwrap().0).collect();
+        for s in &spans {
+            unsafe { *(a.addr_of_page(s.offset) as *mut u8) = 0x77 };
+        }
+        // Before the remaps, through the identity mapping.
+        a.release_sources(&spans, false);
+        assert_eq!(a.committed_pages(), 0);
+        a.recommit(spans[0]);
+        assert_eq!(
+            (a.committed_pages(), a.segment_stats()[0].committed_pages),
+            (1, 1)
+        );
+        unsafe { assert_eq!(*(a.addr_of_page(spans[0].offset) as *const u8), 0x77) };
+        // The span's death finds its page still accounted for.
+        a.free_span_dirty(spans[0]);
+        a.purge_dirty();
+        assert_eq!(a.committed_pages(), 0);
+    }
+
+    /// Two dead 1-page spans with an alias of the first between them, as
+    /// `free_miniheap_locked` leaves them: `[dirty, parked, dirty]`.
+    fn parked_between_dirty(a: &mut Arena) -> [Span; 3] {
+        let spans: Vec<Span> = (0..3).map(|_| a.alloc_span(1).unwrap().0).collect();
+        for s in &spans {
+            unsafe { *(a.addr_of_page(s.offset) as *mut u8) = 0x10 + s.offset as u8 };
+        }
+        a.remap_alias(spans[1], spans[0]).unwrap();
+        a.release_sources(&spans[1..2], true);
+        a.park_alias(spans[1]);
+        a.free_span_dirty(spans[0]);
+        a.free_span_dirty(spans[2]);
+        [spans[0], spans[1], spans[2]]
+    }
+
+    #[test]
+    fn purge_restores_parked_aliases_in_the_dirty_runs_they_touch() {
+        let counters = Arc::new(Counters::default());
+        let config = MeshConfig::default()
+            .arena_bytes(64 * PAGE_SIZE)
+            .write_barrier(false);
+        let mut a = Arena::new(&config, Arc::clone(&counters)).unwrap();
+        let [_, alias, _] = parked_between_dirty(&mut a);
+        assert_eq!(a.committed_pages(), 2, "the alias holds no page of its own");
+        let stats = a.segment_stats()[0];
+        assert_eq!(
+            (
+                stats.dirty_pages,
+                stats.clean_pages,
+                stats.outstanding_pages
+            ),
+            (2, 1, 0)
+        );
+        let calls = counters.snapshot().latency.count(TimedOp::Madvise);
+        a.purge_dirty();
+        let snap = counters.snapshot();
+        assert_eq!(
+            snap.latency.count(TimedOp::Madvise),
+            calls + 1,
+            "one release for the run"
+        );
+        assert_eq!(snap.pages_purged, 2, "only the dirty pages count as purged");
+        assert_eq!(a.committed_pages(), 0);
+        assert_eq!(a.segment_stats()[0].clean_pages, 3);
+        // The alias is itself again: a write through it stays out of span 0.
+        unsafe {
+            *(a.addr_of_page(alias.offset) as *mut u8) = 0xA1;
+            assert_ne!(*(a.addr_of_page(0) as *mut u8), 0xA1);
+        }
+    }
+
+    #[test]
+    fn a_clean_miss_restores_parked_aliases_before_carving_fresh_pages() {
+        let mut a = arena(64);
+        let [_, alias, _] = parked_between_dirty(&mut a);
+        // Two-page requests pass the one-page dirty spans by.
+        let (first, src) = a.alloc_span(2).unwrap();
+        assert_eq!(
+            (first, src),
+            (Span::new(3, 2), SpanSource::Fresh),
+            "one page cannot serve two"
+        );
+        // A one-page request: dirty first, twice, then the alias — clean,
+        // not fresh — and through it its own file page.
+        assert_eq!(a.alloc_span(1).unwrap().1, SpanSource::Dirty);
+        assert_eq!(a.alloc_span(1).unwrap().1, SpanSource::Dirty);
+        assert_eq!(a.alloc_span(1).unwrap(), (alias, SpanSource::Clean));
+        unsafe {
+            *(a.addr_of_page(alias.offset) as *mut u8) = 0xA1;
+            assert_ne!(*(a.addr_of_page(0) as *mut u8), 0xA1);
+        }
+    }
+
+    #[test]
+    fn a_refused_restore_leaves_the_alias_parked() {
+        let mut a = arena(3);
+        let [_, alias, _] = parked_between_dirty(&mut a);
+        a.refuse_vm_calls(1..2);
+        a.purge_dirty();
+        // The dirty spans were released on their own; the alias waits.
+        assert_eq!(a.committed_pages(), 0);
+        assert_eq!(a.alloc_span(1).unwrap().1, SpanSource::Clean);
+        assert_eq!(a.alloc_span(1).unwrap().1, SpanSource::Clean);
+        a.refuse_vm_calls(1..2);
+        assert!(
+            a.alloc_span(1).is_err(),
+            "a parked alias is handed to nobody"
+        );
+        // The next miss finds the kernel willing.
+        assert_eq!(a.alloc_span(1).unwrap(), (alias, SpanSource::Clean));
     }
 
     // ----- segmented growth and retirement ------------------------------
@@ -904,6 +1207,25 @@ mod tests {
         }
         assert_eq!(a.segment_count(), 2);
         assert_eq!(a.mapped_pages(), 64);
+    }
+
+    #[test]
+    fn privatize_segments_files_parked_aliases_clean() {
+        let mut a = arena(3);
+        let [first, alias, _] = parked_between_dirty(&mut a);
+        a.privatize_segments().unwrap();
+        // The whole-segment remap was the alias's restore: the span is
+        // handed out with no second one (it would be refused), and is
+        // itself again.
+        a.refuse_vm_calls(1..u32::MAX);
+        a.purge_dirty();
+        for _ in 0..3 {
+            assert_eq!(a.alloc_span(1).unwrap().1, SpanSource::Clean);
+        }
+        unsafe {
+            *(a.addr_of_page(alias.offset) as *mut u8) = 0xA1;
+            assert_ne!(*(a.addr_of_page(first.offset) as *mut u8), 0xA1);
+        }
     }
 
     #[test]

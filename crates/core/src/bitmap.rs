@@ -124,6 +124,29 @@ impl AtomicBitmap {
         self.words[i].swap(0, Ordering::SeqCst)
     }
 
+    /// Atomically sets the bits of `mask` in word `i` and returns the word
+    /// as it was: the mesher puts what it took from a source into the
+    /// destination, or back into the source when it rolls the pair back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= 4`.
+    #[inline]
+    pub(crate) fn set_word_bits(&self, i: usize, mask: u64) -> u64 {
+        self.words[i].fetch_or(mask, Ordering::SeqCst)
+    }
+
+    /// Atomically clears the bits of `mask` in word `i` (a rolled-back
+    /// pair leaves its destination).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= 4`.
+    #[inline]
+    pub(crate) fn clear_word_bits(&self, i: usize, mask: u64) {
+        self.words[i].fetch_and(!mask, Ordering::SeqCst);
+    }
+
     /// Returns whether `bit` is currently set.
     ///
     /// # Panics

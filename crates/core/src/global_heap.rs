@@ -672,9 +672,13 @@ impl GlobalHeap {
     /// An `op` that finds the bit gone has met a freed object unless a
     /// mesh consumed the span since `info` was read: the mesher takes a
     /// source's bits before the page map names the destination. So this
-    /// waits for the pair in progress, if any (the class's epoch is odd
-    /// for that long), reads the page map again, and goes round with the
-    /// new entry if it names another MiniHeap; the same MiniHeap again is
+    /// waits for the batch in progress, if any (the class's epoch is odd
+    /// for that long: at most [`MESH_BATCH`](crate::meshing::MESH_BATCH)
+    /// copies and remaps), reads the page map again, and goes round with
+    /// what it names. Another MiniHeap is the destination the object
+    /// moved to. The same one gets a second look, because a batch whose
+    /// remap the kernel refused puts the bits it took back; the bit gone
+    /// again with the epoch where it was — no batch ran in between — is
     /// `Err(DoubleFree)`. A consumed source's id stays an all-zero
     /// tombstone while its destination lives, which is as long as the
     /// object does, so a stale id can only ever name nothing to clear.
@@ -690,6 +694,8 @@ impl GlobalHeap {
     ) -> Result<(PageInfo, &crate::miniheap::SpanBits), HardenKind> {
         let class = SizeClass::from_index(info.class_code as usize);
         let shard = &self.classes[class.index()];
+        // The epoch at which `info.id` was last seen without the bit.
+        let mut gone_at = None;
         loop {
             // Tail waste and misaligned interior pointers are hostile
             // frees, mirroring the local path's validation.
@@ -701,22 +707,30 @@ impl GlobalHeap {
                 return Ok((info, bits));
             }
             let mut spins = 0u32;
-            while shard.unlocked.mesh_epoch.load(Ordering::Acquire) & 1 == 1 {
-                // One pair: a copy and a remap, like a write-barrier wait.
+            let epoch = loop {
+                let epoch = shard.unlocked.mesh_epoch.load(Ordering::Acquire);
+                if epoch & 1 == 0 {
+                    break epoch;
+                }
+                // One batch: copies and remaps, like a write-barrier wait.
                 if spins < 128 {
                     spins += 1;
                     std::hint::spin_loop();
                 } else {
                     std::thread::yield_now();
                 }
-            }
+            };
             match self.resolve_free(addr) {
                 Some((p, i)) if i.class_code == info.class_code && i.id != info.id => {
                     page = p;
                     info = i;
+                    gone_at = None;
                 }
                 Some((_, i)) if i.class_code == info.class_code => {
-                    return Err(HardenKind::DoubleFree);
+                    if gone_at == Some(epoch) {
+                        return Err(HardenKind::DoubleFree);
+                    }
+                    gone_at = Some(epoch);
                 }
                 // The span died since (its last object was freed before
                 // this duplicate): the page is unowned or someone else's.
@@ -856,7 +870,7 @@ impl GlobalHeap {
             .unlocked
             .mesh_epoch
             .fetch_add(1, Ordering::SeqCst);
-        debug_assert_eq!(was & 1, 0, "one pair at a time per class");
+        debug_assert_eq!(was & 1, 0, "one batch at a time per class");
     }
 
     /// Ends the odd interval: every bit taken is set in the destination
@@ -896,8 +910,9 @@ impl GlobalHeap {
         Ok(id)
     }
 
-    /// Destroys an empty, detached MiniHeap: restores identity mappings
-    /// for meshed aliases, returns spans to the arena, clears ownership.
+    /// Destroys an empty, detached MiniHeap: returns its spans to the
+    /// arena — meshed aliases parked, their identity mappings left to the
+    /// next purge — and clears ownership.
     pub(crate) fn free_miniheap_locked(&self, st: &mut ClassState, id: MiniHeapId) {
         st.bin_remove(id);
         let mut mh = st.slab.remove(id);
@@ -909,13 +924,8 @@ impl GlobalHeap {
         }
         let mut arena = self.lock_arena();
         for alias in mh.take_alias_spans() {
-            // Alias file ranges were released when the mesh happened; the
-            // virtual spans just need their identity mappings back.
-            arena
-                .restore_identity(alias)
-                .expect("identity restore failed");
             self.page_map.clear_span(alias);
-            arena.free_span_clean(alias);
+            arena.park_alias(alias);
         }
         let primary = mh.span();
         self.page_map.clear_span(primary);
@@ -2162,6 +2172,22 @@ mod tests {
         release(&h, class, &mut set);
     }
 
+    /// A detached span of `class` with `slots` taken, filed under its bin:
+    /// its id and start address.
+    fn filed_span(h: &GlobalHeap, class: SizeClass, slots: &[usize]) -> (MiniHeapId, usize) {
+        let mut st = h.lock_class(class);
+        let id = h.fresh_miniheap_locked(&mut st, class).unwrap();
+        let mh = st.slab.get(id).unwrap();
+        for &s in slots {
+            mh.bitmap().try_set(s);
+        }
+        st.bin_insert(id);
+        (
+            id,
+            h.base_addr() + st.slab.get(id).unwrap().span().byte_offset(),
+        )
+    }
+
     #[test]
     fn free_follows_a_span_meshed_after_the_lookup() {
         // The page-map entry a free starts from can be stale by the time
@@ -2169,16 +2195,7 @@ mod tests {
         // land on the destination, once, and a duplicate must be refused.
         let h = heap();
         let class = SizeClass::for_size(256).unwrap();
-        let make = |slots: &[usize]| {
-            let mut st = h.lock_class(class);
-            let id = h.fresh_miniheap_locked(&mut st, class).unwrap();
-            let mh = st.slab.get(id).unwrap();
-            for &s in slots {
-                mh.bitmap().try_set(s);
-            }
-            st.bin_insert(id);
-            (id, h.base_addr() + st.slab.get(id).unwrap().span().byte_offset())
-        };
+        let make = |slots: &[usize]| filed_span(&h, class, slots);
         let (a, _) = make(&[0, 1, 2]);
         let (b, b_start) = make(&[5, 6]);
         let addr = b_start + 5 * 256;
@@ -2198,5 +2215,49 @@ mod tests {
         drop(st);
         let (c, _) = make(&[9]);
         assert_ne!(c, b, "a tombstone's id is taken until the destination dies");
+    }
+    #[test]
+    fn frees_follow_every_source_of_a_batch() {
+        // The batch form of the test above: lookups made before a pass
+        // that meshes several pairs behind one odd epoch all find their
+        // objects in the destinations afterwards.
+        let h = heap();
+        let class = SizeClass::for_size(256).unwrap();
+        let make = |slots: &[usize]| filed_span(&h, class, slots).1;
+        // Sparse spans overlap each other at slot 5 and full ones at slot
+        // 0, so every pair is one of each and the sparse one is its source.
+        let sources: Vec<usize> = (0..8).map(|_| make(&[5])).collect();
+        for _ in 0..8 {
+            make(&[0, 1, 2]);
+        }
+        let stale: Vec<_> = sources
+            .iter()
+            .map(|start| {
+                let addr = start + 5 * 256;
+                let (page, info) = h.resolve_free(addr).unwrap();
+                (addr, page, info)
+            })
+            .collect();
+        let before = h.counters.snapshot().latency.count(TimedOp::MeshCopy);
+        let summary = meshing::mesh_all_classes(&h);
+        assert_eq!(summary.pairs_meshed, 8);
+        let batches = h.counters.snapshot().latency.count(TimedOp::MeshCopy) - before;
+        assert_eq!(batches, 1, "one window for the eight pairs");
+        for &(addr, page, info) in &stale {
+            assert_ne!(
+                h.resolve_free(addr).unwrap().1.id,
+                info.id,
+                "its span was a source"
+            );
+            assert!(h.free_small(addr, page, info, None), "followed the mesh");
+            assert!(!h.free_small(addr, page, info, None), "and only once");
+        }
+        let s = h.counters.snapshot();
+        assert_eq!((s.frees, s.double_frees, s.invalid_frees), (8, 8, 0));
+        let st = h.lock_class(class);
+        assert!(st
+            .slab
+            .iter()
+            .all(|(_, mh)| mh.in_use() == 3 && mh.span_count() == 2));
     }
 }

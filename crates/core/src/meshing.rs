@@ -12,30 +12,45 @@
 //! arriving throughout; only an attach sets bits, and it needs the lock,
 //! so a pair found disjoint stays disjoint.
 //!
-//! Meshing a pair is the two-step §4.5 process. With the source span
-//! write-protected behind the §4.5.2 barrier and the class's mesh epoch
-//! odd, the source's bitmap is *taken* word by word (`swap(0)`) and every
-//! object whose bit was taken is copied *to the same slot offset* in the
-//! destination span, whose bit is set — an object freed before its word
-//! was taken is not copied, and a free that arrives after finds the bit
-//! gone, waits for the epoch to turn even, and finds the object in the
-//! destination (DESIGN.md §3). No application pointer changes because the
-//! virtual addresses of the source span survive: its mapping is
-//! atomically retargeted at the destination's physical span, and the
-//! source's physical pages return to the OS. The ordering of release vs. remap depends on the release
-//! primitive (see [`crate::sys::ReleaseStrategy`]): punch-hole variants
-//! release *after* the remap (by file offset, or through a scratch
-//! mapping) so concurrent readers never observe zeros; the `MADV_DONTNEED`
-//! fallback releases *before* the remap, which is safe because it
-//! preserves file contents.
+//! Meshing is the two-step §4.5 process, done a **batch** of pairs at a
+//! time ([`MESH_BATCH`], sorted by source address) so that the
+//! virtual-memory calls come in runs and not per span. One raise of the
+//! §4.5.2 barrier and one odd interval of the class's mesh epoch cover a
+//! batch: the sources' virtual spans are write-protected, one `mprotect`
+//! per run of adjacent spans; each source's bitmap is *taken* word by word
+//! (`swap(0)`) and every object whose bit was taken is copied *to the same
+//! slot offset* in its destination span, whose bit is set — an object
+//! freed before its word was taken is not copied, and a free that arrives
+//! after finds the bit gone, waits for the epoch to turn even, and finds
+//! the object in the destination (DESIGN.md §3). No application pointer
+//! changes because the virtual addresses of a source span survive: its
+//! mapping is atomically retargeted at the destination's physical span,
+//! and the sources' physical pages return to the OS, one release per run
+//! of adjacent file ranges. The ordering of release vs. remap depends on
+//! the release primitive (see [`crate::sys::ReleaseStrategy`]): punch-hole
+//! variants release *after* the remaps (by file offset, or through a
+//! scratch mapping) so concurrent readers never observe zeros; the
+//! `MADV_DONTNEED` fallback releases *before* them, which is safe because
+//! it preserves file contents. The longest a writer can spin in the
+//! barrier's fault handler, or a free wait for an even epoch, is therefore
+//! one batch: at most [`MESH_BATCH`] copies and remaps, a bound that does
+//! not grow with the heap (Compact-fit's bounded step, PAPERS.md).
+//!
+//! The kernel can refuse any of these calls — `ENOMEM` once the mappings
+//! meshing leaves behind reach `vm.max_map_count` — and none of them is
+//! fatal: a refused protect abandons the batch before a bit is taken, a
+//! refused remap rolls its pair back inside the odd interval, and either
+//! ends the class's pass ([`RejectReason::CopyAbort`]).
 //!
 //! Passes may be initiated inline (the §4.5 free-path rate limiter) or by
 //! the background mesher thread ([`crate::mesher`]); the per-class locks
 //! make concurrent passes safe, and the scheduler's claim-based timer
 //! makes them rare.
 
+use crate::arena::Arena;
+use crate::bitmap::WORDS;
 use crate::global_heap::{ClassState, GlobalHeap};
-use crate::miniheap::MiniHeapId;
+use crate::miniheap::{MiniHeap, MiniHeapId};
 use crate::size_classes::{SizeClass, PAGE_SIZE};
 use crate::span::Span;
 use crate::sys::ReleaseStrategy;
@@ -126,9 +141,7 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap) -> MeshSummary {
         );
         heap.counters
             .record_slow(TimedOp::MeshCandidates, select_t0, pairs.len() as u64);
-        for (a, b) in pairs {
-            mesh_pair(heap, &mut st, class, a, b, &mut summary, &mut rejected);
-        }
+        mesh_pairs(heap, &mut st, class, pairs, &mut summary, &mut rejected);
     }
     let nanos = t0.elapsed().as_nanos() as u64;
     heap.counters.record_mesh_pass(nanos);
@@ -248,121 +261,160 @@ fn split_mesher(
     })
 }
 
-/// Meshes one pair: consolidates objects onto the higher-occupancy span
-/// (fewer bytes to copy), retargets the source's virtual spans, and
-/// releases the source's physical span (§4.5). The caller holds the class
-/// lock; the arena lock is held across the VM operations.
-fn mesh_pair(
+/// Pairs meshed behind one raise of the write barrier and inside one odd
+/// interval of the class's mesh epoch. It bounds what a writer to a source
+/// span or a free that lost its bit to the mesher can wait for, whatever
+/// the size of the heap; 64 pairs are under a millisecond of copies and
+/// remaps.
+pub(crate) const MESH_BATCH: usize = 64;
+
+/// One pair of a batch, resolved to the span that stays and the span that
+/// is copied out of.
+struct Pair {
+    dst: MiniHeapId,
+    src: MiniHeapId,
+    dst_primary: Span,
+    src_primary: Span,
+    /// The words the batch took from the source's bitmap: the objects it
+    /// copied, and what a rollback gives back.
+    taken: [u64; WORDS],
+    /// Still to be meshed; once the batch's window has closed, meshed.
+    live: bool,
+}
+
+/// Meshes the pairs SplitMesher found for `class`, a batch at a time:
+/// consolidates each pair's objects onto the higher-occupancy span (fewer
+/// bytes to copy), retargets the source's virtual spans, and releases the
+/// source's physical span (§4.5). The caller holds the class lock; each
+/// batch holds the arena lock across its VM operations.
+fn mesh_pairs(
     heap: &GlobalHeap,
     st: &mut ClassState,
     class: SizeClass,
-    a: MiniHeapId,
-    b: MiniHeapId,
+    pairs: Vec<(MiniHeapId, MiniHeapId)>,
     summary: &mut MeshSummary,
     rejected: &mut [u64; REJECT_REASONS],
 ) {
-    // Destination = more live objects → we copy the smaller side. Ties
-    // break segment-aware: evacuate the span whose segment has fewer
-    // outstanding pages, so sparse segments drain toward retirement.
-    let (dst_id, src_id) = {
-        let ma = st.slab.get(a).expect("mesh candidate is live");
-        let mb = st.slab.get(b).expect("mesh candidate is live");
-        if ma.in_use() > mb.in_use() {
-            (a, b)
-        } else if ma.in_use() < mb.in_use() {
-            (b, a)
-        } else {
-            let arena = heap.lock_arena();
-            if arena.segment_outstanding_of(ma.span())
-                >= arena.segment_outstanding_of(mb.span())
-            {
-                (a, b)
-            } else {
-                (b, a)
-            }
+    let mut pairs: Vec<Pair> = {
+        let arena = heap.lock_arena();
+        pairs
+            .into_iter()
+            .map(|(a, b)| {
+                let ma = st.slab.get(a).expect("mesh candidate is live");
+                let mb = st.slab.get(b).expect("mesh candidate is live");
+                debug_assert_eq!(ma.span().pages, mb.span().pages);
+                // Destination = more live objects → we copy the smaller
+                // side. Ties break segment-aware: evacuate the span whose
+                // segment has fewer outstanding pages, so sparse segments
+                // drain toward retirement.
+                let a_stays = match ma.in_use().cmp(&mb.in_use()) {
+                    std::cmp::Ordering::Greater => true,
+                    std::cmp::Ordering::Less => false,
+                    std::cmp::Ordering::Equal => {
+                        arena.segment_outstanding_of(ma.span())
+                            >= arena.segment_outstanding_of(mb.span())
+                    }
+                };
+                let ((dst, md), (src, ms)) = if a_stays {
+                    ((a, ma), (b, mb))
+                } else {
+                    ((b, mb), (a, ma))
+                };
+                Pair {
+                    dst,
+                    src,
+                    dst_primary: md.span(),
+                    src_primary: ms.span(),
+                    taken: [0; WORDS],
+                    live: true,
+                }
+            })
+            .collect()
+    };
+    // Neighbouring sources land in the same batch, where one call
+    // protects them and one releases them.
+    pairs.sort_unstable_by_key(|pair| pair.src_primary.offset);
+    for batch in pairs.chunks_mut(MESH_BATCH) {
+        if !mesh_batch(heap, st, class, batch, summary, rejected) {
+            break;
         }
-    };
+    }
+}
 
-    let arena_base = heap.base_addr();
-    let (src_spans, object_size, src_primary) = {
-        let src = st.slab.get(src_id).expect("mesh source is live");
-        (src.virtual_spans().to_vec(), src.object_size(), src.span())
-    };
-    let dst_primary = st.slab.get(dst_id).expect("mesh dest is live").span();
-    debug_assert_eq!(src_primary.pages, dst_primary.pages);
-
+/// Meshes one batch (sorted by source address). Returns `false` when the
+/// kernel refused a VM call: pairs it could not mesh are as they were
+/// found, and the class's pass should end.
+fn mesh_batch(
+    heap: &GlobalHeap,
+    st: &mut ClassState,
+    class: SizeClass,
+    batch: &mut [Pair],
+    summary: &mut MeshSummary,
+    rejected: &mut [u64; REJECT_REASONS],
+) -> bool {
+    let object_size = class.object_size();
     let mut arena = heap.lock_arena();
 
     // Copy-window phase: barrier raise through the object copies — the
     // window during which mutator writes to the source spans fault.
     let copy_t0 = Instant::now();
 
-    // Raise the write barrier and protect every virtual span of the source
-    // so no thread can write to an object while it is being copied.
+    // Raise the write barrier and protect every virtual span of every
+    // source so no thread can write to an object while it is being copied.
     if let Some(guard) = arena.barrier() {
         guard.begin_meshing();
     }
-    for &vs in &src_spans {
-        arena.protect_span(vs);
-    }
+    let mut sources: Vec<Span> = batch
+        .iter()
+        .flat_map(|pair| source(st, pair).virtual_spans())
+        .copied()
+        .collect();
+    sources.sort_unstable_by_key(|span| span.offset);
+    let Ok(protected) = arena.protect_runs(&sources) else {
+        if let Some(guard) = arena.barrier() {
+            guard.end_meshing();
+        }
+        rejected[RejectReason::CopyAbort as usize] += batch.len() as u64;
+        return false;
+    };
 
     // Hardened canary sweep: with the sources frozen behind the barrier,
     // every *free* slot of both primaries must still hold its class
     // canary (written when the slot died — before its bit was cleared, so
     // a clear bit always has one). A corrupt canary means a dangling write
     // landed in memory this pair is about to copy over or alias; refuse to
-    // mesh and surface the violation instead of baking the corruption into
-    // a shared physical span.
+    // mesh the pair and surface the violation instead of baking the
+    // corruption into a shared physical span.
     if heap.harden.canary_on() {
-        let canary = heap.canary(class.index());
-        let mut bad = None;
-        'sweep: for (id, primary) in [(src_id, src_primary), (dst_id, dst_primary)] {
-            let mh = st.slab.get(id).expect("mesh candidate is live");
-            let base = arena_base + primary.byte_offset();
-            for slot in 0..class.object_count() {
-                if mh.bitmap().is_set(slot) {
-                    continue;
-                }
-                let addr = base + slot * object_size;
-                if !unsafe { crate::harden::canary_intact(addr, object_size, canary) } {
-                    bad = Some(addr);
-                    break 'sweep;
-                }
+        for pair in batch.iter_mut() {
+            if let Some(addr) = corrupt_canary(heap, st, class, pair) {
+                pair.live = false;
+                rejected[RejectReason::CanaryTrip as usize] += 1;
+                heap.harden_violation(crate::harden::HardenKind::Canary, addr);
             }
-        }
-        if let Some(addr) = bad {
-            // Unwind the copy window: restore write access and drop the
-            // barrier, leaving both spans exactly as found.
-            for &vs in &src_spans {
-                arena.unprotect_span(vs);
-            }
-            if let Some(guard) = arena.barrier() {
-                guard.end_meshing();
-            }
-            rejected[RejectReason::CanaryTrip as usize] += 1;
-            heap.harden_violation(crate::harden::HardenKind::Canary, addr);
-            return;
         }
     }
 
-    // Consume the source: from here to `end_consume` a free that finds its
-    // bit gone waits. Take the bitmap a word at a time and copy exactly the
-    // objects whose bits were taken, each to the same slot of the
-    // destination. A free that cleared its bit first is simply not copied.
+    // Consume the sources: from here to `end_consume` a free that finds
+    // its bit gone waits. Take each bitmap a word at a time and copy
+    // exactly the objects whose bits were taken, each to the same slot of
+    // the destination. A free that cleared its bit first is simply not
+    // copied.
     heap.begin_consume(class);
     let mut copied = 0u64;
-    {
-        let src = st.slab.get(src_id).expect("mesh source is live");
-        let dst = st.slab.get(dst_id).expect("mesh dest is live");
-        let src_base = arena_base + src_primary.byte_offset();
-        let dst_base = arena_base + dst_primary.byte_offset();
-        for word in 0..crate::bitmap::WORDS {
-            let mut taken = src.bitmap().take_word(word);
-            while taken != 0 {
-                let slot = word * 64 + taken.trailing_zeros() as usize;
-                taken &= taken - 1;
-                let claimed = dst.bitmap().try_set(slot);
-                debug_assert!(claimed, "mesh candidates were not disjoint");
+    for pair in batch.iter_mut().filter(|pair| pair.live) {
+        let (src, dst) = (source(st, pair), destination(st, pair));
+        let src_base = heap.base_addr() + pair.src_primary.byte_offset();
+        let dst_base = heap.base_addr() + pair.dst_primary.byte_offset();
+        for word in 0..WORDS {
+            let taken = src.bitmap().take_word(word);
+            pair.taken[word] = taken;
+            let held = dst.bitmap().set_word_bits(word, taken);
+            debug_assert_eq!(held & taken, 0, "mesh candidates were not disjoint");
+            let mut left = taken;
+            while left != 0 {
+                let slot = word * 64 + left.trailing_zeros() as usize;
+                left &= left - 1;
                 // SAFETY: both addresses lie in the arena mapping; slots are
                 // in-bounds; the ranges cannot overlap (distinct spans); the
                 // write barrier prevents concurrent writes to the source.
@@ -373,67 +425,180 @@ fn mesh_pair(
                         object_size,
                     );
                 }
-                copied += 1;
             }
+            copied += taken.count_ones() as u64;
         }
     }
-    summary.bytes_copied += copied as usize * object_size;
-
     heap.counters.record_slow(TimedOp::MeshCopy, copy_t0, copied);
 
     // Remap phase: physical release + alias retargeting through the
     // barrier drop.
     let remap_t0 = Instant::now();
 
-    // Release the source's physical pages and retarget its virtual spans.
-    // Ordering depends on the release primitive; see module docs.
-    let release_before_remap = arena.release_strategy() == ReleaseStrategy::MadviseDontNeed;
-    if release_before_remap {
-        arena.release_physical(src_primary);
+    // Release the sources' physical pages and retarget their virtual
+    // spans. Ordering depends on the release primitive; see module docs.
+    let release_first = arena.release_strategy() == ReleaseStrategy::MadviseDontNeed;
+    let live_primaries = |batch: &[Pair]| -> Vec<Span> {
+        let live = batch.iter().filter(|pair| pair.live);
+        live.map(|pair| pair.src_primary).collect()
+    };
+    if release_first {
+        arena.release_sources(&live_primaries(batch), false);
     }
-    for &vs in &src_spans {
-        arena
-            .remap_alias(vs, dst_primary)
-            .expect("mesh remap failed");
-        heap.page_map.set_span(vs, dst_id, class.index() as u8);
+    let mut remapped = 0u64;
+    let mut refused = false;
+    for pair in batch.iter_mut().filter(|pair| pair.live) {
+        let spans = source(st, pair).virtual_spans();
+        let dst_primary = pair.dst_primary;
+        match spans
+            .iter()
+            .position(|&vs| arena.remap_alias(vs, dst_primary).is_err())
+        {
+            // The page map names the destination only once every span of
+            // the source shows it: until then frees of the source's objects
+            // keep waiting, and a rollback has no free to chase.
+            None => {
+                for &vs in spans {
+                    heap.page_map.set_span(vs, pair.dst, class.index() as u8);
+                }
+                remapped += spans.len() as u64;
+            }
+            Some(done) => {
+                roll_back(heap, st, &mut arena, class, pair, done, release_first);
+                pair.live = false;
+                refused = true;
+                rejected[RejectReason::CopyAbort as usize] += 1;
+            }
+        }
     }
     heap.end_consume(class);
-    if !release_before_remap {
-        arena.release_after_remap(src_primary);
+    if !release_first {
+        arena.release_sources(&live_primaries(batch), true);
     }
-    // The remap itself restored PROT_READ|WRITE on all source spans, so
-    // spinning writers proceed as soon as the barrier drops.
+    // The remaps restored PROT_READ|WRITE on the spans they covered;
+    // pairs that dropped out get theirs back here, so spinning writers
+    // proceed as soon as the barrier drops.
+    if batch.iter().any(|pair| !pair.live) {
+        arena.unprotect_runs(&protected);
+    }
     if let Some(guard) = arena.barrier() {
         guard.end_meshing();
     }
     heap.counters
-        .record_slow(TimedOp::MeshRemap, remap_t0, src_spans.len() as u64);
+        .record_slow(TimedOp::MeshRemap, remap_t0, remapped);
     drop(arena);
 
-    // Fold the source into the destination MiniHeap. Its id stays behind
+    // Fold each source into its destination MiniHeap. Its id stays behind
     // as a tombstone, its bitmap all zero, until the destination dies.
-    st.bin_remove(src_id);
-    let src = st.slab.retire(src_id);
-    st.slab
-        .get_mut(dst_id)
-        .expect("mesh dest is live")
-        .absorb(src, src_id);
-    // Frees may have emptied the destination meanwhile.
-    heap.settle_locked(st, dst_id);
+    for pair in batch.iter().filter(|pair| pair.live) {
+        st.bin_remove(pair.src);
+        let src = st.slab.retire(pair.src);
+        st.slab
+            .get_mut(pair.dst)
+            .expect("mesh dest is live")
+            .absorb(src, pair.src);
+        // Frees may have emptied the destination meanwhile.
+        heap.settle_locked(st, pair.dst);
 
-    summary.pairs_meshed += 1;
-    summary.pages_released += src_primary.pages as usize;
+        summary.pairs_meshed += 1;
+        summary.pages_released += pair.src_primary.pages as usize;
+        let objects: u32 = pair.taken.iter().map(|word| word.count_ones()).sum();
+        summary.bytes_copied += objects as usize * object_size;
+    }
+    !refused
+}
+
+fn source<'a>(st: &'a ClassState, pair: &Pair) -> &'a MiniHeap {
+    st.slab.get(pair.src).expect("mesh source is live")
+}
+
+fn destination<'a>(st: &'a ClassState, pair: &Pair) -> &'a MiniHeap {
+    st.slab.get(pair.dst).expect("mesh dest is live")
+}
+
+/// The address of a free slot of either primary of `pair` that no longer
+/// holds the class canary, if there is one.
+fn corrupt_canary(
+    heap: &GlobalHeap,
+    st: &ClassState,
+    class: SizeClass,
+    pair: &Pair,
+) -> Option<usize> {
+    let canary = heap.canary(class.index());
+    let object_size = class.object_size();
+    for (mh, primary) in [
+        (source(st, pair), pair.src_primary),
+        (destination(st, pair), pair.dst_primary),
+    ] {
+        let base = heap.base_addr() + primary.byte_offset();
+        for slot in 0..class.object_count() {
+            if mh.bitmap().is_set(slot) {
+                continue;
+            }
+            let addr = base + slot * object_size;
+            // SAFETY: a slot of a live span of the arena.
+            if !unsafe { crate::harden::canary_intact(addr, object_size, canary) } {
+                return Some(addr);
+            }
+        }
+    }
+    None
+}
+
+/// Undoes a pair whose source has its first `done` virtual spans remapped
+/// and the next one refused, inside the batch's odd epoch: the spans go
+/// back onto the source's own file range, the destination loses the bits
+/// the batch set (and, hardened, the copies: its free slots hold poison)
+/// and the source gets them back. The page map named the source all
+/// along, so the frees waiting for the epoch find their bits where they
+/// left them.
+fn roll_back(
+    heap: &GlobalHeap,
+    st: &mut ClassState,
+    arena: &mut Arena,
+    class: SizeClass,
+    pair: &Pair,
+    done: usize,
+    released: bool,
+) {
+    let (src, dst) = (source(st, pair), destination(st, pair));
+    let mut stuck = false;
+    for &vs in &src.virtual_spans()[..done] {
+        stuck |= arena.remap_alias(vs, pair.src_primary).is_err();
+    }
+    let dst_base = heap.base_addr() + pair.dst_primary.byte_offset();
+    for (word, &taken) in pair.taken.iter().enumerate() {
+        let mut left = if stuck { 0 } else { taken };
+        while left != 0 {
+            let slot = word * 64 + left.trailing_zeros() as usize;
+            left &= left - 1;
+            let size = class.object_size();
+            heap.poison_object(dst_base + slot * size, size, class.index());
+        }
+        dst.bitmap().clear_word_bits(word, taken);
+        src.bitmap().set_word_bits(word, taken);
+    }
+    if released {
+        arena.recommit(pair.src_primary);
+    }
+    if stuck {
+        // A span of the source shows the destination's pages and cannot be
+        // turned back: objects reached through it live in slots the
+        // destination has free. Both spans stay as they are for good —
+        // in no bin, so never attached, meshed or destroyed.
+        st.bin_remove(pair.src);
+        st.bin_remove(pair.dst);
+        eprintln!(
+            "mesh: could not undo a refused remap; spans {} and {} are retired in place",
+            pair.src_primary, pair.dst_primary
+        );
+    }
 }
 
 /// Pure helper exposed for tests and the theory crate: would these two
 /// bitmap word-arrays mesh? (Definition 5.1 on raw words.)
 pub fn words_mesh(a: &[u64; 4], b: &[u64; 4]) -> bool {
     (a[0] & b[0]) | (a[1] & b[1]) | (a[2] & b[2]) | (a[3] & b[3]) == 0
-}
-
-#[allow(unused)]
-fn span_addr(arena_base: usize, span: Span) -> usize {
-    arena_base + span.byte_offset()
 }
 
 #[cfg(test)]
@@ -490,7 +655,7 @@ mod tests {
     }
 
     #[test]
-    fn mesh_pair_preserves_object_contents_and_addresses() {
+    fn a_batch_of_one_preserves_object_contents_and_addresses() {
         let h = heap(1);
         let class = SizeClass::for_size(256).unwrap();
         let a = detached_with_slots(&h, class, &[0, 2, 4], 0xAA);
@@ -503,7 +668,14 @@ mod tests {
 
         let mut summary = MeshSummary::default();
         let mut rejected = [0u64; REJECT_REASONS];
-        mesh_pair(&h, &mut st, class, a, b, &mut summary, &mut rejected);
+        mesh_pairs(
+            &h,
+            &mut st,
+            class,
+            vec![(a, b)],
+            &mut summary,
+            &mut rejected,
+        );
         assert_eq!(summary.pairs_meshed, 1);
         assert_eq!(summary.pages_released, class.span_pages());
         assert_eq!(
@@ -549,7 +721,14 @@ mod tests {
             let addr_b = base + st.slab.get(b).unwrap().span().byte_offset();
             let mut summary = MeshSummary::default();
             let mut rejected = [0u64; REJECT_REASONS];
-            mesh_pair(&h, &mut st, class, a, b, &mut summary, &mut rejected);
+            mesh_pairs(
+                &h,
+                &mut st,
+                class,
+                vec![(a, b)],
+                &mut summary,
+                &mut rejected,
+            );
             (addr_a, addr_b)
         };
 
@@ -562,7 +741,7 @@ mod tests {
             let st = h.lock_class_swept(class);
             assert_eq!(st.slab.len(), 0, "survivor destroyed when empty");
         }
-        // Identity restored: both page ranges unowned again.
+        // Both page ranges unowned again.
         assert_eq!(h.page_map.get(h.page_of_addr(addr_a).unwrap()), None);
         assert_eq!(h.page_map.get(h.page_of_addr(addr_b).unwrap()), None);
     }
@@ -664,7 +843,7 @@ mod tests {
     }
 
     #[test]
-    fn mesh_pair_copies_exactly_the_bits_it_took() {
+    fn a_batch_copies_exactly_the_bits_it_took() {
         // An object freed between SplitMesher's probe and the copy is not
         // copied, and the destination does not inherit its bit.
         let h = heap(8);
@@ -680,7 +859,14 @@ mod tests {
         });
         let mut summary = MeshSummary::default();
         let mut rejected = [0u64; REJECT_REASONS];
-        mesh_pair(&h, &mut st, class, a, b, &mut summary, &mut rejected);
+        mesh_pairs(
+            &h,
+            &mut st,
+            class,
+            vec![(a, b)],
+            &mut summary,
+            &mut rejected,
+        );
         assert_eq!(summary.pairs_meshed, 1);
         assert_eq!(summary.bytes_copied, 256, "one live object in the source");
         let survivor = st.slab.get(a).expect("the fuller span is the destination");
@@ -696,5 +882,279 @@ mod tests {
         assert_eq!(h.lock_class_swept(class).slab.len(), 0);
         let s = h.counters.snapshot();
         assert_eq!((s.frees, s.double_frees, s.invalid_frees), (6, 0, 0));
+    }
+    // ----- VM calls the kernel refuses ----------------------------------
+
+    /// Every object of `spans` (start address, slots, fill byte) reads as
+    /// it was written.
+    fn assert_contents(size: usize, spans: &[(usize, &[usize], u8)]) {
+        for &(start, slots, fill) in spans {
+            for &slot in slots {
+                let object = (start + slot * size) as *const u8;
+                unsafe {
+                    assert_eq!(*object, fill, "slot {slot} of the span at {start:#x}");
+                    assert_eq!(*object.add(size - 1), fill);
+                }
+            }
+        }
+    }
+
+    fn start_of(h: &GlobalHeap, st: &ClassState, id: MiniHeapId) -> usize {
+        h.base_addr() + st.slab.get(id).unwrap().span().byte_offset()
+    }
+
+    #[test]
+    fn a_refused_protect_abandons_the_batch_before_any_bit_is_taken() {
+        let h = heap(9);
+        let class = SizeClass::for_size(256).unwrap();
+        let a = detached_with_slots(&h, class, &[0, 2, 4], 0xAA);
+        let b = detached_with_slots(&h, class, &[1, 3], 0xBB);
+        let mut st = h.lock_class(class);
+        let (addr_a, addr_b) = (start_of(&h, &st, a), start_of(&h, &st, b));
+        h.lock_arena().refuse_vm_calls(1..2);
+        let mut summary = MeshSummary::default();
+        let mut rejected = [0u64; REJECT_REASONS];
+        mesh_pairs(
+            &h,
+            &mut st,
+            class,
+            vec![(a, b)],
+            &mut summary,
+            &mut rejected,
+        );
+        assert_eq!(summary, MeshSummary::default());
+        assert_eq!(rejected[RejectReason::CopyAbort as usize], 1);
+        assert_eq!(st.slab.get(a).unwrap().in_use(), 3);
+        assert_eq!(st.slab.get(b).unwrap().in_use(), 2);
+        assert_contents(256, &[(addr_a, &[0, 2, 4], 0xAA), (addr_b, &[1, 3], 0xBB)]);
+        // Both spans are writable, the epoch is even, and the pair meshes
+        // when the kernel is willing again.
+        unsafe { *(addr_b as *mut u8).add(256) = 0xBB };
+        mesh_pairs(
+            &h,
+            &mut st,
+            class,
+            vec![(a, b)],
+            &mut summary,
+            &mut rejected,
+        );
+        assert_eq!(summary.pairs_meshed, 1);
+        assert_contents(256, &[(addr_a, &[0, 2, 4], 0xAA), (addr_b, &[1, 3], 0xBB)]);
+    }
+
+    /// A source with two virtual spans (`b` meshed into `a`, then thinned)
+    /// paired with a fuller single span `c`; returns the ids in that order
+    /// and the start addresses of `a`, `b` and `c`.
+    fn two_span_source(h: &GlobalHeap, class: SizeClass) -> ([MiniHeapId; 2], [usize; 3]) {
+        let a = detached_with_slots(h, class, &[0, 2], 0xAA);
+        let b = detached_with_slots(h, class, &[1], 0xBB);
+        let c = detached_with_slots(h, class, &[8, 9, 10, 11], 0xCC);
+        let mut st = h.lock_class(class);
+        let starts = [
+            start_of(h, &st, a),
+            start_of(h, &st, b),
+            start_of(h, &st, c),
+        ];
+        assert_eq!(
+            starts[1] - starts[0],
+            class.span_pages() * PAGE_SIZE,
+            "a and b adjacent"
+        );
+        let mut summary = MeshSummary::default();
+        let mut rejected = [0u64; REJECT_REASONS];
+        mesh_pairs(h, &mut st, class, vec![(a, b)], &mut summary, &mut rejected);
+        assert_eq!(st.slab.get(a).unwrap().span_count(), 2);
+        ([a, c], starts)
+    }
+
+    #[test]
+    fn a_refused_remap_rolls_its_pair_back_inside_the_epoch() {
+        let h = heap(10);
+        let class = SizeClass::for_size(256).unwrap();
+        let ([src, dst], [addr_a, addr_b, addr_c]) = two_span_source(&h, class);
+        let intact = || {
+            assert_contents(
+                256,
+                &[
+                    (addr_a, &[0, 2], 0xAA),
+                    (addr_b, &[1], 0xBB),
+                    (addr_c, &[8, 9, 10, 11], 0xCC),
+                ],
+            )
+        };
+        let mut st = h.lock_class(class);
+        let committed = h.lock_arena().committed_pages();
+        // One protect (the source's spans are adjacent), the first span's
+        // remap, then the second's: refused.
+        h.lock_arena().refuse_vm_calls(3..4);
+        let mut summary = MeshSummary::default();
+        let mut rejected = [0u64; REJECT_REASONS];
+        mesh_pairs(
+            &h,
+            &mut st,
+            class,
+            vec![(src, dst)],
+            &mut summary,
+            &mut rejected,
+        );
+        assert_eq!(summary, MeshSummary::default());
+        assert_eq!(rejected[RejectReason::CopyAbort as usize], 1);
+        assert_eq!(
+            h.lock_arena().committed_pages(),
+            committed,
+            "nothing was released"
+        );
+        let bits = |id| {
+            st.slab
+                .get(id)
+                .unwrap()
+                .bitmap()
+                .iter_set()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(src), [0, 1, 2]);
+        assert_eq!(bits(dst), [8, 9, 10, 11]);
+        intact();
+        // The first span shows the source's own pages again: a write
+        // through it is seen through the other, not in the destination.
+        unsafe {
+            *((addr_a + 3 * 256) as *mut u8) = 0x5A;
+            assert_eq!(*((addr_b + 3 * 256) as *const u8), 0x5A);
+            assert_ne!(*((addr_c + 3 * 256) as *const u8), 0x5A);
+        }
+        drop(st);
+        // A free finds its bit back in the source, and the next pass
+        // meshes the pair.
+        assert!(h.free_global(addr_b + 256));
+        let summary = mesh_all_classes(&h);
+        assert_eq!(summary.pairs_meshed, 1);
+        assert_contents(
+            256,
+            &[(addr_a, &[0, 2], 0xAA), (addr_c, &[8, 9, 10, 11], 0xCC)],
+        );
+        let s = h.counters.snapshot();
+        assert_eq!((s.frees, s.double_frees, s.invalid_frees), (1, 0, 0));
+    }
+
+    #[test]
+    fn a_pair_that_cannot_be_undone_is_retired_in_place() {
+        let h = heap(11);
+        let class = SizeClass::for_size(256).unwrap();
+        let ([src, dst], [addr_a, addr_b, addr_c]) = two_span_source(&h, class);
+        let mut st = h.lock_class(class);
+        // The second span's remap and the first span's way back: refused.
+        h.lock_arena().refuse_vm_calls(3..5);
+        let mut summary = MeshSummary::default();
+        let mut rejected = [0u64; REJECT_REASONS];
+        mesh_pairs(
+            &h,
+            &mut st,
+            class,
+            vec![(src, dst)],
+            &mut summary,
+            &mut rejected,
+        );
+        assert_eq!(summary, MeshSummary::default());
+        assert_contents(
+            256,
+            &[
+                (addr_a, &[0, 2], 0xAA),
+                (addr_b, &[1], 0xBB),
+                (addr_c, &[8, 9, 10, 11], 0xCC),
+            ],
+        );
+        drop(st);
+        // Neither span is a candidate again, and both outlive their
+        // objects: one's pages show through the other.
+        assert_eq!(mesh_all_classes(&h).pairs_probed, 0);
+        for addr in [addr_a, addr_a + 2 * 256, addr_b + 256] {
+            assert!(h.free_global(addr));
+        }
+        for slot in 8..12 {
+            assert!(h.free_global(addr_c + slot * 256));
+        }
+        let st = h.lock_class_swept(class);
+        assert!(st.slab.get(src).is_some() && st.slab.get(dst).is_some());
+        let s = h.counters.snapshot();
+        assert_eq!((s.frees, s.double_frees, s.invalid_frees), (7, 0, 0));
+    }
+
+    #[test]
+    fn a_batch_protects_and_releases_adjacent_sources_with_one_call_each() {
+        let h = heap(12);
+        let class = SizeClass::for_size(256).unwrap();
+        // Sources first, so that they are neighbours; each pair disjoint.
+        let sources: Vec<_> = (0..4)
+            .map(|_| detached_with_slots(&h, class, &[1], 0x11))
+            .collect();
+        let dests: Vec<_> = (0..4)
+            .map(|_| detached_with_slots(&h, class, &[2, 3], 0x22))
+            .collect();
+        let mut st = h.lock_class(class);
+        let pairs = sources.iter().copied().zip(dests.iter().copied()).collect();
+        let before = h.counters.snapshot().latency;
+        let mut summary = MeshSummary::default();
+        let mut rejected = [0u64; REJECT_REASONS];
+        mesh_pairs(&h, &mut st, class, pairs, &mut summary, &mut rejected);
+        assert_eq!(summary.pairs_meshed, 4);
+        let after = h.counters.snapshot().latency;
+        for op in [TimedOp::Madvise, TimedOp::MeshCopy, TimedOp::MeshRemap] {
+            assert_eq!(after.count(op) - before.count(op), 1, "{op:?}");
+        }
+        for &id in &sources {
+            assert!(
+                st.slab.get(id).is_none(),
+                "each sparser span was the source"
+            );
+        }
+    }
+    #[test]
+    fn a_rolled_back_pair_leaves_poison_in_the_destination() {
+        let h = GlobalHeap::new(
+            MeshConfig::default()
+                .arena_bytes(64 << 20)
+                .seed(13)
+                .write_barrier(false)
+                .harden_policy(crate::HardenPolicy::Count),
+            Arc::new(Counters::default()),
+        )
+        .unwrap();
+        let class = SizeClass::for_size(256).unwrap();
+        let a = detached_with_slots(&h, class, &[0, 2, 4], 0xAA);
+        let b = detached_with_slots(&h, class, &[1, 3], 0xBB);
+        let mut st = h.lock_class(class);
+        let addr_a = start_of(&h, &st, a);
+        // The protect, then the one remap: refused.
+        h.lock_arena().refuse_vm_calls(2..3);
+        let mut summary = MeshSummary::default();
+        let mut rejected = [0u64; REJECT_REASONS];
+        mesh_pairs(
+            &h,
+            &mut st,
+            class,
+            vec![(a, b)],
+            &mut summary,
+            &mut rejected,
+        );
+        assert_eq!(rejected[RejectReason::CopyAbort as usize], 1);
+        // The slots the copies went to read as free slots should, to the
+        // next allocation and to the next pass's canary sweep.
+        for slot in [1, 3] {
+            h.verify_poison(addr_a + slot * 256, 256, class.index());
+        }
+        mesh_pairs(
+            &h,
+            &mut st,
+            class,
+            vec![(a, b)],
+            &mut summary,
+            &mut rejected,
+        );
+        assert_eq!(summary.pairs_meshed, 1);
+        assert_eq!(rejected[RejectReason::CanaryTrip as usize], 0);
+        assert_eq!(
+            h.counters.snapshot().harden_violations,
+            [0; crate::HARDEN_KINDS]
+        );
     }
 }

@@ -437,8 +437,8 @@ impl MiniHeap {
         std::mem::take(&mut self.tombstones)
     }
 
-    /// Takes the non-primary spans out (used when the MiniHeap dies and
-    /// aliases are restored to identity mappings).
+    /// Takes the non-primary spans out (the MiniHeap is dying; the arena
+    /// parks them until their identity mappings are restored).
     pub(crate) fn take_alias_spans(&mut self) -> Vec<Span> {
         self.virtual_spans.split_off(1)
     }

@@ -40,7 +40,8 @@ pub struct SegmentStats {
     pub committed_pages: usize,
     /// Pages sitting in this segment's dirty bins.
     pub dirty_pages: usize,
-    /// Pages sitting in this segment's clean bins.
+    /// Pages holding no physical page and not handed out: the clean bins
+    /// plus the parked aliases of dead MiniHeaps.
     pub clean_pages: usize,
     /// Pages handed out as spans and not yet returned to a bin.
     pub outstanding_pages: usize,
@@ -63,11 +64,17 @@ pub(crate) struct Segment {
     clean: BTreeMap<u32, Vec<u32>>,
     /// Dirty spans binned by exact page count; offsets are global.
     dirty: BTreeMap<u32, Vec<u32>>,
+    /// Alias spans of dead MiniHeaps, still mapped onto the file range
+    /// they were meshed into: in no bin, never handed out. The arena
+    /// restores their identity mappings a run at a time and files them
+    /// clean.
+    parked: Vec<Span>,
     dirty_pages: usize,
     clean_pages: usize,
+    parked_pages: usize,
     /// Pages handed out as spans (or held as mesh aliases) and not yet
-    /// returned to a bin. A segment with zero outstanding and zero dirty
-    /// pages holds no live data and may retire.
+    /// returned to a bin. A segment with zero outstanding, dirty and
+    /// parked pages holds no live data and may retire.
     outstanding_pages: usize,
     committed_pages: usize,
 }
@@ -82,8 +89,10 @@ impl Segment {
             frontier: 0,
             clean: BTreeMap::new(),
             dirty: BTreeMap::new(),
+            parked: Vec::new(),
             dirty_pages: 0,
             clean_pages: 0,
+            parked_pages: 0,
             outstanding_pages: 0,
             committed_pages: 0,
         }
@@ -145,10 +154,11 @@ impl Segment {
     }
 
     /// Whether every page is back and clean: nothing handed out, nothing
-    /// dirty. (The caller additionally never retires the initial segment.)
+    /// dirty, no alias still mapped elsewhere. (The caller additionally
+    /// never retires the initial segment.)
     #[inline]
     pub fn is_empty_of_live_data(&self) -> bool {
-        self.outstanding_pages == 0 && self.dirty_pages == 0
+        self.outstanding_pages == 0 && self.dirty_pages == 0 && self.parked_pages == 0
     }
 
     // ----- span hand-out -------------------------------------------------
@@ -218,8 +228,15 @@ impl Segment {
         self.park_clean(span);
     }
 
+    /// Returns an outstanding alias span, still mapped onto another span's
+    /// file range, to the parked list.
+    pub fn free_parked(&mut self, span: Span) {
+        self.outstanding_pages -= span.pages as usize;
+        self.repark(span);
+    }
+
     /// Files a span under clean without touching outstanding accounting
-    /// (purge path: the span was in the dirty bins, not outstanding).
+    /// (purge path: the span was dirty or parked, not outstanding).
     pub fn park_clean(&mut self, span: Span) {
         debug_assert!(self.contains_page(span.offset) && span.end() <= self.end());
         self.clean.entry(span.pages).or_default().push(span.offset);
@@ -237,10 +254,35 @@ impl Segment {
             .collect()
     }
 
+    #[inline]
+    pub fn has_parked(&self) -> bool {
+        !self.parked.is_empty()
+    }
+
+    /// Drains the parked list; the caller files each span clean once its
+    /// identity mapping is back, or parks it again.
+    pub fn take_all_parked(&mut self) -> Vec<Span> {
+        self.parked_pages = 0;
+        std::mem::take(&mut self.parked)
+    }
+
+    /// Parks a span without touching outstanding accounting: one
+    /// [`Segment::take_all_parked`] drained whose identity restore failed.
+    pub fn repark(&mut self, span: Span) {
+        debug_assert!(self.contains_page(span.offset) && span.end() <= self.end());
+        self.parked_pages += span.pages as usize;
+        self.parked.push(span);
+    }
+
     /// Records `pages` physical pages of this segment released to the OS.
     pub fn note_release(&mut self, pages: usize) {
         debug_assert!(self.committed_pages >= pages);
         self.committed_pages -= pages;
+    }
+
+    /// Takes back a [`Segment::note_release`] that left the pages in place.
+    pub fn note_recommit(&mut self, pages: usize) {
+        self.committed_pages += pages;
     }
 
     pub fn stats(&self, retirable: bool) -> SegmentStats {
@@ -251,7 +293,7 @@ impl Segment {
             fresh_pages: self.pages - self.frontier,
             committed_pages: self.committed_pages,
             dirty_pages: self.dirty_pages,
-            clean_pages: self.clean_pages,
+            clean_pages: self.clean_pages + self.parked_pages,
             outstanding_pages: self.outstanding_pages,
             retirable,
         }

@@ -45,10 +45,12 @@ pub enum TimedOp {
     MutatorPause = 3,
     /// Mesh-pass phase 1: candidate collection + SplitMesher probing.
     MeshCandidates = 4,
-    /// Mesh-pass phase 2: write-protect + copy window (the §4.5.2
-    /// barrier is up for exactly this duration).
+    /// Mesh-pass phase 2, once per batch of up to 64 pairs:
+    /// write-protect + copy window.
     MeshCopy = 5,
-    /// Mesh-pass phase 3: physical release + virtual remap.
+    /// Mesh-pass phase 3, once per batch: physical release + virtual
+    /// remap. The §4.5.2 barrier is up from the start of phase 2 to the
+    /// end of this one.
     MeshRemap = 6,
     /// One whole meshing pass (all classes).
     MeshPass = 7,

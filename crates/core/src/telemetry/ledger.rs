@@ -31,9 +31,10 @@ pub enum RejectReason {
     /// The class shard lock was contended when the pass claimed it, so the
     /// pass ran against a heap another thread was mutating moments before.
     ClassContention = 1,
-    /// A pair was abandoned mid-copy. Structurally zero in the current
-    /// single-lock pass (the class lock is held end to end); recorded so a
-    /// future concurrent mesher inherits the accounting slot.
+    /// A pair was abandoned inside its batch's copy window because the
+    /// kernel refused a VM call (`ENOMEM` at `vm.max_map_count`): every
+    /// pair of a batch whose protect was refused, or the one pair whose
+    /// remap was and which was rolled back. Zero on a healthy system.
     CopyAbort = 2,
     /// Hardened mode found a corrupted free-slot canary inside the copy
     /// window and refused to mesh the pair (`MESH_HARDEN` with the canary

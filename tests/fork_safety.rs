@@ -16,6 +16,11 @@
 //! yet) is the parent's to write. The child starts with no pending
 //! request, so its first telemetry beat leaves the dump file alone.
 //!
+//! A third fork is taken while the alias spans of dead meshed MiniHeaps
+//! are parked (DESIGN.md §2a): the child's whole-segment identity remap
+//! is the restore they were waiting for, so both processes go on to
+//! allocate over those spans, each in its own file.
+//!
 //! Own test binary: forking a multi-threaded cargo-test harness is only
 //! safe when this file's single test is all that runs in the process.
 
@@ -23,7 +28,7 @@ mod support;
 
 use mesh::core::ffi;
 use mesh::core::{Mesh, MeshConfig, Report, TimedOp};
-use support::report_text;
+use support::{arena_base, arena_mappings, report_text};
 
 const SLOTS: usize = 384;
 const SIZE: usize = 1500;
@@ -185,6 +190,106 @@ fn fork_preserves_parent_and_child_heaps() {
     );
 
     pending_profile_request_stays_with_the_parent();
+    parked_aliases_are_clean_spans_in_the_child();
+}
+
+/// Fills fresh 64-byte objects with their own index until `count` are
+/// held, then checks that none shows another's bytes: no two spans they
+/// came from share a page.
+fn allocate_distinct(mesh: &Mesh, count: usize) -> Option<Vec<*mut u8>> {
+    let objects: Vec<*mut u8> = (0..count).map(|_| mesh.malloc(64)).collect();
+    for (i, &p) in objects.iter().enumerate() {
+        if p.is_null() {
+            return None;
+        }
+        unsafe { (p as *mut [usize; 8]).write([i; 8]) };
+    }
+    let distinct =
+        |(i, &p): (usize, &*mut u8)| unsafe { (p as *const [usize; 8]).read() } == [i; 8];
+    objects.iter().enumerate().all(distinct).then_some(objects)
+}
+
+fn parked_aliases_are_clean_spans_in_the_child() {
+    const ARENA: usize = 32 << 20;
+    // The one purge a mesh period allows goes to the first pass below;
+    // the second only settles the spans frees emptied.
+    let mesh = Mesh::new(
+        MeshConfig::default()
+            .seed(31)
+            .arena_bytes(ARENA)
+            .initial_segment_bytes(ARENA)
+            .mesh_period(std::time::Duration::from_secs(3600)),
+    )
+    .unwrap();
+    let base = arena_base(&mesh);
+    let ptrs: Vec<*mut u8> = (0..SLOTS).map(|_| mesh.malloc(SIZE)).collect();
+    for (i, &p) in ptrs.iter().enumerate() {
+        unsafe { std::ptr::write_bytes(p, parent_tag(i), SIZE) };
+    }
+    let tags_intact = |ptrs: &[*mut u8]| {
+        let tagged = |(i, &p): (usize, &*mut u8)| unsafe {
+            *p == parent_tag(i) && *p.add(SIZE - 1) == parent_tag(i)
+        };
+        ptrs.iter().enumerate().all(tagged)
+    };
+
+    // Mesh sparse spans, then free what is left in them.
+    let mut heap = mesh.thread_heap();
+    let small: Vec<*mut u8> = (0..8192).map(|_| heap.malloc(64)).collect();
+    for (i, &p) in small.iter().enumerate() {
+        if i % 8 != 0 {
+            unsafe { heap.free(p) };
+        }
+    }
+    drop(heap);
+    let unmeshed = arena_mappings(base, ARENA).len();
+    let pairs = mesh.mesh_now().pairs_meshed;
+    assert!(pairs > 20, "only {pairs} pairs meshed");
+    for &p in small.iter().step_by(8) {
+        unsafe { mesh.free(p) };
+    }
+    mesh.mesh_now();
+    assert!(
+        arena_mappings(base, ARENA).len() > unmeshed + pairs / 2,
+        "the dead MiniHeaps' aliases are not parked"
+    );
+
+    let guard = mesh.fork_prepare();
+    let pid = unsafe { ffi::fork() };
+    assert!(pid >= 0, "fork failed");
+    if pid == 0 {
+        guard.release_child();
+        // Enough to take every dead span again, the once-parked included.
+        let ok = tags_intact(&ptrs)
+            && allocate_distinct(&mesh, 16384).is_some()
+            && tags_intact(&ptrs)
+            && arena_mappings(base, ARENA).len() <= unmeshed;
+        unsafe { ffi::_exit(if ok { 0 } else { 1 }) };
+    }
+    guard.release_parent();
+    let mut status: i32 = -1;
+    assert_eq!(
+        unsafe { ffi::waitpid(pid, &mut status, 0) },
+        pid,
+        "waitpid failed"
+    );
+    assert!(
+        status & 0x7F == 0 && (status >> 8) & 0xFF == 0,
+        "child failed: raw status {status:#x}"
+    );
+
+    // The parent restores its own parked aliases when it needs the room.
+    assert!(tags_intact(&ptrs), "the child reached the parent's objects");
+    let objects = allocate_distinct(&mesh, 16384).expect("a span was handed out twice");
+    assert!(tags_intact(&ptrs));
+    for p in objects.into_iter().chain(ptrs) {
+        unsafe { mesh.free(p) };
+    }
+    let stats = mesh.stats();
+    assert_eq!(
+        (stats.live_bytes, stats.double_frees, stats.invalid_frees),
+        (0, 0, 0)
+    );
 }
 
 /// The profile case of the pending-request contract, next to the trace

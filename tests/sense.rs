@@ -91,7 +91,7 @@ fn ledger_reconciles_with_heap_counters_over_many_passes() {
     }
     assert_eq!(totals, from_ring, "reject totals != ring sums");
     // This workload's rejections are occupancy overlaps (probed pairs
-    // whose bitmaps collide); copy aborts are structurally impossible.
+    // whose bitmaps collide); copy aborts take a VM call the kernel refuses.
     assert!(
         totals[RejectReason::OccupancyOverlap as usize] > 0,
         "fragmented waves must produce overlap rejects: {totals:?}"

@@ -1,7 +1,8 @@
 //! Shared plumbing for the C-preload integration tests (`c_abi.rs`,
 //! `c_prof.rs`, `c_trace.rs`): locating the workspace, building
 //! `libmesh.so`, compiling C helpers, and panicking accessors over
-//! `mesh_core::json` for validating dump schemas.
+//! `mesh_core::json` for validating dump schemas. Also the arena as
+//! `/proc/self/maps` shows it (`vm_batching.rs`, `fork_safety.rs`).
 
 #![allow(dead_code)] // each test binary uses its own subset
 
@@ -127,4 +128,33 @@ impl JsonExt for Json {
 pub fn report_text(mesh: &Mesh, kind: Report) -> Option<String> {
     let bytes = mesh.report(kind).ok()?;
     Some(String::from_utf8(bytes).expect("text report"))
+}
+
+// ---------------------------------------------------------------------
+// The arena's mappings, as the kernel reports them.
+// ---------------------------------------------------------------------
+
+/// The base of the arena of a heap that has carved nothing yet: its first
+/// span starts the reservation. Page 0 stays with the 16-byte class.
+pub fn arena_base(mesh: &Mesh) -> usize {
+    let first = mesh.malloc(16);
+    let base = first as usize & !(mesh::core::PAGE_SIZE - 1);
+    assert!(mesh.contains(base as *const u8) && !mesh.contains((base - 1) as *const u8));
+    unsafe { mesh.free(first) };
+    base
+}
+
+/// The inode of each `/proc/self/maps` line that starts inside
+/// `[base, base + len)`: one entry per mapping the kernel keeps there.
+pub fn arena_mappings(base: usize, len: usize) -> Vec<u64> {
+    let maps = std::fs::read_to_string("/proc/self/maps").expect("procfs");
+    maps.lines()
+        .filter_map(|line| {
+            let mut fields = line.split_whitespace();
+            let (start, _) = fields.next()?.split_once('-')?;
+            let start = usize::from_str_radix(start, 16).ok()?;
+            let inode = fields.nth(3)?.parse().ok()?;
+            (start >= base && start < base + len).then_some(inode)
+        })
+        .collect()
 }
