@@ -1311,6 +1311,7 @@ mod tests {
         let s = m.stats();
         assert!(s.latency.count(crate::telemetry::TimedOp::Refill) > 0);
         assert!(s.latency.count(crate::telemetry::TimedOp::MeshPass) > 0);
+        assert!(s.latency.count(crate::telemetry::TimedOp::MeshCandidates) > 0);
     }
 
     #[test]

@@ -1,20 +1,18 @@
-//! The allocator-under-test abstraction used by every §6 workload.
+//! The allocator-under-test abstraction the trace replayer, the Robson
+//! adversary and the examples drive.
 //!
-//! The paper evaluates Mesh against jemalloc and glibc. Those cannot be
-//! vendored here, so (per DESIGN.md):
+//! The paper evaluates Mesh against jemalloc and glibc. Here:
 //!
 //! * the **non-compacting baseline** is Mesh with meshing disabled —
 //!   a segregated-fit allocator the paper itself equates with jemalloc for
 //!   these purposes (§6.3: "With meshing disabled, Mesh exhibits similar
 //!   runtime and heap size to jemalloc");
-//! * the **no-randomization ablation** is Mesh with sequential allocation;
-//! * the process's real libc allocator ([`std::alloc::System`]) is
-//!   available for *latency* comparisons (it cannot report a heap
-//!   footprint, so it is excluded from memory figures).
+//! * the **no-randomization ablation** is Mesh with sequential allocation.
+//!
+//! The glibc control is `mesh-bench`'s: it replays the same op stream on
+//! the process's own malloc and reads RSS from outside.
 
-use mesh_core::{Mesh, MeshConfig, MeshSummary};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::HashMap;
+use mesh_core::{Mesh, MeshConfig, MeshSummary, ThreadHeap};
 use std::fmt;
 
 /// Which allocator a workload runs against.
@@ -26,8 +24,6 @@ pub enum AllocatorKind {
     MeshNoMesh,
     /// Meshing enabled but randomization disabled (§6.3 "Mesh (no rand)").
     MeshNoRand,
-    /// The process's system allocator (latency baseline only).
-    System,
 }
 
 impl AllocatorKind {
@@ -37,52 +33,25 @@ impl AllocatorKind {
             AllocatorKind::MeshFull => "Mesh",
             AllocatorKind::MeshNoMesh => "Mesh (no meshing)",
             AllocatorKind::MeshNoRand => "Mesh (no rand)",
-            AllocatorKind::System => "system malloc",
         }
-    }
-
-    /// All Mesh-backed kinds (the ones that can report heap footprints).
-    pub fn mesh_kinds() -> [AllocatorKind; 3] {
-        [
-            AllocatorKind::MeshFull,
-            AllocatorKind::MeshNoMesh,
-            AllocatorKind::MeshNoRand,
-        ]
     }
 
     /// Builds the driver with an arena of `arena_bytes` and a fixed seed.
     pub fn build(self, arena_bytes: usize, seed: u64) -> TestAllocator {
-        match self {
-            AllocatorKind::System => TestAllocator::system(),
-            kind => {
-                let config = MeshConfig::default()
-                    .arena_bytes(arena_bytes)
-                    .seed(seed)
-                    .meshing(kind != AllocatorKind::MeshNoMesh)
-                    .randomize(kind != AllocatorKind::MeshNoRand);
-                TestAllocator::mesh(kind, config)
-            }
-        }
-    }
-}
-
-impl fmt::Display for AllocatorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
+        let config = MeshConfig::default()
+            .arena_bytes(arena_bytes)
+            .seed(seed)
+            .meshing(self != AllocatorKind::MeshNoMesh)
+            .randomize(self != AllocatorKind::MeshNoRand);
+        TestAllocator::mesh(self, config)
     }
 }
 
 /// A single-threaded allocator driver for workloads.
-///
-/// For multi-threaded workloads use [`TestAllocator::mesh_handle`] to get
-/// the underlying [`Mesh`] and create per-thread heaps.
 pub struct TestAllocator {
     kind: AllocatorKind,
-    mesh: Option<(Mesh, mesh_core::ThreadHeap)>,
-    /// Layout bookkeeping for the System backend (its `dealloc` needs the
-    /// original layout).
-    system_layouts: HashMap<usize, Layout>,
-    system_live: usize,
+    mesh: Mesh,
+    heap: ThreadHeap,
 }
 
 impl fmt::Debug for TestAllocator {
@@ -95,16 +64,11 @@ impl TestAllocator {
     fn mesh(kind: AllocatorKind, config: MeshConfig) -> TestAllocator {
         let mesh = Mesh::new(config).expect("failed to build Mesh under test");
         let heap = mesh.thread_heap();
-        TestAllocator {
-            kind,
-            mesh: Some((mesh, heap)),
-            system_layouts: HashMap::new(),
-            system_live: 0,
-        }
+        TestAllocator { kind, mesh, heap }
     }
 
-    /// Builds a Mesh-backed driver from an explicit configuration
-    /// (used by ablation harnesses that sweep individual tunables).
+    /// Builds a driver from an explicit configuration (for comparisons
+    /// that vary one tunable, such as the alias cap).
     pub fn from_config(config: MeshConfig) -> TestAllocator {
         let kind = if !config.is_meshing_enabled() {
             AllocatorKind::MeshNoMesh
@@ -116,23 +80,9 @@ impl TestAllocator {
         TestAllocator::mesh(kind, config)
     }
 
-    fn system() -> TestAllocator {
-        TestAllocator {
-            kind: AllocatorKind::System,
-            mesh: None,
-            system_layouts: HashMap::new(),
-            system_live: 0,
-        }
-    }
-
     /// Which configuration this driver runs.
     pub fn kind(&self) -> AllocatorKind {
         self.kind
-    }
-
-    /// The underlying Mesh heap (None for the System backend).
-    pub fn mesh_handle(&self) -> Option<Mesh> {
-        self.mesh.as_ref().map(|(m, _)| m.clone())
     }
 
     /// Allocates `size` bytes.
@@ -142,22 +92,9 @@ impl TestAllocator {
     /// Panics on exhaustion — workloads are sized to fit their arenas, so
     /// exhaustion is a harness bug worth failing loudly on.
     pub fn malloc(&mut self, size: usize) -> *mut u8 {
-        match &mut self.mesh {
-            Some((_, heap)) => {
-                let p = heap.malloc(size);
-                assert!(!p.is_null(), "arena exhausted at {size}-byte allocation");
-                p
-            }
-            None => {
-                let layout =
-                    Layout::from_size_align(size.max(1), 16).expect("bad layout");
-                let p = unsafe { System.alloc(layout) };
-                assert!(!p.is_null(), "system allocator returned null");
-                self.system_layouts.insert(p as usize, layout);
-                self.system_live += size;
-                p
-            }
-        }
+        let p = self.heap.malloc(size);
+        assert!(!p.is_null(), "arena exhausted at {size}-byte allocation");
+        p
     }
 
     /// Frees `ptr`.
@@ -166,53 +103,28 @@ impl TestAllocator {
     ///
     /// `ptr` must come from this driver's `malloc` and not be freed twice.
     pub unsafe fn free(&mut self, ptr: *mut u8) {
-        match &mut self.mesh {
-            Some((_, heap)) => heap.free(ptr),
-            None => {
-                let layout = self
-                    .system_layouts
-                    .remove(&(ptr as usize))
-                    .expect("freeing unknown system pointer");
-                self.system_live -= layout.size();
-                System.dealloc(ptr, layout);
-            }
-        }
+        self.heap.free(ptr)
     }
 
-    /// Physical heap footprint in bytes, `None` for the System backend
-    /// (which cannot report one).
+    /// Physical heap footprint in bytes (committed pages).
     pub fn heap_bytes(&self) -> Option<usize> {
-        self.mesh.as_ref().map(|(m, _)| m.heap_bytes())
-    }
-
-    /// Full heap statistics snapshot (peak footprint, segment counts, …),
-    /// `None` for the System backend.
-    pub fn heap_stats(&self) -> Option<mesh_core::HeapStats> {
-        self.mesh.as_ref().map(|(m, _)| m.stats())
+        Some(self.mesh.heap_bytes())
     }
 
     /// Live (allocated, not yet freed) bytes as tracked by the allocator.
     pub fn live_bytes(&self) -> usize {
-        match &self.mesh {
-            Some((m, _)) => m.stats().live_bytes,
-            None => self.system_live,
-        }
+        self.mesh.stats().live_bytes
     }
 
-    /// Forces a meshing pass (no-op for non-meshing configurations —
-    /// `mesh_now` runs but finds nothing to do — and for System).
+    /// Forces a meshing pass (for non-meshing configurations `mesh_now`
+    /// runs but finds nothing to do).
     pub fn mesh_now(&mut self) -> MeshSummary {
-        match &self.mesh {
-            Some((m, _)) => m.mesh_now(),
-            None => MeshSummary::default(),
-        }
+        self.mesh.mesh_now()
     }
 
     /// Releases dirty pages (for end-of-phase footprint measurements).
     pub fn purge(&mut self) {
-        if let Some((m, _)) = &self.mesh {
-            m.purge_dirty();
-        }
+        self.mesh.purge_dirty();
     }
 }
 
@@ -225,29 +137,6 @@ mod tests {
         assert_eq!(AllocatorKind::MeshFull.label(), "Mesh");
         assert_eq!(AllocatorKind::MeshNoMesh.label(), "Mesh (no meshing)");
         assert_eq!(AllocatorKind::MeshNoRand.label(), "Mesh (no rand)");
-    }
-
-    #[test]
-    fn mesh_kinds_roundtrip() {
-        for kind in AllocatorKind::mesh_kinds() {
-            let mut a = kind.build(32 << 20, 5);
-            let p = a.malloc(100);
-            assert!(a.heap_bytes().unwrap() > 0);
-            assert_eq!(a.live_bytes(), 112, "class-rounded live bytes");
-            unsafe { a.free(p) };
-            assert_eq!(a.live_bytes(), 0);
-        }
-    }
-
-    #[test]
-    fn system_backend_tracks_live() {
-        let mut a = AllocatorKind::System.build(0, 0);
-        let p = a.malloc(1000);
-        assert_eq!(a.live_bytes(), 1000);
-        assert_eq!(a.heap_bytes(), None);
-        unsafe { a.free(p) };
-        assert_eq!(a.live_bytes(), 0);
-        assert_eq!(a.mesh_now(), MeshSummary::default());
     }
 
     #[test]

@@ -1,49 +1,38 @@
 //! # mesh-workloads
 //!
-//! The evaluation substrate for the Mesh reproduction: every workload §6
-//! of *Mesh: Compacting Memory Management for C/C++ Applications* (PLDI
-//! 2019) measures, rebuilt as deterministic in-process drivers, plus the
-//! measurement tooling (`mstat` analog) and the classical-allocator
-//! baselines the paper's claims are framed against.
+//! Deterministic in-process drivers for the fragmentation story of *Mesh:
+//! Compacting Memory Management for C/C++ Applications* (PLDI 2019): the
+//! §1 Robson worst case, the classical-allocator simulators it is framed
+//! against, and allocation-trace record/replay.
 //!
 //! | Paper artifact | Module |
 //! |---|---|
-//! | §6.1 `mstat` measurement tool | [`mstat`] |
-//! | §6.2.1 Firefox / Speedometer 2.0 (Figure 6) | [`firefox`] |
-//! | §6.2.2 Redis + activedefrag (Figure 7) | [`redis`] |
-//! | §6.2.3 SPECint 2006 table | [`spec`] |
-//! | §6.3 Ruby string microbenchmark (Figure 8) | [`ruby`] |
 //! | §1 Robson worst case + classical baselines | [`robson`], [`firstfit`], [`buddy`] |
 //! | Allocation-trace record/replay + generators | [`trace`] |
-//! | Allocator-under-test drivers | [`driver`] |
+//! | Allocator-under-test driver | [`driver`] |
 //!
-//! The real Firefox/Redis/SPEC/Ruby binaries cannot be vendored; each
-//! driver reproduces the *allocation stream* the paper describes (sizes,
-//! lifetimes, threading, phases) so the allocator sees the same workload
-//! shape. See DESIGN.md for the substitution argument.
+//! The §6 end-to-end measurements (Mesh against glibc on the same op
+//! stream, RSS and throughput together, a Redis-shaped C program under
+//! `LD_PRELOAD`) live in the separate `mesh-bench` package.
 //!
-//! ## Example: reproduce the Redis experiment at 1/10 scale
+//! ## Example: one trace, with and without meshing
 //!
 //! ```no_run
 //! use mesh_workloads::driver::AllocatorKind;
-//! use mesh_workloads::redis::{run_redis, RedisConfig};
+//! use mesh_workloads::trace::{generate, replay};
 //!
-//! let cfg = RedisConfig::default(); // paper parameters at 0.1×
-//! let mut mesh = AllocatorKind::MeshFull.build(1 << 30, 42);
-//! let report = run_redis(&mut mesh, &cfg);
-//! println!("{}", report.timeline.to_csv());
+//! let trace = generate::sawtooth_pinned(8, 20_000, 48, 256, 50, 42);
+//! for kind in [AllocatorKind::MeshNoMesh, AllocatorKind::MeshFull] {
+//!     let mut alloc = kind.build(1 << 30, 42);
+//!     let report = replay(&trace, &mut alloc, 1_000);
+//!     println!("{}: {:.1}×", report.allocator, report.peak_fragmentation());
+//! }
 //! ```
 
 pub mod buddy;
 pub mod driver;
-pub mod firefox;
 pub mod firstfit;
-pub mod mstat;
-pub mod redis;
 pub mod robson;
-pub mod ruby;
-pub mod spec;
 pub mod trace;
 
 pub use driver::{AllocatorKind, TestAllocator};
-pub use mstat::MemoryTimeline;

@@ -3,19 +3,20 @@
 //! The paper: "The parameter t … can be increased to improve mesh quality
 //! and therefore reduce space, or decreased to improve runtime… We
 //! empirically found that t = 64 balances runtime and meshing
-//! effectiveness." This harness sweeps `t` on (a) pure random span sets
+//! effectiveness." This example sweeps `t` on (a) pure random span sets
 //! (strings) and (b) a real fragmented heap, reporting meshes found,
 //! probes spent, and pass time.
+//!
+//! Run with: `cargo run --release --example ablation_t`
 
-use mesh_bench::banner;
-use mesh_core::rng::Rng;
-use mesh_core::{Mesh, MeshConfig};
-use mesh_graph::split_mesher::split_mesher_presplit;
-use mesh_graph::string::SpanString;
+use mesh::core::rng::Rng;
+use mesh::core::{Mesh, MeshConfig};
+use mesh::graph::split_mesher::split_mesher_presplit;
+use mesh::graph::string::SpanString;
 use std::time::Instant;
 
 fn string_sweep() {
-    banner("probe-limit sweep on random span sets (b=256 slots, 1024 spans)");
+    println!("probe-limit sweep on random span sets (b=256 slots, 1024 spans):");
     let mut rng = Rng::with_seed(0xab1a);
     let (n, b, r) = (1024usize, 256usize, 32usize);
     let strings: Vec<SpanString> = (0..n)
@@ -46,7 +47,7 @@ fn string_sweep() {
 }
 
 fn heap_sweep() {
-    banner("probe-limit sweep on a real fragmented heap (256 B objects, 12.5% survivors)");
+    println!("\nprobe-limit sweep on a real fragmented heap (256 B objects, 12.5% survivors):");
     println!(
         "{:>6} {:>14} {:>14} {:>12} {:>12}",
         "t", "heap before", "heap after", "pairs", "pass time"

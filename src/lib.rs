@@ -13,10 +13,13 @@
 //!   MinCliqueCover/Matching solvers (including Edmonds' blossom
 //!   algorithm), Erdős–Renyi contrast models, and the probability
 //!   engine.
-//! * [`workloads`] — the §6 evaluation drivers: Redis-, Firefox-,
-//!   Ruby- and SPEC-like workloads, allocation-trace record/replay,
-//!   classical-allocator simulators, and the `mstat` measurement
-//!   analog.
+//! * [`workloads`] — fragmentation drivers: the §1 Robson adversary,
+//!   classical-allocator simulators, and allocation-trace
+//!   record/replay.
+//!
+//! The §6 end-to-end measurements (Mesh against glibc on the same op
+//! stream) are the separate `mesh-bench` package; the §5 bounds are
+//! checked by `tests/paper_bounds.rs`.
 //!
 //! ## Quickstart
 //!
