@@ -8,7 +8,7 @@ use crate::error::MeshError;
 use crate::global_heap::GlobalHeap;
 use crate::knobs::{self, Value};
 use crate::local_heap::ThreadHeapCore;
-use crate::mesher::BackgroundMesher;
+use crate::mesher::BackgroundThread;
 use crate::meshing::MeshSummary;
 use crate::rng::Rng;
 use crate::size_classes::{SizeClass, MAX_SMALL_SIZE, PAGE_SIZE};
@@ -31,10 +31,11 @@ pub(crate) struct MeshInner {
     randomize: bool,
     token_gen: AtomicU64,
     main: Mutex<ThreadHeapCore>,
-    /// Background meshing thread handle; dropping it (with the heap)
-    /// signals the thread to exit. Behind a mutex so a forked child —
-    /// where the parent's thread does not exist — can swap in a fresh one.
-    mesher: Mutex<Option<BackgroundMesher>>,
+    /// The background thread's handle (the telemetry beat); dropping it
+    /// (with the heap) signals the thread to exit. Behind a mutex so a
+    /// forked child — where the parent's thread does not exist — can swap
+    /// in a fresh one.
+    mesher: Mutex<Option<BackgroundThread>>,
 }
 
 impl std::fmt::Debug for MeshInner {
@@ -81,9 +82,10 @@ pub struct Mesh {
 }
 
 impl Mesh {
-    /// Creates a heap with the given configuration. With
-    /// [`MeshConfig::background_meshing`] set, also spawns the dedicated
-    /// meshing thread (stopped again when the last handle drops).
+    /// Creates a heap with the given configuration. When profiling,
+    /// tracing, sensing or a control socket is on, also spawns the
+    /// background thread that serves them (stopped again when the last
+    /// handle drops).
     ///
     /// # Errors
     ///
@@ -100,10 +102,6 @@ impl Mesh {
             .seed
             .unwrap_or_else(|| Rng::from_entropy().next_u64());
         let randomize = config.randomize;
-        // The background thread serves two masters: background meshing
-        // and telemetry (interval/signal-requested profile dumps). Spawn
-        // it when either wants it; the run loop only meshes when
-        // background meshing is actually configured.
         let background = state.background_thread_wanted();
         let main = ThreadHeapCore::new(
             seed_base ^ 0x6d61_696e,
@@ -121,7 +119,7 @@ impl Mesh {
             randomize,
             token_gen: AtomicU64::new(1),
             main: Mutex::new(main),
-            mesher: Mutex::new(background.then(|| BackgroundMesher::spawn(weak.clone()))),
+            mesher: Mutex::new(background.then(|| BackgroundThread::spawn(weak.clone()))),
         });
         Ok(Mesh { inner })
     }
@@ -483,12 +481,11 @@ impl Mesh {
 
     // ----- fork protocol -------------------------------------------------
 
-    /// Quiesces the heap for `fork()`: acquires *every* heap lock (main
-    /// handle, each size-class shard, the large shard, the arena leaf, the
-    /// scheduler leaves) so any in-flight refill or meshing pass
-    /// completes first and the child cannot inherit a held lock. Also
-    /// opens the pipe used to hold the parent until the child has
-    /// privatized its heap copy.
+    /// Quiesces the heap for `fork()`: acquires the main handle's lock,
+    /// then *every* heap lock, in the order `GlobalHeap::lock_all`
+    /// documents, so any in-flight refill or meshing pass completes first
+    /// and the child cannot inherit a held lock. Also opens the pipe used
+    /// to hold the parent until the child has privatized its heap copy.
     ///
     /// This is the *prepare* phase of the `pthread_atfork` protocol the
     /// `libmesh.so` interposition layer installs; after `fork()` the
@@ -517,8 +514,7 @@ impl Mesh {
     }
 
     /// Respawns the background thread in a forked child (the parent's
-    /// thread does not exist there). No-op unless background meshing or
-    /// telemetry wanted one.
+    /// thread does not exist there). No-op unless the heap runs one.
     fn respawn_mesher_after_fork(&self) {
         if !self.inner.state.background_thread_wanted() {
             return;
@@ -527,7 +523,7 @@ impl Mesh {
         let mut slot = self.inner.mesher.lock();
         // Dropping the stale handle only flips a copied stop flag and
         // unparks a thread that does not exist in this process — harmless.
-        *slot = Some(BackgroundMesher::spawn(weak));
+        *slot = Some(BackgroundThread::spawn(weak));
     }
 
     /// Snapshots of every live MiniHeap's allocation state — the heap's
@@ -603,8 +599,8 @@ impl MeshForkGuard<'_> {
 
     /// Child side: releases every lock (their futex state was inherited
     /// held-by-us), re-backs all segments with private file copies,
-    /// restores mesh aliases, respawns the background mesher if one was
-    /// configured, and finally signals the waiting parent.
+    /// restores mesh aliases, respawns the background thread if the heap
+    /// runs one, and finally signals the waiting parent.
     pub fn release_child(self) {
         use crate::ffi;
         with_internal_alloc(|| {
@@ -624,12 +620,9 @@ impl MeshForkGuard<'_> {
             mesh.inner.state.privatize_after_fork();
             // The child's latency history and trace buffers describe the
             // *parent's* threads: wipe both so its telemetry starts from
-            // zero. The rings were quiesced by `lock_all`, so no orphaned
-            // writer can be mid-push here.
-            mesh.inner.counters.zero_latency();
-            if let Some(trace) = mesh.inner.counters.trace_set() {
-                trace.wipe_all();
-            }
+            // zero. The registry was quiesced by `lock_all`, so no
+            // orphaned thread can be mid-register here.
+            mesh.inner.counters.wipe_for_child();
             // A report requested before the fork is the parent's to
             // write: served here it would overwrite the parent's dump
             // file with (a copy of) the parent's data.
@@ -791,7 +784,11 @@ thread_local! {
     /// and non-`Drop`, so reading it never allocates and never registers
     /// a TLS destructor (both would be fatal inside interposed symbols).
     static IN_MESH: Cell<bool> = const { Cell::new(false) };
-    static TLS_HEAP: RefCell<Option<ThreadHeapCore>> = const { RefCell::new(None) };
+    /// The calling thread's [`MeshGlobalAlloc`] heap, made by
+    /// [`Mesh::thread_heap`] at its first allocation. Its destructor gives
+    /// the thread's spans back at exit; an allocation or free arriving
+    /// after it ran takes the heap-wide path instead.
+    static TLS_HEAP: RefCell<Option<ThreadHeap>> = const { RefCell::new(None) };
 }
 
 static IN_MESH_FLAG: crate::sync::ReentrantFlag =
@@ -896,20 +893,13 @@ unsafe impl GlobalAlloc for MeshGlobalAlloc {
             }
         } else {
             let request = aligned_request(layout.size(), layout.align());
-            TLS_HEAP.with(|slot| {
-                let mut slot = slot.borrow_mut();
-                let core = slot.get_or_insert_with(|| {
-                    let token = mesh.inner.token_gen.fetch_add(1, Ordering::Relaxed);
-                    ThreadHeapCore::new(
-                        mesh.inner.seed_base.wrapping_add(token.wrapping_mul(0x9e37)),
-                        mesh.inner.randomize,
-                        token,
-                        Arc::clone(&mesh.inner.counters),
-                        mesh.inner.state.telemetry.clone(),
-                    )
-                });
-                core.malloc(&mesh.inner.state, request)
-            })
+            TLS_HEAP
+                .try_with(|slot| {
+                    let mut slot = slot.borrow_mut();
+                    slot.get_or_insert_with(|| mesh.thread_heap())
+                        .malloc(request)
+                })
+                .unwrap_or_else(|_| mesh.malloc(request))
         };
         IN_MESH.with(|f| f.set(false));
         p
@@ -938,14 +928,11 @@ unsafe impl GlobalAlloc for MeshGlobalAlloc {
             mesh.inner.state.free_global(ptr as usize);
             return;
         }
-        TLS_HEAP.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            if let Some(core) = slot.as_mut() {
-                core.free(&mesh.inner.state, ptr);
-            } else {
-                mesh.inner.state.free_global(ptr as usize);
-            }
-        });
+        let freed = TLS_HEAP.try_with(|slot| slot.borrow_mut().as_mut().map(|heap| heap.free(ptr)));
+        if !matches!(freed, Ok(Some(()))) {
+            // No heap on this thread yet, or its slot's destructor ran.
+            mesh.inner.state.free_global(ptr as usize);
+        }
         IN_MESH.with(|f| f.set(false));
     }
 
@@ -1245,22 +1232,52 @@ mod tests {
 
     #[test]
     fn fork_prepare_quiesces_stats_registry() {
-        // The per-thread stats registry is a heap lock like any other: a
-        // child forked while some thread is mid-register/unregister must
-        // not inherit it held, so fork_prepare takes it too.
-        let m = mesh();
+        // Every lock kind of the heap — the thread registry and the
+        // ledger ring among them — is held while the guard lives: a child
+        // forked while some thread holds one must not inherit it held
+        // (its recovery wipes the registry's blocks and the ledger).
+        let sock =
+            std::env::temp_dir().join(format!("mesh-fork-kinds-{}.sock", std::process::id()));
+        let m = Mesh::new(
+            MeshConfig::default()
+                .arena_bytes(64 << 20)
+                .seed(42)
+                .write_barrier(false)
+                .ctl(Some(sock.clone())),
+        )
+        .unwrap();
+        assert!(m.ctl_active() && m.is_sensing());
         let guard = m.fork_prepare();
-        assert!(
-            m.inner.counters.locals_contended(),
-            "fork quiescence must hold the stats registry lock"
+        assert_eq!(
+            m.inner.state.held_lock_kinds(),
+            [
+                "classes",
+                "large",
+                "arena",
+                "threads",
+                "sense clock",
+                "ledger",
+                "ctl"
+            ],
+            "fork quiescence must hold every lock kind"
         );
         guard.release_parent();
-        assert!(!m.inner.counters.locals_contended());
+        // The background thread may hold a leaf for an instant.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !m.inner.state.held_lock_kinds().is_empty() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a lock outlived the guard"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         // Registration (thread-heap creation) works again after release.
         let mut th = m.thread_heap();
         let p = th.malloc(64);
         assert!(!p.is_null());
         unsafe { th.free(p) };
+        drop(th);
+        m.ctl_shutdown();
     }
 
     #[test]
@@ -1281,7 +1298,6 @@ mod tests {
                 .arena_bytes(64 << 20)
                 .seed(7)
                 .write_barrier(false)
-                .background_meshing(false)
                 .tracing(true)
                 .trace_buf_events(1 << 10),
         )
@@ -1331,8 +1347,11 @@ mod tests {
         for p in ptrs {
             unsafe { m.free(p) };
         }
-        let trace = Arc::clone(m.inner.counters.trace_set().unwrap());
-        assert!(trace.event_count() > 0, "parent recorded events");
+        let json = String::from_utf8(m.report(Report::Trace).unwrap()).unwrap();
+        assert!(
+            json.contains("\"name\":\"refill\""),
+            "parent recorded events"
+        );
         assert!(
             m.inner.counters.latency_snapshot().count(crate::telemetry::TimedOp::Refill) > 0,
             "parent recorded refill latencies"
@@ -1354,6 +1373,49 @@ mod tests {
         let p = m.malloc(64);
         assert!(!p.is_null());
         unsafe { m.free(p) };
+    }
+
+    #[test]
+    fn exited_threads_leave_their_trace_events_not_their_rings() {
+        let m = Mesh::new(
+            MeshConfig::default()
+                .arena_bytes(64 << 20)
+                .seed(9)
+                .write_barrier(false)
+                .mesh_period(Duration::from_secs(3600))
+                .sense_interval(None)
+                .tracing(true)
+                .trace_buf_events(64),
+        )
+        .unwrap();
+        let tids: Vec<u32> = (0..200)
+            .map(|_| {
+                let m = m.clone();
+                std::thread::spawn(move || {
+                    let mut th = m.thread_heap();
+                    let p = th.malloc(64); // the first malloc refills
+                    unsafe { th.free(p) };
+                    crate::telemetry::trace_tid()
+                })
+                .join()
+                .unwrap()
+            })
+            .collect();
+        assert_eq!(
+            m.inner.counters.registered_threads(),
+            1,
+            "only the main handle's block is live: no ring outlives its thread"
+        );
+        let json = String::from_utf8(m.report(Report::Trace).unwrap()).unwrap();
+        let refills_of_exited = tids
+            .iter()
+            .filter(|tid| json.contains(&format!("\"tid\":{tid},\"args\"")))
+            .count();
+        assert!(
+            refills_of_exited >= 32,
+            "the shared ring keeps the exited threads' refills: {refills_of_exited}"
+        );
+        assert!(json.contains("\"name\":\"refill\""));
     }
 
     #[test]

@@ -66,10 +66,6 @@ pub struct MeshConfig {
     pub(crate) max_dirty_bytes: usize,
     /// Install the mprotect/SIGSEGV write barrier during meshing (§4.5.2).
     pub(crate) write_barrier: bool,
-    /// Run meshing on a dedicated background thread instead of the
-    /// allocation/free path. The thread honours the same §4.5 rate limiter
-    /// and pause rule; it only moves *where* passes run.
-    pub(crate) background_meshing: bool,
     /// Master switch for the sampled heap profiler (`MESH_PROF`). Off by
     /// default: no telemetry state exists and the fast path pays only one
     /// predictable branch.
@@ -146,7 +142,6 @@ impl Default for MeshConfig {
             max_span_count: 3,
             max_dirty_bytes: 64 << 20,
             write_barrier: true,
-            background_meshing: false,
             profiling: false,
             prof_sample_bytes: 512 << 10, // tcmalloc's classic rate
             prof_interval: None,
@@ -219,12 +214,6 @@ impl MeshConfig {
         /// writes to objects in mesh candidates during a pass; the paper's
         /// design keeps it on and so does the default.
         write_barrier(enabled: bool) => write_barrier = enabled;
-        /// Enables or disables the dedicated background meshing thread.
-        ///
-        /// Off by default so seeded experiments stay deterministic: with the
-        /// thread running, passes fire on the §4.5 timer from a separate
-        /// schedule rather than synchronously with frees.
-        background_meshing(enabled: bool) => background_meshing = enabled;
         /// Enables or disables the sampled heap profiler (`MESH_PROF`).
         profiling(enabled: bool) => profiling = enabled;
         /// Sets the mean bytes between allocation samples
@@ -281,11 +270,6 @@ impl MeshConfig {
         /// Sets the per-thread quarantine slot cap
         /// (`MESH_HARDEN_QUARANTINE_SLOTS`).
         harden_quarantine_slots(slots: usize) => harden.quarantine_slots = slots;
-    }
-
-    /// Whether the background meshing thread is enabled.
-    pub fn is_background_meshing(&self) -> bool {
-        self.background_meshing
     }
 
     /// Whether the sampled heap profiler is enabled.
@@ -436,7 +420,6 @@ impl MeshConfig {
     /// | `MESH_INITIAL_SEGMENT_BYTES` | initial segment size (clamped to the cap) | a number in 128K..=1T | 64M |
     /// | `MESH_SEGMENT_BYTES` | growth segment size (clamped to the cap) | a number in 128K..=1T | 256M |
     /// | `MESH_SEED` | fix the PRNG seed (unset: seeded from entropy) | a number, 0 or more | unset |
-    /// | `MESH_BACKGROUND_MESHING` | run meshing on a dedicated thread | one of 1/0/true/false/yes/no/on/off | off |
     /// | `MESH_PRINT_STATS_AT_EXIT` | one-line stats dump at exit (`LD_PRELOAD` only) | one of 1/0/true/false/yes/no/on/off | off |
     /// | `MESH_PROF` | sampled heap profiler (mesh-insight) | one of 1/0/true/false/yes/no/on/off | off |
     /// | `MESH_PROF_SAMPLE_BYTES` | mean bytes between samples | a number in 1..=1T | 512K |
@@ -466,9 +449,8 @@ impl MeshConfig {
     /// warning on stderr, never left for [`MeshConfig::validate`] to
     /// refuse: under `LD_PRELOAD` a validation failure costs the process
     /// its whole heap. For the same reason a canary sweep left on without
-    /// poisoning is switched off here. The retired knobs of the transfer
-    /// cache (`MESH_TRANSFER_BATCH`, `MESH_TRANSFER_CACHE_SLOTS`) are
-    /// ignored too, whatever their value.
+    /// poisoning is switched off here. The retired names in
+    /// [`knobs::RETIRED`] are ignored too, whatever their value.
     pub fn apply_env(self) -> Self {
         let mut config = knobs::apply_env(self);
         if config.harden.active() && config.harden.canary && !config.harden.poison {

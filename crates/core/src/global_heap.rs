@@ -32,9 +32,11 @@
 //! attach sets bits, and it needs the lock: frees racing a pass can only
 //! make candidates sparser) and the arena lock for the remap itself; the
 //! class's mesh epoch is odd while a pair's source bitmap is being
-//! consumed (DESIGN.md §3). With
-//! [`MeshConfig::background_meshing`] set, passes run on a dedicated
-//! thread (see [`crate::mesher`]) instead of the free path.
+//! consumed (DESIGN.md §3). Passes run inline, on the free path, when
+//! the [`MeshScheduler`] says one is due (§4.5), or on `mesh_now`.
+//!
+//! Every lock of the heap, in the one order that quiesces it for `fork`,
+//! is listed at [`GlobalHeap::lock_all`].
 
 use crate::arena::Arena;
 use crate::attached_set::AttachedSet;
@@ -49,7 +51,7 @@ use crate::page_map::{PageInfo, PageMap, LARGE_CLASS};
 use crate::rng::Rng;
 use crate::shuffle_vector::ShuffleVector;
 use crate::size_classes::{SizeClass, NUM_SIZE_CLASSES, PAGE_SIZE};
-use crate::stats::{Counters, LocalCounters};
+use crate::stats::{Counters, EpochClock, LocalCounters};
 use crate::sync::{Mutex, MutexGuard};
 use crate::telemetry::{
     self, CtlState, HeapSpectrum, MeshLedger, Reports, SenseState, Telemetry, TimedOp, TraceSet,
@@ -243,23 +245,17 @@ struct ShardUnlocked {
     unsettled: UnsettledList,
 }
 
-/// Every lock of the heap, held at once: the fork-quiescence state built
-/// by [`GlobalHeap::lock_all`] (see `Mesh::fork_prepare`). The guards are
-/// held purely for their locking effect; dropping the struct releases
-/// everything.
+/// Every lock of the heap, held at once, in [`GlobalHeap::lock_all`]'s
+/// order: the fork-quiescence state (see `Mesh::fork_prepare`). The
+/// guards are held purely for their locking effect; dropping the struct
+/// releases everything.
 pub(crate) struct AllShardGuards<'a> {
     _classes: Vec<MutexGuard<'a, ClassState>>,
     _large: MutexGuard<'a, Slab>,
     _arena: MutexGuard<'a, Arena>,
-    _sched_mesh: MutexGuard<'a, Instant>,
-    _sched_purge: MutexGuard<'a, Option<Instant>>,
-    _stat_locals: MutexGuard<'a, Vec<Arc<crate::stats::LocalCounters>>>,
-    _telemetry_dump: Option<MutexGuard<'a, Instant>>,
+    _threads: MutexGuard<'a, Vec<Arc<crate::stats::ThreadStats>>>,
     _sense_clock: Option<MutexGuard<'a, Instant>>,
-    _hist_locals: MutexGuard<'a, Vec<Arc<crate::telemetry::LocalHists>>>,
-    _trace_rings: Option<MutexGuard<'a, Vec<Arc<crate::telemetry::TraceRing>>>>,
-    /// Last in the order: no ctl response write may be in flight across
-    /// `fork`, so a client sees a complete envelope or a clean EOF.
+    _ledger: MutexGuard<'a, crate::telemetry::LedgerRing>,
     _ctl: Option<MutexGuard<'a, crate::telemetry::CtlIo>>,
 }
 
@@ -273,8 +269,6 @@ pub(crate) struct RuntimeConfig {
     probe_limit: AtomicUsize,
     occupancy_cutoff_bits: AtomicU64,
     max_span_count: AtomicUsize,
-    /// Whether a background mesher thread owns the meshing schedule.
-    pub background_meshing: bool,
 }
 
 impl RuntimeConfig {
@@ -288,7 +282,6 @@ impl RuntimeConfig {
             probe_limit: AtomicUsize::new(config.probe_limit),
             occupancy_cutoff_bits: AtomicU64::new(config.occupancy_cutoff.to_bits()),
             max_span_count: AtomicUsize::new(config.max_span_count),
-            background_meshing: config.background_meshing && config.meshing,
         }
     }
 
@@ -336,15 +329,15 @@ impl RuntimeConfig {
     }
 }
 
-/// The §4.5 meshing rate limiter, shared by the inline and background
-/// meshing paths. Leaf locks only — never held while meshing runs.
+/// The §4.5 meshing rate limiter: two clocks on the heap's epoch and the
+/// pause flag, all atomics — no lock, and never held across a pass.
 #[derive(Debug)]
 pub(crate) struct MeshScheduler {
-    last_mesh: Mutex<Instant>,
-    /// `None` until the first purge, which is always allowed. (A
-    /// subtracted-epoch sentinel would panic on hosts whose monotonic
-    /// clock is younger than the subtrahend.)
-    last_purge: Mutex<Option<Instant>>,
+    /// When the last pass was claimed or ended. Starts at the heap's
+    /// birth, so the first pass is due one period in.
+    last_mesh: EpochClock,
+    /// When purge-on-mesh last ran; the first purge is always allowed.
+    last_purge: EpochClock,
     /// Set after a low-yield pass: the timer is not restarted until a
     /// subsequent free reaches the global heap (§4.5).
     paused: AtomicBool,
@@ -353,79 +346,41 @@ pub(crate) struct MeshScheduler {
 impl MeshScheduler {
     fn new() -> MeshScheduler {
         MeshScheduler {
-            last_mesh: Mutex::new(Instant::now()),
-            last_purge: Mutex::new(None),
+            last_mesh: EpochClock::started_at(0),
+            last_purge: EpochClock::never(),
             paused: AtomicBool::new(false),
         }
     }
 
     /// A free reached the global heap: restart a paused timer (§4.5's
     /// "until a subsequent allocation is freed through the global heap").
-    pub fn on_global_free(&self) {
+    pub fn on_global_free(&self, clock: &Counters) {
         // Read-only fast path: the flag is clear almost always, and an
         // unconditional swap would make every accepted global free a
         // write-mode RMW on a cache line shared by all threads.
         if self.paused.load(Ordering::Relaxed) && self.paused.swap(false, Ordering::Relaxed) {
-            *self.last_mesh.lock() = Instant::now();
+            self.last_mesh.restart(clock.now_ns());
         }
-    }
-
-    /// Whether the timer is currently paused after a low-yield pass.
-    pub fn is_paused(&self) -> bool {
-        self.paused.load(Ordering::Relaxed)
-    }
-
-    /// Time until the next meshing pass becomes due, or `None` while the
-    /// timer is paused (§4.5: nothing will be due until a free reaches
-    /// the global heap). The background thread parks on this instead of
-    /// polling in fixed slices.
-    pub(crate) fn time_until_due(&self, period: Duration) -> Option<Duration> {
-        if self.is_paused() {
-            return None;
-        }
-        Some(period.saturating_sub(self.last_mesh.lock().elapsed()))
     }
 
     /// Claims a rate-limited meshing slot: true at most once per `period`,
-    /// and never while paused. Claiming resets the timer so concurrent
+    /// and never while paused. Claiming restarts the timer, so concurrent
     /// callers cannot both start a pass for the same slot.
-    fn due(&self, period: Duration) -> bool {
-        if self.is_paused() {
-            return false;
-        }
-        let mut last = self.last_mesh.lock();
-        if last.elapsed() >= period {
-            *last = Instant::now();
-            true
-        } else {
-            false
-        }
+    fn due(&self, period: Duration, clock: &Counters) -> bool {
+        !self.paused.load(Ordering::Relaxed) && self.last_mesh.claim(clock.now_ns(), period)
     }
 
     /// Records the end of a pass and whether it paused the timer.
-    fn finish_pass(&self, low_yield: bool) {
-        *self.last_mesh.lock() = Instant::now();
+    fn finish_pass(&self, low_yield: bool, clock: &Counters) {
+        self.last_mesh.restart(clock.now_ns());
         self.paused.store(low_yield, Ordering::Relaxed);
     }
 
     /// Rate limiter for purge-on-mesh (§4.4.1): true at most once per
     /// `period`, so harnesses that force passes faster than wall clock do
     /// not cycle pages through release/refault at an unrealistic rate.
-    pub(crate) fn should_purge(&self, period: Duration) -> bool {
-        let mut last = self.last_purge.lock();
-        match *last {
-            Some(at) if at.elapsed() < period => false,
-            _ => {
-                *last = Some(Instant::now());
-                true
-            }
-        }
-    }
-
-    /// Acquires both scheduler leaf locks (fork quiescence: a child must
-    /// not inherit a scheduler mutex locked by some other thread).
-    pub(crate) fn lock_all(&self) -> (MutexGuard<'_, Instant>, MutexGuard<'_, Option<Instant>>) {
-        (self.last_mesh.lock(), self.last_purge.lock())
+    pub(crate) fn should_purge(&self, period: Duration, clock: &Counters) -> bool {
+        self.last_purge.claim(clock.now_ns(), period)
     }
 }
 
@@ -1290,7 +1245,7 @@ impl GlobalHeap {
     pub fn free_global(&self, addr: usize) -> bool {
         let accepted = self.free_global_deferred(addr);
         if accepted {
-            self.settle_after_free();
+            self.maybe_mesh();
         }
         accepted
     }
@@ -1299,7 +1254,7 @@ impl GlobalHeap {
     /// point used by the thread-heap fast path, which resolved the entry
     /// for its own local/remote decision and passes it down, with its
     /// delta block, instead of having the global heap re-derive it. The
-    /// caller runs [`GlobalHeap::settle_after_free`] when it sees fit.
+    /// caller runs [`GlobalHeap::maybe_mesh`] when it sees fit.
     #[inline]
     pub(crate) fn free_routed(
         &self,
@@ -1314,17 +1269,9 @@ impl GlobalHeap {
             self.free_small(addr, page, info, local)
         };
         if accepted {
-            self.scheduler.on_global_free();
+            self.scheduler.on_global_free(&self.counters);
         }
         accepted
-    }
-
-    /// The inline meshing that follows accepted global frees (§4.5: rate
-    /// limited by the scheduler). Must be called with no shard locks held.
-    pub(crate) fn settle_after_free(&self) {
-        if !self.rt.background_meshing {
-            self.maybe_mesh();
-        }
     }
 
     /// Frees `addr` through the global path *without* running inline
@@ -1342,44 +1289,64 @@ impl GlobalHeap {
 
     // ----- fork support --------------------------------------------------
 
-    /// Acquires every heap lock in the canonical order — size classes by
-    /// index, then the large shard, then the arena leaf, then the
-    /// scheduler leaves, then the per-thread stats registry, then the
-    /// telemetry dump clock, then the sense poll clock, then the
-    /// histogram-block registry, then the trace-ring registry, then the
-    /// ctl socket's I/O lock — quiescing the heap for `fork()`. Any
-    /// in-flight refill, meshing pass (so every mesh epoch is even),
-    /// thread-block (un)registration, or dump-clock claim completes before
-    /// this returns, so a child forked at any moment inherits consistent
-    /// heap state. Frees hold no lock and are not waited for: a thread
-    /// between its clear and its count does not exist in the child, and
-    /// the span of one caught between the two steps of
+    /// Acquires every heap lock, quiescing the heap for `fork()`. This is
+    /// the heap's one list of its locks, in their one order:
+    ///
+    /// 1. the size-class shards, by index;
+    /// 2. the large shard;
+    /// 3. the arena;
+    /// 4. the thread registry ([`Counters`]);
+    /// 5. the sense poll clock, when sensing is on;
+    /// 6. the meshing ledger's ring;
+    /// 7. the ctl socket's I/O lock, when there is a socket.
+    ///
+    /// Classes and large order before the arena, and a pass holds one
+    /// class at a time (DESIGN.md §2); 4–7 are leaves, never held while
+    /// another lock is taken, so their order among themselves only has to
+    /// be fixed here. Any in-flight refill, meshing pass (so every mesh
+    /// epoch is even), thread (un)registration, sense poll, ledger record
+    /// or ctl write completes before this returns, so a child forked at
+    /// any moment inherits consistent heap state and no lock its own
+    /// recovery takes. Frees hold no lock and are not waited for: a
+    /// thread between its clear and its count does not exist in the
+    /// child, and the span of one caught between the two steps of
     /// [`SpanBits::list_unsettled`](crate::miniheap::SpanBits) stays
     /// filed as it was in the child (one span's free slots, unused).
     pub(crate) fn lock_all(&self) -> AllShardGuards<'_> {
-        let classes = SizeClass::all().map(|c| self.lock_class(c)).collect();
-        let large = self.large.lock();
-        let arena = self.lock_arena();
-        let (sched_mesh, sched_purge) = self.scheduler.lock_all();
-        let stat_locals = self.counters.lock_locals();
-        let telemetry_dump = self.telemetry.as_ref().map(|t| t.lock_dump_clock());
-        let sense_clock = self.sense.as_ref().map(|s| s.lock_poll_clock());
-        let hist_locals = self.counters.lock_hist_locals();
-        let trace_rings = self.counters.trace_set().map(|t| t.lock_rings());
-        let ctl = self.ctl.as_ref().map(|c| c.lock_io());
         AllShardGuards {
-            _classes: classes,
-            _large: large,
-            _arena: arena,
-            _sched_mesh: sched_mesh,
-            _sched_purge: sched_purge,
-            _stat_locals: stat_locals,
-            _telemetry_dump: telemetry_dump,
-            _sense_clock: sense_clock,
-            _hist_locals: hist_locals,
-            _trace_rings: trace_rings,
-            _ctl: ctl,
+            _classes: SizeClass::all().map(|c| self.lock_class(c)).collect(),
+            _large: self.large.lock(),
+            _arena: self.lock_arena(),
+            _threads: self.counters.lock_threads(),
+            _sense_clock: self.sense.as_ref().map(|s| s.lock_poll_clock()),
+            _ledger: self.ledger.lock_ring(),
+            _ctl: self.ctl.as_ref().map(|c| c.lock_io()),
         }
+    }
+
+    /// The names of [`GlobalHeap::lock_all`]'s kinds that are held right
+    /// now (test hook for the fork-quiescence protocol).
+    #[cfg(test)]
+    pub(crate) fn held_lock_kinds(&self) -> Vec<&'static str> {
+        let held = |m: bool, name| m.then_some(name);
+        [
+            held(
+                self.classes.iter().all(|c| c.state.try_lock().is_none()),
+                "classes",
+            ),
+            held(self.large.try_lock().is_none(), "large"),
+            held(self.arena.try_lock().is_none(), "arena"),
+            held(self.counters.threads_held(), "threads"),
+            held(
+                self.sense.as_ref().is_some_and(|s| s.poll_clock_held()),
+                "sense clock",
+            ),
+            held(self.ledger.ring_held(), "ledger"),
+            held(self.ctl.as_ref().is_some_and(|c| c.io_held()), "ctl"),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Child-side fork recovery: re-backs every segment with a private
@@ -1450,7 +1417,7 @@ impl GlobalHeap {
         if !self.rt.meshing() {
             return;
         }
-        if self.scheduler.due(self.rt.mesh_period()) {
+        if self.scheduler.due(self.rt.mesh_period(), &self.counters) {
             self.mesh_now();
         }
     }
@@ -1467,8 +1434,8 @@ impl GlobalHeap {
         // pauses inflicted by the mesher (this thread's own are not).
         let _pass = crate::stats::MeshPassScope::enter(&self.counters);
         let summary = meshing::mesh_all_classes(self);
-        self.scheduler
-            .finish_pass(summary.bytes_released() < self.rt.min_mesh_gain_bytes());
+        let low_yield = summary.bytes_released() < self.rt.min_mesh_gain_bytes();
+        self.scheduler.finish_pass(low_yield, &self.counters);
         summary
     }
 

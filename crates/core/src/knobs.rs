@@ -161,8 +161,16 @@ pub fn find(name: &str) -> Option<&'static Knob> {
 /// The cap's legacy name, read when `MESH_MAX_HEAP_BYTES` is unset or refused.
 pub const LEGACY_CAP: &str = "MESH_ARENA_BYTES";
 
-/// Retired names: ignored with one stderr line, whatever they say.
-pub const RETIRED: [&str; 2] = ["MESH_TRANSFER_BATCH", "MESH_TRANSFER_CACHE_SLOTS"];
+/// Retired names and why, names that share a reason next to each other:
+/// ignored, whatever they say, with one stderr line per reason.
+pub const RETIRED: [(&str, &str); 3] = [
+    ("MESH_TRANSFER_BATCH", "there is no transfer cache to tune"),
+    (
+        "MESH_TRANSFER_CACHE_SLOTS",
+        "there is no transfer cache to tune",
+    ),
+    ("MESH_BACKGROUND_MESHING", "meshing runs on the free path"),
+];
 
 /// Reads `row` from the environment. A value [`parse`] refuses costs one
 /// stderr line and is ignored.
@@ -183,13 +191,19 @@ pub(crate) fn apply_env(mut config: MeshConfig) -> MeshConfig {
             }
         }
     }
-    let retired: Vec<&str> =
-        RETIRED.into_iter().filter(|name| std::env::var_os(name).is_some()).collect();
-    if !retired.is_empty() {
-        eprintln!(
-            "mesh: ignoring {} (retired: there is no transfer cache to tune)",
-            retired.join(" and ")
-        );
+    for group in RETIRED.chunk_by(|a, b| a.1 == b.1) {
+        let set: Vec<&str> = group
+            .iter()
+            .map(|&(name, _)| name)
+            .filter(|name| std::env::var_os(name).is_some())
+            .collect();
+        if !set.is_empty() {
+            eprintln!(
+                "mesh: ignoring {} (retired: {})",
+                set.join(" and "),
+                group[0].1
+            );
+        }
     }
     config
 }
@@ -286,7 +300,7 @@ const SEGMENT: Kind = Kind::Num { min: 32 * PAGE_SIZE as u64, max: 1 << 40 };
 
 /// Every knob, in the order the tables print them.
 #[rustfmt::skip]
-pub static KNOBS: [Knob; 35] = [
+pub static KNOBS: [Knob; 34] = [
     knob!("max_heap_bytes", Some("MESH_MAX_HEAP_BYTES"), SEGMENT, "1G", field!(num max_heap_bytes),
         "hard cap: the virtual reservation segments grow into (8G under `LD_PRELOAD`; legacy name `MESH_ARENA_BYTES`)"),
     knob!("initial_segment_bytes", Some("MESH_INITIAL_SEGMENT_BYTES"), SEGMENT, "64M",
@@ -328,8 +342,6 @@ pub static KNOBS: [Knob; 35] = [
         "dirty pages are released to the OS past this many bytes (§4.4.1)"),
     knob!("write_barrier", None, FLAG, "on", field!(bool write_barrier),
         "mprotect/SIGSEGV write barrier during meshing (§4.5.2)"),
-    knob!("background_meshing", Some("MESH_BACKGROUND_MESHING"), FLAG, "off", field!(bool background_meshing),
-        "run meshing on a dedicated thread"),
     knob!("print_stats_at_exit", Some("MESH_PRINT_STATS_AT_EXIT"), FLAG, "off", None,
         "one-line stats dump at exit (`LD_PRELOAD` only)"),
     knob!("prof", Some("MESH_PROF"), FLAG, "off", field!(bool profiling), "sampled heap profiler (mesh-insight)"),
@@ -421,18 +433,18 @@ mod tests {
         let MeshConfig {
             max_heap_bytes, initial_segment_bytes, segment_bytes, seed, meshing, randomize,
             mesh_period, min_mesh_gain_bytes, probe_limit, occupancy_cutoff, max_span_count,
-            max_dirty_bytes, write_barrier, background_meshing, profiling, prof_sample_bytes,
-            prof_interval, prof_path, trace, trace_buf_events, trace_path, sense_interval,
-            sense_history, sense_mincore_pages, sense_path, ctl_path, ctl_max_clients, harden,
+            max_dirty_bytes, write_barrier, profiling, prof_sample_bytes, prof_interval,
+            prof_path, trace, trace_buf_events, trace_path, sense_interval, sense_history,
+            sense_mincore_pages, sense_path, ctl_path, ctl_max_clients, harden,
         } = MeshConfig::default();
         let HardenConfig { policy, poison, quarantine, guard, canary, quarantine_bytes, quarantine_slots } =
             harden;
-        let all: [&dyn std::fmt::Debug; 34] = [
+        let all: [&dyn std::fmt::Debug; 33] = [
             &max_heap_bytes, &initial_segment_bytes, &segment_bytes, &seed, &meshing, &randomize,
             &mesh_period, &min_mesh_gain_bytes, &probe_limit, &occupancy_cutoff, &max_span_count,
-            &max_dirty_bytes, &write_barrier, &background_meshing, &profiling, &prof_sample_bytes,
-            &prof_interval, &prof_path, &trace, &trace_buf_events, &trace_path, &sense_interval,
-            &sense_history, &sense_mincore_pages, &sense_path, &ctl_path, &ctl_max_clients,
+            &max_dirty_bytes, &write_barrier, &profiling, &prof_sample_bytes, &prof_interval,
+            &prof_path, &trace, &trace_buf_events, &trace_path, &sense_interval, &sense_history,
+            &sense_mincore_pages, &sense_path, &ctl_path, &ctl_max_clients,
             &policy, &poison, &quarantine, &guard, &canary, &quarantine_bytes, &quarantine_slots,
         ];
         assert_eq!(fields().count(), all.len(), "one row per field");
@@ -461,9 +473,13 @@ mod tests {
         };
         unique(KNOBS.iter().map(|r| r.name).collect(), "row name");
         let mut env: Vec<&str> = KNOBS.iter().filter_map(|r| r.env).collect();
-        assert_eq!(env.len(), 25 + 1, "25 config variables and MESH_PRINT_STATS_AT_EXIT");
+        assert_eq!(
+            env.len(),
+            24 + 1,
+            "24 config variables and MESH_PRINT_STATS_AT_EXIT"
+        );
         env.push(LEGACY_CAP);
-        env.extend(RETIRED);
+        env.extend(RETIRED.map(|(name, _)| name));
         unique(env, "env name");
         // A ctl `set` name is its row's name, so those are unique too.
         assert_eq!(

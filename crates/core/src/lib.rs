@@ -24,14 +24,15 @@
 //! | §4.4.1 Meshable arena (segmented, grows on demand) | [`arena`], `segment` (internal), [`sys`] |
 //! | §4.4.4 Non-local frees: page-map lookup, atomic bitmap clear | `page_map` (internal), [`bitmap`], [`miniheap`] |
 //! | §3.3/§4.5 SplitMesher & meshing | [`meshing`] |
-//! | §4.5 Background meshing thread | `mesher` (internal), [`MeshConfig::background_meshing`] |
+//! | §4.5 Rate-limited meshing on the free path | [`Mesh::set_mesh_period`], [`MeshConfig::mesh_period`] |
+//! | Background telemetry beat (this repo's extension) | `mesher` (internal) |
 //! | §4.5.2 Write barrier | [`barrier`] |
 //! | mesh-insight telemetry (this repo's extension) | [`telemetry`], [`Mesh::report`], [`Mesh::prom_text`] |
 //!
 //! Unlike the seed implementation's single global mutex, the global heap
 //! is sharded: each size class has its own lock, a non-local free clears
-//! its bit in the owning MiniHeap's bitmap without one, and meshing can
-//! run on a background thread — see DESIGN.md for the locking discipline.
+//! its bit in the owning MiniHeap's bitmap without one, and a meshing pass
+//! holds one class at a time — see DESIGN.md for the locking discipline.
 //!
 //! The paper's deployment vehicle lives in the sibling `mesh-abi` crate:
 //! `cargo build --release` emits `target/release/libmesh.so`, and

@@ -5,18 +5,18 @@
 //! own shuffle vector — plus a private PRNG. Small allocations pop from a
 //! member's vector with no locks or atomics; refills take only the *owning
 //! class's* shard lock, and large objects take the large + arena locks. A
-//! non-local small free waits for no lock: it clears the object's bit in
-//! the owning MiniHeap's bitmap, counts itself on this thread's delta
-//! block, and only *tries* the class lock when the clear emptied a span or
-//! moved it across an occupancy bin (§4.4.4; DESIGN.md §3 and "Fast path
-//! anatomy").
+//! non-local small free takes no lock at all: it clears the object's bit
+//! in the owning MiniHeap's bitmap and counts itself on this thread's
+//! delta block; a span the clear emptied, or opened the first slot of, is
+//! pushed on its class's lock-free unsettled list for the next holder of
+//! the class lock (§4.4.4; DESIGN.md §3 and "Fast path anatomy").
 //!
 //! Both hot paths are O(1) and free of shared-cacheline traffic:
 //!
 //! * **malloc** pops the class's current member — moving to another
-//!   member with free slots before paying for a refill — and bumps a
-//!   per-thread [`LocalCounters`] block (plain load+store, no RMW —
-//!   deltas are summed into [`crate::HeapStats`] at snapshot time).
+//!   member with free slots before paying for a refill — and bumps the
+//!   counter line of the thread's [`ThreadStats`] (plain load+store, no
+//!   RMW — deltas are summed into [`crate::HeapStats`] at snapshot time).
 //! * **free** resolves the pointer with *one* lock-free [`PageMap`]
 //!   lookup, which yields the owning MiniHeap id, size class, and slot in
 //!   one read. Comparing the id against the members of the class's
@@ -36,8 +36,8 @@ use crate::harden::HardenKind;
 use crate::page_map::PageInfo;
 use crate::rng::Rng;
 use crate::size_classes::{SizeClass, NUM_SIZE_CLASSES};
-use crate::stats::{Counters, LocalCounters};
-use crate::telemetry::{trace_tid, LocalHists, Telemetry, ThreadSampler, TimedOp, TraceRing};
+use crate::stats::{Counters, ThreadStats};
+use crate::telemetry::{trace_tid, Telemetry, ThreadSampler, TimedOp};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,29 +70,23 @@ pub(crate) enum FreeRoute {
 }
 
 /// Per-thread allocation state: one attached set per size class, a
-/// thread-private PRNG (§4.3), and a private statistics delta block.
+/// thread-private PRNG (§4.3), and a private statistics block.
 #[derive(Debug)]
 pub(crate) struct ThreadHeapCore {
     sets: Vec<AttachedSet>,
     rng: Rng,
     token: u64,
-    /// Fast-path counter deltas (single-writer; see [`LocalCounters`]).
-    local: Arc<LocalCounters>,
-    /// Per-thread latency histogram block (single-writer, like `local`):
-    /// the refill timings land here without RMWs.
-    hists: Arc<LocalHists>,
-    /// Per-thread trace-event ring, present only under `MESH_TRACE=1`.
-    /// Registered with the heap's [`crate::telemetry::TraceSet`]; the set
-    /// keeps the ring alive after thread exit so its tail stays dumpable.
-    ring: Option<Arc<TraceRing>>,
-    /// The shared block `local` is registered with, kept for flush points
-    /// and teardown.
+    /// This thread heap's statistics (single-writer; see [`ThreadStats`]):
+    /// fast-path counter deltas, refill timings, and the trace ring.
+    stats: Arc<ThreadStats>,
+    /// The registry `stats` is registered with, kept for flush points and
+    /// teardown.
     counters: Arc<Counters>,
     /// Geometric byte-sampling state (`None` when `MESH_PROF` is off: the
     /// fast path then pays exactly one branch on this field).
     sampler: Option<Box<ThreadSampler>>,
     /// Non-local small frees left until this thread next gives a due
-    /// inline meshing pass its chance ([`GlobalHeap::settle_after_free`]):
+    /// inline meshing pass its chance ([`GlobalHeap::maybe_mesh`]):
     /// the rate limiter costs a lock and a clock read, which one free in
     /// [`SETTLE_EVERY`] pays.
     settle_in: u32,
@@ -115,8 +109,8 @@ pub(crate) struct ThreadHeapCore {
 
 impl ThreadHeapCore {
     /// Creates a detached thread heap with identity `token`, registering
-    /// its statistics delta block with `counters` and — when profiling is
-    /// on — a private sampler feeding `telemetry`.
+    /// its statistics block with `counters` and — when profiling is on —
+    /// a private sampler feeding `telemetry`.
     pub fn new(
         seed: u64,
         randomize: bool,
@@ -130,9 +124,7 @@ impl ThreadHeapCore {
                 .collect(),
             rng: Rng::with_seed(seed),
             token,
-            local: counters.register_local(),
-            hists: counters.register_local_hists(),
-            ring: counters.trace_set().map(|t| t.register_ring()),
+            stats: counters.register_thread(),
             counters,
             sampler: telemetry.map(|t| Box::new(ThreadSampler::new(t, seed))),
             settle_in: SETTLE_EVERY,
@@ -152,8 +144,8 @@ impl ThreadHeapCore {
     /// Single-writer by construction: only the owning thread calls this.
     fn record_op(&self, op: TimedOp, t0: Instant, arg: u64) {
         let dur_ns = t0.elapsed().as_nanos() as u64;
-        self.hists.record(op, dur_ns);
-        if let Some(ring) = &self.ring {
+        self.stats.hists.record_local(op, dur_ns);
+        if let Some(ring) = &self.stats.ring {
             if self.counters.trace_set().is_some_and(|t| t.is_enabled()) {
                 let start_ns = t0
                     .saturating_duration_since(self.counters.epoch())
@@ -170,7 +162,7 @@ impl ThreadHeapCore {
         // its span came fresh from the arena); a write that landed in it
         // while free is a caught use-after-free.
         state.verify_poison(addr, class.object_size(), class.index());
-        self.local.on_malloc(class.object_size());
+        self.stats.local.on_malloc(class.object_size());
         if let Some(s) = self.sampler.as_deref_mut() {
             s.on_alloc(addr, class.object_size());
         }
@@ -196,7 +188,7 @@ impl ThreadHeapCore {
             }
             // Refill boundary: already taking the class lock, so fold the
             // batched deltas into the shared counters while we are here.
-            self.counters.flush_local(&self.local);
+            self.counters.flush_local(&self.stats.local);
             let refill_t0 = Instant::now();
             let refilled = state.refill(&mut self.sets[idx], class, self.token, &mut self.rng);
             self.record_op(TimedOp::Refill, refill_t0, idx as u64);
@@ -326,7 +318,7 @@ impl ThreadHeapCore {
                     // Freed memory is poisoned now and verified when the
                     // slot is next handed out.
                     state.poison_object(addr, class.object_size(), class_idx);
-                    self.local.on_free(class.object_size());
+                    self.stats.local.on_free(class.object_size());
                     if set.is_surplus_empty(member) {
                         // Retention rule: destroyed under the class lock,
                         // so a duplicate of this free finds the page
@@ -343,7 +335,7 @@ impl ThreadHeapCore {
                 state.harden_violation(HardenKind::InvalidFree, addr);
             }
             FreeRoute::Global { page, info } => {
-                if !state.free_routed(addr, page, info, Some(&self.local)) {
+                if !state.free_routed(addr, page, info, Some(&self.stats.local)) {
                     return;
                 }
                 // Large frees are rare and slow already; small ones share
@@ -356,7 +348,7 @@ impl ThreadHeapCore {
                     }
                     self.settle_in = SETTLE_EVERY;
                 }
-                state.settle_after_free();
+                state.maybe_mesh();
             }
         }
     }
@@ -403,7 +395,7 @@ impl ThreadHeapCore {
     /// Folds this thread's batched statistics deltas into the shared
     /// counters immediately (normally they fold at refill boundaries).
     pub fn flush_stats(&self) {
-        self.counters.flush_local(&self.local);
+        self.counters.flush_local(&self.stats.local);
     }
 
     /// Completes the quarantined frees, returns every member of every
@@ -414,7 +406,7 @@ impl ThreadHeapCore {
         for (idx, set) in self.sets.iter_mut().enumerate() {
             state.release_set(SizeClass::from_index(idx), set);
         }
-        self.counters.flush_local(&self.local);
+        self.counters.flush_local(&self.stats.local);
     }
 
     /// Number of spans currently attached, over all classes (diagnostic).
@@ -426,12 +418,10 @@ impl ThreadHeapCore {
 impl Drop for ThreadHeapCore {
     fn drop(&mut self) {
         // Spans are returned by the owning wrapper (`ThreadHeap::drop`
-        // calls `detach_all` with the heap in hand); the delta blocks can
-        // retire here, folding any remaining counts into the shared stats.
-        // The trace ring (if any) stays registered: its tail remains part
-        // of future dumps by design.
-        self.counters.unregister_local(&self.local);
-        self.counters.unregister_local_hists(&self.hists);
+        // calls `detach_all` with the heap in hand); the statistics block
+        // retires here, folding its counts, timings and trace events into
+        // the shared tier.
+        self.counters.retire_thread(&self.stats);
     }
 }
 

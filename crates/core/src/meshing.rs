@@ -42,10 +42,9 @@
 //! refused remap rolls its pair back inside the odd interval, and either
 //! ends the class's pass ([`RejectReason::CopyAbort`]).
 //!
-//! Passes may be initiated inline (the §4.5 free-path rate limiter) or by
-//! the background mesher thread ([`crate::mesher`]); the per-class locks
-//! make concurrent passes safe, and the scheduler's claim-based timer
-//! makes them rare.
+//! Passes are initiated inline, by the §4.5 free-path rate limiter, or by
+//! `mesh_now`; the per-class locks make concurrent passes safe, and the
+//! scheduler's claim-based timer makes them rare.
 
 use crate::arena::Arena;
 use crate::bitmap::WORDS;
@@ -103,7 +102,10 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap) -> MeshSummary {
     // Ledger bookkeeping: `pages_purged` moved by this pass's purge work
     // becomes the pass's madvise-bytes figure.
     let purged_before = heap.counters.pages_purged.load(Ordering::Relaxed);
-    if heap.scheduler.should_purge(heap.rt.mesh_period()) {
+    if heap
+        .scheduler
+        .should_purge(heap.rt.mesh_period(), &heap.counters)
+    {
         heap.purge_and_retire();
     }
     let mut summary = MeshSummary::default();

@@ -7,10 +7,10 @@
 //! * [`Counters`] — shared atomics, bumped only by cold paths (refills,
 //!   remote frees, meshing, segments).
 //! * [`LocalCounters`] — one cacheline-aligned delta block per thread
-//!   heap, registered with the shared block. The owning thread updates it
-//!   with plain load+store pairs (single-writer, so no RMW and no lock
-//!   prefix); other threads only ever *read* it. Deltas are folded into
-//!   the shared counters on refill/detach/teardown, and
+//!   heap, the first line of its registered `ThreadStats`. The owning
+//!   thread updates it with plain load+store pairs (single-writer, so no
+//!   RMW and no lock prefix); other threads only ever *read* it. Deltas
+//!   are folded into the shared counters on refill/detach/teardown, and
 //!   [`Counters::snapshot`] sums the live blocks so [`HeapStats`] stays
 //!   exact without any hot-path `fetch_add`.
 //!
@@ -18,14 +18,15 @@
 
 use crate::harden::{ALL_HARDEN_KINDS, HARDEN_KINDS};
 use crate::size_classes::NUM_SIZE_CLASSES;
-use crate::sync::Mutex;
+use crate::sync::{Mutex, MutexGuard};
 use crate::telemetry::{
-    HeapSpectrum, HistSet, LatencySnapshot, LocalHists, TimedOp, TraceSet, ALL_TIMED_OPS,
+    chrome_json, HeapSpectrum, HistBlock, LatencySnapshot, TimedOp, TraceRing, TraceSet,
+    ALL_TIMED_OPS,
 };
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 thread_local! {
     /// Whether the current thread is inside a meshing pass. Lock waits by
@@ -117,6 +118,79 @@ impl LocalCounters {
     }
 }
 
+/// One thread heap's statistics, registered with its heap's [`Counters`]
+/// while the thread heap lives: the fast-path counter line, then the
+/// histogram block its refills are timed into, then — under
+/// `MESH_TRACE=1` — its event ring. The owning thread is the only writer
+/// of all three; any thread may read them.
+#[repr(C)] // in that order: the fast path touches only the first line
+pub(crate) struct ThreadStats {
+    pub(crate) local: LocalCounters,
+    pub(crate) hists: HistBlock,
+    pub(crate) ring: Option<TraceRing>,
+}
+
+impl std::fmt::Debug for ThreadStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ThreadStats")
+            .field("local", &self.local)
+            .finish_non_exhaustive()
+    }
+}
+
+/// When something rate-limited last ran, in nanoseconds on the heap's
+/// epoch ([`Counters::now_ns`]). One atomic claimed by CAS: of two callers
+/// that find a period elapsed, one wins the slot, and neither holds a
+/// lock.
+#[derive(Debug)]
+pub(crate) struct EpochClock(AtomicU64);
+
+impl EpochClock {
+    /// Never ran: the first [`EpochClock::claim`] succeeds whatever the
+    /// period.
+    const NEVER: u64 = u64::MAX;
+
+    /// A clock that last ran at `at_ns`.
+    pub(crate) fn started_at(at_ns: u64) -> EpochClock {
+        EpochClock(AtomicU64::new(at_ns))
+    }
+
+    /// A clock that has never run.
+    pub(crate) fn never() -> EpochClock {
+        EpochClock(AtomicU64::new(Self::NEVER))
+    }
+
+    fn elapsed(last: u64, now_ns: u64) -> u64 {
+        if last == Self::NEVER {
+            u64::MAX
+        } else {
+            now_ns.saturating_sub(last)
+        }
+    }
+
+    /// Claims a slot: true, with the clock restarted at `now_ns`, when at
+    /// least `period` passed since it last ran.
+    pub(crate) fn claim(&self, now_ns: u64, period: Duration) -> bool {
+        let last = self.0.load(Ordering::Relaxed);
+        Self::elapsed(last, now_ns) >= period.as_nanos() as u64
+            && self
+                .0
+                .compare_exchange(last, now_ns, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+    }
+
+    /// Restarts the clock at `now_ns`.
+    pub(crate) fn restart(&self, now_ns: u64) {
+        self.0.store(now_ns, Ordering::Relaxed);
+    }
+
+    /// Time left at `now_ns` until `period` will have passed.
+    pub(crate) fn remaining(&self, now_ns: u64, period: Duration) -> Duration {
+        let elapsed = Self::elapsed(self.0.load(Ordering::Relaxed), now_ns);
+        period.saturating_sub(Duration::from_nanos(elapsed))
+    }
+}
+
 /// Live atomic counters owned by a heap. Exposed for the substrate layers
 /// ([`crate::arena::Arena`] shares them); user code should read the
 /// [`HeapStats`] snapshot via [`crate::Mesh::stats`] instead.
@@ -176,13 +250,16 @@ pub struct Counters {
     /// mutator's contended lock wait is a *pause inflicted by the mesher*
     /// and is additionally recorded in the mutator-pause histogram.
     pub mesh_active: AtomicU64,
-    /// Live per-thread delta blocks; summed by [`Counters::snapshot`] so
-    /// stats stay exact while threads batch.
-    locals: Mutex<Vec<Arc<LocalCounters>>>,
-    /// Always-on slow-path latency histograms (shared tier plus
-    /// registered per-thread single-writer blocks).
-    hists: HistSet,
-    /// Opt-in trace rings (`MESH_TRACE=1`); `None` keeps every slow-path
+    /// The thread registry: every live thread heap's [`ThreadStats`].
+    /// Summed by [`Counters::snapshot`] and merged by
+    /// [`Counters::latency_snapshot`] and [`Counters::trace_json`], so
+    /// totals stay exact while threads batch. A leaf lock.
+    threads: Mutex<Vec<Arc<ThreadStats>>>,
+    /// The always-on latency histograms of slow paths recorded outside a
+    /// thread heap (multi-writer; thread heaps time refills into their
+    /// own block).
+    hists: HistBlock,
+    /// Opt-in trace state (`MESH_TRACE=1`); `None` keeps every slow-path
     /// record to one `Option` load.
     trace: OnceLock<Arc<TraceSet>>,
     /// The heap's birth instant: zero point for trace timestamps and
@@ -192,12 +269,17 @@ pub struct Counters {
 }
 
 impl Counters {
-    /// Creates and registers a per-thread delta block. The block's deltas
-    /// count toward [`Counters::snapshot`] until
-    /// [`Counters::unregister_local`] folds them in for good.
-    pub fn register_local(&self) -> Arc<LocalCounters> {
-        let block = Arc::new(LocalCounters::default());
-        self.locals.lock().push(Arc::clone(&block));
+    /// Creates and registers a thread heap's statistics block (with a
+    /// trace ring when tracing is on). What it records counts toward the
+    /// heap's totals from then on; [`Counters::retire_thread`] folds it
+    /// in for good.
+    pub(crate) fn register_thread(&self) -> Arc<ThreadStats> {
+        let block = Arc::new(ThreadStats {
+            local: LocalCounters::default(),
+            hists: HistBlock::default(),
+            ring: self.trace.get().map(|t| t.new_ring()),
+        });
+        self.threads.lock().push(Arc::clone(&block));
         block
     }
 
@@ -230,33 +312,49 @@ impl Counters {
         }
     }
 
-    /// Flushes and removes a dying thread's delta block.
-    pub fn unregister_local(&self, block: &Arc<LocalCounters>) {
-        self.flush_local(block);
-        self.locals.lock().retain(|b| !Arc::ptr_eq(b, block));
+    /// Retires a dying thread heap's block: its counter deltas, its
+    /// histograms and its trace events move to the shared tier, and the
+    /// registry lets go of it (the ring is freed with the last `Arc`). All
+    /// under the registry lock, so no snapshot counts the block twice or
+    /// misses it.
+    pub(crate) fn retire_thread(&self, block: &Arc<ThreadStats>) {
+        let mut threads = self.threads.lock();
+        self.flush_local(&block.local);
+        self.hists.absorb(&block.hists);
+        if let (Some(trace), Some(ring)) = (self.trace.get(), &block.ring) {
+            trace.absorb(ring);
+        }
+        threads.retain(|b| !Arc::ptr_eq(b, block));
     }
 
-    /// Holds the registry lock (fork quiescence: `GlobalHeap::lock_all`
-    /// takes this last, so a forked child cannot inherit it mid-register,
-    /// mid-unregister, or mid-snapshot). A leaf lock: nothing else is
-    /// ever acquired while it is held.
-    pub(crate) fn lock_locals(&self) -> crate::sync::MutexGuard<'_, Vec<Arc<LocalCounters>>> {
-        self.locals.lock()
+    /// Holds the thread registry (fork quiescence: `GlobalHeap::lock_all`
+    /// takes it, so a forked child cannot inherit it mid-register,
+    /// mid-retire, or mid-snapshot). A leaf lock: nothing else is ever
+    /// acquired while it is held.
+    pub(crate) fn lock_threads(&self) -> MutexGuard<'_, Vec<Arc<ThreadStats>>> {
+        self.threads.lock()
     }
 
     /// Whether the registry lock is currently held (test hook for the
     /// fork-quiescence protocol).
     #[cfg(test)]
-    pub(crate) fn locals_contended(&self) -> bool {
-        self.locals.try_lock().is_none()
+    pub(crate) fn threads_held(&self) -> bool {
+        self.threads.try_lock().is_none()
+    }
+
+    /// Number of registered thread blocks (test hook).
+    #[cfg(test)]
+    pub(crate) fn registered_threads(&self) -> usize {
+        self.threads.lock().len()
     }
 
     /// Sums the pending deltas of every registered thread block.
     /// (mallocs, frees, remote frees, allocated bytes, freed bytes).
     fn local_sums(&self) -> [u64; 5] {
-        let locals = self.locals.lock();
+        let threads = self.threads.lock();
         let mut sums = [0u64; 5];
-        for b in locals.iter() {
+        for t in threads.iter() {
+            let b = &t.local;
             let block = [
                 &b.mallocs,
                 &b.frees,
@@ -305,9 +403,18 @@ impl Counters {
         let _ = self.trace.set(trace);
     }
 
-    /// The trace rings, when tracing is on.
+    /// The trace state, when tracing is on.
     pub(crate) fn trace_set(&self) -> Option<&Arc<TraceSet>> {
         self.trace.get()
+    }
+
+    /// Every buffered trace event — the shared ring's, then each live
+    /// thread heap's — as Chrome trace-event JSON; `None` when tracing is
+    /// off. The registry is held only while the rings are decoded.
+    pub(crate) fn trace_json(&self) -> Option<String> {
+        let trace = self.trace.get()?;
+        let events = trace.events(self.threads.lock().iter().filter_map(|t| t.ring.as_ref()));
+        Some(chrome_json(&events, self.uptime_ms()))
     }
 
     /// Records one completed slow-path operation that began at `start`:
@@ -315,7 +422,7 @@ impl Counters {
     /// trace ring when tracing is on.
     pub(crate) fn record_slow(&self, op: TimedOp, start: Instant, arg: u64) {
         let dur_ns = start.elapsed().as_nanos() as u64;
-        self.hists.record(op, dur_ns);
+        self.hists.record_shared(op, dur_ns);
         if let Some(trace) = self.trace.get() {
             let start_ns = start.saturating_duration_since(self.epoch()).as_nanos() as u64;
             trace.record_shared(op, start_ns, dur_ns, arg);
@@ -325,7 +432,7 @@ impl Counters {
     /// Records an already-measured wait of `dur_ns` ending now (the shape
     /// [`crate::sync::Mutex::lock_timed`] reports).
     pub(crate) fn record_wait(&self, op: TimedOp, dur_ns: u64, arg: u64) {
-        self.hists.record(op, dur_ns);
+        self.hists.record_shared(op, dur_ns);
         if let Some(trace) = self.trace.get() {
             let start_ns = self.now_ns().saturating_sub(dur_ns);
             trace.record_shared(op, start_ns, dur_ns, arg);
@@ -343,31 +450,31 @@ impl Counters {
         }
     }
 
-    /// Creates and registers a per-thread histogram block (single-writer,
-    /// like [`Counters::register_local`]).
-    pub(crate) fn register_local_hists(&self) -> Arc<LocalHists> {
-        self.hists.register_local()
+    /// Zeroes every latency histogram and empties every trace ring (fork
+    /// child: the parent's history is not this process's; single-threaded
+    /// there, so plain stores are safe).
+    pub(crate) fn wipe_for_child(&self) {
+        self.hists.zero();
+        if let Some(trace) = self.trace.get() {
+            trace.wipe();
+        }
+        for t in self.threads.lock().iter() {
+            t.hists.zero();
+            if let Some(ring) = &t.ring {
+                ring.wipe();
+            }
+        }
     }
 
-    /// Folds and removes a dying thread's histogram block.
-    pub(crate) fn unregister_local_hists(&self, block: &Arc<LocalHists>) {
-        self.hists.unregister_local(block)
-    }
-
-    /// Holds the histogram-registry lock (fork quiescence; a leaf lock).
-    pub(crate) fn lock_hist_locals(&self) -> crate::sync::MutexGuard<'_, Vec<Arc<LocalHists>>> {
-        self.hists.lock_locals()
-    }
-
-    /// Zeroes every latency histogram (fork child: the parent's latency
-    /// history is not this process's).
-    pub(crate) fn zero_latency(&self) {
-        self.hists.zero_all();
-    }
-
-    /// The current latency snapshot (merged shared + per-thread tiers).
+    /// The current latency snapshot (shared block merged with every live
+    /// thread's).
     pub fn latency_snapshot(&self) -> LatencySnapshot {
-        self.hists.snapshot()
+        let mut snap = LatencySnapshot::default();
+        self.hists.add_into(&mut snap);
+        for t in self.threads.lock().iter() {
+            t.hists.add_into(&mut snap);
+        }
+        snap
     }
 
     /// Takes a coherent-enough snapshot (individual counters are relaxed;
@@ -419,7 +526,7 @@ impl Counters {
                 self.harden_violations[i].load(Ordering::Relaxed)
             }),
             uptime_ms: self.uptime_ms(),
-            latency: self.hists.snapshot(),
+            latency: self.latency_snapshot(),
             spectrum: HeapSpectrum::default(),
         }
     }
@@ -773,16 +880,16 @@ mod tests {
     #[test]
     fn local_blocks_count_toward_snapshot_without_flush() {
         let c = Counters::default();
-        let block = c.register_local();
-        block.on_malloc(112);
-        block.on_malloc(112);
-        block.on_free(112);
+        let block = c.register_thread();
+        block.local.on_malloc(112);
+        block.local.on_malloc(112);
+        block.local.on_free(112);
         let s = c.snapshot();
         assert_eq!(s.mallocs, 2);
         assert_eq!(s.frees, 1);
         assert_eq!(s.live_bytes, 112);
         // Flushing moves the deltas but changes no totals.
-        c.flush_local(&block);
+        c.flush_local(&block.local);
         let s = c.snapshot();
         assert_eq!((s.mallocs, s.frees, s.live_bytes), (2, 1, 112));
         assert_eq!(c.mallocs.load(Ordering::Relaxed), 2, "deltas folded in");
@@ -791,12 +898,13 @@ mod tests {
     #[test]
     fn unregister_preserves_totals() {
         let c = Counters::default();
-        let block = c.register_local();
-        block.on_malloc(64);
-        c.unregister_local(&block);
+        let block = c.register_thread();
+        block.local.on_malloc(64);
+        c.retire_thread(&block);
         let s = c.snapshot();
         assert_eq!(s.mallocs, 1);
         assert_eq!(s.live_bytes, 64);
+        assert_eq!(c.registered_threads(), 0);
     }
 
     #[test]
@@ -805,19 +913,38 @@ mod tests {
         // and its delta reaches the shared counter first. The transient
         // shared value wraps, but the snapshot sum is exact.
         let c = Counters::default();
-        let a = c.register_local();
-        let b = c.register_local();
-        a.on_malloc(4096);
-        b.on_remote_free(4096);
+        let a = c.register_thread();
+        let b = c.register_thread();
+        a.local.on_malloc(4096);
+        b.local.on_remote_free(4096);
         assert_eq!(c.snapshot().remote_frees, 1, "pending deltas are summed in");
-        c.flush_local(&b);
+        c.flush_local(&b.local);
         let s = c.snapshot();
         assert_eq!(s.live_bytes, 0);
         assert_eq!(s.mallocs, 1);
         assert_eq!((s.frees, s.remote_frees), (1, 1));
-        c.unregister_local(&a);
-        c.unregister_local(&b);
+        c.retire_thread(&a);
+        c.retire_thread(&b);
         assert_eq!(c.snapshot().live_bytes, 0);
+    }
+
+    #[test]
+    fn epoch_clocks_claim_once_per_period() {
+        let period = Duration::from_nanos(100);
+        let clock = EpochClock::started_at(1_000);
+        assert!(!clock.claim(1_050, period), "half a period in");
+        assert_eq!(clock.remaining(1_050, period), Duration::from_nanos(50));
+        assert!(clock.claim(1_100, period));
+        assert!(!clock.claim(1_100, period), "the slot is taken");
+        clock.restart(5_000);
+        assert!(!clock.claim(5_099, period));
+        let never = EpochClock::never();
+        assert_eq!(never.remaining(0, period), Duration::ZERO);
+        assert!(
+            never.claim(0, period),
+            "a clock that never ran is due at once"
+        );
+        assert!(!never.claim(0, period));
     }
 
     #[test]
@@ -855,7 +982,7 @@ mod tests {
         assert_eq!(snap.count(TimedOp::ClassLockWait), 2);
         assert_eq!(snap.count(TimedOp::ArenaLockWait), 1);
         // Fork child wipes latency history.
-        c.zero_latency();
+        c.wipe_for_child();
         assert!(c.latency_snapshot().is_empty());
     }
 
@@ -866,7 +993,7 @@ mod tests {
         c.set_trace(TraceSet::new(&cfg).unwrap());
         c.record_slow(TimedOp::MeshPass, Instant::now(), 7);
         assert_eq!(c.latency_snapshot().count(TimedOp::MeshPass), 1);
-        let json = c.trace_set().unwrap().chrome_json(c.uptime_ms());
+        let json = c.trace_json().unwrap();
         assert!(json.contains("\"name\":\"mesh_pass\""), "{json}");
         assert!(json.contains("\"args\":{\"arg\":7}"), "{json}");
     }

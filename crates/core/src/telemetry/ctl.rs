@@ -53,7 +53,8 @@
 //! during the telemetry beat, and `GlobalHeap::next_park` bounds the
 //! park at [`CTL_PARK`] while the socket is live. The malloc fast path
 //! never touches any of this. All server allocations happen inside the
-//! tick's `with_internal_alloc` scope (the mesher wraps the whole beat).
+//! tick's `with_internal_alloc` scope (the background thread wraps the
+//! whole beat).
 //!
 //! The single I/O mutex joins `GlobalHeap::lock_all`'s fork-quiescence
 //! set, so `fork()` cannot land mid-response: a client sees either a
@@ -283,12 +284,18 @@ impl CtlState {
     }
 
     /// Holds the I/O lock (fork quiescence: no response write may be in
-    /// flight across `fork`). Ordered after every other `lock_all` guard,
-    /// and a strict *leaf*: `tick` never acquires a class/arena
-    /// lock while holding it — dispatch runs with it dropped — so taking
-    /// it last can never invert against the shard order.
+    /// flight across `fork`; see `GlobalHeap::lock_all` for its place in
+    /// the order). A strict *leaf*: `tick` never acquires another lock
+    /// while holding it — dispatch runs with it dropped — so it can never
+    /// invert against the shard order.
     pub(crate) fn lock_io(&self) -> MutexGuard<'_, CtlIo> {
         self.io.lock()
+    }
+
+    /// Whether the I/O lock is held (test hook for fork quiescence).
+    #[cfg(test)]
+    pub(crate) fn io_held(&self) -> bool {
+        self.io.try_lock().is_none()
     }
 
     /// Child-side fork recovery: every inherited connection and the

@@ -6,23 +6,22 @@
 //! quantization error under 50% across nine decades while the whole
 //! histogram stays a flat array of counters.
 //!
-//! Two recording tiers mirror [`crate::stats::LocalCounters`]:
+//! One [`HistBlock`] layout, two recording disciplines, mirroring
+//! [`crate::stats::LocalCounters`]:
 //!
-//! * a **shared block** (relaxed `fetch_add`) for operations recorded
-//!   under global-heap or arena locks — lock waits, drains, mesh phases,
+//! * the heap's **shared block** (relaxed `fetch_add`) for operations
+//!   recorded under global-heap or arena locks — lock waits, mesh phases,
 //!   segment and `madvise` work. These paths already pay a lock, so one
 //!   more RMW is noise.
-//! * **per-thread blocks** (single-writer plain load+store, one cacheline
-//!   set per thread, registered like `LocalCounters`) for operations a
-//!   mutator thread records about itself — shuffle-vector refills and
-//!   sender-side flushes. Merged on [`HistSet::snapshot`].
+//! * a **per-thread block** (single-writer plain load+store) in each
+//!   thread heap's registered [`crate::stats::ThreadStats`], for the one
+//!   operation a mutator thread records about itself: shuffle-vector
+//!   refills. Merged by [`crate::stats::Counters::latency_snapshot`].
 //!
 //! The malloc/free fast path records nothing: every instrumented site is
-//! one that already took a lock, a queue, or a syscall.
+//! one that already took a lock or made a syscall.
 
-use crate::sync::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Number of histogram buckets (shared by every op).
 pub const LATENCY_BUCKETS: usize = 64;
@@ -166,7 +165,7 @@ pub fn bucket_upper_ns(b: usize) -> u64 {
 /// One flat block of histogram counters: per-op bucket counts plus the
 /// total duration and the running maximum. Field layout is identical for
 /// the shared and per-thread tiers; only the write discipline differs.
-struct HistBlock {
+pub(crate) struct HistBlock {
     counts: [[AtomicU64; LATENCY_BUCKETS]; NUM_TIMED_OPS],
     sums: [AtomicU64; NUM_TIMED_OPS],
     maxes: [AtomicU64; NUM_TIMED_OPS],
@@ -182,9 +181,15 @@ impl Default for HistBlock {
     }
 }
 
+impl std::fmt::Debug for HistBlock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HistBlock").finish_non_exhaustive()
+    }
+}
+
 impl HistBlock {
     /// Multi-writer record (relaxed RMW).
-    fn record_shared(&self, op: TimedOp, ns: u64) {
+    pub(crate) fn record_shared(&self, op: TimedOp, ns: u64) {
         let i = op.index();
         self.counts[i][bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         self.sums[i].fetch_add(ns, Ordering::Relaxed);
@@ -194,7 +199,7 @@ impl HistBlock {
     /// Single-writer record: plain load+store pairs, no `lock` prefix
     /// (the [`crate::stats::LocalCounters`] discipline — only the owning
     /// thread writes, any thread may read).
-    fn record_local(&self, op: TimedOp, ns: u64) {
+    pub(crate) fn record_local(&self, op: TimedOp, ns: u64) {
         #[inline]
         fn bump(cell: &AtomicU64, v: u64) {
             cell.store(cell.load(Ordering::Relaxed).wrapping_add(v), Ordering::Relaxed);
@@ -208,7 +213,8 @@ impl HistBlock {
         }
     }
 
-    fn add_into(&self, snap: &mut LatencySnapshot) {
+    /// Adds this block into `snap`.
+    pub(crate) fn add_into(&self, snap: &mut LatencySnapshot) {
         for i in 0..NUM_TIMED_OPS {
             for b in 0..LATENCY_BUCKETS {
                 snap.counts[i][b] =
@@ -219,7 +225,9 @@ impl HistBlock {
         }
     }
 
-    fn zero(&self) {
+    /// Zeroes the block (forked child: its latency timeline starts
+    /// fresh; single-threaded there, so plain stores are safe).
+    pub(crate) fn zero(&self) {
         for i in 0..NUM_TIMED_OPS {
             for b in 0..LATENCY_BUCKETS {
                 self.counts[i][b].store(0, Ordering::Relaxed);
@@ -228,106 +236,22 @@ impl HistBlock {
             self.maxes[i].store(0, Ordering::Relaxed);
         }
     }
-}
 
-/// One thread's single-writer histogram block, registered with the
-/// heap's [`HistSet`] for the lifetime of the thread heap.
-#[repr(align(64))] // own cachelines: no false sharing between threads
-#[derive(Default)]
-pub(crate) struct LocalHists(HistBlock);
-
-impl std::fmt::Debug for LocalHists {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LocalHists").finish_non_exhaustive()
-    }
-}
-
-impl LocalHists {
-    /// Records one duration (owner thread only).
-    #[inline]
-    pub(crate) fn record(&self, op: TimedOp, ns: u64) {
-        self.0.record_local(op, ns);
-    }
-}
-
-/// The heap's latency-histogram state: the shared block plus the live
-/// per-thread blocks. Lives on [`crate::stats::Counters`] so every layer
-/// holding the counters (arena included) can record.
-pub(crate) struct HistSet {
-    shared: HistBlock,
-    locals: Mutex<Vec<Arc<LocalHists>>>,
-}
-
-impl Default for HistSet {
-    fn default() -> HistSet {
-        HistSet {
-            shared: HistBlock::default(),
-            locals: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl std::fmt::Debug for HistSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HistSet").finish_non_exhaustive()
-    }
-}
-
-impl HistSet {
-    /// Records one duration into the shared (multi-writer) block.
-    #[inline]
-    pub(crate) fn record(&self, op: TimedOp, ns: u64) {
-        self.shared.record_shared(op, ns);
-    }
-
-    /// Creates and registers a per-thread single-writer block.
-    pub(crate) fn register_local(&self) -> Arc<LocalHists> {
-        let block = Arc::new(LocalHists::default());
-        self.locals.lock().push(Arc::clone(&block));
-        block
-    }
-
-    /// Folds a dying thread's block into the shared tier and removes it
-    /// from the registry (totals survive the thread).
-    pub(crate) fn unregister_local(&self, block: &Arc<LocalHists>) {
+    /// Folds `other` — a dying thread's block — into this shared one, so
+    /// its totals survive the thread.
+    pub(crate) fn absorb(&self, other: &HistBlock) {
         let mut snap = LatencySnapshot::default();
-        block.0.add_into(&mut snap);
-        for op in ALL_TIMED_OPS {
-            let i = op.index();
+        other.add_into(&mut snap);
+        for i in 0..NUM_TIMED_OPS {
             for b in 0..LATENCY_BUCKETS {
                 if snap.counts[i][b] > 0 {
-                    self.shared.counts[i][b].fetch_add(snap.counts[i][b], Ordering::Relaxed);
+                    self.counts[i][b].fetch_add(snap.counts[i][b], Ordering::Relaxed);
                 }
             }
             if snap.sums[i] > 0 {
-                self.shared.sums[i].fetch_add(snap.sums[i], Ordering::Relaxed);
+                self.sums[i].fetch_add(snap.sums[i], Ordering::Relaxed);
             }
-            self.shared.maxes[i].fetch_max(snap.maxes[i], Ordering::Relaxed);
-        }
-        self.locals.lock().retain(|b| !Arc::ptr_eq(b, block));
-    }
-
-    /// Holds the registry lock (fork quiescence; a leaf lock).
-    pub(crate) fn lock_locals(&self) -> MutexGuard<'_, Vec<Arc<LocalHists>>> {
-        self.locals.lock()
-    }
-
-    /// Merged view: shared block + every live per-thread block.
-    pub(crate) fn snapshot(&self) -> LatencySnapshot {
-        let mut snap = LatencySnapshot::default();
-        self.shared.add_into(&mut snap);
-        for block in self.locals.lock().iter() {
-            block.0.add_into(&mut snap);
-        }
-        snap
-    }
-
-    /// Zeroes every tier (forked child: its latency timeline starts
-    /// fresh; single-threaded post-fork, so plain stores are safe).
-    pub(crate) fn zero_all(&self) {
-        self.shared.zero();
-        for block in self.locals.lock().iter() {
-            block.0.zero();
+            self.maxes[i].fetch_max(snap.maxes[i], Ordering::Relaxed);
         }
     }
 }
@@ -429,6 +353,7 @@ impl LatencySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Counters;
 
     #[test]
     fn bucket_math_is_monotone_and_half_octave() {
@@ -458,17 +383,23 @@ mod tests {
         assert!(bucket_of(16_000_000_000) < LATENCY_BUCKETS - 1);
     }
 
+    fn snapshot(h: &HistBlock) -> LatencySnapshot {
+        let mut snap = LatencySnapshot::default();
+        h.add_into(&mut snap);
+        snap
+    }
+
     #[test]
     fn record_snapshot_percentiles() {
-        let h = HistSet::default();
+        let h = HistBlock::default();
         for _ in 0..90 {
-            h.record(TimedOp::Refill, 100);
+            h.record_shared(TimedOp::Refill, 100);
         }
         for _ in 0..9 {
-            h.record(TimedOp::Refill, 10_000);
+            h.record_shared(TimedOp::Refill, 10_000);
         }
-        h.record(TimedOp::Refill, 5_000_000);
-        let s = h.snapshot();
+        h.record_shared(TimedOp::Refill, 5_000_000);
+        let s = snapshot(&h);
         assert_eq!(s.count(TimedOp::Refill), 100);
         assert_eq!(s.sum_ns(TimedOp::Refill), 9000 + 90_000 + 5_000_000);
         assert_eq!(s.max_ns(TimedOp::Refill), 5_000_000);
@@ -483,17 +414,17 @@ mod tests {
 
     #[test]
     fn locals_merge_on_snapshot_and_fold_on_unregister() {
-        let h = HistSet::default();
-        let a = h.register_local();
-        let b = h.register_local();
-        a.record(TimedOp::Refill, 50);
-        a.record(TimedOp::Refill, 70);
-        b.record(TimedOp::MeshCopy, 1000);
-        let s = h.snapshot();
+        let h = Counters::default();
+        let a = h.register_thread();
+        let b = h.register_thread();
+        a.hists.record_local(TimedOp::Refill, 50);
+        a.hists.record_local(TimedOp::Refill, 70);
+        b.hists.record_local(TimedOp::MeshCopy, 1000);
+        let s = h.latency_snapshot();
         assert_eq!(s.count(TimedOp::Refill), 2);
         assert_eq!(s.count(TimedOp::MeshCopy), 1);
-        h.unregister_local(&a);
-        let s = h.snapshot();
+        h.retire_thread(&a);
+        let s = h.latency_snapshot();
         assert_eq!(s.count(TimedOp::Refill), 2, "totals survive unregister");
         assert_eq!(s.sum_ns(TimedOp::Refill), 120);
         assert_eq!(s.max_ns(TimedOp::Refill), 70);
@@ -501,21 +432,21 @@ mod tests {
 
     #[test]
     fn zero_all_clears_every_tier() {
-        let h = HistSet::default();
-        let a = h.register_local();
-        a.record(TimedOp::MutatorPause, 999);
-        h.record(TimedOp::MeshPass, 12345);
-        h.zero_all();
-        assert!(h.snapshot().is_empty());
+        let h = Counters::default();
+        let a = h.register_thread();
+        a.hists.record_local(TimedOp::MutatorPause, 999);
+        h.record_wait(TimedOp::MeshPass, 12345, 0);
+        h.wipe_for_child();
+        assert!(h.latency_snapshot().is_empty());
     }
 
     #[test]
     fn minus_windows_counts_not_maxes() {
-        let h = HistSet::default();
-        h.record(TimedOp::MeshCopy, 100);
-        let before = h.snapshot();
-        h.record(TimedOp::MeshCopy, 200);
-        let window = h.snapshot().minus(&before);
+        let h = HistBlock::default();
+        h.record_shared(TimedOp::MeshCopy, 100);
+        let before = snapshot(&h);
+        h.record_shared(TimedOp::MeshCopy, 200);
+        let window = snapshot(&h).minus(&before);
         assert_eq!(window.count(TimedOp::MeshCopy), 1);
         assert_eq!(window.sum_ns(TimedOp::MeshCopy), 200);
         assert_eq!(window.max_ns(TimedOp::MeshCopy), 200);

@@ -9,11 +9,12 @@
 //! autopilot) needs to decide whether meshing harder would help.
 //!
 //! The ring is guarded by a leaf mutex taken once per pass (passes are
-//! rate-limited to ~10 Hz, §4.5); the per-reason totals are plain atomics
-//! so `prom_text` can export `mesh_pass_rejected_total{reason=...}`
-//! without the lock.
+//! rate-limited to ~10 Hz, §4.5) and by readers on any thread; it is one
+//! of `GlobalHeap::lock_all`'s kinds, since a forked child wipes the
+//! ring. The per-reason totals are plain atomics so `prom_text` can
+//! export `mesh_pass_rejected_total{reason=...}` without the lock.
 
-use crate::sync::Mutex;
+use crate::sync::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Mesh passes retained in the ring.
@@ -112,8 +113,9 @@ impl PassRecord {
     }
 }
 
+/// The retained records (behind [`MeshLedger`]'s lock).
 #[derive(Debug)]
-struct LedgerRing {
+pub(crate) struct LedgerRing {
     /// Ring storage; meaningful up to `min(total, LEDGER_PASSES)` records.
     records: Box<[PassRecord; LEDGER_PASSES]>,
     /// Passes ever recorded (the ring write cursor is `total % LEDGER_PASSES`).
@@ -178,6 +180,18 @@ impl MeshLedger {
             *o = t.load(Ordering::Relaxed);
         }
         out
+    }
+
+    /// Holds the ring lock (fork quiescence: `release_child` takes it to
+    /// wipe the ring). A leaf lock.
+    pub(crate) fn lock_ring(&self) -> MutexGuard<'_, LedgerRing> {
+        self.ring.lock()
+    }
+
+    /// Whether the ring lock is held (test hook for fork quiescence).
+    #[cfg(test)]
+    pub(crate) fn ring_held(&self) -> bool {
+        self.ring.try_lock().is_none()
     }
 
     /// Forgets everything: a forked child starts with an empty ledger

@@ -54,19 +54,20 @@ pub use trace::TraceEvent;
 pub use pprof::{parse_pprof, PprofParseError, PprofSummary};
 
 pub(crate) use ctl::{CtlIo, CtlState, CTL_PARK};
-pub(crate) use histogram::{HistSet, LocalHists};
+pub(crate) use histogram::HistBlock;
+pub(crate) use ledger::LedgerRing;
 pub(crate) use report::Reports;
 pub(crate) use sense::read_pressure;
 pub(crate) use sampler::ThreadSampler;
 pub(crate) use spectrum::estimate_meshable_pairs;
-pub(crate) use trace::{trace_tid, TraceRing, TraceSet};
+pub(crate) use trace::{chrome_json, trace_tid, TraceRing, TraceSet};
 
 use crate::config::MeshConfig;
-use crate::sync::{Mutex, MutexGuard};
+use crate::stats::EpochClock;
 use profile_table::{FingerprintTable, SampledSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Fingerprint-table capacity: distinct call-site chains kept before new
 /// chains fold into the overflow site.
@@ -104,9 +105,9 @@ pub struct Telemetry {
     table: FingerprintTable,
     live: SampledSet,
     dump_interval: Option<Duration>,
-    /// Interval-dump clock. Held only for the claim instant, never across
-    /// the dump I/O; joins `GlobalHeap::lock_all`'s fork-quiescence set.
-    last_dump: Mutex<Instant>,
+    /// When the last interval dump was claimed; starts at the heap's
+    /// birth (nanosecond 0 of its epoch).
+    last_dump: EpochClock,
     samples: AtomicU64,
     samples_dropped: AtomicU64,
     sampled_frees: AtomicU64,
@@ -131,7 +132,7 @@ impl Telemetry {
             table: FingerprintTable::new(SITE_CAPACITY),
             live: SampledSet::new(capacity),
             dump_interval: config.prof_interval,
-            last_dump: Mutex::new(Instant::now()),
+            last_dump: EpochClock::started_at(0),
             samples: AtomicU64::new(0),
             samples_dropped: AtomicU64::new(0),
             sampled_frees: AtomicU64::new(0),
@@ -213,32 +214,17 @@ impl Telemetry {
         self.table.snapshots()
     }
 
-    /// Whether the interval clock expired. Claims the slot: the clock
-    /// restarts.
-    pub(crate) fn take_interval_due(&self) -> bool {
-        let Some(interval) = self.dump_interval else {
-            return false;
-        };
-        let mut last = self.last_dump.lock();
-        if last.elapsed() >= interval {
-            *last = Instant::now();
-            true
-        } else {
-            false
-        }
+    /// Whether the interval clock expired at `now_ns` on the heap's
+    /// epoch. Claims the slot: the clock restarts.
+    pub(crate) fn take_interval_due(&self, now_ns: u64) -> bool {
+        self.dump_interval
+            .is_some_and(|interval| self.last_dump.claim(now_ns, interval))
     }
 
-    /// Time until the interval clock next expires (`None` without an
-    /// interval): the background thread's park bound.
-    pub(crate) fn time_until_dump(&self) -> Option<Duration> {
-        let interval = self.dump_interval?;
-        Some(interval.saturating_sub(self.last_dump.lock().elapsed()))
-    }
-
-    /// Holds the dump-clock lock (fork quiescence: a child must not
-    /// inherit it mid-claim). A leaf lock like the scheduler's.
-    pub(crate) fn lock_dump_clock(&self) -> MutexGuard<'_, Instant> {
-        self.last_dump.lock()
+    /// Time from `now_ns` until the interval clock next expires (`None`
+    /// without an interval): the background thread's park bound.
+    pub(crate) fn time_until_dump(&self, now_ns: u64) -> Option<Duration> {
+        Some(self.last_dump.remaining(now_ns, self.dump_interval?))
     }
 }
 
@@ -284,17 +270,18 @@ mod tests {
     fn interval_clock_claims_and_restarts() {
         let cfg = prof_config().prof_interval(Some(Duration::from_millis(10)));
         let t = Telemetry::new(&cfg).unwrap();
-        assert!(!t.take_interval_due(), "fresh clock: nothing due");
-        assert!(t.time_until_dump().unwrap() <= Duration::from_millis(10));
-        std::thread::sleep(Duration::from_millis(12));
-        assert!(t.take_interval_due(), "interval clock fires");
-        assert!(!t.take_interval_due(), "claiming restarts the clock");
+        let ms = 1_000_000;
+        assert!(!t.take_interval_due(2 * ms), "fresh clock: nothing due");
+        assert_eq!(t.time_until_dump(2 * ms), Some(Duration::from_millis(8)));
+        assert!(t.take_interval_due(12 * ms), "interval clock fires");
+        assert!(!t.take_interval_due(12 * ms), "claiming restarts the clock");
+        assert_eq!(t.time_until_dump(12 * ms), Some(Duration::from_millis(10)));
     }
 
     #[test]
     fn no_interval_means_no_clock() {
         let t = Telemetry::new(&prof_config()).unwrap();
-        assert_eq!(t.time_until_dump(), None);
-        assert!(!t.take_interval_due());
+        assert_eq!(t.time_until_dump(0), None);
+        assert!(!t.take_interval_due(u64::MAX));
     }
 }

@@ -254,11 +254,7 @@ impl GlobalHeap {
                     time_nanos,
                 ));
             }
-            Report::Trace => self
-                .counters
-                .trace_set()
-                .ok_or(kind.off())?
-                .chrome_json(self.counters.uptime_ms()),
+            Report::Trace => self.counters.trace_json().ok_or(kind.off())?,
             Report::Sense => {
                 let sense = self.sense.as_ref().ok_or(kind.off())?;
                 // One fresh poll per document, whatever asked for it.
@@ -428,10 +424,11 @@ impl GlobalHeap {
     /// profiling, tracing, sensing, or a control socket.
     pub(crate) fn telemetry_tick(&self) {
         let mut due = self.reports.claim();
+        let now = self.counters.now_ns();
         if self
             .telemetry
             .as_ref()
-            .is_some_and(|t| t.take_interval_due())
+            .is_some_and(|t| t.take_interval_due(now))
         {
             due |= Report::Profile.bit();
         }
@@ -447,18 +444,13 @@ impl GlobalHeap {
         self.ctl_tick();
     }
 
-    /// How long the background thread may park: until the meshing
-    /// scheduler's next deadline, the next interval dump, or the next
-    /// sense poll, whichever is closest — or a full idle slice when
-    /// none is pending (paused timer, no interval).
+    /// How long the background thread may park: until the next interval
+    /// dump or the next sense poll, whichever is closest — or a full idle
+    /// slice when neither is pending.
     pub(crate) fn next_park(&self) -> Duration {
         let mut park = crate::mesher::IDLE_PARK;
-        if self.rt.background_meshing && self.rt.meshing() {
-            if let Some(d) = self.scheduler.time_until_due(self.rt.mesh_period()) {
-                park = park.min(d);
-            }
-        }
-        if let Some(d) = self.telemetry.as_ref().and_then(|t| t.time_until_dump()) {
+        let now = self.counters.now_ns();
+        if let Some(d) = self.telemetry.as_ref().and_then(|t| t.time_until_dump(now)) {
             park = park.min(d);
         }
         if let Some(s) = &self.sense {
@@ -473,12 +465,10 @@ impl GlobalHeap {
     }
 
     /// Whether a heap with this configuration runs the background thread:
-    /// for background meshing, to serve requested and interval reports
-    /// and periodic sense polls, to serve the mesh-ctl socket, or any
-    /// combination.
+    /// to serve requested and interval reports and periodic sense polls,
+    /// to serve the mesh-ctl socket, or both.
     pub(crate) fn background_thread_wanted(&self) -> bool {
-        self.rt.background_meshing
-            || self.telemetry.is_some()
+        self.telemetry.is_some()
             || self.counters.trace_set().is_some()
             || self.sense.is_some()
             || self.ctl.is_some()

@@ -338,8 +338,8 @@ pub struct SenseState {
     /// thread re-reads it at every park computation.
     interval_ns: AtomicU64,
     mincore_pages: usize,
-    /// Poll clock; claimed by the background thread, joins `lock_all`'s
-    /// fork-quiescence set. Also serializes ring writes.
+    /// Poll clock; claimed by the background thread. Also serializes ring
+    /// writes. One of `GlobalHeap::lock_all`'s kinds.
     last_poll: Mutex<Instant>,
     slots: Vec<SnapshotSlot>,
     /// Snapshots ever written (write cursor = `total % slots.len()`).
@@ -410,6 +410,12 @@ impl SenseState {
     /// Holds the poll-clock lock (fork quiescence). A leaf lock.
     pub(crate) fn lock_poll_clock(&self) -> MutexGuard<'_, Instant> {
         self.last_poll.lock()
+    }
+
+    /// Whether the poll clock is held (test hook for fork quiescence).
+    #[cfg(test)]
+    pub(crate) fn poll_clock_held(&self) -> bool {
+        self.last_poll.try_lock().is_none()
     }
 
     /// Appends one snapshot. Single writer: callers are serialized by the

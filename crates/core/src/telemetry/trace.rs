@@ -18,20 +18,21 @@
 //! Rings are fixed-capacity (power-of-two, `MESH_TRACE_BUF_EVENTS`) and
 //! **overwrite oldest**: writers claim slot `head.fetch_add(1) & mask`
 //! and store the four words relaxed. A full ring never blocks and never
-//! drops *new* events — recent history is what a trace is for. Mutator
-//! threads write their own registered ring (no sharing); operations
-//! recorded under global locks (mesh phases, drains, segment work) go to
-//! one shared ring where the `fetch_add` claim keeps writers off each
-//! other's slots. Dumps read racily by design: a slot being overwritten
-//! mid-read yields one inconsistent event (all fields still numbers, so
-//! the JSON stays well-formed), never a torn pointer.
+//! drops *new* events — recent history is what a trace is for. Each
+//! thread heap writes its own ring, the last part of its registered
+//! [`crate::stats::ThreadStats`] (no sharing); operations recorded under
+//! global locks (mesh phases, segment work) go to one shared ring where
+//! the `fetch_add` claim keeps writers off each other's slots. A thread
+//! heap that retires copies its ring into the shared one, tids kept, and
+//! the ring is freed. Dumps read racily by design: a slot being
+//! overwritten mid-read yields one inconsistent event (all fields still
+//! numbers, so the JSON stays well-formed), never a torn pointer.
 //!
 //! Tracing off is one `Option` load on each slow-path record; the fast
 //! path is untouched either way.
 
 use super::histogram::TimedOp;
 use crate::config::MeshConfig;
-use crate::sync::{Mutex, MutexGuard};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -111,35 +112,28 @@ impl TraceRing {
         self.slots[slot + 3].store(arg, Ordering::Relaxed);
     }
 
-    /// Number of events currently readable.
-    pub(crate) fn len(&self) -> usize {
-        self.head.load(Ordering::Relaxed).min(self.capacity())
-    }
-
-    /// Drains the readable window, oldest first. Reads race with
-    /// writers by design (see module docs).
-    fn drain(&self, out: &mut Vec<TraceEvent>) {
+    /// The readable window, oldest first. Reads race with writers by
+    /// design (see module docs).
+    fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
         let head = self.head.load(Ordering::Relaxed);
         let first = head.saturating_sub(self.capacity());
-        for idx in first..head {
+        (first..head).filter_map(move |idx| {
             let slot = (idx & self.mask) * EVENT_WORDS;
             let word0 = self.slots[slot].load(Ordering::Relaxed);
-            let Some(op) = TimedOp::from_u16(word0 as u16) else {
-                continue; // torn or never-written slot
-            };
-            out.push(TraceEvent {
-                op,
+            // `None`: a torn or never-written slot.
+            Some(TraceEvent {
+                op: TimedOp::from_u16(word0 as u16)?,
                 tid: (word0 >> 16) as u32,
                 start_ns: self.slots[slot + 1].load(Ordering::Relaxed),
                 dur_ns: self.slots[slot + 2].load(Ordering::Relaxed),
                 arg: self.slots[slot + 3].load(Ordering::Relaxed),
-            });
-        }
+            })
+        })
     }
 
     /// Empties the ring (fork child; single-threaded there, and stale
     /// slot contents are unreachable once `head` is 0).
-    fn wipe(&self) {
+    pub(crate) fn wipe(&self) {
         self.head.store(0, Ordering::Relaxed);
         // Invalidate word 0 of every slot so a later partial lap cannot
         // resurrect pre-wipe events through a decodable op field.
@@ -149,16 +143,16 @@ impl TraceRing {
     }
 }
 
-/// The heap's tracing state: per-thread rings plus the shared ring for
-/// events recorded under global locks. `None` on the heap when
-/// `MESH_TRACE` is off — every hook is behind that `Option`.
+/// The heap's tracing state: the shared ring for events recorded under
+/// global locks, and the size of the rings thread heaps get. `None` on
+/// the heap when `MESH_TRACE` is off — every hook is behind that
+/// `Option`.
 pub(crate) struct TraceSet {
     buf_events: usize,
     /// Runtime on/off gate (mesh-ctl `set trace 0|1`). Starts on; rings
     /// stay allocated while off, so re-enabling is one atomic store.
     enabled: AtomicBool,
     shared: TraceRing,
-    rings: Mutex<Vec<Arc<TraceRing>>>,
 }
 
 impl std::fmt::Debug for TraceSet {
@@ -181,7 +175,6 @@ impl TraceSet {
             buf_events,
             enabled: AtomicBool::new(true),
             shared: TraceRing::new(buf_events),
-            rings: Mutex::new(Vec::new()),
         }))
     }
 
@@ -197,13 +190,17 @@ impl TraceSet {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Creates and registers a per-thread ring (thread-heap creation).
-    /// The ring stays registered after its thread dies: its tail of
-    /// events is part of the trace.
-    pub(crate) fn register_ring(&self) -> Arc<TraceRing> {
-        let ring = Arc::new(TraceRing::new(self.buf_events));
-        self.rings.lock().push(Arc::clone(&ring));
-        ring
+    /// A ring for one thread heap.
+    pub(crate) fn new_ring(&self) -> TraceRing {
+        TraceRing::new(self.buf_events)
+    }
+
+    /// Copies a retiring thread heap's events into the shared ring, tids
+    /// kept: its tail stays part of the trace after its ring is freed.
+    pub(crate) fn absorb(&self, ring: &TraceRing) {
+        for e in ring.events() {
+            self.shared.push(e.op, e.tid, e.start_ns, e.dur_ns, e.arg);
+        }
     }
 
     /// Records an event from a global-lock context into the shared ring
@@ -215,67 +212,52 @@ impl TraceSet {
         }
     }
 
-    /// Holds the ring-registry lock (fork quiescence; a leaf lock).
-    pub(crate) fn lock_rings(&self) -> MutexGuard<'_, Vec<Arc<TraceRing>>> {
-        self.rings.lock()
-    }
-
-    /// Wipes every ring (fork child: the copied rings hold the parent's
-    /// history, which is not this process's trace).
-    pub(crate) fn wipe_all(&self) {
+    /// Empties the shared ring (fork child).
+    pub(crate) fn wipe(&self) {
         self.shared.wipe();
-        for ring in self.rings.lock().iter() {
-            ring.wipe();
-        }
     }
 
-    /// Total readable events across all rings.
-    pub(crate) fn event_count(&self) -> usize {
-        self.shared.len() + self.rings.lock().iter().map(|r| r.len()).sum::<usize>()
-    }
-
-    /// Decoded events from every ring, oldest-first per ring.
-    fn events(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.event_count());
-        self.shared.drain(&mut out);
-        for ring in self.rings.lock().iter() {
-            ring.drain(&mut out);
+    /// Decoded events of the shared ring, then of each of `rings`,
+    /// oldest first per ring.
+    pub(crate) fn events<'a>(&self, rings: impl Iterator<Item = &'a TraceRing>) -> Vec<TraceEvent> {
+        let mut out: Vec<TraceEvent> = self.shared.events().collect();
+        for ring in rings {
+            out.extend(ring.events());
         }
         out
     }
+}
 
-    /// Renders every ring as Chrome trace-event JSON (the
-    /// `chrome://tracing` / Perfetto "JSON object format"): complete
-    /// (`"ph":"X"`) events with microsecond `ts`/`dur` at nanosecond
-    /// precision, one row per recording thread.
-    pub(crate) fn chrome_json(&self, uptime_ms: u64) -> String {
-        let events = self.events();
-        let pid = std::process::id();
-        let mut out = String::with_capacity(64 + events.len() * 128);
-        out.push_str("{\"traceEvents\":[");
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"mesh\",\"ph\":\"X\",\
-                 \"ts\":{}.{:03},\"dur\":{}.{:03},\"pid\":{pid},\"tid\":{},\
-                 \"args\":{{\"arg\":{}}}}}",
-                e.op.name(),
-                e.start_ns / 1000,
-                e.start_ns % 1000,
-                e.dur_ns / 1000,
-                e.dur_ns % 1000,
-                e.tid,
-                e.arg,
-            ));
+/// Renders `events` as Chrome trace-event JSON (the `chrome://tracing` /
+/// Perfetto "JSON object format"): complete (`"ph":"X"`) events with
+/// microsecond `ts`/`dur` at nanosecond precision, one row per recording
+/// thread.
+pub(crate) fn chrome_json(events: &[TraceEvent], uptime_ms: u64) -> String {
+    let pid = std::process::id();
+    let mut out = String::with_capacity(64 + events.len() * 128);
+    out.push_str("{\"traceEvents\":[");
+    for (i, e) in events.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
         out.push_str(&format!(
-            "],\"displayTimeUnit\":\"ns\",\
-             \"otherData\":{{\"mesh_trace_version\":1,\"uptime_ms\":{uptime_ms}}}}}"
+            "{{\"name\":\"{}\",\"cat\":\"mesh\",\"ph\":\"X\",\
+             \"ts\":{}.{:03},\"dur\":{}.{:03},\"pid\":{pid},\"tid\":{},\
+             \"args\":{{\"arg\":{}}}}}",
+            e.op.name(),
+            e.start_ns / 1000,
+            e.start_ns % 1000,
+            e.dur_ns / 1000,
+            e.dur_ns % 1000,
+            e.tid,
+            e.arg,
         ));
-        out
     }
+    out.push_str(&format!(
+        "],\"displayTimeUnit\":\"ns\",\
+         \"otherData\":{{\"mesh_trace_version\":1,\"uptime_ms\":{uptime_ms}}}}}"
+    ));
+    out
 }
 
 #[cfg(test)]
@@ -298,9 +280,7 @@ mod tests {
         for i in 0..100u64 {
             ring.push(TimedOp::Refill, 7, i, 10, i);
         }
-        assert_eq!(ring.len(), 64);
-        let mut events = Vec::new();
-        ring.drain(&mut events);
+        let events: Vec<TraceEvent> = ring.events().collect();
         assert_eq!(events.len(), 64);
         // The newest 64 survive, oldest-first.
         assert_eq!(events.first().unwrap().arg, 36);
@@ -317,16 +297,10 @@ mod tests {
             ring.push(TimedOp::MeshPass, 1, i, 1, 0);
         }
         ring.wipe();
-        assert_eq!(ring.len(), 0);
-        let mut events = Vec::new();
-        ring.drain(&mut events);
-        assert!(events.is_empty());
+        assert_eq!(ring.events().count(), 0);
         // A partial lap after the wipe exposes only post-wipe events.
         ring.push(TimedOp::Madvise, 2, 5, 6, 7);
-        events.clear();
-        // len is 1 but a racing reader could still only decode slot 0.
-        assert_eq!(ring.len(), 1);
-        ring.drain(&mut events);
+        let events: Vec<TraceEvent> = ring.events().collect();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].op, TimedOp::Madvise);
     }
@@ -335,9 +309,9 @@ mod tests {
     fn chrome_json_is_wellformed() {
         let t = TraceSet::new(&trace_config()).unwrap();
         t.record_shared(TimedOp::MeshCopy, 1_234_567, 89_012, 42);
-        let ring = t.register_ring();
+        let ring = t.new_ring();
         ring.push(TimedOp::Refill, trace_tid(), 2_000_000, 1_500, 3);
-        let json = t.chrome_json(77);
+        let json = chrome_json(&t.events([&ring].into_iter()), 77);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"name\":\"mesh_copy\""));
         assert!(json.contains("\"name\":\"refill\""));
@@ -358,14 +332,32 @@ mod tests {
 
     #[test]
     fn wipe_all_empties_every_ring() {
+        let c = crate::stats::Counters::default();
+        c.set_trace(TraceSet::new(&trace_config()).unwrap());
+        c.record_wait(TimedOp::MeshPass, 2, 3);
+        let thread = c.register_thread();
+        thread
+            .ring
+            .as_ref()
+            .unwrap()
+            .push(TimedOp::Refill, 1, 1, 1, 1);
+        assert_eq!(c.trace_json().unwrap().matches("\"ph\"").count(), 2);
+        c.wipe_for_child();
+        assert_eq!(c.trace_json().unwrap().matches("\"ph\"").count(), 0);
+    }
+
+    #[test]
+    fn a_retired_ring_is_copied_into_the_shared_one() {
         let t = TraceSet::new(&trace_config()).unwrap();
-        t.record_shared(TimedOp::MeshPass, 1, 2, 3);
-        let ring = t.register_ring();
-        ring.push(TimedOp::Refill, 1, 1, 1, 1);
-        assert_eq!(t.event_count(), 2);
-        t.wipe_all();
-        assert_eq!(t.event_count(), 0);
-        assert_eq!(t.chrome_json(0).matches("\"ph\"").count(), 0);
+        let ring = t.new_ring();
+        for i in 0..100u64 {
+            ring.push(TimedOp::Refill, 9, i, 1, i);
+        }
+        t.absorb(&ring);
+        let events = t.events(std::iter::empty());
+        assert_eq!(events.len(), 64, "the shared ring keeps its newest 64");
+        assert!(events.iter().all(|e| e.tid == 9 && e.op == TimedOp::Refill));
+        assert_eq!(events.last().unwrap().arg, 99);
     }
 
     #[test]

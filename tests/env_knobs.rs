@@ -1,8 +1,8 @@
 //! `MeshConfig::apply_env` against real process environment — suffix
 //! parsing, the boolean/seed knobs, the `MESH_PROF*` profiling knobs,
 //! the `MESH_TRACE*` tracing knobs, warn-and-ignore on malformed
-//! values, and the retired transfer-cache knobs, which are ignored
-//! whatever they say. A walk over `knobs::KNOBS` feeds every variable a
+//! values, and the retired names (the transfer-cache knobs,
+//! `MESH_BACKGROUND_MESHING`), which are ignored whatever they say. A walk over `knobs::KNOBS` feeds every variable a
 //! value below its range, above it, garbage and blank: whatever the
 //! environment says, `apply_env()` returns a config `validate()` accepts.
 //!
@@ -83,8 +83,8 @@ fn hostile_walk() {
         (!matches!(row.kind, Kind::Path { .. })).then(|| "banana".to_string())
     });
     let blank = hostile_env(|_| Some("   ".to_string()));
-    assert_eq!(blank.len(), 25, "every variable apply_env reads");
-    assert!(below.len() >= 9 && above.len() >= 14 && garbage.len() == 21);
+    assert_eq!(blank.len(), 24, "every variable apply_env reads");
+    assert!(below.len() >= 9 && above.len() >= 14 && garbage.len() == 20);
     for (what, env) in [("min-1", below), ("max+1", above), ("garbage", garbage), ("blank", blank)] {
         let names: Vec<&str> = env.iter().map(|(name, _)| *name).collect();
         hostile_round(what, "default", &env, &names);
@@ -127,9 +127,9 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
         assert_eq!(c, hostile_expectation(&expect));
         return;
     }
-    // The retired knobs of the transfer cache: any value — 100000 failed
+    // Retired names: any value — a transfer batch of 100000 failed
     // `validate()`, and with it the whole heap under LD_PRELOAD — costs
-    // one stderr line and nothing else.
+    // one stderr line per reason and nothing else.
     if std::env::var_os(RETIRED_CHILD).is_some() {
         let c = MeshConfig::default().apply_env();
         assert!(c.validate().is_ok());
@@ -140,20 +140,46 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
         assert_eq!(mesh.stats().live_bytes, 0);
         return;
     }
-    let child = std::process::Command::new(std::env::current_exe().unwrap())
-        .args(["--exact", "apply_env_reads_knobs_and_ignores_malformed", "--nocapture"])
-        .env(RETIRED_CHILD, "1")
-        .env("MESH_TRANSFER_BATCH", "100000")
-        .env("MESH_TRANSFER_CACHE_SLOTS", "banana")
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&child.stderr);
-    assert!(child.status.success(), "retired knobs cost the heap: {stderr}");
-    let warned: Vec<&str> = stderr.lines().filter(|l| l.starts_with("mesh: ")).collect();
-    assert_eq!(warned.len(), 1, "one line for the retired knobs: {stderr}");
+    let retired_round = |env: &[(&str, &str)]| -> Vec<String> {
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "apply_env_reads_knobs_and_ignores_malformed",
+                "--nocapture",
+            ])
+            .env(RETIRED_CHILD, "1")
+            .envs(env.iter().copied())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        assert!(
+            child.status.success(),
+            "retired names cost the heap: {stderr}"
+        );
+        stderr
+            .lines()
+            .filter(|l| l.starts_with("mesh: "))
+            .map(String::from)
+            .collect()
+    };
+    let warned = retired_round(&[
+        ("MESH_TRANSFER_BATCH", "100000"),
+        ("MESH_TRANSFER_CACHE_SLOTS", "banana"),
+    ]);
+    assert_eq!(
+        warned.len(),
+        1,
+        "one line for the transfer-cache knobs: {warned:?}"
+    );
     assert!(
-        warned[0].contains("MESH_TRANSFER_BATCH") && warned[0].contains("MESH_TRANSFER_CACHE_SLOTS"),
-        "{stderr}"
+        warned[0].contains("MESH_TRANSFER_BATCH")
+            && warned[0].contains("MESH_TRANSFER_CACHE_SLOTS"),
+        "{warned:?}"
+    );
+    let warned = retired_round(&[("MESH_BACKGROUND_MESHING", "1")]);
+    assert_eq!(
+        warned,
+        ["mesh: ignoring MESH_BACKGROUND_MESHING (retired: meshing runs on the free path)"]
     );
 
     hostile_walk();
@@ -161,7 +187,6 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     std::env::set_var("MESH_MAX_HEAP_BYTES", "64M");
     std::env::set_var("MESH_INITIAL_SEGMENT_BYTES", "1M");
     std::env::set_var("MESH_SEGMENT_BYTES", "not-a-size");
-    std::env::set_var("MESH_BACKGROUND_MESHING", "0");
     std::env::set_var("MESH_SEED", "99");
     std::env::set_var("MESH_PROF", "1");
     std::env::set_var("MESH_PROF_SAMPLE_BYTES", "64K");
@@ -184,7 +209,6 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
         MeshConfig::default().segment_size(),
         "malformed value ignored, default kept"
     );
-    assert!(!c.is_background_meshing());
     assert!(c.is_profiling(), "MESH_PROF=1 enables the profiler");
     assert_eq!(c.prof_sample_size(), 64 << 10, "suffix-parsed sample rate");
     assert_eq!(

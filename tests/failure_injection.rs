@@ -14,7 +14,6 @@ fn hardened_heap(seed: u64) -> Mesh {
         MeshConfig::default()
             .arena_bytes(16 << 20)
             .seed(seed)
-            .background_meshing(false)
             .harden_policy(HardenPolicy::Count),
     )
     .unwrap()

@@ -20,7 +20,6 @@ fn hardened(seed: u64, policy: HardenPolicy) -> MeshConfig {
     MeshConfig::default()
         .arena_bytes(16 << 20)
         .seed(seed)
-        .background_meshing(false)
         .harden_policy(policy)
 }
 

@@ -7,6 +7,8 @@
 //! printed by the assertion context. Coverage matches the original
 //! proptest suite property-for-property.
 
+mod support;
+
 use mesh::core::bitmap::AtomicBitmap;
 use mesh::core::miniheap::MiniHeapId;
 use mesh::core::rng::Rng;
@@ -17,6 +19,7 @@ use mesh::graph::matching::{greedy_matching, is_valid_matching, maximum_matching
 use mesh::graph::split_mesher::split_mesher;
 use mesh::graph::{MeshGraph, SpanString};
 use std::collections::HashSet;
+use support::MeshingThread;
 
 const CASES: u64 = 64;
 
@@ -157,8 +160,8 @@ fn matching_and_cover_relations() {
 
 /// End-to-end allocator property: any interleaving of mallocs, frees and
 /// mesh passes preserves object contents and never double-issues an
-/// address. Odd cases run with the background mesher as a second
-/// concurrent source of passes.
+/// address. Odd cases run with a meshing thread as a second concurrent
+/// source of passes.
 #[test]
 fn allocator_respects_contents_under_meshing() {
     for case in 0..CASES {
@@ -167,13 +170,8 @@ fn allocator_respects_contents_under_meshing() {
         let ops: Vec<(u8, u16)> = (0..50 + gen.below(250))
             .map(|_| (gen.next_u64() as u8, 1 + gen.below(1999) as u16))
             .collect();
-        let mesh = Mesh::new(
-            MeshConfig::default()
-                .arena_bytes(64 << 20)
-                .seed(seed)
-                .background_meshing(case % 2 == 1),
-        )
-        .unwrap();
+        let mesh = Mesh::new(MeshConfig::default().arena_bytes(64 << 20).seed(seed)).unwrap();
+        let mesher = (case % 2 == 1).then(|| MeshingThread::spawn(&mesh));
         let mut live: Vec<(usize, usize, u8)> = Vec::new();
         for (i, (op, size)) in ops.iter().enumerate() {
             match op % 4 {
@@ -208,6 +206,9 @@ fn allocator_respects_contents_under_meshing() {
                 assert_eq!(*((a + s - 1) as *const u8), f, "case {case}");
                 mesh.free(a as *mut u8);
             }
+        }
+        if let Some(mesher) = mesher {
+            mesher.stop();
         }
         assert_eq!(mesh.stats().live_bytes, 0, "case {case}");
     }

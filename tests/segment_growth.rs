@@ -5,9 +5,12 @@
 //! The long soak loop at the bottom is gated behind `MESH_SOAK=1` so CI
 //! can opt into it without taxing every local `cargo test`.
 
+mod support;
+
 use mesh::core::{Mesh, MeshConfig};
 use std::collections::HashSet;
 use std::time::Duration;
+use support::MeshingThread;
 
 /// A heap whose initial segment is tiny (1 MiB) so growth starts
 /// immediately, with small growth segments to maximize segment churn.
@@ -25,9 +28,9 @@ fn tiny_segment_heap(seed: u64) -> Mesh {
 #[test]
 fn concurrent_growth_races_with_frees_and_meshing() {
     // N threads hammer a 1 MiB initial segment with mixed sizes, so
-    // segment creation races span allocation, remote-free drains, and the
-    // aggressive background mesher. Afterwards: no lost frees, settled
-    // accounting, and monotonically assigned segment ids.
+    // segment creation races span allocation, non-local frees, and a
+    // meshing thread. Afterwards: no lost frees, settled accounting, and
+    // monotonically assigned segment ids.
     const THREADS: usize = 8;
     const OPS: usize = 20_000;
     const SIZES: [usize; 8] = [64, 192, 448, 1024, 2048, 4096, 8192, 100_000];
@@ -37,11 +40,11 @@ fn concurrent_growth_races_with_frees_and_meshing() {
             .initial_segment_bytes(1 << 20)
             .segment_bytes(2 << 20)
             .seed(27)
-            .mesh_period(Duration::from_millis(2))
-            .background_meshing(true),
+            .mesh_period(Duration::from_millis(2)),
     )
     .unwrap();
 
+    let mesher = MeshingThread::spawn(&mesh);
     let (tx, rx) = std::sync::mpsc::channel::<usize>();
     std::thread::scope(|s| {
         for t in 0..THREADS {
@@ -92,6 +95,7 @@ fn concurrent_growth_races_with_frees_and_meshing() {
             }
         });
     });
+    mesher.stop();
 
     let stats = mesh.stats();
     assert_eq!(stats.mallocs, (THREADS * OPS) as u64);

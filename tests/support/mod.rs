@@ -2,7 +2,9 @@
 //! `c_prof.rs`, `c_trace.rs`): locating the workspace, building
 //! `libmesh.so`, compiling C helpers, and panicking accessors over
 //! `mesh_core::json` for validating dump schemas. Also the arena as
-//! `/proc/self/maps` shows it (`vm_batching.rs`, `fork_safety.rs`).
+//! `/proc/self/maps` shows it (`vm_batching.rs`, `fork_safety.rs`), and a
+//! thread that meshes beside a test's mutators (`concurrent_stress.rs`,
+//! `segment_growth.rs`, `proptest_invariants.rs`).
 
 #![allow(dead_code)] // each test binary uses its own subset
 
@@ -157,4 +159,39 @@ pub fn arena_mappings(base: usize, len: usize) -> Vec<u64> {
             (start >= base && start < base + len).then_some(inode)
         })
         .collect()
+}
+
+// ---------------------------------------------------------------------
+// A second source of passes.
+// ---------------------------------------------------------------------
+
+/// A thread running `mesh_now()` passes back to back, a millisecond
+/// apart, until [`MeshingThread::stop`]: what a concurrency test races
+/// its mutators against.
+pub struct MeshingThread {
+    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    thread: std::thread::JoinHandle<u64>,
+}
+
+impl MeshingThread {
+    pub fn spawn(mesh: &Mesh) -> MeshingThread {
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (mesh, flag) = (mesh.clone(), std::sync::Arc::clone(&stop));
+        let thread = std::thread::spawn(move || {
+            let mut passes = 0;
+            while !flag.load(std::sync::atomic::Ordering::Relaxed) {
+                mesh.mesh_now();
+                passes += 1;
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            passes
+        });
+        MeshingThread { stop, thread }
+    }
+
+    /// Stops the thread and returns how many passes it ran.
+    pub fn stop(self) -> u64 {
+        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        self.thread.join().expect("the meshing thread panicked")
+    }
 }
