@@ -51,15 +51,19 @@ pub struct MeshConfig {
     pub(crate) randomize: bool,
     /// Minimum interval between meshing passes (default 100 ms, §4.5).
     pub(crate) mesh_period: Duration,
-    /// If the last pass freed less than this many bytes, the timer is not
-    /// restarted until another free reaches the global heap (§4.5).
+    /// The least a pass must return to be worth it: if the last pass freed
+    /// less than this many bytes, the timer is not restarted until another
+    /// free reaches the global heap (§4.5); and a pass purges the dirty
+    /// pages (§4.4.1) once at least this many bytes of them are waiting.
     pub(crate) min_mesh_gain_bytes: usize,
     /// SplitMesher probe limit `t` (§3.3; the paper uses 64).
     pub(crate) probe_limit: usize,
     /// Spans with occupancy above this fraction are not mesh candidates.
     pub(crate) occupancy_cutoff: f64,
     /// Maximum virtual spans aliasing one physical span (bounds page-table
-    /// growth; the reference implementation uses 3).
+    /// growth). 4, one more than the reference implementation's 3: at 3
+    /// the 2-span MiniHeaps a first pass makes can never mesh again, and
+    /// 4 is the knee of the sweep in DESIGN.md §2a.
     pub(crate) max_span_count: usize,
     /// Dirty (freed but still committed) pages are released to the OS once
     /// they exceed this many bytes (§4.4.1; 64 MB in the paper).
@@ -139,7 +143,7 @@ impl Default for MeshConfig {
             min_mesh_gain_bytes: 1 << 20,
             probe_limit: 64,
             occupancy_cutoff: 0.8,
-            max_span_count: 3,
+            max_span_count: 4,
             max_dirty_bytes: 64 << 20,
             write_barrier: true,
             profiling: false,
@@ -198,7 +202,8 @@ impl MeshConfig {
         randomize(enabled: bool) => randomize = enabled;
         /// Sets the minimum interval between meshing passes.
         mesh_period(period: Duration) => mesh_period = period;
-        /// Sets the "don't restart the timer" gain threshold (§4.5).
+        /// Sets the least a pass must return: the "don't restart the timer"
+        /// gain threshold (§4.5) and the dirty bytes a pass purges at.
         min_mesh_gain_bytes(bytes: usize) => min_mesh_gain_bytes = bytes;
         /// Sets the SplitMesher probe limit `t` (§3.3).
         probe_limit(t: usize) => probe_limit = t;

@@ -329,15 +329,13 @@ impl RuntimeConfig {
     }
 }
 
-/// The §4.5 meshing rate limiter: two clocks on the heap's epoch and the
-/// pause flag, all atomics — no lock, and never held across a pass.
+/// The §4.5 meshing rate limiter: a clock on the heap's epoch and the
+/// pause flag, both atomics — no lock, and never held across a pass.
 #[derive(Debug)]
 pub(crate) struct MeshScheduler {
     /// When the last pass was claimed or ended. Starts at the heap's
     /// birth, so the first pass is due one period in.
     last_mesh: EpochClock,
-    /// When purge-on-mesh last ran; the first purge is always allowed.
-    last_purge: EpochClock,
     /// Set after a low-yield pass: the timer is not restarted until a
     /// subsequent free reaches the global heap (§4.5).
     paused: AtomicBool,
@@ -347,7 +345,6 @@ impl MeshScheduler {
     fn new() -> MeshScheduler {
         MeshScheduler {
             last_mesh: EpochClock::started_at(0),
-            last_purge: EpochClock::never(),
             paused: AtomicBool::new(false),
         }
     }
@@ -374,13 +371,6 @@ impl MeshScheduler {
     fn finish_pass(&self, low_yield: bool, clock: &Counters) {
         self.last_mesh.restart(clock.now_ns());
         self.paused.store(low_yield, Ordering::Relaxed);
-    }
-
-    /// Rate limiter for purge-on-mesh (§4.4.1): true at most once per
-    /// `period`, so harnesses that force passes faster than wall clock do
-    /// not cycle pages through release/refault at an unrealistic rate.
-    pub(crate) fn should_purge(&self, period: Duration, clock: &Counters) -> bool {
-        self.last_purge.claim(clock.now_ns(), period)
     }
 }
 
@@ -1549,14 +1539,17 @@ impl GlobalHeap {
     /// never across classes — so it can run against live traffic.
     pub fn occupancy_spectrum(&self) -> HeapSpectrum {
         let cutoff = self.rt.occupancy_cutoff();
+        let max_spans = self.rt.max_span_count();
         let mut spec = HeapSpectrum::default();
-        let mut candidates: Vec<u32> = Vec::new();
+        // The live objects and the virtual spans of each candidate.
+        let (mut in_use_of, mut spans_of): (Vec<u32>, Vec<u32>) = Default::default();
         for class in SizeClass::all() {
             let slots = class.object_count();
             let cs = &mut spec.classes[class.index()];
             cs.object_size = class.object_size() as u32;
             cs.meshable = class.is_meshable();
-            candidates.clear();
+            in_use_of.clear();
+            spans_of.clear();
             let st = self.lock_class(class);
             for (_, mh) in st.slab.iter() {
                 let in_use = mh.in_use();
@@ -1573,16 +1566,21 @@ impl GlobalHeap {
                     let bin = if in_use == 0 { PARTIAL_BINS - 1 } else { bin as usize };
                     cs.bins[bin] += 1;
                     if cs.meshable
-                        && mh.span_count() < self.rt.max_span_count()
+                        && mh.span_count() < max_spans
                         && (in_use as f64 / slots as f64) <= cutoff
                     {
-                        candidates.push(in_use as u32);
+                        in_use_of.push(in_use as u32);
+                        spans_of.push(mh.span_count() as u32);
                     }
                 }
             }
             drop(st);
+            // No more pairs than fit one span's slots, nor than fit the
+            // alias cap.
             cs.est_meshable_pairs =
-                telemetry::estimate_meshable_pairs(&mut candidates, slots as u32);
+                telemetry::estimate_meshable_pairs(&mut in_use_of, slots as u32).min(
+                    telemetry::estimate_meshable_pairs(&mut spans_of, max_spans as u32),
+                );
         }
         let large = self.large.lock();
         spec.large_spans = large.len() as u32;

@@ -326,7 +326,7 @@ pub static KNOBS: [Knob; 34] = [
         "minimum interval between meshing passes, in ms (§4.5)",
         live: |h, v| { h.rt.set_mesh_period(Duration::from_millis(v.num())); Ok(()) }),
     knob!("min_mesh_gain_bytes", None, ANY, "1M", field!(num min_mesh_gain_bytes),
-        "a pass that frees less pauses the timer until the next global free (§4.5)"),
+        "the least a pass must return: freeing less pauses the timer until the next global free (§4.5); a pass purges once this many bytes are dirty (§4.4.1)"),
     knob!("probe_limit", None, Kind::Num { min: 1, max: 4096 }, "64", field!(num probe_limit),
         "SplitMesher probe limit `t` (§3.3)",
         live: |h, v| { h.rt.set_probe_limit(v.num() as usize); Ok(()) }),
@@ -336,8 +336,8 @@ pub static KNOBS: [Knob; 34] = [
             set: |c, v| if let Value::Fraction(f) = v { c.occupancy_cutoff = f },
         }),
         "spans fuller than this are not mesh candidates"),
-    knob!("max_span_count", None, Kind::Num { min: 2, max: u64::MAX }, "3", field!(num max_span_count),
-        "most virtual spans aliasing one physical span"),
+    knob!("max_span_count", None, Kind::Num { min: 2, max: u64::MAX }, "4", field!(num max_span_count),
+        "most virtual spans aliasing one physical span (at 4, two spans meshed once can mesh again)"),
     knob!("max_dirty_bytes", None, ANY, "64M", field!(num max_dirty_bytes),
         "dirty pages are released to the OS past this many bytes (§4.4.1)"),
     knob!("write_barrier", None, FLAG, "on", field!(bool write_barrier),

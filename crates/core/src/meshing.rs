@@ -91,23 +91,13 @@ impl MeshSummary {
 }
 
 /// Runs SplitMesher and meshes the found pairs for every meshable size
-/// class, taking one class lock at a time. Also purges dirty pages, as
-/// §4.4.1 prescribes whenever meshing is invoked.
+/// class, taking one class lock at a time. Then purges dirty pages, as
+/// §4.4.1 prescribes whenever meshing is invoked, once they are worth it.
 pub(crate) fn mesh_all_classes(heap: &GlobalHeap) -> MeshSummary {
     let t0 = Instant::now();
-    // §4.4.1 ties a dirty-page purge to every meshing invocation; the
-    // purge itself is wall-clock rate-limited by the scheduler. A purge
-    // can leave non-initial segments with all pages clean, so segment
-    // retirement rides the same rate limiter.
     // Ledger bookkeeping: `pages_purged` moved by this pass's purge work
     // becomes the pass's madvise-bytes figure.
     let purged_before = heap.counters.pages_purged.load(Ordering::Relaxed);
-    if heap
-        .scheduler
-        .should_purge(heap.rt.mesh_period(), &heap.counters)
-    {
-        heap.purge_and_retire();
-    }
     let mut summary = MeshSummary::default();
     let mut candidates_scanned = 0u64;
     let mut rejected = [0u64; REJECT_REASONS];
@@ -139,11 +129,24 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap) -> MeshSummary {
             heap.rt.probe_limit(),
             heap.rt.max_span_count(),
             &mut summary.pairs_probed,
-            &mut rejected[RejectReason::OccupancyOverlap as usize],
+            &mut rejected,
         );
         heap.counters
             .record_slow(TimedOp::MeshCandidates, select_t0, pairs.len() as u64);
         mesh_pairs(heap, &mut st, class, pairs, &mut summary, &mut rejected);
+    }
+    // The loop tidied every class, so every span frees emptied is in the
+    // dirty bins now. They go back to the OS, and any segment left clean
+    // is retired, once they reach the least a pass must return to be
+    // worth it: a pass over a quiet heap finds nothing new and releases
+    // nothing, so forced passes do not cycle pages through release and
+    // refault.
+    {
+        let mut arena = heap.lock_arena();
+        if arena.dirty_bytes() >= heap.rt.min_mesh_gain_bytes() {
+            arena.purge_dirty();
+            arena.retire_empty_segments(&heap.page_map);
+        }
     }
     let nanos = t0.elapsed().as_nanos() as u64;
     heap.counters.record_mesh_pass(nanos);
@@ -238,16 +241,17 @@ pub fn split_mesher_pairs<T: Copy>(
 
 /// The SplitMesher procedure of Figure 2: shuffle the candidate list,
 /// split it into halves, and probe them. Returns the pairs to mesh (each
-/// span in at most one pair). Every probed pair that fails — overlapping
-/// bitmaps, or a combined alias count over the page-table budget — bumps
-/// `rejects` (the ledger's occupancy-overlap tally).
+/// span in at most one pair). Every probed pair that fails is tallied in
+/// `rejected`: under `alias_budget` when the two would alias more than
+/// `max_spans` virtual spans onto one physical span, else under
+/// `occupancy_overlap` when their bitmaps collide.
 fn split_mesher(
     st: &mut ClassState,
     mut candidates: Vec<MiniHeapId>,
     probe_limit: usize,
     max_spans: usize,
     probes: &mut usize,
-    rejects: &mut u64,
+    rejected: &mut [u64; REJECT_REASONS],
 ) -> Vec<(MiniHeapId, MiniHeapId)> {
     st.rng.shuffle(&mut candidates);
     // `left` has `len / 2` entries; `right` has as many, or one more.
@@ -255,11 +259,15 @@ fn split_mesher(
     split_mesher_pairs(left, right, probe_limit, probes, |x, y| {
         let a = st.slab.get(x).expect("candidate is live");
         let b = st.slab.get(y).expect("candidate is live");
-        // Combined alias count must stay within the page-table budget.
-        let meshable = a.span_count() + b.span_count() <= max_spans
-            && a.bitmap().meshes_with(b.bitmap());
-        *rejects += !meshable as u64;
-        meshable
+        let reason = if a.span_count() + b.span_count() > max_spans {
+            RejectReason::AliasBudget
+        } else if !a.bitmap().meshes_with(b.bitmap()) {
+            RejectReason::OccupancyOverlap
+        } else {
+            return true;
+        };
+        rejected[reason as usize] += 1;
+        false
     })
 }
 
@@ -761,8 +769,8 @@ mod tests {
         let candidates = collect_candidates(&h, &mut st);
         assert_eq!(candidates.len(), 8);
         let mut probes = 0;
-        let mut rejects = 0u64;
-        let pairs = split_mesher(&mut st, candidates, 64, 3, &mut probes, &mut rejects);
+        let mut rejected = [0u64; REJECT_REASONS];
+        let pairs = split_mesher(&mut st, candidates, 64, 3, &mut probes, &mut rejected);
         assert!(probes > 0);
         // With t=64 and only two "shapes", SplitMesher should pair nearly
         // everything; at minimum one pair must exist.
@@ -784,14 +792,56 @@ mod tests {
         }
         let summary = mesh_all_classes(&h);
         assert!(summary.pairs_meshed >= 2, "got {summary:?}");
-        // max_span_count = 3 by default: no MiniHeap may exceed 3 spans.
+        // No MiniHeap may alias more spans than the cap allows.
         let st = h.lock_class(class);
         for (_, mh) in st.slab.iter() {
-            assert!(mh.span_count() <= 3);
+            assert!(mh.span_count() <= h.rt.max_span_count());
         }
         let stats = h.counters.snapshot();
         assert_eq!(stats.mesh_passes, 1);
         assert!(stats.mesh_pages_released >= 2);
+    }
+
+    #[test]
+    fn the_spectrum_pairs_only_what_the_alias_cap_allows() {
+        // Four sparse, pairwise disjoint 2-span MiniHeaps: at cap 3 no two
+        // of them may mesh, at cap 4 they make two pairs.
+        for (cap, expected) in [(3, 0), (4, 2)] {
+            let h = GlobalHeap::new(
+                MeshConfig::default()
+                    .arena_bytes(64 << 20)
+                    .seed(14)
+                    .write_barrier(false)
+                    .max_span_count(cap),
+                Arc::new(Counters::default()),
+            )
+            .unwrap();
+            let class = SizeClass::for_size(256).unwrap();
+            let singles: Vec<_> = (0..8)
+                .map(|slot| detached_with_slots(&h, class, &[slot], slot as u8))
+                .collect();
+            let mut st = h.lock_class(class);
+            let pairs = singles.chunks(2).map(|p| (p[0], p[1])).collect();
+            let mut summary = MeshSummary::default();
+            let mut rejected = [0u64; REJECT_REASONS];
+            mesh_pairs(&h, &mut st, class, pairs, &mut summary, &mut rejected);
+            assert_eq!(summary.pairs_meshed, 4);
+            drop(st);
+            let spectrum = h.occupancy_spectrum().classes[class.index()];
+            assert_eq!(spectrum.est_meshable_pairs, expected, "cap {cap}");
+            assert_eq!(
+                mesh_all_classes(&h).pairs_meshed as u32,
+                expected,
+                "cap {cap}"
+            );
+            // The pass's refusals are the cap's, not the bitmaps'.
+            let totals = h.ledger.reject_totals();
+            assert_eq!(totals[RejectReason::OccupancyOverlap as usize], 0);
+            assert_eq!(
+                totals[RejectReason::AliasBudget as usize] > 0,
+                expected == 0
+            );
+        }
     }
 
     #[test]
@@ -944,51 +994,65 @@ mod tests {
         assert_contents(256, &[(addr_a, &[0, 2, 4], 0xAA), (addr_b, &[1, 3], 0xBB)]);
     }
 
-    /// A source with two virtual spans (`b` meshed into `a`, then thinned)
-    /// paired with a fuller single span `c`; returns the ids in that order
-    /// and the start addresses of `a`, `b` and `c`.
-    fn two_span_source(h: &GlobalHeap, class: SizeClass) -> ([MiniHeapId; 2], [usize; 3]) {
-        let a = detached_with_slots(h, class, &[0, 2], 0xAA);
-        let b = detached_with_slots(h, class, &[1], 0xBB);
-        let c = detached_with_slots(h, class, &[8, 9, 10, 11], 0xCC);
+    /// A source with `n` adjacent virtual spans — its primary holding slots
+    /// 0 and `n` (0xAA), with a span holding slot `i` (0xBB) meshed into it
+    /// for each `i` in `1..n` — paired with a fuller single span `c`
+    /// holding slots `8..10 + n` (0xCC). Returns the source and `c`, and
+    /// the start addresses of the source's spans in order, then `c`'s.
+    fn source_with_spans(
+        h: &GlobalHeap,
+        class: SizeClass,
+        n: usize,
+    ) -> ([MiniHeapId; 2], Vec<usize>) {
+        let a = detached_with_slots(h, class, &[0, n], 0xAA);
+        let folded: Vec<_> = (1..n)
+            .map(|slot| detached_with_slots(h, class, &[slot], 0xBB))
+            .collect();
+        let c_slots: Vec<usize> = (8..10 + n).collect();
+        let c = detached_with_slots(h, class, &c_slots, 0xCC);
         let mut st = h.lock_class(class);
-        let starts = [
-            start_of(h, &st, a),
-            start_of(h, &st, b),
-            start_of(h, &st, c),
-        ];
-        assert_eq!(
-            starts[1] - starts[0],
-            class.span_pages() * PAGE_SIZE,
-            "a and b adjacent"
-        );
+        let starts: Vec<usize> = std::iter::once(a)
+            .chain(folded.iter().copied())
+            .chain([c])
+            .map(|id| start_of(h, &st, id))
+            .collect();
+        for pair in starts[..n].windows(2) {
+            assert_eq!(
+                pair[1] - pair[0],
+                class.span_pages() * PAGE_SIZE,
+                "adjacent"
+            );
+        }
         let mut summary = MeshSummary::default();
         let mut rejected = [0u64; REJECT_REASONS];
-        mesh_pairs(h, &mut st, class, vec![(a, b)], &mut summary, &mut rejected);
-        assert_eq!(st.slab.get(a).unwrap().span_count(), 2);
+        for &x in &folded {
+            mesh_pairs(h, &mut st, class, vec![(a, x)], &mut summary, &mut rejected);
+        }
+        assert_eq!(st.slab.get(a).unwrap().span_count(), n);
         ([a, c], starts)
     }
 
-    #[test]
-    fn a_refused_remap_rolls_its_pair_back_inside_the_epoch() {
-        let h = heap(10);
+    /// The last of an `n`-span source's remaps is refused: the spans
+    /// remapped before it go back onto the source's own pages, and every
+    /// bit and byte is where it was.
+    fn refused_last_remap_rolls_back(seed: u64, n: usize) {
+        let h = heap(seed);
         let class = SizeClass::for_size(256).unwrap();
-        let ([src, dst], [addr_a, addr_b, addr_c]) = two_span_source(&h, class);
+        let ([src, dst], starts) = source_with_spans(&h, class, n);
+        let (spans, addr_c) = (&starts[..n], starts[n]);
+        let c_slots: Vec<usize> = (8..10 + n).collect();
         let intact = || {
-            assert_contents(
-                256,
-                &[
-                    (addr_a, &[0, 2], 0xAA),
-                    (addr_b, &[1], 0xBB),
-                    (addr_c, &[8, 9, 10, 11], 0xCC),
-                ],
-            )
+            assert_contents(256, &[(spans[0], &[0, n], 0xAA), (addr_c, &c_slots, 0xCC)]);
+            for (slot, &start) in spans.iter().enumerate().skip(1) {
+                assert_contents(256, &[(start, &[slot], 0xBB)]);
+            }
         };
         let mut st = h.lock_class(class);
         let committed = h.lock_arena().committed_pages();
-        // One protect (the source's spans are adjacent), the first span's
-        // remap, then the second's: refused.
-        h.lock_arena().refuse_vm_calls(3..4);
+        // One protect (the source's spans are adjacent), the remaps of all
+        // but the last span, then the last's: refused.
+        let last_remap = n as u32 + 1;
+        h.lock_arena().refuse_vm_calls(last_remap..last_remap + 1);
         let mut summary = MeshSummary::default();
         let mut rejected = [0u64; REJECT_REASONS];
         mesh_pairs(
@@ -1014,35 +1078,49 @@ mod tests {
                 .iter_set()
                 .collect::<Vec<_>>()
         };
-        assert_eq!(bits(src), [0, 1, 2]);
-        assert_eq!(bits(dst), [8, 9, 10, 11]);
+        assert_eq!(bits(src), (0..=n).collect::<Vec<_>>());
+        assert_eq!(bits(dst), c_slots);
         intact();
-        // The first span shows the source's own pages again: a write
-        // through it is seen through the other, not in the destination.
+        // The spans remapped first show the source's own pages again: a
+        // write through one is seen through the others, not in the
+        // destination.
+        let free_slot = (n + 1) * 256;
         unsafe {
-            *((addr_a + 3 * 256) as *mut u8) = 0x5A;
-            assert_eq!(*((addr_b + 3 * 256) as *const u8), 0x5A);
-            assert_ne!(*((addr_c + 3 * 256) as *const u8), 0x5A);
+            *((spans[0] + free_slot) as *mut u8) = 0x5A;
+            for &start in &spans[1..] {
+                assert_eq!(*((start + free_slot) as *const u8), 0x5A);
+            }
+            assert_ne!(*((addr_c + free_slot) as *const u8), 0x5A);
         }
         drop(st);
         // A free finds its bit back in the source, and the next pass
         // meshes the pair.
-        assert!(h.free_global(addr_b + 256));
+        assert!(h.free_global(spans[1] + 256));
         let summary = mesh_all_classes(&h);
         assert_eq!(summary.pairs_meshed, 1);
-        assert_contents(
-            256,
-            &[(addr_a, &[0, 2], 0xAA), (addr_c, &[8, 9, 10, 11], 0xCC)],
-        );
+        assert_contents(256, &[(spans[0], &[0, n], 0xAA), (addr_c, &c_slots, 0xCC)]);
         let s = h.counters.snapshot();
         assert_eq!((s.frees, s.double_frees, s.invalid_frees), (1, 0, 0));
+    }
+
+    #[test]
+    fn a_refused_remap_rolls_its_pair_back_inside_the_epoch() {
+        refused_last_remap_rolls_back(10, 2);
+    }
+
+    #[test]
+    fn a_refused_remap_of_a_three_span_source_rolls_back() {
+        refused_last_remap_rolls_back(15, 3);
     }
 
     #[test]
     fn a_pair_that_cannot_be_undone_is_retired_in_place() {
         let h = heap(11);
         let class = SizeClass::for_size(256).unwrap();
-        let ([src, dst], [addr_a, addr_b, addr_c]) = two_span_source(&h, class);
+        let ([src, dst], starts) = source_with_spans(&h, class, 2);
+        let [addr_a, addr_b, addr_c] = starts[..] else {
+            unreachable!()
+        };
         let mut st = h.lock_class(class);
         // The second span's remap and the first span's way back: refused.
         h.lock_arena().refuse_vm_calls(3..5);

@@ -146,33 +146,16 @@ impl std::fmt::Debug for ThreadStats {
 pub(crate) struct EpochClock(AtomicU64);
 
 impl EpochClock {
-    /// Never ran: the first [`EpochClock::claim`] succeeds whatever the
-    /// period.
-    const NEVER: u64 = u64::MAX;
-
     /// A clock that last ran at `at_ns`.
     pub(crate) fn started_at(at_ns: u64) -> EpochClock {
         EpochClock(AtomicU64::new(at_ns))
-    }
-
-    /// A clock that has never run.
-    pub(crate) fn never() -> EpochClock {
-        EpochClock(AtomicU64::new(Self::NEVER))
-    }
-
-    fn elapsed(last: u64, now_ns: u64) -> u64 {
-        if last == Self::NEVER {
-            u64::MAX
-        } else {
-            now_ns.saturating_sub(last)
-        }
     }
 
     /// Claims a slot: true, with the clock restarted at `now_ns`, when at
     /// least `period` passed since it last ran.
     pub(crate) fn claim(&self, now_ns: u64, period: Duration) -> bool {
         let last = self.0.load(Ordering::Relaxed);
-        Self::elapsed(last, now_ns) >= period.as_nanos() as u64
+        now_ns.saturating_sub(last) >= period.as_nanos() as u64
             && self
                 .0
                 .compare_exchange(last, now_ns, Ordering::Relaxed, Ordering::Relaxed)
@@ -186,7 +169,7 @@ impl EpochClock {
 
     /// Time left at `now_ns` until `period` will have passed.
     pub(crate) fn remaining(&self, now_ns: u64, period: Duration) -> Duration {
-        let elapsed = Self::elapsed(self.0.load(Ordering::Relaxed), now_ns);
+        let elapsed = now_ns.saturating_sub(self.0.load(Ordering::Relaxed));
         period.saturating_sub(Duration::from_nanos(elapsed))
     }
 }
@@ -938,13 +921,7 @@ mod tests {
         assert!(!clock.claim(1_100, period), "the slot is taken");
         clock.restart(5_000);
         assert!(!clock.claim(5_099, period));
-        let never = EpochClock::never();
-        assert_eq!(never.remaining(0, period), Duration::ZERO);
-        assert!(
-            never.claim(0, period),
-            "a clock that never ran is due at once"
-        );
-        assert!(!never.claim(0, period));
+        assert_eq!(clock.remaining(5_200, period), Duration::ZERO);
     }
 
     #[test]

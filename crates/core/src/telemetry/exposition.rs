@@ -603,6 +603,7 @@ mod tests {
         // Every reject reason emits a series even at zero.
         assert!(text.contains("mesh_pass_rejected_total{reason=\"occupancy_overlap\"} 0"));
         assert!(text.contains("mesh_pass_rejected_total{reason=\"copy_abort\"} 0"));
+        assert!(text.contains("mesh_pass_rejected_total{reason=\"alias_budget\"} 0"));
         // Without profiling, the prof series are absent; without a sense
         // snapshot, the sense gauges are too.
         let text = prom_text(&stats, None, None, &[0; REJECT_REASONS]);
@@ -676,7 +677,7 @@ mod tests {
             cgroup_usage_bytes: 9 << 20,
             ..Default::default()
         };
-        let text = prom_text(&stats, Some(&prof()), Some(&sense), &[3, 1, 0, 0]);
+        let text = prom_text(&stats, Some(&prof()), Some(&sense), &[3, 1, 0, 0, 2]);
 
         let mut kinds: std::collections::HashMap<String, String> = Default::default();
         let mut last_help: Option<String> = None;
@@ -748,6 +749,7 @@ mod tests {
         assert!(!text.contains("mesh_cgroup_limit_bytes"), "unlimited cgroup elided");
         assert!(text.contains("mesh_pass_rejected_total{reason=\"occupancy_overlap\"} 3\n"));
         assert!(text.contains("mesh_pass_rejected_total{reason=\"class_contention\"} 1\n"));
+        assert!(text.contains("mesh_pass_rejected_total{reason=\"alias_budget\"} 2\n"));
     }
 
     /// Pins the names of the hostile-input counter families and the

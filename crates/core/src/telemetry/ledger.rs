@@ -21,13 +21,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const LEDGER_PASSES: usize = 64;
 
 /// Number of distinct rejection reasons.
-pub const REJECT_REASONS: usize = 4;
+pub const REJECT_REASONS: usize = 5;
 
 /// Why a candidate pair (or candidate span) failed to mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
-    /// The bitmaps overlap (§3.3 probe miss), or merging would exceed the
-    /// `max_span_count` alias budget.
+    /// The bitmaps overlap (§3.3 probe miss).
     OccupancyOverlap = 0,
     /// The class shard lock was contended when the pass claimed it, so the
     /// pass ran against a heap another thread was mutating moments before.
@@ -41,6 +40,10 @@ pub enum RejectReason {
     /// window and refused to mesh the pair (`MESH_HARDEN` with the canary
     /// sweep on; also surfaces as a `harden_canary` violation).
     CanaryTrip = 3,
+    /// Merging the pair would alias more than `max_span_count` virtual
+    /// spans onto one physical span. Checked before the bitmaps, so a
+    /// pair refused here was not tested for overlap.
+    AliasBudget = 4,
 }
 
 /// Every reason, in counter-index order.
@@ -49,6 +52,7 @@ pub const ALL_REJECT_REASONS: [RejectReason; REJECT_REASONS] = [
     RejectReason::ClassContention,
     RejectReason::CopyAbort,
     RejectReason::CanaryTrip,
+    RejectReason::AliasBudget,
 ];
 
 impl RejectReason {
@@ -60,6 +64,7 @@ impl RejectReason {
             RejectReason::ClassContention => "class_contention",
             RejectReason::CopyAbort => "copy_abort",
             RejectReason::CanaryTrip => "canary_trip",
+            RejectReason::AliasBudget => "alias_budget",
         }
     }
 }
@@ -226,14 +231,14 @@ mod tests {
         let l = MeshLedger::new();
         assert_eq!(l.passes_recorded(), 0);
         assert!(l.recent().is_empty());
-        l.record(rec(10, 2, [3, 1, 0, 0]));
-        l.record(rec(20, 0, [0, 2, 0, 1]));
+        l.record(rec(10, 2, [3, 1, 0, 0, 0]));
+        l.record(rec(20, 0, [0, 2, 0, 1, 5]));
         assert_eq!(l.passes_recorded(), 2);
         let r = l.recent();
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].at_ms, 10, "oldest first");
         assert_eq!(r[1].at_ms, 20);
-        assert_eq!(l.reject_totals(), [3, 3, 0, 1]);
+        assert_eq!(l.reject_totals(), [3, 3, 0, 1, 5]);
         assert_eq!(r[0].rejected_total(), 4);
     }
 
@@ -241,7 +246,7 @@ mod tests {
     fn ring_keeps_only_last_passes() {
         let l = MeshLedger::new();
         for i in 0..(LEDGER_PASSES as u64 + 9) {
-            l.record(rec(i, 1, [1, 0, 0, 0]));
+            l.record(rec(i, 1, [1, 0, 0, 0, 0]));
         }
         assert_eq!(l.passes_recorded(), LEDGER_PASSES as u64 + 9);
         let r = l.recent();
@@ -256,7 +261,7 @@ mod tests {
 
     #[test]
     fn json_names_every_reason() {
-        let j = rec(5, 1, [4, 3, 2, 1]).json();
+        let j = rec(5, 1, [4, 3, 2, 1, 5]).json();
         for r in ALL_REJECT_REASONS {
             assert!(j.contains(&format!("\"{}\":", r.name())), "{j}");
         }

@@ -30,9 +30,10 @@ pub struct ClassSpectrum {
     pub total_slots: u64,
     /// Upper-bound estimate of span *pairs* meshable right now: detached
     /// spans under the occupancy cutoff, greedily paired so each pair's
-    /// combined live count fits one span. Each pair would release one
-    /// span's pages. (A bound, not a promise — it ignores slot overlap,
-    /// which the paper shows is rare at low occupancy, §2.2.)
+    /// combined live count fits one span, and no more pairs than the
+    /// `max_span_count` alias cap lets the same spans form. Each pair would
+    /// release one span's pages. (A bound, not a promise — it ignores slot
+    /// overlap, which the paper shows is rare at low occupancy, §2.2.)
     pub est_meshable_pairs: u32,
     /// Whether this class participates in meshing at all (objects under
     /// one page, §4).
@@ -120,16 +121,17 @@ impl HeapSpectrum {
     }
 }
 
-/// Greedy pairing bound: given the live-object counts of the meshable
-/// candidates of one class (each < `slots`), the maximum number of pairs
-/// whose combined occupancy fits a single span. Sort ascending, then
-/// two-pointer: pair the emptiest with the fullest that still fits.
-pub(crate) fn estimate_meshable_pairs(candidates: &mut [u32], slots: u32) -> u32 {
+/// Greedy pairing bound: given one measure of the meshable candidates of
+/// one class — live objects, each < `cap` = the span's slots, or virtual
+/// spans, each < `cap` = the alias cap — the maximum number of pairs whose
+/// combined measure fits `cap`. Sort ascending, then two-pointer: pair the
+/// smallest with the largest that still fits.
+pub(crate) fn estimate_meshable_pairs(candidates: &mut [u32], cap: u32) -> u32 {
     candidates.sort_unstable();
     let mut pairs = 0;
     let (mut lo, mut hi) = (0usize, candidates.len());
     while lo + 1 < hi {
-        if candidates[lo] + candidates[hi - 1] <= slots {
+        if candidates[lo] + candidates[hi - 1] <= cap {
             pairs += 1;
             lo += 1;
             hi -= 1;
@@ -155,6 +157,10 @@ mod tests {
         assert_eq!(estimate_meshable_pairs(&mut c, 256), 0, "no partner");
         let mut empty: [u32; 0] = [];
         assert_eq!(estimate_meshable_pairs(&mut empty, 256), 0);
+        // Virtual spans against the alias cap: doubles pair at 4, not 3.
+        assert_eq!(estimate_meshable_pairs(&mut [2, 2, 2, 2], 3), 0);
+        assert_eq!(estimate_meshable_pairs(&mut [2, 2, 2, 2], 4), 2);
+        assert_eq!(estimate_meshable_pairs(&mut [3, 1, 2, 2], 4), 2);
     }
 
     #[test]

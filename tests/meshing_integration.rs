@@ -67,6 +67,90 @@ fn repeated_meshing_converges_and_preserves_data() {
     assert_eq!(mesh.stats().live_bytes, 0);
 }
 
+/// A scaled `frag_mesh` (see `mesh-bench`): fill with 256 B objects, free
+/// a random 88 %, and run three passes on a second thread, each beside a
+/// mutator churning a small window; then the same with 512 B objects on
+/// top of the survivors. Passes return what they free: the heap ends
+/// within a small factor of what is live with under `min_mesh_gain_bytes`
+/// left dirty, and passes over the quiet heap after that purge nothing.
+#[test]
+fn fragmented_phases_end_compact_and_quiet_passes_purge_nothing() {
+    const PHASE_BYTES: usize = 4 << 20;
+    const CHURN_WINDOW: usize = 256;
+    const CHURN_STEPS: usize = 2_000;
+    let mesh = heap(18);
+    let mut th = mesh.thread_heap();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut below = move |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    // (object, size, fill byte)
+    let mut survivors: Vec<(*mut u8, usize, u8)> = Vec::new();
+    let mut churn = vec![std::ptr::null_mut::<u8>(); CHURN_WINDOW];
+    for size in [256, 512] {
+        let objects: Vec<*mut u8> = (0..PHASE_BYTES / size)
+            .map(|i| {
+                let p = th.malloc(size);
+                assert!(!p.is_null());
+                unsafe { std::ptr::write_bytes(p, (i % 251) as u8, size) };
+                p
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..objects.len()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, below(i + 1));
+        }
+        let (freed, kept) = order.split_at(objects.len() * 88 / 100);
+        for &i in freed {
+            unsafe { th.free(objects[i]) };
+        }
+        survivors.extend(kept.iter().map(|&i| (objects[i], size, (i % 251) as u8)));
+        for _ in 0..3 {
+            std::thread::scope(|s| {
+                s.spawn(|| mesh.mesh_now());
+                for _ in 0..CHURN_STEPS {
+                    let slot = below(CHURN_WINDOW);
+                    unsafe { th.free(churn[slot]) };
+                    churn[slot] = th.malloc(size);
+                }
+            });
+        }
+    }
+
+    // Measured 1.59–1.63; 4.0, with 1.4 MiB dirty, when a pass purged only
+    // once per mesh period and a physical span took three aliases.
+    let live = mesh.stats().live_bytes;
+    let frag_ratio = mesh.heap_bytes() as f64 / live as f64;
+    assert!(
+        frag_ratio < 2.0,
+        "heap {} B for {live} B live",
+        mesh.heap_bytes()
+    );
+    let dirty_pages: usize = mesh.segment_stats().iter().map(|s| s.dirty_pages).sum();
+    assert!(
+        dirty_pages * mesh::core::PAGE_SIZE < 1 << 20,
+        "{dirty_pages} dirty pages after the last pass"
+    );
+    for &(p, size, fill) in &survivors {
+        let object = unsafe { std::slice::from_raw_parts(p, size) };
+        assert!(object.iter().all(|&b| b == fill), "a survivor changed");
+    }
+    let purges = mesh.stats().dirty_purges;
+    for _ in 0..100 {
+        mesh.mesh_now();
+    }
+    assert_eq!(mesh.stats().dirty_purges, purges, "a quiet pass purged");
+
+    for p in survivors.into_iter().map(|(p, ..)| p).chain(churn) {
+        unsafe { th.free(p) };
+    }
+    drop(th);
+    assert_eq!(mesh.stats().live_bytes, 0);
+}
+
 #[test]
 fn meshed_spans_report_multiple_aliases_and_die_cleanly() {
     let mesh = heap(11);
@@ -77,7 +161,7 @@ fn meshed_spans_report_multiple_aliases_and_die_cleanly() {
         snaps.iter().filter(|s| s.virtual_span_count > 1).collect();
     assert!(!meshed.is_empty(), "no spans were meshed");
     assert!(
-        meshed.iter().all(|s| s.virtual_span_count <= 3),
+        meshed.iter().all(|s| s.virtual_span_count <= 4),
         "alias limit violated"
     );
     // Free every survivor: all MiniHeaps must die, identity mappings
