@@ -388,7 +388,7 @@ impl Mesh {
     }
 
     /// The latest sensor snapshot, or `None` when sensing is off or no
-    /// poll has completed yet. Lock-free (seqlock read).
+    /// poll has completed yet. Lock-free.
     pub fn sense_latest(&self) -> Option<crate::telemetry::SenseSnapshot> {
         self.inner.state.sense.as_ref().and_then(|s| s.latest())
     }
@@ -628,7 +628,7 @@ impl MeshForkGuard<'_> {
             // file with (a copy of) the parent's data.
             mesh.inner.state.reports.clear();
             // Likewise the sense ring and meshing ledger: their history is
-            // the parent's.
+            // the parent's, and a parent thread may have been mid-push.
             if let Some(sense) = &mesh.inner.state.sense {
                 sense.wipe_for_child();
             }
@@ -1232,10 +1232,10 @@ mod tests {
 
     #[test]
     fn fork_prepare_quiesces_stats_registry() {
-        // Every lock kind of the heap — the thread registry and the
-        // ledger ring among them — is held while the guard lives: a child
-        // forked while some thread holds one must not inherit it held
-        // (its recovery wipes the registry's blocks and the ledger).
+        // Every lock kind of the heap — the thread registry among them —
+        // is held while the guard lives: a child forked while some thread
+        // holds one must not inherit it held (its recovery wipes the
+        // registry's blocks).
         let sock =
             std::env::temp_dir().join(format!("mesh-fork-kinds-{}.sock", std::process::id()));
         let m = Mesh::new(
@@ -1250,15 +1250,7 @@ mod tests {
         let guard = m.fork_prepare();
         assert_eq!(
             m.inner.state.held_lock_kinds(),
-            [
-                "classes",
-                "large",
-                "arena",
-                "threads",
-                "sense clock",
-                "ledger",
-                "ctl"
-            ],
+            ["classes", "large", "arena", "threads", "ctl"],
             "fork quiescence must hold every lock kind"
         );
         guard.release_parent();

@@ -58,7 +58,7 @@ use crate::telemetry::{
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Number of partial-occupancy bins per size class (§3.1: the global heap
 /// groups spans by decreasing occupancy, e.g. 75–99% in one bin, 50–74% in
@@ -254,8 +254,6 @@ pub(crate) struct AllShardGuards<'a> {
     _large: MutexGuard<'a, Slab>,
     _arena: MutexGuard<'a, Arena>,
     _threads: MutexGuard<'a, Vec<Arc<crate::stats::ThreadStats>>>,
-    _sense_clock: Option<MutexGuard<'a, Instant>>,
-    _ledger: MutexGuard<'a, crate::telemetry::LedgerRing>,
     _ctl: Option<MutexGuard<'a, crate::telemetry::CtlIo>>,
 }
 
@@ -1286,30 +1284,26 @@ impl GlobalHeap {
     /// 2. the large shard;
     /// 3. the arena;
     /// 4. the thread registry ([`Counters`]);
-    /// 5. the sense poll clock, when sensing is on;
-    /// 6. the meshing ledger's ring;
-    /// 7. the ctl socket's I/O lock, when there is a socket.
+    /// 5. the ctl socket's I/O lock, when there is a socket.
     ///
     /// Classes and large order before the arena, and a pass holds one
-    /// class at a time (DESIGN.md §2); 4–7 are leaves, never held while
-    /// another lock is taken, so their order among themselves only has to
-    /// be fixed here. Any in-flight refill, meshing pass (so every mesh
-    /// epoch is even), thread (un)registration, sense poll, ledger record
-    /// or ctl write completes before this returns, so a child forked at
-    /// any moment inherits consistent heap state and no lock its own
-    /// recovery takes. Frees hold no lock and are not waited for: a
-    /// thread between its clear and its count does not exist in the
-    /// child, and the span of one caught between the two steps of
-    /// [`SpanBits::list_unsettled`](crate::miniheap::SpanBits) stays
-    /// filed as it was in the child (one span's free slots, unused).
+    /// class at a time (DESIGN.md §2); 4 and 5 are leaves, never held
+    /// while another lock is taken, so their order only has to be fixed
+    /// here. Any in-flight refill, meshing pass (so every mesh epoch is
+    /// even), thread (un)registration or ctl write completes before this
+    /// returns, so a child forked at any moment inherits consistent heap
+    /// state and no lock its own recovery takes. Frees hold no lock and
+    /// are not waited for: a thread between its clear and its count does
+    /// not exist in the child, and the span of one caught between the two
+    /// steps of [`SpanBits::list_unsettled`](crate::miniheap::SpanBits)
+    /// stays filed as it was in the child (one span's free slots, unused).
+    /// Nor are telemetry ring writers: the child wipes every ring.
     pub(crate) fn lock_all(&self) -> AllShardGuards<'_> {
         AllShardGuards {
             _classes: SizeClass::all().map(|c| self.lock_class(c)).collect(),
             _large: self.large.lock(),
             _arena: self.lock_arena(),
             _threads: self.counters.lock_threads(),
-            _sense_clock: self.sense.as_ref().map(|s| s.lock_poll_clock()),
-            _ledger: self.ledger.lock_ring(),
             _ctl: self.ctl.as_ref().map(|c| c.lock_io()),
         }
     }
@@ -1327,11 +1321,6 @@ impl GlobalHeap {
             held(self.large.try_lock().is_none(), "large"),
             held(self.arena.try_lock().is_none(), "arena"),
             held(self.counters.threads_held(), "threads"),
-            held(
-                self.sense.as_ref().is_some_and(|s| s.poll_clock_held()),
-                "sense clock",
-            ),
-            held(self.ledger.ring_held(), "ledger"),
             held(self.ctl.as_ref().is_some_and(|c| c.io_held()), "ctl"),
         ]
         .into_iter()

@@ -8,13 +8,12 @@
 //! effectiveness data a compaction policy (the ROADMAP's memory
 //! autopilot) needs to decide whether meshing harder would help.
 //!
-//! The ring is guarded by a leaf mutex taken once per pass (passes are
-//! rate-limited to ~10 Hz, §4.5) and by readers on any thread; it is one
-//! of `GlobalHeap::lock_all`'s kinds, since a forked child wipes the
-//! ring. The per-reason totals are plain atomics so `prom_text` can
-//! export `mesh_pass_rejected_total{reason=...}` without the lock.
+//! Each pass is one 11-word record of a telemetry [`Ring`], pushed at the
+//! end of the pass and read by any thread without a lock. The
+//! per-reason totals are plain atomics so `prom_text` can export
+//! `mesh_pass_rejected_total{reason=...}` without walking the ring.
 
-use crate::sync::{Mutex, MutexGuard};
+use super::ring::Ring;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Mesh passes retained in the ring.
@@ -22,6 +21,9 @@ pub const LEDGER_PASSES: usize = 64;
 
 /// Number of distinct rejection reasons.
 pub const REJECT_REASONS: usize = 5;
+
+/// Words per encoded [`PassRecord`].
+const PASS_WORDS: usize = 11;
 
 /// Why a candidate pair (or candidate span) failed to mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +97,27 @@ impl PassRecord {
         self.rejected.iter().sum()
     }
 
+    /// The record as ring words: three counts, the rejects, three more.
+    fn to_words(self) -> [u64; PASS_WORDS] {
+        let mut w = [0; PASS_WORDS];
+        w[..3].copy_from_slice(&[self.at_ms, self.candidates, self.probes]);
+        w[3..8].copy_from_slice(&self.rejected);
+        w[8..].copy_from_slice(&[self.pairs_meshed, self.bytes_recovered, self.madvise_bytes]);
+        w
+    }
+
+    fn from_words(w: [u64; PASS_WORDS]) -> PassRecord {
+        PassRecord {
+            at_ms: w[0],
+            candidates: w[1],
+            probes: w[2],
+            rejected: std::array::from_fn(|i| w[3 + i]),
+            pairs_meshed: w[8],
+            bytes_recovered: w[9],
+            madvise_bytes: w[10],
+        }
+    }
+
     /// Renders the record as one JSON object (no trailing newline).
     pub(crate) fn json(&self) -> String {
         let mut reasons = String::new();
@@ -118,30 +141,18 @@ impl PassRecord {
     }
 }
 
-/// The retained records (behind [`MeshLedger`]'s lock).
-#[derive(Debug)]
-pub(crate) struct LedgerRing {
-    /// Ring storage; meaningful up to `min(total, LEDGER_PASSES)` records.
-    records: Box<[PassRecord; LEDGER_PASSES]>,
-    /// Passes ever recorded (the ring write cursor is `total % LEDGER_PASSES`).
-    total: u64,
-}
-
-/// The per-heap mesh-pass ledger (always on; one lock + a handful of
-/// atomic adds per pass).
+/// The per-heap mesh-pass ledger (always on; one ring push and a handful
+/// of atomic adds per pass).
 #[derive(Debug)]
 pub struct MeshLedger {
-    ring: Mutex<LedgerRing>,
+    ring: Ring<PASS_WORDS>,
     reject_totals: [AtomicU64; REJECT_REASONS],
 }
 
 impl MeshLedger {
     pub(crate) fn new() -> MeshLedger {
         MeshLedger {
-            ring: Mutex::new(LedgerRing {
-                records: Box::new([PassRecord::default(); LEDGER_PASSES]),
-                total: 0,
-            }),
+            ring: Ring::new(LEDGER_PASSES),
             reject_totals: Default::default(),
         }
     }
@@ -153,28 +164,18 @@ impl MeshLedger {
                 self.reject_totals[i].fetch_add(n, Ordering::Relaxed);
             }
         }
-        let mut ring = self.ring.lock();
-        let slot = (ring.total % LEDGER_PASSES as u64) as usize;
-        ring.records[slot] = rec;
-        ring.total += 1;
+        self.ring.push(rec.to_words());
     }
 
     /// Passes recorded since heap construction (monotone; the ring only
     /// retains the last [`LEDGER_PASSES`] of them).
     pub fn passes_recorded(&self) -> u64 {
-        self.ring.lock().total
+        self.ring.pushed()
     }
 
     /// The retained records, oldest first.
     pub fn recent(&self) -> Vec<PassRecord> {
-        let ring = self.ring.lock();
-        let kept = ring.total.min(LEDGER_PASSES as u64) as usize;
-        let mut out = Vec::with_capacity(kept);
-        for k in 0..kept {
-            let idx = (ring.total - kept as u64 + k as u64) % LEDGER_PASSES as u64;
-            out.push(ring.records[idx as usize]);
-        }
-        out
+        self.ring.records().map(PassRecord::from_words).collect()
     }
 
     /// Cumulative rejections by reason since heap construction (feeds
@@ -187,23 +188,10 @@ impl MeshLedger {
         out
     }
 
-    /// Holds the ring lock (fork quiescence: `release_child` takes it to
-    /// wipe the ring). A leaf lock.
-    pub(crate) fn lock_ring(&self) -> MutexGuard<'_, LedgerRing> {
-        self.ring.lock()
-    }
-
-    /// Whether the ring lock is held (test hook for fork quiescence).
-    #[cfg(test)]
-    pub(crate) fn ring_held(&self) -> bool {
-        self.ring.try_lock().is_none()
-    }
-
     /// Forgets everything: a forked child starts with an empty ledger
     /// (its parent's passes did not happen in this process).
     pub(crate) fn wipe_for_child(&self) {
-        let mut ring = self.ring.lock();
-        ring.total = 0;
+        self.ring.wipe();
         for t in &self.reject_totals {
             t.store(0, Ordering::Relaxed);
         }
@@ -237,7 +225,7 @@ mod tests {
         let r = l.recent();
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].at_ms, 10, "oldest first");
-        assert_eq!(r[1].at_ms, 20);
+        assert_eq!(r[1], rec(20, 0, [0, 2, 0, 1, 5]), "word codec is lossless");
         assert_eq!(l.reject_totals(), [3, 3, 0, 1, 5]);
         assert_eq!(r[0].rejected_total(), 4);
     }

@@ -1,28 +1,24 @@
-//! mesh-insight: the always-on telemetry & sampled heap-profiling
-//! subsystem.
+//! mesh-insight: the telemetry & sampled heap-profiling subsystem,
+//! layered over the allocator without touching its O(1) fast path:
 //!
-//! Three capabilities, layered over the allocator without touching its
-//! O(1) fast path when disabled:
+//! 1. **Latency histograms** ([`histogram`]) of every slow path, always on.
+//! 2. **Sampled allocation profiling** ([`sampler`], `MESH_PROF=1`):
+//!    tcmalloc-style geometric byte-sampling in each thread heap. Sampled
+//!    objects carry a frame-pointer call-site chain into a lock-free
+//!    fingerprint table ([`profile_table`]) and are tracked through
+//!    `free`, so the profile is a *live-heap* (leak) profile.
+//! 3. **Event tracing** ([`trace`], `MESH_TRACE=1`) of the same slow paths.
+//! 4. **Sensing** ([`sense`], [`residency`]): pressure, RSS and residency
+//!    snapshots; and the **ledger** ([`ledger`]) of every mesh pass.
+//! 5. **Occupancy spectra** ([`spectrum`]), one class lock at a time.
+//! 6. **Reports** ([`report`], [`exposition`]): every document above,
+//!    Prometheus text included, is a [`Report`] kind, with one renderer
+//!    and one writer behind `Mesh::report`, the C ABI symbols, SIGUSR2,
+//!    interval dumps, mesh-ctl ([`ctl`]) and exit.
 //!
-//! 1. **Sampled allocation profiling** ([`sampler`]) — tcmalloc-style
-//!    geometric byte-sampling hooked into each thread heap. Sampled
-//!    objects carry a best-effort frame-pointer call-site chain into a
-//!    lock-free fingerprint table ([`profile_table`]) and are tracked
-//!    through `free`, so the profile is a *live-heap* (leak) profile, not
-//!    just cumulative counts.
-//! 2. **Occupancy spectra** ([`spectrum`]) — per-class span-occupancy
-//!    histograms plus a meshability estimate, computed online one class
-//!    lock at a time.
-//! 3. **Exposition** ([`exposition`]) — Prometheus-style text and the
-//!    JSON heap-profile document. Like every other document the heap
-//!    renders, they are [`Report`] kinds: one renderer and one writer
-//!    ([`report`]) behind `Mesh::report`, the C ABI symbols, SIGUSR2,
-//!    interval dumps riding the background thread, mesh-ctl, and exit.
-//!
-//! Enable with `MESH_PROF=1` (or [`crate::MeshConfig::profiling`]); tune
-//! with `MESH_PROF_SAMPLE_BYTES`, `MESH_PROF_INTERVAL_MS`,
-//! `MESH_PROF_PATH`. See DESIGN.md "Telemetry & profiling" for the
-//! sampling math, the tables' lock-freedom argument, and the dump path's
+//! Trace events, sense snapshots and ledger passes share one lock-free
+//! history, a [`ring`] of fixed-size records. See DESIGN.md §4c–§4i for
+//! the sampling math, the lock-freedom arguments and the dump path's
 //! signal-safety.
 
 mod ctl;
@@ -33,6 +29,7 @@ mod pprof;
 mod profile_table;
 mod report;
 mod residency;
+mod ring;
 mod sampler;
 mod sense;
 mod spectrum;
@@ -55,7 +52,6 @@ pub use pprof::{parse_pprof, PprofParseError, PprofSummary};
 
 pub(crate) use ctl::{CtlIo, CtlState, CTL_PARK};
 pub(crate) use histogram::HistBlock;
-pub(crate) use ledger::LedgerRing;
 pub(crate) use report::Reports;
 pub(crate) use sense::read_pressure;
 pub(crate) use sampler::ThreadSampler;

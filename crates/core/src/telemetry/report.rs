@@ -314,16 +314,14 @@ impl GlobalHeap {
     /// Takes one mesh-sense poll: reads the pressure sources, decomposes
     /// residency from the segment snapshots, advances the bounded
     /// `mincore` sweep, and appends a snapshot to the ring. Takes the
-    /// arena leaf lock briefly (for the segment snapshots), then the
-    /// sense poll clock — the ring's single-writer guard — for the sweep
-    /// and push. Respects the canonical lock order (the clock comes after
-    /// the arena; neither is held across the other).
+    /// arena lock briefly (for the segment snapshots) and nothing else:
+    /// polls on several threads at once sweep different windows and push
+    /// their own snapshots.
     fn sense_poll(&self, sense: &SenseState) {
         let segs = self.segment_stats();
         let res = super::decompose(&segs);
         let p = super::read_pressure();
         let stats = self.counters.snapshot();
-        let _clock = sense.lock_poll_clock();
         let est_resident_bytes = sense.sweep(
             self.base_addr(),
             &segs,
@@ -438,7 +436,7 @@ impl GlobalHeap {
                 let _ = self.emit(kind, 2);
             }
         }
-        if let Some(sense) = self.sense.as_ref().filter(|s| s.take_poll_due()) {
+        if let Some(sense) = self.sense.as_ref().filter(|s| s.take_poll_due(now)) {
             self.sense_poll(sense);
         }
         self.ctl_tick();
@@ -454,7 +452,7 @@ impl GlobalHeap {
             park = park.min(d);
         }
         if let Some(s) = &self.sense {
-            park = park.min(s.time_until_poll());
+            park = park.min(s.time_until_poll(now));
         }
         // A live control socket needs polling-grade latency; a ctl that
         // failed to bind costs nothing.

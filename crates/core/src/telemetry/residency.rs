@@ -88,19 +88,19 @@ pub fn decompose(segs: &[SegmentStats]) -> ResidencyBreakdown {
 }
 
 /// Samples up to `budget` pages of the mapped segment ranges with
-/// `mincore(2)`, resuming from `cursor` (a position in the concatenated
-/// mapped-page sequence). Returns `(sampled, resident, next_cursor)`;
-/// ranges the kernel rejects (a race with retirement) are skipped and not
-/// counted as sampled.
+/// `mincore(2)`, starting at `cursor` (a position in the concatenated
+/// mapped-page sequence, taken modulo its length). Returns
+/// `(sampled, resident)`; ranges the kernel rejects (a race with
+/// retirement) are skipped and not counted as sampled.
 pub(crate) fn sample_residency(
     base: usize,
     segs: &[SegmentStats],
     cursor: usize,
     budget: usize,
-) -> (usize, usize, usize) {
+) -> (usize, usize) {
     let total: usize = segs.iter().map(|s| s.pages as usize).sum();
     if total == 0 || budget == 0 {
-        return (0, 0, 0);
+        return (0, 0);
     }
     let mut remaining = budget.min(total);
     let mut pos = cursor % total;
@@ -126,7 +126,7 @@ pub(crate) fn sample_residency(
             acc += len;
         }
     }
-    (sampled, resident, pos)
+    (sampled, resident)
 }
 
 #[cfg(test)]
@@ -194,21 +194,21 @@ mod tests {
             std::ptr::write_bytes(base as *mut u8, 1, 8 * PAGE_SIZE);
         }
         let segs = [seg(0, 0, 8, 0, 0, 0, 8)];
-        let (s1, r1, c1) = sample_residency(base, &segs, 0, 3);
+        let (s1, r1) = sample_residency(base, &segs, 0, 3);
         assert_eq!(s1, 3);
-        assert_eq!(c1, 3, "cursor advances by the budget");
         assert!(r1 <= 3);
-        let (s2, _, c2) = sample_residency(base, &segs, c1, 6);
-        assert_eq!(s2, 6, "wraps across the end of the sequence");
-        assert_eq!(c2, 1);
+        // Positions past the end wrap: 11 is page 3, and 3 + 6 crosses
+        // the end of the sequence.
+        assert_eq!(sample_residency(base, &segs, 11, 6).0, 6);
         // Budget larger than the heap samples each page exactly once.
-        let (s3, r3, c3) = sample_residency(base, &segs, c2, 100);
-        assert_eq!(s3, 8);
-        assert_eq!(c3, c2, "full wrap returns to the same position");
-        assert_eq!(r3, 8, "all touched pages resident");
+        assert_eq!(
+            sample_residency(base, &segs, 1, 100),
+            (8, 8),
+            "all touched pages resident"
+        );
         // Zero budget or empty heap: no work.
-        assert_eq!(sample_residency(base, &segs, 0, 0), (0, 0, 0));
-        assert_eq!(sample_residency(base, &[], 0, 10), (0, 0, 0));
+        assert_eq!(sample_residency(base, &segs, 0, 0), (0, 0));
+        assert_eq!(sample_residency(base, &[], 0, 10), (0, 0));
         unsafe { crate::sys::unmap(base as *mut u8, 8 * PAGE_SIZE) };
     }
 }

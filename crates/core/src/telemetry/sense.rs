@@ -12,26 +12,25 @@
 //!
 //! — combines them with the heap's own residency decomposition
 //! ([`super::residency`]) and throughput counters, and appends one
-//! [`SenseSnapshot`] to a lock-free ring of the last `MESH_SENSE_HISTORY`
-//! snapshots. Every source degrades gracefully: absent files (non-Linux
-//! test stubs, locked-down containers) simply leave their fields at the
-//! [`ABSENT`] sentinel and the poll carries on.
+//! [`SenseSnapshot`] to a telemetry [`Ring`] of the last
+//! `MESH_SENSE_HISTORY` snapshots. Every source degrades gracefully:
+//! absent files (non-Linux test stubs, locked-down containers) simply
+//! leave their fields at the [`ABSENT`] sentinel and the poll carries on.
 //!
-//! The ring is a per-slot seqlock over `AtomicU64` words: the single
-//! writer (the background thread, serialized by the poll clock) marks a
-//! slot odd, stores the words, and marks it even; readers retry on a seq
-//! mismatch. No `unsafe`, no locks on the read side — rendering a
-//! `sense` report can run concurrently with polling.
+//! A snapshot is one 17-word record of the ring. Polls take no lock: the
+//! background thread's and those of rendered `sense` reports may run at
+//! once, and a reader never sees a snapshot one of them is still writing.
 
+use super::ring::Ring;
 use crate::config::MeshConfig;
-use crate::sync::{Mutex, MutexGuard};
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use crate::stats::EpochClock;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Duration;
 
 /// Sentinel for "source absent / unlimited" in snapshot fields.
 pub const ABSENT: u64 = u64::MAX;
 
-/// Words per snapshot slot (one per [`SenseSnapshot`] field).
+/// Words per snapshot record (one per [`SenseSnapshot`] field).
 const SNAPSHOT_WORDS: usize = 17;
 
 /// One periodic sense snapshot. All fields are plain `u64`s so the ring
@@ -45,9 +44,12 @@ pub struct SenseSnapshot {
     /// Estimated resident bytes of the heap mapping, from the sampled
     /// `mincore` sweep (committed bytes when the sweep is disabled).
     pub est_resident_bytes: u64,
-    /// Bytes in pages handed out as spans.
+    /// Bytes in pages handed out as spans: the residency decomposition's
+    /// live category, not the object bytes of
+    /// [`HeapStats::live_bytes`](crate::HeapStats::live_bytes).
     pub live_bytes: u64,
-    /// Live object bytes as the allocator counts them (`heap_bytes`).
+    /// Committed heap bytes, [`HeapStats::heap_bytes`](crate::HeapStats::heap_bytes):
+    /// committed pages × page size.
     pub heap_bytes: u64,
     /// Mapped bytes across all segments.
     pub mapped_bytes: u64,
@@ -99,7 +101,7 @@ impl SenseSnapshot {
         ]
     }
 
-    fn from_words(w: &[u64; SNAPSHOT_WORDS]) -> SenseSnapshot {
+    fn from_words(w: [u64; SNAPSHOT_WORDS]) -> SenseSnapshot {
         SenseSnapshot {
             at_ms: w[0],
             rss_bytes: w[1],
@@ -156,49 +158,6 @@ impl SenseSnapshot {
             self.mesh_passes,
             self.pairs_meshed,
         )
-    }
-}
-
-/// One seqlock-protected ring slot: odd `seq` = mid-write.
-#[derive(Debug)]
-struct SnapshotSlot {
-    seq: AtomicU64,
-    words: [AtomicU64; SNAPSHOT_WORDS],
-}
-
-impl SnapshotSlot {
-    fn new() -> SnapshotSlot {
-        SnapshotSlot {
-            seq: AtomicU64::new(0),
-            words: Default::default(),
-        }
-    }
-
-    /// Single-writer store (the caller holds the poll clock).
-    fn store(&self, snap: &SenseSnapshot) {
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s + 1, Ordering::Relaxed);
-        // Any reader that observes the new words must also observe the
-        // odd seq that preceded them.
-        fence(Ordering::Release);
-        for (w, v) in self.words.iter().zip(snap.to_words()) {
-            w.store(v, Ordering::Relaxed);
-        }
-        self.seq.store(s + 2, Ordering::Release);
-    }
-
-    /// Lock-free read; `None` while a write is in flight.
-    fn load(&self) -> Option<SenseSnapshot> {
-        let s1 = self.seq.load(Ordering::Acquire);
-        if s1 & 1 == 1 {
-            return None;
-        }
-        let mut w = [0u64; SNAPSHOT_WORDS];
-        for (out, word) in w.iter_mut().zip(&self.words) {
-            *out = word.load(Ordering::Relaxed);
-        }
-        fence(Ordering::Acquire);
-        (self.seq.load(Ordering::Relaxed) == s1).then(|| SenseSnapshot::from_words(&w))
     }
 }
 
@@ -338,13 +297,13 @@ pub struct SenseState {
     /// thread re-reads it at every park computation.
     interval_ns: AtomicU64,
     mincore_pages: usize,
-    /// Poll clock; claimed by the background thread. Also serializes ring
-    /// writes. One of `GlobalHeap::lock_all`'s kinds.
-    last_poll: Mutex<Instant>,
-    slots: Vec<SnapshotSlot>,
-    /// Snapshots ever written (write cursor = `total % slots.len()`).
-    total: AtomicUsize,
-    /// Mapped-page-sequence position where the next sweep resumes.
+    /// When the background thread last polled; starts at the heap's
+    /// birth.
+    last_poll: EpochClock,
+    ring: Ring<SNAPSHOT_WORDS>,
+    /// Mapped-page-sequence position where the next sweep starts. Each
+    /// sweep claims its window with one `fetch_add`, so two concurrent
+    /// polls sample different pages.
     sweep_cursor: AtomicUsize,
     /// Smoothed resident fraction of the mapping, fixed-point /2^16;
     /// [`ABSENT`] until the first successful sweep.
@@ -359,9 +318,8 @@ impl SenseState {
         Some(SenseState {
             interval_ns: AtomicU64::new(interval.as_nanos() as u64),
             mincore_pages: config.sense_mincore_pages,
-            last_poll: Mutex::new(Instant::now()),
-            slots: (0..history).map(|_| SnapshotSlot::new()).collect(),
-            total: AtomicUsize::new(0),
+            last_poll: EpochClock::started_at(0),
+            ring: Ring::new(history),
             sweep_cursor: AtomicUsize::new(0),
             resident_ratio_fp: AtomicU64::new(ABSENT),
         })
@@ -382,7 +340,7 @@ impl SenseState {
 
     /// Ring capacity in snapshots.
     pub fn history(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Pages the `mincore` sweep may touch per poll (0 = sweep off).
@@ -390,66 +348,32 @@ impl SenseState {
         self.mincore_pages
     }
 
-    /// Whether a poll is due; claims the slot (the clock restarts).
-    pub(crate) fn take_poll_due(&self) -> bool {
-        let mut last = self.last_poll.lock();
-        if last.elapsed() >= self.interval() {
-            *last = Instant::now();
-            true
-        } else {
-            false
-        }
+    /// Whether a poll is due at `now_ns` on the heap's epoch; claims the
+    /// slot (the clock restarts).
+    pub(crate) fn take_poll_due(&self, now_ns: u64) -> bool {
+        self.last_poll.claim(now_ns, self.interval())
     }
 
-    /// Time until the poll clock next expires: the background thread's
-    /// park bound.
-    pub(crate) fn time_until_poll(&self) -> Duration {
-        self.interval().saturating_sub(self.last_poll.lock().elapsed())
+    /// Time from `now_ns` until the poll clock next expires: the
+    /// background thread's park bound.
+    pub(crate) fn time_until_poll(&self, now_ns: u64) -> Duration {
+        self.last_poll.remaining(now_ns, self.interval())
     }
 
-    /// Holds the poll-clock lock (fork quiescence). A leaf lock.
-    pub(crate) fn lock_poll_clock(&self) -> MutexGuard<'_, Instant> {
-        self.last_poll.lock()
-    }
-
-    /// Whether the poll clock is held (test hook for fork quiescence).
-    #[cfg(test)]
-    pub(crate) fn poll_clock_held(&self) -> bool {
-        self.last_poll.try_lock().is_none()
-    }
-
-    /// Appends one snapshot. Single writer: callers are serialized by the
-    /// poll clock (only the claiming thread pushes).
+    /// Appends one snapshot. Lock-free; any thread may push.
     pub(crate) fn push(&self, snap: &SenseSnapshot) {
-        let total = self.total.load(Ordering::Relaxed);
-        self.slots[total % self.slots.len()].store(snap);
-        self.total.store(total + 1, Ordering::Release);
+        self.ring.push(snap.to_words());
     }
 
-    /// Snapshots ever recorded (the ring retains the last `history()`).
-    pub fn snapshots_recorded(&self) -> usize {
-        self.total.load(Ordering::Acquire)
-    }
-
-    /// The retained snapshots, oldest first. Lock-free; a slot the writer
-    /// is mid-overwrite is skipped rather than torn.
+    /// The retained snapshots, oldest first. Lock-free; a snapshot still
+    /// being written is left out rather than torn.
     pub fn snapshots(&self) -> Vec<SenseSnapshot> {
-        let total = self.total.load(Ordering::Acquire);
-        let len = self.slots.len();
-        let kept = total.min(len);
-        let mut out = Vec::with_capacity(kept);
-        for k in 0..kept {
-            let idx = (total - kept + k) % len;
-            if let Some(s) = self.slots[idx].load() {
-                out.push(s);
-            }
-        }
-        out
+        self.ring.records().map(SenseSnapshot::from_words).collect()
     }
 
-    /// The most recent stable snapshot, if any.
+    /// The most recent complete snapshot, if any.
     pub fn latest(&self) -> Option<SenseSnapshot> {
-        self.snapshots().pop()
+        self.ring.records().last().map(SenseSnapshot::from_words)
     }
 
     /// Resumes the `mincore` sweep: samples up to the budget, folds the
@@ -465,10 +389,11 @@ impl SenseState {
         if self.mincore_pages == 0 {
             return committed_bytes;
         }
-        let cursor = self.sweep_cursor.load(Ordering::Relaxed);
-        let (sampled, resident, next) =
+        let cursor = self
+            .sweep_cursor
+            .fetch_add(self.mincore_pages, Ordering::Relaxed);
+        let (sampled, resident) =
             super::residency::sample_residency(base, segs, cursor, self.mincore_pages);
-        self.sweep_cursor.store(next, Ordering::Relaxed);
         if sampled == 0 {
             let prev = self.resident_ratio_fp.load(Ordering::Relaxed);
             if prev == ABSENT {
@@ -488,13 +413,9 @@ impl SenseState {
     /// Forgets all snapshots and sweep state: a forked child's history
     /// belongs to its parent.
     pub(crate) fn wipe_for_child(&self) {
-        self.total.store(0, Ordering::Relaxed);
+        self.ring.wipe();
         self.sweep_cursor.store(0, Ordering::Relaxed);
         self.resident_ratio_fp.store(ABSENT, Ordering::Relaxed);
-        for slot in &self.slots {
-            let s = slot.seq.load(Ordering::Relaxed);
-            slot.seq.store(s + 2, Ordering::Relaxed);
-        }
     }
 }
 
@@ -550,14 +471,18 @@ mod tests {
         for i in 0..6 {
             s.push(&snap(i));
         }
-        assert_eq!(s.snapshots_recorded(), 6);
+        assert_eq!(s.ring.pushed(), 6);
         let got = s.snapshots();
         assert_eq!(got.len(), 4, "ring keeps the last `history` snapshots");
         assert_eq!(got[0].at_ms, 2, "oldest retained");
         assert_eq!(got[3].at_ms, 5);
         assert_eq!(s.latest().unwrap().at_ms, 5);
         let w = snap(9).to_words();
-        assert_eq!(SenseSnapshot::from_words(&w), snap(9), "word codec is lossless");
+        assert_eq!(
+            SenseSnapshot::from_words(w),
+            snap(9),
+            "word codec is lossless"
+        );
         s.wipe_for_child();
         assert!(s.snapshots().is_empty());
     }
@@ -565,11 +490,12 @@ mod tests {
     #[test]
     fn poll_clock_claims_and_bounds() {
         let s = state(4);
-        assert!(!s.take_poll_due(), "fresh clock");
-        assert!(s.time_until_poll() <= Duration::from_millis(5));
-        std::thread::sleep(Duration::from_millis(7));
-        assert!(s.take_poll_due());
-        assert!(!s.take_poll_due(), "claiming restarts the clock");
+        let ms = 1_000_000;
+        assert!(!s.take_poll_due(2 * ms), "fresh clock");
+        assert_eq!(s.time_until_poll(2 * ms), Duration::from_millis(3));
+        assert!(s.take_poll_due(7 * ms));
+        assert!(!s.take_poll_due(7 * ms), "claiming restarts the clock");
+        assert_eq!(s.time_until_poll(7 * ms), Duration::from_millis(5));
     }
 
     #[test]

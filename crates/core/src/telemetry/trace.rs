@@ -4,7 +4,7 @@
 //!
 //! ## Event encoding
 //!
-//! One event is four `u64` words in a lock-free ring:
+//! One event is a four-word record of the telemetry [`Ring`]:
 //!
 //! | word | contents |
 //! |---|---|
@@ -13,32 +13,27 @@
 //! | 2 | duration, nanoseconds |
 //! | 3 | op-specific argument (size class, pages, batch length, …) |
 //!
-//! ## Ring discipline
+//! ## Rings
 //!
-//! Rings are fixed-capacity (power-of-two, `MESH_TRACE_BUF_EVENTS`) and
-//! **overwrite oldest**: writers claim slot `head.fetch_add(1) & mask`
-//! and store the four words relaxed. A full ring never blocks and never
-//! drops *new* events — recent history is what a trace is for. Each
-//! thread heap writes its own ring, the last part of its registered
-//! [`crate::stats::ThreadStats`] (no sharing); operations recorded under
-//! global locks (mesh phases, segment work) go to one shared ring where
-//! the `fetch_add` claim keeps writers off each other's slots. A thread
-//! heap that retires copies its ring into the shared one, tids kept, and
-//! the ring is freed. Dumps read racily by design: a slot being
-//! overwritten mid-read yields one inconsistent event (all fields still
-//! numbers, so the JSON stays well-formed), never a torn pointer.
+//! Rings hold `MESH_TRACE_BUF_EVENTS` events (rounded up to a power of
+//! two) and overwrite their oldest: recent history is what a trace is
+//! for, and a writer never blocks. Each thread heap writes its own ring,
+//! the last part of its registered [`crate::stats::ThreadStats`] (no
+//! sharing); operations recorded under global locks (mesh phases, segment
+//! work) go to one shared ring. A thread heap that retires copies its
+//! ring into the shared one, tids kept, and the ring is freed. A dump
+//! decodes only complete events: one being written as it is read is left
+//! out.
 //!
 //! Tracing off is one `Option` load on each slow-path record; the fast
 //! path is untouched either way.
 
 use super::histogram::TimedOp;
+use super::ring::Ring;
 use crate::config::MeshConfig;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
-
-/// `u64` words per trace event.
-const EVENT_WORDS: usize = 4;
 
 /// Process-wide trace-thread-id source. Ids are small integers assigned
 /// on a thread's first recorded event (assignment is one `fetch_add` —
@@ -77,69 +72,42 @@ pub struct TraceEvent {
     pub arg: u64,
 }
 
-/// One fixed-capacity, overwrite-oldest event ring.
+/// One event ring: a [`Ring`] of encoded events.
 #[derive(Debug)]
-pub(crate) struct TraceRing {
-    mask: usize,
-    /// Total events ever claimed (monotonic; slot = `head & mask`).
-    head: AtomicUsize,
-    slots: Box<[AtomicU64]>,
-}
+pub(crate) struct TraceRing(Ring<4>);
 
 impl TraceRing {
     fn new(capacity: usize) -> TraceRing {
-        let cap = capacity.next_power_of_two().max(64);
-        TraceRing {
-            mask: cap - 1,
-            head: AtomicUsize::new(0),
-            slots: (0..cap * EVENT_WORDS).map(|_| AtomicU64::new(0)).collect(),
-        }
+        TraceRing(Ring::new(capacity.next_power_of_two().max(64)))
     }
 
-    /// Event capacity (power of two).
-    fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-
-    /// Records one event. Lock-free: one `fetch_add` claim plus four
-    /// relaxed stores; a full ring overwrites its oldest event.
+    /// Records one event over the oldest. Lock-free. Out of line: a thread
+    /// heap's refill calls it, and inlined there it would grow
+    /// `ThreadHeapCore::malloc` for a path that only runs when tracing.
+    #[inline(never)]
     pub(crate) fn push(&self, op: TimedOp, tid: u32, start_ns: u64, dur_ns: u64, arg: u64) {
-        let slot = (self.head.fetch_add(1, Ordering::Relaxed) & self.mask) * EVENT_WORDS;
         let word0 = (op as u16 as u64) | ((tid as u64) << 16);
-        self.slots[slot].store(word0, Ordering::Relaxed);
-        self.slots[slot + 1].store(start_ns, Ordering::Relaxed);
-        self.slots[slot + 2].store(dur_ns, Ordering::Relaxed);
-        self.slots[slot + 3].store(arg, Ordering::Relaxed);
+        self.0.push([word0, start_ns, dur_ns, arg]);
     }
 
-    /// The readable window, oldest first. Reads race with writers by
-    /// design (see module docs).
+    /// The complete events, oldest first.
     fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
-        let head = self.head.load(Ordering::Relaxed);
-        let first = head.saturating_sub(self.capacity());
-        (first..head).filter_map(move |idx| {
-            let slot = (idx & self.mask) * EVENT_WORDS;
-            let word0 = self.slots[slot].load(Ordering::Relaxed);
-            // `None`: a torn or never-written slot.
-            Some(TraceEvent {
-                op: TimedOp::from_u16(word0 as u16)?,
-                tid: (word0 >> 16) as u32,
-                start_ns: self.slots[slot + 1].load(Ordering::Relaxed),
-                dur_ns: self.slots[slot + 2].load(Ordering::Relaxed),
-                arg: self.slots[slot + 3].load(Ordering::Relaxed),
+        self.0
+            .records()
+            .filter_map(|[word0, start_ns, dur_ns, arg]| {
+                Some(TraceEvent {
+                    op: TimedOp::from_u16(word0 as u16)?,
+                    tid: (word0 >> 16) as u32,
+                    start_ns,
+                    dur_ns,
+                    arg,
+                })
             })
-        })
     }
 
-    /// Empties the ring (fork child; single-threaded there, and stale
-    /// slot contents are unreachable once `head` is 0).
+    /// Empties the ring (fork child).
     pub(crate) fn wipe(&self) {
-        self.head.store(0, Ordering::Relaxed);
-        // Invalidate word 0 of every slot so a later partial lap cannot
-        // resurrect pre-wipe events through a decodable op field.
-        for slot in 0..=self.mask {
-            self.slots[slot * EVENT_WORDS].store(u64::MAX, Ordering::Relaxed);
-        }
+        self.0.wipe();
     }
 }
 

@@ -21,6 +21,11 @@
 //! is the restore they were waiting for, so both processes go on to
 //! allocate over those spans, each in its own file.
 //!
+//! A fourth is taken while one thread records ledger passes and another
+//! sense snapshots. Their rings take no lock, so the fork does not wait
+//! for them: the child must still render both reports promptly, with an
+//! empty ledger.
+//!
 //! Own test binary: forking a multi-threaded cargo-test harness is only
 //! safe when this file's single test is all that runs in the process.
 
@@ -191,6 +196,90 @@ fn fork_preserves_parent_and_child_heaps() {
 
     pending_profile_request_stays_with_the_parent();
     parked_aliases_are_clean_spans_in_the_child();
+    fork_while_recording();
+}
+
+/// Waits for `pid` up to `limit`, killing it past that. Returns its raw
+/// wait status, or `None` when it had to be killed.
+fn wait_with_timeout(pid: i32, limit: std::time::Duration) -> Option<i32> {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const WNOHANG: i32 = 1;
+    const SIGKILL: i32 = 9;
+    let deadline = std::time::Instant::now() + limit;
+    let mut status: i32 = -1;
+    loop {
+        match unsafe { ffi::waitpid(pid, &mut status, WNOHANG) } {
+            0 if std::time::Instant::now() < deadline => {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            0 => {
+                unsafe {
+                    kill(pid, SIGKILL);
+                    ffi::waitpid(pid, &mut status, 0);
+                }
+                return None;
+            }
+            waited => {
+                assert_eq!(waited, pid, "waitpid failed");
+                return Some(status);
+            }
+        }
+    }
+}
+
+fn fork_while_recording() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    let mesh = Mesh::new(MeshConfig::default().seed(37).arena_bytes(64 << 20)).unwrap();
+    assert!(mesh.is_sensing());
+    let stop = AtomicBool::new(false);
+    let (passes, polls) = (AtomicU64::new(0), AtomicU64::new(0));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                mesh.mesh_now();
+                passes.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                report_text(&mesh, Report::Sense).expect("sensing on");
+                polls.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        // Both recorders are past their first push and still looping.
+        while passes.load(Ordering::Relaxed) == 0 || polls.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+
+        let guard = mesh.fork_prepare();
+        let pid = unsafe { ffi::fork() };
+        assert!(pid >= 0, "fork failed");
+        if pid == 0 {
+            guard.release_child();
+            let ledger = report_text(&mesh, Report::Ledger).unwrap_or_default();
+            let sense = report_text(&mesh, Report::Sense).unwrap_or_default();
+            let ok = ledger.contains("\"passes_recorded\":0,")
+                && ledger.contains("\"passes\":[]")
+                && mesh.ledger_recent().is_empty()
+                && sense.starts_with("{\"mesh_sense_version\":1,")
+                && mesh.sense_latest().is_some();
+            unsafe { ffi::_exit(if ok { 0 } else { 1 }) };
+        }
+        guard.release_parent();
+        let status = wait_with_timeout(pid, std::time::Duration::from_secs(30));
+        stop.store(true, Ordering::Relaxed);
+        let status = status.expect("the child hung rendering its ledger or sense report");
+        assert!(
+            status & 0x7F == 0 && (status >> 8) & 0xFF == 0,
+            "the child's ledger or sense report was wrong: raw status {status:#x}"
+        );
+    });
+    assert!(
+        mesh.ledger_recent().len() > 1,
+        "the parent's ledger survives"
+    );
 }
 
 /// Fills fresh 64-byte objects with their own index until `count` are
