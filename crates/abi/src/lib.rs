@@ -29,15 +29,15 @@
 //!
 //! 1. **Bootstrap**: allocations arrive before a heap can exist (dlsym's
 //!    own `calloc` while we resolve glibc's allocator). A static bump
-//!    arena ([`bootstrap`]) serves them; `free` recognizes its range
+//!    arena (`bootstrap`) serves them; `free` recognizes its range
 //!    forever after.
 //! 2. **Re-entrancy**: Mesh's metadata must not allocate from Mesh while
 //!    shard locks are held. Every call into Mesh runs under
 //!    [`mesh_core::with_internal_alloc`]; any allocation arriving with
-//!    the flag set is routed to the *real* allocator ([`real`]).
+//!    the flag set is routed to the *real* allocator (`real`).
 //! 3. **Thread lifecycle**: each pthread gets a lock-free §4.3 thread
 //!    heap, returned to the global heap by a pthread TSD destructor —
-//!    deterministic for C and Rust threads alike ([`runtime`]).
+//!    deterministic for C and Rust threads alike (`runtime`).
 //! 4. **Fork safety**: the arena is `MAP_SHARED` memory files, which fork
 //!    does *not* copy-on-write. `pthread_atfork` handlers quiesce every
 //!    lock, then the child re-backs each segment with a private copy

@@ -42,7 +42,7 @@
 //! hard cap itself has no room left.
 //!
 //! The page→MiniHeap table used for constant-time pointer lookup on free
-//! (§4.4.4) lives in [`crate::page_map`] — it is lock-free and shared by
+//! (§4.4.4) lives in `crate::page_map` — it is lock-free and shared by
 //! every shard, while the arena (including the segment table) sits behind
 //! the sharded heap's leaf lock (see DESIGN.md). The arena keeps the
 //! committed-page accounting that serves as the physical-footprint metric.

@@ -1554,10 +1554,7 @@ impl GlobalHeap {
                     let bin = bin_for_occupancy(in_use, slots).min(FULL_BIN);
                     let bin = if in_use == 0 { PARTIAL_BINS - 1 } else { bin as usize };
                     cs.bins[bin] += 1;
-                    if cs.meshable
-                        && mh.span_count() < max_spans
-                        && (in_use as f64 / slots as f64) <= cutoff
-                    {
+                    if cs.meshable && crate::meshing::is_candidate(mh, cutoff, max_spans) {
                         in_use_of.push(in_use as u32);
                         spans_of.push(mh.span_count() as u32);
                     }

@@ -58,17 +58,15 @@ pub const ALL_HARDEN_KINDS: [HardenKind; HARDEN_KINDS] = [
     HardenKind::Canary,
 ];
 
+/// Every kind's name, in counter-index order.
+pub(crate) const HARDEN_NAMES: [&str; HARDEN_KINDS] =
+    ["double_free", "invalid_free", "poison", "guard", "canary"];
+
 impl HardenKind {
     /// Stable snake_case name, used as the Prometheus `kind` label, the
     /// `render()` key suffix, and the abort diagnostic.
     pub fn name(self) -> &'static str {
-        match self {
-            HardenKind::DoubleFree => "double_free",
-            HardenKind::InvalidFree => "invalid_free",
-            HardenKind::Poison => "poison",
-            HardenKind::Guard => "guard",
-            HardenKind::Canary => "canary",
-        }
+        HARDEN_NAMES[self as usize]
     }
 }
 

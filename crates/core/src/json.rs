@@ -1,7 +1,7 @@
 //! The repo's one JSON reader (no serde in the offline build): enough
 //! of RFC 8259 for the documents Mesh itself writes — report envelopes,
-//! `mesh-top --json` frames, bench baselines. Reader only; writers stay
-//! `format!` at the site that owns each schema.
+//! `mesh-top --json` frames, bench baselines. Reader only; the documents
+//! are written from the field tables of `telemetry::fields`.
 //!
 //! Malformed input is an `Err`, never a panic: `mesh-top` feeds this
 //! bytes that arrived over a socket.

@@ -13,7 +13,7 @@
 //! so a pair found disjoint stays disjoint.
 //!
 //! Meshing is the two-step §4.5 process, done a **batch** of pairs at a
-//! time ([`MESH_BATCH`], sorted by source address) so that the
+//! time (`MESH_BATCH`, sorted by source address) so that the
 //! virtual-memory calls come in runs and not per span. One raise of the
 //! §4.5.2 barrier and one odd interval of the class's mesh epoch cover a
 //! batch: the sources' virtual spans are write-protected, one `mprotect`
@@ -33,7 +33,7 @@
 //! `MADV_DONTNEED` fallback releases *before* them, which is safe because
 //! it preserves file contents. The longest a writer can spin in the
 //! barrier's fault handler, or a free wait for an even epoch, is therefore
-//! one batch: at most [`MESH_BATCH`] copies and remaps, a bound that does
+//! one batch: at most `MESH_BATCH` copies and remaps, a bound that does
 //! not grow with the heap (Compact-fit's bounded step, PAPERS.md).
 //!
 //! The kernel can refuse any of these calls — `ENOMEM` once the mappings
@@ -175,8 +175,7 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap) -> MeshSummary {
 }
 
 /// Collects the detached MiniHeaps of `class` that are eligible for
-/// meshing: partially occupied, below the occupancy cutoff, and with room
-/// left in their virtual-span list. The partial bins say where to look;
+/// meshing ([`is_candidate`]). The partial bins say where to look;
 /// occupancy is read from the bitmaps, which frees clear without the lock
 /// and without moving a span between partial bins — so each span seen is
 /// also refiled under the bin it belongs in, or destroyed if nothing in
@@ -191,16 +190,23 @@ fn collect_candidates(heap: &GlobalHeap, st: &mut ClassState) -> Vec<MiniHeapId>
         // Destroyed just now if nothing in it was live.
         let Some(mh) = st.slab.get(id) else { continue };
         debug_assert!(!mh.is_attached());
-        let (in_use, count) = (mh.in_use(), mh.object_count());
-        if in_use > 0
-            && in_use < count
-            && in_use as f64 / count as f64 <= cutoff
-            && mh.span_count() < max_spans
-        {
+        if is_candidate(mh, cutoff, max_spans) {
             out.push(id);
         }
     }
     out
+}
+
+/// Whether a detached span may join a pass: partially occupied (an empty
+/// span is destroyed, not meshed, and a full one has no slot to take
+/// another's objects), no fuller than `cutoff`, and with room left in its
+/// virtual-span list. Passes and the spectrum's estimate both ask this.
+pub(crate) fn is_candidate(mh: &MiniHeap, cutoff: f64, max_spans: usize) -> bool {
+    let (in_use, count) = (mh.in_use(), mh.object_count());
+    in_use > 0
+        && in_use < count
+        && in_use as f64 / count as f64 <= cutoff
+        && mh.span_count() < max_spans
 }
 
 /// The probe loop of Figure 2 over a split already made: `left[j]` is

@@ -13,7 +13,7 @@
 //!
 //! A slab keeps two stores. The MiniHeaps themselves sit in a `Vec` only
 //! the holder of the slab's lock touches. Their bitmaps sit in a
-//! [`BitmapTable`]: chunks that are allocated once and never move, so a
+//! `BitmapTable`: chunks that are allocated once and never move, so a
 //! non-local free can go from a page-map entry's id to the bitmap and
 //! clear its bit without the lock (§4.4.4; DESIGN.md §3).
 

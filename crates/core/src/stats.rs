@@ -16,9 +16,10 @@
 //!
 //! [`HeapStats`] is a coherent snapshot taken on demand.
 
-use crate::harden::{ALL_HARDEN_KINDS, HARDEN_KINDS};
+use crate::harden::{HARDEN_KINDS, HARDEN_NAMES};
 use crate::size_classes::NUM_SIZE_CLASSES;
 use crate::sync::{Mutex, MutexGuard};
+use crate::telemetry::fields::{self, counter, gauge, num, row, Field, Value::Named};
 use crate::telemetry::{
     chrome_json, HeapSpectrum, HistBlock, LatencySnapshot, TimedOp, TraceRing, TraceSet,
     ALL_TIMED_OPS,
@@ -670,7 +671,8 @@ impl HeapStats {
     /// fired follow as one `mesh-latency:` line each (count/p50/p99/max);
     /// a bare snapshot stays a single line.
     pub fn render(&self) -> String {
-        let mut line = self.render_counters();
+        let mut line = String::from("mesh:");
+        fields::kv_line(&mut line, HEAP_FIELDS.iter().chain(&HARDEN_FIELDS), self);
         if !self.spectrum.is_empty() {
             line.push_str(&format!(
                 " est_releasable_bytes={} spectrum={}",
@@ -693,46 +695,69 @@ impl HeapStats {
         }
         line
     }
-
-    fn render_counters(&self) -> String {
-        let mut line = format!(
-            "mesh: mallocs={} frees={} live_bytes={} heap_bytes={} peak_heap_bytes={} \
-             mapped_bytes={} large_allocs={} remote_frees={} invalid_frees={} double_frees={} \
-             reallocs_in_place={} mesh_passes={} pairs_meshed={} mesh_pages_released={} \
-             pages_purged={} segments={} segments_created={} segments_retired={} forks={} \
-             transfer_hits={} transfer_misses={} transfer_spills={} remote_free_batches={} \
-             uptime_ms={}",
-            self.mallocs,
-            self.frees,
-            self.live_bytes,
-            self.heap_bytes(),
-            self.peak_heap_bytes(),
-            self.mapped_bytes(),
-            self.large_allocs,
-            self.remote_frees,
-            self.invalid_frees,
-            self.double_frees,
-            self.reallocs_in_place,
-            self.mesh_passes,
-            self.spans_meshed,
-            self.mesh_pages_released,
-            self.pages_purged,
-            self.segment_count,
-            self.segments_created,
-            self.segments_retired,
-            self.forks,
-            self.transfer_hits,
-            self.transfer_misses,
-            self.transfer_spills,
-            self.remote_free_batches,
-            self.uptime_ms,
-        );
-        for (i, kind) in ALL_HARDEN_KINDS.iter().enumerate() {
-            line.push_str(&format!(" harden_{}={}", kind.name(), self.harden_violations[i]));
-        }
-        line
-    }
 }
+
+/// The `mesh:` line keys and Prometheus series of [`HeapStats`], in the
+/// exposition's order (counters, then gauges); `line` is the place on the
+/// `mesh:` line.
+#[rustfmt::skip]
+pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 30] = [
+    num!(mallocs, line: 1, prom: counter("mesh_mallocs_total", "Successful allocations.")),
+    num!(frees, line: 2, prom: counter("mesh_frees_total", "Frees, all paths.")),
+    num!(remote_frees, line: 8, prom: counter("mesh_remote_frees_total", "Frees routed through the global heap.")),
+    num!(invalid_frees, line: 9,
+         prom: counter("mesh_invalid_frees_total", "Frees of pointers the heap does not own (discarded).")),
+    num!(double_frees, line: 10,
+         prom: counter("mesh_double_frees_total", "Frees of already-free objects (discarded).")),
+    num!(large_allocs, line: 7, prom: counter("mesh_large_allocs_total", "Allocations above the largest size class.")),
+    num!(mesh_passes, line: 12, prom: counter("mesh_mesh_passes_total", "Completed meshing passes.")),
+    num!(pairs_meshed = spans_meshed, line: 13, prom: counter("mesh_spans_meshed_total", "Span pairs merged by meshing.")),
+    num!(mesh_pages_released, line: 14,
+         prom: counter("mesh_mesh_pages_released_total", "Physical pages released by meshing.")),
+    num!(mesh_bytes_copied, prom: counter("mesh_mesh_bytes_copied_total", "Object bytes copied while meshing.")),
+    num!(dirty_purges, prom: counter("mesh_dirty_purges_total", "Dirty-page purge events.")),
+    num!(pages_purged, line: 15, prom: counter("mesh_pages_purged_total", "Pages released by dirty purges.")),
+    num!(refills, prom: counter("mesh_refills_total", "Shuffle-vector refills (one class-lock acquisition each).")),
+    num!(remote_free_queued,
+         prom: counter("mesh_remote_free_queued_total", "Retired, always 0: non-local frees are not queued.")),
+    num!(remote_free_drained,
+         prom: counter("mesh_remote_free_drained_total", "Retired, always 0: non-local frees are not queued.")),
+    num!(reallocs_in_place, line: 11,
+         prom: counter("mesh_reallocs_in_place_total", "realloc calls satisfied without moving the allocation.")),
+    num!(forks, line: 19, prom: counter("mesh_forks_total", "Heap privatizations in forked children.")),
+    num!(transfer_hits, line: 20,
+         prom: counter("mesh_transfer_hits_total", "Retired, always 0: there is no transfer cache.")),
+    num!(transfer_misses, line: 21,
+         prom: counter("mesh_transfer_misses_total", "Retired, always 0: there is no transfer cache.")),
+    num!(transfer_spills, line: 22,
+         prom: counter("mesh_transfer_spills_total", "Retired, always 0: there is no transfer cache.")),
+    num!(remote_free_batches, line: 23,
+         prom: counter("mesh_remote_free_batches_total", "Retired, always 0: non-local frees are not queued.")),
+    num!(segments_created, line: 17,
+         prom: counter("mesh_segments_created_total", "Segments mapped over the heap's lifetime.")),
+    num!(segments_retired, line: 18,
+         prom: counter("mesh_segments_retired_total", "Segments unmapped after all their pages went clean.")),
+    num!(live_bytes, line: 3, prom: gauge("mesh_live_bytes", "Live application bytes (allocated minus freed).")),
+    num!(heap_bytes(), line: 4,
+         prom: gauge("mesh_heap_bytes", "Committed pages in bytes - the physical heap footprint.")),
+    num!(peak_heap_bytes(), line: 5, prom: gauge("mesh_heap_peak_bytes", "Peak committed bytes over the heap's lifetime.")),
+    // Renamed series kept one release for dashboards still scraping it.
+    num!(peak_heap_bytes(), prom: gauge("mesh_heap_bytes_peak", "Deprecated alias of mesh_heap_peak_bytes.").eol(
+        "# EOL mesh_heap_bytes_peak is a deprecated alias of mesh_heap_peak_bytes, removal no earlier than 2026-12-01\n")),
+    num!(mapped_bytes(), line: 6,
+         prom: gauge("mesh_mapped_bytes", "Bytes mapped to segment files - the virtual footprint.")),
+    num!(segments = segment_count, line: 16, prom: gauge("mesh_segments", "Segments currently mapped.")),
+    num!(uptime_ms, line: 24, prom: gauge("mesh_uptime_seconds", "Seconds since heap initialization.").ms_as_seconds()),
+];
+
+/// Hardened-mode violations by kind: last on the `mesh:` line, and
+/// exported after the latency, spectrum and reject families. Every kind
+/// is shown, zeros included and with `MESH_HARDEN` off, so alerting rules
+/// can be written once.
+#[rustfmt::skip]
+pub(crate) static HARDEN_FIELDS: [Field<HeapStats>; 1] = [row!(
+    key: "harden", line: 25, get: |s| Named(&HARDEN_NAMES, &s.harden_violations),
+    prom: counter("mesh_harden_violations_total", "Hardened-mode memory-safety violations by kind.").by("kind"))];
 
 /// A point-in-time snapshot of one MiniHeap's allocation state, exposed
 /// for experiments and diagnostics (e.g. cross-validating the §5 theory

@@ -2,27 +2,15 @@
 //!
 //! Both formats are assembled as plain strings (no serde in the offline
 //! build) from data the caller already snapshotted — nothing here takes a
-//! heap lock.
+//! heap lock. Records are written from their field tables (`fields`); by
+//! hand only the per-op and per-class families, whose labels are not fields.
 //!
 //! ## Profile dump schema (version 1)
 //!
-//! ```json
-//! {
-//!   "mesh_profile_version": 1,
-//!   "uptime_ms": 1234,
-//!   "sample_bytes": 524288,
-//!   "samples": 123, "samples_dropped": 0, "sampled_frees": 100,
-//!   "sites": 7, "live_samples": 23,
-//!   "live_bytes_exact": 1048576,
-//!   "live_bytes_estimate": 1012345,
-//!   "entries": [
-//!     {"site": 17, "frames": ["0x55d0c0ffee00", "…"],
-//!      "live_bytes": 900000, "live_samples": 20,
-//!      "alloc_bytes": 5000000, "alloc_samples": 110,
-//!      "freed_bytes": 4100000, "free_samples": 90}
-//!   ]
-//! }
-//! ```
+//! `{"mesh_profile_version":1,"uptime_ms":…,` the `PROFILE_FIELDS`
+//! members, then `"entries":[…]`, one object of `SITE_FIELDS` members per
+//! call site. `golden/profile.json` is an example the tests pin byte for
+//! byte.
 //!
 //! `entries` is sorted by `live_bytes` descending — entry 0 is the top
 //! leak suspect. `frames` are raw return addresses (innermost first),
@@ -32,11 +20,13 @@
 //! math in DESIGN.md); `live_bytes_exact` is the allocator's exact
 //! counter for cross-checking the estimator.
 
+use super::fields::{self, header, metric, seconds};
 use super::{ProfileStats, SiteSnapshot};
-use crate::harden::ALL_HARDEN_KINDS;
-use crate::stats::HeapStats;
+use crate::stats::{HeapStats, HARDEN_FIELDS, HEAP_FIELDS};
 use crate::telemetry::histogram::{bucket_upper_ns, LatencySnapshot, ALL_TIMED_OPS, LATENCY_BUCKETS};
-use crate::telemetry::{HeapSpectrum, SenseSnapshot, ABSENT, ALL_REJECT_REASONS, REJECT_REASONS};
+use crate::telemetry::{HeapSpectrum, SenseSnapshot, REJECT_REASONS, SPECTRUM_BINS};
+#[cfg(test)]
+use crate::telemetry::ABSENT;
 
 /// Renders the version-1 JSON heap profile.
 pub(crate) fn profile_json(
@@ -45,56 +35,11 @@ pub(crate) fn profile_json(
     live_bytes_exact: usize,
     uptime_ms: u64,
 ) -> String {
-    let mut out = String::with_capacity(256 + entries.len() * 160);
-    out.push_str(&format!(
-        "{{\"mesh_profile_version\":1,\"uptime_ms\":{uptime_ms},\"sample_bytes\":{},\
-         \"samples\":{},\"samples_dropped\":{},\"sampled_frees\":{},\
-         \"sites\":{},\"live_samples\":{},\
-         \"live_bytes_exact\":{},\"live_bytes_estimate\":{},\"entries\":[",
-        prof.sample_bytes,
-        prof.samples,
-        prof.samples_dropped,
-        prof.sampled_frees,
-        prof.sites,
-        prof.live_samples,
-        live_bytes_exact,
-        prof.live_bytes_estimate,
-    ));
-    for (i, e) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let frames: Vec<String> = e.frames.iter().map(|f| format!("\"{f:#x}\"")).collect();
-        out.push_str(&format!(
-            "{{\"site\":{},\"frames\":[{}],\
-             \"live_bytes\":{},\"live_samples\":{},\
-             \"alloc_bytes\":{},\"alloc_samples\":{},\
-             \"freed_bytes\":{},\"free_samples\":{}}}",
-            e.site,
-            frames.join(","),
-            e.live_bytes(),
-            e.live_samples(),
-            e.alloc_bytes,
-            e.alloc_samples,
-            e.freed_bytes,
-            e.free_samples,
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Appends one Prometheus metric with `# HELP` and `# TYPE` headers.
-fn metric(out: &mut String, name: &str, kind: &str, help: &str, value: impl std::fmt::Display) {
-    out.push_str(&format!(
-        "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
-    ));
-}
-
-/// Formats nanoseconds as a Prometheus seconds value (plain decimal;
-/// Rust's `f64` `Display` never uses exponent notation).
-fn seconds(ns: u64) -> String {
-    format!("{}", ns as f64 / 1e9)
+    format!(
+        "{{\"mesh_profile_version\":1,\"uptime_ms\":{uptime_ms},{},\"entries\":{}}}",
+        fields::members(&super::PROFILE_FIELDS, &(*prof, live_bytes_exact)),
+        fields::array(entries.iter().map(|e| fields::object(&super::profile_table::SITE_FIELDS, e))),
+    )
 }
 
 /// Renders the heap's state as Prometheus text-format metrics: the
@@ -109,311 +54,18 @@ pub(crate) fn prom_text(
     rejects: &[u64; REJECT_REASONS],
 ) -> String {
     let mut out = String::with_capacity(8192);
-    let counters: &[(&str, &str, u64)] = &[
-        ("mesh_mallocs_total", "Successful allocations.", stats.mallocs),
-        ("mesh_frees_total", "Frees, all paths.", stats.frees),
-        (
-            "mesh_remote_frees_total",
-            "Frees routed through the global heap.",
-            stats.remote_frees,
-        ),
-        (
-            "mesh_invalid_frees_total",
-            "Frees of pointers the heap does not own (discarded).",
-            stats.invalid_frees,
-        ),
-        (
-            "mesh_double_frees_total",
-            "Frees of already-free objects (discarded).",
-            stats.double_frees,
-        ),
-        (
-            "mesh_large_allocs_total",
-            "Allocations above the largest size class.",
-            stats.large_allocs,
-        ),
-        ("mesh_mesh_passes_total", "Completed meshing passes.", stats.mesh_passes),
-        ("mesh_spans_meshed_total", "Span pairs merged by meshing.", stats.spans_meshed),
-        (
-            "mesh_mesh_pages_released_total",
-            "Physical pages released by meshing.",
-            stats.mesh_pages_released,
-        ),
-        (
-            "mesh_mesh_bytes_copied_total",
-            "Object bytes copied while meshing.",
-            stats.mesh_bytes_copied,
-        ),
-        (
-            "mesh_dirty_purges_total",
-            "Dirty-page purge events.",
-            stats.dirty_purges,
-        ),
-        (
-            "mesh_pages_purged_total",
-            "Pages released by dirty purges.",
-            stats.pages_purged,
-        ),
-        (
-            "mesh_refills_total",
-            "Shuffle-vector refills (one class-lock acquisition each).",
-            stats.refills,
-        ),
-        (
-            "mesh_remote_free_queued_total",
-            "Retired, always 0: non-local frees are not queued.",
-            stats.remote_free_queued,
-        ),
-        (
-            "mesh_remote_free_drained_total",
-            "Retired, always 0: non-local frees are not queued.",
-            stats.remote_free_drained,
-        ),
-        (
-            "mesh_reallocs_in_place_total",
-            "realloc calls satisfied without moving the allocation.",
-            stats.reallocs_in_place,
-        ),
-        ("mesh_forks_total", "Heap privatizations in forked children.", stats.forks),
-        (
-            "mesh_transfer_hits_total",
-            "Retired, always 0: there is no transfer cache.",
-            stats.transfer_hits,
-        ),
-        (
-            "mesh_transfer_misses_total",
-            "Retired, always 0: there is no transfer cache.",
-            stats.transfer_misses,
-        ),
-        (
-            "mesh_transfer_spills_total",
-            "Retired, always 0: there is no transfer cache.",
-            stats.transfer_spills,
-        ),
-        (
-            "mesh_remote_free_batches_total",
-            "Retired, always 0: non-local frees are not queued.",
-            stats.remote_free_batches,
-        ),
-        (
-            "mesh_segments_created_total",
-            "Segments mapped over the heap's lifetime.",
-            stats.segments_created,
-        ),
-        (
-            "mesh_segments_retired_total",
-            "Segments unmapped after all their pages went clean.",
-            stats.segments_retired,
-        ),
-    ];
-    for &(name, help, value) in counters {
-        metric(&mut out, name, "counter", help, value);
-    }
-    metric(
-        &mut out,
-        "mesh_live_bytes",
-        "gauge",
-        "Live application bytes (allocated minus freed).",
-        stats.live_bytes,
-    );
-    metric(
-        &mut out,
-        "mesh_heap_bytes",
-        "gauge",
-        "Committed pages in bytes - the physical heap footprint.",
-        stats.heap_bytes(),
-    );
-    metric(
-        &mut out,
-        "mesh_heap_peak_bytes",
-        "gauge",
-        "Peak committed bytes over the heap's lifetime.",
-        stats.peak_heap_bytes(),
-    );
-    // Renamed series kept one release for dashboards still scraping it.
-    out.push_str(
-        "# EOL mesh_heap_bytes_peak is a deprecated alias of mesh_heap_peak_bytes, \
-         removal no earlier than 2026-12-01\n",
-    );
-    metric(
-        &mut out,
-        "mesh_heap_bytes_peak",
-        "gauge",
-        "Deprecated alias of mesh_heap_peak_bytes.",
-        stats.peak_heap_bytes(),
-    );
-    metric(
-        &mut out,
-        "mesh_mapped_bytes",
-        "gauge",
-        "Bytes mapped to segment files - the virtual footprint.",
-        stats.mapped_bytes(),
-    );
-    metric(
-        &mut out,
-        "mesh_segments",
-        "gauge",
-        "Segments currently mapped.",
-        stats.segment_count,
-    );
-    metric(
-        &mut out,
-        "mesh_uptime_seconds",
-        "gauge",
-        "Seconds since heap initialization.",
-        seconds(stats.uptime_ms.saturating_mul(1_000_000)),
-    );
+    fields::prom(&mut out, &HEAP_FIELDS, stats);
     latency_metrics(&mut out, &stats.latency);
     spectrum_metrics(&mut out, &stats.spectrum);
-    // The effectiveness ledger's per-reason reject totals. Every reason
-    // label is always emitted (zeros included) so rate() queries never
-    // see a series appear from nowhere.
-    out.push_str(
-        "# HELP mesh_pass_rejected_total Mesh-pass pair rejections by reason.\n\
-         # TYPE mesh_pass_rejected_total counter\n",
-    );
-    for reason in ALL_REJECT_REASONS {
-        out.push_str(&format!(
-            "mesh_pass_rejected_total{{reason=\"{}\"}} {}\n",
-            reason.name(),
-            rejects[reason as usize]
-        ));
-    }
-    // Hardened-mode violations by kind. Like the reject counter, every
-    // kind label is emitted even at zero (and even with `MESH_HARDEN`
-    // off) so alerting rules can be written once.
-    out.push_str(
-        "# HELP mesh_harden_violations_total Hardened-mode memory-safety violations by kind.\n\
-         # TYPE mesh_harden_violations_total counter\n",
-    );
-    for kind in ALL_HARDEN_KINDS {
-        out.push_str(&format!(
-            "mesh_harden_violations_total{{kind=\"{}\"}} {}\n",
-            kind.name(),
-            stats.harden_violations[kind as usize]
-        ));
-    }
+    fields::prom(&mut out, &super::ledger::REJECT_TOTALS, rejects);
+    fields::prom(&mut out, &HARDEN_FIELDS, stats);
     if let Some(s) = sense {
-        sense_metrics(&mut out, s);
+        fields::prom(&mut out, &super::sense::SENSE_FIELDS, s);
     }
     if let Some(p) = prof {
-        metric(
-            &mut out,
-            "mesh_prof_sample_bytes",
-            "gauge",
-            "Configured geometric sampling rate in bytes.",
-            p.sample_bytes,
-        );
-        metric(
-            &mut out,
-            "mesh_prof_samples_total",
-            "counter",
-            "Allocations sampled.",
-            p.samples,
-        );
-        metric(
-            &mut out,
-            "mesh_prof_samples_dropped_total",
-            "counter",
-            "Samples dropped by the overflow catch-all.",
-            p.samples_dropped,
-        );
-        metric(
-            &mut out,
-            "mesh_prof_sampled_frees_total",
-            "counter",
-            "Sampled objects retired by free.",
-            p.sampled_frees,
-        );
-        metric(
-            &mut out,
-            "mesh_prof_sites",
-            "gauge",
-            "Distinct allocation sites tracked.",
-            p.sites,
-        );
-        metric(
-            &mut out,
-            "mesh_prof_live_samples",
-            "gauge",
-            "Sampled objects still live.",
-            p.live_samples,
-        );
-        metric(
-            &mut out,
-            "mesh_prof_live_bytes_estimate",
-            "gauge",
-            "Unbiased live-bytes estimate from the sampler.",
-            p.live_bytes_estimate,
-        );
+        fields::prom(&mut out, &super::PROFILE_FIELDS, &(*p, stats.live_bytes));
     }
     out
-}
-
-/// Formats a milli-percent PSI reading as a plain decimal percentage.
-fn psi_pct(milli: u64) -> String {
-    format!("{}.{:03}", milli / 1000, milli % 1000)
-}
-
-/// The latest sense snapshot as gauges. Sources that were unreadable on
-/// this host (no cgroup limit, no PSI, no /proc) carry the [`ABSENT`]
-/// sentinel and their series are simply omitted — absence of data, not a
-/// zero reading.
-fn sense_metrics(out: &mut String, s: &SenseSnapshot) {
-    if s.rss_bytes != ABSENT {
-        metric(
-            out,
-            "mesh_rss_bytes",
-            "gauge",
-            "Process resident set size from /proc.",
-            s.rss_bytes,
-        );
-    }
-    if s.est_resident_bytes != ABSENT {
-        metric(
-            out,
-            "mesh_resident_est_bytes",
-            "gauge",
-            "Estimated resident bytes of the heap mapping (sampled mincore).",
-            s.est_resident_bytes,
-        );
-    }
-    if s.psi_avg10_milli != ABSENT {
-        metric(
-            out,
-            "mesh_pressure_psi_avg10",
-            "gauge",
-            "Memory PSI some avg10 percentage from /proc/pressure/memory.",
-            psi_pct(s.psi_avg10_milli),
-        );
-    }
-    if s.psi_avg60_milli != ABSENT {
-        metric(
-            out,
-            "mesh_pressure_psi_avg60",
-            "gauge",
-            "Memory PSI some avg60 percentage from /proc/pressure/memory.",
-            psi_pct(s.psi_avg60_milli),
-        );
-    }
-    if s.cgroup_limit_bytes != ABSENT {
-        metric(
-            out,
-            "mesh_cgroup_limit_bytes",
-            "gauge",
-            "Effective cgroup memory limit (absent when unlimited).",
-            s.cgroup_limit_bytes,
-        );
-    }
-    if s.cgroup_usage_bytes != ABSENT {
-        metric(
-            out,
-            "mesh_cgroup_usage_bytes",
-            "gauge",
-            "Cgroup memory usage reported by the controller.",
-            s.cgroup_usage_bytes,
-        );
-    }
 }
 
 /// The slow-path latency histograms as Prometheus `_bucket`/`_sum`/
@@ -424,10 +76,7 @@ fn sense_metrics(out: &mut String, s: &SenseSnapshot) {
 fn latency_metrics(out: &mut String, latency: &LatencySnapshot) {
     for op in ALL_TIMED_OPS {
         let name = op.prom_name();
-        out.push_str(&format!(
-            "# HELP {name} Latency of {} slow-path operations.\n# TYPE {name} histogram\n",
-            op.name()
-        ));
+        header(out, name, "histogram", &format!("Latency of {} slow-path operations.", op.name()));
         let buckets = &latency.counts[op.index()];
         let mut cumulative = 0u64;
         // The overflow bucket has no finite upper bound: it only feeds
@@ -452,72 +101,28 @@ fn latency_metrics(out: &mut String, latency: &LatencySnapshot) {
 /// The spectrum as labelled gauges (only classes holding spans emit
 /// series, so an idle heap's exposition stays small).
 fn spectrum_metrics(out: &mut String, spec: &HeapSpectrum) {
-    out.push_str(
-        "# HELP mesh_class_spans Spans per size class by occupancy bin.\n\
-         # TYPE mesh_class_spans gauge\n",
-    );
+    const BINS: [&str; SPECTRUM_BINS] = ["q75_100", "q50_75", "q25_50", "q0_25", "full"];
+    header(out, "mesh_class_spans", "gauge", "Spans per size class by occupancy bin.");
     for c in spec.classes.iter().filter(|c| c.spans() > 0) {
-        out.push_str(&format!(
-            "mesh_class_spans{{class=\"{}\",bin=\"attached\"}} {}\n",
-            c.object_size, c.attached_spans
-        ));
-        for (bin, &count) in c.bins.iter().enumerate() {
-            let label: &str = match bin {
-                0 => "q75_100",
-                1 => "q50_75",
-                2 => "q25_50",
-                3 => "q0_25",
-                _ => "full",
-            };
-            out.push_str(&format!(
-                "mesh_class_spans{{class=\"{}\",bin=\"{label}\"}} {count}\n",
-                c.object_size
-            ));
+        let class = c.object_size;
+        out.push_str(&format!("mesh_class_spans{{class=\"{class}\",bin=\"attached\"}} {}\n", c.attached_spans));
+        for (bin, count) in BINS.iter().zip(c.bins) {
+            out.push_str(&format!("mesh_class_spans{{class=\"{class}\",bin=\"{bin}\"}} {count}\n"));
         }
     }
-    out.push_str(
-        "# HELP mesh_class_occupancy Fraction of a class's slots holding live objects.\n\
-         # TYPE mesh_class_occupancy gauge\n",
-    );
+    header(out, "mesh_class_occupancy", "gauge", "Fraction of a class's slots holding live objects.");
     for c in spec.classes.iter().filter(|c| c.total_slots > 0) {
-        out.push_str(&format!(
-            "mesh_class_occupancy{{class=\"{}\"}} {:.4}\n",
-            c.object_size,
-            c.occupancy()
-        ));
+        out.push_str(&format!("mesh_class_occupancy{{class=\"{}\"}} {:.4}\n", c.object_size, c.occupancy()));
     }
-    out.push_str(
-        "# HELP mesh_class_est_meshable_pairs Estimated meshable span pairs per class.\n\
-         # TYPE mesh_class_est_meshable_pairs gauge\n",
-    );
+    header(out, "mesh_class_est_meshable_pairs", "gauge", "Estimated meshable span pairs per class.");
     for c in spec.classes.iter().filter(|c| c.est_meshable_pairs > 0) {
-        out.push_str(&format!(
-            "mesh_class_est_meshable_pairs{{class=\"{}\"}} {}\n",
-            c.object_size, c.est_meshable_pairs
-        ));
+        let (class, pairs) = (c.object_size, c.est_meshable_pairs);
+        out.push_str(&format!("mesh_class_est_meshable_pairs{{class=\"{class}\"}} {pairs}\n"));
     }
-    metric(
-        out,
-        "mesh_est_releasable_bytes",
-        "gauge",
-        "Estimated bytes releasable by meshing every estimated pair.",
-        spec.est_releasable_bytes(),
-    );
+    let help = "Estimated bytes releasable by meshing every estimated pair.";
+    metric(out, "mesh_est_releasable_bytes", "gauge", help, spec.est_releasable_bytes());
     if spec.large_spans > 0 {
-        metric(
-            out,
-            "mesh_large_spans",
-            "gauge",
-            "Live large-object spans.",
-            spec.large_spans,
-        );
-        metric(
-            out,
-            "mesh_large_bytes",
-            "gauge",
-            "Bytes held by live large objects.",
-            spec.large_bytes,
-        );
+        fields::prom(out, &super::spectrum::LARGE_FIELDS, spec);
     }
 }
 

@@ -80,6 +80,15 @@ pub const ALL_TIMED_OPS: [TimedOp; NUM_TIMED_OPS] = [
     TimedOp::Madvise,
 ];
 
+/// Each op's name and Prometheus histogram name, in discriminant order.
+macro_rules! op_names {
+    ($($name:literal),*) => { [$(($name, concat!("mesh_", $name, "_seconds"))),*] };
+}
+const OP_NAMES: [(&str, &str); NUM_TIMED_OPS] = op_names!(
+    "refill", "class_lock_wait", "arena_lock_wait", "mutator_pause", "mesh_candidates", "mesh_copy",
+    "mesh_remap", "mesh_pass", "segment_grow", "segment_retire", "madvise"
+);
+
 impl TimedOp {
     /// Array index of this op.
     #[inline]
@@ -89,37 +98,13 @@ impl TimedOp {
 
     /// Short machine-readable name (trace events, `render()` keys).
     pub fn name(self) -> &'static str {
-        match self {
-            TimedOp::Refill => "refill",
-            TimedOp::ClassLockWait => "class_lock_wait",
-            TimedOp::ArenaLockWait => "arena_lock_wait",
-            TimedOp::MutatorPause => "mutator_pause",
-            TimedOp::MeshCandidates => "mesh_candidates",
-            TimedOp::MeshCopy => "mesh_copy",
-            TimedOp::MeshRemap => "mesh_remap",
-            TimedOp::MeshPass => "mesh_pass",
-            TimedOp::SegmentGrow => "segment_grow",
-            TimedOp::SegmentRetire => "segment_retire",
-            TimedOp::Madvise => "madvise",
-        }
+        OP_NAMES[self.index()].0
     }
 
     /// Prometheus base name of this op's histogram (seconds units, per
     /// convention; `_bucket`/`_sum`/`_count` series hang off it).
     pub fn prom_name(self) -> &'static str {
-        match self {
-            TimedOp::Refill => "mesh_refill_seconds",
-            TimedOp::ClassLockWait => "mesh_class_lock_wait_seconds",
-            TimedOp::ArenaLockWait => "mesh_arena_lock_wait_seconds",
-            TimedOp::MutatorPause => "mesh_mutator_pause_seconds",
-            TimedOp::MeshCandidates => "mesh_mesh_candidates_seconds",
-            TimedOp::MeshCopy => "mesh_mesh_copy_seconds",
-            TimedOp::MeshRemap => "mesh_mesh_remap_seconds",
-            TimedOp::MeshPass => "mesh_mesh_pass_seconds",
-            TimedOp::SegmentGrow => "mesh_segment_grow_seconds",
-            TimedOp::SegmentRetire => "mesh_segment_retire_seconds",
-            TimedOp::Madvise => "mesh_madvise_seconds",
-        }
+        OP_NAMES[self.index()].1
     }
 
     /// Op from a raw discriminant (trace-event decoding).

@@ -13,6 +13,7 @@
 //! per-reason totals are plain atomics so `prom_text` can export
 //! `mesh_pass_rejected_total{reason=...}` without walking the ring.
 
+use super::fields::{self, counter, row, word, Field, Value::Named};
 use super::ring::Ring;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,7 +23,7 @@ pub const LEDGER_PASSES: usize = 64;
 /// Number of distinct rejection reasons.
 pub const REJECT_REASONS: usize = 5;
 
-/// Words per encoded [`PassRecord`].
+/// Words per encoded [`PassRecord`] (the widths of its [`PASS_FIELDS`] rows).
 const PASS_WORDS: usize = 11;
 
 /// Why a candidate pair (or candidate span) failed to mesh.
@@ -57,17 +58,15 @@ pub const ALL_REJECT_REASONS: [RejectReason; REJECT_REASONS] = [
     RejectReason::AliasBudget,
 ];
 
+/// Every reason's name, in counter-index order.
+const REJECT_NAMES: [&str; REJECT_REASONS] =
+    ["occupancy_overlap", "class_contention", "copy_abort", "canary_trip", "alias_budget"];
+
 impl RejectReason {
     /// Stable snake_case name, used as the Prometheus `reason` label and
     /// the JSON key.
     pub fn name(self) -> &'static str {
-        match self {
-            RejectReason::OccupancyOverlap => "occupancy_overlap",
-            RejectReason::ClassContention => "class_contention",
-            RejectReason::CopyAbort => "copy_abort",
-            RejectReason::CanaryTrip => "canary_trip",
-            RejectReason::AliasBudget => "alias_budget",
-        }
+        REJECT_NAMES[self as usize]
     }
 }
 
@@ -97,49 +96,43 @@ impl PassRecord {
         self.rejected.iter().sum()
     }
 
-    /// The record as ring words: three counts, the rejects, three more.
     fn to_words(self) -> [u64; PASS_WORDS] {
-        let mut w = [0; PASS_WORDS];
-        w[..3].copy_from_slice(&[self.at_ms, self.candidates, self.probes]);
-        w[3..8].copy_from_slice(&self.rejected);
-        w[8..].copy_from_slice(&[self.pairs_meshed, self.bytes_recovered, self.madvise_bytes]);
-        w
+        fields::to_words(&PASS_FIELDS, &self)
     }
 
     fn from_words(w: [u64; PASS_WORDS]) -> PassRecord {
-        PassRecord {
-            at_ms: w[0],
-            candidates: w[1],
-            probes: w[2],
-            rejected: std::array::from_fn(|i| w[3 + i]),
-            pairs_meshed: w[8],
-            bytes_recovered: w[9],
-            madvise_bytes: w[10],
-        }
+        fields::from_words(&PASS_FIELDS, w)
     }
 
     /// Renders the record as one JSON object (no trailing newline).
     pub(crate) fn json(&self) -> String {
-        let mut reasons = String::new();
-        for (i, r) in ALL_REJECT_REASONS.iter().enumerate() {
-            if i > 0 {
-                reasons.push(',');
-            }
-            reasons.push_str(&format!("\"{}\":{}", r.name(), self.rejected[i]));
-        }
-        format!(
-            "{{\"at_ms\":{},\"candidates\":{},\"probes\":{},\"rejected\":{{{}}},\
-             \"pairs_meshed\":{},\"bytes_recovered\":{},\"madvise_bytes\":{}}}",
-            self.at_ms,
-            self.candidates,
-            self.probes,
-            reasons,
-            self.pairs_meshed,
-            self.bytes_recovered,
-            self.madvise_bytes,
-        )
+        fields::object(&PASS_FIELDS, self)
     }
 }
+
+/// Every field's ring words and JSON member, in that order: the
+/// rejections are one word, and one member of the `"rejected"` object,
+/// per reason.
+#[rustfmt::skip]
+pub(super) static PASS_FIELDS: [Field<PassRecord>; 7] = [
+    word!(at_ms),
+    word!(candidates),
+    word!(probes),
+    row!(key: "rejected", get: |p| Named(&REJECT_NAMES, &p.rejected), set: Some(|p, w| p.rejected.copy_from_slice(w))),
+    word!(pairs_meshed),
+    word!(bytes_recovered),
+    word!(madvise_bytes),
+];
+
+/// The cumulative rejections by reason ([`MeshLedger::reject_totals`]):
+/// the ledger document's `"rejected_total"` object and the
+/// `mesh_pass_rejected_total` family. Every reason label is always
+/// emitted (zeros included) so rate() queries never see a series appear
+/// from nowhere.
+#[rustfmt::skip]
+pub(crate) static REJECT_TOTALS: [Field<[u64; REJECT_REASONS]>; 1] = [row!(
+    key: "rejected_total", get: |t| Named(&REJECT_NAMES, t),
+    prom: counter("mesh_pass_rejected_total", "Mesh-pass pair rejections by reason.").by("reason"))];
 
 /// The per-heap mesh-pass ledger (always on; one ring push and a handful
 /// of atomic adds per pass).

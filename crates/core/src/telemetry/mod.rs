@@ -1,28 +1,35 @@
 //! mesh-insight: the telemetry & sampled heap-profiling subsystem,
 //! layered over the allocator without touching its O(1) fast path:
 //!
-//! 1. **Latency histograms** ([`histogram`]) of every slow path, always on.
-//! 2. **Sampled allocation profiling** ([`sampler`], `MESH_PROF=1`):
+//! 1. **Latency histograms** (`histogram`) of every slow path, always on.
+//! 2. **Sampled allocation profiling** (`sampler`, `MESH_PROF=1`):
 //!    tcmalloc-style geometric byte-sampling in each thread heap. Sampled
 //!    objects carry a frame-pointer call-site chain into a lock-free
-//!    fingerprint table ([`profile_table`]) and are tracked through
+//!    fingerprint table (`profile_table`) and are tracked through
 //!    `free`, so the profile is a *live-heap* (leak) profile.
-//! 3. **Event tracing** ([`trace`], `MESH_TRACE=1`) of the same slow paths.
-//! 4. **Sensing** ([`sense`], [`residency`]): pressure, RSS and residency
-//!    snapshots; and the **ledger** ([`ledger`]) of every mesh pass.
-//! 5. **Occupancy spectra** ([`spectrum`]), one class lock at a time.
-//! 6. **Reports** ([`report`], [`exposition`]): every document above,
+//! 3. **Event tracing** (`trace`, `MESH_TRACE=1`) of the same slow paths.
+//! 4. **Sensing** (`sense`, `residency`): pressure, RSS and residency
+//!    snapshots; and the **ledger** (`ledger`) of every mesh pass.
+//! 5. **Occupancy spectra** (`spectrum`), one class lock at a time.
+//! 6. **Reports** (`report`, `exposition`): every document above,
 //!    Prometheus text included, is a [`Report`] kind, with one renderer
 //!    and one writer behind `Mesh::report`, the C ABI symbols, SIGUSR2,
-//!    interval dumps, mesh-ctl ([`ctl`]) and exit.
+//!    interval dumps, mesh-ctl (`ctl`) and exit.
+//! 7. **Field tables** (`fields`): a record a view shows names each field
+//!    once more, as a row of a table beside its struct (keys, Prometheus
+//!    series, whether [`ABSENT`] is `null`); the `mesh:` line, the JSON,
+//!    the Prometheus text and the ring words are written from the rows.
 //!
 //! Trace events, sense snapshots and ledger passes share one lock-free
-//! history, a [`ring`] of fixed-size records. See DESIGN.md §4c–§4i for
+//! history, a `ring` of fixed-size records. See DESIGN.md §4c–§4i for
 //! the sampling math, the lock-freedom arguments and the dump path's
 //! signal-safety.
 
 mod ctl;
 mod exposition;
+pub(crate) mod fields;
+#[cfg(test)]
+mod golden;
 mod histogram;
 mod ledger;
 mod pprof;
@@ -60,6 +67,7 @@ pub(crate) use trace::{chrome_json, trace_tid, TraceRing, TraceSet};
 
 use crate::config::MeshConfig;
 use crate::stats::EpochClock;
+use fields::{counter, gauge, row, Field, Value::Num};
 use profile_table::{FingerprintTable, SampledSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -87,6 +95,26 @@ pub struct ProfileStats {
     /// Unbiased estimate of live bytes from the sampled population.
     pub live_bytes_estimate: u64,
 }
+
+/// The profile document's summary members, the profiler's Prometheus
+/// series among them: [`ProfileStats`] beside the heap's exact live bytes,
+/// which the document sets before the estimate to cross-check it.
+#[rustfmt::skip]
+pub(crate) static PROFILE_FIELDS: [Field<(ProfileStats, usize)>; 8] = [
+    row!(key: "sample_bytes", get: |(p, _)| Num(p.sample_bytes as u64),
+         prom: gauge("mesh_prof_sample_bytes", "Configured geometric sampling rate in bytes.")),
+    row!(key: "samples", get: |(p, _)| Num(p.samples), prom: counter("mesh_prof_samples_total", "Allocations sampled.")),
+    row!(key: "samples_dropped", get: |(p, _)| Num(p.samples_dropped),
+         prom: counter("mesh_prof_samples_dropped_total", "Samples dropped by the overflow catch-all.")),
+    row!(key: "sampled_frees", get: |(p, _)| Num(p.sampled_frees),
+         prom: counter("mesh_prof_sampled_frees_total", "Sampled objects retired by free.")),
+    row!(key: "sites", get: |(p, _)| Num(p.sites as u64), prom: gauge("mesh_prof_sites", "Distinct allocation sites tracked.")),
+    row!(key: "live_samples", get: |(p, _)| Num(p.live_samples as u64),
+         prom: gauge("mesh_prof_live_samples", "Sampled objects still live.")),
+    row!(key: "live_bytes_exact", get: |(_, exact)| Num(*exact as u64)),
+    row!(key: "live_bytes_estimate", get: |(p, _)| Num(p.live_bytes_estimate),
+         prom: gauge("mesh_prof_live_bytes_estimate", "Unbiased live-bytes estimate from the sampler.")),
+];
 
 /// Shared profiling state of one heap: the fingerprint table, the live
 /// sampled set, and the dump schedule. `None` on the heap when profiling

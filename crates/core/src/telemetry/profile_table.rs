@@ -28,6 +28,7 @@
 //! returns. Remove reads the payload, then CASes `addr → TOMBSTONE`; a
 //! lost CAS means a racing free already consumed the sample.
 
+use super::fields::{self, num, row, Field, Value::Json};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// Maximum frames kept per call-site fingerprint.
@@ -121,6 +122,18 @@ impl SiteSnapshot {
         self.alloc_samples.saturating_sub(self.free_samples)
     }
 }
+
+/// The members of a profile document's entry.
+pub(crate) static SITE_FIELDS: [Field<SiteSnapshot>; 8] = [
+    num!(site),
+    row!(key: "frames", get: |e| Json(fields::array(e.frames.iter().map(|a| format!("\"{a:#x}\""))))),
+    num!(live_bytes()),
+    num!(live_samples()),
+    num!(alloc_bytes),
+    num!(alloc_samples),
+    num!(freed_bytes),
+    num!(free_samples),
+];
 
 /// Lock-free interning table of call-site fingerprints.
 #[derive(Debug)]

@@ -15,7 +15,11 @@
 //! park computation live here too: serving the pending mask is what the
 //! beat is for.
 
-use super::{exposition, pprof, HeapSpectrum, SenseSnapshot, SenseState, ABSENT, CTL_PARK};
+use super::ledger::REJECT_TOTALS;
+use super::residency::{RESIDENCY_FIELDS, SEGMENT_FIELDS};
+use super::spectrum::{CLASS_FIELDS, LARGE_FIELDS};
+use super::{exposition, fields, pprof, HeapSpectrum, MeshLedger, PassRecord, ResidencyBreakdown};
+use super::{SenseSnapshot, SenseState, ABSENT, CTL_PARK};
 use crate::config::MeshConfig;
 use crate::ffi;
 use crate::global_heap::GlobalHeap;
@@ -259,13 +263,10 @@ impl GlobalHeap {
                 let sense = self.sense.as_ref().ok_or(kind.off())?;
                 // One fresh poll per document, whatever asked for it.
                 self.sense_poll(sense);
-                self.sense_json(sense)
+                let res = super::decompose(&self.segment_stats());
+                sense_json(sense, &res, &self.ledger, self.counters.uptime_ms())
             }
-            Report::Ledger => format!(
-                "{{\"mesh_ledger_version\":1,\"uptime_ms\":{},{}}}",
-                self.counters.uptime_ms(),
-                self.ledger_fields(),
-            ),
+            Report::Ledger => ledger_json(&self.ledger, self.counters.uptime_ms()),
             Report::Spectrum => {
                 spectrum_json(&self.occupancy_spectrum(), self.counters.uptime_ms())
             }
@@ -349,72 +350,6 @@ impl GlobalHeap {
         });
     }
 
-    /// Current residency (per segment and heap-wide), the mesh-pass
-    /// effectiveness ledger, and the retained snapshot time series.
-    fn sense_json(&self, sense: &SenseState) -> String {
-        let res = super::decompose(&self.segment_stats());
-        let seg_rows: Vec<String> = res
-            .segments
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"id\":{},\"start_page\":{},\"pages\":{},\"live_pages\":{},\
-                     \"free_dirty_pages\":{},\"free_clean_pages\":{},\"meta_pages\":{},\
-                     \"committed_pages\":{}}}",
-                    s.id,
-                    s.start_page,
-                    s.pages,
-                    s.live_pages,
-                    s.free_dirty_pages,
-                    s.free_clean_pages,
-                    s.meta_pages,
-                    s.committed_pages,
-                )
-            })
-            .collect();
-        let snaps: Vec<String> = sense.snapshots().iter().map(|s| s.json()).collect();
-        format!(
-            "{{\"mesh_sense_version\":1,\"uptime_ms\":{},\
-             \"interval_ms\":{},\"history\":{},\"mincore_page_budget\":{},\
-             \"residency\":{{\"mapped_bytes\":{},\"live_bytes\":{},\
-             \"free_dirty_bytes\":{},\"free_clean_bytes\":{},\"meta_bytes\":{},\
-             \"committed_bytes\":{},\"segments\":[{}]}},\
-             \"ledger\":{{{}}},\
-             \"snapshots\":[{}]}}",
-            self.counters.uptime_ms(),
-            sense.interval().as_millis(),
-            sense.history(),
-            sense.mincore_page_budget(),
-            res.mapped_bytes,
-            res.live_bytes,
-            res.free_dirty_bytes,
-            res.free_clean_bytes,
-            res.meta_bytes,
-            res.committed_bytes,
-            seg_rows.join(","),
-            self.ledger_fields(),
-            snaps.join(","),
-        )
-    }
-
-    /// The ledger's fields (no braces): the body of the `ledger` kind and
-    /// of the `"ledger"` section `sense` embeds.
-    fn ledger_fields(&self) -> String {
-        let totals = self.ledger.reject_totals();
-        let rejects: Vec<String> = super::ALL_REJECT_REASONS
-            .iter()
-            .zip(totals)
-            .map(|(r, n)| format!("\"{}\":{n}", r.name()))
-            .collect();
-        let passes: Vec<String> = self.ledger.recent().iter().map(|p| p.json()).collect();
-        format!(
-            "\"passes_recorded\":{},\"rejected_total\":{{{}}},\"passes\":[{}]",
-            self.ledger.passes_recorded(),
-            rejects.join(","),
-            passes.join(","),
-        )
-    }
-
     /// One background-thread beat: emits every report that is due — a
     /// request from `SIGUSR2` / `Mesh::request_report`, or the profile
     /// interval clock expiring — takes a mesh-sense poll when its clock
@@ -473,33 +408,53 @@ impl GlobalHeap {
     }
 }
 
-/// Renders a [`HeapSpectrum`] as the `spectrum` document.
-fn spectrum_json(spec: &HeapSpectrum, uptime_ms: u64) -> String {
-    let classes: Vec<String> = spec
-        .classes
-        .iter()
-        .map(|c| {
-            let bins: Vec<String> = c.bins.iter().map(|b| b.to_string()).collect();
-            format!(
-                "{{\"object_size\":{},\"attached_spans\":{},\"bins\":[{}],\
-                 \"live_objects\":{},\"total_slots\":{},\"est_meshable_pairs\":{},\
-                 \"meshable\":{}}}",
-                c.object_size,
-                c.attached_spans,
-                bins.join(","),
-                c.live_objects,
-                c.total_slots,
-                c.est_meshable_pairs,
-                c.meshable,
-            )
-        })
-        .collect();
+/// The `sense` document: residency now (per segment and heap-wide), the
+/// mesh-pass effectiveness ledger, and the retained snapshot series.
+pub(super) fn sense_json(
+    sense: &SenseState,
+    res: &ResidencyBreakdown,
+    ledger: &MeshLedger,
+    uptime_ms: u64,
+) -> String {
     format!(
-        "{{\"mesh_spectrum_version\":1,\"uptime_ms\":{uptime_ms},\"classes\":[{}],\
-         \"large_spans\":{},\"large_bytes\":{}}}",
-        classes.join(","),
-        spec.large_spans,
-        spec.large_bytes,
+        "{{\"mesh_sense_version\":1,\"uptime_ms\":{uptime_ms},\
+         \"interval_ms\":{},\"history\":{},\"mincore_page_budget\":{},\
+         \"residency\":{{{},\"segments\":{}}},\"ledger\":{{{}}},\"snapshots\":{}}}",
+        sense.interval().as_millis(),
+        sense.history(),
+        sense.mincore_page_budget(),
+        fields::members(&RESIDENCY_FIELDS, res),
+        fields::array(res.segments.iter().map(|s| fields::object(&SEGMENT_FIELDS, s))),
+        ledger_members(ledger),
+        fields::array(sense.snapshots().iter().map(SenseSnapshot::json)),
+    )
+}
+
+/// The `ledger` document.
+pub(super) fn ledger_json(ledger: &MeshLedger, uptime_ms: u64) -> String {
+    format!(
+        "{{\"mesh_ledger_version\":1,\"uptime_ms\":{uptime_ms},{}}}",
+        ledger_members(ledger)
+    )
+}
+
+/// The ledger's members (no braces): the body of the `ledger` document
+/// and of the `"ledger"` object `sense` embeds.
+fn ledger_members(ledger: &MeshLedger) -> String {
+    format!(
+        "\"passes_recorded\":{},{},\"passes\":{}",
+        ledger.passes_recorded(),
+        fields::members(&REJECT_TOTALS, &ledger.reject_totals()),
+        fields::array(ledger.recent().iter().map(PassRecord::json)),
+    )
+}
+
+/// Renders a [`HeapSpectrum`] as the `spectrum` document.
+pub(super) fn spectrum_json(spec: &HeapSpectrum, uptime_ms: u64) -> String {
+    format!(
+        "{{\"mesh_spectrum_version\":1,\"uptime_ms\":{uptime_ms},\"classes\":{},{}}}",
+        fields::array(spec.classes.iter().map(|c| fields::object(&CLASS_FIELDS, c))),
+        fields::members(&LARGE_FIELDS, spec),
     )
 }
 

@@ -10,6 +10,7 @@
 //! persistent cursor, so over successive polls the whole heap is sampled
 //! round-robin without any single poll touching more than the budget.
 
+use super::fields::{num, Field};
 use crate::segment::SegmentStats;
 use crate::size_classes::PAGE_SIZE;
 
@@ -56,6 +57,29 @@ pub struct ResidencyBreakdown {
     /// what the heap itself keeps resident).
     pub committed_bytes: u64,
 }
+
+/// The members of a segment's residency row in the `sense` document.
+pub(crate) static SEGMENT_FIELDS: [Field<SegmentResidency>; 8] = [
+    num!(id),
+    num!(start_page),
+    num!(pages),
+    num!(live_pages),
+    num!(free_dirty_pages),
+    num!(free_clean_pages),
+    num!(meta_pages),
+    num!(committed_pages),
+];
+
+/// The heap-wide members of the `sense` document's `"residency"` object
+/// (its `"segments"` follow them).
+pub(crate) static RESIDENCY_FIELDS: [Field<ResidencyBreakdown>; 6] = [
+    num!(mapped_bytes),
+    num!(live_bytes),
+    num!(free_dirty_bytes),
+    num!(free_clean_bytes),
+    num!(meta_bytes),
+    num!(committed_bytes),
+];
 
 /// Decomposes segment snapshots into the four residency categories.
 pub fn decompose(segs: &[SegmentStats]) -> ResidencyBreakdown {

@@ -21,6 +21,7 @@
 //! background thread's and those of rendered `sense` reports may run at
 //! once, and a reader never sees a snapshot one of them is still writing.
 
+use super::fields::{self, gauge, word, Field};
 use super::ring::Ring;
 use crate::config::MeshConfig;
 use crate::stats::EpochClock;
@@ -30,11 +31,12 @@ use std::time::Duration;
 /// Sentinel for "source absent / unlimited" in snapshot fields.
 pub const ABSENT: u64 = u64::MAX;
 
-/// Words per snapshot record (one per [`SenseSnapshot`] field).
+/// Words per snapshot record (one per [`SENSE_FIELDS`] row).
 const SNAPSHOT_WORDS: usize = 17;
 
 /// One periodic sense snapshot. All fields are plain `u64`s so the ring
-/// can store them as atomic words; optional sources use [`ABSENT`].
+/// can store them as atomic words; optional sources use [`ABSENT`]. Every
+/// view renders it through one field table, `SENSE_FIELDS`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SenseSnapshot {
     /// Snapshot time, milliseconds since heap construction.
@@ -78,86 +80,48 @@ pub struct SenseSnapshot {
     pub pairs_meshed: u64,
 }
 
+/// Every field's ring word, JSON member and (for the external readings)
+/// Prometheus gauge, in that order. The readings a host may not offer are
+/// nullable: [`ABSENT`] renders `null` and drops the gauge.
+#[rustfmt::skip]
+pub(crate) static SENSE_FIELDS: [Field<SenseSnapshot>; SNAPSHOT_WORDS] = [
+    word!(at_ms),
+    word!(rss_bytes, nullable: true, prom: gauge("mesh_rss_bytes", "Process resident set size from /proc.")),
+    word!(est_resident_bytes,
+          prom: gauge("mesh_resident_est_bytes", "Estimated resident bytes of the heap mapping (sampled mincore).")),
+    word!(live_bytes),
+    word!(heap_bytes),
+    word!(mapped_bytes),
+    word!(free_dirty_bytes),
+    word!(free_clean_bytes),
+    word!(meta_bytes),
+    word!(psi_avg10_milli, nullable: true, prom: gauge("mesh_pressure_psi_avg10",
+          "Memory PSI some avg10 percentage from /proc/pressure/memory.").percent()),
+    word!(psi_avg60_milli, nullable: true, prom: gauge("mesh_pressure_psi_avg60",
+          "Memory PSI some avg60 percentage from /proc/pressure/memory.").percent()),
+    word!(cgroup_limit_bytes, nullable: true,
+          prom: gauge("mesh_cgroup_limit_bytes", "Effective cgroup memory limit (absent when unlimited).")),
+    word!(cgroup_usage_bytes, nullable: true,
+          prom: gauge("mesh_cgroup_usage_bytes", "Cgroup memory usage reported by the controller.")),
+    word!(mallocs),
+    word!(frees),
+    word!(mesh_passes),
+    word!(pairs_meshed),
+];
+
 impl SenseSnapshot {
     fn to_words(self) -> [u64; SNAPSHOT_WORDS] {
-        [
-            self.at_ms,
-            self.rss_bytes,
-            self.est_resident_bytes,
-            self.live_bytes,
-            self.heap_bytes,
-            self.mapped_bytes,
-            self.free_dirty_bytes,
-            self.free_clean_bytes,
-            self.meta_bytes,
-            self.psi_avg10_milli,
-            self.psi_avg60_milli,
-            self.cgroup_limit_bytes,
-            self.cgroup_usage_bytes,
-            self.mallocs,
-            self.frees,
-            self.mesh_passes,
-            self.pairs_meshed,
-        ]
+        fields::to_words(&SENSE_FIELDS, &self)
     }
 
     fn from_words(w: [u64; SNAPSHOT_WORDS]) -> SenseSnapshot {
-        SenseSnapshot {
-            at_ms: w[0],
-            rss_bytes: w[1],
-            est_resident_bytes: w[2],
-            live_bytes: w[3],
-            heap_bytes: w[4],
-            mapped_bytes: w[5],
-            free_dirty_bytes: w[6],
-            free_clean_bytes: w[7],
-            meta_bytes: w[8],
-            psi_avg10_milli: w[9],
-            psi_avg60_milli: w[10],
-            cgroup_limit_bytes: w[11],
-            cgroup_usage_bytes: w[12],
-            mallocs: w[13],
-            frees: w[14],
-            mesh_passes: w[15],
-            pairs_meshed: w[16],
-        }
+        fields::from_words(&SENSE_FIELDS, w)
     }
 
-    /// Renders the snapshot as one JSON object; [`ABSENT`] fields become
-    /// `null` so consumers need no sentinel knowledge.
+    /// Renders the snapshot as one JSON object; [`ABSENT`] readings
+    /// become `null` so consumers need no sentinel knowledge.
     pub(crate) fn json(&self) -> String {
-        fn opt(v: u64) -> String {
-            if v == ABSENT {
-                "null".to_string()
-            } else {
-                v.to_string()
-            }
-        }
-        format!(
-            "{{\"at_ms\":{},\"rss_bytes\":{},\"est_resident_bytes\":{},\
-             \"live_bytes\":{},\"heap_bytes\":{},\"mapped_bytes\":{},\
-             \"free_dirty_bytes\":{},\"free_clean_bytes\":{},\"meta_bytes\":{},\
-             \"psi_avg10_milli\":{},\"psi_avg60_milli\":{},\
-             \"cgroup_limit_bytes\":{},\"cgroup_usage_bytes\":{},\
-             \"mallocs\":{},\"frees\":{},\"mesh_passes\":{},\"pairs_meshed\":{}}}",
-            self.at_ms,
-            opt(self.rss_bytes),
-            self.est_resident_bytes,
-            self.live_bytes,
-            self.heap_bytes,
-            self.mapped_bytes,
-            self.free_dirty_bytes,
-            self.free_clean_bytes,
-            self.meta_bytes,
-            opt(self.psi_avg10_milli),
-            opt(self.psi_avg60_milli),
-            opt(self.cgroup_limit_bytes),
-            opt(self.cgroup_usage_bytes),
-            self.mallocs,
-            self.frees,
-            self.mesh_passes,
-            self.pairs_meshed,
-        )
+        fields::object(&SENSE_FIELDS, self)
     }
 }
 

@@ -8,6 +8,7 @@
 //! internally consistent and the cross-class skew is bounded by the walk
 //! itself, which is the same coherence contract as [`crate::HeapStats`].
 
+use super::fields::{self, gauge, num, row, Field, Value::Json};
 use crate::size_classes::{SizeClass, NUM_SIZE_CLASSES, PAGE_SIZE};
 
 /// Occupancy bins per class in a spectrum: the four partial quartiles of
@@ -28,8 +29,9 @@ pub struct ClassSpectrum {
     pub live_objects: u64,
     /// Object slots across all spans of this class.
     pub total_slots: u64,
-    /// Upper-bound estimate of span *pairs* meshable right now: detached
-    /// spans under the occupancy cutoff, greedily paired so each pair's
+    /// Upper-bound estimate of span *pairs* meshable right now: the
+    /// detached spans a pass would take (partially occupied, under the
+    /// occupancy cutoff, below the alias cap), greedily paired so each pair's
     /// combined live count fits one span, and no more pairs than the
     /// `max_span_count` alias cap lets the same spans form. Each pair would
     /// release one span's pages. (A bound, not a promise — it ignores slot
@@ -64,6 +66,24 @@ impl ClassSpectrum {
         self.est_meshable_pairs as u64 * class.span_pages() as u64
     }
 }
+
+/// The members of a `spectrum` document's class entry.
+pub(crate) static CLASS_FIELDS: [Field<ClassSpectrum>; 7] = [
+    num!(object_size),
+    num!(attached_spans),
+    row!(key: "bins", get: |c| Json(fields::array(c.bins.iter().map(u32::to_string)))),
+    num!(live_objects),
+    num!(total_slots),
+    num!(est_meshable_pairs),
+    row!(key: "meshable", get: |c| Json(c.meshable.to_string())),
+];
+
+/// The large-object members of the `spectrum` document, exported as
+/// gauges while large objects live.
+pub(crate) static LARGE_FIELDS: [Field<HeapSpectrum>; 2] = [
+    num!(large_spans, prom: gauge("mesh_large_spans", "Live large-object spans.")),
+    num!(large_bytes, prom: gauge("mesh_large_bytes", "Bytes held by live large objects.")),
+];
 
 /// A whole-heap occupancy-spectrum snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -202,13 +202,8 @@ impl TraceSet {
 /// thread.
 pub(crate) fn chrome_json(events: &[TraceEvent], uptime_ms: u64) -> String {
     let pid = std::process::id();
-    let mut out = String::with_capacity(64 + events.len() * 128);
-    out.push_str("{\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
+    let events = super::fields::array(events.iter().map(|e| {
+        format!(
             "{{\"name\":\"{}\",\"cat\":\"mesh\",\"ph\":\"X\",\
              \"ts\":{}.{:03},\"dur\":{}.{:03},\"pid\":{pid},\"tid\":{},\
              \"args\":{{\"arg\":{}}}}}",
@@ -219,13 +214,12 @@ pub(crate) fn chrome_json(events: &[TraceEvent], uptime_ms: u64) -> String {
             e.dur_ns % 1000,
             e.tid,
             e.arg,
-        ));
-    }
-    out.push_str(&format!(
-        "],\"displayTimeUnit\":\"ns\",\
+        )
+    }));
+    format!(
+        "{{\"traceEvents\":{events},\"displayTimeUnit\":\"ns\",\
          \"otherData\":{{\"mesh_trace_version\":1,\"uptime_ms\":{uptime_ms}}}}}"
-    ));
-    out
+    )
 }
 
 #[cfg(test)]

@@ -8,11 +8,13 @@
 //! totals equal the class's span count and `total_slots` exactly
 //! `spans × object_count`. After the churn quiesces, the spectrum must
 //! also reconcile with ground truth the test tracked itself: per-class
-//! live-object counts and the heap's `live_bytes`.
+//! live-object counts and the heap's `live_bytes`. And the spectrum's
+//! meshable-pairs estimate counts only the spans a pass would take.
 
 use mesh::core::{Mesh, MeshConfig, SizeClass};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Sizes that map to distinct small classes; churned in rotation.
 const SIZES: [usize; 4] = [32, 64, 256, 1024];
@@ -130,4 +132,32 @@ fn spectrum_coherent_under_churn_seed_b() {
 #[test]
 fn spectrum_coherent_under_churn_seed_c() {
     churn_property(0xC0FFEE);
+}
+
+/// One 256 B span keeps one live object and three are emptied by
+/// non-local frees, which leave them for their class's next tidy. Empty
+/// spans are destroyed, not meshed: neither the estimate nor a pass finds
+/// a pair.
+#[test]
+fn estimate_skips_emptied_spans_like_a_pass() {
+    let mesh = Mesh::new(
+        MeshConfig::default()
+            .arena_bytes(64 << 20)
+            .seed(7)
+            .write_barrier(false)
+            .mesh_period(Duration::from_secs(3600)),
+    )
+    .unwrap();
+    let class = SizeClass::for_size(256).unwrap();
+    let mut th = mesh.thread_heap();
+    let ptrs: Vec<*mut u8> = (0..4 * class.object_count()).map(|_| th.malloc(256)).collect();
+    drop(th);
+    for &p in &ptrs[1..] {
+        unsafe { mesh.free(p) };
+    }
+    let c = mesh.occupancy_spectrum().classes[class.index()];
+    assert_eq!((c.live_objects, c.spans()), (1, 4), "emptied spans not yet tidied: {c:?}");
+    assert_eq!(c.est_meshable_pairs, 0, "{c:?}");
+    assert_eq!(mesh.mesh_now().pairs_meshed, 0);
+    unsafe { mesh.free(ptrs[0]) };
 }
