@@ -393,12 +393,13 @@ pub extern "C" fn mesh_trace_dump() -> c_int {
     runtime::report_dump_to(Report::Trace, 2)
 }
 
-/// Writes the mesh-sense document (version-1 JSON: pressure, residency
+/// Writes the mesh-sense document (version-2 JSON: pressure, residency
 /// decomposition, the meshing-effectiveness ledger, and the snapshot
 /// time series; see DESIGN.md §4f) to `MESH_SENSE_PATH` — or to stderr
-/// as one `mesh-sense: ` line when no path is configured. Returns 0 on
-/// success, -1 when sensing is off (`MESH_SENSE_INTERVAL_MS=0`) or no
-/// heap exists. `kill -USR2 <pid>` reaches the same dump asynchronously.
+/// as one `mesh-sense: ` line when no path is configured. The render
+/// takes its own fresh snapshot. Returns 0 on success, -1 when no heap
+/// exists. With `MESH_SENSE_PATH` set, `kill -USR2 <pid>` reaches the
+/// same dump asynchronously.
 #[no_mangle]
 pub extern "C" fn mesh_sense_dump() -> c_int {
     runtime::report_dump_to(Report::Sense, 2)
@@ -586,9 +587,8 @@ mod tests {
 
     #[test]
     fn sense_dump_writes_by_default() {
-        // Sensing is on by default (MESH_SENSE_INTERVAL_MS defaults to
-        // 1000), so the dump entry point must succeed — one `mesh-sense:`
-        // stderr line — without any env setup.
+        // Sensing is always available, so the dump entry point must
+        // succeed — one `mesh-sense:` stderr line — without any env setup.
         let p = malloc(100); // ensure the heap exists
         unsafe { free(p) };
         assert_eq!(mesh_sense_dump(), 0);

@@ -122,10 +122,12 @@ fn install_process_hooks(mesh: &Mesh) {
                 mesh_core::set_abort_fd(fd);
             }
         }
-        if mesh.is_profiling() || mesh.is_tracing() || mesh.is_sensing() {
-            // Opt-in SIGUSR2 → heap-profile, trace, and/or sense dump.
-            // The handler body is atomic RMWs ([`Mesh::request_report`]);
-            // the dumps themselves ride the background telemetry thread.
+        if mesh.is_profiling() || mesh.is_tracing() || mesh.report_path(Report::Sense).is_some() {
+            // Opt-in SIGUSR2 → heap-profile, trace, and/or sense dump:
+            // exactly the heaps that run the background thread the dumps
+            // ride. Any other process keeps the default disposition, so
+            // SIGUSR2 ends it as it would under glibc. The handler body
+            // is atomic RMWs ([`Mesh::request_report`]).
             let mut act: libc::sigaction = std::mem::zeroed();
             let handler: extern "C" fn(mesh_core::ffi::c_int) = sigusr2_handler;
             act.sa_sigaction = handler as usize;
@@ -295,7 +297,7 @@ pub fn report_dump_to(kind: Report, fd: i32) -> i32 {
 
 /// Whether `kind` is written when the process exits. Profiling and
 /// tracing are opt-in, so their dump is what the user asked for; sensing
-/// is on by default, and an unconditional stderr dump from every
+/// is always available, and an unconditional stderr dump from every
 /// preloaded process would be noise — it needs a destination file.
 fn dumps_at_exit(mesh: &Mesh, kind: Report) -> bool {
     match kind {

@@ -83,9 +83,9 @@ pub struct Mesh {
 
 impl Mesh {
     /// Creates a heap with the given configuration. When profiling,
-    /// tracing, sensing or a control socket is on, also spawns the
-    /// background thread that serves them (stopped again when the last
-    /// handle drops).
+    /// tracing, a control socket or a sense dump path (`MESH_SENSE_PATH`)
+    /// is on, also spawns the background thread that serves them
+    /// (stopped again when the last handle drops).
     ///
     /// # Errors
     ///
@@ -381,21 +381,15 @@ impl Mesh {
 
     // ----- sensing (mesh-sense) ------------------------------------------
 
-    /// Whether the pressure/residency sensor (`MESH_SENSE_INTERVAL_MS`)
-    /// is active on this heap.
-    pub fn is_sensing(&self) -> bool {
-        self.inner.state.sense.is_some()
-    }
-
-    /// The latest sensor snapshot, or `None` when sensing is off or no
-    /// poll has completed yet. Lock-free.
+    /// The latest sensor snapshot, or `None` before the first `sense` or
+    /// `prom` render took one. Lock-free; takes no snapshot itself.
     pub fn sense_latest(&self) -> Option<crate::telemetry::SenseSnapshot> {
-        self.inner.state.sense.as_ref().and_then(|s| s.latest())
+        self.inner.state.sense.latest()
     }
 
     /// The meshing-effectiveness ledger's per-reason reject totals, in
-    /// [`crate::telemetry::ALL_REJECT_REASONS`] order. Always available
-    /// (the ledger records regardless of sensing).
+    /// [`crate::telemetry::ALL_REJECT_REASONS`] order. Always available:
+    /// the ledger records every pass.
     pub fn ledger_reject_totals(&self) -> [u64; crate::telemetry::REJECT_REASONS] {
         self.inner.state.ledger.reject_totals()
     }
@@ -629,9 +623,7 @@ impl MeshForkGuard<'_> {
             mesh.inner.state.reports.clear();
             // Likewise the sense ring and meshing ledger: their history is
             // the parent's, and a parent thread may have been mid-push.
-            if let Some(sense) = &mesh.inner.state.sense {
-                sense.wipe_for_child();
-            }
+            mesh.inner.state.sense.wipe_for_child();
             mesh.inner.state.ledger.wipe_for_child();
             // The inherited listener and connections belong to the parent;
             // the child answers on the same path with a fresh listener
@@ -1246,7 +1238,7 @@ mod tests {
                 .ctl(Some(sock.clone())),
         )
         .unwrap();
-        assert!(m.ctl_active() && m.is_sensing());
+        assert!(m.ctl_active());
         let guard = m.fork_prepare();
         assert_eq!(
             m.inner.state.held_lock_kinds(),
@@ -1375,7 +1367,6 @@ mod tests {
                 .seed(9)
                 .write_barrier(false)
                 .mesh_period(Duration::from_secs(3600))
-                .sense_interval(None)
                 .tracing(true)
                 .trace_buf_events(64),
         )

@@ -96,13 +96,9 @@ pub struct MeshConfig {
     /// Trace-dump destination (`MESH_TRACE_PATH`; `None` = stderr as a
     /// single `mesh-trace: ` line). The file is rewritten on each dump.
     pub(crate) trace_path: Option<PathBuf>,
-    /// Interval between mesh-sense polls (`MESH_SENSE_INTERVAL_MS`;
-    /// `None` = sensing off). On by default at 1 Hz: each poll reads
-    /// pressure/RSS sources, decomposes residency, and appends one
-    /// snapshot to the in-memory ring — cheap enough to leave running.
-    pub(crate) sense_interval: Option<Duration>,
-    /// Snapshots retained in the sense ring (`MESH_SENSE_HISTORY`). At
-    /// the default 1 s interval, 120 snapshots = two minutes of history.
+    /// Snapshots retained in the sense ring (`MESH_SENSE_HISTORY`). A
+    /// snapshot is taken by each `sense` or `prom` render, never on a
+    /// clock.
     pub(crate) sense_history: usize,
     /// Pages sampled with `mincore(2)` per sense poll
     /// (`MESH_SENSE_MINCORE_PAGES`; 0 disables the sweep and
@@ -110,8 +106,10 @@ pub struct MeshConfig {
     pub(crate) sense_mincore_pages: usize,
     /// Sense-dump destination (`MESH_SENSE_PATH`; `None` = stderr as a
     /// single `mesh-sense: ` line on explicit request only — sensing is
-    /// on by default, so there is no unsolicited at-exit dump without a
-    /// path). The file is rewritten on each dump.
+    /// always available, so there is no unsolicited at-exit dump without
+    /// a path). The file is rewritten on each dump. Setting it gives the
+    /// process a background thread and a `SIGUSR2` handler to serve
+    /// requested dumps.
     pub(crate) sense_path: Option<PathBuf>,
     /// mesh-ctl control-socket path (`MESH_CTL`; `None` = no socket, the
     /// default). When set, the background thread binds a Unix-domain
@@ -153,7 +151,6 @@ impl Default for MeshConfig {
             trace: false,
             trace_buf_events: 64 << 10, // 64 Ki events = 2 MiB per ring
             trace_path: None,
-            sense_interval: Some(Duration::from_millis(1000)),
             sense_history: 120,
             sense_mincore_pages: 256,
             sense_path: None,
@@ -236,9 +233,6 @@ impl MeshConfig {
         trace_buf_events(events: usize) => trace_buf_events = events;
         /// Sets (or clears) the trace-dump destination (`MESH_TRACE_PATH`).
         trace_path(path: Option<PathBuf>) => trace_path = path;
-        /// Sets (or clears) the mesh-sense poll interval
-        /// (`MESH_SENSE_INTERVAL_MS`; `None` disables sensing).
-        sense_interval(interval: Option<Duration>) => sense_interval = interval;
         /// Sets the number of snapshots retained in the sense ring
         /// (`MESH_SENSE_HISTORY`).
         sense_history(snapshots: usize) => sense_history = snapshots;
@@ -310,16 +304,6 @@ impl MeshConfig {
     /// The configured trace-dump destination, if any.
     pub fn trace_dump_path(&self) -> Option<&std::path::Path> {
         self.trace_path.as_deref()
-    }
-
-    /// Whether mesh-sense polling is enabled.
-    pub fn is_sensing(&self) -> bool {
-        self.sense_interval.is_some()
-    }
-
-    /// The configured sense poll interval, if sensing is enabled.
-    pub fn sense_poll_interval(&self) -> Option<Duration> {
-        self.sense_interval
     }
 
     /// The configured sense-ring capacity in snapshots.
@@ -433,7 +417,6 @@ impl MeshConfig {
     /// | `MESH_TRACE` | slow-path event tracer (mesh-trace) | one of 1/0/true/false/yes/no/on/off | off |
     /// | `MESH_TRACE_BUF_EVENTS` | events per trace ring (rounded up to a power of two, overwrite-oldest) | a number in 64..=4M | 64K |
     /// | `MESH_TRACE_PATH` | trace-dump file (unset: one `mesh-trace:` line on stderr) | a path of 1..=4095 bytes | unset |
-    /// | `MESH_SENSE_INTERVAL_MS` | mesh-sense poll period, in ms (0 = off) | a number in 0..=4294967295 | 1000 |
     /// | `MESH_SENSE_HISTORY` | snapshots retained in the sense ring | a number in 2..=100000 | 120 |
     /// | `MESH_SENSE_MINCORE_PAGES` | pages `mincore`-sampled per poll (0 = no sweep) | a number in 0..=16M | 256 |
     /// | `MESH_SENSE_PATH` | sense-dump file, also written at exit (unset: stderr, on request only) | a path of 1..=4095 bytes | unset |
@@ -627,17 +610,13 @@ mod tests {
     #[test]
     fn sense_knobs_build_and_validate() {
         let c = MeshConfig::default();
-        assert!(c.is_sensing(), "sensing is on by default");
-        assert_eq!(c.sense_poll_interval(), Some(Duration::from_millis(1000)));
         assert_eq!(c.sense_history_len(), 120);
         assert_eq!(c.sense_mincore_page_budget(), 256);
         assert_eq!(c.sense_dump_path(), None);
         let c = MeshConfig::default()
-            .sense_interval(Some(Duration::from_millis(100)))
             .sense_history(16)
             .sense_mincore_pages(0)
             .sense_path(Some("/tmp/sense.json".into()));
-        assert_eq!(c.sense_poll_interval(), Some(Duration::from_millis(100)));
         assert_eq!(c.sense_history_len(), 16);
         assert_eq!(c.sense_mincore_page_budget(), 0, "0 = no sweep, still valid");
         assert_eq!(
@@ -645,10 +624,6 @@ mod tests {
             Some(std::path::Path::new("/tmp/sense.json"))
         );
         assert!(c.validate().is_ok());
-        let off = MeshConfig::default().sense_interval(None);
-        assert!(!off.is_sensing());
-        // Ring/budget bounds only matter when sensing is on.
-        assert!(off.clone().sense_history(1).validate().is_ok());
         assert!(MeshConfig::default().sense_history(1).validate().is_err());
         assert!(MeshConfig::default().sense_history(100_001).validate().is_err());
         assert!(MeshConfig::default()

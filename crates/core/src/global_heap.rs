@@ -388,9 +388,9 @@ pub(crate) struct GlobalHeap {
     /// Sampled-profiling state (`None` when `MESH_PROF` is off — the
     /// zero-overhead mode).
     pub(crate) telemetry: Option<Arc<Telemetry>>,
-    /// mesh-sense pressure/residency polling state (`None` when
-    /// `MESH_SENSE_INTERVAL_MS=0`; on by default).
-    pub(crate) sense: Option<SenseState>,
+    /// mesh-sense pressure/residency state: the snapshot ring that
+    /// `sense` and `prom` renders poll into.
+    pub(crate) sense: SenseState,
     /// Per-pass meshing-effectiveness ledger (always on; one lock + a few
     /// atomic adds per rate-limited pass).
     pub(crate) ledger: MeshLedger,

@@ -2,18 +2,20 @@
 //!
 //! Meshing never runs here: passes run inline on the free path when the
 //! §4.5 rate limiter says one is due, or on `mesh_now`. A heap that
-//! profiles, traces, senses or serves a control socket runs one
-//! `mesh-bg` thread for the work none of those may do on an allocation
-//! path: interval profile dumps, reports requested by `SIGUSR2` /
-//! `Mesh::request_report`, sense polls and the mesh-ctl socket
-//! (`GlobalHeap::telemetry_tick`).
+//! profiles, traces, names a `MESH_SENSE_PATH` or serves a control socket
+//! runs one `mesh-bg` thread for the work none of those may do on an
+//! allocation path: interval profile dumps, reports requested by
+//! `SIGUSR2` / `Mesh::request_report`, and the mesh-ctl socket
+//! (`GlobalHeap::telemetry_tick`). A heap with default settings runs no
+//! thread: nothing polls on a clock, and a sense snapshot is taken by the
+//! render that shows it.
 //!
 //! ## Parking
 //!
-//! The thread parks until the *next deadline* — the next interval dump or
-//! sense poll, whichever is sooner (`GlobalHeap::next_park`), or a short
-//! slice while a control socket is live. With nothing scheduled it parks
-//! in [`IDLE_PARK`] slices, so a signal-requested dump waits at most one.
+//! The thread parks until the *next deadline* — the next interval dump
+//! (`GlobalHeap::next_park`), or a short slice while a control socket is
+//! live. With nothing scheduled it parks in [`IDLE_PARK`] slices, so a
+//! signal-requested dump waits at most one.
 //!
 //! ## Shutdown handshake
 //!
@@ -106,20 +108,13 @@ mod tests {
             )
             .unwrap()
         };
-        // Nothing scheduled (no telemetry, sensing off): one full idle
-        // slice — the ~20× wakeup cut over 50 ms polling.
-        let h = heap(MeshConfig::default().sense_interval(None));
+        // Nothing scheduled: one full idle slice — the ~20× wakeup cut
+        // over 50 ms polling.
+        let h = heap(MeshConfig::default());
         assert_eq!(h.next_park(), super::IDLE_PARK);
         // Meshing sets no deadline here: passes run on the free path.
-        let h = heap(
-            MeshConfig::default()
-                .sense_interval(None)
-                .mesh_period(Duration::from_millis(100)),
-        );
+        let h = heap(MeshConfig::default().mesh_period(Duration::from_millis(1)));
         assert_eq!(h.next_park(), super::IDLE_PARK);
-        // Default-on sensing (1 s interval) bounds the park by the poll.
-        let h = heap(MeshConfig::default());
-        assert!(h.next_park() <= Duration::from_secs(1));
         // The telemetry dump interval bounds the park when it is sooner.
         let h = heap(
             MeshConfig::default()
@@ -233,6 +228,21 @@ mod tests {
         }
         unsafe { mesh.free(p) };
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn only_a_heap_with_a_dump_to_serve_runs_the_thread() {
+        use crate::global_heap::GlobalHeap;
+        let runs = |cfg: MeshConfig| {
+            GlobalHeap::new(cfg.arena_bytes(16 << 20).seed(4), Default::default())
+                .unwrap()
+                .background_thread_wanted()
+        };
+        assert!(!runs(MeshConfig::default()), "a default heap polls nothing");
+        assert!(runs(MeshConfig::default().profiling(true)));
+        assert!(runs(MeshConfig::default().tracing(true)));
+        let path = std::env::temp_dir().join(format!("mesh-bg-{}.json", std::process::id()));
+        assert!(runs(MeshConfig::default().sense_path(Some(path))));
     }
 
     #[test]

@@ -36,7 +36,6 @@
 //! - `probe_limit` — SplitMesher probe limit `t` (§3.3): a number in 1..=4K
 //! - `prof_sample_bytes` — mean bytes between samples: a number in 1..=1T
 //! - `trace` — slow-path event tracer (mesh-trace): one of 1/0/true/false/yes/no/on/off
-//! - `sense_interval_ms` — mesh-sense poll period, in ms (0 = off): a number in 0..=4294967295
 //! <!-- /knobs -->
 //!
 //! The value is parsed by [`knobs::parse`], the parser of the `MESH_*`
@@ -594,7 +593,7 @@ mod tests {
     /// was given — never a clamped one.
     #[test]
     fn set_accepts_what_the_environment_accepts_and_acks_it_verbatim() {
-        use crate::knobs::{Kind, Value, KNOBS};
+        use crate::knobs::{Kind, KNOBS};
         let heap = crate::global_heap::GlobalHeap::new(
             crate::MeshConfig::default()
                 .arena_bytes(64 << 20)
@@ -631,19 +630,15 @@ mod tests {
                     (Err(why), Err(said)) => {
                         assert_eq!(*said, format!("{}: {why}", row.name), "one refusal text")
                     }
-                    // "0 = off" is a start-up choice the environment can
-                    // make and a live heap cannot.
-                    (Ok(Value::Num(0)), Err(_)) => assert_eq!(row.name, "sense_interval_ms"),
                     _ => panic!("{} {text}: env {by_env:?}, ctl {by_ctl:?}", row.name),
                 }
             }
         }
-        assert_eq!(live, 6);
+        assert_eq!(live, 5);
 
         // The drifts this closes, pinned: no clamp to 1 ms, no clamp to
         // "sample every byte", no probe limit a pass would spin on.
-        for refused in ["sense_interval_ms 0", "prof_sample_bytes 0", "probe_limit 0",
-                        "probe_limit 18446744073709551615"] {
+        for refused in ["prof_sample_bytes 0", "probe_limit 0", "probe_limit 18446744073709551615"] {
             let (name, text) = refused.split_once(' ').unwrap();
             assert!(set(name, text).is_err(), "set {refused}");
         }

@@ -50,7 +50,7 @@ pub(crate) fn profile_json(
 pub(crate) fn prom_text(
     stats: &HeapStats,
     prof: Option<&ProfileStats>,
-    sense: Option<&SenseSnapshot>,
+    sense: &SenseSnapshot,
     rejects: &[u64; REJECT_REASONS],
 ) -> String {
     let mut out = String::with_capacity(8192);
@@ -59,9 +59,7 @@ pub(crate) fn prom_text(
     spectrum_metrics(&mut out, &stats.spectrum);
     fields::prom(&mut out, &super::ledger::REJECT_TOTALS, rejects);
     fields::prom(&mut out, &HARDEN_FIELDS, stats);
-    if let Some(s) = sense {
-        fields::prom(&mut out, &super::sense::SENSE_FIELDS, s);
-    }
+    fields::prom(&mut out, &super::sense::SENSE_FIELDS, sense);
     if let Some(p) = prof {
         fields::prom(&mut out, &super::PROFILE_FIELDS, &(*p, stats.live_bytes));
     }
@@ -142,6 +140,18 @@ mod tests {
         }
     }
 
+    /// A snapshot from a host with no procfs, PSI or cgroup readings.
+    fn no_host() -> SenseSnapshot {
+        SenseSnapshot {
+            rss_bytes: ABSENT,
+            psi_avg10_milli: ABSENT,
+            psi_avg60_milli: ABSENT,
+            cgroup_limit_bytes: ABSENT,
+            cgroup_usage_bytes: ABSENT,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn profile_json_is_wellformed_and_ordered() {
         let entries = vec![
@@ -198,7 +208,7 @@ mod tests {
             est_meshable_pairs: 1,
             meshable: true,
         };
-        let text = prom_text(&stats, Some(&prof()), None, &[0; REJECT_REASONS]);
+        let text = prom_text(&stats, Some(&prof()), &no_host(), &[0; REJECT_REASONS]);
         assert!(text.contains("# TYPE mesh_mallocs_total counter\nmesh_mallocs_total 7\n"));
         assert!(text.contains("mesh_live_bytes 1234"));
         assert!(text.contains("mesh_class_spans{class=\"48\",bin=\"attached\"} 1"));
@@ -209,9 +219,9 @@ mod tests {
         assert!(text.contains("mesh_pass_rejected_total{reason=\"occupancy_overlap\"} 0"));
         assert!(text.contains("mesh_pass_rejected_total{reason=\"copy_abort\"} 0"));
         assert!(text.contains("mesh_pass_rejected_total{reason=\"alias_budget\"} 0"));
-        // Without profiling, the prof series are absent; without a sense
-        // snapshot, the sense gauges are too.
-        let text = prom_text(&stats, None, None, &[0; REJECT_REASONS]);
+        // Without profiling, the prof series are absent; without a host
+        // reading, its sense gauge is too.
+        let text = prom_text(&stats, None, &no_host(), &[0; REJECT_REASONS]);
         assert!(!text.contains("mesh_prof_"));
         assert!(!text.contains("mesh_rss_bytes"));
         // Every non-comment line is `name{labels} value`.
@@ -232,7 +242,7 @@ mod tests {
         stats.latency.counts[r][LATENCY_BUCKETS - 1] = 1;
         stats.latency.sums[r] = 5_000;
         stats.latency.maxes[r] = 2_000;
-        let text = prom_text(&stats, None, None, &[0; REJECT_REASONS]);
+        let text = prom_text(&stats, None, &no_host(), &[0; REJECT_REASONS]);
         // The populated family: elided zero buckets, cumulative counts,
         // the overflow landing only in +Inf.
         assert!(text.contains("# TYPE mesh_refill_seconds histogram\n"));
@@ -282,7 +292,7 @@ mod tests {
             cgroup_usage_bytes: 9 << 20,
             ..Default::default()
         };
-        let text = prom_text(&stats, Some(&prof()), Some(&sense), &[3, 1, 0, 0, 2]);
+        let text = prom_text(&stats, Some(&prof()), &sense, &[3, 1, 0, 0, 2]);
 
         let mut kinds: std::collections::HashMap<String, String> = Default::default();
         let mut last_help: Option<String> = None;
@@ -369,7 +379,7 @@ mod tests {
             ..Default::default()
         };
         stats.harden_violations[crate::harden::HardenKind::Poison as usize] = 3;
-        let text = prom_text(&stats, None, None, &[0; REJECT_REASONS]);
+        let text = prom_text(&stats, None, &no_host(), &[0; REJECT_REASONS]);
         assert!(text.contains("# TYPE mesh_invalid_frees_total counter\nmesh_invalid_frees_total 4\n"));
         assert!(text.contains("# TYPE mesh_double_frees_total counter\nmesh_double_frees_total 2\n"));
         // Every harden kind emits a labelled series, zeros included and
@@ -394,7 +404,7 @@ mod tests {
             committed_pages_peak: 1792,
             ..Default::default()
         };
-        let text = prom_text(&stats, None, None, &[0; REJECT_REASONS]);
+        let text = prom_text(&stats, None, &no_host(), &[0; REJECT_REASONS]);
         let value_of = |name: &str| -> u64 {
             text.lines()
                 .find(|l| l.starts_with(&format!("{name} ")))

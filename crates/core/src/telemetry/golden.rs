@@ -16,7 +16,6 @@ use crate::telemetry::{
     decompose, ClassSpectrum, HeapSpectrum, MeshLedger, PassRecord, ProfileStats,
     ResidencyBreakdown, SenseSnapshot, SenseState, SiteSnapshot, ABSENT, OVERFLOW_SITE,
 };
-use std::time::Duration;
 
 const UPTIME_MS: u64 = 1_234_567;
 
@@ -152,6 +151,7 @@ fn snapshot(at_ms: u64) -> SenseSnapshot {
         frees: at_ms + 14,
         mesh_passes: at_ms + 15,
         pairs_meshed: at_ms + 16,
+        poll_ns: at_ms + 17,
     }
 }
 
@@ -190,11 +190,9 @@ fn ledger() -> MeshLedger {
 fn sense_state() -> SenseState {
     let sense = SenseState::new(
         &MeshConfig::default()
-            .sense_interval(Some(Duration::from_millis(250)))
             .sense_history(3)
             .sense_mincore_pages(17),
-    )
-    .unwrap();
+    );
     sense.push(&snapshot(5000));
     sense.push(&bare_snapshot(5100));
     sense.push(&snapshot(5200));
@@ -229,12 +227,12 @@ fn documents_match_their_golden_bytes() {
         ("stats.txt", stats.render(), include_str!("golden/stats.txt")),
         (
             "prom.txt",
-            exposition::prom_text(&stats, Some(&prof()), Some(&snapshot(6000)), &[41, 42, 43, 44, 45]),
+            exposition::prom_text(&stats, Some(&prof()), &snapshot(6000), &[41, 42, 43, 44, 45]),
             include_str!("golden/prom.txt"),
         ),
         (
             "prom_bare.txt",
-            exposition::prom_text(&bare_stats, None, Some(&bare_snapshot(6100)), &[0; 5]),
+            exposition::prom_text(&bare_stats, None, &bare_snapshot(6100), &[0; 5]),
             include_str!("golden/prom_bare.txt"),
         ),
         (
@@ -292,7 +290,7 @@ fn ring_records_round_trip_every_field() {
     assert_eq!(kept, [snapshot(5000), bare_snapshot(5100), snapshot(5200)]);
     assert_eq!(sense.latest(), Some(snapshot(5200)));
     let s = snapshot(5000);
-    words_are_the_fields::<_, 17>(&super::sense::SENSE_FIELDS, &s, (5000..5017).collect());
+    words_are_the_fields::<_, 18>(&super::sense::SENSE_FIELDS, &s, (5000..5018).collect());
 
     let ledger = ledger();
     let passes = ledger.recent();
@@ -320,7 +318,7 @@ fn only_host_readings_are_nullable() {
         ["rss_bytes", "psi_avg10_milli", "psi_avg60_milli", "cgroup_limit_bytes", "cgroup_usage_bytes"]
     );
     for (i, row) in super::sense::SENSE_FIELDS.iter().enumerate() {
-        let mut words = fields::to_words::<_, 17>(&super::sense::SENSE_FIELDS, &snapshot(7000));
+        let mut words = fields::to_words::<_, 18>(&super::sense::SENSE_FIELDS, &snapshot(7000));
         words[i] = ABSENT;
         let snap: SenseSnapshot = fields::from_words(&super::sense::SENSE_FIELDS, words);
         let json = snap.json();

@@ -13,7 +13,8 @@
 //!
 //! The background thread's beat ([`GlobalHeap::telemetry_tick`]) and its
 //! park computation live here too: serving the pending mask is what the
-//! beat is for.
+//! beat is for. So does the mesh-sense poll: a snapshot is taken by a
+//! `sense` or `prom` render and at no other time.
 
 use super::ledger::REJECT_TOTALS;
 use super::residency::{RESIDENCY_FIELDS, SEGMENT_FIELDS};
@@ -26,7 +27,7 @@ use crate::global_heap::GlobalHeap;
 use crate::stats::HeapStats;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A document the heap can render about itself. The variant order is the
 /// order of [`Report::ALL`], the mesh-ctl `help` line, and the bits of
@@ -43,7 +44,7 @@ pub enum Report {
     Pprof,
     /// Chrome trace-event JSON of the buffered slow-path events.
     Trace,
-    /// Version-1 mesh-sense JSON: residency, ledger, snapshot series.
+    /// Version-2 mesh-sense JSON: residency, ledger, snapshot series.
     Sense,
     /// The meshing-effectiveness ledger JSON.
     Ledger,
@@ -111,7 +112,7 @@ const ROWS: [Row; Report::ALL.len()] = [
         name: "sense",
         prefix: Some("mesh-sense"),
         path_knob: Some("MESH_SENSE_PATH"),
-        off: "sensing off (MESH_SENSE_INTERVAL_MS=0)",
+        off: "",
     },
     Row {
         name: "ledger",
@@ -186,7 +187,7 @@ impl Reports {
             paths: Report::ALL.map(|kind| match kind {
                 Report::Profile => path(config.is_profiling(), config.prof_dump_path()),
                 Report::Trace => path(config.is_tracing(), config.trace_dump_path()),
-                Report::Sense => path(config.is_sensing(), config.sense_dump_path()),
+                Report::Sense => config.sense_dump_path().map(Path::to_path_buf),
                 _ => None,
             }),
             pending: AtomicU8::new(0),
@@ -229,11 +230,10 @@ impl GlobalHeap {
             Report::Prom => {
                 let stats = self.stats_with_spectrum();
                 let prof = self.telemetry.as_ref().map(|t| t.stats());
-                let sense = self.sense.as_ref().and_then(|s| s.latest());
                 exposition::prom_text(
                     &stats,
                     prof.as_ref(),
-                    sense.as_ref(),
+                    &self.sense_poll().0,
                     &self.ledger.reject_totals(),
                 )
             }
@@ -260,11 +260,9 @@ impl GlobalHeap {
             }
             Report::Trace => self.counters.trace_json().ok_or(kind.off())?,
             Report::Sense => {
-                let sense = self.sense.as_ref().ok_or(kind.off())?;
                 // One fresh poll per document, whatever asked for it.
-                self.sense_poll(sense);
-                let res = super::decompose(&self.segment_stats());
-                sense_json(sense, &res, &self.ledger, self.counters.uptime_ms())
+                let (_, res) = self.sense_poll();
+                sense_json(&self.sense, &res, &self.ledger, self.counters.uptime_ms())
             }
             Report::Ledger => ledger_json(&self.ledger, self.counters.uptime_ms()),
             Report::Spectrum => {
@@ -314,22 +312,24 @@ impl GlobalHeap {
 
     /// Takes one mesh-sense poll: reads the pressure sources, decomposes
     /// residency from the segment snapshots, advances the bounded
-    /// `mincore` sweep, and appends a snapshot to the ring. Takes the
-    /// arena lock briefly (for the segment snapshots) and nothing else:
-    /// polls on several threads at once sweep different windows and push
-    /// their own snapshots.
-    fn sense_poll(&self, sense: &SenseState) {
+    /// `mincore` sweep, appends the snapshot to the ring and returns it
+    /// with the residency it was taken from. Takes the arena lock briefly
+    /// (for the segment snapshots) and nothing else: polls on several
+    /// threads at once sweep different windows and push their own
+    /// snapshots.
+    fn sense_poll(&self) -> (SenseSnapshot, ResidencyBreakdown) {
+        let start = Instant::now();
         let segs = self.segment_stats();
         let res = super::decompose(&segs);
         let p = super::read_pressure();
         let stats = self.counters.snapshot();
-        let est_resident_bytes = sense.sweep(
+        let est_resident_bytes = self.sense.sweep(
             self.base_addr(),
             &segs,
             res.mapped_bytes,
             res.committed_bytes,
         );
-        sense.push(&SenseSnapshot {
+        let mut snap = SenseSnapshot {
             at_ms: self.counters.uptime_ms(),
             rss_bytes: p.rss_bytes.unwrap_or(ABSENT),
             est_resident_bytes,
@@ -347,14 +347,17 @@ impl GlobalHeap {
             frees: stats.frees,
             mesh_passes: stats.mesh_passes,
             pairs_meshed: stats.spans_meshed,
-        });
+            poll_ns: 0,
+        };
+        snap.poll_ns = start.elapsed().as_nanos() as u64;
+        self.sense.push(&snap);
+        (snap, res)
     }
 
     /// One background-thread beat: emits every report that is due — a
     /// request from `SIGUSR2` / `Mesh::request_report`, or the profile
-    /// interval clock expiring — takes a mesh-sense poll when its clock
-    /// expires, then serves a beat of the mesh-ctl socket. No-op without
-    /// profiling, tracing, sensing, or a control socket.
+    /// interval clock expiring — then serves a beat of the mesh-ctl
+    /// socket.
     pub(crate) fn telemetry_tick(&self) {
         let mut due = self.reports.claim();
         let now = self.counters.now_ns();
@@ -371,23 +374,16 @@ impl GlobalHeap {
                 let _ = self.emit(kind, 2);
             }
         }
-        if let Some(sense) = self.sense.as_ref().filter(|s| s.take_poll_due(now)) {
-            self.sense_poll(sense);
-        }
         self.ctl_tick();
     }
 
     /// How long the background thread may park: until the next interval
-    /// dump or the next sense poll, whichever is closest — or a full idle
-    /// slice when neither is pending.
+    /// dump, or a full idle slice when none is pending.
     pub(crate) fn next_park(&self) -> Duration {
         let mut park = crate::mesher::IDLE_PARK;
         let now = self.counters.now_ns();
         if let Some(d) = self.telemetry.as_ref().and_then(|t| t.time_until_dump(now)) {
             park = park.min(d);
-        }
-        if let Some(s) = &self.sense {
-            park = park.min(s.time_until_poll(now));
         }
         // A live control socket needs polling-grade latency; a ctl that
         // failed to bind costs nothing.
@@ -398,12 +394,13 @@ impl GlobalHeap {
     }
 
     /// Whether a heap with this configuration runs the background thread:
-    /// to serve requested and interval reports and periodic sense polls,
-    /// to serve the mesh-ctl socket, or both.
+    /// to serve requested and interval reports of the kinds that have a
+    /// dump (profiling, tracing, a `MESH_SENSE_PATH`), to serve the
+    /// mesh-ctl socket, or both. A default heap runs none.
     pub(crate) fn background_thread_wanted(&self) -> bool {
         self.telemetry.is_some()
             || self.counters.trace_set().is_some()
-            || self.sense.is_some()
+            || self.reports.path(Report::Sense).is_some()
             || self.ctl.is_some()
     }
 }
@@ -417,10 +414,9 @@ pub(super) fn sense_json(
     uptime_ms: u64,
 ) -> String {
     format!(
-        "{{\"mesh_sense_version\":1,\"uptime_ms\":{uptime_ms},\
-         \"interval_ms\":{},\"history\":{},\"mincore_page_budget\":{},\
+        "{{\"mesh_sense_version\":2,\"uptime_ms\":{uptime_ms},\
+         \"history\":{},\"mincore_page_budget\":{},\
          \"residency\":{{{},\"segments\":{}}},\"ledger\":{{{}}},\"snapshots\":{}}}",
-        sense.interval().as_millis(),
         sense.history(),
         sense.mincore_page_budget(),
         fields::members(&RESIDENCY_FIELDS, res),
@@ -531,13 +527,16 @@ mod tests {
             &MeshConfig::default()
                 .prof_path(Some(p.clone()))
                 .trace_path(Some(p.clone()))
-                .sense_interval(None)
                 .sense_path(Some(p)),
         );
-        assert!(
-            Report::ALL.iter().all(|&k| off.path(k).is_none()),
-            "subsystems off"
-        );
+        for kind in Report::ALL {
+            assert_eq!(
+                off.path(kind).is_some(),
+                kind == Report::Sense,
+                "{}: profiling and tracing off, sensing always on",
+                kind.name()
+            );
+        }
     }
 
     #[test]
@@ -572,7 +571,7 @@ mod tests {
 
     #[test]
     fn off_kinds_answer_with_their_row_message() {
-        let h = heap(MeshConfig::default().sense_interval(None));
+        let h = heap(MeshConfig::default());
         for kind in Report::ALL {
             match h.render(kind) {
                 Ok(_) => assert_eq!(kind.off().0, "", "{} is always on", kind.name()),

@@ -1,14 +1,12 @@
 //! mesh-sense: the pressure/residency sensing layer.
 //!
-//! A 1 Hz (default) poll on the existing background thread reads three
-//! kinds of external signal —
+//! A poll reads three kinds of external signal —
 //!
 //! 1. **OS memory pressure**: `/proc/pressure/memory` PSI `avg10`/`avg60`,
 //! 2. **container limits**: cgroup v2 (`memory.max`/`memory.current`,
 //!    located via `/proc/self/cgroup`) falling back to cgroup v1
 //!    (`memory.limit_in_bytes`/`memory.usage_in_bytes`),
-//! 3. **process RSS**: `/proc/self/smaps_rollup` falling back to
-//!    `/proc/self/statm`,
+//! 3. **process RSS**: `/proc/self/statm`,
 //!
 //! — combines them with the heap's own residency decomposition
 //! ([`super::residency`]) and throughput counters, and appends one
@@ -17,24 +15,27 @@
 //! absent files (non-Linux test stubs, locked-down containers) simply
 //! leave their fields at the [`ABSENT`] sentinel and the poll carries on.
 //!
-//! A snapshot is one 17-word record of the ring. Polls take no lock: the
-//! background thread's and those of rendered `sense` reports may run at
-//! once, and a reader never sees a snapshot one of them is still writing.
+//! Polls happen on demand: every `sense` or `prom` render takes one,
+//! whatever asked for it (the API, mesh-ctl, `SIGUSR2`, the exit hook).
+//! Nothing polls on a clock, so a heap nobody asks about reads no procfs
+//! file and needs no thread.
+//!
+//! A snapshot is one 18-word record of the ring. Polls take no lock:
+//! renders on several threads may poll at once, and a reader never sees
+//! a snapshot one of them is still writing.
 
 use super::fields::{self, gauge, word, Field};
 use super::ring::Ring;
 use crate::config::MeshConfig;
-use crate::stats::EpochClock;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// Sentinel for "source absent / unlimited" in snapshot fields.
 pub const ABSENT: u64 = u64::MAX;
 
 /// Words per snapshot record (one per [`SENSE_FIELDS`] row).
-const SNAPSHOT_WORDS: usize = 17;
+const SNAPSHOT_WORDS: usize = 18;
 
-/// One periodic sense snapshot. All fields are plain `u64`s so the ring
+/// One sense snapshot. All fields are plain `u64`s so the ring
 /// can store them as atomic words; optional sources use [`ABSENT`]. Every
 /// view renders it through one field table, `SENSE_FIELDS`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,6 +79,9 @@ pub struct SenseSnapshot {
     pub mesh_passes: u64,
     /// Cumulative pairs meshed.
     pub pairs_meshed: u64,
+    /// What taking this snapshot cost, in nanoseconds: the procfs reads,
+    /// the residency decomposition and the `mincore` sweep.
+    pub poll_ns: u64,
 }
 
 /// Every field's ring word, JSON member and (for the external readings)
@@ -107,6 +111,7 @@ pub(crate) static SENSE_FIELDS: [Field<SenseSnapshot>; SNAPSHOT_WORDS] = [
     word!(frees),
     word!(mesh_passes),
     word!(pairs_meshed),
+    word!(poll_ns),
 ];
 
 impl SenseSnapshot {
@@ -152,7 +157,7 @@ pub fn read_pressure() -> PressureReading {
         psi_avg60_milli,
         cgroup_limit_bytes,
         cgroup_usage_bytes,
-        rss_bytes: read_rss_bytes(),
+        rss_bytes: crate::sys::process_rss_kb().map(|kb| kb * 1024),
     }
 }
 
@@ -235,35 +240,11 @@ pub(crate) fn parse_cgroup_value(s: &str) -> Option<u64> {
     (v < (1 << 62)).then_some(v)
 }
 
-/// Process RSS: `smaps_rollup` (exact) falling back to `statm` (pages).
-fn read_rss_bytes() -> Option<u64> {
-    if let Ok(s) = std::fs::read_to_string("/proc/self/smaps_rollup") {
-        if let Some(kb) = parse_smaps_rss_kb(&s) {
-            return Some(kb * 1024);
-        }
-    }
-    crate::sys::process_rss_kb().map(|kb| kb * 1024)
-}
-
-/// The `Rss:` line of an smaps rollup, in kB.
-pub(crate) fn parse_smaps_rss_kb(text: &str) -> Option<u64> {
-    let line = text.lines().find(|l| l.starts_with("Rss:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// Per-heap sensing state: the poll clock, the snapshot ring, and the
-/// `mincore` sweep's persistent cursor. `None` on the heap when sensing
-/// is off (`MESH_SENSE_INTERVAL_MS=0`).
+/// Per-heap sensing state: the snapshot ring and the `mincore` sweep's
+/// persistent cursor.
 #[derive(Debug)]
 pub struct SenseState {
-    /// Poll interval in nanoseconds. Atomic so mesh-ctl's
-    /// `set sense_interval_ms` can retune a live process; the background
-    /// thread re-reads it at every park computation.
-    interval_ns: AtomicU64,
     mincore_pages: usize,
-    /// When the background thread last polled; starts at the heap's
-    /// birth.
-    last_poll: EpochClock,
     ring: Ring<SNAPSHOT_WORDS>,
     /// Mapped-page-sequence position where the next sweep starts. Each
     /// sweep claims its window with one `fetch_add`, so two concurrent
@@ -275,31 +256,14 @@ pub struct SenseState {
 }
 
 impl SenseState {
-    /// Builds sensing state for `config`, or `None` when sensing is off.
-    pub(crate) fn new(config: &MeshConfig) -> Option<SenseState> {
-        let interval = config.sense_interval?;
-        let history = config.sense_history.max(2);
-        Some(SenseState {
-            interval_ns: AtomicU64::new(interval.as_nanos() as u64),
+    /// Builds sensing state for `config`.
+    pub(crate) fn new(config: &MeshConfig) -> SenseState {
+        SenseState {
             mincore_pages: config.sense_mincore_pages,
-            last_poll: EpochClock::started_at(0),
-            ring: Ring::new(history),
+            ring: Ring::new(config.sense_history.max(2)),
             sweep_cursor: AtomicUsize::new(0),
             resident_ratio_fp: AtomicU64::new(ABSENT),
-        })
-    }
-
-    /// The poll interval.
-    pub fn interval(&self) -> Duration {
-        Duration::from_nanos(self.interval_ns.load(Ordering::Relaxed))
-    }
-
-    /// Retunes the poll interval at runtime (mesh-ctl
-    /// `set sense_interval_ms`, which refuses 0: sensing cannot be
-    /// turned off this way, only made slow or fast). The new deadline
-    /// takes effect at the next park computation.
-    pub fn set_interval(&self, interval: Duration) {
-        self.interval_ns.store(interval.as_nanos() as u64, Ordering::Relaxed);
+        }
     }
 
     /// Ring capacity in snapshots.
@@ -310,18 +274,6 @@ impl SenseState {
     /// Pages the `mincore` sweep may touch per poll (0 = sweep off).
     pub fn mincore_page_budget(&self) -> usize {
         self.mincore_pages
-    }
-
-    /// Whether a poll is due at `now_ns` on the heap's epoch; claims the
-    /// slot (the clock restarts).
-    pub(crate) fn take_poll_due(&self, now_ns: u64) -> bool {
-        self.last_poll.claim(now_ns, self.interval())
-    }
-
-    /// Time from `now_ns` until the poll clock next expires: the
-    /// background thread's park bound.
-    pub(crate) fn time_until_poll(&self, now_ns: u64) -> Duration {
-        self.last_poll.remaining(now_ns, self.interval())
     }
 
     /// Appends one snapshot. Lock-free; any thread may push.
@@ -406,25 +358,21 @@ mod tests {
             frees: at_ms * 9,
             mesh_passes: 1,
             pairs_meshed: 2,
+            poll_ns: 7,
         }
     }
 
     fn state(history: usize) -> SenseState {
-        SenseState::new(
-            &MeshConfig::default()
-                .sense_interval(Some(Duration::from_millis(5)))
-                .sense_history(history),
-        )
-        .unwrap()
+        SenseState::new(&MeshConfig::default().sense_history(history))
     }
 
     #[test]
-    fn off_config_builds_no_state() {
-        assert!(SenseState::new(&MeshConfig::default().sense_interval(None)).is_none());
-        let s = SenseState::new(&MeshConfig::default()).unwrap();
-        assert_eq!(s.interval(), Duration::from_millis(1000));
+    fn state_takes_its_sizes_from_config() {
+        let s = SenseState::new(&MeshConfig::default());
         assert_eq!(s.history(), 120);
         assert_eq!(s.mincore_page_budget(), 256);
+        assert_eq!(state(16).history(), 16);
+        assert_eq!(state(1).history(), 2, "a ring holds at least two");
     }
 
     #[test]
@@ -452,17 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn poll_clock_claims_and_bounds() {
-        let s = state(4);
-        let ms = 1_000_000;
-        assert!(!s.take_poll_due(2 * ms), "fresh clock");
-        assert_eq!(s.time_until_poll(2 * ms), Duration::from_millis(3));
-        assert!(s.take_poll_due(7 * ms));
-        assert!(!s.take_poll_due(7 * ms), "claiming restarts the clock");
-        assert_eq!(s.time_until_poll(7 * ms), Duration::from_millis(5));
-    }
-
-    #[test]
     fn snapshot_json_nulls_absent_fields() {
         let j = snap(3).json();
         assert!(j.contains("\"at_ms\":3"));
@@ -473,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn psi_and_smaps_parsers() {
+    fn psi_parser() {
         let psi = "some avg10=1.25 avg60=0.40 avg300=0.10 total=12345\n\
                    full avg10=0.00 avg60=0.00 avg300=0.00 total=0\n";
         assert_eq!(parse_psi(psi), Some((1250, 400)));
@@ -484,9 +421,6 @@ mod tests {
         assert_eq!(parse_pct_milli("3.1"), Some(3_100));
         assert_eq!(parse_pct_milli("3.14159"), Some(3_141), "extra digits truncated");
         assert_eq!(parse_pct_milli(""), None);
-        let smaps = "Rss:            5124 kB\nPss:            5000 kB\n";
-        assert_eq!(parse_smaps_rss_kb(smaps), Some(5124));
-        assert_eq!(parse_smaps_rss_kb("Pss: 1 kB\n"), None);
     }
 
     #[test]
@@ -518,12 +452,7 @@ mod tests {
     #[test]
     fn sweep_estimates_resident_bytes() {
         use crate::size_classes::PAGE_SIZE;
-        let s = SenseState::new(
-            &MeshConfig::default()
-                .sense_interval(Some(Duration::from_millis(5)))
-                .sense_mincore_pages(4),
-        )
-        .unwrap();
+        let s = SenseState::new(&MeshConfig::default().sense_mincore_pages(4));
         let f = crate::sys::MemFile::create(8 * PAGE_SIZE).unwrap();
         let base = crate::sys::map_file_shared(&f).unwrap() as usize;
         unsafe { std::ptr::write_bytes(base as *mut u8, 1, 8 * PAGE_SIZE) };
@@ -543,12 +472,7 @@ mod tests {
         assert!(est > 0, "touched mapping must estimate resident");
         assert!(est <= mapped);
         // Budget 0 falls back to committed bytes.
-        let s0 = SenseState::new(
-            &MeshConfig::default()
-                .sense_interval(Some(Duration::from_millis(5)))
-                .sense_mincore_pages(0),
-        )
-        .unwrap();
+        let s0 = SenseState::new(&MeshConfig::default().sense_mincore_pages(0));
         assert_eq!(s0.sweep(base, &[seg], mapped, 1234), 1234);
         unsafe { crate::sys::unmap(base as *mut u8, 8 * PAGE_SIZE) };
     }

@@ -275,3 +275,73 @@ fn c_programs_and_real_binaries_run_on_mesh() {
         run.stderr
     );
 }
+
+/// `program args` under `LD_PRELOAD=libmesh.so`, with every `MESH_*`
+/// variable of this environment removed and `env` set instead.
+fn preloaded(so: &Path, program: &str, args: &[&str], env: &[(&str, &str)]) -> Command {
+    let mut cmd = Command::new(program);
+    for (name, _) in std::env::vars_os() {
+        if name.to_string_lossy().starts_with("MESH_") {
+            cmd.env_remove(name);
+        }
+    }
+    cmd.args(args)
+        .env("LD_PRELOAD", so)
+        .envs(env.iter().copied());
+    cmd
+}
+
+/// A default preloaded process runs one thread: nothing polls, so there
+/// is no `mesh-bg`. Tracing starts it, which shows the count sees it.
+#[test]
+fn a_default_preloaded_process_runs_one_thread() {
+    let so = build_libmesh();
+    let tasks = |env: &[(&str, &str)]| {
+        let out = preloaded(&so, "ls", &["/proc/self/task"], env)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).lines().count()
+    };
+    assert_eq!(tasks(&[]), 1, "a default process runs no background thread");
+    assert_eq!(tasks(&[("MESH_TRACE", "1")]), 2, "tracing runs mesh-bg");
+}
+
+/// A default preloaded process leaves `SIGUSR2` alone: it dies of it, as
+/// it would on glibc. (`tests/c_trace.rs` covers the opt-in handler.)
+#[test]
+fn a_default_preloaded_process_dies_of_sigusr2() {
+    use mesh::core::ffi::SIGUSR2;
+    use std::os::unix::process::ExitStatusExt;
+    let so = build_libmesh();
+    let child = preloaded(&so, "sleep", &["5"], &[])
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // Once `sleep` sleeps, it has allocated and the heap exists.
+    let status = format!("/proc/{}/status", child.id());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !std::fs::read_to_string(&status)
+        .unwrap()
+        .contains("State:\tS")
+    {
+        assert!(std::time::Instant::now() < deadline, "sleep never slept");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    assert_eq!(unsafe { kill(child.id() as i32, SIGUSR2) }, 0);
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(
+        out.status.signal(),
+        Some(SIGUSR2),
+        "SIGUSR2 must end the process: {:?}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

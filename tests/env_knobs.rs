@@ -2,7 +2,8 @@
 //! parsing, the boolean/seed knobs, the `MESH_PROF*` profiling knobs,
 //! the `MESH_TRACE*` tracing knobs, warn-and-ignore on malformed
 //! values, and the retired names (the transfer-cache knobs,
-//! `MESH_BACKGROUND_MESHING`), which are ignored whatever they say. A walk over `knobs::KNOBS` feeds every variable a
+//! `MESH_BACKGROUND_MESHING`, the sense poll interval), which are
+//! ignored whatever they say. A walk over `knobs::KNOBS` feeds every variable a
 //! value below its range, above it, garbage and blank: whatever the
 //! environment says, `apply_env()` returns a config `validate()` accepts.
 //!
@@ -83,8 +84,8 @@ fn hostile_walk() {
         (!matches!(row.kind, Kind::Path { .. })).then(|| "banana".to_string())
     });
     let blank = hostile_env(|_| Some("   ".to_string()));
-    assert_eq!(blank.len(), 24, "every variable apply_env reads");
-    assert!(below.len() >= 9 && above.len() >= 14 && garbage.len() == 20);
+    assert_eq!(blank.len(), 23, "every variable apply_env reads");
+    assert!(below.len() >= 9 && above.len() >= 13 && garbage.len() == 19);
     for (what, env) in [("min-1", below), ("max+1", above), ("garbage", garbage), ("blank", blank)] {
         let names: Vec<&str> = env.iter().map(|(name, _)| *name).collect();
         hostile_round(what, "default", &env, &names);
@@ -132,7 +133,7 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     // one stderr line per reason and nothing else.
     if std::env::var_os(RETIRED_CHILD).is_some() {
         let c = MeshConfig::default().apply_env();
-        assert!(c.validate().is_ok());
+        assert_eq!(c, MeshConfig::default(), "retired names change no field");
         let mesh = mesh::core::Mesh::new(c).unwrap();
         let p = mesh.malloc(100);
         assert!(!p.is_null());
@@ -181,6 +182,11 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
         warned,
         ["mesh: ignoring MESH_BACKGROUND_MESHING (retired: meshing runs on the free path)"]
     );
+    let warned = retired_round(&[("MESH_SENSE_INTERVAL_MS", "200")]);
+    assert_eq!(
+        warned,
+        ["mesh: ignoring MESH_SENSE_INTERVAL_MS (retired: sense polls on demand)"]
+    );
 
     hostile_walk();
 
@@ -196,7 +202,6 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     std::env::set_var("MESH_TRACE", "1");
     std::env::set_var("MESH_TRACE_BUF_EVENTS", "banana"); // malformed
     std::env::set_var("MESH_TRACE_PATH", "/tmp/mesh-env-knobs-trace.json");
-    std::env::set_var("MESH_SENSE_INTERVAL_MS", "200");
     std::env::set_var("MESH_SENSE_HISTORY", "banana"); // malformed
     std::env::set_var("MESH_SENSE_MINCORE_PAGES", "1K");
     std::env::set_var("MESH_SENSE_PATH", "/tmp/mesh-env-knobs-sense.json");
@@ -231,12 +236,6 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
         c.trace_dump_path().map(|p| p.to_path_buf()),
         Some(std::path::PathBuf::from("/tmp/mesh-env-knobs-trace.json")),
         "MESH_TRACE_PATH parsed"
-    );
-    assert!(c.is_sensing(), "sensing stays on with a parsed interval");
-    assert_eq!(
-        c.sense_poll_interval(),
-        Some(std::time::Duration::from_millis(200)),
-        "MESH_SENSE_INTERVAL_MS parsed"
     );
     assert_eq!(
         c.sense_history_len(),
@@ -299,16 +298,7 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     assert_eq!(c.trace_buf_event_count(), 4 << 10);
     assert!(c.validate().is_ok());
 
-    // MESH_SENSE_INTERVAL_MS=0 disables sensing entirely, and with it
-    // the history/budget bounds stop applying.
-    std::env::set_var("MESH_SENSE_INTERVAL_MS", "0");
-    let c = MeshConfig::default().apply_env();
-    assert!(!c.is_sensing(), "0 disables sensing");
-    assert_eq!(c.sense_poll_interval(), None);
-    assert!(c.validate().is_ok());
-
     // A well-formed history reaches the config and validates.
-    std::env::set_var("MESH_SENSE_INTERVAL_MS", "1000");
     std::env::set_var("MESH_SENSE_HISTORY", "30");
     let c = MeshConfig::default().apply_env();
     assert_eq!(c.sense_history_len(), 30);

@@ -232,7 +232,6 @@ fn wait_with_timeout(pid: i32, limit: std::time::Duration) -> Option<i32> {
 fn fork_while_recording() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     let mesh = Mesh::new(MeshConfig::default().seed(37).arena_bytes(64 << 20)).unwrap();
-    assert!(mesh.is_sensing());
     let stop = AtomicBool::new(false);
     let (passes, polls) = (AtomicU64::new(0), AtomicU64::new(0));
     std::thread::scope(|s| {
@@ -263,7 +262,7 @@ fn fork_while_recording() {
             let ok = ledger.contains("\"passes_recorded\":0,")
                 && ledger.contains("\"passes\":[]")
                 && mesh.ledger_recent().is_empty()
-                && sense.starts_with("{\"mesh_sense_version\":1,")
+                && sense.starts_with("{\"mesh_sense_version\":2,")
                 && mesh.sense_latest().is_some();
             unsafe { ffi::_exit(if ok { 0 } else { 1 }) };
         }

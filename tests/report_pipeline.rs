@@ -234,7 +234,6 @@ fn every_trigger_declines_a_disabled_subsystem_alike() {
         MeshConfig::default()
             .arena_bytes(64 << 20)
             .seed(12)
-            .sense_interval(None)
             .ctl(Some(sock.clone())),
     )
     .unwrap();
@@ -261,8 +260,8 @@ fn every_trigger_declines_a_disabled_subsystem_alike() {
     }
     assert_eq!(
         declined,
-        [Report::Profile, Report::Pprof, Report::Trace, Report::Sense],
-        "exactly the opt-out kinds decline"
+        [Report::Profile, Report::Pprof, Report::Trace],
+        "exactly the opt-in kinds decline"
     );
     assert_eq!(
         ctl.request("bogus"),

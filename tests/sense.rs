@@ -9,9 +9,8 @@ use std::time::Duration;
 use support::{report_text, JsonExt, Parser};
 
 fn heap(seed: u64) -> Mesh {
-    // Huge mesh period: passes in this file are explicit, and sensing
-    // polls are driven synchronously through dump/json calls rather than
-    // waiting on the 1 s background clock.
+    // Huge mesh period: passes in this file are explicit. Sense polls
+    // are always explicit: each `sense` or `prom` render takes one.
     Mesh::new(
         MeshConfig::default()
             .arena_bytes(512 << 20)
@@ -117,11 +116,10 @@ fn ledger_reconciles_with_heap_counters_over_many_passes() {
 #[test]
 fn sense_json_schema_and_residency_partition() {
     let mesh = heap(7);
-    assert!(mesh.is_sensing(), "sensing is on by default");
     let kept = fragment(&mesh, 8_192, 256, 4);
     mesh.mesh_now();
-    let json = report_text(&mesh, Report::Sense).expect("sensing on");
-    assert!(json.starts_with("{\"mesh_sense_version\":1,"), "{json}");
+    let json = report_text(&mesh, Report::Sense).expect("sensing is always on");
+    assert!(json.starts_with("{\"mesh_sense_version\":2,"), "{json}");
     for key in [
         "\"residency\":{",
         "\"mapped_bytes\":",
@@ -154,6 +152,10 @@ fn sense_json_schema_and_residency_partition() {
     );
     assert!(snap.mallocs >= 8_192);
     assert!(snap.mesh_passes >= 1);
+    assert!(
+        snap.poll_ns > 0,
+        "a snapshot reports what it cost: {snap:?}"
+    );
     for p in kept {
         unsafe { mesh.free(p) };
     }
@@ -195,10 +197,24 @@ fn snapshot_ring_and_prom_families() {
     }
 }
 
-/// `MESH_SENSE_PATH` dumps: `write_report` writes the document to the
-/// configured file, and a disabled heap declines.
+/// `prom` takes its own poll: a fresh heap that never rendered `sense`
+/// still exports the residency gauge, from a snapshot taken just now.
 #[test]
-fn sense_dump_to_path_and_disabled_heap() {
+fn prom_takes_a_fresh_poll() {
+    let mesh = Mesh::new(MeshConfig::default()).unwrap();
+    assert!(mesh.sense_latest().is_none(), "nothing polls on a clock");
+    let p = mesh.malloc(64);
+    let text = mesh.prom_text();
+    assert!(text.contains("mesh_resident_est_bytes "), "{text}");
+    let snap = mesh.sense_latest().expect("the prom render polled");
+    assert!(snap.mallocs >= 1, "{snap:?}");
+    unsafe { mesh.free(p) };
+}
+
+/// `MESH_SENSE_PATH` dumps: `write_report` writes the document to the
+/// configured file.
+#[test]
+fn sense_dump_to_path() {
     let path = std::env::temp_dir().join(format!("mesh-sense-test-{}.json", std::process::id()));
     std::fs::remove_file(&path).ok();
     let mesh = Mesh::new(
@@ -212,32 +228,15 @@ fn sense_dump_to_path_and_disabled_heap() {
     let p = mesh.malloc(64);
     assert!(mesh.write_report(Report::Sense, 2).is_ok());
     let doc = std::fs::read_to_string(&path).expect("dump file written");
-    assert!(doc.contains("\"mesh_sense_version\":1"), "{doc}");
+    assert!(doc.contains("\"mesh_sense_version\":2"), "{doc}");
     std::fs::remove_file(&path).ok();
     unsafe { mesh.free(p) };
-
-    // Sensing off: every sense entry point declines gracefully.
-    let off = Mesh::new(
-        MeshConfig::default()
-            .arena_bytes(64 << 20)
-            .seed(4)
-            .sense_interval(None),
-    )
-    .unwrap();
-    assert!(!off.is_sensing());
-    assert!(report_text(&off, Report::Sense).is_none());
-    assert!(off.sense_latest().is_none());
-    assert!(off.write_report(Report::Sense, 2).is_err());
-    // The ledger still records passes even without sensing.
-    off.mesh_now();
-    assert_eq!(off.ledger_recent().len(), 1);
 }
 
 /// A *requested* sense dump (the `SIGUSR2` path minus the signal) is as
 /// fresh as a synchronous one: the poll belongs to the renderer, not to
-/// the trigger. With a 1-hour interval the periodic poll never fires, so
-/// the only way the dump's newest snapshot can postdate the request is
-/// the renderer's own poll.
+/// the trigger. Nothing polls on a clock, so the only way the dump's
+/// newest snapshot can postdate the request is the renderer's own poll.
 #[test]
 fn requested_sense_dump_takes_a_fresh_poll() {
     let path = std::env::temp_dir().join(format!("mesh-sense-req-{}.json", std::process::id()));
@@ -247,7 +246,6 @@ fn requested_sense_dump_takes_a_fresh_poll() {
             .arena_bytes(64 << 20)
             .seed(5)
             .mesh_period(Duration::from_secs(3600))
-            .sense_interval(Some(Duration::from_secs(3600)))
             .sense_path(Some(path.clone())),
     )
     .unwrap();
