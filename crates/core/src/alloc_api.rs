@@ -13,7 +13,7 @@ use crate::meshing::MeshSummary;
 use crate::rng::Rng;
 use crate::size_classes::{SizeClass, MAX_SMALL_SIZE, PAGE_SIZE};
 use crate::stats::{Counters, HeapStats};
-use crate::sync::{Mutex, MutexGuard};
+use crate::sync::Mutex;
 use crate::sys::ReleaseStrategy;
 use crate::telemetry::{Report, ReportOff};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,12 +30,12 @@ pub(crate) struct MeshInner {
     seed_base: u64,
     randomize: bool,
     token_gen: AtomicU64,
-    main: Mutex<ThreadHeapCore>,
+    pub(crate) main: Mutex<ThreadHeapCore>,
     /// The background thread's handle (the telemetry beat); dropping it
     /// (with the heap) signals the thread to exit. Behind a mutex so a
     /// forked child — where the parent's thread does not exist — can swap
     /// in a fresh one.
-    mesher: Mutex<Option<BackgroundThread>>,
+    pub(crate) mesher: Mutex<Option<BackgroundThread>>,
 }
 
 impl std::fmt::Debug for MeshInner {
@@ -78,7 +78,7 @@ impl std::fmt::Debug for MeshInner {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mesh {
-    inner: Arc<MeshInner>,
+    pub(crate) inner: Arc<MeshInner>,
 }
 
 impl Mesh {
@@ -473,53 +473,6 @@ impl Mesh {
         self.inner.state.free_global_deferred(ptr as usize);
     }
 
-    // ----- fork protocol -------------------------------------------------
-
-    /// Quiesces the heap for `fork()`: acquires the main handle's lock,
-    /// then *every* heap lock, in the order `GlobalHeap::lock_all`
-    /// documents, so any in-flight refill or meshing pass completes first
-    /// and the child cannot inherit a held lock. Also opens the pipe used
-    /// to hold the parent until the child has privatized its heap copy.
-    ///
-    /// This is the *prepare* phase of the `pthread_atfork` protocol the
-    /// `libmesh.so` interposition layer installs; after `fork()` the
-    /// parent must call [`MeshForkGuard::release_parent`] and the child
-    /// [`MeshForkGuard::release_child`] — see DESIGN.md "ABI & bootstrap".
-    pub fn fork_prepare(&self) -> MeshForkGuard<'_> {
-        with_internal_alloc(|| {
-            let mut main = self.inner.main.lock();
-            // Drain the main core's hardened-mode quarantine first: parked
-            // frees complete through the normal path while every lock is
-            // still free to take, so the child never inherits delayed
-            // frees it would have to reconstruct.
-            main.drain_quarantine(&self.inner.state);
-            let all = self.inner.state.lock_all();
-            let mut pipe = [-1, -1];
-            // A pipe failure (fd exhaustion) degrades to not waiting: the
-            // child still privatizes, the parent just races its copy.
-            unsafe { crate::ffi::pipe(pipe.as_mut_ptr()) };
-            MeshForkGuard {
-                mesh: self,
-                main,
-                all,
-                pipe,
-            }
-        })
-    }
-
-    /// Respawns the background thread in a forked child (the parent's
-    /// thread does not exist there). No-op unless the heap runs one.
-    fn respawn_mesher_after_fork(&self) {
-        if !self.inner.state.background_thread_wanted() {
-            return;
-        }
-        let weak = Arc::downgrade(&self.inner);
-        let mut slot = self.inner.mesher.lock();
-        // Dropping the stale handle only flips a copied stop flag and
-        // unparks a thread that does not exist in this process — harmless.
-        *slot = Some(BackgroundThread::spawn(weak));
-    }
-
     /// Snapshots of every live MiniHeap's allocation state — the heap's
     /// span strings, for experiments cross-validating §5's theory against
     /// real allocator state.
@@ -530,119 +483,6 @@ impl Mesh {
     }
 }
 
-/// The heap's fork-quiescence state: every lock held, plus the pipe of
-/// the parent↔child handshake. Created by [`Mesh::fork_prepare`]
-/// immediately before `fork()`; consumed on exactly one side by
-/// [`MeshForkGuard::release_parent`] or [`MeshForkGuard::release_child`]
-/// (in an atfork world, on *both* sides — each process owns its copy).
-///
-/// The handshake exists because the arena's segments are `MAP_SHARED`
-/// memory files: fork does **not** copy-on-write them, so the child must
-/// re-back every segment with a private copy before either process writes
-/// again. `release_child` performs that copy and then signals the pipe;
-/// `release_parent` blocks on the pipe until the signal (or EOF if the
-/// child died — or never existed, when `fork` itself failed), which is
-/// what gives the child a faithful snapshot.
-#[must_use = "fork preparation holds every heap lock until released"]
-pub struct MeshForkGuard<'a> {
-    mesh: &'a Mesh,
-    main: MutexGuard<'a, ThreadHeapCore>,
-    all: crate::global_heap::AllShardGuards<'a>,
-    pipe: [crate::ffi::c_int; 2],
-}
-
-impl MeshForkGuard<'_> {
-    /// Parent side (also the fork-failure side): waits for the child's
-    /// privatization signal *while still holding every heap lock*, then
-    /// releases them. The hold is what actually freezes the snapshot — if
-    /// the locks dropped first, any other parent thread could mutate (or
-    /// release pages of) the still-`MAP_SHARED` segments mid-copy. The
-    /// child never contends with these locks: its copies of the futexes
-    /// were released by [`MeshForkGuard::release_child`] in its own
-    /// address space.
-    pub fn release_parent(self) {
-        use crate::ffi;
-        with_internal_alloc(|| {
-            let MeshForkGuard {
-                mesh: _,
-                main,
-                all,
-                pipe: [rd, wr],
-            } = self;
-            unsafe {
-                if wr >= 0 {
-                    // Close our write end first: if `fork` failed and no
-                    // child exists, the read below sees immediate EOF.
-                    ffi::close(wr);
-                }
-                if rd >= 0 {
-                    let mut byte = 0u8;
-                    loop {
-                        let n = ffi::read(rd, &mut byte as *mut u8 as *mut ffi::c_void, 1);
-                        if n >= 0 || ffi::errno() != ffi::EINTR {
-                            break;
-                        }
-                    }
-                    ffi::close(rd);
-                }
-            }
-            drop(main);
-            drop(all);
-        })
-    }
-
-    /// Child side: releases every lock (their futex state was inherited
-    /// held-by-us), re-backs all segments with private file copies,
-    /// restores mesh aliases, respawns the background thread if the heap
-    /// runs one, and finally signals the waiting parent.
-    pub fn release_child(self) {
-        use crate::ffi;
-        with_internal_alloc(|| {
-            let MeshForkGuard {
-                mesh,
-                main,
-                all,
-                pipe: [rd, wr],
-            } = self;
-            unsafe {
-                if rd >= 0 {
-                    ffi::close(rd);
-                }
-            }
-            drop(main);
-            drop(all);
-            mesh.inner.state.privatize_after_fork();
-            // The child's latency history and trace buffers describe the
-            // *parent's* threads: wipe both so its telemetry starts from
-            // zero. The registry was quiesced by `lock_all`, so no
-            // orphaned thread can be mid-register here.
-            mesh.inner.counters.wipe_for_child();
-            // A report requested before the fork is the parent's to
-            // write: served here it would overwrite the parent's dump
-            // file with (a copy of) the parent's data.
-            mesh.inner.state.reports.clear();
-            // Likewise the sense ring and meshing ledger: their history is
-            // the parent's, and a parent thread may have been mid-push.
-            mesh.inner.state.sense.wipe_for_child();
-            mesh.inner.state.ledger.wipe_for_child();
-            // The inherited listener and connections belong to the parent;
-            // the child answers on the same path with a fresh listener
-            // (see the ctl module docs on per-process paths).
-            if let Some(ctl) = &mesh.inner.state.ctl {
-                ctl.rebind_for_child();
-            }
-            mesh.inner.counters.forks.fetch_add(1, Ordering::Relaxed);
-            mesh.respawn_mesher_after_fork();
-            unsafe {
-                if wr >= 0 {
-                    let byte = 1u8;
-                    let _ = ffi::write(wr, &byte as *const u8 as *const ffi::c_void, 1);
-                    ffi::close(wr);
-                }
-            }
-        })
-    }
-}
 
 /// Rounds a request so the serving size class (or page-rounded large
 /// object) guarantees `align`.

@@ -70,13 +70,16 @@
 pub mod arena;
 pub mod barrier;
 pub mod bitmap;
+mod class_shard;
 pub mod config;
 pub mod error;
 pub mod ffi;
+mod fork;
 mod global_heap;
 pub mod harden;
 pub mod json;
 pub mod knobs;
+mod large;
 mod local_heap;
 mod mesher;
 pub mod meshing;
@@ -95,11 +98,10 @@ pub mod telemetry;
 mod alloc_api;
 mod attached_set;
 
-pub use alloc_api::{
-    in_internal_alloc, with_internal_alloc, Mesh, MeshForkGuard, MeshGlobalAlloc, ThreadHeap,
-};
+pub use alloc_api::{in_internal_alloc, with_internal_alloc, Mesh, MeshGlobalAlloc, ThreadHeap};
 pub use config::MeshConfig;
 pub use error::MeshError;
+pub use fork::MeshForkGuard;
 pub use harden::{
     set_abort_fd, HardenConfig, HardenKind, HardenPolicy, ALL_HARDEN_KINDS,
     HARDEN_KINDS, POISON_BYTE,

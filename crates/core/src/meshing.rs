@@ -48,7 +48,8 @@
 
 use crate::arena::Arena;
 use crate::bitmap::WORDS;
-use crate::global_heap::{ClassState, GlobalHeap};
+use crate::class_shard::ClassState;
+use crate::global_heap::GlobalHeap;
 use crate::miniheap::{MiniHeap, MiniHeapId};
 use crate::size_classes::{SizeClass, PAGE_SIZE};
 use crate::span::Span;
