@@ -13,7 +13,7 @@ use crate::meshing::MeshSummary;
 use crate::rng::Rng;
 use crate::size_classes::{SizeClass, MAX_SMALL_SIZE, PAGE_SIZE};
 use crate::stats::{Counters, HeapStats};
-use crate::sync::Mutex;
+use crate::sync::{Mutex, Rank};
 use crate::sys::ReleaseStrategy;
 use crate::telemetry::{Report, ReportOff};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -118,8 +118,11 @@ impl Mesh {
             seed_base,
             randomize,
             token_gen: AtomicU64::new(1),
-            main: Mutex::new(main),
-            mesher: Mutex::new(background.then(|| BackgroundThread::spawn(weak.clone()))),
+            main: Mutex::new(main, Rank::MAIN),
+            mesher: Mutex::new(
+                background.then(|| BackgroundThread::spawn(weak.clone())),
+                Rank::MESHER,
+            ),
         });
         Ok(Mesh { inner })
     }

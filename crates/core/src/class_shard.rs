@@ -322,8 +322,8 @@ impl GlobalHeap {
         info: PageInfo,
         local: Option<&LocalCounters>,
     ) -> bool {
-        #[cfg(debug_assertions)]
-        let _scope = crate::global_heap::small_free_scope::enter();
+        #[cfg(any(debug_assertions, test))]
+        let _no_locks = crate::sync::hold(crate::sync::Rank::SMALL_FREE);
         let class = SizeClass::from_index(info.class_code as usize);
         let size = class.object_size();
         let cleared = self.with_object_bit(addr, page, info, |bitmap, slot| {

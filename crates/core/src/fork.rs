@@ -14,13 +14,14 @@ use crate::mesher::BackgroundThread;
 use crate::miniheap::Slab;
 use crate::size_classes::{SizeClass, PAGE_SIZE};
 use crate::sync::MutexGuard;
+#[cfg(test)]
+use crate::sync::Rank;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Every lock of the heap, held at once, in [`GlobalHeap::lock_all`]'s
-/// order: the fork-quiescence state (see `Mesh::fork_prepare`). The
-/// guards are held purely for their locking effect; dropping the struct
-/// releases everything.
+/// Every lock of the heap, held at once: the fork-quiescence state (see
+/// `Mesh::fork_prepare`). The guards are held purely for their locking
+/// effect; dropping the struct releases everything.
 pub(crate) struct AllShardGuards<'a> {
     _classes: Vec<MutexGuard<'a, ClassState>>,
     _large: MutexGuard<'a, Slab>,
@@ -30,22 +31,15 @@ pub(crate) struct AllShardGuards<'a> {
 }
 
 impl GlobalHeap {
-    // ----- fork support --------------------------------------------------
-
-    /// Acquires every heap lock, quiescing the heap for `fork()`. This is
-    /// the heap's one list of its locks, in their one order:
+    /// Acquires every heap lock, quiescing the heap for `fork()`: the rows
+    /// of the rank table ([`RANKS`](crate::sync::RANKS)) from `classes` to
+    /// `ctl`, in rank order — the classes by index, then large, arena, the
+    /// thread registry ([`Counters`](crate::stats::Counters)) and the ctl
+    /// socket's I/O lock when there is a socket. Debug builds check the
+    /// order as they check every acquire.
     ///
-    /// 1. the size-class shards, by index;
-    /// 2. the large shard;
-    /// 3. the arena;
-    /// 4. the thread registry ([`Counters`]);
-    /// 5. the ctl socket's I/O lock, when there is a socket.
-    ///
-    /// Classes and large order before the arena, and a pass holds one
-    /// class at a time (DESIGN.md §2); 4 and 5 are leaves, never held
-    /// while another lock is taken, so their order only has to be fixed
-    /// here. Any in-flight refill, meshing pass (so every mesh epoch is
-    /// even), thread (un)registration or ctl write completes before this
+    /// Any in-flight refill, meshing pass (so every mesh epoch is even),
+    /// thread (un)registration or ctl write completes before this
     /// returns, so a child forked at any moment inherits consistent heap
     /// state and no lock its own recovery takes. Frees hold no lock and
     /// are not waited for: a thread between its clear and its count does
@@ -63,24 +57,12 @@ impl GlobalHeap {
         }
     }
 
-    /// The names of [`GlobalHeap::lock_all`]'s kinds that are held right
-    /// now (test hook for the fork-quiescence protocol).
+    /// The rows of [`GlobalHeap::lock_all`]'s part of the rank table that
+    /// this thread holds every lock of (test hook for the fork-quiescence
+    /// protocol).
     #[cfg(test)]
     pub(crate) fn held_lock_kinds(&self) -> Vec<&'static str> {
-        let held = |m: bool, name| m.then_some(name);
-        [
-            held(
-                self.classes.iter().all(|c| c.state.try_lock().is_none()),
-                "classes",
-            ),
-            held(self.large.try_lock().is_none(), "large"),
-            held(self.arena.try_lock().is_none(), "arena"),
-            held(self.counters.threads_held(), "threads"),
-            held(self.ctl.as_ref().is_some_and(|c| c.io_held()), "ctl"),
-        ]
-        .into_iter()
-        .flatten()
-        .collect()
+        crate::sync::held_rows(Rank::class(0), Rank::CTL)
     }
 
     /// Child-side fork recovery: re-backs every segment with a private

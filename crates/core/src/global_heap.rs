@@ -51,7 +51,7 @@ use crate::page_map::{PageInfo, PageMap};
 use crate::rng::Rng;
 use crate::size_classes::{SizeClass, NUM_SIZE_CLASSES, PAGE_SIZE};
 use crate::stats::{Counters, EpochClock, LocalCounters};
-use crate::sync::{Mutex, MutexGuard};
+use crate::sync::{Mutex, MutexGuard, Rank};
 use crate::telemetry::{
     self, CtlState, HeapSpectrum, MeshLedger, Reports, SenseState, Telemetry, TimedOp, TraceSet,
 };
@@ -244,22 +244,25 @@ impl GlobalHeap {
                         mesh_epoch: AtomicU64::new(0),
                         unsettled: UnsettledList::default(),
                     },
-                    state: Mutex::new(ClassState {
-                        slab,
-                        bins: ClassBins::default(),
-                        refills: 0,
-                        rng: Rng::with_seed(
-                            // "mesh-glo"
-                            seed ^ 0x6d65_7368_2d67_6c6f ^ ((class.index() as u64) << 56),
-                        ),
-                    }),
+                    state: Mutex::new(
+                        ClassState {
+                            slab,
+                            bins: ClassBins::default(),
+                            refills: 0,
+                            rng: Rng::with_seed(
+                                // "mesh-glo"
+                                seed ^ 0x6d65_7368_2d67_6c6f ^ ((class.index() as u64) << 56),
+                            ),
+                        },
+                        Rank::class(class.index()),
+                    ),
                 }
             })
             .collect();
         Ok(GlobalHeap {
             classes,
-            large: Mutex::new(Slab::for_large()),
-            arena: Mutex::new(arena),
+            large: Mutex::new(Slab::for_large(), Rank::LARGE),
+            arena: Mutex::new(arena, Rank::ARENA),
             page_map: PageMap::new(pages as usize),
             rt: RuntimeConfig::new(&config),
             scheduler: MeshScheduler::new(),
@@ -366,11 +369,6 @@ impl GlobalHeap {
         &self,
         class: SizeClass,
     ) -> (MutexGuard<'_, ClassState>, bool) {
-        #[cfg(debug_assertions)]
-        debug_assert!(
-            !small_free_scope::active(),
-            "a non-local small free takes no class lock"
-        );
         let shard = &self.classes[class.index()];
         let (guard, waited) = shard.state.lock_timed();
         if let Some(ns) = waited {
@@ -384,11 +382,6 @@ impl GlobalHeap {
     /// (timed like [`GlobalHeap::lock_class`]).
     /// Lock order: at most one class (or large) lock may be held.
     pub fn lock_arena(&self) -> MutexGuard<'_, Arena> {
-        #[cfg(debug_assertions)]
-        debug_assert!(
-            !small_free_scope::active(),
-            "a non-local small free may not wait for the arena"
-        );
         let (guard, waited) = self.arena.lock_timed();
         if let Some(ns) = waited {
             self.counters.arena_lock_contention.fetch_add(1, Ordering::Relaxed);
@@ -612,34 +605,6 @@ impl GlobalHeap {
         spec.large_spans = large.len() as u32;
         spec.large_bytes = large.iter().map(|(_, mh)| mh.object_size() as u64).sum();
         spec
-    }
-}
-
-/// Debug builds check the rule of [`GlobalHeap::free_small`]: while one
-/// runs on this thread, neither a class lock nor the arena lock is taken.
-#[cfg(debug_assertions)]
-pub(crate) mod small_free_scope {
-    use std::cell::Cell;
-
-    thread_local! {
-        static ACTIVE: Cell<bool> = const { Cell::new(false) };
-    }
-
-    pub struct Scope;
-
-    pub fn enter() -> Scope {
-        ACTIVE.with(|a| a.set(true));
-        Scope
-    }
-
-    pub fn active() -> bool {
-        ACTIVE.with(|a| a.get())
-    }
-
-    impl Drop for Scope {
-        fn drop(&mut self) {
-            ACTIVE.with(|a| a.set(false));
-        }
     }
 }
 

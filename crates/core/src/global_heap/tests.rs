@@ -114,6 +114,43 @@ fn refill_gathers_partial_spans_up_to_one_span_of_slots() {
     assert_eq!(st.bins.partial[0].len(), 2, "the rest stay binned");
 }
 
+#[test]
+#[should_panic(expected = "lock order: classes[0] (rank 1) taken while holding arena (rank 26)")]
+fn a_class_lock_taken_under_the_arena_lock_panics() {
+    let h = heap();
+    let _arena = h.lock_arena();
+    h.lock_class(SizeClass::from_index(0));
+}
+
+#[test]
+#[should_panic(expected = "lock order: arena (rank 26) taken while holding small free (rank 30)")]
+fn a_lock_taken_inside_a_small_free_panics() {
+    let h = heap();
+    // What `free_small` holds while it runs.
+    let _free = crate::sync::hold(Rank::SMALL_FREE);
+    h.lock_arena();
+}
+
+#[test]
+#[should_panic(expected = "lock order: small free (rank 30) taken while holding small free (rank 30)")]
+fn a_small_free_holds_the_top_rank() {
+    let h = heap();
+    let class = SizeClass::for_size(64).unwrap();
+    let (_, start) = filed_span(&h, class, &[0]);
+    let (page, info) = h.resolve_free(start).unwrap();
+    let _free = crate::sync::hold(Rank::SMALL_FREE);
+    h.free_small(start, page, info, None);
+}
+
+#[test]
+fn lock_all_sweeps_every_class_in_ascending_order() {
+    let h = heap();
+    let all = h.lock_all();
+    assert_eq!(h.held_lock_kinds(), ["classes", "large", "arena", "threads"]);
+    drop(all);
+    assert!(h.held_lock_kinds().is_empty());
+}
+
 /// Exhausts `set`, then frees one object of each member back into it
 /// and takes it again: every member is full and was drawn on since
 /// the last refill.

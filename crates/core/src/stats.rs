@@ -18,7 +18,7 @@
 
 use crate::harden::{HARDEN_KINDS, HARDEN_NAMES};
 use crate::size_classes::NUM_SIZE_CLASSES;
-use crate::sync::{Mutex, MutexGuard};
+use crate::sync::{Mutex, MutexGuard, Rank};
 use crate::telemetry::fields::{self, counter, gauge, num, row, Field, Value::Named};
 use crate::telemetry::{
     chrome_json, HeapSpectrum, HistBlock, LatencySnapshot, TimedOp, TraceRing, TraceSet,
@@ -175,6 +175,17 @@ impl EpochClock {
     }
 }
 
+/// The thread registry's lock, at its rank (a type of its own so that
+/// [`Counters`] keeps its `Default`).
+#[derive(Debug)]
+struct Registry(Mutex<Vec<Arc<ThreadStats>>>);
+
+impl Default for Registry {
+    fn default() -> Registry {
+        Registry(Mutex::new(Vec::new(), Rank::THREADS))
+    }
+}
+
 /// Live atomic counters owned by a heap. Exposed for the substrate layers
 /// ([`crate::arena::Arena`] shares them); user code should read the
 /// [`HeapStats`] snapshot via [`crate::Mesh::stats`] instead.
@@ -237,8 +248,8 @@ pub struct Counters {
     /// The thread registry: every live thread heap's [`ThreadStats`].
     /// Summed by [`Counters::snapshot`] and merged by
     /// [`Counters::latency_snapshot`] and [`Counters::trace_json`], so
-    /// totals stay exact while threads batch. A leaf lock.
-    threads: Mutex<Vec<Arc<ThreadStats>>>,
+    /// totals stay exact while threads batch.
+    threads: Registry,
     /// The always-on latency histograms of slow paths recorded outside a
     /// thread heap (multi-writer; thread heaps time refills into their
     /// own block).
@@ -263,7 +274,7 @@ impl Counters {
             hists: HistBlock::default(),
             ring: self.trace.get().map(|t| t.new_ring()),
         });
-        self.threads.lock().push(Arc::clone(&block));
+        self.threads.0.lock().push(Arc::clone(&block));
         block
     }
 
@@ -302,7 +313,7 @@ impl Counters {
     /// under the registry lock, so no snapshot counts the block twice or
     /// misses it.
     pub(crate) fn retire_thread(&self, block: &Arc<ThreadStats>) {
-        let mut threads = self.threads.lock();
+        let mut threads = self.threads.0.lock();
         self.flush_local(&block.local);
         self.hists.absorb(&block.hists);
         if let (Some(trace), Some(ring)) = (self.trace.get(), &block.ring) {
@@ -313,29 +324,21 @@ impl Counters {
 
     /// Holds the thread registry (fork quiescence: `GlobalHeap::lock_all`
     /// takes it, so a forked child cannot inherit it mid-register,
-    /// mid-retire, or mid-snapshot). A leaf lock: nothing else is ever
-    /// acquired while it is held.
+    /// mid-retire, or mid-snapshot).
     pub(crate) fn lock_threads(&self) -> MutexGuard<'_, Vec<Arc<ThreadStats>>> {
-        self.threads.lock()
-    }
-
-    /// Whether the registry lock is currently held (test hook for the
-    /// fork-quiescence protocol).
-    #[cfg(test)]
-    pub(crate) fn threads_held(&self) -> bool {
-        self.threads.try_lock().is_none()
+        self.threads.0.lock()
     }
 
     /// Number of registered thread blocks (test hook).
     #[cfg(test)]
     pub(crate) fn registered_threads(&self) -> usize {
-        self.threads.lock().len()
+        self.threads.0.lock().len()
     }
 
     /// Sums the pending deltas of every registered thread block.
     /// (mallocs, frees, remote frees, allocated bytes, freed bytes).
     fn local_sums(&self) -> [u64; 5] {
-        let threads = self.threads.lock();
+        let threads = self.threads.0.lock();
         let mut sums = [0u64; 5];
         for t in threads.iter() {
             let b = &t.local;
@@ -397,7 +400,7 @@ impl Counters {
     /// off. The registry is held only while the rings are decoded.
     pub(crate) fn trace_json(&self) -> Option<String> {
         let trace = self.trace.get()?;
-        let events = trace.events(self.threads.lock().iter().filter_map(|t| t.ring.as_ref()));
+        let events = trace.events(self.threads.0.lock().iter().filter_map(|t| t.ring.as_ref()));
         Some(chrome_json(&events, self.uptime_ms()))
     }
 
@@ -442,7 +445,7 @@ impl Counters {
         if let Some(trace) = self.trace.get() {
             trace.wipe();
         }
-        for t in self.threads.lock().iter() {
+        for t in self.threads.0.lock().iter() {
             t.hists.zero();
             if let Some(ring) = &t.ring {
                 ring.wipe();
@@ -455,7 +458,7 @@ impl Counters {
     pub fn latency_snapshot(&self) -> LatencySnapshot {
         let mut snap = LatencySnapshot::default();
         self.hists.add_into(&mut snap);
-        for t in self.threads.lock().iter() {
+        for t in self.threads.0.lock().iter() {
             t.hists.add_into(&mut snap);
         }
         snap

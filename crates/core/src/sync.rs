@@ -1,11 +1,21 @@
-//! Poison-transparent mutex and the re-entrancy flag used throughout the
-//! heap.
+//! Poison-transparent, ranked mutex and the re-entrancy flag used
+//! throughout the heap.
 //!
 //! The mutex is a thin wrapper over [`std::sync::Mutex`] (the offline
 //! build cannot pull in `parking_lot`) that ignores poisoning: the
 //! allocator's invariants are guarded by its own accounting, and a panic
 //! while holding a heap lock must not turn every subsequent allocation
 //! into a second panic.
+//!
+//! Every [`Mutex`] has a [`Rank`] from the one table of the heap's locks,
+//! [`RANKS`], and a thread takes locks in strictly ascending rank. Debug
+//! builds (and this crate's unit tests, whatever the profile) check it:
+//! each thread records the ranks it holds, and an acquire whose rank is
+//! not above all of them panics, naming both ranks. The record is a
+//! `const`-initialized, non-`Drop` thread-local word, for the reasons
+//! given below for [`ReentrantFlag`]. Release builds keep no record: their
+//! guard is a transparent wrapper of the standard one, with no `Drop` of
+//! its own.
 //!
 //! [`ReentrantFlag`] is the substrate of the internal-allocation guard
 //! (`with_internal_alloc`): a per-thread boolean that can be *entered*
@@ -15,6 +25,8 @@
 //! both would be fatal inside an interposed `malloc`, where the guard is
 //! consulted before any heap exists.
 
+use crate::size_classes::NUM_SIZE_CLASSES;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard, TryLockError};
 
 /// A per-thread entered/not-entered flag with scoped entry. See
@@ -62,24 +74,201 @@ impl ReentrantFlag {
     }
 }
 
-/// A mutual-exclusion lock whose `lock` never fails.
-#[derive(Debug, Default)]
-pub struct Mutex<T>(StdMutex<T>);
+/// The heap's lock-rank table: every kind of [`Mutex`], lowest rank first,
+/// with the number of ranks (locks) it spans. A thread holding a lock
+/// takes only locks of higher rank, so no two threads can each wait for a
+/// lock the other holds. Fork quiescence takes the rows from `classes` to
+/// `ctl`, in this order (`GlobalHeap::lock_all`).
+pub(crate) const RANKS: [(&str, usize); 8] = [
+    // `Mesh`'s own thread heap: what `Mesh::malloc` and `Mesh::free` go
+    // through, so everything an allocation takes ranks after it.
+    ("main", 1),
+    // One per size class, by index. At most one is held at a time, except
+    // by a sweep over every class, which takes them in ascending order.
+    ("classes", NUM_SIZE_CLASSES),
+    // The large-object slab.
+    ("large", 1),
+    // The arena: segment table, span bins, remaps and page-map writes.
+    ("arena", 1),
+    // The thread registry (`Counters`).
+    ("threads", 1),
+    // The ctl socket's listener and connections.
+    ("ctl", 1),
+    // The background thread's handle, replaced in a forked child.
+    ("mesher", 1),
+    // No lock: a non-local small free holds this rank while it runs, so a
+    // lock taken inside one panics (DESIGN.md §2, rule 7).
+    ("small free", 1),
+];
 
-/// Guard type returned by [`Mutex::lock`].
-pub type MutexGuard<'a, T> = StdMutexGuard<'a, T>;
+/// A lock's place in [`RANKS`].
+#[derive(Clone, Copy)]
+pub struct Rank(u8);
+
+impl Rank {
+    pub const MAIN: Rank = Rank::first(0);
+    pub const LARGE: Rank = Rank::first(2);
+    pub const ARENA: Rank = Rank::first(3);
+    pub const THREADS: Rank = Rank::first(4);
+    pub const CTL: Rank = Rank::first(5);
+    pub const MESHER: Rank = Rank::first(6);
+    pub const SMALL_FREE: Rank = Rank::first(7);
+
+    /// The lock of size class `index`.
+    pub const fn class(index: usize) -> Rank {
+        Rank(Rank::first(1).0 + index as u8)
+    }
+
+    /// The lowest rank of row `row` of [`RANKS`].
+    const fn first(row: usize) -> Rank {
+        let (mut rank, mut r) = (0, 0);
+        while r < row {
+            rank += RANKS[r].1;
+            r += 1;
+        }
+        Rank(rank as u8)
+    }
+}
+
+// The ranks a thread holds are one bit each of a word, and the last row
+// of the table is the top rank.
+const _: () = assert!(
+    Rank::SMALL_FREE.0 < 64 && Rank::first(RANKS.len()).0 == Rank::SMALL_FREE.0 + 1
+);
+
+#[cfg(any(debug_assertions, test))]
+impl std::fmt::Debug for Rank {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut first = 0;
+        for (name, n) in RANKS {
+            let index = self.0 as usize - first;
+            if index < n {
+                return match n {
+                    1 => write!(f, "{name} (rank {})", self.0),
+                    _ => write!(f, "{name}[{index}] (rank {})", self.0),
+                };
+            }
+            first += n;
+        }
+        unreachable!("a rank outside the table")
+    }
+}
+
+/// The ranks this thread holds (debug builds).
+#[cfg(any(debug_assertions, test))]
+mod held {
+    use super::Rank;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Bit `r` is set while this thread holds rank `r`.
+        static HELD: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Rank `.0`, held by this thread until the value drops.
+    #[derive(Debug)]
+    pub struct Held(Rank);
+
+    /// Records `rank` as held. Panics unless it is above every rank this
+    /// thread holds: a lock of lower or equal rank would be out of order.
+    pub fn hold(rank: Rank) -> Held {
+        let held = ranks();
+        if held >> rank.0 != 0 {
+            let top = Rank(63 - held.leading_zeros() as u8);
+            panic!("lock order: {rank:?} taken while holding {top:?}");
+        }
+        HELD.with(|h| h.set(held | 1 << rank.0));
+        Held(rank)
+    }
+
+    /// Every rank this thread holds, one bit each.
+    pub fn ranks() -> u64 {
+        HELD.with(Cell::get)
+    }
+
+    impl Drop for Held {
+        fn drop(&mut self) {
+            HELD.with(|h| h.set(h.get() & !(1 << self.0 .0)));
+        }
+    }
+}
+
+#[cfg(any(debug_assertions, test))]
+pub(crate) use held::{hold, Held};
+
+/// The rows of [`RANKS`] between `from` and `to` whose every rank this
+/// thread holds.
+#[cfg(test)]
+pub(crate) fn held_rows(from: Rank, to: Rank) -> Vec<&'static str> {
+    let held = held::ranks();
+    let mut first = 0;
+    let mut rows = Vec::new();
+    for (name, n) in RANKS {
+        let all = (u64::MAX >> (64 - n)) << first;
+        if (from.0..=to.0).contains(&(first as u8)) && held & all == all {
+            rows.push(name);
+        }
+        first += n;
+    }
+    rows
+}
+
+/// A mutual-exclusion lock whose `lock` never fails, ranked in [`RANKS`].
+#[derive(Debug)]
+pub struct Mutex<T> {
+    inner: StdMutex<T>,
+    #[cfg(any(debug_assertions, test))]
+    rank: Rank,
+}
+
+/// Guard returned by [`Mutex::lock`]. Debug builds release its rank when
+/// it drops; release builds give it no `Drop` work of its own.
+#[cfg_attr(not(any(debug_assertions, test)), repr(transparent))]
+pub struct MutexGuard<'a, T> {
+    guard: StdMutexGuard<'a, T>,
+    #[cfg(any(debug_assertions, test))]
+    _held: Held,
+}
+
+impl<T> Deref for MutexGuard<'_, T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.guard
+    }
+}
+
+impl<T> DerefMut for MutexGuard<'_, T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.guard
+    }
+}
 
 impl<T> Mutex<T> {
-    /// Creates a new mutex holding `value`.
-    pub const fn new(value: T) -> Self {
-        Mutex(StdMutex::new(value))
+    /// Creates a new mutex holding `value`, at `rank` of [`RANKS`].
+    pub const fn new(value: T, rank: Rank) -> Self {
+        #[cfg(not(any(debug_assertions, test)))]
+        let _ = rank;
+        Mutex {
+            inner: StdMutex::new(value),
+            #[cfg(any(debug_assertions, test))]
+            rank,
+        }
     }
 
     /// Acquires the lock, blocking until available (poisoned locks are
     /// recovered, not propagated as a second panic).
     #[inline]
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
+        #[cfg(any(debug_assertions, test))]
+        let held = hold(self.rank);
+        MutexGuard {
+            guard: self.inner.lock().unwrap_or_else(|e| e.into_inner()),
+            #[cfg(any(debug_assertions, test))]
+            _held: held,
+        }
     }
 
     /// Attempts to acquire the lock without blocking; `None` when
@@ -87,11 +276,18 @@ impl<T> Mutex<T> {
     /// contention).
     #[inline]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
+        #[cfg(any(debug_assertions, test))]
+        let held = hold(self.rank);
+        let guard = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard {
+            guard,
+            #[cfg(any(debug_assertions, test))]
+            _held: held,
+        })
     }
 
     /// Acquires the lock, reporting how long the *contended* wait took:
@@ -117,11 +313,14 @@ mod tests {
 
     #[test]
     fn lock_and_try_lock() {
-        let m = Mutex::new(5);
+        let m = Mutex::new(5, Rank::MAIN);
         {
             let mut g = m.lock();
             *g += 1;
-            assert!(m.try_lock().is_none(), "held lock must report contention");
+            // Another thread's: this one may not try a rank it holds.
+            std::thread::scope(|s| {
+                s.spawn(|| assert!(m.try_lock().is_none(), "held lock must report contention"));
+            });
         }
         assert_eq!(*m.lock(), 6);
         assert!(m.try_lock().is_some());
@@ -129,7 +328,7 @@ mod tests {
 
     #[test]
     fn lock_timed_reports_only_contended_waits() {
-        let m = std::sync::Arc::new(Mutex::new(0));
+        let m = std::sync::Arc::new(Mutex::new(0, Rank::MAIN));
         let (_g, waited) = m.lock_timed();
         assert_eq!(waited, None, "uncontended acquisition is not timed");
         drop(_g);
@@ -164,7 +363,7 @@ mod tests {
 
     #[test]
     fn poisoned_lock_recovers() {
-        let m = std::sync::Arc::new(Mutex::new(1));
+        let m = std::sync::Arc::new(Mutex::new(1, Rank::MAIN));
         let m2 = std::sync::Arc::clone(&m);
         let _ = std::thread::spawn(move || {
             let _g = m2.lock();
@@ -176,7 +375,7 @@ mod tests {
 
     #[test]
     fn try_lock_recovers_poison_without_reporting_contention() {
-        let m = std::sync::Arc::new(Mutex::new(7));
+        let m = std::sync::Arc::new(Mutex::new(7, Rank::MAIN));
         let m2 = std::sync::Arc::clone(&m);
         let _ = std::thread::spawn(move || {
             let _g = m2.lock();

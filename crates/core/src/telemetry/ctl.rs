@@ -71,7 +71,7 @@
 
 use super::Report;
 use crate::knobs;
-use crate::sync::{Mutex, MutexGuard};
+use crate::sync::{Mutex, MutexGuard, Rank};
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -182,11 +182,14 @@ impl CtlState {
         CtlState {
             path: path.to_path_buf(),
             max_clients: max_clients.max(1),
-            io: Mutex::new(CtlIo {
-                listener,
-                conns: Vec::new(),
-                next_id: 0,
-            }),
+            io: Mutex::new(
+                CtlIo {
+                    listener,
+                    conns: Vec::new(),
+                    next_id: 0,
+                },
+                Rank::CTL,
+            ),
         }
     }
 
@@ -283,18 +286,9 @@ impl CtlState {
     }
 
     /// Holds the I/O lock (fork quiescence: no response write may be in
-    /// flight across `fork`; see `GlobalHeap::lock_all` for its place in
-    /// the order). A strict *leaf*: `tick` never acquires another lock
-    /// while holding it — dispatch runs with it dropped — so it can never
-    /// invert against the shard order.
+    /// flight across `fork`).
     pub(crate) fn lock_io(&self) -> MutexGuard<'_, CtlIo> {
         self.io.lock()
-    }
-
-    /// Whether the I/O lock is held (test hook for fork quiescence).
-    #[cfg(test)]
-    pub(crate) fn io_held(&self) -> bool {
-        self.io.try_lock().is_none()
     }
 
     /// Child-side fork recovery: every inherited connection and the
