@@ -144,7 +144,7 @@ impl Mesh {
         debug_assert!(align.is_power_of_two());
         if align > PAGE_SIZE {
             return with_internal_alloc(|| {
-                match self.inner.state.malloc_large_aligned(size, align) {
+                match self.inner.state.malloc_large(size, align) {
                     Ok(addr) => addr as *mut u8,
                     Err(_) => std::ptr::null_mut(),
                 }
@@ -545,7 +545,7 @@ impl ThreadHeap {
         debug_assert!(align.is_power_of_two());
         if align > PAGE_SIZE {
             return with_internal_alloc(|| {
-                match self.inner.state.malloc_large_aligned(size, align) {
+                match self.inner.state.malloc_large(size, align) {
                     Ok(addr) => addr as *mut u8,
                     Err(_) => std::ptr::null_mut(),
                 }
@@ -721,7 +721,7 @@ unsafe impl GlobalAlloc for MeshGlobalAlloc {
             match mesh
                 .inner
                 .state
-                .malloc_large_aligned(layout.size(), layout.align())
+                .malloc_large(layout.size(), layout.align())
             {
                 Ok(addr) => addr as *mut u8,
                 Err(_) => std::ptr::null_mut(),

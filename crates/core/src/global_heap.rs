@@ -59,16 +59,21 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Runtime-tunable configuration (the `mallctl` analogs, §4.5) as
-/// atomics, so controls never take a heap lock.
+/// The meshing configuration a pass reads: the runtime-tunable part (the
+/// `mallctl` analogs, §4.5) as atomics, so controls never take a heap
+/// lock, and the rest as set at construction.
 #[derive(Debug)]
 pub(crate) struct RuntimeConfig {
     meshing: AtomicBool,
     mesh_period_nanos: AtomicU64,
-    min_mesh_gain_bytes: AtomicUsize,
     probe_limit: AtomicUsize,
-    occupancy_cutoff_bits: AtomicU64,
-    max_span_count: AtomicUsize,
+    /// A pass that releases fewer bytes pauses the timer (§4.5); a pass
+    /// purges once this many bytes are dirty.
+    pub min_mesh_gain_bytes: usize,
+    /// Spans fuller than this fraction are not mesh candidates.
+    pub occupancy_cutoff: f64,
+    /// The most virtual spans one physical span may carry.
+    pub max_span_count: usize,
 }
 
 impl RuntimeConfig {
@@ -78,10 +83,10 @@ impl RuntimeConfig {
             mesh_period_nanos: AtomicU64::new(
                 config.mesh_period.as_nanos().min(u64::MAX as u128) as u64,
             ),
-            min_mesh_gain_bytes: AtomicUsize::new(config.min_mesh_gain_bytes),
             probe_limit: AtomicUsize::new(config.probe_limit),
-            occupancy_cutoff_bits: AtomicU64::new(config.occupancy_cutoff.to_bits()),
-            max_span_count: AtomicUsize::new(config.max_span_count),
+            min_mesh_gain_bytes: config.min_mesh_gain_bytes,
+            occupancy_cutoff: config.occupancy_cutoff,
+            max_span_count: config.max_span_count,
         }
     }
 
@@ -102,30 +107,12 @@ impl RuntimeConfig {
             .store(period.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
     }
 
-    pub fn min_mesh_gain_bytes(&self) -> usize {
-        self.min_mesh_gain_bytes.load(Ordering::Relaxed)
-    }
-
     pub fn probe_limit(&self) -> usize {
         self.probe_limit.load(Ordering::Relaxed)
     }
 
     pub fn set_probe_limit(&self, t: usize) {
         self.probe_limit.store(t, Ordering::Relaxed);
-    }
-
-    pub fn occupancy_cutoff(&self) -> f64 {
-        f64::from_bits(self.occupancy_cutoff_bits.load(Ordering::Relaxed))
-    }
-
-    #[cfg(test)]
-    pub fn set_occupancy_cutoff(&self, cutoff: f64) {
-        self.occupancy_cutoff_bits
-            .store(cutoff.to_bits(), Ordering::Relaxed);
-    }
-
-    pub fn max_span_count(&self) -> usize {
-        self.max_span_count.load(Ordering::Relaxed)
     }
 }
 
@@ -496,7 +483,7 @@ impl GlobalHeap {
         // pauses inflicted by the mesher (this thread's own are not).
         let _pass = crate::stats::MeshPassScope::enter(&self.counters);
         let summary = meshing::mesh_all_classes(self);
-        let low_yield = summary.bytes_released() < self.rt.min_mesh_gain_bytes();
+        let low_yield = summary.bytes_released() < self.rt.min_mesh_gain_bytes;
         self.scheduler.finish_pass(low_yield, &self.counters);
         summary
     }
@@ -560,8 +547,8 @@ impl GlobalHeap {
     /// large-object tally. Takes one class lock at a time — never two,
     /// never across classes — so it can run against live traffic.
     pub fn occupancy_spectrum(&self) -> HeapSpectrum {
-        let cutoff = self.rt.occupancy_cutoff();
-        let max_spans = self.rt.max_span_count();
+        let cutoff = self.rt.occupancy_cutoff;
+        let max_spans = self.rt.max_span_count;
         let mut spec = HeapSpectrum::default();
         // The live objects and the virtual spans of each candidate.
         let (mut in_use_of, mut spans_of): (Vec<u32>, Vec<u32>) = Default::default();

@@ -283,7 +283,7 @@ fn empty_detach_destroys_miniheap() {
 #[test]
 fn malloc_large_and_free_releases_pages() {
     let h = heap();
-    let addr = h.malloc_large(100_000).unwrap();
+    let addr = h.malloc_large(100_000, PAGE_SIZE).unwrap();
     let pages = 100_000usize.div_ceil(PAGE_SIZE);
     assert_eq!(h.lock_arena().committed_pages(), pages);
     assert_eq!(h.usable_size(addr), Some(pages * PAGE_SIZE));
@@ -297,10 +297,10 @@ fn malloc_large_and_free_releases_pages() {
 }
 
 #[test]
-fn malloc_large_aligned_over_page_alignment() {
+fn malloc_large_over_page_alignment() {
     let h = heap();
     for align in [8192usize, 1 << 16, 2 << 20] {
-        let addr = h.malloc_large_aligned(100_000, align).unwrap();
+        let addr = h.malloc_large(100_000, align).unwrap();
         assert_eq!(addr % align, 0, "align {align}");
         // Usable size of the aligned (possibly interior) pointer is
         // the bytes remaining to the span end.
@@ -318,7 +318,7 @@ fn malloc_large_aligned_over_page_alignment() {
 fn invalid_and_double_frees_discarded() {
     let h = heap();
     assert!(!h.free_global(0xdead_beef));
-    let addr = h.malloc_large(4096).unwrap();
+    let addr = h.malloc_large(4096, PAGE_SIZE).unwrap();
     assert!(h.free_global(addr));
     assert!(!h.free_global(addr), "double free rejected");
     let s = h.counters.snapshot();

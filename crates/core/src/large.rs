@@ -9,26 +9,21 @@
 use crate::error::MeshError;
 use crate::global_heap::GlobalHeap;
 use crate::harden::{self, HardenKind};
-use crate::miniheap::MiniHeap;
+use crate::miniheap::{MiniHeap, MiniHeapId};
 use crate::page_map::LARGE_CLASS;
 use crate::size_classes::{SizeClass, PAGE_SIZE};
 use std::sync::atomic::Ordering;
 
 impl GlobalHeap {
-    /// Allocates a large object: the request is rounded up to whole pages
-    /// and a singleton MiniHeap accounts for it. Takes the large-shard
-    /// lock, then the arena lock.
-    pub fn malloc_large(&self, size: usize) -> Result<usize, MeshError> {
-        self.malloc_large_aligned(size, PAGE_SIZE)
-    }
-
-    /// Allocates a large object aligned to `align` (a power of two).
-    /// Alignments above the page size are served by over-allocating
-    /// `align/PAGE_SIZE − 1` extra pages and returning the first aligned
-    /// address inside the span — every page of the span routes through the
-    /// page map to the same singleton MiniHeap, so `free`/`usable_size` on
-    /// the interior pointer behave normally.
-    pub fn malloc_large_aligned(&self, size: usize, align: usize) -> Result<usize, MeshError> {
+    /// Allocates a large object aligned to `align` (a power of two): the
+    /// request is rounded up to whole pages and a singleton MiniHeap
+    /// accounts for it. Spans are page-aligned; alignments above the page
+    /// size are served by over-allocating `align/PAGE_SIZE − 1` extra
+    /// pages and returning the first aligned address inside the span —
+    /// every page of the span routes through the page map to the same
+    /// singleton MiniHeap, so `free`/`usable_size` on the interior pointer
+    /// behave normally. Takes the large lock, then the arena lock.
+    pub fn malloc_large(&self, size: usize, align: usize) -> Result<usize, MeshError> {
         debug_assert!(align.is_power_of_two());
         let guarded = self.harden.guard_on();
         let extra = (align / PAGE_SIZE).saturating_sub(1) + usize::from(guarded);
@@ -172,11 +167,7 @@ impl GlobalHeap {
         let page = self.page_of_addr(addr)?;
         let info = self.page_map.get(page)?;
         if info.is_large() {
-            let large = self.large.lock();
-            let mh = large.get(info.id)?;
-            let span_start = self.base + mh.span().byte_offset();
-            debug_assert!(addr >= span_start);
-            Some(mh.object_size() - (addr - span_start))
+            self.large_bytes_to_end(addr, info.id)
         } else {
             // Any address inside a slot, not only its start.
             let class = SizeClass::from_index(info.class_code as usize);
@@ -195,20 +186,23 @@ impl GlobalHeap {
             return false;
         };
         if info.is_large() {
-            let usable = {
-                let large = self.large.lock();
-                let Some(mh) = large.get(info.id) else {
-                    return false;
-                };
-                // Bytes to the span end, as for `usable_size` (interior
-                // pointers from over-aligned allocations are legal here).
-                mh.object_size() - (addr - (self.base + mh.span().byte_offset()))
-            };
-            new_size <= usable && new_size * 2 >= usable
+            self.large_bytes_to_end(addr, info.id)
+                .is_some_and(|usable| new_size <= usable && new_size * 2 >= usable)
         } else {
             let class = SizeClass::from_index(info.class_code as usize);
             class.slot_at(addr - info.span_start(self.base, page)).is_some()
                 && SizeClass::for_size(new_size) == Some(class)
         }
+    }
+
+    /// The bytes from `addr` to the end of large object `id`'s span, or
+    /// `None` if it has died: its usable size, for an interior pointer of
+    /// an over-aligned allocation as for its start. Takes the large lock.
+    fn large_bytes_to_end(&self, addr: usize, id: MiniHeapId) -> Option<usize> {
+        let large = self.large.lock();
+        let mh = large.get(id)?;
+        let span_start = self.base + mh.span().byte_offset();
+        debug_assert!(addr >= span_start);
+        Some(mh.object_size() - (addr - span_start))
     }
 }

@@ -35,7 +35,7 @@ use crate::global_heap::GlobalHeap;
 use crate::harden::HardenKind;
 use crate::page_map::PageInfo;
 use crate::rng::Rng;
-use crate::size_classes::{SizeClass, NUM_SIZE_CLASSES};
+use crate::size_classes::{SizeClass, NUM_SIZE_CLASSES, PAGE_SIZE};
 use crate::stats::{Counters, ThreadStats};
 use crate::telemetry::{trace_tid, Telemetry, ThreadSampler, TimedOp};
 use std::sync::atomic::Ordering;
@@ -176,7 +176,7 @@ impl ThreadHeapCore {
     pub fn malloc(&mut self, state: &GlobalHeap, size: usize) -> *mut u8 {
         let Some(class) = SizeClass::for_size(size) else {
             // Large object: forwarded to the global heap (§4.4.3).
-            return match state.malloc_large(size) {
+            return match state.malloc_large(size, PAGE_SIZE) {
                 Ok(addr) => addr as *mut u8,
                 Err(_) => std::ptr::null_mut(),
             };

@@ -128,7 +128,7 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap) -> MeshSummary {
             &mut st,
             candidates,
             heap.rt.probe_limit(),
-            heap.rt.max_span_count(),
+            heap.rt.max_span_count,
             &mut summary.pairs_probed,
             &mut rejected,
         );
@@ -144,7 +144,7 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap) -> MeshSummary {
     // refault.
     {
         let mut arena = heap.lock_arena();
-        if arena.dirty_bytes() >= heap.rt.min_mesh_gain_bytes() {
+        if arena.dirty_bytes() >= heap.rt.min_mesh_gain_bytes {
             arena.purge_dirty();
             arena.retire_empty_segments(&heap.page_map);
         }
@@ -182,8 +182,8 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap) -> MeshSummary {
 /// also refiled under the bin it belongs in, or destroyed if nothing in
 /// it is live.
 fn collect_candidates(heap: &GlobalHeap, st: &mut ClassState) -> Vec<MiniHeapId> {
-    let cutoff = heap.rt.occupancy_cutoff();
-    let max_spans = heap.rt.max_span_count();
+    let cutoff = heap.rt.occupancy_cutoff;
+    let max_spans = heap.rt.max_span_count;
     let filed: Vec<MiniHeapId> = st.bins.partial.iter().flatten().copied().collect();
     let mut out = Vec::new();
     for id in filed {
@@ -802,7 +802,7 @@ mod tests {
         // No MiniHeap may alias more spans than the cap allows.
         let st = h.lock_class(class);
         for (_, mh) in st.slab.iter() {
-            assert!(mh.span_count() <= h.rt.max_span_count());
+            assert!(mh.span_count() <= h.rt.max_span_count);
         }
         let stats = h.counters.snapshot();
         assert_eq!(stats.mesh_passes, 1);
@@ -853,8 +853,15 @@ mod tests {
 
     #[test]
     fn occupancy_cutoff_excludes_full_spans() {
-        let h = heap(5);
-        h.rt.set_occupancy_cutoff(0.5);
+        let h = GlobalHeap::new(
+            MeshConfig::default()
+                .arena_bytes(64 << 20)
+                .seed(5)
+                .write_barrier(false)
+                .occupancy_cutoff(0.5),
+            Arc::new(Counters::default()),
+        )
+        .unwrap();
         let class = SizeClass::for_size(2048).unwrap();
         let count = class.object_count(); // 8
         // 75% occupied: above cutoff → not a candidate.

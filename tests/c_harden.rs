@@ -16,7 +16,7 @@ use std::process::{Command, Output, Stdio};
 const SIGABRT: i32 = 6;
 
 /// All hardened-violation counter keys in the exit dump (always present,
-/// even at zero — `render_counters` emits the full set unconditionally).
+/// even at zero — the `mesh:` line shows every kind of `HARDEN_FIELDS`).
 const HARDEN_KEYS: [&str; 5] = [
     "harden_double_free",
     "harden_invalid_free",
