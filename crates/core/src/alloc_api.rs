@@ -118,10 +118,10 @@ impl Mesh {
             seed_base,
             randomize,
             token_gen: AtomicU64::new(1),
-            main: Mutex::new(main, Rank::MAIN),
+            main: Mutex::new(Rank::MAIN, main),
             mesher: Mutex::new(
-                background.then(|| BackgroundThread::spawn(weak.clone())),
                 Rank::MESHER,
+                background.then(|| BackgroundThread::spawn(weak.clone())),
             ),
         });
         Ok(Mesh { inner })

@@ -62,7 +62,7 @@ impl GlobalHeap {
     /// protocol).
     #[cfg(test)]
     pub(crate) fn held_lock_kinds(&self) -> Vec<&'static str> {
-        crate::sync::held_rows(Rank::class(0), Rank::CTL)
+        crate::sync::tests::held_rows(Rank::class(0), Rank::CTL)
     }
 
     /// Child-side fork recovery: re-backs every segment with a private
@@ -124,17 +124,14 @@ impl GlobalHeap {
         }
         ok
     }
-
 }
 
 impl Mesh {
-    // ----- fork protocol -------------------------------------------------
-
     /// Quiesces the heap for `fork()`: acquires the main handle's lock,
-    /// then *every* heap lock, in the order `GlobalHeap::lock_all`
-    /// documents, so any in-flight refill or meshing pass completes first
-    /// and the child cannot inherit a held lock. Also opens the pipe used
-    /// to hold the parent until the child has privatized its heap copy.
+    /// then *every* heap lock in rank order (`GlobalHeap::lock_all`), so
+    /// any in-flight refill or meshing pass completes first and the child
+    /// cannot inherit a held lock. Also opens the pipe used to hold the
+    /// parent until the child has privatized its heap copy.
     ///
     /// This is the *prepare* phase of the `pthread_atfork` protocol the
     /// `libmesh.so` interposition layer installs; after `fork()` the

@@ -1,32 +1,30 @@
-//! The sharded global heap (§4.4): MiniHeap allocation, occupancy bins,
-//! non-local frees, large objects, and meshing coordination.
+//! The sharded global heap (§4.4): its construction, the routing of
+//! frees, the hardened-mode helpers, the meshing entry points and the
+//! queries. The parts that change for reasons of their own live beside
+//! it, each an `impl GlobalHeap` of its own module:
 //!
-//! The seed kept all of this under one mutex; this version shards it so
-//! threads working in different size classes never contend (see DESIGN.md
-//! "Sharded locking discipline"):
-//!
-//! * **Class shards** — each size class owns a mutex guarding its slab of
-//!   MiniHeaps, its occupancy bins, and its PRNG. Refills, detaches, and
-//!   meshing of a class touch only that class's lock. Beside the mutex sit
-//!   what a non-local free needs without it: the class's bitmap table, its
-//!   mesh epoch and its list of spans frees left unsettled.
-//! * **Arena leaf lock** — span hand-out/return, dirty purging, remaps,
+//! * **Class shards** (`class_shard`) — each size class owns a mutex
+//!   guarding its slab of MiniHeaps, its occupancy bins, and its PRNG.
+//!   Refills, detaches, and meshing of a class touch only that class's
+//!   lock. Beside the mutex sit what a non-local free needs without it:
+//!   the class's bitmap table, its mesh epoch and its list of spans frees
+//!   left unsettled. A non-local small free is one atomic clear of its
+//!   bit (§4.4.4; [`GlobalHeap::free_small`]) and takes no lock; the next
+//!   refill, detach, pass or purge ([`GlobalHeap::lock_class_swept`])
+//!   destroys or refiles the spans it left behind.
+//! * **Large objects** (`large`) — large-object singletons (§4.4.3)
+//!   behind their own mutex.
+//! * **The arena lock** — span hand-out/return, dirty purging, remaps,
 //!   page-map writes, and the whole segment table: growth on miss (a span
 //!   request that misses every segment maps a new one under this lock)
-//!   and segment retirement both happen here. Acquired *after* at most
-//!   one class (or the large) lock, never the other way around.
-//! * **Large shard** — large-object singletons (§4.4.3) behind their own
-//!   mutex, ordered like a class lock.
-//! * **Lock-free structures** — the [`PageMap`] routes frees without any
-//!   lock, and a non-local small free is one atomic clear of its bit in
-//!   the owning MiniHeap's bitmap (§4.4.4; [`GlobalHeap::free_small`]).
-//!   Its accounting is settled when it returns. It takes no lock and
-//!   tries none: when the clear emptied a detached span, or opened the
-//!   first slot of a full one, it pushes the span on the class's list of
-//!   unsettled spans, and the next refill, detach, pass or purge
-//!   ([`GlobalHeap::lock_class_swept`]) destroys or refiles it. The bins
-//!   are therefore hints: whoever picks a span from one reads its bitmap
-//!   again.
+//!   and segment retirement both happen here.
+//! * **Fork** (`fork`) — [`GlobalHeap::lock_all`] and the child's
+//!   recovery.
+//!
+//! The [`PageMap`] routes frees without any lock. The seed kept all of
+//! this under one mutex; the shards let threads working in different
+//! size classes never contend. The order in which a thread may take the
+//! locks is the rank table, `sync::RANKS` (DESIGN.md §2).
 //!
 //! Meshing runs one class at a time, holding that class's lock (only an
 //! attach sets bits, and it needs the lock: frees racing a pass can only
@@ -34,9 +32,6 @@
 //! class's mesh epoch is odd while a pair's source bitmap is being
 //! consumed (DESIGN.md §3). Passes run inline, on the free path, when
 //! the [`MeshScheduler`] says one is due (§4.5), or on `mesh_now`.
-//!
-//! Every lock of the heap, in the one order that quiesces it for `fork`,
-//! is listed at [`GlobalHeap::lock_all`].
 
 use crate::arena::Arena;
 use crate::class_shard::{
@@ -231,25 +226,22 @@ impl GlobalHeap {
                         mesh_epoch: AtomicU64::new(0),
                         unsettled: UnsettledList::default(),
                     },
-                    state: Mutex::new(
-                        ClassState {
-                            slab,
-                            bins: ClassBins::default(),
-                            refills: 0,
-                            rng: Rng::with_seed(
-                                // "mesh-glo"
-                                seed ^ 0x6d65_7368_2d67_6c6f ^ ((class.index() as u64) << 56),
-                            ),
-                        },
-                        Rank::class(class.index()),
-                    ),
+                    state: Mutex::new(Rank::class(class.index()), ClassState {
+                        slab,
+                        bins: ClassBins::default(),
+                        refills: 0,
+                        rng: Rng::with_seed(
+                            // "mesh-glo"
+                            seed ^ 0x6d65_7368_2d67_6c6f ^ ((class.index() as u64) << 56),
+                        ),
+                    }),
                 }
             })
             .collect();
         Ok(GlobalHeap {
             classes,
-            large: Mutex::new(Slab::for_large(), Rank::LARGE),
-            arena: Mutex::new(arena, Rank::ARENA),
+            large: Mutex::new(Rank::LARGE, Slab::for_large()),
+            arena: Mutex::new(Rank::ARENA, arena),
             page_map: PageMap::new(pages as usize),
             rt: RuntimeConfig::new(&config),
             scheduler: MeshScheduler::new(),

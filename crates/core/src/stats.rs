@@ -182,7 +182,7 @@ struct Registry(Mutex<Vec<Arc<ThreadStats>>>);
 
 impl Default for Registry {
     fn default() -> Registry {
-        Registry(Mutex::new(Vec::new(), Rank::THREADS))
+        Registry(Mutex::new(Rank::THREADS, Vec::new()))
     }
 }
 

@@ -75,30 +75,20 @@ impl ReentrantFlag {
 }
 
 /// The heap's lock-rank table: every kind of [`Mutex`], lowest rank first,
-/// with the number of ranks (locks) it spans. A thread holding a lock
-/// takes only locks of higher rank, so no two threads can each wait for a
-/// lock the other holds. Fork quiescence takes the rows from `classes` to
-/// `ctl`, in this order (`GlobalHeap::lock_all`).
+/// and how many there are. A thread holding a lock takes only locks of
+/// higher rank, so no two threads can each wait for a lock the other
+/// holds. Fork quiescence takes the rows from `classes` to `ctl`
+/// (`GlobalHeap::lock_all`).
 pub(crate) const RANKS: [(&str, usize); 8] = [
-    // `Mesh`'s own thread heap: what `Mesh::malloc` and `Mesh::free` go
-    // through, so everything an allocation takes ranks after it.
-    ("main", 1),
-    // One per size class, by index. At most one is held at a time, except
-    // by a sweep over every class, which takes them in ascending order.
-    ("classes", NUM_SIZE_CLASSES),
-    // The large-object slab.
-    ("large", 1),
-    // The arena: segment table, span bins, remaps and page-map writes.
-    ("arena", 1),
-    // The thread registry (`Counters`).
-    ("threads", 1),
-    // The ctl socket's listener and connections.
-    ("ctl", 1),
-    // The background thread's handle, replaced in a forked child.
-    ("mesher", 1),
-    // No lock: a non-local small free holds this rank while it runs, so a
-    // lock taken inside one panics (DESIGN.md §2, rule 7).
-    ("small free", 1),
+    ("main", 1),                   // `Mesh`'s own thread heap (`Mesh::malloc`)
+    ("classes", NUM_SIZE_CLASSES), // by index: a sweep takes them in order
+    ("large", 1),                  // the large-object slab
+    ("arena", 1),                  // segments, span bins, remaps, page-map writes
+    ("threads", 1),                // the thread registry (`Counters`)
+    ("ctl", 1),                    // the ctl socket's listener and connections
+    ("mesher", 1),                 // the background thread's handle
+    ("small free", 1),             // no lock: a non-local small free holds it,
+                                   // so a lock taken inside one panics
 ];
 
 /// A lock's place in [`RANKS`].
@@ -114,12 +104,11 @@ impl Rank {
     pub const MESHER: Rank = Rank::first(6);
     pub const SMALL_FREE: Rank = Rank::first(7);
 
-    /// The lock of size class `index`.
     pub const fn class(index: usize) -> Rank {
         Rank(Rank::first(1).0 + index as u8)
     }
 
-    /// The lowest rank of row `row` of [`RANKS`].
+    /// The lowest rank of row `row`.
     const fn first(row: usize) -> Rank {
         let (mut rank, mut r) = (0, 0);
         while r < row {
@@ -130,8 +119,7 @@ impl Rank {
     }
 }
 
-// The ranks a thread holds are one bit each of a word, and the last row
-// of the table is the top rank.
+// A thread's ranks are the bits of one word; the last row is the top.
 const _: () = assert!(
     Rank::SMALL_FREE.0 < 64 && Rank::first(RANKS.len()).0 == Rank::SMALL_FREE.0 + 1
 );
@@ -139,78 +127,42 @@ const _: () = assert!(
 #[cfg(any(debug_assertions, test))]
 impl std::fmt::Debug for Rank {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut first = 0;
-        for (name, n) in RANKS {
-            let index = self.0 as usize - first;
-            if index < n {
-                return match n {
-                    1 => write!(f, "{name} (rank {})", self.0),
-                    _ => write!(f, "{name}[{index}] (rank {})", self.0),
-                };
-            }
-            first += n;
-        }
-        unreachable!("a rank outside the table")
-    }
-}
-
-/// The ranks this thread holds (debug builds).
-#[cfg(any(debug_assertions, test))]
-mod held {
-    use super::Rank;
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Bit `r` is set while this thread holds rank `r`.
-        static HELD: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// Rank `.0`, held by this thread until the value drops.
-    #[derive(Debug)]
-    pub struct Held(Rank);
-
-    /// Records `rank` as held. Panics unless it is above every rank this
-    /// thread holds: a lock of lower or equal rank would be out of order.
-    pub fn hold(rank: Rank) -> Held {
-        let held = ranks();
-        if held >> rank.0 != 0 {
-            let top = Rank(63 - held.leading_zeros() as u8);
-            panic!("lock order: {rank:?} taken while holding {top:?}");
-        }
-        HELD.with(|h| h.set(held | 1 << rank.0));
-        Held(rank)
-    }
-
-    /// Every rank this thread holds, one bit each.
-    pub fn ranks() -> u64 {
-        HELD.with(Cell::get)
-    }
-
-    impl Drop for Held {
-        fn drop(&mut self) {
-            HELD.with(|h| h.set(h.get() & !(1 << self.0 .0)));
+        let row = (1..RANKS.len()).take_while(|&r| Rank::first(r).0 <= self.0).count();
+        match RANKS[row] {
+            (name, 1) => write!(f, "{name} (rank {})", self.0),
+            (name, _) => write!(f, "{name}[{}] (rank {})", self.0 - Rank::first(row).0, self.0),
         }
     }
 }
 
 #[cfg(any(debug_assertions, test))]
-pub(crate) use held::{hold, Held};
+thread_local! {
+    /// Bit `r` is set while this thread holds rank `r`.
+    static HELD: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
-/// The rows of [`RANKS`] between `from` and `to` whose every rank this
-/// thread holds.
-#[cfg(test)]
-pub(crate) fn held_rows(from: Rank, to: Rank) -> Vec<&'static str> {
-    let held = held::ranks();
-    let mut first = 0;
-    let mut rows = Vec::new();
-    for (name, n) in RANKS {
-        let all = (u64::MAX >> (64 - n)) << first;
-        if (from.0..=to.0).contains(&(first as u8)) && held & all == all {
-            rows.push(name);
-        }
-        first += n;
+/// A rank this thread holds until the value drops.
+#[cfg(any(debug_assertions, test))]
+pub(crate) struct Held(Rank);
+
+/// Records `rank` as held by this thread. Panics unless it is above every
+/// rank the thread holds: taking it would break the order.
+#[cfg(any(debug_assertions, test))]
+pub(crate) fn hold(rank: Rank) -> Held {
+    let held = HELD.with(|h| h.get());
+    if held >> rank.0 != 0 {
+        let top = Rank(63 - held.leading_zeros() as u8);
+        panic!("lock order: {rank:?} taken while holding {top:?}");
     }
-    rows
+    HELD.with(|h| h.set(held | 1 << rank.0));
+    Held(rank)
+}
+
+#[cfg(any(debug_assertions, test))]
+impl Drop for Held {
+    fn drop(&mut self) {
+        HELD.with(|h| h.set(h.get() & !(1 << self.0 .0)));
+    }
 }
 
 /// A mutual-exclusion lock whose `lock` never fails, ranked in [`RANKS`].
@@ -247,8 +199,8 @@ impl<T> DerefMut for MutexGuard<'_, T> {
 }
 
 impl<T> Mutex<T> {
-    /// Creates a new mutex holding `value`, at `rank` of [`RANKS`].
-    pub const fn new(value: T, rank: Rank) -> Self {
+    /// Creates a new mutex at `rank` of [`RANKS`], holding `value`.
+    pub const fn new(rank: Rank, value: T) -> Self {
         #[cfg(not(any(debug_assertions, test)))]
         let _ = rank;
         Mutex {
@@ -308,12 +260,28 @@ impl<T> Mutex<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The rows of [`RANKS`] from `from` to `to` whose every rank this
+    /// thread holds.
+    pub(crate) fn held_rows(from: Rank, to: Rank) -> Vec<&'static str> {
+        let held = HELD.with(|h| h.get());
+        let mut first = 0;
+        let mut rows = Vec::new();
+        for (name, n) in RANKS {
+            let all = (u64::MAX >> (64 - n)) << first;
+            if (from.0..=to.0).contains(&(first as u8)) && held & all == all {
+                rows.push(name);
+            }
+            first += n;
+        }
+        rows
+    }
 
     #[test]
     fn lock_and_try_lock() {
-        let m = Mutex::new(5, Rank::MAIN);
+        let m = Mutex::new(Rank::MAIN, 5);
         {
             let mut g = m.lock();
             *g += 1;
@@ -328,7 +296,7 @@ mod tests {
 
     #[test]
     fn lock_timed_reports_only_contended_waits() {
-        let m = std::sync::Arc::new(Mutex::new(0, Rank::MAIN));
+        let m = std::sync::Arc::new(Mutex::new(Rank::MAIN, 0));
         let (_g, waited) = m.lock_timed();
         assert_eq!(waited, None, "uncontended acquisition is not timed");
         drop(_g);
@@ -363,7 +331,7 @@ mod tests {
 
     #[test]
     fn poisoned_lock_recovers() {
-        let m = std::sync::Arc::new(Mutex::new(1, Rank::MAIN));
+        let m = std::sync::Arc::new(Mutex::new(Rank::MAIN, 1));
         let m2 = std::sync::Arc::clone(&m);
         let _ = std::thread::spawn(move || {
             let _g = m2.lock();
@@ -375,7 +343,7 @@ mod tests {
 
     #[test]
     fn try_lock_recovers_poison_without_reporting_contention() {
-        let m = std::sync::Arc::new(Mutex::new(7, Rank::MAIN));
+        let m = std::sync::Arc::new(Mutex::new(Rank::MAIN, 7));
         let m2 = std::sync::Arc::clone(&m);
         let _ = std::thread::spawn(move || {
             let _g = m2.lock();

@@ -57,13 +57,13 @@
 //!
 //! The single I/O mutex joins `GlobalHeap::lock_all`'s fork-quiescence
 //! set, so `fork()` cannot land mid-response: a client sees either a
-//! complete envelope or a clean EOF, never a torn frame. The mutex is a
-//! *leaf* in the lock order — [`CtlState::tick`] extracts complete
-//! request lines under it, **drops it** while the dispatcher computes
-//! responses (dispatch takes class/arena locks that `lock_all`
-//! acquires before the ctl lock; holding the ctl lock across dispatch
-//! would invert that order and deadlock a concurrent `fork`), then
-//! re-acquires it to write the frames. The child drops every inherited
+//! complete envelope or a clean EOF, never a torn frame. It ranks above
+//! the class and arena locks (`sync::RANKS`), so [`CtlState::tick`]
+//! extracts complete request lines under it, **drops it** while the
+//! dispatcher computes responses (dispatch takes class/arena locks;
+//! holding the ctl lock across dispatch would invert that order and
+//! deadlock a concurrent `fork`), then re-acquires it to write the
+//! frames. The child drops every inherited
 //! connection and the inherited listener, unlinks the path, and re-binds
 //! it ([`CtlState::rebind_for_child`]) — the path follows the newest
 //! process, so operators who fork should configure per-process socket
@@ -182,14 +182,11 @@ impl CtlState {
         CtlState {
             path: path.to_path_buf(),
             max_clients: max_clients.max(1),
-            io: Mutex::new(
-                CtlIo {
-                    listener,
-                    conns: Vec::new(),
-                    next_id: 0,
-                },
-                Rank::CTL,
-            ),
+            io: Mutex::new(Rank::CTL, CtlIo {
+                listener,
+                conns: Vec::new(),
+                next_id: 0,
+            }),
         }
     }
 
@@ -319,11 +316,11 @@ impl CtlState {
     /// reads request lines from every client, and answers them through
     /// `dispatch`. Runs under the caller's `with_internal_alloc` scope.
     ///
-    /// Three phases around the I/O lock, which is a leaf in the heap's
-    /// lock order: accept/read under the lock, dispatch with the lock
-    /// **dropped** (the handlers take class/arena locks that
-    /// `GlobalHeap::lock_all` orders before the ctl lock — holding the
-    /// ctl lock here would ABBA-deadlock a concurrent `fork`), then
+    /// Three phases around the I/O lock, which ranks above every shard
+    /// lock: accept/read under the lock, dispatch with the lock
+    /// **dropped** (the handlers take class/arena locks, which rank
+    /// below the ctl lock — holding the ctl lock here would
+    /// ABBA-deadlock a concurrent `fork`), then
     /// re-acquire to write the response frames. A connection that
     /// disappears between phases (shutdown, child rebind) silently drops
     /// its responses; the requests' side effects (`mesh_now`, `set`)
