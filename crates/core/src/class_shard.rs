@@ -8,6 +8,8 @@
 //! * Without it ([`ShardUnlocked`]): a non-local small free is one atomic
 //!   clear of its bit ([`GlobalHeap::free_small`], §4.4.4), and the mesh
 //!   epoch tells a free whose bit a mesh pair took where to look again.
+//!   Frees do not move spans between bins, so the bins are hints: whoever
+//!   picks a span from one reads its bitmap again.
 //!
 //! The lock order these paths keep is the rank table in `sync`.
 
