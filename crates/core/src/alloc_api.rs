@@ -1230,7 +1230,7 @@ mod tests {
         assert_eq!(
             m.inner.counters.registered_threads(),
             1,
-            "only the main handle's block is live: no ring outlives its thread"
+            "only the main handle's block is live: no counter block outlives its thread"
         );
         let json = String::from_utf8(m.report(Report::Trace).unwrap()).unwrap();
         let refills_of_exited = tids
@@ -1242,6 +1242,62 @@ mod tests {
             "the shared ring keeps the exited threads' refills: {refills_of_exited}"
         );
         assert!(json.contains("\"name\":\"refill\""));
+    }
+
+    #[test]
+    fn one_trace_ring_bounds_the_events_of_every_live_thread() {
+        let m = Mesh::new(
+            MeshConfig::default()
+                .arena_bytes(64 << 20)
+                .seed(13)
+                .write_barrier(false)
+                .mesh_period(Duration::from_secs(3600))
+                .tracing(true)
+                .trace_buf_events(64),
+        )
+        .unwrap();
+        let per_span = crate::size_classes::SizeClass::for_size(256).unwrap().object_count();
+        let phases = Arc::new(std::sync::Barrier::new(5));
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                let (m, phases) = (m.clone(), Arc::clone(&phases));
+                std::thread::spawn(move || {
+                    let mut th = m.thread_heap();
+                    // One refill per span of fresh objects: 65 each, then
+                    // 4 more once every thread has made its 65, so the
+                    // newest events come from more than one thread.
+                    let mut ptrs: Vec<*mut u8> =
+                        (0..65 * per_span).map(|_| th.malloc(256)).collect();
+                    phases.wait();
+                    ptrs.extend((0..4 * per_span).map(|_| th.malloc(256)));
+                    phases.wait();
+                    phases.wait(); // the heap stays alive while the trace is read
+                    for p in ptrs {
+                        unsafe { th.free(p) };
+                    }
+                })
+            })
+            .collect();
+        phases.wait();
+        phases.wait();
+        let json = String::from_utf8(m.report(Report::Trace).unwrap()).unwrap();
+        let tids: std::collections::HashSet<&str> = json
+            .split("\"tid\":")
+            .skip(1)
+            .filter_map(|rest| rest.split(',').next())
+            .collect();
+        let s = m.stats();
+        let refills_timed =
+            m.inner.counters.latency_snapshot().count(crate::telemetry::TimedOp::Refill);
+        phases.wait();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let events = json.matches("\"ph\"").count();
+        assert!(events <= 64, "one ring of 64 for the whole heap, not one per thread: {events}");
+        assert!(tids.len() >= 2, "the ring holds more than one thread's events: {tids:?}");
+        assert!(s.refills >= 4 * 69, "{}", s.refills);
+        assert_eq!(refills_timed, s.refills, "every refill is timed once");
     }
 
     #[test]

@@ -147,8 +147,8 @@ impl BarrierGuard {
         self.flag.store(false, Ordering::Release);
     }
 
-    /// Whether a meshing pass is currently marked active.
-    #[inline]
+    /// Whether a meshing pass is currently marked active (test hook).
+    #[cfg(test)]
     pub fn is_meshing(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }

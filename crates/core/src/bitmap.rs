@@ -211,25 +211,12 @@ impl AtomicBitmap {
         }
     }
 
-    /// Iterates over the indices of clear bits, ascending.
-    pub fn iter_clear(&self) -> ClearBits {
-        let mut words = self.load_words();
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = !*w & self.valid_mask(i);
-        }
-        ClearBits(SetBits {
-            words,
-            word_idx: 0,
-            len: self.len as usize,
-        })
-    }
-
     /// Atomically sets every clear bit and iterates, ascending, over the
     /// bits this call changed: [`AtomicBitmap::try_set`] for a whole span
     /// at one RMW per word that has a clear bit, instead of one per slot.
     /// A refill attaches up to two dozen spans under the class lock, so
     /// the per-slot form put thousands of atomics into one malloc.
-    pub fn claim_clear(&self) -> ClearBits {
+    pub fn claim_clear(&self) -> SetBits {
         let mut claimed = [0u64; WORDS];
         for (i, word) in self.words.iter().enumerate() {
             let clear = !word.load(Ordering::Acquire) & self.valid_mask(i);
@@ -237,11 +224,11 @@ impl AtomicBitmap {
                 claimed[i] = clear & !word.fetch_or(clear, Ordering::AcqRel);
             }
         }
-        ClearBits(SetBits {
+        SetBits {
             words: claimed,
             word_idx: 0,
             len: self.len as usize,
-        })
+        }
     }
 
     /// Clears every bit.
@@ -252,7 +239,8 @@ impl AtomicBitmap {
     }
 }
 
-/// Iterator over set-bit indices, produced by [`AtomicBitmap::iter_set`].
+/// Iterator over set-bit indices, produced by [`AtomicBitmap::iter_set`]
+/// (and by [`AtomicBitmap::claim_clear`], over the bits it set).
 #[derive(Debug, Clone)]
 pub struct SetBits {
     words: [u64; WORDS],
@@ -279,18 +267,6 @@ impl Iterator for SetBits {
             return Some(idx);
         }
         None
-    }
-}
-
-/// Iterator over clear-bit indices, produced by [`AtomicBitmap::iter_clear`].
-#[derive(Debug, Clone)]
-pub struct ClearBits(SetBits);
-
-impl Iterator for ClearBits {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        self.0.next()
     }
 }
 
@@ -328,6 +304,10 @@ mod tests {
         assert_eq!(bm.in_use(), 130, "every tracked bit is set now");
         assert_eq!(bm.load_words()[2] >> 2, 0, "bits past len stay clear");
         assert_eq!(bm.claim_clear().count(), 0, "nothing left to claim");
+        // Bits past len are never claimed.
+        for len in [1usize, 63, 64, 65, 130, 256] {
+            assert_eq!(AtomicBitmap::new(len).claim_clear().count(), len, "len={len}");
+        }
     }
 
     #[test]
@@ -382,26 +362,6 @@ mod tests {
         }
         let got: Vec<usize> = bm.iter_set().collect();
         assert_eq!(got, bits);
-    }
-
-    #[test]
-    fn iter_clear_is_complement() {
-        let bm = AtomicBitmap::new(70);
-        for i in (0..70).step_by(2) {
-            bm.try_set(i);
-        }
-        let clear: Vec<usize> = bm.iter_clear().collect();
-        assert_eq!(clear, (1..70).step_by(2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn iter_clear_respects_len_boundary() {
-        // Bits past len must never be reported clear.
-        for len in [1usize, 63, 64, 65, 130, 256] {
-            let bm = AtomicBitmap::new(len);
-            assert_eq!(bm.iter_clear().count(), len, "len={len}");
-            assert_eq!(bm.iter_set().count(), 0);
-        }
     }
 
     #[test]

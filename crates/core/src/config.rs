@@ -86,12 +86,12 @@ pub struct MeshConfig {
     /// single `mesh-prof: ` line). The file is rewritten on each dump.
     pub(crate) prof_path: Option<PathBuf>,
     /// Master switch for slow-path event tracing (`MESH_TRACE`). Off by
-    /// default: no rings exist and each slow-path record is one `Option`
+    /// default: no ring exists and each slow-path record is one `Option`
     /// load. The always-on latency histograms are independent of this.
     pub(crate) trace: bool,
-    /// Per-ring trace capacity in events (`MESH_TRACE_BUF_EVENTS`,
-    /// rounded up to a power of two; 32 bytes per event). Rings
-    /// overwrite oldest when full.
+    /// Trace-ring capacity in events (`MESH_TRACE_BUF_EVENTS`, rounded up
+    /// to a power of two; 32 bytes per event): the heap's one ring, which
+    /// overwrites its oldest when full.
     pub(crate) trace_buf_events: usize,
     /// Trace-dump destination (`MESH_TRACE_PATH`; `None` = stderr as a
     /// single `mesh-trace: ` line). The file is rewritten on each dump.
@@ -149,7 +149,7 @@ impl Default for MeshConfig {
             prof_interval: None,
             prof_path: None,
             trace: false,
-            trace_buf_events: 64 << 10, // 64 Ki events = 2 MiB per ring
+            trace_buf_events: 64 << 10, // 64 Ki events = 2 MiB of ring
             trace_path: None,
             sense_history: 120,
             sense_mincore_pages: 256,
@@ -228,7 +228,7 @@ impl MeshConfig {
         prof_path(path: Option<PathBuf>) => prof_path = path;
         /// Enables or disables slow-path event tracing (`MESH_TRACE`).
         tracing(enabled: bool) => trace = enabled;
-        /// Sets the per-ring trace capacity in events
+        /// Sets the trace ring's capacity in events
         /// (`MESH_TRACE_BUF_EVENTS`; rounded up to a power of two).
         trace_buf_events(events: usize) => trace_buf_events = events;
         /// Sets (or clears) the trace-dump destination (`MESH_TRACE_PATH`).
@@ -296,7 +296,7 @@ impl MeshConfig {
         self.trace
     }
 
-    /// The configured per-ring trace capacity in events.
+    /// The configured trace-ring capacity in events.
     pub fn trace_buf_event_count(&self) -> usize {
         self.trace_buf_events
     }
@@ -415,7 +415,7 @@ impl MeshConfig {
     /// | `MESH_PROF_INTERVAL_MS` | periodic profile dumps, in ms (0 = off) | a number in 0..=4294967295 | 0 |
     /// | `MESH_PROF_PATH` | profile-dump file (unset: one `mesh-prof:` line on stderr) | a path of 1..=4095 bytes | unset |
     /// | `MESH_TRACE` | slow-path event tracer (mesh-trace) | one of 1/0/true/false/yes/no/on/off | off |
-    /// | `MESH_TRACE_BUF_EVENTS` | events per trace ring (rounded up to a power of two, overwrite-oldest) | a number in 64..=4M | 64K |
+    /// | `MESH_TRACE_BUF_EVENTS` | events the trace ring keeps (rounded up to a power of two, overwrite-oldest) | a number in 64..=4M | 64K |
     /// | `MESH_TRACE_PATH` | trace-dump file (unset: one `mesh-trace:` line on stderr) | a path of 1..=4095 bytes | unset |
     /// | `MESH_SENSE_HISTORY` | snapshots retained in the sense ring | a number in 2..=100000 | 120 |
     /// | `MESH_SENSE_MINCORE_PAGES` | pages `mincore`-sampled per poll (0 = no sweep) | a number in 0..=16M | 256 |

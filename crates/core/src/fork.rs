@@ -26,7 +26,7 @@ pub(crate) struct AllShardGuards<'a> {
     _classes: Vec<MutexGuard<'a, ClassState>>,
     _large: MutexGuard<'a, Slab>,
     _arena: MutexGuard<'a, Arena>,
-    _threads: MutexGuard<'a, Vec<Arc<crate::stats::ThreadStats>>>,
+    _threads: MutexGuard<'a, Vec<Arc<crate::stats::LocalCounters>>>,
     _ctl: Option<MutexGuard<'a, crate::telemetry::CtlIo>>,
 }
 

@@ -208,7 +208,7 @@ impl GlobalHeap {
     pub fn new(config: MeshConfig, counters: Arc<Counters>) -> Result<GlobalHeap, MeshError> {
         config.validate()?;
         // Start the uptime/trace clock at heap birth, and install the
-        // opt-in trace rings before any instrumented path can run.
+        // opt-in trace ring before any instrumented path can run.
         counters.epoch();
         if let Some(trace) = TraceSet::new(&config) {
             counters.set_trace(trace);

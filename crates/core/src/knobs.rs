@@ -358,7 +358,7 @@ pub static KNOBS: [Knob; 33] = [
     knob!("trace", Some("MESH_TRACE"), FLAG, "off", field!(bool trace), "slow-path event tracer (mesh-trace)",
         live: |h, v| h.counters.trace_set().ok_or(Report::Trace.off().0).map(|t| t.set_enabled(v.flag()))),
     knob!("trace_buf_events", Some("MESH_TRACE_BUF_EVENTS"), Kind::Num { min: 64, max: 1 << 22 }, "64K",
-        field!(num trace_buf_events), "events per trace ring (rounded up to a power of two, overwrite-oldest)",
+        field!(num trace_buf_events), "events the trace ring keeps (rounded up to a power of two, overwrite-oldest)",
         gate: |c| c.trace),
     knob!("trace_path", Some("MESH_TRACE_PATH"), FILE, "", field!(path trace_path),
         "trace-dump file (unset: one `mesh-trace:` line on stderr)"),

@@ -15,8 +15,11 @@
 //!
 //! * **malloc** pops the class's current member — moving to another
 //!   member with free slots before paying for a refill — and bumps the
-//!   counter line of the thread's [`ThreadStats`] (plain load+store, no
-//!   RMW — deltas are summed into [`crate::HeapStats`] at snapshot time).
+//!   thread's [`LocalCounters`] (plain load+store, no RMW — deltas are
+//!   summed into [`crate::HeapStats`] at snapshot time). A refill, which
+//!   takes a class lock anyway, is timed into the heap's one histogram
+//!   and trace ring like every other slow path
+//!   ([`Counters::record_slow`]).
 //! * **free** resolves the pointer with *one* lock-free [`PageMap`]
 //!   lookup, which yields the owning MiniHeap id, size class, and slot in
 //!   one read. Comparing the id against the members of the class's
@@ -36,8 +39,8 @@ use crate::harden::HardenKind;
 use crate::page_map::PageInfo;
 use crate::rng::Rng;
 use crate::size_classes::{SizeClass, NUM_SIZE_CLASSES, PAGE_SIZE};
-use crate::stats::{Counters, ThreadStats};
-use crate::telemetry::{trace_tid, Telemetry, ThreadSampler, TimedOp};
+use crate::stats::{Counters, LocalCounters};
+use crate::telemetry::{Telemetry, ThreadSampler, TimedOp};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -76,9 +79,9 @@ pub(crate) struct ThreadHeapCore {
     sets: Vec<AttachedSet>,
     rng: Rng,
     token: u64,
-    /// This thread heap's statistics (single-writer; see [`ThreadStats`]):
-    /// fast-path counter deltas, refill timings, and the trace ring.
-    stats: Arc<ThreadStats>,
+    /// This thread heap's fast-path counter deltas (single-writer; see
+    /// [`LocalCounters`]).
+    stats: Arc<LocalCounters>,
     /// The registry `stats` is registered with, kept for flush points and
     /// teardown.
     counters: Arc<Counters>,
@@ -109,7 +112,7 @@ pub(crate) struct ThreadHeapCore {
 
 impl ThreadHeapCore {
     /// Creates a detached thread heap with identity `token`, registering
-    /// its statistics block with `counters` and — when profiling is on —
+    /// its counter block with `counters` and — when profiling is on —
     /// a private sampler feeding `telemetry`.
     pub fn new(
         seed: u64,
@@ -139,22 +142,6 @@ impl ThreadHeapCore {
         self.token
     }
 
-    /// Records a completed slow-path operation that started at `t0` into
-    /// this thread's histogram block and — when tracing — its event ring.
-    /// Single-writer by construction: only the owning thread calls this.
-    fn record_op(&self, op: TimedOp, t0: Instant, arg: u64) {
-        let dur_ns = t0.elapsed().as_nanos() as u64;
-        self.stats.hists.record_local(op, dur_ns);
-        if let Some(ring) = &self.stats.ring {
-            if self.counters.trace_set().is_some_and(|t| t.is_enabled()) {
-                let start_ns = t0
-                    .saturating_duration_since(self.counters.epoch())
-                    .as_nanos() as u64;
-                ring.push(op, trace_tid(), start_ns, dur_ns, arg);
-            }
-        }
-    }
-
     /// The epilogue of every small allocation, whichever tier served it.
     #[inline(always)]
     fn finish_alloc(&mut self, state: &GlobalHeap, addr: usize, class: SizeClass) -> *mut u8 {
@@ -162,7 +149,7 @@ impl ThreadHeapCore {
         // its span came fresh from the arena); a write that landed in it
         // while free is a caught use-after-free.
         state.verify_poison(addr, class.object_size(), class.index());
-        self.stats.local.on_malloc(class.object_size());
+        self.stats.on_malloc(class.object_size());
         if let Some(s) = self.sampler.as_deref_mut() {
             s.on_alloc(addr, class.object_size());
         }
@@ -188,10 +175,10 @@ impl ThreadHeapCore {
             }
             // Refill boundary: already taking the class lock, so fold the
             // batched deltas into the shared counters while we are here.
-            self.counters.flush_local(&self.stats.local);
+            self.counters.flush_local(&self.stats);
             let refill_t0 = Instant::now();
             let refilled = state.refill(&mut self.sets[idx], class, self.token, &mut self.rng);
-            self.record_op(TimedOp::Refill, refill_t0, idx as u64);
+            self.counters.record_slow(TimedOp::Refill, refill_t0, idx as u64);
             // Before reporting exhaustion, destroy the spans frees emptied
             // without getting their class lock; each is a span to carve.
             if refilled.is_err() && !state.tidy_all_classes() {
@@ -318,7 +305,7 @@ impl ThreadHeapCore {
                     // Freed memory is poisoned now and verified when the
                     // slot is next handed out.
                     state.poison_object(addr, class.object_size(), class_idx);
-                    self.stats.local.on_free(class.object_size());
+                    self.stats.on_free(class.object_size());
                     if set.is_surplus_empty(member) {
                         // Retention rule: destroyed under the class lock,
                         // so a duplicate of this free finds the page
@@ -335,7 +322,7 @@ impl ThreadHeapCore {
                 state.harden_violation(HardenKind::InvalidFree, addr);
             }
             FreeRoute::Global { page, info } => {
-                if !state.free_routed(addr, page, info, Some(&self.stats.local)) {
+                if !state.free_routed(addr, page, info, Some(&*self.stats)) {
                     return;
                 }
                 // Large frees are rare and slow already; small ones share
@@ -395,7 +382,7 @@ impl ThreadHeapCore {
     /// Folds this thread's batched statistics deltas into the shared
     /// counters immediately (normally they fold at refill boundaries).
     pub fn flush_stats(&self) {
-        self.counters.flush_local(&self.stats.local);
+        self.counters.flush_local(&self.stats);
     }
 
     /// Completes the quarantined frees, returns every member of every
@@ -406,7 +393,7 @@ impl ThreadHeapCore {
         for (idx, set) in self.sets.iter_mut().enumerate() {
             state.release_set(SizeClass::from_index(idx), set);
         }
-        self.counters.flush_local(&self.stats.local);
+        self.counters.flush_local(&self.stats);
     }
 
     /// Number of spans currently attached, over all classes (diagnostic).
@@ -418,9 +405,8 @@ impl ThreadHeapCore {
 impl Drop for ThreadHeapCore {
     fn drop(&mut self) {
         // Spans are returned by the owning wrapper (`ThreadHeap::drop`
-        // calls `detach_all` with the heap in hand); the statistics block
-        // retires here, folding its counts, timings and trace events into
-        // the shared tier.
+        // calls `detach_all` with the heap in hand); the counter block
+        // retires here, folding its deltas into the shared counters.
         self.counters.retire_thread(&self.stats);
     }
 }

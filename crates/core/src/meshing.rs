@@ -612,12 +612,6 @@ fn roll_back(
     }
 }
 
-/// Pure helper exposed for tests and the theory crate: would these two
-/// bitmap word-arrays mesh? (Definition 5.1 on raw words.)
-pub fn words_mesh(a: &[u64; 4], b: &[u64; 4]) -> bool {
-    (a[0] & b[0]) | (a[1] & b[1]) | (a[2] & b[2]) | (a[3] & b[3]) == 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,13 +656,6 @@ mod tests {
         }
         st.bin_insert(id);
         id
-    }
-
-    #[test]
-    fn words_mesh_predicate() {
-        assert!(words_mesh(&[0b0101, 0, 0, 0], &[0b1010, 0, 0, 0]));
-        assert!(!words_mesh(&[0b0101, 0, 0, 0], &[0b0100, 0, 0, 0]));
-        assert!(words_mesh(&[0; 4], &[u64::MAX; 4]));
     }
 
     #[test]

@@ -416,12 +416,6 @@ impl MiniHeap {
         self.virtual_spans.len()
     }
 
-    /// Whether this MiniHeap has been meshed (aliases exist).
-    #[inline]
-    pub fn is_meshed(&self) -> bool {
-        self.virtual_spans.len() > 1
-    }
-
     /// Takes over a meshed-away source MiniHeap: its virtual spans, the
     /// tombstones it held, and `src_id` as one more.
     pub(crate) fn absorb(&mut self, src: MiniHeap, src_id: MiniHeapId) {
@@ -478,26 +472,6 @@ impl MiniHeap {
             self.bin = bin;
             self.bits.bin.store(bin, Ordering::SeqCst);
         }
-    }
-
-    /// Maps an arena *page* to the slot index of the object containing
-    /// `addr`, given the arena base address. Returns `None` if `addr` is
-    /// not inside any of this MiniHeap's virtual spans.
-    pub fn slot_of_addr(&self, arena_base: usize, addr: usize) -> Option<usize> {
-        for vs in &self.virtual_spans {
-            let start = arena_base + vs.byte_offset();
-            let end = start + vs.byte_len();
-            if addr >= start && addr < end {
-                return Some((addr - start) / self.object_size as usize);
-            }
-        }
-        None
-    }
-
-    /// Address of slot `slot` within the *primary* span.
-    pub fn primary_slot_addr(&self, arena_base: usize, slot: usize) -> usize {
-        debug_assert!(slot < self.object_count as usize);
-        arena_base + self.span().byte_offset() + slot * self.object_size as usize
     }
 }
 
@@ -656,7 +630,7 @@ mod tests {
         assert_eq!(mh.object_size(), 256);
         assert_eq!(mh.object_count(), 16);
         assert!(!mh.is_large());
-        assert!(!mh.is_meshed());
+        assert_eq!(mh.span_count(), 1, "never meshed");
         assert_eq!(mh.in_use(), 0);
         assert_eq!(mh.occupancy(), 0.0);
     }
@@ -687,13 +661,7 @@ mod tests {
         let a_mh = slab.retire(a);
         slab.get_mut(dst).unwrap().absorb(a_mh, a);
         let mh = slab.get_mut(dst).unwrap();
-        assert!(mh.is_meshed());
-        let base = 0x7000_0000;
-        assert_eq!(mh.slot_of_addr(base, base + 256 * 3 + 10), Some(3));
-        assert_eq!(mh.slot_of_addr(base, base + 9 * 4096 + 256 * 5), Some(5));
-        assert_eq!(mh.slot_of_addr(base, base + 12 * 4096), Some(0));
-        assert_eq!(mh.slot_of_addr(base, base + 4096), None);
-        assert_eq!(mh.primary_slot_addr(base, 5), base + 256 * 5);
+        assert_eq!(mh.virtual_spans(), &[Span::new(0, 1), Span::new(9, 1), Span::new(12, 1)]);
         assert_eq!(mh.take_alias_spans(), vec![Span::new(9, 1), Span::new(12, 1)]);
         assert_eq!(mh.virtual_spans(), &[Span::new(0, 1)]);
         assert_eq!(mh.take_tombstones(), vec![b, a], "both ids stay reserved with dst");

@@ -278,6 +278,7 @@ impl ShuffleVector {
     }
 
     /// The offsets currently available, in allocation order (test hook).
+    #[cfg(test)]
     pub fn free_offsets(&self) -> &[u8] {
         &self.list[self.off as usize..self.max as usize]
     }

@@ -7,12 +7,16 @@
 //! * [`Counters`] — shared atomics, bumped only by cold paths (refills,
 //!   remote frees, meshing, segments).
 //! * [`LocalCounters`] — one cacheline-aligned delta block per thread
-//!   heap, the first line of its registered `ThreadStats`. The owning
-//!   thread updates it with plain load+store pairs (single-writer, so no
-//!   RMW and no lock prefix); other threads only ever *read* it. Deltas
-//!   are folded into the shared counters on refill/detach/teardown, and
+//!   heap, registered with its heap's [`Counters`]. The owning thread
+//!   updates it with plain load+store pairs (single-writer, so no RMW and
+//!   no lock prefix); other threads only ever *read* it. Deltas are folded
+//!   into the shared counters on refill/detach/teardown, and
 //!   [`Counters::snapshot`] sums the live blocks so [`HeapStats`] stays
 //!   exact without any hot-path `fetch_add`.
+//!
+//! Telemetry has one tier: every timed slow path, refills included,
+//! records into the heap's one latency histogram block and, under
+//! `MESH_TRACE=1`, its one trace ring (`Counters::record_slow`).
 //!
 //! [`HeapStats`] is a coherent snapshot taken on demand.
 
@@ -21,8 +25,7 @@ use crate::size_classes::NUM_SIZE_CLASSES;
 use crate::sync::{Mutex, MutexGuard, Rank};
 use crate::telemetry::fields::{self, counter, gauge, num, row, Field, Value::Named};
 use crate::telemetry::{
-    chrome_json, HeapSpectrum, HistBlock, LatencySnapshot, TimedOp, TraceRing, TraceSet,
-    ALL_TIMED_OPS,
+    chrome_json, HeapSpectrum, HistBlock, LatencySnapshot, TimedOp, TraceSet, ALL_TIMED_OPS,
 };
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -119,26 +122,6 @@ impl LocalCounters {
     }
 }
 
-/// One thread heap's statistics, registered with its heap's [`Counters`]
-/// while the thread heap lives: the fast-path counter line, then the
-/// histogram block its refills are timed into, then — under
-/// `MESH_TRACE=1` — its event ring. The owning thread is the only writer
-/// of all three; any thread may read them.
-#[repr(C)] // in that order: the fast path touches only the first line
-pub(crate) struct ThreadStats {
-    pub(crate) local: LocalCounters,
-    pub(crate) hists: HistBlock,
-    pub(crate) ring: Option<TraceRing>,
-}
-
-impl std::fmt::Debug for ThreadStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadStats")
-            .field("local", &self.local)
-            .finish_non_exhaustive()
-    }
-}
-
 /// When something rate-limited last ran, in nanoseconds on the heap's
 /// epoch ([`Counters::now_ns`]). One atomic claimed by CAS: of two callers
 /// that find a period elapsed, one wins the slot, and neither holds a
@@ -178,7 +161,7 @@ impl EpochClock {
 /// The thread registry's lock, at its rank (a type of its own so that
 /// [`Counters`] keeps its `Default`).
 #[derive(Debug)]
-struct Registry(Mutex<Vec<Arc<ThreadStats>>>);
+struct Registry(Mutex<Vec<Arc<LocalCounters>>>);
 
 impl Default for Registry {
     fn default() -> Registry {
@@ -245,14 +228,12 @@ pub struct Counters {
     /// mutator's contended lock wait is a *pause inflicted by the mesher*
     /// and is additionally recorded in the mutator-pause histogram.
     pub mesh_active: AtomicU64,
-    /// The thread registry: every live thread heap's [`ThreadStats`].
-    /// Summed by [`Counters::snapshot`] and merged by
-    /// [`Counters::latency_snapshot`] and [`Counters::trace_json`], so
-    /// totals stay exact while threads batch.
+    /// The thread registry: every live thread heap's [`LocalCounters`],
+    /// summed by [`Counters::snapshot`] so totals stay exact while
+    /// threads batch.
     threads: Registry,
-    /// The always-on latency histograms of slow paths recorded outside a
-    /// thread heap (multi-writer; thread heaps time refills into their
-    /// own block).
+    /// The always-on latency histograms of every timed slow path
+    /// (multi-writer).
     hists: HistBlock,
     /// Opt-in trace state (`MESH_TRACE=1`); `None` keeps every slow-path
     /// record to one `Option` load.
@@ -264,16 +245,11 @@ pub struct Counters {
 }
 
 impl Counters {
-    /// Creates and registers a thread heap's statistics block (with a
-    /// trace ring when tracing is on). What it records counts toward the
-    /// heap's totals from then on; [`Counters::retire_thread`] folds it
-    /// in for good.
-    pub(crate) fn register_thread(&self) -> Arc<ThreadStats> {
-        let block = Arc::new(ThreadStats {
-            local: LocalCounters::default(),
-            hists: HistBlock::default(),
-            ring: self.trace.get().map(|t| t.new_ring()),
-        });
+    /// Creates and registers a thread heap's counter block. What it
+    /// counts toward the heap's totals from then on;
+    /// [`Counters::retire_thread`] folds it in for good.
+    pub(crate) fn register_thread(&self) -> Arc<LocalCounters> {
+        let block = Arc::new(LocalCounters::default());
         self.threads.0.lock().push(Arc::clone(&block));
         block
     }
@@ -307,25 +283,19 @@ impl Counters {
         }
     }
 
-    /// Retires a dying thread heap's block: its counter deltas, its
-    /// histograms and its trace events move to the shared tier, and the
-    /// registry lets go of it (the ring is freed with the last `Arc`). All
-    /// under the registry lock, so no snapshot counts the block twice or
-    /// misses it.
-    pub(crate) fn retire_thread(&self, block: &Arc<ThreadStats>) {
+    /// Retires a dying thread heap's block: its deltas move to the shared
+    /// counters and the registry lets go of it, under the registry lock,
+    /// so no snapshot counts the block twice or misses it.
+    pub(crate) fn retire_thread(&self, block: &Arc<LocalCounters>) {
         let mut threads = self.threads.0.lock();
-        self.flush_local(&block.local);
-        self.hists.absorb(&block.hists);
-        if let (Some(trace), Some(ring)) = (self.trace.get(), &block.ring) {
-            trace.absorb(ring);
-        }
+        self.flush_local(block);
         threads.retain(|b| !Arc::ptr_eq(b, block));
     }
 
     /// Holds the thread registry (fork quiescence: `GlobalHeap::lock_all`
     /// takes it, so a forked child cannot inherit it mid-register,
     /// mid-retire, or mid-snapshot).
-    pub(crate) fn lock_threads(&self) -> MutexGuard<'_, Vec<Arc<ThreadStats>>> {
+    pub(crate) fn lock_threads(&self) -> MutexGuard<'_, Vec<Arc<LocalCounters>>> {
         self.threads.0.lock()
     }
 
@@ -340,8 +310,7 @@ impl Counters {
     fn local_sums(&self) -> [u64; 5] {
         let threads = self.threads.0.lock();
         let mut sums = [0u64; 5];
-        for t in threads.iter() {
-            let b = &t.local;
+        for b in threads.iter() {
             let block = [
                 &b.mallocs,
                 &b.frees,
@@ -385,7 +354,7 @@ impl Counters {
         self.epoch().elapsed().as_millis() as u64
     }
 
-    /// Installs the trace rings (heap construction, `MESH_TRACE=1` only).
+    /// Installs the trace ring (heap construction, `MESH_TRACE=1` only).
     pub(crate) fn set_trace(&self, trace: Arc<TraceSet>) {
         let _ = self.trace.set(trace);
     }
@@ -395,34 +364,32 @@ impl Counters {
         self.trace.get()
     }
 
-    /// Every buffered trace event — the shared ring's, then each live
-    /// thread heap's — as Chrome trace-event JSON; `None` when tracing is
-    /// off. The registry is held only while the rings are decoded.
+    /// Every buffered trace event as Chrome trace-event JSON; `None` when
+    /// tracing is off.
     pub(crate) fn trace_json(&self) -> Option<String> {
         let trace = self.trace.get()?;
-        let events = trace.events(self.threads.0.lock().iter().filter_map(|t| t.ring.as_ref()));
-        Some(chrome_json(&events, self.uptime_ms()))
+        Some(chrome_json(&trace.events(), self.uptime_ms()))
     }
 
     /// Records one completed slow-path operation that began at `start`:
-    /// always into the shared latency histogram, and into the shared
-    /// trace ring when tracing is on.
+    /// always into the latency histogram, and into the trace ring when
+    /// tracing is on.
     pub(crate) fn record_slow(&self, op: TimedOp, start: Instant, arg: u64) {
         let dur_ns = start.elapsed().as_nanos() as u64;
-        self.hists.record_shared(op, dur_ns);
+        self.hists.record(op, dur_ns);
         if let Some(trace) = self.trace.get() {
             let start_ns = start.saturating_duration_since(self.epoch()).as_nanos() as u64;
-            trace.record_shared(op, start_ns, dur_ns, arg);
+            trace.record(op, start_ns, dur_ns, arg);
         }
     }
 
     /// Records an already-measured wait of `dur_ns` ending now (the shape
     /// [`crate::sync::Mutex::lock_timed`] reports).
     pub(crate) fn record_wait(&self, op: TimedOp, dur_ns: u64, arg: u64) {
-        self.hists.record_shared(op, dur_ns);
+        self.hists.record(op, dur_ns);
         if let Some(trace) = self.trace.get() {
             let start_ns = self.now_ns().saturating_sub(dur_ns);
-            trace.record_shared(op, start_ns, dur_ns, arg);
+            trace.record(op, start_ns, dur_ns, arg);
         }
     }
 
@@ -437,7 +404,7 @@ impl Counters {
         }
     }
 
-    /// Zeroes every latency histogram and empties every trace ring (fork
+    /// Zeroes the latency histograms and empties the trace ring (fork
     /// child: the parent's history is not this process's; single-threaded
     /// there, so plain stores are safe).
     pub(crate) fn wipe_for_child(&self) {
@@ -445,22 +412,12 @@ impl Counters {
         if let Some(trace) = self.trace.get() {
             trace.wipe();
         }
-        for t in self.threads.0.lock().iter() {
-            t.hists.zero();
-            if let Some(ring) = &t.ring {
-                ring.wipe();
-            }
-        }
     }
 
-    /// The current latency snapshot (shared block merged with every live
-    /// thread's).
+    /// The current latency snapshot.
     pub fn latency_snapshot(&self) -> LatencySnapshot {
         let mut snap = LatencySnapshot::default();
         self.hists.add_into(&mut snap);
-        for t in self.threads.0.lock().iter() {
-            t.hists.add_into(&mut snap);
-        }
         snap
     }
 
@@ -892,15 +849,15 @@ mod tests {
     fn local_blocks_count_toward_snapshot_without_flush() {
         let c = Counters::default();
         let block = c.register_thread();
-        block.local.on_malloc(112);
-        block.local.on_malloc(112);
-        block.local.on_free(112);
+        block.on_malloc(112);
+        block.on_malloc(112);
+        block.on_free(112);
         let s = c.snapshot();
         assert_eq!(s.mallocs, 2);
         assert_eq!(s.frees, 1);
         assert_eq!(s.live_bytes, 112);
         // Flushing moves the deltas but changes no totals.
-        c.flush_local(&block.local);
+        c.flush_local(&block);
         let s = c.snapshot();
         assert_eq!((s.mallocs, s.frees, s.live_bytes), (2, 1, 112));
         assert_eq!(c.mallocs.load(Ordering::Relaxed), 2, "deltas folded in");
@@ -910,7 +867,7 @@ mod tests {
     fn unregister_preserves_totals() {
         let c = Counters::default();
         let block = c.register_thread();
-        block.local.on_malloc(64);
+        block.on_malloc(64);
         c.retire_thread(&block);
         let s = c.snapshot();
         assert_eq!(s.mallocs, 1);
@@ -926,10 +883,10 @@ mod tests {
         let c = Counters::default();
         let a = c.register_thread();
         let b = c.register_thread();
-        a.local.on_malloc(4096);
-        b.local.on_remote_free(4096);
+        a.on_malloc(4096);
+        b.on_remote_free(4096);
         assert_eq!(c.snapshot().remote_frees, 1, "pending deltas are summed in");
-        c.flush_local(&b.local);
+        c.flush_local(&b);
         let s = c.snapshot();
         assert_eq!(s.live_bytes, 0);
         assert_eq!(s.mallocs, 1);

@@ -6,20 +6,10 @@
 //! quantization error under 50% across nine decades while the whole
 //! histogram stays a flat array of counters.
 //!
-//! One [`HistBlock`] layout, two recording disciplines, mirroring
-//! [`crate::stats::LocalCounters`]:
-//!
-//! * the heap's **shared block** (relaxed `fetch_add`) for operations
-//!   recorded under global-heap or arena locks — lock waits, mesh phases,
-//!   segment and `madvise` work. These paths already pay a lock, so one
-//!   more RMW is noise.
-//! * a **per-thread block** (single-writer plain load+store) in each
-//!   thread heap's registered [`crate::stats::ThreadStats`], for the one
-//!   operation a mutator thread records about itself: shuffle-vector
-//!   refills. Merged by [`crate::stats::Counters::latency_snapshot`].
-//!
-//! The malloc/free fast path records nothing: every instrumented site is
-//! one that already took a lock or made a syscall.
+//! The heap keeps one [`HistBlock`], written with relaxed `fetch_add`s
+//! by every timed operation — refills, lock waits, mesh phases, segment
+//! and `madvise` work. Each already pays a lock or a syscall, so three
+//! more RMWs are noise; the malloc/free fast path records nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -148,8 +138,7 @@ pub fn bucket_upper_ns(b: usize) -> u64 {
 }
 
 /// One flat block of histogram counters: per-op bucket counts plus the
-/// total duration and the running maximum. Field layout is identical for
-/// the shared and per-thread tiers; only the write discipline differs.
+/// total duration and the running maximum.
 pub(crate) struct HistBlock {
     counts: [[AtomicU64; LATENCY_BUCKETS]; NUM_TIMED_OPS],
     sums: [AtomicU64; NUM_TIMED_OPS],
@@ -173,29 +162,12 @@ impl std::fmt::Debug for HistBlock {
 }
 
 impl HistBlock {
-    /// Multi-writer record (relaxed RMW).
-    pub(crate) fn record_shared(&self, op: TimedOp, ns: u64) {
+    /// Records one duration (relaxed RMWs; any thread).
+    pub(crate) fn record(&self, op: TimedOp, ns: u64) {
         let i = op.index();
         self.counts[i][bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         self.sums[i].fetch_add(ns, Ordering::Relaxed);
         self.maxes[i].fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// Single-writer record: plain load+store pairs, no `lock` prefix
-    /// (the [`crate::stats::LocalCounters`] discipline — only the owning
-    /// thread writes, any thread may read).
-    pub(crate) fn record_local(&self, op: TimedOp, ns: u64) {
-        #[inline]
-        fn bump(cell: &AtomicU64, v: u64) {
-            cell.store(cell.load(Ordering::Relaxed).wrapping_add(v), Ordering::Relaxed);
-        }
-        let i = op.index();
-        bump(&self.counts[i][bucket_of(ns)], 1);
-        bump(&self.sums[i], ns);
-        let max = &self.maxes[i];
-        if max.load(Ordering::Relaxed) < ns {
-            max.store(ns, Ordering::Relaxed);
-        }
     }
 
     /// Adds this block into `snap`.
@@ -219,24 +191,6 @@ impl HistBlock {
             }
             self.sums[i].store(0, Ordering::Relaxed);
             self.maxes[i].store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Folds `other` — a dying thread's block — into this shared one, so
-    /// its totals survive the thread.
-    pub(crate) fn absorb(&self, other: &HistBlock) {
-        let mut snap = LatencySnapshot::default();
-        other.add_into(&mut snap);
-        for i in 0..NUM_TIMED_OPS {
-            for b in 0..LATENCY_BUCKETS {
-                if snap.counts[i][b] > 0 {
-                    self.counts[i][b].fetch_add(snap.counts[i][b], Ordering::Relaxed);
-                }
-            }
-            if snap.sums[i] > 0 {
-                self.sums[i].fetch_add(snap.sums[i], Ordering::Relaxed);
-            }
-            self.maxes[i].fetch_max(snap.maxes[i], Ordering::Relaxed);
         }
     }
 }
@@ -378,12 +332,12 @@ mod tests {
     fn record_snapshot_percentiles() {
         let h = HistBlock::default();
         for _ in 0..90 {
-            h.record_shared(TimedOp::Refill, 100);
+            h.record(TimedOp::Refill, 100);
         }
         for _ in 0..9 {
-            h.record_shared(TimedOp::Refill, 10_000);
+            h.record(TimedOp::Refill, 10_000);
         }
-        h.record_shared(TimedOp::Refill, 5_000_000);
+        h.record(TimedOp::Refill, 5_000_000);
         let s = snapshot(&h);
         assert_eq!(s.count(TimedOp::Refill), 100);
         assert_eq!(s.sum_ns(TimedOp::Refill), 9000 + 90_000 + 5_000_000);
@@ -398,28 +352,9 @@ mod tests {
     }
 
     #[test]
-    fn locals_merge_on_snapshot_and_fold_on_unregister() {
-        let h = Counters::default();
-        let a = h.register_thread();
-        let b = h.register_thread();
-        a.hists.record_local(TimedOp::Refill, 50);
-        a.hists.record_local(TimedOp::Refill, 70);
-        b.hists.record_local(TimedOp::MeshCopy, 1000);
-        let s = h.latency_snapshot();
-        assert_eq!(s.count(TimedOp::Refill), 2);
-        assert_eq!(s.count(TimedOp::MeshCopy), 1);
-        h.retire_thread(&a);
-        let s = h.latency_snapshot();
-        assert_eq!(s.count(TimedOp::Refill), 2, "totals survive unregister");
-        assert_eq!(s.sum_ns(TimedOp::Refill), 120);
-        assert_eq!(s.max_ns(TimedOp::Refill), 70);
-    }
-
-    #[test]
     fn zero_all_clears_every_tier() {
         let h = Counters::default();
-        let a = h.register_thread();
-        a.hists.record_local(TimedOp::MutatorPause, 999);
+        h.record_slow(TimedOp::Refill, std::time::Instant::now(), 0);
         h.record_wait(TimedOp::MeshPass, 12345, 0);
         h.wipe_for_child();
         assert!(h.latency_snapshot().is_empty());
@@ -428,9 +363,9 @@ mod tests {
     #[test]
     fn minus_windows_counts_not_maxes() {
         let h = HistBlock::default();
-        h.record_shared(TimedOp::MeshCopy, 100);
+        h.record(TimedOp::MeshCopy, 100);
         let before = snapshot(&h);
-        h.record_shared(TimedOp::MeshCopy, 200);
+        h.record(TimedOp::MeshCopy, 200);
         let window = snapshot(&h).minus(&before);
         assert_eq!(window.count(TimedOp::MeshCopy), 1);
         assert_eq!(window.sum_ns(TimedOp::MeshCopy), 200);

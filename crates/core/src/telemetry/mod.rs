@@ -63,7 +63,9 @@ pub(crate) use report::Reports;
 pub(crate) use sense::read_pressure;
 pub(crate) use sampler::ThreadSampler;
 pub(crate) use spectrum::estimate_meshable_pairs;
-pub(crate) use trace::{chrome_json, trace_tid, TraceRing, TraceSet};
+pub(crate) use trace::{chrome_json, TraceSet};
+#[cfg(test)]
+pub(crate) use trace::trace_tid;
 
 use crate::config::MeshConfig;
 use crate::stats::EpochClock;

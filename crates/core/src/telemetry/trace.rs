@@ -13,17 +13,14 @@
 //! | 2 | duration, nanoseconds |
 //! | 3 | op-specific argument (size class, pages, batch length, …) |
 //!
-//! ## Rings
+//! ## Ring
 //!
-//! Rings hold `MESH_TRACE_BUF_EVENTS` events (rounded up to a power of
-//! two) and overwrite their oldest: recent history is what a trace is
-//! for, and a writer never blocks. Each thread heap writes its own ring,
-//! the last part of its registered [`crate::stats::ThreadStats`] (no
-//! sharing); operations recorded under global locks (mesh phases, segment
-//! work) go to one shared ring. A thread heap that retires copies its
-//! ring into the shared one, tids kept, and the ring is freed. A dump
-//! decodes only complete events: one being written as it is read is left
-//! out.
+//! The heap keeps one ring of `MESH_TRACE_BUF_EVENTS` events (rounded up
+//! to a power of two) and overwrites its oldest: recent history is what a
+//! trace is for, and a writer never blocks. Every thread records into it,
+//! its tid in the event — refills as well as the operations recorded under
+//! global locks (mesh phases, segment work). A dump decodes only complete
+//! events: one being written as it is read is left out.
 //!
 //! Tracing off is one `Option` load on each slow-path record; the fast
 //! path is untouched either way.
@@ -72,61 +69,20 @@ pub struct TraceEvent {
     pub arg: u64,
 }
 
-/// One event ring: a [`Ring`] of encoded events.
-#[derive(Debug)]
-pub(crate) struct TraceRing(Ring<4>);
-
-impl TraceRing {
-    fn new(capacity: usize) -> TraceRing {
-        TraceRing(Ring::new(capacity.next_power_of_two().max(64)))
-    }
-
-    /// Records one event over the oldest. Lock-free. Out of line: a thread
-    /// heap's refill calls it, and inlined there it would grow
-    /// `ThreadHeapCore::malloc` for a path that only runs when tracing.
-    #[inline(never)]
-    pub(crate) fn push(&self, op: TimedOp, tid: u32, start_ns: u64, dur_ns: u64, arg: u64) {
-        let word0 = (op as u16 as u64) | ((tid as u64) << 16);
-        self.0.push([word0, start_ns, dur_ns, arg]);
-    }
-
-    /// The complete events, oldest first.
-    fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
-        self.0
-            .records()
-            .filter_map(|[word0, start_ns, dur_ns, arg]| {
-                Some(TraceEvent {
-                    op: TimedOp::from_u16(word0 as u16)?,
-                    tid: (word0 >> 16) as u32,
-                    start_ns,
-                    dur_ns,
-                    arg,
-                })
-            })
-    }
-
-    /// Empties the ring (fork child).
-    pub(crate) fn wipe(&self) {
-        self.0.wipe();
-    }
-}
-
-/// The heap's tracing state: the shared ring for events recorded under
-/// global locks, and the size of the rings thread heaps get. `None` on
+/// The heap's tracing state: one [`Ring`] of encoded events. `None` on
 /// the heap when `MESH_TRACE` is off — every hook is behind that
 /// `Option`.
 pub(crate) struct TraceSet {
-    buf_events: usize,
-    /// Runtime on/off gate (mesh-ctl `set trace 0|1`). Starts on; rings
-    /// stay allocated while off, so re-enabling is one atomic store.
+    /// Runtime on/off gate (mesh-ctl `set trace 0|1`). Starts on; the ring
+    /// stays allocated while off, so re-enabling is one atomic store.
     enabled: AtomicBool,
-    shared: TraceRing,
+    ring: Ring<4>,
 }
 
 impl std::fmt::Debug for TraceSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceSet")
-            .field("buf_events", &self.buf_events)
+            .field("enabled", &self.enabled)
             .finish_non_exhaustive()
     }
 }
@@ -138,11 +94,10 @@ impl TraceSet {
         if !config.is_tracing() {
             return None;
         }
-        let buf_events = config.trace_buf_event_count();
+        let capacity = config.trace_buf_event_count().next_power_of_two().max(64);
         Some(Arc::new(TraceSet {
-            buf_events,
             enabled: AtomicBool::new(true),
-            shared: TraceRing::new(buf_events),
+            ring: Ring::new(capacity),
         }))
     }
 
@@ -153,46 +108,39 @@ impl TraceSet {
     }
 
     /// Turns event recording on or off at runtime (mesh-ctl
-    /// `set trace 0|1`). Rings and their history are kept either way.
+    /// `set trace 0|1`). The ring and its history are kept either way.
     pub(crate) fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// A ring for one thread heap.
-    pub(crate) fn new_ring(&self) -> TraceRing {
-        TraceRing::new(self.buf_events)
-    }
-
-    /// Copies a retiring thread heap's events into the shared ring, tids
-    /// kept: its tail stays part of the trace after its ring is freed.
-    pub(crate) fn absorb(&self, ring: &TraceRing) {
-        for e in ring.events() {
-            self.shared.push(e.op, e.tid, e.start_ns, e.dur_ns, e.arg);
-        }
-    }
-
-    /// Records an event from a global-lock context into the shared ring
-    /// (a no-op while recording is disabled).
-    #[inline]
-    pub(crate) fn record_shared(&self, op: TimedOp, start_ns: u64, dur_ns: u64, arg: u64) {
+    /// Records one event of the calling thread over the oldest (a no-op
+    /// while recording is disabled). Lock-free.
+    pub(crate) fn record(&self, op: TimedOp, start_ns: u64, dur_ns: u64, arg: u64) {
         if self.is_enabled() {
-            self.shared.push(op, trace_tid(), start_ns, dur_ns, arg);
+            let word0 = (op as u16 as u64) | ((trace_tid() as u64) << 16);
+            self.ring.push([word0, start_ns, dur_ns, arg]);
         }
     }
 
-    /// Empties the shared ring (fork child).
+    /// Empties the ring (fork child).
     pub(crate) fn wipe(&self) {
-        self.shared.wipe();
+        self.ring.wipe();
     }
 
-    /// Decoded events of the shared ring, then of each of `rings`,
-    /// oldest first per ring.
-    pub(crate) fn events<'a>(&self, rings: impl Iterator<Item = &'a TraceRing>) -> Vec<TraceEvent> {
-        let mut out: Vec<TraceEvent> = self.shared.events().collect();
-        for ring in rings {
-            out.extend(ring.events());
-        }
-        out
+    /// The complete events, oldest first.
+    pub(crate) fn events(&self) -> Vec<TraceEvent> {
+        self.ring
+            .records()
+            .filter_map(|[word0, start_ns, dur_ns, arg]| {
+                Some(TraceEvent {
+                    op: TimedOp::from_u16(word0 as u16)?,
+                    tid: (word0 >> 16) as u32,
+                    start_ns,
+                    dur_ns,
+                    arg,
+                })
+            })
+            .collect()
     }
 }
 
@@ -238,31 +186,31 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_drains_in_order() {
-        let ring = TraceRing::new(64);
+        let t = TraceSet::new(&trace_config()).unwrap();
         for i in 0..100u64 {
-            ring.push(TimedOp::Refill, 7, i, 10, i);
+            t.record(TimedOp::Refill, i, 10, i);
         }
-        let events: Vec<TraceEvent> = ring.events().collect();
+        let events = t.events();
         assert_eq!(events.len(), 64);
         // The newest 64 survive, oldest-first.
         assert_eq!(events.first().unwrap().arg, 36);
         assert_eq!(events.last().unwrap().arg, 99);
         assert!(events.windows(2).all(|w| w[0].arg + 1 == w[1].arg));
-        assert_eq!(events[0].tid, 7);
+        assert_eq!(events[0].tid, trace_tid());
         assert_eq!(events[0].op, TimedOp::Refill);
     }
 
     #[test]
     fn wipe_empties_and_blocks_resurrection() {
-        let ring = TraceRing::new(64);
+        let t = TraceSet::new(&trace_config()).unwrap();
         for i in 0..200u64 {
-            ring.push(TimedOp::MeshPass, 1, i, 1, 0);
+            t.record(TimedOp::MeshPass, i, 1, 0);
         }
-        ring.wipe();
-        assert_eq!(ring.events().count(), 0);
+        t.wipe();
+        assert_eq!(t.events().len(), 0);
         // A partial lap after the wipe exposes only post-wipe events.
-        ring.push(TimedOp::Madvise, 2, 5, 6, 7);
-        let events: Vec<TraceEvent> = ring.events().collect();
+        t.record(TimedOp::Madvise, 5, 6, 7);
+        let events = t.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].op, TimedOp::Madvise);
     }
@@ -270,10 +218,9 @@ mod tests {
     #[test]
     fn chrome_json_is_wellformed() {
         let t = TraceSet::new(&trace_config()).unwrap();
-        t.record_shared(TimedOp::MeshCopy, 1_234_567, 89_012, 42);
-        let ring = t.new_ring();
-        ring.push(TimedOp::Refill, trace_tid(), 2_000_000, 1_500, 3);
-        let json = chrome_json(&t.events([&ring].into_iter()), 77);
+        t.record(TimedOp::MeshCopy, 1_234_567, 89_012, 42);
+        t.record(TimedOp::Refill, 2_000_000, 1_500, 3);
+        let json = chrome_json(&t.events(), 77);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"name\":\"mesh_copy\""));
         assert!(json.contains("\"name\":\"refill\""));
@@ -297,29 +244,10 @@ mod tests {
         let c = crate::stats::Counters::default();
         c.set_trace(TraceSet::new(&trace_config()).unwrap());
         c.record_wait(TimedOp::MeshPass, 2, 3);
-        let thread = c.register_thread();
-        thread
-            .ring
-            .as_ref()
-            .unwrap()
-            .push(TimedOp::Refill, 1, 1, 1, 1);
+        c.record_slow(TimedOp::Refill, std::time::Instant::now(), 1);
         assert_eq!(c.trace_json().unwrap().matches("\"ph\"").count(), 2);
         c.wipe_for_child();
         assert_eq!(c.trace_json().unwrap().matches("\"ph\"").count(), 0);
-    }
-
-    #[test]
-    fn a_retired_ring_is_copied_into_the_shared_one() {
-        let t = TraceSet::new(&trace_config()).unwrap();
-        let ring = t.new_ring();
-        for i in 0..100u64 {
-            ring.push(TimedOp::Refill, 9, i, 1, i);
-        }
-        t.absorb(&ring);
-        let events = t.events(std::iter::empty());
-        assert_eq!(events.len(), 64, "the shared ring keeps its newest 64");
-        assert!(events.iter().all(|e| e.tid == 9 && e.op == TimedOp::Refill));
-        assert_eq!(events.last().unwrap().arg, 99);
     }
 
     #[test]

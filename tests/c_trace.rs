@@ -9,7 +9,8 @@
 //!   category with a known op name, microsecond `ts`/`dur`, and a
 //!   numeric `pid`/`tid`/`args.arg`;
 //! * the churn workload produced `refill` events from a nonzero tid
-//!   (mutator rings), proving per-thread recording end to end;
+//!   (recorded by the mutator threads into the heap's one ring), proving
+//!   refill tracing end to end;
 //! * the program survived `raise(SIGUSR2)` — the co-dump handler was
 //!   installed — and its weak `mesh_trace_dump()` call returned 0.
 //!

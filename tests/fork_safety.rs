@@ -6,7 +6,7 @@
 //! those writes out of the parent.
 //!
 //! The heap runs with tracing on, so the fork protocol's telemetry
-//! contract is exercised too: the child starts with wiped trace rings
+//! contract is exercised too: the child starts with a wiped trace ring
 //! and zeroed latency histograms (no inherited parent history), records
 //! its own events from its own churn, and the parent's trace survives
 //! the fork intact.
