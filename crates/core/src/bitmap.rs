@@ -304,10 +304,6 @@ mod tests {
         assert_eq!(bm.in_use(), 130, "every tracked bit is set now");
         assert_eq!(bm.load_words()[2] >> 2, 0, "bits past len stay clear");
         assert_eq!(bm.claim_clear().count(), 0, "nothing left to claim");
-        // Bits past len are never claimed.
-        for len in [1usize, 63, 64, 65, 130, 256] {
-            assert_eq!(AtomicBitmap::new(len).claim_clear().count(), len, "len={len}");
-        }
     }
 
     #[test]
@@ -362,6 +358,28 @@ mod tests {
         }
         let got: Vec<usize> = bm.iter_set().collect();
         assert_eq!(got, bits);
+    }
+
+    #[test]
+    fn iter_clear_is_complement() {
+        // The clear bits `claim_clear` walks are exactly the unset ones.
+        let bm = AtomicBitmap::new(70);
+        for i in (0..70).step_by(2) {
+            bm.try_set(i);
+        }
+        let clear: Vec<usize> = bm.claim_clear().collect();
+        assert_eq!(clear, (1..70).step_by(2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn iter_clear_respects_len_boundary() {
+        // Bits past len must never be reported clear, nor set by a claim.
+        for len in [1usize, 63, 64, 65, 130, 256] {
+            let bm = AtomicBitmap::new(len);
+            assert_eq!(bm.iter_set().count(), 0);
+            assert_eq!(bm.claim_clear().count(), len, "len={len}");
+            assert_eq!(bm.iter_set().count(), len, "len={len}");
+        }
     }
 
     #[test]
