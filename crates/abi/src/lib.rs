@@ -25,23 +25,23 @@
 //! `MESH_CTL=/path/sock` serves live introspection and control over a
 //! Unix socket (drive it with `mesh-top` or `nc -U`).
 //!
-//! ## The four hard problems (see DESIGN.md "ABI & bootstrap")
+//! ## What this crate adds to the process runtime
 //!
-//! 1. **Bootstrap**: allocations arrive before a heap can exist (dlsym's
-//!    own `calloc` while we resolve glibc's allocator). A static bump
-//!    arena (`bootstrap`) serves them; `free` recognizes its range
-//!    forever after.
-//! 2. **Re-entrancy**: Mesh's metadata must not allocate from Mesh while
-//!    shard locks are held. Every call into Mesh runs under
-//!    [`mesh_core::with_internal_alloc`]; any allocation arriving with
-//!    the flag set is routed to the *real* allocator (`real`).
-//! 3. **Thread lifecycle**: each pthread gets a lock-free §4.3 thread
-//!    heap, returned to the global heap by a pthread TSD destructor —
-//!    deterministic for C and Rust threads alike (`runtime`).
-//! 4. **Fork safety**: the arena is `MAP_SHARED` memory files, which fork
-//!    does *not* copy-on-write. `pthread_atfork` handlers quiesce every
-//!    lock, then the child re-backs each segment with a private copy
-//!    while the parent waits on a pipe ([`mesh_core::Mesh::fork_prepare`]).
+//! The heap, the thread heaps, the fork protocol and the exit and
+//! `SIGUSR2` dumps are [`mesh_core::process`], shared with
+//! `MeshGlobalAlloc` (see DESIGN.md "ABI & bootstrap"). What is specific
+//! to C lives here:
+//!
+//! 1. **The exported symbols**, with glibc's edge semantics (`errno`,
+//!    `realloc(p, 0)`, `posix_memalign`'s `EINVAL`).
+//! 2. **The real allocator** (`real`): a request the process runtime
+//!    reports as not Mesh's — Mesh's own metadata, made under
+//!    [`mesh_core::with_internal_alloc`], or any request once heap
+//!    construction failed — goes to glibc's `malloc`, found with
+//!    `dlsym(RTLD_NEXT, …)`.
+//! 3. **Bootstrap** (`bootstrap`): allocations arrive before the real
+//!    allocator is resolved (dlsym's own `calloc`). A static bump arena
+//!    serves them; `free` recognizes its range forever after.
 //!
 //! When heap construction fails (unsupported kernel, hostile rlimits),
 //! the layer degrades to pass-through: the process runs on glibc with a
@@ -49,11 +49,10 @@
 
 use mesh_core::ffi as libc;
 use mesh_core::ffi::{c_int, c_void, size_t};
-use mesh_core::{in_internal_alloc, with_internal_alloc, Report, PAGE_SIZE};
+use mesh_core::{in_internal_alloc, process, with_internal_alloc, Report, PAGE_SIZE};
 
 mod bootstrap;
 mod real;
-mod runtime;
 
 // ---------------------------------------------------------------------
 // Routing core
@@ -63,23 +62,17 @@ mod runtime;
 /// real allocator for internal (metadata) ones and for processes whose
 /// heap failed to construct, the bootstrap arena before either exists.
 fn allocate(size: usize, align: usize, zeroed: bool) -> *mut u8 {
-    if in_internal_alloc() {
+    let Some(p) = process::malloc(size, align) else {
         return internal_allocate(size, align, zeroed);
+    };
+    if p.is_null() {
+        libc::set_errno(libc::ENOMEM);
+    } else if zeroed {
+        // Reused spans may hold stale bytes under the MADV_DONTNEED
+        // release strategy: calloc zeroes always.
+        unsafe { std::ptr::write_bytes(p, 0, size) };
     }
-    with_internal_alloc(|| match runtime::heap() {
-        Some(mesh) => {
-            let p = runtime::with_thread_heap(mesh, |th| th.malloc_aligned(size, align));
-            if p.is_null() {
-                libc::set_errno(libc::ENOMEM);
-            } else if zeroed {
-                // Reused spans may hold stale bytes under the
-                // MADV_DONTNEED release strategy: calloc zeroes always.
-                unsafe { std::ptr::write_bytes(p, 0, size) };
-            }
-            p
-        }
-        None => internal_allocate(size, align, zeroed),
-    })
+    p
 }
 
 /// The internal/fallback route (real allocator, bootstrap before it).
@@ -100,29 +93,15 @@ fn internal_allocate(size: usize, align: usize, zeroed: bool) -> *mut u8 {
 }
 
 /// Frees `ptr`, routing by provenance: bootstrap memory is never reused,
-/// Mesh pointers go to the thread heap (or the lock-free global path from
-/// internal contexts), anything else belongs to the real allocator.
+/// Mesh pointers go to the process runtime, anything else belongs to the
+/// real allocator.
 fn deallocate(ptr: *mut u8) {
     if ptr.is_null() || bootstrap::contains(ptr) {
         return;
     }
-    if let Some(mesh) = runtime::built_heap() {
-        if mesh.contains(ptr) {
-            if in_internal_alloc() {
-                // A Mesh pointer freed from inside Mesh itself — cannot
-                // happen by construction (metadata lives on the real
-                // allocator), but route lock-free for safety: the caller
-                // may hold a shard lock.
-                unsafe { mesh.free_global(ptr) };
-            } else {
-                with_internal_alloc(|| {
-                    runtime::with_thread_heap(mesh, |th| unsafe { th.free(ptr) })
-                });
-            }
-            return;
-        }
+    if !unsafe { process::free(ptr) } {
+        real::free(ptr);
     }
-    real::free(ptr);
 }
 
 /// `malloc_usable_size` routing by provenance.
@@ -133,7 +112,7 @@ fn usable(ptr: *mut u8) -> usize {
     if bootstrap::contains(ptr) {
         return bootstrap::usable_size(ptr);
     }
-    if let Some(mesh) = runtime::built_heap() {
+    if let Some(mesh) = process::built_heap() {
         if mesh.contains(ptr) {
             return mesh.usable_size(ptr).unwrap_or(0);
         }
@@ -160,7 +139,7 @@ fn reallocate(ptr: *mut u8, size: usize) -> *mut u8 {
         }
         return fresh;
     }
-    if let Some(mesh) = runtime::built_heap() {
+    if let Some(mesh) = process::built_heap() {
         if mesh.contains(ptr) {
             if with_internal_alloc(|| mesh.realloc_in_place(ptr, size)) {
                 return ptr; // same size class / still within the span
@@ -322,7 +301,7 @@ pub unsafe extern "C" fn malloc_usable_size(ptr: *mut c_void) -> size_t {
 /// been released), 0 otherwise.
 #[no_mangle]
 pub extern "C" fn malloc_trim(_pad: size_t) -> c_int {
-    match runtime::built_heap() {
+    match process::built_heap() {
         Some(mesh) => {
             mesh.purge_dirty();
             1
@@ -342,7 +321,7 @@ pub extern "C" fn mallopt(_param: c_int, _value: c_int) -> c_int {
 /// Interposed `malloc_stats(3)`: prints the Mesh summary line to stderr.
 #[no_mangle]
 pub extern "C" fn malloc_stats() {
-    runtime::print_stats();
+    process::print_stats(2);
 }
 
 // ---------------------------------------------------------------------
@@ -355,7 +334,7 @@ pub extern "C" fn malloc_stats() {
 /// the preload.
 #[no_mangle]
 pub extern "C" fn mesh_stats_print() {
-    runtime::print_stats();
+    process::print_stats(2);
 }
 
 /// Forces a meshing pass (bypassing the §4.5 rate limiter) and returns
@@ -365,10 +344,16 @@ pub extern "C" fn mesh_mesh_now() -> u64 {
     if in_internal_alloc() {
         return 0;
     }
-    with_internal_alloc(|| match runtime::heap() {
-        Some(mesh) => mesh.mesh_now().pairs_meshed as u64,
-        None => 0,
-    })
+    process::heap().map_or(0, |mesh| mesh.mesh_now().pairs_meshed as u64)
+}
+
+/// The C face of [`process::dump_report`] to stderr: 0 written, -1 not.
+fn dump(kind: Report) -> c_int {
+    if process::dump_report(kind, 2) {
+        0
+    } else {
+        -1
+    }
 }
 
 /// Writes the sampled heap profile (version-1 JSON, see DESIGN.md
@@ -380,7 +365,7 @@ pub extern "C" fn mesh_mesh_now() -> u64 {
 /// asynchronously.
 #[no_mangle]
 pub extern "C" fn mesh_prof_dump() -> c_int {
-    runtime::report_dump_to(Report::Profile, 2)
+    dump(Report::Profile)
 }
 
 /// Writes the buffered slow-path trace (Chrome trace-event JSON, see
@@ -390,7 +375,7 @@ pub extern "C" fn mesh_prof_dump() -> c_int {
 /// exists. `kill -USR2 <pid>` reaches the same dump asynchronously.
 #[no_mangle]
 pub extern "C" fn mesh_trace_dump() -> c_int {
-    runtime::report_dump_to(Report::Trace, 2)
+    dump(Report::Trace)
 }
 
 /// Writes the mesh-sense document (version-2 JSON: pressure, residency
@@ -402,7 +387,7 @@ pub extern "C" fn mesh_trace_dump() -> c_int {
 /// same dump asynchronously.
 #[no_mangle]
 pub extern "C" fn mesh_sense_dump() -> c_int {
-    runtime::report_dump_to(Report::Sense, 2)
+    dump(Report::Sense)
 }
 
 /// Whether the mesh-ctl control socket (`MESH_CTL=/path/sock`) is
@@ -411,7 +396,7 @@ pub extern "C" fn mesh_sense_dump() -> c_int {
 /// exists.
 #[no_mangle]
 pub extern "C" fn mesh_ctl_active() -> c_int {
-    match runtime::built_heap() {
+    match process::built_heap() {
         Some(mesh) => mesh.ctl_active() as c_int,
         None => 0,
     }
@@ -428,7 +413,7 @@ pub extern "C" fn mesh_ctl_active() -> c_int {
 /// bytes.
 #[no_mangle]
 pub unsafe extern "C" fn mesh_ctl_path(buf: *mut mesh_core::ffi::c_char, len: size_t) -> c_int {
-    let Some(mesh) = runtime::built_heap() else {
+    let Some(mesh) = process::built_heap() else {
         return -1;
     };
     let Some(path) = mesh.ctl_path() else {
@@ -454,7 +439,7 @@ mod tests {
     use super::*;
 
     fn is_meshed(p: *mut c_void) -> bool {
-        runtime::built_heap().is_some_and(|m| m.contains(p as *const u8))
+        process::built_heap().is_some_and(|m| m.contains(p as *const u8))
     }
 
     #[test]

@@ -1,44 +1,26 @@
 //! Resolution of the *real* (next-in-search-order, i.e. glibc) allocator
-//! via `dlsym(RTLD_NEXT, …)`, plus the handful of process-lifecycle
-//! symbols the runtime needs (`pthread_key_create`, `pthread_atfork`,
-//! `atexit`).
+//! via `dlsym(RTLD_NEXT, …)`.
 //!
-//! Mesh's own metadata (slab vectors, queue nodes, candidate lists) must
-//! not live on Mesh — an allocation made while a shard lock is held would
-//! recurse into the same lock. The interposed symbols therefore route any
-//! request arriving with [`mesh_core::in_internal_alloc`] set to the real
-//! allocator resolved here, mirroring `MeshGlobalAlloc`'s use of the
-//! system allocator on the Rust side.
+//! Mesh's own metadata (slab vectors, candidate lists) must not live on
+//! Mesh — an allocation made while a shard lock is held would recurse
+//! into the same lock. The interposed symbols therefore route any request
+//! arriving with [`mesh_core::in_internal_alloc`] set to the real
+//! allocator resolved here, as `MeshGlobalAlloc` routes it to the system
+//! allocator on the Rust side.
 //!
 //! `dlsym` itself calls `calloc`, which is interposed back into this
 //! library: the [`RESOLVING`] flag routes that recursion (and any other
 //! thread's internal allocation racing the resolution window) to the
 //! [`crate::bootstrap`] bump arena.
 
-use mesh_core::ffi::{c_char, c_int, c_uint, c_void, size_t};
+use mesh_core::ffi::{c_char, c_void, size_t};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// `<dlfcn.h>`'s pseudo-handle: resolve in the next object after ours.
 const RTLD_NEXT: *mut c_void = -1isize as *mut c_void;
 
-/// `fcntl` command: duplicate the fd to the lowest free number ≥ arg,
-/// with `O_CLOEXEC` set (Linux generic ABI).
-pub const F_DUPFD_CLOEXEC: c_int = 1030;
-
 extern "C" {
     fn dlsym(handle: *mut c_void, symbol: *const c_char) -> *mut c_void;
-    pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
-    pub fn pthread_key_create(
-        key: *mut c_uint,
-        destructor: Option<unsafe extern "C" fn(*mut c_void)>,
-    ) -> c_int;
-    pub fn pthread_setspecific(key: c_uint, value: *const c_void) -> c_int;
-    pub fn pthread_atfork(
-        prepare: Option<extern "C" fn()>,
-        parent: Option<extern "C" fn()>,
-        child: Option<extern "C" fn()>,
-    ) -> c_int;
-    pub fn atexit(f: extern "C" fn()) -> c_int;
 }
 
 type MallocFn = unsafe extern "C" fn(size_t) -> *mut c_void;

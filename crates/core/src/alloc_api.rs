@@ -1,7 +1,8 @@
 //! The public allocator API: [`Mesh`] heaps, per-thread [`ThreadHeap`]
 //! handles, and a [`MeshGlobalAlloc`] adapter implementing
-//! [`std::alloc::GlobalAlloc`] (the Rust analog of the paper's
-//! `LD_PRELOAD` interposition).
+//! [`std::alloc::GlobalAlloc`] over the process runtime
+//! ([`crate::process`], which the paper's `LD_PRELOAD` interposition
+//! shares).
 
 use crate::config::MeshConfig;
 use crate::error::MeshError;
@@ -141,17 +142,7 @@ impl Mesh {
     /// return the first aligned address inside the span. Returns null on
     /// exhaustion.
     pub fn malloc_aligned(&self, size: usize, align: usize) -> *mut u8 {
-        debug_assert!(align.is_power_of_two());
-        if align > PAGE_SIZE {
-            return with_internal_alloc(|| {
-                match self.inner.state.malloc_large(size, align) {
-                    Ok(addr) => addr as *mut u8,
-                    Err(_) => std::ptr::null_mut(),
-                }
-            });
-        }
-        let request = aligned_request(size, align);
-        self.malloc(request)
+        with_internal_alloc(|| malloc_aligned(&self.inner.state, size, align, |n| self.malloc(n)))
     }
 
     /// Allocates zeroed memory for `count` elements of `size` bytes
@@ -348,8 +339,8 @@ impl Mesh {
 
     /// Asks the background thread to write `kind` out at its next beat,
     /// as [`Mesh::write_report`] to stderr would. Async-signal-safe (one
-    /// atomic RMW): this is the body of the C ABI's `SIGUSR2` handler.
-    /// A request for a kind whose subsystem is off is dropped.
+    /// atomic RMW): this is the body of the process runtime's `SIGUSR2`
+    /// handler. A request for a kind whose subsystem is off is dropped.
     pub fn request_report(&self, kind: Report) {
         self.inner.state.reports.request(kind);
     }
@@ -378,7 +369,7 @@ impl Mesh {
     }
 
     /// Whether hardened mode is set to abort on violations (`MESH_HARDEN=abort`).
-    pub fn harden_aborts(&self) -> bool {
+    pub(crate) fn harden_aborts(&self) -> bool {
         self.inner.state.harden.aborts()
     }
 
@@ -448,9 +439,9 @@ impl Mesh {
     }
 
     /// Stops serving the control socket and unlinks its path. Idempotent;
-    /// used by the C ABI's exit hook so interposed processes clean up
-    /// even though the heap itself is never dropped.
-    pub fn ctl_shutdown(&self) {
+    /// the process runtime's exit hook, so a process heap's socket is
+    /// cleaned up even though that heap is never dropped.
+    pub(crate) fn ctl_shutdown(&self) {
         if let Some(ctl) = &self.inner.state.ctl {
             with_internal_alloc(|| ctl.shutdown());
         }
@@ -463,7 +454,7 @@ impl Mesh {
 
     /// Frees `ptr` through the global (lock-free) path without touching
     /// any thread-local heap state and without triggering inline meshing —
-    /// the route an interposition layer takes for heap pointers freed from
+    /// the route the process runtime takes for heap pointers freed from
     /// internal contexts, where a shard lock may already be held.
     ///
     /// # Safety
@@ -486,6 +477,25 @@ impl Mesh {
     }
 }
 
+
+/// The one rule for aligned requests: an alignment above the page size
+/// over-allocates on the large path and returns the first aligned address
+/// inside the span; a smaller one is served by `small` with the request
+/// rounded by [`aligned_request`].
+fn malloc_aligned(
+    state: &GlobalHeap,
+    size: usize,
+    align: usize,
+    small: impl FnOnce(usize) -> *mut u8,
+) -> *mut u8 {
+    debug_assert!(align.is_power_of_two());
+    if align > PAGE_SIZE {
+        return state
+            .malloc_large(size, align)
+            .map_or(std::ptr::null_mut(), |addr| addr as *mut u8);
+    }
+    small(aligned_request(size, align))
+}
 
 /// Rounds a request so the serving size class (or page-rounded large
 /// object) guarantees `align`.
@@ -539,20 +549,14 @@ impl ThreadHeap {
 
     /// Allocates `size` bytes with alignment `align` (any power of two):
     /// the per-thread analog of [`Mesh::malloc_aligned`], serving the
-    /// `memalign` family of an interposition layer. Lock-free for small
-    /// sizes with an attached span.
+    /// `memalign` family and over-aligned layouts of the process runtime.
+    /// Lock-free for small sizes with an attached span.
     pub fn malloc_aligned(&mut self, size: usize, align: usize) -> *mut u8 {
-        debug_assert!(align.is_power_of_two());
-        if align > PAGE_SIZE {
-            return with_internal_alloc(|| {
-                match self.inner.state.malloc_large(size, align) {
-                    Ok(addr) => addr as *mut u8,
-                    Err(_) => std::ptr::null_mut(),
-                }
-            });
-        }
-        let request = aligned_request(size, align);
-        self.malloc(request)
+        with_internal_alloc(|| {
+            malloc_aligned(&self.inner.state, size, align, |n| {
+                self.core.malloc(&self.inner.state, n)
+            })
+        })
     }
 
     /// Frees `ptr` (lock-free when local; one atomic bitmap clear when
@@ -601,16 +605,11 @@ impl Drop for ThreadHeap {
 }
 
 // ---------------------------------------------------------------------
-// GlobalAlloc adapter
+// Internal-allocation guard and the GlobalAlloc adapter
 // ---------------------------------------------------------------------
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::{Cell, RefCell};
-use std::sync::OnceLock;
-
-/// `None` means heap construction failed; remembered so every subsequent
-/// allocation fails cleanly (null) instead of retrying or panicking.
-static GLOBAL_MESH: OnceLock<Option<Mesh>> = OnceLock::new();
+use std::cell::Cell;
 
 thread_local! {
     /// Re-entrancy guard: allocations made *by* Mesh's own metadata
@@ -619,11 +618,6 @@ thread_local! {
     /// and non-`Drop`, so reading it never allocates and never registers
     /// a TLS destructor (both would be fatal inside interposed symbols).
     static IN_MESH: Cell<bool> = const { Cell::new(false) };
-    /// The calling thread's [`MeshGlobalAlloc`] heap, made by
-    /// [`Mesh::thread_heap`] at its first allocation. Its destructor gives
-    /// the thread's spans back at exit; an allocation or free arriving
-    /// after it ran takes the heap-wide path instead.
-    static TLS_HEAP: RefCell<Option<ThreadHeap>> = const { RefCell::new(None) };
 }
 
 static IN_MESH_FLAG: crate::sync::ReentrantFlag =
@@ -633,40 +627,44 @@ static IN_MESH_FLAG: crate::sync::ReentrantFlag =
 /// `f`: any allocation Mesh's own data structures make (candidate lists
 /// during meshing, slab growth during refill, bitmap-table chunks) is
 /// served by the *system* allocator instead of re-entering Mesh. Without
-/// this, installing [`MeshGlobalAlloc`] as `#[global_allocator]` — or
-/// interposing the C `malloc` family via `libmesh.so` — would
+/// this, a process whose `malloc` is Mesh ([`crate::process`]) would
 /// self-deadlock a shard lock on the first pass that allocates while
 /// holding it; with a conventional global allocator the guard costs two
 /// thread-local writes.
 ///
 /// Public because an interposition layer must participate in the same
-/// protocol: it wraps heap construction and every call into Mesh in this
-/// guard, and routes any allocation arriving while
-/// [`in_internal_alloc`] is true to the real (non-interposed) allocator.
+/// protocol: it wraps every call into Mesh in this guard, and routes any
+/// allocation arriving while [`in_internal_alloc`] is true to the real
+/// (non-interposed) allocator.
 pub fn with_internal_alloc<T>(f: impl FnOnce() -> T) -> T {
     IN_MESH_FLAG.with(f)
 }
 
 /// Whether the current thread is executing inside Mesh (under
-/// [`with_internal_alloc`]). An interposed `malloc` that observes `true`
-/// must *not* re-enter Mesh: the allocation belongs to Mesh's own
-/// metadata and may be happening under a shard lock.
+/// [`with_internal_alloc`]). An allocation that observes `true` must
+/// *not* re-enter Mesh: it belongs to Mesh's own metadata and may be
+/// happening under a shard lock.
 #[inline]
 pub fn in_internal_alloc() -> bool {
     IN_MESH_FLAG.is_set()
 }
 
-/// A [`GlobalAlloc`] backed by a process-wide Mesh heap — the Rust analog
-/// of `LD_PRELOAD=libmesh.so` (§4).
+/// A [`GlobalAlloc`] over the process heap — the Rust analog of
+/// `LD_PRELOAD=libmesh.so` (§4), and the same runtime
+/// ([`crate::process`]): one heap with an 8 GiB default cap and the
+/// `MESH_*` environment, a thread heap per thread, the fork protocol, and
+/// the exit and `SIGUSR2` dumps.
 ///
-/// Internal metadata allocations recurse into the system allocator (the
-/// role of the reference implementation's internal heap), so this adapter
-/// is safe to install as `#[global_allocator]`:
+/// Mesh's own metadata allocations go to the system allocator, so this
+/// adapter is safe to install as `#[global_allocator]`:
 ///
 /// ```ignore
 /// #[global_allocator]
 /// static ALLOC: mesh_core::MeshGlobalAlloc = mesh_core::MeshGlobalAlloc;
 /// ```
+///
+/// If the heap cannot be built, one warning line goes to stderr and every
+/// allocation returns null, as the `GlobalAlloc` contract asks.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MeshGlobalAlloc;
 
@@ -677,98 +675,33 @@ impl MeshGlobalAlloc {
     /// # Panics
     ///
     /// Panics if the heap could not be constructed. The allocation paths
-    /// never use this accessor — they go through [`Self::try_mesh`], which
-    /// converts construction failure into null returns as the
-    /// `GlobalAlloc` contract requires.
+    /// never panic: construction failure is a null return there.
     pub fn mesh() -> &'static Mesh {
         Self::try_mesh().expect("failed to create global Mesh heap")
     }
 
-    /// The process-wide heap, or `None` if construction failed (bad env
-    /// configuration, no memfd/tmpfile support, reservation refused).
-    /// Construction is attempted once; failure is sticky.
+    /// The process-wide heap, or `None` if construction failed (no
+    /// memfd/tmpfile support, reservation refused). Construction is
+    /// attempted once; failure is sticky.
     pub fn try_mesh() -> Option<&'static Mesh> {
-        GLOBAL_MESH
-            .get_or_init(|| Mesh::new(MeshConfig::default().apply_env()).ok())
-            .as_ref()
+        crate::process::heap()
     }
 }
 
 unsafe impl GlobalAlloc for MeshGlobalAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let entered = IN_MESH.with(|f| {
-            if f.get() {
-                false
-            } else {
-                f.set(true);
-                true
-            }
-        });
-        if !entered {
-            // Metadata allocation from inside Mesh itself.
-            return System.alloc(layout);
+        match crate::process::malloc(layout.size(), layout.align()) {
+            Some(p) => p,
+            None if in_internal_alloc() => System.alloc(layout),
+            // No heap: OOM per the `GlobalAlloc` contract, never a panic.
+            None => std::ptr::null_mut(),
         }
-        let Some(mesh) = Self::try_mesh() else {
-            // Heap construction failed: report OOM per the GlobalAlloc
-            // contract instead of panicking across the boundary.
-            IN_MESH.with(|f| f.set(false));
-            return std::ptr::null_mut();
-        };
-        let p = if layout.align() > PAGE_SIZE {
-            // Over-aligned layouts (e.g. a 2 MiB-aligned buffer) go to the
-            // large path, which over-allocates and returns an aligned
-            // interior pointer the page map still routes correctly.
-            match mesh
-                .inner
-                .state
-                .malloc_large(layout.size(), layout.align())
-            {
-                Ok(addr) => addr as *mut u8,
-                Err(_) => std::ptr::null_mut(),
-            }
-        } else {
-            let request = aligned_request(layout.size(), layout.align());
-            TLS_HEAP
-                .try_with(|slot| {
-                    let mut slot = slot.borrow_mut();
-                    slot.get_or_insert_with(|| mesh.thread_heap())
-                        .malloc(request)
-                })
-                .unwrap_or_else(|_| mesh.malloc(request))
-        };
-        IN_MESH.with(|f| f.set(false));
-        p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let Some(mesh) = GLOBAL_MESH.get().and_then(|m| m.as_ref()) else {
-            return System.dealloc(ptr, layout);
-        };
-        if !mesh.contains(ptr) {
-            // Metadata allocation that went to the system allocator.
-            return System.dealloc(ptr, layout);
+        if !crate::process::free(ptr) {
+            System.dealloc(ptr, layout);
         }
-        let entered = IN_MESH.with(|f| {
-            if f.get() {
-                false
-            } else {
-                f.set(true);
-                true
-            }
-        });
-        if !entered {
-            // A Mesh-owned pointer freed while servicing Mesh metadata —
-            // cannot happen by construction (metadata never holds arena
-            // pointers), but route globally for safety.
-            mesh.inner.state.free_global(ptr as usize);
-            return;
-        }
-        let freed = TLS_HEAP.try_with(|slot| slot.borrow_mut().as_mut().map(|heap| heap.free(ptr)));
-        if !matches!(freed, Ok(Some(()))) {
-            // No heap on this thread yet, or its slot's destructor ran.
-            mesh.inner.state.free_global(ptr as usize);
-        }
-        IN_MESH.with(|f| f.set(false));
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {

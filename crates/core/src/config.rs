@@ -409,7 +409,7 @@ impl MeshConfig {
     /// | `MESH_INITIAL_SEGMENT_BYTES` | initial segment size (clamped to the cap) | a number in 128K..=1T | 64M |
     /// | `MESH_SEGMENT_BYTES` | growth segment size (clamped to the cap) | a number in 128K..=1T | 256M |
     /// | `MESH_SEED` | fix the PRNG seed (unset: seeded from entropy) | a number, 0 or more | unset |
-    /// | `MESH_PRINT_STATS_AT_EXIT` | one-line stats dump at exit (`LD_PRELOAD` only) | one of 1/0/true/false/yes/no/on/off | off |
+    /// | `MESH_PRINT_STATS_AT_EXIT` | one-line stats dump at exit (process heap only) | one of 1/0/true/false/yes/no/on/off | off |
     /// | `MESH_PROF` | sampled heap profiler (mesh-insight) | one of 1/0/true/false/yes/no/on/off | off |
     /// | `MESH_PROF_SAMPLE_BYTES` | mean bytes between samples | a number in 1..=1T | 512K |
     /// | `MESH_PROF_INTERVAL_MS` | periodic profile dumps, in ms (0 = off) | a number in 0..=4294967295 | 0 |

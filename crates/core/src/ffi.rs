@@ -62,10 +62,14 @@ pub const ENXIO: c_int = 6;
 pub const ENOMEM: c_int = 12;
 pub const EINVAL: c_int = 22;
 
+/// `fcntl` command: duplicate the fd to the lowest free number ≥ arg,
+/// with `O_CLOEXEC` set (Linux generic ABI).
+pub const F_DUPFD_CLOEXEC: c_int = 1030;
+
 // ---- signals ----------------------------------------------------------
 
 pub const SIGSEGV: c_int = 11;
-/// `SIGUSR2`: the C ABI layer's opt-in "dump the heap profile" signal.
+/// `SIGUSR2`: the process runtime's opt-in report-dump signal.
 pub const SIGUSR2: c_int = 12;
 pub const SA_SIGINFO: c_int = 0x0000_0004;
 pub const SA_RESTART: c_int = 0x1000_0000;
@@ -151,6 +155,20 @@ extern "C" {
     pub fn waitpid(pid: c_int, status: *mut c_int, options: c_int) -> c_int;
     pub fn _exit(status: c_int) -> !;
     pub fn __errno_location() -> *mut c_int;
+    // Process runtime: thread-heap teardown, the fork protocol, exit
+    // hooks, and the private stderr dup the exit dumps write through.
+    pub fn pthread_key_create(
+        key: *mut c_uint,
+        destructor: Option<unsafe extern "C" fn(*mut c_void)>,
+    ) -> c_int;
+    pub fn pthread_setspecific(key: c_uint, value: *const c_void) -> c_int;
+    pub fn pthread_atfork(
+        prepare: Option<extern "C" fn()>,
+        parent: Option<extern "C" fn()>,
+        child: Option<extern "C" fn()>,
+    ) -> c_int;
+    pub fn atexit(f: extern "C" fn()) -> c_int;
+    pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
     // Best-effort symbolization for the pprof export (glibc ≥ 2.34 ships
     // dladdr in libc proper; no -ldl needed).
     pub fn dladdr(addr: *const c_void, info: *mut Dl_info) -> c_int;

@@ -134,7 +134,7 @@ impl Mesh {
     /// parent until the child has privatized its heap copy.
     ///
     /// This is the *prepare* phase of the `pthread_atfork` protocol the
-    /// `libmesh.so` interposition layer installs; after `fork()` the
+    /// process runtime installs ([`crate::process`]); after `fork()` the
     /// parent must call [`MeshForkGuard::release_parent`] and the child
     /// [`MeshForkGuard::release_child`] — see DESIGN.md "ABI & bootstrap".
     pub fn fork_prepare(&self) -> MeshForkGuard<'_> {

@@ -405,7 +405,10 @@ impl GlobalHeap {
     /// their bit ([`GlobalHeap::free_small`]), large objects under the
     /// large lock; then runs a due inline meshing pass. Returns whether
     /// the free was accepted. Must be called with no shard locks held.
-    pub fn free_global(&self, addr: usize) -> bool {
+    /// (Tests only: the front ends free through their thread heaps, or
+    /// [`GlobalHeap::free_global_deferred`] from inside Mesh.)
+    #[cfg(test)]
+    pub(crate) fn free_global(&self, addr: usize) -> bool {
         let accepted = self.free_global_deferred(addr);
         if accepted {
             self.maybe_mesh();

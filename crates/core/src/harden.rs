@@ -235,12 +235,12 @@ pub unsafe fn canary_intact(addr: usize, size: usize, canary: u64) -> bool {
 }
 
 /// Fd the abort diagnostic is written to. Defaults to stderr (2); the
-/// `LD_PRELOAD` layer points it at its dup'd stderr so the line survives
+/// process runtime points it at its dup'd stderr so the line survives
 /// programs that close or redirect fd 2 after startup.
 static ABORT_FD: AtomicI32 = AtomicI32::new(2);
 
-/// Points the abort diagnostic at `fd` (the ABI layer's dup'd stderr).
-pub fn set_abort_fd(fd: i32) {
+/// Points the abort diagnostic at `fd` (the process runtime's dup'd stderr).
+pub(crate) fn set_abort_fd(fd: i32) {
     ABORT_FD.store(fd, Ordering::Relaxed);
 }
 

@@ -344,7 +344,7 @@ pub static KNOBS: [Knob; 33] = [
     knob!("write_barrier", None, FLAG, "on", field!(bool write_barrier),
         "mprotect/SIGSEGV write barrier during meshing (§4.5.2)"),
     knob!("print_stats_at_exit", Some("MESH_PRINT_STATS_AT_EXIT"), FLAG, "off", None,
-        "one-line stats dump at exit (`LD_PRELOAD` only)"),
+        "one-line stats dump at exit (process heap only)"),
     knob!("prof", Some("MESH_PROF"), FLAG, "off", field!(bool profiling), "sampled heap profiler (mesh-insight)"),
     knob!("prof_sample_bytes", Some("MESH_PROF_SAMPLE_BYTES"), Kind::Num { min: 1, max: 1 << 40 }, "512K",
         field!(num prof_sample_bytes), "mean bytes between samples",

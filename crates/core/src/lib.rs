@@ -28,6 +28,7 @@
 //! | Background telemetry beat (this repo's extension) | `mesher` (internal) |
 //! | §4.5.2 Write barrier | [`barrier`] |
 //! | mesh-insight telemetry (this repo's extension) | [`telemetry`], [`Mesh::report`], [`Mesh::prom_text`] |
+//! | §4 Mesh as the process `malloc` (`LD_PRELOAD`, `#[global_allocator]`) | [`process`], [`MeshGlobalAlloc`] |
 //!
 //! Unlike the seed implementation's single global mutex, the global heap
 //! is sharded: each size class has its own lock, a non-local free clears
@@ -37,9 +38,9 @@
 //! The paper's deployment vehicle lives in the sibling `mesh-abi` crate:
 //! `cargo build --release` emits `target/release/libmesh.so`, and
 //! `LD_PRELOAD=libmesh.so <any C program>` runs that program on this
-//! heap ([`with_internal_alloc`] / [`Mesh::fork_prepare`] are the pieces
-//! of this crate that interposition layer drives; DESIGN.md "ABI &
-//! bootstrap" documents the protocols).
+//! heap. Its process heap, thread heaps, fork protocol and exit dumps are
+//! this crate's [`process`] module, which [`MeshGlobalAlloc`] runs on too;
+//! DESIGN.md "ABI & bootstrap" documents the protocols.
 //!
 //! ## Quickstart
 //!
@@ -85,6 +86,7 @@ mod mesher;
 pub mod meshing;
 pub mod miniheap;
 mod page_map;
+pub mod process;
 pub mod rng;
 mod segment;
 pub mod shuffle_vector;
@@ -103,8 +105,7 @@ pub use config::MeshConfig;
 pub use error::MeshError;
 pub use fork::MeshForkGuard;
 pub use harden::{
-    set_abort_fd, HardenConfig, HardenKind, HardenPolicy, ALL_HARDEN_KINDS,
-    HARDEN_KINDS, POISON_BYTE,
+    HardenConfig, HardenKind, HardenPolicy, ALL_HARDEN_KINDS, HARDEN_KINDS, POISON_BYTE,
 };
 pub use meshing::MeshSummary;
 pub use segment::{SegmentId, SegmentStats};

@@ -1,36 +1,49 @@
-//! Process runtime of the interposition layer: the lazily constructed
-//! process heap, per-thread heap lifecycle (pthread TSD destructors, not
-//! Rust drop-order luck), the `pthread_atfork` protocol, and the
-//! stats-at-exit dump.
+//! The process runtime: Mesh as the one `malloc` of a process (§4), for
+//! both front ends — the `libmesh.so` interposition layer (`mesh-abi`)
+//! and [`MeshGlobalAlloc`](crate::MeshGlobalAlloc). It holds what a
+//! process has one of:
+//!
+//! - the process heap ([`heap`]), built on first use with an 8 GiB default
+//!   cap, then the `MESH_*` environment;
+//! - each thread's [`ThreadHeap`], reached through a `const`-initialized
+//!   thread-local cell and torn down by a pthread key destructor;
+//! - the `pthread_atfork` handlers around [`Mesh::fork_prepare`], and the
+//!   exit, `SIGUSR2` and ctl-socket hooks.
+//!
+//! [`malloc`] and [`free`] route one request: they serve it on the calling
+//! thread's heap, or report that it is not Mesh's — the call came from
+//! inside Mesh (under [`with_internal_alloc`]), or there is no heap — and
+//! the front end applies its own fallback (the real allocator, the system
+//! allocator, or null).
 
-use mesh_core::ffi as libc;
-use mesh_core::ffi::{c_uint, c_void};
-use mesh_core::{
-    in_internal_alloc, knobs, with_internal_alloc, Mesh, MeshConfig, MeshForkGuard, Report, ThreadHeap,
+use crate::ffi::{self, c_int, c_uint, c_void};
+use crate::{
+    in_internal_alloc, knobs, with_internal_alloc, Mesh, MeshConfig, MeshForkGuard, Report,
+    ThreadHeap,
 };
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI32, AtomicPtr, AtomicU32, Ordering};
 use std::sync::OnceLock;
 
-/// Default hard cap (virtual reservation) for interposed processes,
-/// overridable with `MESH_MAX_HEAP_BYTES`. Unmodified C programs cannot
-/// pick their own `MeshConfig`, so the default errs large: reservation is
-/// address space, not memory.
+/// Default hard cap (virtual reservation) of the process heap,
+/// overridable with `MESH_MAX_HEAP_BYTES`. A program cannot hand the heap
+/// its `malloc` runs on a `MeshConfig`, so the default errs large:
+/// reservation is address space, not memory.
 const DEFAULT_CAP_BYTES: usize = 8 << 30;
 
-/// `None` means construction failed; sticky, so the process degrades to
-/// the real allocator instead of retrying forever.
+/// `None` means construction failed; sticky, so every later call takes
+/// the front end's fallback instead of retrying.
 static HEAP: OnceLock<Option<Mesh>> = OnceLock::new();
 
 /// TSD key whose destructor returns a dying thread's spans to the global
 /// heap. `u32::MAX` until `pthread_key_create` succeeds.
 static TH_KEY: AtomicU32 = AtomicU32::new(u32::MAX);
 
-/// Private dup of stderr for the exit-time stats dump. Programs like the
+/// Private dup of stderr for the exit-time dumps. Programs like the
 /// coreutils register `close_stdout` with `atexit` from `main` — *after*
 /// our construction-time registration, so it runs *before* our handler
-/// (LIFO) and closes fd 2. Writing the dump through a dup taken at
-/// registration time survives that. −1 until (and unless) dup succeeds.
+/// (LIFO) and closes fd 2. Writing through a dup taken at registration
+/// time survives that. −1 until (and unless) dup succeeds.
 static STATS_FD: AtomicI32 = AtomicI32::new(-1);
 
 thread_local! {
@@ -46,38 +59,38 @@ thread_local! {
 /// allocator must survive a closed stderr).
 fn write_line(fd: i32, line: &str) {
     unsafe {
-        let _ = libc::write(fd, line.as_ptr() as *const c_void, line.len());
-        let _ = libc::write(fd, b"\n".as_ptr() as *const c_void, 1);
+        let _ = ffi::write(fd, line.as_ptr() as *const c_void, line.len());
+        let _ = ffi::write(fd, b"\n".as_ptr() as *const c_void, 1);
     }
 }
 
-/// Writes a line to stderr (see [`write_line`]).
-pub fn warn(line: &str) {
-    write_line(2, line);
-}
-
 /// The process heap, constructed on first use (under the internal-alloc
-/// guard: construction itself allocates, and those allocations must route
-/// to the real allocator). Returns `None` — permanently — if construction
-/// failed, in which case the interposed symbols pass straight through.
+/// guard: construction itself allocates, and those allocations must not
+/// come back here). Returns `None` — permanently — if construction
+/// failed, after one warning line on stderr.
+#[inline]
 pub fn heap() -> Option<&'static Mesh> {
     HEAP.get_or_init(|| {
-        debug_assert!(in_internal_alloc(), "heap construction outside the guard");
-        let config = MeshConfig::default()
-            .max_heap_bytes(DEFAULT_CAP_BYTES)
-            .apply_env();
-        match Mesh::new(config) {
-            Ok(mesh) => {
-                install_process_hooks(&mesh);
-                Some(mesh)
+        with_internal_alloc(|| {
+            let config = MeshConfig::default()
+                .max_heap_bytes(DEFAULT_CAP_BYTES)
+                .apply_env();
+            match Mesh::new(config) {
+                Ok(mesh) => {
+                    install_process_hooks(&mesh);
+                    Some(mesh)
+                }
+                Err(e) => {
+                    write_line(
+                        2,
+                        &format!(
+                            "mesh: heap construction failed ({e}); running on the system allocator"
+                        ),
+                    );
+                    None
+                }
             }
-            Err(e) => {
-                warn(&format!(
-                    "mesh: heap construction failed ({e}); running on the system allocator"
-                ));
-                None
-            }
-        }
+        })
     })
     .as_ref()
 }
@@ -85,8 +98,46 @@ pub fn heap() -> Option<&'static Mesh> {
 /// The process heap only if it has already been (successfully) built.
 /// Free-path routing uses this: a pointer cannot belong to a heap that
 /// does not exist yet, and `free` must never trigger construction.
+#[inline]
 pub fn built_heap() -> Option<&'static Mesh> {
     HEAP.get().and_then(|slot| slot.as_ref())
+}
+
+/// Allocates `size` bytes aligned to `align` (a power of two) on the
+/// calling thread's heap. `None` when the request is not Mesh's: it came
+/// from inside Mesh, or the process heap cannot be built. `Some(null)` on
+/// exhaustion.
+#[inline]
+pub fn malloc(size: usize, align: usize) -> Option<*mut u8> {
+    if in_internal_alloc() {
+        return None;
+    }
+    with_internal_alloc(|| {
+        let mesh = heap()?;
+        Some(with_thread_heap(mesh, |th| th.malloc_aligned(size, align)))
+    })
+}
+
+/// Frees `ptr` if it is Mesh's, on the calling thread's heap — or, from
+/// inside Mesh, through the deferred global path (the caller may hold a
+/// shard lock). Returns `false`, touching nothing, for a pointer outside
+/// the process heap (or with no heap), which the front end's fallback
+/// owns.
+///
+/// # Safety
+///
+/// Same contract as [`Mesh::free`] for pointers inside the heap.
+#[inline]
+pub unsafe fn free(ptr: *mut u8) -> bool {
+    let Some(mesh) = built_heap().filter(|mesh| mesh.contains(ptr)) else {
+        return false;
+    };
+    if in_internal_alloc() {
+        mesh.free_global(ptr);
+    } else {
+        with_internal_alloc(|| with_thread_heap(mesh, |th| th.free(ptr)));
+    }
+    true
 }
 
 /// One-time process hooks, called from inside the successful construction
@@ -94,10 +145,10 @@ pub fn built_heap() -> Option<&'static Mesh> {
 fn install_process_hooks(mesh: &Mesh) {
     unsafe {
         let mut key: c_uint = 0;
-        if crate::real::pthread_key_create(&mut key, Some(thread_heap_dtor)) == 0 {
+        if ffi::pthread_key_create(&mut key, Some(thread_heap_dtor)) == 0 {
             TH_KEY.store(key, Ordering::Release);
         }
-        crate::real::pthread_atfork(Some(fork_prepare), Some(fork_parent), Some(fork_child));
+        ffi::pthread_atfork(Some(fork_prepare), Some(fork_parent), Some(fork_child));
         let stats_at_exit_wanted = knobs::find("print_stats_at_exit")
             .and_then(knobs::env_value)
             .is_some_and(|on| on == knobs::Value::Bool(true));
@@ -105,21 +156,18 @@ fn install_process_hooks(mesh: &Mesh) {
             // All exit dumps write through a private dup of stderr taken
             // now: applications (coreutils' close_stdout) close fd 2 from
             // their own atexit handlers, which run before ours (LIFO).
-            STATS_FD.store(
-                crate::real::fcntl(2, crate::real::F_DUPFD_CLOEXEC, 3),
-                Ordering::Release,
-            );
+            STATS_FD.store(ffi::fcntl(2, ffi::F_DUPFD_CLOEXEC, 3), Ordering::Release);
         }
         if stats_at_exit_wanted {
-            crate::real::atexit(stats_at_exit);
+            ffi::atexit(stats_at_exit);
         }
         if mesh.harden_aborts() {
             // The one-line abort diagnostic must survive applications that
             // close or redirect fd 2 after startup: point it at a private
             // dup of stderr taken now (fall back to fd 2 if dup fails).
-            let fd = crate::real::fcntl(2, crate::real::F_DUPFD_CLOEXEC, 3);
+            let fd = ffi::fcntl(2, ffi::F_DUPFD_CLOEXEC, 3);
             if fd >= 0 {
-                mesh_core::set_abort_fd(fd);
+                crate::harden::set_abort_fd(fd);
             }
         }
         if mesh.is_profiling() || mesh.is_tracing() || mesh.report_path(Report::Sense).is_some() {
@@ -128,34 +176,33 @@ fn install_process_hooks(mesh: &Mesh) {
             // ride. Any other process keeps the default disposition, so
             // SIGUSR2 ends it as it would under glibc. The handler body
             // is atomic RMWs ([`Mesh::request_report`]).
-            let mut act: libc::sigaction = std::mem::zeroed();
-            let handler: extern "C" fn(mesh_core::ffi::c_int) = sigusr2_handler;
+            let mut act: ffi::sigaction = std::mem::zeroed();
+            let handler: extern "C" fn(c_int) = sigusr2_handler;
             act.sa_sigaction = handler as usize;
-            act.sa_flags = libc::SA_RESTART;
-            libc::sigemptyset(&mut act.sa_mask);
-            libc::sigaction(libc::SIGUSR2, &act, std::ptr::null_mut());
+            act.sa_flags = ffi::SA_RESTART;
+            ffi::sigemptyset(&mut act.sa_mask);
+            ffi::sigaction(ffi::SIGUSR2, &act, std::ptr::null_mut());
         }
         if DUMPABLE.iter().any(|&kind| dumps_at_exit(mesh, kind)) {
-            crate::real::atexit(reports_at_exit);
+            ffi::atexit(reports_at_exit);
         }
-        // The heap statics are never dropped in an interposed process, so
-        // the ctl socket path would outlive us as a stale file without
-        // this (the next process reclaims it anyway, but only after a
-        // connect probe).
+        // The process heap is never dropped, so the ctl socket path would
+        // outlive us as a stale file without this (the next process
+        // reclaims it anyway, but only after a connect probe).
         if mesh.ctl_path().is_some() {
-            crate::real::atexit(ctl_at_exit);
+            ffi::atexit(ctl_at_exit);
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Per-thread heaps (§4.3 fast path for every pthread)
+// Per-thread heaps (§4.3 fast path for every thread)
 // ---------------------------------------------------------------------
 
 /// Runs `f` on the calling thread's [`ThreadHeap`], creating it on first
 /// use. Must be called under the internal-alloc guard (the creation path
 /// allocates the heap's own state).
-pub fn with_thread_heap<R>(mesh: &'static Mesh, f: impl FnOnce(&mut ThreadHeap) -> R) -> R {
+fn with_thread_heap<R>(mesh: &'static Mesh, f: impl FnOnce(&mut ThreadHeap) -> R) -> R {
     debug_assert!(in_internal_alloc());
     let mut p = THREAD_HEAP.with(|c| c.get());
     if p.is_null() {
@@ -163,7 +210,7 @@ pub fn with_thread_heap<R>(mesh: &'static Mesh, f: impl FnOnce(&mut ThreadHeap) 
         THREAD_HEAP.with(|c| c.set(p));
         let key = TH_KEY.load(Ordering::Acquire);
         if key != u32::MAX {
-            unsafe { crate::real::pthread_setspecific(key, p as *const c_void) };
+            unsafe { ffi::pthread_setspecific(key, p as *const c_void) };
         }
     }
     // SAFETY: the pointer is thread-local and the TSD destructor (which
@@ -205,45 +252,77 @@ extern "C" fn fork_prepare() {
     });
 }
 
+/// Takes the guard `fork_prepare` left (null when there is no heap).
+fn take_fork_guard() -> Option<Box<MeshForkGuard<'static>>> {
+    let guard = FORK_GUARD.swap(std::ptr::null_mut(), Ordering::AcqRel);
+    // SAFETY: a non-null pointer came from Box::into_raw in fork_prepare
+    // on this same thread (in the child: in the copied address space).
+    (!guard.is_null()).then(|| unsafe { Box::from_raw(guard) })
+}
+
 extern "C" fn fork_parent() {
     with_internal_alloc(|| {
-        let guard = FORK_GUARD.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        if !guard.is_null() {
-            // SAFETY: the pointer came from Box::into_raw in fork_prepare
-            // on this same thread.
-            unsafe { Box::from_raw(guard) }.release_parent();
+        if let Some(guard) = take_fork_guard() {
+            guard.release_parent();
         }
     });
 }
 
 extern "C" fn fork_child() {
     with_internal_alloc(|| {
-        let guard = FORK_GUARD.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        if !guard.is_null() {
-            // SAFETY: as above; the child's address space holds a copy.
-            unsafe { Box::from_raw(guard) }.release_child();
+        if let Some(guard) = take_fork_guard() {
+            guard.release_child();
         }
     });
 }
 
 // ---------------------------------------------------------------------
-// Diagnostics
+// Reports: the stats line, heap profile, slow-path trace, mesh-sense
 // ---------------------------------------------------------------------
 
 /// Prints the one-line stats summary to `fd` (the body of
 /// `mesh_stats_print()` and the `MESH_PRINT_STATS_AT_EXIT=1` dump).
-fn print_stats_to(fd: i32) {
+pub fn print_stats(fd: i32) {
     if built_heap().is_some() {
-        report_dump_to(Report::Stats, fd);
+        dump_report(Report::Stats, fd);
     } else {
         write_line(fd, "mesh: heap never constructed");
     }
 }
 
-/// Prints the stats summary to stderr (for explicit `mesh_stats_print()`
-/// / `malloc_stats()` calls).
-pub fn print_stats() {
-    print_stats_to(2);
+/// Writes one report: to the kind's `MESH_*_PATH` when configured, else
+/// to `fd` as a single line (prefixed for the dumpable kinds). Returns
+/// whether it was written: not when the kind's subsystem is off, no heap
+/// exists, or the call arrived from inside Mesh itself.
+pub fn dump_report(kind: Report, fd: i32) -> bool {
+    !in_internal_alloc() && built_heap().is_some_and(|mesh| mesh.write_report(kind, fd).is_ok())
+}
+
+/// The kinds with a dump file and a C symbol, in the order `SIGUSR2`
+/// requests them.
+const DUMPABLE: [Report; 3] = [Report::Profile, Report::Trace, Report::Sense];
+
+/// SIGUSR2 handler: request asynchronous dumps of every dumpable kind.
+/// The entire body is atomic RMWs — the only thing a signal context may
+/// do against a heap that might be mid-allocation on this very thread.
+extern "C" fn sigusr2_handler(_sig: c_int) {
+    if let Some(mesh) = built_heap() {
+        for kind in DUMPABLE {
+            mesh.request_report(kind);
+        }
+    }
+}
+
+/// Whether `kind` is written when the process exits. Profiling and
+/// tracing are opt-in, so their dump is what the user asked for; sensing
+/// is always available, and an unconditional stderr dump from every
+/// process would be noise — it needs a destination file.
+fn dumps_at_exit(mesh: &Mesh, kind: Report) -> bool {
+    match kind {
+        Report::Profile => mesh.is_profiling(),
+        Report::Trace => mesh.is_tracing(),
+        _ => mesh.report_path(kind).is_some(),
+    }
 }
 
 /// The fd exit-time output goes to: fd 2 may already be closed by the
@@ -259,52 +338,7 @@ fn exit_fd() -> i32 {
 }
 
 extern "C" fn stats_at_exit() {
-    print_stats_to(exit_fd());
-}
-
-// ---------------------------------------------------------------------
-// Reports (heap profile, slow-path trace, mesh-sense)
-// ---------------------------------------------------------------------
-
-/// The kinds with a dump file and a C symbol, in the order `SIGUSR2`
-/// requests them.
-const DUMPABLE: [Report; 3] = [Report::Profile, Report::Trace, Report::Sense];
-
-/// SIGUSR2 handler: request asynchronous dumps of every dumpable kind.
-/// The entire body is atomic RMWs — the only thing a signal context may
-/// do against a heap that might be mid-allocation on this very thread.
-extern "C" fn sigusr2_handler(_sig: mesh_core::ffi::c_int) {
-    if let Some(mesh) = built_heap() {
-        for kind in DUMPABLE {
-            mesh.request_report(kind);
-        }
-    }
-}
-
-/// Writes one report: to the kind's `MESH_*_PATH` when configured, else
-/// to `fd` as a single line (prefixed for the dumpable kinds). Returns 0
-/// on success, -1 when the kind's subsystem is off, no heap exists, or
-/// the call arrived from inside Mesh itself.
-pub fn report_dump_to(kind: Report, fd: i32) -> i32 {
-    if in_internal_alloc() {
-        return -1;
-    }
-    match built_heap().map(|mesh| mesh.write_report(kind, fd)) {
-        Some(Ok(())) => 0,
-        _ => -1,
-    }
-}
-
-/// Whether `kind` is written when the process exits. Profiling and
-/// tracing are opt-in, so their dump is what the user asked for; sensing
-/// is always available, and an unconditional stderr dump from every
-/// preloaded process would be noise — it needs a destination file.
-fn dumps_at_exit(mesh: &Mesh, kind: Report) -> bool {
-    match kind {
-        Report::Profile => mesh.is_profiling(),
-        Report::Trace => mesh.is_tracing(),
-        _ => mesh.report_path(kind).is_some(),
-    }
+    print_stats(exit_fd());
 }
 
 extern "C" fn reports_at_exit() {
@@ -312,14 +346,10 @@ extern "C" fn reports_at_exit() {
     // Sense, trace, profile: the order three LIFO atexit handlers ran in.
     for kind in DUMPABLE.into_iter().rev() {
         if dumps_at_exit(mesh, kind) {
-            report_dump_to(kind, exit_fd());
+            dump_report(kind, exit_fd());
         }
     }
 }
-
-// ---------------------------------------------------------------------
-// Control socket (mesh-ctl)
-// ---------------------------------------------------------------------
 
 extern "C" fn ctl_at_exit() {
     if let Some(mesh) = built_heap() {

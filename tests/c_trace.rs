@@ -104,6 +104,6 @@ fn trace_dump_is_valid_chrome_trace_json() {
     }
     assert!(
         saw_refill_from_mutator,
-        "churn produced no refill events from a mutator ring:\n{raw}"
+        "churn produced no refill events from a mutator thread:\n{raw}"
     );
 }

@@ -26,7 +26,7 @@ const RLIMIT_AS: i32 = 9;
 #[test]
 fn construction_failure_degrades_to_null_not_panic() {
     // 4 KiB is below the smallest valid cap (one 32-page span): ignored
-    // with a warning, so the default 1 GiB cap stands…
+    // with a warning, so the default 8 GiB cap of the process heap stands…
     std::env::set_var("MESH_MAX_HEAP_BYTES", "4096");
     // …and its reservation cannot be mapped under a 512 MiB limit.
     let limit = Rlimit { cur: 512 << 20, max: 512 << 20 };
