@@ -741,6 +741,23 @@ mod tests {
     }
 
     #[test]
+    fn slab_bytes_count_each_id_and_table_chunk_once() {
+        let m = mesh();
+        assert_eq!(m.stats().slab_bytes, 0, "no id issued yet");
+        let small = m.malloc(100);
+        // One 32-byte span record and its class table's first chunk, 64
+        // entries of 64 bytes.
+        assert_eq!(m.stats().slab_bytes, 32 + 64 * 64);
+        let large = m.malloc(1 << 20);
+        assert_eq!(m.stats().slab_bytes, 2 * (32 + 64 * 64), "the large slab's first id");
+        unsafe {
+            m.free(large);
+            m.free(small);
+        }
+        assert_eq!(m.stats().slab_bytes, 2 * (32 + 64 * 64), "ids are kept for reuse");
+    }
+
+    #[test]
     fn free_null_is_noop() {
         let m = mesh();
         unsafe { m.free(std::ptr::null_mut()) };

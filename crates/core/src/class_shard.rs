@@ -17,9 +17,7 @@ use crate::attached_set::AttachedSet;
 use crate::error::MeshError;
 use crate::global_heap::GlobalHeap;
 use crate::harden::{self, HardenKind};
-use crate::miniheap::{
-    AttachState, BitmapTable, MiniHeap, MiniHeapId, Slab, UnsettledList, LIST_END, NOT_BINNED,
-};
+use crate::miniheap::{BitmapTable, MiniHeapId, Slab, UnsettledList, LIST_END, NOT_BINNED};
 use crate::page_map::PageInfo;
 use crate::rng::Rng;
 use crate::shuffle_vector::ShuffleVector;
@@ -122,10 +120,8 @@ impl ClassState {
         let list = self.bins.list_mut(bin);
         let slot = list.len() as u32;
         list.push(id);
-        let now = self.refills;
-        let mh = self.slab.get_mut(id).expect("just observed");
-        mh.set_bin(bin, slot);
-        mh.filed_at = now;
+        self.slab.set_bin(id, bin, slot);
+        self.slab.get_mut(id).expect("just observed").filed_at = self.refills;
     }
 
     /// Removes a MiniHeap from its current bin (no-op if unbinned).
@@ -138,15 +134,9 @@ impl ClassState {
         let list = self.bins.list_mut(bin);
         list.swap_remove(slot as usize);
         if let Some(&moved) = list.get(slot as usize) {
-            self.slab
-                .get_mut(moved)
-                .expect("binned ids are live")
-                .set_bin(bin, slot);
+            self.slab.set_bin(moved, bin, slot);
         }
-        self.slab
-            .get_mut(id)
-            .expect("just observed")
-            .set_bin(NOT_BINNED, 0);
+        self.slab.set_bin(id, NOT_BINNED, 0);
     }
 
     /// Moves a MiniHeap between bins after its occupancy changed.
@@ -435,7 +425,7 @@ impl GlobalHeap {
     ) -> Result<MiniHeapId, MeshError> {
         let mut arena = self.lock_arena();
         let (span, _) = arena.alloc_span(class.span_pages() as u32)?;
-        let id = st.slab.insert_with(|bits| MiniHeap::new_small(class, span, bits));
+        let id = st.slab.insert(span, false);
         self.page_map.set_span(span, id, class.index() as u8);
         drop(arena);
         if self.harden.poison_on() {
@@ -454,21 +444,15 @@ impl GlobalHeap {
 
     /// Destroys an empty, detached MiniHeap: returns its spans to the
     /// arena — meshed aliases parked, their identity mappings left to the
-    /// next purge — and clears ownership.
+    /// next purge — and clears ownership, of it and of the tombstones on
+    /// its chain.
     pub(crate) fn free_miniheap_locked(&self, st: &mut ClassState, id: MiniHeapId) {
         st.bin_remove(id);
-        let mut mh = st.slab.remove(id);
-        debug_assert_eq!(mh.in_use(), 0, "freeing a MiniHeap with live objects");
-        // Every object of the MiniHeaps meshed into this one is dead too:
-        // no free can still hold one of their ids.
-        for tombstone in mh.take_tombstones() {
-            st.slab.release_id(tombstone);
-        }
         let mut arena = self.lock_arena();
-        for alias in mh.take_alias_spans() {
+        let mh = st.slab.remove(id, |alias| {
             self.page_map.clear_span(alias);
             arena.park_alias(alias);
-        }
+        });
         let primary = mh.span();
         self.page_map.clear_span(primary);
         arena.free_span_dirty(primary);
@@ -509,7 +493,6 @@ impl GlobalHeap {
         &self,
         set: &mut AttachedSet,
         class: SizeClass,
-        token: u64,
         thread_rng: &mut Rng,
     ) -> Result<(), MeshError> {
         let mut st = self.lock_class(class);
@@ -556,7 +539,7 @@ impl GlobalHeap {
                     self.file_locked(&mut st, id, true);
                     break 'gather;
                 }
-                slots += self.attach_locked(&mut st, set, id, token, thread_rng);
+                slots += self.attach_locked(&mut st, set, id, thread_rng);
             }
             // The bins came up short: the spans frees have opened up since
             // they were last tidied come before a fresh one.
@@ -570,7 +553,7 @@ impl GlobalHeap {
             let room = self.make_room_locked(&mut st, set, thread_rng);
             debug_assert!(room, "a set without free slots has only full members");
             let id = self.fresh_miniheap_locked(&mut st, class)?;
-            self.attach_locked(&mut st, set, id, token, thread_rng);
+            self.attach_locked(&mut st, set, id, thread_rng);
         }
         Ok(())
     }
@@ -594,19 +577,17 @@ impl GlobalHeap {
         true
     }
 
-    /// Attaches detached MiniHeap `id` to `set` for thread `token`;
-    /// returns the free slots it brought.
+    /// Attaches detached MiniHeap `id` to `set`; returns the free slots it
+    /// brought.
     fn attach_locked(
         &self,
         st: &mut ClassState,
         set: &mut AttachedSet,
         id: MiniHeapId,
-        token: u64,
         thread_rng: &mut Rng,
     ) -> usize {
-        let mh = st.slab.get_mut(id).expect("selected id is live");
-        mh.set_state(AttachState::Attached(token));
-        let mh = &*mh;
+        st.slab.get_mut(id).expect("selected id is live").set_attached(true);
+        let mh = st.slab.get(id).expect("just attached");
         let span = mh.span();
         set.attach_with(|sv| {
             sv.attach(
@@ -618,7 +599,7 @@ impl GlobalHeap {
                 mh.bitmap(),
                 thread_rng,
             );
-            for alias in &mh.virtual_spans()[1..] {
+            for alias in mh.aliases() {
                 sv.push_span_alias(self.base + alias.byte_offset());
             }
         })
@@ -646,9 +627,8 @@ impl GlobalHeap {
     /// [`ClassState::select_partial`] hand it straight out again.
     fn release_vector_locked(&self, st: &mut ClassState, sv: &mut ShuffleVector, rested: bool) {
         let Some(old) = sv.miniheap() else { return };
-        let mh = st.slab.get_mut(old).expect("attached id is live");
-        mh.set_state(AttachState::Detached);
-        sv.detach(mh.bitmap());
+        st.slab.get_mut(old).expect("attached id is live").set_attached(false);
+        sv.detach(st.slab.get(old).expect("just detached").bitmap());
         self.file_locked(st, old, rested);
     }
 

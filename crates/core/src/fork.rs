@@ -83,14 +83,13 @@ impl GlobalHeap {
             let st = self.lock_class(class);
             for (_, mh) in st.slab.iter() {
                 if mh.span_count() > 1 {
-                    let spans = mh.virtual_spans();
                     let mut arena = self.lock_arena();
-                    for alias in &spans[1..] {
+                    for alias in mh.aliases() {
                         // Warn-and-continue, like the copy failure above: a
                         // degraded child beats aborting someone's shell from
                         // an atfork handler. (The alias range then reads its
                         // own identity pages instead of the meshed data.)
-                        if let Err(e) = arena.remap_alias(*alias, spans[0]) {
+                        if let Err(e) = arena.remap_alias(alias, mh.span()) {
                             eprintln!(
                                 "mesh: fork alias remap failed ({e}); \
                                  meshed span {alias} left unaliased in the child"

@@ -41,7 +41,7 @@ use crate::config::MeshConfig;
 use crate::error::MeshError;
 use crate::harden::{self, HardenConfig, HardenKind};
 use crate::meshing::{self, MeshSummary};
-use crate::miniheap::{MiniHeap, Slab, UnsettledList};
+use crate::miniheap::{MiniHeapRef, Slab, UnsettledList};
 use crate::page_map::{PageInfo, PageMap};
 use crate::rng::Rng;
 use crate::size_classes::{SizeClass, NUM_SIZE_CLASSES, PAGE_SIZE};
@@ -219,7 +219,7 @@ impl GlobalHeap {
         let seed = config.seed.unwrap_or_else(|| Rng::from_entropy().next_u64());
         let classes = SizeClass::all()
             .map(|class| {
-                let slab = Slab::for_class(class);
+                let slab = Slab::new(Some(class), Arc::clone(&counters));
                 ClassShard {
                     unlocked: ShardUnlocked {
                         bits: slab.table(),
@@ -240,7 +240,7 @@ impl GlobalHeap {
             .collect();
         Ok(GlobalHeap {
             classes,
-            large: Mutex::new(Rank::LARGE, Slab::for_large()),
+            large: Mutex::new(Rank::LARGE, Slab::new(None, Arc::clone(&counters))),
             arena: Mutex::new(Rank::ARENA, arena),
             page_map: PageMap::new(pages as usize),
             rt: RuntimeConfig::new(&config),
@@ -517,7 +517,7 @@ impl GlobalHeap {
     /// Snapshots of every live MiniHeap (shard locks taken one at a time).
     pub fn span_snapshots(&self) -> Vec<crate::stats::SpanSnapshot> {
         let mut out = Vec::new();
-        let snap = |mh: &MiniHeap| crate::stats::SpanSnapshot {
+        let snap = |mh: MiniHeapRef<'_>| crate::stats::SpanSnapshot {
             object_size: mh.object_size(),
             object_count: mh.object_count(),
             in_use: mh.in_use(),

@@ -53,7 +53,7 @@ fn refill_attach_detach_cycle() {
     let class = SizeClass::for_size(128).unwrap();
     let mut set = AttachedSet::new(true);
     let mut rng = Rng::with_seed(1);
-    h.refill(&mut set, class, 1, &mut rng).unwrap();
+    h.refill(&mut set, class, &mut rng).unwrap();
     assert_eq!(set.available(), class.object_count());
     // Allocate a couple of objects, then force a detach via refill.
     let a = set.malloc().unwrap();
@@ -62,7 +62,7 @@ fn refill_attach_detach_cycle() {
     // Exhaust and refill: the thread never freed into the old
     // MiniHeap, so it is released and must land in a bin (full).
     while set.malloc().is_some() {}
-    h.refill(&mut set, class, 1, &mut rng).unwrap();
+    h.refill(&mut set, class, &mut rng).unwrap();
     assert_eq!(set.len(), 1);
     assert_ne!(set.id(0), first);
     {
@@ -105,7 +105,7 @@ fn refill_gathers_partial_spans_up_to_one_span_of_slots() {
     }
     let mut set = AttachedSet::new(true);
     let mut rng = Rng::with_seed(3);
-    h.refill(&mut set, class, 1, &mut rng).unwrap();
+    h.refill(&mut set, class, &mut rng).unwrap();
     assert_eq!(set.len(), 4);
     assert_eq!(set.available(), count);
     assert_eq!(h.counters.snapshot().refills, 1);
@@ -170,14 +170,14 @@ fn refill_keeps_the_members_the_thread_frees_into() {
     let mut set = AttachedSet::new(true);
     let mut rng = Rng::with_seed(4);
     for spans in 1..=ATTACHED_SPANS {
-        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        h.refill(&mut set, class, &mut rng).unwrap();
         assert_eq!(set.len(), spans, "members drawn on are kept while there is room");
         exhaust_and_touch(&mut set, &mut rng);
     }
     // At the bound with every member drawn on: a fresh span needs a
     // place, and exactly one full member makes room.
     let before: Vec<MiniHeapId> = set.members().map(|m| set.id(m)).collect();
-    h.refill(&mut set, class, 1, &mut rng).unwrap();
+    h.refill(&mut set, class, &mut rng).unwrap();
     assert_eq!(set.len(), ATTACHED_SPANS);
     let after: Vec<MiniHeapId> = set.members().map(|m| set.id(m)).collect();
     let evicted: Vec<&MiniHeapId> = before.iter().filter(|id| !after.contains(id)).collect();
@@ -193,7 +193,7 @@ fn refill_keeps_the_members_the_thread_frees_into() {
     // it held is idle at the next refill and goes back to the bins,
     // as the single attached span did at every refill.
     while set.malloc().is_some() {}
-    h.refill(&mut set, class, 1, &mut rng).unwrap();
+    h.refill(&mut set, class, &mut rng).unwrap();
     assert_eq!(set.len(), 1);
     let st = h.lock_class(class);
     assert_eq!(st.slab.len(), ATTACHED_SPANS + 2);
@@ -208,7 +208,7 @@ fn refill_reclaims_slots_other_threads_freed_in_kept_members() {
     let mut rng = Rng::with_seed(5);
     let mut addrs = Vec::new();
     for _ in 0..3 {
-        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        h.refill(&mut set, class, &mut rng).unwrap();
         addrs.extend(std::iter::from_fn(|| set.malloc()));
         exhaust_and_touch(&mut set, &mut rng);
     }
@@ -216,7 +216,7 @@ fn refill_reclaims_slots_other_threads_freed_in_kept_members() {
     // Another thread frees one object of the first member: the slot
     // is handed out again by the next refill, once.
     assert!(h.free_global(addrs[0]));
-    h.refill(&mut set, class, 1, &mut rng).unwrap();
+    h.refill(&mut set, class, &mut rng).unwrap();
     assert_eq!(set.len(), 3, "the freed-into span came back through the bins");
     assert_eq!(set.malloc(), Some(addrs[0]));
     assert_eq!(set.malloc(), None);
@@ -226,7 +226,7 @@ fn refill_reclaims_slots_other_threads_freed_in_kept_members() {
     for &a in &addrs {
         assert!(h.free_global(a));
     }
-    h.refill(&mut set, class, 1, &mut rng).unwrap();
+    h.refill(&mut set, class, &mut rng).unwrap();
     assert_eq!(set.len(), 1, "one empty member kept as the slot source");
     assert_eq!(set.available(), class.object_count());
     assert_eq!(h.lock_class(class).slab.len(), 1, "the other two destroyed");
@@ -268,7 +268,7 @@ fn empty_detach_destroys_miniheap() {
     let class = SizeClass::for_size(48).unwrap();
     let mut set = AttachedSet::new(true);
     let mut rng = Rng::with_seed(2);
-    h.refill(&mut set, class, 1, &mut rng).unwrap();
+    h.refill(&mut set, class, &mut rng).unwrap();
     let id = set.id(0);
     let committed_before = h.lock_arena().committed_pages();
     // Nothing allocated: releasing the vector should destroy it.
@@ -334,7 +334,7 @@ fn double_free_is_refused_before_free_returns() {
     let class = SizeClass::for_size(256).unwrap();
     let mut set = AttachedSet::new(true);
     let mut rng = Rng::with_seed(9);
-    h.refill(&mut set, class, 1, &mut rng).unwrap();
+    h.refill(&mut set, class, &mut rng).unwrap();
     let a = set.malloc().unwrap();
     // Keep a second object live so the MiniHeap survives the first
     // free (a dead MiniHeap would make the duplicate read as
@@ -356,7 +356,7 @@ fn usable_size_for_small_classes() {
     let class = SizeClass::for_size(100).unwrap();
     let mut set = AttachedSet::new(true);
     let mut rng = Rng::with_seed(3);
-    h.refill(&mut set, class, 1, &mut rng).unwrap();
+    h.refill(&mut set, class, &mut rng).unwrap();
     let addr = set.malloc().unwrap();
     assert_eq!(h.usable_size(addr), Some(112));
     assert_eq!(h.usable_size(0x40), None);
@@ -370,7 +370,7 @@ fn usable_size_rejects_span_tail_waste() {
     let class = SizeClass::for_size(48).unwrap();
     let mut set = AttachedSet::new(true);
     let mut rng = Rng::with_seed(4);
-    h.refill(&mut set, class, 1, &mut rng).unwrap();
+    h.refill(&mut set, class, &mut rng).unwrap();
     let first = {
         let st = h.lock_class(class);
         let mh = st.slab.get(set.id(0)).unwrap();
@@ -407,7 +407,7 @@ fn free_that_empties_a_span_leaves_it_to_the_next_lock_holder() {
     let class = SizeClass::for_size(8192).unwrap(); // non-meshable class
     let mut set = AttachedSet::new(true);
     let mut rng = Rng::with_seed(5);
-    h.refill(&mut set, class, 1, &mut rng).unwrap();
+    h.refill(&mut set, class, &mut rng).unwrap();
     let a = set.malloc().unwrap();
     release(&h, class, &mut set);
     assert!(h.free_global(a));
@@ -434,7 +434,7 @@ fn different_classes_use_disjoint_locks() {
     let t = std::thread::spawn(move || {
         let mut set = AttachedSet::new(true);
         let mut rng = Rng::with_seed(4);
-        h2.refill(&mut set, c1024, 1, &mut rng).unwrap();
+        h2.refill(&mut set, c1024, &mut rng).unwrap();
         let p = set.malloc().unwrap();
         release(&h2, c1024, &mut set);
         p
@@ -465,7 +465,7 @@ fn free_never_waits_for_a_held_class_lock() {
     let class = SizeClass::for_size(512).unwrap();
     let mut set = AttachedSet::new(true);
     let mut rng = Rng::with_seed(5);
-    h.refill(&mut set, class, 1, &mut rng).unwrap();
+    h.refill(&mut set, class, &mut rng).unwrap();
     let addr = set.malloc().unwrap();
     release(&h, class, &mut set);
 
@@ -489,7 +489,7 @@ fn next_lock_holder_refiles_and_destroys_what_frees_left_behind() {
     let mut rng = Rng::with_seed(6);
     let mut spans: Vec<Vec<usize>> = Vec::new();
     for _ in 0..3 {
-        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        h.refill(&mut set, class, &mut rng).unwrap();
         spans.push(std::iter::from_fn(|| set.malloc()).collect());
     }
     release(&h, class, &mut set);
@@ -546,7 +546,7 @@ fn frees_leave_the_partial_bins_to_lock_holders() {
     h.lock_class(class).skip_rest();
     let mut set = AttachedSet::new(true);
     let mut rng = Rng::with_seed(8);
-    h.refill(&mut set, class, 1, &mut rng).unwrap();
+    h.refill(&mut set, class, &mut rng).unwrap();
     let attached: Vec<MiniHeapId> = set.members().map(|m| set.id(m)).collect();
     assert_eq!(attached.len(), 2);
     assert!(halves.iter().all(|id| attached.contains(id)));

@@ -9,7 +9,7 @@
 use crate::error::MeshError;
 use crate::global_heap::GlobalHeap;
 use crate::harden::{self, HardenKind};
-use crate::miniheap::{MiniHeap, MiniHeapId};
+use crate::miniheap::MiniHeapId;
 use crate::page_map::LARGE_CLASS;
 use crate::size_classes::{SizeClass, PAGE_SIZE};
 use std::sync::atomic::Ordering;
@@ -51,15 +51,14 @@ impl GlobalHeap {
             } else {
                 start
             };
-            let id = large.insert_with(|bits| MiniHeap::new_large(span, guarded, bits));
-            let mh = large.get_mut(id).expect("just inserted");
+            let id = large.insert(span, guarded);
             if addr != start {
                 // Hardened frees are pinned to the exact handed-out
                 // address, so remember where the over-aligned object
                 // actually starts.
-                mh.set_large_start_off(addr - start);
+                large.get_mut(id).expect("just inserted").set_large_start_off(addr - start);
             }
-            let object_bytes = mh.object_size();
+            let object_bytes = large.get(id).expect("just inserted").object_size();
             self.page_map.set_span(span, id, LARGE_CLASS);
             (span, object_bytes, addr)
         };
@@ -120,7 +119,8 @@ impl GlobalHeap {
         if !mh.bitmap().unset(0) {
             return self.reject_free(HardenKind::DoubleFree, addr);
         }
-        let mh = large.remove(info.id);
+        let object_bytes = mh.object_size();
+        let mh = large.remove(info.id, |_| unreachable!("large objects are never meshed"));
         let span = mh.span();
         if mh.is_guarded() {
             let tail = (self.base + span.byte_offset() + span.byte_len() - PAGE_SIZE) as *mut u8;
@@ -151,7 +151,7 @@ impl GlobalHeap {
         self.counters.remote_frees.fetch_add(1, Ordering::Relaxed);
         self.counters
             .live_bytes
-            .fetch_sub(mh.object_size(), Ordering::Relaxed);
+            .fetch_sub(object_bytes, Ordering::Relaxed);
         true
     }
 

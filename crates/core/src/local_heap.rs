@@ -137,7 +137,7 @@ impl ThreadHeapCore {
         }
     }
 
-    /// The thread token identifying this heap in `AttachState::Attached`.
+    /// The token identifying this thread heap.
     pub fn token(&self) -> u64 {
         self.token
     }
@@ -177,7 +177,7 @@ impl ThreadHeapCore {
             // batched deltas into the shared counters while we are here.
             self.counters.flush_local(&self.stats);
             let refill_t0 = Instant::now();
-            let refilled = state.refill(&mut self.sets[idx], class, self.token, &mut self.rng);
+            let refilled = state.refill(&mut self.sets[idx], class, &mut self.rng);
             self.counters.record_slow(TimedOp::Refill, refill_t0, idx as u64);
             // Before reporting exhaustion, destroy the spans frees emptied
             // without getting their class lock; each is a span to carve.
@@ -608,9 +608,9 @@ mod tests {
             unsafe { b.free(&st, p) };
         }
         let class = SizeClass::for_size(512).unwrap();
-        assert!(!st.lock_class(class).slab.is_empty(), "listed, not destroyed");
+        assert_ne!(st.lock_class(class).slab.len(), 0, "listed, not destroyed");
         assert!(!b.malloc(&st, 64).is_null(), "the emptied spans were reclaimed");
-        assert!(st.lock_class(class).slab.is_empty());
+        assert_eq!(st.lock_class(class).slab.len(), 0);
     }
 
     #[test]

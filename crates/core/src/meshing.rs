@@ -50,7 +50,7 @@ use crate::arena::Arena;
 use crate::bitmap::WORDS;
 use crate::class_shard::ClassState;
 use crate::global_heap::GlobalHeap;
-use crate::miniheap::{MiniHeap, MiniHeapId};
+use crate::miniheap::{MiniHeapId, MiniHeapRef};
 use crate::size_classes::{SizeClass, PAGE_SIZE};
 use crate::span::Span;
 use crate::sys::ReleaseStrategy;
@@ -202,7 +202,7 @@ fn collect_candidates(heap: &GlobalHeap, st: &mut ClassState) -> Vec<MiniHeapId>
 /// span is destroyed, not meshed, and a full one has no slot to take
 /// another's objects), no fuller than `cutoff`, and with room left in its
 /// virtual-span list. Passes and the spectrum's estimate both ask this.
-pub(crate) fn is_candidate(mh: &MiniHeap, cutoff: f64, max_spans: usize) -> bool {
+pub(crate) fn is_candidate(mh: MiniHeapRef<'_>, cutoff: f64, max_spans: usize) -> bool {
     let (in_use, count) = (mh.in_use(), mh.object_count());
     in_use > 0
         && in_use < count
@@ -384,7 +384,6 @@ fn mesh_batch(
     let mut sources: Vec<Span> = batch
         .iter()
         .flat_map(|pair| source(st, pair).virtual_spans())
-        .copied()
         .collect();
     sources.sort_unstable_by_key(|span| span.offset);
     let Ok(protected) = arena.protect_runs(&sources) else {
@@ -465,20 +464,20 @@ fn mesh_batch(
     let mut remapped = 0u64;
     let mut refused = false;
     for pair in batch.iter_mut().filter(|pair| pair.live) {
-        let spans = source(st, pair).virtual_spans();
+        let src = source(st, pair);
         let dst_primary = pair.dst_primary;
-        match spans
-            .iter()
-            .position(|&vs| arena.remap_alias(vs, dst_primary).is_err())
-        {
+        let refused_at = src
+            .virtual_spans()
+            .position(|vs| arena.remap_alias(vs, dst_primary).is_err());
+        match refused_at {
             // The page map names the destination only once every span of
             // the source shows it: until then frees of the source's objects
             // keep waiting, and a rollback has no free to chase.
             None => {
-                for &vs in spans {
+                for vs in src.virtual_spans() {
                     heap.page_map.set_span(vs, pair.dst, class.index() as u8);
                 }
-                remapped += spans.len() as u64;
+                remapped += src.span_count() as u64;
             }
             Some(done) => {
                 roll_back(heap, st, &mut arena, class, pair, done, release_first);
@@ -506,14 +505,11 @@ fn mesh_batch(
     drop(arena);
 
     // Fold each source into its destination MiniHeap. Its id stays behind
-    // as a tombstone, its bitmap all zero, until the destination dies.
+    // as a tombstone on the destination's chain, its bitmap all zero,
+    // until the destination dies.
     for pair in batch.iter().filter(|pair| pair.live) {
         st.bin_remove(pair.src);
-        let src = st.slab.retire(pair.src);
-        st.slab
-            .get_mut(pair.dst)
-            .expect("mesh dest is live")
-            .absorb(src, pair.src);
+        st.slab.absorb(pair.dst, pair.src);
         // Frees may have emptied the destination meanwhile.
         heap.settle_locked(st, pair.dst);
 
@@ -525,11 +521,11 @@ fn mesh_batch(
     !refused
 }
 
-fn source<'a>(st: &'a ClassState, pair: &Pair) -> &'a MiniHeap {
+fn source<'a>(st: &'a ClassState, pair: &Pair) -> MiniHeapRef<'a> {
     st.slab.get(pair.src).expect("mesh source is live")
 }
 
-fn destination<'a>(st: &'a ClassState, pair: &Pair) -> &'a MiniHeap {
+fn destination<'a>(st: &'a ClassState, pair: &Pair) -> MiniHeapRef<'a> {
     st.slab.get(pair.dst).expect("mesh dest is live")
 }
 
@@ -580,7 +576,7 @@ fn roll_back(
 ) {
     let (src, dst) = (source(st, pair), destination(st, pair));
     let mut stuck = false;
-    for &vs in &src.virtual_spans()[..done] {
+    for vs in src.virtual_spans().take(done) {
         stuck |= arena.remap_alias(vs, pair.src_primary).is_err();
     }
     let dst_base = heap.base_addr() + pair.dst_primary.byte_offset();
@@ -866,7 +862,7 @@ mod tests {
         let class = SizeClass::for_size(64).unwrap();
         let mut set = AttachedSet::new(true);
         let mut rng = Rng::with_seed(1);
-        h.refill(&mut set, class, 1, &mut rng).unwrap();
+        h.refill(&mut set, class, &mut rng).unwrap();
         set.malloc().unwrap();
         let mut st = h.lock_class(class);
         assert!(collect_candidates(&h, &mut st).is_empty());

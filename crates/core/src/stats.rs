@@ -213,6 +213,9 @@ pub struct Counters {
     /// Pages currently mapped to segment files (virtual footprint of the
     /// active segments; committed ≤ mapped ≤ cap).
     pub mapped_pages: AtomicUsize,
+    /// Bytes of span records and bitmap-table chunks, added to where a
+    /// slab or its table grows (neither ever shrinks).
+    pub slab_bytes: AtomicUsize,
     /// Times this heap was privatized in a forked child (each copies the
     /// segment files so parent and child stop sharing pages).
     pub forks: AtomicU64,
@@ -464,6 +467,7 @@ impl Counters {
             segments_retired: self.segments_retired.load(Ordering::Relaxed),
             segment_count: self.active_segments.load(Ordering::Relaxed),
             mapped_pages: self.mapped_pages.load(Ordering::Relaxed),
+            slab_bytes: self.slab_bytes.load(Ordering::Relaxed),
             forks: self.forks.load(Ordering::Relaxed),
             reallocs_in_place: self.reallocs_in_place.load(Ordering::Relaxed),
             harden_violations: std::array::from_fn(|i| {
@@ -560,6 +564,9 @@ pub struct HeapStats {
     pub segment_count: usize,
     /// Pages currently mapped to segment files.
     pub mapped_pages: usize,
+    /// Per-span metadata: span records (32 bytes per id ever issued) and
+    /// bitmap-table entries (64 bytes each).
+    pub slab_bytes: usize,
     /// Times the heap was privatized in a forked child.
     pub forks: u64,
     /// `realloc` calls satisfied in place (no copy, pointer unchanged).
@@ -661,7 +668,7 @@ impl HeapStats {
 /// exposition's order (counters, then gauges); `line` is the place on the
 /// `mesh:` line.
 #[rustfmt::skip]
-pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 30] = [
+pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 31] = [
     num!(mallocs, line: 1, prom: counter("mesh_mallocs_total", "Successful allocations.")),
     num!(frees, line: 2, prom: counter("mesh_frees_total", "Frees, all paths.")),
     num!(remote_frees, line: 8, prom: counter("mesh_remote_frees_total", "Frees routed through the global heap.")),
@@ -707,6 +714,7 @@ pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 30] = [
     num!(mapped_bytes(), line: 6,
          prom: gauge("mesh_mapped_bytes", "Bytes mapped to segment files - the virtual footprint.")),
     num!(segments = segment_count, line: 16, prom: gauge("mesh_segments", "Segments currently mapped.")),
+    num!(slab_bytes, prom: gauge("mesh_slab_bytes", "Span-record and bitmap-table bytes - per-span metadata.")),
     num!(uptime_ms, line: 24, prom: gauge("mesh_uptime_seconds", "Seconds since heap initialization.").ms_as_seconds()),
 ];
 

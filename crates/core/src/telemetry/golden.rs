@@ -82,6 +82,7 @@ fn heap_stats() -> HeapStats {
         segments_retired: 1027,
         segment_count: 1028,
         mapped_pages: 1029,
+        slab_bytes: 1037,
         forks: 1030,
         reallocs_in_place: 1031,
         harden_violations: [1032, 1033, 1034, 1035, 1036],

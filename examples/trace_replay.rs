@@ -43,7 +43,7 @@ fn main() {
 
     // Real heaps: replay, meshing on a deterministic cadence, then read
     // the survivor-pinned footprint. The third configuration raises the
-    // per-MiniHeap alias budget (default 3) — the knob that caps how far
+    // per-MiniHeap alias budget (default 4) — the knob that caps how far
     // repeated meshing can fold survivor spans together (§4.1).
     let configs: [(&str, TestAllocator); 3] = [
         (
