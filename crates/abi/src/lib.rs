@@ -68,8 +68,8 @@ fn allocate(size: usize, align: usize, zeroed: bool) -> *mut u8 {
     if p.is_null() {
         libc::set_errno(libc::ENOMEM);
     } else if zeroed {
-        // Reused spans may hold stale bytes under the MADV_DONTNEED
-        // release strategy: calloc zeroes always.
+        // A freed slot, and every slot of a reused dirty span, is handed
+        // out again with its old bytes: calloc zeroes.
         unsafe { std::ptr::write_bytes(p, 0, size) };
     }
     p

@@ -15,7 +15,6 @@ use crate::rng::Rng;
 use crate::size_classes::{SizeClass, MAX_SMALL_SIZE, PAGE_SIZE};
 use crate::stats::{Counters, HeapStats};
 use crate::sync::{Mutex, Rank};
-use crate::sys::ReleaseStrategy;
 use crate::telemetry::{Report, ReportOff};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -153,8 +152,8 @@ impl Mesh {
         };
         let p = self.malloc(total);
         if !p.is_null() {
-            // Spans reused under the MADV_DONTNEED release strategy may
-            // hold stale bytes, so calloc always zeroes explicitly.
+            // A freed slot, and every slot of a reused dirty span, is
+            // handed out again with its old bytes, so calloc zeroes.
             unsafe { std::ptr::write_bytes(p, 0, total) };
         }
         p
@@ -445,11 +444,6 @@ impl Mesh {
         if let Some(ctl) = &self.inner.state.ctl {
             with_internal_alloc(|| ctl.shutdown());
         }
-    }
-
-    /// The page-release primitive the arena detected at startup.
-    pub fn release_strategy(&self) -> ReleaseStrategy {
-        self.inner.state.lock_arena().release_strategy()
     }
 
     /// Frees `ptr` through the global (lock-free) path without touching

@@ -18,9 +18,8 @@
 //!
 //! * **dirty** — recently freed, physical pages still committed; preferred
 //!   for reuse because they are hot and reclamation is expensive.
-//! * **clean** — released to the OS (demand-zero on next touch under
-//!   punch-hole; possibly stale under the `MADV_DONTNEED` fallback — the
-//!   allocator never assumes zeroed spans).
+//! * **clean** — released to the OS: their file ranges are holes, so
+//!   they read zeros and cost nothing until touched again.
 //! * **parked** — the alias spans of a dead meshed MiniHeap. They hold no
 //!   physical page of their own (meshing released it) but are still
 //!   mapped onto the span they were meshed into, so they are in no bin
@@ -41,11 +40,18 @@
 //! fails — with [`MeshError::ArenaExhausted`] — only once the configured
 //! hard cap itself has no room left.
 //!
+//! Every release is a hole punched in a segment's file
+//! ([`sys::punch_hole`]), the paper's `fallocate` (§4.5.1). The arena
+//! probes it on the initial segment at construction and fails with
+//! [`MeshError::ArenaCreation`] where the file system cannot punch.
+//!
 //! The page→MiniHeap table used for constant-time pointer lookup on free
 //! (§4.4.4) lives in `crate::page_map` — it is lock-free and shared by
 //! every shard, while the arena (including the segment table) sits behind
 //! the sharded heap's leaf lock (see DESIGN.md). The arena keeps the
-//! committed-page accounting that serves as the physical-footprint metric.
+//! committed-page accounting that serves as the physical-footprint
+//! metric; [`Arena::file_pages`] reads what the kernel holds for each
+//! segment's file, which punch-hole keeps at or under it.
 
 use crate::barrier::BarrierGuard;
 use crate::config::MeshConfig;
@@ -54,7 +60,7 @@ use crate::page_map::PageMap;
 use crate::segment::{Segment, SegmentStats, SegmentTable};
 use crate::span::Span;
 use crate::stats::Counters;
-use crate::sys::{self, MemFile, ReleaseStrategy, PAGE_SIZE};
+use crate::sys::{self, MemFile, PAGE_SIZE};
 use crate::telemetry::TimedOp;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -78,7 +84,6 @@ pub struct Arena {
     base: *mut u8,
     /// Total reservation length in pages: the hard cap.
     reserved_pages: u32,
-    strategy: ReleaseStrategy,
     table: SegmentTable,
     /// Preferred size of growth segments, in pages.
     segment_pages: u32,
@@ -101,13 +106,16 @@ unsafe impl Send for Arena {}
 
 impl Arena {
     /// Creates an arena per `config`: reserves `max_heap_bytes` of virtual
-    /// space, maps the initial segment, and registers the reservation with
-    /// the write-barrier fault handler when `config.write_barrier` is set.
+    /// space, maps the initial segment, probes hole punching on its first
+    /// page, and registers the reservation with the write-barrier fault
+    /// handler when `config.write_barrier` is set.
     ///
     /// # Errors
     ///
     /// Returns [`MeshError::ArenaCreation`]/[`MeshError::Map`] if the
-    /// backing file or mappings cannot be created.
+    /// backing file or mappings cannot be created, and
+    /// [`MeshError::ArenaCreation`] with the kernel's error if the file
+    /// cannot have a hole punched in it.
     pub fn new(config: &MeshConfig, counters: Arc<Counters>) -> Result<Arena, MeshError> {
         let cap_pages = config.arena_pages() as u32;
         let cap_bytes = cap_pages as usize * PAGE_SIZE;
@@ -120,7 +128,6 @@ impl Arena {
         let mut arena = Arena {
             base,
             reserved_pages: cap_pages,
-            strategy: ReleaseStrategy::Nop,
             table: SegmentTable::new(cap_pages),
             segment_pages: (config.segment_pages() as u32).min(cap_pages),
             dirty_pages: 0,
@@ -134,8 +141,8 @@ impl Arena {
         // The initial segment (id 0) is mapped eagerly and never retired.
         let initial_pages = (config.initial_segment_pages() as u32).min(cap_pages);
         let idx = arena.grow_exact(initial_pages, initial_pages)?;
-        let seg = arena.table.get(idx);
-        arena.strategy = ReleaseStrategy::detect(seg.file(), base);
+        sys::punch_hole(arena.table.get(idx).file(), 0, PAGE_SIZE)
+            .map_err(MeshError::ArenaCreation)?;
         Ok(arena)
     }
 
@@ -176,12 +183,6 @@ impl Arena {
         self.table.ids_created()
     }
 
-    /// The active release strategy (diagnostic).
-    #[inline]
-    pub fn release_strategy(&self) -> ReleaseStrategy {
-        self.strategy
-    }
-
     /// The write-barrier guard, if registered.
     #[inline]
     pub(crate) fn barrier(&self) -> Option<&BarrierGuard> {
@@ -215,6 +216,17 @@ impl Arena {
         self.table
             .iter()
             .map(|seg| seg.stats(seg.id() != 0 && seg.is_empty_of_live_data()))
+            .collect()
+    }
+
+    /// The physical pages each segment's file holds, in address order:
+    /// one `fstat` per segment, so the kernel's exact count and not the
+    /// arena's. A refused `fstat`, which an open memory file does not
+    /// see, reads 0.
+    pub fn file_pages(&self) -> Vec<usize> {
+        self.table
+            .iter()
+            .map(|seg| seg.file().held_pages().unwrap_or(0))
             .collect()
     }
 
@@ -438,42 +450,24 @@ impl Arena {
         self.free_span_clean(span);
     }
 
-    /// Releases the physical file range behind `span`. The span's identity
-    /// mapping must still be intact (guaranteed for any never-meshed span
-    /// and for mesh sources before their remap).
+    /// Releases the physical file range behind `span`, a span of its own
+    /// segment's file: any never-meshed span, or a mesh source's primary.
     pub fn release_physical(&mut self, span: Span) {
         let idx = self.seg_index_of(span);
-        self.release_run(idx, span, span.pages as usize, true);
+        self.release_run(idx, span, span.pages as usize);
     }
 
-    /// Releases the file range behind `run`, a run of spans of segment
+    /// Punches the file range behind `run`, a run of spans of segment
     /// `idx`, with one kernel call, and uncommits the `pages` of it that
-    /// held physical pages. `identity` says whether the run's identity
-    /// mapping is in place; without it `MADV_REMOVE` goes through a
-    /// scratch mapping (punch-hole releases by file offset either way, and
-    /// `MADV_DONTNEED` needs the mapping: see [`Arena::release_sources`]).
-    fn release_run(&mut self, idx: usize, run: Span, pages: usize, identity: bool) {
+    /// held physical pages. The hole is punched by file offset, so it does
+    /// not matter what the run's virtual pages map meanwhile.
+    fn release_run(&mut self, idx: usize, run: Span, pages: usize) {
         let t0 = Instant::now();
         let seg = self.table.get_mut(idx);
         let file_offset = seg.file_offset_of_page(run.offset);
-        let addr = (self.base as usize + run.byte_offset()) as *mut u8;
-        debug_assert!(identity || self.strategy != ReleaseStrategy::MadviseDontNeed);
-        // SAFETY: the caller vouches that nothing live is in the run; its
-        // file range lies in the segment's file, and `addr` maps it when
-        // `identity` holds (else only punch-hole, which ignores `addr`,
-        // and the scratch mapping are used).
-        unsafe {
-            if identity || self.strategy != ReleaseStrategy::MadviseRemove {
-                self.strategy
-                    .release(seg.file(), addr, run.byte_len(), file_offset);
-            } else if let Ok(scratch) =
-                sys::map_range_shared(seg.file(), file_offset, run.byte_len())
-            {
-                self.strategy
-                    .release(seg.file(), scratch, run.byte_len(), file_offset);
-                sys::unmap(scratch, run.byte_len());
-            }
-        }
+        let punched = sys::punch_hole(seg.file(), file_offset, run.byte_len());
+        // The probe at construction showed the file can be punched.
+        debug_assert!(punched.is_ok(), "punching {run}: {punched:?}");
         seg.note_release(pages);
         self.set_committed(self.committed_pages - pages);
         self.counters
@@ -483,30 +477,16 @@ impl Arena {
     /// Releases the file ranges behind a batch's mesh sources — their
     /// primary spans, sorted by offset — in runs of adjacent spans, one
     /// kernel call per run; a run never crosses a segment, whose file
-    /// ranges live in different files.
-    ///
-    /// `remapped` says on which side of the batch's remaps the caller is.
-    /// Punch-hole and `MADV_REMOVE` release *after* them, so concurrent
-    /// readers never observe zeros; the `MADV_DONTNEED` fallback cannot
-    /// work without a resident mapping and must release *before* (it
-    /// preserves file contents, so that is safe).
-    pub(crate) fn release_sources(&mut self, primaries: &[Span], remapped: bool) {
+    /// ranges live in different files. The caller has remapped every
+    /// source onto its destination, so no reader sees the zeros.
+    pub(crate) fn release_sources(&mut self, primaries: &[Span]) {
         let mut i = 0;
         while i < primaries.len() {
             let idx = self.seg_index_of(primaries[i]);
             let (run, next) = run_at(primaries, i, self.table.get(idx).end(), |&s| s);
-            self.release_run(idx, run, run.pages as usize, !remapped);
+            self.release_run(idx, run, run.pages as usize);
             i = next;
         }
-    }
-
-    /// Takes back what [`Arena::release_sources`] accounted for `span`, a
-    /// source released before the remaps whose pair was then rolled back:
-    /// `MADV_DONTNEED` left its file pages in place.
-    pub(crate) fn recommit(&mut self, span: Span) {
-        let idx = self.seg_index_of(span);
-        self.table.get_mut(idx).note_recommit(span.pages as usize);
-        self.set_committed(self.committed_pages + span.pages as usize);
     }
 
     /// Releases every dirty span to the OS, moving them to the clean bins
@@ -571,14 +551,14 @@ impl Arena {
                         if parked {
                             self.table.get_mut(idx).repark(span);
                         } else {
-                            self.release_run(idx, span, span.pages as usize, true);
+                            self.release_run(idx, span, span.pages as usize);
                             self.table.get_mut(idx).park_clean(span);
                         }
                     }
                     continue;
                 }
                 if dirty > 0 {
-                    self.release_run(idx, run, dirty, true);
+                    self.release_run(idx, run, dirty);
                 }
                 for &(span, _) in members {
                     self.table.get_mut(idx).park_clean(span);
@@ -597,7 +577,8 @@ impl Arena {
     /// fork privatization. A forked child shares `MAP_SHARED` file pages
     /// with its parent, so without this the two processes would corrupt
     /// each other's heap the moment either writes. Sparse copy keeps the
-    /// child's physical footprint equal to the parent's committed pages.
+    /// child's physical footprint, [`Arena::file_pages`], equal to the
+    /// parent's.
     ///
     /// Mesh *aliases* (virtual spans retargeted at another span's file
     /// range) are clobbered by the identity remap; the caller must
@@ -818,7 +799,7 @@ mod tests {
     }
 
     #[test]
-    fn clean_reuse_recommits_and_splits() {
+    fn clean_reuse_commits_and_splits() {
         let mut a = arena(64);
         let (s, _) = a.alloc_span(4).unwrap();
         a.release_span(s);
@@ -917,11 +898,8 @@ mod tests {
         assert_eq!(a.committed_pages(), 4);
         a.release_physical(s);
         assert_eq!(a.committed_pages(), 0);
-        // Access after release must not fault regardless of strategy.
-        unsafe {
-            let v = *addr;
-            assert!(v == 0 || v == 0x55);
-        }
+        assert_eq!(a.file_pages(), [0], "the file holds nothing");
+        unsafe { assert_eq!(*addr, 0, "a released page reads zero") };
     }
 
     #[test]
@@ -959,34 +937,11 @@ mod tests {
         let spans: Vec<Span> = (0..8).map(|_| a.alloc_span(1).unwrap().0).collect();
         assert_eq!(a.segment_count(), 2);
         // Pages 1,2,3 | 4,5 — adjacent, but the segment ends between 3 and 4.
-        a.release_sources(&spans[1..6], true);
+        a.release_sources(&spans[1..6]);
         assert_eq!(a.committed_pages(), 3);
         assert_eq!(counters.snapshot().latency.count(TimedOp::Madvise), 2);
         let stats = a.segment_stats();
         assert_eq!((stats[0].committed_pages, stats[1].committed_pages), (1, 2));
-    }
-
-    #[test]
-    fn recommit_takes_back_a_release_that_kept_the_pages() {
-        let mut a = arena(16);
-        a.strategy = ReleaseStrategy::MadviseDontNeed;
-        let spans: Vec<Span> = (0..2).map(|_| a.alloc_span(1).unwrap().0).collect();
-        for s in &spans {
-            unsafe { *(a.addr_of_page(s.offset) as *mut u8) = 0x77 };
-        }
-        // Before the remaps, through the identity mapping.
-        a.release_sources(&spans, false);
-        assert_eq!(a.committed_pages(), 0);
-        a.recommit(spans[0]);
-        assert_eq!(
-            (a.committed_pages(), a.segment_stats()[0].committed_pages),
-            (1, 1)
-        );
-        unsafe { assert_eq!(*(a.addr_of_page(spans[0].offset) as *const u8), 0x77) };
-        // The span's death finds its page still accounted for.
-        a.free_span_dirty(spans[0]);
-        a.purge_dirty();
-        assert_eq!(a.committed_pages(), 0);
     }
 
     /// Two dead 1-page spans with an alias of the first between them, as
@@ -997,7 +952,7 @@ mod tests {
             unsafe { *(a.addr_of_page(s.offset) as *mut u8) = 0x10 + s.offset as u8 };
         }
         a.remap_alias(spans[1], spans[0]).unwrap();
-        a.release_sources(&spans[1..2], true);
+        a.release_sources(&spans[1..2]);
         a.park_alias(spans[1]);
         a.free_span_dirty(spans[0]);
         a.free_span_dirty(spans[2]);

@@ -100,10 +100,6 @@ pub struct MeshConfig {
     /// snapshot is taken by each `sense` or `prom` render, never on a
     /// clock.
     pub(crate) sense_history: usize,
-    /// Pages sampled with `mincore(2)` per sense poll
-    /// (`MESH_SENSE_MINCORE_PAGES`; 0 disables the sweep and
-    /// `est_resident_bytes` falls back to committed bytes).
-    pub(crate) sense_mincore_pages: usize,
     /// Sense-dump destination (`MESH_SENSE_PATH`; `None` = stderr as a
     /// single `mesh-sense: ` line on explicit request only — sensing is
     /// always available, so there is no unsolicited at-exit dump without
@@ -152,7 +148,6 @@ impl Default for MeshConfig {
             trace_buf_events: 64 << 10, // 64 Ki events = 2 MiB of ring
             trace_path: None,
             sense_history: 120,
-            sense_mincore_pages: 256,
             sense_path: None,
             ctl_path: None,
             ctl_max_clients: 4,
@@ -236,9 +231,6 @@ impl MeshConfig {
         /// Sets the number of snapshots retained in the sense ring
         /// (`MESH_SENSE_HISTORY`).
         sense_history(snapshots: usize) => sense_history = snapshots;
-        /// Sets the per-poll `mincore` page budget
-        /// (`MESH_SENSE_MINCORE_PAGES`; 0 disables the residency sweep).
-        sense_mincore_pages(pages: usize) => sense_mincore_pages = pages;
         /// Sets (or clears) the sense-dump destination (`MESH_SENSE_PATH`).
         sense_path(path: Option<PathBuf>) => sense_path = path;
         /// Sets (or clears) the mesh-ctl control-socket path (`MESH_CTL`;
@@ -309,11 +301,6 @@ impl MeshConfig {
     /// The configured sense-ring capacity in snapshots.
     pub fn sense_history_len(&self) -> usize {
         self.sense_history
-    }
-
-    /// The configured per-poll `mincore` page budget.
-    pub fn sense_mincore_page_budget(&self) -> usize {
-        self.sense_mincore_pages
     }
 
     /// The configured sense-dump destination, if any.
@@ -418,7 +405,6 @@ impl MeshConfig {
     /// | `MESH_TRACE_BUF_EVENTS` | events the trace ring keeps (rounded up to a power of two, overwrite-oldest) | a number in 64..=4M | 64K |
     /// | `MESH_TRACE_PATH` | trace-dump file (unset: one `mesh-trace:` line on stderr) | a path of 1..=4095 bytes | unset |
     /// | `MESH_SENSE_HISTORY` | snapshots retained in the sense ring | a number in 2..=100000 | 120 |
-    /// | `MESH_SENSE_MINCORE_PAGES` | pages `mincore`-sampled per poll (0 = no sweep) | a number in 0..=16M | 256 |
     /// | `MESH_SENSE_PATH` | sense-dump file, also written at exit (unset: stderr, on request only) | a path of 1..=4095 bytes | unset |
     /// | `MESH_CTL` | mesh-ctl control-socket path (unset: no socket) | a path of 1..=107 bytes | unset |
     /// | `MESH_CTL_MAX_CLIENTS` | concurrent mesh-ctl clients | a number in 1..=64 | 4 |
@@ -611,14 +597,11 @@ mod tests {
     fn sense_knobs_build_and_validate() {
         let c = MeshConfig::default();
         assert_eq!(c.sense_history_len(), 120);
-        assert_eq!(c.sense_mincore_page_budget(), 256);
         assert_eq!(c.sense_dump_path(), None);
         let c = MeshConfig::default()
             .sense_history(16)
-            .sense_mincore_pages(0)
             .sense_path(Some("/tmp/sense.json".into()));
         assert_eq!(c.sense_history_len(), 16);
-        assert_eq!(c.sense_mincore_page_budget(), 0, "0 = no sweep, still valid");
         assert_eq!(
             c.sense_dump_path(),
             Some(std::path::Path::new("/tmp/sense.json"))
@@ -626,10 +609,6 @@ mod tests {
         assert!(c.validate().is_ok());
         assert!(MeshConfig::default().sense_history(1).validate().is_err());
         assert!(MeshConfig::default().sense_history(100_001).validate().is_err());
-        assert!(MeshConfig::default()
-            .sense_mincore_pages((1 << 24) + 1)
-            .validate()
-            .is_err());
     }
 
     #[test]

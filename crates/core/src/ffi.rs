@@ -2,9 +2,9 @@
 //!
 //! The build environment is offline, so the `libc` crate cannot be a
 //! dependency; this module declares exactly the symbols, types, and
-//! constants the allocator uses (`mmap`, `mprotect`, `madvise`,
-//! `fallocate`, `memfd_create`, `sigaction`, …) against the C library the
-//! Rust standard library already links. Layouts and constants are the
+//! constants the allocator uses (`mmap`, `mprotect`, `fallocate`,
+//! `memfd_create`, `sigaction`, …) against the C library the Rust
+//! standard library already links. Layouts and constants are the
 //! glibc definitions for `x86_64`/`aarch64` Linux — the only platforms the
 //! arena's `memfd`/`MAP_FIXED` machinery targets in the first place.
 
@@ -20,7 +20,7 @@ pub type size_t = usize;
 /// Signal handler address as stored in `sigaction.sa_sigaction`.
 pub type sighandler_t = size_t;
 
-// ---- mmap / mprotect / madvise ---------------------------------------
+// ---- mmap / mprotect -------------------------------------------------
 
 pub const PROT_NONE: c_int = 0x0;
 pub const PROT_READ: c_int = 0x1;
@@ -31,9 +31,6 @@ pub const MAP_FIXED: c_int = 0x10;
 pub const MAP_ANONYMOUS: c_int = 0x20;
 pub const MAP_NORESERVE: c_int = 0x4000;
 pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
-
-pub const MADV_DONTNEED: c_int = 4;
-pub const MADV_REMOVE: c_int = 9;
 
 // ---- fallocate / memfd -----------------------------------------------
 
@@ -136,9 +133,8 @@ extern "C" {
     ) -> *mut c_void;
     pub fn munmap(addr: *mut c_void, len: size_t) -> c_int;
     pub fn mprotect(addr: *mut c_void, len: size_t, prot: c_int) -> c_int;
-    pub fn madvise(addr: *mut c_void, len: size_t, advice: c_int) -> c_int;
-    // Residency sampling (mesh-sense): one byte per page, bit 0 set when
-    // the page is resident.
+    // `sys::resident_pages`: one byte per page, bit 0 set when the page
+    // is resident.
     pub fn mincore(addr: *mut c_void, length: size_t, vec: *mut u8) -> c_int;
     pub fn fallocate(fd: c_int, mode: c_int, offset: off_t, len: off_t) -> c_int;
     pub fn sigaction(signum: c_int, act: *const sigaction, oldact: *mut sigaction) -> c_int;

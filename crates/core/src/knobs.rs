@@ -163,7 +163,7 @@ pub const LEGACY_CAP: &str = "MESH_ARENA_BYTES";
 
 /// Retired names and why, names that share a reason next to each other:
 /// ignored, whatever they say, with one stderr line per reason.
-pub const RETIRED: [(&str, &str); 4] = [
+pub const RETIRED: [(&str, &str); 5] = [
     ("MESH_TRANSFER_BATCH", "there is no transfer cache to tune"),
     (
         "MESH_TRANSFER_CACHE_SLOTS",
@@ -171,6 +171,10 @@ pub const RETIRED: [(&str, &str); 4] = [
     ),
     ("MESH_BACKGROUND_MESHING", "meshing runs on the free path"),
     ("MESH_SENSE_INTERVAL_MS", "sense polls on demand"),
+    (
+        "MESH_SENSE_MINCORE_PAGES",
+        "sense reads what the heap's files hold with fstat",
+    ),
 ];
 
 /// Reads `row` from the environment. A value [`parse`] refuses costs one
@@ -301,7 +305,7 @@ const SEGMENT: Kind = Kind::Num { min: 32 * PAGE_SIZE as u64, max: 1 << 40 };
 
 /// Every knob, in the order the tables print them.
 #[rustfmt::skip]
-pub static KNOBS: [Knob; 33] = [
+pub static KNOBS: [Knob; 32] = [
     knob!("max_heap_bytes", Some("MESH_MAX_HEAP_BYTES"), SEGMENT, "1G", field!(num max_heap_bytes),
         "hard cap: the virtual reservation segments grow into (8G under `LD_PRELOAD`; legacy name `MESH_ARENA_BYTES`)"),
     knob!("initial_segment_bytes", Some("MESH_INITIAL_SEGMENT_BYTES"), SEGMENT, "64M",
@@ -364,8 +368,6 @@ pub static KNOBS: [Knob; 33] = [
         "trace-dump file (unset: one `mesh-trace:` line on stderr)"),
     knob!("sense_history", Some("MESH_SENSE_HISTORY"), Kind::Num { min: 2, max: 100_000 }, "120",
         field!(num sense_history), "snapshots retained in the sense ring"),
-    knob!("sense_mincore_pages", Some("MESH_SENSE_MINCORE_PAGES"), Kind::Num { min: 0, max: 1 << 24 }, "256",
-        field!(num sense_mincore_pages), "pages `mincore`-sampled per poll (0 = no sweep)"),
     knob!("sense_path", Some("MESH_SENSE_PATH"), FILE, "", field!(path sense_path),
         "sense-dump file, also written at exit (unset: stderr, on request only)"),
     knob!("ctl", Some("MESH_CTL"), Kind::Path { max_len: CTL_PATH_MAX }, "", field!(path ctl_path),
@@ -427,16 +429,16 @@ mod tests {
             mesh_period, min_mesh_gain_bytes, probe_limit, occupancy_cutoff, max_span_count,
             max_dirty_bytes, write_barrier, profiling, prof_sample_bytes, prof_interval,
             prof_path, trace, trace_buf_events, trace_path, sense_history,
-            sense_mincore_pages, sense_path, ctl_path, ctl_max_clients, harden,
+            sense_path, ctl_path, ctl_max_clients, harden,
         } = MeshConfig::default();
         let HardenConfig { policy, poison, quarantine, guard, canary, quarantine_bytes, quarantine_slots } =
             harden;
-        let all: [&dyn std::fmt::Debug; 32] = [
+        let all: [&dyn std::fmt::Debug; 31] = [
             &max_heap_bytes, &initial_segment_bytes, &segment_bytes, &seed, &meshing, &randomize,
             &mesh_period, &min_mesh_gain_bytes, &probe_limit, &occupancy_cutoff, &max_span_count,
             &max_dirty_bytes, &write_barrier, &profiling, &prof_sample_bytes, &prof_interval,
             &prof_path, &trace, &trace_buf_events, &trace_path, &sense_history,
-            &sense_mincore_pages, &sense_path, &ctl_path, &ctl_max_clients,
+            &sense_path, &ctl_path, &ctl_max_clients,
             &policy, &poison, &quarantine, &guard, &canary, &quarantine_bytes, &quarantine_slots,
         ];
         assert_eq!(fields().count(), all.len(), "one row per field");
@@ -467,8 +469,8 @@ mod tests {
         let mut env: Vec<&str> = KNOBS.iter().filter_map(|r| r.env).collect();
         assert_eq!(
             env.len(),
-            23 + 1,
-            "23 config variables and MESH_PRINT_STATS_AT_EXIT"
+            22 + 1,
+            "22 config variables and MESH_PRINT_STATS_AT_EXIT"
         );
         env.push(LEGACY_CAP);
         env.extend(RETIRED.map(|(name, _)| name));

@@ -111,7 +111,6 @@ pub use meshing::MeshSummary;
 pub use segment::{SegmentId, SegmentStats};
 pub use size_classes::{SizeClass, MAX_SMALL_SIZE, NUM_SIZE_CLASSES, PAGE_SIZE};
 pub use stats::{HeapStats, SpanSnapshot};
-pub use sys::ReleaseStrategy;
 pub use telemetry::{
     bucket_upper_ns, parse_pprof, ClassSpectrum, HeapSpectrum, LatencySnapshot, PassRecord,
     PprofParseError, PprofSummary, PressureReading, ProfileStats, RejectReason, Report,

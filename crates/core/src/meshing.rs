@@ -25,13 +25,10 @@
 //! the object in the destination (DESIGN.md §3). No application pointer
 //! changes because the virtual addresses of a source span survive: its
 //! mapping is atomically retargeted at the destination's physical span,
-//! and the sources' physical pages return to the OS, one release per run
-//! of adjacent file ranges. The ordering of release vs. remap depends on
-//! the release primitive (see [`crate::sys::ReleaseStrategy`]): punch-hole
-//! variants release *after* the remaps (by file offset, or through a
-//! scratch mapping) so concurrent readers never observe zeros; the
-//! `MADV_DONTNEED` fallback releases *before* them, which is safe because
-//! it preserves file contents. The longest a writer can spin in the
+//! and then the sources' physical pages return to the OS, one hole punched
+//! per run of adjacent file ranges ([`crate::sys::punch_hole`]). Punching
+//! after the remaps means no reader ever sees the zeros a hole reads as.
+//! The longest a writer can spin in the
 //! barrier's fault handler, or a free wait for an even epoch, is therefore
 //! one batch: at most `MESH_BATCH` copies and remaps, a bound that does
 //! not grow with the heap (Compact-fit's bounded step, PAPERS.md).
@@ -53,7 +50,6 @@ use crate::global_heap::GlobalHeap;
 use crate::miniheap::{MiniHeapId, MiniHeapRef};
 use crate::size_classes::{SizeClass, PAGE_SIZE};
 use crate::span::Span;
-use crate::sys::ReleaseStrategy;
 use crate::telemetry::{PassRecord, RejectReason, TimedOp, REJECT_REASONS};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -451,16 +447,8 @@ fn mesh_batch(
     // barrier drop.
     let remap_t0 = Instant::now();
 
-    // Release the sources' physical pages and retarget their virtual
-    // spans. Ordering depends on the release primitive; see module docs.
-    let release_first = arena.release_strategy() == ReleaseStrategy::MadviseDontNeed;
-    let live_primaries = |batch: &[Pair]| -> Vec<Span> {
-        let live = batch.iter().filter(|pair| pair.live);
-        live.map(|pair| pair.src_primary).collect()
-    };
-    if release_first {
-        arena.release_sources(&live_primaries(batch), false);
-    }
+    // Retarget the sources' virtual spans, then release their physical
+    // pages (see module docs).
     let mut remapped = 0u64;
     let mut refused = false;
     for pair in batch.iter_mut().filter(|pair| pair.live) {
@@ -480,7 +468,7 @@ fn mesh_batch(
                 remapped += src.span_count() as u64;
             }
             Some(done) => {
-                roll_back(heap, st, &mut arena, class, pair, done, release_first);
+                roll_back(heap, st, &mut arena, class, pair, done);
                 pair.live = false;
                 refused = true;
                 rejected[RejectReason::CopyAbort as usize] += 1;
@@ -488,9 +476,8 @@ fn mesh_batch(
         }
     }
     heap.end_consume(class);
-    if !release_first {
-        arena.release_sources(&live_primaries(batch), true);
-    }
+    let live = batch.iter().filter(|pair| pair.live);
+    arena.release_sources(&live.map(|pair| pair.src_primary).collect::<Vec<Span>>());
     // The remaps restored PROT_READ|WRITE on the spans they covered;
     // pairs that dropped out get theirs back here, so spinning writers
     // proceed as soon as the barrier drops.
@@ -572,7 +559,6 @@ fn roll_back(
     class: SizeClass,
     pair: &Pair,
     done: usize,
-    released: bool,
 ) {
     let (src, dst) = (source(st, pair), destination(st, pair));
     let mut stuck = false;
@@ -590,9 +576,6 @@ fn roll_back(
         }
         dst.bitmap().clear_word_bits(word, taken);
         src.bitmap().set_word_bits(word, taken);
-    }
-    if released {
-        arena.recommit(pair.src_primary);
     }
     if stuck {
         // A span of the source shows the destination's pages and cannot be

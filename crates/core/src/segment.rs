@@ -280,11 +280,6 @@ impl Segment {
         self.committed_pages -= pages;
     }
 
-    /// Takes back a [`Segment::note_release`] that left the pages in place.
-    pub fn note_recommit(&mut self, pages: usize) {
-        self.committed_pages += pages;
-    }
-
     pub fn stats(&self, retirable: bool) -> SegmentStats {
         SegmentStats {
             id: self.id,

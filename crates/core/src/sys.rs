@@ -1,5 +1,5 @@
 //! Thin unsafe wrappers over the virtual-memory syscalls Mesh relies on
-//! (§4.5.1): `memfd_create`, `mmap`, `mprotect`, `fallocate`, `madvise`.
+//! (§4.5.1): `memfd_create`, `mmap`, `mprotect`, `fallocate`.
 //!
 //! All policy lives above this layer; everything here is a direct, checked
 //! syscall wrapper. The arena's backing store is a memory file — obtained
@@ -7,24 +7,23 @@
 //! same file offset can be mapped at several virtual addresses, which is
 //! the mechanism that makes meshing possible.
 //!
-//! ## Page release strategies
+//! ## Page release
 //!
-//! The paper returns physical spans to the OS with
-//! `fallocate(FALLOC_FL_PUNCH_HOLE)`. Not every kernel (notably the
-//! sandboxed one used for CI here) supports punching holes in memfds, so
-//! [`ReleaseStrategy::detect`] probes at arena construction and picks the
-//! strongest supported primitive:
-//!
-//! 1. `fallocate(PUNCH_HOLE)` — frees the file pages; reads see zeros.
-//! 2. `madvise(MADV_REMOVE)` — equivalent for tmpfs-backed mappings.
-//! 3. `madvise(MADV_DONTNEED)` — releases the pages from the process RSS;
-//!    on a `MAP_SHARED` mapping this preserves file contents (verified in
-//!    the DESIGN.md experiments) so it is always safe, though the file
-//!    pages themselves survive until reuse. RSS-equivalent to punch-hole.
+//! Physical pages go back to the OS one way, the paper's: [`punch_hole`],
+//! `fallocate(FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE)` on the memory
+//! file. It frees the file's pages whatever maps them, and a later read
+//! sees zeros. The arena probes it on its initial segment and refuses to
+//! start without it. Dropping the pages with `madvise` is no substitute:
+//! on a `MAP_SHARED` mapping that empties the process's RSS while the
+//! file keeps every page. What a file holds is read exactly with
+//! [`MemFile::held_pages`].
 
 use crate::ffi as libc;
+use std::fs::File;
 use std::io;
+use std::os::fd::{AsRawFd, FromRawFd};
 use std::os::raw::{c_int, c_uint};
+use std::os::unix::fs::MetadataExt;
 
 /// Hardware page size required by this allocator.
 pub const PAGE_SIZE: usize = crate::size_classes::PAGE_SIZE;
@@ -39,7 +38,7 @@ fn last_err() -> io::Error {
 /// file; either way it "only exists in memory or on swap".
 #[derive(Debug)]
 pub struct MemFile {
-    fd: c_int,
+    file: File,
     len: usize,
 }
 
@@ -59,12 +58,10 @@ impl MemFile {
             ) as c_int
         };
         let fd = if fd >= 0 { fd } else { Self::tmpfile_fd()? };
-        if unsafe { libc::ftruncate(fd, len as libc::off_t) } != 0 {
-            let e = last_err();
-            unsafe { libc::close(fd) };
-            return Err(e);
-        }
-        Ok(MemFile { fd, len })
+        // SAFETY: `fd` is a descriptor just opened here and owned by no one else.
+        let file = unsafe { File::from_raw_fd(fd) };
+        file.set_len(len as u64)?;
+        Ok(MemFile { file, len })
     }
 
     /// Fallback: an unlinked file in `$TMPDIR`/`/tmp`.
@@ -88,7 +85,7 @@ impl MemFile {
     /// The raw file descriptor.
     #[inline]
     pub fn fd(&self) -> c_int {
-        self.fd
+        self.file.as_raw_fd()
     }
 
     /// The file length in bytes.
@@ -102,11 +99,17 @@ impl MemFile {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-}
 
-impl Drop for MemFile {
-    fn drop(&mut self) {
-        unsafe { libc::close(self.fd) };
+    /// Pages of physical memory the file holds, from one `fstat`: the
+    /// kernel's own count (`st_blocks`) of the pages any mapping has
+    /// touched and no hole has since freed.
+    ///
+    /// # Errors
+    ///
+    /// Returns the `fstat` error.
+    pub fn held_pages(&self) -> io::Result<usize> {
+        let bytes = self.file.metadata()?.blocks() * 512;
+        Ok(bytes as usize / PAGE_SIZE)
     }
 }
 
@@ -215,7 +218,7 @@ pub fn map_file_shared(file: &MemFile) -> io::Result<*mut u8> {
 }
 
 /// Maps `len` bytes of `file` starting at `offset` at a kernel-chosen
-/// address (scratch mappings for post-remap page release).
+/// address (the transient mappings of [`copy_file_sparse`]).
 ///
 /// # Errors
 ///
@@ -399,80 +402,56 @@ fn copy_file_range_mapped(
     Ok(())
 }
 
-/// How physical pages are returned to the OS (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReleaseStrategy {
-    /// `fallocate(FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE)` — the
-    /// paper's mechanism.
-    PunchHole,
-    /// `madvise(MADV_REMOVE)` on the identity mapping.
-    MadviseRemove,
-    /// `madvise(MADV_DONTNEED)` on the identity mapping (RSS-equivalent
-    /// fallback; file pages persist until reuse).
-    MadviseDontNeed,
-    /// No supported release primitive; accounting only.
-    Nop,
+/// Returns the physical pages behind `[offset, offset + len)` of `file`
+/// to the OS, leaving the file's size alone
+/// (`fallocate(FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE)`, §4.5.1). Every
+/// mapping of the range reads zeros afterwards, so the range must hold
+/// nothing anyone still reads.
+///
+/// # Errors
+///
+/// Returns the `fallocate` error: `EOPNOTSUPP` where the file system
+/// cannot punch holes.
+pub fn punch_hole(file: &MemFile, offset: usize, len: usize) -> io::Result<()> {
+    let mode = libc::FALLOC_FL_PUNCH_HOLE | libc::FALLOC_FL_KEEP_SIZE;
+    // SAFETY: a plain syscall on a descriptor `file` owns; it touches no
+    // memory of this process.
+    let rc =
+        unsafe { libc::fallocate(file.fd(), mode, offset as libc::off_t, len as libc::off_t) };
+    if rc == 0 {
+        Ok(())
+    } else {
+        Err(last_err())
+    }
 }
 
+/// [`punch_hole`] under its former name, kept only for the benchmark
+/// ladder's `sys.release_page_us` and `sys.refault_us` rows until the
+/// next benchmark change moves them onto [`punch_hole`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReleaseStrategy;
+
 impl ReleaseStrategy {
-    /// Probes the strongest supported strategy using the first page of a
-    /// freshly created arena (`base` must map `file` at offset 0 and the
-    /// file must not yet contain data the caller cares about).
-    pub fn detect(file: &MemFile, base: *mut u8) -> ReleaseStrategy {
-        unsafe {
-            let rc = libc::fallocate(
-                file.fd(),
-                libc::FALLOC_FL_PUNCH_HOLE | libc::FALLOC_FL_KEEP_SIZE,
-                0,
-                PAGE_SIZE as libc::off_t,
-            );
-            if rc == 0 {
-                return ReleaseStrategy::PunchHole;
-            }
-            if libc::madvise(base as *mut libc::c_void, PAGE_SIZE, libc::MADV_REMOVE) == 0 {
-                return ReleaseStrategy::MadviseRemove;
-            }
-            if libc::madvise(base as *mut libc::c_void, PAGE_SIZE, libc::MADV_DONTNEED) == 0 {
-                return ReleaseStrategy::MadviseDontNeed;
-            }
-        }
-        ReleaseStrategy::Nop
+    /// The one strategy: [`punch_hole`].
+    pub fn detect(_file: &MemFile, _base: *mut u8) -> ReleaseStrategy {
+        ReleaseStrategy
     }
 
-    /// Releases `[file_offset, file_offset+len)`; `addr` must be a current
-    /// identity mapping of that file range (required by the `madvise`
-    /// strategies, ignored by punch-hole).
-    ///
-    /// Returns whether pages were actually released.
+    /// [`punch_hole`] on `[file_offset, file_offset + len)`; `addr` is
+    /// unused. Returns whether the kernel released the range.
     ///
     /// # Safety
     ///
-    /// The released range must contain no live objects, and `addr` must map
-    /// `file` at exactly `file_offset` for `len` bytes.
+    /// The released range must contain no live objects.
     pub unsafe fn release(
         self,
         file: &MemFile,
-        addr: *mut u8,
+        _addr: *mut u8,
         len: usize,
         file_offset: usize,
     ) -> bool {
-        match self {
-            ReleaseStrategy::PunchHole => {
-                libc::fallocate(
-                    file.fd(),
-                    libc::FALLOC_FL_PUNCH_HOLE | libc::FALLOC_FL_KEEP_SIZE,
-                    file_offset as libc::off_t,
-                    len as libc::off_t,
-                ) == 0
-            }
-            ReleaseStrategy::MadviseRemove => {
-                libc::madvise(addr as *mut libc::c_void, len, libc::MADV_REMOVE) == 0
-            }
-            ReleaseStrategy::MadviseDontNeed => {
-                libc::madvise(addr as *mut libc::c_void, len, libc::MADV_DONTNEED) == 0
-            }
-            ReleaseStrategy::Nop => false,
-        }
+        punch_hole(file, file_offset, len).is_ok()
     }
 }
 
@@ -487,11 +466,13 @@ pub fn process_rss_kb() -> Option<u64> {
 }
 
 /// Counts how many of the `pages` pages starting at `addr` are resident
-/// in physical memory, via `mincore(2)` (the mesh-sense residency
-/// sampler). `addr` must be page-aligned and inside a live mapping owned
-/// by the caller (the arena reservation qualifies: retired ranges revert
-/// to `PROT_NONE` reservations, which `mincore` reports as non-resident
-/// without faulting). Returns `None` when the kernel rejects the range
+/// in physical memory, via `mincore(2)`. Kept for the benchmark ladder's
+/// `sys.resident_pages_us` row only, until the next benchmark change
+/// retires it: the heap counts what its files hold with
+/// [`MemFile::held_pages`]. `addr` must be page-aligned and inside a live
+/// mapping owned by the caller (the arena reservation qualifies: retired
+/// ranges revert to `PROT_NONE` reservations, which `mincore` reports as
+/// non-resident without faulting). Returns `None` when the kernel rejects the range
 /// (e.g. a race with an unmap) or on non-Linux test stubs.
 pub fn resident_pages(addr: usize, pages: usize) -> Option<usize> {
     if pages == 0 {
@@ -556,27 +537,18 @@ mod tests {
     }
 
     #[test]
-    fn detect_returns_some_strategy() {
-        let f = MemFile::create(4 * PAGE_SIZE).unwrap();
-        let base = map_file_shared(&f).unwrap();
-        let s = ReleaseStrategy::detect(&f, base);
-        assert_ne!(s, ReleaseStrategy::Nop, "no release primitive available");
-        unsafe { unmap(base, 4 * PAGE_SIZE) };
-    }
-
-    #[test]
     fn release_is_safe_on_dead_range() {
         let f = MemFile::create(4 * PAGE_SIZE).unwrap();
+        assert_eq!(f.held_pages().unwrap(), 0, "a fresh file is all hole");
         let base = map_file_shared(&f).unwrap();
-        let s = ReleaseStrategy::detect(&f, base);
         unsafe {
-            *base.add(2 * PAGE_SIZE) = 0x7F;
-            let ok = s.release(&f, base.add(2 * PAGE_SIZE), PAGE_SIZE, 2 * PAGE_SIZE);
-            assert!(ok);
-            // The page may read as zero (punch) or stale (DONTNEED); either
-            // way access must not fault.
-            let v = *base.add(2 * PAGE_SIZE);
-            assert!(v == 0 || v == 0x7F);
+            std::ptr::write_bytes(base, 0x7F, 3 * PAGE_SIZE);
+            assert_eq!(f.held_pages().unwrap(), 3);
+            punch_hole(&f, PAGE_SIZE, PAGE_SIZE).unwrap();
+            assert_eq!(f.held_pages().unwrap(), 2);
+            // Read last: a read through a shared mapping fills the hole.
+            assert_eq!(*base.add(PAGE_SIZE), 0, "a punched page reads zero");
+            assert_eq!(*base.add(2 * PAGE_SIZE), 0x7F, "its neighbours keep their bytes");
             unmap(base, 4 * PAGE_SIZE);
         }
     }
@@ -662,10 +634,7 @@ mod tests {
         }
         let r = resident_pages(base as usize, 4).expect("mapped range");
         assert!(r >= 2, "touched pages must be resident, got {r}");
-        let s = ReleaseStrategy::detect(&f, base);
-        unsafe {
-            s.release(&f, base, 2 * PAGE_SIZE, 0);
-        }
+        punch_hole(&f, 0, 2 * PAGE_SIZE).unwrap();
         let after = resident_pages(base as usize, 4).expect("mapped range");
         assert!(after <= r, "release must not grow residency");
         unsafe { unmap(base, 4 * PAGE_SIZE) };

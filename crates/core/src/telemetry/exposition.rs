@@ -285,7 +285,7 @@ mod tests {
         let sense = SenseSnapshot {
             at_ms: 1000,
             rss_bytes: 10 << 20,
-            est_resident_bytes: 8 << 20,
+            file_bytes: 8 << 20,
             psi_avg10_milli: 12_340,
             psi_avg60_milli: ABSENT,
             cgroup_limit_bytes: ABSENT,
@@ -357,7 +357,7 @@ mod tests {
         assert!(text.find("mesh_heap_peak_bytes ").unwrap() < eol_pos, "new name first");
         // Present sense sources emit gauges; absent ones emit nothing.
         assert!(text.contains("mesh_rss_bytes 10485760\n"));
-        assert!(text.contains("mesh_resident_est_bytes 8388608\n"));
+        assert!(text.contains("mesh_file_bytes 8388608\n"));
         assert!(text.contains("mesh_pressure_psi_avg10 12.340\n"));
         assert!(text.contains("mesh_cgroup_usage_bytes 9437184\n"));
         assert!(!text.contains("mesh_pressure_psi_avg60"), "ABSENT source elided");

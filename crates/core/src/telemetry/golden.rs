@@ -137,7 +137,7 @@ fn snapshot(at_ms: u64) -> SenseSnapshot {
     SenseSnapshot {
         at_ms,
         rss_bytes: at_ms + 1,
-        est_resident_bytes: at_ms + 2,
+        file_bytes: at_ms + 2,
         live_bytes: at_ms + 3,
         heap_bytes: at_ms + 4,
         mapped_bytes: at_ms + 5,
@@ -189,11 +189,7 @@ fn ledger() -> MeshLedger {
 }
 
 fn sense_state() -> SenseState {
-    let sense = SenseState::new(
-        &MeshConfig::default()
-            .sense_history(3)
-            .sense_mincore_pages(17),
-    );
+    let sense = SenseState::new(&MeshConfig::default().sense_history(3));
     sense.push(&snapshot(5000));
     sense.push(&bare_snapshot(5100));
     sense.push(&snapshot(5200));
@@ -214,7 +210,10 @@ fn residency() -> ResidencyBreakdown {
             retirable: false,
         }
     };
-    decompose(&[seg(0, 0, 100, 10, 20, 30, 35), seg(3, 100, 64, 7, 5, 2, 41)])
+    decompose(
+        &[seg(0, 0, 100, 10, 20, 30, 35), seg(3, 100, 64, 7, 5, 2, 41)],
+        &[50, 46],
+    )
 }
 
 #[test]
@@ -334,8 +333,8 @@ fn only_host_readings_are_nullable() {
         }
     }
     let mut prom = String::new();
-    fields::prom(&mut prom, &super::sense::SENSE_FIELDS, &SenseSnapshot { est_resident_bytes: ABSENT, ..snapshot(7000) });
-    assert!(prom.contains(&format!("mesh_resident_est_bytes {ABSENT}\n")), "{prom}");
+    fields::prom(&mut prom, &super::sense::SENSE_FIELDS, &SenseSnapshot { file_bytes: ABSENT, ..snapshot(7000) });
+    assert!(prom.contains(&format!("mesh_file_bytes {ABSENT}\n")), "{prom}");
     fn nullable<R>(rows: &[Field<R>]) -> usize {
         rows.iter().filter(|f| f.nullable).count()
     }

@@ -8,7 +8,7 @@
 //!
 //! The heap keeps one [`HistBlock`], written with relaxed `fetch_add`s
 //! by every timed operation — refills, lock waits, mesh phases, segment
-//! and `madvise` work. Each already pays a lock or a syscall, so three
+//! and page-release work. Each already pays a lock or a syscall, so three
 //! more RMWs are noise; the malloc/free fast path records nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,8 +47,8 @@ pub enum TimedOp {
     SegmentGrow = 8,
     /// Retiring empty segments (unmap back to the reservation).
     SegmentRetire = 9,
-    /// Physical-page release calls (`madvise`/hole punching), including
-    /// dirty purges.
+    /// Physical-page release calls (hole punches, under the name the
+    /// `madvise` calls they replaced had), including dirty purges.
     Madvise = 10,
 }
 

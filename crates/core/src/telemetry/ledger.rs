@@ -85,8 +85,8 @@ pub struct PassRecord {
     pub pairs_meshed: u64,
     /// Physical bytes recovered by meshing (released span pages).
     pub bytes_recovered: u64,
-    /// Bytes returned to the OS during the pass (purge/madvise work the
-    /// pass triggered, including the §4.4.1 dirty-threshold purge).
+    /// Bytes returned to the OS during the pass (the purge work the pass
+    /// triggered, including the §4.4.1 dirty-threshold purge).
     pub madvise_bytes: u64,
 }
 

@@ -311,28 +311,24 @@ impl GlobalHeap {
     }
 
     /// Takes one mesh-sense poll: reads the pressure sources, decomposes
-    /// residency from the segment snapshots, advances the bounded
-    /// `mincore` sweep, appends the snapshot to the ring and returns it
-    /// with the residency it was taken from. Takes the arena lock briefly
-    /// (for the segment snapshots) and nothing else: polls on several
-    /// threads at once sweep different windows and push their own
-    /// snapshots.
+    /// residency from the segment snapshots and what each segment's file
+    /// holds, appends the snapshot to the ring and returns it with the
+    /// residency it was taken from. Takes the arena lock briefly (for the
+    /// segment snapshots and one `fstat` per segment) and nothing else:
+    /// polls on several threads at once push their own snapshots.
     fn sense_poll(&self) -> (SenseSnapshot, ResidencyBreakdown) {
         let start = Instant::now();
-        let segs = self.segment_stats();
-        let res = super::decompose(&segs);
+        let (segs, file_pages) = {
+            let arena = self.lock_arena();
+            (arena.segment_stats(), arena.file_pages())
+        };
+        let res = super::decompose(&segs, &file_pages);
         let p = super::read_pressure();
         let stats = self.counters.snapshot();
-        let est_resident_bytes = self.sense.sweep(
-            self.base_addr(),
-            &segs,
-            res.mapped_bytes,
-            res.committed_bytes,
-        );
         let mut snap = SenseSnapshot {
             at_ms: self.counters.uptime_ms(),
             rss_bytes: p.rss_bytes.unwrap_or(ABSENT),
-            est_resident_bytes,
+            file_bytes: res.file_bytes,
             live_bytes: res.live_bytes,
             heap_bytes: stats.heap_bytes() as u64,
             mapped_bytes: res.mapped_bytes,
@@ -414,11 +410,9 @@ pub(super) fn sense_json(
     uptime_ms: u64,
 ) -> String {
     format!(
-        "{{\"mesh_sense_version\":2,\"uptime_ms\":{uptime_ms},\
-         \"history\":{},\"mincore_page_budget\":{},\
+        "{{\"mesh_sense_version\":3,\"uptime_ms\":{uptime_ms},\"history\":{},\
          \"residency\":{{{},\"segments\":{}}},\"ledger\":{{{}}},\"snapshots\":{}}}",
         sense.history(),
-        sense.mincore_page_budget(),
         fields::members(&RESIDENCY_FIELDS, res),
         fields::array(res.segments.iter().map(|s| fields::object(&SEGMENT_FIELDS, s))),
         ledger_members(ledger),

@@ -1,14 +1,12 @@
 //! Residency accounting: decomposing mapped bytes into live, free-dirty,
-//! free-clean, and metadata — per segment and heap-wide — plus the
-//! sampled `mincore(2)` sweep that estimates how much of the mapping the
-//! kernel still holds resident.
+//! free-clean, and metadata — per segment and heap-wide — next to the
+//! physical pages each segment's memory file holds.
 //!
 //! The decomposition is pure arithmetic over the segment snapshots the
 //! arena already maintains (§4.4.1 dirty/clean bins): no new bookkeeping
-//! in the allocation path. The `mincore` sweep is bounded per poll
-//! (`MESH_SENSE_MINCORE_PAGES`) and walks the mapped page sequence with a
-//! persistent cursor, so over successive polls the whole heap is sampled
-//! round-robin without any single poll touching more than the budget.
+//! in the allocation path. The file pages are the kernel's exact count,
+//! one `fstat` per segment ([`crate::arena::Arena::file_pages`]), read
+//! only when a sense poll asks.
 
 use super::fields::{num, Field};
 use crate::segment::SegmentStats;
@@ -36,6 +34,10 @@ pub struct SegmentResidency {
     pub meta_pages: usize,
     /// Physical pages committed in the segment's file.
     pub committed_pages: usize,
+    /// Physical pages the segment's file holds, by the kernel's count
+    /// (`fstat`'s `st_blocks`): at most `committed_pages`, less by the
+    /// committed pages nothing has touched yet.
+    pub file_pages: usize,
 }
 
 /// Heap-wide residency decomposition (sums over segments, in bytes).
@@ -53,13 +55,16 @@ pub struct ResidencyBreakdown {
     pub free_clean_bytes: u64,
     /// Bytes the decomposition attributes to metadata/slack.
     pub meta_bytes: u64,
-    /// Bytes committed in segment files (the kernel-side upper bound on
+    /// Bytes committed in segment files (the allocator's upper bound on
     /// what the heap itself keeps resident).
     pub committed_bytes: u64,
+    /// Bytes the segment files hold, by the kernel's count: the heap's
+    /// exact physical footprint.
+    pub file_bytes: u64,
 }
 
 /// The members of a segment's residency row in the `sense` document.
-pub(crate) static SEGMENT_FIELDS: [Field<SegmentResidency>; 8] = [
+pub(crate) static SEGMENT_FIELDS: [Field<SegmentResidency>; 9] = [
     num!(id),
     num!(start_page),
     num!(pages),
@@ -68,24 +73,28 @@ pub(crate) static SEGMENT_FIELDS: [Field<SegmentResidency>; 8] = [
     num!(free_clean_pages),
     num!(meta_pages),
     num!(committed_pages),
+    num!(file_pages),
 ];
 
 /// The heap-wide members of the `sense` document's `"residency"` object
 /// (its `"segments"` follow them).
-pub(crate) static RESIDENCY_FIELDS: [Field<ResidencyBreakdown>; 6] = [
+pub(crate) static RESIDENCY_FIELDS: [Field<ResidencyBreakdown>; 7] = [
     num!(mapped_bytes),
     num!(live_bytes),
     num!(free_dirty_bytes),
     num!(free_clean_bytes),
     num!(meta_bytes),
     num!(committed_bytes),
+    num!(file_bytes),
 ];
 
-/// Decomposes segment snapshots into the four residency categories.
-pub fn decompose(segs: &[SegmentStats]) -> ResidencyBreakdown {
+/// Decomposes segment snapshots into the four residency categories;
+/// `file_pages[i]` is what segment `i`'s file holds.
+pub fn decompose(segs: &[SegmentStats], file_pages: &[usize]) -> ResidencyBreakdown {
+    debug_assert_eq!(segs.len(), file_pages.len());
     let mut out = ResidencyBreakdown::default();
     let page = PAGE_SIZE as u64;
-    for s in segs {
+    for (s, &file) in segs.iter().zip(file_pages) {
         let pages = s.pages as usize;
         let live = s.outstanding_pages;
         let dirty = s.dirty_pages;
@@ -100,6 +109,7 @@ pub fn decompose(segs: &[SegmentStats]) -> ResidencyBreakdown {
             free_clean_pages: clean,
             meta_pages: meta,
             committed_pages: s.committed_pages,
+            file_pages: file,
         });
         out.mapped_bytes += pages as u64 * page;
         out.live_bytes += live as u64 * page;
@@ -107,50 +117,9 @@ pub fn decompose(segs: &[SegmentStats]) -> ResidencyBreakdown {
         out.free_clean_bytes += clean as u64 * page;
         out.meta_bytes += meta as u64 * page;
         out.committed_bytes += s.committed_pages as u64 * page;
+        out.file_bytes += file as u64 * page;
     }
     out
-}
-
-/// Samples up to `budget` pages of the mapped segment ranges with
-/// `mincore(2)`, starting at `cursor` (a position in the concatenated
-/// mapped-page sequence, taken modulo its length). Returns
-/// `(sampled, resident)`; ranges the kernel rejects (a race with
-/// retirement) are skipped and not counted as sampled.
-pub(crate) fn sample_residency(
-    base: usize,
-    segs: &[SegmentStats],
-    cursor: usize,
-    budget: usize,
-) -> (usize, usize) {
-    let total: usize = segs.iter().map(|s| s.pages as usize).sum();
-    if total == 0 || budget == 0 {
-        return (0, 0);
-    }
-    let mut remaining = budget.min(total);
-    let mut pos = cursor % total;
-    let (mut sampled, mut resident) = (0usize, 0usize);
-    while remaining > 0 {
-        // Locate the segment holding sequence position `pos` and take the
-        // longest contiguous run that fits the remaining budget.
-        let mut acc = 0usize;
-        for s in segs {
-            let len = s.pages as usize;
-            if pos < acc + len {
-                let off = pos - acc;
-                let take = remaining.min(len - off);
-                let addr = base + (s.start_page as usize + off) * PAGE_SIZE;
-                if let Some(r) = crate::sys::resident_pages(addr, take) {
-                    sampled += take;
-                    resident += r;
-                }
-                remaining -= take;
-                pos = (pos + take) % total;
-                break;
-            }
-            acc += len;
-        }
-    }
-    (sampled, resident)
 }
 
 #[cfg(test)]
@@ -177,7 +146,7 @@ mod tests {
             seg(0, 0, 100, 10, 20, 30, 35),
             seg(1, 100, 50, 50, 0, 0, 0),
         ];
-        let b = decompose(&segs);
+        let b = decompose(&segs, &[30, 0]);
         assert_eq!(b.segments.len(), 2);
         let s0 = &b.segments[0];
         assert_eq!(s0.live_pages, 35);
@@ -196,6 +165,7 @@ mod tests {
         assert_eq!(b.free_clean_bytes, 90 * page, "segment 1 is all fresh");
         assert_eq!(b.meta_bytes, 5 * page);
         assert_eq!(b.committed_bytes, 55 * page, "outstanding + dirty");
+        assert_eq!((s0.file_pages, b.file_bytes), (30, 30 * page), "the kernel's count, as read");
         assert_eq!(
             b.live_bytes + b.free_dirty_bytes + b.free_clean_bytes + b.meta_bytes,
             b.mapped_bytes
@@ -204,35 +174,8 @@ mod tests {
 
     #[test]
     fn decompose_empty_heap() {
-        let b = decompose(&[]);
+        let b = decompose(&[], &[]);
         assert_eq!(b.mapped_bytes, 0);
         assert!(b.segments.is_empty());
-    }
-
-    #[test]
-    fn sweep_cursor_walks_round_robin() {
-        // Use a real mapping so mincore has something to inspect.
-        let f = crate::sys::MemFile::create(8 * PAGE_SIZE).unwrap();
-        let base = crate::sys::map_file_shared(&f).unwrap() as usize;
-        unsafe {
-            std::ptr::write_bytes(base as *mut u8, 1, 8 * PAGE_SIZE);
-        }
-        let segs = [seg(0, 0, 8, 0, 0, 0, 8)];
-        let (s1, r1) = sample_residency(base, &segs, 0, 3);
-        assert_eq!(s1, 3);
-        assert!(r1 <= 3);
-        // Positions past the end wrap: 11 is page 3, and 3 + 6 crosses
-        // the end of the sequence.
-        assert_eq!(sample_residency(base, &segs, 11, 6).0, 6);
-        // Budget larger than the heap samples each page exactly once.
-        assert_eq!(
-            sample_residency(base, &segs, 1, 100),
-            (8, 8),
-            "all touched pages resident"
-        );
-        // Zero budget or empty heap: no work.
-        assert_eq!(sample_residency(base, &segs, 0, 0), (0, 0));
-        assert_eq!(sample_residency(base, &[], 0, 10), (0, 0));
-        unsafe { crate::sys::unmap(base as *mut u8, 8 * PAGE_SIZE) };
     }
 }

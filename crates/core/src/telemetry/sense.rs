@@ -27,7 +27,6 @@
 use super::fields::{self, gauge, word, Field};
 use super::ring::Ring;
 use crate::config::MeshConfig;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Sentinel for "source absent / unlimited" in snapshot fields.
 pub const ABSENT: u64 = u64::MAX;
@@ -44,9 +43,9 @@ pub struct SenseSnapshot {
     pub at_ms: u64,
     /// Process RSS from the kernel ([`ABSENT`] when procfs is missing).
     pub rss_bytes: u64,
-    /// Estimated resident bytes of the heap mapping, from the sampled
-    /// `mincore` sweep (committed bytes when the sweep is disabled).
-    pub est_resident_bytes: u64,
+    /// Bytes the heap's segment files hold, by the kernel's count (one
+    /// `fstat` per segment): the heap's exact physical footprint.
+    pub file_bytes: u64,
     /// Bytes in pages handed out as spans: the residency decomposition's
     /// live category, not the object bytes of
     /// [`HeapStats::live_bytes`](crate::HeapStats::live_bytes).
@@ -80,7 +79,7 @@ pub struct SenseSnapshot {
     /// Cumulative pairs meshed.
     pub pairs_meshed: u64,
     /// What taking this snapshot cost, in nanoseconds: the procfs reads,
-    /// the residency decomposition and the `mincore` sweep.
+    /// the residency decomposition and the `fstat` per segment.
     pub poll_ns: u64,
 }
 
@@ -91,8 +90,8 @@ pub struct SenseSnapshot {
 pub(crate) static SENSE_FIELDS: [Field<SenseSnapshot>; SNAPSHOT_WORDS] = [
     word!(at_ms),
     word!(rss_bytes, nullable: true, prom: gauge("mesh_rss_bytes", "Process resident set size from /proc.")),
-    word!(est_resident_bytes,
-          prom: gauge("mesh_resident_est_bytes", "Estimated resident bytes of the heap mapping (sampled mincore).")),
+    word!(file_bytes,
+          prom: gauge("mesh_file_bytes", "Bytes the heap's memory files hold (fstat st_blocks).")),
     word!(live_bytes),
     word!(heap_bytes),
     word!(mapped_bytes),
@@ -240,40 +239,23 @@ pub(crate) fn parse_cgroup_value(s: &str) -> Option<u64> {
     (v < (1 << 62)).then_some(v)
 }
 
-/// Per-heap sensing state: the snapshot ring and the `mincore` sweep's
-/// persistent cursor.
+/// Per-heap sensing state: the snapshot ring.
 #[derive(Debug)]
 pub struct SenseState {
-    mincore_pages: usize,
     ring: Ring<SNAPSHOT_WORDS>,
-    /// Mapped-page-sequence position where the next sweep starts. Each
-    /// sweep claims its window with one `fetch_add`, so two concurrent
-    /// polls sample different pages.
-    sweep_cursor: AtomicUsize,
-    /// Smoothed resident fraction of the mapping, fixed-point /2^16;
-    /// [`ABSENT`] until the first successful sweep.
-    resident_ratio_fp: AtomicU64,
 }
 
 impl SenseState {
     /// Builds sensing state for `config`.
     pub(crate) fn new(config: &MeshConfig) -> SenseState {
         SenseState {
-            mincore_pages: config.sense_mincore_pages,
             ring: Ring::new(config.sense_history.max(2)),
-            sweep_cursor: AtomicUsize::new(0),
-            resident_ratio_fp: AtomicU64::new(ABSENT),
         }
     }
 
     /// Ring capacity in snapshots.
     pub fn history(&self) -> usize {
         self.ring.capacity()
-    }
-
-    /// Pages the `mincore` sweep may touch per poll (0 = sweep off).
-    pub fn mincore_page_budget(&self) -> usize {
-        self.mincore_pages
     }
 
     /// Appends one snapshot. Lock-free; any thread may push.
@@ -292,46 +274,10 @@ impl SenseState {
         self.ring.records().last().map(SenseSnapshot::from_words)
     }
 
-    /// Resumes the `mincore` sweep: samples up to the budget, folds the
-    /// measured resident fraction into the smoothed ratio, and returns
-    /// the estimated resident bytes for `mapped_bytes` of mapping.
-    pub(crate) fn sweep(
-        &self,
-        base: usize,
-        segs: &[crate::segment::SegmentStats],
-        mapped_bytes: u64,
-        committed_bytes: u64,
-    ) -> u64 {
-        if self.mincore_pages == 0 {
-            return committed_bytes;
-        }
-        let cursor = self
-            .sweep_cursor
-            .fetch_add(self.mincore_pages, Ordering::Relaxed);
-        let (sampled, resident) =
-            super::residency::sample_residency(base, segs, cursor, self.mincore_pages);
-        if sampled == 0 {
-            let prev = self.resident_ratio_fp.load(Ordering::Relaxed);
-            if prev == ABSENT {
-                return committed_bytes;
-            }
-            return (mapped_bytes * prev) >> 16;
-        }
-        let measured = ((resident as u64) << 16) / sampled as u64;
-        let prev = self.resident_ratio_fp.load(Ordering::Relaxed);
-        // EWMA (α = ½) so one unlucky sample window doesn't whipsaw the
-        // estimate; seeded directly by the first measurement.
-        let ratio = if prev == ABSENT { measured } else { (prev + measured) / 2 };
-        self.resident_ratio_fp.store(ratio, Ordering::Relaxed);
-        (mapped_bytes * ratio) >> 16
-    }
-
-    /// Forgets all snapshots and sweep state: a forked child's history
-    /// belongs to its parent.
+    /// Forgets all snapshots: a forked child's history belongs to its
+    /// parent.
     pub(crate) fn wipe_for_child(&self) {
         self.ring.wipe();
-        self.sweep_cursor.store(0, Ordering::Relaxed);
-        self.resident_ratio_fp.store(ABSENT, Ordering::Relaxed);
     }
 }
 
@@ -343,7 +289,7 @@ mod tests {
         SenseSnapshot {
             at_ms,
             rss_bytes: 1000 + at_ms,
-            est_resident_bytes: 2000,
+            file_bytes: 2000,
             live_bytes: 3000,
             heap_bytes: 2500,
             mapped_bytes: 8000,
@@ -370,7 +316,6 @@ mod tests {
     fn state_takes_its_sizes_from_config() {
         let s = SenseState::new(&MeshConfig::default());
         assert_eq!(s.history(), 120);
-        assert_eq!(s.mincore_page_budget(), 256);
         assert_eq!(state(16).history(), 16);
         assert_eq!(state(1).history(), 2, "a ring holds at least two");
     }
@@ -447,33 +392,5 @@ mod tests {
             assert!(limit > 0);
             assert!(usage < (1 << 62));
         }
-    }
-
-    #[test]
-    fn sweep_estimates_resident_bytes() {
-        use crate::size_classes::PAGE_SIZE;
-        let s = SenseState::new(&MeshConfig::default().sense_mincore_pages(4));
-        let f = crate::sys::MemFile::create(8 * PAGE_SIZE).unwrap();
-        let base = crate::sys::map_file_shared(&f).unwrap() as usize;
-        unsafe { std::ptr::write_bytes(base as *mut u8, 1, 8 * PAGE_SIZE) };
-        let seg = crate::segment::SegmentStats {
-            id: 0,
-            start_page: 0,
-            pages: 8,
-            fresh_pages: 0,
-            committed_pages: 8,
-            dirty_pages: 0,
-            clean_pages: 0,
-            outstanding_pages: 8,
-            retirable: false,
-        };
-        let mapped = 8 * PAGE_SIZE as u64;
-        let est = s.sweep(base, &[seg], mapped, mapped);
-        assert!(est > 0, "touched mapping must estimate resident");
-        assert!(est <= mapped);
-        // Budget 0 falls back to committed bytes.
-        let s0 = SenseState::new(&MeshConfig::default().sense_mincore_pages(0));
-        assert_eq!(s0.sweep(base, &[seg], mapped, 1234), 1234);
-        unsafe { crate::sys::unmap(base as *mut u8, 8 * PAGE_SIZE) };
     }
 }

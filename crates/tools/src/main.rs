@@ -425,12 +425,12 @@ fn render_sense(out: &mut String, v: &Json) {
         }
     };
     out.push_str(&format!(
-        "pressure: rss {} · cgroup {} · psi10 {} · psi60 {} · resident-est {}\n",
+        "pressure: rss {} · cgroup {} · psi10 {} · psi60 {} · file {}\n",
         fmt_mib(num("rss_bytes")),
         fmt_mib(num("cgroup_usage_bytes")),
         fmt_psi(num("psi_avg10_milli")),
         fmt_psi(num("psi_avg60_milli")),
-        fmt_mib(num("est_resident_bytes")),
+        fmt_mib(num("file_bytes")),
     ));
 }
 

@@ -7,7 +7,6 @@ use mesh::core::{Mesh, MeshConfig};
 fn main() -> Result<(), mesh::core::MeshError> {
     // A heap with a 256 MiB virtual arena and a fixed seed (deterministic).
     let mesh = Mesh::new(MeshConfig::default().arena_bytes(256 << 20).seed(42))?;
-    println!("release strategy: {:?}", mesh.release_strategy());
 
     // Allocate 64k 256-byte objects (~16 MiB across ~4k spans)…
     let ptrs: Vec<*mut u8> = (0..65_536).map(|_| mesh.malloc(256)).collect();

@@ -2,7 +2,9 @@
 # Prints the number of non-test lines in the Rust sources under crates/:
 # each .rs file counts up to its first top-level `#[cfg(test)]` that is
 # followed by a `mod … {` line, and a file compiled in only as a
-# `#[cfg(test)] mod x;` counts not at all. Run from anywhere in the repo.
+# `#[cfg(test)] mod x;` counts not at all. Then, over the same lines
+# (comment lines left out), the `unsafe` blocks (`unsafe {`) and the
+# `unsafe fn` definitions. Run from anywhere in the repo.
 set -eu
 cd "$(dirname "$0")/.."
 awk '
@@ -26,6 +28,13 @@ awk '
             for (i = 1; i < len[f]; i++)
                 if (line[f, i] == "#[cfg(test)]" && line[f, i + 1] ~ /^(pub(\([a-z]+\))? )?mod .*\{[ \t]*$/) { n = i - 1; break }
             total += n
+            for (i = 1; i <= n; i++) {
+                if (line[f, i] ~ /^[ \t]*\/\//) continue
+                blocks += gsub(/unsafe[ \t]*\{/, "&", line[f, i])
+                fns += gsub(/unsafe (extern "C" )?fn [A-Za-z_]/, "&", line[f, i])
+            }
         }
         print total
+        print "unsafe blocks: " blocks
+        print "unsafe fns: " fns
     }' $(find crates -name '*.rs' | sort)

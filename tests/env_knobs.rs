@@ -2,8 +2,8 @@
 //! parsing, the boolean/seed knobs, the `MESH_PROF*` profiling knobs,
 //! the `MESH_TRACE*` tracing knobs, warn-and-ignore on malformed
 //! values, and the retired names (the transfer-cache knobs,
-//! `MESH_BACKGROUND_MESHING`, the sense poll interval), which are
-//! ignored whatever they say. A walk over `knobs::KNOBS` feeds every variable a
+//! `MESH_BACKGROUND_MESHING`, the sense poll interval and `mincore`
+//! budget), which are ignored whatever they say. A walk over `knobs::KNOBS` feeds every variable a
 //! value below its range, above it, garbage and blank: whatever the
 //! environment says, `apply_env()` returns a config `validate()` accepts.
 //!
@@ -84,8 +84,8 @@ fn hostile_walk() {
         (!matches!(row.kind, Kind::Path { .. })).then(|| "banana".to_string())
     });
     let blank = hostile_env(|_| Some("   ".to_string()));
-    assert_eq!(blank.len(), 23, "every variable apply_env reads");
-    assert!(below.len() >= 9 && above.len() >= 13 && garbage.len() == 19);
+    assert_eq!(blank.len(), 22, "every variable apply_env reads");
+    assert!(below.len() >= 9 && above.len() >= 12 && garbage.len() == 18);
     for (what, env) in [("min-1", below), ("max+1", above), ("garbage", garbage), ("blank", blank)] {
         let names: Vec<&str> = env.iter().map(|(name, _)| *name).collect();
         hostile_round(what, "default", &env, &names);
@@ -187,6 +187,11 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
         warned,
         ["mesh: ignoring MESH_SENSE_INTERVAL_MS (retired: sense polls on demand)"]
     );
+    let warned = retired_round(&[("MESH_SENSE_MINCORE_PAGES", "1K")]);
+    assert_eq!(
+        warned,
+        ["mesh: ignoring MESH_SENSE_MINCORE_PAGES (retired: sense reads what the heap's files hold with fstat)"]
+    );
 
     hostile_walk();
 
@@ -203,7 +208,6 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     std::env::set_var("MESH_TRACE_BUF_EVENTS", "banana"); // malformed
     std::env::set_var("MESH_TRACE_PATH", "/tmp/mesh-env-knobs-trace.json");
     std::env::set_var("MESH_SENSE_HISTORY", "banana"); // malformed
-    std::env::set_var("MESH_SENSE_MINCORE_PAGES", "1K");
     std::env::set_var("MESH_SENSE_PATH", "/tmp/mesh-env-knobs-sense.json");
 
     let c = MeshConfig::default().apply_env();
@@ -241,11 +245,6 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
         c.sense_history_len(),
         MeshConfig::default().sense_history_len(),
         "malformed MESH_SENSE_HISTORY ignored (warned), default kept"
-    );
-    assert_eq!(
-        c.sense_mincore_page_budget(),
-        1 << 10,
-        "suffix-parsed mincore budget"
     );
     assert_eq!(
         c.sense_dump_path().map(|p| p.to_path_buf()),

@@ -26,6 +26,10 @@
 //! for them: the child must still render both reports promptly, with an
 //! empty ledger.
 //!
+//! A fifth is taken after a mesh pass and a purge have punched holes in
+//! the segment files: the child's sparse copies hold exactly the pages
+//! the parent's files held, read as `file_bytes` right after the fork.
+//!
 //! Own test binary: forking a multi-threaded cargo-test harness is only
 //! safe when this file's single test is all that runs in the process.
 
@@ -33,7 +37,7 @@ mod support;
 
 use mesh::core::ffi;
 use mesh::core::{Mesh, MeshConfig, Report, TimedOp};
-use support::{arena_base, arena_mappings, report_text};
+use support::{arena_base, arena_mappings, report_text, JsonExt, Parser};
 
 const SLOTS: usize = 384;
 const SIZE: usize = 1500;
@@ -197,6 +201,58 @@ fn fork_preserves_parent_and_child_heaps() {
     pending_profile_request_stays_with_the_parent();
     parked_aliases_are_clean_spans_in_the_child();
     fork_while_recording();
+    sparse_copies_hold_what_the_parent_held();
+}
+
+/// `file_bytes` of the heap's `sense` document.
+fn file_bytes(mesh: &Mesh) -> Option<u64> {
+    let json = report_text(mesh, Report::Sense)?;
+    Some(Parser::parse(&json).get("residency").get("file_bytes").num())
+}
+
+fn sparse_copies_hold_what_the_parent_held() {
+    let mesh = Mesh::new(
+        MeshConfig::default()
+            .seed(41)
+            .arena_bytes(64 << 20)
+            .initial_segment_bytes(1 << 20)
+            .segment_bytes(1 << 20)
+            .mesh_period(std::time::Duration::from_secs(3600)),
+    )
+    .unwrap();
+    let small: Vec<*mut u8> = (0..16_384).map(|_| mesh.malloc(64)).collect();
+    for (i, &p) in small.iter().enumerate() {
+        if i % 8 == 0 {
+            unsafe { std::ptr::write_bytes(p, 0x3C, 64) };
+        } else {
+            unsafe { mesh.free(p) };
+        }
+    }
+    assert!(mesh.mesh_now().pairs_meshed > 0, "the pass meshed nothing");
+    mesh.purge_dirty();
+    let parent = file_bytes(&mesh).expect("sensing is always on");
+    let committed = mesh.stats().committed_pages as u64 * mesh::core::PAGE_SIZE as u64;
+    assert!(parent > 0 && parent <= committed, "{parent} held, {committed} committed");
+
+    let guard = mesh.fork_prepare();
+    let pid = unsafe { ffi::fork() };
+    assert!(pid >= 0, "fork failed");
+    if pid == 0 {
+        guard.release_child();
+        let ok = file_bytes(&mesh) == Some(parent);
+        unsafe { ffi::_exit(if ok { 0 } else { 1 }) };
+    }
+    guard.release_parent();
+    let mut status: i32 = -1;
+    assert_eq!(unsafe { ffi::waitpid(pid, &mut status, 0) }, pid, "waitpid failed");
+    assert!(
+        status & 0x7F == 0 && (status >> 8) & 0xFF == 0,
+        "the child's files do not hold what the parent's held: raw status {status:#x}"
+    );
+    for p in small.into_iter().step_by(8) {
+        assert_eq!(unsafe { *p }, 0x3C, "meshed survivor corrupted");
+        unsafe { mesh.free(p) };
+    }
 }
 
 /// Waits for `pid` up to `limit`, killing it past that. Returns its raw
@@ -262,7 +318,7 @@ fn fork_while_recording() {
             let ok = ledger.contains("\"passes_recorded\":0,")
                 && ledger.contains("\"passes\":[]")
                 && mesh.ledger_recent().is_empty()
-                && sense.starts_with("{\"mesh_sense_version\":2,")
+                && sense.starts_with("{\"mesh_sense_version\":3,")
                 && mesh.sense_latest().is_some();
             unsafe { ffi::_exit(if ok { 0 } else { 1 }) };
         }

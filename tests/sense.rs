@@ -119,7 +119,7 @@ fn sense_json_schema_and_residency_partition() {
     let kept = fragment(&mesh, 8_192, 256, 4);
     mesh.mesh_now();
     let json = report_text(&mesh, Report::Sense).expect("sensing is always on");
-    assert!(json.starts_with("{\"mesh_sense_version\":2,"), "{json}");
+    assert!(json.starts_with("{\"mesh_sense_version\":3,"), "{json}");
     for key in [
         "\"residency\":{",
         "\"mapped_bytes\":",
@@ -129,7 +129,8 @@ fn sense_json_schema_and_residency_partition() {
         "\"rejected_total\":{",
         "\"occupancy_overlap\":",
         "\"snapshots\":[",
-        "\"est_resident_bytes\":",
+        "\"file_bytes\":",
+        "\"file_pages\":",
     ] {
         assert!(json.contains(key), "missing {key} in {json}");
     }
@@ -152,6 +153,14 @@ fn sense_json_schema_and_residency_partition() {
     );
     assert!(snap.mallocs >= 8_192);
     assert!(snap.mesh_passes >= 1);
+    // The kernel's count of what the files hold: the snapshot and the
+    // residency it was taken from agree, and nothing written is missing.
+    let doc = Parser::parse(&json);
+    let res = doc.get("residency");
+    assert!(res.get("file_bytes").num() > 0, "{json}");
+    assert!(res.get("file_bytes").num() <= res.get("committed_bytes").num(), "{json}");
+    let last = doc.get("snapshots").arr().last().expect("this render's poll");
+    assert_eq!(last.get("file_bytes").num(), res.get("file_bytes").num());
     assert!(
         snap.poll_ns > 0,
         "a snapshot reports what it cost: {snap:?}"
@@ -190,8 +199,8 @@ fn snapshot_ring_and_prom_families() {
     assert!(text.contains("mesh_pass_rejected_total{reason=\"class_contention\"}"));
     assert!(text.contains("mesh_pass_rejected_total{reason=\"copy_abort\"}"));
     // Heap-derived sense gauges always resolve on Linux /proc; the
-    // mincore estimate is heap-internal and never absent.
-    assert!(text.contains("mesh_resident_est_bytes "), "{text}");
+    // files' footprint is heap-internal and never absent.
+    assert!(text.contains("mesh_file_bytes "), "{text}");
     for p in kept {
         unsafe { mesh.free(p) };
     }
@@ -205,7 +214,7 @@ fn prom_takes_a_fresh_poll() {
     assert!(mesh.sense_latest().is_none(), "nothing polls on a clock");
     let p = mesh.malloc(64);
     let text = mesh.prom_text();
-    assert!(text.contains("mesh_resident_est_bytes "), "{text}");
+    assert!(text.contains("mesh_file_bytes "), "{text}");
     let snap = mesh.sense_latest().expect("the prom render polled");
     assert!(snap.mallocs >= 1, "{snap:?}");
     unsafe { mesh.free(p) };
@@ -228,7 +237,7 @@ fn sense_dump_to_path() {
     let p = mesh.malloc(64);
     assert!(mesh.write_report(Report::Sense, 2).is_ok());
     let doc = std::fs::read_to_string(&path).expect("dump file written");
-    assert!(doc.contains("\"mesh_sense_version\":2"), "{doc}");
+    assert!(doc.contains("\"mesh_sense_version\":3"), "{doc}");
     std::fs::remove_file(&path).ok();
     unsafe { mesh.free(p) };
 }
@@ -278,4 +287,65 @@ fn requested_sense_dump_takes_a_fresh_poll() {
     );
     std::fs::remove_file(&path).ok();
     unsafe { mesh.free(p) };
+}
+
+/// The files' footprint against the allocator's committed pages, read
+/// from one `sense` render: each segment's `file_pages` stays at or under
+/// its `committed_pages`, and with every carved byte written the two are
+/// equal heap-wide. Holds after the fill, after freeing a random 88 %,
+/// after a mesh pass (its sources' holes are punched) and after a purge.
+#[test]
+fn file_pages_match_committed_pages_through_mesh_and_purge() {
+    let mesh = Mesh::new(
+        MeshConfig::default()
+            .arena_bytes(64 << 20)
+            .initial_segment_bytes(1 << 20)
+            .segment_bytes(1 << 20)
+            .seed(11)
+            .mesh_period(Duration::from_secs(3600)),
+    )
+    .unwrap();
+    let check = |step: &str| {
+        let json = report_text(&mesh, Report::Sense).unwrap();
+        let res = Parser::parse(&json).get("residency").clone();
+        let segments = res.get("segments").arr();
+        assert!(segments.len() > 1, "{step}: one segment exercises no row");
+        for seg in segments {
+            assert!(
+                seg.get("file_pages").num() <= seg.get("committed_pages").num(),
+                "{step}: a file holds pages the arena released: {seg:?}"
+            );
+        }
+        let committed = mesh.stats().committed_pages as u64 * PAGE_SIZE as u64;
+        assert_eq!(res.get("committed_bytes").num(), committed, "{step}");
+        assert_eq!(res.get("file_bytes").num(), committed, "{step}: {json}");
+    };
+    // 256-byte objects fill whole pages: 16 per page, 1 024 pages.
+    let ptrs: Vec<*mut u8> = (0..16_384).map(|_| mesh.malloc(256)).collect();
+    for &p in &ptrs {
+        assert!(!p.is_null());
+        unsafe { std::ptr::write_bytes(p, 0x5A, 256) };
+    }
+    check("filled");
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut kept = Vec::new();
+    for p in ptrs {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        if x % 100 < 88 {
+            unsafe { mesh.free(p) };
+        } else {
+            kept.push(p);
+        }
+    }
+    check("freed");
+    assert!(mesh.mesh_now().pairs_meshed > 0, "the pass meshed nothing");
+    check("meshed");
+    mesh.purge_dirty();
+    check("purged");
+    for p in kept {
+        assert_eq!(unsafe { *p }, 0x5A, "a survivor lost its bytes");
+        unsafe { mesh.free(p) };
+    }
 }
