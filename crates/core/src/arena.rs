@@ -31,6 +31,12 @@
 //!   a call each against an address space meshing had cut into tens of
 //!   thousands of mappings.
 //!
+//! Every alias — a virtual span mapping another span's file range, live
+//! or parked — may cost the process two of its `vm.max_map_count`
+//! mappings, so the arena counts them against a budget read from that
+//! limit at construction (DESIGN.md §2a), and a pass pairs no more spans
+//! than the budget has room for (`Arena::alias_room`).
+//!
 //! Dirty pages are released en masse once they exceed the configured
 //! threshold (64 MB in the paper) or whenever meshing runs. A purge that
 //! leaves a non-initial segment with no outstanding, dirty or parked pages
@@ -93,6 +99,11 @@ pub struct Arena {
     max_dirty_pages: usize,
     barrier: Option<BarrierGuard>,
     counters: Arc<Counters>,
+    /// Virtual spans that do not map their own file range: the aliases of
+    /// live meshed MiniHeaps and the parked aliases of dead ones.
+    aliases: usize,
+    /// The most aliases meshing may make ([`alias_budget`]).
+    alias_budget: usize,
     /// Test hook: fallible VM calls of the mesh path (protect, remap,
     /// identity restore) seen since it was set, and which of them to
     /// refuse.
@@ -135,6 +146,8 @@ impl Arena {
             max_dirty_pages: config.max_dirty_bytes / PAGE_SIZE,
             barrier,
             counters,
+            aliases: 0,
+            alias_budget: alias_budget(sys::max_map_count()),
             #[cfg(test)]
             refused_vm_calls: (0, 0..0),
         };
@@ -315,6 +328,30 @@ impl Arena {
         let span = self.table.get_mut(idx).take_clean(len, pages);
         self.set_committed(self.committed_pages + pages as usize);
         Some(span)
+    }
+
+    /// Aliases meshing may still make: each meshed pair makes one.
+    pub(crate) fn alias_room(&self) -> usize {
+        self.alias_budget.saturating_sub(self.aliases)
+    }
+
+    /// Counts the alias a meshed pair made: the source's primary span now
+    /// maps the destination's file range. (Its older aliases were counted
+    /// when they were made.)
+    pub(crate) fn note_alias(&mut self) {
+        self.aliases += 1;
+    }
+
+    /// Live and parked aliases (see [`Arena::alias_room`]).
+    #[cfg(test)]
+    pub(crate) fn alias_count(&self) -> usize {
+        self.aliases
+    }
+
+    /// Test hook: lets meshing make at most `aliases` aliases in all.
+    #[cfg(test)]
+    pub(crate) fn set_alias_budget(&mut self, aliases: usize) {
+        self.alias_budget = aliases;
     }
 
     fn has_parked(&self) -> bool {
@@ -560,6 +597,7 @@ impl Arena {
                 if dirty > 0 {
                     self.release_run(idx, run, dirty);
                 }
+                self.aliases -= members.iter().filter(|&&(_, parked)| parked).count();
                 for &(span, _) in members {
                     self.table.get_mut(idx).park_clean(span);
                 }
@@ -605,6 +643,7 @@ impl Arena {
             drop(seg.replace_file(fresh));
             for span in seg.take_all_parked() {
                 seg.park_clean(span);
+                self.aliases -= 1;
             }
         }
         Ok(())
@@ -724,6 +763,14 @@ impl Arena {
         }
         Ok(())
     }
+}
+
+/// The most aliases meshing may make in a process allowed `max_map_count`
+/// mappings: an alias splits at most one identity mapping into three, so
+/// each costs at most two mappings, and an eighth of the limit is left to
+/// the program. 28 669 at the kernel's default 65 530.
+fn alias_budget(max_map_count: usize) -> usize {
+    (max_map_count - max_map_count / 8) / 2
 }
 
 /// The maximal run of adjacent spans that starts at `items[i]` (`items`
@@ -952,6 +999,7 @@ mod tests {
             unsafe { *(a.addr_of_page(s.offset) as *mut u8) = 0x10 + s.offset as u8 };
         }
         a.remap_alias(spans[1], spans[0]).unwrap();
+        a.note_alias();
         a.release_sources(&spans[1..2]);
         a.park_alias(spans[1]);
         a.free_span_dirty(spans[0]);
@@ -988,6 +1036,7 @@ mod tests {
         assert_eq!(snap.pages_purged, 2, "only the dirty pages count as purged");
         assert_eq!(a.committed_pages(), 0);
         assert_eq!(a.segment_stats()[0].clean_pages, 3);
+        assert_eq!(a.alias_count(), 0, "the restore is counted");
         // The alias is itself again: a write through it stays out of span 0.
         unsafe {
             *(a.addr_of_page(alias.offset) as *mut u8) = 0xA1;
@@ -1011,6 +1060,7 @@ mod tests {
         assert_eq!(a.alloc_span(1).unwrap().1, SpanSource::Dirty);
         assert_eq!(a.alloc_span(1).unwrap().1, SpanSource::Dirty);
         assert_eq!(a.alloc_span(1).unwrap(), (alias, SpanSource::Clean));
+        assert_eq!(a.alias_count(), 0);
         unsafe {
             *(a.addr_of_page(alias.offset) as *mut u8) = 0xA1;
             assert_ne!(*(a.addr_of_page(0) as *mut u8), 0xA1);
@@ -1032,6 +1082,7 @@ mod tests {
             a.alloc_span(1).is_err(),
             "a parked alias is handed to nobody"
         );
+        assert_eq!(a.alias_count(), 1, "still mapped, still counted");
         // The next miss finds the kernel willing.
         assert_eq!(a.alloc_span(1).unwrap(), (alias, SpanSource::Clean));
     }
@@ -1169,6 +1220,7 @@ mod tests {
         let mut a = arena(3);
         let [first, alias, _] = parked_between_dirty(&mut a);
         a.privatize_segments().unwrap();
+        assert_eq!(a.alias_count(), 0);
         // The whole-segment remap was the alias's restore: the span is
         // handed out with no second one (it would be refused), and is
         // itself again.

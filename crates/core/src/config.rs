@@ -60,11 +60,6 @@ pub struct MeshConfig {
     pub(crate) probe_limit: usize,
     /// Spans with occupancy above this fraction are not mesh candidates.
     pub(crate) occupancy_cutoff: f64,
-    /// Maximum virtual spans aliasing one physical span (bounds page-table
-    /// growth). 4, one more than the reference implementation's 3: at 3
-    /// the 2-span MiniHeaps a first pass makes can never mesh again, and
-    /// 4 is the knee of the sweep in DESIGN.md §2a.
-    pub(crate) max_span_count: usize,
     /// Dirty (freed but still committed) pages are released to the OS once
     /// they exceed this many bytes (§4.4.1; 64 MB in the paper).
     pub(crate) max_dirty_bytes: usize,
@@ -137,7 +132,6 @@ impl Default for MeshConfig {
             min_mesh_gain_bytes: 1 << 20,
             probe_limit: 64,
             occupancy_cutoff: 0.8,
-            max_span_count: 4,
             max_dirty_bytes: 64 << 20,
             write_barrier: true,
             profiling: false,
@@ -202,7 +196,6 @@ impl MeshConfig {
         /// Sets the occupancy fraction above which spans are not meshed.
         occupancy_cutoff(cutoff: f64) => occupancy_cutoff = cutoff;
         /// Sets the maximum number of virtual spans per physical span.
-        max_span_count(n: usize) => max_span_count = n;
         /// Sets the dirty-page release threshold (§4.4.1).
         max_dirty_bytes(bytes: usize) => max_dirty_bytes = bytes;
         /// Enables or disables the concurrent-meshing write barrier.
@@ -687,6 +680,5 @@ mod tests {
         assert!(MeshConfig::default().probe_limit(0).validate().is_err());
         assert!(MeshConfig::default().occupancy_cutoff(0.0).validate().is_err());
         assert!(MeshConfig::default().occupancy_cutoff(1.5).validate().is_err());
-        assert!(MeshConfig::default().max_span_count(1).validate().is_err());
     }
 }

@@ -67,8 +67,6 @@ pub(crate) struct RuntimeConfig {
     pub min_mesh_gain_bytes: usize,
     /// Spans fuller than this fraction are not mesh candidates.
     pub occupancy_cutoff: f64,
-    /// The most virtual spans one physical span may carry.
-    pub max_span_count: usize,
 }
 
 impl RuntimeConfig {
@@ -81,7 +79,6 @@ impl RuntimeConfig {
             probe_limit: AtomicUsize::new(config.probe_limit),
             min_mesh_gain_bytes: config.min_mesh_gain_bytes,
             occupancy_cutoff: config.occupancy_cutoff,
-            max_span_count: config.max_span_count,
         }
     }
 
@@ -543,17 +540,16 @@ impl GlobalHeap {
     /// never across classes — so it can run against live traffic.
     pub fn occupancy_spectrum(&self) -> HeapSpectrum {
         let cutoff = self.rt.occupancy_cutoff;
-        let max_spans = self.rt.max_span_count;
+        let alias_room = self.lock_arena().alias_room().min(u32::MAX as usize) as u32;
         let mut spec = HeapSpectrum::default();
-        // The live objects and the virtual spans of each candidate.
-        let (mut in_use_of, mut spans_of): (Vec<u32>, Vec<u32>) = Default::default();
+        // The live objects of each candidate.
+        let mut in_use_of: Vec<u32> = Vec::new();
         for class in SizeClass::all() {
             let slots = class.object_count();
             let cs = &mut spec.classes[class.index()];
             cs.object_size = class.object_size() as u32;
             cs.meshable = class.is_meshable();
             in_use_of.clear();
-            spans_of.clear();
             let st = self.lock_class(class);
             for (_, mh) in st.slab.iter() {
                 let in_use = mh.in_use();
@@ -569,19 +565,16 @@ impl GlobalHeap {
                     let bin = bin_for_occupancy(in_use, slots).min(FULL_BIN);
                     let bin = if in_use == 0 { PARTIAL_BINS - 1 } else { bin as usize };
                     cs.bins[bin] += 1;
-                    if cs.meshable && crate::meshing::is_candidate(mh, cutoff, max_spans) {
+                    if cs.meshable && crate::meshing::is_candidate(mh, cutoff) {
                         in_use_of.push(in_use as u32);
-                        spans_of.push(mh.span_count() as u32);
                     }
                 }
             }
             drop(st);
-            // No more pairs than fit one span's slots, nor than fit the
-            // alias cap.
+            // No more pairs than fit one span's slots, nor than the
+            // mapping budget has aliases left for.
             cs.est_meshable_pairs =
-                telemetry::estimate_meshable_pairs(&mut in_use_of, slots as u32).min(
-                    telemetry::estimate_meshable_pairs(&mut spans_of, max_spans as u32),
-                );
+                telemetry::estimate_meshable_pairs(&mut in_use_of, slots as u32).min(alias_room);
         }
         let large = self.large.lock();
         spec.large_spans = large.len() as u32;

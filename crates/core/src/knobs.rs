@@ -305,7 +305,7 @@ const SEGMENT: Kind = Kind::Num { min: 32 * PAGE_SIZE as u64, max: 1 << 40 };
 
 /// Every knob, in the order the tables print them.
 #[rustfmt::skip]
-pub static KNOBS: [Knob; 32] = [
+pub static KNOBS: [Knob; 31] = [
     knob!("max_heap_bytes", Some("MESH_MAX_HEAP_BYTES"), SEGMENT, "1G", field!(num max_heap_bytes),
         "hard cap: the virtual reservation segments grow into (8G under `LD_PRELOAD`; legacy name `MESH_ARENA_BYTES`)"),
     knob!("initial_segment_bytes", Some("MESH_INITIAL_SEGMENT_BYTES"), SEGMENT, "64M",
@@ -341,8 +341,6 @@ pub static KNOBS: [Knob; 32] = [
             set: |c, v| if let Value::Fraction(f) = v { c.occupancy_cutoff = f },
         }),
         "spans fuller than this are not mesh candidates"),
-    knob!("max_span_count", None, Kind::Num { min: 2, max: u64::MAX }, "4", field!(num max_span_count),
-        "most virtual spans aliasing one physical span (at 4, two spans meshed once can mesh again)"),
     knob!("max_dirty_bytes", None, ANY, "64M", field!(num max_dirty_bytes),
         "dirty pages are released to the OS past this many bytes (§4.4.1)"),
     knob!("write_barrier", None, FLAG, "on", field!(bool write_barrier),
@@ -426,18 +424,18 @@ mod tests {
     fn every_field_has_a_row() {
         let MeshConfig {
             max_heap_bytes, initial_segment_bytes, segment_bytes, seed, meshing, randomize,
-            mesh_period, min_mesh_gain_bytes, probe_limit, occupancy_cutoff, max_span_count,
-            max_dirty_bytes, write_barrier, profiling, prof_sample_bytes, prof_interval,
-            prof_path, trace, trace_buf_events, trace_path, sense_history,
+            mesh_period, min_mesh_gain_bytes, probe_limit, occupancy_cutoff, max_dirty_bytes,
+            write_barrier, profiling, prof_sample_bytes, prof_interval, prof_path, trace,
+            trace_buf_events, trace_path, sense_history,
             sense_path, ctl_path, ctl_max_clients, harden,
         } = MeshConfig::default();
         let HardenConfig { policy, poison, quarantine, guard, canary, quarantine_bytes, quarantine_slots } =
             harden;
-        let all: [&dyn std::fmt::Debug; 31] = [
+        let all: [&dyn std::fmt::Debug; 30] = [
             &max_heap_bytes, &initial_segment_bytes, &segment_bytes, &seed, &meshing, &randomize,
-            &mesh_period, &min_mesh_gain_bytes, &probe_limit, &occupancy_cutoff, &max_span_count,
-            &max_dirty_bytes, &write_barrier, &profiling, &prof_sample_bytes, &prof_interval,
-            &prof_path, &trace, &trace_buf_events, &trace_path, &sense_history,
+            &mesh_period, &min_mesh_gain_bytes, &probe_limit, &occupancy_cutoff, &max_dirty_bytes,
+            &write_barrier, &profiling, &prof_sample_bytes, &prof_interval, &prof_path, &trace,
+            &trace_buf_events, &trace_path, &sense_history,
             &sense_path, &ctl_path, &ctl_max_clients,
             &policy, &poison, &quarantine, &guard, &canary, &quarantine_bytes, &quarantine_slots,
         ];

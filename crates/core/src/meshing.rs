@@ -30,14 +30,19 @@
 //! after the remaps means no reader ever sees the zeros a hole reads as.
 //! The longest a writer can spin in the
 //! barrier's fault handler, or a free wait for an even epoch, is therefore
-//! one batch: at most `MESH_BATCH` copies and remaps, a bound that does
-//! not grow with the heap (Compact-fit's bounded step, PAPERS.md).
+//! one batch: at most `MESH_BATCH` pairs' copies and `MESH_BATCH_SPANS`
+//! remaps, a bound that does not grow with the heap (Compact-fit's
+//! bounded step, PAPERS.md).
 //!
-//! The kernel can refuse any of these calls — `ENOMEM` once the mappings
-//! meshing leaves behind reach `vm.max_map_count` — and none of them is
-//! fatal: a refused protect abandons the batch before a bit is taken, a
-//! refused remap rolls its pair back inside the odd interval, and either
-//! ends the class's pass ([`RejectReason::CopyAbort`]).
+//! Each meshed pair makes one alias, a virtual span mapping another span's
+//! file range, and each alias may cost the process two mappings. The
+//! arena counts aliases against a budget read from `vm.max_map_count`
+//! (DESIGN.md §2a), and SplitMesher pairs no more than the budget allows,
+//! refusing the rest under [`RejectReason::AliasBudget`]. The kernel can
+//! still refuse any of these calls, and none of them is fatal: a refused
+//! protect abandons the batch before a bit is taken, a refused remap
+//! rolls its pair back inside the odd interval, and either ends the
+//! class's pass ([`RejectReason::CopyAbort`]).
 //!
 //! Passes are initiated inline, by the §4.5 free-path rate limiter, or by
 //! `mesh_now`; the per-class locks make concurrent passes safe, and the
@@ -120,11 +125,12 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap) -> MeshSummary {
             heap.counters.record_slow(TimedOp::MeshCandidates, select_t0, 0);
             continue;
         }
+        let alias_room = heap.lock_arena().alias_room();
         let pairs = split_mesher(
             &mut st,
             candidates,
             heap.rt.probe_limit(),
-            heap.rt.max_span_count,
+            alias_room,
             &mut summary.pairs_probed,
             &mut rejected,
         );
@@ -179,7 +185,6 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap) -> MeshSummary {
 /// it is live.
 fn collect_candidates(heap: &GlobalHeap, st: &mut ClassState) -> Vec<MiniHeapId> {
     let cutoff = heap.rt.occupancy_cutoff;
-    let max_spans = heap.rt.max_span_count;
     let filed: Vec<MiniHeapId> = st.bins.partial.iter().flatten().copied().collect();
     let mut out = Vec::new();
     for id in filed {
@@ -187,7 +192,7 @@ fn collect_candidates(heap: &GlobalHeap, st: &mut ClassState) -> Vec<MiniHeapId>
         // Destroyed just now if nothing in it was live.
         let Some(mh) = st.slab.get(id) else { continue };
         debug_assert!(!mh.is_attached());
-        if is_candidate(mh, cutoff, max_spans) {
+        if is_candidate(mh, cutoff) {
             out.push(id);
         }
     }
@@ -196,28 +201,25 @@ fn collect_candidates(heap: &GlobalHeap, st: &mut ClassState) -> Vec<MiniHeapId>
 
 /// Whether a detached span may join a pass: partially occupied (an empty
 /// span is destroyed, not meshed, and a full one has no slot to take
-/// another's objects), no fuller than `cutoff`, and with room left in its
-/// virtual-span list. Passes and the spectrum's estimate both ask this.
-pub(crate) fn is_candidate(mh: MiniHeapRef<'_>, cutoff: f64, max_spans: usize) -> bool {
+/// another's objects) and no fuller than `cutoff`. Passes and the
+/// spectrum's estimate both ask this.
+pub(crate) fn is_candidate(mh: MiniHeapRef<'_>, cutoff: f64) -> bool {
     let (in_use, count) = (mh.in_use(), mh.object_count());
-    in_use > 0
-        && in_use < count
-        && in_use as f64 / count as f64 <= cutoff
-        && mh.span_count() < max_spans
+    in_use > 0 && in_use < count && in_use as f64 / count as f64 <= cutoff
 }
 
 /// The probe loop of Figure 2 over a split already made: `left[j]` is
 /// probed against `right[(j+i) % |right|]` for `i < t`, and a pair
-/// `meshable` accepts drops out of both halves. `probes` counts the calls
-/// of `meshable`. The heap's passes and `mesh-graph`'s §5.3 experiments
-/// both run this loop.
+/// `meshable` accepts (`Some(true)`) drops out of both halves, and a
+/// `None` ends the probing. `probes` counts the calls of `meshable`. The
+/// heap's passes and `mesh-graph`'s §5.3 experiments both run this loop.
 #[inline]
 pub fn split_mesher_pairs<T: Copy>(
     left: &[T],
     right: &[T],
     t: usize,
     probes: &mut usize,
-    mut meshable: impl FnMut(T, T) -> bool,
+    mut meshable: impl FnMut(T, T) -> Option<bool>,
 ) -> Vec<(T, T)> {
     let mut pairs = Vec::new();
     if right.is_empty() {
@@ -232,10 +234,14 @@ pub fn split_mesher_pairs<T: Copy>(
                 continue;
             }
             *probes += 1;
-            if meshable(left[j], right[k]) {
-                *taken = true;
-                used_r[k] = true;
-                pairs.push((left[j], right[k]));
+            match meshable(left[j], right[k]) {
+                Some(true) => {
+                    *taken = true;
+                    used_r[k] = true;
+                    pairs.push((left[j], right[k]));
+                }
+                Some(false) => {}
+                None => return pairs,
             }
         }
     }
@@ -244,15 +250,16 @@ pub fn split_mesher_pairs<T: Copy>(
 
 /// The SplitMesher procedure of Figure 2: shuffle the candidate list,
 /// split it into halves, and probe them. Returns the pairs to mesh (each
-/// span in at most one pair). Every probed pair that fails is tallied in
-/// `rejected`: under `alias_budget` when the two would alias more than
-/// `max_spans` virtual spans onto one physical span, else under
-/// `occupancy_overlap` when their bitmaps collide.
+/// span in at most one pair), at most `alias_room` of them: each makes
+/// one alias (DESIGN.md §2a). A probed pair whose bitmaps collide is
+/// tallied in `rejected` under `occupancy_overlap`; the first disjoint
+/// pair past the alias room is tallied under `alias_budget` and ends the
+/// probing.
 fn split_mesher(
     st: &mut ClassState,
     mut candidates: Vec<MiniHeapId>,
     probe_limit: usize,
-    max_spans: usize,
+    mut alias_room: usize,
     probes: &mut usize,
     rejected: &mut [u64; REJECT_REASONS],
 ) -> Vec<(MiniHeapId, MiniHeapId)> {
@@ -262,24 +269,31 @@ fn split_mesher(
     split_mesher_pairs(left, right, probe_limit, probes, |x, y| {
         let a = st.slab.get(x).expect("candidate is live");
         let b = st.slab.get(y).expect("candidate is live");
-        let reason = if a.span_count() + b.span_count() > max_spans {
-            RejectReason::AliasBudget
-        } else if !a.bitmap().meshes_with(b.bitmap()) {
-            RejectReason::OccupancyOverlap
-        } else {
-            return true;
-        };
-        rejected[reason as usize] += 1;
-        false
+        if !a.bitmap().meshes_with(b.bitmap()) {
+            rejected[RejectReason::OccupancyOverlap as usize] += 1;
+            return Some(false);
+        }
+        if alias_room == 0 {
+            rejected[RejectReason::AliasBudget as usize] += 1;
+            return None;
+        }
+        alias_room -= 1;
+        Some(true)
     })
 }
 
 /// Pairs meshed behind one raise of the write barrier and inside one odd
-/// interval of the class's mesh epoch. It bounds what a writer to a source
-/// span or a free that lost its bit to the mesher can wait for, whatever
-/// the size of the heap; 64 pairs are under a millisecond of copies and
-/// remaps.
+/// interval of the class's mesh epoch. With [`MESH_BATCH_SPANS`] it bounds
+/// what a writer to a source span or a free that lost its bit to the
+/// mesher can wait for, whatever the size of the heap; 64 pairs are under
+/// a millisecond of copies and remaps.
 pub(crate) const MESH_BATCH: usize = 64;
+
+/// Source virtual spans one batch remaps: a batch closes before a pair
+/// that would take it past this many, so a source's long alias chain
+/// cannot stretch the window. (A batch's first pair is meshed whatever its
+/// chain.) 256 is 64 pairs of four-span sources.
+pub(crate) const MESH_BATCH_SPANS: usize = 256;
 
 /// One pair of a batch, resolved to the span that stays and the span that
 /// is copied out of.
@@ -347,11 +361,26 @@ fn mesh_pairs(
     // Neighbouring sources land in the same batch, where one call
     // protects them and one releases them.
     pairs.sort_unstable_by_key(|pair| pair.src_primary.offset);
-    for batch in pairs.chunks_mut(MESH_BATCH) {
+    let mut rest = &mut pairs[..];
+    while !rest.is_empty() {
+        let (batch, tail) = rest.split_at_mut(batch_len(st, rest));
+        rest = tail;
         if !mesh_batch(heap, st, class, batch, summary, rejected) {
             break;
         }
     }
+}
+
+/// How many of `pairs` the next batch takes: at most [`MESH_BATCH`], with
+/// at most [`MESH_BATCH_SPANS`] source spans between them, and at least
+/// one.
+fn batch_len(st: &ClassState, pairs: &[Pair]) -> usize {
+    let mut spans = 0;
+    let fits = pairs.iter().take(MESH_BATCH).take_while(|pair| {
+        spans += source(st, pair).span_count();
+        spans <= MESH_BATCH_SPANS
+    });
+    fits.count().max(1)
 }
 
 /// Meshes one batch (sorted by source address). Returns `false` when the
@@ -466,6 +495,7 @@ fn mesh_batch(
                     heap.page_map.set_span(vs, pair.dst, class.index() as u8);
                 }
                 remapped += src.span_count() as u64;
+                arena.note_alias();
             }
             Some(done) => {
                 roll_back(heap, st, &mut arena, class, pair, done);
@@ -743,7 +773,7 @@ mod tests {
         assert_eq!(candidates.len(), 8);
         let mut probes = 0;
         let mut rejected = [0u64; REJECT_REASONS];
-        let pairs = split_mesher(&mut st, candidates, 64, 3, &mut probes, &mut rejected);
+        let pairs = split_mesher(&mut st, candidates, 64, usize::MAX, &mut probes, &mut rejected);
         assert!(probes > 0);
         // With t=64 and only two "shapes", SplitMesher should pair nearly
         // everything; at minimum one pair must exist.
@@ -763,32 +793,26 @@ mod tests {
             let slots = vec![i]; // all singletons at distinct offsets: all mesh
             detached_with_slots(&h, class, &slots, i as u8);
         }
+        let room = h.lock_arena().alias_room();
         let summary = mesh_all_classes(&h);
-        assert!(summary.pairs_meshed >= 2, "got {summary:?}");
-        // No MiniHeap may alias more spans than the cap allows.
+        // Three and three, every probe disjoint: every span is paired.
+        assert_eq!(summary.pairs_meshed, 3, "got {summary:?}");
+        // Each pair made one alias against the mapping budget.
+        assert_eq!(h.lock_arena().alias_room(), room - 3);
         let st = h.lock_class(class);
-        for (_, mh) in st.slab.iter() {
-            assert!(mh.span_count() <= h.rt.max_span_count);
-        }
+        assert!(st.slab.iter().all(|(_, mh)| mh.span_count() == 2));
         let stats = h.counters.snapshot();
         assert_eq!(stats.mesh_passes, 1);
-        assert!(stats.mesh_pages_released >= 2);
+        assert_eq!(stats.mesh_pages_released, 3);
     }
 
     #[test]
     fn the_spectrum_pairs_only_what_the_alias_cap_allows() {
-        // Four sparse, pairwise disjoint 2-span MiniHeaps: at cap 3 no two
-        // of them may mesh, at cap 4 they make two pairs.
-        for (cap, expected) in [(3, 0), (4, 2)] {
-            let h = GlobalHeap::new(
-                MeshConfig::default()
-                    .arena_bytes(64 << 20)
-                    .seed(14)
-                    .write_barrier(false)
-                    .max_span_count(cap),
-                Arc::new(Counters::default()),
-            )
-            .unwrap();
+        // Four sparse, pairwise disjoint 2-span MiniHeaps, which make two
+        // pairs, under a mapping budget with room for 0, 1 or 2 more
+        // aliases: the spectrum and the pass agree on how many.
+        for room in [0, 1, 2] {
+            let h = heap(14);
             let class = SizeClass::for_size(256).unwrap();
             let singles: Vec<_> = (0..8)
                 .map(|slot| detached_with_slots(&h, class, &[slot], slot as u8))
@@ -800,21 +824,151 @@ mod tests {
             mesh_pairs(&h, &mut st, class, pairs, &mut summary, &mut rejected);
             assert_eq!(summary.pairs_meshed, 4);
             drop(st);
+            h.lock_arena().set_alias_budget(4 + room);
             let spectrum = h.occupancy_spectrum().classes[class.index()];
-            assert_eq!(spectrum.est_meshable_pairs, expected, "cap {cap}");
-            assert_eq!(
-                mesh_all_classes(&h).pairs_meshed as u32,
-                expected,
-                "cap {cap}"
-            );
-            // The pass's refusals are the cap's, not the bitmaps'.
+            assert_eq!(spectrum.est_meshable_pairs, room as u32, "room {room}");
+            assert_eq!(mesh_all_classes(&h).pairs_meshed, room, "room {room}");
+            // The pass's refusals are the budget's, not the bitmaps'.
             let totals = h.ledger.reject_totals();
             assert_eq!(totals[RejectReason::OccupancyOverlap as usize], 0);
-            assert_eq!(
-                totals[RejectReason::AliasBudget as usize] > 0,
-                expected == 0
-            );
+            assert_eq!(totals[RejectReason::AliasBudget as usize], (room < 2) as u64);
         }
+    }
+
+    /// Every object of `objects` (start address, slot, fill byte) reads
+    /// back through its address.
+    fn assert_objects(size: usize, objects: &[(usize, usize, u8)]) {
+        for &(start, slot, fill) in objects {
+            assert_contents(size, &[(start, &[slot], fill)]);
+        }
+    }
+
+    #[test]
+    fn a_pass_stops_at_the_mapping_budget() {
+        const BUDGET: usize = 3;
+        let h = heap(16);
+        let class = SizeClass::for_size(256).unwrap();
+        h.lock_arena().set_alias_budget(BUDGET);
+        // 2 * BUDGET + 2 sparse spans, pairwise disjoint.
+        let ids: Vec<_> = (0..2 * BUDGET + 2)
+            .map(|slot| detached_with_slots(&h, class, &[slot], 0x40 + slot as u8))
+            .collect();
+        let objects: Vec<(usize, usize, u8)> = {
+            let st = h.lock_class(class);
+            (0..ids.len()).map(|i| (start_of(&h, &st, ids[i]), i, 0x40 + i as u8)).collect()
+        };
+        let summary = mesh_all_classes(&h);
+        assert_eq!(summary.pairs_meshed, BUDGET);
+        // The disjoint pair past the budget was refused and ended the
+        // probing; no VM call was made for it, so nothing rolled back.
+        let totals = h.ledger.reject_totals();
+        assert_eq!(totals[RejectReason::AliasBudget as usize], 1);
+        assert_eq!(totals[RejectReason::CopyAbort as usize], 0);
+        assert_objects(256, &objects);
+        assert_eq!(h.lock_arena().alias_count(), BUDGET);
+        assert_eq!(h.occupancy_spectrum().classes[class.index()].est_meshable_pairs, 0);
+
+        // The meshed MiniHeaps die; a purge brings their aliases back.
+        let meshed: Vec<_> = {
+            let st = h.lock_class(class);
+            let meshed = |&&(start, _, _): &&(usize, usize, u8)| {
+                let id = h.page_map.get(h.page_of_addr(start).unwrap()).unwrap().id;
+                st.slab.get(id).unwrap().span_count() == 2
+            };
+            objects.iter().filter(meshed).copied().collect()
+        };
+        assert_eq!(meshed.len(), 2 * BUDGET);
+        for &(start, slot, _) in &meshed {
+            assert!(h.free_global(start + slot * 256));
+        }
+        h.purge_and_retire();
+        assert_eq!(h.lock_arena().alias_count(), 0);
+        assert_eq!(h.occupancy_spectrum().classes[class.index()].est_meshable_pairs, 1);
+        assert_eq!(mesh_all_classes(&h).pairs_meshed, 1);
+        let unmeshed: Vec<_> = objects.iter().filter(|o| !meshed.contains(o)).copied().collect();
+        assert_objects(256, &unmeshed);
+    }
+
+    #[test]
+    fn a_long_alias_chain_reads_frees_and_dies_cleanly() {
+        let h = heap(17);
+        let class = SizeClass::for_size(256).unwrap();
+        let committed = h.lock_arena().committed_pages();
+        // The fullest span: every fold keeps it as the destination.
+        let a = detached_with_slots(&h, class, &[0, 8, 9, 10], 0xA0);
+        let folded: Vec<_> = (1..8)
+            .map(|slot| detached_with_slots(&h, class, &[slot], 0xA0 + slot as u8))
+            .collect();
+        let mut st = h.lock_class(class);
+        let a_start = start_of(&h, &st, a);
+        let mut objects: Vec<(usize, usize, u8)> =
+            [0, 8, 9, 10].map(|slot| (a_start, slot, 0xA0)).to_vec();
+        for (i, &x) in folded.iter().enumerate() {
+            objects.push((start_of(&h, &st, x), i + 1, 0xA1 + i as u8));
+        }
+        let mut summary = MeshSummary::default();
+        let mut rejected = [0u64; REJECT_REASONS];
+        for &x in &folded {
+            mesh_pairs(&h, &mut st, class, vec![(a, x)], &mut summary, &mut rejected);
+        }
+        assert_eq!(summary.pairs_meshed, 7);
+        assert_eq!(st.slab.get(a).unwrap().span_count(), 8);
+        assert_eq!(h.lock_arena().alias_count(), 7);
+        assert_eq!(
+            h.lock_arena().committed_pages(),
+            committed + class.span_pages(),
+            "one physical span holds all eight"
+        );
+        drop(st);
+        assert_objects(256, &objects);
+
+        // Frees through every alias settle on the one MiniHeap.
+        let owner = |addr: usize| h.page_map.get(h.page_of_addr(addr).unwrap()).map(|i| i.id);
+        for (n, &(start, slot, _)) in objects.iter().enumerate().rev() {
+            assert_eq!(owner(start), Some(a));
+            assert!(h.free_global(start + slot * 256));
+            let in_use = h.lock_class_swept(class).slab.get(a).map(|mh| mh.in_use());
+            assert_eq!(in_use, Some(n).filter(|&n| n > 0), "dies with its last object");
+        }
+        h.purge_and_retire();
+        assert_eq!(h.lock_arena().alias_count(), 0);
+        assert_eq!(h.lock_arena().committed_pages(), committed);
+        let s = h.counters.snapshot();
+        assert_eq!((s.frees, s.double_frees, s.invalid_frees), (11, 0, 0));
+    }
+
+    #[test]
+    fn a_batch_closes_at_its_span_bound() {
+        // 33 pairs whose sources have 8 virtual spans each: 264 spans, so
+        // two batches where the pair bound alone would make one.
+        let h = heap(18);
+        let class = SizeClass::for_size(64).unwrap();
+        let mut pairs = Vec::new();
+        let mut st = h.lock_class(class);
+        for _ in 0..33 {
+            drop(st);
+            let src = detached_with_slots(&h, class, &[0, 1], 0x11);
+            let folded: Vec<_> = (2..9)
+                .map(|slot| detached_with_slots(&h, class, &[slot], 0x11))
+                .collect();
+            let dst = detached_with_slots(&h, class, &(20..40).collect::<Vec<_>>(), 0x22);
+            st = h.lock_class(class);
+            let mut summary = MeshSummary::default();
+            let mut rejected = [0u64; REJECT_REASONS];
+            for x in folded {
+                mesh_pairs(&h, &mut st, class, vec![(src, x)], &mut summary, &mut rejected);
+            }
+            assert_eq!(st.slab.get(src).unwrap().span_count(), 8);
+            pairs.push((src, dst));
+        }
+        let before = h.counters.snapshot().latency.count(TimedOp::MeshCopy);
+        let mut summary = MeshSummary::default();
+        let mut rejected = [0u64; REJECT_REASONS];
+        mesh_pairs(&h, &mut st, class, pairs, &mut summary, &mut rejected);
+        assert_eq!(summary.pairs_meshed, 33);
+        let batches = h.counters.snapshot().latency.count(TimedOp::MeshCopy) - before;
+        assert_eq!(batches, 2, "256 spans, then 8");
+        assert!(st.slab.iter().all(|(_, mh)| mh.span_count() == 9));
     }
 
     #[test]

@@ -824,8 +824,9 @@ mod tests {
     }
 
     /// Random insert / absorb / death sequences against the two-list
-    /// model, for alias caps across `max_span_count`'s range (the default
-    /// 4, the 8 of `examples/trace_replay.rs`): every death parks the same
+    /// model, with the virtual spans of an absorb capped at 2 to 64 so that
+    /// both short and long chains form (a pass caps no chain; the mapping
+    /// budget counts aliases across the heap): every death parks the same
     /// alias spans and releases the same ids, and every live MiniHeap has
     /// the same virtual spans, one more than the tombstones on its chain.
     #[test]

@@ -465,6 +465,17 @@ pub fn process_rss_kb() -> Option<u64> {
     Some(pages * (PAGE_SIZE as u64 / 1024))
 }
 
+/// The most mappings the kernel lets this process hold,
+/// `/proc/sys/vm/max_map_count`, or the kernel's default 65 530 where that
+/// cannot be read. It allocates, so a heap reads it once, at construction,
+/// which the process heap runs under its internal-allocation guard.
+pub fn max_map_count() -> usize {
+    std::fs::read_to_string("/proc/sys/vm/max_map_count")
+        .ok()
+        .and_then(|s| s.trim().parse().ok())
+        .unwrap_or(65_530)
+}
+
 /// Counts how many of the `pages` pages starting at `addr` are resident
 /// in physical memory, via `mincore(2)`. Kept for the benchmark ladder's
 /// `sys.resident_pages_us` row only, until the next benchmark change

@@ -35,7 +35,7 @@ pub enum RejectReason {
     /// pass ran against a heap another thread was mutating moments before.
     ClassContention = 1,
     /// A pair was abandoned inside its batch's copy window because the
-    /// kernel refused a VM call (`ENOMEM` at `vm.max_map_count`): every
+    /// kernel refused a VM call (`ENOMEM`, say at `vm.max_map_count`): every
     /// pair of a batch whose protect was refused, or the one pair whose
     /// remap was and which was rolled back. Zero on a healthy system.
     CopyAbort = 2,
@@ -43,9 +43,10 @@ pub enum RejectReason {
     /// window and refused to mesh the pair (`MESH_HARDEN` with the canary
     /// sweep on; also surfaces as a `harden_canary` violation).
     CanaryTrip = 3,
-    /// Merging the pair would alias more than `max_span_count` virtual
-    /// spans onto one physical span. Checked before the bitmaps, so a
-    /// pair refused here was not tested for overlap.
+    /// The pair's bitmaps are disjoint, but the heap's mapping budget
+    /// (read from `vm.max_map_count`) has no alias left for it: the class's
+    /// probing ends here, so at most one pair per class and pass is
+    /// counted. Zero until meshing has made tens of thousands of aliases.
     AliasBudget = 4,
 }
 

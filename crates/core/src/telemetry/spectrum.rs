@@ -31,11 +31,12 @@ pub struct ClassSpectrum {
     pub total_slots: u64,
     /// Upper-bound estimate of span *pairs* meshable right now: the
     /// detached spans a pass would take (partially occupied, under the
-    /// occupancy cutoff, below the alias cap), greedily paired so each pair's
-    /// combined live count fits one span, and no more pairs than the
-    /// `max_span_count` alias cap lets the same spans form. Each pair would
-    /// release one span's pages. (A bound, not a promise — it ignores slot
-    /// overlap, which the paper shows is rare at low occupancy, §2.2.)
+    /// occupancy cutoff), greedily paired so each pair's combined live
+    /// count fits one span, and no more pairs than the heap's mapping
+    /// budget has aliases left for (each pair makes one; the budget is
+    /// shared by every class). Each pair would release one span's pages.
+    /// (A bound, not a promise — it ignores slot overlap, which the paper
+    /// shows is rare at low occupancy, §2.2.)
     pub est_meshable_pairs: u32,
     /// Whether this class participates in meshing at all (objects under
     /// one page, §4).
@@ -141,11 +142,10 @@ impl HeapSpectrum {
     }
 }
 
-/// Greedy pairing bound: given one measure of the meshable candidates of
-/// one class — live objects, each < `cap` = the span's slots, or virtual
-/// spans, each < `cap` = the alias cap — the maximum number of pairs whose
-/// combined measure fits `cap`. Sort ascending, then two-pointer: pair the
-/// smallest with the largest that still fits.
+/// Greedy pairing bound: given the live objects of the meshable
+/// candidates of one class, each < `cap` = the span's slots, the maximum
+/// number of pairs whose combined count fits `cap`. Sort ascending, then
+/// two-pointer: pair the smallest with the largest that still fits.
 pub(crate) fn estimate_meshable_pairs(candidates: &mut [u32], cap: u32) -> u32 {
     candidates.sort_unstable();
     let mut pairs = 0;
@@ -177,7 +177,7 @@ mod tests {
         assert_eq!(estimate_meshable_pairs(&mut c, 256), 0, "no partner");
         let mut empty: [u32; 0] = [];
         assert_eq!(estimate_meshable_pairs(&mut empty, 256), 0);
-        // Virtual spans against the alias cap: doubles pair at 4, not 3.
+        // Small caps: doubles pair at 4, not 3.
         assert_eq!(estimate_meshable_pairs(&mut [2, 2, 2, 2], 3), 0);
         assert_eq!(estimate_meshable_pairs(&mut [2, 2, 2, 2], 4), 2);
         assert_eq!(estimate_meshable_pairs(&mut [3, 1, 2, 2], 4), 2);

@@ -57,7 +57,7 @@ pub fn split_mesher_presplit(
 ) -> SplitMesherOutcome {
     let mut probes = 0;
     let pairs = split_mesher_pairs(left, right, t, &mut probes, |a, b| {
-        strings[a].meshes_with(&strings[b])
+        Some(strings[a].meshes_with(&strings[b]))
     });
     SplitMesherOutcome { pairs, probes }
 }

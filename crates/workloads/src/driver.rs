@@ -68,7 +68,7 @@ impl TestAllocator {
     }
 
     /// Builds a driver from an explicit configuration (for comparisons
-    /// that vary one tunable, such as the alias cap).
+    /// that vary one tunable, such as the probe limit).
     pub fn from_config(config: MeshConfig) -> TestAllocator {
         let kind = if !config.is_meshing_enabled() {
             AllocatorKind::MeshNoMesh

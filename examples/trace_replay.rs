@@ -12,7 +12,6 @@
 //!
 //! Run with: `cargo run --release --example trace_replay`
 
-use mesh::core::MeshConfig;
 use mesh::workloads::buddy::BuddySim;
 use mesh::workloads::driver::{AllocatorKind, TestAllocator};
 use mesh::workloads::firstfit::{FitPolicy, FreeListSim};
@@ -42,24 +41,13 @@ fn main() {
     );
 
     // Real heaps: replay, meshing on a deterministic cadence, then read
-    // the survivor-pinned footprint. The third configuration raises the
-    // per-MiniHeap alias budget (default 4) — the knob that caps how far
-    // repeated meshing can fold survivor spans together (§4.1).
-    let configs: [(&str, TestAllocator); 3] = [
+    // the survivor-pinned footprint.
+    let configs: [(&str, TestAllocator); 2] = [
         (
             "Mesh (no meshing)",
             AllocatorKind::MeshNoMesh.build(1 << 30, 0xace),
         ),
         ("Mesh", AllocatorKind::MeshFull.build(1 << 30, 0xace)),
-        (
-            "Mesh (alias budget 8)",
-            TestAllocator::from_config(
-                MeshConfig::default()
-                    .arena_bytes(1 << 30)
-                    .seed(0xace)
-                    .max_span_count(8),
-            ),
-        ),
     ];
     for (label, mut alloc) in configs {
         let mut ptrs: HashMap<u64, usize> = HashMap::new();

@@ -112,7 +112,6 @@ fn invalid_configs_are_rejected_not_ub() {
     ));
     assert!(Mesh::new(MeshConfig::default().probe_limit(0)).is_err());
     assert!(Mesh::new(MeshConfig::default().occupancy_cutoff(2.0)).is_err());
-    assert!(Mesh::new(MeshConfig::default().max_span_count(1)).is_err());
 }
 
 #[test]
