@@ -62,15 +62,11 @@ mod real;
 /// real allocator for internal (metadata) ones and for processes whose
 /// heap failed to construct, the bootstrap arena before either exists.
 fn allocate(size: usize, align: usize, zeroed: bool) -> *mut u8 {
-    let Some(p) = process::malloc(size, align) else {
+    let Some(p) = process::malloc(size, align, zeroed) else {
         return internal_allocate(size, align, zeroed);
     };
     if p.is_null() {
         libc::set_errno(libc::ENOMEM);
-    } else if zeroed {
-        // A freed slot, and every slot of a reused dirty span, is handed
-        // out again with its old bytes: calloc zeroes.
-        unsafe { std::ptr::write_bytes(p, 0, size) };
     }
     p
 }
@@ -180,7 +176,10 @@ pub unsafe extern "C" fn free(ptr: *mut c_void) {
     deallocate(ptr as *mut u8);
 }
 
-/// Interposed `calloc(3)`: zeroed, overflow-checked.
+/// Interposed `calloc(3)`: zeroed, overflow-checked. A small object is
+/// cleared; a large one is cleared only when its span is reused dirty,
+/// since fresh and released pages already read as zero, so an untouched
+/// large `calloc` costs no memory, as under glibc.
 #[no_mangle]
 pub extern "C" fn calloc(count: size_t, size: size_t) -> *mut c_void {
     let Some(total) = count.checked_mul(size) else {
@@ -296,18 +295,13 @@ pub unsafe extern "C" fn malloc_usable_size(ptr: *mut c_void) -> size_t {
     usable(ptr as *mut u8)
 }
 
-/// Interposed `malloc_trim(3)`: releases dirty pages to the OS and
-/// retires empty segments. Returns 1 if a heap exists (memory may have
-/// been released), 0 otherwise.
+/// Interposed `malloc_trim(3)`: one meshing pass, which compacts the
+/// partly empty spans no thread holds, then every dirty page back to the
+/// OS and every empty segment retired, however little is dirty. Returns 1
+/// if a heap exists (memory may have been released), 0 otherwise.
 #[no_mangle]
 pub extern "C" fn malloc_trim(_pad: size_t) -> c_int {
-    match process::built_heap() {
-        Some(mesh) => {
-            mesh.purge_dirty();
-            1
-        }
-        None => 0,
-    }
+    c_int::from(process::trim())
 }
 
 /// Interposed `mallopt(3)`: accepted and ignored (Mesh's knobs are the

@@ -141,22 +141,18 @@ impl Mesh {
     /// return the first aligned address inside the span. Returns null on
     /// exhaustion.
     pub fn malloc_aligned(&self, size: usize, align: usize) -> *mut u8 {
-        with_internal_alloc(|| malloc_aligned(&self.inner.state, size, align, |n| self.malloc(n)))
+        with_internal_alloc(|| allocate(&self.inner.state, size, align, false, |n| self.malloc(n)))
     }
 
     /// Allocates zeroed memory for `count` elements of `size` bytes
-    /// (`calloc`). Returns null on overflow or exhaustion.
+    /// (`calloc`). Returns null on overflow or exhaustion. A large request
+    /// writes only to a reused dirty span; fresh and clean pages already
+    /// read as zero and stay untouched.
     pub fn calloc(&self, count: usize, size: usize) -> *mut u8 {
         let Some(total) = count.checked_mul(size) else {
             return std::ptr::null_mut();
         };
-        let p = self.malloc(total);
-        if !p.is_null() {
-            // A freed slot, and every slot of a reused dirty span, is
-            // handed out again with its old bytes, so calloc zeroes.
-            unsafe { std::ptr::write_bytes(p, 0, total) };
-        }
-        p
+        with_internal_alloc(|| allocate(&self.inner.state, total, 16, true, |n| self.malloc(n)))
     }
 
     /// Resizes the allocation at `ptr` to `new_size` bytes (`realloc`).
@@ -472,23 +468,37 @@ impl Mesh {
 }
 
 
-/// The one rule for aligned requests: an alignment above the page size
-/// over-allocates on the large path and returns the first aligned address
-/// inside the span; a smaller one is served by `small` with the request
-/// rounded by [`aligned_request`].
-fn malloc_aligned(
+/// The one rule for aligned and zeroed requests. An alignment above the
+/// page size over-allocates on the large path and returns the first
+/// aligned address inside the span; a smaller one is served by `small`
+/// with the request rounded by [`aligned_request`]. With `zero` the
+/// memory reads as zero (`calloc`): a large request goes to the large
+/// path with the flag, which clears only a reused dirty span, and a small
+/// slot, handed out again with its old bytes, is cleared here.
+fn allocate(
     state: &GlobalHeap,
     size: usize,
     align: usize,
+    zero: bool,
     small: impl FnOnce(usize) -> *mut u8,
 ) -> *mut u8 {
     debug_assert!(align.is_power_of_two());
-    if align > PAGE_SIZE {
+    let request = if align > PAGE_SIZE {
+        size
+    } else {
+        aligned_request(size, align)
+    };
+    if align > PAGE_SIZE || (zero && request > MAX_SMALL_SIZE) {
         return state
-            .malloc_large(size, align)
+            .malloc_large(request, align.max(PAGE_SIZE), zero)
             .map_or(std::ptr::null_mut(), |addr| addr as *mut u8);
     }
-    small(aligned_request(size, align))
+    let p = small(request);
+    if zero && !p.is_null() {
+        // SAFETY: `small` returned a live slot of at least `size` bytes.
+        unsafe { std::ptr::write_bytes(p, 0, size) };
+    }
+    p
 }
 
 /// Rounds a request so the serving size class (or page-rounded large
@@ -546,8 +556,14 @@ impl ThreadHeap {
     /// `memalign` family and over-aligned layouts of the process runtime.
     /// Lock-free for small sizes with an attached span.
     pub fn malloc_aligned(&mut self, size: usize, align: usize) -> *mut u8 {
+        self.allocate(size, align, false)
+    }
+
+    /// [`ThreadHeap::malloc_aligned`], zeroed when `zero` is set: the
+    /// process runtime's one allocation entry.
+    pub(crate) fn allocate(&mut self, size: usize, align: usize, zero: bool) -> *mut u8 {
         with_internal_alloc(|| {
-            malloc_aligned(&self.inner.state, size, align, |n| {
+            allocate(&self.inner.state, size, align, zero, |n| {
                 self.core.malloc(&self.inner.state, n)
             })
         })
@@ -684,7 +700,7 @@ impl MeshGlobalAlloc {
 
 unsafe impl GlobalAlloc for MeshGlobalAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        match crate::process::malloc(layout.size(), layout.align()) {
+        match crate::process::malloc(layout.size(), layout.align(), false) {
             Some(p) => p,
             None if in_internal_alloc() => System.alloc(layout),
             // No heap: OOM per the `GlobalAlloc` contract, never a panic.
@@ -699,11 +715,11 @@ unsafe impl GlobalAlloc for MeshGlobalAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = self.alloc(layout);
-        if !p.is_null() {
-            std::ptr::write_bytes(p, 0, layout.size());
+        match crate::process::malloc(layout.size(), layout.align(), true) {
+            Some(p) => p,
+            None if in_internal_alloc() => System.alloc_zeroed(layout),
+            None => std::ptr::null_mut(),
         }
-        p
     }
 }
 

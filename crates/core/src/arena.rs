@@ -72,14 +72,18 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Where a span handed out by [`Arena::alloc_span`] came from.
+/// Where a span handed out by [`Arena::alloc_span`] came from, and so
+/// whether it reads as zero: only a dirty span holds old bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanSource {
-    /// Fresh, never-used pages from a segment's bump frontier.
+    /// Fresh, never-used pages from a segment's bump frontier: file pages
+    /// nothing has written, which read as zero.
     Fresh,
     /// Reused dirty pages (still committed, contents stale).
     Dirty,
-    /// Reused clean pages (released to the OS since last use).
+    /// Reused clean pages: a hole punched in the file since last use, or
+    /// a parked alias whose own range was punched when it was meshed.
+    /// Every clean span maps its own file range, so it reads as zero.
     Clean,
 }
 

@@ -59,6 +59,9 @@ pub const ENXIO: c_int = 6;
 pub const ENOMEM: c_int = 12;
 pub const EINVAL: c_int = 22;
 
+/// `open` flag: close the descriptor on `exec`.
+pub const O_CLOEXEC: c_int = 0o2_000_000;
+
 /// `fcntl` command: duplicate the fd to the lowest free number ≥ arg,
 /// with `O_CLOEXEC` set (Linux generic ABI).
 pub const F_DUPFD_CLOEXEC: c_int = 1030;
@@ -121,7 +124,7 @@ extern "C" {
     pub fn memfd_create(name: *const c_char, flags: c_uint) -> c_int;
     pub fn ftruncate(fd: c_int, length: off_t) -> c_int;
     pub fn close(fd: c_int) -> c_int;
-    pub fn mkstemp(template: *mut c_char) -> c_int;
+    pub fn mkostemp(template: *mut c_char, flags: c_int) -> c_int;
     pub fn unlink(path: *const c_char) -> c_int;
     pub fn mmap(
         addr: *mut c_void,

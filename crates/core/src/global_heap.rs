@@ -471,10 +471,27 @@ impl GlobalHeap {
         if !self.rt.meshing() {
             return MeshSummary::default();
         }
+        self.mesh_pass(self.rt.min_mesh_gain_bytes)
+    }
+
+    /// `malloc_trim`: one pass that tidies every class, meshes, and then
+    /// releases every dirty page and parked alias, however few. With
+    /// meshing off it only tidies and purges. Must be called with no shard
+    /// locks held.
+    pub(crate) fn trim(&self) {
+        if self.rt.meshing() {
+            self.mesh_pass(0);
+        } else {
+            self.purge_and_retire();
+        }
+    }
+
+    /// A meshing pass that purges once `purge_floor` bytes are dirty.
+    fn mesh_pass(&self, purge_floor: usize) -> MeshSummary {
         // While this scope lives, other threads' contended lock waits are
         // pauses inflicted by the mesher (this thread's own are not).
         let _pass = crate::stats::MeshPassScope::enter(&self.counters);
-        let summary = meshing::mesh_all_classes(self);
+        let summary = meshing::mesh_all_classes(self, purge_floor);
         let low_yield = summary.bytes_released() < self.rt.min_mesh_gain_bytes;
         self.scheduler.finish_pass(low_yield, &self.counters);
         summary

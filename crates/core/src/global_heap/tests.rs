@@ -283,7 +283,7 @@ fn empty_detach_destroys_miniheap() {
 #[test]
 fn malloc_large_and_free_releases_pages() {
     let h = heap();
-    let addr = h.malloc_large(100_000, PAGE_SIZE).unwrap();
+    let addr = h.malloc_large(100_000, PAGE_SIZE, false).unwrap();
     let pages = 100_000usize.div_ceil(PAGE_SIZE);
     assert_eq!(h.lock_arena().committed_pages(), pages);
     assert_eq!(h.usable_size(addr), Some(pages * PAGE_SIZE));
@@ -300,7 +300,7 @@ fn malloc_large_and_free_releases_pages() {
 fn malloc_large_over_page_alignment() {
     let h = heap();
     for align in [8192usize, 1 << 16, 2 << 20] {
-        let addr = h.malloc_large(100_000, align).unwrap();
+        let addr = h.malloc_large(100_000, align, false).unwrap();
         assert_eq!(addr % align, 0, "align {align}");
         // Usable size of the aligned (possibly interior) pointer is
         // the bytes remaining to the span end.
@@ -318,7 +318,7 @@ fn malloc_large_over_page_alignment() {
 fn invalid_and_double_frees_discarded() {
     let h = heap();
     assert!(!h.free_global(0xdead_beef));
-    let addr = h.malloc_large(4096, PAGE_SIZE).unwrap();
+    let addr = h.malloc_large(4096, PAGE_SIZE, false).unwrap();
     assert!(h.free_global(addr));
     assert!(!h.free_global(addr), "double free rejected");
     let s = h.counters.snapshot();
@@ -583,7 +583,7 @@ fn free_follows_a_span_meshed_after_the_lookup() {
     let addr = b_start + 5 * 256;
     let (page, stale) = h.resolve_free(addr).unwrap();
     assert_eq!(stale.id, b);
-    let summary = meshing::mesh_all_classes(&h);
+    let summary = meshing::mesh_all_classes(&h, h.rt.min_mesh_gain_bytes);
     assert_eq!(summary.pairs_meshed, 1);
     assert_eq!(h.resolve_free(addr).unwrap().1.id, a, "b was the source");
     assert!(h.free_small(addr, page, stale, None), "followed the mesh");
@@ -621,7 +621,7 @@ fn frees_follow_every_source_of_a_batch() {
         })
         .collect();
     let before = h.counters.snapshot().latency.count(TimedOp::MeshCopy);
-    let summary = meshing::mesh_all_classes(&h);
+    let summary = meshing::mesh_all_classes(&h, h.rt.min_mesh_gain_bytes);
     assert_eq!(summary.pairs_meshed, 8);
     let batches = h.counters.snapshot().latency.count(TimedOp::MeshCopy) - before;
     assert_eq!(batches, 1, "one window for the eight pairs");

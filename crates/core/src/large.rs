@@ -6,6 +6,7 @@
 //! A large path takes the large lock, then the arena lock (the rank
 //! table in `sync`).
 
+use crate::arena::SpanSource;
 use crate::error::MeshError;
 use crate::global_heap::GlobalHeap;
 use crate::harden::{self, HardenKind};
@@ -23,7 +24,13 @@ impl GlobalHeap {
     /// every page of the span routes through the page map to the same
     /// singleton MiniHeap, so `free`/`usable_size` on the interior pointer
     /// behave normally. Takes the large lock, then the arena lock.
-    pub fn malloc_large(&self, size: usize, align: usize) -> Result<usize, MeshError> {
+    ///
+    /// With `zero` the object reads as zero (`calloc`). Only a span reused
+    /// from the dirty bins is cleared: a fresh span is file pages nothing
+    /// has written and a clean one is a punched hole, so both already read
+    /// as zero, and leaving them untouched keeps them out of memory until
+    /// the program writes them.
+    pub fn malloc_large(&self, size: usize, align: usize, zero: bool) -> Result<usize, MeshError> {
         debug_assert!(align.is_power_of_two());
         let guarded = self.harden.guard_on();
         let extra = (align / PAGE_SIZE).saturating_sub(1) + usize::from(guarded);
@@ -41,10 +48,10 @@ impl GlobalHeap {
         let Ok(pages) = u32::try_from(requested) else {
             return Err(exhausted());
         };
-        let (span, object_bytes, addr) = {
+        let (span, source, object_bytes, addr) = {
             let mut large = self.large.lock();
             let mut arena = self.lock_arena();
-            let (span, _) = arena.alloc_span(pages)?;
+            let (span, source) = arena.alloc_span(pages)?;
             let start = self.base + span.offset as usize * PAGE_SIZE;
             let addr = if align > PAGE_SIZE {
                 (start + align - 1) & !(align - 1)
@@ -60,8 +67,13 @@ impl GlobalHeap {
             }
             let object_bytes = large.get(id).expect("just inserted").object_size();
             self.page_map.set_span(span, id, LARGE_CLASS);
-            (span, object_bytes, addr)
+            (span, source, object_bytes, addr)
         };
+        if zero && source == SpanSource::Dirty {
+            // SAFETY: the object was just handed out, and `size` bytes from
+            // `addr` lie inside its span (asserted below).
+            unsafe { std::ptr::write_bytes(addr as *mut u8, 0, size) };
+        }
         if guarded {
             // The span's last page is the guard. Die policy: register the
             // page with the write-barrier fault handler (so its faults
@@ -204,5 +216,171 @@ impl GlobalHeap {
         let span_start = self.base + mh.span().byte_offset();
         debug_assert!(addr >= span_start);
         Some(mh.object_size() - (addr - span_start))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::harden::HardenPolicy;
+    use crate::size_classes::{SizeClass, MAX_SMALL_SIZE, PAGE_SIZE};
+    use crate::span::Span;
+    use crate::{Mesh, MeshConfig};
+    use std::time::Duration;
+
+    /// The span length every case hands out: a 16 KiB-class span.
+    const PAGES: u32 = 32;
+
+    fn heap(hardened: bool) -> Mesh {
+        let config = MeshConfig::default()
+            .arena_bytes(64 << 20)
+            .seed(9)
+            .write_barrier(false)
+            .mesh_period(Duration::from_secs(3600));
+        let policy = if hardened {
+            HardenPolicy::Count
+        } else {
+            HardenPolicy::Off
+        };
+        Mesh::new(config.harden_policy(policy)).unwrap()
+    }
+
+    /// The `calloc` size that takes a span of exactly [`PAGES`] pages: one
+    /// page less where the span carries a guard page.
+    fn request(m: &Mesh) -> usize {
+        let guard = usize::from(m.inner.state.harden.guard_on());
+        (PAGES as usize - guard) * PAGE_SIZE
+    }
+
+    fn span_addr(m: &Mesh, span: Span) -> *mut u8 {
+        (m.inner.state.base_addr() + span.byte_offset()) as *mut u8
+    }
+
+    /// `calloc`s a [`PAGES`]-page object, asserts it reads as zero from
+    /// first byte to last, and returns it.
+    fn calloc_zeroed(m: &Mesh) -> *mut u8 {
+        let len = request(m);
+        assert!(len > MAX_SMALL_SIZE, "the large path");
+        let p = m.calloc(1, len);
+        assert!(!p.is_null());
+        let bytes = unsafe { std::slice::from_raw_parts(p, len) };
+        let stale = bytes.iter().position(|&b| b != 0);
+        assert_eq!(stale, None, "calloc handed out a non-zero byte");
+        p
+    }
+
+    /// Empties a 16 KiB-class span filled with non-zero bytes and detaches
+    /// it: a dirty span of [`PAGES`] pages. Returns its address.
+    fn dirty_span(m: &Mesh) -> *mut u8 {
+        let class = SizeClass::for_size(16 << 10).unwrap();
+        assert_eq!(class.span_pages(), PAGES as usize);
+        let mut th = m.thread_heap();
+        let objects: Vec<*mut u8> = (0..class.object_count())
+            .map(|_| th.malloc(16 << 10))
+            .collect();
+        for &p in &objects {
+            unsafe {
+                std::ptr::write_bytes(p, 0xA5, 16 << 10);
+                th.free(p);
+            }
+        }
+        drop(th);
+        assert_eq!(m.inner.state.lock_arena().dirty_bytes(), class.span_bytes());
+        objects.into_iter().min().unwrap()
+    }
+
+    /// A meshed pair whose MiniHeap died, as `free_miniheap_locked` leaves
+    /// it: the destination `[0]` dirty and full of non-zero bytes, the
+    /// source `[1]` parked, still mapping the destination's file range.
+    fn parked_alias(m: &Mesh) -> [Span; 2] {
+        let mut a = m.inner.state.lock_arena();
+        let dst = a.alloc_span(PAGES).unwrap().0;
+        let src = a.alloc_span(PAGES).unwrap().0;
+        for s in [dst, src] {
+            unsafe { std::ptr::write_bytes(span_addr(m, s), 0x3C, s.byte_len()) };
+        }
+        a.remap_alias(src, dst).unwrap();
+        a.note_alias();
+        a.release_sources(&[src]);
+        a.park_alias(src);
+        a.free_span_dirty(dst);
+        [dst, src]
+    }
+
+    fn every_mode(case: impl Fn(&Mesh)) {
+        for hardened in [false, true] {
+            case(&heap(hardened));
+        }
+    }
+
+    #[test]
+    fn a_fresh_span_reads_zero() {
+        every_mode(|m| {
+            assert_eq!(m.inner.state.lock_arena().dirty_bytes(), 0);
+            let committed = m.heap_bytes();
+            let p = calloc_zeroed(m);
+            assert!(m.heap_bytes() > committed, "carved from the frontier");
+            unsafe { m.free(p) };
+        });
+    }
+
+    #[test]
+    fn a_reused_dirty_span_is_cleared() {
+        every_mode(|m| {
+            let span = dirty_span(m);
+            let p = calloc_zeroed(m);
+            assert_eq!(p, span, "exact-length dirty reuse");
+            unsafe { m.free(p) };
+        });
+    }
+
+    #[test]
+    fn a_span_purged_clean_reads_zero() {
+        every_mode(|m| {
+            let span = dirty_span(m);
+            m.purge_dirty();
+            assert_eq!(m.inner.state.lock_arena().dirty_bytes(), 0);
+            let p = calloc_zeroed(m);
+            assert_eq!(p, span, "the purged span, clean");
+            unsafe { m.free(p) };
+        });
+    }
+
+    #[test]
+    fn a_restored_parked_alias_reads_zero() {
+        every_mode(|m| {
+            let [dst, src] = parked_alias(m);
+            let d = calloc_zeroed(m);
+            assert_eq!(d, span_addr(m, dst), "the destination, dirty");
+            let c = calloc_zeroed(m);
+            assert_eq!(c, span_addr(m, src), "the alias, restored on the clean miss");
+            unsafe {
+                m.free(c);
+                m.free(d);
+            }
+        });
+    }
+
+    #[test]
+    fn a_forked_child_hands_out_zeroed_clean_spans() {
+        every_mode(|m| {
+            // A span released in the parent (a punched hole the child's
+            // sparse copy keeps) and an alias still parked at the fork,
+            // which privatization files clean.
+            let released = m.inner.state.lock_arena().alloc_span(PAGES).unwrap().0;
+            unsafe { std::ptr::write_bytes(span_addr(m, released), 0x5A, released.byte_len()) };
+            let [dst, src] = parked_alias(m);
+            m.inner.state.lock_arena().release_span(released);
+            m.fork_prepare().release_child();
+            let d = calloc_zeroed(m);
+            assert_eq!(d, span_addr(m, dst), "the destination, dirty");
+            let mut got = [calloc_zeroed(m), calloc_zeroed(m)];
+            let mut want = [released, src].map(|s| span_addr(m, s));
+            got.sort();
+            want.sort();
+            assert_eq!(got, want, "the child's two clean spans");
+            for p in got.into_iter().chain([d]) {
+                unsafe { m.free(p) };
+            }
+        });
     }
 }

@@ -163,7 +163,7 @@ impl ThreadHeapCore {
     pub fn malloc(&mut self, state: &GlobalHeap, size: usize) -> *mut u8 {
         let Some(class) = SizeClass::for_size(size) else {
             // Large object: forwarded to the global heap (§4.4.3).
-            return match state.malloc_large(size, PAGE_SIZE) {
+            return match state.malloc_large(size, PAGE_SIZE, false) {
                 Ok(addr) => addr as *mut u8,
                 Err(_) => std::ptr::null_mut(),
             };

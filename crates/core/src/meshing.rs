@@ -94,8 +94,9 @@ impl MeshSummary {
 
 /// Runs SplitMesher and meshes the found pairs for every meshable size
 /// class, taking one class lock at a time. Then purges dirty pages, as
-/// §4.4.1 prescribes whenever meshing is invoked, once they are worth it.
-pub(crate) fn mesh_all_classes(heap: &GlobalHeap) -> MeshSummary {
+/// §4.4.1 prescribes whenever meshing is invoked, once at least
+/// `purge_floor` bytes are dirty.
+pub(crate) fn mesh_all_classes(heap: &GlobalHeap, purge_floor: usize) -> MeshSummary {
     let t0 = Instant::now();
     // Ledger bookkeeping: `pages_purged` moved by this pass's purge work
     // becomes the pass's madvise-bytes figure.
@@ -140,13 +141,13 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap) -> MeshSummary {
     }
     // The loop tidied every class, so every span frees emptied is in the
     // dirty bins now. They go back to the OS, and any segment left clean
-    // is retired, once they reach the least a pass must return to be
-    // worth it: a pass over a quiet heap finds nothing new and releases
-    // nothing, so forced passes do not cycle pages through release and
-    // refault.
+    // is retired, once they reach the floor. A pass's floor is the least
+    // it must return to be worth it: a pass over a quiet heap finds
+    // nothing new and releases nothing, so forced passes do not cycle
+    // pages through release and refault. A trim's floor is 0.
     {
         let mut arena = heap.lock_arena();
-        if arena.dirty_bytes() >= heap.rt.min_mesh_gain_bytes {
+        if arena.dirty_bytes() >= purge_floor {
             arena.purge_dirty();
             arena.retire_empty_segments(&heap.page_map);
         }
@@ -794,7 +795,7 @@ mod tests {
             detached_with_slots(&h, class, &slots, i as u8);
         }
         let room = h.lock_arena().alias_room();
-        let summary = mesh_all_classes(&h);
+        let summary = mesh_all_classes(&h, h.rt.min_mesh_gain_bytes);
         // Three and three, every probe disjoint: every span is paired.
         assert_eq!(summary.pairs_meshed, 3, "got {summary:?}");
         // Each pair made one alias against the mapping budget.
@@ -827,7 +828,8 @@ mod tests {
             h.lock_arena().set_alias_budget(4 + room);
             let spectrum = h.occupancy_spectrum().classes[class.index()];
             assert_eq!(spectrum.est_meshable_pairs, room as u32, "room {room}");
-            assert_eq!(mesh_all_classes(&h).pairs_meshed, room, "room {room}");
+            let pairs = mesh_all_classes(&h, h.rt.min_mesh_gain_bytes).pairs_meshed;
+            assert_eq!(pairs, room, "room {room}");
             // The pass's refusals are the budget's, not the bitmaps'.
             let totals = h.ledger.reject_totals();
             assert_eq!(totals[RejectReason::OccupancyOverlap as usize], 0);
@@ -857,7 +859,7 @@ mod tests {
             let st = h.lock_class(class);
             (0..ids.len()).map(|i| (start_of(&h, &st, ids[i]), i, 0x40 + i as u8)).collect()
         };
-        let summary = mesh_all_classes(&h);
+        let summary = mesh_all_classes(&h, h.rt.min_mesh_gain_bytes);
         assert_eq!(summary.pairs_meshed, BUDGET);
         // The disjoint pair past the budget was refused and ended the
         // probing; no VM call was made for it, so nothing rolled back.
@@ -884,7 +886,7 @@ mod tests {
         h.purge_and_retire();
         assert_eq!(h.lock_arena().alias_count(), 0);
         assert_eq!(h.occupancy_spectrum().classes[class.index()].est_meshable_pairs, 1);
-        assert_eq!(mesh_all_classes(&h).pairs_meshed, 1);
+        assert_eq!(mesh_all_classes(&h, h.rt.min_mesh_gain_bytes).pairs_meshed, 1);
         let unmeshed: Vec<_> = objects.iter().filter(|o| !meshed.contains(o)).copied().collect();
         assert_objects(256, &unmeshed);
     }
@@ -1022,7 +1024,7 @@ mod tests {
         });
         assert!(guard.slab.get(a).is_some());
         drop(guard);
-        let summary = mesh_all_classes(&h);
+        let summary = mesh_all_classes(&h, h.rt.min_mesh_gain_bytes);
         assert_eq!(summary.pairs_meshed, 0);
         let st = h.lock_class(class);
         assert!(st.slab.get(a).is_none(), "emptied span not reclaimed by the pass");
@@ -1230,7 +1232,7 @@ mod tests {
         // A free finds its bit back in the source, and the next pass
         // meshes the pair.
         assert!(h.free_global(spans[1] + 256));
-        let summary = mesh_all_classes(&h);
+        let summary = mesh_all_classes(&h, h.rt.min_mesh_gain_bytes);
         assert_eq!(summary.pairs_meshed, 1);
         assert_contents(256, &[(spans[0], &[0, n], 0xAA), (addr_c, &c_slots, 0xCC)]);
         let s = h.counters.snapshot();
@@ -1280,7 +1282,7 @@ mod tests {
         drop(st);
         // Neither span is a candidate again, and both outlive their
         // objects: one's pages show through the other.
-        assert_eq!(mesh_all_classes(&h).pairs_probed, 0);
+        assert_eq!(mesh_all_classes(&h, h.rt.min_mesh_gain_bytes).pairs_probed, 0);
         for addr in [addr_a, addr_a + 2 * 256, addr_b + 256] {
             assert!(h.free_global(addr));
         }

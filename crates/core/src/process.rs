@@ -104,17 +104,31 @@ pub fn built_heap() -> Option<&'static Mesh> {
 }
 
 /// Allocates `size` bytes aligned to `align` (a power of two) on the
-/// calling thread's heap. `None` when the request is not Mesh's: it came
-/// from inside Mesh, or the process heap cannot be built. `Some(null)` on
-/// exhaustion.
+/// calling thread's heap, reading as zero when `zero` is set (`calloc`).
+/// `None` when the request is not Mesh's: it came from inside Mesh, or
+/// the process heap cannot be built. `Some(null)` on exhaustion.
 #[inline]
-pub fn malloc(size: usize, align: usize) -> Option<*mut u8> {
+pub fn malloc(size: usize, align: usize, zero: bool) -> Option<*mut u8> {
     if in_internal_alloc() {
         return None;
     }
     with_internal_alloc(|| {
         let mesh = heap()?;
-        Some(with_thread_heap(mesh, |th| th.malloc_aligned(size, align)))
+        Some(with_thread_heap(mesh, |th| th.allocate(size, align, zero)))
+    })
+}
+
+/// `malloc_trim`: one meshing pass over the process heap that then
+/// releases every dirty page, where a pass releases them only once
+/// `min_mesh_gain_bytes` are dirty. Returns whether it ran: not with no
+/// heap, nor when called from inside Mesh.
+pub fn trim() -> bool {
+    if in_internal_alloc() {
+        return false;
+    }
+    built_heap().is_some_and(|mesh| {
+        with_internal_alloc(|| mesh.inner.state.trim());
+        true
     })
 }
 

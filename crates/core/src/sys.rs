@@ -43,12 +43,18 @@ pub struct MemFile {
 }
 
 impl MemFile {
-    /// Creates a memory file of `len` bytes (sparse).
+    /// Creates a memory file of `len` bytes (sparse), on a close-on-exec
+    /// descriptor of 3 or more.
+    ///
+    /// A process started with fd 0, 1 or 2 closed would otherwise give the
+    /// heap its stdin, stdout or stderr number, and its first `open` of
+    /// that stream, or a write to it, would reach the heap's pages.
     ///
     /// # Errors
     ///
     /// Returns an error if both `memfd_create` and the temp-file fallback
-    /// fail, or if the file cannot be sized.
+    /// fail, if a low descriptor cannot be moved up, or if the file cannot
+    /// be sized.
     pub fn create(len: usize) -> io::Result<MemFile> {
         let fd = unsafe {
             libc::syscall(
@@ -57,7 +63,7 @@ impl MemFile {
                 libc::MFD_CLOEXEC as c_uint,
             ) as c_int
         };
-        let fd = if fd >= 0 { fd } else { Self::tmpfile_fd()? };
+        let fd = above_stdio(if fd >= 0 { fd } else { Self::tmpfile_fd()? })?;
         // SAFETY: `fd` is a descriptor just opened here and owned by no one else.
         let file = unsafe { File::from_raw_fd(fd) };
         file.set_len(len as u64)?;
@@ -73,7 +79,7 @@ impl MemFile {
             dir.to_string_lossy().trim_end_matches('/')
         );
         let mut buf: Vec<u8> = template.into_bytes();
-        let fd = unsafe { libc::mkstemp(buf.as_mut_ptr() as *mut libc::c_char) };
+        let fd = unsafe { libc::mkostemp(buf.as_mut_ptr() as *mut libc::c_char, libc::O_CLOEXEC) };
         if fd < 0 {
             return Err(last_err());
         }
@@ -110,6 +116,26 @@ impl MemFile {
     pub fn held_pages(&self) -> io::Result<usize> {
         let bytes = self.file.metadata()?.blocks() * 512;
         Ok(bytes as usize / PAGE_SIZE)
+    }
+}
+
+/// `fd` itself if it is 3 or more; else a close-on-exec duplicate of it
+/// at 3 or more, closing `fd`.
+fn above_stdio(fd: c_int) -> io::Result<c_int> {
+    if fd > 2 {
+        return Ok(fd);
+    }
+    // SAFETY: `fd` was just opened here and is closed once, whether or
+    // not the move succeeded.
+    unsafe {
+        let moved = libc::fcntl(fd, libc::F_DUPFD_CLOEXEC, 3);
+        let err = last_err();
+        libc::close(fd);
+        if moved < 0 {
+            Err(err)
+        } else {
+            Ok(moved)
+        }
     }
 }
 
@@ -506,6 +532,16 @@ pub fn resident_pages(addr: usize, pages: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_tmpfile_fallback_is_close_on_exec() {
+        const F_GETFD: c_int = 1;
+        const FD_CLOEXEC: c_int = 1;
+        let fd = MemFile::tmpfile_fd().unwrap();
+        let flags = unsafe { libc::fcntl(fd, F_GETFD, 0) };
+        unsafe { libc::close(fd) };
+        assert_eq!(flags & FD_CLOEXEC, FD_CLOEXEC);
+    }
 
     #[test]
     fn memfile_create_and_size() {

@@ -3,8 +3,11 @@
 //! unmodified system binaries (`ls`, `sort`) — under
 //! `LD_PRELOAD=libmesh.so` with `MESH_PRINT_STATS_AT_EXIT=1`, asserting
 //! exit status 0 and non-zero Mesh counters in the exit dump. The
-//! multithreaded churn program additionally requires `pairs_meshed > 0`
-//! and the fork program a child stats line with `forks=1`.
+//! multithreaded churn program and the trim program (whose `malloc_trim`
+//! meshes before it purges) additionally require `pairs_meshed > 0`, and
+//! the fork program a child stats line with `forks=1`. A program started
+//! with fds 0, 1 and 2 closed checks that the heap's file takes none of
+//! them.
 //!
 //! Gated on the environment: skips (loudly) when no `cc` is available.
 
@@ -150,7 +153,7 @@ fn c_programs_and_real_binaries_run_on_mesh() {
     std::fs::create_dir_all(&out_dir).unwrap();
 
     // --- the C programs -------------------------------------------------
-    for name in ["smoke", "edge_semantics", "realloc_churn"] {
+    for name in ["smoke", "edge_semantics", "realloc_churn", "trim_calloc"] {
         let bin = compile_c(name, &out_dir);
         let run = run_preloaded(&so, &bin, &[], None);
         assert!(
@@ -179,6 +182,13 @@ fn c_programs_and_real_binaries_run_on_mesh() {
             assert!(
                 stats["reallocs_in_place"] > 0,
                 "{name}: in-place realloc fast path never hit:\n{}",
+                run.stderr
+            );
+        }
+        if name == "trim_calloc" {
+            assert!(
+                stats["pairs_meshed"] > 0,
+                "{name}: malloc_trim meshed nothing:\n{}",
                 run.stderr
             );
         }
@@ -344,4 +354,38 @@ fn a_default_preloaded_process_dies_of_sigusr2() {
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+/// A process started with fds 0, 1 and 2 closed: its first three opens
+/// get 0, 1 and 2, not the heap's file, so its 4 MiB write to "stdout"
+/// lands in its own file and its heap objects keep their stamps
+/// (`tests/c/closed_stdio.c` reports through its exit status).
+#[test]
+fn a_process_without_stdio_keeps_them_for_its_own_files() {
+    use std::os::unix::process::CommandExt;
+    if !have_cc() {
+        eprintln!("skipping closed-stdio preload test: no `cc` in this environment");
+        return;
+    }
+    let so = build_libmesh();
+    let out_dir = target_dir().join("c-abi-tests");
+    std::fs::create_dir_all(&out_dir).unwrap();
+    let bin = compile_c("closed_stdio", &out_dir);
+    let files = out_dir.join("closed-stdio-files");
+    std::fs::create_dir_all(&files).unwrap();
+    let mut cmd = preloaded(&so, bin.to_str().unwrap(), &[files.to_str().unwrap()], &[]);
+    // SAFETY: `close` is async-signal-safe, as `pre_exec` requires.
+    unsafe {
+        cmd.pre_exec(|| {
+            for fd in 0..3 {
+                mesh::core::ffi::close(fd);
+            }
+            Ok(())
+        });
+    }
+    let status = cmd.status().expect("spawn failed");
+    assert_eq!(status.code(), Some(0), "closed_stdio failed its check {status:?}");
+    let out = std::fs::read(files.join("out")).unwrap();
+    assert_eq!(out.len(), 4 << 20);
+    assert!(out.iter().all(|&b| b == 0x6B), "\"stdout\" holds what was written to it");
 }

@@ -147,7 +147,7 @@ fn c_gauntlet_passes_under_full_hardening() {
 
     // Clean programs: every detector armed, zero violations, no behavior
     // change a conforming program could observe.
-    for name in ["smoke", "realloc_churn", "mt_churn"] {
+    for name in ["smoke", "realloc_churn", "mt_churn", "trim_calloc"] {
         let bin = compile_c(name, &out_dir);
         let run = run_preloaded(&so, &bin, &full);
         assert_ok(name, &run);
