@@ -407,7 +407,8 @@ impl Mesh {
         self.inner.state.rt.set_meshing(enabled);
     }
 
-    /// Runtime control: adjusts the SplitMesher probe limit `t` (§3.3).
+    /// Runtime control: adjusts the probe limit `t`, the open destinations
+    /// a mesh candidate tests per pass (§3.3).
     /// Lock-free; a `t` outside the `probe_limit` knob's range is ignored.
     pub fn set_probe_limit(&self, t: usize) {
         let row = knobs::find("probe_limit").expect("the probe_limit row");

@@ -108,6 +108,9 @@ pub struct Arena {
     aliases: usize,
     /// The most aliases meshing may make ([`alias_budget`]).
     alias_budget: usize,
+    /// Set the first time a segment's descriptor names a file other than
+    /// its own ([`Arena::files_intact`]), and never cleared.
+    files_lost: bool,
     /// Test hook: fallible VM calls of the mesh path (protect, remap,
     /// identity restore) seen since it was set, and which of them to
     /// refuse.
@@ -152,6 +155,7 @@ impl Arena {
             counters,
             aliases: 0,
             alias_budget: alias_budget(sys::max_map_count()),
+            files_lost: false,
             #[cfg(test)]
             refused_vm_calls: (0, 0..0),
         };
@@ -485,24 +489,34 @@ impl Arena {
     }
 
     /// Releases a dead span's physical pages immediately and files it
-    /// under clean (used for large objects, §4).
+    /// under clean (used for large objects, §4); under dirty once the
+    /// segment's file is lost, since nothing is punched then.
     pub fn release_span(&mut self, span: Span) {
-        self.release_physical(span);
-        self.free_span_clean(span);
+        if self.release_physical(span) {
+            self.free_span_clean(span);
+        } else {
+            self.free_span_dirty(span);
+        }
     }
 
     /// Releases the physical file range behind `span`, a span of its own
     /// segment's file: any never-meshed span, or a mesh source's primary.
-    pub fn release_physical(&mut self, span: Span) {
+    /// Returns whether it did, which it does while the segment's file is
+    /// intact.
+    pub fn release_physical(&mut self, span: Span) -> bool {
         let idx = self.seg_index_of(span);
-        self.release_run(idx, span, span.pages as usize);
+        self.release_run(idx, span, span.pages as usize)
     }
 
     /// Punches the file range behind `run`, a run of spans of segment
     /// `idx`, with one kernel call, and uncommits the `pages` of it that
     /// held physical pages. The hole is punched by file offset, so it does
-    /// not matter what the run's virtual pages map meanwhile.
-    fn release_run(&mut self, idx: usize, run: Span, pages: usize) {
+    /// not matter what the run's virtual pages map meanwhile. Punches
+    /// nothing, and returns `false`, once the segment's file is lost.
+    fn release_run(&mut self, idx: usize, run: Span, pages: usize) -> bool {
+        if !self.file_intact(idx) {
+            return false;
+        }
         let t0 = Instant::now();
         let seg = self.table.get_mut(idx);
         let file_offset = seg.file_offset_of_page(run.offset);
@@ -513,6 +527,7 @@ impl Arena {
         self.set_committed(self.committed_pages - pages);
         self.counters
             .record_slow(TimedOp::Madvise, t0, pages as u64);
+        true
     }
 
     /// Releases the file ranges behind a batch's mesh sources — their
@@ -545,11 +560,12 @@ impl Arena {
     /// syscalls. Runs never cross segments — their file ranges live in
     /// different files.
     pub fn purge_dirty(&mut self) {
-        if self.dirty_pages == 0 && !self.has_parked() {
+        if (self.dirty_pages == 0 && !self.has_parked()) || !self.files_intact() {
             return;
         }
-        let purged = self.dirty_pages;
+        let dirty = self.dirty_pages;
         self.file_clean(true);
+        let purged = dirty - self.dirty_pages;
         if purged > 0 {
             self.counters
                 .pages_purged
@@ -561,7 +577,9 @@ impl Arena {
     /// Files every parked span and, with `purge`, every dirty span under
     /// clean, run by run (see [`Arena::purge_dirty`]). An alias whose
     /// identity `mmap` the kernel refuses (`ENOMEM` at
-    /// `vm.max_map_count`) stays parked for the next call.
+    /// `vm.max_map_count`) stays parked for the next call. A lost file
+    /// ([`Arena::files_intact`]) refuses the restore and the punch, and
+    /// leaves every span parked or dirty.
     fn file_clean(&mut self, purge: bool) {
         if purge {
             self.dirty_pages = 0;
@@ -587,26 +605,57 @@ impl Arena {
                     .filter(|&&(_, parked)| !parked)
                     .map(|&(s, _)| s.pages as usize)
                     .sum();
-                if dirty < run.pages as usize && self.restore_identity(run).is_err() {
-                    for &(span, parked) in members {
-                        if parked {
-                            self.table.get_mut(idx).repark(span);
-                        } else {
-                            self.release_run(idx, span, span.pages as usize);
-                            self.table.get_mut(idx).park_clean(span);
-                        }
+                // A run holding a parked span gets its identity back first;
+                // its dirty pages go in one punch if it did, one per span
+                // if not.
+                let restored = dirty == run.pages as usize || self.restore_identity(run).is_ok();
+                let punched = restored && dirty > 0 && self.release_run(idx, run, dirty);
+                for &(span, parked) in members {
+                    if parked && restored {
+                        self.aliases -= 1;
+                        self.table.get_mut(idx).park_clean(span);
+                    } else if parked {
+                        self.table.get_mut(idx).repark(span);
+                    } else if punched || self.release_run(idx, span, span.pages as usize) {
+                        self.table.get_mut(idx).park_clean(span);
+                    } else {
+                        self.table.get_mut(idx).redirty(span);
+                        self.dirty_pages += span.pages as usize;
                     }
-                    continue;
-                }
-                if dirty > 0 {
-                    self.release_run(idx, run, dirty);
-                }
-                self.aliases -= members.iter().filter(|&&(_, parked)| parked).count();
-                for &(span, _) in members {
-                    self.table.get_mut(idx).park_clean(span);
                 }
             }
         }
+    }
+
+    /// Whether every segment's descriptor still names the file the arena
+    /// created for it ([`MemFile::is_intact`], one `fstat` each). The first
+    /// time one does not — the program closed the descriptor, and the
+    /// number may name a file of its own — the heap stops meshing and
+    /// purging for good: a remap, punch or identity restore through the
+    /// number would write into that file. Allocation goes on from what is
+    /// mapped. The loss is counted in `HeapStats::files_lost` and told on
+    /// one `mesh:` line.
+    pub(crate) fn files_intact(&mut self) -> bool {
+        (0..self.table.len()).all(|idx| self.file_intact(idx))
+    }
+
+    /// [`Arena::files_intact`] for segment `idx` alone.
+    fn file_intact(&mut self, idx: usize) -> bool {
+        if !self.files_lost && !self.table.get(idx).file().is_intact() {
+            self.files_lost = true;
+            self.counters.files_lost.fetch_add(1, Ordering::Relaxed);
+            eprintln!(
+                "mesh: the heap's file descriptor {} names another file; meshing and purging stop",
+                self.table.get(idx).file().fd()
+            );
+        }
+        !self.files_lost
+    }
+
+    /// Whether a segment's file was found lost ([`Arena::files_intact`]),
+    /// without looking again.
+    pub(crate) fn files_lost(&self) -> bool {
+        self.files_lost
     }
 
     /// Bytes currently sitting in the dirty bins.
@@ -697,7 +746,13 @@ impl Arena {
     /// # Errors
     ///
     /// Returns [`MeshError::Map`] if the kernel rejects the remap.
+    /// Returns `EBADF` once the segment's file is lost
+    /// (`Arena::files_intact`).
     pub fn restore_identity(&mut self, vspan: Span) -> Result<(), MeshError> {
+        if !self.file_intact(self.seg_index_of(vspan)) {
+            let lost = std::io::Error::from_raw_os_error(crate::ffi::EBADF);
+            return Err(MeshError::Map(lost));
+        }
         self.remap_alias(vspan, vspan)
     }
 

@@ -105,7 +105,7 @@ pub(crate) struct ClassState {
     /// Refills of this class so far: the clock of [`REST_REFILLS`].
     pub refills: u32,
     /// Class-private PRNG (random span selection within a bin, §3.1, and
-    /// the SplitMesher shuffle, §3.3).
+    /// where a mesh candidate's probes start).
     pub rng: Rng,
 }
 

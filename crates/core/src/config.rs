@@ -56,7 +56,8 @@ pub struct MeshConfig {
     /// free reaches the global heap (§4.5); and a pass purges the dirty
     /// pages (§4.4.1) once at least this many bytes of them are waiting.
     pub(crate) min_mesh_gain_bytes: usize,
-    /// SplitMesher probe limit `t` (§3.3; the paper uses 64).
+    /// Probe limit `t`: the open destinations a mesh candidate tests, at
+    /// most, in a pass (§3.3's SplitMesher bound; the paper uses 64).
     pub(crate) probe_limit: usize,
     /// Spans with occupancy above this fraction are not mesh candidates.
     pub(crate) occupancy_cutoff: f64,
@@ -191,7 +192,8 @@ impl MeshConfig {
         /// Sets the least a pass must return: the "don't restart the timer"
         /// gain threshold (§4.5) and the dirty bytes a pass purges at.
         min_mesh_gain_bytes(bytes: usize) => min_mesh_gain_bytes = bytes;
-        /// Sets the SplitMesher probe limit `t` (§3.3).
+        /// Sets the probe limit `t`: open destinations a mesh candidate
+        /// tests per pass (§3.3).
         probe_limit(t: usize) => probe_limit = t;
         /// Sets the occupancy fraction above which spans are not meshed.
         occupancy_cutoff(cutoff: f64) => occupancy_cutoff = cutoff;

@@ -56,6 +56,7 @@ pub const SEEK_HOLE: c_int = 4;
 pub const EINTR: c_int = 4;
 /// Returned by `lseek(SEEK_DATA)` when no data follows the offset.
 pub const ENXIO: c_int = 6;
+pub const EBADF: c_int = 9;
 pub const ENOMEM: c_int = 12;
 pub const EINVAL: c_int = 22;
 

@@ -588,8 +588,8 @@ impl GlobalHeap {
                 }
             }
             drop(st);
-            // No more pairs than fit one span's slots, nor than the
-            // mapping budget has aliases left for.
+            // The sources first fit could fold by live counts alone, and
+            // no more than the mapping budget has aliases left for.
             cs.est_meshable_pairs =
                 telemetry::estimate_meshable_pairs(&mut in_use_of, slots as u32).min(alias_room);
         }

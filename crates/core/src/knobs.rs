@@ -333,7 +333,7 @@ pub static KNOBS: [Knob; 31] = [
     knob!("min_mesh_gain_bytes", None, ANY, "1M", field!(num min_mesh_gain_bytes),
         "the least a pass must return: freeing less pauses the timer until the next global free (§4.5); a pass purges once this many bytes are dirty (§4.4.1)"),
     knob!("probe_limit", None, Kind::Num { min: 1, max: 4096 }, "64", field!(num probe_limit),
-        "SplitMesher probe limit `t` (§3.3)",
+        "probe limit `t`: open destinations a mesh candidate tests, at most, in a pass (§3.3)",
         live: |h, v| { h.rt.set_probe_limit(v.num() as usize); Ok(()) }),
     knob!("occupancy_cutoff", None, Kind::Fraction, "0.8",
         Some(Field {

@@ -23,7 +23,7 @@
 //! | §4.4 Global heap (sharded per size class) | [`Mesh`] |
 //! | §4.4.1 Meshable arena (segmented, grows on demand) | [`arena`], `segment` (internal), [`sys`] |
 //! | §4.4.4 Non-local frees: page-map lookup, atomic bitmap clear | `page_map` (internal), [`bitmap`], [`miniheap`] |
-//! | §3.3/§4.5 SplitMesher & meshing | [`meshing`] |
+//! | §3.3/§5.1/§4.5 Meshing: multi-way first fit, batched remaps | [`meshing`] |
 //! | §4.5 Rate-limited meshing on the free path | [`Mesh::set_mesh_period`], [`MeshConfig::mesh_period`] |
 //! | Background telemetry beat (this repo's extension) | `mesher` (internal) |
 //! | §4.5.2 Write barrier | [`barrier`] |

@@ -1,16 +1,29 @@
 //! Meshing: finding and merging spans with disjoint allocations
-//! (§3.3 SplitMesher, §4.5 implementation).
+//! (§3.3, §5.1, §4.5 implementation).
 //!
 //! A pass runs one size class at a time, holding only that class's shard
 //! lock (plus the arena leaf lock around the virtual-memory operations) —
 //! see DESIGN.md's locking discipline. For each class it collects the
 //! detached, partially-occupied MiniHeaps — reading each bitmap afresh,
-//! since frees clear bits without the lock and the bins lag them —
-//! randomly splits them into two halves, and probes pairs between the
-//! halves at most `t` times per span (Figure 2). Candidate pairs found by
-//! SplitMesher are recorded and then meshed en masse (§4.5). Frees keep
-//! arriving throughout; only an attach sets bits, and it needs the lock,
-//! so a pair found disjoint stays disjoint.
+//! since frees clear bits without the lock and the bins lag them — and
+//! packs them by **multi-way first fit** (`first_fit`): fullest first,
+//! each candidate probes at most `t` (`probe_limit`) of the destinations
+//! opened so far, starting at a random one, and folds into the first
+//! whose gathered bits — its own and those of the sources already folded
+//! into it — it is disjoint from; a candidate that fits none opens a
+//! destination of its own. The found `(destination, source)` pairs are
+//! then meshed en masse (§4.5). Frees keep arriving throughout; only an
+//! attach sets bits, and it needs the lock, so bits found disjoint stay
+//! disjoint.
+//!
+//! This departs from the paper's SplitMesher (§3.3, Figure 2) on purpose.
+//! SplitMesher approximates a *matching*: a pass folds at most one span
+//! into another, while §5.1 frames meshing as MinCliqueCover, where `k`
+//! mutually disjoint spans fold into one and release `k − 1`. On
+//! `frag_mesh` (12 % random survivors) first fit took `frag_ratio` from
+//! 1.85 to 1.35 and steady RSS down 13 % (DESIGN.md §3), and on §5's
+//! random strings `mesh_graph::first_fit` releases up to 1.8× what
+//! SplitMesher does, close to the greedy clique cover.
 //!
 //! Meshing is the two-step §4.5 process, done a **batch** of pairs at a
 //! time (`MESH_BATCH`, sorted by source address) so that the
@@ -32,17 +45,23 @@
 //! barrier's fault handler, or a free wait for an even epoch, is therefore
 //! one batch: at most `MESH_BATCH` pairs' copies and `MESH_BATCH_SPANS`
 //! remaps, a bound that does not grow with the heap (Compact-fit's
-//! bounded step, PAPERS.md).
+//! bounded step, PAPERS.md). A destination's sources may fall in several
+//! batches, so each destination is settled once, after its class's last
+//! batch: one that frees emptied meanwhile still takes its later sources.
 //!
-//! Each meshed pair makes one alias, a virtual span mapping another span's
-//! file range, and each alias may cost the process two mappings. The
-//! arena counts aliases against a budget read from `vm.max_map_count`
-//! (DESIGN.md §2a), and SplitMesher pairs no more than the budget allows,
-//! refusing the rest under [`RejectReason::AliasBudget`]. The kernel can
-//! still refuse any of these calls, and none of them is fatal: a refused
-//! protect abandons the batch before a bit is taken, a refused remap
-//! rolls its pair back inside the odd interval, and either ends the
-//! class's pass ([`RejectReason::CopyAbort`]).
+//! Each folded source makes one alias, a virtual span mapping another
+//! span's file range, and each alias may cost the process two mappings.
+//! The arena counts aliases against a budget read from `vm.max_map_count`
+//! (DESIGN.md §2a), and first fit folds no more sources than the budget
+//! allows: the first fit past it is refused under
+//! [`RejectReason::AliasBudget`] and ends the class's probing. The kernel
+//! can still refuse any of these calls, and none of them is fatal: a
+//! refused protect abandons the batch before a bit is taken, a refused
+//! remap rolls its pair back inside the odd interval, and either ends the
+//! class's pass ([`RejectReason::CopyAbort`]). Nor does a pass touch the
+//! heap's files once one of them is no longer the file the heap created
+//! (`Arena::files_intact`): the program closed its descriptor and the
+//! number now names a file of the program's.
 //!
 //! Passes are initiated inline, by the §4.5 free-path rate limiter, or by
 //! `mesh_now`; the per-class locks make concurrent passes safe, and the
@@ -75,13 +94,15 @@ use std::time::Instant;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MeshSummary {
-    /// Number of span pairs merged.
+    /// Sources folded into a destination: one per meshed
+    /// `(destination, source)` pair, so `k` spans meshed into one count
+    /// `k − 1`.
     pub pairs_meshed: usize,
     /// Physical pages released by those merges.
     pub pages_released: usize,
     /// Object bytes copied between spans.
     pub bytes_copied: usize,
-    /// Pair candidates probed (the `t`-bounded search cost).
+    /// Bitmap tests made by first fit (the `t`-bounded search cost).
     pub pairs_probed: usize,
 }
 
@@ -92,7 +113,7 @@ impl MeshSummary {
     }
 }
 
-/// Runs SplitMesher and meshes the found pairs for every meshable size
+/// Runs first fit and meshes the found pairs for every meshable size
 /// class, taking one class lock at a time. Then purges dirty pages, as
 /// §4.4.1 prescribes whenever meshing is invoked, once at least
 /// `purge_floor` bytes are dirty.
@@ -122,14 +143,18 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap, purge_floor: usize) -> MeshSum
         let select_t0 = Instant::now();
         let candidates = collect_candidates(heap, &mut st);
         candidates_scanned += candidates.len() as u64;
-        if candidates.len() < 2 {
+        let (alias_room, lost) = {
+            let arena = heap.lock_arena();
+            (arena.alias_room(), arena.files_lost())
+        };
+        if candidates.len() < 2 || lost {
             heap.counters.record_slow(TimedOp::MeshCandidates, select_t0, 0);
             continue;
         }
-        let alias_room = heap.lock_arena().alias_room();
-        let pairs = split_mesher(
+        let pairs = first_fit(
             &mut st,
             candidates,
+            class.object_count(),
             heap.rt.probe_limit(),
             alias_room,
             &mut summary.pairs_probed,
@@ -179,23 +204,27 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap, purge_floor: usize) -> MeshSum
 }
 
 /// Collects the detached MiniHeaps of `class` that are eligible for
-/// meshing ([`is_candidate`]). The partial bins say where to look;
-/// occupancy is read from the bitmaps, which frees clear without the lock
-/// and without moving a span between partial bins — so each span seen is
-/// also refiled under the bin it belongs in, or destroyed if nothing in
-/// it is live.
-fn collect_candidates(heap: &GlobalHeap, st: &mut ClassState) -> Vec<MiniHeapId> {
+/// meshing ([`is_candidate`]), each with its [`fill_key`]. The partial
+/// bins say where to look; occupancy is read from the bitmaps, which
+/// frees clear without the lock and without moving a span between partial
+/// bins — so each span seen is also refiled under the bin it belongs in,
+/// or destroyed if nothing in it is live.
+fn collect_candidates(heap: &GlobalHeap, st: &mut ClassState) -> Vec<(u32, MiniHeapId)> {
     let cutoff = heap.rt.occupancy_cutoff;
-    let filed: Vec<MiniHeapId> = st.bins.partial.iter().flatten().copied().collect();
-    let mut out = Vec::new();
-    for id in filed {
+    let mut out: Vec<(u32, MiniHeapId)> =
+        st.bins.partial.iter().flatten().map(|&id| (0, id)).collect();
+    out.retain(|&(_, id)| {
         heap.settle_locked(st, id);
         // Destroyed just now if nothing in it was live.
-        let Some(mh) = st.slab.get(id) else { continue };
-        debug_assert!(!mh.is_attached());
-        if is_candidate(mh, cutoff) {
-            out.push(id);
-        }
+        st.slab.get(id).is_some_and(|mh| {
+            debug_assert!(!mh.is_attached());
+            is_candidate(mh, cutoff)
+        })
+    });
+    let arena = heap.lock_arena();
+    for (key, id) in &mut out {
+        let mh = st.slab.get(*id).expect("candidate is live");
+        *key = fill_key(mh.in_use(), arena.segment_outstanding_of(mh.span()));
     }
     out
 }
@@ -209,78 +238,98 @@ pub(crate) fn is_candidate(mh: MiniHeapRef<'_>, cutoff: f64) -> bool {
     in_use > 0 && in_use < count && in_use as f64 / count as f64 <= cutoff
 }
 
-/// The probe loop of Figure 2 over a split already made: `left[j]` is
-/// probed against `right[(j+i) % |right|]` for `i < t`, and a pair
-/// `meshable` accepts (`Some(true)`) drops out of both halves, and a
-/// `None` ends the probing. `probes` counts the calls of `meshable`. The
-/// heap's passes and `mesh-graph`'s §5.3 experiments both run this loop.
-#[inline]
-pub fn split_mesher_pairs<T: Copy>(
-    left: &[T],
-    right: &[T],
-    t: usize,
-    probes: &mut usize,
-    mut meshable: impl FnMut(T, T) -> Option<bool>,
-) -> Vec<(T, T)> {
-    let mut pairs = Vec::new();
-    if right.is_empty() {
-        return pairs;
-    }
-    let mut used_l = vec![false; left.len()];
-    let mut used_r = vec![false; right.len()];
-    for i in 0..t {
-        for (j, taken) in used_l.iter_mut().enumerate() {
-            let k = (j + i) % right.len();
-            if *taken || used_r[k] {
-                continue;
-            }
-            *probes += 1;
-            match meshable(left[j], right[k]) {
-                Some(true) => {
-                    *taken = true;
-                    used_r[k] = true;
-                    pairs.push((left[j], right[k]));
-                }
-                Some(false) => {}
-                None => return pairs,
-            }
-        }
-    }
-    pairs
+/// The order [`first_fit`] takes candidates in, highest first: the
+/// fullest first, and between equals the one whose segment has more pages
+/// outstanding, so that the span left to be evacuated is the one in the
+/// emptier segment, which then drains toward retirement.
+fn fill_key(in_use: usize, segment_outstanding: usize) -> u32 {
+    const OUTSTANDING_BITS: u32 = 23;
+    // `in_use` is at most `MAX_OBJECTS_PER_SPAN` (256): 9 bits.
+    let outstanding = segment_outstanding.min((1 << OUTSTANDING_BITS) - 1);
+    (in_use as u32) << OUTSTANDING_BITS | outstanding as u32
 }
 
-/// The SplitMesher procedure of Figure 2: shuffle the candidate list,
-/// split it into halves, and probe them. Returns the pairs to mesh (each
-/// span in at most one pair), at most `alias_room` of them: each makes
-/// one alias (DESIGN.md §2a). A probed pair whose bitmaps collide is
-/// tallied in `rejected` under `occupancy_overlap`; the first disjoint
-/// pair past the alias room is tallied under `alias_budget` and ends the
-/// probing.
-fn split_mesher(
+/// A destination first fit has opened: its id, and the bits it held when
+/// it opened together with those of every source folded into it since.
+struct Open {
+    id: MiniHeapId,
+    gathered: [u64; WORDS],
+    /// Bits set in `gathered`.
+    count: u32,
+}
+
+/// Multi-way first fit, a pass's pairing step (§5.1's MinCliqueCover,
+/// first-fit decreasing). Takes `candidates` (with their [`fill_key`]s)
+/// highest key first; each probes at most `probe_limit` open destinations,
+/// from a random one on, and folds into the first whose gathered bits it
+/// is disjoint from, or else opens a destination itself. A destination
+/// whose gathered count and the candidate's live count pass the span's
+/// `slots` is passed over without a bitmap test, and a full one closes.
+///
+/// Returns `(destination, source)` pairs, one per folded source, at most
+/// `alias_room` of them: each makes one alias (DESIGN.md §2a). A bitmap
+/// test counts in `probes`, and one that collides is tallied in
+/// `rejected` under `occupancy_overlap`; the first fit past the alias
+/// room is tallied under `alias_budget` and ends the probing. The pairs
+/// reuse the candidates' memory.
+fn first_fit(
     st: &mut ClassState,
-    mut candidates: Vec<MiniHeapId>,
+    mut candidates: Vec<(u32, MiniHeapId)>,
+    slots: usize,
     probe_limit: usize,
     mut alias_room: usize,
     probes: &mut usize,
     rejected: &mut [u64; REJECT_REASONS],
 ) -> Vec<(MiniHeapId, MiniHeapId)> {
-    st.rng.shuffle(&mut candidates);
-    // `left` has `len / 2` entries; `right` has as many, or one more.
-    let (left, right) = candidates.split_at(candidates.len() / 2);
-    split_mesher_pairs(left, right, probe_limit, probes, |x, y| {
-        let a = st.slab.get(x).expect("candidate is live");
-        let b = st.slab.get(y).expect("candidate is live");
-        if !a.bitmap().meshes_with(b.bitmap()) {
-            rejected[RejectReason::OccupancyOverlap as usize] += 1;
-            return Some(false);
-        }
+    candidates.sort_unstable_by_key(|&(key, _)| std::cmp::Reverse(key));
+    let mut open: Vec<Open> = Vec::new();
+    // `candidates[..folds]` hold the pairs found so far, as raw
+    // destination ids and sources.
+    let mut folds = 0;
+    for i in 0..candidates.len() {
+        let id = candidates[i].1;
+        let bits = st.slab.get(id).expect("candidate is live").bitmap().load_words();
+        let count: u32 = bits.iter().map(|word| word.count_ones()).sum();
+        let start = match open.len() {
+            0 => 0,
+            len => st.rng.below(len as u32) as usize,
+        };
+        let fit = (0..open.len().min(probe_limit))
+            .map(|k| (start + k) % open.len())
+            .filter(|&k| (open[k].count + count) as usize <= slots)
+            .find(|&k| {
+                *probes += 1;
+                let disjoint = open[k].gathered.iter().zip(&bits).all(|(g, b)| g & b == 0);
+                if !disjoint {
+                    rejected[RejectReason::OccupancyOverlap as usize] += 1;
+                }
+                disjoint
+            });
+        let Some(k) = fit else {
+            open.push(Open { id, gathered: bits, count });
+            continue;
+        };
         if alias_room == 0 {
             rejected[RejectReason::AliasBudget as usize] += 1;
-            return None;
+            break;
         }
         alias_room -= 1;
-        Some(true)
-    })
+        let dst = &mut open[k];
+        for (gathered, word) in dst.gathered.iter_mut().zip(bits) {
+            *gathered |= word;
+        }
+        dst.count += count;
+        candidates[folds] = (dst.id.to_raw(), id);
+        folds += 1;
+        if dst.count as usize == slots {
+            open.swap_remove(k);
+        }
+    }
+    candidates.truncate(folds);
+    candidates
+        .into_iter()
+        .map(|(dst, src)| (MiniHeapId::from_raw(dst), src))
+        .collect()
 }
 
 /// Pairs meshed behind one raise of the write barrier and inside one odd
@@ -310,83 +359,76 @@ struct Pair {
     live: bool,
 }
 
-/// Meshes the pairs SplitMesher found for `class`, a batch at a time:
-/// consolidates each pair's objects onto the higher-occupancy span (fewer
-/// bytes to copy), retargets the source's virtual spans, and releases the
-/// source's physical span (§4.5). The caller holds the class lock; each
-/// batch holds the arena lock across its VM operations.
+impl Pair {
+    fn new(st: &ClassState, (dst, src): (MiniHeapId, MiniHeapId)) -> Pair {
+        let primary = |id| st.slab.get(id).expect("mesh candidate is live").span();
+        let (dst_primary, src_primary) = (primary(dst), primary(src));
+        debug_assert_eq!(dst_primary.pages, src_primary.pages);
+        Pair {
+            dst,
+            src,
+            dst_primary,
+            src_primary,
+            taken: [0; WORDS],
+            live: true,
+        }
+    }
+}
+
+/// Meshes `pairs` of `class`, each `(destination, source)`, a batch at a
+/// time: copies each source's objects into its destination, retargets the
+/// source's virtual spans, and releases the source's physical span
+/// (§4.5). Then settles each destination once — not at each fold: frees
+/// may empty a destination while sources in later batches have yet to
+/// fold into it. The caller holds the class lock; each batch holds the
+/// arena lock across its VM operations.
 fn mesh_pairs(
     heap: &GlobalHeap,
     st: &mut ClassState,
     class: SizeClass,
-    pairs: Vec<(MiniHeapId, MiniHeapId)>,
+    mut pairs: Vec<(MiniHeapId, MiniHeapId)>,
     summary: &mut MeshSummary,
     rejected: &mut [u64; REJECT_REASONS],
 ) {
-    let mut pairs: Vec<Pair> = {
-        let arena = heap.lock_arena();
-        pairs
-            .into_iter()
-            .map(|(a, b)| {
-                let ma = st.slab.get(a).expect("mesh candidate is live");
-                let mb = st.slab.get(b).expect("mesh candidate is live");
-                debug_assert_eq!(ma.span().pages, mb.span().pages);
-                // Destination = more live objects → we copy the smaller
-                // side. Ties break segment-aware: evacuate the span whose
-                // segment has fewer outstanding pages, so sparse segments
-                // drain toward retirement.
-                let a_stays = match ma.in_use().cmp(&mb.in_use()) {
-                    std::cmp::Ordering::Greater => true,
-                    std::cmp::Ordering::Less => false,
-                    std::cmp::Ordering::Equal => {
-                        arena.segment_outstanding_of(ma.span())
-                            >= arena.segment_outstanding_of(mb.span())
-                    }
-                };
-                let ((dst, md), (src, ms)) = if a_stays {
-                    ((a, ma), (b, mb))
-                } else {
-                    ((b, mb), (a, ma))
-                };
-                Pair {
-                    dst,
-                    src,
-                    dst_primary: md.span(),
-                    src_primary: ms.span(),
-                    taken: [0; WORDS],
-                    live: true,
-                }
-            })
-            .collect()
-    };
     // Neighbouring sources land in the same batch, where one call
     // protects them and one releases them.
-    pairs.sort_unstable_by_key(|pair| pair.src_primary.offset);
-    let mut rest = &mut pairs[..];
+    pairs.sort_unstable_by_key(|&(_, src)| {
+        st.slab.get(src).expect("mesh source is live").span().offset
+    });
+    let mut batch = Vec::with_capacity(MESH_BATCH);
+    let mut rest = &pairs[..];
     while !rest.is_empty() {
-        let (batch, tail) = rest.split_at_mut(batch_len(st, rest));
+        let (now, tail) = rest.split_at(batch_len(st, rest));
         rest = tail;
-        if !mesh_batch(heap, st, class, batch, summary, rejected) {
+        batch.clear();
+        batch.extend(now.iter().map(|&pair| Pair::new(st, pair)));
+        if !mesh_batch(heap, st, class, &mut batch, summary, rejected) {
             break;
         }
+    }
+    pairs.sort_unstable_by_key(|&(dst, _)| dst);
+    pairs.dedup_by_key(|&mut (dst, _)| dst);
+    for (dst, _) in pairs {
+        heap.settle_locked(st, dst);
     }
 }
 
 /// How many of `pairs` the next batch takes: at most [`MESH_BATCH`], with
 /// at most [`MESH_BATCH_SPANS`] source spans between them, and at least
 /// one.
-fn batch_len(st: &ClassState, pairs: &[Pair]) -> usize {
+fn batch_len(st: &ClassState, pairs: &[(MiniHeapId, MiniHeapId)]) -> usize {
     let mut spans = 0;
-    let fits = pairs.iter().take(MESH_BATCH).take_while(|pair| {
-        spans += source(st, pair).span_count();
+    let fits = pairs.iter().take(MESH_BATCH).take_while(|&&(_, src)| {
+        spans += st.slab.get(src).expect("mesh source is live").span_count();
         spans <= MESH_BATCH_SPANS
     });
     fits.count().max(1)
 }
 
 /// Meshes one batch (sorted by source address). Returns `false` when the
-/// kernel refused a VM call: pairs it could not mesh are as they were
-/// found, and the class's pass should end.
+/// kernel refused a VM call, or the heap's files are no longer its own:
+/// pairs it could not mesh are as they were found, and the class's pass
+/// should end.
 fn mesh_batch(
     heap: &GlobalHeap,
     st: &mut ClassState,
@@ -397,6 +439,9 @@ fn mesh_batch(
 ) -> bool {
     let object_size = class.object_size();
     let mut arena = heap.lock_arena();
+    if !arena.files_intact() {
+        return false;
+    }
 
     // Copy-window phase: barrier raise through the object copies — the
     // window during which mutator writes to the source spans fault.
@@ -524,13 +569,10 @@ fn mesh_batch(
 
     // Fold each source into its destination MiniHeap. Its id stays behind
     // as a tombstone on the destination's chain, its bitmap all zero,
-    // until the destination dies.
+    // until the destination dies. `mesh_pairs` settles the destination.
     for pair in batch.iter().filter(|pair| pair.live) {
         st.bin_remove(pair.src);
         st.slab.absorb(pair.dst, pair.src);
-        // Frees may have emptied the destination meanwhile.
-        heap.settle_locked(st, pair.dst);
-
         summary.pairs_meshed += 1;
         summary.pages_released += pair.src_primary.pages as usize;
         let objects: u32 = pair.taken.iter().map(|word| word.count_ones()).sum();
@@ -761,10 +803,11 @@ mod tests {
     }
 
     #[test]
-    fn split_mesher_finds_disjoint_pairs() {
+    fn first_fit_folds_disjoint_spans() {
         let h = heap(3);
         let class = SizeClass::for_size(1024).unwrap();
-        // Even-slot and odd-slot heaps: any (even, odd) pair meshes.
+        // Even-slot and odd-slot heaps: any (even, odd) pair meshes, and
+        // no two of one shape do.
         for i in 0..8 {
             let slots: Vec<usize> = if i % 2 == 0 { vec![0, 2] } else { vec![1, 3] };
             detached_with_slots(&h, class, &slots, i as u8);
@@ -774,16 +817,21 @@ mod tests {
         assert_eq!(candidates.len(), 8);
         let mut probes = 0;
         let mut rejected = [0u64; REJECT_REASONS];
-        let pairs = split_mesher(&mut st, candidates, 64, usize::MAX, &mut probes, &mut rejected);
-        assert!(probes > 0);
-        // With t=64 and only two "shapes", SplitMesher should pair nearly
-        // everything; at minimum one pair must exist.
-        assert!(!pairs.is_empty());
+        let slots = class.object_count();
+        let pairs = first_fit(&mut st, candidates, slots, 64, usize::MAX, &mut probes, &mut rejected);
+        // Whichever shape comes first opens four destinations, and each of
+        // the other four folds into a different one.
+        assert_eq!(pairs.len(), 4, "{pairs:?}");
+        let mut dsts: Vec<_> = pairs.iter().map(|&(dst, _)| dst).collect();
+        dsts.sort_unstable();
+        dsts.dedup();
+        assert_eq!(dsts.len(), 4);
         for (x, y) in &pairs {
             let a = st.slab.get(*x).unwrap();
             let b = st.slab.get(*y).unwrap();
             assert!(a.bitmap().meshes_with(b.bitmap()));
         }
+        assert_eq!(probes as u64, 4 + rejected[RejectReason::OccupancyOverlap as usize]);
     }
 
     #[test]
@@ -796,23 +844,26 @@ mod tests {
         }
         let room = h.lock_arena().alias_room();
         let summary = mesh_all_classes(&h, h.rt.min_mesh_gain_bytes);
-        // Three and three, every probe disjoint: every span is paired.
-        assert_eq!(summary.pairs_meshed, 3, "got {summary:?}");
-        // Each pair made one alias against the mapping budget.
-        assert_eq!(h.lock_arena().alias_room(), room - 3);
+        // Every probe disjoint: the first span opens a destination and
+        // the other five fold into it.
+        assert_eq!(summary.pairs_meshed, 5, "got {summary:?}");
+        assert_eq!(summary.pairs_probed, 5);
+        // Each folded source made one alias against the mapping budget.
+        assert_eq!(h.lock_arena().alias_room(), room - 5);
         let st = h.lock_class(class);
-        assert!(st.slab.iter().all(|(_, mh)| mh.span_count() == 2));
+        assert_eq!(st.slab.len(), 1);
+        assert!(st.slab.iter().all(|(_, mh)| mh.span_count() == 6));
         let stats = h.counters.snapshot();
         assert_eq!(stats.mesh_passes, 1);
-        assert_eq!(stats.mesh_pages_released, 3);
+        assert_eq!(stats.mesh_pages_released, 5);
     }
 
     #[test]
     fn the_spectrum_pairs_only_what_the_alias_cap_allows() {
-        // Four sparse, pairwise disjoint 2-span MiniHeaps, which make two
-        // pairs, under a mapping budget with room for 0, 1 or 2 more
-        // aliases: the spectrum and the pass agree on how many.
-        for room in [0, 1, 2] {
+        // Four sparse, pairwise disjoint 2-span MiniHeaps, which fold into
+        // one, under a mapping budget with room for 0 to 3 more aliases:
+        // the spectrum and the pass agree on how many sources fold.
+        for room in [0, 1, 2, 3] {
             let h = heap(14);
             let class = SizeClass::for_size(256).unwrap();
             let singles: Vec<_> = (0..8)
@@ -833,7 +884,7 @@ mod tests {
             // The pass's refusals are the budget's, not the bitmaps'.
             let totals = h.ledger.reject_totals();
             assert_eq!(totals[RejectReason::OccupancyOverlap as usize], 0);
-            assert_eq!(totals[RejectReason::AliasBudget as usize], (room < 2) as u64);
+            assert_eq!(totals[RejectReason::AliasBudget as usize], (room < 3) as u64);
         }
     }
 
@@ -861,8 +912,9 @@ mod tests {
         };
         let summary = mesh_all_classes(&h, h.rt.min_mesh_gain_bytes);
         assert_eq!(summary.pairs_meshed, BUDGET);
-        // The disjoint pair past the budget was refused and ended the
-        // probing; no VM call was made for it, so nothing rolled back.
+        // The first span opened a destination and BUDGET more folded into
+        // it. The fit past the budget was refused and ended the probing;
+        // no VM call was made for it, so nothing rolled back.
         let totals = h.ledger.reject_totals();
         assert_eq!(totals[RejectReason::AliasBudget as usize], 1);
         assert_eq!(totals[RejectReason::CopyAbort as usize], 0);
@@ -875,20 +927,142 @@ mod tests {
             let st = h.lock_class(class);
             let meshed = |&&(start, _, _): &&(usize, usize, u8)| {
                 let id = h.page_map.get(h.page_of_addr(start).unwrap()).unwrap().id;
-                st.slab.get(id).unwrap().span_count() == 2
+                st.slab.get(id).unwrap().span_count() == BUDGET + 1
             };
             objects.iter().filter(meshed).copied().collect()
         };
-        assert_eq!(meshed.len(), 2 * BUDGET);
+        assert_eq!(meshed.len(), BUDGET + 1);
         for &(start, slot, _) in &meshed {
             assert!(h.free_global(start + slot * 256));
         }
         h.purge_and_retire();
         assert_eq!(h.lock_arena().alias_count(), 0);
-        assert_eq!(h.occupancy_spectrum().classes[class.index()].est_meshable_pairs, 1);
-        assert_eq!(mesh_all_classes(&h, h.rt.min_mesh_gain_bytes).pairs_meshed, 1);
+        // The four spans left fold into one, using the whole budget again.
+        assert_eq!(h.occupancy_spectrum().classes[class.index()].est_meshable_pairs, 3);
+        assert_eq!(mesh_all_classes(&h, h.rt.min_mesh_gain_bytes).pairs_meshed, 3);
         let unmeshed: Vec<_> = objects.iter().filter(|o| !meshed.contains(o)).copied().collect();
         assert_objects(256, &unmeshed);
+    }
+
+    #[test]
+    fn four_quarter_full_spans_fold_into_one_destination() {
+        let h = heap(19);
+        let class = SizeClass::for_size(256).unwrap();
+        assert_eq!((class.object_count(), class.span_pages()), (16, 1));
+        let committed = h.lock_arena().committed_pages();
+        // Each a quarter full, on slots no other holds.
+        let quarter = |q: usize| [4 * q, 4 * q + 1, 4 * q + 2, 4 * q + 3];
+        let ids: Vec<_> = (0..4)
+            .map(|q| detached_with_slots(&h, class, &quarter(q), 0x60 + q as u8))
+            .collect();
+        let objects: Vec<(usize, usize, u8)> = {
+            let st = h.lock_class(class);
+            let fill = |slot: usize| 0x60 + (slot / 4) as u8;
+            (0..16)
+                .map(|slot| (start_of(&h, &st, ids[slot / 4]), slot, fill(slot)))
+                .collect()
+        };
+        let summary = mesh_all_classes(&h, h.rt.min_mesh_gain_bytes);
+        assert_eq!(summary.pairs_meshed, 3, "{summary:?}");
+        assert_eq!(summary.pages_released, 3);
+        assert_eq!(summary.bytes_copied, 12 * 256);
+        let st = h.lock_class(class);
+        assert_eq!(st.slab.len(), 1);
+        let (survivor, mh) = st.slab.iter().next().unwrap();
+        assert_eq!((mh.span_count(), mh.in_use()), (4, 16));
+        drop(st);
+        assert_eq!(h.lock_arena().committed_pages(), committed + 1, "one page holds all four");
+        assert_objects(256, &objects);
+        let owner = |addr: usize| h.page_map.get(h.page_of_addr(addr).unwrap()).map(|i| i.id);
+        for &(start, slot, _) in &objects {
+            assert_eq!(owner(start), Some(survivor));
+            assert!(h.free_global(start + slot * 256));
+        }
+        assert_eq!(h.lock_class_swept(class).slab.len(), 0);
+    }
+
+    #[test]
+    fn a_destination_emptied_mid_pass_takes_its_later_sources() {
+        let h = heap(20);
+        let class = SizeClass::for_size(16).unwrap();
+        // One destination and MESH_BATCH + 1 sources, one object each on
+        // distinct slots; sorted by address, the last source is in a
+        // batch of its own.
+        let dst = detached_with_slots(&h, class, &[0], 0x70);
+        let sources: Vec<_> = (1..=MESH_BATCH + 1)
+            .map(|slot| detached_with_slots(&h, class, &[slot], 0x71))
+            .collect();
+        let mut st = h.lock_class(class);
+        let dst_start = start_of(&h, &st, dst);
+        let starts: Vec<usize> = sources.iter().map(|&id| start_of(&h, &st, id)).collect();
+        // Every object but the last source's is freed before the batches:
+        // once the first batch has folded, the destination holds nothing.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(h.free_global_deferred(dst_start));
+                for (i, &start) in starts[..MESH_BATCH].iter().enumerate() {
+                    assert!(h.free_global_deferred(start + (i + 1) * 16));
+                }
+            });
+        });
+        let pairs = sources.iter().map(|&src| (dst, src)).collect();
+        let mut summary = MeshSummary::default();
+        let mut rejected = [0u64; REJECT_REASONS];
+        mesh_pairs(&h, &mut st, class, pairs, &mut summary, &mut rejected);
+        assert_eq!(summary.pairs_meshed, MESH_BATCH + 1);
+        assert_eq!(summary.bytes_copied, 16, "only the last source held an object");
+        let mh = st.slab.get(dst).expect("the destination outlived its first batch");
+        assert_eq!((mh.span_count(), mh.in_use()), (MESH_BATCH + 2, 1));
+        drop(st);
+        let last = starts[MESH_BATCH] + (MESH_BATCH + 1) * 16;
+        assert_contents(16, &[(starts[MESH_BATCH], &[MESH_BATCH + 1], 0x71)]);
+        assert!(h.free_global(last));
+        assert_eq!(h.lock_class_swept(class).slab.len(), 0, "dies with its last object");
+        let s = h.counters.snapshot();
+        assert_eq!((s.frees, s.double_frees, s.invalid_frees), (MESH_BATCH as u64 + 2, 0, 0));
+    }
+
+    #[test]
+    fn the_budget_stops_probing_partway_through_a_destination() {
+        let h = heap(21);
+        let class = SizeClass::for_size(256).unwrap();
+        h.lock_arena().set_alias_budget(2);
+        // The fullest span opens the destination; three sparser ones fit
+        // in it, but the budget has room for two.
+        let dst = detached_with_slots(&h, class, &[0, 1, 2, 3], 0x80);
+        let three = |i: usize| [4 + 3 * i, 5 + 3 * i, 6 + 3 * i];
+        let sources: Vec<_> = (0..3)
+            .map(|i| detached_with_slots(&h, class, &three(i), 0x81 + i as u8))
+            .collect();
+        let objects: Vec<(usize, usize, u8)> = {
+            let st = h.lock_class(class);
+            let mut objects: Vec<_> =
+                (0..4).map(|slot| (start_of(&h, &st, dst), slot, 0x80)).collect();
+            for (i, &id) in sources.iter().enumerate() {
+                let start = start_of(&h, &st, id);
+                objects.extend(three(i).map(|slot| (start, slot, 0x81 + i as u8)));
+            }
+            objects
+        };
+        let summary = mesh_all_classes(&h, h.rt.min_mesh_gain_bytes);
+        assert_eq!(summary.pairs_meshed, 2);
+        let totals = h.ledger.reject_totals();
+        assert_eq!(totals[RejectReason::AliasBudget as usize], 1);
+        assert_eq!(totals[RejectReason::OccupancyOverlap as usize], 0);
+        {
+            let st = h.lock_class(class);
+            assert_eq!(st.slab.get(dst).unwrap().span_count(), 3);
+            let left: Vec<_> = sources.iter().filter(|&&id| st.slab.get(id).is_some()).collect();
+            assert_eq!(left.len(), 1, "one source was left as it was");
+            assert_eq!(st.slab.get(*left[0]).unwrap().span_count(), 1);
+        }
+        assert_eq!(h.lock_arena().alias_count(), 2);
+        assert_objects(256, &objects);
+        // With room for one more alias, the next pass folds it in.
+        h.lock_arena().set_alias_budget(3);
+        assert_eq!(mesh_all_classes(&h, h.rt.min_mesh_gain_bytes).pairs_meshed, 1);
+        assert_eq!(h.lock_class(class).slab.get(dst).unwrap().span_count(), 4);
+        assert_objects(256, &objects);
     }
 
     #[test]
@@ -961,7 +1135,7 @@ mod tests {
                 mesh_pairs(&h, &mut st, class, vec![(src, x)], &mut summary, &mut rejected);
             }
             assert_eq!(st.slab.get(src).unwrap().span_count(), 8);
-            pairs.push((src, dst));
+            pairs.push((dst, src));
         }
         let before = h.counters.snapshot().latency.count(TimedOp::MeshCopy);
         let mut summary = MeshSummary::default();
@@ -1195,7 +1369,7 @@ mod tests {
             &h,
             &mut st,
             class,
-            vec![(src, dst)],
+            vec![(dst, src)],
             &mut summary,
             &mut rejected,
         );
@@ -1266,7 +1440,7 @@ mod tests {
             &h,
             &mut st,
             class,
-            vec![(src, dst)],
+            vec![(dst, src)],
             &mut summary,
             &mut rejected,
         );
@@ -1307,7 +1481,7 @@ mod tests {
             .map(|_| detached_with_slots(&h, class, &[2, 3], 0x22))
             .collect();
         let mut st = h.lock_class(class);
-        let pairs = sources.iter().copied().zip(dests.iter().copied()).collect();
+        let pairs = dests.iter().copied().zip(sources.iter().copied()).collect();
         let before = h.counters.snapshot().latency;
         let mut summary = MeshSummary::default();
         let mut rejected = [0u64; REJECT_REASONS];

@@ -46,6 +46,11 @@ static TH_KEY: AtomicU32 = AtomicU32::new(u32::MAX);
 /// time survives that. −1 until (and unless) dup succeeds.
 static STATS_FD: AtomicI32 = AtomicI32::new(-1);
 
+/// `(st_dev, st_ino)` of stderr when [`STATS_FD`] was taken: a program
+/// that closed every descriptor from 3 up may have reopened the number
+/// for a file of its own, which an exit dump must not write into.
+static STATS_FILE: OnceLock<Option<(u64, u64)>> = OnceLock::new();
+
 thread_local! {
     /// Fast path to the calling thread's heap. `const`-initialized and
     /// non-`Drop` (a bare pointer), so access never allocates and never
@@ -170,7 +175,9 @@ fn install_process_hooks(mesh: &Mesh) {
             // All exit dumps write through a private dup of stderr taken
             // now: applications (coreutils' close_stdout) close fd 2 from
             // their own atexit handlers, which run before ours (LIFO).
-            STATS_FD.store(ffi::fcntl(2, ffi::F_DUPFD_CLOEXEC, 3), Ordering::Release);
+            let fd = ffi::fcntl(2, ffi::F_DUPFD_CLOEXEC, 3);
+            STATS_FILE.get_or_init(|| crate::sys::fd_identity(fd));
+            STATS_FD.store(fd, Ordering::Release);
         }
         if stats_at_exit_wanted {
             ffi::atexit(stats_at_exit);
@@ -341,10 +348,11 @@ fn dumps_at_exit(mesh: &Mesh, kind: Report) -> bool {
 
 /// The fd exit-time output goes to: fd 2 may already be closed by the
 /// application's own atexit handlers (coreutils' close_stdout); the dup
-/// taken at registration survives.
+/// taken at registration survives, unless the program closed it too (then
+/// fd 2 it is).
 fn exit_fd() -> i32 {
     let fd = STATS_FD.load(Ordering::Acquire);
-    if fd >= 0 {
+    if fd >= 0 && crate::sys::fd_identity(fd) == STATS_FILE.get().copied().flatten() {
         fd
     } else {
         2

@@ -215,10 +215,17 @@ impl Segment {
 
     /// Returns an outstanding span to the dirty bins (still committed).
     pub fn free_dirty(&mut self, span: Span) {
+        self.redirty(span);
+        self.outstanding_pages -= span.pages as usize;
+    }
+
+    /// Files a span under dirty again without touching outstanding
+    /// accounting: one [`Segment::take_all_dirty`] drained that could not
+    /// be released.
+    pub fn redirty(&mut self, span: Span) {
         debug_assert!(self.contains_page(span.offset) && span.end() <= self.end());
         self.dirty.entry(span.pages).or_default().push(span.offset);
         self.dirty_pages += span.pages as usize;
-        self.outstanding_pages -= span.pages as usize;
     }
 
     /// Returns an outstanding span (whose pages were already released)

@@ -219,6 +219,10 @@ pub struct Counters {
     /// Times this heap was privatized in a forked child (each copies the
     /// segment files so parent and child stop sharing pages).
     pub forks: AtomicU64,
+    /// Times the arena found a segment's descriptor naming a file other
+    /// than the one it created (`Arena::files_intact`); from the first,
+    /// the heap neither meshes nor purges.
+    pub files_lost: AtomicU64,
     /// `realloc` calls satisfied without moving the allocation (same size
     /// class, or still within a large allocation's page span).
     pub reallocs_in_place: AtomicU64,
@@ -469,6 +473,7 @@ impl Counters {
             mapped_pages: self.mapped_pages.load(Ordering::Relaxed),
             slab_bytes: self.slab_bytes.load(Ordering::Relaxed),
             forks: self.forks.load(Ordering::Relaxed),
+            files_lost: self.files_lost.load(Ordering::Relaxed),
             reallocs_in_place: self.reallocs_in_place.load(Ordering::Relaxed),
             harden_violations: std::array::from_fn(|i| {
                 self.harden_violations[i].load(Ordering::Relaxed)
@@ -569,6 +574,10 @@ pub struct HeapStats {
     pub slab_bytes: usize,
     /// Times the heap was privatized in a forked child.
     pub forks: u64,
+    /// Times the heap found its file descriptor naming another file (the
+    /// program closed it and reused the number). Nonzero means meshing
+    /// and purging stopped for good; allocation goes on.
+    pub files_lost: u64,
     /// `realloc` calls satisfied in place (no copy, pointer unchanged).
     pub reallocs_in_place: u64,
     /// Hardened-mode violations by kind (indexed by
@@ -668,7 +677,7 @@ impl HeapStats {
 /// exposition's order (counters, then gauges); `line` is the place on the
 /// `mesh:` line.
 #[rustfmt::skip]
-pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 31] = [
+pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 32] = [
     num!(mallocs, line: 1, prom: counter("mesh_mallocs_total", "Successful allocations.")),
     num!(frees, line: 2, prom: counter("mesh_frees_total", "Frees, all paths.")),
     num!(remote_frees, line: 8, prom: counter("mesh_remote_frees_total", "Frees routed through the global heap.")),
@@ -692,6 +701,8 @@ pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 31] = [
     num!(reallocs_in_place, line: 11,
          prom: counter("mesh_reallocs_in_place_total", "realloc calls satisfied without moving the allocation.")),
     num!(forks, line: 19, prom: counter("mesh_forks_total", "Heap privatizations in forked children.")),
+    num!(files_lost, line: 25,
+         prom: counter("mesh_files_lost_total", "Heap file descriptors found naming another file.")),
     num!(transfer_hits, line: 20,
          prom: counter("mesh_transfer_hits_total", "Retired, always 0: there is no transfer cache.")),
     num!(transfer_misses, line: 21,
@@ -724,7 +735,7 @@ pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 31] = [
 /// can be written once.
 #[rustfmt::skip]
 pub(crate) static HARDEN_FIELDS: [Field<HeapStats>; 1] = [row!(
-    key: "harden", line: 25, get: |s| Named(&HARDEN_NAMES, &s.harden_violations),
+    key: "harden", line: 26, get: |s| Named(&HARDEN_NAMES, &s.harden_violations),
     prom: counter("mesh_harden_violations_total", "Hardened-mode memory-safety violations by kind.").by("kind"))];
 
 /// A point-in-time snapshot of one MiniHeap's allocation state, exposed

@@ -21,6 +21,7 @@
 use crate::ffi as libc;
 use std::fs::File;
 use std::io;
+use std::mem::ManuallyDrop;
 use std::os::fd::{AsRawFd, FromRawFd};
 use std::os::raw::{c_int, c_uint};
 use std::os::unix::fs::MetadataExt;
@@ -36,10 +37,17 @@ fn last_err() -> io::Error {
 ///
 /// Created with `memfd_create` where available, else an unlinked temporary
 /// file; either way it "only exists in memory or on swap".
+///
+/// The heap reaches the file through a descriptor number the program can
+/// close and reuse; [`MemFile::is_intact`] says whether the number still
+/// names this file, and a `MemFile` whose number names another file leaves
+/// it open when dropped.
 #[derive(Debug)]
 pub struct MemFile {
-    file: File,
+    file: ManuallyDrop<File>,
     len: usize,
+    /// `(st_dev, st_ino)` of the file, read when it was created.
+    identity: (u64, u64),
 }
 
 impl MemFile {
@@ -67,7 +75,22 @@ impl MemFile {
         // SAFETY: `fd` is a descriptor just opened here and owned by no one else.
         let file = unsafe { File::from_raw_fd(fd) };
         file.set_len(len as u64)?;
-        Ok(MemFile { file, len })
+        let identity = fd_identity(fd).ok_or_else(last_err)?;
+        Ok(MemFile {
+            file: ManuallyDrop::new(file),
+            len,
+            identity,
+        })
+    }
+
+    /// Whether the descriptor still names the file [`MemFile::create`]
+    /// made, by one `fstat` and its `(st_dev, st_ino)`. A program that
+    /// closes the heap's descriptor (`closerange(3, …)` in a daemon) and
+    /// opens a file of its own, which takes the freed number, fails this,
+    /// and so does one that only closed it (`EBADF`): a remap, punch or
+    /// identity restore through the number would reach the program's file.
+    pub fn is_intact(&self) -> bool {
+        fd_identity(self.fd()) == Some(self.identity)
     }
 
     /// Fallback: an unlinked file in `$TMPDIR`/`/tmp`.
@@ -117,6 +140,30 @@ impl MemFile {
         let bytes = self.file.metadata()?.blocks() * 512;
         Ok(bytes as usize / PAGE_SIZE)
     }
+}
+
+impl Drop for MemFile {
+    fn drop(&mut self) {
+        // A number that names another file is the program's to close.
+        if self.is_intact() {
+            // SAFETY: `file` is dropped once, here, and not used after.
+            unsafe { ManuallyDrop::drop(&mut self.file) };
+        }
+    }
+}
+
+/// `(st_dev, st_ino)` of the file `fd` names, by one `fstat`; `None` if
+/// it names none (`EBADF`). A descriptor number the program can close and
+/// reopen is only the heap's while this reads what it read when the heap
+/// took the number.
+pub fn fd_identity(fd: c_int) -> Option<(u64, u64)> {
+    if fd < 0 {
+        return None;
+    }
+    // SAFETY: the `File` only lends `fstat` the number: it is never
+    // dropped, so it never closes it.
+    let file = ManuallyDrop::new(unsafe { File::from_raw_fd(fd) });
+    file.metadata().ok().map(|meta| (meta.dev(), meta.ino()))
 }
 
 /// `fd` itself if it is 3 or more; else a close-on-exec duplicate of it

@@ -33,7 +33,7 @@
 //! <!-- knobs:live -->
 //! - `meshing` — master switch for meshing (§6.3 "no meshing" when off): one of 1/0/true/false/yes/no/on/off
 //! - `mesh_period_ms` — minimum interval between meshing passes, in ms (§4.5): a number in 0..=4294967295
-//! - `probe_limit` — SplitMesher probe limit `t` (§3.3): a number in 1..=4K
+//! - `probe_limit` — probe limit `t`: open destinations a mesh candidate tests, at most, in a pass (§3.3): a number in 1..=4K
 //! - `prof_sample_bytes` — mean bytes between samples: a number in 1..=1T
 //! - `trace` — slow-path event tracer (mesh-trace): one of 1/0/true/false/yes/no/on/off
 //! <!-- /knobs -->

@@ -84,6 +84,7 @@ fn heap_stats() -> HeapStats {
         mapped_pages: 1029,
         slab_bytes: 1037,
         forks: 1030,
+        files_lost: 1038,
         reallocs_in_place: 1031,
         harden_violations: [1032, 1033, 1034, 1035, 1036],
         uptime_ms: UPTIME_MS,

@@ -32,7 +32,7 @@ pub enum TimedOp {
     /// Mutator blocked on a lock while a mesh pass held it: the pause
     /// the paper's §6.2.2 "longest pause" claim is about.
     MutatorPause = 3,
-    /// Mesh-pass phase 1: candidate collection + SplitMesher probing.
+    /// Mesh-pass phase 1: candidate collection + first-fit probing.
     MeshCandidates = 4,
     /// Mesh-pass phase 2, once per batch of up to 64 pairs:
     /// write-protect + copy window.

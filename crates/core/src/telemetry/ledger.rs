@@ -78,7 +78,7 @@ pub struct PassRecord {
     pub at_ms: u64,
     /// Candidate spans scanned across all size classes.
     pub candidates: u64,
-    /// SplitMesher probes attempted (bounded by `t`, §3.3).
+    /// Bitmap tests first fit made (at most `t` per candidate, §3.3).
     pub probes: u64,
     /// Rejections by reason, indexed by `RejectReason as usize`.
     pub rejected: [u64; REJECT_REASONS],

@@ -29,14 +29,16 @@ pub struct ClassSpectrum {
     pub live_objects: u64,
     /// Object slots across all spans of this class.
     pub total_slots: u64,
-    /// Upper-bound estimate of span *pairs* meshable right now: the
-    /// detached spans a pass would take (partially occupied, under the
-    /// occupancy cutoff), greedily paired so each pair's combined live
-    /// count fits one span, and no more pairs than the heap's mapping
-    /// budget has aliases left for (each pair makes one; the budget is
-    /// shared by every class). Each pair would release one span's pages.
-    /// (A bound, not a promise — it ignores slot overlap, which the paper
-    /// shows is rare at low occupancy, §2.2.)
+    /// Estimate of the spans a pass could fold into others right now —
+    /// meshed "pairs" as [`crate::MeshSummary::pairs_meshed`] counts them,
+    /// one per source folded into a destination, each releasing one span's
+    /// pages: the detached spans a pass would take (partially occupied,
+    /// under the occupancy cutoff), packed by first fit decreasing on their
+    /// live counts as the pass packs them, and no more than the heap's
+    /// mapping budget has aliases left for (each fold makes one; the budget
+    /// is shared by every class). (A bound, not a promise — it ignores slot
+    /// overlap, which the paper shows is rare at low occupancy, §2.2, and
+    /// the pass's probe limit.)
     pub est_meshable_pairs: u32,
     /// Whether this class participates in meshing at all (objects under
     /// one page, §4).
@@ -142,24 +144,38 @@ impl HeapSpectrum {
     }
 }
 
-/// Greedy pairing bound: given the live objects of the meshable
-/// candidates of one class, each < `cap` = the span's slots, the maximum
-/// number of pairs whose combined count fits `cap`. Sort ascending, then
-/// two-pointer: pair the smallest with the largest that still fits.
+/// First fit decreasing over live counts, the pass's packing without its
+/// bitmaps: given the live objects of the meshable candidates of one
+/// class, each below `cap` = the span's slots, takes them fullest first,
+/// each into the first destination with room for it, or else a
+/// destination of its own. Returns the candidates that went into another:
+/// the spans released. A max-tree over the destinations' free slots finds
+/// the first with room in `O(log n)`; the tree's first unopened leaf is
+/// where a new destination opens.
 pub(crate) fn estimate_meshable_pairs(candidates: &mut [u32], cap: u32) -> u32 {
-    candidates.sort_unstable();
-    let mut pairs = 0;
-    let (mut lo, mut hi) = (0usize, candidates.len());
-    while lo + 1 < hi {
-        if candidates[lo] + candidates[hi - 1] <= cap {
-            pairs += 1;
-            lo += 1;
-            hi -= 1;
+    candidates.sort_unstable_by_key(|&live| std::cmp::Reverse(live));
+    let leaves = candidates.len().next_power_of_two();
+    // `room[leaves + i]` is destination `i`'s free slots; `room[i]` for
+    // `i < leaves` the most of its two children's.
+    let mut room = vec![cap; 2 * leaves];
+    let (mut opened, mut folds) = (0, 0);
+    for &live in candidates.iter() {
+        let mut node = 1;
+        while node < leaves {
+            node = 2 * node + usize::from(room[2 * node] < live);
+        }
+        if node - leaves < opened {
+            folds += 1;
         } else {
-            hi -= 1;
+            opened += 1;
+        }
+        room[node] -= live;
+        while node > 1 {
+            node /= 2;
+            room[node] = room[2 * node].max(room[2 * node + 1]);
         }
     }
-    pairs
+    folds
 }
 
 #[cfg(test)]
@@ -167,9 +183,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pairing_bound_two_pointer() {
+    fn first_fit_decreasing_bound() {
         let mut c = [10, 200, 50, 60, 250, 5];
-        // slots=256: sorted [5,10,50,60,200,250]; 5+250, 10+200, 50+60.
+        // slots=256, fullest first: 250, 200 and 60 open destinations
+        // (room 6, 56, 196); 50 joins 200's, 10 joins 60's, 5 joins 250's.
         assert_eq!(estimate_meshable_pairs(&mut c, 256), 3);
         let mut c = [200, 201, 202];
         assert_eq!(estimate_meshable_pairs(&mut c, 256), 0, "nothing fits");
@@ -181,6 +198,12 @@ mod tests {
         assert_eq!(estimate_meshable_pairs(&mut [2, 2, 2, 2], 3), 0);
         assert_eq!(estimate_meshable_pairs(&mut [2, 2, 2, 2], 4), 2);
         assert_eq!(estimate_meshable_pairs(&mut [3, 1, 2, 2], 4), 2);
+        // Multi-way: four quarters make one span, three released.
+        assert_eq!(estimate_meshable_pairs(&mut [4, 4, 4, 4], 16), 3);
+        // Spans of four, four and one.
+        assert_eq!(estimate_meshable_pairs(&mut [1; 9], 4), 6);
+        // 6 + 4, 5 + 5, 4 + 2.
+        assert_eq!(estimate_meshable_pairs(&mut [6, 5, 5, 4, 4, 2], 10), 3);
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //!   quantifies the difference.
 //! * [`split_mesher`] — the paper's SplitMesher procedure (Figure 2) on
 //!   pure strings, for Lemma 5.3 validation and probe-limit ablations.
+//! * [`first_fit`] — the multi-way first fit a heap pass runs in
+//!   SplitMesher's place, on the same strings.
 //! * [`probability`] — closed forms for mesh probabilities, the §2.2
 //!   randomized-allocation bound, Lemma 5.3's matching bound, and the
 //!   Robson fragmentation factor.
@@ -40,6 +42,7 @@
 pub mod blossom;
 pub mod clique_cover;
 pub mod erdos_renyi;
+pub mod first_fit;
 pub mod graph;
 pub mod matching;
 pub mod probability;

@@ -1,6 +1,7 @@
 //! A pure (string-level) implementation of the SplitMesher procedure of
 //! Figure 2, used for the §5.3 experiments (Lemma 5.3 validation and the
-//! probe-limit ablation) without involving a live heap.
+//! probe-limit ablation) without involving a live heap. The heap itself
+//! packs spans by multi-way first fit ([`crate::first_fit`]).
 //!
 //! ```text
 //! SplitMesher(S, t)
@@ -12,7 +13,6 @@
 //! ```
 
 use crate::string::SpanString;
-use mesh_core::meshing::split_mesher_pairs;
 use mesh_core::rng::Rng;
 
 /// Result of one SplitMesher run.
@@ -57,9 +57,43 @@ pub fn split_mesher_presplit(
 ) -> SplitMesherOutcome {
     let mut probes = 0;
     let pairs = split_mesher_pairs(left, right, t, &mut probes, |a, b| {
-        Some(strings[a].meshes_with(&strings[b]))
+        strings[a].meshes_with(&strings[b])
     });
     SplitMesherOutcome { pairs, probes }
+}
+
+/// The probe loop of Figure 2 over a split already made: `left[j]` is
+/// probed against `right[(j+i) % |right|]` for `i < t`, and a pair
+/// `meshable` accepts drops out of both halves. `probes` counts the calls
+/// of `meshable`.
+pub fn split_mesher_pairs<T: Copy>(
+    left: &[T],
+    right: &[T],
+    t: usize,
+    probes: &mut usize,
+    mut meshable: impl FnMut(T, T) -> bool,
+) -> Vec<(T, T)> {
+    let mut pairs = Vec::new();
+    if right.is_empty() {
+        return pairs;
+    }
+    let mut used_l = vec![false; left.len()];
+    let mut used_r = vec![false; right.len()];
+    for i in 0..t {
+        for (j, taken) in used_l.iter_mut().enumerate() {
+            let k = (j + i) % right.len();
+            if *taken || used_r[k] {
+                continue;
+            }
+            *probes += 1;
+            if meshable(left[j], right[k]) {
+                *taken = true;
+                used_r[k] = true;
+                pairs.push((left[j], right[k]));
+            }
+        }
+    }
+    pairs
 }
 
 /// The empirical setting of Lemma 5.3: `n` random spans of length `b` at

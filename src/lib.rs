@@ -8,7 +8,7 @@
 //!
 //! * [`core`] — the Mesh allocator itself: shuffle vectors, MiniHeaps,
 //!   thread-local and global heaps, the meshable arena, and the
-//!   SplitMesher compaction engine.
+//!   meshing engine (multi-way first fit, §5.1).
 //! * [`graph`] — the paper's §5 theory kit: meshing graphs,
 //!   MinCliqueCover/Matching solvers (including Edmonds' blossom
 //!   algorithm), Erdős–Renyi contrast models, and the probability

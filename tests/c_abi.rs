@@ -389,3 +389,36 @@ fn a_process_without_stdio_keeps_them_for_its_own_files() {
     assert_eq!(out.len(), 4 << 20);
     assert!(out.iter().all(|&b| b == 0x6B), "\"stdout\" holds what was written to it");
 }
+
+/// A process that closes every descriptor from 3 up and opens a 64 MiB
+/// file, which takes the heap's old number: the heap finds its file gone
+/// and stops meshing and purging, so churn, large frees and two
+/// `malloc_trim`s leave the file byte-identical and the heap's objects
+/// intact (`tests/c/closerange.c`).
+#[test]
+fn a_process_that_closes_the_heaps_descriptor_keeps_its_file_intact() {
+    if !have_cc() {
+        eprintln!("skipping closerange preload test: no `cc` in this environment");
+        return;
+    }
+    let so = build_libmesh();
+    let out_dir = target_dir().join("c-abi-tests");
+    std::fs::create_dir_all(&out_dir).unwrap();
+    let bin = compile_c("closerange", &out_dir);
+    let data = out_dir.join("closerange-data");
+    let run = run_preloaded(&so, &bin, &[data.to_str().unwrap()], None);
+    assert!(
+        run.stderr.contains("names another file; meshing and purging stop"),
+        "no warning line:\n{}",
+        run.stderr
+    );
+    assert_eq!(final_stats(&run)["files_lost"], 1, "{}", run.stderr);
+    let file = std::fs::read(&data).unwrap();
+    assert_eq!(file.len(), 64 << 20);
+    let pattern = |i: usize| (i.wrapping_mul(131) + (i >> 12)) as u8;
+    assert!(
+        file.iter().enumerate().all(|(i, &b)| b == pattern(i)),
+        "the data file changed"
+    );
+    std::fs::remove_file(&data).unwrap();
+}
