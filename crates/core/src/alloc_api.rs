@@ -7,7 +7,6 @@
 use crate::config::MeshConfig;
 use crate::error::MeshError;
 use crate::global_heap::GlobalHeap;
-use crate::knobs::{self, Value};
 use crate::local_heap::ThreadHeapCore;
 use crate::mesher::BackgroundThread;
 use crate::meshing::MeshSummary;
@@ -405,15 +404,6 @@ impl Mesh {
     /// meshing. Lock-free.
     pub fn set_meshing_enabled(&self, enabled: bool) {
         self.inner.state.rt.set_meshing(enabled);
-    }
-
-    /// Runtime control: adjusts the probe limit `t`, the open destinations
-    /// a mesh candidate tests per pass (§3.3).
-    /// Lock-free; a `t` outside the `probe_limit` knob's range is ignored.
-    pub fn set_probe_limit(&self, t: usize) {
-        let row = knobs::find("probe_limit").expect("the probe_limit row");
-        // The refusal is a `String`: keep it off the heap it describes.
-        let _ = with_internal_alloc(|| row.apply_live(&self.inner.state, &Value::Num(t as u64)));
     }
 
     // ----- mesh-ctl (control socket) -------------------------------------
@@ -953,9 +943,6 @@ mod tests {
         let m = mesh();
         m.set_mesh_period(Duration::from_millis(1));
         m.set_meshing_enabled(false);
-        m.set_probe_limit(16);
-        m.set_probe_limit(0); // ignored
-        assert_eq!(m.inner.state.rt.probe_limit(), 16);
         assert!(!m.inner.state.rt.meshing());
         assert_eq!(
             m.inner.state.rt.mesh_period(),

@@ -243,12 +243,12 @@ impl Arena {
     /// The physical pages each segment's file holds, in address order:
     /// one `fstat` per segment, so the kernel's exact count and not the
     /// arena's. A refused `fstat`, which an open memory file does not
-    /// see, reads 0.
-    pub fn file_pages(&self) -> Vec<usize> {
-        self.table
-            .iter()
-            .map(|seg| seg.file().held_pages().unwrap_or(0))
-            .collect()
+    /// see, reads 0. `None` from the loss of a file on
+    /// (`Arena::files_intact`): the descriptors may name the program's
+    /// files then.
+    pub fn file_pages(&mut self) -> Option<Vec<usize>> {
+        let held = |seg: &Segment| seg.file().held_pages().unwrap_or(0);
+        self.files_intact().then(|| self.table.iter().map(held).collect())
     }
 
     fn set_committed(&mut self, pages: usize) {
@@ -1004,7 +1004,7 @@ mod tests {
         assert_eq!(a.committed_pages(), 4);
         a.release_physical(s);
         assert_eq!(a.committed_pages(), 0);
-        assert_eq!(a.file_pages(), [0], "the file holds nothing");
+        assert_eq!(a.file_pages(), Some(vec![0]), "the file holds nothing");
         unsafe { assert_eq!(*addr, 0, "a released page reads zero") };
     }
 

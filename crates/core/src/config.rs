@@ -1,7 +1,8 @@
 //! Heap configuration (§4.5's tunables plus experiment controls).
 //!
 //! The defaults reproduce the paper's shipped configuration: meshing at most
-//! once every 100 ms, probe limit `t = 64` (§3.3), randomization on. The
+//! once every 100 ms, randomization on. (The paper's probe limit `t` has no
+//! knob: a pass's first fit is exact within a fixed budget, DESIGN.md §3.) The
 //! ablation switches (`meshing`, `randomize`) correspond to the paper's
 //! "Mesh (no meshing)" and "Mesh (no rand)" configurations from §6.3.
 
@@ -26,7 +27,7 @@ pub(crate) const CTL_PATH_MAX: usize = 107;
 /// let config = MeshConfig::default()
 ///     .seed(42)
 ///     .arena_bytes(64 * 1024 * 1024)
-///     .probe_limit(64);
+///     .occupancy_cutoff(0.8);
 /// assert!(config.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -56,9 +57,6 @@ pub struct MeshConfig {
     /// free reaches the global heap (§4.5); and a pass purges the dirty
     /// pages (§4.4.1) once at least this many bytes of them are waiting.
     pub(crate) min_mesh_gain_bytes: usize,
-    /// Probe limit `t`: the open destinations a mesh candidate tests, at
-    /// most, in a pass (§3.3's SplitMesher bound; the paper uses 64).
-    pub(crate) probe_limit: usize,
     /// Spans with occupancy above this fraction are not mesh candidates.
     pub(crate) occupancy_cutoff: f64,
     /// Dirty (freed but still committed) pages are released to the OS once
@@ -131,7 +129,6 @@ impl Default for MeshConfig {
             randomize: true,
             mesh_period: Duration::from_millis(100),
             min_mesh_gain_bytes: 1 << 20,
-            probe_limit: 64,
             occupancy_cutoff: 0.8,
             max_dirty_bytes: 64 << 20,
             write_barrier: true,
@@ -192,9 +189,6 @@ impl MeshConfig {
         /// Sets the least a pass must return: the "don't restart the timer"
         /// gain threshold (§4.5) and the dirty bytes a pass purges at.
         min_mesh_gain_bytes(bytes: usize) => min_mesh_gain_bytes = bytes;
-        /// Sets the probe limit `t`: open destinations a mesh candidate
-        /// tests per pass (§3.3).
-        probe_limit(t: usize) => probe_limit = t;
         /// Sets the occupancy fraction above which spans are not meshed.
         occupancy_cutoff(cutoff: f64) => occupancy_cutoff = cutoff;
         /// Sets the maximum number of virtual spans per physical span.
@@ -453,7 +447,6 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = MeshConfig::default();
-        assert_eq!(c.probe_limit, 64, "t = 64 (§3.3)");
         assert_eq!(c.mesh_period, Duration::from_millis(100), "§4.5 rate limit");
         assert_eq!(c.min_mesh_gain_bytes, 1 << 20, "1 MB rule (§4.5)");
         assert_eq!(c.max_dirty_bytes, 64 << 20, "64 MB dirty threshold (§4.4.1)");
@@ -486,12 +479,12 @@ mod tests {
             .seed(7)
             .meshing(false)
             .randomize(false)
-            .probe_limit(8)
+            .sense_history(8)
             .occupancy_cutoff(0.5)
             .arena_bytes(1 << 24);
         assert_eq!(c.seed, Some(7));
         assert!(!c.meshing && !c.randomize);
-        assert_eq!(c.probe_limit, 8);
+        assert_eq!(c.sense_history, 8);
         assert!(c.validate().is_ok());
     }
 
@@ -679,7 +672,7 @@ mod tests {
         assert!(MeshConfig::default().arena_bytes(4096).validate().is_err());
         assert!(MeshConfig::default().initial_segment_bytes(4096).validate().is_err());
         assert!(MeshConfig::default().segment_bytes(4096).validate().is_err());
-        assert!(MeshConfig::default().probe_limit(0).validate().is_err());
+        assert!(MeshConfig::default().sense_history(1).validate().is_err());
         assert!(MeshConfig::default().occupancy_cutoff(0.0).validate().is_err());
         assert!(MeshConfig::default().occupancy_cutoff(1.5).validate().is_err());
     }

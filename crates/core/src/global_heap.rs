@@ -50,7 +50,7 @@ use crate::sync::{Mutex, MutexGuard, Rank};
 use crate::telemetry::{
     self, CtlState, HeapSpectrum, MeshLedger, Reports, SenseState, Telemetry, TimedOp, TraceSet,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,7 +61,6 @@ use std::time::Duration;
 pub(crate) struct RuntimeConfig {
     meshing: AtomicBool,
     mesh_period_nanos: AtomicU64,
-    probe_limit: AtomicUsize,
     /// A pass that releases fewer bytes pauses the timer (§4.5); a pass
     /// purges once this many bytes are dirty.
     pub min_mesh_gain_bytes: usize,
@@ -76,7 +75,6 @@ impl RuntimeConfig {
             mesh_period_nanos: AtomicU64::new(
                 config.mesh_period.as_nanos().min(u64::MAX as u128) as u64,
             ),
-            probe_limit: AtomicUsize::new(config.probe_limit),
             min_mesh_gain_bytes: config.min_mesh_gain_bytes,
             occupancy_cutoff: config.occupancy_cutoff,
         }
@@ -97,14 +95,6 @@ impl RuntimeConfig {
     pub fn set_mesh_period(&self, period: Duration) {
         self.mesh_period_nanos
             .store(period.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
-    }
-
-    pub fn probe_limit(&self) -> usize {
-        self.probe_limit.load(Ordering::Relaxed)
-    }
-
-    pub fn set_probe_limit(&self, t: usize) {
-        self.probe_limit.store(t, Ordering::Relaxed);
     }
 }
 

@@ -20,8 +20,6 @@
 //! fill. All free-path transitions write this layout, so verification at
 //! the two malloc hand-out points needs no extra state.
 
-use std::sync::atomic::{AtomicI32, Ordering};
-
 /// Fill byte for freed small-object memory (and the count-mode guard
 /// tail of large objects). 0xF5 is non-zero, non-pointer-like, and odd
 /// enough that a UAF write of zeros or small integers is caught.
@@ -234,16 +232,6 @@ pub unsafe fn canary_intact(addr: usize, size: usize, canary: u64) -> bool {
     }
 }
 
-/// Fd the abort diagnostic is written to. Defaults to stderr (2); the
-/// process runtime points it at its dup'd stderr so the line survives
-/// programs that close or redirect fd 2 after startup.
-static ABORT_FD: AtomicI32 = AtomicI32::new(2);
-
-/// Points the abort diagnostic at `fd` (the process runtime's dup'd stderr).
-pub(crate) fn set_abort_fd(fd: i32) {
-    ABORT_FD.store(fd, Ordering::Relaxed);
-}
-
 /// Writes the one-line abort diagnostic and terminates with `SIGABRT`.
 ///
 /// Async-signal-safe by construction: the message is formatted into a
@@ -279,7 +267,8 @@ pub(crate) fn harden_abort(kind: HardenKind, addr: usize) -> ! {
         put(&[hex[i]], &mut buf, &mut n);
     }
     put(b"\n", &mut buf, &mut n);
-    let fd = ABORT_FD.load(Ordering::Relaxed);
+    // The process runtime's dup of stderr while it still names stderr.
+    let fd = crate::process::stderr_fd();
     unsafe {
         crate::ffi::write(fd, buf.as_ptr() as *const crate::ffi::c_void, n);
     }

@@ -305,7 +305,7 @@ const SEGMENT: Kind = Kind::Num { min: 32 * PAGE_SIZE as u64, max: 1 << 40 };
 
 /// Every knob, in the order the tables print them.
 #[rustfmt::skip]
-pub static KNOBS: [Knob; 31] = [
+pub static KNOBS: [Knob; 30] = [
     knob!("max_heap_bytes", Some("MESH_MAX_HEAP_BYTES"), SEGMENT, "1G", field!(num max_heap_bytes),
         "hard cap: the virtual reservation segments grow into (8G under `LD_PRELOAD`; legacy name `MESH_ARENA_BYTES`)"),
     knob!("initial_segment_bytes", Some("MESH_INITIAL_SEGMENT_BYTES"), SEGMENT, "64M",
@@ -332,9 +332,6 @@ pub static KNOBS: [Knob; 31] = [
         live: |h, v| { h.rt.set_mesh_period(Duration::from_millis(v.num())); Ok(()) }),
     knob!("min_mesh_gain_bytes", None, ANY, "1M", field!(num min_mesh_gain_bytes),
         "the least a pass must return: freeing less pauses the timer until the next global free (§4.5); a pass purges once this many bytes are dirty (§4.4.1)"),
-    knob!("probe_limit", None, Kind::Num { min: 1, max: 4096 }, "64", field!(num probe_limit),
-        "probe limit `t`: open destinations a mesh candidate tests, at most, in a pass (§3.3)",
-        live: |h, v| { h.rt.set_probe_limit(v.num() as usize); Ok(()) }),
     knob!("occupancy_cutoff", None, Kind::Fraction, "0.8",
         Some(Field {
             get: |c| Value::Fraction(c.occupancy_cutoff),
@@ -424,16 +421,16 @@ mod tests {
     fn every_field_has_a_row() {
         let MeshConfig {
             max_heap_bytes, initial_segment_bytes, segment_bytes, seed, meshing, randomize,
-            mesh_period, min_mesh_gain_bytes, probe_limit, occupancy_cutoff, max_dirty_bytes,
+            mesh_period, min_mesh_gain_bytes, occupancy_cutoff, max_dirty_bytes,
             write_barrier, profiling, prof_sample_bytes, prof_interval, prof_path, trace,
             trace_buf_events, trace_path, sense_history,
             sense_path, ctl_path, ctl_max_clients, harden,
         } = MeshConfig::default();
         let HardenConfig { policy, poison, quarantine, guard, canary, quarantine_bytes, quarantine_slots } =
             harden;
-        let all: [&dyn std::fmt::Debug; 30] = [
+        let all: [&dyn std::fmt::Debug; 29] = [
             &max_heap_bytes, &initial_segment_bytes, &segment_bytes, &seed, &meshing, &randomize,
-            &mesh_period, &min_mesh_gain_bytes, &probe_limit, &occupancy_cutoff, &max_dirty_bytes,
+            &mesh_period, &min_mesh_gain_bytes, &occupancy_cutoff, &max_dirty_bytes,
             &write_barrier, &profiling, &prof_sample_bytes, &prof_interval, &prof_path, &trace,
             &trace_buf_events, &trace_path, &sense_history,
             &sense_path, &ctl_path, &ctl_max_clients,
@@ -476,7 +473,7 @@ mod tests {
         // A ctl `set` name is its row's name, so those are unique too.
         assert_eq!(
             live_names(),
-            ["meshing", "mesh_period_ms", "probe_limit", "prof_sample_bytes", "trace"]
+            ["meshing", "mesh_period_ms", "prof_sample_bytes", "trace"]
         );
     }
 
@@ -505,12 +502,12 @@ mod tests {
 
     #[test]
     fn refusals_name_the_range() {
-        let row = find("probe_limit").unwrap();
-        assert_eq!(parse(row, "256"), Ok(Value::Num(256)), "ablation_t's largest t");
-        for bad in ["0", "4097", "18446744073709551615", "banana", ""] {
-            assert_eq!(parse(row, bad), Err("expected a number in 1..=4K".into()), "{bad:?}");
+        let row = find("sense_history").unwrap();
+        assert_eq!(parse(row, "100000"), Ok(Value::Num(100_000)), "the largest");
+        for bad in ["1", "100001", "18446744073709551615", "banana", ""] {
+            assert_eq!(parse(row, bad), Err("expected a number in 2..=100000".into()), "{bad:?}");
         }
-        assert!(MeshConfig::default().probe_limit(usize::MAX).validate().is_err());
+        assert!(MeshConfig::default().sense_history(usize::MAX).validate().is_err());
         let cap = find("max_heap_bytes").unwrap();
         assert_eq!(parse(cap, "8G"), Ok(Value::Num(8 << 30)));
         assert_eq!(

@@ -7,11 +7,11 @@
 //! detached, partially-occupied MiniHeaps — reading each bitmap afresh,
 //! since frees clear bits without the lock and the bins lag them — and
 //! packs them by **multi-way first fit** (`first_fit`): fullest first,
-//! each candidate probes at most `t` (`probe_limit`) of the destinations
-//! opened so far, starting at a random one, and folds into the first
+//! each candidate folds into the lowest-numbered destination opened so far
 //! whose gathered bits — its own and those of the sources already folded
 //! into it — it is disjoint from; a candidate that fits none opens a
-//! destination of its own. The found `(destination, source)` pairs are
+//! destination of its own; a transposed `OccupancyIndex` makes the search
+//! exact within `FIT_BUDGET`. The found `(destination, source)` pairs are
 //! then meshed en masse (§4.5). Frees keep arriving throughout; only an
 //! attach sets bits, and it needs the lock, so bits found disjoint stay
 //! disjoint.
@@ -21,9 +21,9 @@
 //! into another, while §5.1 frames meshing as MinCliqueCover, where `k`
 //! mutually disjoint spans fold into one and release `k − 1`. On
 //! `frag_mesh` (12 % random survivors) first fit took `frag_ratio` from
-//! 1.85 to 1.35 and steady RSS down 13 % (DESIGN.md §3), and on §5's
+//! 1.85 to 1.19 and steady RSS down 18 % (DESIGN.md §3), and on §5's
 //! random strings `mesh_graph::first_fit` releases up to 1.8× what
-//! SplitMesher does, close to the greedy clique cover.
+//! SplitMesher does, as much as the greedy clique cover.
 //!
 //! Meshing is the two-step §4.5 process, done a **batch** of pairs at a
 //! time (`MESH_BATCH`, sorted by source address) so that the
@@ -102,7 +102,8 @@ pub struct MeshSummary {
     pub pages_released: usize,
     /// Object bytes copied between spans.
     pub bytes_copied: usize,
-    /// Bitmap tests made by first fit (the `t`-bounded search cost).
+    /// Chunk queries made by first fit: each tests one candidate against
+    /// up to 64 open destinations at once (the search cost).
     pub pairs_probed: usize,
 }
 
@@ -138,7 +139,7 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap, purge_floor: usize) -> MeshSum
             continue;
         }
         // The selection phase is timed even when it comes up dry: the
-        // partial-bin scan is the `t`-bounded search cost the histogram
+        // partial-bin scan and first fit are the search cost the histogram
         // exists to expose, and a dry scan (arg 0) is still that cost.
         let select_t0 = Instant::now();
         let candidates = collect_candidates(heap, &mut st);
@@ -151,15 +152,10 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap, purge_floor: usize) -> MeshSum
             heap.counters.record_slow(TimedOp::MeshCandidates, select_t0, 0);
             continue;
         }
-        let pairs = first_fit(
-            &mut st,
-            candidates,
-            class.object_count(),
-            heap.rt.probe_limit(),
-            alias_room,
-            &mut summary.pairs_probed,
-            &mut rejected,
-        );
+        let mut index = OccupancyIndex::new(class.object_count());
+        let live = |id| st.slab.get(id).expect("candidate is live").bitmap().iter_set();
+        let pairs = first_fit(candidates, live, &mut index, alias_room, &mut rejected);
+        summary.pairs_probed += index.probes;
         heap.counters
             .record_slow(TimedOp::MeshCandidates, select_t0, pairs.len() as u64);
         mesh_pairs(heap, &mut st, class, pairs, &mut summary, &mut rejected);
@@ -249,87 +245,123 @@ fn fill_key(in_use: usize, segment_outstanding: usize) -> u32 {
     (in_use as u32) << OUTSTANDING_BITS | outstanding as u32
 }
 
-/// A destination first fit has opened: its id, and the bits it held when
-/// it opened together with those of every source folded into it since.
-struct Open {
-    id: MiniHeapId,
-    gathered: [u64; WORDS],
-    /// Bits set in `gathered`.
-    count: u32,
+/// The destinations first fit has opened, transposed (bit-sliced): for
+/// chunk `c` of 64 destinations, `held[c * slots + s]` has bit `d` set when
+/// destination `64c + d` holds slot `s`, its own or one a source folded in
+/// brought. ORing a candidate's live slots' words in a chunk leaves, of the
+/// chunk's open bits, every destination there it is disjoint from.
+#[derive(Default)]
+struct OccupancyIndex {
+    slots: usize,
+    held: Vec<u64>,
+    /// Per chunk, the destinations with a free slot left.
+    open: Vec<u64>,
+    /// No chunk below this one has an open destination.
+    first_open: usize,
+    /// Per destination, its id and the slots it holds.
+    dsts: Vec<(MiniHeapId, u16)>,
+    /// Chunk queries: one candidate against up to 64 open destinations.
+    probes: usize,
+    /// Word operations, at most [`FIT_BUDGET`] per candidate.
+    word_ops: usize,
+    /// Candidates whose search the budget ended.
+    exhausted: usize,
+}
+
+impl OccupancyIndex {
+    fn new(slots: usize) -> OccupancyIndex {
+        OccupancyIndex { slots, ..OccupancyIndex::default() }
+    }
+
+    /// The lowest-numbered open destination `live` is disjoint from, in
+    /// the chunks from `first_open` on that [`FIT_BUDGET`] reaches at
+    /// `live.len()` word operations a chunk. A query that finds every open
+    /// destination of its chunk colliding is an `occupancy_overlap`.
+    fn find(&mut self, live: &[u8], rejected: &mut [u64; REJECT_REASONS]) -> Option<usize> {
+        let reach = FIT_BUDGET / live.len().max(1);
+        for (k, c) in (self.first_open..self.open.len()).enumerate() {
+            if k == reach {
+                self.exhausted += 1;
+                return None;
+            }
+            self.word_ops += live.len();
+            if self.open[c] == 0 {
+                continue;
+            }
+            self.probes += 1;
+            let held = &self.held[c * self.slots..][..self.slots];
+            let fits = self.open[c] & !live.iter().fold(0, |acc, &s| acc | held[s as usize]);
+            if fits != 0 {
+                return Some(c * 64 + fits.trailing_zeros() as usize);
+            }
+            rejected[RejectReason::OccupancyOverlap as usize] += 1;
+        }
+        None
+    }
+
+    /// Opens `id`, whose live slots are `live`, as the next destination.
+    fn open(&mut self, id: MiniHeapId, live: &[u8]) {
+        let d = self.dsts.len();
+        if d.is_multiple_of(64) {
+            self.held.resize(self.held.len() + self.slots, 0);
+            self.open.push(0);
+        }
+        self.dsts.push((id, 0));
+        self.open[d / 64] |= 1 << (d % 64);
+        self.fold(d, live);
+    }
+
+    /// Adds `live` to destination `d`'s slots; a full one closes.
+    fn fold(&mut self, d: usize, live: &[u8]) {
+        let (c, bit) = (d / 64, 1u64 << (d % 64));
+        let held = &mut self.held[c * self.slots..][..self.slots];
+        live.iter().for_each(|&s| held[s as usize] |= bit);
+        self.dsts[d].1 += live.len() as u16;
+        if self.dsts[d].1 as usize == self.slots {
+            self.open[c] &= !bit;
+            // Only the last chunk takes new destinations: never pass it.
+            while self.open[self.first_open] == 0 && self.first_open + 1 < self.open.len() {
+                self.first_open += 1;
+            }
+        }
+    }
 }
 
 /// Multi-way first fit, a pass's pairing step (§5.1's MinCliqueCover,
 /// first-fit decreasing). Takes `candidates` (with their [`fill_key`]s)
-/// highest key first; each probes at most `probe_limit` open destinations,
-/// from a random one on, and folds into the first whose gathered bits it
-/// is disjoint from, or else opens a destination itself. A destination
-/// whose gathered count and the candidate's live count pass the span's
-/// `slots` is passed over without a bitmap test, and a full one closes.
+/// highest key first; each folds into the lowest-numbered open destination
+/// of `index` whose gathered bits it is disjoint from, or else opens a
+/// destination itself, as does one whose search [`FIT_BUDGET`] ends.
+/// `live` lists a candidate's live slots.
 ///
 /// Returns `(destination, source)` pairs, one per folded source, at most
-/// `alias_room` of them: each makes one alias (DESIGN.md §2a). A bitmap
-/// test counts in `probes`, and one that collides is tallied in
-/// `rejected` under `occupancy_overlap`; the first fit past the alias
-/// room is tallied under `alias_budget` and ends the probing. The pairs
-/// reuse the candidates' memory.
-fn first_fit(
-    st: &mut ClassState,
+/// `alias_room` of them: each makes one alias (DESIGN.md §2a). The first
+/// fit past the alias room is tallied under `alias_budget` and ends the
+/// search.
+fn first_fit<I: Iterator<Item = usize>>(
     mut candidates: Vec<(u32, MiniHeapId)>,
-    slots: usize,
-    probe_limit: usize,
-    mut alias_room: usize,
-    probes: &mut usize,
+    live: impl Fn(MiniHeapId) -> I,
+    index: &mut OccupancyIndex,
+    alias_room: usize,
     rejected: &mut [u64; REJECT_REASONS],
 ) -> Vec<(MiniHeapId, MiniHeapId)> {
     candidates.sort_unstable_by_key(|&(key, _)| std::cmp::Reverse(key));
-    let mut open: Vec<Open> = Vec::new();
-    // `candidates[..folds]` hold the pairs found so far, as raw
-    // destination ids and sources.
-    let mut folds = 0;
-    for i in 0..candidates.len() {
-        let id = candidates[i].1;
-        let bits = st.slab.get(id).expect("candidate is live").bitmap().load_words();
-        let count: u32 = bits.iter().map(|word| word.count_ones()).sum();
-        let start = match open.len() {
-            0 => 0,
-            len => st.rng.below(len as u32) as usize,
-        };
-        let fit = (0..open.len().min(probe_limit))
-            .map(|k| (start + k) % open.len())
-            .filter(|&k| (open[k].count + count) as usize <= slots)
-            .find(|&k| {
-                *probes += 1;
-                let disjoint = open[k].gathered.iter().zip(&bits).all(|(g, b)| g & b == 0);
-                if !disjoint {
-                    rejected[RejectReason::OccupancyOverlap as usize] += 1;
-                }
-                disjoint
-            });
-        let Some(k) = fit else {
-            open.push(Open { id, gathered: bits, count });
+    let (mut bits, mut pairs) = (Vec::with_capacity(index.slots), Vec::new());
+    for (_, id) in candidates {
+        bits.clear();
+        bits.extend(live(id).map(|slot| slot as u8));
+        let Some(d) = index.find(&bits, rejected) else {
+            index.open(id, &bits);
             continue;
         };
-        if alias_room == 0 {
+        if pairs.len() == alias_room {
             rejected[RejectReason::AliasBudget as usize] += 1;
             break;
         }
-        alias_room -= 1;
-        let dst = &mut open[k];
-        for (gathered, word) in dst.gathered.iter_mut().zip(bits) {
-            *gathered |= word;
-        }
-        dst.count += count;
-        candidates[folds] = (dst.id.to_raw(), id);
-        folds += 1;
-        if dst.count as usize == slots {
-            open.swap_remove(k);
-        }
+        index.fold(d, &bits);
+        pairs.push((index.dsts[d].0, id));
     }
-    candidates.truncate(folds);
-    candidates
-        .into_iter()
-        .map(|(dst, src)| (MiniHeapId::from_raw(dst), src))
-        .collect()
+    pairs
 }
 
 /// Pairs meshed behind one raise of the write barrier and inside one odd
@@ -338,6 +370,12 @@ fn first_fit(
 /// mesher can wait for, whatever the size of the heap; 64 pairs are under
 /// a millisecond of copies and remaps.
 pub(crate) const MESH_BATCH: usize = 64;
+
+/// Word operations one candidate's first-fit search may spend: four times
+/// the 64 probes of four words that §3.3's `t` = 64 allowed. A candidate
+/// with `b` live slots searches `64 · ⌊1024 / b⌋` destinations, so a pass
+/// over a dense class stays linear.
+pub(crate) const FIT_BUDGET: usize = 1024;
 
 /// Source virtual spans one batch remaps: a batch closes before a pair
 /// that would take it past this many, so a source's long alias chain
@@ -815,10 +853,10 @@ mod tests {
         let mut st = h.lock_class(class);
         let candidates = collect_candidates(&h, &mut st);
         assert_eq!(candidates.len(), 8);
-        let mut probes = 0;
+        let mut index = OccupancyIndex::new(class.object_count());
         let mut rejected = [0u64; REJECT_REASONS];
-        let slots = class.object_count();
-        let pairs = first_fit(&mut st, candidates, slots, 64, usize::MAX, &mut probes, &mut rejected);
+        let live = |id| st.slab.get(id).unwrap().bitmap().iter_set();
+        let pairs = first_fit(candidates, live, &mut index, usize::MAX, &mut rejected);
         // Whichever shape comes first opens four destinations, and each of
         // the other four folds into a different one.
         assert_eq!(pairs.len(), 4, "{pairs:?}");
@@ -831,7 +869,123 @@ mod tests {
             let b = st.slab.get(*y).unwrap();
             assert!(a.bitmap().meshes_with(b.bitmap()));
         }
-        assert_eq!(probes as u64, 4 + rejected[RejectReason::OccupancyOverlap as usize]);
+        assert_eq!(index.probes as u64, 4 + rejected[RejectReason::OccupancyOverlap as usize]);
+    }
+
+    /// Runs [`first_fit`] over `bitmaps`, the candidate with raw id `i + 1`
+    /// holding `bitmaps[i]`, each keyed by its count and then its index.
+    /// Returns the pairs as indices, in the order found.
+    fn fit_indices(
+        bitmaps: &[[u64; WORDS]],
+        index: &mut OccupancyIndex,
+        alias_room: usize,
+        rejected: &mut [u64; REJECT_REASONS],
+    ) -> Vec<(usize, usize)> {
+        let slots = index.slots;
+        let candidates = (0..bitmaps.len())
+            .map(|i| (key_of(bitmaps, i), MiniHeapId::from_raw(i as u32 + 1)))
+            .collect();
+        let live = |id: MiniHeapId| {
+            let words = bitmaps[id.to_raw() as usize - 1];
+            (0..slots).filter(move |&s| words[s / 64] >> (s % 64) & 1 != 0)
+        };
+        let pairs = first_fit(candidates, live, index, alias_room, rejected);
+        let index = |id: MiniHeapId| id.to_raw() as usize - 1;
+        pairs.into_iter().map(|(dst, src)| (index(dst), index(src))).collect()
+    }
+
+    fn key_of(bitmaps: &[[u64; WORDS]], i: usize) -> u32 {
+        fill_key(bitmaps[i].iter().map(|w| w.count_ones() as usize).sum(), i)
+    }
+
+    /// First fit over every open destination, lowest first: the quadratic
+    /// search the index must agree with.
+    fn quadratic_first_fit(bitmaps: &[[u64; WORDS]], alias_room: usize) -> Vec<(usize, usize)> {
+        let mut order: Vec<usize> = (0..bitmaps.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(key_of(bitmaps, i)));
+        let (mut open, mut pairs): (Vec<(usize, [u64; WORDS])>, _) = (Vec::new(), Vec::new());
+        for i in order {
+            let bits = bitmaps[i];
+            let fit = open.iter_mut().find(|(_, gathered)| gathered.iter().zip(&bits).all(|(g, b)| g & b == 0));
+            match fit {
+                None => open.push((i, bits)),
+                Some(_) if pairs.len() == alias_room => break,
+                Some((dst, gathered)) => {
+                    gathered.iter_mut().zip(&bits).for_each(|(g, b)| *g |= b);
+                    pairs.push((*dst, i));
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn the_index_finds_exactly_the_quadratic_first_fit() {
+        let mut rng = Rng::with_seed(45);
+        for slots in [8, 16, 85, 256] {
+            for trial in 0..12 {
+                let n = 1 + rng.below(600) as usize;
+                let bitmaps: Vec<[u64; WORDS]> = (0..n)
+                    .map(|_| {
+                        let live = 1 + rng.below((slots / 4).max(2) as u32) as usize;
+                        let mut bits = [0u64; WORDS];
+                        for _ in 0..live {
+                            let s = rng.below(slots as u32) as usize;
+                            bits[s / 64] |= 1 << (s % 64);
+                        }
+                        bits
+                    })
+                    .collect();
+                let alias_room = if trial % 3 == 0 { rng.below(n as u32) as usize } else { usize::MAX };
+                let mut index = OccupancyIndex::new(slots);
+                let mut rejected = [0u64; REJECT_REASONS];
+                let pairs = fit_indices(&bitmaps, &mut index, alias_room, &mut rejected);
+                assert_eq!(index.exhausted, 0, "slots {slots}, trial {trial}: under the budget");
+                assert_eq!(pairs, quadratic_first_fit(&bitmaps, alias_room), "slots {slots}, trial {trial}");
+                // Every fold is disjoint from its destination's gathered bits.
+                let mut gathered: Vec<[u64; WORDS]> = bitmaps.clone();
+                for &(dst, src) in &pairs {
+                    for (g, b) in gathered[dst].iter_mut().zip(&bitmaps[src]) {
+                        assert_eq!(*g & b, 0, "slots {slots}: {src} overlaps {dst}");
+                        *g |= b;
+                    }
+                }
+                // Each query that found a fit was one probe; the rest collided.
+                let fits = pairs.len() as u64 + rejected[RejectReason::AliasBudget as usize];
+                assert_eq!(index.probes as u64, fits + rejected[RejectReason::OccupancyOverlap as usize]);
+            }
+        }
+    }
+
+    #[test]
+    fn the_search_budget_bounds_a_dense_class() {
+        // 16 Ki candidates of the 16 B class, each half full and all
+        // holding slot 0: no two are disjoint.
+        let (n, slots) = (16 << 10, SizeClass::for_size(16).unwrap().object_count());
+        assert_eq!(slots, 256);
+        let mut rng = Rng::with_seed(16);
+        let bitmaps: Vec<[u64; WORDS]> = (0..n)
+            .map(|_| {
+                let mut order: Vec<usize> = (1..slots).collect();
+                rng.shuffle(&mut order);
+                let mut bits = [1u64, 0, 0, 0];
+                for &s in &order[..slots / 2 - 1] {
+                    bits[s / 64] |= 1 << (s % 64);
+                }
+                bits
+            })
+            .collect();
+        let mut index = OccupancyIndex::new(slots);
+        let mut rejected = [0u64; REJECT_REASONS];
+        let pairs = fit_indices(&bitmaps, &mut index, usize::MAX, &mut rejected);
+        assert!(pairs.is_empty(), "every candidate opens its own destination");
+        assert_eq!(index.dsts.len(), n);
+        let (ops, exhausted) = (index.word_ops, index.exhausted);
+        assert!(ops <= FIT_BUDGET * n, "{ops} word operations");
+        // A candidate of 128 live slots can afford 8 chunks: the first 513
+        // search the whole index, the rest give up past 512 destinations.
+        assert_eq!(exhausted, n - 513);
+        assert_eq!(ops, 128 * ((0..=512).map(|i: usize| i.div_ceil(64)).sum::<usize>() + 8 * (n - 513)));
     }
 
     #[test]

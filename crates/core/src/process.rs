@@ -39,17 +39,18 @@ static HEAP: OnceLock<Option<Mesh>> = OnceLock::new();
 /// heap. `u32::MAX` until `pthread_key_create` succeeds.
 static TH_KEY: AtomicU32 = AtomicU32::new(u32::MAX);
 
-/// Private dup of stderr for the exit-time dumps. Programs like the
-/// coreutils register `close_stdout` with `atexit` from `main` — *after*
-/// our construction-time registration, so it runs *before* our handler
-/// (LIFO) and closes fd 2. Writing through a dup taken at registration
-/// time survives that. −1 until (and unless) dup succeeds.
-static STATS_FD: AtomicI32 = AtomicI32::new(-1);
+/// Private dup of stderr for the exit-time dumps and hardened mode's
+/// abort line. Programs like the coreutils register `close_stdout` with
+/// `atexit` from `main` — *after* our construction-time registration, so
+/// it runs *before* our handler (LIFO) and closes fd 2; others redirect
+/// fd 2 after start-up. Writing through a dup taken at registration time
+/// survives both. −1 until (and unless) dup succeeds.
+static STDERR_FD: AtomicI32 = AtomicI32::new(-1);
 
-/// `(st_dev, st_ino)` of stderr when [`STATS_FD`] was taken: a program
+/// `(st_dev, st_ino)` of stderr when [`STDERR_FD`] was taken: a program
 /// that closed every descriptor from 3 up may have reopened the number
-/// for a file of its own, which an exit dump must not write into.
-static STATS_FILE: OnceLock<Option<(u64, u64)>> = OnceLock::new();
+/// for a file of its own, which no diagnostic may write into.
+static STDERR_FILE: OnceLock<Option<(u64, u64)>> = OnceLock::new();
 
 thread_local! {
     /// Fast path to the calling thread's heap. `const`-initialized and
@@ -171,25 +172,13 @@ fn install_process_hooks(mesh: &Mesh) {
         let stats_at_exit_wanted = knobs::find("print_stats_at_exit")
             .and_then(knobs::env_value)
             .is_some_and(|on| on == knobs::Value::Bool(true));
-        if stats_at_exit_wanted || mesh.is_profiling() || mesh.is_tracing() {
-            // All exit dumps write through a private dup of stderr taken
-            // now: applications (coreutils' close_stdout) close fd 2 from
-            // their own atexit handlers, which run before ours (LIFO).
+        if stats_at_exit_wanted || mesh.is_profiling() || mesh.is_tracing() || mesh.harden_aborts() {
             let fd = ffi::fcntl(2, ffi::F_DUPFD_CLOEXEC, 3);
-            STATS_FILE.get_or_init(|| crate::sys::fd_identity(fd));
-            STATS_FD.store(fd, Ordering::Release);
+            STDERR_FILE.get_or_init(|| crate::sys::fd_identity(fd));
+            STDERR_FD.store(fd, Ordering::Release);
         }
         if stats_at_exit_wanted {
             ffi::atexit(stats_at_exit);
-        }
-        if mesh.harden_aborts() {
-            // The one-line abort diagnostic must survive applications that
-            // close or redirect fd 2 after startup: point it at a private
-            // dup of stderr taken now (fall back to fd 2 if dup fails).
-            let fd = ffi::fcntl(2, ffi::F_DUPFD_CLOEXEC, 3);
-            if fd >= 0 {
-                crate::harden::set_abort_fd(fd);
-            }
         }
         if mesh.is_profiling() || mesh.is_tracing() || mesh.report_path(Report::Sense).is_some() {
             // Opt-in SIGUSR2 → heap-profile, trace, and/or sense dump:
@@ -346,13 +335,14 @@ fn dumps_at_exit(mesh: &Mesh, kind: Report) -> bool {
     }
 }
 
-/// The fd exit-time output goes to: fd 2 may already be closed by the
-/// application's own atexit handlers (coreutils' close_stdout); the dup
-/// taken at registration survives, unless the program closed it too (then
-/// fd 2 it is).
-fn exit_fd() -> i32 {
-    let fd = STATS_FD.load(Ordering::Acquire);
-    if fd >= 0 && crate::sys::fd_identity(fd) == STATS_FILE.get().copied().flatten() {
+/// The fd exit-time output and the abort line go to: fd 2 may already be
+/// closed by the application's own atexit handlers (coreutils'
+/// close_stdout); the dup taken at registration survives, unless the
+/// program closed it too (then fd 2 it is). One `fstat`, so
+/// async-signal-safe.
+pub(crate) fn stderr_fd() -> i32 {
+    let fd = STDERR_FD.load(Ordering::Acquire);
+    if fd >= 0 && crate::sys::fd_identity(fd) == STDERR_FILE.get().copied().flatten() {
         fd
     } else {
         2
@@ -360,7 +350,7 @@ fn exit_fd() -> i32 {
 }
 
 extern "C" fn stats_at_exit() {
-    print_stats(exit_fd());
+    print_stats(stderr_fd());
 }
 
 extern "C" fn reports_at_exit() {
@@ -368,7 +358,7 @@ extern "C" fn reports_at_exit() {
     // Sense, trace, profile: the order three LIFO atexit handlers ran in.
     for kind in DUMPABLE.into_iter().rev() {
         if dumps_at_exit(mesh, kind) {
-            dump_report(kind, exit_fd());
+            dump_report(kind, stderr_fd());
         }
     }
 }

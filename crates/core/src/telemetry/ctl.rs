@@ -33,7 +33,6 @@
 //! <!-- knobs:live -->
 //! - `meshing` — master switch for meshing (§6.3 "no meshing" when off): one of 1/0/true/false/yes/no/on/off
 //! - `mesh_period_ms` — minimum interval between meshing passes, in ms (§4.5): a number in 0..=4294967295
-//! - `probe_limit` — probe limit `t`: open destinations a mesh candidate tests, at most, in a pass (§3.3): a number in 1..=4K
 //! - `prof_sample_bytes` — mean bytes between samples: a number in 1..=1T
 //! - `trace` — slow-path event tracer (mesh-trace): one of 1/0/true/false/yes/no/on/off
 //! <!-- /knobs -->
@@ -625,16 +624,16 @@ mod tests {
                 }
             }
         }
-        assert_eq!(live, 5);
+        assert_eq!(live, 4);
 
         // The drifts this closes, pinned: no clamp to 1 ms, no clamp to
-        // "sample every byte", no probe limit a pass would spin on.
-        for refused in ["prof_sample_bytes 0", "probe_limit 0", "probe_limit 18446744073709551615"] {
+        // "sample every byte", no period past what a `u32` of ms holds.
+        for refused in ["prof_sample_bytes 0", "mesh_period_ms 4294967296", "mesh_period_ms 18446744073709551615"] {
             let (name, text) = refused.split_once(' ').unwrap();
             assert!(set(name, text).is_err(), "set {refused}");
         }
-        assert_eq!(set("probe_limit", "256").unwrap(), "{\"knob\":\"probe_limit\",\"value\":256}");
-        assert_eq!(heap.rt.probe_limit(), 256);
+        assert_eq!(set("mesh_period_ms", "256").unwrap(), "{\"knob\":\"mesh_period_ms\",\"value\":256}");
+        assert_eq!(heap.rt.mesh_period(), std::time::Duration::from_millis(256));
         // A row without a live apply is as unknown as a name with no row.
         for name in ["max_heap_bytes", "harden", "transfer_batch"] {
             assert_eq!(set(name, "1").unwrap_err(), "unknown knob (try: help)");

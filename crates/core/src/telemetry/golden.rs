@@ -213,7 +213,7 @@ fn residency() -> ResidencyBreakdown {
     };
     decompose(
         &[seg(0, 0, 100, 10, 20, 30, 35), seg(3, 100, 64, 7, 5, 2, 41)],
-        &[50, 46],
+        Some(&[50, 46]),
     )
 }
 

@@ -29,7 +29,8 @@ const PASS_WORDS: usize = 11;
 /// Why a candidate pair (or candidate span) failed to mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
-    /// The bitmaps overlap (§3.3 probe miss).
+    /// A first-fit chunk query found the candidate colliding with every
+    /// open destination of the chunk (§3.3 probe miss).
     OccupancyOverlap = 0,
     /// The class shard lock was contended when the pass claimed it, so the
     /// pass ran against a heap another thread was mutating moments before.
@@ -78,7 +79,8 @@ pub struct PassRecord {
     pub at_ms: u64,
     /// Candidate spans scanned across all size classes.
     pub candidates: u64,
-    /// Bitmap tests first fit made (at most `t` per candidate, §3.3).
+    /// First fit's chunk queries: each tests one candidate against up to
+    /// 64 open destinations (DESIGN.md §3).
     pub probes: u64,
     /// Rejections by reason, indexed by `RejectReason as usize`.
     pub rejected: [u64; REJECT_REASONS],

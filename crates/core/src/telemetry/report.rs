@@ -314,15 +314,16 @@ impl GlobalHeap {
     /// residency from the segment snapshots and what each segment's file
     /// holds, appends the snapshot to the ring and returns it with the
     /// residency it was taken from. Takes the arena lock briefly (for the
-    /// segment snapshots and one `fstat` per segment) and nothing else:
+    /// segment snapshots and two `fstat`s per segment, the file's identity
+    /// and its blocks) and nothing else:
     /// polls on several threads at once push their own snapshots.
     fn sense_poll(&self) -> (SenseSnapshot, ResidencyBreakdown) {
         let start = Instant::now();
         let (segs, file_pages) = {
-            let arena = self.lock_arena();
+            let mut arena = self.lock_arena();
             (arena.segment_stats(), arena.file_pages())
         };
-        let res = super::decompose(&segs, &file_pages);
+        let res = super::decompose(&segs, file_pages.as_deref());
         let p = super::read_pressure();
         let stats = self.counters.snapshot();
         let mut snap = SenseSnapshot {

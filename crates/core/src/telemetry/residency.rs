@@ -6,7 +6,8 @@
 //! arena already maintains (§4.4.1 dirty/clean bins): no new bookkeeping
 //! in the allocation path. The file pages are the kernel's exact count,
 //! one `fstat` per segment ([`crate::arena::Arena::file_pages`]), read
-//! only when a sense poll asks.
+//! only when a sense poll asks, and [`super::ABSENT`] once a descriptor
+//! of the heap's was found naming another file.
 
 use super::fields::{num, Field};
 use crate::segment::SegmentStats;
@@ -89,12 +90,14 @@ pub(crate) static RESIDENCY_FIELDS: [Field<ResidencyBreakdown>; 7] = [
 ];
 
 /// Decomposes segment snapshots into the four residency categories;
-/// `file_pages[i]` is what segment `i`'s file holds.
-pub fn decompose(segs: &[SegmentStats], file_pages: &[usize]) -> ResidencyBreakdown {
-    debug_assert_eq!(segs.len(), file_pages.len());
+/// `file_pages[i]` is what segment `i`'s file holds, and `None` leaves
+/// every file count [`super::ABSENT`].
+pub fn decompose(segs: &[SegmentStats], file_pages: Option<&[usize]>) -> ResidencyBreakdown {
+    debug_assert!(file_pages.is_none_or(|files| files.len() == segs.len()));
     let mut out = ResidencyBreakdown::default();
     let page = PAGE_SIZE as u64;
-    for (s, &file) in segs.iter().zip(file_pages) {
+    for (i, s) in segs.iter().enumerate() {
+        let file = file_pages.map_or(super::ABSENT as usize, |files| files[i]);
         let pages = s.pages as usize;
         let live = s.outstanding_pages;
         let dirty = s.dirty_pages;
@@ -117,8 +120,8 @@ pub fn decompose(segs: &[SegmentStats], file_pages: &[usize]) -> ResidencyBreakd
         out.free_clean_bytes += clean as u64 * page;
         out.meta_bytes += meta as u64 * page;
         out.committed_bytes += s.committed_pages as u64 * page;
-        out.file_bytes += file as u64 * page;
     }
+    out.file_bytes = file_pages.map_or(super::ABSENT, |files| files.iter().sum::<usize>() as u64 * page);
     out
 }
 
@@ -146,7 +149,7 @@ mod tests {
             seg(0, 0, 100, 10, 20, 30, 35),
             seg(1, 100, 50, 50, 0, 0, 0),
         ];
-        let b = decompose(&segs, &[30, 0]);
+        let b = decompose(&segs, Some(&[30, 0]));
         assert_eq!(b.segments.len(), 2);
         let s0 = &b.segments[0];
         assert_eq!(s0.live_pages, 35);
@@ -170,11 +173,15 @@ mod tests {
             b.live_bytes + b.free_dirty_bytes + b.free_clean_bytes + b.meta_bytes,
             b.mapped_bytes
         );
+        // Files lost: no count, and the rest as before.
+        let lost = decompose(&segs, None);
+        assert_eq!((lost.segments[0].file_pages, lost.file_bytes), (usize::MAX, super::super::ABSENT));
+        assert_eq!(lost.committed_bytes, b.committed_bytes);
     }
 
     #[test]
     fn decompose_empty_heap() {
-        let b = decompose(&[], &[]);
+        let b = decompose(&[], Some(&[]));
         assert_eq!(b.mapped_bytes, 0);
         assert!(b.segments.is_empty());
     }

@@ -38,7 +38,7 @@ pub struct ClassSpectrum {
     /// mapping budget has aliases left for (each fold makes one; the budget
     /// is shared by every class). (A bound, not a promise — it ignores slot
     /// overlap, which the paper shows is rare at low occupancy, §2.2, and
-    /// the pass's probe limit.)
+    /// the pass's search budget.)
     pub est_meshable_pairs: u32,
     /// Whether this class participates in meshing at all (objects under
     /// one page, §4).

@@ -3,14 +3,18 @@
 //! The paper: "The parameter t … can be increased to improve mesh quality
 //! and therefore reduce space, or decreased to improve runtime… We
 //! empirically found that t = 64 balances runtime and meshing
-//! effectiveness." This example sweeps `t` on (a) pure random span sets
-//! (strings) and (b) a real fragmented heap, reporting meshes found,
-//! probes spent, and pass time.
+//! effectiveness." This example sweeps SplitMesher's `t` on pure random
+//! span sets (strings), reporting meshes found, probes spent and time,
+//! and sets exact multi-way first fit beside it. The heap has no `t`: a
+//! pass runs exact first fit through a transposed occupancy index, bounded
+//! by a fixed budget of word operations per candidate (DESIGN.md §3). The
+//! last table is one such pass over a real fragmented heap.
 //!
 //! Run with: `cargo run --release --example ablation_t`
 
 use mesh::core::rng::Rng;
 use mesh::core::{Mesh, MeshConfig};
+use mesh::graph::first_fit::first_fit;
 use mesh::graph::split_mesher::split_mesher_presplit;
 use mesh::graph::string::SpanString;
 use std::time::Instant;
@@ -43,45 +47,45 @@ fn string_sweep() {
             dt
         );
     }
-    println!("  diminishing returns above t ≈ 64: the paper's default (§3.3).");
+    println!("  the paper's default is t = 64 (§3.3).");
+    let t0 = Instant::now();
+    let out = first_fit(&strings);
+    println!(
+        "exact first fit, no t: {} released with {} tests in {:.1?} (cliques, not pairs)",
+        out.released(),
+        out.probes,
+        t0.elapsed()
+    );
 }
 
-fn heap_sweep() {
-    println!("\nprobe-limit sweep on a real fragmented heap (256 B objects, 12.5% survivors):");
+fn heap_pass() {
+    println!("\none pass over a real fragmented heap (256 B objects, 12.5% survivors):");
     println!(
-        "{:>6} {:>14} {:>14} {:>12} {:>12}",
-        "t", "heap before", "heap after", "pairs", "pass time"
+        "{:>14} {:>14} {:>12} {:>14} {:>12}",
+        "heap before", "heap after", "pairs", "chunk queries", "pass time"
     );
-    for t in [1usize, 4, 16, 64, 256] {
-        let mesh = Mesh::new(
-            MeshConfig::default()
-                .arena_bytes(512 << 20)
-                .seed(77)
-                .probe_limit(t),
-        )
-        .expect("heap");
-        let ptrs: Vec<*mut u8> = (0..32768).map(|_| mesh.malloc(256)).collect();
-        for (i, &p) in ptrs.iter().enumerate() {
-            if i % 8 != 0 {
-                unsafe { mesh.free(p) };
-            }
+    let mesh = Mesh::new(MeshConfig::default().arena_bytes(512 << 20).seed(77)).expect("heap");
+    let ptrs: Vec<*mut u8> = (0..32768).map(|_| mesh.malloc(256)).collect();
+    for (i, &p) in ptrs.iter().enumerate() {
+        if i % 8 != 0 {
+            unsafe { mesh.free(p) };
         }
-        let before = mesh.heap_bytes();
-        let t0 = Instant::now();
-        let summary = mesh.mesh_now();
-        let dt = t0.elapsed();
-        println!(
-            "{:>6} {:>10.1} MiB {:>10.1} MiB {:>12} {:>12.1?}",
-            t,
-            before as f64 / (1024.0 * 1024.0),
-            mesh.heap_bytes() as f64 / (1024.0 * 1024.0),
-            summary.pairs_meshed,
-            dt
-        );
     }
+    let before = mesh.heap_bytes();
+    let t0 = Instant::now();
+    let summary = mesh.mesh_now();
+    let dt = t0.elapsed();
+    println!(
+        "{:>10.1} MiB {:>10.1} MiB {:>12} {:>14} {:>12.1?}",
+        before as f64 / (1024.0 * 1024.0),
+        mesh.heap_bytes() as f64 / (1024.0 * 1024.0),
+        summary.pairs_meshed,
+        summary.pairs_probed,
+        dt
+    );
 }
 
 fn main() {
     string_sweep();
-    heap_sweep();
+    heap_pass();
 }

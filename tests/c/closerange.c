@@ -4,7 +4,8 @@
  * the number the heap's memory file had. Churn, large frees and
  * malloc_trim(0) (a meshing pass and a purge) follow. The heap must not
  * reach the file through that number: afterwards every byte of the file
- * is as written, and every heap object keeps its stamp.
+ * is as written, and every heap object keeps its stamp. A sense dump at
+ * the end must not report the data file as the heap's.
  *
  * Reports through its exit status: 0 on success, or the number of the
  * check that failed. argv[1] names the data file to create. */
@@ -22,6 +23,9 @@
 #define CHUNK (1 << 20)
 #define OBJECTS 65536
 #define OBJECT 256
+
+/* Mesh's sense dump (one `mesh-sense:` line on stderr), when preloaded. */
+int mesh_sense_dump(void) __attribute__((weak));
 
 static unsigned char pattern(size_t i) { return (unsigned char)(i * 131 + (i >> 12)); }
 
@@ -132,5 +136,7 @@ int main(int argc, char **argv) {
     }
     free(buf);
     free(objs);
+    if (mesh_sense_dump == NULL || mesh_sense_dump() != 0)
+        return 60;
     return close(fd) == 0 ? 0 : 52;
 }

@@ -149,12 +149,12 @@ int main(void) {
 
   show(fd, "set-sample", "set prof_sample_bytes 131072");
   show(fd, "profile-c", "profile");
-  show(fd, "set-probe", "set probe_limit 32");
+  show(fd, "set-period", "set mesh_period_ms 200");
   show(fd, "set-err", "set bogus 1");
   show(fd, "set-retired", "set transfer_batch 100000");
   /* Out of range is an err naming the range, never a clamped ack. */
   show(fd, "set-sample-zero", "set prof_sample_bytes 0");
-  show(fd, "set-probe-huge", "set probe_limit 18446744073709551615");
+  show(fd, "set-period-huge", "set mesh_period_ms 18446744073709551615");
   show(fd, "mesh-now", "mesh_now");
   show(fd, "stats-after-mesh", "stats");
   show(fd, "madvise-now", "madvise_now");

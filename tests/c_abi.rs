@@ -394,7 +394,8 @@ fn a_process_without_stdio_keeps_them_for_its_own_files() {
 /// file, which takes the heap's old number: the heap finds its file gone
 /// and stops meshing and purging, so churn, large frees and two
 /// `malloc_trim`s leave the file byte-identical and the heap's objects
-/// intact (`tests/c/closerange.c`).
+/// intact (`tests/c/closerange.c`). A `sense` render after the loss
+/// reports no `file_bytes` (`ABSENT`), not the size of the program's file.
 #[test]
 fn a_process_that_closes_the_heaps_descriptor_keeps_its_file_intact() {
     if !have_cc() {
@@ -413,6 +414,18 @@ fn a_process_that_closes_the_heaps_descriptor_keeps_its_file_intact() {
         run.stderr
     );
     assert_eq!(final_stats(&run)["files_lost"], 1, "{}", run.stderr);
+    let sense = run
+        .stderr
+        .lines()
+        .find_map(|line| line.strip_prefix("mesh-sense: "))
+        .unwrap_or_else(|| panic!("no sense dump:\n{}", run.stderr));
+    let file_bytes: Vec<&str> = sense
+        .split("\"file_bytes\":")
+        .skip(1)
+        .map(|rest| rest.split([',', '}']).next().unwrap())
+        .collect();
+    // The residency and the snapshot the render took.
+    assert_eq!(file_bytes, ["18446744073709551615"; 2], "{sense}");
     let file = std::fs::read(&data).unwrap();
     assert_eq!(file.len(), 64 << 20);
     let pattern = |i: usize| (i.wrapping_mul(131) + (i >> 12)) as u8;

@@ -146,8 +146,9 @@ fn interposed_process_serves_its_own_ctl_socket() {
         131072,
         "retuned sample rate missing from the next profile envelope"
     );
-    let ack = Parser::parse(ok_body(&s, "set-probe"));
-    assert_eq!(ack.get("value").num(), 32);
+    let ack = Parser::parse(ok_body(&s, "set-period"));
+    assert_eq!(ack.get("knob").str(), "mesh_period_ms");
+    assert_eq!(ack.get("value").num(), 200);
     let (rc, body) = &s["set-err"];
     assert_eq!(rc, "err", "bogus knob must be rejected");
     assert!(body.contains("unknown knob"), "set-err: {body}");
@@ -159,13 +160,13 @@ fn interposed_process_serves_its_own_ctl_socket() {
     assert!(!help.contains("transfer_batch"), "help still lists it: {help}");
     // Out of range: refused with the range, and the value set before it
     // stands (`prof_sample_bytes 0` used to be clamped to 1 and acked;
-    // `probe_limit 2^64-1` used to be accepted, and the next pass spun).
+    // a period of 2^64-1 ms used to be accepted).
     let (rc, body) = &s["set-sample-zero"];
     assert_eq!(rc, "err", "set prof_sample_bytes 0: {body}");
     assert!(body.contains("1..=1T"), "set-sample-zero names the range: {body}");
-    let (rc, body) = &s["set-probe-huge"];
-    assert_eq!(rc, "err", "set probe_limit 2^64-1: {body}");
-    assert!(body.contains("1..=4K"), "set-probe-huge names the range: {body}");
+    let (rc, body) = &s["set-period-huge"];
+    assert_eq!(rc, "err", "set mesh_period_ms 2^64-1: {body}");
+    assert!(body.contains("0..=4294967295"), "set-period-huge names the range: {body}");
 
     // mesh_now over the wire compacts the 7/8-freed bait spans (bare
     // `true`/`false` keeps this envelope out of the mini JSON parser).

@@ -4,7 +4,9 @@
 //! hostile `edge_semantics` frees are now attributed to the hardened
 //! counters as well. A deliberate use-after-free C program then runs
 //! under `MESH_HARDEN=abort` and must die on SIGABRT with the one-line
-//! diagnostic on stderr instead of reaching its final printf.
+//! diagnostic on stderr instead of reaching its final printf, and so must
+//! a double free after the program put a file of its own on the number
+//! of the heap's stderr dup, which keeps the file intact.
 //!
 //! Gated on the environment: skips (loudly) when no `cc` is available.
 
@@ -234,4 +236,48 @@ fn uaf_write_aborts_with_diagnostic_under_die_policy() {
         "program survived the UAF:\n{}",
         run.stdout
     );
+}
+
+/// The abort line goes to stderr, not into a file of the program's: a
+/// process closes every descriptor from 3 up, puts a data file on the
+/// number of the heap's stderr dup and frees an object twice
+/// (`tests/c/abort_closerange.c`). The heap checks the dup still names
+/// stderr before it writes, and falls back to fd 2.
+#[test]
+fn the_abort_line_skips_a_reused_stderr_dup() {
+    if !have_cc() {
+        eprintln!("skipping C harden abort test: no `cc` in this environment");
+        return;
+    }
+    let so = build_libmesh();
+    let out_dir = target_dir().join("c-harden-tests");
+    std::fs::create_dir_all(&out_dir).unwrap();
+    let bin = compile_c("abort_closerange", &out_dir);
+    let data = out_dir.join("abort-closerange-data");
+    let mut cmd = Command::new(&bin);
+    cmd.arg(&data)
+        .env("LD_PRELOAD", &so)
+        .env("MESH_HARDEN", "abort")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .stdin(Stdio::null());
+    let out = cmd.output().expect("spawn failed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.signal(),
+        Some(SIGABRT),
+        "expected SIGABRT, got {:?}\nstdout:\n{}\nstderr:\n{stderr}",
+        out.status,
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(
+        stderr.contains("mesh: harden abort kind=double_free addr=0x"),
+        "missing abort diagnostic:\n{stderr}"
+    );
+    assert_eq!(
+        std::fs::read(&data).unwrap(),
+        b"abort_closerange data: these bytes stay as written\n",
+        "the data file changed"
+    );
+    std::fs::remove_file(&data).unwrap();
 }

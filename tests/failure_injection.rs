@@ -110,7 +110,7 @@ fn invalid_configs_are_rejected_not_ub() {
         Mesh::new(MeshConfig::default().arena_bytes(1)),
         Err(MeshError::InvalidConfig(_))
     ));
-    assert!(Mesh::new(MeshConfig::default().probe_limit(0)).is_err());
+    assert!(Mesh::new(MeshConfig::default().sense_history(0)).is_err());
     assert!(Mesh::new(MeshConfig::default().occupancy_cutoff(2.0)).is_err());
 }
 
@@ -158,14 +158,10 @@ fn runtime_control_changes_mid_flight() {
     // Flip every runtime knob while the heap is fragmented and meshable.
     mesh.set_meshing_enabled(false);
     assert_eq!(mesh.mesh_now().pairs_meshed, 0, "disabled means disabled");
-    mesh.set_probe_limit(1);
     mesh.set_meshing_enabled(true);
-    let low_t = mesh.mesh_now().pairs_meshed;
-    mesh.set_probe_limit(256);
-    let high_t = mesh.mesh_now().pairs_meshed;
-    // With t=1 some pairs are found; raising t finds more of what's left
-    // (or nothing if t=1 already got everything — both fine, no crash).
-    let _ = (low_t, high_t);
+    // Enabled again, passes run (what they find depends on what stayed
+    // attached): no crash.
+    let _ = (mesh.mesh_now(), mesh.mesh_now());
     mesh.set_mesh_period(Duration::from_secs(3600));
     mesh.set_mesh_period(Duration::ZERO);
     for p in ptrs {
