@@ -297,7 +297,8 @@ pub unsafe extern "C" fn malloc_usable_size(ptr: *mut c_void) -> size_t {
 
 /// Interposed `malloc_trim(3)`: one meshing pass, which compacts the
 /// partly empty spans no thread holds, then every dirty page back to the
-/// OS and every empty segment retired, however little is dirty. Returns 1
+/// OS, however little is dirty, so the pages freed at the top of the heap
+/// leave its mapped footprint too. Returns 1
 /// if a heap exists (memory may have been released), 0 otherwise.
 #[no_mangle]
 pub extern "C" fn malloc_trim(_pad: size_t) -> c_int {

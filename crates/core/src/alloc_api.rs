@@ -127,8 +127,8 @@ impl Mesh {
     }
 
     /// Allocates `size` bytes, 16-byte aligned (page-aligned above 16 KiB).
-    /// The segmented arena grows on demand; null is returned only when the
-    /// configured hard cap (`max_heap_bytes`) has no room — never panics.
+    /// Null is returned only when the heap's file, sized to the hard cap
+    /// (`max_heap_bytes`), has no room — never panics.
     pub fn malloc(&self, size: usize) -> *mut u8 {
         with_internal_alloc(|| self.inner.main.lock().malloc(&self.inner.state, size))
     }
@@ -253,21 +253,21 @@ impl Mesh {
         with_internal_alloc(|| self.inner.state.mesh_now())
     }
 
-    /// Releases all dirty pages to the OS immediately, then retires any
-    /// non-initial segment left with all pages clean (unmapping it and
-    /// returning its file backing wholesale).
+    /// Releases all dirty pages to the OS immediately; the ones at the top
+    /// of the heap lower its bump frontier, and so its mapped footprint.
     pub fn purge_dirty(&self) {
-        with_internal_alloc(|| self.inner.state.purge_and_retire());
+        with_internal_alloc(|| self.inner.state.tidy_and_purge());
     }
 
-    /// Per-segment accounting snapshots of the segmented arena, in
-    /// address order (takes the arena leaf lock briefly).
-    pub fn segment_stats(&self) -> Vec<crate::segment::SegmentStats> {
-        with_internal_alloc(|| self.inner.state.segment_stats())
+    /// The arena's accounting in a one-element list, the shape this
+    /// call's readers take (takes the arena leaf lock briefly).
+    #[doc(hidden)]
+    pub fn segment_stats(&self) -> Vec<crate::ArenaStats> {
+        with_internal_alloc(|| vec![self.inner.state.arena_stats()])
     }
 
-    /// Bytes currently mapped to segment files — the virtual footprint of
-    /// the active segments (lock-free; `heap_bytes() ≤ mapped_bytes()`).
+    /// Bytes below the arena's bump frontier — the part of the heap's file
+    /// in use (lock-free; `heap_bytes() ≤ mapped_bytes()`).
     pub fn mapped_bytes(&self) -> usize {
         self.inner.counters.mapped_pages.load(Ordering::Relaxed) * PAGE_SIZE
     }
@@ -682,7 +682,8 @@ impl MeshGlobalAlloc {
     }
 
     /// The process-wide heap, or `None` if construction failed (no
-    /// memfd/tmpfile support, reservation refused). Construction is
+    /// memfd/tmpfile support, a mapping refused, a file-size limit below
+    /// the largest span). Construction is
     /// attempted once; failure is sticky.
     pub fn try_mesh() -> Option<&'static Mesh> {
         crate::process::heap()
@@ -970,7 +971,7 @@ mod tests {
             assert_eq!(*big, 0x24);
             assert_eq!(*big.add(99_999), 0x24, "large object survived privatization");
         }
-        assert_eq!(m.mapped_bytes(), mapped_before, "same segments, new files");
+        assert_eq!(m.mapped_bytes(), mapped_before, "same frontier, new file");
         let q = m.malloc(500);
         assert!(!q.is_null(), "heap usable after privatization");
         unsafe {
@@ -986,7 +987,7 @@ mod tests {
     #[test]
     fn fork_guard_child_restores_meshed_aliases() {
         // Meshed spans have non-identity mappings; privatization must
-        // rebuild them against the new segment files.
+        // rebuild them against the new file.
         let m = mesh();
         let ptrs: Vec<*mut u8> = (0..4096).map(|_| m.malloc(128)).collect();
         for (i, &p) in ptrs.iter().enumerate() {

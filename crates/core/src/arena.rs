@@ -1,30 +1,27 @@
-//! The meshable arena (§4.4.1), segmented: a table of independently
-//! file-backed segments carved out of one contiguous virtual reservation.
+//! The meshable arena (§4.4.1): one memory file, mapped once.
 //!
-//! The arena reserves `max_heap_bytes` of virtual address space once
-//! (`PROT_NONE`, uncommitted) and maps **segments** — each backed by its
-//! own memory file ([`crate::sys::MemFile`]) — into that window on demand:
-//! the initial segment at construction, further segments whenever span
-//! allocation misses every existing segment ("grow on miss"). Because the
-//! reservation is contiguous, pointer→page arithmetic stays a single
-//! subtraction and the lock-free page map is oblivious to growth; only
-//! *file* offsets are per-segment. Within a segment, virtual page *i*
-//! initially maps file page *i − segment start* (the *identity* mapping);
-//! meshing retargets a virtual span at any segment's file range, and the
-//! arena restores identities some time after meshed MiniHeaps die.
+//! The arena creates one sparse memory file ([`crate::sys::MemFile`]) the
+//! size of the heap's cap — `max_heap_bytes`, or less where the soft
+//! `RLIMIT_FSIZE` is lower — and maps all of it, shared, at one address.
+//! Virtual page *i* initially maps file page *i* (the *identity*
+//! mapping); meshing retargets a virtual span at another span's file
+//! range, and the arena restores identities some time after meshed
+//! MiniHeaps die. A sparse file costs nothing until written, so the file
+//! is never grown, and pointer→page arithmetic is one subtraction.
 //!
-//! Freed spans are kept per segment in three sets, two of them exactly as
-//! §4.4.1:
+//! Spans are carved from a bump frontier. Freed spans are kept in three
+//! sets (`crate::free_spans`), two of them exactly as §4.4.1:
 //!
 //! * **dirty** — recently freed, physical pages still committed; preferred
 //!   for reuse because they are hot and reclamation is expensive.
 //! * **clean** — released to the OS: their file ranges are holes, so
-//!   they read zeros and cost nothing until touched again.
+//!   they read zeros and cost nothing until touched again. Adjacent clean
+//!   extents merge, and one that reaches the frontier lowers it.
 //! * **parked** — the alias spans of a dead meshed MiniHeap. They hold no
 //!   physical page of their own (meshing released it) but are still
-//!   mapped onto the span they were meshed into, so they are in no bin
+//!   mapped onto the span they were meshed into, so they are in no set
 //!   and are never handed out. Their identities come back at the next
-//!   purge, or when span allocation misses the clean bins, whichever is
+//!   purge, or when span allocation misses the clean set, whichever is
 //!   first: a parked span and the dirty spans it touches are sorted into
 //!   runs, and one `mmap` per run restores the identity mapping and lets
 //!   the kernel merge the run's VMAs, where a remap per dying alias paid
@@ -38,32 +35,28 @@
 //! than the budget has room for (`Arena::alias_room`).
 //!
 //! Dirty pages are released en masse once they exceed the configured
-//! threshold (64 MB in the paper) or whenever meshing runs. A purge that
-//! leaves a non-initial segment with no outstanding, dirty or parked pages
-//! makes it **retirable**: the segment is unmapped back to the reserved
-//! state, its file is closed (returning the backing to the OS wholesale),
-//! and its page range becomes reusable by future segments. Allocation
-//! fails — with [`MeshError::ArenaExhausted`] — only once the configured
-//! hard cap itself has no room left.
+//! threshold (64 MB in the paper) or whenever meshing runs. Allocation
+//! fails — with [`MeshError::ArenaExhausted`] — only once the file has
+//! no room left.
 //!
-//! Every release is a hole punched in a segment's file
-//! ([`sys::punch_hole`]), the paper's `fallocate` (§4.5.1). The arena
-//! probes it on the initial segment at construction and fails with
-//! [`MeshError::ArenaCreation`] where the file system cannot punch.
+//! Every release is a hole punched in the file ([`sys::punch_hole`]), the
+//! paper's `fallocate` (§4.5.1). The arena probes it at construction and
+//! fails with [`MeshError::ArenaCreation`] where the file system cannot
+//! punch.
 //!
 //! The page→MiniHeap table used for constant-time pointer lookup on free
 //! (§4.4.4) lives in `crate::page_map` — it is lock-free and shared by
-//! every shard, while the arena (including the segment table) sits behind
-//! the sharded heap's leaf lock (see DESIGN.md). The arena keeps the
-//! committed-page accounting that serves as the physical-footprint
-//! metric; [`Arena::file_pages`] reads what the kernel holds for each
-//! segment's file, which punch-hole keeps at or under it.
+//! every shard, while the arena sits behind the sharded heap's leaf lock
+//! (see DESIGN.md). The arena keeps the committed-page accounting that
+//! serves as the physical-footprint metric; [`Arena::file_pages`] reads
+//! what the kernel holds for the file, which punch-hole keeps at or under
+//! it.
 
 use crate::barrier::BarrierGuard;
 use crate::config::MeshConfig;
 use crate::error::MeshError;
-use crate::page_map::PageMap;
-use crate::segment::{Segment, SegmentStats, SegmentTable};
+use crate::free_spans::{ArenaStats, FreeSpans};
+use crate::size_classes::{MAX_SMALL_SIZE, MIN_OBJECTS_PER_SPAN};
 use crate::span::Span;
 use crate::stats::Counters;
 use crate::sys::{self, MemFile, PAGE_SIZE};
@@ -76,8 +69,8 @@ use std::time::Instant;
 /// whether it reads as zero: only a dirty span holds old bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanSource {
-    /// Fresh, never-used pages from a segment's bump frontier: file pages
-    /// nothing has written, which read as zero.
+    /// Pages from the bump frontier: file pages nothing has written since
+    /// they were last punched, which read as zero.
     Fresh,
     /// Reused dirty pages (still committed, contents stale).
     Dirty,
@@ -87,18 +80,19 @@ pub enum SpanSource {
     Clean,
 }
 
+/// The pages of the largest span a size class takes: a heap whose file
+/// cannot hold one cannot serve every class.
+const FIRST_SPAN_PAGES: usize = MIN_OBJECTS_PER_SPAN * MAX_SMALL_SIZE / PAGE_SIZE;
+
 /// The meshable arena. All methods require external synchronization (the
 /// sharded heap's arena leaf lock); the arena itself performs no locking.
 #[derive(Debug)]
 pub struct Arena {
     base: *mut u8,
-    /// Total reservation length in pages: the hard cap.
-    reserved_pages: u32,
-    table: SegmentTable,
-    /// Preferred size of growth segments, in pages.
-    segment_pages: u32,
-    /// Dirty pages across all segments (threshold accounting).
-    dirty_pages: usize,
+    /// Pages of the file and of its mapping: the hard cap.
+    cap_pages: u32,
+    file: MemFile,
+    spans: FreeSpans,
     committed_pages: usize,
     max_dirty_pages: usize,
     barrier: Option<BarrierGuard>,
@@ -108,8 +102,9 @@ pub struct Arena {
     aliases: usize,
     /// The most aliases meshing may make ([`alias_budget`]).
     alias_budget: usize,
-    /// Set the first time a segment's descriptor names a file other than
-    /// its own ([`Arena::files_intact`]), and never cleared.
+    /// Set the first time the file's descriptor names another file
+    /// ([`Arena::files_intact`]); cleared only by a forked child's
+    /// privatization, which gives it a file of its own.
     files_lost: bool,
     /// Test hook: fallible VM calls of the mesh path (protect, remap,
     /// identity restore) seen since it was set, and which of them to
@@ -118,37 +113,46 @@ pub struct Arena {
     refused_vm_calls: (u32, std::ops::Range<u32>),
 }
 
-// SAFETY: the raw base pointer refers to a reservation owned by the arena;
+// SAFETY: the raw base pointer refers to a mapping owned by the arena;
 // the arena is only ever used under the sharded heap's arena lock.
 unsafe impl Send for Arena {}
 
 impl Arena {
-    /// Creates an arena per `config`: reserves `max_heap_bytes` of virtual
-    /// space, maps the initial segment, probes hole punching on its first
-    /// page, and registers the reservation with the write-barrier fault
-    /// handler when `config.write_barrier` is set.
+    /// Creates an arena per `config`: creates its memory file at the cap,
+    /// `max_heap_bytes` or the soft `RLIMIT_FSIZE` if that is lower, maps
+    /// it, probes hole punching on its first page, and registers the
+    /// mapping with the write-barrier fault handler when
+    /// `config.write_barrier` is set.
     ///
     /// # Errors
     ///
-    /// Returns [`MeshError::ArenaCreation`]/[`MeshError::Map`] if the
-    /// backing file or mappings cannot be created, and
-    /// [`MeshError::ArenaCreation`] with the kernel's error if the file
-    /// cannot have a hole punched in it.
+    /// Returns [`MeshError::ArenaCreation`] if the file cannot be created,
+    /// is limited below the largest span a size class takes (`EFBIG`), or
+    /// cannot have a hole punched in it, and [`MeshError::Map`] if it
+    /// cannot be mapped.
     pub fn new(config: &MeshConfig, counters: Arc<Counters>) -> Result<Arena, MeshError> {
-        let cap_pages = config.arena_pages() as u32;
-        let cap_bytes = cap_pages as usize * PAGE_SIZE;
-        let base = sys::reserve_region(cap_bytes).map_err(MeshError::Map)?;
+        let mut cap_pages = config.arena_pages();
+        if let Some(limit) = sys::file_size_limit() {
+            if limit / PAGE_SIZE < FIRST_SPAN_PAGES {
+                let too_big = std::io::Error::from_raw_os_error(crate::ffi::EFBIG);
+                return Err(MeshError::ArenaCreation(too_big));
+            }
+            cap_pages = cap_pages.min(limit / PAGE_SIZE);
+        }
+        let cap_bytes = cap_pages * PAGE_SIZE;
+        let file = MemFile::create(cap_bytes).map_err(MeshError::ArenaCreation)?;
+        sys::punch_hole(&file, 0, PAGE_SIZE).map_err(MeshError::ArenaCreation)?;
+        let base = sys::map_file_shared(&file).map_err(MeshError::Map)?;
         let barrier = if config.write_barrier {
             BarrierGuard::register(base as usize, cap_bytes)
         } else {
             None
         };
-        let mut arena = Arena {
+        Ok(Arena {
             base,
-            reserved_pages: cap_pages,
-            table: SegmentTable::new(cap_pages),
-            segment_pages: (config.segment_pages() as u32).min(cap_pages),
-            dirty_pages: 0,
+            cap_pages: cap_pages as u32,
+            file,
+            spans: FreeSpans::new(cap_pages as u32),
             committed_pages: 0,
             max_dirty_pages: config.max_dirty_bytes / PAGE_SIZE,
             barrier,
@@ -158,25 +162,19 @@ impl Arena {
             files_lost: false,
             #[cfg(test)]
             refused_vm_calls: (0, 0..0),
-        };
-        // The initial segment (id 0) is mapped eagerly and never retired.
-        let initial_pages = (config.initial_segment_pages() as u32).min(cap_pages);
-        let idx = arena.grow_exact(initial_pages, initial_pages)?;
-        sys::punch_hole(arena.table.get(idx).file(), 0, PAGE_SIZE)
-            .map_err(MeshError::ArenaCreation)?;
-        Ok(arena)
+        })
     }
 
-    /// Base address of the arena reservation.
+    /// Base address of the arena mapping.
     #[inline]
     pub fn base_addr(&self) -> usize {
         self.base as usize
     }
 
-    /// Total reserved capacity in pages (the hard cap).
+    /// Total capacity in pages (the hard cap).
     #[inline]
     pub fn capacity_pages(&self) -> u32 {
-        self.reserved_pages
+        self.cap_pages
     }
 
     /// Pages currently committed (the physical footprint).
@@ -185,23 +183,12 @@ impl Arena {
         self.committed_pages
     }
 
-    /// Pages currently mapped to segment files (the virtual footprint of
-    /// active segments; committed ≤ mapped ≤ capacity).
+    /// Pages below the bump frontier: every page the heap has handed out
+    /// and not given back clean at the top (committed ≤ mapped ≤
+    /// capacity).
     #[inline]
     pub fn mapped_pages(&self) -> usize {
-        self.table.mapped_pages()
-    }
-
-    /// Number of active (mapped) segments.
-    #[inline]
-    pub fn segment_count(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Segments ever created over this arena's lifetime.
-    #[inline]
-    pub fn segments_created(&self) -> u64 {
-        self.table.ids_created()
+        self.spans.frontier() as usize
     }
 
     /// The write-barrier guard, if registered.
@@ -213,11 +200,11 @@ impl Arena {
     /// Address of arena page `page`.
     #[inline]
     pub fn addr_of_page(&self, page: u32) -> usize {
-        debug_assert!(page < self.reserved_pages);
+        debug_assert!(page < self.cap_pages);
         self.base as usize + page as usize * PAGE_SIZE
     }
 
-    /// Arena page containing `addr`, or `None` if outside the reservation.
+    /// Arena page containing `addr`, or `None` if outside the mapping.
     #[inline]
     pub fn page_of_addr(&self, addr: usize) -> Option<u32> {
         let base = self.base as usize;
@@ -225,30 +212,26 @@ impl Arena {
             return None;
         }
         let page = (addr - base) / PAGE_SIZE;
-        if page < self.reserved_pages as usize {
+        if page < self.cap_pages as usize {
             Some(page as u32)
         } else {
             None
         }
     }
 
-    /// Per-segment accounting snapshots, in address order.
-    pub fn segment_stats(&self) -> Vec<SegmentStats> {
-        self.table
-            .iter()
-            .map(|seg| seg.stats(seg.id() != 0 && seg.is_empty_of_live_data()))
-            .collect()
+    /// The file's accounting snapshot.
+    pub fn stats(&self) -> ArenaStats {
+        self.spans.stats(self.committed_pages)
     }
 
-    /// The physical pages each segment's file holds, in address order:
-    /// one `fstat` per segment, so the kernel's exact count and not the
-    /// arena's. A refused `fstat`, which an open memory file does not
-    /// see, reads 0. `None` from the loss of a file on
-    /// (`Arena::files_intact`): the descriptors may name the program's
-    /// files then.
-    pub fn file_pages(&mut self) -> Option<Vec<usize>> {
-        let held = |seg: &Segment| seg.file().held_pages().unwrap_or(0);
-        self.files_intact().then(|| self.table.iter().map(held).collect())
+    /// The physical pages the file holds, by one `fstat`: the kernel's
+    /// exact count, not the arena's. A refused `fstat`, which an open
+    /// memory file does not see, reads 0. `None` from the loss of the file
+    /// on (`Arena::files_intact`): the descriptor may name the program's
+    /// file then.
+    pub fn file_pages(&mut self) -> Option<usize> {
+        self.files_intact()
+            .then(|| self.file.held_pages().unwrap_or(0))
     }
 
     fn set_committed(&mut self, pages: usize) {
@@ -256,86 +239,53 @@ impl Arena {
         self.counters.set_committed(pages);
     }
 
-    fn seg_index_of(&self, span: Span) -> usize {
-        let idx = self
-            .table
-            .index_of_page(span.offset)
-            .expect("span belongs to no active segment");
-        debug_assert!(
-            span.end() <= self.table.get(idx).end(),
-            "span {span} crosses a segment boundary"
-        );
-        idx
+    /// Publishes the frontier as the mapped-page count; every call that
+    /// may move it ends here.
+    fn note_frontier(&self) {
+        self.counters
+            .mapped_pages
+            .store(self.mapped_pages(), Ordering::Relaxed);
     }
 
     /// Hands out a span of `pages` pages, preferring dirty, then clean,
-    /// then fresh pages (§4.4.1) from any active segment; when every
-    /// segment misses, a new segment is mapped on demand ("grow on miss").
+    /// then fresh pages from the frontier (§4.4.1).
     ///
     /// # Errors
     ///
-    /// Returns [`MeshError::ArenaExhausted`] when the hard cap has no room
-    /// for the request, or [`MeshError::ArenaCreation`]/[`MeshError::Map`]
-    /// if the OS refuses the new segment's file or mapping.
+    /// Returns [`MeshError::ArenaExhausted`] when the file has no room for
+    /// the request.
     pub fn alloc_span(&mut self, pages: u32) -> Result<(Span, SpanSource), MeshError> {
         assert!(pages > 0);
         // 1. Dirty reuse: exact length only (dirty spans are transient).
-        for seg in self.table.iter_mut() {
-            if let Some(offset) = seg.take_dirty_exact(pages) {
-                self.dirty_pages -= pages as usize;
-                // Already committed; no accounting change.
-                return Ok((Span::new(offset, pages), SpanSource::Dirty));
-            }
+        //    Already committed; no accounting change.
+        if let Some(offset) = self.spans.take_dirty_exact(pages) {
+            return Ok((Span::new(offset, pages), SpanSource::Dirty));
         }
         // 2. Clean reuse; parked aliases become clean spans before any
         //    fresh page is carved, so address space is reused as if their
         //    identities had come back when their MiniHeaps died.
-        let mut clean = self.take_clean(pages);
-        if clean.is_none() && self.has_parked() {
+        let mut clean = self.spans.take_clean(pages);
+        if clean.is_none() && self.spans.has_parked() {
             self.file_clean(false);
-            clean = self.take_clean(pages);
+            clean = self.spans.take_clean(pages);
         }
-        if let Some(span) = clean {
-            return Ok((span, SpanSource::Clean));
-        }
-        // 3. Fresh pages from the first segment with frontier room.
-        let mut fresh = None;
-        for seg in self.table.iter_mut() {
-            if let Some(offset) = seg.take_fresh(pages) {
-                fresh = Some(offset);
-                break;
+        let handed = match clean {
+            Some(span) => (span, SpanSource::Clean),
+            // 3. Fresh pages from the frontier.
+            None => {
+                let offset = self
+                    .spans
+                    .take_fresh(pages)
+                    .ok_or(MeshError::ArenaExhausted {
+                        requested_pages: pages as usize,
+                        capacity_pages: self.cap_pages as usize,
+                    })?;
+                self.note_frontier();
+                (Span::new(offset, pages), SpanSource::Fresh)
             }
-        }
-        if let Some(offset) = fresh {
-            self.set_committed(self.committed_pages + pages as usize);
-            return Ok((Span::new(offset, pages), SpanSource::Fresh));
-        }
-        // 4. Grow on miss: map a new segment and carve from it.
-        let idx = self.grow(pages)?;
-        let offset = self
-            .table
-            .get_mut(idx)
-            .take_fresh(pages)
-            .expect("fresh segment sized for the request");
+        };
         self.set_committed(self.committed_pages + pages as usize);
-        Ok((Span::new(offset, pages), SpanSource::Fresh))
-    }
-
-    /// Takes the smallest clean span across all segments that fits `pages`,
-    /// splitting the rest back into its segment's bins.
-    fn take_clean(&mut self, pages: u32) -> Option<Span> {
-        let mut best: Option<(usize, u32)> = None;
-        for (idx, seg) in self.table.iter().enumerate() {
-            if let Some(len) = seg.smallest_clean_at_least(pages) {
-                if best.is_none_or(|(_, best_len)| len < best_len) {
-                    best = Some((idx, len));
-                }
-            }
-        }
-        let (idx, len) = best?;
-        let span = self.table.get_mut(idx).take_clean(len, pages);
-        self.set_committed(self.committed_pages + pages as usize);
-        Some(span)
+        Ok(handed)
     }
 
     /// Aliases meshing may still make: each meshed pair makes one.
@@ -362,135 +312,35 @@ impl Arena {
         self.alias_budget = aliases;
     }
 
-    fn has_parked(&self) -> bool {
-        self.table.iter().any(|seg| seg.has_parked())
-    }
-
-    /// Maps a new segment able to serve a `min_pages`-page span, preferring
-    /// the configured segment size. Returns its table index.
-    fn grow(&mut self, min_pages: u32) -> Result<usize, MeshError> {
-        self.grow_exact(min_pages.max(self.segment_pages), min_pages)
-    }
-
-    fn grow_exact(&mut self, desired: u32, min_pages: u32) -> Result<usize, MeshError> {
-        let t0 = Instant::now();
-        let Some((start, len)) = self.table.take_range(desired, min_pages) else {
-            return Err(MeshError::ArenaExhausted {
-                requested_pages: min_pages as usize,
-                capacity_pages: self.reserved_pages as usize,
-            });
-        };
-        let bytes = len as usize * PAGE_SIZE;
-        let file = match MemFile::create(bytes) {
-            Ok(file) => file,
-            Err(e) => {
-                self.table.return_range(start, len);
-                return Err(MeshError::ArenaCreation(e));
-            }
-        };
-        let addr = (self.base as usize + start as usize * PAGE_SIZE) as *mut u8;
-        if let Err(e) = unsafe { sys::map_file_fixed(&file, addr) } {
-            self.table.return_range(start, len);
-            return Err(MeshError::Map(e));
-        }
-        let id = self.table.allocate_id();
-        let idx = self.table.insert(Segment::new(id, start, len, file));
-        self.counters.segments_created.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .active_segments
-            .store(self.table.len(), Ordering::Relaxed);
-        self.counters
-            .mapped_pages
-            .store(self.table.mapped_pages(), Ordering::Relaxed);
-        self.counters
-            .record_slow(TimedOp::SegmentGrow, t0, len as u64);
-        Ok(idx)
-    }
-
-    /// Unmaps every non-initial segment whose pages are all clean: virtual
-    /// range back to the reservation, file backing back to the OS, page
-    /// range back to the free ledger. Returns the number retired.
-    ///
-    /// `page_map` is consulted only to assert (debug builds) that retired
-    /// ranges hold no routed pages — an outstanding entry would mean a
-    /// live span was lost.
-    pub(crate) fn retire_empty_segments(&mut self, page_map: &PageMap) -> usize {
-        let t0 = Instant::now();
-        let mut retired = 0;
-        let mut idx = 0;
-        while idx < self.table.len() {
-            let seg = self.table.get(idx);
-            if seg.id() == 0 || !seg.is_empty_of_live_data() {
-                idx += 1;
-                continue;
-            }
-            debug_assert_eq!(seg.committed_pages(), 0, "clean segment holds committed pages");
-            debug_assert!(
-                page_map.range_is_clear(seg.start(), seg.pages()),
-                "retiring segment {} with routed pages",
-                seg.id()
-            );
-            let seg = self.table.remove(idx);
-            let addr = (self.base as usize + seg.start() as usize * PAGE_SIZE) as *mut u8;
-            // SAFETY: the range lies inside our reservation and holds no
-            // live spans (outstanding == dirty == parked == 0).
-            unsafe {
-                sys::unmap_to_reserved(addr, seg.pages() as usize * PAGE_SIZE)
-                    .expect("segment retirement remap failed");
-            }
-            self.table.return_range(seg.start(), seg.pages());
-            // Dropping `seg` closes its MemFile, releasing the backing.
-            drop(seg);
-            retired += 1;
-        }
-        if retired > 0 {
-            self.counters
-                .segments_retired
-                .fetch_add(retired as u64, Ordering::Relaxed);
-            self.counters
-                .active_segments
-                .store(self.table.len(), Ordering::Relaxed);
-            self.counters
-                .mapped_pages
-                .store(self.table.mapped_pages(), Ordering::Relaxed);
-            self.counters
-                .record_slow(TimedOp::SegmentRetire, t0, retired as u64);
-        }
-        retired as usize
-    }
-
-    /// Returns a dead span to its segment's dirty bins; triggers a purge
-    /// when the dirty threshold is exceeded.
+    /// Returns a dead span to the dirty set; triggers a purge when the
+    /// dirty threshold is exceeded.
     pub fn free_span_dirty(&mut self, span: Span) {
-        let idx = self.seg_index_of(span);
-        self.table.get_mut(idx).free_dirty(span);
-        self.dirty_pages += span.pages as usize;
-        if self.dirty_pages > self.max_dirty_pages {
+        self.spans.free_dirty(span);
+        if self.spans.dirty_pages() > self.max_dirty_pages {
             self.purge_dirty();
         }
     }
 
     /// Returns a span whose physical pages were already released straight
-    /// to its segment's clean bins. No accounting change: the pages were
-    /// uncommitted at release time.
+    /// to the clean set. No accounting change: the pages were uncommitted
+    /// at release time.
     pub fn free_span_clean(&mut self, span: Span) {
-        let idx = self.seg_index_of(span);
-        self.table.get_mut(idx).free_clean(span);
+        self.spans.free_clean(span);
+        self.note_frontier();
     }
 
     /// Parks the alias span of a dead meshed MiniHeap: its file range was
     /// released when it was meshed, but it still maps the range it was
-    /// meshed into, so it is handed to nobody until a purge or a clean-bin
+    /// meshed into, so it is handed to nobody until a purge or a clean-set
     /// miss has restored its identity mapping. The caller has cleared its
     /// page-map entry.
     pub(crate) fn park_alias(&mut self, span: Span) {
-        let idx = self.seg_index_of(span);
-        self.table.get_mut(idx).free_parked(span);
+        self.spans.free_parked(span);
     }
 
     /// Releases a dead span's physical pages immediately and files it
     /// under clean (used for large objects, §4); under dirty once the
-    /// segment's file is lost, since nothing is punched then.
+    /// file is lost, since nothing is punched then.
     pub fn release_span(&mut self, span: Span) {
         if self.release_physical(span) {
             self.free_span_clean(span);
@@ -499,31 +349,26 @@ impl Arena {
         }
     }
 
-    /// Releases the physical file range behind `span`, a span of its own
-    /// segment's file: any never-meshed span, or a mesh source's primary.
-    /// Returns whether it did, which it does while the segment's file is
-    /// intact.
+    /// Releases the physical file range behind `span`, a span mapping its
+    /// own file range: any never-meshed span, or a mesh source's primary.
+    /// Returns whether it did, which it does while the file is intact.
     pub fn release_physical(&mut self, span: Span) -> bool {
-        let idx = self.seg_index_of(span);
-        self.release_run(idx, span, span.pages as usize)
+        self.release_run(span, span.pages as usize)
     }
 
-    /// Punches the file range behind `run`, a run of spans of segment
-    /// `idx`, with one kernel call, and uncommits the `pages` of it that
-    /// held physical pages. The hole is punched by file offset, so it does
-    /// not matter what the run's virtual pages map meanwhile. Punches
-    /// nothing, and returns `false`, once the segment's file is lost.
-    fn release_run(&mut self, idx: usize, run: Span, pages: usize) -> bool {
-        if !self.file_intact(idx) {
+    /// Punches the file range behind `run` with one kernel call, and
+    /// uncommits the `pages` of it that held physical pages. The hole is
+    /// punched by file offset, so it does not matter what the run's
+    /// virtual pages map meanwhile. Punches nothing, and returns `false`,
+    /// once the file is lost.
+    fn release_run(&mut self, run: Span, pages: usize) -> bool {
+        if !self.files_intact() {
             return false;
         }
         let t0 = Instant::now();
-        let seg = self.table.get_mut(idx);
-        let file_offset = seg.file_offset_of_page(run.offset);
-        let punched = sys::punch_hole(seg.file(), file_offset, run.byte_len());
+        let punched = sys::punch_hole(&self.file, run.byte_offset(), run.byte_len());
         // The probe at construction showed the file can be punched.
         debug_assert!(punched.is_ok(), "punching {run}: {punched:?}");
-        seg.note_release(pages);
         self.set_committed(self.committed_pages - pages);
         self.counters
             .record_slow(TimedOp::Madvise, t0, pages as u64);
@@ -532,40 +377,36 @@ impl Arena {
 
     /// Releases the file ranges behind a batch's mesh sources — their
     /// primary spans, sorted by offset — in runs of adjacent spans, one
-    /// kernel call per run; a run never crosses a segment, whose file
-    /// ranges live in different files. The caller has remapped every
-    /// source onto its destination, so no reader sees the zeros.
+    /// kernel call per run. The caller has remapped every source onto its
+    /// destination, so no reader sees the zeros.
     pub(crate) fn release_sources(&mut self, primaries: &[Span]) {
         let mut i = 0;
         while i < primaries.len() {
-            let idx = self.seg_index_of(primaries[i]);
-            let (run, next) = run_at(primaries, i, self.table.get(idx).end(), |&s| s);
-            self.release_run(idx, run, run.pages as usize);
+            let (run, next) = run_at(primaries, i, |&s| s);
+            self.release_run(run, run.pages as usize);
             i = next;
         }
     }
 
-    /// Releases every dirty span to the OS, moving them to the clean bins
+    /// Releases every dirty span to the OS, moving them to the clean set
     /// (§4.4.1: after 64 MB accumulate, or when meshing runs), and brings
     /// back the identity mapping of every parked alias.
     ///
-    /// Within each segment, dirty and parked spans are sorted into maximal
-    /// runs of adjacent spans. A run holding a parked span gets one
-    /// identity `mmap` over all of it, after which the kernel merges its
-    /// VMAs; a run holding dirty pages is released with one kernel call
-    /// (with its identity mapping in place, virtual adjacency equals file
-    /// adjacency) and only the dirty pages are uncommitted — a parked
-    /// span's file range has been a hole since it was meshed. With
-    /// thousands of spans dying together this saves the same factor in
-    /// syscalls. Runs never cross segments — their file ranges live in
-    /// different files.
+    /// Dirty and parked spans are sorted into maximal runs of adjacent
+    /// spans. A run holding a parked span gets one identity `mmap` over
+    /// all of it, after which the kernel merges its VMAs; a run holding
+    /// dirty pages is released with one kernel call (with its identity
+    /// mapping in place, virtual adjacency equals file adjacency) and only
+    /// the dirty pages are uncommitted — a parked span's file range has
+    /// been a hole since it was meshed. With thousands of spans dying
+    /// together this saves the same factor in syscalls.
     pub fn purge_dirty(&mut self) {
-        if (self.dirty_pages == 0 && !self.has_parked()) || !self.files_intact() {
+        if (self.spans.dirty_pages() == 0 && !self.spans.has_parked()) || !self.files_intact() {
             return;
         }
-        let dirty = self.dirty_pages;
+        let dirty = self.spans.dirty_pages();
         self.file_clean(true);
-        let purged = dirty - self.dirty_pages;
+        let purged = dirty - self.spans.dirty_pages();
         if purged > 0 {
             self.counters
                 .pages_purged
@@ -581,95 +422,92 @@ impl Arena {
     /// ([`Arena::files_intact`]) refuses the restore and the punch, and
     /// leaves every span parked or dirty.
     fn file_clean(&mut self, purge: bool) {
+        let mut spans: Vec<(Span, bool)> = self
+            .spans
+            .take_all_parked()
+            .into_iter()
+            .map(|s| (s, true))
+            .collect();
         if purge {
-            self.dirty_pages = 0;
+            spans.extend(self.spans.take_all_dirty().into_iter().map(|s| (s, false)));
         }
-        for idx in 0..self.table.len() {
-            let seg = self.table.get_mut(idx);
-            let mut spans: Vec<(Span, bool)> = seg
-                .take_all_parked()
-                .into_iter()
-                .map(|s| (s, true))
-                .collect();
-            if purge {
-                spans.extend(seg.take_all_dirty().into_iter().map(|s| (s, false)));
-            }
-            spans.sort_unstable_by_key(|&(s, _)| s.offset);
-            let mut i = 0;
-            while i < spans.len() {
-                let (run, next) = run_at(&spans, i, u32::MAX, |&(s, _)| s);
-                let members = &spans[i..next];
-                i = next;
-                let dirty: usize = members
-                    .iter()
-                    .filter(|&&(_, parked)| !parked)
-                    .map(|&(s, _)| s.pages as usize)
-                    .sum();
-                // A run holding a parked span gets its identity back first;
-                // its dirty pages go in one punch if it did, one per span
-                // if not.
-                let restored = dirty == run.pages as usize || self.restore_identity(run).is_ok();
-                let punched = restored && dirty > 0 && self.release_run(idx, run, dirty);
-                for &(span, parked) in members {
-                    if parked && restored {
-                        self.aliases -= 1;
-                        self.table.get_mut(idx).park_clean(span);
-                    } else if parked {
-                        self.table.get_mut(idx).repark(span);
-                    } else if punched || self.release_run(idx, span, span.pages as usize) {
-                        self.table.get_mut(idx).park_clean(span);
-                    } else {
-                        self.table.get_mut(idx).redirty(span);
-                        self.dirty_pages += span.pages as usize;
-                    }
+        spans.sort_unstable_by_key(|&(s, _)| s.offset);
+        let mut i = 0;
+        while i < spans.len() {
+            let (run, next) = run_at(&spans, i, |&(s, _)| s);
+            let members = &spans[i..next];
+            i = next;
+            let dirty: usize = members
+                .iter()
+                .filter(|&&(_, parked)| !parked)
+                .map(|&(s, _)| s.pages as usize)
+                .sum();
+            // A run holding a parked span gets its identity back first;
+            // its dirty pages go in one punch if it did, one per span if
+            // not.
+            let restored = dirty == run.pages as usize || self.restore_identity(run).is_ok();
+            let punched = restored && dirty > 0 && self.release_run(run, dirty);
+            for &(span, parked) in members {
+                if parked && restored {
+                    self.aliases -= 1;
+                    self.spans.file_clean(span);
+                } else if parked {
+                    self.spans.repark(span);
+                } else if punched || self.release_run(span, span.pages as usize) {
+                    self.spans.file_clean(span);
+                } else {
+                    self.spans.redirty(span);
                 }
             }
         }
+        self.note_frontier();
     }
 
-    /// Whether every segment's descriptor still names the file the arena
-    /// created for it ([`MemFile::is_intact`], one `fstat` each). The first
-    /// time one does not — the program closed the descriptor, and the
-    /// number may name a file of its own — the heap stops meshing and
-    /// purging for good: a remap, punch or identity restore through the
-    /// number would write into that file. Allocation goes on from what is
-    /// mapped. The loss is counted in `HeapStats::files_lost` and told on
-    /// one `mesh:` line.
+    /// Whether the file's descriptor still names the file the arena
+    /// created ([`MemFile::is_intact`], one `fstat`). The first time it
+    /// does not — the program closed the descriptor, and the number may
+    /// name a file of its own — the heap stops meshing and purging: a
+    /// remap, punch or identity restore through the number would write
+    /// into that file. Allocation goes on from what is mapped. The loss is
+    /// counted in `HeapStats::files_lost` and told on one `mesh:` line.
     pub(crate) fn files_intact(&mut self) -> bool {
-        (0..self.table.len()).all(|idx| self.file_intact(idx))
-    }
-
-    /// [`Arena::files_intact`] for segment `idx` alone.
-    fn file_intact(&mut self, idx: usize) -> bool {
-        if !self.files_lost && !self.table.get(idx).file().is_intact() {
+        if !self.files_lost && !self.file.is_intact() {
             self.files_lost = true;
             self.counters.files_lost.fetch_add(1, Ordering::Relaxed);
             eprintln!(
                 "mesh: the heap's file descriptor {} names another file; meshing and purging stop",
-                self.table.get(idx).file().fd()
+                self.file.fd()
             );
         }
         !self.files_lost
     }
 
-    /// Whether a segment's file was found lost ([`Arena::files_intact`]),
-    /// without looking again.
+    /// Whether the file was found lost ([`Arena::files_intact`]), without
+    /// looking again.
     pub(crate) fn files_lost(&self) -> bool {
         self.files_lost
     }
 
-    /// Bytes currently sitting in the dirty bins.
+    /// Bytes currently sitting in the dirty set.
     pub fn dirty_bytes(&self) -> usize {
-        self.dirty_pages * PAGE_SIZE
+        self.spans.dirty_pages() * PAGE_SIZE
     }
 
-    /// Re-backs every segment with a private copy of its file and restores
-    /// the *identity* mapping over each segment's range — the arena half of
-    /// fork privatization. A forked child shares `MAP_SHARED` file pages
-    /// with its parent, so without this the two processes would corrupt
-    /// each other's heap the moment either writes. Sparse copy keeps the
-    /// child's physical footprint, [`Arena::file_pages`], equal to the
-    /// parent's.
+    /// Re-backs the arena with a private copy of its file and restores
+    /// the *identity* mapping over all of it — the arena half of fork
+    /// privatization. A forked child shares `MAP_SHARED` file pages with
+    /// its parent, so without this the two processes would corrupt each
+    /// other's heap the moment either writes.
+    ///
+    /// While the file is intact the copy is one sparse copy of the pages
+    /// below the frontier, so the child's physical footprint,
+    /// [`Arena::file_pages`], equals the parent's. Once it is lost its
+    /// descriptor may name the program's file, so the copy is made
+    /// through the inherited mapping instead, of the spans in `live` (the
+    /// primary span of every live MiniHeap and every large object, less a
+    /// guard page), and every dirty span is filed clean: nothing was
+    /// copied into it. The new file is the child's own, so the child
+    /// meshes and purges again.
     ///
     /// Mesh *aliases* (virtual spans retargeted at another span's file
     /// range) are clobbered by the identity remap; the caller must
@@ -680,43 +518,51 @@ impl Arena {
     ///
     /// # Errors
     ///
-    /// Returns the first file-creation/copy/remap error; segments already
-    /// privatized stay privatized (re-running is safe).
-    pub(crate) fn privatize_segments(&mut self) -> std::io::Result<()> {
-        for idx in 0..self.table.len() {
-            let base = self.base;
-            let seg = self.table.get_mut(idx);
-            let fresh = MemFile::create(seg.file().len())?;
-            sys::copy_file_sparse(seg.file(), &fresh)?;
-            let addr = (base as usize + seg.start() as usize * PAGE_SIZE) as *mut u8;
-            // SAFETY: the range is this segment's slice of our reservation.
-            unsafe { sys::map_file_fixed(&fresh, addr)? };
-            // The old (shared) file closes here; the parent keeps its own
-            // descriptor and mappings, so only the child lets go.
-            drop(seg.replace_file(fresh));
-            for span in seg.take_all_parked() {
-                seg.park_clean(span);
-                self.aliases -= 1;
+    /// Returns the first file-creation/copy/remap error; the arena is then
+    /// still backed by the file it shares with the parent.
+    pub(crate) fn privatize(&mut self, live: &[Span]) -> std::io::Result<()> {
+        let fresh = MemFile::create(self.file.len())?;
+        if self.files_intact() {
+            sys::copy_file_sparse(&self.file, &fresh, self.mapped_pages() * PAGE_SIZE)?;
+        } else {
+            for span in live {
+                // SAFETY: a live span of the arena's mapping, all of it
+                // readable, which nothing writes while the heap is
+                // quiesced for the fork.
+                let bytes = unsafe {
+                    std::slice::from_raw_parts(
+                        self.addr_of_page(span.offset) as *const u8,
+                        span.byte_len(),
+                    )
+                };
+                fresh.write_at(bytes, span.byte_offset())?;
             }
         }
+        // SAFETY: the range is the arena's own mapping, of the file's length.
+        unsafe { sys::map_file_fixed(&fresh, self.base)? };
+        // The old (shared) file closes here; the parent keeps its own
+        // descriptor and mappings, so only the child lets go.
+        drop(std::mem::replace(&mut self.file, fresh));
+        for span in self.spans.take_all_parked() {
+            self.spans.file_clean(span);
+            self.aliases -= 1;
+        }
+        if self.files_lost {
+            let dirty = self.spans.dirty_pages();
+            for span in self.spans.take_all_dirty() {
+                self.spans.file_clean(span);
+            }
+            self.set_committed(self.committed_pages - dirty);
+            self.files_lost = false;
+        }
+        self.note_frontier();
         Ok(())
-    }
-
-    /// Pages handed out (or aliased) from the segment that owns `span`:
-    /// the segment-aware meshing heuristic prefers evacuating spans out of
-    /// emptier segments so those segments drain toward retirement.
-    pub(crate) fn segment_outstanding_of(&self, span: Span) -> usize {
-        self.table
-            .seg_of_page(span.offset)
-            .map_or(usize::MAX, |seg| seg.outstanding_pages())
     }
 
     // ----- meshing primitives -------------------------------------------
 
     /// Remaps virtual span `vspan` to alias the file range of `target`
-    /// (which must have equal length): the §4.5.1 page-table update. The
-    /// two spans may live in different segments — the remap simply targets
-    /// the other segment's file.
+    /// (which must have equal length): the §4.5.1 page-table update.
     ///
     /// # Errors
     ///
@@ -725,37 +571,31 @@ impl Arena {
     pub fn remap_alias(&mut self, vspan: Span, target: Span) -> Result<(), MeshError> {
         assert_eq!(vspan.pages, target.pages, "mesh of unequal spans");
         self.refuse_if_injected()?;
-        let tidx = self.seg_index_of(target);
-        let tseg = self.table.get(tidx);
-        let file_offset = tseg.file_offset_of_page(target.offset);
         unsafe {
             sys::remap_fixed(
                 self.addr_of_page(vspan.offset) as *mut u8,
                 vspan.byte_len(),
-                tseg.file(),
-                file_offset,
+                &self.file,
+                target.byte_offset(),
             )
             .map_err(MeshError::Map)
         }
     }
 
     /// Restores the identity mapping of `vspan` (virtual page *i* → file
-    /// page *i − segment start* of its own segment): a run of parked and
-    /// dirty spans at a purge.
+    /// page *i*): a run of parked and dirty spans at a purge.
     ///
     /// # Errors
     ///
     /// Returns [`MeshError::Map`] if the kernel rejects the remap.
-    /// Returns `EBADF` once the segment's file is lost
-    /// (`Arena::files_intact`).
+    /// Returns `EBADF` once the file is lost (`Arena::files_intact`).
     pub fn restore_identity(&mut self, vspan: Span) -> Result<(), MeshError> {
-        if !self.file_intact(self.seg_index_of(vspan)) {
+        if !self.files_intact() {
             let lost = std::io::Error::from_raw_os_error(crate::ffi::EBADF);
             return Err(MeshError::Map(lost));
         }
         self.remap_alias(vspan, vspan)
     }
-
     /// Write-protects `spans` (sorted by offset) — the §4.5.2 barrier's
     /// mprotect step for a batch's sources — one call per run of adjacent
     /// spans. Returns the runs, for [`Arena::unprotect_runs`].
@@ -769,7 +609,7 @@ impl Arena {
         let mut runs = Vec::new();
         let mut i = 0;
         while i < spans.len() {
-            let (run, next) = run_at(spans, i, u32::MAX, |&s| s);
+            let (run, next) = run_at(spans, i, |&s| s);
             i = next;
             let protected = self.refuse_if_injected().and_then(|()| {
                 // SAFETY: every span of the run is a live mapping of ours.
@@ -833,13 +673,12 @@ fn alias_budget(max_map_count: usize) -> usize {
 }
 
 /// The maximal run of adjacent spans that starts at `items[i]` (`items`
-/// sorted by offset) and ends at or before page `limit`, and the index of
-/// the first item past it.
-fn run_at<T>(items: &[T], i: usize, limit: u32, span_of: impl Fn(&T) -> Span) -> (Span, usize) {
+/// sorted by offset), and the index of the first item past it.
+fn run_at<T>(items: &[T], i: usize, span_of: impl Fn(&T) -> Span) -> (Span, usize) {
     let start = span_of(&items[i]).offset;
     let mut end = span_of(&items[i]).end();
     let mut next = i + 1;
-    while next < items.len() && end < limit && span_of(&items[next]).offset == end {
+    while next < items.len() && span_of(&items[next]).offset == end {
         end = span_of(&items[next]).end();
         next += 1;
     }
@@ -850,9 +689,9 @@ impl Drop for Arena {
     fn drop(&mut self) {
         // Deregister the fault handler range before the mapping disappears.
         self.barrier = None;
-        // One munmap covers the reservation and every segment mapped into
-        // it; the segments' MemFiles close as the table drops.
-        unsafe { sys::unmap(self.base, self.reserved_pages as usize * PAGE_SIZE) };
+        // One munmap covers the whole mapping, aliases included; the file
+        // closes as the arena drops.
+        unsafe { sys::unmap(self.base, self.cap_pages as usize * PAGE_SIZE) };
     }
 }
 
@@ -908,12 +747,14 @@ mod tests {
     fn clean_reuse_commits_and_splits() {
         let mut a = arena(64);
         let (s, _) = a.alloc_span(4).unwrap();
+        // A span above it keeps the released one below the frontier.
+        a.alloc_span(1).unwrap();
         a.release_span(s);
-        assert_eq!(a.committed_pages(), 0);
+        assert_eq!(a.committed_pages(), 1);
         let (head, src) = a.alloc_span(1).unwrap();
         assert_eq!(src, SpanSource::Clean);
         assert_eq!(head, Span::new(0, 1));
-        assert_eq!(a.committed_pages(), 1);
+        assert_eq!(a.committed_pages(), 2);
         // The 3-page tail is still clean.
         let (tail, src) = a.alloc_span(3).unwrap();
         assert_eq!(src, SpanSource::Clean);
@@ -968,10 +809,12 @@ mod tests {
         a.purge_dirty();
         assert_eq!(a.committed_pages(), 0);
         assert_eq!(counters.snapshot().pages_purged, 6);
-        // The spans must be reusable as clean afterwards.
-        let (s, src) = a.alloc_span(2).unwrap();
-        assert_eq!(src, SpanSource::Clean);
-        assert!(s.offset < 6);
+        // The run reached the frontier, which came down over it.
+        assert_eq!(a.mapped_pages(), 0);
+        assert_eq!(
+            a.alloc_span(2).unwrap(),
+            (Span::new(0, 2), SpanSource::Fresh)
+        );
     }
 
     #[test]
@@ -1004,7 +847,7 @@ mod tests {
         assert_eq!(a.committed_pages(), 4);
         a.release_physical(s);
         assert_eq!(a.committed_pages(), 0);
-        assert_eq!(a.file_pages(), Some(vec![0]), "the file holds nothing");
+        assert_eq!(a.file_pages(), Some(0), "the file holds nothing");
         unsafe { assert_eq!(*addr, 0, "a released page reads zero") };
     }
 
@@ -1038,22 +881,24 @@ mod tests {
     }
 
     #[test]
-    fn release_sources_is_one_call_per_run_within_a_segment() {
-        let (mut a, counters) = segmented(4, 4, 64);
+    fn release_sources_is_one_call_per_run() {
+        let counters = Arc::new(Counters::default());
+        let config = MeshConfig::default()
+            .arena_bytes(64 * PAGE_SIZE)
+            .write_barrier(false);
+        let mut a = Arena::new(&config, Arc::clone(&counters)).unwrap();
         let spans: Vec<Span> = (0..8).map(|_| a.alloc_span(1).unwrap().0).collect();
-        assert_eq!(a.segment_count(), 2);
-        // Pages 1,2,3 | 4,5 — adjacent, but the segment ends between 3 and 4.
-        a.release_sources(&spans[1..6]);
-        assert_eq!(a.committed_pages(), 3);
+        // Pages 1..6 and 7: two runs, two calls.
+        a.release_sources(&[spans[1], spans[2], spans[3], spans[4], spans[5], spans[7]]);
+        assert_eq!(a.committed_pages(), 2);
         assert_eq!(counters.snapshot().latency.count(TimedOp::Madvise), 2);
-        let stats = a.segment_stats();
-        assert_eq!((stats[0].committed_pages, stats[1].committed_pages), (1, 2));
     }
 
     /// Two dead 1-page spans with an alias of the first between them, as
-    /// `free_miniheap_locked` leaves them: `[dirty, parked, dirty]`.
+    /// `free_miniheap_locked` leaves them: `[dirty, parked, dirty]`, under
+    /// a live fourth span that keeps the frontier above them.
     fn parked_between_dirty(a: &mut Arena) -> [Span; 3] {
-        let spans: Vec<Span> = (0..3).map(|_| a.alloc_span(1).unwrap().0).collect();
+        let spans: Vec<Span> = (0..4).map(|_| a.alloc_span(1).unwrap().0).collect();
         for s in &spans {
             unsafe { *(a.addr_of_page(s.offset) as *mut u8) = 0x10 + s.offset as u8 };
         }
@@ -1074,15 +919,15 @@ mod tests {
             .write_barrier(false);
         let mut a = Arena::new(&config, Arc::clone(&counters)).unwrap();
         let [_, alias, _] = parked_between_dirty(&mut a);
-        assert_eq!(a.committed_pages(), 2, "the alias holds no page of its own");
-        let stats = a.segment_stats()[0];
+        assert_eq!(a.committed_pages(), 3, "the alias holds no page of its own");
+        let stats = a.stats();
         assert_eq!(
             (
                 stats.dirty_pages,
                 stats.clean_pages,
                 stats.outstanding_pages
             ),
-            (2, 1, 0)
+            (2, 1, 1)
         );
         let calls = counters.snapshot().latency.count(TimedOp::Madvise);
         a.purge_dirty();
@@ -1093,8 +938,8 @@ mod tests {
             "one release for the run"
         );
         assert_eq!(snap.pages_purged, 2, "only the dirty pages count as purged");
-        assert_eq!(a.committed_pages(), 0);
-        assert_eq!(a.segment_stats()[0].clean_pages, 3);
+        assert_eq!(a.committed_pages(), 1, "the live span's");
+        assert_eq!(a.stats().clean_pages, 3);
         assert_eq!(a.alias_count(), 0, "the restore is counted");
         // The alias is itself again: a write through it stays out of span 0.
         unsafe {
@@ -1111,7 +956,7 @@ mod tests {
         let (first, src) = a.alloc_span(2).unwrap();
         assert_eq!(
             (first, src),
-            (Span::new(3, 2), SpanSource::Fresh),
+            (Span::new(4, 2), SpanSource::Fresh),
             "one page cannot serve two"
         );
         // A one-page request: dirty first, twice, then the alias — clean,
@@ -1128,12 +973,12 @@ mod tests {
 
     #[test]
     fn a_refused_restore_leaves_the_alias_parked() {
-        let mut a = arena(3);
+        let mut a = arena(4);
         let [_, alias, _] = parked_between_dirty(&mut a);
         a.refuse_vm_calls(1..2);
         a.purge_dirty();
         // The dirty spans were released on their own; the alias waits.
-        assert_eq!(a.committed_pages(), 0);
+        assert_eq!(a.committed_pages(), 1, "the live span's");
         assert_eq!(a.alloc_span(1).unwrap().1, SpanSource::Clean);
         assert_eq!(a.alloc_span(1).unwrap().1, SpanSource::Clean);
         a.refuse_vm_calls(1..2);
@@ -1146,141 +991,91 @@ mod tests {
         assert_eq!(a.alloc_span(1).unwrap(), (alias, SpanSource::Clean));
     }
 
-    // ----- segmented growth and retirement ------------------------------
-
-    /// Arena with a small initial segment and small growth segments under
-    /// a larger cap, for exercising growth.
-    fn segmented(initial: usize, seg: usize, cap: usize) -> (Arena, Arc<Counters>) {
-        let config = MeshConfig::default()
-            .max_heap_bytes(cap * PAGE_SIZE)
-            .initial_segment_bytes(initial * PAGE_SIZE)
-            .segment_bytes(seg * PAGE_SIZE)
-            .write_barrier(false);
-        let counters = Arc::new(Counters::default());
-        let a = Arena::new(&config, Arc::clone(&counters)).unwrap();
-        (a, counters)
-    }
+    // ----- the frontier ----------------------------------------------------
 
     #[test]
-    fn grow_on_miss_maps_new_segments() {
-        let (mut a, counters) = segmented(32, 32, 256);
-        assert_eq!(a.segment_count(), 1);
-        assert_eq!(a.mapped_pages(), 32);
-        // Fill the initial segment, then one more span forces growth.
+    fn fresh_spans_raise_the_frontier_within_one_mapping() {
+        let counters = Arc::new(Counters::default());
+        let config = MeshConfig::default()
+            .arena_bytes(4096 * PAGE_SIZE)
+            .write_barrier(false);
+        let mut a = Arena::new(&config, Arc::clone(&counters)).unwrap();
+        assert_eq!(a.mapped_pages(), 0, "nothing handed out yet");
         let (s1, _) = a.alloc_span(32).unwrap();
-        let (s2, src) = a.alloc_span(8).unwrap();
-        assert_eq!(src, SpanSource::Fresh);
-        assert_eq!(a.segment_count(), 2);
-        assert_eq!(a.mapped_pages(), 64);
-        assert_eq!(s2.offset, 32, "second segment starts past the first");
-        // Both spans are writable through the contiguous reservation.
+        let (s2, src) = a.alloc_span(512).unwrap();
+        assert_eq!((s2, src), (Span::new(32, 512), SpanSource::Fresh));
+        assert_eq!(a.mapped_pages(), 544);
+        assert_eq!(counters.snapshot().mapped_pages, 544);
+        // Both spans are writable through the one mapping.
         unsafe {
             std::ptr::write_bytes(a.addr_of_page(s1.offset) as *mut u8, 1, s1.byte_len());
             std::ptr::write_bytes(a.addr_of_page(s2.offset) as *mut u8, 2, s2.byte_len());
         }
-        assert_eq!(counters.snapshot().segments_created, 2);
+        assert_eq!(a.file_pages(), Some(544));
     }
 
     #[test]
-    fn oversized_request_gets_dedicated_segment() {
-        let (mut a, _) = segmented(32, 32, 4096);
-        // A span bigger than the segment size: the growth segment is sized
-        // to the request.
-        let (big, _) = a.alloc_span(512).unwrap();
-        assert_eq!(big.pages, 512);
-        assert_eq!(a.segment_count(), 2);
-        assert_eq!(a.mapped_pages(), 32 + 512);
-    }
-
-    #[test]
-    fn retirement_unmaps_and_recycles_ranges() {
-        let (mut a, counters) = segmented(32, 32, 4096);
-        let pm = PageMap::new(4096);
-        let (s1, _) = a.alloc_span(32).unwrap();
-        let (s2, _) = a.alloc_span(32).unwrap(); // second segment
-        assert_eq!(a.segment_count(), 2);
+    fn purged_spans_at_the_top_lower_the_frontier() {
+        let counters = Arc::new(Counters::default());
+        let config = MeshConfig::default()
+            .arena_bytes(256 * PAGE_SIZE)
+            .write_barrier(false);
+        let mut a = Arena::new(&config, Arc::clone(&counters)).unwrap();
+        let (low, _) = a.alloc_span(32).unwrap();
+        let (top, _) = a.alloc_span(32).unwrap();
         unsafe {
-            std::ptr::write_bytes(a.addr_of_page(s2.offset) as *mut u8, 9, s2.byte_len());
+            std::ptr::write_bytes(a.addr_of_page(top.offset) as *mut u8, 9, top.byte_len());
         }
-        // Free the second segment's span dirty; purge makes it all clean;
-        // retirement unmaps the segment and recycles its page range.
-        a.free_span_dirty(s2);
+        a.free_span_dirty(top);
+        assert_eq!(a.mapped_pages(), 64, "dirty pages stay below the frontier");
         a.purge_dirty();
-        assert_eq!(a.retire_empty_segments(&pm), 1);
-        assert_eq!(a.segment_count(), 1);
-        assert_eq!(a.mapped_pages(), 32);
-        let snap = counters.snapshot();
-        assert_eq!(snap.segments_retired, 1);
-        assert_eq!(snap.segment_count, 1);
-        // The initial segment never retires, even when fully clean.
-        a.free_span_dirty(s1);
-        a.purge_dirty();
-        assert_eq!(a.retire_empty_segments(&pm), 0);
-        assert_eq!(a.segment_count(), 1);
-        // Growth after retirement reuses the recycled range and keeps ids
-        // monotonic.
-        let (s3, _) = a.alloc_span(32).unwrap(); // initial (clean reuse)
-        let (s4, _) = a.alloc_span(32).unwrap(); // new segment in old range
-        assert_eq!(s4.offset, 32, "retired range reused");
-        assert_eq!(a.segments_created(), 3, "ids never reused");
-        let _ = s3;
+        assert_eq!((a.mapped_pages(), a.committed_pages()), (32, 32));
+        assert_eq!(counters.snapshot().mapped_pages, 32);
+        // The range is fresh again: zero, and handed out from the frontier.
+        let (again, src) = a.alloc_span(32).unwrap();
+        assert_eq!((again, src), (top, SpanSource::Fresh));
+        unsafe { assert_eq!(*(a.addr_of_page(again.offset) as *const u8), 0) };
+        a.release_span(again);
+        a.release_span(low);
+        assert_eq!((a.mapped_pages(), a.committed_pages()), (0, 0));
     }
 
     #[test]
-    fn cross_segment_mesh_remap_and_identity_restore() {
-        let (mut a, _) = segmented(32, 32, 256);
-        let (s1, _) = a.alloc_span(32).unwrap(); // segment 0
-        let (s2, _) = a.alloc_span(32).unwrap(); // segment 1
-        let src = Span::new(s2.offset, 1);
-        let dst = Span::new(s1.offset, 1);
-        let p_src = a.addr_of_page(src.offset) as *mut u8;
-        let p_dst = a.addr_of_page(dst.offset) as *mut u8;
-        unsafe {
-            *p_dst = 0xD5;
-            *p_src = 0x5D;
-            // Alias a segment-1 virtual span onto segment 0's file.
-            a.remap_alias(src, dst).unwrap();
-            assert_eq!(*p_src, 0xD5, "alias reads the other segment's file");
-            *p_src = 0x77;
-            assert_eq!(*p_dst, 0x77, "write through cross-segment alias");
-            a.restore_identity(src).unwrap();
-            assert_eq!(*p_src, 0x5D, "identity back to segment 1's own file");
-        }
-    }
-
-    #[test]
-    fn privatize_segments_preserves_data_per_segment() {
-        let (mut a, _) = segmented(32, 32, 256);
-        let (s1, _) = a.alloc_span(4).unwrap(); // initial segment
-        let (s2, _) = a.alloc_span(32).unwrap(); // forces a second segment
+    fn privatize_copies_at_most_the_frontier() {
+        let mut a = arena(256);
+        let (s1, _) = a.alloc_span(4).unwrap();
+        let (s2, _) = a.alloc_span(32).unwrap();
         let p1 = a.addr_of_page(s1.offset) as *mut u8;
         let p2 = a.addr_of_page(s2.offset) as *mut u8;
         unsafe {
             std::ptr::write_bytes(p1, 0x11, s1.byte_len());
             std::ptr::write_bytes(p2, 0x22, s2.byte_len());
         }
-        assert_eq!(a.segment_count(), 2);
-        a.privatize_segments().unwrap();
+        a.privatize(&[]).unwrap();
         unsafe {
-            assert_eq!(*p1, 0x11, "segment 0 data survived the file swap");
+            assert_eq!(*p1, 0x11, "data survived the file swap");
             assert_eq!(*p1.add(s1.byte_len() - 1), 0x11);
-            assert_eq!(*p2, 0x22, "segment 1 data survived the file swap");
+            assert_eq!(*p2, 0x22);
             assert_eq!(*p2.add(s2.byte_len() - 1), 0x22);
-            // Still writable through the fresh mappings.
+            // Still writable through the fresh mapping.
             *p1 = 0x33;
             assert_eq!(*p1, 0x33);
         }
-        assert_eq!(a.segment_count(), 2);
-        assert_eq!(a.mapped_pages(), 64);
+        assert_eq!(a.mapped_pages(), 36);
+        assert_eq!(
+            a.file_pages(),
+            Some(36),
+            "the copy is as sparse as the file"
+        );
     }
 
     #[test]
-    fn privatize_segments_files_parked_aliases_clean() {
-        let mut a = arena(3);
+    fn privatize_files_parked_aliases_clean() {
+        let mut a = arena(4);
         let [first, alias, _] = parked_between_dirty(&mut a);
-        a.privatize_segments().unwrap();
+        a.privatize(&[]).unwrap();
         assert_eq!(a.alias_count(), 0);
-        // The whole-segment remap was the alias's restore: the span is
+        // The whole-file remap was the alias's restore: the span is
         // handed out with no second one (it would be refused), and is
         // itself again.
         a.refuse_vm_calls(1..u32::MAX);
@@ -1296,11 +1091,10 @@ mod tests {
 
     #[test]
     fn exhaustion_only_at_hard_cap() {
-        let (mut a, _) = segmented(32, 32, 96);
-        assert!(a.alloc_span(32).is_ok());
-        assert!(a.alloc_span(32).is_ok());
-        assert!(a.alloc_span(32).is_ok());
-        assert_eq!(a.segment_count(), 3);
+        let mut a = arena(96);
+        for _ in 0..3 {
+            assert!(a.alloc_span(32).is_ok());
+        }
         match a.alloc_span(1) {
             Err(MeshError::ArenaExhausted { capacity_pages, .. }) => {
                 assert_eq!(capacity_pages, 96)
@@ -1311,23 +1105,20 @@ mod tests {
 
     #[test]
     fn segment_stats_reflect_lifecycle() {
-        let (mut a, _) = segmented(32, 32, 256);
-        let (s1, _) = a.alloc_span(32).unwrap();
+        let mut a = arena(256);
+        let (_, _) = a.alloc_span(32).unwrap();
         let (s2, _) = a.alloc_span(4).unwrap();
-        let stats = a.segment_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].id, 0);
-        assert_eq!(stats[0].outstanding_pages, 32);
-        assert!(!stats[0].retirable);
-        assert_eq!(stats[1].outstanding_pages, 4);
+        let (_, _) = a.alloc_span(4).unwrap();
+        let stats = a.stats();
+        assert_eq!((stats.pages, stats.fresh_pages), (256, 216));
+        assert_eq!((stats.outstanding_pages, stats.committed_pages), (40, 40));
         a.free_span_dirty(s2);
-        let stats = a.segment_stats();
-        assert_eq!(stats[1].dirty_pages, 4);
-        assert!(!stats[1].retirable, "dirty pages block retirement");
+        assert_eq!(a.stats().dirty_pages, 4);
         a.purge_dirty();
-        let stats = a.segment_stats();
-        assert_eq!(stats[1].clean_pages, 4);
-        assert!(stats[1].retirable);
-        let _ = s1;
+        let stats = a.stats();
+        assert_eq!(
+            (stats.dirty_pages, stats.clean_pages, stats.committed_pages),
+            (0, 4, 36)
+        );
     }
 }

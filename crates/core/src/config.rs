@@ -32,17 +32,10 @@ pub(crate) const CTL_PATH_MAX: usize = 107;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeshConfig {
-    /// Hard cap on the heap in bytes: the size of the virtual reservation
-    /// the segmented arena grows into. Allocation fails (null) only when
-    /// no segment can be placed under this cap.
+    /// Hard cap on the heap in bytes: the size of the arena's one memory
+    /// file (lowered to the soft `RLIMIT_FSIZE`). Allocation fails (null)
+    /// only when the file has no room.
     pub(crate) max_heap_bytes: usize,
-    /// Size of the initial segment mapped at heap construction (clamped
-    /// to the hard cap).
-    pub(crate) initial_segment_bytes: usize,
-    /// Preferred size of segments mapped on demand when allocation misses
-    /// every existing segment (clamped to the cap; oversized span requests
-    /// get a dedicated segment sized to the request).
-    pub(crate) segment_bytes: usize,
     /// PRNG seed; `None` seeds from entropy.
     pub(crate) seed: Option<u64>,
     /// Master switch for meshing (§6.3 "Mesh (no meshing)" when false).
@@ -121,9 +114,7 @@ pub struct MeshConfig {
 impl Default for MeshConfig {
     fn default() -> Self {
         MeshConfig {
-            max_heap_bytes: 1 << 30,         // 1 GiB hard cap (virtual)
-            initial_segment_bytes: 64 << 20, // 64 MiB initial segment
-            segment_bytes: 256 << 20,        // 256 MiB growth segments
+            max_heap_bytes: 1 << 30, // 1 GiB hard cap (a sparse file)
             seed: None,
             meshing: true,
             randomize: true,
@@ -161,23 +152,16 @@ macro_rules! builders {
 }
 
 impl MeshConfig {
-    /// Sets the heap's hard cap in bytes — the virtual reservation the
-    /// segmented arena grows into on demand. Legacy name from the
-    /// fixed-size-arena era; alias of [`MeshConfig::max_heap_bytes`].
+    /// Sets the heap's hard cap in bytes — the size of the arena's memory
+    /// file. Legacy name; alias of [`MeshConfig::max_heap_bytes`].
     pub fn arena_bytes(self, bytes: usize) -> Self {
         self.max_heap_bytes(bytes)
     }
 
     builders! {
         /// Sets the heap's hard cap in bytes. Allocation returns null only
-        /// once no segment can be placed under this cap.
+        /// once the arena's file, this size, has no room.
         max_heap_bytes(bytes: usize) => max_heap_bytes = bytes;
-        /// Sets the size of the initial segment mapped at construction
-        /// (clamped to the hard cap).
-        initial_segment_bytes(bytes: usize) => initial_segment_bytes = bytes;
-        /// Sets the preferred size of on-demand growth segments (clamped to
-        /// the hard cap; oversized requests get a dedicated segment).
-        segment_bytes(bytes: usize) => segment_bytes = bytes;
         /// Fixes the PRNG seed for deterministic experiments.
         seed(seed: u64) => seed = Some(seed);
         /// Enables or disables meshing (the compaction mechanism itself).
@@ -332,16 +316,6 @@ impl MeshConfig {
         self.max_heap_bytes
     }
 
-    /// The configured initial segment size in bytes.
-    pub fn initial_segment_size(&self) -> usize {
-        self.initial_segment_bytes
-    }
-
-    /// The configured growth segment size in bytes.
-    pub fn segment_size(&self) -> usize {
-        self.segment_bytes
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -381,9 +355,7 @@ impl MeshConfig {
     /// <!-- knobs:env -->
     /// | variable | meaning | accepts | default |
     /// |---|---|---|---|
-    /// | `MESH_MAX_HEAP_BYTES` | hard cap: the virtual reservation segments grow into (8G under `LD_PRELOAD`; legacy name `MESH_ARENA_BYTES`) | a number in 128K..=1T | 1G |
-    /// | `MESH_INITIAL_SEGMENT_BYTES` | initial segment size (clamped to the cap) | a number in 128K..=1T | 64M |
-    /// | `MESH_SEGMENT_BYTES` | growth segment size (clamped to the cap) | a number in 128K..=1T | 256M |
+    /// | `MESH_MAX_HEAP_BYTES` | hard cap: the size of the heap's one memory file, lowered to the soft `RLIMIT_FSIZE` (8G under `LD_PRELOAD`; legacy name `MESH_ARENA_BYTES`) | a number in 128K..=1T | 1G |
     /// | `MESH_SEED` | fix the PRNG seed (unset: seeded from entropy) | a number, 0 or more | unset |
     /// | `MESH_PRINT_STATS_AT_EXIT` | one-line stats dump at exit (process heap only) | one of 1/0/true/false/yes/no/on/off | off |
     /// | `MESH_PROF` | sampled heap profiler (mesh-insight) | one of 1/0/true/false/yes/no/on/off | off |
@@ -427,16 +399,6 @@ impl MeshConfig {
     pub(crate) fn arena_pages(&self) -> usize {
         self.max_heap_bytes / PAGE_SIZE
     }
-
-    /// Initial-segment size in whole pages.
-    pub(crate) fn initial_segment_pages(&self) -> usize {
-        self.initial_segment_bytes / PAGE_SIZE
-    }
-
-    /// Growth-segment size in whole pages.
-    pub(crate) fn segment_pages(&self) -> usize {
-        self.segment_bytes / PAGE_SIZE
-    }
 }
 
 #[cfg(test)]
@@ -452,22 +414,13 @@ mod tests {
         assert_eq!(c.max_dirty_bytes, 64 << 20, "64 MB dirty threshold (§4.4.1)");
         assert!(c.meshing && c.randomize && c.write_barrier);
         assert!(c.validate().is_ok());
-        assert!(
-            c.initial_segment_bytes <= c.max_heap_bytes
-                && c.segment_bytes <= c.max_heap_bytes,
-            "default segments fit under the default cap"
-        );
     }
 
     #[test]
-    fn segment_builders_and_accessors() {
-        let c = MeshConfig::default()
-            .max_heap_bytes(256 << 20)
-            .initial_segment_bytes(1 << 20)
-            .segment_bytes(2 << 20);
+    fn cap_builders_and_accessors() {
+        let c = MeshConfig::default().max_heap_bytes(256 << 20);
         assert_eq!(c.max_heap_size(), 256 << 20);
-        assert_eq!(c.initial_segment_size(), 1 << 20);
-        assert_eq!(c.segment_size(), 2 << 20);
+        assert_eq!(c.arena_pages(), 65_536);
         assert!(c.validate().is_ok());
         // The legacy builder name sets the cap.
         assert_eq!(MeshConfig::default().arena_bytes(64 << 20).max_heap_size(), 64 << 20);
@@ -670,8 +623,6 @@ mod tests {
     #[test]
     fn invalid_configs_rejected() {
         assert!(MeshConfig::default().arena_bytes(4096).validate().is_err());
-        assert!(MeshConfig::default().initial_segment_bytes(4096).validate().is_err());
-        assert!(MeshConfig::default().segment_bytes(4096).validate().is_err());
         assert!(MeshConfig::default().sense_history(1).validate().is_err());
         assert!(MeshConfig::default().occupancy_cutoff(0.0).validate().is_err());
         assert!(MeshConfig::default().occupancy_cutoff(1.5).validate().is_err());

@@ -8,14 +8,15 @@ use std::io;
 /// returning a null pointer, as malloc does).
 #[derive(Debug)]
 pub enum MeshError {
-    /// Creating or sizing a segment's backing memory file failed (at heap
-    /// construction or during on-demand growth).
+    /// Creating, sizing or punching the arena's memory file failed at heap
+    /// construction: `EFBIG` where the soft `RLIMIT_FSIZE` leaves no room
+    /// for the largest span.
     ArenaCreation(io::Error),
     /// Mapping, remapping or protecting arena memory failed.
     Map(io::Error),
     /// The configured hard heap cap (`max_heap_bytes`) has no room for the
-    /// request: every segment missed and no further segment can be placed.
-    /// This — and only this — is how the segmented arena reports OOM; the
+    /// request: the arena's file has no room for it. This — and only
+    /// this — is how the arena reports OOM; the
     /// malloc path converts it to a null return.
     ArenaExhausted {
         /// Pages requested by the failing operation.

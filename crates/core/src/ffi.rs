@@ -59,6 +59,7 @@ pub const ENXIO: c_int = 6;
 pub const EBADF: c_int = 9;
 pub const ENOMEM: c_int = 12;
 pub const EINVAL: c_int = 22;
+pub const EFBIG: c_int = 27;
 
 /// `open` flag: close the descriptor on `exec`.
 pub const O_CLOEXEC: c_int = 0o2_000_000;
@@ -78,6 +79,18 @@ pub const SA_ONSTACK: c_int = 0x0800_0000;
 pub const SA_NODEFER: c_int = 0x4000_0000;
 pub const SIG_DFL: sighandler_t = 0;
 pub const SIG_IGN: sighandler_t = 1;
+
+// ---- rlimits -----------------------------------------------------------
+
+pub const RLIMIT_FSIZE: c_int = 1;
+pub const RLIM_INFINITY: u64 = u64::MAX;
+
+/// glibc `struct rlimit` on 64-bit Linux.
+#[repr(C)]
+pub struct rlimit {
+    pub rlim_cur: u64,
+    pub rlim_max: u64,
+}
 
 /// glibc `sigset_t`: 1024 bits.
 #[repr(C)]
@@ -145,7 +158,7 @@ extern "C" {
     pub fn sigemptyset(set: *mut sigset_t) -> c_int;
     pub fn sched_yield() -> c_int;
     pub fn raise(sig: c_int) -> c_int;
-    // Fork-protocol surface: the sparse segment copy probes file extents
+    // Fork-protocol surface: the sparse file copy probes file extents
     // with lseek, and the parent/child handshake rides a pipe.
     pub fn lseek(fd: c_int, offset: off_t, whence: c_int) -> off_t;
     pub fn pipe(fds: *mut c_int) -> c_int;
@@ -169,6 +182,7 @@ extern "C" {
     ) -> c_int;
     pub fn atexit(f: extern "C" fn()) -> c_int;
     pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
+    pub fn getrlimit(resource: c_int, rlim: *mut rlimit) -> c_int;
     // Best-effort symbolization for the pprof export (glibc ≥ 2.34 ships
     // dladdr in libc proper; no -ldl needed).
     pub fn dladdr(addr: *const c_void, info: *mut Dl_info) -> c_int;

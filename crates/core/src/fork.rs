@@ -13,6 +13,7 @@ use crate::local_heap::ThreadHeapCore;
 use crate::mesher::BackgroundThread;
 use crate::miniheap::Slab;
 use crate::size_classes::{SizeClass, PAGE_SIZE};
+use crate::span::Span;
 use crate::sync::MutexGuard;
 #[cfg(test)]
 use crate::sync::Rank;
@@ -65,14 +66,18 @@ impl GlobalHeap {
         crate::sync::tests::held_rows(Rank::class(0), Rank::CTL)
     }
 
-    /// Child-side fork recovery: re-backs every segment with a private
-    /// file copy and re-establishes mesh alias mappings (which the
-    /// identity remap clobbers; large objects are never meshed, so
-    /// identity is already right for them). Runs in the single-threaded
-    /// child with no locks held; takes them normally. Returns whether
-    /// privatization succeeded.
+    /// Child-side fork recovery: re-backs the arena with a private file
+    /// copy and re-establishes mesh alias mappings (which the identity
+    /// remap clobbers; large objects are never meshed, so identity is
+    /// already right for them). Runs in the single-threaded child with no
+    /// locks held; takes them normally. Returns whether privatization
+    /// succeeded.
     pub(crate) fn privatize_after_fork(&self) -> bool {
-        if let Err(e) = self.lock_arena().privatize_segments() {
+        // A lost file's descriptor may name the program's file: the copy
+        // is then made through the mapping, live span by live span.
+        let lost = !self.lock_arena().files_intact();
+        let live = if lost { self.live_spans() } else { Vec::new() };
+        if let Err(e) = self.lock_arena().privatize(&live) {
             eprintln!(
                 "mesh: fork privatization failed ({e}); child still shares parent heap pages"
             );
@@ -122,6 +127,26 @@ impl GlobalHeap {
             }
         }
         ok
+    }
+
+    /// The primary span of every live MiniHeap and every large object —
+    /// less the `PROT_NONE` tail of a large object with a faulting guard
+    /// page: the pages that hold the heap's live bytes.
+    fn live_spans(&self) -> Vec<Span> {
+        let mut live = Vec::new();
+        for class in SizeClass::all() {
+            live.extend(self.lock_class(class).slab.iter().map(|(_, mh)| mh.span()));
+        }
+        for (_, mh) in self.large.lock().iter() {
+            let span = mh.span();
+            let tail = self.base + span.byte_offset() + span.byte_len() - PAGE_SIZE;
+            if mh.is_guarded() && crate::barrier::guard_page_registered(tail) {
+                live.push(Span::new(span.offset, span.pages - 1));
+            } else {
+                live.push(span);
+            }
+        }
+        live
     }
 }
 
@@ -178,9 +203,9 @@ impl Mesh {
 /// [`MeshForkGuard::release_parent`] or [`MeshForkGuard::release_child`]
 /// (in an atfork world, on *both* sides — each process owns its copy).
 ///
-/// The handshake exists because the arena's segments are `MAP_SHARED`
-/// memory files: fork does **not** copy-on-write them, so the child must
-/// re-back every segment with a private copy before either process writes
+/// The handshake exists because the arena is a `MAP_SHARED` memory file:
+/// fork does **not** copy-on-write it, so the child must re-back the
+/// arena with a private copy before either process writes
 /// again. `release_child` performs that copy and then signals the pipe;
 /// `release_parent` blocks on the pipe until the signal (or EOF if the
 /// child died — or never existed, when `fork` itself failed), which is
@@ -198,7 +223,7 @@ impl MeshForkGuard<'_> {
     /// privatization signal *while still holding every heap lock*, then
     /// releases them. The hold is what actually freezes the snapshot — if
     /// the locks dropped first, any other parent thread could mutate (or
-    /// release pages of) the still-`MAP_SHARED` segments mid-copy. The
+    /// release pages of) the still-`MAP_SHARED` file mid-copy. The
     /// child never contends with these locks: its copies of the futexes
     /// were released by [`MeshForkGuard::release_child`] in its own
     /// address space.
@@ -234,7 +259,7 @@ impl MeshForkGuard<'_> {
     }
 
     /// Child side: releases every lock (their futex state was inherited
-    /// held-by-us), re-backs all segments with private file copies,
+    /// held-by-us), re-backs the arena with a private file copy,
     /// restores mesh aliases, respawns the background thread if the heap
     /// runs one, and finally signals the waiting parent.
     pub fn release_child(self) {

@@ -14,10 +14,8 @@
 //!   destroys or refiles the spans it left behind.
 //! * **Large objects** (`large`) — large-object singletons (§4.4.3)
 //!   behind their own mutex.
-//! * **The arena lock** — span hand-out/return, dirty purging, remaps,
-//!   page-map writes, and the whole segment table: growth on miss (a span
-//!   request that misses every segment maps a new one under this lock)
-//!   and segment retirement both happen here.
+//! * **The arena lock** — span hand-out/return, the bump frontier, dirty
+//!   purging, remaps and page-map writes.
 //! * **Fork** (`fork`) — [`GlobalHeap::lock_all`] and the child's
 //!   recovery.
 //!
@@ -472,7 +470,7 @@ impl GlobalHeap {
         if self.rt.meshing() {
             self.mesh_pass(0);
         } else {
-            self.purge_and_retire();
+            self.tidy_and_purge();
         }
     }
 
@@ -489,21 +487,33 @@ impl GlobalHeap {
 
     // ----- queries ------------------------------------------------------
 
-    /// Per-segment accounting snapshots (takes the arena leaf lock).
-    pub fn segment_stats(&self) -> Vec<crate::segment::SegmentStats> {
-        self.lock_arena().segment_stats()
+    /// The arena's accounting snapshot (takes the arena leaf lock).
+    pub fn arena_stats(&self) -> crate::free_spans::ArenaStats {
+        self.lock_arena().stats()
     }
 
-    /// Purges dirty pages and retires any segment left with all pages
-    /// clean. Every class is tidied first (one class lock at a time,
-    /// before the arena leaf), so the spans frees emptied are among the
-    /// pages purged.
-    pub fn purge_and_retire(&self) {
+    /// Purges dirty pages. Every class is tidied first (one class lock at
+    /// a time, before the arena leaf), so the spans frees emptied are
+    /// among the pages purged.
+    pub fn tidy_and_purge(&self) {
         let _pass = crate::stats::MeshPassScope::enter(&self.counters);
         self.tidy_all_classes();
-        let mut arena = self.lock_arena();
+        self.purge_locked(&mut self.lock_arena());
+    }
+
+    /// [`Arena::purge_dirty`], checking (in debug builds) that the pages
+    /// the frontier came down over hold no routed span.
+    pub(crate) fn purge_locked(&self, arena: &mut Arena) {
+        let before = arena.mapped_pages();
         arena.purge_dirty();
-        arena.retire_empty_segments(&self.page_map);
+        let after = arena.mapped_pages();
+        debug_assert!(
+            after >= before
+                || self
+                    .page_map
+                    .range_is_clear(after as u32, (before - after) as u32),
+            "the frontier came down over routed pages"
+        );
     }
 
     /// Does what frees left to lock holders, in every class (see

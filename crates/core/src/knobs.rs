@@ -163,7 +163,7 @@ pub const LEGACY_CAP: &str = "MESH_ARENA_BYTES";
 
 /// Retired names and why, names that share a reason next to each other:
 /// ignored, whatever they say, with one stderr line per reason.
-pub const RETIRED: [(&str, &str); 5] = [
+pub const RETIRED: [(&str, &str); 7] = [
     ("MESH_TRANSFER_BATCH", "there is no transfer cache to tune"),
     (
         "MESH_TRANSFER_CACHE_SLOTS",
@@ -173,8 +173,10 @@ pub const RETIRED: [(&str, &str); 5] = [
     ("MESH_SENSE_INTERVAL_MS", "sense polls on demand"),
     (
         "MESH_SENSE_MINCORE_PAGES",
-        "sense reads what the heap's files hold with fstat",
+        "sense reads what the heap's file holds with fstat",
     ),
+    ("MESH_INITIAL_SEGMENT_BYTES", "the heap is one file"),
+    ("MESH_SEGMENT_BYTES", "the heap is one file"),
 ];
 
 /// Reads `row` from the environment. A value [`parse`] refuses costs one
@@ -298,20 +300,16 @@ const FILE: Kind = Kind::Path { max_len: 4095 };
 const ANY: Kind = Kind::Num { min: 0, max: u64::MAX };
 /// Milliseconds, up to 49 days: every consumer stores nanoseconds in a `u64`.
 const MILLIS: Kind = Kind::Num { min: 0, max: u32::MAX as u64 };
-/// The heap cap and both segment sizes: from the largest span up to 1T.
-/// Construction allocates a page map of 8 bytes per page under the cap —
-/// 16G at an 8T cap, which aborts the process — and pages are `u32`s.
-const SEGMENT: Kind = Kind::Num { min: 32 * PAGE_SIZE as u64, max: 1 << 40 };
+/// The heap cap: from the largest span up to 1T. Construction allocates
+/// a page map of 8 bytes per page under the cap — 16G at an 8T cap, which
+/// aborts the process — and pages are `u32`s.
+const CAP: Kind = Kind::Num { min: 32 * PAGE_SIZE as u64, max: 1 << 40 };
 
 /// Every knob, in the order the tables print them.
 #[rustfmt::skip]
-pub static KNOBS: [Knob; 30] = [
-    knob!("max_heap_bytes", Some("MESH_MAX_HEAP_BYTES"), SEGMENT, "1G", field!(num max_heap_bytes),
-        "hard cap: the virtual reservation segments grow into (8G under `LD_PRELOAD`; legacy name `MESH_ARENA_BYTES`)"),
-    knob!("initial_segment_bytes", Some("MESH_INITIAL_SEGMENT_BYTES"), SEGMENT, "64M",
-        field!(num initial_segment_bytes), "initial segment size (clamped to the cap)"),
-    knob!("segment_bytes", Some("MESH_SEGMENT_BYTES"), SEGMENT, "256M", field!(num segment_bytes),
-        "growth segment size (clamped to the cap)"),
+pub static KNOBS: [Knob; 28] = [
+    knob!("max_heap_bytes", Some("MESH_MAX_HEAP_BYTES"), CAP, "1G", field!(num max_heap_bytes),
+        "hard cap: the size of the heap's one memory file, lowered to the soft `RLIMIT_FSIZE` (8G under `LD_PRELOAD`; legacy name `MESH_ARENA_BYTES`)"),
     knob!("seed", Some("MESH_SEED"), ANY, "",
         Some(Field {
             get: |c| c.seed.map_or(Value::Unset, Value::Num),
@@ -420,17 +418,17 @@ mod tests {
     #[test]
     fn every_field_has_a_row() {
         let MeshConfig {
-            max_heap_bytes, initial_segment_bytes, segment_bytes, seed, meshing, randomize,
-            mesh_period, min_mesh_gain_bytes, occupancy_cutoff, max_dirty_bytes,
+            max_heap_bytes, seed, meshing, randomize, mesh_period, min_mesh_gain_bytes,
+            occupancy_cutoff, max_dirty_bytes,
             write_barrier, profiling, prof_sample_bytes, prof_interval, prof_path, trace,
             trace_buf_events, trace_path, sense_history,
             sense_path, ctl_path, ctl_max_clients, harden,
         } = MeshConfig::default();
         let HardenConfig { policy, poison, quarantine, guard, canary, quarantine_bytes, quarantine_slots } =
             harden;
-        let all: [&dyn std::fmt::Debug; 29] = [
-            &max_heap_bytes, &initial_segment_bytes, &segment_bytes, &seed, &meshing, &randomize,
-            &mesh_period, &min_mesh_gain_bytes, &occupancy_cutoff, &max_dirty_bytes,
+        let all: [&dyn std::fmt::Debug; 27] = [
+            &max_heap_bytes, &seed, &meshing, &randomize, &mesh_period, &min_mesh_gain_bytes,
+            &occupancy_cutoff, &max_dirty_bytes,
             &write_barrier, &profiling, &prof_sample_bytes, &prof_interval, &prof_path, &trace,
             &trace_buf_events, &trace_path, &sense_history,
             &sense_path, &ctl_path, &ctl_max_clients,
@@ -464,8 +462,8 @@ mod tests {
         let mut env: Vec<&str> = KNOBS.iter().filter_map(|r| r.env).collect();
         assert_eq!(
             env.len(),
-            22 + 1,
-            "22 config variables and MESH_PRINT_STATS_AT_EXIT"
+            20 + 1,
+            "20 config variables and MESH_PRINT_STATS_AT_EXIT"
         );
         env.push(LEGACY_CAP);
         env.extend(RETIRED.map(|(name, _)| name));

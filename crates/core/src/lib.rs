@@ -21,7 +21,7 @@
 //! | §4.2 Shuffle vectors | [`shuffle_vector`] |
 //! | §4.3 Thread-local heaps | [`ThreadHeap`] |
 //! | §4.4 Global heap (sharded per size class) | [`Mesh`] |
-//! | §4.4.1 Meshable arena (segmented, grows on demand) | [`arena`], `segment` (internal), [`sys`] |
+//! | §4.4.1 Meshable arena (one memory file, mapped once) | [`arena`], `free_spans` (internal), [`sys`] |
 //! | §4.4.4 Non-local frees: page-map lookup, atomic bitmap clear | `page_map` (internal), [`bitmap`], [`miniheap`] |
 //! | §3.3/§5.1/§4.5 Meshing: multi-way first fit, batched remaps | [`meshing`] |
 //! | §4.5 Rate-limited meshing on the free path | [`Mesh::set_mesh_period`], [`MeshConfig::mesh_period`] |
@@ -76,6 +76,7 @@ pub mod config;
 pub mod error;
 pub mod ffi;
 mod fork;
+mod free_spans;
 mod global_heap;
 pub mod harden;
 pub mod json;
@@ -88,7 +89,6 @@ pub mod miniheap;
 mod page_map;
 pub mod process;
 pub mod rng;
-mod segment;
 pub mod shuffle_vector;
 pub mod size_classes;
 pub mod span;
@@ -108,13 +108,13 @@ pub use harden::{
     HardenConfig, HardenKind, HardenPolicy, ALL_HARDEN_KINDS, HARDEN_KINDS, POISON_BYTE,
 };
 pub use meshing::MeshSummary;
-pub use segment::{SegmentId, SegmentStats};
+pub use free_spans::ArenaStats;
 pub use size_classes::{SizeClass, MAX_SMALL_SIZE, NUM_SIZE_CLASSES, PAGE_SIZE};
 pub use stats::{HeapStats, SpanSnapshot};
 pub use telemetry::{
     bucket_upper_ns, parse_pprof, ClassSpectrum, HeapSpectrum, LatencySnapshot, PassRecord,
     PprofParseError, PprofSummary, PressureReading, ProfileStats, RejectReason, Report,
-    ReportOff, ResidencyBreakdown, SegmentResidency, SenseSnapshot, SiteSnapshot, TimedOp, TraceEvent,
+    ReportOff, ResidencyBreakdown, SenseSnapshot, SiteSnapshot, TimedOp, TraceEvent,
     ABSENT, ALL_REJECT_REASONS, ALL_TIMED_OPS, LATENCY_BUCKETS, LEDGER_PASSES, NUM_TIMED_OPS,
     REJECT_REASONS,
 };

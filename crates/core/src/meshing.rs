@@ -161,16 +161,15 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap, purge_floor: usize) -> MeshSum
         mesh_pairs(heap, &mut st, class, pairs, &mut summary, &mut rejected);
     }
     // The loop tidied every class, so every span frees emptied is in the
-    // dirty bins now. They go back to the OS, and any segment left clean
-    // is retired, once they reach the floor. A pass's floor is the least
-    // it must return to be worth it: a pass over a quiet heap finds
-    // nothing new and releases nothing, so forced passes do not cycle
-    // pages through release and refault. A trim's floor is 0.
+    // dirty set now. They go back to the OS once they reach the floor,
+    // and the ones at the top take the frontier down. A pass's floor is
+    // the least it must return to be worth it: a pass over a quiet heap
+    // finds nothing new and releases nothing, so forced passes do not
+    // cycle pages through release and refault. A trim's floor is 0.
     {
         let mut arena = heap.lock_arena();
         if arena.dirty_bytes() >= purge_floor {
-            arena.purge_dirty();
-            arena.retire_empty_segments(&heap.page_map);
+            heap.purge_locked(&mut arena);
         }
     }
     let nanos = t0.elapsed().as_nanos() as u64;
@@ -205,9 +204,9 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap, purge_floor: usize) -> MeshSum
 /// frees clear without the lock and without moving a span between partial
 /// bins — so each span seen is also refiled under the bin it belongs in,
 /// or destroyed if nothing in it is live.
-fn collect_candidates(heap: &GlobalHeap, st: &mut ClassState) -> Vec<(u32, MiniHeapId)> {
+fn collect_candidates(heap: &GlobalHeap, st: &mut ClassState) -> Vec<(u64, MiniHeapId)> {
     let cutoff = heap.rt.occupancy_cutoff;
-    let mut out: Vec<(u32, MiniHeapId)> =
+    let mut out: Vec<(u64, MiniHeapId)> =
         st.bins.partial.iter().flatten().map(|&id| (0, id)).collect();
     out.retain(|&(_, id)| {
         heap.settle_locked(st, id);
@@ -217,10 +216,9 @@ fn collect_candidates(heap: &GlobalHeap, st: &mut ClassState) -> Vec<(u32, MiniH
             is_candidate(mh, cutoff)
         })
     });
-    let arena = heap.lock_arena();
     for (key, id) in &mut out {
         let mh = st.slab.get(*id).expect("candidate is live");
-        *key = fill_key(mh.in_use(), arena.segment_outstanding_of(mh.span()));
+        *key = fill_key(mh.in_use(), mh.span().offset as usize);
     }
     out
 }
@@ -235,14 +233,13 @@ pub(crate) fn is_candidate(mh: MiniHeapRef<'_>, cutoff: f64) -> bool {
 }
 
 /// The order [`first_fit`] takes candidates in, highest first: the
-/// fullest first, and between equals the one whose segment has more pages
-/// outstanding, so that the span left to be evacuated is the one in the
-/// emptier segment, which then drains toward retirement.
-fn fill_key(in_use: usize, segment_outstanding: usize) -> u32 {
-    const OUTSTANDING_BITS: u32 = 23;
-    // `in_use` is at most `MAX_OBJECTS_PER_SPAN` (256): 9 bits.
-    let outstanding = segment_outstanding.min((1 << OUTSTANDING_BITS) - 1);
-    (in_use as u32) << OUTSTANDING_BITS | outstanding as u32
+/// fullest first, and between equals the one at the lower page, which is
+/// then the destination the higher one folds into — so the spans left
+/// live sit low and the ones evacuated high, where the frontier can come
+/// down over them.
+fn fill_key(in_use: usize, page: usize) -> u64 {
+    debug_assert!(page <= u32::MAX as usize);
+    (in_use as u64) << 32 | (u32::MAX - page as u32) as u64
 }
 
 /// The destinations first fit has opened, transposed (bit-sliced): for
@@ -339,7 +336,7 @@ impl OccupancyIndex {
 /// fit past the alias room is tallied under `alias_budget` and ends the
 /// search.
 fn first_fit<I: Iterator<Item = usize>>(
-    mut candidates: Vec<(u32, MiniHeapId)>,
+    mut candidates: Vec<(u64, MiniHeapId)>,
     live: impl Fn(MiniHeapId) -> I,
     index: &mut OccupancyIndex,
     alias_room: usize,
@@ -894,7 +891,7 @@ mod tests {
         pairs.into_iter().map(|(dst, src)| (index(dst), index(src))).collect()
     }
 
-    fn key_of(bitmaps: &[[u64; WORDS]], i: usize) -> u32 {
+    fn key_of(bitmaps: &[[u64; WORDS]], i: usize) -> u64 {
         fill_key(bitmaps[i].iter().map(|w| w.count_ones() as usize).sum(), i)
     }
 
@@ -1089,7 +1086,7 @@ mod tests {
         for &(start, slot, _) in &meshed {
             assert!(h.free_global(start + slot * 256));
         }
-        h.purge_and_retire();
+        h.tidy_and_purge();
         assert_eq!(h.lock_arena().alias_count(), 0);
         // The four spans left fold into one, using the whole budget again.
         assert_eq!(h.occupancy_spectrum().classes[class.index()].est_meshable_pairs, 3);
@@ -1260,7 +1257,7 @@ mod tests {
             let in_use = h.lock_class_swept(class).slab.get(a).map(|mh| mh.in_use());
             assert_eq!(in_use, Some(n).filter(|&n| n > 0), "dies with its last object");
         }
-        h.purge_and_retire();
+        h.tidy_and_purge();
         assert_eq!(h.lock_arena().alias_count(), 0);
         assert_eq!(h.lock_arena().committed_pages(), committed);
         let s = h.counters.snapshot();

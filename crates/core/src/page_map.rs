@@ -4,7 +4,7 @@
 //! The seed implementation kept this table inside the arena, so every
 //! pointer lookup on the free path took the (then-global) heap lock. The
 //! sharded heap instead preallocates one `AtomicU64` per page of the
-//! arena's virtual *reservation* and packs everything the lock-free
+//! arena's file and packs everything the lock-free
 //! remote-free path needs into the entry:
 //!
 //! ```text
@@ -24,14 +24,12 @@
 //! loads so a reader that observes an entry also observes the MiniHeap
 //! registration that produced it.
 //!
-//! The segmented arena maps and retires file-backed segments at arbitrary
-//! ranges inside the reservation, so at any moment the table covers a
-//! *discontiguous* set of live segment ranges. The table itself needs no
-//! segment awareness: pages of unmapped (reserved or retired) ranges
-//! simply hold the zero "unowned" entry, so a stale free into a retired
-//! range reads as invalid exactly like a wild pointer, and a range being
-//! retired must already be all-zero ([`PageMap::range_is_clear`] asserts
-//! this in debug builds).
+//! The table has one entry per page of the arena's file. Pages no span
+//! holds — free, or above the bump frontier — hold the zero "unowned"
+//! entry, so a stale free into a span that went back to the arena reads
+//! as invalid exactly like a wild pointer, and a range the frontier
+//! comes down over must already be all-zero ([`PageMap::range_is_clear`]
+//! asserts this in debug builds).
 
 use crate::miniheap::MiniHeapId;
 use crate::span::Span;
@@ -141,8 +139,9 @@ impl PageMap {
     }
 
     /// Whether no page in `[start, start + pages)` is routed to a
-    /// MiniHeap. Used (under the arena lock) to validate that a segment
-    /// being retired holds no live spans.
+    /// MiniHeap. Used (under the arena lock, in debug builds) to check
+    /// that a range the arena's frontier came down over holds no live
+    /// span.
     pub fn range_is_clear(&self, start: u32, pages: u32) -> bool {
         (start..start + pages)
             .all(|page| self.entries[page as usize].load(Ordering::Acquire) == 0)

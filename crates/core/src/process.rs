@@ -25,10 +25,11 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicI32, AtomicPtr, AtomicU32, Ordering};
 use std::sync::OnceLock;
 
-/// Default hard cap (virtual reservation) of the process heap,
-/// overridable with `MESH_MAX_HEAP_BYTES`. A program cannot hand the heap
-/// its `malloc` runs on a `MeshConfig`, so the default errs large:
-/// reservation is address space, not memory.
+/// Default hard cap (the size of the heap's sparse file) of the process
+/// heap, overridable with `MESH_MAX_HEAP_BYTES` and lowered to the soft
+/// `RLIMIT_FSIZE`. A program cannot hand the heap its `malloc` runs on a
+/// `MeshConfig`, so the default errs large: a sparse file's size is
+/// address space, not memory.
 const DEFAULT_CAP_BYTES: usize = 8 << 30;
 
 /// `None` means construction failed; sticky, so every later call takes

@@ -5,7 +5,7 @@
 //! traffic (the §4.3 "no atomics on the hot path" claim):
 //!
 //! * [`Counters`] — shared atomics, bumped only by cold paths (refills,
-//!   remote frees, meshing, segments).
+//!   remote frees, meshing, the arena).
 //! * [`LocalCounters`] — one cacheline-aligned delta block per thread
 //!   heap, registered with its heap's [`Counters`]. The owning thread
 //!   updates it with plain load+store pairs (single-writer, so no RMW and
@@ -203,23 +203,16 @@ pub struct Counters {
     pub class_lock_contention: [AtomicU64; NUM_SIZE_CLASSES],
     /// Times the arena (span/page-table) leaf lock was found contended.
     pub arena_lock_contention: AtomicU64,
-    /// Segments mapped over the heap's lifetime (including the initial
-    /// one); segment ids are monotonic, so this equals `max id + 1`.
-    pub segments_created: AtomicU64,
-    /// Segments unmapped ("retired") after all their pages went clean.
-    pub segments_retired: AtomicU64,
-    /// Segments currently mapped.
-    pub active_segments: AtomicUsize,
-    /// Pages currently mapped to segment files (virtual footprint of the
-    /// active segments; committed ≤ mapped ≤ cap).
+    /// Pages below the arena's bump frontier: every page handed out and
+    /// not given back clean at the top (committed ≤ mapped ≤ cap).
     pub mapped_pages: AtomicUsize,
     /// Bytes of span records and bitmap-table chunks, added to where a
     /// slab or its table grows (neither ever shrinks).
     pub slab_bytes: AtomicUsize,
     /// Times this heap was privatized in a forked child (each copies the
-    /// segment files so parent and child stop sharing pages).
+    /// arena's file so parent and child stop sharing pages).
     pub forks: AtomicU64,
-    /// Times the arena found a segment's descriptor naming a file other
+    /// Times the arena found its file's descriptor naming a file other
     /// than the one it created (`Arena::files_intact`); from the first,
     /// the heap neither meshes nor purges.
     pub files_lost: AtomicU64,
@@ -467,9 +460,9 @@ impl Counters {
                 self.class_lock_contention[i].load(Ordering::Relaxed)
             }),
             arena_lock_contention: self.arena_lock_contention.load(Ordering::Relaxed),
-            segments_created: self.segments_created.load(Ordering::Relaxed),
-            segments_retired: self.segments_retired.load(Ordering::Relaxed),
-            segment_count: self.active_segments.load(Ordering::Relaxed),
+            segments_created: 1,
+            segments_retired: 0,
+            segment_count: 1,
             mapped_pages: self.mapped_pages.load(Ordering::Relaxed),
             slab_bytes: self.slab_bytes.load(Ordering::Relaxed),
             forks: self.forks.load(Ordering::Relaxed),
@@ -561,13 +554,16 @@ pub struct HeapStats {
     pub class_lock_contention: [u64; NUM_SIZE_CLASSES],
     /// Contended acquisitions of the arena leaf lock.
     pub arena_lock_contention: u64,
-    /// Segments mapped over the heap's lifetime (ids are monotonic).
+    /// Always 1: the arena is one memory file.
+    #[doc(hidden)]
     pub segments_created: u64,
-    /// Segments retired (unmapped after all their pages went clean).
+    /// Always 0: the arena's file is never unmapped while the heap lives.
+    #[doc(hidden)]
     pub segments_retired: u64,
-    /// Segments currently mapped.
+    /// Always 1: the arena is one memory file.
+    #[doc(hidden)]
     pub segment_count: usize,
-    /// Pages currently mapped to segment files.
+    /// Pages below the arena's bump frontier.
     pub mapped_pages: usize,
     /// Per-span metadata: span records (32 bytes per id ever issued) and
     /// bitmap-table entries (64 bytes each).
@@ -631,8 +627,8 @@ impl HeapStats {
         self.harden_violations.iter().sum()
     }
 
-    /// Bytes currently mapped to segment files (virtual footprint of the
-    /// active segments; `heap_bytes() ≤ mapped_bytes()`).
+    /// Bytes below the arena's bump frontier: the part of the file the
+    /// heap uses (`heap_bytes() ≤ mapped_bytes()`).
     pub fn mapped_bytes(&self) -> usize {
         self.mapped_pages * crate::size_classes::PAGE_SIZE
     }
@@ -677,7 +673,7 @@ impl HeapStats {
 /// exposition's order (counters, then gauges); `line` is the place on the
 /// `mesh:` line.
 #[rustfmt::skip]
-pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 32] = [
+pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 29] = [
     num!(mallocs, line: 1, prom: counter("mesh_mallocs_total", "Successful allocations.")),
     num!(frees, line: 2, prom: counter("mesh_frees_total", "Frees, all paths.")),
     num!(remote_frees, line: 8, prom: counter("mesh_remote_frees_total", "Frees routed through the global heap.")),
@@ -700,21 +696,17 @@ pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 32] = [
          prom: counter("mesh_remote_free_drained_total", "Retired, always 0: non-local frees are not queued.")),
     num!(reallocs_in_place, line: 11,
          prom: counter("mesh_reallocs_in_place_total", "realloc calls satisfied without moving the allocation.")),
-    num!(forks, line: 19, prom: counter("mesh_forks_total", "Heap privatizations in forked children.")),
-    num!(files_lost, line: 25,
+    num!(forks, line: 16, prom: counter("mesh_forks_total", "Heap privatizations in forked children.")),
+    num!(files_lost, line: 22,
          prom: counter("mesh_files_lost_total", "Heap file descriptors found naming another file.")),
-    num!(transfer_hits, line: 20,
+    num!(transfer_hits, line: 17,
          prom: counter("mesh_transfer_hits_total", "Retired, always 0: there is no transfer cache.")),
-    num!(transfer_misses, line: 21,
+    num!(transfer_misses, line: 18,
          prom: counter("mesh_transfer_misses_total", "Retired, always 0: there is no transfer cache.")),
-    num!(transfer_spills, line: 22,
+    num!(transfer_spills, line: 19,
          prom: counter("mesh_transfer_spills_total", "Retired, always 0: there is no transfer cache.")),
-    num!(remote_free_batches, line: 23,
+    num!(remote_free_batches, line: 20,
          prom: counter("mesh_remote_free_batches_total", "Retired, always 0: non-local frees are not queued.")),
-    num!(segments_created, line: 17,
-         prom: counter("mesh_segments_created_total", "Segments mapped over the heap's lifetime.")),
-    num!(segments_retired, line: 18,
-         prom: counter("mesh_segments_retired_total", "Segments unmapped after all their pages went clean.")),
     num!(live_bytes, line: 3, prom: gauge("mesh_live_bytes", "Live application bytes (allocated minus freed).")),
     num!(heap_bytes(), line: 4,
          prom: gauge("mesh_heap_bytes", "Committed pages in bytes - the physical heap footprint.")),
@@ -723,10 +715,9 @@ pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 32] = [
     num!(peak_heap_bytes(), prom: gauge("mesh_heap_bytes_peak", "Deprecated alias of mesh_heap_peak_bytes.").eol(
         "# EOL mesh_heap_bytes_peak is a deprecated alias of mesh_heap_peak_bytes, removal no earlier than 2026-12-01\n")),
     num!(mapped_bytes(), line: 6,
-         prom: gauge("mesh_mapped_bytes", "Bytes mapped to segment files - the virtual footprint.")),
-    num!(segments = segment_count, line: 16, prom: gauge("mesh_segments", "Segments currently mapped.")),
+         prom: gauge("mesh_mapped_bytes", "Bytes below the arena's bump frontier - the virtual footprint.")),
     num!(slab_bytes, prom: gauge("mesh_slab_bytes", "Span-record and bitmap-table bytes - per-span metadata.")),
-    num!(uptime_ms, line: 24, prom: gauge("mesh_uptime_seconds", "Seconds since heap initialization.").ms_as_seconds()),
+    num!(uptime_ms, line: 21, prom: gauge("mesh_uptime_seconds", "Seconds since heap initialization.").ms_as_seconds()),
 ];
 
 /// Hardened-mode violations by kind: last on the `mesh:` line, and
@@ -735,7 +726,7 @@ pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 32] = [
 /// can be written once.
 #[rustfmt::skip]
 pub(crate) static HARDEN_FIELDS: [Field<HeapStats>; 1] = [row!(
-    key: "harden", line: 26, get: |s| Named(&HARDEN_NAMES, &s.harden_violations),
+    key: "harden", line: 23, get: |s| Named(&HARDEN_NAMES, &s.harden_violations),
     prom: counter("mesh_harden_violations_total", "Hardened-mode memory-safety violations by kind.").by("kind"))];
 
 /// A point-in-time snapshot of one MiniHeap's allocation state, exposed

@@ -83,7 +83,7 @@ pub(crate) const RANKS: [(&str, usize); 8] = [
     ("main", 1),                   // `Mesh`'s own thread heap (`Mesh::malloc`)
     ("classes", NUM_SIZE_CLASSES), // by index: a sweep takes them in order
     ("large", 1),                  // the large-object slab
-    ("arena", 1),                  // segments, span bins, remaps, page-map writes
+    ("arena", 1),                  // the span sets, remaps, page-map writes
     ("threads", 1),                // the thread registry (`Counters`)
     ("ctl", 1),                    // the ctl socket's listener and connections
     ("mesher", 1),                 // the background thread's handle

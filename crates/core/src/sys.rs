@@ -12,8 +12,8 @@
 //! Physical pages go back to the OS one way, the paper's: [`punch_hole`],
 //! `fallocate(FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE)` on the memory
 //! file. It frees the file's pages whatever maps them, and a later read
-//! sees zeros. The arena probes it on its initial segment and refuses to
-//! start without it. Dropping the pages with `madvise` is no substitute:
+//! sees zeros. The arena probes it on its file and refuses to start
+//! without it. Dropping the pages with `madvise` is no substitute:
 //! on a `MAP_SHARED` mapping that empties the process's RSS while the
 //! file keeps every page. What a file holds is read exactly with
 //! [`MemFile::held_pages`].
@@ -129,6 +129,16 @@ impl MemFile {
         self.len == 0
     }
 
+    /// Writes all of `bytes` at `offset` (one `pwrite` or more).
+    ///
+    /// # Errors
+    ///
+    /// Returns the `pwrite` error.
+    pub fn write_at(&self, bytes: &[u8], offset: usize) -> io::Result<()> {
+        use std::os::unix::fs::FileExt;
+        self.file.write_all_at(bytes, offset as u64)
+    }
+
     /// Pages of physical memory the file holds, from one `fstat`: the
     /// kernel's own count (`st_blocks`) of the pages any mapping has
     /// touched and no hole has since freed.
@@ -186,15 +196,29 @@ fn above_stdio(fd: c_int) -> io::Result<c_int> {
     }
 }
 
+/// The soft `RLIMIT_FSIZE` in bytes, or `None` when there is none. A
+/// process may not size a file past it: `ftruncate` fails with `EFBIG`
+/// and raises `SIGXFSZ`, which ends a process that does not ignore it.
+pub fn file_size_limit() -> Option<usize> {
+    let mut limit = libc::rlimit {
+        rlim_cur: 0,
+        rlim_max: 0,
+    };
+    // SAFETY: `getrlimit` writes one `rlimit`, which `limit` is.
+    let rc = unsafe { libc::getrlimit(libc::RLIMIT_FSIZE, &mut limit) };
+    (rc == 0 && limit.rlim_cur != libc::RLIM_INFINITY)
+        .then(|| usize::try_from(limit.rlim_cur).unwrap_or(usize::MAX))
+}
+
 /// Reserves `len` bytes of contiguous virtual address space without
-/// committing any memory (`PROT_NONE`, `MAP_NORESERVE`). Segments of the
-/// segmented arena are later mapped *into* this window with `MAP_FIXED`,
-/// which keeps pointer→page arithmetic a single subtraction even though
-/// the backing files come and go.
+/// committing any memory (`PROT_NONE`, `MAP_NORESERVE`). Kept for the
+/// benchmark ladder's `sys.map_file_fixed_us` row, which maps a file into
+/// such a window; the arena maps its file with [`map_file_shared`].
 ///
 /// # Errors
 ///
 /// Returns the `mmap` error on failure.
+#[doc(hidden)]
 pub fn reserve_region(len: usize) -> io::Result<*mut u8> {
     let p = unsafe {
         libc::mmap(
@@ -213,14 +237,14 @@ pub fn reserve_region(len: usize) -> io::Result<*mut u8> {
     }
 }
 
-/// Maps the whole of `file` read-write at exactly `addr` (which must lie
-/// inside a region obtained from [`reserve_region`]): segment activation.
+/// Maps the whole of `file` read-write at exactly `addr`, replacing what
+/// is there: a forked child re-backing the arena with its private copy.
 ///
 /// # Safety
 ///
-/// `addr` must be page-aligned and `[addr, addr + file.len())` must lie
-/// within a reservation owned by the caller with no live mapping the
-/// caller still needs (`MAP_FIXED` replaces whatever is there).
+/// `addr` must be page-aligned and `[addr, addr + file.len())` must be a
+/// range owned by the caller with no live mapping the caller still needs
+/// (`MAP_FIXED` replaces whatever is there).
 ///
 /// # Errors
 ///
@@ -243,14 +267,15 @@ pub unsafe fn map_file_fixed(file: &MemFile, addr: *mut u8) -> io::Result<()> {
 }
 
 /// Returns `[addr, addr+len)` to the reserved (inaccessible, uncommitted)
-/// state: segment retirement. The file mapping previously there is
-/// atomically replaced by a `PROT_NONE` reservation, so the virtual range
-/// can be reused by a future segment.
+/// state, atomically replacing the mapping there with a `PROT_NONE`
+/// reservation. Kept for the benchmark ladder's `sys.map_file_fixed_us`
+/// row; the heap never unmaps its file while it lives.
 ///
 /// # Safety
 ///
 /// `addr`/`len` must denote a range inside a reservation owned by the
 /// caller; nothing may access it afterwards until remapped.
+#[doc(hidden)]
 pub unsafe fn unmap_to_reserved(addr: *mut u8, len: usize) -> io::Result<()> {
     let p = libc::mmap(
         addr as *mut libc::c_void,
@@ -403,24 +428,27 @@ pub unsafe fn protect_read_write(addr: *mut u8, len: usize) -> io::Result<()> {
     }
 }
 
-/// Copies `src`'s contents into `dst` (equal-length memory files),
-/// preserving sparseness: only data extents — probed with
+/// Copies the first `len` bytes of `src` into `dst` (equal-length memory
+/// files), preserving sparseness: only data extents — probed with
 /// `lseek(SEEK_DATA/SEEK_HOLE)` — are copied, so holes (never-touched or
 /// punched pages) stay holes and the copy commits no more physical memory
-/// than `src` held. Kernels whose tmpfs lacks `SEEK_DATA` fall back to a
-/// whole-file copy. Returns the number of bytes copied.
+/// than `src` held. Kernels whose tmpfs lacks `SEEK_DATA` fall back to
+/// copying all `len` bytes. Returns the number of bytes copied.
 ///
 /// This is the heavy half of fork privatization: a forked child re-backs
-/// every segment with a fresh file so parent and child stop sharing
-/// `MAP_SHARED` pages.
+/// the arena with a fresh file, copying the pages below its frontier, so
+/// parent and child stop sharing `MAP_SHARED` pages.
 ///
 /// # Errors
 ///
 /// Returns the first `lseek`/`mmap` error encountered.
-pub fn copy_file_sparse(src: &MemFile, dst: &MemFile) -> io::Result<usize> {
+pub fn copy_file_sparse(src: &MemFile, dst: &MemFile, len: usize) -> io::Result<usize> {
     use crate::ffi as libc;
     debug_assert_eq!(src.len(), dst.len());
-    let len = src.len();
+    debug_assert!(len <= src.len() && len.is_multiple_of(PAGE_SIZE));
+    if len == 0 {
+        return Ok(0);
+    }
     let mut copied = 0usize;
     let mut pos = 0usize;
     while pos < len {
@@ -554,9 +582,7 @@ pub fn max_map_count() -> usize {
 /// `sys.resident_pages_us` row only, until the next benchmark change
 /// retires it: the heap counts what its files hold with
 /// [`MemFile::held_pages`]. `addr` must be page-aligned and inside a live
-/// mapping owned by the caller (the arena reservation qualifies: retired
-/// ranges revert to `PROT_NONE` reservations, which `mincore` reports as
-/// non-resident without faulting). Returns `None` when the kernel rejects the range
+/// mapping owned by the caller (the arena's mapping qualifies). Returns `None` when the kernel rejects the range
 /// (e.g. a race with an unmap) or on non-Linux test stubs.
 pub fn resident_pages(addr: usize, pages: usize) -> Option<usize> {
     if pages == 0 {
@@ -664,10 +690,9 @@ mod tests {
 
     #[test]
     fn reserve_map_retire_roundtrip() {
-        // Reserve a window, map a segment file into its middle, write
-        // through it, retire it back to PROT_NONE, then map a fresh file
-        // over the same range: the segmented arena's lifecycle in
-        // miniature.
+        // Reserve a window, map a file into its middle, write through it,
+        // return it to PROT_NONE, then map a fresh file over the same
+        // range: the benchmark ladder's map/unmap row in miniature.
         let base = reserve_region(8 * PAGE_SIZE).unwrap();
         let seg_at = unsafe { base.add(2 * PAGE_SIZE) };
         let f1 = MemFile::create(2 * PAGE_SIZE).unwrap();
@@ -678,7 +703,7 @@ mod tests {
             unmap_to_reserved(seg_at, 2 * PAGE_SIZE).unwrap();
             let f2 = MemFile::create(2 * PAGE_SIZE).unwrap();
             map_file_fixed(&f2, seg_at).unwrap();
-            assert_eq!(*seg_at, 0, "fresh segment file reads zero");
+            assert_eq!(*seg_at, 0, "a fresh file reads zero");
             unmap(base, 8 * PAGE_SIZE);
         }
     }
@@ -693,7 +718,15 @@ mod tests {
             std::ptr::write_bytes(base.add(PAGE_SIZE), 0xA1, PAGE_SIZE);
             std::ptr::write_bytes(base.add(5 * PAGE_SIZE), 0xA5, 2 * PAGE_SIZE);
         }
-        let copied = copy_file_sparse(&src, &dst).unwrap();
+        // Only the first `len` bytes: page 1, sparse or not.
+        let first = MemFile::create(8 * PAGE_SIZE).unwrap();
+        let copied = copy_file_sparse(&src, &first, 2 * PAGE_SIZE).unwrap();
+        assert!(
+            copied == PAGE_SIZE || copied == 2 * PAGE_SIZE,
+            "copied {copied}"
+        );
+        assert_eq!(first.held_pages().unwrap(), copied / PAGE_SIZE);
+        let copied = copy_file_sparse(&src, &dst, 8 * PAGE_SIZE).unwrap();
         // Either sparse-aware (3 pages) or the full-copy fallback.
         assert!(copied == 3 * PAGE_SIZE || copied == 8 * PAGE_SIZE, "copied {copied}");
         let d = map_file_shared(&dst).unwrap();

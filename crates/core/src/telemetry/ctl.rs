@@ -20,7 +20,7 @@
 //! |---|---|
 //! | any [`Report`] name (`stats` `prom` `profile` `pprof` `trace` `sense` `ledger` `spectrum`) | that report, rendered on demand (`err` with the kind's off message when its subsystem is disabled; see the table in [`super::report`]) |
 //! | `mesh_now` | runs one meshing pass; summary JSON |
-//! | `madvise_now` | purges dirty pages + retires segments; `{}` |
+//! | `madvise_now` | tidies every class and purges dirty pages; `{}` |
 //! | `set <knob> <value>` | applies a whitelisted knob; ack JSON |
 //! | `help` | this command list |
 //!
@@ -540,7 +540,7 @@ impl crate::global_heap::GlobalHeap {
                 ))
             }
             "madvise_now" => {
-                self.purge_and_retire();
+                self.tidy_and_purge();
                 Response::ok_str("{\"purged\":true}".to_string())
             }
             "help" => Response::ok_str(help()),

@@ -9,7 +9,7 @@
 use super::fields::{self, Field};
 use super::{exposition, report};
 use crate::config::MeshConfig;
-use crate::segment::SegmentStats;
+use crate::free_spans::ArenaStats;
 use crate::size_classes::SizeClass;
 use crate::stats::HeapStats;
 use crate::telemetry::{
@@ -198,23 +198,15 @@ fn sense_state() -> SenseState {
 }
 
 fn residency() -> ResidencyBreakdown {
-    let seg = |id, start_page, pages, fresh_pages, dirty_pages, clean_pages, outstanding_pages| {
-        SegmentStats {
-            id,
-            start_page,
-            pages,
-            fresh_pages,
-            committed_pages: outstanding_pages + dirty_pages,
-            dirty_pages,
-            clean_pages,
-            outstanding_pages,
-            retirable: false,
-        }
+    let file = ArenaStats {
+        pages: 164,
+        fresh_pages: 17,
+        committed_pages: 101,
+        dirty_pages: 25,
+        clean_pages: 32,
+        outstanding_pages: 76,
     };
-    decompose(
-        &[seg(0, 0, 100, 10, 20, 30, 35), seg(3, 100, 64, 7, 5, 2, 41)],
-        Some(&[50, 46]),
-    )
+    decompose(&file, Some(96))
 }
 
 #[test]
@@ -347,10 +339,9 @@ fn only_host_readings_are_nullable() {
         nullable(&super::ledger::REJECT_TOTALS),
         nullable(&super::profile_table::SITE_FIELDS),
         nullable(&super::spectrum::CLASS_FIELDS),
-        nullable(&super::residency::SEGMENT_FIELDS),
         nullable(&super::residency::RESIDENCY_FIELDS),
     ];
-    assert_eq!(others, [0; 9], "no other record has a nullable field");
+    assert_eq!(others, [0; 8], "no other record has a nullable field");
 }
 
 /// Every `mesh:` line place is taken once, so the line's order is the

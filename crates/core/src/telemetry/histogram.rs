@@ -7,8 +7,8 @@
 //! histogram stays a flat array of counters.
 //!
 //! The heap keeps one [`HistBlock`], written with relaxed `fetch_add`s
-//! by every timed operation — refills, lock waits, mesh phases, segment
-//! and page-release work. Each already pays a lock or a syscall, so three
+//! by every timed operation — refills, lock waits, mesh phases and
+//! page-release work. Each already pays a lock or a syscall, so three
 //! more RMWs are noise; the malloc/free fast path records nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,17 +43,13 @@ pub enum TimedOp {
     MeshRemap = 6,
     /// One whole meshing pass (all classes).
     MeshPass = 7,
-    /// Mapping a new segment (memfd + mmap).
-    SegmentGrow = 8,
-    /// Retiring empty segments (unmap back to the reservation).
-    SegmentRetire = 9,
     /// Physical-page release calls (hole punches, under the name the
     /// `madvise` calls they replaced had), including dirty purges.
-    Madvise = 10,
+    Madvise = 8,
 }
 
 /// Number of [`TimedOp`] variants (array dimension).
-pub const NUM_TIMED_OPS: usize = 11;
+pub const NUM_TIMED_OPS: usize = 9;
 
 /// All ops, in discriminant order.
 pub const ALL_TIMED_OPS: [TimedOp; NUM_TIMED_OPS] = [
@@ -65,8 +61,6 @@ pub const ALL_TIMED_OPS: [TimedOp; NUM_TIMED_OPS] = [
     TimedOp::MeshCopy,
     TimedOp::MeshRemap,
     TimedOp::MeshPass,
-    TimedOp::SegmentGrow,
-    TimedOp::SegmentRetire,
     TimedOp::Madvise,
 ];
 
@@ -76,7 +70,7 @@ macro_rules! op_names {
 }
 const OP_NAMES: [(&str, &str); NUM_TIMED_OPS] = op_names!(
     "refill", "class_lock_wait", "arena_lock_wait", "mutator_pause", "mesh_candidates", "mesh_copy",
-    "mesh_remap", "mesh_pass", "segment_grow", "segment_retire", "madvise"
+    "mesh_remap", "mesh_pass", "madvise"
 );
 
 impl TimedOp {

@@ -50,7 +50,7 @@ pub use ledger::{
 };
 pub use profile_table::{SiteSnapshot, MAX_FRAMES, OVERFLOW_SITE};
 pub use report::{Report, ReportOff};
-pub use residency::{decompose, ResidencyBreakdown, SegmentResidency};
+pub use residency::{decompose, ResidencyBreakdown};
 pub use sense::{PressureReading, SenseSnapshot, SenseState, ABSENT};
 pub use spectrum::{ClassSpectrum, HeapSpectrum, SPECTRUM_BINS};
 pub use trace::TraceEvent;

@@ -17,7 +17,7 @@
 //! `sense` or `prom` render and at no other time.
 
 use super::ledger::REJECT_TOTALS;
-use super::residency::{RESIDENCY_FIELDS, SEGMENT_FIELDS};
+use super::residency::RESIDENCY_FIELDS;
 use super::spectrum::{CLASS_FIELDS, LARGE_FIELDS};
 use super::{exposition, fields, pprof, HeapSpectrum, MeshLedger, PassRecord, ResidencyBreakdown};
 use super::{SenseSnapshot, SenseState, ABSENT, CTL_PARK};
@@ -311,19 +311,18 @@ impl GlobalHeap {
     }
 
     /// Takes one mesh-sense poll: reads the pressure sources, decomposes
-    /// residency from the segment snapshots and what each segment's file
-    /// holds, appends the snapshot to the ring and returns it with the
-    /// residency it was taken from. Takes the arena lock briefly (for the
-    /// segment snapshots and two `fstat`s per segment, the file's identity
-    /// and its blocks) and nothing else:
-    /// polls on several threads at once push their own snapshots.
+    /// residency from the arena's snapshot and what its file holds,
+    /// appends the snapshot to the ring and returns it with the residency
+    /// it was taken from. Takes the arena lock briefly (for the snapshot
+    /// and two `fstat`s, the file's identity and its blocks) and nothing
+    /// else: polls on several threads at once push their own snapshots.
     fn sense_poll(&self) -> (SenseSnapshot, ResidencyBreakdown) {
         let start = Instant::now();
-        let (segs, file_pages) = {
+        let (arena_stats, file_pages) = {
             let mut arena = self.lock_arena();
-            (arena.segment_stats(), arena.file_pages())
+            (arena.stats(), arena.file_pages())
         };
-        let res = super::decompose(&segs, file_pages.as_deref());
+        let res = super::decompose(&arena_stats, file_pages);
         let p = super::read_pressure();
         let stats = self.counters.snapshot();
         let mut snap = SenseSnapshot {
@@ -402,7 +401,7 @@ impl GlobalHeap {
     }
 }
 
-/// The `sense` document: residency now (per segment and heap-wide), the
+/// The `sense` document: residency now, the
 /// mesh-pass effectiveness ledger, and the retained snapshot series.
 pub(super) fn sense_json(
     sense: &SenseState,
@@ -411,11 +410,10 @@ pub(super) fn sense_json(
     uptime_ms: u64,
 ) -> String {
     format!(
-        "{{\"mesh_sense_version\":3,\"uptime_ms\":{uptime_ms},\"history\":{},\
-         \"residency\":{{{},\"segments\":{}}},\"ledger\":{{{}}},\"snapshots\":{}}}",
+        "{{\"mesh_sense_version\":4,\"uptime_ms\":{uptime_ms},\"history\":{},\
+         \"residency\":{{{}}},\"ledger\":{{{}}},\"snapshots\":{}}}",
         sense.history(),
         fields::members(&RESIDENCY_FIELDS, res),
-        fields::array(res.segments.iter().map(|s| fields::object(&SEGMENT_FIELDS, s))),
         ledger_members(ledger),
         fields::array(sense.snapshots().iter().map(SenseSnapshot::json)),
     )

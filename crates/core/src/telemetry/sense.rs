@@ -43,8 +43,8 @@ pub struct SenseSnapshot {
     pub at_ms: u64,
     /// Process RSS from the kernel ([`ABSENT`] when procfs is missing).
     pub rss_bytes: u64,
-    /// Bytes the heap's segment files hold, by the kernel's count (one
-    /// `fstat` per segment): the heap's exact physical footprint.
+    /// Bytes the heap's memory file holds, by the kernel's count (one
+    /// `fstat`): the heap's exact physical footprint.
     pub file_bytes: u64,
     /// Bytes in pages handed out as spans: the residency decomposition's
     /// live category, not the object bytes of
@@ -53,11 +53,11 @@ pub struct SenseSnapshot {
     /// Committed heap bytes, [`HeapStats::heap_bytes`](crate::HeapStats::heap_bytes):
     /// committed pages × page size.
     pub heap_bytes: u64,
-    /// Mapped bytes across all segments.
+    /// Bytes below the arena's bump frontier.
     pub mapped_bytes: u64,
     /// Freed-but-committed (dirty) bytes.
     pub free_dirty_bytes: u64,
-    /// Released or never-touched (clean/fresh) bytes.
+    /// Released (clean or parked) bytes below the frontier.
     pub free_clean_bytes: u64,
     /// Metadata/slack bytes.
     pub meta_bytes: u64,
@@ -79,7 +79,7 @@ pub struct SenseSnapshot {
     /// Cumulative pairs meshed.
     pub pairs_meshed: u64,
     /// What taking this snapshot cost, in nanoseconds: the procfs reads,
-    /// the residency decomposition and the `fstat` per segment.
+    /// the residency decomposition and the `fstat`.
     pub poll_ns: u64,
 }
 

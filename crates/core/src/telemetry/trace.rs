@@ -19,7 +19,7 @@
 //! to a power of two) and overwrites its oldest: recent history is what a
 //! trace is for, and a writer never blocks. Every thread records into it,
 //! its tid in the event — refills as well as the operations recorded under
-//! global locks (mesh phases, segment work). A dump decodes only complete
+//! global locks (mesh phases, page releases). A dump decodes only complete
 //! events: one being written as it is read is left out.
 //!
 //! Tracing off is one `Option` load on each slow-path record; the fast

@@ -368,12 +368,12 @@ fn render_stats(out: &mut String, stats: &str) {
         stat(first, "frees"),
     ));
     out.push_str(&format!(
-        "meshing: {} passes · {} pairs meshed · {} pages released · {} purged · {} segments\n",
+        "meshing: {} passes · {} pairs meshed · {} pages released · {} purged · {} mapped\n",
         stat(first, "mesh_passes"),
         stat(first, "pairs_meshed"),
         stat(first, "mesh_pages_released"),
         stat(first, "pages_purged"),
-        stat(first, "segments"),
+        mib(stat(first, "mapped_bytes")),
     ));
     let lat: Vec<&str> = stats
         .lines()

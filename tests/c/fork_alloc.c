@@ -1,6 +1,6 @@
-/* Fork safety: the arena is MAP_SHARED memory files, which fork does NOT
+/* Fork safety: the arena is a MAP_SHARED memory file, which fork does NOT
  * copy-on-write — without the atfork protocol (quiesce locks, child
- * privatizes its segment copies while the parent waits) the child's heap
+ * privatizes its copy of the file while the parent waits) the child's heap
  * writes would corrupt the parent's memory. This test makes that failure
  * mode loud:
  *

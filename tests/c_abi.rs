@@ -7,7 +7,10 @@
 //! meshes before it purges) additionally require `pairs_meshed > 0`, and
 //! the fork program a child stats line with `forks=1`. A program started
 //! with fds 0, 1 and 2 closed checks that the heap's file takes none of
-//! them.
+//! them; one that closes the heap's descriptor checks that neither
+//! meshing nor a later fork reaches the file that takes its number; and
+//! one run under `ulimit -f` checks that the file-size limit caps the
+//! heap instead of ending the process.
 //!
 //! Gated on the environment: skips (loudly) when no `cc` is available.
 
@@ -432,6 +435,89 @@ fn a_process_that_closes_the_heaps_descriptor_keeps_its_file_intact() {
     assert!(
         file.iter().enumerate().all(|(i, &b)| b == pattern(i)),
         "the data file changed"
+    );
+    std::fs::remove_file(&data).unwrap();
+}
+
+/// A process whose soft `RLIMIT_FSIZE` is below the heap's default cap:
+/// the heap's one memory file is sized within the limit, so `ulimit -f
+/// 1024` costs the process nothing (it used to die of `SIGXFSZ` at its
+/// first malloc, sizing a 64 MiB file). Under a limit below the largest
+/// span the heap cannot be built: one stderr line, and the process runs
+/// on the system allocator.
+#[test]
+fn a_low_file_size_limit_caps_the_heap_and_costs_the_process_nothing() {
+    if !have_cc() {
+        eprintln!("skipping file-size-limit preload test: no `cc` in this environment");
+        return;
+    }
+    let so = build_libmesh();
+    let out_dir = target_dir().join("c-abi-tests");
+    std::fs::create_dir_all(&out_dir).unwrap();
+    let bin = compile_c("fsize_limit", &out_dir);
+    let run = |blocks: u32| {
+        let script = format!("ulimit -f {blocks}; export LD_PRELOAD=\"$0\"; exec \"$1\"");
+        let out = preloaded(
+            &so,
+            "sh",
+            &["-c", &script],
+            &[("MESH_PRINT_STATS_AT_EXIT", "1")],
+        )
+        .env_remove("LD_PRELOAD")
+        .args([so.as_os_str(), bin.as_os_str()])
+        .output()
+        .expect("spawn failed");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "ulimit -f {blocks}: {:?}\n{stderr}",
+            out.status
+        );
+        assert!(String::from_utf8_lossy(&out.stdout).contains("fsize_limit OK"));
+        stderr
+    };
+    let stderr = run(1024);
+    assert!(
+        stderr.contains("mesh: mallocs="),
+        "the program ran off Mesh:\n{stderr}"
+    );
+    let stderr = run(100);
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "{stderr}");
+    assert!(
+        lines[0].contains("File too large") && lines[0].contains("running on the system allocator"),
+        "{stderr}"
+    );
+}
+
+/// A process that closes the heap's descriptor, reopens a data file on
+/// its number and forks (`tests/c/fork_after_loss.c`): the child's heap
+/// is copied through the inherited mapping, not through the number, so
+/// the child finds every object and its writes stay out of the parent's
+/// heap and out of the data file.
+#[test]
+fn a_fork_after_the_heaps_file_is_lost_copies_the_heap_not_the_file() {
+    if !have_cc() {
+        eprintln!("skipping fork-after-loss preload test: no `cc` in this environment");
+        return;
+    }
+    let so = build_libmesh();
+    let out_dir = target_dir().join("c-abi-tests");
+    std::fs::create_dir_all(&out_dir).unwrap();
+    let bin = compile_c("fork_after_loss", &out_dir);
+    let data = out_dir.join("fork-after-loss-data");
+    let run = run_preloaded(&so, &bin, &[data.to_str().unwrap()], None);
+    let exits = run
+        .stats
+        .iter()
+        .filter(|s| s.contains_key("mallocs"))
+        .count();
+    assert_eq!(exits, 2, "a child and a parent exit line:\n{}", run.stderr);
+    assert!(
+        run.stats.iter().any(|s| s.get("forks") == Some(&1)),
+        "no child reported a privatized fork:\n{}",
+        run.stderr
     );
     std::fs::remove_file(&data).unwrap();
 }

@@ -98,7 +98,7 @@ fn interposed_process_serves_its_own_ctl_socket() {
     assert!(prom.contains("# HELP mesh_"), "prom envelope: {prom}");
     assert!(prom.contains("mesh_live_bytes"), "prom envelope: {prom}");
     assert!(
-        ok_body(&s, "sense").contains("\"mesh_sense_version\":3"),
+        ok_body(&s, "sense").contains("\"mesh_sense_version\":4"),
         "sense envelope"
     );
     assert!(

@@ -31,8 +31,6 @@ const KNOWN_OPS: &[&str] = &[
     "mesh_copy",
     "mesh_remap",
     "mesh_pass",
-    "segment_grow",
-    "segment_retire",
     "madvise",
 ];
 

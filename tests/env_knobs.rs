@@ -3,7 +3,8 @@
 //! the `MESH_TRACE*` tracing knobs, warn-and-ignore on malformed
 //! values, and the retired names (the transfer-cache knobs,
 //! `MESH_BACKGROUND_MESHING`, the sense poll interval and `mincore`
-//! budget), which are ignored whatever they say. A walk over `knobs::KNOBS` feeds every variable a
+//! budget, and the two segment sizes), which are ignored whatever they
+//! say. A walk over `knobs::KNOBS` feeds every variable a
 //! value below its range, above it, garbage and blank: whatever the
 //! environment says, `apply_env()` returns a config `validate()` accepts.
 //!
@@ -84,8 +85,8 @@ fn hostile_walk() {
         (!matches!(row.kind, Kind::Path { .. })).then(|| "banana".to_string())
     });
     let blank = hostile_env(|_| Some("   ".to_string()));
-    assert_eq!(blank.len(), 22, "every variable apply_env reads");
-    assert!(below.len() >= 9 && above.len() >= 12 && garbage.len() == 18);
+    assert_eq!(blank.len(), 20, "every variable apply_env reads");
+    assert!(below.len() >= 7 && above.len() >= 12 && garbage.len() == 16);
     for (what, env) in [("min-1", below), ("max+1", above), ("garbage", garbage), ("blank", blank)] {
         let names: Vec<&str> = env.iter().map(|(name, _)| *name).collect();
         hostile_round(what, "default", &env, &names);
@@ -190,14 +191,26 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     let warned = retired_round(&[("MESH_SENSE_MINCORE_PAGES", "1K")]);
     assert_eq!(
         warned,
-        ["mesh: ignoring MESH_SENSE_MINCORE_PAGES (retired: sense reads what the heap's files hold with fstat)"]
+        ["mesh: ignoring MESH_SENSE_MINCORE_PAGES (retired: sense reads what the heap's file holds with fstat)"]
+    );
+    // The segment sizes share a reason, and so a line.
+    let warned = retired_round(&[("MESH_INITIAL_SEGMENT_BYTES", "1M")]);
+    assert_eq!(
+        warned,
+        ["mesh: ignoring MESH_INITIAL_SEGMENT_BYTES (retired: the heap is one file)"]
+    );
+    let warned = retired_round(&[
+        ("MESH_INITIAL_SEGMENT_BYTES", "1M"),
+        ("MESH_SEGMENT_BYTES", "2M"),
+    ]);
+    assert_eq!(
+        warned,
+        ["mesh: ignoring MESH_INITIAL_SEGMENT_BYTES and MESH_SEGMENT_BYTES (retired: the heap is one file)"]
     );
 
     hostile_walk();
 
     std::env::set_var("MESH_MAX_HEAP_BYTES", "64M");
-    std::env::set_var("MESH_INITIAL_SEGMENT_BYTES", "1M");
-    std::env::set_var("MESH_SEGMENT_BYTES", "not-a-size");
     std::env::set_var("MESH_SEED", "99");
     std::env::set_var("MESH_PROF", "1");
     std::env::set_var("MESH_PROF_SAMPLE_BYTES", "64K");
@@ -212,12 +225,6 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
 
     let c = MeshConfig::default().apply_env();
     assert_eq!(c.max_heap_size(), 64 << 20, "suffix-parsed cap");
-    assert_eq!(c.initial_segment_size(), 1 << 20);
-    assert_eq!(
-        c.segment_size(),
-        MeshConfig::default().segment_size(),
-        "malformed value ignored, default kept"
-    );
     assert!(c.is_profiling(), "MESH_PROF=1 enables the profiler");
     assert_eq!(c.prof_sample_size(), 64 << 10, "suffix-parsed sample rate");
     assert_eq!(

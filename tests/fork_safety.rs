@@ -2,8 +2,8 @@
 //! `MeshForkGuard::{release_parent, release_child}` — the protocol the
 //! `libmesh.so` atfork handlers drive, exercised here without the C
 //! layer. The child overwrites every shared-looking buffer; because the
-//! arena is `MAP_SHARED` memory files, only segment privatization keeps
-//! those writes out of the parent.
+//! arena is a `MAP_SHARED` memory file, only the child's private copy of
+//! it keeps those writes out of the parent.
 //!
 //! The heap runs with tracing on, so the fork protocol's telemetry
 //! contract is exercised too: the child starts with a wiped trace ring
@@ -17,7 +17,7 @@
 //! request, so its first telemetry beat leaves the dump file alone.
 //!
 //! A third fork is taken while the alias spans of dead meshed MiniHeaps
-//! are parked (DESIGN.md §2a): the child's whole-segment identity remap
+//! are parked (DESIGN.md §2a): the child's whole-file identity remap
 //! is the restore they were waiting for, so both processes go on to
 //! allocate over those spans, each in its own file.
 //!
@@ -27,8 +27,8 @@
 //! empty ledger.
 //!
 //! A fifth is taken after a mesh pass and a purge have punched holes in
-//! the segment files: the child's sparse copies hold exactly the pages
-//! the parent's files held, read as `file_bytes` right after the fork.
+//! the file: the child's sparse copy holds exactly the pages the
+//! parent's file held, read as `file_bytes` right after the fork.
 //!
 //! Own test binary: forking a multi-threaded cargo-test harness is only
 //! safe when this file's single test is all that runs in the process.
@@ -114,8 +114,6 @@ fn fork_preserves_parent_and_child_heaps() {
         MeshConfig::default()
             .seed(23)
             .arena_bytes(128 << 20)
-            .initial_segment_bytes(4 << 20)
-            .segment_bytes(4 << 20)
             .tracing(true)
             .trace_buf_events(1 << 10),
     )
@@ -215,8 +213,6 @@ fn sparse_copies_hold_what_the_parent_held() {
         MeshConfig::default()
             .seed(41)
             .arena_bytes(64 << 20)
-            .initial_segment_bytes(1 << 20)
-            .segment_bytes(1 << 20)
             .mesh_period(std::time::Duration::from_secs(3600)),
     )
     .unwrap();
@@ -318,7 +314,7 @@ fn fork_while_recording() {
             let ok = ledger.contains("\"passes_recorded\":0,")
                 && ledger.contains("\"passes\":[]")
                 && mesh.ledger_recent().is_empty()
-                && sense.starts_with("{\"mesh_sense_version\":3,")
+                && sense.starts_with("{\"mesh_sense_version\":4,")
                 && mesh.sense_latest().is_some();
             unsafe { ffi::_exit(if ok { 0 } else { 1 }) };
         }
@@ -361,7 +357,6 @@ fn parked_aliases_are_clean_spans_in_the_child() {
         MeshConfig::default()
             .seed(31)
             .arena_bytes(ARENA)
-            .initial_segment_bytes(ARENA)
             .mesh_period(std::time::Duration::from_secs(3600)),
     )
     .unwrap();

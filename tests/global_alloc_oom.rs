@@ -11,10 +11,8 @@ use std::alloc::{GlobalAlloc, Layout};
 
 #[test]
 fn alloc_returns_null_at_hard_cap_and_recovers() {
-    // A 2 MiB hard cap with small segments; set before first use.
+    // A 2 MiB hard cap; set before first use.
     std::env::set_var("MESH_MAX_HEAP_BYTES", (2 << 20).to_string());
-    std::env::set_var("MESH_INITIAL_SEGMENT_BYTES", (1 << 20).to_string());
-    std::env::set_var("MESH_SEGMENT_BYTES", (1 << 20).to_string());
 
     let alloc = MeshGlobalAlloc;
     let layout = Layout::from_size_align(64 * 1024, 16).unwrap();

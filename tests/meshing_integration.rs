@@ -1,7 +1,7 @@
 //! End-to-end meshing correctness: the §4.5 machinery validated through
 //! the public API, including theory cross-validation against §5.
 
-use mesh::core::{Mesh, MeshConfig, RejectReason, SpanSnapshot};
+use mesh::core::{Mesh, MeshConfig, RejectReason, Report, SpanSnapshot};
 use mesh::graph::matching::greedy_matching;
 use mesh::graph::probability::mesh_probability;
 use mesh::graph::MeshGraph;
@@ -129,11 +129,12 @@ fn fragmented_phases_end_compact_and_quiet_passes_purge_nothing() {
         "heap {} B for {live} B live",
         mesh.heap_bytes()
     );
-    let dirty_pages: usize = mesh.segment_stats().iter().map(|s| s.dirty_pages).sum();
-    assert!(
-        dirty_pages * mesh::core::PAGE_SIZE < 1 << 20,
-        "{dirty_pages} dirty pages after the last pass"
-    );
+    mesh.report(Report::Sense).expect("sensing is always on");
+    let dirty = mesh
+        .sense_latest()
+        .expect("the render polled")
+        .free_dirty_bytes;
+    assert!(dirty < 1 << 20, "{dirty} dirty bytes after the last pass");
     for &(p, size, fill) in &survivors {
         let object = unsafe { std::slice::from_raw_parts(p, size) };
         assert!(object.iter().all(|&b| b == fill), "a survivor changed");
@@ -166,13 +167,14 @@ fn meshed_spans_report_multiple_aliases_and_die_cleanly() {
         snaps.iter().filter(|s| s.virtual_span_count > 1).collect();
     // 256 spans of 32 slots, two objects in each: one pass folds 230 of
     // them into 24 destinations, each folded source one more alias of its
-    // destination, up to 16 spans sharing one (a destination whose 32
-    // slots all filled: exact first fit fills the lowest first).
+    // destination, up to 15 spans sharing one (exact first fit fills the
+    // lowest destination first; with this seed's slots, taken in address
+    // order, no destination fills all 32).
     assert_eq!(summary.pairs_meshed, 230, "{summary:?}");
     assert_eq!(meshed.len(), 24, "{meshed:?}");
     let folded: usize = meshed.iter().map(|s| s.virtual_span_count - 1).sum();
     assert_eq!(folded, summary.pairs_meshed);
-    assert_eq!(meshed.iter().map(|s| s.virtual_span_count).max(), Some(16));
+    assert_eq!(meshed.iter().map(|s| s.virtual_span_count).max(), Some(15));
     // Free every survivor: all MiniHeaps must die, identity mappings
     // restored, and the whole footprint collapse.
     for p in kept {

@@ -1,44 +1,32 @@
-//! Segmented-arena integration tests: on-demand growth under concurrency,
-//! the ≥ 32× live-set acceptance scenario, retirement shrinking the
-//! mapped footprint, and stale frees into retired ranges.
+//! The heap's growth and shrinkage, now that the arena is one memory file
+//! mapped once: the file's bump frontier rises under concurrent churn and
+//! a live set of 44 MiB, the mapping stays one mapping through a 384 MiB
+//! ramp, a purge brings the frontier and the file's pages back down, a
+//! stale free into a range the frontier came down over is discarded, and
+//! a terabyte cap constructs.
 //!
 //! The long soak loop at the bottom is gated behind `MESH_SOAK=1` so CI
 //! can opt into it without taxing every local `cargo test`.
 
 mod support;
 
-use mesh::core::{Mesh, MeshConfig};
-use std::collections::HashSet;
+use mesh::core::knobs::{self, Value};
+use mesh::core::{Mesh, MeshConfig, Report, PAGE_SIZE};
 use std::time::Duration;
-use support::MeshingThread;
-
-/// A heap whose initial segment is tiny (1 MiB) so growth starts
-/// immediately, with small growth segments to maximize segment churn.
-fn tiny_segment_heap(seed: u64) -> Mesh {
-    Mesh::new(
-        MeshConfig::default()
-            .max_heap_bytes(256 << 20)
-            .initial_segment_bytes(1 << 20)
-            .segment_bytes(2 << 20)
-            .seed(seed),
-    )
-    .unwrap()
-}
+use support::{arena_base, arena_mappings, report_text, JsonExt, MeshingThread, Parser};
 
 #[test]
 fn concurrent_growth_races_with_frees_and_meshing() {
-    // N threads hammer a 1 MiB initial segment with mixed sizes, so
-    // segment creation races span allocation, non-local frees, and a
-    // meshing thread. Afterwards: no lost frees, settled accounting, and
-    // monotonically assigned segment ids.
+    // N threads churn mixed sizes, so the frontier rises while spans are
+    // handed out, freed from other threads and meshed by a meshing
+    // thread. Afterwards: no lost frees, settled accounting, and a purge
+    // brings the frontier all the way down.
     const THREADS: usize = 8;
     const OPS: usize = 20_000;
     const SIZES: [usize; 8] = [64, 192, 448, 1024, 2048, 4096, 8192, 100_000];
     let mesh = Mesh::new(
         MeshConfig::default()
             .max_heap_bytes(256 << 20)
-            .initial_segment_bytes(1 << 20)
-            .segment_bytes(2 << 20)
             .seed(27)
             .mesh_period(Duration::from_millis(2)),
     )
@@ -77,21 +65,14 @@ fn concurrent_growth_races_with_frees_and_meshing() {
             });
         }
         drop(tx);
-        // Sampler doubles as the remote freer: every received pointer is a
-        // cross-thread free, and segment snapshots taken mid-churn must
-        // always show unique, monotonically assigned ids.
+        // Every received pointer is a cross-thread free; the mapped
+        // footprint read mid-churn never passes the cap.
         let mesh2 = mesh.clone();
         s.spawn(move || {
             let mut heap = mesh2.thread_heap();
-            let mut n = 0u64;
             while let Ok(addr) = rx.recv() {
                 unsafe { heap.free(addr as *mut u8) };
-                n += 1;
-                if n.is_multiple_of(1024) {
-                    let segs = mesh2.segment_stats();
-                    let ids: HashSet<u64> = segs.iter().map(|s| s.id).collect();
-                    assert_eq!(ids.len(), segs.len(), "duplicate segment ids");
-                }
+                assert!(mesh2.mapped_bytes() <= 256 << 20);
             }
         });
     });
@@ -104,57 +85,43 @@ fn concurrent_growth_races_with_frees_and_meshing() {
     assert_eq!(stats.double_frees, 0);
     assert_eq!(stats.invalid_frees, 0);
     assert!(stats.remote_frees >= (THREADS * OPS / 16) as u64);
+    assert!(stats.mapped_bytes() > 1 << 20, "the frontier never rose");
 
-    // The tiny initial segment cannot hold the live set: growth must have
-    // happened, and ids must be assigned monotonically (never reused).
-    assert!(stats.segments_created > 1, "no segment growth under churn");
-    let segs = mesh.segment_stats();
-    let ids: Vec<u64> = segs.iter().map(|s| s.id).collect();
-    assert!(ids.iter().all(|&id| id < stats.segments_created));
-    assert_eq!(
-        ids.iter().collect::<HashSet<_>>().len(),
-        ids.len(),
-        "segment ids reused"
-    );
-
-    // Everything is free: a purge retires every non-initial segment.
+    // Everything is free: a purge takes the frontier back to the start.
     mesh.purge_dirty();
     let stats = mesh.stats();
     assert_eq!(stats.committed_pages, 0, "pages leaked");
-    assert_eq!(stats.segment_count, 1, "only the initial segment survives");
+    assert_eq!(stats.mapped_bytes(), 0, "the frontier did not come down");
     assert_eq!(
-        stats.segments_retired,
-        stats.segments_created - 1,
-        "every growth segment retired"
+        (
+            stats.segment_count,
+            stats.segments_created,
+            stats.segments_retired
+        ),
+        (1, 1, 0)
     );
-    assert_eq!(stats.mapped_bytes(), 1 << 20, "mapped footprint back to 1 MiB");
 }
 
 #[test]
-fn live_set_32x_initial_segment_grows_meshes_and_retires() {
-    // The acceptance scenario: a live set ≥ 32× the 1 MiB initial segment
-    // completes with no exhaustion, meshing still reclaims pages within
-    // the grown heap, and after everything is freed, retirement shrinks
-    // the committed AND mapped footprints back down.
+fn live_set_ramp_grows_meshes_and_shrinks() {
+    // A 44 MiB live set completes with no exhaustion, meshing still
+    // reclaims pages within it, and after everything is freed a purge
+    // shrinks the committed AND mapped footprints to nothing.
     let mesh = Mesh::new(
         MeshConfig::default()
             .max_heap_bytes(256 << 20)
-            .initial_segment_bytes(1 << 20)
-            .segment_bytes(2 << 20)
             .seed(31)
             .mesh_period(Duration::from_secs(3600)), // only explicit passes
     )
     .unwrap();
-
-    let initial_bytes = 1 << 20;
     let mut th = mesh.thread_heap();
 
     // 16 Ki × 2 KiB small objects (32 MiB) + 64 × 128 KiB large objects
-    // (8 MiB) + one 4 MiB object that needs a dedicated oversized segment.
+    // (8 MiB) + one 4 MiB object.
     let mut small: Vec<usize> = Vec::new();
     for _ in 0..16_384 {
         let p = th.malloc(2048);
-        assert!(!p.is_null(), "growth must carry the live set");
+        assert!(!p.is_null(), "the file must carry the live set");
         unsafe { std::ptr::write_bytes(p, 0xAB, 2048) };
         small.push(p as usize);
     }
@@ -167,23 +134,20 @@ fn live_set_32x_initial_segment_grows_meshes_and_retires() {
         })
         .collect();
     let huge = th.malloc(4 << 20);
-    assert!(!huge.is_null(), "oversized request gets a dedicated segment");
+    assert!(!huge.is_null());
 
     let stats = mesh.stats();
     assert!(
-        stats.live_bytes >= 32 * initial_bytes,
-        "live set {} is not ≥ 32× the initial segment",
+        stats.live_bytes >= 44 << 20,
+        "live set {}",
         stats.live_bytes
     );
-    assert!(stats.segments_created > 16, "expected many growth segments");
+    assert!(stats.mapped_bytes() >= stats.live_bytes);
     assert_eq!(stats.invalid_frees, 0);
-
-    // Contents survived the growth and remapping traffic.
     assert_eq!(unsafe { *(small[0] as *const u8) }, 0xAB);
     assert_eq!(unsafe { *(large[63] as *const u8) }, 0xCD);
 
-    // Fragment: keep every 8th small object, then mesh. Compaction must
-    // still work inside a segmented heap.
+    // Fragment: keep every 8th small object, then mesh.
     for (i, &p) in small.iter().enumerate() {
         if i % 8 != 0 {
             unsafe { th.free(p as *mut u8) };
@@ -194,23 +158,17 @@ fn live_set_32x_initial_segment_grows_meshes_and_retires() {
     drop(th);
     let before = mesh.heap_bytes();
     let summary = mesh.mesh_now();
-    assert!(summary.pairs_meshed > 0, "meshing dead inside segments");
+    assert!(summary.pairs_meshed > 0, "nothing meshed");
     assert!(
         mesh.heap_bytes() < before,
         "meshing did not reclaim pages ({before} -> {})",
         mesh.heap_bytes()
     );
-    // Survivors are intact at their original addresses after meshing.
     for &p in &survivors {
         assert_eq!(unsafe { *(p as *const u8) }, 0xAB, "object lost in mesh");
     }
 
-    // Free everything; retirement must shrink the committed footprint and
-    // unmap the growth segments.
-    for &p in &survivors {
-        unsafe { mesh.free(p as *mut u8) };
-    }
-    for &p in &large {
+    for &p in survivors.iter().chain(&large) {
         unsafe { mesh.free(p as *mut u8) };
     }
     unsafe { mesh.free(huge) };
@@ -218,53 +176,163 @@ fn live_set_32x_initial_segment_grows_meshes_and_retires() {
 
     let stats = mesh.stats();
     assert_eq!(stats.live_bytes, 0);
-    assert_eq!(stats.committed_pages, 0, "committed footprint did not shrink");
-    assert!(stats.segments_retired > 0, "no segment was retired");
-    assert_eq!(stats.segment_count, 1, "growth segments still mapped");
     assert_eq!(
-        stats.mapped_bytes(),
-        initial_bytes,
-        "mapped footprint did not shrink to the initial segment"
+        stats.committed_pages, 0,
+        "committed footprint did not shrink"
     );
-    assert!(stats.heap_bytes() < stats.peak_heap_bytes() / 32);
+    assert_eq!(stats.mapped_bytes(), 0, "mapped footprint did not shrink");
+    assert!(stats.peak_heap_bytes() >= 44 << 20);
 }
 
 #[test]
 fn stale_frees_into_retired_ranges_are_discarded() {
-    // A pointer whose segment has been retired must read as a wild free
-    // (page map entry gone), never corrupt state or crash.
-    let mesh = tiny_segment_heap(33);
-    // Larger than the whole 1 MiB initial segment: must land in a
-    // dedicated growth segment.
+    // A pointer into a range the frontier came down over must read as a
+    // wild free (page map entry gone), never corrupt state or crash.
+    let mesh = Mesh::new(MeshConfig::default().max_heap_bytes(256 << 20).seed(33)).unwrap();
     let p = mesh.malloc(2 << 20);
     assert!(!p.is_null());
     let interior = unsafe { p.add(4096) };
+    assert!(mesh.mapped_bytes() >= 2 << 20);
     unsafe { mesh.free(p) };
-    mesh.purge_dirty(); // retires the large object's segment
-    let stats = mesh.stats();
-    assert!(stats.segments_retired >= 1);
-    // Both the base and an interior page of the retired range: discarded.
+    // A large object goes back clean at once; at the top, it lowers the
+    // frontier over its range.
+    assert!(mesh.mapped_bytes() < 2 << 20, "{}", mesh.mapped_bytes());
+    // Both the base and an interior page of the range: discarded.
     unsafe { mesh.free(p) };
     unsafe { mesh.free(interior) };
     let stats = mesh.stats();
     assert_eq!(stats.invalid_frees, 2);
     assert_eq!(stats.double_frees, 0);
-    // The heap still works, and the retired range is reusable.
+    // The heap still works, and the range is reused.
     let q = mesh.malloc(2 << 20);
-    assert!(!q.is_null());
+    assert_eq!(q, p, "the frontier hands the range out again");
     unsafe { mesh.free(q) };
     assert_eq!(mesh.stats().live_bytes, 0);
 }
 
+/// `bytes` of 1–16 KiB objects on `heap`, one large object of 64 KiB–1
+/// MiB in every 64, each written whole; returns the objects.
+fn ramp(heap: &mut mesh::core::ThreadHeap, bytes: usize, seed: u64) -> Vec<usize> {
+    let mut rng = mesh::core::rng::Rng::with_seed(seed);
+    let (mut total, mut objects) = (0, Vec::new());
+    while total < bytes {
+        let size = if objects.len() % 64 == 63 {
+            (64 << 10) << rng.below(5)
+        } else {
+            1024 + rng.below(15 * 1024) as usize
+        };
+        let p = heap.malloc(size);
+        assert!(!p.is_null(), "the ramp ran out at {total} bytes");
+        unsafe { std::ptr::write_bytes(p, 0x5A, size) };
+        objects.push(p as usize);
+        total += size;
+    }
+    objects
+}
+
+/// `file_bytes` of the heap's `sense` document: what its file holds.
+fn file_bytes(mesh: &Mesh) -> u64 {
+    let json = report_text(mesh, Report::Sense).expect("sensing is always on");
+    Parser::parse(&json)
+        .get("residency")
+        .get("file_bytes")
+        .num()
+}
+
+#[test]
+fn the_arena_is_one_mapping_through_a_ramp() {
+    const CAP: usize = 1 << 30;
+    let mesh = Mesh::new(
+        MeshConfig::default()
+            .max_heap_bytes(CAP)
+            .seed(35)
+            .mesh_period(Duration::from_secs(3600)),
+    )
+    .unwrap();
+    let base = arena_base(&mesh);
+    assert_eq!(arena_mappings(base, CAP).len(), 1, "one file, mapped once");
+    let mut heap = mesh.thread_heap();
+    let objects = ramp(&mut heap, 384 << 20, 35);
+    assert!(mesh.mapped_bytes() >= 384 << 20);
+    assert_eq!(
+        arena_mappings(base, CAP).len(),
+        1,
+        "a ramp maps nothing new"
+    );
+    for p in objects {
+        unsafe { heap.free(p as *mut u8) };
+    }
+}
+
+#[test]
+fn a_ramp_and_its_trough_give_the_files_pages_back() {
+    // 32 → 384 → 32 MiB with a purge at the trough: the file holds what
+    // it held before the ramp, give or take one span of the ramp's
+    // largest (1 MiB) — what retiring the ramp's segments once gave back,
+    // with no segment. The slack is the free slots of the base set's
+    // partial spans, which the ramp wrote into and which stay live.
+    let mesh = Mesh::new(
+        MeshConfig::default()
+            .max_heap_bytes(1 << 30)
+            .seed(37)
+            .mesh_period(Duration::from_secs(3600)),
+    )
+    .unwrap();
+    let mut heap = mesh.thread_heap();
+    let base = ramp(&mut heap, 32 << 20, 37);
+    drop(heap);
+    mesh.purge_dirty();
+    let (start, mapped) = (file_bytes(&mesh), mesh.mapped_bytes());
+    assert!(start >= 32 << 20, "{start}");
+
+    let mut heap = mesh.thread_heap();
+    let peak = ramp(&mut heap, 352 << 20, 38);
+    assert!(file_bytes(&mesh) >= start + (352 << 20));
+    for p in peak {
+        unsafe { heap.free(p as *mut u8) };
+    }
+    drop(heap);
+    mesh.purge_dirty();
+    let trough = file_bytes(&mesh);
+    let span = 256 * PAGE_SIZE as u64;
+    assert!(
+        trough <= start + span,
+        "{trough} held at the trough, {start} before the ramp"
+    );
+    assert!(
+        mesh.mapped_bytes() <= mapped + span as usize,
+        "the frontier stayed up: {} mapped, {mapped} before the ramp",
+        mesh.mapped_bytes()
+    );
+    for p in base {
+        unsafe { mesh.free(p as *mut u8) };
+    }
+}
+
+#[test]
+fn a_terabyte_cap_constructs() {
+    let row = knobs::find("max_heap_bytes").unwrap();
+    assert_eq!(knobs::parse(row, "1T"), Ok(Value::Num(1 << 40)));
+    let mesh = Mesh::new(MeshConfig::default().max_heap_bytes(1 << 40)).unwrap();
+    let p = mesh.malloc(1 << 20);
+    assert!(!p.is_null());
+    unsafe { std::ptr::write_bytes(p, 1, 1 << 20) };
+    assert_eq!(
+        mesh.mapped_bytes(),
+        1 << 20,
+        "the file is used from its start"
+    );
+    unsafe { mesh.free(p) };
+}
+
 #[test]
 fn soak_grow_retire_cycles() {
-    // Long grow→drain→retire soak; opt in with MESH_SOAK=1.
+    // Long grow → drain → shrink soak; opt in with MESH_SOAK=1.
     if std::env::var("MESH_SOAK").as_deref() != Ok("1") {
         eprintln!("soak_grow_retire_cycles: skipped (set MESH_SOAK=1 to run)");
         return;
     }
-    let mesh = tiny_segment_heap(37);
-    let mut created_last = 0;
+    let mesh = Mesh::new(MeshConfig::default().max_heap_bytes(256 << 20).seed(37)).unwrap();
     for round in 0..40u64 {
         let mut th = mesh.thread_heap();
         let mut ptrs: Vec<usize> = Vec::new();
@@ -288,19 +356,16 @@ fn soak_grow_retire_cycles() {
                 unsafe { mesh.free(*addr as *mut u8) };
             }
         }
-        let _ = mesh.stats();
         mesh.purge_dirty();
         let stats = mesh.stats();
         assert_eq!(stats.live_bytes, 0, "round {round}: leak");
         assert_eq!(stats.committed_pages, 0, "round {round}: pages leaked");
-        assert_eq!(stats.segment_count, 1, "round {round}: retirement stalled");
-        assert!(
-            stats.segments_created > created_last,
-            "round {round}: no growth happened"
+        assert_eq!(
+            stats.mapped_bytes(),
+            0,
+            "round {round}: the frontier stayed up"
         );
-        created_last = stats.segments_created;
     }
     let stats = mesh.stats();
-    assert_eq!(stats.segments_retired, stats.segments_created - 1);
     assert_eq!(stats.double_frees + stats.invalid_frees, 0);
 }

@@ -123,18 +123,16 @@ fn sense_json_schema_and_residency_partition() {
     let kept = fragment(&mesh, 8_192, 256, 4);
     mesh.mesh_now();
     let json = report_text(&mesh, Report::Sense).expect("sensing is always on");
-    assert!(json.starts_with("{\"mesh_sense_version\":3,"), "{json}");
+    assert!(json.starts_with("{\"mesh_sense_version\":4,"), "{json}");
     for key in [
         "\"residency\":{",
         "\"mapped_bytes\":",
         "\"free_dirty_bytes\":",
-        "\"segments\":[",
         "\"ledger\":{",
         "\"rejected_total\":{",
         "\"occupancy_overlap\":",
         "\"snapshots\":[",
         "\"file_bytes\":",
-        "\"file_pages\":",
     ] {
         assert!(json.contains(key), "missing {key} in {json}");
     }
@@ -241,7 +239,7 @@ fn sense_dump_to_path() {
     let p = mesh.malloc(64);
     assert!(mesh.write_report(Report::Sense, 2).is_ok());
     let doc = std::fs::read_to_string(&path).expect("dump file written");
-    assert!(doc.contains("\"mesh_sense_version\":3"), "{doc}");
+    assert!(doc.contains("\"mesh_sense_version\":4"), "{doc}");
     std::fs::remove_file(&path).ok();
     unsafe { mesh.free(p) };
 }
@@ -293,18 +291,15 @@ fn requested_sense_dump_takes_a_fresh_poll() {
     unsafe { mesh.free(p) };
 }
 
-/// The files' footprint against the allocator's committed pages, read
-/// from one `sense` render: each segment's `file_pages` stays at or under
-/// its `committed_pages`, and with every carved byte written the two are
-/// equal heap-wide. Holds after the fill, after freeing a random 88 %,
-/// after a mesh pass (its sources' holes are punched) and after a purge.
+/// The file's footprint against the allocator's committed pages, read
+/// from one `sense` render: with every carved byte written the two are
+/// equal. Holds after the fill, after freeing a random 88 %, after a mesh
+/// pass (its sources' holes are punched) and after a purge.
 #[test]
 fn file_pages_match_committed_pages_through_mesh_and_purge() {
     let mesh = Mesh::new(
         MeshConfig::default()
             .arena_bytes(64 << 20)
-            .initial_segment_bytes(1 << 20)
-            .segment_bytes(1 << 20)
             .seed(11)
             .mesh_period(Duration::from_secs(3600)),
     )
@@ -312,14 +307,6 @@ fn file_pages_match_committed_pages_through_mesh_and_purge() {
     let check = |step: &str| {
         let json = report_text(&mesh, Report::Sense).unwrap();
         let res = Parser::parse(&json).get("residency").clone();
-        let segments = res.get("segments").arr();
-        assert!(segments.len() > 1, "{step}: one segment exercises no row");
-        for seg in segments {
-            assert!(
-                seg.get("file_pages").num() <= seg.get("committed_pages").num(),
-                "{step}: a file holds pages the arena released: {seg:?}"
-            );
-        }
         let committed = mesh.stats().committed_pages as u64 * PAGE_SIZE as u64;
         assert_eq!(res.get("committed_bytes").num(), committed, "{step}");
         assert_eq!(res.get("file_bytes").num(), committed, "{step}: {json}");

@@ -16,7 +16,6 @@ fn heap(seed: u64, arena_bytes: usize) -> Mesh {
     Mesh::new(
         MeshConfig::default()
             .arena_bytes(arena_bytes)
-            .initial_segment_bytes(arena_bytes)
             .seed(seed)
             .mesh_period(Duration::from_secs(3600)),
     )
@@ -163,7 +162,7 @@ fn a_parked_alias_is_never_handed_out_unrestored() {
         "the arena was not exhausted"
     );
 
-    // Each object is where its address says it is in the segment's file:
+    // Each object is where its address says it is in the heap's file:
     // no span still shows another span's pages.
     let inode = arena_mappings(base, ARENA)[0];
     let fd = std::fs::read_dir("/proc/self/fd")
