@@ -59,7 +59,7 @@
 //! refused protect abandons the batch before a bit is taken, a refused
 //! remap rolls its pair back inside the odd interval, and either ends the
 //! class's pass ([`RejectReason::CopyAbort`]). Nor does a pass touch the
-//! heap's files once one of them is no longer the file the heap created
+//! heap's file once it is no longer the file the heap created
 //! (`Arena::files_intact`): the program closed its descriptor and the
 //! number now names a file of the program's.
 //!

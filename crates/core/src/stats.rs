@@ -214,7 +214,8 @@ pub struct Counters {
     pub forks: AtomicU64,
     /// Times the arena found its file's descriptor naming a file other
     /// than the one it created (`Arena::files_intact`); from the first,
-    /// the heap neither meshes nor purges.
+    /// the heap neither meshes nor purges, until a forked child's
+    /// privatization gives the child a file of its own.
     pub files_lost: AtomicU64,
     /// `realloc` calls satisfied without moving the allocation (same size
     /// class, or still within a large allocation's page span).
@@ -572,7 +573,9 @@ pub struct HeapStats {
     pub forks: u64,
     /// Times the heap found its file descriptor naming another file (the
     /// program closed it and reused the number). Nonzero means meshing
-    /// and purging stopped for good; allocation goes on.
+    /// and purging stopped; allocation goes on. A child forked after the
+    /// loss inherits the count but gets a file of its own, and meshes
+    /// and purges again.
     pub files_lost: u64,
     /// `realloc` calls satisfied in place (no copy, pointer unchanged).
     pub reallocs_in_place: u64,
