@@ -211,8 +211,9 @@ fn stale_frees_into_retired_ranges_are_discarded() {
 }
 
 /// `bytes` of 1–16 KiB objects on `heap`, one large object of 64 KiB–1
-/// MiB in every 64, each written whole; returns the objects.
-fn ramp(heap: &mut mesh::core::ThreadHeap, bytes: usize, seed: u64) -> Vec<usize> {
+/// MiB in every 64, each written whole with `touch`, else its first
+/// 64 bytes; returns the objects.
+fn ramp(heap: &mut mesh::core::ThreadHeap, bytes: usize, seed: u64, touch: bool) -> Vec<usize> {
     let mut rng = mesh::core::rng::Rng::with_seed(seed);
     let (mut total, mut objects) = (0, Vec::new());
     while total < bytes {
@@ -223,7 +224,7 @@ fn ramp(heap: &mut mesh::core::ThreadHeap, bytes: usize, seed: u64) -> Vec<usize
         };
         let p = heap.malloc(size);
         assert!(!p.is_null(), "the ramp ran out at {total} bytes");
-        unsafe { std::ptr::write_bytes(p, 0x5A, size) };
+        unsafe { std::ptr::write_bytes(p, 0x5A, if touch { size } else { 64 }) };
         objects.push(p as usize);
         total += size;
     }
@@ -252,7 +253,7 @@ fn the_arena_is_one_mapping_through_a_ramp() {
     let base = arena_base(&mesh);
     assert_eq!(arena_mappings(base, CAP).len(), 1, "one file, mapped once");
     let mut heap = mesh.thread_heap();
-    let objects = ramp(&mut heap, 384 << 20, 35);
+    let objects = ramp(&mut heap, 384 << 20, 35, false);
     assert!(mesh.mapped_bytes() >= 384 << 20);
     assert_eq!(
         arena_mappings(base, CAP).len(),
@@ -279,14 +280,14 @@ fn a_ramp_and_its_trough_give_the_files_pages_back() {
     )
     .unwrap();
     let mut heap = mesh.thread_heap();
-    let base = ramp(&mut heap, 32 << 20, 37);
+    let base = ramp(&mut heap, 32 << 20, 37, true);
     drop(heap);
     mesh.purge_dirty();
     let (start, mapped) = (file_bytes(&mesh), mesh.mapped_bytes());
     assert!(start >= 32 << 20, "{start}");
 
     let mut heap = mesh.thread_heap();
-    let peak = ramp(&mut heap, 352 << 20, 38);
+    let peak = ramp(&mut heap, 352 << 20, 38, true);
     assert!(file_bytes(&mesh) >= start + (352 << 20));
     for p in peak {
         unsafe { heap.free(p as *mut u8) };
