@@ -89,7 +89,9 @@ const FIRST_SPAN_PAGES: usize = MIN_OBJECTS_PER_SPAN * MAX_SMALL_SIZE / PAGE_SIZ
 #[derive(Debug)]
 pub struct Arena {
     base: *mut u8,
-    /// Pages of the file and of its mapping: the hard cap.
+    /// Pages of the mapping, and of the file at construction: the hard
+    /// cap. A forked child's file may be shorter ([`Arena::privatize`]);
+    /// the mapping's tail past it is then reserved.
     cap_pages: u32,
     file: MemFile,
     spans: FreeSpans,
@@ -131,14 +133,11 @@ impl Arena {
     /// cannot have a hole punched in it, and [`MeshError::Map`] if it
     /// cannot be mapped.
     pub fn new(config: &MeshConfig, counters: Arc<Counters>) -> Result<Arena, MeshError> {
-        let mut cap_pages = config.arena_pages();
-        if let Some(limit) = sys::file_size_limit() {
-            if limit / PAGE_SIZE < FIRST_SPAN_PAGES {
-                let too_big = std::io::Error::from_raw_os_error(crate::ffi::EFBIG);
-                return Err(MeshError::ArenaCreation(too_big));
-            }
-            cap_pages = cap_pages.min(limit / PAGE_SIZE);
-        }
+        let wanted = config.arena_pages();
+        let floor = FIRST_SPAN_PAGES.min(wanted);
+        let cap_pages = pages_within_limit(wanted, floor, sys::file_size_limit())
+            .map_err(MeshError::ArenaCreation)?;
+        note_capped(cap_pages, wanted);
         let cap_bytes = cap_pages * PAGE_SIZE;
         let file = MemFile::create(cap_bytes).map_err(MeshError::ArenaCreation)?;
         sys::punch_hole(&file, 0, PAGE_SIZE).map_err(MeshError::ArenaCreation)?;
@@ -278,7 +277,7 @@ impl Arena {
                     .take_fresh(pages)
                     .ok_or(MeshError::ArenaExhausted {
                         requested_pages: pages as usize,
-                        capacity_pages: self.cap_pages as usize,
+                        capacity_pages: self.file.len() / PAGE_SIZE,
                     })?;
                 self.note_frontier();
                 (Span::new(offset, pages), SpanSource::Fresh)
@@ -447,6 +446,12 @@ impl Arena {
             // not.
             let restored = dirty == run.pages as usize || self.restore_identity(run).is_ok();
             let punched = restored && dirty > 0 && self.release_run(run, dirty);
+            if restored && (punched || dirty == 0) {
+                // Every member went clean: the run is one extent.
+                self.aliases -= members.iter().filter(|&&(_, parked)| parked).count();
+                self.spans.file_clean(run);
+                continue;
+            }
             for &(span, parked) in members {
                 if parked && restored {
                     self.aliases -= 1;
@@ -499,6 +504,12 @@ impl Arena {
     /// its parent, so without this the two processes would corrupt each
     /// other's heap the moment either writes.
     ///
+    /// The child's file is as long as the parent's, or shorter where the
+    /// soft `RLIMIT_FSIZE` is lower now than when the heap was built:
+    /// sizing it past the limit would end the child with `SIGXFSZ`. It
+    /// then holds the frontier, the mapping's tail past it is reserved,
+    /// and one `mesh:` line gives the child's cap.
+    ///
     /// While the file is intact the copy is one sparse copy of the pages
     /// below the frontier, so the child's physical footprint,
     /// [`Arena::file_pages`], equals the parent's. Once it is lost its
@@ -518,10 +529,14 @@ impl Arena {
     ///
     /// # Errors
     ///
-    /// Returns the first file-creation/copy/remap error; the arena is then
-    /// still backed by the file it shares with the parent.
+    /// Returns `EFBIG` when the soft `RLIMIT_FSIZE` is below the
+    /// frontier, and otherwise the first file-creation/copy/remap error;
+    /// the arena is then still backed by the file it shares with the
+    /// parent.
     pub(crate) fn privatize(&mut self, live: &[Span]) -> std::io::Result<()> {
-        let fresh = MemFile::create(self.file.len())?;
+        let pages = self.file.len() / PAGE_SIZE;
+        let kept = pages_within_limit(pages, self.mapped_pages(), sys::file_size_limit())?;
+        let fresh = MemFile::create(kept * PAGE_SIZE)?;
         if self.files_intact() {
             sys::copy_file_sparse(&self.file, &fresh, self.mapped_pages() * PAGE_SIZE)?;
         } else {
@@ -540,6 +555,21 @@ impl Arena {
         }
         // SAFETY: the range is the arena's own mapping, of the file's length.
         unsafe { sys::map_file_fixed(&fresh, self.base)? };
+        if kept < pages {
+            // SAFETY: the arena's own mapping past the new file's end,
+            // above the frontier, so no span lies in it.
+            let reserved = unsafe {
+                sys::unmap_to_reserved(
+                    self.base.add(kept * PAGE_SIZE),
+                    (pages - kept) * PAGE_SIZE,
+                )
+            };
+            // Were it refused, the tail would map the parent's file
+            // without a span in it: nothing reads or writes it.
+            debug_assert!(reserved.is_ok(), "reserving the tail: {reserved:?}");
+            self.spans.lower_cap(kept as u32);
+            note_capped(kept, pages);
+        }
         // The old (shared) file closes here; the parent keeps its own
         // descriptor and mappings, so only the child lets go.
         drop(std::mem::replace(&mut self.file, fresh));
@@ -670,6 +700,30 @@ impl Arena {
 /// the program. 28 669 at the kernel's default 65 530.
 fn alias_budget(max_map_count: usize) -> usize {
     (max_map_count - max_map_count / 8) / 2
+}
+
+/// The pages of a heap file of at most `pages` pages that the soft
+/// `RLIMIT_FSIZE` (`limit`, in bytes) lets the process size: `EFBIG` when
+/// that is fewer than `floor`. A file sized past the limit ends the
+/// process with `SIGXFSZ`.
+fn pages_within_limit(pages: usize, floor: usize, limit: Option<usize>) -> std::io::Result<usize> {
+    let pages = limit.map_or(pages, |bytes| pages.min(bytes / PAGE_SIZE));
+    if pages < floor {
+        return Err(std::io::Error::from_raw_os_error(crate::ffi::EFBIG));
+    }
+    Ok(pages)
+}
+
+/// Tells, on one `mesh:` line, that the soft `RLIMIT_FSIZE` holds the
+/// heap's file to `pages` of the `wanted`: allocation fails past it.
+fn note_capped(pages: usize, wanted: usize) {
+    if pages < wanted {
+        eprintln!(
+            "mesh: the soft RLIMIT_FSIZE caps the heap at {} KiB of {} KiB; allocation fails past it",
+            pages * PAGE_SIZE / 1024,
+            wanted * PAGE_SIZE / 1024
+        );
+    }
 }
 
 /// The maximal run of adjacent spans that starts at `items[i]` (`items`
@@ -1067,6 +1121,18 @@ mod tests {
             Some(36),
             "the copy is as sparse as the file"
         );
+    }
+
+    #[test]
+    fn a_file_size_limit_caps_the_file_down_to_its_floor() {
+        let mib = 1 << 20;
+        let pages = |bytes: usize| bytes / PAGE_SIZE;
+        assert_eq!(pages_within_limit(1024, 32, None).unwrap(), 1024);
+        assert_eq!(pages_within_limit(1024, 32, Some(64 * mib)).unwrap(), 1024);
+        assert_eq!(pages_within_limit(1024, 32, Some(mib + 1)).unwrap(), pages(mib));
+        assert_eq!(pages_within_limit(1024, 32, Some(32 * PAGE_SIZE)).unwrap(), 32);
+        let refused = pages_within_limit(1024, 32, Some(32 * PAGE_SIZE - 1)).unwrap_err();
+        assert_eq!(refused.raw_os_error(), Some(crate::ffi::EFBIG));
     }
 
     #[test]

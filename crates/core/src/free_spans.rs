@@ -89,6 +89,13 @@ impl FreeSpans {
         self.frontier
     }
 
+    /// Shortens the file to `cap` pages, none of them handed out: a
+    /// forked child's copy held to the file-size limit.
+    pub fn lower_cap(&mut self, cap: u32) {
+        debug_assert!(self.frontier <= cap && cap <= self.cap);
+        self.cap = cap;
+    }
+
     #[inline]
     pub fn dirty_pages(&self) -> usize {
         self.dirty_pages
@@ -334,5 +341,16 @@ mod tests {
             (4, 0, 4)
         );
         assert_eq!(s.take_fresh(60), Some(4), "the whole rest is fresh again");
+    }
+
+    #[test]
+    fn a_lowered_cap_bounds_the_frontier() {
+        let mut s = FreeSpans::new(64);
+        s.take_fresh(8).unwrap();
+        s.lower_cap(12);
+        assert_eq!(s.take_fresh(5), None, "4 pages left");
+        assert_eq!(s.take_fresh(4), Some(8));
+        let stats = s.stats(0);
+        assert_eq!((stats.pages, stats.fresh_pages), (12, 0));
     }
 }

@@ -9,8 +9,8 @@
 //! with fds 0, 1 and 2 closed checks that the heap's file takes none of
 //! them; one that closes the heap's descriptor checks that neither
 //! meshing nor a later fork reaches the file that takes its number; and
-//! one run under `ulimit -f` checks that the file-size limit caps the
-//! heap instead of ending the process.
+//! runs under `ulimit -f`, or a limit lowered before a fork, check that
+//! the file-size limit caps the heap instead of ending the process.
 //!
 //! Gated on the environment: skips (loudly) when no `cc` is available.
 
@@ -456,25 +456,8 @@ fn a_low_file_size_limit_caps_the_heap_and_costs_the_process_nothing() {
     std::fs::create_dir_all(&out_dir).unwrap();
     let bin = compile_c("fsize_limit", &out_dir);
     let run = |blocks: u32| {
-        let script = format!("ulimit -f {blocks}; export LD_PRELOAD=\"$0\"; exec \"$1\"");
-        let out = preloaded(
-            &so,
-            "sh",
-            &["-c", &script],
-            &[("MESH_PRINT_STATS_AT_EXIT", "1")],
-        )
-        .env_remove("LD_PRELOAD")
-        .args([so.as_os_str(), bin.as_os_str()])
-        .output()
-        .expect("spawn failed");
-        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "ulimit -f {blocks}: {:?}\n{stderr}",
-            out.status
-        );
-        assert!(String::from_utf8_lossy(&out.stdout).contains("fsize_limit OK"));
+        let (stdout, stderr) = run_under_ulimit(&so, &bin, blocks);
+        assert!(stdout.contains("fsize_limit OK"), "{stdout}");
         stderr
     };
     let stderr = run(1024);
@@ -488,6 +471,99 @@ fn a_low_file_size_limit_caps_the_heap_and_costs_the_process_nothing() {
     assert!(
         lines[0].contains("File too large") && lines[0].contains("running on the system allocator"),
         "{stderr}"
+    );
+}
+
+/// Runs `bin` preloaded, with the stats dump, under `ulimit -f blocks`
+/// (set by `sh`, in its units), asserts it exits 0 and returns its
+/// stdout and stderr.
+fn run_under_ulimit(so: &Path, bin: &Path, blocks: u32) -> (String, String) {
+    let script = format!("ulimit -f {blocks}; export LD_PRELOAD=\"$0\"; exec \"$1\"");
+    let out = preloaded(
+        so,
+        "sh",
+        &["-c", &script],
+        &[("MESH_PRINT_STATS_AT_EXIT", "1")],
+    )
+    .env_remove("LD_PRELOAD")
+    .args([so.as_os_str(), bin.as_os_str()])
+    .output()
+    .expect("spawn failed");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "ulimit -f {blocks}: {:?}\n{stdout}\n{stderr}",
+        out.status
+    );
+    (stdout, stderr)
+}
+
+/// A process whose soft `RLIMIT_FSIZE` (512 MiB or 1 GiB, by the shell's
+/// unit) lies between the largest span and the heap's 8 GiB cap
+/// (`tests/c/fsize_cap.c`): the heap's file is held to the limit, so
+/// `malloc` returns null once the limit is served, and one `mesh:` line
+/// gives the lowered cap when the heap is built.
+#[test]
+fn a_file_size_limit_below_the_cap_lowers_it_and_says_so() {
+    if !have_cc() {
+        eprintln!("skipping file-size-cap preload test: no `cc` in this environment");
+        return;
+    }
+    let so = build_libmesh();
+    let out_dir = target_dir().join("c-abi-tests");
+    std::fs::create_dir_all(&out_dir).unwrap();
+    let bin = compile_c("fsize_cap", &out_dir);
+    let (stdout, stderr) = run_under_ulimit(&so, &bin, 1 << 20);
+    let limit: u64 = stdout
+        .strip_prefix("fsize_cap OK limit=")
+        .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no OK line:\n{stdout}\n{stderr}"));
+    let notice = format!(
+        "mesh: the soft RLIMIT_FSIZE caps the heap at {} KiB of {} KiB; allocation fails past it",
+        limit >> 10,
+        8u64 << 20
+    );
+    let notices: Vec<&str> = stderr
+        .lines()
+        .filter(|line| line.contains("RLIMIT_FSIZE"))
+        .collect();
+    assert_eq!(notices, [notice.as_str()], "{stderr}");
+}
+
+/// A process that lowers its `RLIMIT_FSIZE` after its heap is built and
+/// then forks (`tests/c/fsize_fork.c`): a child under a limit above the
+/// frontier copies its heap into a file held to the limit, and one under
+/// a limit below it keeps the parent's file, with one `mesh:` line. No
+/// child sizes a file past its limit, which would end it with `SIGXFSZ`.
+#[test]
+fn a_fork_under_a_lowered_file_size_limit_sizes_the_childs_file_within_it() {
+    if !have_cc() {
+        eprintln!("skipping fork-under-a-limit preload test: no `cc` in this environment");
+        return;
+    }
+    let so = build_libmesh();
+    let out_dir = target_dir().join("c-abi-tests");
+    std::fs::create_dir_all(&out_dir).unwrap();
+    let bin = compile_c("fsize_fork", &out_dir);
+    let run = run_preloaded(&so, &bin, &[], None);
+    assert!(run.stdout.contains("fsize_fork OK"), "{}", run.stdout);
+    let exits: Vec<_> = run.stats.iter().filter(|s| s.contains_key("mallocs")).collect();
+    assert_eq!(exits.len(), 2, "the first child and the parent:\n{}", run.stderr);
+    assert_eq!(exits[0].get("forks"), Some(&1), "{}", run.stderr);
+    let line = |needle: &str| run.stderr.lines().filter(|l| l.contains(needle)).count();
+    assert_eq!(
+        line("mesh: the soft RLIMIT_FSIZE caps the heap at 65536 KiB of 8388608 KiB"),
+        1,
+        "{}",
+        run.stderr
+    );
+    assert_eq!(
+        line("mesh: fork privatization failed (File too large"),
+        1,
+        "{}",
+        run.stderr
     );
 }
 
