@@ -373,11 +373,11 @@ pub extern "C" fn mesh_trace_dump() -> c_int {
     dump(Report::Trace)
 }
 
-/// Writes the mesh-sense document (version-2 JSON: pressure, residency
-/// decomposition, the meshing-effectiveness ledger, and the snapshot
-/// time series; see DESIGN.md §4f) to `MESH_SENSE_PATH` — or to stderr
-/// as one `mesh-sense: ` line when no path is configured. The render
-/// takes its own fresh snapshot. Returns 0 on success, -1 when no heap
+/// Writes the mesh-sense document (version-5 JSON: the residency
+/// decomposition, one snapshot of pressure and counters, and the
+/// meshing-effectiveness ledger; see DESIGN.md §4f) to `MESH_SENSE_PATH`
+/// — or to stderr as one `mesh-sense: ` line when no path is configured.
+/// The render takes its own fresh snapshot. Returns 0 on success, -1 when no heap
 /// exists. With `MESH_SENSE_PATH` set, `kill -USR2 <pid>` reaches the
 /// same dump asynchronously.
 #[no_mangle]

@@ -367,13 +367,7 @@ impl Mesh {
         self.inner.state.harden.aborts()
     }
 
-    // ----- sensing (mesh-sense) ------------------------------------------
-
-    /// The latest sensor snapshot, or `None` before the first `sense` or
-    /// `prom` render took one. Lock-free; takes no snapshot itself.
-    pub fn sense_latest(&self) -> Option<crate::telemetry::SenseSnapshot> {
-        self.inner.state.sense.latest()
-    }
+    // ----- the meshing ledger --------------------------------------------
 
     /// The meshing-effectiveness ledger's per-reason reject totals, in
     /// [`crate::telemetry::ALL_REJECT_REASONS`] order. Always available:

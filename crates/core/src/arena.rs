@@ -1170,7 +1170,7 @@ mod tests {
     }
 
     #[test]
-    fn segment_stats_reflect_lifecycle() {
+    fn arena_stats_reflect_lifecycle() {
         let mut a = arena(256);
         let (_, _) = a.alloc_span(32).unwrap();
         let (s2, _) = a.alloc_span(4).unwrap();

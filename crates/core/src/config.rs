@@ -83,10 +83,6 @@ pub struct MeshConfig {
     /// Trace-dump destination (`MESH_TRACE_PATH`; `None` = stderr as a
     /// single `mesh-trace: ` line). The file is rewritten on each dump.
     pub(crate) trace_path: Option<PathBuf>,
-    /// Snapshots retained in the sense ring (`MESH_SENSE_HISTORY`). A
-    /// snapshot is taken by each `sense` or `prom` render, never on a
-    /// clock.
-    pub(crate) sense_history: usize,
     /// Sense-dump destination (`MESH_SENSE_PATH`; `None` = stderr as a
     /// single `mesh-sense: ` line on explicit request only — sensing is
     /// always available, so there is no unsolicited at-exit dump without
@@ -130,7 +126,6 @@ impl Default for MeshConfig {
             trace: false,
             trace_buf_events: 64 << 10, // 64 Ki events = 2 MiB of ring
             trace_path: None,
-            sense_history: 120,
             sense_path: None,
             ctl_path: None,
             ctl_max_clients: 4,
@@ -175,7 +170,6 @@ impl MeshConfig {
         min_mesh_gain_bytes(bytes: usize) => min_mesh_gain_bytes = bytes;
         /// Sets the occupancy fraction above which spans are not meshed.
         occupancy_cutoff(cutoff: f64) => occupancy_cutoff = cutoff;
-        /// Sets the maximum number of virtual spans per physical span.
         /// Sets the dirty-page release threshold (§4.4.1).
         max_dirty_bytes(bytes: usize) => max_dirty_bytes = bytes;
         /// Enables or disables the concurrent-meshing write barrier.
@@ -201,9 +195,6 @@ impl MeshConfig {
         trace_buf_events(events: usize) => trace_buf_events = events;
         /// Sets (or clears) the trace-dump destination (`MESH_TRACE_PATH`).
         trace_path(path: Option<PathBuf>) => trace_path = path;
-        /// Sets the number of snapshots retained in the sense ring
-        /// (`MESH_SENSE_HISTORY`).
-        sense_history(snapshots: usize) => sense_history = snapshots;
         /// Sets (or clears) the sense-dump destination (`MESH_SENSE_PATH`).
         sense_path(path: Option<PathBuf>) => sense_path = path;
         /// Sets (or clears) the mesh-ctl control-socket path (`MESH_CTL`;
@@ -269,11 +260,6 @@ impl MeshConfig {
     /// The configured trace-dump destination, if any.
     pub fn trace_dump_path(&self) -> Option<&std::path::Path> {
         self.trace_path.as_deref()
-    }
-
-    /// The configured sense-ring capacity in snapshots.
-    pub fn sense_history_len(&self) -> usize {
-        self.sense_history
     }
 
     /// The configured sense-dump destination, if any.
@@ -365,7 +351,6 @@ impl MeshConfig {
     /// | `MESH_TRACE` | slow-path event tracer (mesh-trace) | one of 1/0/true/false/yes/no/on/off | off |
     /// | `MESH_TRACE_BUF_EVENTS` | events the trace ring keeps (rounded up to a power of two, overwrite-oldest) | a number in 64..=4M | 64K |
     /// | `MESH_TRACE_PATH` | trace-dump file (unset: one `mesh-trace:` line on stderr) | a path of 1..=4095 bytes | unset |
-    /// | `MESH_SENSE_HISTORY` | snapshots retained in the sense ring | a number in 2..=100000 | 120 |
     /// | `MESH_SENSE_PATH` | sense-dump file, also written at exit (unset: stderr, on request only) | a path of 1..=4095 bytes | unset |
     /// | `MESH_CTL` | mesh-ctl control-socket path (unset: no socket) | a path of 1..=107 bytes | unset |
     /// | `MESH_CTL_MAX_CLIENTS` | concurrent mesh-ctl clients | a number in 1..=64 | 4 |
@@ -432,12 +417,11 @@ mod tests {
             .seed(7)
             .meshing(false)
             .randomize(false)
-            .sense_history(8)
             .occupancy_cutoff(0.5)
             .arena_bytes(1 << 24);
         assert_eq!(c.seed, Some(7));
         assert!(!c.meshing && !c.randomize);
-        assert_eq!(c.sense_history, 8);
+        assert_eq!(c.occupancy_cutoff, 0.5);
         assert!(c.validate().is_ok());
     }
 
@@ -536,20 +520,14 @@ mod tests {
 
     #[test]
     fn sense_knobs_build_and_validate() {
-        let c = MeshConfig::default();
-        assert_eq!(c.sense_history_len(), 120);
-        assert_eq!(c.sense_dump_path(), None);
-        let c = MeshConfig::default()
-            .sense_history(16)
-            .sense_path(Some("/tmp/sense.json".into()));
-        assert_eq!(c.sense_history_len(), 16);
+        assert_eq!(MeshConfig::default().sense_dump_path(), None);
+        let c = MeshConfig::default().sense_path(Some("/tmp/sense.json".into()));
         assert_eq!(
             c.sense_dump_path(),
             Some(std::path::Path::new("/tmp/sense.json"))
         );
         assert!(c.validate().is_ok());
-        assert!(MeshConfig::default().sense_history(1).validate().is_err());
-        assert!(MeshConfig::default().sense_history(100_001).validate().is_err());
+        assert!(MeshConfig::default().sense_path(Some("".into())).validate().is_err());
     }
 
     #[test]
@@ -623,7 +601,6 @@ mod tests {
     #[test]
     fn invalid_configs_rejected() {
         assert!(MeshConfig::default().arena_bytes(4096).validate().is_err());
-        assert!(MeshConfig::default().sense_history(1).validate().is_err());
         assert!(MeshConfig::default().occupancy_cutoff(0.0).validate().is_err());
         assert!(MeshConfig::default().occupancy_cutoff(1.5).validate().is_err());
     }

@@ -288,9 +288,8 @@ impl MeshForkGuard<'_> {
             // write: served here it would overwrite the parent's dump
             // file with (a copy of) the parent's data.
             mesh.inner.state.reports.clear();
-            // Likewise the sense ring and meshing ledger: their history is
-            // the parent's, and a parent thread may have been mid-push.
-            mesh.inner.state.sense.wipe_for_child();
+            // Likewise the meshing ledger: its history is the parent's,
+            // and a parent thread may have been mid-push.
             mesh.inner.state.ledger.wipe_for_child();
             // The inherited listener and connections belong to the parent;
             // the child answers on the same path with a fresh listener

@@ -46,7 +46,7 @@ use crate::size_classes::{SizeClass, NUM_SIZE_CLASSES, PAGE_SIZE};
 use crate::stats::{Counters, EpochClock, LocalCounters};
 use crate::sync::{Mutex, MutexGuard, Rank};
 use crate::telemetry::{
-    self, CtlState, HeapSpectrum, MeshLedger, Reports, SenseState, Telemetry, TimedOp, TraceSet,
+    self, CtlState, HeapSpectrum, MeshLedger, Reports, Telemetry, TimedOp, TraceSet,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -157,9 +157,6 @@ pub(crate) struct GlobalHeap {
     /// Sampled-profiling state (`None` when `MESH_PROF` is off — the
     /// zero-overhead mode).
     pub(crate) telemetry: Option<Arc<Telemetry>>,
-    /// mesh-sense pressure/residency state: the snapshot ring that
-    /// `sense` and `prom` renders poll into.
-    pub(crate) sense: SenseState,
     /// Per-pass meshing-effectiveness ledger (always on; one lock + a few
     /// atomic adds per rate-limited pass).
     pub(crate) ledger: MeshLedger,
@@ -232,7 +229,6 @@ impl GlobalHeap {
             scheduler: MeshScheduler::new(),
             counters,
             telemetry: Telemetry::new(&config),
-            sense: SenseState::new(&config),
             ledger: MeshLedger::new(),
             reports: Reports::new(&config),
             harden: config.harden,

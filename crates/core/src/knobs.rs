@@ -163,7 +163,7 @@ pub const LEGACY_CAP: &str = "MESH_ARENA_BYTES";
 
 /// Retired names and why, names that share a reason next to each other:
 /// ignored, whatever they say, with one stderr line per reason.
-pub const RETIRED: [(&str, &str); 7] = [
+pub const RETIRED: [(&str, &str); 8] = [
     ("MESH_TRANSFER_BATCH", "there is no transfer cache to tune"),
     (
         "MESH_TRANSFER_CACHE_SLOTS",
@@ -171,6 +171,7 @@ pub const RETIRED: [(&str, &str); 7] = [
     ),
     ("MESH_BACKGROUND_MESHING", "meshing runs on the free path"),
     ("MESH_SENSE_INTERVAL_MS", "sense polls on demand"),
+    ("MESH_SENSE_HISTORY", "a sense document is one reading"),
     (
         "MESH_SENSE_MINCORE_PAGES",
         "sense reads what the heap's file holds with fstat",
@@ -307,7 +308,7 @@ const CAP: Kind = Kind::Num { min: 32 * PAGE_SIZE as u64, max: 1 << 40 };
 
 /// Every knob, in the order the tables print them.
 #[rustfmt::skip]
-pub static KNOBS: [Knob; 28] = [
+pub static KNOBS: [Knob; 27] = [
     knob!("max_heap_bytes", Some("MESH_MAX_HEAP_BYTES"), CAP, "1G", field!(num max_heap_bytes),
         "hard cap: the size of the heap's one memory file, lowered to the soft `RLIMIT_FSIZE` (8G under `LD_PRELOAD`; legacy name `MESH_ARENA_BYTES`)"),
     knob!("seed", Some("MESH_SEED"), ANY, "",
@@ -359,8 +360,6 @@ pub static KNOBS: [Knob; 28] = [
         gate: |c| c.trace),
     knob!("trace_path", Some("MESH_TRACE_PATH"), FILE, "", field!(path trace_path),
         "trace-dump file (unset: one `mesh-trace:` line on stderr)"),
-    knob!("sense_history", Some("MESH_SENSE_HISTORY"), Kind::Num { min: 2, max: 100_000 }, "120",
-        field!(num sense_history), "snapshots retained in the sense ring"),
     knob!("sense_path", Some("MESH_SENSE_PATH"), FILE, "", field!(path sense_path),
         "sense-dump file, also written at exit (unset: stderr, on request only)"),
     knob!("ctl", Some("MESH_CTL"), Kind::Path { max_len: CTL_PATH_MAX }, "", field!(path ctl_path),
@@ -421,16 +420,16 @@ mod tests {
             max_heap_bytes, seed, meshing, randomize, mesh_period, min_mesh_gain_bytes,
             occupancy_cutoff, max_dirty_bytes,
             write_barrier, profiling, prof_sample_bytes, prof_interval, prof_path, trace,
-            trace_buf_events, trace_path, sense_history,
+            trace_buf_events, trace_path,
             sense_path, ctl_path, ctl_max_clients, harden,
         } = MeshConfig::default();
         let HardenConfig { policy, poison, quarantine, guard, canary, quarantine_bytes, quarantine_slots } =
             harden;
-        let all: [&dyn std::fmt::Debug; 27] = [
+        let all: [&dyn std::fmt::Debug; 26] = [
             &max_heap_bytes, &seed, &meshing, &randomize, &mesh_period, &min_mesh_gain_bytes,
             &occupancy_cutoff, &max_dirty_bytes,
             &write_barrier, &profiling, &prof_sample_bytes, &prof_interval, &prof_path, &trace,
-            &trace_buf_events, &trace_path, &sense_history,
+            &trace_buf_events, &trace_path,
             &sense_path, &ctl_path, &ctl_max_clients,
             &policy, &poison, &quarantine, &guard, &canary, &quarantine_bytes, &quarantine_slots,
         ];
@@ -462,8 +461,8 @@ mod tests {
         let mut env: Vec<&str> = KNOBS.iter().filter_map(|r| r.env).collect();
         assert_eq!(
             env.len(),
-            20 + 1,
-            "20 config variables and MESH_PRINT_STATS_AT_EXIT"
+            19 + 1,
+            "19 config variables and MESH_PRINT_STATS_AT_EXIT"
         );
         env.push(LEGACY_CAP);
         env.extend(RETIRED.map(|(name, _)| name));
@@ -500,12 +499,13 @@ mod tests {
 
     #[test]
     fn refusals_name_the_range() {
-        let row = find("sense_history").unwrap();
-        assert_eq!(parse(row, "100000"), Ok(Value::Num(100_000)), "the largest");
-        for bad in ["1", "100001", "18446744073709551615", "banana", ""] {
-            assert_eq!(parse(row, bad), Err("expected a number in 2..=100000".into()), "{bad:?}");
+        let row = find("ctl_max_clients").unwrap();
+        assert_eq!(parse(row, "64"), Ok(Value::Num(64)), "the largest");
+        for bad in ["0", "65", "18446744073709551615", "banana", ""] {
+            assert_eq!(parse(row, bad), Err("expected a number in 1..=64".into()), "{bad:?}");
         }
-        assert!(MeshConfig::default().sense_history(usize::MAX).validate().is_err());
+        let ctl = MeshConfig::default().ctl(Some("/tmp/knob.sock".into()));
+        assert!(ctl.ctl_max_clients(usize::MAX).validate().is_err());
         let cap = find("max_heap_bytes").unwrap();
         assert_eq!(parse(cap, "8G"), Ok(Value::Num(8 << 30)));
         assert_eq!(

@@ -114,7 +114,7 @@ pub use stats::{HeapStats, SpanSnapshot};
 pub use telemetry::{
     bucket_upper_ns, parse_pprof, ClassSpectrum, HeapSpectrum, LatencySnapshot, PassRecord,
     PprofParseError, PprofSummary, PressureReading, ProfileStats, RejectReason, Report,
-    ReportOff, ResidencyBreakdown, SenseSnapshot, SiteSnapshot, TimedOp, TraceEvent,
+    ReportOff, ResidencyBreakdown, SiteSnapshot, TimedOp, TraceEvent,
     ABSENT, ALL_REJECT_REASONS, ALL_TIMED_OPS, LATENCY_BUCKETS, LEDGER_PASSES, NUM_TIMED_OPS,
     REJECT_REASONS,
 };

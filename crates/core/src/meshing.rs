@@ -172,8 +172,7 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap, purge_floor: usize) -> MeshSum
             heap.purge_locked(&mut arena);
         }
     }
-    let nanos = t0.elapsed().as_nanos() as u64;
-    heap.counters.record_mesh_pass(nanos);
+    heap.counters.record_mesh_pass();
     heap.counters
         .record_slow(TimedOp::MeshPass, t0, summary.pairs_meshed as u64);
     heap.counters

@@ -184,8 +184,6 @@ pub struct Counters {
     pub spans_meshed: AtomicU64,
     pub mesh_pages_released: AtomicU64,
     pub mesh_bytes_copied: AtomicU64,
-    pub mesh_nanos: AtomicU64,
-    pub mesh_longest_pause_nanos: AtomicU64,
     pub dirty_purges: AtomicU64,
     pub pages_purged: AtomicU64,
     /// Pages currently committed (handed out and not yet released to the
@@ -332,11 +330,10 @@ impl Counters {
         self.committed_pages_peak.fetch_max(pages, Ordering::Relaxed);
     }
 
-    /// Records the duration of one meshing pass.
-    pub fn record_mesh_pass(&self, nanos: u64) {
+    /// Counts one completed meshing pass. Its duration goes to the
+    /// `mesh_pass` latency histogram, which keeps the sum and the longest.
+    pub fn record_mesh_pass(&self) {
         self.mesh_passes.fetch_add(1, Ordering::Relaxed);
-        self.mesh_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.mesh_longest_pause_nanos.fetch_max(nanos, Ordering::Relaxed);
     }
 
     /// The heap's birth instant (first call wins; the heap constructor
@@ -439,8 +436,6 @@ impl Counters {
             spans_meshed: self.spans_meshed.load(Ordering::Relaxed),
             mesh_pages_released: self.mesh_pages_released.load(Ordering::Relaxed),
             mesh_bytes_copied: self.mesh_bytes_copied.load(Ordering::Relaxed),
-            mesh_nanos: self.mesh_nanos.load(Ordering::Relaxed),
-            mesh_longest_pause_nanos: self.mesh_longest_pause_nanos.load(Ordering::Relaxed),
             dirty_purges: self.dirty_purges.load(Ordering::Relaxed),
             pages_purged: self.pages_purged.load(Ordering::Relaxed),
             committed_pages: self.committed_pages.load(Ordering::Relaxed),
@@ -518,11 +513,6 @@ pub struct HeapStats {
     pub mesh_pages_released: u64,
     /// Object bytes copied while meshing.
     pub mesh_bytes_copied: u64,
-    /// Total nanoseconds spent inside meshing passes.
-    pub mesh_nanos: u64,
-    /// Longest single meshing pass in nanoseconds (the paper reports the
-    /// longest pause, §6.2.2).
-    pub mesh_longest_pause_nanos: u64,
     /// Dirty-page purge events (§4.4.1).
     pub dirty_purges: u64,
     /// Total pages released by dirty purges (each refaults on next use).
@@ -974,14 +964,11 @@ mod tests {
     }
 
     #[test]
-    fn record_mesh_pass_tracks_longest() {
+    fn record_mesh_pass_counts_passes() {
         let c = Counters::default();
-        c.record_mesh_pass(5);
-        c.record_mesh_pass(50);
-        c.record_mesh_pass(10);
-        let s = c.snapshot();
-        assert_eq!(s.mesh_passes, 3);
-        assert_eq!(s.mesh_nanos, 65);
-        assert_eq!(s.mesh_longest_pause_nanos, 50);
+        for _ in 0..3 {
+            c.record_mesh_pass();
+        }
+        assert_eq!(c.snapshot().mesh_passes, 3);
     }
 }

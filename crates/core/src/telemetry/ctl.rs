@@ -18,7 +18,7 @@
 //!
 //! | request | payload |
 //! |---|---|
-//! | any [`Report`] name (`stats` `prom` `profile` `pprof` `trace` `sense` `ledger` `spectrum`) | that report, rendered on demand (`err` with the kind's off message when its subsystem is disabled; see the table in [`super::report`]) |
+//! | any [`Report`] name (`stats` `prom` `profile` `pprof` `trace` `sense` `spectrum`) | that report, rendered on demand (`err` with the kind's off message when its subsystem is disabled; see the table in [`super::report`]) |
 //! | `mesh_now` | runs one meshing pass; summary JSON |
 //! | `madvise_now` | tidies every class and purges dirty pages; `{}` |
 //! | `set <knob> <value>` | applies a whitelisted knob; ack JSON |

@@ -24,7 +24,7 @@ use super::fields::{self, header, metric, seconds};
 use super::{ProfileStats, SiteSnapshot};
 use crate::stats::{HeapStats, HARDEN_FIELDS, HEAP_FIELDS};
 use crate::telemetry::histogram::{bucket_upper_ns, LatencySnapshot, ALL_TIMED_OPS, LATENCY_BUCKETS};
-use crate::telemetry::{HeapSpectrum, SenseSnapshot, REJECT_REASONS, SPECTRUM_BINS};
+use crate::telemetry::{HeapSpectrum, ResidencyBreakdown, SenseSnapshot, REJECT_REASONS, SPECTRUM_BINS};
 #[cfg(test)]
 use crate::telemetry::ABSENT;
 
@@ -45,12 +45,13 @@ pub(crate) fn profile_json(
 /// Renders the heap's state as Prometheus text-format metrics: the
 /// [`HeapStats`] counters/gauges, the slow-path latency histograms, the
 /// per-class occupancy spectrum, the meshing-effectiveness reject
-/// totals, (when sensing) the latest pressure/residency snapshot, and
-/// (when profiling) the sampler's own summary.
+/// totals, the host readings of a sense poll and what the heap's file
+/// holds, and (when profiling) the sampler's own summary.
 pub(crate) fn prom_text(
     stats: &HeapStats,
     prof: Option<&ProfileStats>,
     sense: &SenseSnapshot,
+    res: &ResidencyBreakdown,
     rejects: &[u64; REJECT_REASONS],
 ) -> String {
     let mut out = String::with_capacity(8192);
@@ -60,6 +61,7 @@ pub(crate) fn prom_text(
     fields::prom(&mut out, &super::ledger::REJECT_TOTALS, rejects);
     fields::prom(&mut out, &HARDEN_FIELDS, stats);
     fields::prom(&mut out, &super::sense::SENSE_FIELDS, sense);
+    fields::prom(&mut out, &super::residency::RESIDENCY_FIELDS, res);
     if let Some(p) = prof {
         fields::prom(&mut out, &super::PROFILE_FIELDS, &(*p, stats.live_bytes));
     }
@@ -140,16 +142,22 @@ mod tests {
         }
     }
 
-    /// A snapshot from a host with no procfs, PSI or cgroup readings.
-    fn no_host() -> SenseSnapshot {
-        SenseSnapshot {
+    /// `stats` on a host with no procfs, PSI or cgroup readings, a heap
+    /// whose file count is lost, and no rejects.
+    fn no_host(stats: &HeapStats, prof: Option<&ProfileStats>) -> String {
+        let sense = SenseSnapshot {
             rss_bytes: ABSENT,
             psi_avg10_milli: ABSENT,
             psi_avg60_milli: ABSENT,
             cgroup_limit_bytes: ABSENT,
             cgroup_usage_bytes: ABSENT,
             ..Default::default()
-        }
+        };
+        let res = ResidencyBreakdown {
+            file_bytes: ABSENT,
+            ..Default::default()
+        };
+        prom_text(stats, prof, &sense, &res, &[0; REJECT_REASONS])
     }
 
     #[test]
@@ -208,7 +216,7 @@ mod tests {
             est_meshable_pairs: 1,
             meshable: true,
         };
-        let text = prom_text(&stats, Some(&prof()), &no_host(), &[0; REJECT_REASONS]);
+        let text = no_host(&stats, Some(&prof()));
         assert!(text.contains("# TYPE mesh_mallocs_total counter\nmesh_mallocs_total 7\n"));
         assert!(text.contains("mesh_live_bytes 1234"));
         assert!(text.contains("mesh_class_spans{class=\"48\",bin=\"attached\"} 1"));
@@ -220,10 +228,11 @@ mod tests {
         assert!(text.contains("mesh_pass_rejected_total{reason=\"copy_abort\"} 0"));
         assert!(text.contains("mesh_pass_rejected_total{reason=\"alias_budget\"} 0"));
         // Without profiling, the prof series are absent; without a host
-        // reading, its sense gauge is too.
-        let text = prom_text(&stats, None, &no_host(), &[0; REJECT_REASONS]);
+        // reading or a file count, its gauge is too.
+        let text = no_host(&stats, None);
         assert!(!text.contains("mesh_prof_"));
         assert!(!text.contains("mesh_rss_bytes"));
+        assert!(!text.contains("mesh_file_bytes"));
         // Every non-comment line is `name{labels} value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let mut parts = line.rsplitn(2, ' ');
@@ -242,7 +251,7 @@ mod tests {
         stats.latency.counts[r][LATENCY_BUCKETS - 1] = 1;
         stats.latency.sums[r] = 5_000;
         stats.latency.maxes[r] = 2_000;
-        let text = prom_text(&stats, None, &no_host(), &[0; REJECT_REASONS]);
+        let text = no_host(&stats, None);
         // The populated family: elided zero buckets, cumulative counts,
         // the overflow landing only in +Inf.
         assert!(text.contains("# TYPE mesh_refill_seconds histogram\n"));
@@ -283,16 +292,18 @@ mod tests {
         // also covers the mesh-sense gauge families and the labelled
         // reject counter.
         let sense = SenseSnapshot {
-            at_ms: 1000,
             rss_bytes: 10 << 20,
-            file_bytes: 8 << 20,
             psi_avg10_milli: 12_340,
             psi_avg60_milli: ABSENT,
             cgroup_limit_bytes: ABSENT,
             cgroup_usage_bytes: 9 << 20,
             ..Default::default()
         };
-        let text = prom_text(&stats, Some(&prof()), &sense, &[3, 1, 0, 0, 2]);
+        let res = ResidencyBreakdown {
+            file_bytes: 8 << 20,
+            ..Default::default()
+        };
+        let text = prom_text(&stats, Some(&prof()), &sense, &res, &[3, 1, 0, 0, 2]);
 
         let mut kinds: std::collections::HashMap<String, String> = Default::default();
         let mut last_help: Option<String> = None;
@@ -379,7 +390,7 @@ mod tests {
             ..Default::default()
         };
         stats.harden_violations[crate::harden::HardenKind::Poison as usize] = 3;
-        let text = prom_text(&stats, None, &no_host(), &[0; REJECT_REASONS]);
+        let text = no_host(&stats, None);
         assert!(text.contains("# TYPE mesh_invalid_frees_total counter\nmesh_invalid_frees_total 4\n"));
         assert!(text.contains("# TYPE mesh_double_frees_total counter\nmesh_double_frees_total 2\n"));
         // Every harden kind emits a labelled series, zeros included and
@@ -404,7 +415,7 @@ mod tests {
             committed_pages_peak: 1792,
             ..Default::default()
         };
-        let text = prom_text(&stats, None, &no_host(), &[0; REJECT_REASONS]);
+        let text = no_host(&stats, None);
         let value_of = |name: &str| -> u64 {
             text.lines()
                 .find(|l| l.starts_with(&format!("{name} ")))

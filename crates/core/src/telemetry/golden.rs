@@ -4,17 +4,16 @@
 //! line byte for byte, rendered from fixed records in which every field
 //! has its own value: a row that reads the wrong field, or moves, fails
 //! here. Ring records go through their rings field by field, and only the
-//! host readings may render `null`.
+//! readings the host may not offer may render `null`.
 
 use super::fields::{self, Field};
 use super::{exposition, report};
-use crate::config::MeshConfig;
 use crate::free_spans::ArenaStats;
 use crate::size_classes::SizeClass;
 use crate::stats::HeapStats;
 use crate::telemetry::{
     decompose, ClassSpectrum, HeapSpectrum, MeshLedger, PassRecord, ProfileStats,
-    ResidencyBreakdown, SenseSnapshot, SenseState, SiteSnapshot, ABSENT, OVERFLOW_SITE,
+    ResidencyBreakdown, SenseSnapshot, SiteSnapshot, ABSENT, OVERFLOW_SITE,
 };
 
 const UPTIME_MS: u64 = 1_234_567;
@@ -62,8 +61,6 @@ fn heap_stats() -> HeapStats {
         spans_meshed: 1008,
         mesh_pages_released: 1009,
         mesh_bytes_copied: 1010,
-        mesh_nanos: 1011,
-        mesh_longest_pause_nanos: 1012,
         dirty_purges: 1013,
         pages_purged: 1014,
         committed_pages: 1015,
@@ -134,38 +131,30 @@ fn sites() -> Vec<SiteSnapshot> {
     ]
 }
 
-fn snapshot(at_ms: u64) -> SenseSnapshot {
+fn snapshot() -> SenseSnapshot {
     SenseSnapshot {
-        at_ms,
-        rss_bytes: at_ms + 1,
-        file_bytes: at_ms + 2,
-        live_bytes: at_ms + 3,
-        heap_bytes: at_ms + 4,
-        mapped_bytes: at_ms + 5,
-        free_dirty_bytes: at_ms + 6,
-        free_clean_bytes: at_ms + 7,
-        meta_bytes: at_ms + 8,
-        psi_avg10_milli: at_ms + 9,
-        psi_avg60_milli: at_ms + 10,
-        cgroup_limit_bytes: at_ms + 11,
-        cgroup_usage_bytes: at_ms + 12,
-        mallocs: at_ms + 13,
-        frees: at_ms + 14,
-        mesh_passes: at_ms + 15,
-        pairs_meshed: at_ms + 16,
-        poll_ns: at_ms + 17,
+        rss_bytes: 5001,
+        psi_avg10_milli: 5002,
+        psi_avg60_milli: 5003,
+        cgroup_limit_bytes: 5004,
+        cgroup_usage_bytes: 5005,
+        mallocs: 5006,
+        frees: 5007,
+        mesh_passes: 5008,
+        pairs_meshed: 5009,
+        poll_ns: 5010,
     }
 }
 
 /// A host without procfs, PSI or a cgroup limit.
-fn bare_snapshot(at_ms: u64) -> SenseSnapshot {
+fn bare_snapshot() -> SenseSnapshot {
     SenseSnapshot {
         rss_bytes: ABSENT,
         psi_avg10_milli: ABSENT,
         psi_avg60_milli: ABSENT,
         cgroup_limit_bytes: ABSENT,
         cgroup_usage_bytes: ABSENT,
-        ..snapshot(at_ms)
+        ..snapshot()
     }
 }
 
@@ -189,15 +178,9 @@ fn ledger() -> MeshLedger {
     ledger
 }
 
-fn sense_state() -> SenseState {
-    let sense = SenseState::new(&MeshConfig::default().sense_history(3));
-    sense.push(&snapshot(5000));
-    sense.push(&bare_snapshot(5100));
-    sense.push(&snapshot(5200));
-    sense
-}
-
-fn residency() -> ResidencyBreakdown {
+/// The residency of a heap whose file holds 96 pages, or (`None`) whose
+/// descriptor was found naming another file.
+fn residency(file_pages: Option<usize>) -> ResidencyBreakdown {
     let file = ArenaStats {
         pages: 164,
         fresh_pages: 17,
@@ -206,7 +189,7 @@ fn residency() -> ResidencyBreakdown {
         clean_pages: 32,
         outstanding_pages: 76,
     };
-    decompose(&file, Some(96))
+    decompose(&file, file_pages)
 }
 
 #[test]
@@ -220,12 +203,12 @@ fn documents_match_their_golden_bytes() {
         ("stats.txt", stats.render(), include_str!("golden/stats.txt")),
         (
             "prom.txt",
-            exposition::prom_text(&stats, Some(&prof()), &snapshot(6000), &[41, 42, 43, 44, 45]),
+            exposition::prom_text(&stats, Some(&prof()), &snapshot(), &residency(Some(96)), &[41, 42, 43, 44, 45]),
             include_str!("golden/prom.txt"),
         ),
         (
             "prom_bare.txt",
-            exposition::prom_text(&bare_stats, None, &bare_snapshot(6100), &[0; 5]),
+            exposition::prom_text(&bare_stats, None, &bare_snapshot(), &residency(None), &[0; 5]),
             include_str!("golden/prom_bare.txt"),
         ),
         (
@@ -235,13 +218,8 @@ fn documents_match_their_golden_bytes() {
         ),
         (
             "sense.json",
-            report::sense_json(&sense_state(), &residency(), &ledger(), UPTIME_MS),
+            report::sense_json(&snapshot(), &residency(Some(96)), &ledger(), UPTIME_MS),
             include_str!("golden/sense.json"),
-        ),
-        (
-            "ledger.json",
-            report::ledger_json(&ledger(), UPTIME_MS),
-            include_str!("golden/ledger.json"),
         ),
         (
             "spectrum.json",
@@ -267,24 +245,8 @@ fn documents_match_their_golden_bytes() {
     }
 }
 
-/// The words of a record whose fields all differ are those fields, one
-/// word each.
-fn words_are_the_fields<R, const W: usize>(rows: &[Field<R>], r: &R, mut values: Vec<u64>) {
-    let mut words = fields::to_words::<R, W>(rows, r).to_vec();
-    words.sort_unstable();
-    values.sort_unstable();
-    assert_eq!(words, values);
-}
-
 #[test]
 fn ring_records_round_trip_every_field() {
-    let sense = sense_state();
-    let kept = sense.snapshots();
-    assert_eq!(kept, [snapshot(5000), bare_snapshot(5100), snapshot(5200)]);
-    assert_eq!(sense.latest(), Some(snapshot(5200)));
-    let s = snapshot(5000);
-    words_are_the_fields::<_, 18>(&super::sense::SENSE_FIELDS, &s, (5000..5018).collect());
-
     let ledger = ledger();
     let passes = ledger.recent();
     assert_eq!(passes, [pass(4000), pass(4100), pass(4200)]);
@@ -296,38 +258,56 @@ fn ring_records_round_trip_every_field() {
     );
 }
 
-/// Exactly the host readings are nullable: an [`super::ABSENT`] one is
-/// `null` in JSON and has no Prometheus series; every other field shows
-/// whatever it holds, `u64::MAX` included.
+/// Exactly the readings the host may not offer are nullable — its
+/// procfs, PSI and cgroup readings and its count of the heap's file: an
+/// [`super::ABSENT`] one is `null` in JSON and has no Prometheus series;
+/// every other field shows whatever it holds, `u64::MAX` included.
 #[test]
 fn only_host_readings_are_nullable() {
-    let readings: Vec<&str> = super::sense::SENSE_FIELDS
-        .iter()
-        .filter(|f| f.nullable)
-        .map(|f| f.key)
-        .collect();
+    /// The keys of `rows` that render `r`, every field of it `ABSENT`,
+    /// as `null`.
+    fn null_keys<R>(rows: &[Field<R>], r: &R) -> Vec<&'static str> {
+        let json = fields::object(rows, r);
+        let mut nulls = Vec::new();
+        for row in rows {
+            let mut prom = String::new();
+            fields::prom(&mut prom, std::slice::from_ref(row), r);
+            if row.nullable {
+                nulls.push(row.key);
+                assert!(json.contains(&format!("\"{}\":null", row.key)), "{json}");
+                assert_eq!(prom, "", "{}: an absent reading has no series", row.key);
+            } else {
+                assert!(json.contains(&format!("\"{}\":{ABSENT}", row.key)), "{json}");
+            }
+        }
+        nulls
+    }
+    let snap = SenseSnapshot {
+        rss_bytes: ABSENT,
+        psi_avg10_milli: ABSENT,
+        psi_avg60_milli: ABSENT,
+        cgroup_limit_bytes: ABSENT,
+        cgroup_usage_bytes: ABSENT,
+        mallocs: ABSENT,
+        frees: ABSENT,
+        mesh_passes: ABSENT,
+        pairs_meshed: ABSENT,
+        poll_ns: ABSENT,
+    };
     assert_eq!(
-        readings,
+        null_keys(&super::sense::SENSE_FIELDS, &snap),
         ["rss_bytes", "psi_avg10_milli", "psi_avg60_milli", "cgroup_limit_bytes", "cgroup_usage_bytes"]
     );
-    for (i, row) in super::sense::SENSE_FIELDS.iter().enumerate() {
-        let mut words = fields::to_words::<_, 18>(&super::sense::SENSE_FIELDS, &snapshot(7000));
-        words[i] = ABSENT;
-        let snap: SenseSnapshot = fields::from_words(&super::sense::SENSE_FIELDS, words);
-        let json = snap.json();
-        let mut prom = String::new();
-        fields::prom(&mut prom, std::slice::from_ref(row), &snap);
-        if row.nullable {
-            assert!(json.contains(&format!("\"{}\":null", row.key)), "{json}");
-            assert_eq!(prom, "", "{}: an absent reading has no series", row.key);
-        } else {
-            assert!(json.contains(&format!("\"{}\":{ABSENT}", row.key)), "{json}");
-            assert!(!json.contains("null"), "{json}");
-        }
-    }
-    let mut prom = String::new();
-    fields::prom(&mut prom, &super::sense::SENSE_FIELDS, &SenseSnapshot { file_bytes: ABSENT, ..snapshot(7000) });
-    assert!(prom.contains(&format!("mesh_file_bytes {ABSENT}\n")), "{prom}");
+    let res = ResidencyBreakdown {
+        mapped_bytes: ABSENT,
+        live_bytes: ABSENT,
+        free_dirty_bytes: ABSENT,
+        free_clean_bytes: ABSENT,
+        meta_bytes: ABSENT,
+        committed_bytes: ABSENT,
+        file_bytes: ABSENT,
+    };
+    assert_eq!(null_keys(&super::residency::RESIDENCY_FIELDS, &res), ["file_bytes"]);
     fn nullable<R>(rows: &[Field<R>]) -> usize {
         rows.iter().filter(|f| f.nullable).count()
     }
@@ -339,9 +319,8 @@ fn only_host_readings_are_nullable() {
         nullable(&super::ledger::REJECT_TOTALS),
         nullable(&super::profile_table::SITE_FIELDS),
         nullable(&super::spectrum::CLASS_FIELDS),
-        nullable(&super::residency::RESIDENCY_FIELDS),
     ];
-    assert_eq!(others, [0; 8], "no other record has a nullable field");
+    assert_eq!(others, [0; 7], "no other record has a nullable field");
 }
 
 /// Every `mesh:` line place is taken once, so the line's order is the

@@ -8,8 +8,8 @@
 //!    fingerprint table (`profile_table`) and are tracked through
 //!    `free`, so the profile is a *live-heap* (leak) profile.
 //! 3. **Event tracing** (`trace`, `MESH_TRACE=1`) of the same slow paths.
-//! 4. **Sensing** (`sense`, `residency`): pressure, RSS and residency
-//!    snapshots; and the **ledger** (`ledger`) of every mesh pass.
+//! 4. **Sensing** (`sense`, `residency`): one pressure, RSS and residency
+//!    reading per render; and the **ledger** (`ledger`) of every mesh pass.
 //! 5. **Occupancy spectra** (`spectrum`), one class lock at a time.
 //! 6. **Reports** (`report`, `exposition`): every document above,
 //!    Prometheus text included, is a [`Report`] kind, with one renderer
@@ -20,8 +20,8 @@
 //!    series, whether [`ABSENT`] is `null`); the `mesh:` line, the JSON,
 //!    the Prometheus text and the ring words are written from the rows.
 //!
-//! Trace events, sense snapshots and ledger passes share one lock-free
-//! history, a `ring` of fixed-size records. See DESIGN.md §4c–§4i for
+//! Trace events and ledger passes share one lock-free history, a `ring`
+//! of fixed-size records. See DESIGN.md §4c–§4i for
 //! the sampling math, the lock-freedom arguments and the dump path's
 //! signal-safety.
 
@@ -51,7 +51,7 @@ pub use ledger::{
 pub use profile_table::{SiteSnapshot, MAX_FRAMES, OVERFLOW_SITE};
 pub use report::{Report, ReportOff};
 pub use residency::{decompose, ResidencyBreakdown};
-pub use sense::{PressureReading, SenseSnapshot, SenseState, ABSENT};
+pub use sense::{PressureReading, ABSENT};
 pub use spectrum::{ClassSpectrum, HeapSpectrum, SPECTRUM_BINS};
 pub use trace::TraceEvent;
 
@@ -60,7 +60,7 @@ pub use pprof::{parse_pprof, PprofParseError, PprofSummary};
 pub(crate) use ctl::{CtlIo, CtlState, CTL_PARK};
 pub(crate) use histogram::HistBlock;
 pub(crate) use report::Reports;
-pub(crate) use sense::read_pressure;
+pub(crate) use sense::{read_pressure, SenseSnapshot};
 pub(crate) use sampler::ThreadSampler;
 pub(crate) use spectrum::estimate_meshable_pairs;
 pub(crate) use trace::{chrome_json, TraceSet};

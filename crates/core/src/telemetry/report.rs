@@ -14,13 +14,13 @@
 //! The background thread's beat ([`GlobalHeap::telemetry_tick`]) and its
 //! park computation live here too: serving the pending mask is what the
 //! beat is for. So does the mesh-sense poll: a snapshot is taken by a
-//! `sense` or `prom` render and at no other time.
+//! `sense` or `prom` render, at no other time, and kept by neither.
 
 use super::ledger::REJECT_TOTALS;
 use super::residency::RESIDENCY_FIELDS;
 use super::spectrum::{CLASS_FIELDS, LARGE_FIELDS};
 use super::{exposition, fields, pprof, HeapSpectrum, MeshLedger, PassRecord, ResidencyBreakdown};
-use super::{SenseSnapshot, SenseState, ABSENT, CTL_PARK};
+use super::{SenseSnapshot, ABSENT, CTL_PARK};
 use crate::config::MeshConfig;
 use crate::ffi;
 use crate::global_heap::GlobalHeap;
@@ -44,10 +44,8 @@ pub enum Report {
     Pprof,
     /// Chrome trace-event JSON of the buffered slow-path events.
     Trace,
-    /// Version-2 mesh-sense JSON: residency, ledger, snapshot series.
+    /// Version-5 mesh-sense JSON: residency, one snapshot, the ledger.
     Sense,
-    /// The meshing-effectiveness ledger JSON.
-    Ledger,
     /// The per-class occupancy-spectrum JSON.
     Spectrum,
 }
@@ -115,12 +113,6 @@ const ROWS: [Row; Report::ALL.len()] = [
         off: "",
     },
     Row {
-        name: "ledger",
-        prefix: None,
-        path_knob: None,
-        off: "",
-    },
-    Row {
         name: "spectrum",
         prefix: None,
         path_knob: None,
@@ -130,14 +122,13 @@ const ROWS: [Row; Report::ALL.len()] = [
 
 impl Report {
     /// Every kind, in declaration order.
-    pub const ALL: [Report; 8] = [
+    pub const ALL: [Report; 7] = [
         Report::Stats,
         Report::Prom,
         Report::Profile,
         Report::Pprof,
         Report::Trace,
         Report::Sense,
-        Report::Ledger,
         Report::Spectrum,
     ];
 
@@ -230,12 +221,8 @@ impl GlobalHeap {
             Report::Prom => {
                 let stats = self.stats_with_spectrum();
                 let prof = self.telemetry.as_ref().map(|t| t.stats());
-                exposition::prom_text(
-                    &stats,
-                    prof.as_ref(),
-                    &self.sense_poll().0,
-                    &self.ledger.reject_totals(),
-                )
+                let (snap, res) = self.sense_poll();
+                exposition::prom_text(&stats, prof.as_ref(), &snap, &res, &self.ledger.reject_totals())
             }
             Report::Profile => {
                 let t = self.telemetry.as_ref().ok_or(kind.off())?;
@@ -261,10 +248,9 @@ impl GlobalHeap {
             Report::Trace => self.counters.trace_json().ok_or(kind.off())?,
             Report::Sense => {
                 // One fresh poll per document, whatever asked for it.
-                let (_, res) = self.sense_poll();
-                sense_json(&self.sense, &res, &self.ledger, self.counters.uptime_ms())
+                let (snap, res) = self.sense_poll();
+                sense_json(&snap, &res, &self.ledger, self.counters.uptime_ms())
             }
-            Report::Ledger => ledger_json(&self.ledger, self.counters.uptime_ms()),
             Report::Spectrum => {
                 spectrum_json(&self.occupancy_spectrum(), self.counters.uptime_ms())
             }
@@ -310,12 +296,11 @@ impl GlobalHeap {
         stats
     }
 
-    /// Takes one mesh-sense poll: reads the pressure sources, decomposes
-    /// residency from the arena's snapshot and what its file holds,
-    /// appends the snapshot to the ring and returns it with the residency
-    /// it was taken from. Takes the arena lock briefly (for the snapshot
-    /// and two `fstat`s, the file's identity and its blocks) and nothing
-    /// else: polls on several threads at once push their own snapshots.
+    /// Takes one mesh-sense poll: reads the pressure sources and the
+    /// counters, decomposes residency from the arena's snapshot and what
+    /// its file holds, and returns both. Takes the arena lock briefly (for
+    /// the snapshot and two `fstat`s, the file's identity and its blocks)
+    /// and nothing else.
     fn sense_poll(&self) -> (SenseSnapshot, ResidencyBreakdown) {
         let start = Instant::now();
         let (arena_stats, file_pages) = {
@@ -325,16 +310,8 @@ impl GlobalHeap {
         let res = super::decompose(&arena_stats, file_pages);
         let p = super::read_pressure();
         let stats = self.counters.snapshot();
-        let mut snap = SenseSnapshot {
-            at_ms: self.counters.uptime_ms(),
+        let snap = SenseSnapshot {
             rss_bytes: p.rss_bytes.unwrap_or(ABSENT),
-            file_bytes: res.file_bytes,
-            live_bytes: res.live_bytes,
-            heap_bytes: stats.heap_bytes() as u64,
-            mapped_bytes: res.mapped_bytes,
-            free_dirty_bytes: res.free_dirty_bytes,
-            free_clean_bytes: res.free_clean_bytes,
-            meta_bytes: res.meta_bytes,
             psi_avg10_milli: p.psi_avg10_milli.unwrap_or(ABSENT),
             psi_avg60_milli: p.psi_avg60_milli.unwrap_or(ABSENT),
             cgroup_limit_bytes: p.cgroup_limit_bytes.unwrap_or(ABSENT),
@@ -343,10 +320,8 @@ impl GlobalHeap {
             frees: stats.frees,
             mesh_passes: stats.mesh_passes,
             pairs_meshed: stats.spans_meshed,
-            poll_ns: 0,
+            poll_ns: start.elapsed().as_nanos() as u64,
         };
-        snap.poll_ns = start.elapsed().as_nanos() as u64;
-        self.sense.push(&snap);
         (snap, res)
     }
 
@@ -401,37 +376,20 @@ impl GlobalHeap {
     }
 }
 
-/// The `sense` document: residency now, the
-/// mesh-pass effectiveness ledger, and the retained snapshot series.
+/// The `sense` document, one reading: the heap's residency, the
+/// snapshot the poll took beside it, and the mesh-pass effectiveness
+/// ledger. Each figure is named once.
 pub(super) fn sense_json(
-    sense: &SenseState,
+    snap: &SenseSnapshot,
     res: &ResidencyBreakdown,
     ledger: &MeshLedger,
     uptime_ms: u64,
 ) -> String {
     format!(
-        "{{\"mesh_sense_version\":4,\"uptime_ms\":{uptime_ms},\"history\":{},\
-         \"residency\":{{{}}},\"ledger\":{{{}}},\"snapshots\":{}}}",
-        sense.history(),
+        "{{\"mesh_sense_version\":5,\"uptime_ms\":{uptime_ms},\"residency\":{{{}}},\
+         \"snapshot\":{},\"ledger\":{{\"passes_recorded\":{},{},\"passes\":{}}}}}",
         fields::members(&RESIDENCY_FIELDS, res),
-        ledger_members(ledger),
-        fields::array(sense.snapshots().iter().map(SenseSnapshot::json)),
-    )
-}
-
-/// The `ledger` document.
-pub(super) fn ledger_json(ledger: &MeshLedger, uptime_ms: u64) -> String {
-    format!(
-        "{{\"mesh_ledger_version\":1,\"uptime_ms\":{uptime_ms},{}}}",
-        ledger_members(ledger)
-    )
-}
-
-/// The ledger's members (no braces): the body of the `ledger` document
-/// and of the `"ledger"` object `sense` embeds.
-fn ledger_members(ledger: &MeshLedger) -> String {
-    format!(
-        "\"passes_recorded\":{},{},\"passes\":{}",
+        snap.json(),
         ledger.passes_recorded(),
         fields::members(&REJECT_TOTALS, &ledger.reject_totals()),
         fields::array(ledger.recent().iter().map(PassRecord::json)),

@@ -6,10 +6,10 @@
 //! already maintains (§4.4.1 dirty/clean sets): no new bookkeeping in the
 //! allocation path. The file pages are the kernel's exact count, one
 //! `fstat` ([`crate::arena::Arena::file_pages`]), read only when a sense
-//! poll asks, and [`super::ABSENT`] once the heap's descriptor was found
-//! naming another file.
+//! poll asks, and [`super::ABSENT`] (`null`, no `mesh_file_bytes` sample)
+//! once the heap's descriptor was found naming another file.
 
-use super::fields::{num, Field};
+use super::fields::{gauge, num, Field};
 use crate::free_spans::ArenaStats;
 use crate::size_classes::PAGE_SIZE;
 
@@ -35,11 +35,14 @@ pub struct ResidencyBreakdown {
     /// Bytes the file holds, by the kernel's count (`fstat`'s
     /// `st_blocks`): the heap's exact physical footprint, at most
     /// `committed_bytes`, less by the committed pages nothing has touched
-    /// yet.
+    /// yet. [`super::ABSENT`] once the heap's descriptor names another
+    /// file.
     pub file_bytes: u64,
 }
 
-/// The members of the `sense` document's `"residency"` object.
+/// The members of the `sense` document's `"residency"` object, and the
+/// `mesh_file_bytes` gauge.
+#[rustfmt::skip]
 pub(crate) static RESIDENCY_FIELDS: [Field<ResidencyBreakdown>; 7] = [
     num!(mapped_bytes),
     num!(live_bytes),
@@ -47,7 +50,8 @@ pub(crate) static RESIDENCY_FIELDS: [Field<ResidencyBreakdown>; 7] = [
     num!(free_clean_bytes),
     num!(meta_bytes),
     num!(committed_bytes),
-    num!(file_bytes),
+    num!(file_bytes, nullable: true,
+         prom: gauge("mesh_file_bytes", "Bytes the heap's memory file holds (fstat st_blocks).")),
 ];
 
 /// Decomposes the arena's snapshot into the four residency categories;

@@ -1,5 +1,5 @@
-//! The one record ring behind the telemetry history: trace events, sense
-//! snapshots and ledger passes are all a [`Ring`] of fixed-size records.
+//! The one record ring behind the telemetry history: trace events and
+//! ledger passes are both a [`Ring`] of fixed-size records.
 //!
 //! A ring keeps the last `capacity` records of `W` words. A writer claims
 //! a ticket with one `fetch_add` on `head`; ticket `t` lives in slot
@@ -55,12 +55,7 @@ impl<const W: usize> Ring<W> {
         }
     }
 
-    /// Records the ring keeps.
-    pub(crate) fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Records ever pushed; the ring keeps the last [`Ring::capacity`].
+    /// Records ever pushed; the ring keeps the last `capacity`.
     pub(crate) fn pushed(&self) -> u64 {
         self.head.load(Ordering::Relaxed)
     }

@@ -8,59 +8,31 @@
 //!    (`memory.limit_in_bytes`/`memory.usage_in_bytes`),
 //! 3. **process RSS**: `/proc/self/statm`,
 //!
-//! — combines them with the heap's own residency decomposition
-//! ([`super::residency`]) and throughput counters, and appends one
-//! [`SenseSnapshot`] to a telemetry [`Ring`] of the last
-//! `MESH_SENSE_HISTORY` snapshots. Every source degrades gracefully:
-//! absent files (non-Linux test stubs, locked-down containers) simply
-//! leave their fields at the [`ABSENT`] sentinel and the poll carries on.
+//! — and the heap's throughput counters into one [`SenseSnapshot`]; the
+//! heap's own figures are the residency decomposition
+//! ([`super::residency`]) taken beside it. Every source degrades
+//! gracefully: absent files (non-Linux test stubs, locked-down
+//! containers) simply leave their fields at the [`ABSENT`] sentinel and
+//! the poll carries on.
 //!
 //! Polls happen on demand: every `sense` or `prom` render takes one,
-//! whatever asked for it (the API, mesh-ctl, `SIGUSR2`, the exit hook).
-//! Nothing polls on a clock, so a heap nobody asks about reads no procfs
-//! file and needs no thread.
-//!
-//! A snapshot is one 18-word record of the ring. Polls take no lock:
-//! renders on several threads may poll at once, and a reader never sees
-//! a snapshot one of them is still writing.
+//! whatever asked for it (the API, mesh-ctl, `SIGUSR2`, the exit hook),
+//! and keeps nothing. Nothing polls on a clock, so a heap nobody asks
+//! about reads no procfs file and needs no thread.
 
-use super::fields::{self, gauge, word, Field};
-use super::ring::Ring;
-use crate::config::MeshConfig;
+use super::fields::{self, gauge, num, Field};
 
 /// Sentinel for "source absent / unlimited" in snapshot fields.
 pub const ABSENT: u64 = u64::MAX;
 
-/// Words per snapshot record (one per [`SENSE_FIELDS`] row).
-const SNAPSHOT_WORDS: usize = 18;
-
-/// One sense snapshot. All fields are plain `u64`s so the ring
-/// can store them as atomic words; optional sources use [`ABSENT`]. Every
-/// view renders it through one field table, `SENSE_FIELDS`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SenseSnapshot {
-    /// Snapshot time, milliseconds since heap construction.
-    pub at_ms: u64,
+/// What one poll reads itself: the host's readings, the heap's
+/// cumulative counters and what the poll cost. Optional readings use
+/// [`ABSENT`]. Every view renders it through one field table,
+/// `SENSE_FIELDS`.
+#[derive(Debug, Default)]
+pub(crate) struct SenseSnapshot {
     /// Process RSS from the kernel ([`ABSENT`] when procfs is missing).
     pub rss_bytes: u64,
-    /// Bytes the heap's memory file holds, by the kernel's count (one
-    /// `fstat`): the heap's exact physical footprint.
-    pub file_bytes: u64,
-    /// Bytes in pages handed out as spans: the residency decomposition's
-    /// live category, not the object bytes of
-    /// [`HeapStats::live_bytes`](crate::HeapStats::live_bytes).
-    pub live_bytes: u64,
-    /// Committed heap bytes, [`HeapStats::heap_bytes`](crate::HeapStats::heap_bytes):
-    /// committed pages × page size.
-    pub heap_bytes: u64,
-    /// Bytes below the arena's bump frontier.
-    pub mapped_bytes: u64,
-    /// Freed-but-committed (dirty) bytes.
-    pub free_dirty_bytes: u64,
-    /// Released (clean or parked) bytes below the frontier.
-    pub free_clean_bytes: u64,
-    /// Metadata/slack bytes.
-    pub meta_bytes: u64,
     /// PSI `some avg10`, in thousandths of a percent ([`ABSENT`] = no PSI).
     pub psi_avg10_milli: u64,
     /// PSI `some avg60`, in thousandths of a percent ([`ABSENT`] = no PSI).
@@ -69,7 +41,7 @@ pub struct SenseSnapshot {
     pub cgroup_limit_bytes: u64,
     /// cgroup memory usage ([`ABSENT`] = no cgroup accounting).
     pub cgroup_usage_bytes: u64,
-    /// Cumulative allocations (consumers diff consecutive snapshots for
+    /// Cumulative allocations (consumers diff consecutive documents for
     /// throughput).
     pub mallocs: u64,
     /// Cumulative frees.
@@ -83,45 +55,28 @@ pub struct SenseSnapshot {
     pub poll_ns: u64,
 }
 
-/// Every field's ring word, JSON member and (for the external readings)
-/// Prometheus gauge, in that order. The readings a host may not offer are
-/// nullable: [`ABSENT`] renders `null` and drops the gauge.
+/// Every field's JSON member and (for the host readings) Prometheus
+/// gauge. The readings a host may not offer are nullable: [`ABSENT`]
+/// renders `null` and drops the gauge.
 #[rustfmt::skip]
-pub(crate) static SENSE_FIELDS: [Field<SenseSnapshot>; SNAPSHOT_WORDS] = [
-    word!(at_ms),
-    word!(rss_bytes, nullable: true, prom: gauge("mesh_rss_bytes", "Process resident set size from /proc.")),
-    word!(file_bytes,
-          prom: gauge("mesh_file_bytes", "Bytes the heap's memory files hold (fstat st_blocks).")),
-    word!(live_bytes),
-    word!(heap_bytes),
-    word!(mapped_bytes),
-    word!(free_dirty_bytes),
-    word!(free_clean_bytes),
-    word!(meta_bytes),
-    word!(psi_avg10_milli, nullable: true, prom: gauge("mesh_pressure_psi_avg10",
+pub(crate) static SENSE_FIELDS: [Field<SenseSnapshot>; 10] = [
+    num!(rss_bytes, nullable: true, prom: gauge("mesh_rss_bytes", "Process resident set size from /proc.")),
+    num!(psi_avg10_milli, nullable: true, prom: gauge("mesh_pressure_psi_avg10",
           "Memory PSI some avg10 percentage from /proc/pressure/memory.").percent()),
-    word!(psi_avg60_milli, nullable: true, prom: gauge("mesh_pressure_psi_avg60",
+    num!(psi_avg60_milli, nullable: true, prom: gauge("mesh_pressure_psi_avg60",
           "Memory PSI some avg60 percentage from /proc/pressure/memory.").percent()),
-    word!(cgroup_limit_bytes, nullable: true,
+    num!(cgroup_limit_bytes, nullable: true,
           prom: gauge("mesh_cgroup_limit_bytes", "Effective cgroup memory limit (absent when unlimited).")),
-    word!(cgroup_usage_bytes, nullable: true,
+    num!(cgroup_usage_bytes, nullable: true,
           prom: gauge("mesh_cgroup_usage_bytes", "Cgroup memory usage reported by the controller.")),
-    word!(mallocs),
-    word!(frees),
-    word!(mesh_passes),
-    word!(pairs_meshed),
-    word!(poll_ns),
+    num!(mallocs),
+    num!(frees),
+    num!(mesh_passes),
+    num!(pairs_meshed),
+    num!(poll_ns),
 ];
 
 impl SenseSnapshot {
-    fn to_words(self) -> [u64; SNAPSHOT_WORDS] {
-        fields::to_words(&SENSE_FIELDS, &self)
-    }
-
-    fn from_words(w: [u64; SNAPSHOT_WORDS]) -> SenseSnapshot {
-        fields::from_words(&SENSE_FIELDS, w)
-    }
-
     /// Renders the snapshot as one JSON object; [`ABSENT`] readings
     /// become `null` so consumers need no sentinel knowledge.
     pub(crate) fn json(&self) -> String {
@@ -239,119 +194,26 @@ pub(crate) fn parse_cgroup_value(s: &str) -> Option<u64> {
     (v < (1 << 62)).then_some(v)
 }
 
-/// Per-heap sensing state: the snapshot ring.
-#[derive(Debug)]
-pub struct SenseState {
-    ring: Ring<SNAPSHOT_WORDS>,
-}
-
-impl SenseState {
-    /// Builds sensing state for `config`.
-    pub(crate) fn new(config: &MeshConfig) -> SenseState {
-        SenseState {
-            ring: Ring::new(config.sense_history.max(2)),
-        }
-    }
-
-    /// Ring capacity in snapshots.
-    pub fn history(&self) -> usize {
-        self.ring.capacity()
-    }
-
-    /// Appends one snapshot. Lock-free; any thread may push.
-    pub(crate) fn push(&self, snap: &SenseSnapshot) {
-        self.ring.push(snap.to_words());
-    }
-
-    /// The retained snapshots, oldest first. Lock-free; a snapshot still
-    /// being written is left out rather than torn.
-    pub fn snapshots(&self) -> Vec<SenseSnapshot> {
-        self.ring.records().map(SenseSnapshot::from_words).collect()
-    }
-
-    /// The most recent complete snapshot, if any.
-    pub fn latest(&self) -> Option<SenseSnapshot> {
-        self.ring.records().last().map(SenseSnapshot::from_words)
-    }
-
-    /// Forgets all snapshots: a forked child's history belongs to its
-    /// parent.
-    pub(crate) fn wipe_for_child(&self) {
-        self.ring.wipe();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn snap(at_ms: u64) -> SenseSnapshot {
-        SenseSnapshot {
-            at_ms,
-            rss_bytes: 1000 + at_ms,
-            file_bytes: 2000,
-            live_bytes: 3000,
-            heap_bytes: 2500,
-            mapped_bytes: 8000,
-            free_dirty_bytes: 1000,
-            free_clean_bytes: 3500,
-            meta_bytes: 500,
+    #[test]
+    fn snapshot_json_nulls_absent_fields() {
+        let snap = SenseSnapshot {
+            rss_bytes: 1003,
             psi_avg10_milli: ABSENT,
             psi_avg60_milli: ABSENT,
             cgroup_limit_bytes: ABSENT,
             cgroup_usage_bytes: ABSENT,
-            mallocs: at_ms * 10,
-            frees: at_ms * 9,
-            mesh_passes: 1,
-            pairs_meshed: 2,
-            poll_ns: 7,
-        }
-    }
-
-    fn state(history: usize) -> SenseState {
-        SenseState::new(&MeshConfig::default().sense_history(history))
-    }
-
-    #[test]
-    fn state_takes_its_sizes_from_config() {
-        let s = SenseState::new(&MeshConfig::default());
-        assert_eq!(s.history(), 120);
-        assert_eq!(state(16).history(), 16);
-        assert_eq!(state(1).history(), 2, "a ring holds at least two");
-    }
-
-    #[test]
-    fn ring_roundtrip_and_overwrite() {
-        let s = state(4);
-        assert!(s.snapshots().is_empty());
-        assert_eq!(s.latest(), None);
-        for i in 0..6 {
-            s.push(&snap(i));
-        }
-        assert_eq!(s.ring.pushed(), 6);
-        let got = s.snapshots();
-        assert_eq!(got.len(), 4, "ring keeps the last `history` snapshots");
-        assert_eq!(got[0].at_ms, 2, "oldest retained");
-        assert_eq!(got[3].at_ms, 5);
-        assert_eq!(s.latest().unwrap().at_ms, 5);
-        let w = snap(9).to_words();
-        assert_eq!(
-            SenseSnapshot::from_words(w),
-            snap(9),
-            "word codec is lossless"
-        );
-        s.wipe_for_child();
-        assert!(s.snapshots().is_empty());
-    }
-
-    #[test]
-    fn snapshot_json_nulls_absent_fields() {
-        let j = snap(3).json();
-        assert!(j.contains("\"at_ms\":3"));
+            mallocs: 30,
+            ..Default::default()
+        };
+        let j = snap.json();
         assert!(j.contains("\"psi_avg10_milli\":null"));
         assert!(j.contains("\"cgroup_limit_bytes\":null"));
         assert!(j.contains("\"rss_bytes\":1003"));
-        assert!(j.contains("\"mapped_bytes\":8000"));
+        assert!(j.contains("\"mallocs\":30"));
     }
 
     #[test]

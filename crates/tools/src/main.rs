@@ -258,7 +258,7 @@ impl Client {
 struct Frame {
     stats: Result<String, String>,
     spectrum: Result<Envelope, String>,
-    ledger: Result<Envelope, String>,
+    /// The `sense` document; its `ledger` member is the meshing ledger.
     sense: Result<Envelope, String>,
 }
 
@@ -285,12 +285,10 @@ impl Frame {
         };
         let stats = text("stats");
         let spectrum = text("spectrum").and_then(Envelope::parse);
-        let ledger = text("ledger").and_then(Envelope::parse);
         let sense = text("sense").and_then(Envelope::parse);
         Frame {
             stats,
             spectrum,
-            ledger,
             sense,
         }
     }
@@ -303,13 +301,12 @@ impl Frame {
             Err(e) => format!("{{\"error\":{}}}", quote(e)),
         };
         format!(
-            "{{\"mesh_top_version\":1,\"stats\":{},\"spectrum\":{},\"ledger\":{},\"sense\":{}}}",
+            "{{\"mesh_top_version\":1,\"stats\":{},\"spectrum\":{},\"sense\":{}}}",
             match &self.stats {
                 Ok(s) => quote(s),
                 Err(e) => format!("{{\"error\":{}}}", quote(e)),
             },
             embed(&self.spectrum),
-            embed(&self.ledger),
             embed(&self.sense),
         )
     }
@@ -328,9 +325,8 @@ impl Frame {
             Ok(spec) => render_spectrum(&mut out, &spec.value),
             Err(e) => out.push_str(&format!("\nspectrum: {e}\n")),
         }
-        match &self.ledger {
-            Ok(ledger) => render_ledger(&mut out, &ledger.value),
-            Err(e) => out.push_str(&format!("\nledger: {e}\n")),
+        if let Some(ledger) = self.sense.as_ref().ok().and_then(|s| s.value.field("ledger")) {
+            render_ledger(&mut out, ledger);
         }
         out
     }
@@ -395,19 +391,11 @@ fn render_stats(out: &mut String, stats: &str) {
 }
 
 fn render_sense(out: &mut String, v: &Json) {
-    let Some(latest) = v
-        .field("snapshots")
-        .and_then(|s| s.as_array())
-        .and_then(|a| a.last())
-    else {
-        return;
-    };
-    // Unavailable readings are serialized as u64::MAX (ABSENT).
-    let num = |k: &str| {
-        latest
-            .field(k)
+    // Unavailable readings are `null`.
+    let num = |object: &str, k: &str| {
+        v.field(object)
+            .and_then(|o| o.field(k))
             .and_then(Json::as_f64)
-            .filter(|&n| n < 1e18)
             .unwrap_or(f64::NAN)
     };
     let fmt_mib = |n: f64| {
@@ -426,11 +414,11 @@ fn render_sense(out: &mut String, v: &Json) {
     };
     out.push_str(&format!(
         "pressure: rss {} · cgroup {} · psi10 {} · psi60 {} · file {}\n",
-        fmt_mib(num("rss_bytes")),
-        fmt_mib(num("cgroup_usage_bytes")),
-        fmt_psi(num("psi_avg10_milli")),
-        fmt_psi(num("psi_avg60_milli")),
-        fmt_mib(num("file_bytes")),
+        fmt_mib(num("snapshot", "rss_bytes")),
+        fmt_mib(num("snapshot", "cgroup_usage_bytes")),
+        fmt_psi(num("snapshot", "psi_avg10_milli")),
+        fmt_psi(num("snapshot", "psi_avg60_milli")),
+        fmt_mib(num("residency", "file_bytes")),
     ));
 }
 
@@ -568,24 +556,26 @@ mod tests {
         let frame = Frame {
             stats: Ok("mesh: a=1\nmesh-latency: op=\"x\"".to_string()),
             spectrum: Err("spectrum off".to_string()),
-            ledger: Envelope::parse(r#"{"passes_recorded":2}"#.to_string()),
-            sense: Err("sensing off".to_string()),
+            sense: Envelope::parse(r#"{"ledger":{"passes_recorded":2}}"#.to_string()),
         };
         let text = frame.to_json();
         let v = Json::parse(&text).expect("frame JSON must itself parse");
         assert_eq!(v.field("mesh_top_version").and_then(Json::as_f64), Some(1.0));
         assert!(v.field("stats").and_then(Json::as_str).unwrap().contains("a=1"));
         assert_eq!(
-            v.field("ledger")
+            v.field("sense")
+                .and_then(|s| s.field("ledger"))
                 .and_then(|l| l.field("passes_recorded"))
                 .and_then(Json::as_f64),
             Some(2.0)
         );
+        assert!(v.field("ledger").is_none(), "the ledger is fetched once, inside sense");
         assert!(v
-            .field("sense")
+            .field("spectrum")
             .and_then(|s| s.field("error"))
             .and_then(Json::as_str)
             .is_some());
+        assert!(frame.render().contains("ledger: 2 passes recorded"));
     }
 
     #[test]

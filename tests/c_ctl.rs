@@ -98,16 +98,12 @@ fn interposed_process_serves_its_own_ctl_socket() {
     assert!(prom.contains("# HELP mesh_"), "prom envelope: {prom}");
     assert!(prom.contains("mesh_live_bytes"), "prom envelope: {prom}");
     assert!(
-        ok_body(&s, "sense").contains("\"mesh_sense_version\":4"),
+        ok_body(&s, "sense").contains("\"mesh_sense_version\":5"),
         "sense envelope"
     );
     assert!(
         ok_body(&s, "spectrum").contains("\"mesh_spectrum_version\":1"),
         "spectrum envelope"
-    );
-    assert!(
-        ok_body(&s, "ledger").contains("\"mesh_ledger_version\":1"),
-        "ledger envelope"
     );
     assert!(
         ok_body(&s, "trace").starts_with("{\"traceEvents\":["),

@@ -2,9 +2,9 @@
 //! parsing, the boolean/seed knobs, the `MESH_PROF*` profiling knobs,
 //! the `MESH_TRACE*` tracing knobs, warn-and-ignore on malformed
 //! values, and the retired names (the transfer-cache knobs,
-//! `MESH_BACKGROUND_MESHING`, the sense poll interval and `mincore`
-//! budget, and the two segment sizes), which are ignored whatever they
-//! say. A walk over `knobs::KNOBS` feeds every variable a
+//! `MESH_BACKGROUND_MESHING`, the sense poll interval, `mincore` budget
+//! and history, and the two segment sizes), which are ignored whatever
+//! they say. A walk over `knobs::KNOBS` feeds every variable a
 //! value below its range, above it, garbage and blank: whatever the
 //! environment says, `apply_env()` returns a config `validate()` accepts.
 //!
@@ -85,8 +85,8 @@ fn hostile_walk() {
         (!matches!(row.kind, Kind::Path { .. })).then(|| "banana".to_string())
     });
     let blank = hostile_env(|_| Some("   ".to_string()));
-    assert_eq!(blank.len(), 20, "every variable apply_env reads");
-    assert!(below.len() >= 7 && above.len() >= 12 && garbage.len() == 16);
+    assert_eq!(blank.len(), 19, "every variable apply_env reads");
+    assert!(below.len() >= 6 && above.len() >= 11 && garbage.len() == 15);
     for (what, env) in [("min-1", below), ("max+1", above), ("garbage", garbage), ("blank", blank)] {
         let names: Vec<&str> = env.iter().map(|(name, _)| *name).collect();
         hostile_round(what, "default", &env, &names);
@@ -193,6 +193,11 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
         warned,
         ["mesh: ignoring MESH_SENSE_MINCORE_PAGES (retired: sense reads what the heap's file holds with fstat)"]
     );
+    let warned = retired_round(&[("MESH_SENSE_HISTORY", "30")]);
+    assert_eq!(
+        warned,
+        ["mesh: ignoring MESH_SENSE_HISTORY (retired: a sense document is one reading)"]
+    );
     // The segment sizes share a reason, and so a line.
     let warned = retired_round(&[("MESH_INITIAL_SEGMENT_BYTES", "1M")]);
     assert_eq!(
@@ -220,7 +225,6 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     std::env::set_var("MESH_TRACE", "1");
     std::env::set_var("MESH_TRACE_BUF_EVENTS", "banana"); // malformed
     std::env::set_var("MESH_TRACE_PATH", "/tmp/mesh-env-knobs-trace.json");
-    std::env::set_var("MESH_SENSE_HISTORY", "banana"); // malformed
     std::env::set_var("MESH_SENSE_PATH", "/tmp/mesh-env-knobs-sense.json");
 
     let c = MeshConfig::default().apply_env();
@@ -247,11 +251,6 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
         c.trace_dump_path().map(|p| p.to_path_buf()),
         Some(std::path::PathBuf::from("/tmp/mesh-env-knobs-trace.json")),
         "MESH_TRACE_PATH parsed"
-    );
-    assert_eq!(
-        c.sense_history_len(),
-        MeshConfig::default().sense_history_len(),
-        "malformed MESH_SENSE_HISTORY ignored (warned), default kept"
     );
     assert_eq!(
         c.sense_dump_path().map(|p| p.to_path_buf()),
@@ -302,12 +301,6 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     std::env::set_var("MESH_TRACE_BUF_EVENTS", "4K");
     let c = MeshConfig::default().apply_env();
     assert_eq!(c.trace_buf_event_count(), 4 << 10);
-    assert!(c.validate().is_ok());
-
-    // A well-formed history reaches the config and validates.
-    std::env::set_var("MESH_SENSE_HISTORY", "30");
-    let c = MeshConfig::default().apply_env();
-    assert_eq!(c.sense_history_len(), 30);
     assert!(c.validate().is_ok());
 
     // Hardened-mode knobs (set after the first heap ran: MESH_HARDEN

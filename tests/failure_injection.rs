@@ -110,7 +110,7 @@ fn invalid_configs_are_rejected_not_ub() {
         Mesh::new(MeshConfig::default().arena_bytes(1)),
         Err(MeshError::InvalidConfig(_))
     ));
-    assert!(Mesh::new(MeshConfig::default().sense_history(0)).is_err());
+    assert!(Mesh::new(MeshConfig::default().sense_path(Some("".into()))).is_err());
     assert!(Mesh::new(MeshConfig::default().occupancy_cutoff(2.0)).is_err());
 }
 

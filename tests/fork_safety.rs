@@ -22,9 +22,9 @@
 //! allocate over those spans, each in its own file.
 //!
 //! A fourth is taken while one thread records ledger passes and another
-//! sense snapshots. Their rings take no lock, so the fork does not wait
-//! for them: the child must still render both reports promptly, with an
-//! empty ledger.
+//! renders sense documents. The ledger's ring takes no lock, so the fork
+//! does not wait for it: the child must still render its sense document
+//! promptly, with an empty ledger.
 //!
 //! A fifth is taken after a mesh pass and a purge have punched holes in
 //! the file: the child's sparse copy holds exactly the pages the
@@ -309,22 +309,20 @@ fn fork_while_recording() {
         assert!(pid >= 0, "fork failed");
         if pid == 0 {
             guard.release_child();
-            let ledger = report_text(&mesh, Report::Ledger).unwrap_or_default();
             let sense = report_text(&mesh, Report::Sense).unwrap_or_default();
-            let ok = ledger.contains("\"passes_recorded\":0,")
-                && ledger.contains("\"passes\":[]")
-                && mesh.ledger_recent().is_empty()
-                && sense.starts_with("{\"mesh_sense_version\":4,")
-                && mesh.sense_latest().is_some();
+            let ok = sense.starts_with("{\"mesh_sense_version\":5,")
+                && sense.contains("\"ledger\":{\"passes_recorded\":0,")
+                && sense.ends_with("\"passes\":[]}}")
+                && mesh.ledger_recent().is_empty();
             unsafe { ffi::_exit(if ok { 0 } else { 1 }) };
         }
         guard.release_parent();
         let status = wait_with_timeout(pid, std::time::Duration::from_secs(30));
         stop.store(true, Ordering::Relaxed);
-        let status = status.expect("the child hung rendering its ledger or sense report");
+        let status = status.expect("the child hung rendering its sense report");
         assert!(
             status & 0x7F == 0 && (status >> 8) & 0xFF == 0,
-            "the child's ledger or sense report was wrong: raw status {status:#x}"
+            "the child's sense report was wrong: raw status {status:#x}"
         );
     });
     assert!(

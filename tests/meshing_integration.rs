@@ -1,6 +1,7 @@
 //! End-to-end meshing correctness: the §4.5 machinery validated through
 //! the public API, including theory cross-validation against §5.
 
+use mesh::core::json::Json;
 use mesh::core::{Mesh, MeshConfig, RejectReason, Report, SpanSnapshot};
 use mesh::graph::matching::greedy_matching;
 use mesh::graph::probability::mesh_probability;
@@ -129,11 +130,11 @@ fn fragmented_phases_end_compact_and_quiet_passes_purge_nothing() {
         "heap {} B for {live} B live",
         mesh.heap_bytes()
     );
-    mesh.report(Report::Sense).expect("sensing is always on");
-    let dirty = mesh
-        .sense_latest()
-        .expect("the render polled")
-        .free_dirty_bytes;
+    let sense = mesh.report(Report::Sense).expect("sensing is always on");
+    let dirty = Json::parse(std::str::from_utf8(&sense).unwrap())
+        .ok()
+        .and_then(|doc| doc.field("residency")?.field("free_dirty_bytes")?.as_f64())
+        .expect("the render's residency") as u64;
     assert!(dirty < 1 << 20, "{dirty} dirty bytes after the last pass");
     for &(p, size, fill) in &survivors {
         let object = unsafe { std::slice::from_raw_parts(p, size) };

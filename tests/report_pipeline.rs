@@ -195,7 +195,7 @@ fn every_trigger_renders_the_same_document() {
             same.push(file);
             std::fs::remove_file(path).ok();
         }
-        if matches!(kind, Report::Ledger | Report::Spectrum | Report::Profile) {
+        if matches!(kind, Report::Spectrum | Report::Profile) {
             for other in &same[1..] {
                 assert_eq!(
                     sans_uptime(&same[0]),

@@ -1,12 +1,12 @@
-//! End-to-end mesh-sense validation: the pressure/residency sensor, the
-//! snapshot ring, and the meshing-effectiveness ledger, all through the
-//! public API.
+//! End-to-end mesh-sense validation: the pressure/residency sensor, its
+//! one-reading document, and the meshing-effectiveness ledger, all
+//! through the public API.
 
 mod support;
 
 use mesh::core::{Mesh, MeshConfig, RejectReason, Report, PAGE_SIZE, REJECT_REASONS};
 use std::time::Duration;
-use support::{report_text, JsonExt, Parser};
+use support::{report_text, Json, JsonExt, Parser};
 
 fn heap(seed: u64) -> Mesh {
     // Huge mesh period: passes in this file are explicit. Sense polls
@@ -116,14 +116,14 @@ fn ledger_reconciles_with_heap_counters_over_many_passes() {
 }
 
 /// The sense JSON document: schema envelope, residency decomposition
-/// that partitions mapped bytes, and snapshots that track the workload.
+/// that partitions mapped bytes, and a snapshot that tracks the workload.
 #[test]
 fn sense_json_schema_and_residency_partition() {
     let mesh = heap(7);
     let kept = fragment(&mesh, 8_192, 256, 4);
     mesh.mesh_now();
     let json = report_text(&mesh, Report::Sense).expect("sensing is always on");
-    assert!(json.starts_with("{\"mesh_sense_version\":4,"), "{json}");
+    assert!(json.starts_with("{\"mesh_sense_version\":5,"), "{json}");
     for key in [
         "\"residency\":{",
         "\"mapped_bytes\":",
@@ -131,7 +131,7 @@ fn sense_json_schema_and_residency_partition() {
         "\"ledger\":{",
         "\"rejected_total\":{",
         "\"occupancy_overlap\":",
-        "\"snapshots\":[",
+        "\"snapshot\":{",
         "\"file_bytes\":",
     ] {
         assert!(json.contains(key), "missing {key} in {json}");
@@ -145,63 +145,81 @@ fn sense_json_schema_and_residency_partition() {
     }
     assert!(!json.contains('\n'), "dump is a single line");
 
-    // The latest snapshot reconciles with the heap's own gauges: the
-    // residency categories partition the mapped bytes.
-    let snap = mesh.sense_latest().expect("sense_json polled");
-    assert_eq!(
-        snap.live_bytes + snap.free_dirty_bytes + snap.free_clean_bytes + snap.meta_bytes,
-        snap.mapped_bytes,
-        "residency categories must partition the mapping: {snap:?}"
-    );
-    assert!(snap.mallocs >= 8_192);
-    assert!(snap.mesh_passes >= 1);
-    // The kernel's count of what the files hold: the snapshot and the
-    // residency it was taken from agree, and nothing written is missing.
+    // The residency categories partition the mapped bytes.
     let doc = Parser::parse(&json);
     let res = doc.get("residency");
+    let part: u64 = ["live_bytes", "free_dirty_bytes", "free_clean_bytes", "meta_bytes"]
+        .iter()
+        .map(|k| res.get(k).num())
+        .sum();
+    assert_eq!(part, res.get("mapped_bytes").num(), "residency categories must partition the mapping: {json}");
+    // The kernel's count of what the file holds: nothing written is
+    // missing, and nothing is counted that was not committed.
     assert!(res.get("file_bytes").num() > 0, "{json}");
     assert!(res.get("file_bytes").num() <= res.get("committed_bytes").num(), "{json}");
-    let last = doc.get("snapshots").arr().last().expect("this render's poll");
-    assert_eq!(last.get("file_bytes").num(), res.get("file_bytes").num());
-    assert!(
-        snap.poll_ns > 0,
-        "a snapshot reports what it cost: {snap:?}"
-    );
+    let snap = doc.get("snapshot");
+    assert!(snap.get("mallocs").num() >= 8_192);
+    assert!(snap.get("mesh_passes").num() >= 1);
+    assert!(snap.get("poll_ns").num() > 0, "a snapshot reports what it cost: {json}");
     for p in kept {
         unsafe { mesh.free(p) };
     }
 }
 
-/// Snapshot history: the ring keeps the last `sense_history` snapshots
-/// in order, and `prom_text` exposes the sense gauges and reject totals.
+/// Each figure of a `sense` document is named once: no member of
+/// `residency`, `snapshot` and the top level appears in two of them (or
+/// twice in one), and the document holds one of each object. The
+/// ledger's pass rows are records of their own and may share names.
 #[test]
-fn snapshot_ring_and_prom_families() {
+fn sense_names_each_figure_once() {
+    let mesh = heap(13);
+    let kept = fragment(&mesh, 4_096, 128, 4);
+    mesh.mesh_now();
+    let json = report_text(&mesh, Report::Sense).unwrap();
+    let doc = Parser::parse(&json);
+    let keys = |v: &Json| -> Vec<String> {
+        v.as_object().unwrap().iter().map(|(k, _)| k.clone()).collect()
+    };
+    let top = keys(&doc);
+    assert_eq!(
+        top,
+        ["mesh_sense_version", "uptime_ms", "residency", "snapshot", "ledger"],
+        "{json}"
+    );
+    let mut names: Vec<String> = top
+        .into_iter()
+        .chain(keys(doc.get("residency")))
+        .chain(keys(doc.get("snapshot")))
+        .collect();
+    let all = names.len();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), all, "a figure named twice: {json}");
+    assert!(!doc.get("ledger").get("passes").arr().is_empty(), "{json}");
+    for p in kept {
+        unsafe { mesh.free(p) };
+    }
+}
+
+/// `prom_text` exposes the sense gauges and the reject totals.
+#[test]
+fn prom_exports_sense_gauges_and_reject_totals() {
     let mesh = Mesh::new(
         MeshConfig::default()
             .arena_bytes(64 << 20)
             .seed(9)
-            .mesh_period(Duration::from_secs(3600))
-            .sense_history(4),
+            .mesh_period(Duration::from_secs(3600)),
     )
     .unwrap();
     let kept = fragment(&mesh, 4_096, 128, 4);
-    // Each sense report takes one poll; overfill the 4-slot ring.
-    for _ in 0..7 {
-        report_text(&mesh, Report::Sense).unwrap();
-    }
     mesh.mesh_now();
-    let json = report_text(&mesh, Report::Sense).unwrap();
-    // 8 polls into a 4-slot ring: exactly 4 snapshots retained. (Count
-    // by a snapshot-only key: ledger pass rows also carry "at_ms".)
-    assert_eq!(json.matches("\"rss_bytes\":").count(), 4, "{json}");
-
     let text = mesh.prom_text();
     assert!(text.contains("# TYPE mesh_pass_rejected_total counter"), "{text}");
     assert!(text.contains("mesh_pass_rejected_total{reason=\"occupancy_overlap\"}"));
     assert!(text.contains("mesh_pass_rejected_total{reason=\"class_contention\"}"));
     assert!(text.contains("mesh_pass_rejected_total{reason=\"copy_abort\"}"));
-    // Heap-derived sense gauges always resolve on Linux /proc; the
-    // files' footprint is heap-internal and never absent.
+    // The file's footprint is read with `fstat` and absent only after
+    // the heap's descriptor was lost.
     assert!(text.contains("mesh_file_bytes "), "{text}");
     for p in kept {
         unsafe { mesh.free(p) };
@@ -209,16 +227,24 @@ fn snapshot_ring_and_prom_families() {
 }
 
 /// `prom` takes its own poll: a fresh heap that never rendered `sense`
-/// still exports the residency gauge, from a snapshot taken just now.
+/// exports the file's footprint as it is now, and a second render sees
+/// the pages written in between.
 #[test]
 fn prom_takes_a_fresh_poll() {
     let mesh = Mesh::new(MeshConfig::default()).unwrap();
-    assert!(mesh.sense_latest().is_none(), "nothing polls on a clock");
-    let p = mesh.malloc(64);
-    let text = mesh.prom_text();
-    assert!(text.contains("mesh_file_bytes "), "{text}");
-    let snap = mesh.sense_latest().expect("the prom render polled");
-    assert!(snap.mallocs >= 1, "{snap:?}");
+    let file_bytes = |text: &str| -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix("mesh_file_bytes "))
+            .unwrap_or_else(|| panic!("no mesh_file_bytes sample: {text}"))
+            .parse()
+            .unwrap()
+    };
+    let before = file_bytes(&mesh.prom_text());
+    let p = mesh.malloc(4 << 20);
+    assert!(!p.is_null());
+    unsafe { std::ptr::write_bytes(p, 0x5A, 4 << 20) };
+    let after = file_bytes(&mesh.prom_text());
+    assert!(after >= before + (4 << 20), "{before} -> {after}");
     unsafe { mesh.free(p) };
 }
 
@@ -239,7 +265,7 @@ fn sense_dump_to_path() {
     let p = mesh.malloc(64);
     assert!(mesh.write_report(Report::Sense, 2).is_ok());
     let doc = std::fs::read_to_string(&path).expect("dump file written");
-    assert!(doc.contains("\"mesh_sense_version\":4"), "{doc}");
+    assert!(doc.contains("\"mesh_sense_version\":5"), "{doc}");
     std::fs::remove_file(&path).ok();
     unsafe { mesh.free(p) };
 }
@@ -247,7 +273,7 @@ fn sense_dump_to_path() {
 /// A *requested* sense dump (the `SIGUSR2` path minus the signal) is as
 /// fresh as a synchronous one: the poll belongs to the renderer, not to
 /// the trigger. Nothing polls on a clock, so the only way the dump's
-/// newest snapshot can postdate the request is the renderer's own poll.
+/// reading can postdate the request is the renderer's own poll.
 #[test]
 fn requested_sense_dump_takes_a_fresh_poll() {
     let path = std::env::temp_dir().join(format!("mesh-sense-req-{}.json", std::process::id()));
@@ -276,17 +302,13 @@ fn requested_sense_dump_takes_a_fresh_poll() {
         }
         std::thread::sleep(Duration::from_millis(20));
     };
-    let newest_at_ms = Parser::parse(doc.trim_end())
-        .get("snapshots")
-        .arr()
-        .last()
-        .unwrap_or_else(|| panic!("requested dump carries no snapshot: {doc}"))
-        .get("at_ms")
-        .num();
+    let doc = Parser::parse(doc.trim_end());
+    let read_at_ms = doc.get("uptime_ms").num();
     assert!(
-        newest_at_ms >= requested_at_ms,
-        "newest snapshot ({newest_at_ms} ms) predates the request ({requested_at_ms} ms)"
+        read_at_ms >= requested_at_ms,
+        "the reading ({read_at_ms} ms) predates the request ({requested_at_ms} ms)"
     );
+    assert!(doc.get("snapshot").get("mallocs").num() >= 1, "{doc:?}");
     std::fs::remove_file(&path).ok();
     unsafe { mesh.free(p) };
 }

@@ -4,7 +4,7 @@
 //! `mesh_core::json` for validating dump schemas. Also the arena as
 //! `/proc/self/maps` shows it (`vm_batching.rs`, `fork_safety.rs`), and a
 //! thread that meshes beside a test's mutators (`concurrent_stress.rs`,
-//! `segment_growth.rs`, `proptest_invariants.rs`).
+//! `arena_frontier.rs`, `proptest_invariants.rs`).
 
 #![allow(dead_code)] // each test binary uses its own subset
 
