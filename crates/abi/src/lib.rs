@@ -20,8 +20,8 @@
 //! [`mesh_core::MeshConfig::apply_env`]);
 //! `MESH_PRINT_STATS_AT_EXIT=1` dumps a one-line machine-readable
 //! summary at process exit, `MESH_PROF=1` turns on the sampled heap
-//! profiler (JSON dumps at exit, on `SIGUSR2`, every
-//! `MESH_PROF_INTERVAL_MS`, or via `mesh_prof_dump()`), and
+//! profiler (JSON dumps at exit, on `SIGUSR2`, or via
+//! `mesh_prof_dump()`), and
 //! `MESH_CTL=/path/sock` serves live introspection and control over a
 //! Unix socket (drive it with `mesh-top` or `nc -U`).
 //!

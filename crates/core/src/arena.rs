@@ -84,6 +84,10 @@ pub enum SpanSource {
 /// cannot hold one cannot serve every class.
 const FIRST_SPAN_PAGES: usize = MIN_OBJECTS_PER_SPAN * MAX_SMALL_SIZE / PAGE_SIZE;
 
+/// Dirty (freed but still committed) pages are released to the OS once
+/// they exceed this many bytes (§4.4.1; 64 MB in the paper).
+const MAX_DIRTY_BYTES: usize = 64 << 20;
+
 /// The meshable arena. All methods require external synchronization (the
 /// sharded heap's arena leaf lock); the arena itself performs no locking.
 #[derive(Debug)]
@@ -96,6 +100,7 @@ pub struct Arena {
     file: MemFile,
     spans: FreeSpans,
     committed_pages: usize,
+    /// [`MAX_DIRTY_BYTES`] in pages; a unit test lowers it.
     max_dirty_pages: usize,
     barrier: Option<BarrierGuard>,
     counters: Arc<Counters>,
@@ -153,7 +158,7 @@ impl Arena {
             file,
             spans: FreeSpans::new(cap_pages as u32),
             committed_pages: 0,
-            max_dirty_pages: config.max_dirty_bytes / PAGE_SIZE,
+            max_dirty_pages: MAX_DIRTY_BYTES / PAGE_SIZE,
             barrier,
             counters,
             aliases: 0,
@@ -819,10 +824,10 @@ mod tests {
     fn purge_threshold_releases_dirty() {
         let config = MeshConfig::default()
             .arena_bytes(256 * PAGE_SIZE)
-            .max_dirty_bytes(4 * PAGE_SIZE)
             .write_barrier(false);
         let counters = Arc::new(Counters::default());
         let mut a = Arena::new(&config, Arc::clone(&counters)).unwrap();
+        a.max_dirty_pages = 4;
         let spans: Vec<Span> = (0..3).map(|_| a.alloc_span(2).unwrap().0).collect();
         assert_eq!(a.committed_pages(), 6);
         a.free_span_dirty(spans[0]); // dirty: 2 pages

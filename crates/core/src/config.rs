@@ -27,7 +27,7 @@ pub(crate) const CTL_PATH_MAX: usize = 107;
 /// let config = MeshConfig::default()
 ///     .seed(42)
 ///     .arena_bytes(64 * 1024 * 1024)
-///     .occupancy_cutoff(0.8);
+///     .mesh_period(std::time::Duration::from_millis(100));
 /// assert!(config.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -50,11 +50,6 @@ pub struct MeshConfig {
     /// free reaches the global heap (§4.5); and a pass purges the dirty
     /// pages (§4.4.1) once at least this many bytes of them are waiting.
     pub(crate) min_mesh_gain_bytes: usize,
-    /// Spans with occupancy above this fraction are not mesh candidates.
-    pub(crate) occupancy_cutoff: f64,
-    /// Dirty (freed but still committed) pages are released to the OS once
-    /// they exceed this many bytes (§4.4.1; 64 MB in the paper).
-    pub(crate) max_dirty_bytes: usize,
     /// Install the mprotect/SIGSEGV write barrier during meshing (§4.5.2).
     pub(crate) write_barrier: bool,
     /// Master switch for the sampled heap profiler (`MESH_PROF`). Off by
@@ -65,10 +60,6 @@ pub struct MeshConfig {
     /// tcmalloc's classic default of 512 KiB). Smaller = more samples =
     /// sharper profiles and more overhead.
     pub(crate) prof_sample_bytes: usize,
-    /// Interval between automatic profile dumps (`MESH_PROF_INTERVAL_MS`;
-    /// `None` = only on request/at exit). Dumps ride the background
-    /// telemetry thread.
-    pub(crate) prof_interval: Option<Duration>,
     /// Profile-dump destination (`MESH_PROF_PATH`; `None` = stderr as a
     /// single `mesh-prof: ` line). The file is rewritten on each dump.
     pub(crate) prof_path: Option<PathBuf>,
@@ -96,10 +87,6 @@ pub struct MeshConfig {
     /// live introspection and a whitelisted knob surface for running
     /// processes. A forked child unlinks and re-binds the path.
     pub(crate) ctl_path: Option<PathBuf>,
-    /// Maximum concurrently connected mesh-ctl clients
-    /// (`MESH_CTL_MAX_CLIENTS`); further connections are accepted and
-    /// immediately dropped so a misbehaving scraper cannot pile up fds.
-    pub(crate) ctl_max_clients: usize,
     /// Hardened-mode configuration (`MESH_HARDEN` and friends): policy
     /// off/count/abort plus per-feature switches for poisoning,
     /// quarantine, guard pages, and the mesh-time canary sweep. Off by
@@ -116,19 +103,15 @@ impl Default for MeshConfig {
             randomize: true,
             mesh_period: Duration::from_millis(100),
             min_mesh_gain_bytes: 1 << 20,
-            occupancy_cutoff: 0.8,
-            max_dirty_bytes: 64 << 20,
             write_barrier: true,
             profiling: false,
             prof_sample_bytes: 512 << 10, // tcmalloc's classic rate
-            prof_interval: None,
             prof_path: None,
             trace: false,
             trace_buf_events: 64 << 10, // 64 Ki events = 2 MiB of ring
             trace_path: None,
             sense_path: None,
             ctl_path: None,
-            ctl_max_clients: 4,
             harden: HardenConfig::default(),
         }
     }
@@ -168,10 +151,6 @@ impl MeshConfig {
         /// Sets the least a pass must return: the "don't restart the timer"
         /// gain threshold (§4.5) and the dirty bytes a pass purges at.
         min_mesh_gain_bytes(bytes: usize) => min_mesh_gain_bytes = bytes;
-        /// Sets the occupancy fraction above which spans are not meshed.
-        occupancy_cutoff(cutoff: f64) => occupancy_cutoff = cutoff;
-        /// Sets the dirty-page release threshold (§4.4.1).
-        max_dirty_bytes(bytes: usize) => max_dirty_bytes = bytes;
         /// Enables or disables the concurrent-meshing write barrier.
         ///
         /// With the barrier disabled, meshing is only safe if no other thread
@@ -183,9 +162,6 @@ impl MeshConfig {
         /// Sets the mean bytes between allocation samples
         /// (`MESH_PROF_SAMPLE_BYTES`).
         prof_sample_bytes(bytes: usize) => prof_sample_bytes = bytes;
-        /// Sets (or clears) the automatic profile-dump interval
-        /// (`MESH_PROF_INTERVAL_MS`).
-        prof_interval(interval: Option<Duration>) => prof_interval = interval;
         /// Sets (or clears) the profile-dump destination (`MESH_PROF_PATH`).
         prof_path(path: Option<PathBuf>) => prof_path = path;
         /// Enables or disables slow-path event tracing (`MESH_TRACE`).
@@ -200,9 +176,6 @@ impl MeshConfig {
         /// Sets (or clears) the mesh-ctl control-socket path (`MESH_CTL`;
         /// `None` = no socket).
         ctl(path: Option<PathBuf>) => ctl_path = path;
-        /// Sets the maximum concurrently connected mesh-ctl clients
-        /// (`MESH_CTL_MAX_CLIENTS`).
-        ctl_max_clients(n: usize) => ctl_max_clients = n;
         /// Sets the hardened-mode policy (`MESH_HARDEN`): [`HardenPolicy::Off`],
         /// count, or abort-on-detection.
         harden_policy(policy: HardenPolicy) => harden.policy = policy;
@@ -219,12 +192,6 @@ impl MeshConfig {
         /// mode (`MESH_HARDEN_CANARY`; also requires poisoning, which writes
         /// the canaries).
         harden_canary(enabled: bool) => harden.canary = enabled;
-        /// Sets the per-thread quarantine byte cap
-        /// (`MESH_HARDEN_QUARANTINE_BYTES`).
-        harden_quarantine_bytes(bytes: usize) => harden.quarantine_bytes = bytes;
-        /// Sets the per-thread quarantine slot cap
-        /// (`MESH_HARDEN_QUARANTINE_SLOTS`).
-        harden_quarantine_slots(slots: usize) => harden.quarantine_slots = slots;
     }
 
     /// Whether the sampled heap profiler is enabled.
@@ -235,11 +202,6 @@ impl MeshConfig {
     /// The configured mean bytes between allocation samples.
     pub fn prof_sample_size(&self) -> usize {
         self.prof_sample_bytes
-    }
-
-    /// The configured automatic profile-dump interval, if any.
-    pub fn prof_dump_interval(&self) -> Option<Duration> {
-        self.prof_interval
     }
 
     /// The configured profile-dump destination, if any.
@@ -270,11 +232,6 @@ impl MeshConfig {
     /// The configured control-socket path, if the socket is enabled.
     pub fn ctl_socket_path(&self) -> Option<&std::path::Path> {
         self.ctl_path.as_deref()
-    }
-
-    /// The configured mesh-ctl client cap.
-    pub fn ctl_client_cap(&self) -> usize {
-        self.ctl_max_clients
     }
 
     /// The resolved hardened-mode configuration.
@@ -346,21 +303,17 @@ impl MeshConfig {
     /// | `MESH_PRINT_STATS_AT_EXIT` | one-line stats dump at exit (process heap only) | one of 1/0/true/false/yes/no/on/off | off |
     /// | `MESH_PROF` | sampled heap profiler (mesh-insight) | one of 1/0/true/false/yes/no/on/off | off |
     /// | `MESH_PROF_SAMPLE_BYTES` | mean bytes between samples | a number in 1..=1T | 512K |
-    /// | `MESH_PROF_INTERVAL_MS` | periodic profile dumps, in ms (0 = off) | a number in 0..=4294967295 | 0 |
     /// | `MESH_PROF_PATH` | profile-dump file (unset: one `mesh-prof:` line on stderr) | a path of 1..=4095 bytes | unset |
     /// | `MESH_TRACE` | slow-path event tracer (mesh-trace) | one of 1/0/true/false/yes/no/on/off | off |
     /// | `MESH_TRACE_BUF_EVENTS` | events the trace ring keeps (rounded up to a power of two, overwrite-oldest) | a number in 64..=4M | 64K |
     /// | `MESH_TRACE_PATH` | trace-dump file (unset: one `mesh-trace:` line on stderr) | a path of 1..=4095 bytes | unset |
     /// | `MESH_SENSE_PATH` | sense-dump file, also written at exit (unset: stderr, on request only) | a path of 1..=4095 bytes | unset |
     /// | `MESH_CTL` | mesh-ctl control-socket path (unset: no socket) | a path of 1..=107 bytes | unset |
-    /// | `MESH_CTL_MAX_CLIENTS` | concurrent mesh-ctl clients | a number in 1..=64 | 4 |
     /// | `MESH_HARDEN` | hardened mode: `off` / `count` (alias `full`) / `abort` (alias `die`) | one of off/count/abort (aliases: full, die, 0/1, on/off) | off |
     /// | `MESH_HARDEN_POISON` | free poisoning + reallocation verify | one of 1/0/true/false/yes/no/on/off | on |
     /// | `MESH_HARDEN_QUARANTINE` | delayed-reuse quarantine | one of 1/0/true/false/yes/no/on/off | on |
     /// | `MESH_HARDEN_GUARD` | trailing guard page on large objects | one of 1/0/true/false/yes/no/on/off | on |
     /// | `MESH_HARDEN_CANARY` | canary sweep during mesh copy windows (needs poisoning) | one of 1/0/true/false/yes/no/on/off | on |
-    /// | `MESH_HARDEN_QUARANTINE_BYTES` | per-thread quarantine byte cap | a number in 4K..=1G | 256K |
-    /// | `MESH_HARDEN_QUARANTINE_SLOTS` | per-thread quarantine slot cap | a number in 1..=1M | 512 |
     /// <!-- /knobs -->
     ///
     /// Size knobs accept `K`/`M`/`G`/`T` suffixes (optionally followed by
@@ -396,7 +349,6 @@ mod tests {
         let c = MeshConfig::default();
         assert_eq!(c.mesh_period, Duration::from_millis(100), "§4.5 rate limit");
         assert_eq!(c.min_mesh_gain_bytes, 1 << 20, "1 MB rule (§4.5)");
-        assert_eq!(c.max_dirty_bytes, 64 << 20, "64 MB dirty threshold (§4.4.1)");
         assert!(c.meshing && c.randomize && c.write_barrier);
         assert!(c.validate().is_ok());
     }
@@ -417,11 +369,9 @@ mod tests {
             .seed(7)
             .meshing(false)
             .randomize(false)
-            .occupancy_cutoff(0.5)
             .arena_bytes(1 << 24);
         assert_eq!(c.seed, Some(7));
         assert!(!c.meshing && !c.randomize);
-        assert_eq!(c.occupancy_cutoff, 0.5);
         assert!(c.validate().is_ok());
     }
 
@@ -463,16 +413,13 @@ mod tests {
         let c = MeshConfig::default();
         assert!(!c.is_profiling(), "profiling is off by default");
         assert_eq!(c.prof_sample_size(), 512 << 10, "tcmalloc's classic rate");
-        assert_eq!(c.prof_dump_interval(), None);
         assert_eq!(c.prof_dump_path(), None);
         let c = MeshConfig::default()
             .profiling(true)
             .prof_sample_bytes(64 << 10)
-            .prof_interval(Some(Duration::from_millis(250)))
             .prof_path(Some("/tmp/prof.json".into()));
         assert!(c.is_profiling());
         assert_eq!(c.prof_sample_size(), 64 << 10);
-        assert_eq!(c.prof_dump_interval(), Some(Duration::from_millis(250)));
         assert_eq!(
             c.prof_dump_path(),
             Some(std::path::Path::new("/tmp/prof.json"))
@@ -534,25 +481,16 @@ mod tests {
     fn ctl_knobs_build_and_validate() {
         let c = MeshConfig::default();
         assert_eq!(c.ctl_socket_path(), None, "ctl socket is off by default");
-        assert_eq!(c.ctl_client_cap(), 4);
-        let c = MeshConfig::default()
-            .ctl(Some("/tmp/mesh-ctl.sock".into()))
-            .ctl_max_clients(8);
+        let c = MeshConfig::default().ctl(Some("/tmp/mesh-ctl.sock".into()));
         assert_eq!(
             c.ctl_socket_path(),
             Some(std::path::Path::new("/tmp/mesh-ctl.sock"))
         );
-        assert_eq!(c.ctl_client_cap(), 8);
         assert!(c.validate().is_ok());
         // sun_path holds at most CTL_PATH_MAX bytes plus the NUL.
         let long = "/tmp/".to_string() + &"x".repeat(CTL_PATH_MAX);
         assert!(MeshConfig::default().ctl(Some(long.into())).validate().is_err());
         assert!(MeshConfig::default().ctl(Some("".into())).validate().is_err());
-        // Client-cap bounds only matter while the socket is on.
-        let on = MeshConfig::default().ctl(Some("/tmp/s".into()));
-        assert!(on.clone().ctl_max_clients(0).validate().is_err());
-        assert!(on.ctl_max_clients(65).validate().is_err());
-        assert!(MeshConfig::default().ctl_max_clients(0).validate().is_ok());
     }
 
     #[test]
@@ -562,37 +500,18 @@ mod tests {
         let h = c.harden_config();
         assert_eq!(h.policy, HardenPolicy::Off);
         assert!(h.poison && h.quarantine && h.guard && h.canary, "features default on");
-        assert_eq!(h.quarantine_bytes, 256 << 10);
-        assert_eq!(h.quarantine_slots, 512);
         let c = MeshConfig::default()
             .harden_policy(HardenPolicy::Count)
             .harden_poison(true)
             .harden_quarantine(true)
             .harden_guard(false)
-            .harden_canary(false)
-            .harden_quarantine_bytes(64 << 10)
-            .harden_quarantine_slots(32);
+            .harden_canary(false);
         assert!(c.is_hardened());
         let h = c.harden_config();
         assert!(h.poison_on() && h.quarantine_on());
         assert!(!h.guard_on() && !h.canary_on());
-        assert_eq!(h.quarantine_bytes, 64 << 10);
-        assert_eq!(h.quarantine_slots, 32);
         assert!(c.validate().is_ok());
-        // Quarantine bounds only matter while hardening (and the
-        // quarantine) are on.
-        assert!(MeshConfig::default().harden_quarantine_slots(0).validate().is_ok());
         let on = MeshConfig::default().harden_policy(HardenPolicy::Count);
-        assert!(on.clone().harden_quarantine_slots(0).validate().is_err());
-        assert!(on.clone().harden_quarantine_slots((1 << 20) + 1).validate().is_err());
-        assert!(on.clone().harden_quarantine_bytes(16).validate().is_err());
-        assert!(on.clone().harden_quarantine_bytes(2 << 30).validate().is_err());
-        assert!(on
-            .clone()
-            .harden_quarantine(false)
-            .harden_quarantine_slots(0)
-            .validate()
-            .is_ok());
         // Canary without poison has nothing to verify.
         assert!(on.clone().harden_poison(false).validate().is_err());
         assert!(on.harden_poison(false).harden_canary(false).validate().is_ok());
@@ -601,7 +520,6 @@ mod tests {
     #[test]
     fn invalid_configs_rejected() {
         assert!(MeshConfig::default().arena_bytes(4096).validate().is_err());
-        assert!(MeshConfig::default().occupancy_cutoff(0.0).validate().is_err());
-        assert!(MeshConfig::default().occupancy_cutoff(1.5).validate().is_err());
+        assert!(MeshConfig::default().arena_bytes(2 << 40).validate().is_err());
     }
 }

@@ -62,8 +62,6 @@ pub(crate) struct RuntimeConfig {
     /// A pass that releases fewer bytes pauses the timer (§4.5); a pass
     /// purges once this many bytes are dirty.
     pub min_mesh_gain_bytes: usize,
-    /// Spans fuller than this fraction are not mesh candidates.
-    pub occupancy_cutoff: f64,
 }
 
 impl RuntimeConfig {
@@ -74,7 +72,6 @@ impl RuntimeConfig {
                 config.mesh_period.as_nanos().min(u64::MAX as u128) as u64,
             ),
             min_mesh_gain_bytes: config.min_mesh_gain_bytes,
-            occupancy_cutoff: config.occupancy_cutoff,
         }
     }
 
@@ -232,9 +229,7 @@ impl GlobalHeap {
             ledger: MeshLedger::new(),
             reports: Reports::new(&config),
             harden: config.harden,
-            ctl: config
-                .ctl_socket_path()
-                .map(|p| CtlState::bind(p, config.ctl_client_cap())),
+            ctl: config.ctl_socket_path().map(CtlState::bind),
             class_canaries: std::array::from_fn(|i| harden::canary_word(seed, i)),
             base,
             pages,
@@ -552,7 +547,6 @@ impl GlobalHeap {
     /// large-object tally. Takes one class lock at a time — never two,
     /// never across classes — so it can run against live traffic.
     pub fn occupancy_spectrum(&self) -> HeapSpectrum {
-        let cutoff = self.rt.occupancy_cutoff;
         let alias_room = self.lock_arena().alias_room().min(u32::MAX as usize) as u32;
         let mut spec = HeapSpectrum::default();
         // The live objects of each candidate.
@@ -578,7 +572,7 @@ impl GlobalHeap {
                     let bin = bin_for_occupancy(in_use, slots).min(FULL_BIN);
                     let bin = if in_use == 0 { PARTIAL_BINS - 1 } else { bin as usize };
                     cs.bins[bin] += 1;
-                    if cs.meshable && crate::meshing::is_candidate(mh, cutoff) {
+                    if cs.meshable && crate::meshing::is_candidate(mh) {
                         in_use_of.push(in_use as u32);
                     }
                 }

@@ -100,10 +100,6 @@ pub struct HardenConfig {
     /// Canary validation of free slots during mesh copy windows
     /// (requires `poison`, which writes the canaries).
     pub canary: bool,
-    /// Byte cap of the per-thread quarantine (`MESH_HARDEN_QUARANTINE_BYTES`).
-    pub quarantine_bytes: usize,
-    /// Slot cap of the per-thread quarantine (`MESH_HARDEN_QUARANTINE_SLOTS`).
-    pub quarantine_slots: usize,
 }
 
 impl Default for HardenConfig {
@@ -114,8 +110,6 @@ impl Default for HardenConfig {
             quarantine: true,
             guard: true,
             canary: true,
-            quarantine_bytes: 256 << 10,
-            quarantine_slots: 512,
         }
     }
 }

@@ -20,7 +20,6 @@ pub enum Value {
     Bool(bool),
     /// Bytes, items or milliseconds.
     Num(u64),
-    Fraction(f64),
     Path(PathBuf),
     Policy(HardenPolicy),
     /// An unset path or seed. It has no text form: the variable is absent.
@@ -44,8 +43,6 @@ pub enum Kind {
     Path { max_len: usize },
     /// [`parse_harden_policy`] spellings.
     Policy,
-    /// A fraction in `(0, 1]`.
-    Fraction,
 }
 
 /// Renders `n` with the largest `K`/`M`/`G`/`T` suffix that divides it.
@@ -67,7 +64,6 @@ impl Kind {
             Kind::Num { min, max } => format!("a number in {}..={}", human(min), human(max)),
             Kind::Path { max_len } => format!("a path of 1..={max_len} bytes"),
             Kind::Policy => "one of off/count/abort (aliases: full, die, 0/1, on/off)".into(),
-            Kind::Fraction => "a fraction in (0, 1]".into(),
         }
     }
 
@@ -77,7 +73,6 @@ impl Kind {
             (Kind::Bool, Value::Bool(_)) | (Kind::Policy, Value::Policy(_)) => true,
             (Kind::Num { min, max }, Value::Num(n)) => (min..=max).contains(n),
             (Kind::Path { max_len }, Value::Path(p)) => (1..=max_len).contains(&p.as_os_str().len()),
-            (Kind::Fraction, Value::Fraction(f)) => *f > 0.0 && *f <= 1.0,
             (Kind::Path { .. } | Kind::Num { .. }, Value::Unset) => true,
             _ => false,
         }
@@ -90,7 +85,6 @@ impl Kind {
             Kind::Num { .. } => Value::Num(parse_size(text)? as u64),
             Kind::Path { .. } => Value::Path(PathBuf::from(text)),
             Kind::Policy => Value::Policy(parse_harden_policy(text)?),
-            Kind::Fraction => Value::Fraction(text.parse().ok()?),
         })
     }
 }
@@ -146,7 +140,6 @@ pub fn render(value: &Value) -> String {
     match value {
         Value::Bool(b) => (*b as u8).to_string(),
         Value::Num(n) => n.to_string(),
-        Value::Fraction(f) => f.to_string(),
         Value::Path(p) => p.display().to_string(),
         Value::Policy(p) => format!("{p:?}").to_ascii_lowercase(),
         Value::Unset => String::new(),
@@ -163,7 +156,7 @@ pub const LEGACY_CAP: &str = "MESH_ARENA_BYTES";
 
 /// Retired names and why, names that share a reason next to each other:
 /// ignored, whatever they say, with one stderr line per reason.
-pub const RETIRED: [(&str, &str); 8] = [
+pub const RETIRED: [(&str, &str); 12] = [
     ("MESH_TRANSFER_BATCH", "there is no transfer cache to tune"),
     (
         "MESH_TRANSFER_CACHE_SLOTS",
@@ -178,6 +171,10 @@ pub const RETIRED: [(&str, &str); 8] = [
     ),
     ("MESH_INITIAL_SEGMENT_BYTES", "the heap is one file"),
     ("MESH_SEGMENT_BYTES", "the heap is one file"),
+    ("MESH_PROF_INTERVAL_MS", "the heap uses a fixed value"),
+    ("MESH_CTL_MAX_CLIENTS", "the heap uses a fixed value"),
+    ("MESH_HARDEN_QUARANTINE_BYTES", "the heap uses a fixed value"),
+    ("MESH_HARDEN_QUARANTINE_SLOTS", "the heap uses a fixed value"),
 ];
 
 /// Reads `row` from the environment. A value [`parse`] refuses costs one
@@ -265,18 +262,13 @@ pub fn parse_harden_policy(s: &str) -> Option<HardenPolicy> {
     }
 }
 
-/// `get`/`set` for the field shapes: a flag, a `usize`, an optional
-/// interval in ms where 0 = off (`None`), an optional path.
+/// `get`/`set` for the field shapes: a flag, a `usize`, an optional path.
 #[rustfmt::skip]
 macro_rules! field {
     (bool $($f:ident).+) => { Some(Field { get: |c| Value::Bool(c.$($f).+), set: |c, v| c.$($f).+ = v.flag() }) };
     (num $($f:ident).+) => { Some(Field {
         get: |c| Value::Num(c.$($f).+ as u64),
         set: |c, v| c.$($f).+ = v.num() as usize,
-    }) };
-    (off_or_ms $f:ident) => { Some(Field {
-        get: |c| Value::Num(c.$f.map_or(0, |d| d.as_millis() as u64)),
-        set: |c, v| c.$f = Some(Duration::from_millis(v.num())).filter(|d| !d.is_zero()),
     }) };
     (path $f:ident) => { Some(Field {
         get: |c| c.$f.clone().map_or(Value::Unset, Value::Path),
@@ -308,7 +300,7 @@ const CAP: Kind = Kind::Num { min: 32 * PAGE_SIZE as u64, max: 1 << 40 };
 
 /// Every knob, in the order the tables print them.
 #[rustfmt::skip]
-pub static KNOBS: [Knob; 27] = [
+pub static KNOBS: [Knob; 21] = [
     knob!("max_heap_bytes", Some("MESH_MAX_HEAP_BYTES"), CAP, "1G", field!(num max_heap_bytes),
         "hard cap: the size of the heap's one memory file, lowered to the soft `RLIMIT_FSIZE` (8G under `LD_PRELOAD`; legacy name `MESH_ARENA_BYTES`)"),
     knob!("seed", Some("MESH_SEED"), ANY, "",
@@ -331,14 +323,6 @@ pub static KNOBS: [Knob; 27] = [
         live: |h, v| { h.rt.set_mesh_period(Duration::from_millis(v.num())); Ok(()) }),
     knob!("min_mesh_gain_bytes", None, ANY, "1M", field!(num min_mesh_gain_bytes),
         "the least a pass must return: freeing less pauses the timer until the next global free (§4.5); a pass purges once this many bytes are dirty (§4.4.1)"),
-    knob!("occupancy_cutoff", None, Kind::Fraction, "0.8",
-        Some(Field {
-            get: |c| Value::Fraction(c.occupancy_cutoff),
-            set: |c, v| if let Value::Fraction(f) = v { c.occupancy_cutoff = f },
-        }),
-        "spans fuller than this are not mesh candidates"),
-    knob!("max_dirty_bytes", None, ANY, "64M", field!(num max_dirty_bytes),
-        "dirty pages are released to the OS past this many bytes (§4.4.1)"),
     knob!("write_barrier", None, FLAG, "on", field!(bool write_barrier),
         "mprotect/SIGSEGV write barrier during meshing (§4.5.2)"),
     knob!("print_stats_at_exit", Some("MESH_PRINT_STATS_AT_EXIT"), FLAG, "off", None,
@@ -349,8 +333,6 @@ pub static KNOBS: [Knob; 27] = [
         gate: |c| c.profiling,
         live: |h, v| h.telemetry.as_ref().ok_or(Report::Profile.off().0)
             .map(|t| t.set_sample_bytes(v.num() as usize))),
-    knob!("prof_interval_ms", Some("MESH_PROF_INTERVAL_MS"), MILLIS, "0",
-        field!(off_or_ms prof_interval), "periodic profile dumps, in ms (0 = off)"),
     knob!("prof_path", Some("MESH_PROF_PATH"), FILE, "", field!(path prof_path),
         "profile-dump file (unset: one `mesh-prof:` line on stderr)"),
     knob!("trace", Some("MESH_TRACE"), FLAG, "off", field!(bool trace), "slow-path event tracer (mesh-trace)",
@@ -364,9 +346,6 @@ pub static KNOBS: [Knob; 27] = [
         "sense-dump file, also written at exit (unset: stderr, on request only)"),
     knob!("ctl", Some("MESH_CTL"), Kind::Path { max_len: CTL_PATH_MAX }, "", field!(path ctl_path),
         "mesh-ctl control-socket path (unset: no socket)"),
-    knob!("ctl_max_clients", Some("MESH_CTL_MAX_CLIENTS"), Kind::Num { min: 1, max: 64 }, "4",
-        field!(num ctl_max_clients), "concurrent mesh-ctl clients",
-        gate: |c| c.ctl_path.is_some()),
     knob!("harden", Some("MESH_HARDEN"), Kind::Policy, "off",
         Some(Field {
             get: |c| Value::Policy(c.harden.policy),
@@ -381,13 +360,6 @@ pub static KNOBS: [Knob; 27] = [
         "trailing guard page on large objects"),
     knob!("harden_canary", Some("MESH_HARDEN_CANARY"), FLAG, "on", field!(bool harden.canary),
         "canary sweep during mesh copy windows (needs poisoning)"),
-    knob!("harden_quarantine_bytes", Some("MESH_HARDEN_QUARANTINE_BYTES"),
-        Kind::Num { min: PAGE_SIZE as u64, max: 1 << 30 }, "256K", field!(num harden.quarantine_bytes),
-        "per-thread quarantine byte cap",
-        gate: |c| c.harden.quarantine_on()),
-    knob!("harden_quarantine_slots", Some("MESH_HARDEN_QUARANTINE_SLOTS"), Kind::Num { min: 1, max: 1 << 20 },
-        "512", field!(num harden.quarantine_slots), "per-thread quarantine slot cap",
-        gate: |c| c.harden.quarantine_on()),
 ];
 
 #[cfg(test)]
@@ -407,7 +379,6 @@ mod tests {
             (Kind::Num { .. }, Value::Unset) => Value::Num(7),
             (Kind::Path { .. }, Value::Unset) => Value::Path("/tmp/knob".into()),
             (Kind::Policy, _) => Value::Policy(HardenPolicy::Abort),
-            (Kind::Fraction, _) => Value::Fraction(0.5),
             other => panic!("{}: no probe for {other:?}", row.name),
         }
     }
@@ -418,20 +389,15 @@ mod tests {
     fn every_field_has_a_row() {
         let MeshConfig {
             max_heap_bytes, seed, meshing, randomize, mesh_period, min_mesh_gain_bytes,
-            occupancy_cutoff, max_dirty_bytes,
-            write_barrier, profiling, prof_sample_bytes, prof_interval, prof_path, trace,
-            trace_buf_events, trace_path,
-            sense_path, ctl_path, ctl_max_clients, harden,
+            write_barrier, profiling, prof_sample_bytes, prof_path, trace,
+            trace_buf_events, trace_path, sense_path, ctl_path, harden,
         } = MeshConfig::default();
-        let HardenConfig { policy, poison, quarantine, guard, canary, quarantine_bytes, quarantine_slots } =
-            harden;
-        let all: [&dyn std::fmt::Debug; 26] = [
+        let HardenConfig { policy, poison, quarantine, guard, canary } = harden;
+        let all: [&dyn std::fmt::Debug; 20] = [
             &max_heap_bytes, &seed, &meshing, &randomize, &mesh_period, &min_mesh_gain_bytes,
-            &occupancy_cutoff, &max_dirty_bytes,
-            &write_barrier, &profiling, &prof_sample_bytes, &prof_interval, &prof_path, &trace,
-            &trace_buf_events, &trace_path,
-            &sense_path, &ctl_path, &ctl_max_clients,
-            &policy, &poison, &quarantine, &guard, &canary, &quarantine_bytes, &quarantine_slots,
+            &write_barrier, &profiling, &prof_sample_bytes, &prof_path, &trace,
+            &trace_buf_events, &trace_path, &sense_path, &ctl_path,
+            &policy, &poison, &quarantine, &guard, &canary,
         ];
         assert_eq!(fields().count(), all.len(), "one row per field");
         // …and no two rows share a field: setting one row moves that row
@@ -461,8 +427,8 @@ mod tests {
         let mut env: Vec<&str> = KNOBS.iter().filter_map(|r| r.env).collect();
         assert_eq!(
             env.len(),
-            19 + 1,
-            "19 config variables and MESH_PRINT_STATS_AT_EXIT"
+            15 + 1,
+            "15 config variables and MESH_PRINT_STATS_AT_EXIT"
         );
         env.push(LEGACY_CAP);
         env.extend(RETIRED.map(|(name, _)| name));
@@ -499,13 +465,13 @@ mod tests {
 
     #[test]
     fn refusals_name_the_range() {
-        let row = find("ctl_max_clients").unwrap();
-        assert_eq!(parse(row, "64"), Ok(Value::Num(64)), "the largest");
-        for bad in ["0", "65", "18446744073709551615", "banana", ""] {
-            assert_eq!(parse(row, bad), Err("expected a number in 1..=64".into()), "{bad:?}");
+        let row = find("trace_buf_events").unwrap();
+        assert_eq!(parse(row, "4M"), Ok(Value::Num(4 << 20)), "the largest");
+        for bad in ["63", "4194305", "18446744073709551615", "banana", ""] {
+            assert_eq!(parse(row, bad), Err("expected a number in 64..=4M".into()), "{bad:?}");
         }
-        let ctl = MeshConfig::default().ctl(Some("/tmp/knob.sock".into()));
-        assert!(ctl.ctl_max_clients(usize::MAX).validate().is_err());
+        let tracing = MeshConfig::default().tracing(true);
+        assert!(tracing.trace_buf_events(usize::MAX).validate().is_err());
         let cap = find("max_heap_bytes").unwrap();
         assert_eq!(parse(cap, "8G"), Ok(Value::Num(8 << 30)));
         assert_eq!(

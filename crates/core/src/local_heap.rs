@@ -49,6 +49,12 @@ use std::time::Instant;
 /// timer.
 const SETTLE_EVERY: u32 = 32;
 
+/// The most object bytes one thread's hardened-mode quarantine parks.
+const QUARANTINE_BYTES: usize = 256 << 10;
+
+/// The most objects one thread's hardened-mode quarantine parks.
+const QUARANTINE_SLOTS: usize = 512;
+
 /// Where one free request is routed, as decided by a single page-map
 /// lookup (see [`ThreadHeapCore::route`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +112,7 @@ pub(crate) struct ThreadHeapCore {
     /// routing.
     quarantine_set: std::collections::HashSet<usize>,
     /// Total object bytes currently parked (bounded by
-    /// `MESH_HARDEN_QUARANTINE_BYTES`).
+    /// [`QUARANTINE_BYTES`]).
     quarantine_bytes: usize,
 }
 
@@ -348,9 +354,7 @@ impl ThreadHeapCore {
         self.quarantine.push((addr, class_idx));
         self.quarantine_set.insert(addr);
         self.quarantine_bytes += size;
-        while self.quarantine.len() > state.harden.quarantine_slots
-            || self.quarantine_bytes > state.harden.quarantine_bytes
-        {
+        while self.quarantine.len() > QUARANTINE_SLOTS || self.quarantine_bytes > QUARANTINE_BYTES {
             self.quarantine_evict(state);
         }
     }

@@ -4,18 +4,17 @@
 //! §4.5 rate limiter says one is due, or on `mesh_now`. A heap that
 //! profiles, traces, names a `MESH_SENSE_PATH` or serves a control socket
 //! runs one `mesh-bg` thread for the work none of those may do on an
-//! allocation path: interval profile dumps, reports requested by
-//! `SIGUSR2` / `Mesh::request_report`, and the mesh-ctl socket
+//! allocation path: reports requested by `SIGUSR2` /
+//! `Mesh::request_report`, and the mesh-ctl socket
 //! (`GlobalHeap::telemetry_tick`). A heap with default settings runs no
 //! thread: nothing polls on a clock, and a sense snapshot is taken by the
 //! render that shows it.
 //!
 //! ## Parking
 //!
-//! The thread parks until the *next deadline* — the next interval dump
-//! (`GlobalHeap::next_park`), or a short slice while a control socket is
-//! live. With nothing scheduled it parks in [`IDLE_PARK`] slices, so a
-//! signal-requested dump waits at most one.
+//! The thread parks in [`IDLE_PARK`] slices, so a signal-requested dump
+//! waits at most one, or in shorter slices while a control socket is live
+//! (`GlobalHeap::next_park`).
 //!
 //! ## Shutdown handshake
 //!
@@ -115,13 +114,16 @@ mod tests {
         // Meshing sets no deadline here: passes run on the free path.
         let h = heap(MeshConfig::default().mesh_period(Duration::from_millis(1)));
         assert_eq!(h.next_park(), super::IDLE_PARK);
-        // The telemetry dump interval bounds the park when it is sooner.
-        let h = heap(
-            MeshConfig::default()
-                .profiling(true)
-                .prof_interval(Some(Duration::from_millis(20))),
-        );
-        assert!(h.next_park() <= Duration::from_millis(20));
+        // Nor does profiling: its dumps are requested, not timed.
+        let h = heap(MeshConfig::default().profiling(true));
+        assert_eq!(h.next_park(), super::IDLE_PARK);
+        // A listening control socket bounds the park.
+        let sock = std::env::temp_dir().join(format!("mesh-park-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&sock);
+        let h = heap(MeshConfig::default().ctl(Some(sock.clone())));
+        assert_eq!(h.next_park(), crate::telemetry::CTL_PARK);
+        drop(h);
+        let _ = std::fs::remove_file(&sock);
     }
 
     /// Fragments a heap while a second thread runs passes back to back,

@@ -204,7 +204,6 @@ pub(crate) fn mesh_all_classes(heap: &GlobalHeap, purge_floor: usize) -> MeshSum
 /// bins — so each span seen is also refiled under the bin it belongs in,
 /// or destroyed if nothing in it is live.
 fn collect_candidates(heap: &GlobalHeap, st: &mut ClassState) -> Vec<(u64, MiniHeapId)> {
-    let cutoff = heap.rt.occupancy_cutoff;
     let mut out: Vec<(u64, MiniHeapId)> =
         st.bins.partial.iter().flatten().map(|&id| (0, id)).collect();
     out.retain(|&(_, id)| {
@@ -212,7 +211,7 @@ fn collect_candidates(heap: &GlobalHeap, st: &mut ClassState) -> Vec<(u64, MiniH
         // Destroyed just now if nothing in it was live.
         st.slab.get(id).is_some_and(|mh| {
             debug_assert!(!mh.is_attached());
-            is_candidate(mh, cutoff)
+            is_candidate(mh)
         })
     });
     for (key, id) in &mut out {
@@ -222,13 +221,17 @@ fn collect_candidates(heap: &GlobalHeap, st: &mut ClassState) -> Vec<(u64, MiniH
     out
 }
 
+/// Spans fuller than this fraction of their slots are not mesh
+/// candidates.
+const OCCUPANCY_CUTOFF: f64 = 0.8;
+
 /// Whether a detached span may join a pass: partially occupied (an empty
 /// span is destroyed, not meshed, and a full one has no slot to take
-/// another's objects) and no fuller than `cutoff`. Passes and the
-/// spectrum's estimate both ask this.
-pub(crate) fn is_candidate(mh: MiniHeapRef<'_>, cutoff: f64) -> bool {
+/// another's objects) and no fuller than [`OCCUPANCY_CUTOFF`]. Passes and
+/// the spectrum's estimate both ask this.
+pub(crate) fn is_candidate(mh: MiniHeapRef<'_>) -> bool {
     let (in_use, count) = (mh.in_use(), mh.object_count());
-    in_use > 0 && in_use < count && in_use as f64 / count as f64 <= cutoff
+    in_use > 0 && in_use < count && in_use as f64 / count as f64 <= OCCUPANCY_CUTOFF
 }
 
 /// The order [`first_fit`] takes candidates in, highest first: the
@@ -1299,24 +1302,25 @@ mod tests {
 
     #[test]
     fn occupancy_cutoff_excludes_full_spans() {
-        let h = GlobalHeap::new(
-            MeshConfig::default()
-                .arena_bytes(64 << 20)
-                .seed(5)
-                .write_barrier(false)
-                .occupancy_cutoff(0.5),
-            Arc::new(Counters::default()),
-        )
-        .unwrap();
-        let class = SizeClass::for_size(2048).unwrap();
-        let count = class.object_count(); // 8
-        // 75% occupied: above cutoff → not a candidate.
-        let dense: Vec<usize> = (0..count * 3 / 4).collect();
-        detached_with_slots(&h, class, &dense, 1);
-        detached_with_slots(&h, class, &[0], 2);
-        let mut st = h.lock_class(class);
-        let candidates = collect_candidates(&h, &mut st);
-        assert_eq!(candidates.len(), 1);
+        // A 16-byte span has 256 slots: 204 live is just below the cutoff
+        // (0.797), 205 just above (0.801). A second span holds every other
+        // slot, so the two fold exactly when the dense one is a candidate,
+        // and the pass and the spectrum's estimate must both say so.
+        let class = SizeClass::for_size(16).unwrap();
+        let slots = class.object_count();
+        assert_eq!(slots, 256);
+        for (live, candidate) in [(204, true), (205, false)] {
+            assert_eq!(live as f64 / slots as f64 <= OCCUPANCY_CUTOFF, candidate);
+            let h = heap(5);
+            detached_with_slots(&h, class, &(0..live).collect::<Vec<_>>(), 1);
+            detached_with_slots(&h, class, &(live..slots).collect::<Vec<_>>(), 2);
+            let found = collect_candidates(&h, &mut h.lock_class(class)).len();
+            assert_eq!(found, 1 + candidate as usize, "{live} live: the pass's candidates");
+            let estimate = h.occupancy_spectrum().classes[class.index()].est_meshable_pairs;
+            assert_eq!(estimate, candidate as u32, "{live} live: the spectrum");
+            let summary = mesh_all_classes(&h, h.rt.min_mesh_gain_bytes);
+            assert_eq!(summary.pairs_meshed, estimate as usize, "{live} live: the pass");
+        }
     }
 
     #[test]

@@ -150,12 +150,6 @@ impl EpochClock {
     pub(crate) fn restart(&self, now_ns: u64) {
         self.0.store(now_ns, Ordering::Relaxed);
     }
-
-    /// Time left at `now_ns` until `period` will have passed.
-    pub(crate) fn remaining(&self, now_ns: u64, period: Duration) -> Duration {
-        let elapsed = now_ns.saturating_sub(self.0.load(Ordering::Relaxed));
-        period.saturating_sub(Duration::from_nanos(elapsed))
-    }
 }
 
 /// The thread registry's lock, at its rank (a type of its own so that
@@ -526,20 +520,26 @@ pub struct HeapStats {
     pub live_bytes: usize,
     /// Shuffle-vector refills (one class-lock acquisition each).
     pub refills: u64,
-    /// Retired, always 0: there is no remote-free queue (a non-local free
-    /// clears its bit itself; `remote_frees` counts them). Kept, with the
-    /// five fields below, for `mesh-bench`, which reads them by name; the
-    /// next benchmark change drops them together with its rows.
+    /// Always 0: there is no remote-free queue (a non-local free clears
+    /// its bit itself; `remote_frees` counts them). Kept, with the five
+    /// fields below, for `mesh-bench`, which reads them by name; no view
+    /// shows them, and the next benchmark change drops them.
+    #[doc(hidden)]
     pub remote_free_queued: u64,
-    /// Retired, always 0 (see `remote_free_queued`).
+    /// Always 0 (see `remote_free_queued`).
+    #[doc(hidden)]
     pub remote_free_drained: u64,
-    /// Retired, always 0: there is no transfer cache.
+    /// Always 0: there is no transfer cache.
+    #[doc(hidden)]
     pub transfer_hits: u64,
-    /// Retired, always 0 (see `transfer_hits`).
+    /// Always 0 (see `transfer_hits`).
+    #[doc(hidden)]
     pub transfer_misses: u64,
-    /// Retired, always 0 (see `transfer_hits`).
+    /// Always 0 (see `transfer_hits`).
+    #[doc(hidden)]
     pub transfer_spills: u64,
-    /// Retired, always 0 (see `remote_free_queued`).
+    /// Always 0 (see `remote_free_queued`).
+    #[doc(hidden)]
     pub remote_free_batches: u64,
     /// Contended class-lock acquisitions, per size class.
     pub class_lock_contention: [u64; NUM_SIZE_CLASSES],
@@ -666,7 +666,7 @@ impl HeapStats {
 /// exposition's order (counters, then gauges); `line` is the place on the
 /// `mesh:` line.
 #[rustfmt::skip]
-pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 29] = [
+pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 23] = [
     num!(mallocs, line: 1, prom: counter("mesh_mallocs_total", "Successful allocations.")),
     num!(frees, line: 2, prom: counter("mesh_frees_total", "Frees, all paths.")),
     num!(remote_frees, line: 8, prom: counter("mesh_remote_frees_total", "Frees routed through the global heap.")),
@@ -683,23 +683,11 @@ pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 29] = [
     num!(dirty_purges, prom: counter("mesh_dirty_purges_total", "Dirty-page purge events.")),
     num!(pages_purged, line: 15, prom: counter("mesh_pages_purged_total", "Pages released by dirty purges.")),
     num!(refills, prom: counter("mesh_refills_total", "Shuffle-vector refills (one class-lock acquisition each).")),
-    num!(remote_free_queued,
-         prom: counter("mesh_remote_free_queued_total", "Retired, always 0: non-local frees are not queued.")),
-    num!(remote_free_drained,
-         prom: counter("mesh_remote_free_drained_total", "Retired, always 0: non-local frees are not queued.")),
     num!(reallocs_in_place, line: 11,
          prom: counter("mesh_reallocs_in_place_total", "realloc calls satisfied without moving the allocation.")),
     num!(forks, line: 16, prom: counter("mesh_forks_total", "Heap privatizations in forked children.")),
-    num!(files_lost, line: 22,
+    num!(files_lost, line: 18,
          prom: counter("mesh_files_lost_total", "Heap file descriptors found naming another file.")),
-    num!(transfer_hits, line: 17,
-         prom: counter("mesh_transfer_hits_total", "Retired, always 0: there is no transfer cache.")),
-    num!(transfer_misses, line: 18,
-         prom: counter("mesh_transfer_misses_total", "Retired, always 0: there is no transfer cache.")),
-    num!(transfer_spills, line: 19,
-         prom: counter("mesh_transfer_spills_total", "Retired, always 0: there is no transfer cache.")),
-    num!(remote_free_batches, line: 20,
-         prom: counter("mesh_remote_free_batches_total", "Retired, always 0: non-local frees are not queued.")),
     num!(live_bytes, line: 3, prom: gauge("mesh_live_bytes", "Live application bytes (allocated minus freed).")),
     num!(heap_bytes(), line: 4,
          prom: gauge("mesh_heap_bytes", "Committed pages in bytes - the physical heap footprint.")),
@@ -710,7 +698,7 @@ pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 29] = [
     num!(mapped_bytes(), line: 6,
          prom: gauge("mesh_mapped_bytes", "Bytes below the arena's bump frontier - the virtual footprint.")),
     num!(slab_bytes, prom: gauge("mesh_slab_bytes", "Span-record and bitmap-table bytes - per-span metadata.")),
-    num!(uptime_ms, line: 21, prom: gauge("mesh_uptime_seconds", "Seconds since heap initialization.").ms_as_seconds()),
+    num!(uptime_ms, line: 17, prom: gauge("mesh_uptime_seconds", "Seconds since heap initialization.").ms_as_seconds()),
 ];
 
 /// Hardened-mode violations by kind: last on the `mesh:` line, and
@@ -719,7 +707,7 @@ pub(crate) static HEAP_FIELDS: [Field<HeapStats>; 29] = [
 /// can be written once.
 #[rustfmt::skip]
 pub(crate) static HARDEN_FIELDS: [Field<HeapStats>; 1] = [row!(
-    key: "harden", line: 23, get: |s| Named(&HARDEN_NAMES, &s.harden_violations),
+    key: "harden", line: 19, get: |s| Named(&HARDEN_NAMES, &s.harden_violations),
     prom: counter("mesh_harden_violations_total", "Hardened-mode memory-safety violations by kind.").by("kind"))];
 
 /// A point-in-time snapshot of one MiniHeap's allocation state, exposed
@@ -819,8 +807,7 @@ mod tests {
         assert!(line.contains("mallocs=7"));
         assert!(line.contains("pairs_meshed=2"));
         assert!(line.contains("forks=1"));
-        assert!(line.contains("transfer_hits=0"));
-        assert!(line.contains("remote_free_batches=0"));
+        assert!(!line.contains("transfer_hits") && !line.contains("remote_free_batches"), "{line}");
         assert!(line.contains("harden_poison=3"), "{line}");
         assert!(line.contains("harden_double_free=0"), "{line}");
         assert!(line.contains("harden_canary=0"), "{line}");
@@ -904,12 +891,11 @@ mod tests {
         let period = Duration::from_nanos(100);
         let clock = EpochClock::started_at(1_000);
         assert!(!clock.claim(1_050, period), "half a period in");
-        assert_eq!(clock.remaining(1_050, period), Duration::from_nanos(50));
         assert!(clock.claim(1_100, period));
         assert!(!clock.claim(1_100, period), "the slot is taken");
         clock.restart(5_000);
         assert!(!clock.claim(5_099, period));
-        assert_eq!(clock.remaining(5_200, period), Duration::ZERO);
+        assert!(clock.claim(5_200, period));
     }
 
     #[test]

@@ -89,6 +89,10 @@ pub(crate) const CTL_PARK: Duration = Duration::from_millis(50);
 /// total far more than this.
 const MAX_REQUEST_BYTES: usize = 256;
 
+/// Most concurrently connected clients: further connections are accepted
+/// and dropped at once, so a misbehaving scraper cannot pile up fds.
+const MAX_CLIENTS: usize = 4;
+
 /// Whole-frame write deadline. A client that cannot drain a frame within
 /// this budget forfeits its connection rather than wedging the background
 /// thread: the deadline bounds the *entire frame*, not one `write(2)`, so
@@ -130,7 +134,6 @@ pub(crate) struct CtlIo {
 #[derive(Debug)]
 pub(crate) struct CtlState {
     path: PathBuf,
-    max_clients: usize,
     io: Mutex<CtlIo>,
 }
 
@@ -176,11 +179,10 @@ impl CtlState {
     /// heap runs with the socket disabled (two processes cannot share
     /// one listener, and stealing a running server's socket out from
     /// under it would be worse than a warning).
-    pub(crate) fn bind(path: &Path, max_clients: usize) -> CtlState {
+    pub(crate) fn bind(path: &Path) -> CtlState {
         let listener = Self::bind_listener(path);
         CtlState {
             path: path.to_path_buf(),
-            max_clients: max_clients.max(1),
             io: Mutex::new(Rank::CTL, CtlIo {
                 listener,
                 conns: Vec::new(),
@@ -339,7 +341,7 @@ impl CtlState {
                 loop {
                     match listener.accept() {
                         Ok((stream, _)) => {
-                            if conns.len() >= self.max_clients {
+                            if conns.len() >= MAX_CLIENTS {
                                 drop(stream);
                                 continue;
                             }
@@ -668,10 +670,10 @@ mod tests {
     fn bind_serves_and_reclaims_stale_sockets() {
         let path = sock_path("bind");
         let _ = std::fs::remove_file(&path);
-        let ctl = CtlState::bind(&path, 2);
+        let ctl = CtlState::bind(&path);
         assert!(ctl.is_listening());
         // A second server on the same live path must stand down.
-        let loser = CtlState::bind(&path, 2);
+        let loser = CtlState::bind(&path);
         assert!(!loser.is_listening());
         drop(loser);
         assert!(path.exists(), "loser's drop must not unlink the winner's socket");
@@ -680,7 +682,7 @@ mod tests {
         // A stale path (owner died without unlinking) is reclaimed.
         drop(UnixListener::bind(&path).unwrap());
         assert!(path.exists());
-        let stale = CtlState::bind(&path, 2);
+        let stale = CtlState::bind(&path);
         assert!(stale.is_listening(), "stale socket is unlinked and re-bound");
         drop(stale);
     }
@@ -689,8 +691,10 @@ mod tests {
     fn tick_accepts_greets_and_answers() {
         let path = sock_path("tick");
         let _ = std::fs::remove_file(&path);
-        let ctl = CtlState::bind(&path, 1);
+        let ctl = CtlState::bind(&path);
         let mut client = UnixStream::connect(&path).unwrap();
+        let others: Vec<UnixStream> =
+            (1..MAX_CLIENTS).map(|_| UnixStream::connect(&path).unwrap()).collect();
         // Over-cap client: accepted then dropped.
         let mut extra = UnixStream::connect(&path).unwrap();
         ctl.tick(&mut |_| Response::err("unreached"));
@@ -708,6 +712,7 @@ mod tests {
         assert_eq!(&reply, b"ok 4\npong\n");
         // Client EOF retires the connection on the next tick.
         drop(client);
+        drop(others);
         ctl.tick(&mut |_| Response::err("unreached"));
         assert!(ctl.io.lock().conns.is_empty());
         drop(ctl);
@@ -718,7 +723,7 @@ mod tests {
     fn oversized_request_is_rejected() {
         let path = sock_path("oversize");
         let _ = std::fs::remove_file(&path);
-        let ctl = CtlState::bind(&path, 1);
+        let ctl = CtlState::bind(&path);
         let mut client = UnixStream::connect(&path).unwrap();
         ctl.tick(&mut |_| Response::err("unreached"));
         client.write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1]).unwrap();
@@ -736,7 +741,7 @@ mod tests {
     fn oversized_complete_line_is_rejected() {
         let path = sock_path("oversize-line");
         let _ = std::fs::remove_file(&path);
-        let ctl = CtlState::bind(&path, 1);
+        let ctl = CtlState::bind(&path);
         let mut client = UnixStream::connect(&path).unwrap();
         ctl.tick(&mut |_| Response::err("unreached"));
         let mut big = vec![b'x'; MAX_REQUEST_BYTES + 1];
@@ -759,7 +764,7 @@ mod tests {
     fn pipelined_burst_exceeding_line_cap_is_answered() {
         let path = sock_path("pipeline");
         let _ = std::fs::remove_file(&path);
-        let ctl = CtlState::bind(&path, 1);
+        let ctl = CtlState::bind(&path);
         let mut client = UnixStream::connect(&path).unwrap();
         ctl.tick(&mut |_| Response::err("unreached"));
         let mut greeting = [0u8; GREETING.len()];
@@ -790,7 +795,7 @@ mod tests {
     fn dispatch_runs_with_io_lock_dropped() {
         let path = sock_path("lockfree-dispatch");
         let _ = std::fs::remove_file(&path);
-        let ctl = CtlState::bind(&path, 1);
+        let ctl = CtlState::bind(&path);
         let mut client = UnixStream::connect(&path).unwrap();
         ctl.tick(&mut |_| Response::err("unreached"));
         client.write_all(b"ping\n").unwrap();
@@ -815,7 +820,7 @@ mod tests {
     fn stalled_reader_is_dropped_at_frame_deadline() {
         let path = sock_path("stall");
         let _ = std::fs::remove_file(&path);
-        let ctl = CtlState::bind(&path, 1);
+        let ctl = CtlState::bind(&path);
         let mut client = UnixStream::connect(&path).unwrap();
         ctl.tick(&mut |_| Response::err("unreached"));
         client.write_all(b"big\n").unwrap();
@@ -850,7 +855,7 @@ mod tests {
         let racers: Vec<_> = (0..2)
             .map(|_| {
                 let p = path.clone();
-                std::thread::spawn(move || CtlState::bind(&p, 2))
+                std::thread::spawn(move || CtlState::bind(&p))
             })
             .collect();
         let states: Vec<CtlState> = racers.into_iter().map(|h| h.join().unwrap()).collect();

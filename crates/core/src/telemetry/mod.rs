@@ -14,7 +14,7 @@
 //! 6. **Reports** (`report`, `exposition`): every document above,
 //!    Prometheus text included, is a [`Report`] kind, with one renderer
 //!    and one writer behind `Mesh::report`, the C ABI symbols, SIGUSR2,
-//!    interval dumps, mesh-ctl (`ctl`) and exit.
+//!    mesh-ctl (`ctl`) and exit.
 //! 7. **Field tables** (`fields`): a record a view shows names each field
 //!    once more, as a row of a table beside its struct (keys, Prometheus
 //!    series, whether [`ABSENT`] is `null`); the `mesh:` line, the JSON,
@@ -68,12 +68,10 @@ pub(crate) use trace::{chrome_json, TraceSet};
 pub(crate) use trace::trace_tid;
 
 use crate::config::MeshConfig;
-use crate::stats::EpochClock;
 use fields::{counter, gauge, row, Field, Value::Num};
 use profile_table::{FingerprintTable, SampledSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Fingerprint-table capacity: distinct call-site chains kept before new
 /// chains fold into the overflow site.
@@ -118,8 +116,8 @@ pub(crate) static PROFILE_FIELDS: [Field<(ProfileStats, usize)>; 8] = [
          prom: gauge("mesh_prof_live_bytes_estimate", "Unbiased live-bytes estimate from the sampler.")),
 ];
 
-/// Shared profiling state of one heap: the fingerprint table, the live
-/// sampled set, and the dump schedule. `None` on the heap when profiling
+/// Shared profiling state of one heap: the fingerprint table and the live
+/// sampled set. `None` on the heap when profiling
 /// is off — every hook is behind that `Option`.
 #[derive(Debug)]
 pub struct Telemetry {
@@ -130,10 +128,6 @@ pub struct Telemetry {
     sample_bytes: AtomicUsize,
     table: FingerprintTable,
     live: SampledSet,
-    dump_interval: Option<Duration>,
-    /// When the last interval dump was claimed; starts at the heap's
-    /// birth (nanosecond 0 of its epoch).
-    last_dump: EpochClock,
     samples: AtomicU64,
     samples_dropped: AtomicU64,
     sampled_frees: AtomicU64,
@@ -157,8 +151,6 @@ impl Telemetry {
             sample_bytes: AtomicUsize::new(rate),
             table: FingerprintTable::new(SITE_CAPACITY),
             live: SampledSet::new(capacity),
-            dump_interval: config.prof_interval,
-            last_dump: EpochClock::started_at(0),
             samples: AtomicU64::new(0),
             samples_dropped: AtomicU64::new(0),
             sampled_frees: AtomicU64::new(0),
@@ -239,19 +231,6 @@ impl Telemetry {
     pub fn site_snapshots(&self) -> Vec<SiteSnapshot> {
         self.table.snapshots()
     }
-
-    /// Whether the interval clock expired at `now_ns` on the heap's
-    /// epoch. Claims the slot: the clock restarts.
-    pub(crate) fn take_interval_due(&self, now_ns: u64) -> bool {
-        self.dump_interval
-            .is_some_and(|interval| self.last_dump.claim(now_ns, interval))
-    }
-
-    /// Time from `now_ns` until the interval clock next expires (`None`
-    /// without an interval): the background thread's park bound.
-    pub(crate) fn time_until_dump(&self, now_ns: u64) -> Option<Duration> {
-        Some(self.last_dump.remaining(now_ns, self.dump_interval?))
-    }
 }
 
 #[cfg(test)]
@@ -290,24 +269,5 @@ mod tests {
         assert_eq!(snaps.len(), 2);
         assert_eq!(snaps[0].live_bytes(), 7000, "sorted live-first");
         assert_eq!(snaps[1].live_bytes(), 0);
-    }
-
-    #[test]
-    fn interval_clock_claims_and_restarts() {
-        let cfg = prof_config().prof_interval(Some(Duration::from_millis(10)));
-        let t = Telemetry::new(&cfg).unwrap();
-        let ms = 1_000_000;
-        assert!(!t.take_interval_due(2 * ms), "fresh clock: nothing due");
-        assert_eq!(t.time_until_dump(2 * ms), Some(Duration::from_millis(8)));
-        assert!(t.take_interval_due(12 * ms), "interval clock fires");
-        assert!(!t.take_interval_due(12 * ms), "claiming restarts the clock");
-        assert_eq!(t.time_until_dump(12 * ms), Some(Duration::from_millis(10)));
-    }
-
-    #[test]
-    fn no_interval_means_no_clock() {
-        let t = Telemetry::new(&prof_config()).unwrap();
-        assert_eq!(t.time_until_dump(0), None);
-        assert!(!t.take_interval_due(u64::MAX));
     }
 }

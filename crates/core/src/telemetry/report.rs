@@ -3,9 +3,9 @@
 //! ([`GlobalHeap::render`]), written by one writer ([`GlobalHeap::emit`]),
 //! and asked for asynchronously through one signal-safe pending mask
 //! ([`Reports`]). Every trigger — `Mesh::report`, `SIGUSR2` /
-//! `Mesh::request_report`, the profile interval clock, the C ABI
-//! symbols, the at-exit hook, the mesh-ctl socket — lands here and
-//! nowhere else, so a document cannot depend on how it was asked for.
+//! `Mesh::request_report`, the C ABI symbols, the at-exit hook, the
+//! mesh-ctl socket — lands here and nowhere else, so a document cannot
+//! depend on how it was asked for.
 //!
 //! The per-kind facts (name, stderr prefix, path knob, off message) are
 //! the `ROWS` table below; DESIGN.md §4i lists them beside the API, ctl
@@ -308,7 +308,7 @@ impl GlobalHeap {
             (arena.stats(), arena.file_pages())
         };
         let res = super::decompose(&arena_stats, file_pages);
-        let p = super::read_pressure();
+        let p = super::read_pressure((res.file_bytes != ABSENT).then_some(res.file_bytes));
         let stats = self.counters.snapshot();
         let snap = SenseSnapshot {
             rss_bytes: p.rss_bytes.unwrap_or(ABSENT),
@@ -325,20 +325,11 @@ impl GlobalHeap {
         (snap, res)
     }
 
-    /// One background-thread beat: emits every report that is due — a
-    /// request from `SIGUSR2` / `Mesh::request_report`, or the profile
-    /// interval clock expiring — then serves a beat of the mesh-ctl
-    /// socket.
+    /// One background-thread beat: emits every report requested by
+    /// `SIGUSR2` / `Mesh::request_report`, then serves a beat of the
+    /// mesh-ctl socket.
     pub(crate) fn telemetry_tick(&self) {
-        let mut due = self.reports.claim();
-        let now = self.counters.now_ns();
-        if self
-            .telemetry
-            .as_ref()
-            .is_some_and(|t| t.take_interval_due(now))
-        {
-            due |= Report::Profile.bit();
-        }
+        let due = self.reports.claim();
         for kind in Report::ALL {
             if due & kind.bit() != 0 {
                 // A request for a kind whose subsystem is off is a no-op.
@@ -348,24 +339,19 @@ impl GlobalHeap {
         self.ctl_tick();
     }
 
-    /// How long the background thread may park: until the next interval
-    /// dump, or a full idle slice when none is pending.
+    /// How long the background thread may park: a full idle slice, or
+    /// [`CTL_PARK`] while a control socket listens (it needs polling-grade
+    /// latency; a ctl that failed to bind costs nothing).
     pub(crate) fn next_park(&self) -> Duration {
-        let mut park = crate::mesher::IDLE_PARK;
-        let now = self.counters.now_ns();
-        if let Some(d) = self.telemetry.as_ref().and_then(|t| t.time_until_dump(now)) {
-            park = park.min(d);
-        }
-        // A live control socket needs polling-grade latency; a ctl that
-        // failed to bind costs nothing.
         if self.ctl.as_ref().is_some_and(|c| c.is_listening()) {
-            park = park.min(CTL_PARK);
+            CTL_PARK
+        } else {
+            crate::mesher::IDLE_PARK
         }
-        park.clamp(Duration::from_millis(1), crate::mesher::IDLE_PARK)
     }
 
     /// Whether a heap with this configuration runs the background thread:
-    /// to serve requested and interval reports of the kinds that have a
+    /// to serve requested reports of the kinds that have a
     /// dump (profiling, tracing, a `MESH_SENSE_PATH`), to serve the
     /// mesh-ctl socket, or both. A default heap runs none.
     pub(crate) fn background_thread_wanted(&self) -> bool {
@@ -510,7 +496,7 @@ mod tests {
         h.telemetry_tick();
         assert!(
             !path.exists(),
-            "nothing requested, no interval: nothing written"
+            "nothing requested: nothing written"
         );
         h.reports.request(Report::Profile);
         h.telemetry_tick();

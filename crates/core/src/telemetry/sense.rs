@@ -6,7 +6,7 @@
 //! 2. **container limits**: cgroup v2 (`memory.max`/`memory.current`,
 //!    located via `/proc/self/cgroup`) falling back to cgroup v1
 //!    (`memory.limit_in_bytes`/`memory.usage_in_bytes`),
-//! 3. **process RSS**: `/proc/self/statm`,
+//! 3. **process RSS**: `/proc/self/status`, each heap page counted once,
 //!
 //! — and the heap's throughput counters into one [`SenseSnapshot`]; the
 //! heap's own figures are the residency decomposition
@@ -31,7 +31,8 @@ pub const ABSENT: u64 = u64::MAX;
 /// `SENSE_FIELDS`.
 #[derive(Debug, Default)]
 pub(crate) struct SenseSnapshot {
-    /// Process RSS from the kernel ([`ABSENT`] when procfs is missing).
+    /// Process RSS with each heap page counted once ([`read_pressure`];
+    /// [`ABSENT`] when procfs is missing).
     pub rss_bytes: u64,
     /// PSI `some avg10`, in thousandths of a percent ([`ABSENT`] = no PSI).
     pub psi_avg10_milli: u64,
@@ -60,7 +61,7 @@ pub(crate) struct SenseSnapshot {
 /// renders `null` and drops the gauge.
 #[rustfmt::skip]
 pub(crate) static SENSE_FIELDS: [Field<SenseSnapshot>; 10] = [
-    num!(rss_bytes, nullable: true, prom: gauge("mesh_rss_bytes", "Process resident set size from /proc.")),
+    num!(rss_bytes, nullable: true, prom: gauge("mesh_rss_bytes", "Process resident bytes, each heap page counted once.")),
     num!(psi_avg10_milli, nullable: true, prom: gauge("mesh_pressure_psi_avg10",
           "Memory PSI some avg10 percentage from /proc/pressure/memory.").percent()),
     num!(psi_avg60_milli, nullable: true, prom: gauge("mesh_pressure_psi_avg60",
@@ -95,12 +96,15 @@ pub struct PressureReading {
     pub cgroup_limit_bytes: Option<u64>,
     /// cgroup memory usage in bytes.
     pub cgroup_usage_bytes: Option<u64>,
-    /// Process RSS in bytes, if procfs is available.
+    /// Process RSS in bytes, each heap page counted once, if procfs is
+    /// available.
     pub rss_bytes: Option<u64>,
 }
 
 /// Reads every pressure source once, degrading field-by-field.
-pub fn read_pressure() -> PressureReading {
+/// `file_bytes` is what the heap's file holds (`None` once its
+/// descriptor is lost).
+pub fn read_pressure(file_bytes: Option<u64>) -> PressureReading {
     let (psi_avg10_milli, psi_avg60_milli) = match read_psi() {
         Some((a10, a60)) => (Some(a10), Some(a60)),
         None => (None, None),
@@ -111,8 +115,24 @@ pub fn read_pressure() -> PressureReading {
         psi_avg60_milli,
         cgroup_limit_bytes,
         cgroup_usage_bytes,
-        rss_bytes: crate::sys::process_rss_kb().map(|kb| kb * 1024),
+        rss_bytes: std::fs::read_to_string("/proc/self/status")
+            .ok()
+            .and_then(|text| parse_status_rss(&text, file_bytes)),
     }
+}
+
+/// The resident bytes of a `/proc/<pid>/status` text, each heap page
+/// counted once: `RssAnon + RssFile` plus `file_bytes`, what the heap's
+/// file holds. `RssShmem` is left out, since it counts a meshed page once
+/// per mapping of it (and so does `VmRSS`, the fallback when `file_bytes`
+/// or the split is absent).
+pub(crate) fn parse_status_rss(text: &str, file_bytes: Option<u64>) -> Option<u64> {
+    let kb = |key: &str| -> Option<u64> {
+        let value = text.lines().find_map(|l| l.strip_prefix(key))?;
+        value.trim().strip_suffix("kB")?.trim().parse().ok()
+    };
+    let split = || Some((kb("RssAnon:")? + kb("RssFile:")?) * 1024 + file_bytes?);
+    split().or_else(|| Some(kb("VmRSS:")? * 1024))
 }
 
 /// `/proc/pressure/memory` → (avg10, avg60) in milli-percent.
@@ -231,6 +251,17 @@ mod tests {
     }
 
     #[test]
+    fn status_rss_parser() {
+        let status = "Name:\tx\nVmRSS:\t   10240 kB\nRssAnon:\t    4096 kB\n\
+                      RssFile:\t    1024 kB\nRssShmem:\t    5120 kB\n";
+        assert_eq!(parse_status_rss(status, Some(8192)), Some((5120 << 10) + 8192));
+        assert_eq!(parse_status_rss(status, None), Some(10240 << 10), "no file count");
+        let old = "VmRSS:\t  300 kB\n";
+        assert_eq!(parse_status_rss(old, Some(1)), Some(300 << 10), "no split");
+        assert_eq!(parse_status_rss("", Some(1)), None);
+    }
+
+    #[test]
     fn cgroup_value_parser() {
         assert_eq!(parse_cgroup_value("max\n"), None, "unlimited");
         assert_eq!(parse_cgroup_value("1073741824\n"), Some(1 << 30));
@@ -246,7 +277,7 @@ mod tests {
     fn read_pressure_degrades_gracefully() {
         // Whatever this kernel/container exposes, reading must not panic
         // and present fields must be sane.
-        let p = read_pressure();
+        let p = read_pressure(Some(0));
         if let Some(rss) = p.rss_bytes {
             assert!(rss > 0);
         }

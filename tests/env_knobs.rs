@@ -3,8 +3,9 @@
 //! the `MESH_TRACE*` tracing knobs, warn-and-ignore on malformed
 //! values, and the retired names (the transfer-cache knobs,
 //! `MESH_BACKGROUND_MESHING`, the sense poll interval, `mincore` budget
-//! and history, and the two segment sizes), which are ignored whatever
-//! they say. A walk over `knobs::KNOBS` feeds every variable a
+//! and history, the two segment sizes, and the profile interval, ctl
+//! client cap and quarantine caps the heap now fixes), which are ignored
+//! whatever they say. A walk over `knobs::KNOBS` feeds every variable a
 //! value below its range, above it, garbage and blank: whatever the
 //! environment says, `apply_env()` returns a config `validate()` accepts.
 //!
@@ -31,8 +32,6 @@ fn hostile_expectation(name: &str) -> MeshConfig {
         "default" => MeshConfig::default(),
         // Canary without poison: the canary sweep is switched off.
         "conflict" => counting.tracing(true).harden_poison(false).harden_canary(false),
-        // Quarantine caps out of range with the quarantine on: default caps.
-        "caps" => counting,
         other => panic!("unknown expectation {other}"),
     }
 }
@@ -85,8 +84,8 @@ fn hostile_walk() {
         (!matches!(row.kind, Kind::Path { .. })).then(|| "banana".to_string())
     });
     let blank = hostile_env(|_| Some("   ".to_string()));
-    assert_eq!(blank.len(), 19, "every variable apply_env reads");
-    assert!(below.len() >= 6 && above.len() >= 11 && garbage.len() == 15);
+    assert_eq!(blank.len(), 15, "every variable apply_env reads");
+    assert!(below.len() >= 3 && above.len() >= 7 && garbage.len() == 11);
     for (what, env) in [("min-1", below), ("max+1", above), ("garbage", garbage), ("blank", blank)] {
         let names: Vec<&str> = env.iter().map(|(name, _)| *name).collect();
         hostile_round(what, "default", &env, &names);
@@ -108,16 +107,6 @@ fn hostile_walk() {
             ("MESH_HARDEN_POISON", "0"),
         ]),
         &["MESH_TRACE_BUF_EVENTS", "MESH_SENSE_HISTORY", "MESH_MAX_HEAP_BYTES", "MESH_HARDEN_CANARY"],
-    );
-    hostile_round(
-        "quarantine caps",
-        "caps",
-        &set(&[
-            ("MESH_HARDEN", "count"),
-            ("MESH_HARDEN_QUARANTINE_BYTES", "16"),
-            ("MESH_HARDEN_QUARANTINE_SLOTS", "0"),
-        ]),
-        &["MESH_HARDEN_QUARANTINE_BYTES", "MESH_HARDEN_QUARANTINE_SLOTS"],
     );
 }
 
@@ -212,6 +201,23 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
         warned,
         ["mesh: ignoring MESH_INITIAL_SEGMENT_BYTES and MESH_SEGMENT_BYTES (retired: the heap is one file)"]
     );
+    // The values the heap now fixes share a reason, and so a line.
+    let warned = retired_round(&[
+        ("MESH_CTL_MAX_CLIENTS", "8"),
+        ("MESH_PROF_INTERVAL_MS", "100"),
+    ]);
+    assert_eq!(
+        warned,
+        ["mesh: ignoring MESH_PROF_INTERVAL_MS and MESH_CTL_MAX_CLIENTS (retired: the heap uses a fixed value)"]
+    );
+    let warned = retired_round(&[
+        ("MESH_HARDEN_QUARANTINE_BYTES", "16"),
+        ("MESH_HARDEN_QUARANTINE_SLOTS", "0"),
+    ]);
+    assert_eq!(
+        warned,
+        ["mesh: ignoring MESH_HARDEN_QUARANTINE_BYTES and MESH_HARDEN_QUARANTINE_SLOTS (retired: the heap uses a fixed value)"]
+    );
 
     hostile_walk();
 
@@ -219,7 +225,6 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     std::env::set_var("MESH_SEED", "99");
     std::env::set_var("MESH_PROF", "1");
     std::env::set_var("MESH_PROF_SAMPLE_BYTES", "64K");
-    std::env::set_var("MESH_PROF_INTERVAL_MS", "banana"); // malformed
     std::env::set_var("MESH_PROF_PATH", "   "); // malformed (blank)
     std::env::set_var("MESH_TRANSFER_BATCH", "257"); // retired
     std::env::set_var("MESH_TRACE", "1");
@@ -231,11 +236,6 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     assert_eq!(c.max_heap_size(), 64 << 20, "suffix-parsed cap");
     assert!(c.is_profiling(), "MESH_PROF=1 enables the profiler");
     assert_eq!(c.prof_sample_size(), 64 << 10, "suffix-parsed sample rate");
-    assert_eq!(
-        c.prof_dump_interval(),
-        None,
-        "malformed interval ignored (warned), default kept"
-    );
     assert_eq!(
         c.prof_dump_path(),
         None,
@@ -285,18 +285,6 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     );
     drop(mesh);
 
-    // A second heap with the interval knob well-formed: 0 still means
-    // "no interval dumps", exercising the ms parse end to end.
-    std::env::set_var("MESH_PROF_INTERVAL_MS", "250");
-    let c = MeshConfig::default().apply_env();
-    assert_eq!(
-        c.prof_dump_interval(),
-        Some(std::time::Duration::from_millis(250))
-    );
-    std::env::set_var("MESH_PROF_INTERVAL_MS", "0");
-    let c = MeshConfig::default().apply_env();
-    assert_eq!(c.prof_dump_interval(), None, "0 disables interval dumps");
-
     // A well-formed buffer size (suffix-parsed) reaches the config.
     std::env::set_var("MESH_TRACE_BUF_EVENTS", "4K");
     let c = MeshConfig::default().apply_env();
@@ -305,15 +293,13 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
 
     // Hardened-mode knobs (set after the first heap ran: MESH_HARDEN
     // changes free semantics, so the unhardened churn above must not see
-    // it). `full` is an alias of `count`; per-feature toggles and the
-    // quarantine bounds parse with the usual warn-on-malformed contract.
+    // it). `full` is an alias of `count`; per-feature toggles parse with
+    // the usual warn-on-malformed contract.
     std::env::set_var("MESH_HARDEN", "full");
     std::env::set_var("MESH_HARDEN_POISON", "1");
     std::env::set_var("MESH_HARDEN_QUARANTINE", "0");
     std::env::set_var("MESH_HARDEN_GUARD", "banana"); // malformed
     std::env::set_var("MESH_HARDEN_CANARY", "1");
-    std::env::set_var("MESH_HARDEN_QUARANTINE_BYTES", "128K");
-    std::env::set_var("MESH_HARDEN_QUARANTINE_SLOTS", "banana"); // malformed
     let c = MeshConfig::default().apply_env();
     assert!(c.is_hardened(), "MESH_HARDEN=full activates count mode");
     let h = c.harden_config();
@@ -322,12 +308,6 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     assert!(!h.quarantine_on(), "MESH_HARDEN_QUARANTINE=0 disables");
     assert!(h.guard_on(), "malformed toggle ignored (warned), default kept");
     assert!(h.canary_on());
-    assert_eq!(h.quarantine_bytes, 128 << 10, "suffix-parsed bound");
-    assert_eq!(
-        h.quarantine_slots,
-        mesh::core::HardenConfig::default().quarantine_slots,
-        "malformed slot bound ignored (warned), default kept"
-    );
     assert!(c.validate().is_ok());
 
     // Every policy spelling lands where documented.
@@ -347,7 +327,6 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     // double free end to end.
     std::env::set_var("MESH_HARDEN", "count");
     std::env::set_var("MESH_HARDEN_QUARANTINE", "1");
-    std::env::set_var("MESH_HARDEN_QUARANTINE_SLOTS", "16");
     let c = MeshConfig::default().apply_env();
     assert!(c.validate().is_ok());
     let mesh = mesh::core::Mesh::new(c).unwrap();
@@ -366,39 +345,27 @@ fn apply_env_reads_knobs_and_ignores_malformed() {
     assert_eq!(s.total_harden_violations(), 1);
     drop(mesh);
 
-    // mesh-ctl knobs follow the same warn-and-ignore contract: a bad
+    // The mesh-ctl path follows the same warn-and-ignore contract: a bad
     // value must never kill an interposed process, it just runs without
     // a control socket.
     std::env::set_var("MESH_CTL", "   "); // malformed (blank)
-    std::env::set_var("MESH_CTL_MAX_CLIENTS", "banana"); // malformed
     let c = MeshConfig::default().apply_env();
     assert!(
         c.ctl_socket_path().is_none(),
         "blank MESH_CTL ignored (warned)"
     );
-    assert_eq!(
-        c.ctl_client_cap(),
-        4,
-        "malformed client cap ignored (warned), default kept"
-    );
     std::env::set_var("MESH_CTL", "x".repeat(200)); // longer than sun_path
-    std::env::set_var("MESH_CTL_MAX_CLIENTS", "0"); // below 1..=64
     let c = MeshConfig::default().apply_env();
     assert!(
         c.ctl_socket_path().is_none(),
         "overlong MESH_CTL ignored (warned)"
     );
-    assert_eq!(c.ctl_client_cap(), 4, "out-of-range cap ignored (warned)");
-    std::env::set_var("MESH_CTL_MAX_CLIENTS", "65"); // above 1..=64
-    assert_eq!(MeshConfig::default().apply_env().ctl_client_cap(), 4);
 
     let sock = std::env::temp_dir().join(format!("mesh-env-knobs-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&sock);
     std::env::set_var("MESH_CTL", &sock);
-    std::env::set_var("MESH_CTL_MAX_CLIENTS", "8");
     let c = MeshConfig::default().apply_env();
     assert_eq!(c.ctl_socket_path(), Some(sock.as_path()), "MESH_CTL parsed");
-    assert_eq!(c.ctl_client_cap(), 8, "MESH_CTL_MAX_CLIENTS parsed");
     assert!(c.validate().is_ok());
 
     // The parsed knobs drive a live server end to end: a stale socket

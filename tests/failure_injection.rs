@@ -111,7 +111,7 @@ fn invalid_configs_are_rejected_not_ub() {
         Err(MeshError::InvalidConfig(_))
     ));
     assert!(Mesh::new(MeshConfig::default().sense_path(Some("".into()))).is_err());
-    assert!(Mesh::new(MeshConfig::default().occupancy_cutoff(2.0)).is_err());
+    assert!(Mesh::new(MeshConfig::default().tracing(true).trace_buf_events(1)).is_err());
 }
 
 #[test]

@@ -28,20 +28,19 @@ fn hardened(seed: u64, policy: HardenPolicy) -> MeshConfig {
 #[test]
 fn quarantine_delays_reuse_until_cap_forces_drain() {
     for seed in [41u64, 42, 43] {
-        let mesh = Mesh::new(hardened(seed, HardenPolicy::Count).harden_quarantine_slots(32))
-            .expect("hardened heap");
+        let mesh = Mesh::new(hardened(seed, HardenPolicy::Count)).expect("hardened heap");
         let mut th = mesh.thread_heap();
         let freed: Vec<usize> = (0..24).map(|_| th.malloc(64) as usize).collect();
         assert!(freed.iter().all(|&p| p != 0));
         for &p in &freed {
             unsafe { th.free(p as *mut u8) };
         }
-        // 24 frees sit below both caps (32 slots / 256 KiB): every one is
+        // 24 frees sit below both caps (512 slots / 256 KiB): every one is
         // parked, none may come back — not from the shuffle vector, and
         // not from a refill either, because parked slots stay
         // bitmap-claimed.
         let parked: HashSet<usize> = freed.iter().copied().collect();
-        let fresh: Vec<usize> = (0..60).map(|_| th.malloc(64) as usize).collect();
+        let fresh: Vec<usize> = (0..600).map(|_| th.malloc(64) as usize).collect();
         for &p in &fresh {
             assert!(p != 0);
             assert!(

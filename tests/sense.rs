@@ -362,3 +362,55 @@ fn file_pages_match_committed_pages_through_mesh_and_purge() {
         unsafe { mesh.free(p) };
     }
 }
+
+/// Set in the child [`rss_counts_a_meshed_page_once`] runs of itself.
+const RSS_CHILD: &str = "MESH_SENSE_RSS_CHILD";
+
+/// `rss_bytes` counts a heap page once however many mappings show it;
+/// `statm` counts it once per mapping. After a pass, reading every
+/// survivor through its own address faults in the meshed spans' aliases:
+/// `statm` grows by about their pages and `rss_bytes` does not. The body
+/// runs in a child of its own, where no other test's heap moves the
+/// process's figures.
+#[test]
+fn rss_counts_a_meshed_page_once() {
+    if std::env::var_os(RSS_CHILD).is_none() {
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "rss_counts_a_meshed_page_once", "--nocapture"])
+            .env(RSS_CHILD, "1")
+            .output()
+            .unwrap();
+        let output = String::from_utf8_lossy(&child.stdout) + String::from_utf8_lossy(&child.stderr);
+        assert!(child.status.success(), "{output}");
+        return;
+    }
+    let mesh = heap(17);
+    let kept = fragment(&mesh, 65_536, 256, 8);
+    for &p in &kept {
+        unsafe { std::ptr::write_bytes(p, 0x5A, 256) };
+    }
+    assert!(mesh.mesh_now().pairs_meshed > 0, "the pass meshed nothing");
+    let rss = || -> u64 {
+        let json = report_text(&mesh, Report::Sense).unwrap();
+        Parser::parse(&json).get("snapshot").get("rss_bytes").num()
+    };
+    let statm = || mesh::core::sys::process_rss_kb().unwrap() * 1024;
+    rss(); // the render's own first faults
+    let (rss_before, statm_before) = (rss(), statm());
+    let mut sum = 0u64;
+    for &p in &kept {
+        sum += unsafe { std::ptr::read_volatile(p) } as u64;
+    }
+    assert_eq!(sum, 0x5A * kept.len() as u64, "a survivor lost its bytes");
+    let (rss_after, statm_after) = (rss(), statm());
+    let aliases = mesh.stats().mesh_pages_released * PAGE_SIZE as u64;
+    let figures = format!(
+        "aliases {aliases}, statm {statm_before} -> {statm_after}, rss_bytes {rss_before} -> {rss_after}"
+    );
+    assert!(statm_after >= statm_before + aliases / 2, "statm missed the aliases: {figures}");
+    assert!(rss_after.abs_diff(rss_before) < aliases / 8, "rss_bytes counted the aliases: {figures}");
+    eprintln!("{figures}");
+    for p in kept {
+        unsafe { mesh.free(p) };
+    }
+}
